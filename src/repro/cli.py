@@ -24,7 +24,7 @@ Measure the sharded management plane and gate on an earlier report::
     repro-experiments perf --shards 1,4
     repro-experiments perf --compare BENCH_discovery.json
 
-Measure the multi-process shard backend (one worker process per shard),
+Measure the multi-process shard backend (one child shard server per shard),
 alone or alongside the inline cells so ``--compare`` can gate the inline
 ones against an older baseline while the process cells join as new cells::
 
@@ -253,7 +253,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
         metavar="NAME[,NAME...]",
         help=(
             "where sharded cells' shards live: 'inline' (in-process, the "
-            "default), 'process' (one worker process per shard), 'socket' "
+            "default), 'process' (one child shard server per shard), 'socket' "
             "(connection-scoped shards on a loopback asyncio server), or any "
             "comma-separated mix; 'process'/'socket' require --shards"
         ),
@@ -296,8 +296,8 @@ def build_perf_parser() -> argparse.ArgumentParser:
         metavar="COUNT",
         help=(
             "churn cycles the recovery workload journals before measuring "
-            "restart+replay (process backend only; default: --ops, else the "
-            "workload default)"
+            "restart+replay (remote backends, i.e. 'process' and 'socket'; "
+            "default: --ops, else the workload default)"
         ),
     )
     parser.add_argument(

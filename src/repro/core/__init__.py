@@ -25,13 +25,7 @@ from .management_plane import DegradedResult, PlaneHealth, ShardHealth
 from .management_server import ManagementServer, NeighborEntry, ServerStats
 from .neighbor_cache import NeighborCache
 from .sharded import ConsistentHashRing, ShardBackend, ShardedManagementServer
-from .remote import (
-    ProcessShardBackend,
-    RecoveryPolicy,
-    ShardSupervisor,
-    process_shard_factory,
-    shard_factory_for,
-)
+from .remote import RecoveryPolicy, shard_factory_for
 from .chaos import ChaosShardBackend, Fault, FaultPlan
 from .serving import DiscoverySnapshot, FlatTrie, SnapshotPublisher, SnapshotReader
 from .distance import (
@@ -90,10 +84,7 @@ __all__ = [
     "DegradedResult",
     "PlaneHealth",
     "ShardHealth",
-    "ProcessShardBackend",
     "RecoveryPolicy",
-    "ShardSupervisor",
-    "process_shard_factory",
     "shard_factory_for",
     "ChaosShardBackend",
     "Fault",

@@ -12,17 +12,18 @@ identically.
 Fault kinds
 -----------
 ``crash_before``
-    Kill the worker process before forwarding the call — the inner backend
-    sees a dead worker and (with a
+    Kill the shard's transport (``supervisor.kill()``: SIGKILL the child
+    server of a process shard, cut the connection of a socket shard) before
+    forwarding the call — the inner backend sees a dead shard and (with a
     :class:`~repro.core.remote.RecoveryPolicy`) self-heals via
     restart+replay+re-issue.  The operation itself is never lost.
 ``crash_after``
-    Forward the call, then kill the worker.  The operation was acknowledged
+    Forward the call, then kill the shard.  The operation was acknowledged
     (and journaled, if mutating), so recovery replays it — this is the
     "crash between ops" case.
 ``drop_reply``
     Forward the call, discard its result and raise
-    :class:`~repro.exceptions.ShardUnavailableError` instead.  The worker
+    :class:`~repro.exceptions.ShardUnavailableError` instead.  The shard
     *did* apply (and journal) the operation while the caller sees a
     failure — the one fault whose recovery needs caller-level convergence
     (re-register the batch), which is why the byte-identity oracle scripts
@@ -32,14 +33,15 @@ Fault kinds
     models a slow shard without killing anything.
 ``error``
     Raise :class:`~repro.exceptions.ShardUnavailableError` without touching
-    the worker at all — a pure transport flake; a bare retry would succeed.
+    the shard at all — a pure transport flake; a bare retry would succeed.
 
 Network-shaped fault kinds
 --------------------------
-The socket transport (:mod:`repro.core.socket_backend`) fails in ways a
-pipe cannot, so three kinds target its
-``SocketShardSupervisor.sever``/``rewind_generation`` hooks (they raise
-typed on a backend whose supervisor lacks the hooks):
+A connection can fail while the server behind it lives, so three kinds
+target the ``SocketShardSupervisor.sever``/``rewind_generation`` hooks.
+Every remote shard — ``process`` and ``socket`` alike — is socket-backed
+and accepts them; they raise typed on an inline shard, which has no
+supervisor:
 
 ``partial_frame``
     Before forwarding, send a frame whose length header promises more
@@ -55,7 +57,9 @@ typed on a backend whose supervisor lacks the hooks):
     *past* the server's next hello and kill the connection: the first
     recovery reconnect lands on a stale epoch and fails typed, and only
     the attempt after it succeeds — exercising the stale-epoch guard under
-    an otherwise-converging plan (``max_restarts`` must be >= 2).
+    an otherwise-converging plan (``max_restarts`` must be >= 2).  A
+    process shard respawns its own server on every restart and so forgets
+    the generation: there the fault is a plain disconnect healed at once.
 
 Wire-shaped fault kinds
 -----------------------
@@ -70,7 +74,7 @@ backends share one *lossy-wire* failure vocabulary, so the same
     silently dropped (counted in ``dropped_messages``).  On a backend: the
     call is never forwarded and raises
     :class:`~repro.exceptions.ShardUnavailableError` (the request never
-    reached the worker — contrast ``drop_reply``, where it did).
+    reached the shard — contrast ``drop_reply``, where it did).
 ``duplicate``
     At-least-once delivery gone wrong: the message arrives twice.  On the
     sim: the delivery is scheduled twice (independent latency samples).  On
@@ -141,8 +145,8 @@ FAULT_KINDS = (
     "partition",
 )
 
-#: Kinds that need the socket transport's ``sever``/``rewind_generation``
-#: chaos hooks (process-backed shards cannot fail these ways).
+#: Kinds that need a remote shard's ``sever``/``rewind_generation`` chaos
+#: hooks (process and socket shards have them; inline shards do not).
 NETWORK_FAULT_KINDS = ("partial_frame", "conn_reset", "reconnect_stale_epoch")
 
 #: The lossy-wire vocabulary shared by the event sim
@@ -278,10 +282,9 @@ class FaultPlan:
 class ChaosShardBackend:
     """A :class:`~repro.core.sharded.ShardBackend` that executes a FaultPlan.
 
-    Wraps any backend; crash faults additionally require the inner backend
-    to expose ``supervisor.process`` (i.e.
-    :class:`~repro.core.remote.ProcessShardBackend`) so there is a real
-    worker to kill.  Lifecycle calls (``close``, ``restart``,
+    Wraps any backend; crash and network-shaped faults additionally
+    require a supervised (remote) inner backend, so there is a transport to
+    kill.  Lifecycle calls (``close``, ``restart``,
     ``health_check``) and attribute access pass through unfaulted — chaos
     targets the data plane, not the harness's cleanup.
     """
@@ -305,42 +308,14 @@ class ChaosShardBackend:
 
     # ------------------------------------------------------------- injection
 
-    def _kill_worker(self) -> None:
-        # Every supervised backend exposes a transport-appropriate abrupt
-        # kill (process: SIGKILL the worker; socket: sever the connection),
-        # so crash faults work on any transport.  The legacy process-handle
-        # path is kept for inner backends that predate the generic hook.
-        supervisor = getattr(self.inner, "supervisor", None)
-        kill = getattr(supervisor, "kill", None)
-        if callable(kill):
-            kill()
-            return
-        process = getattr(supervisor, "process", None)
-        if process is None:
+    def _supervisor_hook(self, hook: str):
+        """The inner supervisor's chaos hook; typed refusal on an inline shard."""
+        method = getattr(getattr(self.inner, "supervisor", None), hook, None)
+        if method is None:
             raise ShardUnavailableError(
-                self.name, "chaos: crash fault needs a supervised shard backend"
+                self.name, f"chaos: {hook}() faults need a supervised shard backend"
             )
-        if process.is_alive():
-            process.kill()
-            process.join()
-
-    def _sever(self, mode: str) -> None:
-        supervisor = getattr(self.inner, "supervisor", None)
-        sever = getattr(supervisor, "sever", None)
-        if not callable(sever):
-            raise ShardUnavailableError(
-                self.name, f"chaos: {mode!r} fault needs a socket-backed shard"
-            )
-        sever(mode)
-
-    def _rewind_generation(self) -> None:
-        supervisor = getattr(self.inner, "supervisor", None)
-        rewind = getattr(supervisor, "rewind_generation", None)
-        if not callable(rewind):
-            raise ShardUnavailableError(
-                self.name, "chaos: stale-epoch fault needs a socket-backed shard"
-            )
-        rewind()
+        return method
 
     def _call(self, op_name: str, func, *args, **kwargs):
         faults = self.plan.faults_for(op_name)
@@ -349,14 +324,16 @@ class ChaosShardBackend:
             if fault.kind == "delay":
                 self._sleep(fault.delay_s)
             elif fault.kind == "crash_before":
-                self._kill_worker()
+                # Shaped like the shard: SIGKILL a process shard's child
+                # server, cut a socket shard's connection.
+                self._supervisor_hook("kill")()
             elif fault.kind == "partial_frame":
-                self._sever("partial_frame")
+                self._supervisor_hook("sever")("partial_frame")
             elif fault.kind == "conn_reset":
-                self._sever("reset")
+                self._supervisor_hook("sever")("reset")
             elif fault.kind == "reconnect_stale_epoch":
-                self._rewind_generation()
-                self._sever("close")
+                self._supervisor_hook("rewind_generation")()
+                self._supervisor_hook("sever")("close")
             elif fault.kind == "error":
                 raise ShardUnavailableError(
                     self.name, f"chaos: scripted error at op {self.plan.ops_seen}"
@@ -387,7 +364,7 @@ class ChaosShardBackend:
         self._flush_reordered()
         for fault in faults:
             if fault.kind == "crash_after":
-                self._kill_worker()
+                self._supervisor_hook("kill")()
             elif fault.kind == "drop_reply":
                 raise ShardUnavailableError(
                     self.name,

@@ -200,7 +200,7 @@ class ManagementPlaneBase:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release plane-owned resources (worker processes, pipes).
+        """Release plane-owned resources (shard servers, connections).
 
         A no-op for purely in-process planes; the sharded coordinator closes
         its shard backends.  Always safe to call more than once, so callers

@@ -1,133 +1,97 @@
-"""Multi-process shard backend: one ``ManagementServer`` per worker process.
+"""Remote shards: the request protocol, the journal, recovery and compaction.
 
 :class:`~repro.core.sharded.ShardedManagementServer` drives its shards
-through the :class:`~repro.core.sharded.ShardBackend` protocol, and PR 2 left
-"implement a remote backend and pass it via ``shard_factory=``" as the named
-next step off a single process.  This module provides that backend: a
-:class:`ProcessShardBackend` proxies the five shard methods to a full
-:class:`~repro.core.management_server.ManagementServer` (with
-``maintain_cache=False`` — the coordinator owns the only cache) running in a
-worker process, and a :class:`ShardSupervisor` owns the worker's lifecycle.
+through the :class:`~repro.core.sharded.ShardBackend` protocol.  A remote
+shard is a full :class:`~repro.core.management_server.ManagementServer`
+(with ``maintain_cache=False`` — the coordinator owns the only cache)
+behind a :class:`~repro.core.socket_backend.ShardServer`, and this module
+is everything about it that does not move bytes: the server-side request
+dispatch (:class:`ShardRequestHandler`), the client-side backend surface
+(:class:`SupervisedShardBackend`) and the supervision story
+(:class:`ShardSupervisorBase`).  ONE transport moves the frames —
+:mod:`repro.core.socket_backend` — and the remote backend names differ only
+in who hosts the server: ``"process"`` forks one child shard server per
+shard and owns it (a restart respawns the child), ``"socket"`` dials a
+server somebody else runs (a restart reconnects).
 
-The transport-independent half of that story — the operation journal, the
-bounded restart+replay+re-issue recovery loop, snapshot compaction, and the
-full client-side :class:`~repro.core.sharded.ShardBackend` surface with its
-chunked lazy fill streams — lives in :class:`ShardSupervisorBase` and
-:class:`SupervisedShardBackend` so the network transport
-(:mod:`repro.core.socket_backend`) reuses it wholesale: a socket shard
-heals by *reconnect*-with-replay exactly the way a process shard heals by
-*restart*-with-replay, under the very same :class:`RecoveryPolicy`.
-
-Wire protocol
--------------
-Each shard talks over one duplex :func:`multiprocessing.Pipe`, strictly
-request/reply (the coordinator is single-threaded per shard, so requests
-never interleave).  A message is one **length-prefixed frame**::
-
-    frame   = header body
-    header  = !I big-endian byte length of body
-    body    = serialised message tuple
-
-    request = (request_id, op, args)      request_id > 0, or 0 for one-way
-    reply   = (request_id, "ok",  value)
-            | (request_id, "err", exception_type_name, message)
-
-The header is redundant with the pipe's own message boundaries on purpose:
-a frame whose declared length disagrees with its byte count means the
-channel is corrupt (truncated write, desynchronised reply), and the client
-turns it into a typed :class:`~repro.exceptions.ShardUnavailableError`
-instead of a pickle traceback.  Bodies contain only plain data — the typed
-codec below flattens :class:`~repro.core.path.RouterPath` and candidate
-tuples into tagged tuples before serialisation — so the wire format is
-independent of repro class layout and a worker crash mid-write can never
-surface as a half-unpickled domain object.
-
-Errors raised by the worker's ``ManagementServer`` travel as
-``(type_name, str(message))`` and are re-raised client-side as the same
-exception type with the same message (resolved from
-:mod:`repro.exceptions`, then builtins), which is exactly the surface the
-equivalence oracle compares — so the process plane reproduces the inline
-plane's errors byte for byte.  (Reconstructed exceptions carry the message
-but not constructor-specific attributes like ``peer_id``.)
+Requests and replies
+--------------------
+Strictly request/reply over one connection per shard (the coordinator is
+single-threaded per shard, so requests never interleave); the message
+grammar and the frame format are :mod:`repro.core.codec`'s.  Errors raised
+by the shard's ``ManagementServer`` travel as ``(type_name, str(message))``
+and are re-raised client-side as the same exception type with the same
+message (resolved from :mod:`repro.exceptions`, then builtins), which is
+exactly the surface the equivalence oracle compares — so a remote plane
+reproduces the inline plane's errors byte for byte.  (Reconstructed
+exceptions carry the message but not constructor-specific attributes like
+``peer_id``.)
 
 Batching and chunking rules
 ---------------------------
-* **Arrival is batched**: a co-arriving batch crosses the process boundary
-  as ONE ``validate_batch`` request and ONE ``insert_paths`` request per
-  shard, each carrying every encoded path for that shard, so arrival cost
-  per peer stays O(path length), not O(round trips).
-* **fill_candidates is chunked and lazy**: the worker keeps the lazily
+* **Arrival is batched**: a co-arriving batch crosses the transport as ONE
+  ``validate_batch`` request and ONE ``insert_paths`` request per shard,
+  each carrying every encoded path for that shard, so arrival cost per peer
+  stays O(path length), not O(round trips).
+* **fill_candidates is chunked and lazy**: the shard keeps the lazily
   heap-merged candidate stream; the client generator opens it on first use
   (``fill_open``), pulls :data:`DEFAULT_FILL_CHUNK` candidates per
   ``fill_next`` round trip, and sends a one-way ``fill_close`` when the
   coordinator abandons the merge early — so the inter-shard merge stays lazy
-  across the process boundary and a query that needs two fill candidates
-  ships two chunks, not every foreign peer.
-* **One-way notifications** (``fill_close``, ``shutdown``) use
-  ``request_id == 0`` and produce no reply, so an abandoned stream's cleanup
-  can be sent from a generator finaliser without desynchronising the strict
-  request/reply order of the pipe.
+  across the transport and a query that needs two fill candidates ships two
+  chunks, not every foreign peer.
+* **One-way notifications** (``fill_close``) use ``request_id == 0`` and
+  produce no reply, so an abandoned stream's cleanup can be sent from a
+  generator finaliser without desynchronising the strict request/reply
+  order of the connection.
 
 Fault model
 -----------
-Every transport failure — dead worker, broken, unwritable or timed-out
-pipe, malformed frame or reply (:class:`~repro.exceptions.WireProtocolError`
-internally, a type deliberately distinct from the join-protocol
-``ProtocolError``) — raises
-:class:`~repro.exceptions.ShardUnavailableError` naming the shard, and
-poisons the channel so subsequent requests fail fast until
-:meth:`ShardSupervisor.restart`.  Every round trip draws all of its
-blocking phases (writability probe, send, reply wait) from ONE
-:class:`~repro.core.budget.DeadlineBudget`, so its worst-case wall time is
-bounded by a single ``request_timeout`` regardless of how the slowness is
-split between a clogged pipe and a slow worker.  Fill-stream ids are scoped
-to one worker incarnation (:attr:`ShardSupervisorBase.epoch`), so consumers
-outliving a restart fail typed instead of touching the new worker's
-streams.  The supervisor keeps a **per-shard operation journal** of every
-successful mutating request (``register_landmark``, ``insert_paths``,
-``unregister``); :meth:`ShardSupervisorBase.restart` spawns a fresh worker
-and replays the journal in order, which rebuilds the shard's trees and
-min-hop orderings to a byte-identical state (insert order determines tree
-shape; the orderings are rebuilt lazily from the same sorted keys).
-Mutating requests only touch coordinator state *after* the shard
-acknowledged them, so a crash mid-operation leaves the coordinator
-consistent with the journal for single-operation arrival/departure/query.
-A batch ``register_peers`` is not atomic across a shard crash: the
-coordinator may have recorded peers whose insert never reached the failed
-shard — restart, replay and re-register the batch to converge.
+Every transport failure (the list is :mod:`repro.core.socket_backend`'s)
+raises :class:`~repro.exceptions.ShardUnavailableError` naming the shard —
+malformed frames and replies included: :class:`~repro.exceptions.
+WireProtocolError` is internal, and deliberately distinct from the
+join-protocol ``ProtocolError`` — and poisons the channel so subsequent
+requests fail fast until :meth:`ShardSupervisorBase.restart`.  Fill-stream
+ids are scoped to one transport incarnation
+(:attr:`ShardSupervisorBase.epoch`), so consumers outliving a restart fail
+typed instead of touching the new incarnation's streams.  The supervisor
+keeps a **per-shard operation journal** of every successful mutating
+request (``register_landmark``, ``insert_paths``, ``unregister``); a
+restart lands on an *empty* shard and replays the journal in order, which
+rebuilds the shard's trees and min-hop orderings to a byte-identical state
+(insert order determines tree shape; the orderings are rebuilt lazily from
+the same sorted keys).  Mutating requests only touch coordinator state
+*after* the shard acknowledged them, so a crash mid-operation leaves the
+coordinator consistent with the journal for single-operation
+arrival/departure/query.  A batch ``register_peers`` is not atomic across a
+shard crash: the coordinator may have recorded peers whose insert never
+reached the failed shard — restart, replay and re-register the batch to
+converge.
 
 Self-healing
 ------------
-Recovery is **opt-in**: construct the supervisor (or backend, or factory)
-with a :class:`RecoveryPolicy` and any transport failure on a recoverable
-request triggers a bounded loop of backoff → :meth:`ShardSupervisorBase.
-restart` (respawn + replay) → one re-issue of the failed request, instead
-of raising on first fault.  Backoff is exponential with a cap, and
-deterministic when the policy carries an injected ``rng`` for jitter.  Fill
-streams recover too: journal replay rebuilds worker state byte-identically,
-so the client reopens the stream on the fresh worker and fast-forwards past
-the candidates already yielded, continuing the *identical* stream (this
-assumes no mutations landed between the original open and the recovery —
-true for query-scoped merges, best-effort for externally held streams).
-Without a policy, the first fault raises typed exactly as before.
-
-The journal itself is no longer unbounded: :meth:`ShardSupervisorBase.
-compact` asks the worker for a ``snapshot_state`` (a plain-data
-serialisation of its landmarks, live paths and landmark distances — see
-``ManagementServer.snapshot_state``) and replaces the journal with the
-single entry ``("restore_state", (snapshot,))``, so restart cost is
-O(live state), not O(operation history).  Pass ``compact_watermark=N`` to
-compact automatically whenever the journal reaches ``N`` entries.
+Recovery is **opt-in**: with a :class:`RecoveryPolicy`, any transport
+failure on a recoverable request triggers a bounded loop of backoff →
+restart → one re-issue of the failed request, instead of raising on first
+fault.  Fill streams recover too: journal replay rebuilds shard state
+byte-identically, so the client reopens the stream on the fresh
+incarnation and fast-forwards past the candidates already yielded,
+continuing the *identical* stream (this assumes no mutations landed
+between the original open and the recovery — true for query-scoped merges,
+best-effort for externally held streams).  The journal itself is bounded:
+:meth:`ShardSupervisorBase.compact` swaps it for one ``restore_state``
+entry holding the shard's ``snapshot_state``, so restart cost is O(live
+state), not O(operation history); ``compact_watermark=N`` does so
+automatically whenever the journal reaches ``N`` entries.
 """
 
 from __future__ import annotations
 
 import builtins
 import itertools
-import multiprocessing
 import pickle
 import random
-import select
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -143,7 +107,7 @@ from typing import (
 from .. import exceptions as _exceptions
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import decode_frame, decode_path, encode_frame, encode_path
+from .codec import decode_path, encode_path
 from .management_server import ManagementServer
 from .path import LandmarkId, PeerId, RouterPath
 from .path_tree import PathTree
@@ -151,25 +115,20 @@ from .path_tree import PathTree
 __all__ = [
     "BACKENDS",
     "DEFAULT_FILL_CHUNK",
-    "ProcessShardBackend",
     "RecoveryPolicy",
     "ShardRequestHandler",
-    "ShardSupervisor",
     "ShardSupervisorBase",
     "SupervisedShardBackend",
-    "decode_frame",
     "decode_path",
-    "encode_frame",
     "encode_path",
-    "process_shard_factory",
     "shard_factory_for",
 ]
 
 #: The shard-backend implementations selectable by name — the single source
 #: for every ``backend=`` surface (ScenarioConfig, the perf suite, the CLI).
-#: ``"socket"`` lives in :mod:`repro.core.socket_backend` (asyncio shard
-#: servers over TCP / Unix-domain sockets) and is resolved lazily by
-#: :func:`shard_factory_for` so importing this module never imports asyncio.
+#: Both remote names run on :mod:`repro.core.socket_backend` (asyncio shard
+#: servers over TCP / Unix-domain sockets), which :func:`shard_factory_for`
+#: imports lazily so importing this module never imports asyncio.
 BACKENDS = ("inline", "process", "socket")
 
 #: Candidates shipped per ``fill_next`` round trip.  Small enough that a
@@ -178,8 +137,8 @@ BACKENDS = ("inline", "process", "socket")
 DEFAULT_FILL_CHUNK = 32
 
 #: Seconds a request waits for its reply before declaring the shard gone.
-#: Applies to *every* round trip — requests, journal replay during restart,
-#: the shutdown handshake in close() — so a hung worker can never block the
+#: Applies to *every* round trip — requests, the hello handshake and journal
+#: replay during restart — so a hung shard server can never block the
 #: coordinator indefinitely.
 DEFAULT_REQUEST_TIMEOUT = 60.0
 
@@ -246,7 +205,7 @@ class RecoveryPolicy:
 
 
 def _rebuild_exception(type_name: str, message: str) -> BaseException:
-    """Client-side twin of a worker exception: same type, same ``str()``.
+    """Client-side twin of a shard-side exception: same type, same ``str()``.
 
     The instance is created without running the original constructor (which
     may require domain arguments the wire does not carry), so it carries the
@@ -262,7 +221,7 @@ def _rebuild_exception(type_name: str, message: str) -> BaseException:
     return error
 
 
-# ------------------------------------------------------------------ worker
+# -------------------------------------------------------------- shard side
 
 
 class ShardRequestHandler:
@@ -270,11 +229,10 @@ class ShardRequestHandler:
 
     The request/reply semantics of a shard — dispatch against a
     ``ManagementServer(maintain_cache=False)``, lazily opened fill streams
-    addressed by id, errors serialised as ``(type_name, message)`` — are
-    identical whether the transport is a :func:`multiprocessing.Pipe`
-    (:func:`_shard_worker`) or an asyncio socket connection
-    (:mod:`repro.core.socket_backend`), so both feed decoded request tuples
-    through one handler instance.
+    addressed by id, errors serialised as ``(type_name, message)`` — know
+    nothing about how frames arrive: a
+    :class:`~repro.core.socket_backend.ShardServer` connection feeds its
+    decoded request tuples through one handler instance.
     """
 
     def __init__(self, neighbor_set_size: int) -> None:
@@ -310,33 +268,8 @@ class ShardRequestHandler:
         self.streams.clear()
 
 
-def _shard_worker(conn, neighbor_set_size: int) -> None:
-    """Worker-process main loop: one ``ManagementServer`` behind the pipe.
-
-    Runs until a ``shutdown`` notification, a closed pipe (the supervisor
-    died), or an undecodable frame (a poisoned channel is unrecoverable, so
-    the worker exits and the client surfaces the EOF as unavailability).
-    """
-    handler = ShardRequestHandler(neighbor_set_size)
-    try:
-        while True:
-            try:
-                message = decode_frame(conn.recv_bytes())
-            except (EOFError, OSError, WireProtocolError, pickle.UnpicklingError):
-                break
-            request_id, op = message[0], message[1]
-            args = message[2] if len(message) > 2 else ()
-            if op == "shutdown":
-                break
-            reply = handler.handle(request_id, op, args)
-            if reply is not None:
-                conn.send_bytes(encode_frame(reply))
-    finally:
-        conn.close()
-
-
 def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args):
-    """Apply one decoded request to the worker's server; return the value."""
+    """Apply one decoded request to the shard's server; return the value."""
     if op == "ping":
         return "pong"
     if op == "register_landmark":
@@ -408,8 +341,8 @@ def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args
 class ShardSupervisorBase:
     """Transport-agnostic shard supervision: journal, recovery, compaction.
 
-    Subclasses own the transport — spawning a worker process and its pipe
-    (:class:`ShardSupervisor`) or dialling a shard server's socket
+    The subclass owns the transport — dialling a shard server's socket and,
+    for a server it hosts itself, respawning it
     (:class:`~repro.core.socket_backend.SocketShardSupervisor`) — through
     four hooks: :meth:`_establish_transport`, :meth:`_teardown_transport`,
     :meth:`_roundtrip` and :meth:`notify`.  Everything above the transport
@@ -434,9 +367,6 @@ class ShardSupervisorBase:
     compact_watermark:
         When set, :meth:`compact` runs automatically whenever the journal
         reaches this many entries, bounding replay cost by live state size.
-    clock:
-        Monotonic clock used for round-trip deadline budgets; injectable so
-        timeout regression tests can script pathological phase timings.
     """
 
     def __init__(
@@ -445,7 +375,6 @@ class ShardSupervisorBase:
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
         compact_watermark: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if compact_watermark is not None and compact_watermark < 1:
             raise ValueError(f"compact_watermark must be >= 1, got {compact_watermark}")
@@ -457,7 +386,6 @@ class ShardSupervisorBase:
         self.request_timeout = request_timeout
         self._recovery = recovery
         self._compact_watermark = compact_watermark
-        self._clock = clock
         self.last_snapshot_bytes = 0
         self._journal: List[Tuple[str, Tuple[object, ...]]] = []
         self._next_request_id = itertools.count(1)
@@ -468,11 +396,11 @@ class ShardSupervisorBase:
     # ------------------------------------------------------- transport hooks
 
     def _establish_transport(self) -> None:
-        """Bring up a fresh transport incarnation (spawn / connect)."""
+        """Bring up a fresh transport incarnation (respawn / connect)."""
         raise NotImplementedError
 
     def _teardown_transport(self) -> None:
-        """Tear the current transport down (reap worker / close socket)."""
+        """Tear the current transport down (close socket / reap own server)."""
         raise NotImplementedError
 
     def _roundtrip(
@@ -544,7 +472,7 @@ class ShardSupervisorBase:
     def _budget(self, timeout: Optional[float]) -> DeadlineBudget:
         """The single deadline budget one round trip's phases share."""
         deadline = self.request_timeout if timeout is None else timeout
-        return DeadlineBudget(deadline, clock=self._clock)
+        return DeadlineBudget(deadline)
 
     def request(
         self,
@@ -625,7 +553,7 @@ class ShardSupervisorBase:
 
         Shared by every transport: out-of-order or malformed replies poison
         the channel (the request/reply pairing is unknown from here on), and
-        worker-reported ``WireProtocolError`` surfaces as unavailability,
+        server-reported ``WireProtocolError`` surfaces as unavailability,
         never as a domain error.
         """
         if reply[0] != request_id or len(reply) < 3:
@@ -636,185 +564,14 @@ class ShardSupervisorBase:
         if reply[1] == "err" and len(reply) == 4:
             error = _rebuild_exception(str(reply[2]), str(reply[3]))
             if isinstance(error, WireProtocolError):
-                # The worker saw a protocol violation from us: surface it as
+                # The server saw a protocol violation from us: surface it as
                 # unavailability, never as a domain (join-protocol) error.
                 raise ShardUnavailableError(
-                    self.name, f"worker reported a protocol violation: {error}"
+                    self.name, f"shard server reported a protocol violation: {error}"
                 ) from error
             raise error
         self._poisoned = f"malformed reply to {op!r}"
         raise ShardUnavailableError(self.name, self._poisoned)
-
-
-class ShardSupervisor(ShardSupervisorBase):
-    """Owns one shard worker process: spawn, request plumbing, restart.
-
-    The transport instance of :class:`ShardSupervisorBase` for
-    ``multiprocessing`` pipes; see the base class for the journal, recovery
-    and compaction story it inherits.
-
-    Parameters
-    ----------
-    name / request_timeout / recovery / compact_watermark / clock:
-        As for :class:`ShardSupervisorBase`.
-    neighbor_set_size:
-        Passed to the worker's ``ManagementServer``.
-    start_method:
-        ``multiprocessing`` start method; ``None`` picks ``fork`` where
-        available (workers are cheap clones) and ``spawn`` elsewhere.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        neighbor_set_size: int,
-        start_method: Optional[str] = None,
-        request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-        recovery: Optional[RecoveryPolicy] = None,
-        compact_watermark: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        super().__init__(
-            name,
-            request_timeout=request_timeout,
-            recovery=recovery,
-            compact_watermark=compact_watermark,
-            clock=clock,
-        )
-        self.neighbor_set_size = neighbor_set_size
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._context = multiprocessing.get_context(start_method)
-        self._conn = None
-        self._process = None
-        self._establish_transport()
-
-    # ------------------------------------------------------------- lifecycle
-
-    @property
-    def process(self):
-        """The live worker :class:`multiprocessing.Process` (or ``None``)."""
-        return self._process
-
-    def _establish_transport(self) -> None:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_shard_worker,
-            args=(child_conn, self.neighbor_set_size),
-            name=f"repro-{self.name}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._conn = parent_conn
-        self._process = process
-        self._poisoned = None
-        self._epoch += 1
-
-    def _teardown_transport(self) -> None:
-        conn, process = self._conn, self._process
-        self._conn = None
-        self._process = None
-        if conn is not None:
-            # The shutdown frame is a courtesy: a hung worker with a full
-            # pipe buffer must not turn close() into a blocking send, so
-            # probe writability first and skip the frame when it would
-            # block — terminate()/kill() below reap the worker regardless.
-            if self._writable(conn, timeout=0.0):
-                try:
-                    conn.send_bytes(encode_frame((0, "shutdown")))
-                except (OSError, ValueError):
-                    pass
-        if process is not None:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM-ignoring worker
-                process.kill()
-                process.join()
-        if conn is not None:
-            conn.close()
-
-    def kill(self) -> None:
-        """Kill the worker process outright (fault injection, no teardown)."""
-        process = self._process
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join()
-
-    # --------------------------------------------------------------- requests
-
-    def notify(self, op: str, args: Tuple[object, ...]) -> None:
-        """One-way notification (no reply; failures are swallowed).
-
-        Used for stream cleanup from generator finalisers: the worker
-        processes it in pipe order and sends nothing back, so it can never
-        desynchronise an in-flight request/reply pair.  Like every send it
-        must not block on a hung worker, so an unwritable pipe skips the
-        notification (the worker is about to be restarted or reaped anyway).
-        """
-        conn = self._conn
-        if conn is None or self._poisoned is not None:
-            return
-        if not self._writable(conn, timeout=0.0):
-            return
-        try:
-            conn.send_bytes(encode_frame((0, op, args)))
-        except (OSError, ValueError):
-            pass
-
-    @staticmethod
-    def _writable(conn, timeout: float) -> bool:
-        """Probe pipe writability; optimistic where select() cannot run."""
-        try:
-            return bool(select.select([], [conn], [], timeout)[1])
-        except (OSError, ValueError):
-            return True
-
-    def _roundtrip(
-        self, op: str, args: Tuple[object, ...], timeout: Optional[float] = None
-    ) -> object:
-        if self._closed:
-            raise ShardUnavailableError(self.name, "supervisor is closed")
-        if self._poisoned is not None:
-            raise ShardUnavailableError(self.name, f"channel poisoned: {self._poisoned}")
-        process, conn = self._process, self._conn
-        if process is None or conn is None or not process.is_alive():
-            raise ShardUnavailableError(self.name, "worker process is not running")
-        budget = self._budget(timeout)
-        request_id = next(self._next_request_id)
-        try:
-            # A worker that stopped reading while staying alive would make a
-            # blocking send hang with the pipe buffer full, so probe
-            # writability before sending.  The probe and the reply wait draw
-            # from ONE shared deadline budget — a slow-draining pipe plus a
-            # slow worker is still bounded by a single request_timeout, not
-            # the sum of two full phase timeouts.  Where the probe cannot
-            # run (fd beyond FD_SETSIZE, platforms whose pipe handles
-            # select() rejects), fall back to sending un-probed — the
-            # residual blocking risk of the Connection API, also present for
-            # frames larger than the pipe buffer once a write has started.
-            if not self._writable(conn, timeout=budget.remaining()):
-                self._poisoned = f"pipe not writable for {op!r} within timeout"
-                raise ShardUnavailableError(self.name, self._poisoned)
-            conn.send_bytes(encode_frame((request_id, op, args)))
-            if not conn.poll(budget.remaining()):
-                self._poisoned = f"no reply to {op!r} within timeout"
-                raise ShardUnavailableError(self.name, self._poisoned)
-            reply = decode_frame(conn.recv_bytes())
-        except ShardUnavailableError:
-            raise
-        except (EOFError, OSError, WireProtocolError, pickle.UnpicklingError) as error:
-            # Any transport failure leaves the request/reply order unknown:
-            # poison the channel so later requests fail fast until restart().
-            self._poisoned = f"transport failure during {op!r}: {type(error).__name__}"
-            raise ShardUnavailableError(
-                self.name, f"worker died during {op!r}: {type(error).__name__}: {error}"
-            ) from error
-        return self._interpret_reply(reply, request_id, op)
 
 
 # ----------------------------------------------------------------- backend
@@ -827,9 +584,8 @@ class SupervisedShardBackend:
     Everything a remote shard backend does — path encoding, batched
     validation, chunked lazy fill streams with epoch-guarded recovery,
     diagnostics — is a function of its supervisor's ``request``/``notify``/
-    ``epoch`` interface, so :class:`ProcessShardBackend` and
-    :class:`~repro.core.socket_backend.SocketShardBackend` share this one
-    implementation and differ only in how their supervisor moves frames.
+    ``epoch`` interface; how frames move is the supervisor's business
+    (:class:`~repro.core.socket_backend.SocketShardBackend` wires one in).
 
     Subclasses set ``self.supervisor`` (a :class:`ShardSupervisorBase`),
     ``self.name`` and ``self.fill_chunk_size`` before use.
@@ -1040,98 +796,38 @@ class SupervisedShardBackend:
             pass
 
 
-class ProcessShardBackend(SupervisedShardBackend):
-    """A :class:`~repro.core.sharded.ShardBackend` living in a worker process.
-
-    Implements the shard-facing surface by proxying every call to a
-    ``ManagementServer(maintain_cache=False)`` in the supervised worker,
-    following the module docstring's batching/chunking rules.  Pass
-    instances via ``ShardedManagementServer(shard_factory=...)`` — see
-    :func:`process_shard_factory` for the canonical wiring.
-
-    Always :meth:`close` a backend (or use it as a context manager): the
-    worker is a real OS process and the pipe a real file descriptor.
-    """
-
-    def __init__(
-        self,
-        neighbor_set_size: int = 5,
-        name: str = "process-shard",
-        fill_chunk_size: int = DEFAULT_FILL_CHUNK,
-        start_method: Optional[str] = None,
-        request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-        recovery: Optional[RecoveryPolicy] = None,
-        compact_watermark: Optional[int] = None,
-    ) -> None:
-        self.name = name
-        self.fill_chunk_size = fill_chunk_size
-        self.supervisor = ShardSupervisor(
-            name=name,
-            neighbor_set_size=neighbor_set_size,
-            start_method=start_method,
-            request_timeout=request_timeout,
-            recovery=recovery,
-            compact_watermark=compact_watermark,
-        )
-
-    def __repr__(self) -> str:
-        process = self.supervisor.process
-        state = "alive" if process is not None and process.is_alive() else "down"
-        return f"ProcessShardBackend(name={self.name!r}, worker={state})"
-
-
-def process_shard_factory(
-    neighbor_set_size: int = 5,
-    fill_chunk_size: int = DEFAULT_FILL_CHUNK,
-    start_method: Optional[str] = None,
-    request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-    recovery: Optional[RecoveryPolicy] = None,
-    compact_watermark: Optional[int] = None,
-) -> Callable[[], ProcessShardBackend]:
-    """A ``shard_factory`` for :class:`ShardedManagementServer`.
-
-    Each call of the returned factory spawns one worker process named
-    ``shard-0``, ``shard-1``, … in creation order — the names that
-    :class:`~repro.exceptions.ShardUnavailableError` reports on failure.
-    Close the owning ``ShardedManagementServer`` (or each backend) to reap
-    the workers.  ``recovery`` and ``compact_watermark`` are shared by every
-    shard the factory creates (the policy is immutable, so sharing is safe).
-    """
-    indexes = itertools.count()
-
-    def factory() -> ProcessShardBackend:
-        return ProcessShardBackend(
-            neighbor_set_size=neighbor_set_size,
-            name=f"shard-{next(indexes)}",
-            fill_chunk_size=fill_chunk_size,
-            start_method=start_method,
-            request_timeout=request_timeout,
-            recovery=recovery,
-            compact_watermark=compact_watermark,
-        )
-
-    return factory
-
-
 def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     """The ``ShardedManagementServer(shard_factory=...)`` value for a backend.
 
-    ``"inline"`` returns ``None`` (the coordinator's default in-process
-    shards); ``"process"`` returns a :func:`process_shard_factory`;
-    ``"socket"`` returns a
+    The one place backend names map to wiring, shared by scenarios, the
+    perf suite and tests.  ``"inline"`` returns ``None`` (the coordinator's
+    default in-process shards).  ``"socket"`` returns a
     :func:`~repro.core.socket_backend.socket_shard_factory` (which, without
-    explicit ``addresses``, hosts a loopback asyncio shard server in this
-    process so the socket plane is self-contained).  The one place backend
-    names map to wiring, shared by scenarios, the perf suite and tests.
+    explicit ``addresses``, hosts one loopback asyncio shard server thread
+    so the socket plane is self-contained).  ``"process"`` forks one
+    :class:`~repro.core.socket_backend.ChildShardServer` per shard and hands
+    it to the :class:`~repro.core.socket_backend.SocketShardBackend` that
+    owns it, so the crash is real: ``supervisor.kill()`` SIGKILLs the child
+    and ``restart()`` respawns it before replaying the journal.  Shards are
+    named ``shard-0``, ``shard-1``, … in creation order; ``kwargs``
+    (``fill_chunk_size``, ``request_timeout``, ``recovery``,
+    ``compact_watermark``) are shared by every shard of the factory.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if backend == "process":
-        return process_shard_factory(neighbor_set_size, **kwargs)
-    if backend == "socket":
-        # Imported lazily: the socket transport pulls in asyncio/socket
-        # machinery that pipe-backed planes never need.
-        from .socket_backend import socket_shard_factory
+    if backend == "inline":
+        return None
+    # Imported lazily: inline planes never need the asyncio machinery.
+    from .socket_backend import ChildShardServer, SocketShardBackend, socket_shard_factory
 
+    if backend == "socket":
         return socket_shard_factory(neighbor_set_size, **kwargs)
-    return None
+    indexes = itertools.count()
+
+    def process_shard() -> SocketShardBackend:
+        server = ChildShardServer()
+        return SocketShardBackend(
+            server, neighbor_set_size, f"shard-{next(indexes)}", on_close=server.stop, **kwargs
+        )
+
+    return process_shard

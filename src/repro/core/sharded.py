@@ -15,10 +15,10 @@ Every landmark is owned by exactly one shard (consistent hashing via
 landmarks), and every peer lives on the shard that owns its landmark.  The
 coordinator drives shards through the small :class:`ShardBackend` surface —
 an in-process :class:`~repro.core.management_server.ManagementServer` per
-shard by default, or one worker process per shard via
-:class:`~repro.core.remote.ProcessShardBackend`
-(``shard_factory=process_shard_factory(...)``) — any backend speaking the
-same methods:
+shard by default, or a remote shard behind
+:class:`~repro.core.socket_backend.SocketShardBackend`
+(``shard_factory=shard_factory_for("process" | "socket", ...)``) — any
+backend speaking the same methods:
 
 * **Arrival** — one ``first_rejected_path`` batch validation per home shard
   first (no partial batch failure; the per-shard results merge by input
@@ -96,9 +96,9 @@ class ShardBackend(Protocol):
 
     :class:`~repro.core.management_server.ManagementServer` (with
     ``maintain_cache=False``) implements it in-process, and
-    :class:`~repro.core.remote.ProcessShardBackend` implements it over a
-    worker process; a further remote or async backend only needs these
-    methods (plus :meth:`tree` for diagnostics and distance estimation,
+    :class:`~repro.core.remote.SupervisedShardBackend` implements it over a
+    supervised connection to a shard server; a further backend only needs
+    these methods (plus :meth:`tree` for diagnostics and distance estimation,
     :meth:`total_tree_visits` for the perf counters, and :meth:`close` for
     resource teardown) to slot in behind the coordinator.
     """
@@ -265,9 +265,10 @@ class ShardedManagementServer(ManagementPlaneBase):
     def close(self) -> None:
         """Close every shard backend that holds real resources.
 
-        In-process shards make this a no-op; process-backed shards
-        (:class:`~repro.core.remote.ProcessShardBackend`) shut their worker
-        down and close the pipe.  Idempotent.
+        In-process shards make this a no-op; remote shards close their
+        connection and reap the server they host (a child process per
+        ``process`` shard, the shared loopback thread of ``socket`` shards).
+        Idempotent.
         """
         for shard in self._shards:
             shard.close()

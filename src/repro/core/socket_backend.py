@@ -1,19 +1,14 @@
-"""Network shard transport: asyncio shard servers, socket-backed shards.
+"""The shard transport: asyncio shard servers, socket-backed shards.
 
-The PR 3 wire protocol — length-prefixed frames, the typed path codec,
-batched validate+insert, chunked lazy ``fill_candidates`` — was designed
-transport-agnostic but only ran over :func:`multiprocessing.Pipe`.  This
-module runs the *identical* protocol over real sockets so shards can leave
-the machine: a :class:`ShardServer` (asyncio, TCP and Unix-domain) hosts a
-``ManagementServer(maintain_cache=False)`` per **connection-scoped shard**,
-and :class:`SocketShardBackend` is a full
+The wire protocol of :mod:`repro.core.remote` runs over real sockets, and
+only over sockets: a :class:`ShardServer` (asyncio, TCP and Unix-domain)
+hosts a ``ManagementServer(maintain_cache=False)`` per **connection-scoped
+shard**, and :class:`SocketShardBackend` is a full
 :class:`~repro.core.sharded.ShardBackend` client over it.  The frame codec
-(:mod:`repro.core.codec`), the request/reply dispatch
-(:class:`~repro.core.remote.ShardRequestHandler`), the client-side backend
-surface (:class:`~repro.core.remote.SupervisedShardBackend`) and the whole
-journal/recovery/compaction story
-(:class:`~repro.core.remote.ShardSupervisorBase`) are reused verbatim —
-the only new code is how frames move and how a dead transport comes back.
+(:mod:`repro.core.codec`), the request dispatch, the client-side backend
+surface and the journal/recovery/compaction story
+(:mod:`repro.core.remote`) live elsewhere — this module is how frames
+move, who hosts the server, and how a dead transport comes back.
 
 Connection-scoped shards and the hello handshake
 ------------------------------------------------
@@ -24,11 +19,9 @@ after building a fresh ``ManagementServer`` for the connection.  A second
 ``hello`` on the same connection discards the shard and builds a new one —
 which is how pooled connections are recycled without leaking a previous
 tenant's peers.  Dying and reconnecting therefore lands on an *empty*
-shard, exactly like a respawned worker process, and the supervisor heals it
-the same way: replay the operation journal (snapshot-compacted or not) in
-order, byte-identical by insert order, under the same
-:class:`~repro.core.remote.RecoveryPolicy` backoff loop.  *Restart* and
-*reconnect* are one concept with two transports.
+shard, and the supervisor heals it by replaying the operation journal
+(snapshot-compacted or not) in order, byte-identical by insert order, under
+the :class:`~repro.core.remote.RecoveryPolicy` backoff loop.
 
 Stale-epoch detection
 ---------------------
@@ -41,31 +34,36 @@ replay meant for its successor.  A stale reconnect fails with a typed
 :class:`~repro.exceptions.ShardUnavailableError`; under a
 :class:`RecoveryPolicy` the next attempt dials again and succeeds once the
 server is genuinely ahead.  The ``reconnect_stale_epoch`` chaos fault
-scripts precisely this sequence.
+scripts precisely this sequence.  A supervisor that respawned its *own*
+server knows the counter restarted and forgets what it had seen.
 
 Deadlines and fault surface
 ---------------------------
 Every round trip draws its phases — dial, send, header read, body read —
 from ONE :class:`~repro.core.budget.DeadlineBudget`, so worst-case wall
-time is a single ``request_timeout`` no matter how the slowness is split
-(the same budget discipline that fixed the 2x-timeout bug in the pipe
-transport).  Every transport failure (refused dial, reset, truncated frame,
+time is a single ``request_timeout`` no matter how the slowness is split.
+Every transport failure (refused dial, reset, truncated frame,
 undecodable reply, deadline) raises ``ShardUnavailableError`` naming the
 shard and poisons the connection so later requests fail fast until
-reconnect.  :meth:`SocketShardSupervisor.sever` is the fault-injection
-surface: ``close`` (silent death), ``reset`` (RST via ``SO_LINGER(0)``), and
-``partial_frame`` (a frame whose header promises more bytes than follow —
-the truncated-write corruption the length prefix exists to catch).
+reconnect.  :meth:`SocketShardSupervisor.sever` is the connection-level
+fault-injection surface: ``close`` (silent death), ``reset`` (RST via
+``SO_LINGER(0)``), and ``partial_frame`` (a frame whose header promises
+more bytes than follow — the truncated-write corruption the length prefix
+exists to catch); :meth:`SocketShardSupervisor.kill` takes the whole
+server down when the supervisor owns it.
 
 Topology
 --------
 One coordinator process drives N :class:`SocketShardBackend` shards, each
-over its own connection, against one or many :class:`ShardServer`
-processes (``repro-experiments shard-serve``).  For self-contained runs —
-tests, perf, scenarios — :func:`socket_shard_factory` hosts a loopback
-:class:`LocalShardServer` on a daemon thread (Unix socket where available,
-else TCP on ``127.0.0.1``) and refcounts it away when the last shard
-closes, so ``ShardedManagementServer.close()`` tears the whole plane down.
+over its own connection; the backend names say who hosts the servers.
+``"socket"``: ``repro-experiments shard-serve`` processes, possibly on
+other machines, or — for self-contained runs — ONE loopback
+:class:`LocalShardServer` thread shared by all of a
+:func:`socket_shard_factory`'s shards; a restart reconnects.
+``"process"``: one forked :class:`ChildShardServer` per shard, owned by
+that shard's supervisor; it really dies when killed and a restart respawns
+it.  Both hosts share one owner lifecycle, so
+``ShardedManagementServer.close()`` tears the whole plane down.
 """
 
 from __future__ import annotations
@@ -73,13 +71,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import multiprocessing
 import os
-import pickle
 import socket
 import struct
 import tempfile
 import threading
-import time
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
@@ -96,6 +93,7 @@ from .remote import (
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "ChildShardServer",
     "FramedConnection",
     "LocalShardServer",
     "ShardServer",
@@ -123,7 +121,7 @@ _HEADER = struct.Struct("!I")
 #: A shard server address: a Unix-socket path, or a ``(host, port)`` pair.
 Address = Union[str, Tuple[str, int]]
 
-_TRANSPORT_ERRORS = (OSError, EOFError, WireProtocolError, pickle.UnpicklingError)
+_TRANSPORT_ERRORS = (OSError, EOFError, WireProtocolError)
 
 
 def format_address(address: Address) -> str:
@@ -345,16 +343,18 @@ class ShardServer:
         self.addresses: List[Address] = []
         self.connections_served = 0
 
-    @property
-    def generation(self) -> int:
-        """Hellos served so far — the stale-epoch reference counter."""
-        return self._generation
+    async def listen(self, address: Union[Address, socket.socket]) -> Address:
+        """Bind one listen socket; returns the resolved address (port 0 → real).
 
-    async def listen(self, address: Address) -> Address:
-        """Bind one listen socket; returns the resolved address (port 0 → real)."""
-        if isinstance(address, str):
+        An already-listening Unix socket (the one a :class:`ChildShardServer`
+        hands its child) is adopted as it is.
+        """
+        if isinstance(address, socket.socket):
+            server = await asyncio.start_unix_server(self._handle_connection, sock=address)
+            resolved: Address = address.getsockname()
+        elif isinstance(address, str):
             server = await asyncio.start_unix_server(self._handle_connection, path=address)
-            resolved: Address = address
+            resolved = address
         else:
             host, port = address
             server = await asyncio.start_server(self._handle_connection, host=host, port=port)
@@ -379,19 +379,18 @@ class ShardServer:
                 message = await self._read_frame(reader)
                 if message is None:
                     break
-                request_id, op = message[0], message[1]
                 args = message[2] if len(message) > 2 else ()
-                if op == "shutdown":
+                try:
+                    handler, reply = self._apply(handler, message[0], message[1], args)
+                    frame = encode_frame(reply) if reply is not None else None
+                except Exception:  # noqa: BLE001 - untrusted input, see below
+                    # A well-framed body that is not a request (wrong arity,
+                    # unhashable ids, nesting too deep to answer) gets the
+                    # verdict of an undecodable one: drop this connection only.
                     break
-                reply = self._apply(handler, request_id, op, args)
-                if isinstance(reply, _HelloAccepted):
-                    if handler is not None:
-                        handler.close()
-                    handler = reply.handler
-                    reply = reply.reply
-                if reply is not None:
+                if frame is not None:
                     try:
-                        writer.write(encode_frame(reply))
+                        writer.write(frame)
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break
@@ -412,18 +411,12 @@ class ShardServer:
         """
         try:
             header = await reader.readexactly(_HEADER.size)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        (declared,) = _HEADER.unpack(header)
-        if declared > MAX_FRAME_BYTES:
-            return None
-        try:
+            (declared,) = _HEADER.unpack(header)
+            if declared > MAX_FRAME_BYTES:
+                return None
             body = await reader.readexactly(declared)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        try:
             return decode_frame(header + body)
-        except (WireProtocolError, pickle.UnpicklingError, ValueError):
+        except (asyncio.IncompleteReadError, ConnectionError, OSError, WireProtocolError):
             return None
 
     def _apply(
@@ -433,82 +426,81 @@ class ShardServer:
         op: str,
         args: Tuple[object, ...],
     ):
+        """Apply one request; returns ``(handler, reply)``.
+
+        The handler comes back because an accepted ``hello`` swaps a fresh
+        shard in for this connection (closing the previous tenant's).
+        """
         if op == "hello":
             try:
                 version, neighbor_set_size = args
             except (TypeError, ValueError):
                 version, neighbor_set_size = None, None
             if version != PROTOCOL_VERSION:
-                return (
+                return handler, _protocol_error(
                     request_id,
-                    "err",
-                    "WireProtocolError",
                     f"server speaks protocol {PROTOCOL_VERSION}, client sent {version!r}",
-                ) if request_id else None
-            self._generation += 1
+                )
             fresh = ShardRequestHandler(int(neighbor_set_size))  # type: ignore[arg-type]
+            if handler is not None:
+                handler.close()
+            self._generation += 1
             reply = (request_id, "ok", (PROTOCOL_VERSION, self._generation))
-            return _HelloAccepted(fresh, reply if request_id else None)
+            return fresh, reply if request_id else None
         if handler is None:
             # Everything but hello needs a shard; answering typed (instead
             # of dropping the connection) lets the client fail fast with a
             # ShardUnavailableError naming the real problem.
-            return (
-                request_id,
-                "err",
-                "WireProtocolError",
-                f"operation {op!r} before hello on this connection",
-            ) if request_id else None
-        return handler.handle(request_id, op, args)
+            return None, _protocol_error(
+                request_id, f"operation {op!r} before hello on this connection"
+            )
+        return handler, handler.handle(request_id, op, args)
 
 
-class _HelloAccepted:
-    """Internal marker: a hello swapped in a fresh handler for this connection."""
-
-    __slots__ = ("handler", "reply")
-
-    def __init__(self, handler: ShardRequestHandler, reply) -> None:
-        self.handler = handler
-        self.reply = reply
+def _protocol_error(request_id: int, message: str):
+    """The typed ``WireProtocolError`` reply (``None`` for a one-way request)."""
+    return (request_id, "err", "WireProtocolError", message) if request_id else None
 
 
 class LocalShardServer:
-    """A loopback :class:`ShardServer` on a daemon thread, refcounted away.
+    """A loopback :class:`ShardServer` this process hosts, refcounted away.
 
     The self-contained deployment used by tests, scenarios and the perf
-    suite: binds an ephemeral Unix socket (or ``127.0.0.1`` TCP where
-    ``AF_UNIX`` is unavailable), serves until the last refcount holder
-    releases it, then stops the loop and unlinks the socket — so closing
-    every backend of a factory leaves no thread, socket or file behind.
+    suite: one address for life — an ephemeral Unix socket (``127.0.0.1``
+    TCP where ``AF_UNIX`` is unavailable), so a killed host's successor is
+    found where the old one was — served until the last refcount holder
+    releases it; :meth:`stop` then reaps the host and unlinks the socket,
+    so closing every backend leaves no thread, process or file behind.
+    The host is a daemon thread; :class:`ChildShardServer` overrides
+    :meth:`start`, :attr:`alive` and :meth:`kill` to make it a process.
     """
 
     def __init__(self) -> None:
-        self.address: Optional[Address] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[ShardServer] = None
         self._thread: Optional[threading.Thread] = None
         self._tempdir: Optional[str] = None
+        self.address: Address = ("127.0.0.1", 0)
+        if hasattr(socket, "AF_UNIX"):
+            self._tempdir = tempfile.mkdtemp(prefix="repro-shard-")
+            self.address = os.path.join(self._tempdir, "shard.sock")
         self._refs = 0
         self._lock = threading.Lock()
         self._stopped = False
-        self._start()
+        try:
+            self.start()
+        except Exception as error:
+            self.stop()
+            raise ShardUnavailableError(
+                "local-shard-server", f"could not host loopback server: {error}"
+            ) from error
 
     @property
     def alive(self) -> bool:
-        return not self._stopped
+        """True while a host is serving :attr:`address`."""
+        return self._thread is not None and self._thread.is_alive()
 
-    @property
-    def generation(self) -> int:
-        server = self._server
-        return server.generation if server is not None else 0
-
-    def _pick_address(self) -> Address:
-        if hasattr(socket, "AF_UNIX"):
-            self._tempdir = tempfile.mkdtemp(prefix="repro-shard-")
-            return os.path.join(self._tempdir, "shard.sock")
-        return ("127.0.0.1", 0)
-
-    def _start(self) -> None:
+    def start(self) -> None:
+        """Bring a host up on :attr:`address` (again, after a :meth:`kill`)."""
         started = threading.Event()
         failure: List[BaseException] = []
 
@@ -518,13 +510,12 @@ class LocalShardServer:
             self._loop = loop
             server = ShardServer()
             try:
-                self.address = loop.run_until_complete(server.listen(self._pick_address()))
+                self.address = loop.run_until_complete(server.listen(self.address))
             except BaseException as error:  # noqa: BLE001 - reported to starter
                 failure.append(error)
                 started.set()
                 loop.close()
                 return
-            self._server = server
             started.set()
             try:
                 loop.run_forever()
@@ -538,11 +529,13 @@ class LocalShardServer:
         thread.start()
         started.wait()
         if failure:
-            self._stopped = True
-            self._cleanup_paths()
-            raise ShardUnavailableError(
-                "local-shard-server", f"could not bind loopback server: {failure[0]}"
-            ) from failure[0]
+            raise failure[0]
+
+    def kill(self) -> None:
+        """Take the host down abruptly and reap it; the owner stays usable."""
+        if self.alive:
+            self._loop.call_soon_threadsafe(self._loop.stop)  # type: ignore[union-attr]
+            self._thread.join(timeout=10.0)  # type: ignore[union-attr]
 
     # ------------------------------------------------------------- refcounting
 
@@ -561,60 +554,108 @@ class LocalShardServer:
             self.stop()
 
     def stop(self) -> None:
+        """Reap the host for good and unlink the socket (idempotent)."""
         with self._lock:
             if self._stopped:
                 return
             self._stopped = True
-        loop = self._loop
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._cleanup_paths()
-
-    def _cleanup_paths(self) -> None:
+        self.kill()
         if self._tempdir is not None:
-            sock_path = os.path.join(self._tempdir, "shard.sock")
             with contextlib.suppress(OSError):
-                os.unlink(sock_path)
+                os.unlink(os.path.join(self._tempdir, "shard.sock"))
             with contextlib.suppress(OSError):
                 os.rmdir(self._tempdir)
             self._tempdir = None
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "stopped"
-        where = format_address(self.address) if self.address is not None else "unbound"
-        return f"LocalShardServer({where}, {state}, refs={self._refs})"
+        return f"{type(self).__name__}({format_address(self.address)}, {state}, refs={self._refs})"
+
+
+def _serve_listener(listener: socket.socket) -> None:
+    """Child-process main: one :class:`ShardServer` on an inherited listener.
+
+    Serves until killed (the only way its owner stops it: a shard holds no
+    state the journal cannot rebuild) or until the parent's end of the
+    sentinel pipe closes — a coordinator that died leaves no orphan.
+    """
+
+    async def main() -> None:
+        await ShardServer().listen(listener)
+        sentinel = multiprocessing.parent_process().sentinel  # type: ignore[union-attr]
+        asyncio.get_running_loop().add_reader(sentinel, os._exit, 0)
+        await asyncio.Event().wait()
+
+    asyncio.run(main())
+
+
+class ChildShardServer(LocalShardServer):
+    """A :class:`LocalShardServer` whose host is a forked child process.
+
+    What ``backend="process"`` runs, one per shard: the tries live on
+    another core, and killing the host is a real crash.  The parent binds
+    and listens *before* forking and hands the child the listening socket,
+    so the address accepts the moment :meth:`start` returns (no readiness
+    handshake), then closes its own copy, so a dead child means a refused
+    dial, not a hung one.  POSIX only (``fork`` and ``AF_UNIX``).
+    """
+
+    process: Optional[multiprocessing.process.BaseProcess] = None
+
+    @property
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
+
+    def start(self) -> None:
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.address)  # a killed predecessor's socket file
+            listener.bind(self.address)
+            listener.listen()
+            process = multiprocessing.get_context("fork").Process(
+                target=_serve_listener, args=(listener,), name="repro-shard-server", daemon=True
+            )
+            process.start()
+            self.process = process  # only ever a started one: kill() may join it
+        finally:
+            listener.close()
+
+    def kill(self) -> None:
+        if self.process is not None:
+            self.process.kill()
+            self.process.join()
 
 
 # ------------------------------------------------------------------ client
 
 
 class SocketShardSupervisor(ShardSupervisorBase):
-    """Supervises one connection-scoped shard on a remote server.
+    """Supervises one connection-scoped shard on a shard server.
 
-    The socket instance of :class:`~repro.core.remote.ShardSupervisorBase`:
-    journal, recovery loop and compaction are inherited unchanged — only
-    the transport hooks differ.  *Restart* means reconnect (pool-first) +
-    hello + journal replay; :attr:`epoch` counts connections exactly as the
-    process supervisor counts worker incarnations, so fill-stream epoch
-    guards behave identically.
+    The transport half of :class:`~repro.core.remote.ShardSupervisorBase`
+    (journal, recovery loop and compaction are inherited).  *Restart* means
+    reconnect (pool-first) + hello + journal replay; :attr:`epoch` counts
+    connections, which is what scopes fill streams.  Given a
+    :class:`LocalShardServer` in place of a bare ``address`` the supervisor
+    **owns** that server: :meth:`kill` kills it, every teardown reaps it
+    and every re-establish first starts a fresh one on the same address —
+    with a :class:`ChildShardServer`, a real crash and a real respawn.
 
-    Chaos hooks: :meth:`sever` kills the connection in transport-shaped
-    ways (``close`` / ``reset`` / ``partial_frame``) and
-    :meth:`rewind_generation` makes the *next* reconnect look stale —
-    together they script every network fault kind deterministically.
+    Chaos hooks: :meth:`kill`, :meth:`sever` (the connection only, in
+    transport-shaped ways: ``close`` / ``reset`` / ``partial_frame``) and
+    :meth:`rewind_generation` (the *next* reconnect looks stale) script
+    every fault kind deterministically.
     """
 
     def __init__(
         self,
         name: str,
-        address: Address,
+        address: Union[Address, LocalShardServer],
         neighbor_set_size: int,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
         compact_watermark: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
         pool: Optional[SocketConnectionPool] = None,
     ) -> None:
         super().__init__(
@@ -622,9 +663,9 @@ class SocketShardSupervisor(ShardSupervisorBase):
             request_timeout=request_timeout,
             recovery=recovery,
             compact_watermark=compact_watermark,
-            clock=clock,
         )
-        self.address = address
+        self._server = address if isinstance(address, LocalShardServer) else None
+        self.address: Address = getattr(address, "address", address)
         self.neighbor_set_size = neighbor_set_size
         self._pool = pool
         self._conn: Optional[FramedConnection] = None
@@ -637,6 +678,11 @@ class SocketShardSupervisor(ShardSupervisorBase):
         return self._conn
 
     @property
+    def process(self):
+        """The child process hosting this supervisor's own server, if any."""
+        return getattr(self._server, "process", None)
+
+    @property
     def seen_generation(self) -> Optional[int]:
         """Largest server generation this supervisor has accepted."""
         return self._seen_generation
@@ -647,6 +693,12 @@ class SocketShardSupervisor(ShardSupervisorBase):
         budget = self._budget(None)
         conn: Optional[FramedConnection] = None
         try:
+            if self._server is not None and not self._server.alive:
+                # Our own server is gone (killed, crashed, torn down): host
+                # a fresh one.  Its generation counter starts over, so what
+                # the old one reached must not make the newcomer look stale.
+                self._server.start()
+                self._seen_generation = None
             if self._pool is not None:
                 conn = self._pool.acquire(budget)
             else:
@@ -701,12 +753,16 @@ class SocketShardSupervisor(ShardSupervisorBase):
 
     def _teardown_transport(self) -> None:
         conn, self._conn = self._conn, None
-        if conn is None:
-            return
-        if self._pool is not None and self._poisoned is None and not conn.closed:
-            self._pool.release(conn)
-        else:
-            conn.close()
+        if conn is not None:
+            if self._pool is not None and self._poisoned is None and not conn.closed:
+                self._pool.release(conn)
+            else:
+                conn.close()
+        if self._server is not None:
+            # An owned server goes down with its connection, whatever state
+            # it is in (dead already, hung, healthy): restart() then always
+            # lands on a fresh process, and close() leaves none behind.
+            self._server.kill()
 
     def _roundtrip(
         self, op: str, args: Tuple[object, ...], timeout: Optional[float] = None
@@ -739,20 +795,24 @@ class SocketShardSupervisor(ShardSupervisorBase):
         conn = self._conn
         if conn is None or conn.closed or self._poisoned is not None:
             return
-        budget = DeadlineBudget(min(1.0, self.request_timeout), clock=self._clock)
+        budget = DeadlineBudget(min(1.0, self.request_timeout))
         try:
             conn.send_frame(encode_frame((0, op, args)), budget)
         except _TRANSPORT_ERRORS:
             # A partially written notification desynchronises framing for
-            # every later frame — unlike the message-atomic pipe transport,
-            # a failed socket notify must poison the connection.
+            # every later frame on the stream, so a failed notify must
+            # poison the connection.
             self._poisoned = f"transport failure during notify {op!r}"
 
     # -------------------------------------------------------- fault injection
 
     def kill(self) -> None:
-        """Destroy the transport abruptly (the generic chaos kill hook)."""
-        self.sever("close")
+        """Destroy the transport abruptly (the generic chaos kill hook): an
+        owned server dies outright, somebody else's just loses this connection."""
+        if self._server is not None:
+            self._server.kill()
+        else:
+            self.sever("close")
 
     def sever(self, mode: str = "close") -> None:
         """Kill the live connection in a transport-shaped way.
@@ -804,19 +864,20 @@ class SocketShardBackend(SupervisedShardBackend):
     """A :class:`~repro.core.sharded.ShardBackend` living behind a socket.
 
     The client-side surface (batched validation, chunked lazy fill streams,
-    diagnostics) is :class:`~repro.core.remote.SupervisedShardBackend`,
-    shared byte for byte with the process backend; this class only wires a
-    :class:`SocketShardSupervisor` under it.  Without an explicit
-    ``address`` the backend hosts its own :class:`LocalShardServer`, making
-    a standalone backend fully self-contained (tests, notebooks).
+    diagnostics) is :class:`~repro.core.remote.SupervisedShardBackend`;
+    this class only wires a :class:`SocketShardSupervisor` under it.
+    Without an explicit ``address`` the backend hosts its own
+    :class:`LocalShardServer`, making a standalone backend fully
+    self-contained (tests, notebooks); a :class:`LocalShardServer` given as
+    the address is owned by the supervisor (see there).
 
     Always :meth:`close` the backend (or use it as a context manager): the
-    connection is a real socket and the loopback server a real thread.
+    connection is a real socket and a loopback server a real thread/process.
     """
 
     def __init__(
         self,
-        address: Optional[Address] = None,
+        address: Union[Address, LocalShardServer, None] = None,
         neighbor_set_size: int = 5,
         name: str = "socket-shard",
         fill_chunk_size: int = DEFAULT_FILL_CHUNK,
@@ -830,19 +891,11 @@ class SocketShardBackend(SupervisedShardBackend):
         self.fill_chunk_size = fill_chunk_size
         self._on_close = on_close
         self._released = False
-        if address is None:
-            server = LocalShardServer().acquire()
-            address = server.address
-            previous = on_close
-            def release_owned(server=server, previous=previous):
-                server.release()
-                if previous is not None:
-                    previous()
-            self._on_close = release_owned
+        self._own_server = LocalShardServer() if address is None else None
         try:
             self.supervisor = SocketShardSupervisor(
                 name=name,
-                address=address,  # type: ignore[arg-type]
+                address=address or self._own_server.address,  # type: ignore[union-attr]
                 neighbor_set_size=neighbor_set_size,
                 request_timeout=request_timeout,
                 recovery=recovery,
@@ -856,6 +909,8 @@ class SocketShardBackend(SupervisedShardBackend):
     def _release_once(self) -> None:
         if not self._released:
             self._released = True
+            if self._own_server is not None:
+                self._own_server.stop()
             if self._on_close is not None:
                 self._on_close()
 

@@ -49,8 +49,8 @@ class PerfRecord:
     ran on, or ``None`` for the classic single-server cells (schema v1
     reports load as ``None``).  ``backend`` says where the shards lived:
     ``"inline"`` (in-process, the only pre-v3 behaviour — older reports load
-    as ``"inline"``) or ``"process"`` (one worker process per shard via
-    :class:`~repro.core.remote.ProcessShardBackend`).  ``batch_size`` is the
+    as ``"inline"``), ``"process"`` (one child shard server per shard) or
+    ``"socket"`` (a loopback shard server thread).  ``batch_size`` is the
     arrival workload's co-arriving batch size; every other workload (and
     every pre-v5 record) loads as ``None``.  ``readers`` is the serving
     workload's concurrent reader count (schema v8); every other workload

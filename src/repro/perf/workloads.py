@@ -76,9 +76,9 @@ only: the snapshot read path is identical wherever the shards live, so the
 backend axis is degenerate for it.
 
 The ``recovery`` / ``recovery-compacted`` pair (schema v6) measures the
-self-healing path: restart+replay cost of a churned process-backed shard
-before and after journal compaction (see :func:`run_recovery_workload`).
-Both cells are process-only and carry ``journal_len`` / ``snapshot_bytes``
+self-healing path: restart+replay cost of a churned remote shard before
+and after journal compaction (see :func:`run_recovery_workload`).  Both
+cells exist per remote backend and carry ``journal_len`` / ``snapshot_bytes``
 / ``recovery_us`` counters so compaction regressions gate like time
 regressions.
 
@@ -94,13 +94,14 @@ of partitioning itself.
 
 Orthogonally, the **backend** dimension says where sharded cells' shards
 live: ``backend="inline"`` keeps them in-process (the only pre-v3
-behaviour), ``backend="process"`` runs one worker process per shard behind
-:class:`~repro.core.remote.ProcessShardBackend`, and ``backend="socket"``
-(schema v7) runs each shard as a connection-scoped server behind
-:class:`~repro.core.socket_backend.SocketShardBackend` against a loopback
-asyncio shard server — the same workload over the same partitioning, so
-per-op cost across the backend axis isolates the cost of crossing each
-boundary (framing, codec, chunked fills; for sockets, real network I/O).
+behaviour), ``backend="process"`` forks one child shard server per shard,
+and ``backend="socket"`` (schema v7) runs every shard as a
+connection-scoped server on one loopback asyncio shard server thread —
+both behind :class:`~repro.core.socket_backend.SocketShardBackend` on the
+same framed Unix-socket transport, the same workload over the same
+partitioning, so per-op cost across the backend axis isolates the cost of
+crossing the boundary (framing, codec, chunked fills, socket I/O) and of
+where the server runs (another process vs. a thread sharing this GIL).
 Remote backends require a shard count; every workload reaps its worker
 processes, connections and loopback servers before returning, however the
 measured phase exits.
@@ -134,12 +135,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.management_server import ManagementServer
 from ..core.path import RouterPath
 from ..core.serving import SnapshotPublisher, SnapshotReader
-from ..core.remote import (
-    BACKENDS,
-    ProcessShardBackend,
-    SupervisedShardBackend,
-    shard_factory_for,
-)
+from ..core.remote import BACKENDS, shard_factory_for
 from ..core.sharded import ShardedManagementServer
 from ..protocol.peer import BeaconConfig
 from ..protocol.simulation import ProtocolSimulation
@@ -353,8 +349,8 @@ def arrival_paths(
     return paths
 
 
-#: Backends whose shards live behind a transport (worker process / socket
-#: server) — they only exist on a sharded plane, so their cells need a
+#: Backends whose shards live behind a transport (child-process / thread
+#: or external shard server) — they only exist on a sharded plane, so their cells need a
 #: shard count, and each has a recovery (restart/reconnect+replay) story
 #: the ``recovery`` workload measures.
 REMOTE_BACKENDS = ("process", "socket")
@@ -886,10 +882,10 @@ def run_recovery_workload(
 ) -> List[PerfRecord]:
     """Restart+replay cost vs journal length, with and without compaction.
 
-    Builds one remote shard backend (``backend_name`` picks the transport:
-    a :class:`~repro.core.remote.ProcessShardBackend` worker or a
-    :class:`~repro.core.socket_backend.SocketShardBackend` against a
-    loopback server), loads ``population`` peers, then runs ``ops``
+    Builds one remote shard through
+    :func:`~repro.core.remote.shard_factory_for` (``backend_name`` picks who
+    hosts its server: a forked child for ``process``, a loopback thread for
+    ``socket``), loads ``population`` peers, then runs ``ops``
     leave/re-join churn cycles so the journal records far more history than
     live state.  Two records come back (both tagged ``backend_name``,
     ``shards=1``):
@@ -911,16 +907,7 @@ def run_recovery_workload(
             f"recovery workload needs a remote backend {REMOTE_BACKENDS}, "
             f"got {backend_name!r}"
         )
-    if backend_name == "socket":
-        from ..core.socket_backend import SocketShardBackend
-
-        backend: SupervisedShardBackend = SocketShardBackend(
-            neighbor_set_size=neighbor_set_size, name="recovery-shard"
-        )
-    else:
-        backend = ProcessShardBackend(
-            neighbor_set_size=neighbor_set_size, name="recovery-shard"
-        )
+    backend = shard_factory_for(backend_name, neighbor_set_size)()
     records: List[PerfRecord] = []
     try:
         backend.register_landmark(DEFAULT_LANDMARK, DEFAULT_LANDMARK)

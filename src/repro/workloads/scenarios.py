@@ -77,14 +77,13 @@ class ScenarioConfig:
 
     backend: str = "inline"
     """Where the shards live: ``"inline"`` keeps every shard in this process;
-    ``"process"`` runs one worker process per shard behind
-    :class:`~repro.core.remote.ProcessShardBackend`; ``"socket"`` runs each
-    shard as a connection-scoped server behind
-    :class:`~repro.core.socket_backend.SocketShardBackend` (loopback asyncio
-    shard server hosted by the scenario's factory).  Remote backends require
-    ``shard_count``.  Results are byte-identical in every case; call
-    :meth:`Scenario.close` when done so worker processes, connections and
-    loopback servers are reaped."""
+    ``"process"`` forks one child shard server per shard; ``"socket"`` runs
+    every shard as a connection-scoped server on one loopback asyncio shard
+    server thread hosted by the scenario's factory — both behind
+    :class:`~repro.core.socket_backend.SocketShardBackend`, the one shard
+    transport.  Remote backends require ``shard_count``.  Results are
+    byte-identical in every case; call :meth:`Scenario.close` when done so
+    child processes, connections and loopback servers are reaped."""
 
     seed: Optional[int] = None
     """Master seed; every random decision derives from it."""
@@ -151,9 +150,10 @@ class Scenario:
     def close(self) -> None:
         """Release the management plane's resources (idempotent).
 
-        Only scenarios built with ``backend="process"`` hold real resources
-        (one worker process and pipe per shard), but calling this is always
-        safe, so tests and experiments can tear scenarios down uniformly.
+        Only scenarios built with a remote backend hold real resources (a
+        connection per shard, plus a child server process per shard or one
+        loopback server thread), but calling this is always safe, so tests
+        and experiments can tear scenarios down uniformly.
         """
         self.server.close()
 
@@ -334,7 +334,7 @@ def build_scenario(
         oracle = BruteForceOracle(router_map.graph, peer_routers, engine=engine)
     except BaseException:
         # A failure after the plane exists must not orphan its resources
-        # (one worker process per shard with backend="process").
+        # (one child server process per shard with backend="process").
         server.close()
         raise
 

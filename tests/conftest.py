@@ -22,17 +22,17 @@ from repro.workloads.scenarios import Scenario, ScenarioConfig, build_scenario
 # matrix entry selects it via HYPOTHESIS_PROFILE=ci-equivalence.  Tests that
 # pin max_examples in their own @settings are unaffected.
 hypothesis_settings.register_profile("ci-equivalence", max_examples=400, deadline=None)
-# Reduced budget for the PROCESS-backend oracle run: every example spawns
-# 1-8 worker processes, so its own CI matrix entry trades example count for
-# a hard wall-clock timeout instead of inheriting the 400-example sweep.
+# Reduced budget for the PROCESS-backend oracle run: every example forks
+# 1-8 child shard servers, so its own CI matrix entry trades example count
+# for a hard wall-clock timeout instead of inheriting the 400-example sweep.
 hypothesis_settings.register_profile("ci-equivalence-process", max_examples=60, deadline=None)
-# Smallest budget for the CHAOS-backend oracle run: every example spawns
-# worker processes AND kills/restarts them on a scripted fault plan, so each
-# example pays several restart+replay cycles on top of the spawn cost.
+# Smallest budget for the CHAOS-backend oracle run: every example forks
+# child shard servers AND SIGKILLs/respawns them on a scripted fault plan, so
+# each example pays several respawn+replay cycles on top of the fork cost.
 hypothesis_settings.register_profile("ci-equivalence-chaos", max_examples=25, deadline=None)
 # Budget for the SOCKET-backend oracle run: connection-scoped shards behind
-# the in-process asyncio shard server.  Cheaper than spawning worker
-# processes but dearer than inline, so it sits between the process and
+# the in-process asyncio shard server.  Cheaper than forking child
+# servers but dearer than inline, so it sits between the process and
 # inline budgets; its CI matrix entry selects it with -k "socket" (which
 # also picks up the socket-chaos fault-plan parametrization).
 hypothesis_settings.register_profile("ci-equivalence-socket", max_examples=50, deadline=None)
@@ -42,9 +42,9 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """No test may orphan a shard worker process.
+    """No test may orphan a child shard server process.
 
-    The multi-process shard backend spawns one worker per shard; every
+    The ``process`` shard backend forks one child server per shard; every
     test/CLI path must reap them (``close()``, context managers, fixture
     finalizers) so the tier-1 suite exits cleanly.  This fixture enforces
     that suite-wide: leaked workers are terminated, then the test fails.

@@ -13,9 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ManagementServer
-from repro.core.chaos import FAULT_KINDS, ChaosShardBackend, Fault, FaultPlan
+from repro.core.chaos import (
+    FAULT_KINDS,
+    NETWORK_FAULT_KINDS,
+    ChaosShardBackend,
+    Fault,
+    FaultPlan,
+)
 from repro.core.path import RouterPath
-from repro.core.remote import ProcessShardBackend, RecoveryPolicy
+from repro.core.remote import RecoveryPolicy, shard_factory_for
 from repro.exceptions import ShardUnavailableError
 
 
@@ -31,9 +37,7 @@ def chaos_backend(plan, recovery=True, **kwargs):
         if recovery
         else None
     )
-    inner = ProcessShardBackend(
-        neighbor_set_size=3, name="chaos-under-test", recovery=policy, **kwargs
-    )
+    inner = shard_factory_for("process", 3, recovery=policy, **kwargs)()
     return ChaosShardBackend(inner, plan)
 
 
@@ -200,7 +204,7 @@ class TestChaosShardBackend:
     def test_delay_sleeps_through_the_injected_clock(self):
         naps = []
         plan = FaultPlan([Fault(at_op=1, kind="delay", delay_s=0.25)])
-        inner = ProcessShardBackend(neighbor_set_size=3, name="slow")
+        inner = shard_factory_for("process", 3)()
         shard = ChaosShardBackend(inner, plan, sleep=naps.append)
         with shard:
             shard.register_landmark("lmA", "lmA")
@@ -215,7 +219,7 @@ class TestChaosShardBackend:
             epoch = shard.supervisor.epoch
             with pytest.raises(ShardUnavailableError) as error:
                 shard.insert_paths([simple_path("p0", "lmA")])
-            assert "chaos-under-test" in str(error.value)
+            assert shard.name in str(error.value)
             assert shard.supervisor.process.is_alive()
             assert shard.supervisor.epoch == epoch  # no restart happened
             # The op never reached the worker, so it must not be journaled.
@@ -224,6 +228,34 @@ class TestChaosShardBackend:
     def test_crash_fault_on_inline_backend_fails_typed(self):
         inline = ManagementServer(neighbor_set_size=3, maintain_cache=False)
         shard = ChaosShardBackend(inline, FaultPlan([Fault(at_op=1, kind="crash_before")]))
+        with pytest.raises(ShardUnavailableError) as error:
+            shard.register_landmark("lmA", "lmA")
+        assert "supervised shard backend" in str(error.value)
+
+    @pytest.mark.parametrize("kind", NETWORK_FAULT_KINDS)
+    def test_network_faults_fire_on_process_shards_and_heal(self, kind):
+        """Process shards are socket-backed: the connection-shaped kinds
+        apply to them, and recovery (respawn + replay + re-issue) heals."""
+        reference = ManagementServer(neighbor_set_size=3, maintain_cache=False)
+        reference.register_landmark("lmA", "lmA")
+        with chaos_backend(FaultPlan([Fault(at_op=2, kind=kind)])) as shard:
+            shard.register_landmark("lmA", "lmA")
+            path = simple_path("p0", "lmA")
+            shard.insert_paths([path])  # op 2: connection cut first, then heals
+            reference.insert_paths([path])
+            assert shard.plan.fired == [(2, kind, "insert_paths")]
+            assert shard.supervisor.epoch == 2
+            assert shard.supervisor.process.is_alive()
+            assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
+            assert [op for op, _ in shard.supervisor.journal] == [
+                "register_landmark",
+                "insert_paths",
+            ]
+
+    @pytest.mark.parametrize("kind", NETWORK_FAULT_KINDS)
+    def test_network_fault_on_inline_backend_fails_typed(self, kind):
+        inline = ManagementServer(neighbor_set_size=3, maintain_cache=False)
+        shard = ChaosShardBackend(inline, FaultPlan([Fault(at_op=1, kind=kind)]))
         with pytest.raises(ShardUnavailableError) as error:
             shard.register_landmark("lmA", "lmA")
         assert "supervised shard backend" in str(error.value)
@@ -238,7 +270,7 @@ class TestChaosShardBackend:
 
     def test_diagnostics_pass_through_to_the_inner_backend(self):
         with chaos_backend(FaultPlan()) as shard:
-            assert shard.name == "chaos-under-test"
+            assert shard.name == shard.inner.name == "shard-0"
             assert shard.supervisor.epoch == 1
             assert shard.fill_chunk_size == shard.inner.fill_chunk_size
 

@@ -27,7 +27,7 @@ from repro.core import (
     ShardHealth,
 )
 from repro.core.path import RouterPath
-from repro.core.remote import process_shard_factory
+from repro.core.remote import shard_factory_for
 from repro.exceptions import ShardUnavailableError
 
 # With two shards, "lmA" and "lmC" land on different shards of the
@@ -48,7 +48,7 @@ def make_plane(k=3, degraded_reads=True, maintain_cache=True):
         neighbor_set_size=k,
         maintain_cache=maintain_cache,
         landmark_distances={(LM_X, LM_Y): 4.0},
-        shard_factory=process_shard_factory(k),
+        shard_factory=shard_factory_for("process", k),
         degraded_reads=degraded_reads,
     )
     for landmark in (LM_X, LM_Y):

@@ -11,14 +11,14 @@ audited too.
 
 The harness is **backend-parametrized**: the same state machine runs once
 per :class:`~repro.core.sharded.ShardBackend` implementation — ``inline``
-(in-process shards), ``process`` (one worker per shard behind
-:class:`~repro.core.remote.ProcessShardBackend`), ``socket``
-(connection-scoped shards on a loopback asyncio server behind
+(in-process shards), ``process`` (one forked child shard server per
+shard), ``socket`` (connection-scoped shards on one loopback asyncio server
+thread — both behind
 :class:`~repro.core.socket_backend.SocketShardBackend`), ``chaos``
 (process shards wrapped in a scripted-crash
 :class:`~repro.core.chaos.ChaosShardBackend` with a
 :class:`~repro.core.remote.RecoveryPolicy`, so every example self-heals
-through worker kills via restart+replay) and ``socket-chaos`` (socket
+through SIGKILLed servers via respawn+replay) and ``socket-chaos`` (socket
 shards on a network-shaped fault plan: crashes plus connection resets,
 partial frames and stale-epoch reconnects, healed by
 reconnect-with-replay) — via the ``backend_factory`` fixture, so the wire
@@ -47,13 +47,7 @@ from hypothesis import strategies as st
 from repro.core import ManagementServer, ShardedManagementServer
 from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.path import RouterPath
-from repro.core.remote import (
-    BACKENDS,
-    ProcessShardBackend,
-    RecoveryPolicy,
-    shard_factory_for,
-)
-from repro.core.socket_backend import SocketShardBackend
+from repro.core.remote import BACKENDS, RecoveryPolicy, shard_factory_for
 
 MAX_PEERS = 24
 MAX_LANDMARKS = 5
@@ -106,20 +100,7 @@ def chaos_shard_factory(k: int, transport: str = "process"):
             rng=random.Random(index),
             sleep=lambda _delay: None,
         )
-        if transport == "socket":
-            inner = SocketShardBackend(
-                neighbor_set_size=k,
-                name=f"chaos-shard-{index}",
-                recovery=recovery,
-                compact_watermark=8,
-            )
-        else:
-            inner = ProcessShardBackend(
-                neighbor_set_size=k,
-                name=f"chaos-shard-{index}",
-                recovery=recovery,
-                compact_watermark=8,
-            )
+        inner = shard_factory_for(transport, k, recovery=recovery, compact_watermark=8)()
         return ChaosShardBackend(inner, FaultPlan(faults))
 
     return factory

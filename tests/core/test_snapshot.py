@@ -1,6 +1,6 @@
 """Snapshot/restore: a restored server is answer-identical to the original.
 
-The snapshot contract backs journal compaction: ``ShardSupervisor.compact``
+The snapshot contract backs journal compaction: ``ShardSupervisorBase.compact``
 replaces a long replay journal with one ``restore_state`` entry, which is
 only sound if restoring a snapshot yields byte-identical answers — same
 peers, same distances, same order, same cache contents — for every
@@ -159,9 +159,9 @@ class TestInternerStability:
         ``snapshot_state`` — interner table included — must be identical to
         the pre-compact snapshot.
         """
-        from repro.core.remote import ProcessShardBackend
+        from repro.core.remote import shard_factory_for
 
-        shard = ProcessShardBackend(neighbor_set_size=3, name="compact-shard")
+        shard = shard_factory_for("process", 3)()
         try:
             shard.register_landmark("lmA", "lmA")
             shard.insert_paths(

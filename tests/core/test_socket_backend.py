@@ -1,10 +1,14 @@
-"""Tests for the socket shard backend (server, pool, faults, CLI).
+"""Tests for the shard transport (server, framing, pool, faults, CLI).
 
-Covers the asyncio :class:`ShardServer`'s connection-scoped shard protocol
-(hello/generation, op-before-hello, re-hello), the
-:class:`SocketShardBackend`'s parity with an inline shard, connection
-pooling, the transport-shaped fault hooks (``sever`` modes, stale-epoch
-reconnect) and the three network chaos acceptance cases from the issue:
+What both backend names share — parity with an inline shard, lifecycle,
+self-healing, compaction — is ``test_remote_backend.py``, parametrised over
+``("process", "socket")``.  This module covers the transport itself: the
+asyncio :class:`ShardServer`'s connection-scoped shard protocol
+(hello/generation, op-before-hello, re-hello), one deadline budget per
+round trip, connection pooling, the loopback server's refcounting, the
+transport-shaped fault hooks (``sever`` modes, stale-epoch reconnect —
+including a process shard forgetting the epoch of the child it respawned)
+and the three network chaos acceptance cases from the issue:
 a partial frame mid-``fill_candidates``, a connection reset mid-batch
 insert, and a stale-epoch reconnect — each must converge byte-identically
 under recovery or fail with a typed error without it, never hang and never
@@ -22,10 +26,10 @@ import time
 
 import pytest
 
-from repro.core import ManagementServer, ShardBackend, ShardedManagementServer
+from repro.core import ManagementServer
 from repro.core.budget import DeadlineBudget
 from repro.core.path import RouterPath
-from repro.core.remote import RecoveryPolicy
+from repro.core.remote import RecoveryPolicy, shard_factory_for
 from repro.core.socket_backend import (
     PROTOCOL_VERSION,
     FramedConnection,
@@ -147,42 +151,49 @@ class TestWireProtocol:
             conn.close()
 
 
-class TestBackendParity:
-    """The socket shard answers byte-identically to an inline shard."""
+class FakeClock:
+    """An injectable monotonic clock tests advance by hand."""
 
-    def test_satisfies_shard_backend_protocol(self, backend):
-        assert isinstance(backend, ShardBackend)
+    def __init__(self) -> None:
+        self.now = 0.0
 
-    def test_local_closest_and_fill_match_inline(self, backend):
-        inline = ManagementServer(neighbor_set_size=3, maintain_cache=False)
-        seed_peers(backend, inline)
-        for peer in ("p0", "p1", "p2", "p3"):
-            for k in (1, 2, 5):
-                assert backend.local_closest(peer, k) == inline.local_closest(peer, k)
-        bases = {"lmA": 7.0}
-        assert list(backend.fill_candidates(bases, exclude_peer="p0")) == list(
-            inline.fill_candidates(bases, exclude_peer="p0")
-        )
+    def __call__(self) -> float:
+        return self.now
 
-    def test_rebuilt_errors_are_real_exception_types(self, backend):
-        backend.register_landmark("lmA", "lmA")
-        with pytest.raises(UnknownPeerError):
-            backend.unregister_peer("ghost")
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
-    def test_sharded_plane_runs_on_the_socket_factory(self):
-        with ShardedManagementServer(
-            2, neighbor_set_size=3, shard_factory=socket_shard_factory(3)
-        ) as plane:
-            plane.register_landmark("lmA", "lmA")
-            plane.register_peers(
-                [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(4)]
-            )
-            reference = ManagementServer(neighbor_set_size=3)
-            reference.register_landmark("lmA", "lmA")
-            for i in range(4):
-                reference.register_peer(simple_path(f"p{i}", "lmA", access=f"a{i}"))
-            for peer in plane.peers():
-                assert plane.closest_peers(peer) == reference.closest_peers(peer)
+
+class TestDeadlineBudget:
+    def test_send_and_every_reply_read_share_one_deadline_budget(self):
+        """Each blocking phase of a round trip — send, header read, body
+        read — is armed with what the phases before it LEFT of one budget,
+        so a slow-draining send plus a dribbling reply is bounded by a
+        single ``request_timeout``, never by one full timeout per phase."""
+        clock = FakeClock()
+        reply = encode_frame((1, "ok", "pong"))
+        armed = []
+
+        class DribblingSocket:
+            def settimeout(self, timeout):
+                armed.append(timeout)
+
+            def sendall(self, frame):
+                clock.advance(6.0)  # the peer drained the send slowly
+
+            def recv(self, count):
+                clock.advance(3.0)  # and dribbles its reply, 8 bytes a time
+                nonlocal reply
+                chunk, reply = reply[: min(count, 8)], reply[min(count, 8) :]
+                return chunk
+
+        conn = FramedConnection(DribblingSocket(), "fake.sock")
+        budget = DeadlineBudget(10.0, clock=clock)
+        conn.send_frame(encode_frame((1, "ping", ())), budget)
+        with pytest.raises(TimeoutError):
+            conn.recv_frame(budget)  # the body's second chunk finds the budget spent
+        assert armed == [pytest.approx(10.0), pytest.approx(4.0), pytest.approx(1.0)]
+        assert clock.now == pytest.approx(12.0)  # it never armed a fourth wait
 
 
 class TestConnectionPool:
@@ -256,23 +267,6 @@ class TestLocalServerLifecycle:
         if isinstance(address, str):
             assert not os.path.exists(address)
 
-    def test_factory_names_shards_in_spawn_order(self):
-        factory = socket_shard_factory(neighbor_set_size=2)
-        shards = [factory() for _ in range(3)]
-        try:
-            assert [s.name for s in shards] == ["shard-0", "shard-1", "shard-2"]
-        finally:
-            for shard in shards:
-                shard.close()
-
-    def test_requests_after_close_raise_typed_error(self):
-        shard = SocketShardBackend(neighbor_set_size=2)
-        shard.close()
-        with pytest.raises(ShardUnavailableError):
-            shard.local_closest("p0", 1)
-        assert not shard.health_check()
-        shard.close()  # idempotent
-
 
 class TestSeverModes:
     """Every sever mode => typed error (no recovery) or transparent heal."""
@@ -333,6 +327,26 @@ class TestStaleEpochReconnect:
             # One failed reconnect, then convergence — inside one request.
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
             assert shard.supervisor.seen_generation > generation_before
+
+    def test_respawned_own_server_is_never_mistaken_for_a_stale_epoch(self):
+        """A process shard's restart lands on a fresh child whose generation
+        counter starts over: the supervisor respawned it itself, so it
+        forgets the generation it had seen instead of rejecting the child."""
+        reference = ManagementServer(neighbor_set_size=3, maintain_cache=False)
+        with shard_factory_for("process", 3)() as shard:
+            seed_peers(shard, reference)
+            for _ in range(3):  # hellos on ONE child: the counter climbs
+                shard.supervisor.sever("close")
+                with pytest.raises(ShardUnavailableError):
+                    shard.local_closest("p0", 3)
+                shard.restart()
+            assert shard.supervisor.seen_generation == 1  # ...and starts over
+            assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
+            # Even a rewound expectation cannot outlive the respawn.
+            shard.supervisor.rewind_generation(5)
+            shard.supervisor.kill()
+            shard.restart()
+            assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
 
 
 class TestNetworkChaosAcceptance:

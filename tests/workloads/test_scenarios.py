@@ -179,20 +179,19 @@ class TestProcessBackendScenario:
         assert ScenarioConfig(backend="process", shard_count=2).backend == "process"
 
     def test_process_scenario_builds_process_backed_shards(self):
-        from repro.core.remote import ProcessShardBackend
         from repro.core.sharded import ShardedManagementServer
 
         with make_small_scenario(seed=7, peer_count=15, shard_count=2, backend="process") as scenario:
             assert isinstance(scenario.server, ShardedManagementServer)
-            assert all(
-                isinstance(shard, ProcessShardBackend) for shard in scenario.server.shards
-            )
+            children = [shard.supervisor.process for shard in scenario.server.shards]
+            assert all(child is not None and child.is_alive() for child in children)
+            assert len({child.pid for child in children}) == 2  # one server each
             scenario.join_all()
             assert scenario.server.peer_count == 15
 
     def test_process_scenario_matches_inline_scenario(self):
         """The full paper pipeline answers identically when every shard is a
-        worker process behind the wire protocol."""
+        child shard server behind the wire protocol."""
         inline = make_small_scenario(seed=11, peer_count=20, shard_count=2)
         with make_small_scenario(
             seed=11, peer_count=20, shard_count=2, backend="process"
