@@ -21,7 +21,7 @@ from .path import (
 )
 from .interning import PeerKeyInterner
 from .path_tree import PathTree, PathTreeNode
-from .management_plane import DegradedResult, PlaneHealth, ShardHealth
+from .management_plane import ChangeRecord, DegradedResult, PlaneHealth, ShardHealth
 from .management_server import ManagementServer, NeighborEntry, ServerStats
 from .neighbor_cache import NeighborCache
 from .sharded import ConsistentHashRing, ShardBackend, ShardedManagementServer
@@ -86,6 +86,7 @@ __all__ = [
     "ShardHealth",
     "RecoveryPolicy",
     "shard_factory_for",
+    "ChangeRecord",
     "ChaosShardBackend",
     "Fault",
     "FaultPlan",

@@ -70,6 +70,15 @@ class PeerKeyInterner:
         """
         self._keys.pop(peer_id, None)
 
+    def table(self) -> Dict[PeerId, Tuple[str, int]]:
+        """A copy of the live ``peer -> (sort_text, compact_index)`` table."""
+        return dict(self._keys)
+
+    @property
+    def next_index(self) -> int:
+        """The compact index the next never-seen peer will get."""
+        return self._next_index
+
     def export_state(self) -> Tuple[Tuple[Tuple[PeerId, str, int], ...], int]:
         """Plain-data ``(assignments, next_index)`` for state snapshots.
 

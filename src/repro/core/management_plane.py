@@ -17,7 +17,20 @@ Subclass contract
 ``_peer_landmark``, ``_paths``, ``_landmark_routers`` and
 ``_landmark_distances``; the subclass implements the data-plane hooks
 ``_validate_path``, ``_insert_path``, ``_compute_neighbors``,
-``unregister_peer`` and ``tree``.
+``unregister_peer``, ``tree``, ``_live_trees`` and ``_hops_ordering``.
+
+Change record
+-------------
+A snapshot publisher (:mod:`repro.core.serving`) re-freezes only what moved
+since its last epoch.  :meth:`ManagementPlaneBase.track_changes` attaches a
+:class:`ChangeRecord` whose sets the writers fill *where the change
+happens*: each landmark trie adds the node ids on a touched root path, the
+neighbour cache adds the owners whose lists changed, and the plane adds the
+peers that joined or left.  With no record attached every one of those
+hooks is a single ``is None`` test.  Whatever the sets cannot describe — a
+new landmark or landmark distance, ``restore_state`` — and a record that
+names more joins and leaves than there are peers alive (nobody is reading
+it) detach the record instead, and the publisher rebuilds whole.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree
 
 __all__ = [
+    "ChangeRecord",
     "DegradedResult",
     "ManagementPlaneBase",
     "PlaneHealth",
@@ -61,6 +75,33 @@ class ServerStats:
     def as_dict(self) -> Dict[str, int]:
         """Counter values keyed by name (for perf reports)."""
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+
+
+class ChangeRecord:
+    """What a plane's mutations touched since the record was attached.
+
+    ``nodes`` maps each landmark to the trie node ids whose row changed
+    (structure, attachments or subtree count; freed ids included),
+    ``owners`` holds the peers whose cached neighbour list or completeness
+    mark changed, ``peers`` the peers that joined, left or re-registered
+    (a dict used as an insertion-ordered set, so consumers assign slots
+    deterministically).  The sets are hints, not a log: a consumer re-reads
+    the live plane for everything named here, so an entry for something
+    that changed back — or is gone — is harmless.
+    """
+
+    __slots__ = ("nodes", "owners", "peers")
+
+    def __init__(self, landmarks: Iterable[LandmarkId]) -> None:
+        self.nodes: Dict[LandmarkId, Set[int]] = {landmark: set() for landmark in landmarks}
+        self.owners: Set[PeerId] = set()
+        self.peers: Dict[PeerId, None] = {}
+
+    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
+        return (
+            f"ChangeRecord(peers={len(self.peers)}, owners={len(self.owners)}, "
+            f"nodes={sum(map(len, self.nodes.values()))})"
+        )
 
 
 class DegradedResult(List[Tuple[PeerId, float]]):
@@ -125,6 +166,8 @@ class ManagementPlaneBase:
     _paths: Dict[PeerId, RouterPath]
     _landmark_routers: Dict[LandmarkId, NodeId]
     _landmark_distances: Dict[Tuple[LandmarkId, LandmarkId], float]
+    #: The attached :class:`ChangeRecord`, or None while nothing records.
+    changes: Optional[ChangeRecord] = None
 
     # -------------------------------------------------------- data-plane hooks
 
@@ -160,6 +203,18 @@ class ManagementPlaneBase:
 
     def tree(self, landmark_id: LandmarkId) -> PathTree:
         """The path tree of one landmark."""
+        raise NotImplementedError
+
+    def _live_trees(self) -> Optional[Dict[LandmarkId, PathTree]]:
+        """Every landmark's *live* trie, or None when some are out of reach.
+
+        Out of reach means :meth:`tree` hands back a fresh export (a remote
+        shard): there is no object whose mutations could be recorded.
+        """
+        raise NotImplementedError
+
+    def _hops_ordering(self, landmark_id: LandmarkId) -> Optional[List[Tuple[int, str, PeerId]]]:
+        """The landmark's maintained min-hop ordering (None if out of reach)."""
         raise NotImplementedError
 
     def _degraded_neighbors(
@@ -213,6 +268,52 @@ class ManagementPlaneBase:
     def __exit__(self, *_exc_info) -> None:
         self.close()
 
+    # --------------------------------------------------------- change record
+
+    def track_changes(self) -> Optional[ChangeRecord]:
+        """Attach a fresh :class:`ChangeRecord` (detaching any other) and return it.
+
+        Returns None — nothing is recorded — when the landmark tries are
+        not live objects of this process (see :meth:`_live_trees`).  One
+        record is attached at a time: a consumer whose record is no longer
+        :attr:`changes` (another consumer attached, or the plane detached it,
+        see :meth:`_stop_tracking`) must treat everything as changed.
+        """
+        trees = self._live_trees()
+        if trees is None:
+            return None  # and nothing can have been attached before either
+        record = ChangeRecord(trees)
+        for landmark_id, tree in trees.items():
+            tree.dirty = record.nodes[landmark_id]
+        self._cache.dirty = record.owners
+        self.changes = record
+        return record
+
+    def _stop_tracking(self) -> None:
+        """Detach the record: its sets cannot describe what happens next."""
+        if self.changes is None:
+            return
+        self.changes = None
+        self._cache.dirty = None
+        for tree in (self._live_trees() or {}).values():
+            tree.dirty = None
+
+    def _peer_changed(self, peer_id: PeerId) -> None:
+        """Record a join or leave (callers test ``changes is not None`` first).
+
+        This is also where the record is bounded: once it names more joins
+        and leaves than there are peers alive, a rebuild costs no more than
+        the patch, and a record nobody drains must not grow with the churn
+        it watches.  The other sets need no bound of their own: a marked
+        owner was alive when marked, so it is a live peer or a recorded
+        leaver, and node ids are reused, so a trie's set never outgrows its
+        node table.
+        """
+        peers = self.changes.peers  # type: ignore[union-attr]
+        peers[peer_id] = None
+        if len(peers) > len(self._peer_landmark):
+            self._stop_tracking()
+
     # ------------------------------------------------------------- cache views
 
     @property
@@ -238,13 +339,15 @@ class ManagementPlaneBase:
 
         A new inter-landmark distance can make foreign-tree peers reachable,
         so it invalidates the cache's short-list completeness marks (see
-        :meth:`NeighborCache.note_membership_change`).
+        :meth:`NeighborCache.note_membership_change`) — and it is nothing a
+        change record has a set for, so an attached record is dropped.
         """
         if distance < 0:
             raise LandmarkError(f"landmark distance must be >= 0, got {distance}")
         self._landmark_distances[(a, b)] = float(distance)
         self._landmark_distances[(b, a)] = float(distance)
         self._cache.note_membership_change()
+        self._stop_tracking()
 
     def landmark_distance(self, a: LandmarkId, b: LandmarkId) -> Optional[float]:
         """Distance between two landmarks, or None if unknown."""

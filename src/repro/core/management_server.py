@@ -175,6 +175,7 @@ class ManagementServer(ManagementPlaneBase):
         """Declare a landmark and the router it is attached to."""
         if landmark_id in self._trees:
             raise LandmarkError(f"landmark {landmark_id!r} is already registered")
+        self._stop_tracking()  # a change record has no set for the new trie
         self._landmark_routers[landmark_id] = router
         self._trees[landmark_id] = PathTree(
             landmark_id=landmark_id, landmark_router=router, interner=self._interner
@@ -260,9 +261,10 @@ class ManagementServer(ManagementPlaneBase):
         self._hops_discard(landmark_id, path)
         self._interner.discard(peer_id)
         self.stats.removals += 1
-        if not self.maintain_cache:
-            return
-        self._cache.drop_peer(peer_id)
+        if self.maintain_cache:
+            self._cache.drop_peer(peer_id)
+        if self.changes is not None:
+            self._peer_changed(peer_id)
 
     # ------------------------------------------------- shard-facing interface
 
@@ -421,6 +423,7 @@ class ManagementServer(ManagementPlaneBase):
         if len(snapshot) != 7:
             raise StateSnapshotError(f"malformed state snapshot: {type(snapshot).__name__}")
         _, _, landmarks, paths, distances, cache, interner = snapshot
+        self._stop_tracking()  # every tree and the cache are replaced below
         self._trees = {}
         self._landmark_routers = {}
         self._peer_landmark = {}
@@ -469,6 +472,11 @@ class ManagementServer(ManagementPlaneBase):
             )
         self.stats.registrations += 1
         self._cache.note_membership_change()
+        if self.changes is not None:
+            self._peer_changed(path.peer_id)
+
+    def _live_trees(self) -> Dict[LandmarkId, PathTree]:
+        return self._trees
 
     def _hops_ordering(self, landmark_id: LandmarkId) -> List[Tuple[int, str, PeerId]]:
         """The landmark's min-hop peer ordering, built on first use."""

@@ -32,6 +32,15 @@ O(1) to query in the steady state and recomputed exactly once after each
 arrival.  Departures do not bump the generation: the reverse-index repair
 removes the departed peer from every list that referenced it, and a
 complete list minus a departed member is still the complete answer.
+
+Change tracking
+---------------
+While :attr:`NeighborCache.dirty` is a set, every owner whose list (or
+completeness mark) changes — :meth:`~NeighborCache.store`, the referrers
+repaired by :meth:`~NeighborCache.drop_peer`, the lists
+:meth:`~NeighborCache.propagate_newcomer` inserts into — is added to it, so
+a snapshot publisher re-freezes only those lists.  It is ``None`` (one
+``is None`` test per call) unless the owning plane is recording changes.
 """
 
 from __future__ import annotations
@@ -108,6 +117,9 @@ class NeighborCache:
         #: they were stored under.
         self.membership_generation: int = 0
         self._complete: Dict[PeerId, int] = {}
+        #: Owners whose list changed since the owning plane last drained its
+        #: change record, or ``None`` while nothing records.
+        self.dirty: Optional[Set[PeerId]] = None
 
     # ---------------------------------------------------------------- reading
 
@@ -127,6 +139,11 @@ class NeighborCache:
         happened since (see the module docstring).
         """
         return self._complete.get(peer_id) == self.membership_generation
+
+    def completeness_stamp(self, peer_id: PeerId) -> Optional[int]:
+        """The generation the peer's list was marked complete under, or None
+        (snapshots freeze it and compare with their own frozen generation)."""
+        return self._complete.get(peer_id)
 
     # --------------------------------------------------------------- mutating
 
@@ -149,6 +166,8 @@ class NeighborCache:
         membership generation (the compute it came from returned every
         reachable candidate).
         """
+        if self.dirty is not None:
+            self.dirty.add(peer_id)
         old_entries = self.lists.get(peer_id)
         if old_entries:
             for entry in old_entries:
@@ -180,7 +199,10 @@ class NeighborCache:
         if own_entries:
             for entry in own_entries:
                 self._reverse_discard(entry.peer_id, peer_id)
-        for referrer in self.referenced_by.pop(peer_id, ()):
+        referrers = self.referenced_by.pop(peer_id, ())
+        if self.dirty is not None:
+            self.dirty.update(referrers)
+        for referrer in referrers:
             entries = self.lists.get(referrer)
             if entries is None:
                 continue
@@ -201,6 +223,7 @@ class NeighborCache:
         is computed per probe.
         """
         newcomer_text = self.interner.sort_text(newcomer)
+        dirty = self.dirty
         for peer, distance in newcomer_neighbors:
             entries = self.lists.get(peer)
             if entries is None:
@@ -217,6 +240,8 @@ class NeighborCache:
             del entries[self.neighbor_set_size :]
             self.referenced_by.setdefault(newcomer, set()).add(peer)
             self.stats.cache_updates += 1
+            if dirty is not None:
+                dirty.add(peer)
 
     # ------------------------------------------------------------- snapshots
 

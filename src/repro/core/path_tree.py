@@ -25,6 +25,19 @@ PeerKeyInterner`), and the structural aggregates — ``router_count``,
 full-subtree scans.  Both the query and the insert side expose
 algorithmic-work counters (``last_query_visits`` / ``last_insert_nodes_*``)
 so benchmarks can assert scaling bounds instead of eyeballing wall-clock.
+
+Stable node ids
+---------------
+Every node carries an ``index`` that is its position in the tree's
+node-by-index list: the root is node ``0``, a new node takes the most
+recently freed id (or the next unused one), and a pruned node leaves a hole
+until its id is reused.  Ids therefore survive churn elsewhere in the tree,
+which is what lets the serving plane (:mod:`repro.core.serving`) keep one
+row per node id and rewrite only the rows a mutation touched: while
+:attr:`PathTree.dirty` is a set, :meth:`PathTree.insert` and
+:meth:`PathTree.remove` add the ids on the touched root path (pruned ids
+included) to it.  It is ``None`` — one ``is None`` test per insert/remove —
+unless a plane is recording changes for a snapshot publisher.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ class PathTreeNode:
         "router",
         "depth",
         "parent",
+        "index",
         "children",
         "attached_peers",
         "subtree_peer_count",
@@ -66,10 +80,13 @@ class PathTreeNode:
         router: NodeId,
         depth: int,
         parent: Optional["PathTreeNode"] = None,
+        index: int = 0,
     ) -> None:
         self.router = router
         self.depth = depth
         self.parent = parent
+        #: Position in the owning tree's node-by-index list (root = 0).
+        self.index = index
         self.children: Dict[NodeId, "PathTreeNode"] = {}
         self.attached_peers: Dict[PeerId, str] = {}
         self.subtree_peer_count = 0
@@ -126,12 +143,17 @@ class PathTree:
         self.landmark_id = landmark_id
         self._interner = interner if interner is not None else PeerKeyInterner()
         self._root: Optional[PathTreeNode] = None
+        #: Node-by-index list (``None`` marks a pruned id awaiting reuse).
+        self._nodes: List[Optional[PathTreeNode]] = []
+        self._free_ids: List[int] = []
+        #: Node ids touched since the owning plane last drained its change
+        #: record, or ``None`` while nothing records (see the module doc).
+        self.dirty: Optional[Set[int]] = None
         self._router_count = 0
         self._depth_counts: Dict[int, int] = {}
         self._max_depth = 0
         if landmark_router is not None:
-            self._root = PathTreeNode(router=landmark_router, depth=0)
-            self._node_added(0)
+            self._root = self._add_node(landmark_router, 0, None)
         self._attachment: Dict[PeerId, PathTreeNode] = {}
         self._paths: Dict[PeerId, RouterPath] = {}
         #: Trie nodes examined by the most recent :meth:`closest_peers` call.
@@ -184,6 +206,10 @@ class PathTree:
             raise UnknownPeerError(peer_id)
         return self._attachment[peer_id]
 
+    def node_table(self) -> List[Optional[PathTreeNode]]:
+        """The node-by-index list (``None`` = free id); read-only for callers."""
+        return self._nodes
+
     def max_depth(self) -> int:
         """Deepest router depth in the tree (0 for an empty/one-node tree).
 
@@ -194,13 +220,27 @@ class PathTree:
 
     # ------------------------------------------------- structural bookkeeping
 
-    def _node_added(self, depth: int) -> None:
+    def _add_node(
+        self, router: NodeId, depth: int, parent: Optional[PathTreeNode]
+    ) -> PathTreeNode:
+        """Create a node under the next free id and count it."""
+        if self._free_ids:
+            index = self._free_ids.pop()
+            node = self._nodes[index] = PathTreeNode(router, depth, parent, index)
+        else:
+            node = PathTreeNode(router, depth, parent, len(self._nodes))
+            self._nodes.append(node)
         self._router_count += 1
         self._depth_counts[depth] = self._depth_counts.get(depth, 0) + 1
         if depth > self._max_depth:
             self._max_depth = depth
+        return node
 
-    def _node_removed(self, depth: int) -> None:
+    def _node_removed(self, node: PathTreeNode) -> None:
+        """Free a pruned node's id and uncount it."""
+        self._nodes[node.index] = None
+        self._free_ids.append(node.index)
+        depth = node.depth
         self._router_count -= 1
         remaining = self._depth_counts[depth] - 1
         if remaining:
@@ -236,8 +276,7 @@ class PathTree:
         reversed_routers = path.from_landmark()
         created = 0
         if self._root is None:
-            self._root = PathTreeNode(router=reversed_routers[0], depth=0)
-            self._node_added(0)
+            self._root = self._add_node(reversed_routers[0], 0, None)
             created += 1
         elif self._root.router != reversed_routers[0]:
             raise RegistrationError(
@@ -250,9 +289,7 @@ class PathTree:
         for router in reversed_routers[1:]:
             child = node.children.get(router)
             if child is None:
-                child = PathTreeNode(router=router, depth=node.depth + 1, parent=node)
-                node.children[router] = child
-                self._node_added(child.depth)
+                child = node.children[router] = self._add_node(router, node.depth + 1, node)
                 created += 1
             node = child
 
@@ -264,6 +301,8 @@ class PathTree:
         while current is not None:
             current.subtree_peer_count += 1
             current = current.parent
+        if self.dirty is not None:
+            self._mark_root_path(node)
 
         self.last_insert_nodes_created = created
         self.last_insert_nodes_touched = len(reversed_routers)
@@ -283,6 +322,8 @@ class PathTree:
         while current is not None:
             current.subtree_peer_count -= 1
             current = current.parent
+        if self.dirty is not None:
+            self._mark_root_path(node)  # before pruning: the pruned ids are on it
 
         # Prune empty leaves so the trie does not grow without bound under churn.
         current = node
@@ -294,8 +335,16 @@ class PathTree:
         ):
             parent = current.parent
             del parent.children[current.router]
-            self._node_removed(current.depth)
+            self._node_removed(current)
             current = parent
+
+    def _mark_root_path(self, node: PathTreeNode) -> None:
+        """Record every id from ``node`` up to the root as touched."""
+        mark = self.dirty.add  # type: ignore[union-attr]
+        current: Optional[PathTreeNode] = node
+        while current is not None:
+            mark(current.index)
+            current = current.parent
 
     # ----------------------------------------------------------------- queries
 

@@ -1,14 +1,12 @@
 """The serving plane: immutable discovery snapshots, published by epoch.
 
 Single-threaded query cost is ~2 µs after PRs 1–7; the next order of
-magnitude is concurrency.  This module does for the discovery plane what
-PR 4's ``CsrTopology`` did for the router graph: it freezes one epoch of a
-live management plane into a :class:`DiscoverySnapshot` — flat tuple views
-of the landmark tries, the per-landmark min-hop orderings, the cached
-neighbour lists and the interner's ``(sort_text, compact_index)`` table —
-that any number of reader threads or forked processes query with **zero
-locks**, while the write plane keeps mutating and periodically publishes the
-next epoch.
+magnitude is concurrency.  This module freezes one epoch of a live
+management plane into a :class:`DiscoverySnapshot` — one flat row per trie
+node, the per-landmark min-hop orderings, the cached neighbour lists and the
+interner's ``(sort_text, compact_index)`` table — that any number of reader
+threads or forked processes query with **zero locks**, while the write plane
+keeps mutating and periodically publishes the next epoch.
 
 Why this is safe without locks
 ------------------------------
@@ -29,19 +27,46 @@ The snapshot replays the live read path, not an approximation of it:
 :meth:`DiscoverySnapshot.closest_peers` implements the exact cache-serve
 condition of :meth:`~repro.core.management_plane.ManagementPlaneBase.
 closest_peers`, falls back to the same level-synchronous frontier walk as
-:meth:`~repro.core.path_tree.PathTree.closest_from_node` (over flat arrays
+:meth:`~repro.core.path_tree.PathTree.closest_from_node` (over flat rows
 instead of node objects, preserving child and attachment iteration order),
 and fills short lists by heap-merging the same shifted min-hop orderings in
 the same stream order the source plane would use — including the per-shard
 grouping of the sharded coordinator, whose snapshot is composed from the
-per-shard tree exports.  ``tests/core/test_serving.py`` holds the oracle
-pinning snapshot answers byte-identical to the live plane at the same epoch.
+per-shard trees.  ``tests/core/test_serving.py`` holds the oracle pinning
+snapshot answers byte-identical to the live plane at the same epoch.
 
-Array keys are the PR 5 compact indices: peers get dense **slots** in
-compact-index order, which is why the interner table must survive state
-snapshots verbatim (see ``STATE_SNAPSHOT_VERSION`` 2 in
-:mod:`repro.core.management_server`) — a restore that re-interned peers
-would silently renumber the keys under a published snapshot.
+Epoch N+1 is a patch of epoch N
+-------------------------------
+The paper's point is that an arrival touches only nearby peers; publishing
+it must not cost O(population) either.  Two things make a publish
+proportional to what changed:
+
+* **Ids that survive churn.**  Trie rows are indexed by the live
+  :class:`~repro.core.path_tree.PathTree`'s stable node ids (root ``0``,
+  freed ids are holes until reused) and per-peer state by a **slot** the
+  peer keeps for as long as it stays registered (a departure frees the slot
+  for the next arrival; holes are allowed).  A leave therefore renumbers
+  nothing.
+* **A change record filled where changes happen.**  While a publisher is
+  attached (:meth:`~repro.core.management_plane.ManagementPlaneBase.
+  track_changes`), the tries record the node ids on every touched root
+  path, the neighbour cache the owners whose lists changed, and the plane
+  the peers that joined or left.
+
+:meth:`DiscoverySnapshot.build` is the one build routine: it copies the
+previous epoch's arrays (``list(t)`` … ``tuple(l)``, ``dict(d)`` — C speed),
+re-reads only the recorded rows, slots and lists from the live plane, and
+takes the min-hop orderings from the lists the plane maintains
+incrementally.  Untouched rows are *shared* between consecutive epochs.
+A full build is the same routine with no previous epoch, where everything
+counts as changed; that is also what happens whenever the record cannot
+vouch for the gap — ``restore_state``, a new landmark or landmark distance,
+a remote shard (its ``tree()`` is a fresh export), a record that outgrew
+the live population, or a second publisher having taken the record over.
+Completeness marks are frozen as the generation *stamp* they were stored
+under and compared with the snapshot's own ``membership_generation`` at
+read time, so a registration (which invalidates every mark at once) costs
+the snapshot one integer, not a pass over every slot.
 """
 
 from __future__ import annotations
@@ -49,10 +74,10 @@ from __future__ import annotations
 import heapq
 import time
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import LandmarkError, UnknownPeerError
-from .management_plane import ManagementPlaneBase
+from .management_plane import ChangeRecord, ManagementPlaneBase
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree
 
@@ -65,16 +90,20 @@ _CANDIDATE_ORDER = itemgetter(0, 1)
 
 
 class FlatTrie:
-    """One landmark's path trie, frozen into flat parallel tuples.
+    """One landmark's path trie, frozen into one row per node id.
 
-    Nodes are numbered in depth-first order from the root (node ``0``);
-    children and attached peers keep their live dict iteration order, so the
-    frontier walk below discovers candidates in exactly the order the live
-    :class:`~repro.core.path_tree.PathTree` would — which is what keeps tied
-    results byte-identical after the stable sort.  CSR-style ranges
-    (``child_start`` / ``attached_start`` with one trailing sentinel) replace
-    per-node containers; attachments are peer *slots* into the owning
-    snapshot's arrays.
+    Row ``n`` of every column describes the live tree's node ``n`` (see
+    "Stable node ids" in :mod:`repro.core.path_tree`): the root is row ``0``
+    and a freed id is an unreachable hole.  ``children[n]`` and
+    ``attached[n]`` are small tuples in the live dicts' iteration order, so
+    the frontier walk below discovers candidates in exactly the order the
+    live :class:`~repro.core.path_tree.PathTree` would — which is what keeps
+    tied results byte-identical after the stable sort.  Children are node
+    ids; attachments are peer *slots* into the owning snapshot's arrays.
+
+    Built from scratch, or — given the ``previous`` epoch's trie of the same
+    tree and the ``dirty`` node ids recorded since — as a copy of it with
+    only those rows re-read; the untouched row tuples are shared.
     """
 
     __slots__ = (
@@ -83,56 +112,58 @@ class FlatTrie:
         "parent",
         "depth",
         "subtree_count",
-        "child_start",
         "children",
-        "attached_start",
         "attached",
     )
 
-    def __init__(self, landmark_id: LandmarkId, tree: PathTree, slot_of: Dict[PeerId, int]):
+    def __init__(
+        self,
+        landmark_id: LandmarkId,
+        tree: PathTree,
+        slot_of: Dict[PeerId, int],
+        previous: Optional["FlatTrie"] = None,
+        dirty: Optional[Iterable[int]] = None,
+    ):
         self.landmark_id = landmark_id
-        routers: List[NodeId] = []
-        parent: List[int] = []
-        depth: List[int] = []
-        subtree: List[int] = []
-        child_start: List[int] = [0]
-        children: List[int] = []
-        attached_start: List[int] = [0]
-        attached: List[int] = []
-        root = tree.root
-        if root is not None:
-            # Two passes: number every node first (depth-first, children in
-            # dict order), then emit the CSR rows — child lists must hold
-            # final node numbers.
-            index_of: Dict[int, int] = {}
-            order = []
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                index_of[id(node)] = len(order)
-                order.append(node)
-                stack.extend(reversed(list(node.children.values())))
-            for node in order:
-                routers.append(node.router)
-                parent.append(index_of[id(node.parent)] if node.parent is not None else -1)
-                depth.append(node.depth)
-                subtree.append(node.subtree_peer_count)
-                children.extend(index_of[id(child)] for child in node.children.values())
-                child_start.append(len(children))
-                attached.extend(slot_of[peer] for peer in node.attached_peers)
-                attached_start.append(len(attached))
+        nodes = tree.node_table()
+        if previous is None or dirty is None:
+            routers, parent, depth, subtree, children, attached = (
+                [None] * len(nodes) for _ in range(6)
+            )
+            dirty = range(len(nodes))
+        else:
+            grown = [None] * (len(nodes) - len(previous.routers))
+            routers, parent, depth, subtree, children, attached = (
+                [*column, *grown]
+                for column in (
+                    previous.routers,
+                    previous.parent,
+                    previous.depth,
+                    previous.subtree_count,
+                    previous.children,
+                    previous.attached,
+                )
+            )
+        for index in dirty:
+            node = nodes[index]
+            if node is None:  # a freed id: nothing reaches this row
+                routers[index] = None
+                parent[index] = -1
+                depth[index] = subtree[index] = 0
+                children[index] = attached[index] = ()
+                continue
+            routers[index] = node.router
+            parent[index] = node.parent.index if node.parent is not None else -1
+            depth[index] = node.depth
+            subtree[index] = node.subtree_peer_count
+            children[index] = tuple([child.index for child in node.children.values()])
+            attached[index] = tuple([slot_of[peer] for peer in node.attached_peers])
         self.routers = tuple(routers)
         self.parent = tuple(parent)
         self.depth = tuple(depth)
         self.subtree_count = tuple(subtree)
-        self.child_start = tuple(child_start)
         self.children = tuple(children)
-        self.attached_start = tuple(attached_start)
         self.attached = tuple(attached)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.routers)
 
     def lca_depth(self, node_a: int, node_b: int) -> int:
         """Depth of the lowest common ancestor of two nodes."""
@@ -145,6 +176,28 @@ class FlatTrie:
             node_a = parent[node_a]
             node_b = parent[node_b]
         return depth[node_a]
+
+    def structure(self, peer_ids: Sequence[PeerId]) -> Tuple[object, ...]:
+        """The trie without its numbering: preorder rows, children in order.
+
+        Each row is ``(router, child count, attached peer ids)``; preorder
+        plus child counts determines the shape, so two tries of identical
+        trees compare equal whatever ids and slots their histories left.
+        """
+        rows = []
+        stack = [0] if self.routers else []
+        while stack:
+            node = stack.pop()
+            children = self.children[node]
+            rows.append(
+                (
+                    self.routers[node],
+                    len(children),
+                    tuple(peer_ids[slot] for slot in self.attached[node]),
+                )
+            )
+            stack.extend(reversed(children))
+        return tuple(rows)
 
     def closest_from_node(
         self, origin: int, k: int, exclude_slot: int, sort_texts: Sequence[str]
@@ -160,8 +213,7 @@ class FlatTrie:
         if k <= 0:
             return []
         parent, depth, subtree = self.parent, self.depth, self.subtree_count
-        child_start, children = self.child_start, self.children
-        attached_start, attached = self.attached_start, self.attached
+        children, attached = self.children, self.attached
         level: List[Tuple[int, int, int]] = [(origin, depth[origin], -1)]
         bound = 2
         results: List[Tuple[int, str, int]] = []
@@ -171,8 +223,7 @@ class FlatTrie:
             next_level: List[Tuple[int, int, int]] = []
             push = next_level.append
             for node, lca_depth, skip_child in level:
-                for position in range(attached_start[node], attached_start[node + 1]):
-                    slot = attached[position]
+                for slot in attached[node]:
                     if slot != exclude_slot:
                         append((bound, sort_texts[slot], slot))
                 if kth_found:
@@ -181,16 +232,14 @@ class FlatTrie:
                     kth_found = True
                     continue
                 if depth[node] == lca_depth:
-                    for position in range(child_start[node], child_start[node + 1]):
-                        child = children[position]
+                    for child in children[node]:
                         if child != skip_child and subtree[child] > 0:
                             push((child, lca_depth, -1))
                     up = parent[node]
                     if up >= 0:
                         push((up, depth[up], node))
                 else:
-                    for position in range(child_start[node], child_start[node + 1]):
-                        child = children[position]
+                    for child in children[node]:
                         if subtree[child] > 0:
                             push((child, lca_depth, -1))
             if kth_found:
@@ -207,11 +256,11 @@ class DiscoverySnapshot:
 
     Built by :meth:`build` from a live
     :class:`~repro.core.management_server.ManagementServer` or
-    :class:`~repro.core.sharded.ShardedManagementServer` (any backend — the
-    coordinator snapshot is composed from the per-shard tree exports, which
-    rebuild byte-identical tries on the coordinator side).  All state is
-    plain tuples/dicts keyed by dense peer **slots** assigned in
-    compact-index order, so the whole object is cheaply forkable/picklable
+    :class:`~repro.core.sharded.ShardedManagementServer` (any backend — a
+    remote shard's tries are rebuilt on the coordinator side from its tree
+    exports).  All state is plain tuples/dicts; per-peer arrays are indexed
+    by the peer's **slot**, per-node arrays by the live trie's node id (see
+    the module docstring), so the whole object is cheaply forkable/picklable
     for process readers and safely shared between threads.
 
     The query surface mirrors the live plane byte for byte:
@@ -227,17 +276,16 @@ class DiscoverySnapshot:
         "maintain_cache",
         "interner_table",
         "next_compact_index",
+        "_membership_generation",
         "_registration_order",
+        "_paths",
         "_slot_of",
+        "_free_slots",
         "_peer_ids",
         "_sort_texts",
-        "_compact_indices",
-        "_hop_counts",
-        "_slot_landmark",
         "_attach_node",
         "_cache_lists",
-        "_cache_complete",
-        "_paths",
+        "_cache_stamps",
         "_tries",
         "_landmark_order",
         "_landmark_routers",
@@ -252,83 +300,133 @@ class DiscoverySnapshot:
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def build(cls, plane: ManagementPlaneBase, generation: int = 0) -> "DiscoverySnapshot":
+    def build(
+        cls,
+        plane: ManagementPlaneBase,
+        generation: int = 0,
+        previous: Optional["DiscoverySnapshot"] = None,
+        changes: Optional[ChangeRecord] = None,
+    ) -> "DiscoverySnapshot":
         """Freeze the plane's current state into a snapshot.
 
-        Read-only with one documented exception: building the coordinator
-        snapshot of a *remote* shard backend pulls each landmark's tree
-        export over the wire (the same ``tree`` round trip diagnostics use).
+        Given the ``previous`` epoch and the ``changes`` recorded on the
+        plane since it was built, the new epoch is ``previous``'s arrays with
+        only the recorded slots, lists and trie rows re-read from the plane.
+        Without either, every peer, list and row counts as changed — the
+        same statements, run over everything.  The caller vouches that
+        ``changes`` covers the whole gap (:class:`SnapshotPublisher` does).
+
+        Building reads the plane and otherwise leaves it alone, except that
+        it materialises the plane's lazily built min-hop orderings, interns
+        registered peers the plane never interned (a cache-less coordinator),
+        and — for a *remote* shard backend — pulls each landmark's tree
+        export over the wire (the ``tree`` round trip diagnostics use).
         """
+        live = plane._peer_landmark
+        interner = plane._interner
+        cache = plane._cache
+        if previous is None or changes is None:
+            slot_of: Dict[PeerId, int] = {}
+            free: List[int] = []
+            columns: Tuple[List, ...] = ([], [], [], [], [])
+            changed_peers: Iterable[PeerId] = live
+            changed_owners: Iterable[PeerId] = cache.lists
+            changed_nodes: Dict[LandmarkId, Iterable[int]] = {}
+            old_tries: Dict[LandmarkId, FlatTrie] = {}
+        else:
+            slot_of = dict(previous._slot_of)
+            free = list(previous._free_slots)
+            columns = (
+                list(previous._peer_ids),
+                list(previous._sort_texts),
+                list(previous._attach_node),
+                list(previous._cache_lists),
+                list(previous._cache_stamps),
+            )
+            changed_peers = changes.peers
+            changed_owners = changes.owners
+            changed_nodes = changes.nodes
+            old_tries = previous._tries
+        peer_ids, sort_texts, attach_node, cache_lists, cache_stamps = columns
+
+        landmark_order = tuple(plane.landmarks())
+        trees = {landmark: plane.tree(landmark) for landmark in landmark_order}
+
+        # Departures first, so that this epoch's arrivals reuse their slots.
+        for peer in changed_peers:
+            if peer not in live and peer in slot_of:
+                slot = slot_of.pop(peer)
+                free.append(slot)
+                for column in columns:
+                    column[slot] = None
+        for peer in changed_peers:
+            if peer not in live:
+                continue
+            slot = slot_of.get(peer)
+            if slot is None:
+                if free:
+                    slot = free.pop()
+                else:
+                    slot = len(peer_ids)
+                    for column in columns:
+                        column.append(None)
+                slot_of[peer] = slot
+            peer_ids[slot] = peer
+            sort_texts[slot] = interner.sort_text(peer)
+            attach_node[slot] = trees[live[peer]].attachment_node(peer).index
+            cache_lists[slot] = ()
+            cache_stamps[slot] = None
+        for owner in changed_owners:
+            slot = slot_of.get(owner)
+            if slot is not None:
+                cache_lists[slot] = tuple(
+                    [(entry.peer_id, entry.distance) for entry in cache.get(owner) or ()]
+                )
+                cache_stamps[slot] = cache.completeness_stamp(owner)
+
+        tries: Dict[LandmarkId, FlatTrie] = {}
+        orderings: Dict[LandmarkId, Tuple[Tuple[int, str, PeerId], ...]] = {}
+        for landmark in landmark_order:
+            tree = trees[landmark]
+            old = old_tries.get(landmark)
+            if old is not None and not changed_nodes[landmark]:
+                # No join or leave under this landmark: share the whole trie.
+                tries[landmark] = old
+                orderings[landmark] = previous._hops_orderings[landmark]
+                continue
+            tries[landmark] = FlatTrie(landmark, tree, slot_of, old, changed_nodes.get(landmark))
+            ordering = plane._hops_ordering(landmark)
+            if ordering is None:  # a remote shard keeps it: sort its export the same way
+                ordering = sorted(
+                    (tree.path_of(peer).hop_count, interner.sort_text(peer), peer)
+                    for peer in tree.peers()
+                )
+            orderings[landmark] = tuple(ordering)
+
         snap = cls()
         snap.generation = int(generation)
         snap.neighbor_set_size = plane.neighbor_set_size
         snap.maintain_cache = plane.maintain_cache
-
-        assignments, next_index = plane._interner.export_state()
-        table: Dict[PeerId, Tuple[str, int]] = {
-            peer: (text, index) for peer, text, index in assignments
-        }
-        snap.interner_table = table
-        snap.next_compact_index = next_index
-
-        registration_order = tuple(plane.peers())
-        snap._registration_order = registration_order
-        for peer in registration_order:
-            if peer not in table:  # never-interned peer: intern via the plane
-                table[peer] = plane._interner.key(peer)
-        slot_order = sorted(registration_order, key=lambda peer: table[peer][1])
-        slot_of: Dict[PeerId, int] = {peer: slot for slot, peer in enumerate(slot_order)}
+        snap.interner_table = interner.table()
+        snap.next_compact_index = interner.next_index
+        snap._membership_generation = cache.membership_generation
+        snap._registration_order = tuple(live)
+        snap._paths = dict(plane._paths)
         snap._slot_of = slot_of
-        snap._peer_ids = tuple(slot_order)
-        snap._sort_texts = tuple(table[peer][0] for peer in slot_order)
-        snap._compact_indices = tuple(table[peer][1] for peer in slot_order)
-        snap._paths = {peer: plane._paths[peer] for peer in registration_order}
-        snap._hop_counts = tuple(snap._paths[peer].hop_count for peer in slot_order)
-        snap._slot_landmark = tuple(plane._peer_landmark[peer] for peer in slot_order)
-
-        landmark_order = tuple(plane.landmarks())
+        snap._free_slots = tuple(free)
+        snap._peer_ids = tuple(peer_ids)
+        snap._sort_texts = tuple(sort_texts)
+        snap._attach_node = tuple(attach_node)
+        snap._cache_lists = tuple(cache_lists)
+        snap._cache_stamps = tuple(cache_stamps)
+        snap._tries = tries
+        snap._hops_orderings = orderings
         snap._landmark_order = landmark_order
         snap._landmark_routers = {
             landmark: plane.landmark_router(landmark) for landmark in landmark_order
         }
         snap._landmark_distances = dict(plane._landmark_distances)
         snap._fill_order = cls._fill_stream_order(plane, landmark_order)
-
-        tries: Dict[LandmarkId, FlatTrie] = {}
-        attach_node: List[int] = [-1] * len(slot_order)
-        orderings: Dict[LandmarkId, Tuple[Tuple[int, str, PeerId], ...]] = {}
-        for landmark in landmark_order:
-            tree = plane.tree(landmark)
-            flat = FlatTrie(landmark, tree, slot_of)
-            tries[landmark] = flat
-            for node in range(flat.node_count):
-                for position in range(flat.attached_start[node], flat.attached_start[node + 1]):
-                    attach_node[flat.attached[position]] = node
-            # The live plane's lazily built min-hop ordering, computed the
-            # same way (sorted is input-order independent up to full-tuple
-            # ties, which only identical elements can produce here).
-            orderings[landmark] = tuple(
-                sorted(
-                    (snap._paths[peer].hop_count, table[peer][0], peer)
-                    for peer in tree.peers()
-                )
-            )
-        snap._tries = tries
-        snap._attach_node = tuple(attach_node)
-        snap._hops_orderings = orderings
-
-        if plane.maintain_cache:
-            lists = []
-            complete = []
-            for peer in slot_order:
-                entries = plane._cache.get(peer) or ()
-                lists.append(tuple((entry.peer_id, entry.distance) for entry in entries))
-                complete.append(plane._cache.is_complete(peer))
-            snap._cache_lists = tuple(lists)
-            snap._cache_complete = tuple(complete)
-        else:
-            snap._cache_lists = ((),) * len(slot_order)
-            snap._cache_complete = (False,) * len(slot_order)
         return snap
 
     @staticmethod
@@ -354,39 +452,46 @@ class DiscoverySnapshot:
     # ------------------------------------------------------------- equality
 
     def _content(self) -> Tuple[object, ...]:
+        """The frozen state in a form that does not depend on numbering.
+
+        Slots and node ids are whatever the plane's history made them, so
+        peers are listed by compact index and tries by structure
+        (:meth:`FlatTrie.structure`); a completeness stamp counts as the
+        boolean it reads as.
+        """
+        table, slot_of = self.interner_table, self._slot_of
+        lists, stamps = self._cache_lists, self._cache_stamps
+        current = self._membership_generation
         return (
             self.neighbor_set_size,
             self.maintain_cache,
             self._registration_order,
-            self._peer_ids,
-            self._sort_texts,
-            self._compact_indices,
-            self._hop_counts,
-            self._slot_landmark,
-            self._attach_node,
-            self._cache_lists,
-            self._cache_complete,
+            tuple(
+                (
+                    peer,
+                    table[peer],
+                    self._paths[peer],
+                    lists[slot_of[peer]],
+                    stamps[slot_of[peer]] == current,
+                )
+                for peer in sorted(slot_of, key=lambda peer: table[peer][1])
+            ),
             self._landmark_order,
             tuple(sorted(self._landmark_distances.items(), key=repr)),
             self._fill_order,
             tuple(
-                (
-                    landmark,
-                    trie.routers,
-                    trie.parent,
-                    trie.children,
-                    trie.attached,
-                )
+                (landmark, trie.structure(self._peer_ids))
                 for landmark, trie in self._tries.items()
             ),
         )
 
     def __eq__(self, other: object) -> bool:
-        """Content equality, *ignoring* the generation stamp.
+        """Content equality, *ignoring* the generation stamp and numbering.
 
         Two snapshots of identical plane state compare equal even when
-        published at different epochs — which is what lets a publisher (or a
-        test) detect no-op epochs.
+        published at different epochs or reached through different
+        histories (a patched epoch and a fresh build of the same plane) —
+        which is what lets a publisher, or a test, detect no-op epochs.
         """
         if not isinstance(other, DiscoverySnapshot):
             return NotImplemented
@@ -400,7 +505,7 @@ class DiscoverySnapshot:
     @property
     def peer_count(self) -> int:
         """Number of peers registered at this epoch."""
-        return len(self._peer_ids)
+        return len(self._slot_of)
 
     def peers(self) -> List[PeerId]:
         """Peer identifiers in registration order (like the live plane)."""
@@ -418,17 +523,13 @@ class DiscoverySnapshot:
 
     def peer_landmark(self, peer_id: PeerId) -> LandmarkId:
         """The landmark the peer registered under."""
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
-            raise UnknownPeerError(peer_id)
-        return self._slot_landmark[slot]
+        return self.peer_path(peer_id).landmark_id
 
     def compact_index(self, peer_id: PeerId) -> int:
-        """The peer's interned compact index (the stable array key)."""
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
+        """The peer's interned compact index."""
+        if peer_id not in self._slot_of:
             raise UnknownPeerError(peer_id)
-        return self._compact_indices[slot]
+        return self.interner_table[peer_id][1]
 
     def landmarks(self) -> List[LandmarkId]:
         """Landmark identifiers in registration order."""
@@ -462,9 +563,10 @@ class DiscoverySnapshot:
 
         Replays the live read path against frozen state: the cached list is
         served under exactly the live cache-hit condition (enough entries
-        for ``k`` or for the whole population, or a still-valid completeness
-        mark), anything else falls back to the flat frontier walk plus the
-        cross-landmark fill merge.
+        for ``k`` or for the whole population, or a completeness mark
+        stamped with this epoch's membership generation), anything else
+        falls back to the flat frontier walk plus the cross-landmark fill
+        merge.
         """
         slot = self._slot_of.get(peer_id)
         if slot is None:
@@ -472,26 +574,24 @@ class DiscoverySnapshot:
         k = k or self.neighbor_set_size
         if self.maintain_cache and k <= self.neighbor_set_size:
             entries = self._cache_lists[slot]
-            if len(entries) >= min(k, self.peer_count - 1) or self._cache_complete[slot]:
+            if (
+                len(entries) >= min(k, len(self._slot_of) - 1)
+                or self._cache_stamps[slot] == self._membership_generation
+            ):
                 return list(entries[:k])
-        return self._compute_neighbors(slot, k)
+        return self._compute_neighbors(peer_id, slot, k)
 
     def estimate_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
         """Estimated hop distance between two peers (live-estimator semantics)."""
         if peer_a == peer_b:
             return 0.0
-        slot_a = self._slot_of.get(peer_a)
-        if slot_a is None:
-            raise UnknownPeerError(peer_a)
-        slot_b = self._slot_of.get(peer_b)
-        if slot_b is None:
-            raise UnknownPeerError(peer_b)
-        landmark_a = self._slot_landmark[slot_a]
-        landmark_b = self._slot_landmark[slot_b]
+        path_a = self.peer_path(peer_a)
+        path_b = self.peer_path(peer_b)
+        landmark_a, landmark_b = path_a.landmark_id, path_b.landmark_id
         if landmark_a == landmark_b:
             trie = self._tries[landmark_a]
-            node_a = self._attach_node[slot_a]
-            node_b = self._attach_node[slot_b]
+            node_a = self._attach_node[self._slot_of[peer_a]]
+            node_b = self._attach_node[self._slot_of[peer_b]]
             lca_depth = trie.lca_depth(node_a, node_b)
             return float(
                 (trie.depth[node_a] - lca_depth + 1) + (trie.depth[node_b] - lca_depth + 1)
@@ -501,26 +601,23 @@ class DiscoverySnapshot:
             raise LandmarkError(
                 f"no inter-landmark distance between {landmark_a!r} and {landmark_b!r}"
             )
-        return float(self._hop_counts[slot_a] + between + self._hop_counts[slot_b])
+        return float(path_a.hop_count + between + path_b.hop_count)
 
     # -------------------------------------------------------------- internals
 
-    def _compute_neighbors(self, slot: int, k: int) -> List[Tuple[PeerId, float]]:
+    def _compute_neighbors(self, peer_id: PeerId, slot: int, k: int) -> List[Tuple[PeerId, float]]:
         """Flat twin of the live ``_compute_neighbors``: walk, then fill."""
-        landmark = self._slot_landmark[slot]
-        trie = self._tries[landmark]
+        path = self._paths[peer_id]
+        landmark = path.landmark_id
         peer_ids = self._peer_ids
-        candidates = trie.closest_from_node(
+        candidates = self._tries[landmark].closest_from_node(
             self._attach_node[slot], k, slot, self._sort_texts
         )
         neighbors = [(peer_ids[other], float(distance)) for other, distance in candidates]
         if len(neighbors) >= k:
             return neighbors[:k]
-        own_hops = self._hop_counts[slot]
         already = {peer for peer, _ in neighbors}
-        for estimate, _, other_peer in self._fill_candidates(
-            peer_ids[slot], landmark, own_hops
-        ):
+        for estimate, _, other_peer in self._fill_candidates(peer_id, landmark, path.hop_count):
             if len(neighbors) >= k:
                 break
             if other_peer in already:
@@ -561,12 +658,17 @@ class DiscoverySnapshot:
 class SnapshotPublisher:
     """The write plane's side of the serving plane: batch, build, publish.
 
-    Wraps a live management plane.  Mutations go to the live plane through
-    the delegating methods below (which count them); :meth:`publish` freezes
-    the plane into the next-generation :class:`DiscoverySnapshot` and
-    installs it with one atomic reference store.  With ``publish_every=N``
-    the publisher auto-publishes after every ``N`` buffered mutations, which
-    bounds snapshot staleness without paying a rebuild per write.
+    Wraps a live management plane and attaches a change record to it
+    (:meth:`~repro.core.management_plane.ManagementPlaneBase.track_changes`),
+    so :meth:`publish` freezes the next-generation
+    :class:`DiscoverySnapshot` as a patch of the current one — cost
+    proportional to what the mutations since the last publish touched, not
+    to the population — and installs it with one atomic reference store.
+    The record is filled by the plane itself, so writes made directly on
+    :attr:`plane` are published like writes through the delegating methods
+    below; those only add the ``publish_every`` counting: with
+    ``publish_every=N`` the publisher auto-publishes after every ``N``
+    mutations, which bounds snapshot staleness.
 
     Thread model: one writer drives the publisher; any number of
     :class:`SnapshotReader` instances read :attr:`snapshot` concurrently,
@@ -580,6 +682,7 @@ class SnapshotPublisher:
         self.pending_mutations = 0
         #: Wall-clock seconds the most recent publish spent building.
         self.last_publish_seconds = 0.0
+        self._changes = plane.track_changes()
         self._snapshot = DiscoverySnapshot.build(plane, generation=1)
 
     @property
@@ -600,7 +703,17 @@ class SnapshotPublisher:
     def publish(self) -> DiscoverySnapshot:
         """Freeze the plane into generation ``current + 1`` and install it."""
         started = time.perf_counter()
-        snapshot = DiscoverySnapshot.build(self._plane, generation=self._snapshot.generation + 1)
+        plane = self._plane
+        changes = self._changes
+        if plane.changes is not changes:
+            # The plane dropped our record (something it cannot describe, or
+            # it outgrew the population) or another consumer took it over:
+            # nothing vouches for the gap, so this epoch is built whole.
+            changes = None
+        self._changes = plane.track_changes()
+        snapshot = DiscoverySnapshot.build(
+            plane, self._snapshot.generation + 1, self._snapshot, changes
+        )
         self.last_publish_seconds = time.perf_counter() - started
         self.pending_mutations = 0
         self._snapshot = snapshot  # the atomic epoch flip

@@ -305,6 +305,7 @@ class ShardedManagementServer(ManagementPlaneBase):
         """Declare a landmark; the consistent-hash ring assigns its shard."""
         if landmark_id in self._landmark_shard:
             raise LandmarkError(f"landmark {landmark_id!r} is already registered")
+        self._stop_tracking()  # a change record has no set for the new trie
         shard_index = self._ring.node_for(landmark_id)
         self._shards[shard_index].register_landmark(landmark_id, router)
         self._landmark_shard[landmark_id] = shard_index
@@ -389,6 +390,8 @@ class ShardedManagementServer(ManagementPlaneBase):
             self._paths[path.peer_id] = path
             self.stats.registrations += 1
             self._cache.note_membership_change()
+            if self.changes is not None:
+                self._peer_changed(path.peer_id)
             pending[path.peer_id] = path
 
         by_shard: Dict[int, List[RouterPath]] = {}
@@ -428,9 +431,10 @@ class ShardedManagementServer(ManagementPlaneBase):
         self._paths.pop(peer_id)
         self._interner.discard(peer_id)
         self.stats.removals += 1
-        if not self.maintain_cache:
-            return
-        self._cache.drop_peer(peer_id)
+        if self.maintain_cache:
+            self._cache.drop_peer(peer_id)
+        if self.changes is not None:
+            self._peer_changed(peer_id)
 
     # -------------------------------------------------------------- internals
 
@@ -447,6 +451,22 @@ class ShardedManagementServer(ManagementPlaneBase):
         self._paths[path.peer_id] = path
         self.stats.registrations += 1
         self._cache.note_membership_change()
+        if self.changes is not None:
+            self._peer_changed(path.peer_id)
+
+    def _live_trees(self) -> Optional[Dict[LandmarkId, PathTree]]:
+        """The inline shards' tries; None as soon as one shard is remote."""
+        trees: Dict[LandmarkId, PathTree] = {}
+        for shard in self._shards:
+            if not isinstance(shard, ManagementServer):
+                return None
+            trees.update(shard._trees)
+        return trees
+
+    def _hops_ordering(self, landmark_id: LandmarkId) -> Optional[List[Tuple[int, str, PeerId]]]:
+        """The owning inline shard's ordering; None for a remote shard."""
+        shard = self._shards[self._landmark_shard[landmark_id]]
+        return shard._hops_ordering(landmark_id) if isinstance(shard, ManagementServer) else None
 
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
         """Home-shard tree query plus (if short) the inter-shard fill merge."""

@@ -70,8 +70,11 @@ queries survives (a trie-walk query is slow in every pass), and so would
 lock contention (waiting burns on-CPU time in every pass), while
 preemption-resume cache refills and clock-syscall jitter — which land on
 different queries each pass — do not.  ``publish_lag_us``
-records how long the publisher took to build+install the epoch the readers
-served (snapshot staleness bound).  The serving cells run on inline cells
+records how long the publisher takes to build+install the next epoch
+(snapshot staleness bound) after a fixed churn batch — 64 peers leave and
+re-join through the publisher — because a publish costs what changed since
+the previous one; the readers keep the epoch pinned before that batch.  The
+serving cells run on inline cells
 only: the snapshot read path is identical wherever the shards live, so the
 backend axis is degenerate for it.
 
@@ -192,6 +195,11 @@ _SERVING_WARMUP_OPS = 200
 # recorded latency is its minimum across the passes (see the module
 # docstring's quantile-hygiene paragraph).
 _SERVING_LATENCY_PASSES = 3
+
+#: Peers that leave and re-join through the publisher before the timed
+#: publish: a publish costs what changed since the last one, so timing one
+#: with nothing pending would time an empty epoch.
+_SERVING_PUBLISH_CHURN = 64
 
 #: Wire loss probabilities the ``protocol`` workload sweeps when enabled
 #: (one cell per rate, inline-only; the suite skips the workload unless the
@@ -705,8 +713,10 @@ def run_serving_workload(
     * ``latency_p50_ns`` / ``latency_p99_ns`` — on-CPU per-query quantiles
       over every reader's sample, each query's latency its minimum across
       the passes (quantile hygiene, module docstring);
-    * ``publish_lag_us`` — how long building+installing the served epoch
-      took on the write side (the staleness bound readers pay);
+    * ``publish_lag_us`` — how long building+installing the next epoch
+      takes on the write side (the staleness bound readers pay) once
+      :data:`_SERVING_PUBLISH_CHURN` peers have left and re-joined since
+      the epoch the readers hold;
     * ``generation`` and the schema-v8 memory counters.
     """
     if any(count < 1 for count in reader_counts):
@@ -716,12 +726,22 @@ def run_serving_workload(
     )
     try:
         publisher = SnapshotPublisher(server)
-        publisher.publish()  # a fresh epoch, so publish_lag_us is measured
-        publish_lag_us = int(publisher.last_publish_seconds * 1e6)
+        # The readers are served the epoch pinned here — every list warm, as
+        # in every baseline so far; the churn below erodes cached lists on
+        # the live plane, and a read sweep over *that* epoch would time trie
+        # walks, not the lock-free read path.
         snapshot = publisher.snapshot
         rng = workload_rng(seed, _SERVING_RNG_OFFSET)
         peers = server.peers()
         sample = [rng.choice(peers) for _ in range(ops)]
+        churned = rng.sample(peers, min(_SERVING_PUBLISH_CHURN, len(peers)))
+        paths = [server.peer_path(peer) for peer in churned]
+        for peer in churned:
+            publisher.unregister_peer(peer)
+        for path in paths:
+            publisher.register_peer(path)
+        publisher.publish()
+        publish_lag_us = int(publisher.last_publish_seconds * 1e6)
         records: List[PerfRecord] = []
         # Quantile hygiene: drain the build-phase garbage now, then keep the
         # cyclic collector paused across the timed sweeps.  Read queries

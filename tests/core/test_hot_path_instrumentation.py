@@ -12,6 +12,11 @@ around the measured window.  Explicit ``repr(...)`` calls in library code
 resolve through ``builtins`` at call time, so the counter sees exactly the
 calls the interner was built to eliminate (f-string ``!r`` and C-level
 formatting bypass it — they are not on any hot path).
+
+The serving plane's change tracking rides the same hot paths, so its cost
+contract is pinned here too: a plane nobody publishes from allocates no
+change record at all (every hook is one ``is None`` test), and a record
+nobody drains stays bounded by the live population under open-world churn.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import builtins
 
 import pytest
 
-from repro.core import ManagementServer, ShardedManagementServer
+from repro.core import ManagementServer, ShardedManagementServer, SnapshotPublisher
 from repro.core.path import RouterPath
 
 
@@ -133,3 +138,71 @@ class TestShardedPlane:
         calls = count_reprs(lambda: server.register_peers(second))
         assert calls <= 2 * len(second)
         assert count_reprs(lambda: [server.closest_peers(p.peer_id) for p in second]) == 0
+
+
+def churn_wave(plane, wave: int, size: int = 20) -> None:
+    """Open-world churn: ``size`` never-seen peers join, then leave again."""
+    fresh = [make_path(10_000 + wave * size + i, access=i % 5) for i in range(size)]
+    for path in fresh[: size // 2]:
+        plane.register_peer(path)
+    plane.register_peers(fresh[size // 2 :])
+    for path in fresh:
+        plane.unregister_peer(path.peer_id)
+
+
+def tracking_sets(plane):
+    """Every per-component change set of a plane (``None`` = not recording)."""
+    trees = plane._live_trees()
+    return [plane.changes, plane._cache.dirty] + [tree.dirty for tree in trees.values()]
+
+
+class TestChangeTracking:
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_no_publisher_no_change_record(self, shards):
+        """Tracking is off until a publisher attaches: churn, queries and
+        cold queries on a bare plane never allocate a record or a set."""
+        if shards is None:
+            plane = ManagementServer(neighbor_set_size=4)
+        else:
+            plane = ShardedManagementServer(shard_count=shards, neighbor_set_size=4)
+        plane.register_landmark("lmk", "lmk")
+        plane.register_peers([make_path(i, access=i % 7) for i in range(40)])
+        for wave in range(3):
+            churn_wave(plane, wave)
+            plane.closest_peers("peer3")
+            plane.closest_peers("peer5", k=9)
+        assert tracking_sets(plane) == [None, None, None]
+        for shard in getattr(plane, "shards", ()):
+            assert shard.changes is None
+
+    def test_unread_record_stays_bounded_by_the_live_population(self, server):
+        """A publisher that never publishes, under 10x the population of
+        open-world churn: the record never names more joins and leaves than
+        there are live peers — past that the plane drops it and records
+        nothing until the next publish, which rebuilds whole.  While it is
+        live, the owner set stays within live peers plus recorded leavers
+        and the (reused) node ids within the node table."""
+        publisher = SnapshotPublisher(server)
+        population = server.peer_count
+        tree = server.tree("lmk")
+        recorded_waves = 0
+        for wave in range(10 * population // 20):
+            churn_wave(server, wave)
+            record = server.changes
+            if record is None:  # dropped: every hook is back to its is-None test
+                assert tracking_sets(server) == [None, None, None]
+                continue
+            recorded_waves += 1
+            assert len(record.peers) <= server.peer_count == population
+            assert len(record.owners) <= population + len(record.peers)
+            assert len(record.nodes["lmk"]) <= len(tree.node_table())
+        assert recorded_waves and server.changes is None
+        # What the idle publisher still holds is the record as it was dropped:
+        # one entry past the population of that moment (mid-wave, 20 extra).
+        assert len(publisher._changes.peers) <= population + 20 + 1
+        # The next epoch is rebuilt whole, and right; then recording resumes.
+        snapshot = publisher.publish()
+        assert snapshot.peers() == server.peers()
+        for peer in server.peers():
+            assert snapshot.closest_peers(peer) == server.closest_peers(peer)
+        assert server.changes is publisher._changes is not None

@@ -746,6 +746,25 @@ class TestServingWorkload:
             assert record.counters["capacity_qps"] > 0
             assert record.counters["latency_p50_ns"] <= record.counters["latency_p99_ns"]
 
+    def test_publish_lag_times_an_epoch_with_pending_churn(self, monkeypatch):
+        """A publish costs what changed since the last one, so the timed
+        publish must follow the fixed churn batch — a leave and a re-join per
+        churned peer — not an idle plane."""
+        from repro.core.serving import SnapshotPublisher
+
+        pending_at_publish = []
+        publish = SnapshotPublisher.publish
+
+        def recording_publish(self):
+            pending_at_publish.append(self.pending_mutations)
+            return publish(self)
+
+        monkeypatch.setattr(SnapshotPublisher, "publish", recording_publish)
+        (small,) = run_serving_workload(40, ops=10, seed=2, reader_counts=(1,))
+        (large,) = run_serving_workload(200, ops=10, seed=2, reader_counts=(1,))
+        assert pending_at_publish == [2 * 40, 2 * 64]
+        assert small.counters["publish_lag_us"] > 0 and large.counters["publish_lag_us"] > 0
+
     def test_serving_capacity_scales_with_readers(self):
         """The lock-freedom signal: on-CPU capacity grows with the fleet
         because readers never serialise on shared state.  The threshold is
