@@ -17,7 +17,7 @@ Subclass contract
 ``_peer_landmark``, ``_paths``, ``_landmark_routers`` and
 ``_landmark_distances``; the subclass implements the data-plane hooks
 ``_validate_path``, ``_insert_path``, ``_compute_neighbors``,
-``unregister_peer``, ``tree``, ``_live_trees`` and ``_hops_ordering``.
+``unregister_peer``, ``tree`` and ``_live_trees``.
 
 Change record
 -------------
@@ -80,8 +80,8 @@ class ServerStats:
 class ChangeRecord:
     """What a plane's mutations touched since the record was attached.
 
-    ``nodes`` maps each landmark to the trie node ids whose row changed
-    (structure, attachments or subtree count; freed ids included),
+    ``nodes`` maps each landmark to the trie node ids whose index row
+    changed (created and freed ids included),
     ``owners`` holds the peers whose cached neighbour list or completeness
     mark changed, ``peers`` the peers that joined, left or re-registered
     (a dict used as an insertion-ordered set, so consumers assign slots
@@ -180,22 +180,8 @@ class ManagementPlaneBase:
         raise NotImplementedError
 
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
-        """Tree-walk computation of a peer's closest peers (plus fill)."""
+        """A peer's closest peers computed from the trees (plus fill)."""
         raise NotImplementedError
-
-    def _compute_neighbors_batch(
-        self, pending: Dict[PeerId, RouterPath]
-    ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
-        """Neighbour lists for a whole co-arriving batch (default: per peer).
-
-        Planes that can exploit batch structure override this — the single
-        server groups co-arriving peers by attachment trie node and runs one
-        shared frontier per cluster (see ``ManagementServer``).  Whatever the
-        strategy, the returned lists must be byte-identical to calling
-        :meth:`_compute_neighbors` per peer: the batch is only allowed to
-        change *work*, never results.
-        """
-        return {peer_id: self._compute_neighbors(peer_id) for peer_id in pending}
 
     def unregister_peer(self, peer_id: PeerId) -> None:
         """Remove a departing peer from the plane."""
@@ -211,10 +197,6 @@ class ManagementPlaneBase:
         Out of reach means :meth:`tree` hands back a fresh export (a remote
         shard): there is no object whose mutations could be recorded.
         """
-        raise NotImplementedError
-
-    def _hops_ordering(self, landmark_id: LandmarkId) -> Optional[List[Tuple[int, str, PeerId]]]:
-        """The landmark's maintained min-hop ordering (None if out of reach)."""
         raise NotImplementedError
 
     def _degraded_neighbors(
@@ -385,7 +367,7 @@ class ManagementPlaneBase:
     def neighbor_list(self, peer_id: PeerId) -> List[Tuple[PeerId, float]]:
         """The peer's cached neighbour list as ``(peer_id, distance)`` pairs.
 
-        A pure read of the cache — no tree walk, no refill: a registered
+        A pure read of the cache — no tree query, no refill: a registered
         peer without a stored list (cache disabled, or eroded away) yields
         ``[]``.  This is the accessor the serving-plane snapshot mirrors
         byte-identically, so it is the cheapest "who does the plane think is
@@ -432,13 +414,11 @@ class ManagementPlaneBase:
 
         Runs after every batch path has landed in the trees, so each
         newcomer's list (and each propagated update) already sees the whole
-        batch.  The lists are computed first — in one
-        :meth:`_compute_neighbors_batch` call, so a plane can share work
-        across the batch; the trees are static during the phase, so batching
-        the computation cannot change any list — and then stored/propagated
-        in input order, exactly like sequential arrivals would.
+        batch.  The lists are computed first — the trees are static during
+        the phase — and then stored/propagated in input order, exactly like
+        sequential arrivals would.
         """
-        results = self._compute_neighbors_batch(pending)
+        results = {peer_id: self._compute_neighbors(peer_id) for peer_id in pending}
         if self.maintain_cache:
             for peer_id in pending:
                 neighbors = results[peer_id]
@@ -480,11 +460,11 @@ class ManagementPlaneBase:
 
         A cached list is served when it holds enough entries for ``k`` (or
         for the whole population), **or** when it is marked complete — it
-        was computed from an exhaustive walk that returned every reachable
+        was computed from an exhaustive query that returned every reachable
         candidate and no membership change has happened since.  Without the
         completeness mark, a peer whose list is legitimately short
         (unreachable foreign-landmark peers, no landmark distances) would
-        miss the cache forever and pay a tree walk per query.
+        miss the cache forever and pay a tree query each time.
         """
         if peer_id not in self._peer_landmark:
             raise UnknownPeerError(peer_id)

@@ -10,44 +10,42 @@ paper claims.
 
 Hot-path complexity guarantees
 ------------------------------
-With ``n`` registered peers, ``k = neighbor_set_size``, ``d`` the network
-diameter (path length, ~15–30 hops) and ``b`` the trie branching factor:
+With ``n`` registered peers under a landmark, ``k = neighbor_set_size`` and
+``d`` the network diameter (path length, ~15–30 hops):
 
-* **Insertion** (``register_peer``): O(d) trie insert + a count-guided tree
-  query (O(k + d·b), see below) + at most ``k`` ordered-list insertions of
-  O(log k) each — the paper's O(log n) claim.  (When cross-landmark fills
-  are in use, maintaining the per-landmark min-hop ordering adds one
-  sorted-list insert; the ordering is built lazily, so single-landmark
-  deployments never pay it.)  Every comparison on this path uses the
-  plane's interned sort keys (:mod:`repro.core.interning`): ``repr`` runs
-  once per peer at registration, never per candidate or per bisect probe.
+* **Insertion** (``register_peer``): ``d`` sorted-row insertions into the
+  landmark trie — O(log n) comparisons each, plus the list insert's memmove
+  (8 bytes per entry behind the slot; ~100 KB at the root of a 12,800-peer
+  tree) — then one index query (below) and at most ``k`` ordered-list
+  insertions of O(log k) each: the paper's O(log n) claim.  The root's row
+  is the landmark's min-hop ordering, so cross-landmark fills cost no
+  second structure.  Every comparison on this path uses the plane's
+  interned sort keys (:mod:`repro.core.interning`): ``repr`` runs once per
+  peer at registration, never per candidate or per bisect probe.
 * **Query** (``closest_peers``): one dictionary access when the cache is
   warm — O(1).  Legitimately short lists (fewer reachable candidates than
   ``k``) stay warm via the cache's completeness marks until the next
-  membership change.  A cache miss falls back to the tree query: a
-  best-first walk over the landmark trie guided by ``subtree_peer_count``
-  that visits O(k + d·b) nodes instead of scanning whole sibling subtrees.
-* **Departure** (:meth:`ManagementServer.unregister_peer`): O(d) trie removal
-  + O(r) cached-list repairs where ``r`` is the number of lists that actually
-  reference the departed peer (bounded by the reverse neighbour index, not by
-  ``n``).  Lists that run dry are refilled lazily from the tree on their next
-  query.
+  membership change.  A cache miss reads the answer off the sorted rows of
+  the peer's ancestor chain (:func:`~repro.core.path_tree.closest_in_rows`):
+  O(d²) ranges located by bisect and O(k) entries scanned in each one
+  read — independent of ``n`` and of how many peers tie at the ``k``-th
+  distance.
+* **Departure** (:meth:`ManagementServer.unregister_peer`): ``d`` bisected
+  row deletions + O(r) cached-list repairs where ``r`` is the number of
+  lists that actually reference the departed peer (bounded by the reverse
+  neighbour index, not by ``n``).  Lists that run dry are refilled lazily
+  from the tree on their next query.
 * **Batch arrival** (:meth:`ManagementServer.register_peers`): inserts all
   paths first, then computes neighbour lists and propagates cache updates in
-  one pass, so co-arriving peers see each other immediately.  The
-  neighbour phase groups co-arriving peers by attachment trie node and
-  runs **one shared frontier walk per cluster** (peers at the same access
-  router see identical candidate streams modulo self-exclusion), so a
-  batch of ``m`` peers spread over ``c`` distinct access routers pays
-  O(c) tree walks, not O(m).
+  one pass, so co-arriving peers see each other immediately; each list is
+  one index query.
 
-Measured on the synthetic three-level hierarchy at 12 800 peers
-(``BENCH_discovery.json``): insert 480 → 63 µs/op (7.6x) and churn
-129 → 96 µs/op against the recorded baseline, with every other cell flat
-or faster; batch arrivals amortise further with co-location (the
-``arrival`` workload's batch-size dimension — a 256-peer flash-crowd
-wave runs ~27% fewer tree walks than the same stream arriving one by
-one).
+A row costs one pointer per peer at or below the node — ``d + 1`` pointers
+and one shared 3-tuple per peer in all — and replaces the per-node
+attachment dict and subtree count.  Measured on the synthetic three-level
+hierarchy at 12 800 peers (``python3 -m bench``, ``plane-churn-inline``): a
+cold query 62 → 8 µs, ``register_peer`` p50 150 → 50 µs, the populated plane
+1 MB smaller.
 
 The peer-facing half of the API (registration skeleton, cache policy,
 distance estimator, read accessors) lives in
@@ -65,11 +63,11 @@ surface (see :class:`~repro.core.sharded.ShardBackend`):
 
 * :meth:`validate_registrable` / :meth:`insert_paths` /
   :meth:`unregister_peer` — landmark-tree membership, no neighbour-list work;
-* :meth:`local_closest` — the count-guided query over the peer's own
-  landmark tree;
+* :meth:`local_closest` — the index query over the peer's own landmark
+  tree;
 * :meth:`fill_candidates` — this shard's lazily merged candidate stream over
-  its per-landmark min-hop orderings, the inter-shard half of the
-  cross-landmark fill protocol.
+  its per-landmark min-hop orderings (the root rows), the inter-shard half
+  of the cross-landmark fill protocol.
 
 Cross-landmark estimates
 ------------------------
@@ -82,14 +80,13 @@ landmarks can measure them once, offline), the server falls back to::
 
 which is an upper bound on the true distance.  Cross-landmark candidates are
 only used to fill a neighbour list when the peer's own tree cannot provide
-``k`` candidates; the server keeps a per-landmark min-hop ordering of its
-peers so that filling the last one or two slots is a bounded merge, not a
-scan over every foreign-tree peer.
+``k`` candidates; each landmark trie's root row is its min-hop ordering, so
+filling the last one or two slots is a bounded merge, not a scan over every
+foreign-tree peer.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -132,7 +129,7 @@ class ManagementServer(ManagementPlaneBase):
         peer's cached list.
     maintain_cache:
         Keep per-peer neighbour lists up to date on every registration so
-        queries are O(1).  Disabling it makes every query walk the tree
+        queries are O(1).  Disabling it makes every query read the tree
         (useful for the complexity ablation, and for shard backends whose
         coordinator owns the cache).
     landmark_distances:
@@ -159,11 +156,6 @@ class ManagementServer(ManagementPlaneBase):
         # the same precomputed (sort_text, compact_index) keys.
         self._interner = PeerKeyInterner()
         self._cache = NeighborCache(self.neighbor_set_size, self.stats, self._interner)
-        # Per-landmark (hop_count, sort_text, peer) orderings, kept sorted so
-        # cross-landmark fills can merge the few best candidates lazily.
-        # Built on first use per landmark and maintained incrementally after
-        # that, so purely single-landmark workloads never pay for it.
-        self._peers_by_hops: Dict[LandmarkId, List[Tuple[int, str, PeerId]]] = {}
         self._landmark_distances: Dict[Tuple[LandmarkId, LandmarkId], float] = {}
         if landmark_distances:
             for (a, b), distance in landmark_distances.items():
@@ -201,11 +193,13 @@ class ManagementServer(ManagementPlaneBase):
         return float(self.tree(landmark_id).tree_distance(peer_a, peer_b))
 
     def total_tree_visits(self) -> int:
-        """Trie nodes visited by closest-peer queries, summed over all trees.
+        """Index work of closest-peer queries, summed over all trees.
 
-        Part of the shard-facing surface so the perf harness can read the
-        algorithmic-work counter with one cheap call per plane instead of
-        shipping whole tree snapshots across a process boundary.
+        Ranges examined plus row entries scanned (see
+        :attr:`PathTree.total_query_visits`).  Part of the shard-facing
+        surface so the perf harness can read the algorithmic-work counter
+        with one cheap call per plane instead of shipping whole tree
+        snapshots across a process boundary.
         """
         return sum(tree.total_query_visits for tree in self._trees.values())
 
@@ -256,9 +250,8 @@ class ManagementServer(ManagementPlaneBase):
         if peer_id not in self._peer_landmark:
             raise UnknownPeerError(peer_id)
         landmark_id = self._peer_landmark.pop(peer_id)
-        path = self._paths.pop(peer_id)
+        del self._paths[peer_id]
         self._trees[landmark_id].remove(peer_id)
-        self._hops_discard(landmark_id, path)
         self._interner.discard(peer_id)
         self.stats.removals += 1
         if self.maintain_cache:
@@ -329,7 +322,7 @@ class ManagementServer(ManagementPlaneBase):
     def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
         """Closest peers from the peer's own landmark tree (no cross fill).
 
-        The count-guided best-first tree walk, exposed so the sharded
+        The index query of the peer's tree, exposed so the sharded
         coordinator can query a peer's home shard directly.
         """
         if peer_id not in self._peer_landmark:
@@ -428,7 +421,6 @@ class ManagementServer(ManagementPlaneBase):
         self._landmark_routers = {}
         self._peer_landmark = {}
         self._paths = {}
-        self._peers_by_hops = {}
         self._landmark_distances = {}
         # Import the interner *before* replaying paths: every replayed insert
         # then finds the snapshotted (sort_text, compact_index) key instead of
@@ -464,12 +456,6 @@ class ManagementServer(ManagementPlaneBase):
         self._trees[path.landmark_id].insert(path)
         self._peer_landmark[path.peer_id] = path.landmark_id
         self._paths[path.peer_id] = path
-        ordering = self._peers_by_hops.get(path.landmark_id)
-        if ordering is not None:
-            bisect.insort(
-                ordering,
-                (path.hop_count, self._interner.sort_text(path.peer_id), path.peer_id),
-            )
         self.stats.registrations += 1
         self._cache.note_membership_change()
         if self.changes is not None:
@@ -479,29 +465,8 @@ class ManagementServer(ManagementPlaneBase):
         return self._trees
 
     def _hops_ordering(self, landmark_id: LandmarkId) -> List[Tuple[int, str, PeerId]]:
-        """The landmark's min-hop peer ordering, built on first use."""
-        ordering = self._peers_by_hops.get(landmark_id)
-        if ordering is None:
-            interned = self._interner.sort_text
-            ordering = sorted(
-                (self._paths[peer].hop_count, interned(peer), peer)
-                for peer in self._trees[landmark_id].peers()
-            )
-            self._peers_by_hops[landmark_id] = ordering
-        return ordering
-
-    def _hops_discard(self, landmark_id: LandmarkId, path: RouterPath) -> None:
-        """Drop a departed peer from the per-landmark min-hop ordering."""
-        ordering = self._peers_by_hops.get(landmark_id)
-        if not ordering:
-            return
-        key = (path.hop_count, self._interner.sort_text(path.peer_id))
-        index = bisect.bisect_left(ordering, key)
-        while index < len(ordering) and ordering[index][:2] == key:
-            if ordering[index][2] == path.peer_id:
-                del ordering[index]
-                return
-            index += 1
+        """The landmark's min-hop peer ordering: the row of its trie's root."""
+        return self._trees[landmark_id].root.row  # type: ignore[union-attr]
 
     def _cross_landmark_candidates(
         self, peer_id: PeerId, landmark_id: LandmarkId, own_hops: int
@@ -511,7 +476,7 @@ class ManagementServer(ManagementPlaneBase):
         return self.fill_candidates(bases, exclude_peer=peer_id)
 
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
-        """Tree-walk computation of a peer's closest peers (plus cross-landmark fill)."""
+        """A peer's closest peers from its tree (plus cross-landmark fill)."""
         k = k or self.neighbor_set_size
         neighbors = self.local_closest(peer_id, k)
         if len(neighbors) >= k:
@@ -534,73 +499,6 @@ class ManagementServer(ManagementPlaneBase):
             neighbors.append((other_peer, estimate))
             already.add(other_peer)
         return neighbors
-
-    def _compute_neighbors_batch(
-        self, pending: Dict[PeerId, RouterPath]
-    ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
-        """Batch neighbour lists: one shared frontier per attachment cluster.
-
-        A peer's tree view is fully determined by its attachment node, so
-        co-arriving peers at the same access router see *identical*
-        candidate streams modulo self-exclusion.  For each cluster of two or
-        more such peers this runs **one** :meth:`PathTree.closest_from_node`
-        walk for the top ``k + 1`` candidates (no exclusion); each member's
-        list is then that stream minus the member itself, truncated to
-        ``k`` — provably the member's own top-``k``: the first ``k + 1``
-        elements of the total ``(dtree, sort_text)`` order lose at most one
-        element (the member), leaving at least its top ``k``.
-
-        Clusters whose tree cannot produce ``k + 1`` candidates (the member
-        lists may need the cross-landmark fill) and singleton clusters fall
-        back to the per-peer path, so results stay byte-identical to
-        sequential :meth:`_compute_neighbors` calls in every case.  Ties
-        deeper than ``(dtree, sort_text)`` — distinct peers with colliding
-        ``repr`` — may order differently between the shared and per-peer
-        walks; identifiers with injective ``repr`` (strings, ints) are
-        unaffected.
-        """
-        k = self.neighbor_set_size
-        peer_key: Dict[PeerId, Tuple[LandmarkId, int]] = {}
-        clusters: Dict[Tuple[LandmarkId, int], List[PeerId]] = {}
-        cluster_nodes: Dict[Tuple[LandmarkId, int], object] = {}
-        for peer_id in pending:
-            landmark_id = self._peer_landmark[peer_id]
-            node = self._trees[landmark_id].attachment_node(peer_id)
-            key = (landmark_id, id(node))
-            peer_key[peer_id] = key
-            members = clusters.get(key)
-            if members is None:
-                clusters[key] = [peer_id]
-                cluster_nodes[key] = node
-            else:
-                members.append(peer_id)
-
-        shared: Dict[Tuple[LandmarkId, int], List[Tuple[PeerId, float]]] = {}
-        for key, members in clusters.items():
-            if len(members) < 2:
-                continue
-            landmark_id = key[0]
-            tree = self._trees[landmark_id]
-            if tree.peer_count <= k:
-                # The walk could never return k + 1 candidates: skip it and
-                # let every member take the per-peer path (which may need
-                # the cross-landmark fill anyway).
-                continue
-            self.stats.tree_queries += 1
-            candidates = tree.closest_from_node(cluster_nodes[key], k + 1)  # type: ignore[arg-type]
-            # peer_count >= k + 1 guarantees a full stream: enough tree
-            # candidates for every member even after removing itself, so no
-            # member can need the cross-landmark fill.
-            shared[key] = [(peer, float(distance)) for peer, distance in candidates]
-
-        results: Dict[PeerId, List[Tuple[PeerId, float]]] = {}
-        for peer_id in pending:
-            stream = shared.get(peer_key[peer_id])
-            if stream is None:
-                results[peer_id] = self._compute_neighbors(peer_id)
-            else:
-                results[peer_id] = [pair for pair in stream if pair[0] != peer_id][:k]
-        return results
 
     def __repr__(self) -> str:
         return (

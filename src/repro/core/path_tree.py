@@ -9,22 +9,42 @@ inferred distance is::
     dtree(p1, p2) = hops(p1 -> branch) + hops(branch -> p2)
 
 The tree is implemented as a trie over the reversed paths (landmark first).
-Each trie node corresponds to one router on at least one reported path, knows
-its depth (hops from the landmark), the peers attached at that exact router,
-and the number of peers in its subtree, so closest-peer queries can stop as
-soon as enough candidates have been gathered.
+Each trie node corresponds to one router on at least one reported path and
+knows its depth (hops from the landmark) and the peers at or below it.
 
-Hot-path representation
------------------------
-Trie nodes are ``__slots__`` objects (a registration allocates up to one per
-router on the path, so attribute-dict overhead is pure waste), each node maps
-its attached peers to their **interned sort text** (``repr(peer_id)``
-computed once per peer by the plane's :class:`~repro.core.interning.
-PeerKeyInterner`), and the structural aggregates — ``router_count``,
-``max_depth`` — are maintained incrementally on insert/prune instead of by
-full-subtree scans.  Both the query and the insert side expose
-algorithmic-work counters (``last_query_visits`` / ``last_insert_nodes_*``)
-so benchmarks can assert scaling bounds instead of eyeballing wall-clock.
+The sorted per-node index
+-------------------------
+Every node holds one **row**: the ``(hop_count, sort_text, peer)`` entries of
+the peers at or below it, sorted.  A peer has one entry tuple, shared by the
+rows of the ``depth + 1`` nodes on its root path; ``sort_text`` is the
+``repr(peer_id)`` the plane's :class:`~repro.core.interning.PeerKeyInterner`
+computed once.  The row is the node's whole peer bookkeeping: the peers
+attached at the router itself are its lowest hop value
+(:meth:`PathTreeNode.attached`), ``len(row)`` is the subtree's population,
+and the root's row is the landmark's min-hop ordering that cross-landmark
+fills merge.
+
+Seen from an origin node of hop value ``h0`` (depth + 1), a peer of hop
+value ``h`` whose branch router is the origin's ``i``-th ancestor is at
+``dtree = h + 2i + 2 - h0``.  So the peers at one distance are, per
+ancestor, *one hop value of its row minus the same hop value of the row of
+its child on the origin's path* — two sorted ranges that share entry
+objects.  :func:`closest_in_rows` reads candidates off the ancestor chain in
+``(dtree, sort_text)`` order that way and stops at ``k``; it never visits a
+sibling subtree, so a query costs the same whether five or five thousand
+peers tie at the k-th distance.
+
+Costs, with ``d`` the depth and ``n`` the peers under a node: insert and
+remove are ``d`` bisects of O(log n) plus the list insert's memmove (8 bytes
+per entry behind the slot — 100 KB at the root of a 12,800-peer tree); a
+query examines O(d²) ranges and scans O(k) entries in each it reads (see
+:func:`closest_in_rows`).  Memory is one 3-tuple per peer plus one pointer
+per peer per level, in place of a dict per node.
+
+Ties beyond ``(hop_count, sort_text)`` — distinct peers whose ``repr``
+collides — are never resolved by comparing the peers: the newer entry goes
+first, in every row alike.  Identifiers with injective ``repr`` (strings,
+ints) are unaffected.
 
 Stable node ids
 ---------------
@@ -33,7 +53,7 @@ node-by-index list: the root is node ``0``, a new node takes the most
 recently freed id (or the next unused one), and a pruned node leaves a hole
 until its id is reused.  Ids therefore survive churn elsewhere in the tree,
 which is what lets the serving plane (:mod:`repro.core.serving`) keep one
-row per node id and rewrite only the rows a mutation touched: while
+frozen row per node id and refreeze only the rows a mutation touched: while
 :attr:`PathTree.dirty` is a set, :meth:`PathTree.insert` and
 :meth:`PathTree.remove` add the ids on the touched root path (pruned ids
 included) to it.  It is ``None`` — one ``is None`` test per insert/remove —
@@ -42,38 +62,106 @@ unless a plane is recording changes for a snapshot publisher.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import islice
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import RegistrationError, UnknownPeerError
 from .interning import PeerKeyInterner
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 
-#: Stable sort key for interned candidate tuples ``(dtree, sort_text, peer)``:
-#: ordering by the first two fields only keeps ties in discovery order (the
-#: historic ``key=lambda item: (item[1], repr(item[0]))`` semantics) and never
-#: falls through to comparing raw peer objects of mixed types.
-_CANDIDATE_ORDER = itemgetter(0, 1)
+#: One peer in a row: ``(hop_count, sort_text, peer)``.
+Entry = Tuple[int, str, PeerId]
+
+_BY_SORT_TEXT = itemgetter(1)
+_EXHAUSTED = float("inf")
+#: ``children`` of a node that has none; a dict is allocated on the first child.
+_NO_CHILDREN: Mapping[NodeId, "PathTreeNode"] = MappingProxyType({})
+
+
+def closest_in_rows(
+    chain: Iterable[Sequence[Entry]], origin_hops: int, k: int, excluded: Collection[PeerId]
+) -> Tuple[List[Tuple[PeerId, int]], int]:
+    """The ``k`` closest peers read off an ancestor chain of rows.
+
+    ``chain`` holds the rows of the origin node and of each ancestor up to
+    the root; ``origin_hops`` is the hop value of a peer attached at the
+    origin (its depth + 1).  Returns ``(peer, dtree)`` pairs in ``(dtree,
+    sort_text)`` order and the work done: ranges examined plus entries
+    scanned, the figure ``PathTree.last_query_visits`` reports.
+
+    Each ancestor is a stream of its row's hop values in increasing order,
+    hence of increasing distance.  The streams due at the smallest pending
+    distance each give up their first ``k - found`` candidates — the range
+    at that hop value, skipping the entries the path child's row holds at
+    the same value (both in row order, same objects) and the excluded peers
+    — and the few taken are merged by sort text.  An ancestor whose row is
+    as long as its path child's (a unary chain) adds no peer and no stream;
+    a range as long as the child's is skipped after the bisects.
+
+    A range is scanned for at most ``2k + len(excluded)`` entries: whatever
+    the path child holds at that hop value was on offer at a smaller
+    distance, so had it held ``k`` eligible peers the query would be over.
+    """
+    # [next distance, distance - hop value, row, path child's row, range start]
+    streams = []
+    below: Sequence[Entry] = ()
+    shift = 2 - origin_hops
+    for row in chain:
+        if len(row) > len(below):
+            streams.append([row[0][0] + shift, shift, row, below, 0])
+        below = row
+        shift += 2
+    found: List[Tuple[PeerId, int]] = []
+    visits = 0
+    while len(found) < k and streams:
+        distance = min([stream[0] for stream in streams])
+        if distance == _EXHAUSTED:
+            break
+        need = k - len(found)
+        tied: List[Entry] = []
+        merge = False
+        for stream in streams:
+            if stream[0] != distance:
+                continue
+            _, shift, row, below, low = stream
+            after = (distance - shift + 1,)
+            high = bisect_left(row, after, low)
+            stream[0] = row[high][0] + shift if high < len(row) else _EXHAUSTED
+            stream[4] = high
+            skip = bisect_left(below, (after[0] - 1,))
+            skip_end = bisect_left(below, after, skip)
+            visits += 1
+            if high - low == skip_end - skip:
+                continue
+            merge = bool(tied)  # a second stream's share: sort them together
+            enough = len(tied) + need
+            for entry in islice(row, low, high):
+                visits += 1
+                if skip < skip_end and entry is below[skip]:
+                    skip += 1
+                elif entry[2] not in excluded:
+                    tied.append(entry)
+                    if len(tied) == enough:
+                        break
+        if merge:
+            tied.sort(key=_BY_SORT_TEXT)
+            del tied[need:]
+        found.extend([(entry[2], distance) for entry in tied])
+    return found, visits
 
 
 class PathTreeNode:
     """One router on the landmark-rooted path tree.
 
-    ``attached_peers`` maps each peer attached at this exact router to its
-    interned sort text, so candidate collection during a query emits
-    ready-to-sort tuples without calling ``repr``.  Iterating / ``len`` /
-    membership on it behaves like the historic set of peer identifiers.
+    ``row`` is the sorted ``(hop_count, sort_text, peer)`` index of the peers
+    at or below this router (see the module doc); ``children`` is a shared
+    empty mapping until the first child arrives.
     """
 
-    __slots__ = (
-        "router",
-        "depth",
-        "parent",
-        "index",
-        "children",
-        "attached_peers",
-        "subtree_peer_count",
-    )
+    __slots__ = ("router", "depth", "parent", "index", "children", "row")
 
     def __init__(
         self,
@@ -87,13 +175,17 @@ class PathTreeNode:
         self.parent = parent
         #: Position in the owning tree's node-by-index list (root = 0).
         self.index = index
-        self.children: Dict[NodeId, "PathTreeNode"] = {}
-        self.attached_peers: Dict[PeerId, str] = {}
-        self.subtree_peer_count = 0
+        self.children: Mapping[NodeId, "PathTreeNode"] = _NO_CHILDREN
+        self.row: List[Entry] = []
 
     def child(self, router: NodeId) -> Optional["PathTreeNode"]:
         """Return the child trie node for ``router`` if it exists."""
         return self.children.get(router)
+
+    def attached(self) -> List[PeerId]:
+        """The peers attached at this exact router: the row's own-hop range."""
+        row = self.row
+        return [entry[2] for entry in row[: bisect_left(row, (self.depth + 2,))]]
 
     def iter_subtree(self) -> Iterator["PathTreeNode"]:
         """Depth-first iteration over this node and all its descendants."""
@@ -105,14 +197,13 @@ class PathTreeNode:
 
     def peers_in_subtree(self) -> Iterator[Tuple[PeerId, int]]:
         """Yield ``(peer_id, attachment_depth)`` for every peer under this node."""
-        for node in self.iter_subtree():
-            for peer_id in node.attached_peers:
-                yield peer_id, node.depth
+        for hops, _, peer_id in self.row:
+            yield peer_id, hops - 1
 
     def __repr__(self) -> str:
         return (
             f"PathTreeNode(router={self.router!r}, depth={self.depth}, "
-            f"peers={len(self.attached_peers)}, subtree={self.subtree_peer_count})"
+            f"peers={len(self.attached())}, subtree={len(self.row)})"
         )
 
 
@@ -156,9 +247,10 @@ class PathTree:
             self._root = self._add_node(landmark_router, 0, None)
         self._attachment: Dict[PeerId, PathTreeNode] = {}
         self._paths: Dict[PeerId, RouterPath] = {}
-        #: Trie nodes examined by the most recent :meth:`closest_peers` call.
+        #: Index ranges examined plus row entries scanned by the most recent
+        #: :meth:`closest_peers` call.
         self.last_query_visits: int = 0
-        #: Trie nodes examined by all :meth:`closest_peers` calls so far.
+        #: The same, summed over all :meth:`closest_peers` calls so far.
         self.total_query_visits: int = 0
         #: Trie nodes created by the most recent :meth:`insert` call.
         self.last_insert_nodes_created: int = 0
@@ -255,10 +347,11 @@ class PathTree:
     def insert(self, path: RouterPath) -> PathTreeNode:
         """Insert a peer's path; returns the node the peer got attached to.
 
-        The cost is linear in the path length (bounded by the network
-        diameter, ~15–30 hops), independent of the number of peers already in
-        the tree — this is the cheap "newcomer insertion" the paper claims.
-        Re-registering an already-known peer replaces its previous path.
+        One sorted-row insertion per router on the path (bounded by the
+        network diameter, ~15–30 hops): O(log n) comparisons each plus the
+        list insert's memmove — the cheap "newcomer insertion" the paper
+        claims.  Re-registering an already-known peer replaces its previous
+        path; a rejected path leaves the tree as it was.
 
         Each call records the trie nodes traversed / allocated in
         ``last_insert_nodes_touched`` / ``last_insert_nodes_created`` (and
@@ -270,37 +363,45 @@ class PathTree:
                 f"path of peer {path.peer_id!r} targets landmark {path.landmark_id!r}, "
                 f"but this tree belongs to landmark {self.landmark_id!r}"
             )
-        if path.peer_id in self._attachment:
-            self.remove(path.peer_id)
-
         reversed_routers = path.from_landmark()
-        created = 0
-        if self._root is None:
-            self._root = self._add_node(reversed_routers[0], 0, None)
-            created += 1
-        elif self._root.router != reversed_routers[0]:
+        if self._root is not None and self._root.router != reversed_routers[0]:
             raise RegistrationError(
                 f"path of peer {path.peer_id!r} ends at router {reversed_routers[0]!r}, "
                 f"but the tree of landmark {self.landmark_id!r} is rooted at "
                 f"{self._root.router!r}"
             )
+        if path.peer_id in self._attachment:
+            self.remove(path.peer_id)
 
+        created = 0
+        if self._root is None:
+            self._root = self._add_node(reversed_routers[0], 0, None)
+            created += 1
         node = self._root
         for router in reversed_routers[1:]:
             child = node.children.get(router)
             if child is None:
-                child = node.children[router] = self._add_node(router, node.depth + 1, node)
+                if not node.children:
+                    node.children = {}
+                child = node.children[router] = self._add_node(router, node.depth + 1, node)  # type: ignore[index]
                 created += 1
             node = child
 
-        node.attached_peers[path.peer_id] = self._interner.sort_text(path.peer_id)
-        self._attachment[path.peer_id] = node
-        self._paths[path.peer_id] = path
-        # Propagate the subtree count up to the root.
+        # Ahead of any entry equal in (hops, sort text), in every row alike.
+        # A row holds its path child's entries in the same order, so the slot
+        # lies within (entries the child lacks) of the child's slot.
+        key = (len(reversed_routers), self._interner.sort_text(path.peer_id))
+        entry = (*key, path.peer_id)
+        index = below = 0
         current: Optional[PathTreeNode] = node
         while current is not None:
-            current.subtree_peer_count += 1
+            row = current.row
+            index = bisect_left(row, key, index, index + len(row) - below)
+            below = len(row)
+            row.insert(index, entry)
             current = current.parent
+        self._attachment[path.peer_id] = node
+        self._paths[path.peer_id] = path
         if self.dirty is not None:
             self._mark_root_path(node)
 
@@ -315,27 +416,26 @@ class PathTree:
         if peer_id not in self._attachment:
             raise UnknownPeerError(peer_id)
         node = self._attachment.pop(peer_id)
-        del self._paths[peer_id]
-        node.attached_peers.pop(peer_id, None)
-
-        current: Optional[PathTreeNode] = node
-        while current is not None:
-            current.subtree_peer_count -= 1
-            current = current.parent
+        key = (self._paths.pop(peer_id).hop_count, self._interner.sort_text(peer_id))
         if self.dirty is not None:
             self._mark_root_path(node)  # before pruning: the pruned ids are on it
 
-        # Prune empty leaves so the trie does not grow without bound under churn.
-        current = node
-        while (
-            current is not None
-            and current.parent is not None
-            and current.subtree_peer_count == 0
-            and not current.children
-        ):
+        index = below = 0
+        current: Optional[PathTreeNode] = node
+        while current is not None:
+            row = current.row  # the slot is bounded as in insert()
+            index = bisect_left(row, key, index, index + len(row) - below)
+            while row[index][2] != peer_id:  # entries equal in (hops, sort text)
+                index += 1
+            below = len(row)
+            del row[index]
             parent = current.parent
-            del parent.children[current.router]
-            self._node_removed(current)
+            if not row and parent is not None:
+                # Nothing at or below: prune, so churn does not grow the trie.
+                del parent.children[current.router]  # type: ignore[attr-defined]
+                if not parent.children:
+                    parent.children = _NO_CHILDREN
+                self._node_removed(current)
             current = parent
 
     def _mark_root_path(self, node: PathTreeNode) -> None:
@@ -386,9 +486,7 @@ class PathTree:
 
         Delegates to :meth:`closest_from_node` from the peer's attachment
         node, excluding the peer itself — a peer's view of the tree is fully
-        determined by the router it attaches at, which is what lets a batch
-        of co-arriving peers at one access router share a single frontier
-        walk (see ``ManagementServer._compute_neighbors_batch``).
+        determined by the router it attaches at.
 
         Returns a list of ``(peer_id, dtree)`` sorted by ``dtree`` then peer
         sort text.
@@ -410,104 +508,26 @@ class PathTree:
     ) -> List[Tuple[PeerId, int]]:
         """Up to ``k`` closest peers as seen from a trie node (the engine).
 
-        Best-first frontier search guided by ``subtree_peer_count``.  The
-        frontier holds two kinds of entries, each keyed by a lower bound on
-        the ``dtree`` of any peer reachable through it:
+        Hands the rows of ``origin`` and its ancestors to
+        :func:`closest_in_rows`, which reads the answer off them in
+        ``(dtree, sort_text)`` order — byte-identical to ranking every peer
+        of the tree by ``(dtree, repr(peer))``, since that is a total order.
 
-        * *ancestor* entries — the next node on the origin's root path.  A
-          peer whose branch point is that ancestor is at least
-          ``(origin.depth - ancestor.depth) + 2`` away;
-        * *subtree* entries — a node hanging off an already-expanded ancestor
-          (the lowest common ancestor of its whole subtree with the origin).
-          Peers attached at the node are exactly ``bound`` away, deeper peers
-          strictly farther.
-
-        Because a popped entry's bound equals the exact ``dtree`` of the
-        peers attached at its node, peers are discovered in non-decreasing
-        ``dtree`` order; the walk stops once the frontier's best bound
-        exceeds the ``k``-th best distance found.  Empty subtrees
-        (``subtree_peer_count == 0``) are never pushed, and subtrees whose
-        bound already exceeds the ``k``-th best are pruned at push time, so
-        the visit count is O(k + depth + branching) instead of the size of
-        every sibling subtree.
-
-        Candidates are collected as ``(dtree, interned_sort_text, peer)``
-        tuples and sorted by the first two fields at C speed — no ``repr``
-        call anywhere on the walk, and byte-identical ordering to the
-        historic ``(dtree, repr(peer))`` sort (ties in both fields keep
-        discovery order, exactly like the stable sort they replace).
-
-        The frontier is **level-synchronous**: every entry spawned by a
-        bound-``b`` entry has bound exactly ``b + 1`` (a child subtree adds
-        one hop; the next ancestor adds one hop to the origin side), so the
-        best-first priority queue degenerates into plain per-level lists —
-        same pop order as a ``(bound, push-order)`` heap, none of the heap's
-        per-entry cost.
-
-        Each call records the number of trie nodes examined in
-        ``last_query_visits`` (and accumulates ``total_query_visits``) so
-        benchmarks can assert the sub-linear behaviour.
+        Each call records its work in ``last_query_visits`` (and accumulates
+        ``total_query_visits``): index ranges examined plus row entries
+        scanned.  It does not grow with the population, nor with the number
+        of peers tied at the ``k``-th distance.
         """
-        self.last_query_visits = 0
-        if k <= 0:
-            return []
+        chain = []
+        node: Optional[PathTreeNode] = origin
+        while node is not None:
+            chain.append(node.row)
+            node = node.parent
         excluded = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
-
-        # Level entries: (node, lca_depth, skip_child).  Ancestor entries
-        # satisfy node.depth == lca_depth and carry the child subtree already
-        # explored in ``skip_child``; subtree entries satisfy node.depth >
-        # lca_depth and never skip anything.  ``bound`` — the exact dtree of
-        # peers attached at the level's nodes — starts at 2 (origin) and
-        # grows by one per level.
-        level: List[Tuple[PathTreeNode, int, Optional[PathTreeNode]]] = [
-            (origin, origin.depth, None)
-        ]
-        bound = 2
-        results: List[Tuple[int, str, PeerId]] = []
-        append = results.append
-        kth_found = False
-        visits = 0
-
-        while level:
-            next_level: List[Tuple[PathTreeNode, int, Optional[PathTreeNode]]] = []
-            push = next_level.append
-            for node, lca_depth, skip_child in level:
-                visits += 1
-                for candidate, sort_text in node.attached_peers.items():
-                    if candidate not in excluded:
-                        append((bound, sort_text, candidate))
-                if kth_found:
-                    # The k-th best distance equals this level's bound, so
-                    # deeper levels cannot contribute; keep draining this
-                    # level (exact-distance ties) without growing the next.
-                    continue
-                if len(results) >= k:
-                    kth_found = True
-                    continue
-                if node.depth == lca_depth:
-                    # Ancestor entry: fan out into unexplored child subtrees
-                    # and continue up the root path.
-                    for child in node.children.values():
-                        if child is not skip_child and child.subtree_peer_count > 0:
-                            push((child, lca_depth, None))
-                    parent = node.parent
-                    if parent is not None:
-                        push((parent, parent.depth, node))
-                else:
-                    # Subtree entry: descend, one extra hop per level.
-                    for child in node.children.values():
-                        if child.subtree_peer_count > 0:
-                            push((child, lca_depth, None))
-            if kth_found:
-                break
-            level = next_level
-            bound += 1
-
+        found, visits = closest_in_rows(chain, origin.depth + 1, k, excluded)
         self.last_query_visits = visits
         self.total_query_visits += visits
-        results.sort(key=_CANDIDATE_ORDER)
-        del results[k:]
-        return [(candidate, bound) for bound, _, candidate in results]
+        return found
 
     def all_pairs_tree_distance(self) -> Dict[Tuple[PeerId, PeerId], int]:
         """Exhaustive dtree for every unordered pair (small populations only)."""

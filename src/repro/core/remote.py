@@ -726,10 +726,10 @@ class SupervisedShardBackend:
     def tree(self, landmark_id: LandmarkId) -> PathTree:
         """A local **snapshot** of the shard's tree (for diagnostics).
 
-        Rebuilt from the shard's paths in registration order, so structure
-        and ``tree_distance`` answers are byte-identical to the live tree;
-        the query-visit counters are copied across.  Mutating the snapshot
-        does not affect the shard.
+        Rebuilt from the shard's paths, so its rows — hence ``closest_peers``
+        and ``tree_distance`` answers — equal the live tree's; the
+        query-work counters (index ranges examined plus entries scanned) are
+        copied across.  Mutating the snapshot does not affect the shard.
         """
         root, encoded_paths, total_visits, last_visits = self.supervisor.request(  # type: ignore[misc]
             "tree", (landmark_id,)

@@ -2,11 +2,12 @@
 
 Single-threaded query cost is ~2 µs after PRs 1–7; the next order of
 magnitude is concurrency.  This module freezes one epoch of a live
-management plane into a :class:`DiscoverySnapshot` — one flat row per trie
-node, the per-landmark min-hop orderings, the cached neighbour lists and the
-interner's ``(sort_text, compact_index)`` table — that any number of reader
-threads or forked processes query with **zero locks**, while the write plane
-keeps mutating and periodically publishes the next epoch.
+management plane into a :class:`DiscoverySnapshot` — one frozen index row per
+trie node (the root's is the landmark's min-hop ordering), the cached
+neighbour lists and the interner's ``(sort_text, compact_index)`` table —
+that any number of reader threads or forked processes query with **zero
+locks**, while the write plane keeps mutating and periodically publishes the
+next epoch.
 
 Why this is safe without locks
 ------------------------------
@@ -26,13 +27,12 @@ Byte-identical answers
 The snapshot replays the live read path, not an approximation of it:
 :meth:`DiscoverySnapshot.closest_peers` implements the exact cache-serve
 condition of :meth:`~repro.core.management_plane.ManagementPlaneBase.
-closest_peers`, falls back to the same level-synchronous frontier walk as
-:meth:`~repro.core.path_tree.PathTree.closest_from_node` (over flat rows
-instead of node objects, preserving child and attachment iteration order),
-and fills short lists by heap-merging the same shifted min-hop orderings in
-the same stream order the source plane would use — including the per-shard
-grouping of the sharded coordinator, whose snapshot is composed from the
-per-shard trees.  ``tests/core/test_serving.py`` holds the oracle pinning
+closest_peers`, falls back to the very routine the live trie answers with
+(:func:`~repro.core.path_tree.closest_in_rows`, over frozen copies of the
+same sorted rows), and fills short lists by heap-merging the same shifted
+min-hop orderings in the same stream order the source plane would use —
+including the per-shard grouping of the sharded coordinator, whose snapshot
+is composed from the per-shard trees.  ``tests/core/test_serving.py`` holds the oracle pinning
 snapshot answers byte-identical to the live plane at the same epoch.
 
 Epoch N+1 is a patch of epoch N
@@ -55,9 +55,9 @@ proportional to what changed:
 
 :meth:`DiscoverySnapshot.build` is the one build routine: it copies the
 previous epoch's arrays (``list(t)`` … ``tuple(l)``, ``dict(d)`` — C speed),
-re-reads only the recorded rows, slots and lists from the live plane, and
-takes the min-hop orderings from the lists the plane maintains
-incrementally.  Untouched rows are *shared* between consecutive epochs.
+re-reads only the recorded rows, slots and lists from the live plane; a
+re-read row is ``tuple(live row)``, a pointer copy that shares the live
+entries.  Untouched rows are *shared* between consecutive epochs.
 A full build is the same routine with no previous epoch, where everything
 counts as changed; that is also what happens whenever the record cannot
 vouch for the gap — ``restore_state``, a new landmark or landmark distance,
@@ -73,97 +73,69 @@ from __future__ import annotations
 
 import heapq
 import time
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import LandmarkError, UnknownPeerError
 from .management_plane import ChangeRecord, ManagementPlaneBase
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .path_tree import PathTree
+from .path_tree import PathTree, closest_in_rows
 
 __all__ = ["DiscoverySnapshot", "FlatTrie", "SnapshotPublisher", "SnapshotReader"]
-
-#: Stable sort key for ``(dtree, sort_text, slot)`` candidate tuples — the
-#: flat twin of ``path_tree._CANDIDATE_ORDER``: ties beyond the first two
-#: fields keep discovery order and never compare raw identifiers.
-_CANDIDATE_ORDER = itemgetter(0, 1)
 
 
 class FlatTrie:
     """One landmark's path trie, frozen into one row per node id.
 
-    Row ``n`` of every column describes the live tree's node ``n`` (see
-    "Stable node ids" in :mod:`repro.core.path_tree`): the root is row ``0``
-    and a freed id is an unreachable hole.  ``children[n]`` and
-    ``attached[n]`` are small tuples in the live dicts' iteration order, so
-    the frontier walk below discovers candidates in exactly the order the
-    live :class:`~repro.core.path_tree.PathTree` would — which is what keeps
-    tied results byte-identical after the stable sort.  Children are node
-    ids; attachments are peer *slots* into the owning snapshot's arrays.
+    Entry ``n`` of every column describes the live tree's node ``n`` (see
+    "Stable node ids" in :mod:`repro.core.path_tree`): the root is node ``0``
+    and a freed id is an unreachable hole.  ``rows[n]`` is the node's sorted
+    ``(hop_count, sort_text, peer)`` index as a tuple — a pointer copy; the
+    entries are the live tree's own immutable tuples — and ``rows[0]`` is
+    therefore the landmark's min-hop ordering.  Queries run
+    :func:`~repro.core.path_tree.closest_in_rows`, the live tree's routine,
+    over the frozen rows, so snapshot and live answers agree by construction.
 
     Built from scratch, or — given the ``previous`` epoch's trie of the same
     tree and the ``dirty`` node ids recorded since — as a copy of it with
-    only those rows re-read; the untouched row tuples are shared.
+    only those nodes re-read; the untouched row tuples are shared.
     """
 
-    __slots__ = (
-        "landmark_id",
-        "routers",
-        "parent",
-        "depth",
-        "subtree_count",
-        "children",
-        "attached",
-    )
+    __slots__ = ("landmark_id", "routers", "parent", "depth", "rows")
 
     def __init__(
         self,
         landmark_id: LandmarkId,
         tree: PathTree,
-        slot_of: Dict[PeerId, int],
         previous: Optional["FlatTrie"] = None,
         dirty: Optional[Iterable[int]] = None,
     ):
         self.landmark_id = landmark_id
         nodes = tree.node_table()
         if previous is None or dirty is None:
-            routers, parent, depth, subtree, children, attached = (
-                [None] * len(nodes) for _ in range(6)
-            )
+            routers, parent, depth, rows = ([None] * len(nodes) for _ in range(4))
             dirty = range(len(nodes))
         else:
             grown = [None] * (len(nodes) - len(previous.routers))
-            routers, parent, depth, subtree, children, attached = (
+            routers, parent, depth, rows = (
                 [*column, *grown]
-                for column in (
-                    previous.routers,
-                    previous.parent,
-                    previous.depth,
-                    previous.subtree_count,
-                    previous.children,
-                    previous.attached,
-                )
+                for column in (previous.routers, previous.parent, previous.depth, previous.rows)
             )
         for index in dirty:
             node = nodes[index]
-            if node is None:  # a freed id: nothing reaches this row
+            if node is None:  # a freed id: nothing reaches this node
                 routers[index] = None
                 parent[index] = -1
-                depth[index] = subtree[index] = 0
-                children[index] = attached[index] = ()
+                depth[index] = 0
+                rows[index] = ()
                 continue
             routers[index] = node.router
             parent[index] = node.parent.index if node.parent is not None else -1
             depth[index] = node.depth
-            subtree[index] = node.subtree_peer_count
-            children[index] = tuple([child.index for child in node.children.values()])
-            attached[index] = tuple([slot_of[peer] for peer in node.attached_peers])
+            rows[index] = tuple(node.row)
         self.routers = tuple(routers)
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.subtree_count = tuple(subtree)
-        self.children = tuple(children)
-        self.attached = tuple(attached)
+        self.rows = tuple(rows)
 
     def lca_depth(self, node_a: int, node_b: int) -> int:
         """Depth of the lowest common ancestor of two nodes."""
@@ -177,78 +149,38 @@ class FlatTrie:
             node_b = parent[node_b]
         return depth[node_a]
 
-    def structure(self, peer_ids: Sequence[PeerId]) -> Tuple[object, ...]:
-        """The trie without its numbering: preorder rows, children in order.
+    def structure(self) -> Dict[Tuple[NodeId, ...], Tuple[object, ...]]:
+        """The trie without its numbering: each node's row by its router path.
 
-        Each row is ``(router, child count, attached peer ids)``; preorder
-        plus child counts determines the shape, so two tries of identical
-        trees compare equal whatever ids and slots their histories left.
+        A node is named by the routers from it up to the root, so two tries
+        of identical trees compare equal whatever ids their histories left.
         """
-        rows = []
-        stack = [0] if self.routers else []
-        while stack:
-            node = stack.pop()
-            children = self.children[node]
-            rows.append(
-                (
-                    self.routers[node],
-                    len(children),
-                    tuple(peer_ids[slot] for slot in self.attached[node]),
-                )
-            )
-            stack.extend(reversed(children))
-        return tuple(rows)
+        routers, parent = self.routers, self.parent
+        named = {}
+        for node, row in enumerate(self.rows):
+            if row or node == 0:  # a live node below the root holds a peer
+                path = []
+                current = node
+                while current >= 0:
+                    path.append(routers[current])
+                    current = parent[current]
+                named[tuple(path)] = row
+        return named
 
     def closest_from_node(
-        self, origin: int, k: int, exclude_slot: int, sort_texts: Sequence[str]
-    ) -> List[Tuple[int, int]]:
-        """Up to ``k`` closest peer slots as seen from a node, as ``(slot, dtree)``.
+        self, origin: int, k: int, excluded: Collection[PeerId]
+    ) -> List[Tuple[PeerId, int]]:
+        """Up to ``k`` closest peers as seen from a node, as ``(peer, dtree)``.
 
-        The flat replay of :meth:`PathTree.closest_from_node`: the same
-        level-synchronous frontier (ancestor entries carry the already
-        explored child in ``skip_child``), the same ``bound`` arithmetic, the
-        same stable ``(dtree, sort_text)`` sort over candidates collected in
-        discovery order — so results are byte-identical to the live walk.
+        :meth:`PathTree.closest_from_node` over the frozen columns.
         """
-        if k <= 0:
-            return []
-        parent, depth, subtree = self.parent, self.depth, self.subtree_count
-        children, attached = self.children, self.attached
-        level: List[Tuple[int, int, int]] = [(origin, depth[origin], -1)]
-        bound = 2
-        results: List[Tuple[int, str, int]] = []
-        append = results.append
-        kth_found = False
-        while level:
-            next_level: List[Tuple[int, int, int]] = []
-            push = next_level.append
-            for node, lca_depth, skip_child in level:
-                for slot in attached[node]:
-                    if slot != exclude_slot:
-                        append((bound, sort_texts[slot], slot))
-                if kth_found:
-                    continue
-                if len(results) >= k:
-                    kth_found = True
-                    continue
-                if depth[node] == lca_depth:
-                    for child in children[node]:
-                        if child != skip_child and subtree[child] > 0:
-                            push((child, lca_depth, -1))
-                    up = parent[node]
-                    if up >= 0:
-                        push((up, depth[up], node))
-                else:
-                    for child in children[node]:
-                        if subtree[child] > 0:
-                            push((child, lca_depth, -1))
-            if kth_found:
-                break
-            level = next_level
-            bound += 1
-        results.sort(key=_CANDIDATE_ORDER)
-        del results[k:]
-        return [(slot, bound) for bound, _, slot in results]
+        parent, rows = self.parent, self.rows
+        chain = []
+        node = origin
+        while node >= 0:
+            chain.append(rows[node])
+            node = parent[node]
+        return closest_in_rows(chain, self.depth[origin] + 1, k, excluded)[0]
 
 
 class DiscoverySnapshot:
@@ -281,8 +213,6 @@ class DiscoverySnapshot:
         "_paths",
         "_slot_of",
         "_free_slots",
-        "_peer_ids",
-        "_sort_texts",
         "_attach_node",
         "_cache_lists",
         "_cache_stamps",
@@ -291,7 +221,6 @@ class DiscoverySnapshot:
         "_landmark_routers",
         "_landmark_distances",
         "_fill_order",
-        "_hops_orderings",
     )
 
     def __init__(self) -> None:  # populated by build()
@@ -317,10 +246,10 @@ class DiscoverySnapshot:
         ``changes`` covers the whole gap (:class:`SnapshotPublisher` does).
 
         Building reads the plane and otherwise leaves it alone, except that
-        it materialises the plane's lazily built min-hop orderings, interns
-        registered peers the plane never interned (a cache-less coordinator),
-        and — for a *remote* shard backend — pulls each landmark's tree
-        export over the wire (the ``tree`` round trip diagnostics use).
+        it interns registered peers the plane never interned (a cache-less
+        coordinator) and — for a *remote* shard backend — pulls each
+        landmark's tree export over the wire (the ``tree`` round trip
+        diagnostics use).
         """
         live = plane._peer_landmark
         interner = plane._interner
@@ -328,7 +257,7 @@ class DiscoverySnapshot:
         if previous is None or changes is None:
             slot_of: Dict[PeerId, int] = {}
             free: List[int] = []
-            columns: Tuple[List, ...] = ([], [], [], [], [])
+            columns: Tuple[List, ...] = ([], [], [])
             changed_peers: Iterable[PeerId] = live
             changed_owners: Iterable[PeerId] = cache.lists
             changed_nodes: Dict[LandmarkId, Iterable[int]] = {}
@@ -337,8 +266,6 @@ class DiscoverySnapshot:
             slot_of = dict(previous._slot_of)
             free = list(previous._free_slots)
             columns = (
-                list(previous._peer_ids),
-                list(previous._sort_texts),
                 list(previous._attach_node),
                 list(previous._cache_lists),
                 list(previous._cache_stamps),
@@ -347,7 +274,7 @@ class DiscoverySnapshot:
             changed_owners = changes.owners
             changed_nodes = changes.nodes
             old_tries = previous._tries
-        peer_ids, sort_texts, attach_node, cache_lists, cache_stamps = columns
+        attach_node, cache_lists, cache_stamps = columns
 
         landmark_order = tuple(plane.landmarks())
         trees = {landmark: plane.tree(landmark) for landmark in landmark_order}
@@ -367,12 +294,11 @@ class DiscoverySnapshot:
                 if free:
                     slot = free.pop()
                 else:
-                    slot = len(peer_ids)
+                    slot = len(attach_node)
                     for column in columns:
                         column.append(None)
                 slot_of[peer] = slot
-            peer_ids[slot] = peer
-            sort_texts[slot] = interner.sort_text(peer)
+            interner.key(peer)  # a cache-less coordinator never interned it
             attach_node[slot] = trees[live[peer]].attachment_node(peer).index
             cache_lists[slot] = ()
             cache_stamps[slot] = None
@@ -385,23 +311,15 @@ class DiscoverySnapshot:
                 cache_stamps[slot] = cache.completeness_stamp(owner)
 
         tries: Dict[LandmarkId, FlatTrie] = {}
-        orderings: Dict[LandmarkId, Tuple[Tuple[int, str, PeerId], ...]] = {}
         for landmark in landmark_order:
-            tree = trees[landmark]
             old = old_tries.get(landmark)
             if old is not None and not changed_nodes[landmark]:
                 # No join or leave under this landmark: share the whole trie.
                 tries[landmark] = old
-                orderings[landmark] = previous._hops_orderings[landmark]
-                continue
-            tries[landmark] = FlatTrie(landmark, tree, slot_of, old, changed_nodes.get(landmark))
-            ordering = plane._hops_ordering(landmark)
-            if ordering is None:  # a remote shard keeps it: sort its export the same way
-                ordering = sorted(
-                    (tree.path_of(peer).hop_count, interner.sort_text(peer), peer)
-                    for peer in tree.peers()
+            else:
+                tries[landmark] = FlatTrie(
+                    landmark, trees[landmark], old, changed_nodes.get(landmark)
                 )
-            orderings[landmark] = tuple(ordering)
 
         snap = cls()
         snap.generation = int(generation)
@@ -414,13 +332,10 @@ class DiscoverySnapshot:
         snap._paths = dict(plane._paths)
         snap._slot_of = slot_of
         snap._free_slots = tuple(free)
-        snap._peer_ids = tuple(peer_ids)
-        snap._sort_texts = tuple(sort_texts)
         snap._attach_node = tuple(attach_node)
         snap._cache_lists = tuple(cache_lists)
         snap._cache_stamps = tuple(cache_stamps)
         snap._tries = tries
-        snap._hops_orderings = orderings
         snap._landmark_order = landmark_order
         snap._landmark_routers = {
             landmark: plane.landmark_router(landmark) for landmark in landmark_order
@@ -479,10 +394,7 @@ class DiscoverySnapshot:
             self._landmark_order,
             tuple(sorted(self._landmark_distances.items(), key=repr)),
             self._fill_order,
-            tuple(
-                (landmark, trie.structure(self._peer_ids))
-                for landmark, trie in self._tries.items()
-            ),
+            tuple((landmark, trie.structure()) for landmark, trie in self._tries.items()),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -565,7 +477,7 @@ class DiscoverySnapshot:
         served under exactly the live cache-hit condition (enough entries
         for ``k`` or for the whole population, or a completeness mark
         stamped with this epoch's membership generation), anything else
-        falls back to the flat frontier walk plus the cross-landmark fill
+        falls back to the trie's index query plus the cross-landmark fill
         merge.
         """
         slot = self._slot_of.get(peer_id)
@@ -606,14 +518,13 @@ class DiscoverySnapshot:
     # -------------------------------------------------------------- internals
 
     def _compute_neighbors(self, peer_id: PeerId, slot: int, k: int) -> List[Tuple[PeerId, float]]:
-        """Flat twin of the live ``_compute_neighbors``: walk, then fill."""
+        """Frozen twin of the live ``_compute_neighbors``: query, then fill."""
         path = self._paths[peer_id]
         landmark = path.landmark_id
-        peer_ids = self._peer_ids
         candidates = self._tries[landmark].closest_from_node(
-            self._attach_node[slot], k, slot, self._sort_texts
+            self._attach_node[slot], k, (peer_id,)
         )
-        neighbors = [(peer_ids[other], float(distance)) for other, distance in candidates]
+        neighbors = [(other, float(distance)) for other, distance in candidates]
         if len(neighbors) >= k:
             return neighbors[:k]
         already = {peer for peer, _ in neighbors}
@@ -645,7 +556,7 @@ class DiscoverySnapshot:
             between = self._landmark_distances.get((home_landmark, landmark))
             if between is None:
                 continue
-            streams.append(shifted(self._hops_orderings[landmark], float(own_hops + between)))
+            streams.append(shifted(self._tries[landmark].rows[0], float(own_hops + between)))
         return heapq.merge(*streams)
 
     def __repr__(self) -> str:

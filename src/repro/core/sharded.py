@@ -463,11 +463,6 @@ class ShardedManagementServer(ManagementPlaneBase):
             trees.update(shard._trees)
         return trees
 
-    def _hops_ordering(self, landmark_id: LandmarkId) -> Optional[List[Tuple[int, str, PeerId]]]:
-        """The owning inline shard's ordering; None for a remote shard."""
-        shard = self._shards[self._landmark_shard[landmark_id]]
-        return shard._hops_ordering(landmark_id) if isinstance(shard, ManagementServer) else None
-
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
         """Home-shard tree query plus (if short) the inter-shard fill merge."""
         k = k or self.neighbor_set_size

@@ -16,9 +16,8 @@ operation class:
   (schema v5).  Arrivals are drawn from a deliberately *concentrated*
   access locality (a few regions/PoPs, the way real flash crowds share
   access networks), so larger batches put co-arriving peers on shared
-  attachment routers and exercise the batch-aware neighbour phase's
-  one-frontier-per-cluster amortisation; ``batch_size=1`` is the
-  sequential-arrival baseline on the same peer stream.  One workload run
+  attachment routers, where they see each other at once; ``batch_size=1``
+  is the sequential-arrival baseline on the same peer stream.  One workload run
   registers ``ops`` newcomers total regardless of batch size, so per-op
   cost across the batch axis isolates batch amortisation itself.
 
@@ -66,7 +65,7 @@ and each reader makes several timed passes over the identical query
 sample, recording a query's latency as its *minimum* across passes.  The
 queries are deterministic and read-only, so the minimum is the standard
 repeated-measurement estimator of their true cost: heterogeneity across
-queries survives (a trie-walk query is slow in every pass), and so would
+queries survives (a cache-miss query is slow in every pass), and so would
 lock contention (waiting burns on-CPU time in every pass), while
 preemption-resume cache refills and clock-syscall jitter — which land on
 different queries each pass — do not.  ``publish_lag_us``
@@ -611,7 +610,7 @@ def run_arrival_workload(
     :func:`arrival_paths`) as consecutive ``register_peers`` batches of
     ``batch_size`` on top of a ``population``-peer steady plane, so the
     per-newcomer cost across the batch-size axis isolates what batching
-    itself buys (shared per-cluster frontiers, amortised validation).
+    itself buys (amortised validation, one cache pass per wave).
     ``per_op_us`` divides by the newcomer count.
     """
     if batch_size < 1:
@@ -729,7 +728,7 @@ def run_serving_workload(
         # The readers are served the epoch pinned here — every list warm, as
         # in every baseline so far; the churn below erodes cached lists on
         # the live plane, and a read sweep over *that* epoch would time trie
-        # walks, not the lock-free read path.
+        # queries, not the lock-free read path.
         snapshot = publisher.snapshot
         rng = workload_rng(seed, _SERVING_RNG_OFFSET)
         peers = server.peers()

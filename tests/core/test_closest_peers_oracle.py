@@ -1,9 +1,10 @@
-"""Oracle tests for the count-guided best-first ``closest_peers`` query.
+"""Oracle tests for the ``closest_peers`` query of the path trie.
 
 The query must return exactly what a brute-force ranking over
 ``all_pairs_tree_distance`` would (same peers, same distances, same
-``(dtree, repr)`` tie-break order), while visiting far fewer trie nodes than
-the subtree scans the pre-optimisation implementation performed.
+``(dtree, repr)`` tie-break order), while doing work — index ranges examined
+plus row entries scanned, ``last_query_visits`` — that depends on ``k`` and
+the origin's depth, not on the population or the size of a tie.
 """
 
 from __future__ import annotations
@@ -100,9 +101,8 @@ class TestVisitInstrumentation:
         result = tree.closest_peers("origin", k=3)
         assert len(result) == 3
         assert tree.last_query_visits > 0
-        # The old implementation walked every node of the heavy sibling
-        # spine (plus the origin branch) — on this shape, nearly every
-        # router in the tree.  The frontier search must do far better.
+        # A subtree scan reads nearly every router of this shape; the index
+        # reads the closest few entries off the origin's ancestors' rows.
         assert tree.last_query_visits < total_nodes // 10
 
     def test_visits_accumulate(self):
@@ -113,10 +113,70 @@ class TestVisitInstrumentation:
         assert tree.last_query_visits == first
         assert tree.total_query_visits >= 2 * first
 
-    def test_exhaustive_query_visits_at_most_every_node(self):
+    def test_exhaustive_query_reads_each_ancestor_row_at_most_once(self):
+        """``k`` beyond the population: every hop value of every ancestor
+        row is opened once and every entry scanned at most once — work
+        bounded by the rows on the origin's root path, not by the trie."""
         tree = self._skewed_tree(heavy_peers=30)
-        tree.closest_peers("origin", k=10_000)
-        assert tree.last_query_visits <= tree.router_count
+        assert len(tree.closest_peers("origin", k=10_000)) == tree.peer_count - 1
+        bound = 0
+        node = tree.attachment_node("origin")
+        while node is not None:
+            bound += len(node.row) + len({hops for hops, _, _ in node.row})
+            node = node.parent
+        assert 0 < tree.last_query_visits <= bound
+
+    @staticmethod
+    def _hierarchy(chain: int, pops: int = 6, accesses: int = 8, per_access: int = 1) -> PathTree:
+        """lmk -> ``chain`` unary routers -> core -> pops -> access routers."""
+        tree = PathTree(landmark_id="lmk", landmark_router="lmk")
+        spine = ["core"] + [f"c{index}" for index in range(chain)] + ["lmk"]
+        for pop in range(pops):
+            for access in range(accesses):
+                for peer in range(per_access):
+                    tree.insert(
+                        RouterPath.from_routers(
+                            f"peer-{pop}-{access}-{peer}",
+                            "lmk",
+                            [f"access-{pop}-{access}", f"pop-{pop}", *spine],
+                        )
+                    )
+        return tree
+
+    def test_unary_chain_and_population_add_no_visits(self):
+        """Ancestors that add no peer (a landmark -> core chain) are skipped
+        by row length, and a bigger tie at the k-th distance is not walked:
+        the count does not move with the chain and stays within ``4k``."""
+        counts = []
+        for chain, per_access in ((0, 1), (40, 1), (0, 30), (40, 30)):
+            tree = self._hierarchy(chain, per_access=per_access)
+            answer = tree.closest_peers("peer-3-3-0", k=5)
+            assert len(answer) == 5
+            counts.append(tree.last_query_visits)
+        assert counts[0] == counts[1] and counts[2] == counts[3]
+        assert max(counts) <= 4 * 5
+
+    def test_range_mostly_held_by_the_path_child_is_scanned_for_2k_entries(self):
+        """The documented worst case: the origin's own access router holds
+        most of the pop's hop range and the other candidates sort last.
+        The scan skips what the path child holds — fewer than ``k`` eligible
+        peers, or the query had ended a distance earlier — then takes what
+        it needs: at most ``2k + len(exclude)`` entries per range, however
+        many peers the sibling holds."""
+        k = 5
+        counts = []
+        for siblings in (3, 3000):
+            tree = PathTree(landmark_id="lmk", landmark_router="lmk")
+            for index in range(k):  # the origin and k - 1 co-located peers
+                tree.insert(RouterPath.from_routers(f"a{index}", "lmk", ["own", "pop", "lmk"]))
+            for index in range(siblings):
+                tree.insert(RouterPath.from_routers(f"z{index}", "lmk", ["other", "pop", "lmk"]))
+            answer = tree.closest_peers("a0", k=k)
+            assert [peer for peer, _ in answer] == ["a1", "a2", "a3", "a4", "z0"]
+            counts.append(tree.last_query_visits)
+        assert counts[0] == counts[1]
+        ranges = 2  # hop 3 at ``own`` and at ``pop``
+        assert counts[0] <= ranges * (1 + 2 * k + 1)
 
     def test_empty_subtrees_never_visited(self):
         """Routers left peerless by departures are skipped via the counts."""

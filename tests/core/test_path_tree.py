@@ -67,12 +67,27 @@ class TestInsertion:
         assert populated_tree.peer_count == 5
         assert populated_tree.attachment_node("p1").router == "b1"
 
+    def test_rejected_reregistration_leaves_the_peer_registered(self, populated_tree):
+        """Validate first, mutate second: a known peer whose new path ends at
+        the wrong landmark-side router keeps its old registration whole."""
+        rows = {node.index: list(node.row) for node in populated_tree.root.iter_subtree()}
+        attachment = populated_tree.attachment_node("p1")
+        old_path = populated_tree.path_of("p1")
+        with pytest.raises(RegistrationError):
+            populated_tree.insert(path("p1", ["b1", "core", "not-lmk"]))
+        assert populated_tree.has_peer("p1")
+        assert populated_tree.peer_count == 5
+        assert populated_tree.path_of("p1") == old_path
+        assert populated_tree.attachment_node("p1") is attachment
+        assert {node.index: node.row for node in populated_tree.root.iter_subtree()} == rows
+        assert populated_tree.closest_peers("p2", k=1)[0][0] == "p1"
+
     def test_subtree_counts_propagate(self, populated_tree):
-        assert populated_tree.root.subtree_peer_count == 5
+        assert len(populated_tree.root.row) == 5
         core = populated_tree.root.child("core")
-        assert core.subtree_peer_count == 5
+        assert len(core.row) == 5
         a2 = core.child("a2")
-        assert a2.subtree_peer_count == 2
+        assert len(a2.row) == 2
 
     def test_attachment_and_path_lookup(self, populated_tree):
         assert populated_tree.has_peer("p3")
@@ -92,7 +107,7 @@ class TestRemoval:
         populated_tree.remove("p1")
         assert populated_tree.peer_count == 4
         assert not populated_tree.has_peer("p1")
-        assert populated_tree.root.subtree_peer_count == 4
+        assert len(populated_tree.root.row) == 4
 
     def test_remove_prunes_empty_branches(self, populated_tree):
         populated_tree.remove("p1")
@@ -259,9 +274,9 @@ def test_property_subtree_counts_consistent_after_removals(paths):
     for router_path in paths:
         tree.insert(router_path)
     while tree.peer_count > 0:
-        assert tree.root.subtree_peer_count == tree.peer_count
+        assert len(tree.root.row) == tree.peer_count
         attached_everywhere = sum(
-            len(node.attached_peers) for node in tree.root.iter_subtree()
+            len(node.attached()) for node in tree.root.iter_subtree()
         )
         assert attached_everywhere == tree.peer_count
         tree.remove(tree.peers()[0])

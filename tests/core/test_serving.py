@@ -505,19 +505,17 @@ class TestPatchedEpochs:
             if peer != "newcomer":
                 assert after._slot_of[peer] == before._slot_of[peer]
         assert after._slot_of["newcomer"] == before._slot_of["b3"]
-        # Untouched landmarks share their whole trie and ordering with the
-        # previous epoch; in the touched trie only the root path's rows moved.
+        # Untouched landmarks share their whole trie (its root row is their
+        # min-hop ordering) with the previous epoch; in the touched trie only
+        # the root path's rows moved.
         for landmark in ("lm1", "lm2"):
             assert after._tries[landmark] is before._tries[landmark]
-            assert after._hops_orderings[landmark] is before._hops_orderings[landmark]
         old, new = before._tries["lm0"], after._tries["lm0"]
         assert new is not old
         rewritten = [
             node
             for node in range(len(new.routers))
-            if node >= len(old.routers)
-            or new.children[node] is not old.children[node]
-            or new.attached[node] is not old.attached[node]
+            if node >= len(old.routers) or new.rows[node] is not old.rows[node]
         ]
         assert 0 < len(rewritten) <= 2 * 5  # two five-router root paths
 
