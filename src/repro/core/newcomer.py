@@ -3,15 +3,20 @@
 A :class:`NewcomerClient` models what a joining peer does:
 
 1. obtain the landmark list from the management server (bootstrap);
-2. probe the landmarks to find the closest one *in terms of latency* — the
-   paper's newcomer targets "its closest landmark";
-3. run the traceroute-like tool towards that landmark and clean the result;
+2. ping every landmark — one echo RTT each, all sent at once — to find the
+   closest one *in terms of latency*: the paper's newcomer targets "its
+   closest landmark";
+3. run the traceroute-like tool towards that one landmark and clean the
+   result;
 4. upload the path and receive the recommended neighbour list.
 
+A join therefore costs ``len(landmarks)`` pings and exactly one traceroute.
 The client works directly against an in-process
 :class:`~repro.core.management_server.ManagementServer` (as the experiments
-do) and records a :class:`~repro.core.protocol.JoinTranscript` with the
-simulated timing of each phase, so setup-delay comparisons against
+do) and records a :class:`~repro.core.protocol.JoinTranscript` whose timings
+are modelled from what was measured — the slowest ping, one probe per
+traceroute hop, one server round trip (see
+:meth:`NewcomerClient.probe_delay_ms`) — so setup-delay comparisons against
 coordinate-based systems can be made.
 """
 
@@ -74,8 +79,8 @@ class NewcomerClient:
         How to clean anonymous hops out of the recorded path (see
         :mod:`repro.routing.path_inference`).
     probe_cost_ms:
-        Modelled wall-clock cost of one traceroute hop probe, used only to
-        fill in the transcript timings.
+        Modelled wall-clock cost of one traceroute hop probe, used only by
+        :meth:`probe_delay_ms`.
     """
 
     def __init__(
@@ -101,43 +106,56 @@ class NewcomerClient:
     def select_landmark(
         self, landmarks: Sequence[LandmarkDescriptor]
     ) -> Tuple[LandmarkDescriptor, Dict[LandmarkId, float]]:
-        """Pick the landmark to use and return per-landmark probe measurements.
+        """Ping every landmark, pick one, and return the measured ping RTTs.
 
-        The ``closest_rtt`` policy traces towards every landmark and keeps the
-        one with the lowest measured RTT (ties broken by landmark id).  The
-        measurements dict maps landmark id → measured RTT (or hop count for
-        the ``fewest_hops`` policy) and is reused so the chosen landmark does
-        not need to be re-probed.
+        Each landmark costs one echo (:meth:`TracerouteSimulator.ping`), never
+        a traceroute; landmarks beyond the tool's ``max_ttl`` are left out.
+        ``closest_rtt`` keeps the lowest RTT and ``fewest_hops`` the shortest
+        route (hop counts read off the routing tree), ties broken by landmark
+        id.  The returned dict maps landmark id → ping RTT and feeds
+        :meth:`probe_delay_ms`; it is empty when nothing had to be measured
+        (``first`` policy, or a single landmark).
         """
         if not landmarks:
             raise LandmarkError("the management server announced no landmarks")
         if self.landmark_selection == SELECT_FIRST or len(landmarks) == 1:
             return landmarks[0], {}
 
-        measurements: Dict[LandmarkId, float] = {}
+        ping = self.traceroute.ping
+        route_length = self.traceroute.route_table.route_length
+        by_rtt = self.landmark_selection == SELECT_CLOSEST_RTT
+        source = self.access_router
+        ping_rtts: Dict[LandmarkId, float] = {}
+        best: Optional[LandmarkDescriptor] = None
+        best_cost = 0.0
         for descriptor in landmarks:
-            result = self.traceroute.trace(self.access_router, descriptor.router)
-            if not result.reached:
+            rtt = ping(source, descriptor.router)
+            if rtt is None:
                 continue
-            if self.landmark_selection == SELECT_CLOSEST_RTT:
-                rtt = result.destination_rtt_ms()
-                measurements[descriptor.landmark_id] = rtt if rtt is not None else float("inf")
-            else:
-                measurements[descriptor.landmark_id] = float(result.hop_count)
-
-        if not measurements:
+            ping_rtts[descriptor.landmark_id] = rtt
+            cost = rtt if by_rtt else route_length(source, descriptor.router)
+            if (
+                best is None
+                or cost < best_cost
+                or (cost == best_cost and repr(descriptor.landmark_id) < repr(best.landmark_id))
+            ):
+                best, best_cost = descriptor, cost
+        if best is None:
             raise TracerouteError(
                 f"peer {self.peer_id!r} could not reach any landmark from router "
                 f"{self.access_router!r}"
             )
-        best_id = min(measurements, key=lambda lid: (measurements[lid], repr(lid)))
-        best = next(d for d in landmarks if d.landmark_id == best_id)
-        return best, measurements
+        return best, ping_rtts
 
     # ------------------------------------------------------------------ probe
 
-    def probe_landmark(self, landmark: LandmarkDescriptor) -> RouterPath:
-        """Run the traceroute-like tool towards ``landmark`` and clean the path."""
+    def probe_landmark(self, landmark: LandmarkDescriptor) -> Tuple[RouterPath, int]:
+        """Run the join's one traceroute, towards ``landmark``, and clean the path.
+
+        Returns the cleaned path (its ``rtt_ms`` is the trace's own landmark
+        RTT) and the number of TTLs the tool probed, anonymous hops included,
+        which is what the traceroute cost in time.
+        """
         result = self.traceroute.trace(self.access_router, landmark.router)
         cleaned = clean_traceroute(result, gap_policy=self.gap_policy)
         routers = list(cleaned.routers)
@@ -150,12 +168,23 @@ class NewcomerClient:
         # traceroute starts *from* that router, so prepend it explicitly.
         if routers[0] != self.access_router:
             routers.insert(0, self.access_router)
-        return RouterPath.from_routers(
+        path = RouterPath.from_routers(
             peer_id=self.peer_id,
             landmark_id=landmark.landmark_id,
             routers=routers,
             rtt_ms=result.destination_rtt_ms(),
         )
+        return path, result.hop_count
+
+    def probe_delay_ms(self, ping_rtts: Dict[LandmarkId, float], probed_hops: int) -> float:
+        """Modelled time from the first ping to the end of the traceroute.
+
+        The pings go out together, so they cost the slowest echo; the
+        traceroute then probes one TTL after another, and an unanswered TTL
+        costs its timeout like any other.  The join's setup delay is this
+        plus one round trip to the server.
+        """
+        return max(ping_rtts.values(), default=0.0) + self.probe_cost_ms * probed_hops
 
     # ------------------------------------------------------------------- join
 
@@ -163,21 +192,22 @@ class NewcomerClient:
         self,
         server: ManagementServer,
         start_time_ms: float = 0.0,
+        landmarks: Optional[Sequence[LandmarkDescriptor]] = None,
     ) -> JoinResult:
-        """Run the full two-round join against ``server``."""
+        """Run the full two-round join against ``server``.
+
+        ``landmarks`` is the server's landmark list when the caller already
+        holds it (a scenario joining many peers); by default it is fetched.
+        """
         transcript = JoinTranscript(peer_id=self.peer_id, probe_started_at=start_time_ms)
 
-        descriptors = [
-            LandmarkDescriptor(landmark_id=lid, router=server.landmark_router(lid))
-            for lid in server.landmarks()
-        ]
-        chosen, measurements = self.select_landmark(descriptors)
+        if landmarks is None:
+            landmarks = landmark_descriptors(server)
+        chosen, ping_rtts = self.select_landmark(landmarks)
         transcript.landmark_id = chosen.landmark_id
 
-        path = self.probe_landmark(chosen)
-        probe_count = max(1, len(measurements)) if measurements else 1
-        probe_time = self.probe_cost_ms * path.hop_count * probe_count
-        transcript.probe_finished_at = start_time_ms + probe_time
+        path, probed_hops = self.probe_landmark(chosen)
+        transcript.probe_finished_at = start_time_ms + self.probe_delay_ms(ping_rtts, probed_hops)
         transcript.report_sent_at = transcript.probe_finished_at
 
         report = PathReport(peer_id=self.peer_id, path=path)
@@ -197,6 +227,34 @@ class NewcomerClient:
         )
 
 
+def landmark_descriptors(server: ManagementServer) -> List[LandmarkDescriptor]:
+    """The landmark list ``server`` hands a newcomer at bootstrap."""
+    return [
+        LandmarkDescriptor(landmark_id=lid, router=server.landmark_router(lid))
+        for lid in server.landmarks()
+    ]
+
+
+def join_peer(
+    peer_id: PeerId,
+    access_router: NodeId,
+    server: ManagementServer,
+    traceroute: TracerouteSimulator,
+    landmark_selection: LandmarkSelection = SELECT_CLOSEST_RTT,
+    gap_policy: str = GAP_DROP,
+    landmarks: Optional[Sequence[LandmarkDescriptor]] = None,
+) -> JoinResult:
+    """Build the client of one peer and run its join: the one place that does."""
+    client = NewcomerClient(
+        peer_id=peer_id,
+        access_router=access_router,
+        traceroute=traceroute,
+        landmark_selection=landmark_selection,
+        gap_policy=gap_policy,
+    )
+    return client.join(server, landmarks=landmarks)
+
+
 def join_population(
     peer_routers: Dict[PeerId, NodeId],
     server: ManagementServer,
@@ -210,14 +268,10 @@ def join_population(
     peer id to the access router it is attached to.
     """
     require_positive_int(len(peer_routers), "population size")
-    results: Dict[PeerId, JoinResult] = {}
-    for peer_id, router in peer_routers.items():
-        client = NewcomerClient(
-            peer_id=peer_id,
-            access_router=router,
-            traceroute=traceroute,
-            landmark_selection=landmark_selection,
-            gap_policy=gap_policy,
+    landmarks = landmark_descriptors(server)
+    return {
+        peer_id: join_peer(
+            peer_id, router, server, traceroute, landmark_selection, gap_policy, landmarks
         )
-        results[peer_id] = client.join(server)
-    return results
+        for peer_id, router in peer_routers.items()
+    }

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .._validation import coerce_seed, require_positive_float, require_positive_int, require_probability
-from ..core.newcomer import NewcomerClient
 from ..exceptions import ConfigurationError
 from ..routing.distance_engine import HopDistanceEngine
 
@@ -194,14 +193,7 @@ class HandoverManager:
         )
 
         # Re-run the join protocol from the new attachment point.
-        client = NewcomerClient(
-            peer_id=peer_id,
-            access_router=new_router,
-            traceroute=scenario.traceroute,
-            landmark_selection=scenario.config.landmark_selection,
-        )
-        result = client.join(scenario.server)
-        scenario.join_results[peer_id] = result
+        result = scenario.join_one(peer_id)
         new_neighbors = [p for p, _ in scenario.server.closest_peers(peer_id, k=k)]
         refreshed_cost = (
             scenario.oracle.neighbor_cost(peer_id, new_neighbors) if new_neighbors else 0.0

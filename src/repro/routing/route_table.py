@@ -33,12 +33,18 @@ class RouteTable:
     so a scenario can share its engine), which means every destination added
     reuses the same CSR topology snapshot instead of re-walking the
     adjacency dicts.
+
+    Beside each tree sits a memo of the link latency summed along the routed
+    path from a node to that destination (see :meth:`path_latency`).  It is
+    created with the tree and holds only nodes that were asked for or lie on
+    their parent chains.
     """
 
     graph: Graph
     weighted: bool = False
     engine: Optional[HopDistanceEngine] = None
     _trees: Dict[NodeId, ShortestPathTree] = field(default_factory=dict)
+    _latencies: Dict[NodeId, Dict[NodeId, float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.engine is None:
@@ -52,6 +58,7 @@ class RouteTable:
             self._trees[destination] = self.engine.tree(
                 destination, weighted=self.weighted
             )
+            self._latencies[destination] = {destination: 0.0}
         return self._trees[destination]
 
     def destinations(self) -> List[NodeId]:
@@ -86,15 +93,38 @@ class RouteTable:
 
     def route_length(self, source: NodeId, destination: NodeId) -> int:
         """Number of hops on the routed path."""
-        return len(self.route(source, destination)) - 1
+        tree = self._trees.get(destination) or self.add_destination(destination)
+        if tree.weighted:
+            # A latency tree's distance is milliseconds, not hops.
+            return len(tree.path_to_root(source)) - 1
+        return int(tree.distance(source))
 
     def path_latency(self, source: NodeId, destination: NodeId) -> float:
-        """Sum of link latencies along the routed path."""
-        path = self.route(source, destination)
-        total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += self.graph.edge_weight(u, v)
-        return total
+        """Sum of link latencies along the routed path.
+
+        This is the latency of the route :meth:`route` returns — the
+        hop-shortest one unless the table is ``weighted`` — not the
+        latency-shortest distance between the two nodes.  The first ask walks
+        the parent chain up to the nearest node already summed and records
+        every node passed; after that the answer is one dict read.
+        """
+        tree = self._trees.get(destination) or self.add_destination(destination)
+        memo = self._latencies[destination]
+        latency = memo.get(source)
+        if latency is None:
+            parents = tree.parents
+            if source not in parents:
+                raise NoRouteError(source, destination)
+            chain = []
+            node = source
+            while (latency := memo.get(node)) is None:
+                chain.append(node)
+                node = parents[node]
+            edge_weight = self.graph.edge_weight
+            for node in reversed(chain):
+                latency += edge_weight(node, parents[node])
+                memo[node] = latency
+        return latency
 
 
 def build_route_table(

@@ -15,9 +15,12 @@ traceroutes exhibit, so the management-server code is exercised on realistic
 * **probe loss** — each per-hop probe can be lost and retried a configurable
   number of times before the hop is declared anonymous;
 * **max TTL** — long routes are truncated, as with the real tool;
-* **per-hop RTT** — cumulative latency along the routed path plus jitter,
-  which gives the newcomer the landmark RTT estimate it uses for closest-
-  landmark selection.
+* **per-hop RTT** — cumulative latency along the routed path plus jitter.
+
+Finding the closest landmark does not take a traceroute:
+:meth:`TracerouteSimulator.ping` is one echo along the same routed path (the
+RTT a trace's last hop would report, for one jitter draw), which is what the
+newcomer sends to every landmark before it traces the winner.
 """
 
 from __future__ import annotations
@@ -174,17 +177,21 @@ class TracerouteSimulator:
             raise TracerouteError(f"degenerate route from {source!r} to {destination!r}")
 
         result = TracerouteResult(source=source, destination=destination)
-        cumulative_latency = 0.0
+        # One source of routed latency for trace and ping: what is still to
+        # go from a router is read off the route table's memo, so the last
+        # hop's RTT is exactly what a ping along the same route measures.
+        latency_to_destination = self.route_table.path_latency
+        total_latency = latency_to_destination(source, destination)
         # routed_path = [source, r1, r2, ..., destination]; probe r1 onwards.
-        for ttl, (previous, router) in enumerate(zip(routed_path, routed_path[1:]), start=1):
+        for ttl, router in enumerate(routed_path[1:], start=1):
             if ttl > self.config.max_ttl:
                 break
-            cumulative_latency += self.graph.edge_weight(previous, router)
             is_destination = router == destination
             # The destination answers the final probe even if configured
             # anonymous: it is a landmark host we control, not a router.
             responds = self._hop_responds(router) or is_destination
             if responds:
+                cumulative_latency = total_latency - latency_to_destination(router, destination)
                 jitter = self._rng.uniform(0.0, self.config.rtt_jitter_ms)
                 rtt = 2.0 * cumulative_latency + jitter
                 result.hops.append(TracerouteHop(ttl=ttl, router=router, rtt_ms=rtt))
@@ -194,6 +201,23 @@ class TracerouteSimulator:
                 result.reached = True
                 break
         return result
+
+    def ping(self, source: NodeId, destination: NodeId) -> Optional[float]:
+        """One echo RTT from ``source`` to ``destination``, or ``None`` past ``max_ttl``.
+
+        The echo travels the same routed path :meth:`trace` walks, so with no
+        jitter it equals the RTT of that trace's last hop; it costs one
+        jitter draw from the simulator's RNG instead of a probe per hop.  An
+        echo has no TTL games to play, so anonymous routers and per-hop probe
+        loss do not apply.
+        """
+        if source == destination:
+            return 0.0
+        table = self.route_table
+        if table.route_length(source, destination) > self.config.max_ttl:
+            return None
+        jitter = self._rng.uniform(0.0, self.config.rtt_jitter_ms)
+        return 2.0 * table.path_latency(source, destination) + jitter
 
     def trace_many(self, source: NodeId, destinations: Sequence[NodeId]) -> List[TracerouteResult]:
         """Trace from ``source`` towards each destination in order."""

@@ -4,11 +4,13 @@ Two node types are provided:
 
 * :class:`ServerNode` wraps a :class:`~repro.core.management_server.ManagementServer`
   so it can be driven by messages arriving over the simulated network;
-* :class:`PeerNode` runs the newcomer side: on ``start_join`` it probes its
-  landmark (modelled as a timed activity), sends the path report, and records
-  when the neighbour list arrives — giving an end-to-end *setup delay* that
-  includes network latencies, which the in-process
-  :class:`~repro.core.newcomer.NewcomerClient` only approximates.
+* :class:`PeerNode` runs the newcomer side: on ``start_join`` it pings the
+  landmarks and traceroutes the closest (one timed activity, as long as
+  :meth:`NewcomerClient.probe_delay_ms
+  <repro.core.newcomer.NewcomerClient.probe_delay_ms>` says), sends the path
+  report, and records when the neighbour list arrives — giving an end-to-end
+  *setup delay* whose server round trips cross the simulated network, where
+  the in-process client adds the landmark RTT instead.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class PeerNode:
             access_router=access_router,
             traceroute=traceroute,
             landmark_selection=landmark_selection,
+            probe_cost_ms=per_hop_probe_ms,
         )
-        self.per_hop_probe_ms = float(per_hop_probe_ms)
         self.record: Optional[PeerJoinRecord] = None
         self.path: Optional[RouterPath] = None
 
@@ -147,11 +149,10 @@ class PeerNode:
             raise ProtocolError(f"peer {self.host_id!r} received an unexpected message: {message!r}")
 
     def _probe_and_report(self, landmarks: List[LandmarkDescriptor]) -> None:
-        """Model the traceroute probing time, then upload the path report."""
-        chosen, measurements = self.client.select_landmark(landmarks)
-        self.path = self.client.probe_landmark(chosen)
-        probes = max(1, len(measurements)) if measurements else 1
-        probe_duration = self.per_hop_probe_ms * self.path.hop_count * probes
+        """Model the probing time (pings, then one traceroute), then upload the path report."""
+        chosen, ping_rtts = self.client.select_landmark(landmarks)
+        self.path, probed_hops = self.client.probe_landmark(chosen)
+        probe_duration = self.client.probe_delay_ms(ping_rtts, probed_hops)
 
         def report() -> None:
             assert self.record is not None and self.path is not None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 from .._validation import coerce_seed, require_positive_int
@@ -26,7 +27,13 @@ from ..baselines.random_selection import RandomSelection
 from ..core.management_server import ManagementServer
 from ..core.remote import BACKENDS, shard_factory_for
 from ..core.sharded import ShardedManagementServer
-from ..core.newcomer import JoinResult, NewcomerClient, SELECT_CLOSEST_RTT
+from ..core.newcomer import (
+    JoinResult,
+    SELECT_CLOSEST_RTT,
+    join_peer,
+    landmark_descriptors,
+)
+from ..core.protocol import LandmarkDescriptor
 from ..exceptions import ConfigurationError
 from ..landmarks.manager import LandmarkSet
 from ..landmarks.placement import place_on_router_map
@@ -212,29 +219,28 @@ class Scenario:
 
     def join_all(self) -> Dict[PeerId, JoinResult]:
         """Join every peer through the management server (in creation order)."""
-        for peer_id, router in self.peer_routers.items():
-            if peer_id in self.join_results:
-                continue
-            client = NewcomerClient(
-                peer_id=peer_id,
-                access_router=router,
-                traceroute=self.traceroute,
-                landmark_selection=self.config.landmark_selection,
-            )
-            self.join_results[peer_id] = client.join(self.server)
+        for peer_id in self.peer_routers:
+            if peer_id not in self.join_results:
+                self.join_one(peer_id)
         return self.join_results
+
+    @cached_property
+    def bootstrap_landmarks(self) -> List[LandmarkDescriptor]:
+        """The landmark list every newcomer is handed; fixed once the scenario is built."""
+        return landmark_descriptors(self.server)
 
     def join_one(self, peer_id: PeerId) -> JoinResult:
         """Join a single peer (used by incremental / churn experiments)."""
         if peer_id not in self.peer_routers:
             raise ConfigurationError(f"unknown peer {peer_id!r}")
-        client = NewcomerClient(
-            peer_id=peer_id,
-            access_router=self.peer_routers[peer_id],
-            traceroute=self.traceroute,
-            landmark_selection=self.config.landmark_selection,
+        result = join_peer(
+            peer_id,
+            self.peer_routers[peer_id],
+            self.server,
+            self.traceroute,
+            self.config.landmark_selection,
+            landmarks=self.bootstrap_landmarks,
         )
-        result = client.join(self.server)
         self.join_results[peer_id] = result
         return result
 

@@ -15,8 +15,11 @@ from repro.core.newcomer import (
 from repro.core.protocol import LandmarkDescriptor
 from repro.exceptions import LandmarkError
 from repro.routing.route_table import RouteTable
-from repro.routing.traceroute import TracerouteSimulator
+from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
 from repro.topology.graph import Graph
+from repro.workloads.scenarios import small_scenario
+
+from ..conftest import make_small_scenario
 
 
 @pytest.fixture()
@@ -94,16 +97,18 @@ class TestLandmarkSelection:
 class TestProbing:
     def test_probe_includes_access_router_and_landmark(self, traceroute):
         client = NewcomerClient("p1", "a1", traceroute)
-        path = client.probe_landmark(LandmarkDescriptor("lmA", "lmA"))
+        path, probed_hops = client.probe_landmark(LandmarkDescriptor("lmA", "lmA"))
         assert path.routers[0] == "a1"
         assert path.routers[-1] == "lmA"
         assert path.routers == ("a1", "a2", "coreA", "lmA")
         assert path.rtt_ms is not None and path.rtt_ms > 0
+        assert probed_hops == 3  # a2, coreA, lmA: the access router is not probed
 
     def test_probe_from_router_adjacent_to_landmark(self, traceroute):
         client = NewcomerClient("p1", "coreA", traceroute)
-        path = client.probe_landmark(LandmarkDescriptor("lmA", "lmA"))
+        path, probed_hops = client.probe_landmark(LandmarkDescriptor("lmA", "lmA"))
         assert path.routers == ("coreA", "lmA")
+        assert probed_hops == 1
 
 
 class TestJoin:
@@ -146,3 +151,166 @@ class TestJoin:
         )
         assert set(results) == {"p1", "p2", "p3"}
         assert server.peer_count == 3
+
+
+class CountingTraceroute(TracerouteSimulator):
+    """Counts what a join asks of the tool."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.traces = 0
+        self.pings = 0
+
+    def trace(self, source, destination):
+        self.traces += 1
+        return super().trace(source, destination)
+
+    def ping(self, source, destination):
+        self.pings += 1
+        return super().ping(source, destination)
+
+
+class TestProbeCost:
+    """A join is ``len(landmarks)`` pings and exactly one traceroute."""
+
+    @pytest.fixture()
+    def counting(self, topology) -> CountingTraceroute:
+        return CountingTraceroute(graph=topology, route_table=RouteTable(graph=topology))
+
+    @pytest.mark.parametrize("policy", [SELECT_CLOSEST_RTT, SELECT_FEWEST_HOPS])
+    def test_one_trace_and_a_ping_per_landmark(self, server, counting, policy):
+        for index, router in enumerate(["a1", "b1", "a2"], start=1):
+            NewcomerClient(f"p{index}", router, counting, landmark_selection=policy).join(server)
+            assert (counting.traces, counting.pings) == (index, 2 * index)
+
+    def test_first_policy_pings_nothing(self, server, counting):
+        NewcomerClient("p1", "b1", counting, landmark_selection=SELECT_FIRST).join(server)
+        assert (counting.traces, counting.pings) == (1, 0)
+
+    def test_single_landmark_pings_nothing(self, counting):
+        server = ManagementServer(neighbor_set_size=3)
+        server.register_landmark("lmA", "lmA")
+        NewcomerClient("p1", "b1", counting).join(server)
+        assert (counting.traces, counting.pings) == (1, 0)
+
+    def test_scenario_join_counts(self):
+        scenario = small_scenario(seed=31, peer_count=25)
+        scenario.traceroute = CountingTraceroute(
+            graph=scenario.router_map.graph,
+            route_table=scenario.traceroute.route_table,
+            config=scenario.traceroute.config,
+        )
+        scenario.join_all()
+        assert scenario.traceroute.traces == 25
+        assert scenario.traceroute.pings == 25 * len(scenario.landmark_set)
+
+
+def _all_trace_selection(traceroute, access_router, landmarks, policy):
+    """The selection this client used to run: a full traceroute per landmark."""
+    measured = {}
+    for descriptor in landmarks:
+        result = traceroute.trace(access_router, descriptor.router)
+        if result.reached:
+            measured[descriptor.landmark_id] = (
+                result.destination_rtt_ms()
+                if policy == SELECT_CLOSEST_RTT
+                else float(result.hop_count)
+            )
+    return min(measured, key=lambda lid: (measured[lid], repr(lid)))
+
+
+class TestSelectionOracle:
+    @pytest.mark.parametrize("policy", [SELECT_CLOSEST_RTT, SELECT_FEWEST_HOPS])
+    def test_ping_selection_picks_what_all_trace_selection_picked(self, policy):
+        scenario = make_small_scenario(
+            seed=17,
+            peer_count=120,
+            landmark_count=5,
+            landmark_selection=policy,
+            traceroute_config=TracerouteConfig(rtt_jitter_ms=0.0),
+        )
+        landmarks = scenario.bootstrap_landmarks
+        reference = TracerouteSimulator(
+            graph=scenario.router_map.graph, config=TracerouteConfig(rtt_jitter_ms=0.0)
+        )
+        changed_landmark = 0
+        for peer_id, router in scenario.peer_routers.items():
+            expected = _all_trace_selection(reference, router, landmarks, policy)
+            assert scenario.join_one(peer_id).landmark_id == expected
+            changed_landmark += expected != landmarks[0].landmark_id
+        assert changed_landmark > 0
+
+
+class TestDeterminism:
+    def test_same_seed_same_joins(self):
+        first = small_scenario(seed=23, peer_count=50)
+        second = small_scenario(seed=23, peer_count=50)
+        for peer_id in first.peer_ids:
+            a, b = first.join_one(peer_id), second.join_one(peer_id)
+            assert a.landmark_id == b.landmark_id
+            assert a.path == b.path
+            assert a.neighbors == b.neighbors
+            assert a.transcript.setup_delay == b.transcript.setup_delay
+
+
+class TestSetupDelay:
+    """``max ping + probe_cost_ms x probed hops + server RTT``, nothing else."""
+
+    @pytest.fixture()
+    def line(self):
+        """``lmL -2- r1 -3- r2 -4- r3 -5- lmR`` (link latencies in ms)."""
+        graph = Graph()
+        graph.add_edge("lmL", "r1", latency=2.0)
+        graph.add_edge("r1", "r2", latency=3.0)
+        graph.add_edge("r2", "r3", latency=4.0)
+        graph.add_edge("r3", "lmR", latency=5.0)
+        server = ManagementServer(neighbor_set_size=3)
+        server.register_landmark("lmL", "lmL")
+        server.register_landmark("lmR", "lmR")
+        server.set_landmark_distance("lmL", "lmR", 4)
+        return graph, server
+
+    def test_formula_on_a_line(self, line):
+        graph, server = line
+        traceroute = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
+        client = NewcomerClient("p", "r1", traceroute, probe_cost_ms=7.0)
+        transcript = client.join(server, start_time_ms=100.0).transcript
+        # pings: lmL 2*2 = 4 ms, lmR 2*(3+4+5) = 24 ms; one hop probed (lmL);
+        # the report's round trip is the trace's landmark RTT, 4 ms.
+        assert transcript.landmark_id == "lmL"
+        assert transcript.probe_duration == 24.0 + 7.0 * 1
+        assert transcript.setup_delay == 24.0 + 7.0 * 1 + 4.0
+        assert transcript.probe_started_at == 100.0
+
+    def test_far_peer_waits_longer_than_near(self, line):
+        graph, server = line
+        graph.add_edge("lmR", "r4", latency=1.0)
+        graph.add_edge("r4", "r5", latency=1.0)
+        traceroute = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
+        near = NewcomerClient("near", "r4", traceroute).join(server).transcript
+        far = NewcomerClient("far", "r5", traceroute).join(server).transcript
+        assert near.landmark_id == far.landmark_id == "lmR"
+        # One more hop to trace, and every echo comes back 2 ms later.
+        assert far.setup_delay == near.setup_delay + 20.0 + 2.0 + 2.0
+
+    def test_anonymous_hops_cost_their_timeout(self, line):
+        graph, server = line
+        traceroute = TracerouteSimulator(
+            graph=graph,
+            config=TracerouteConfig(anonymous_router_probability=1.0, rtt_jitter_ms=0.0, seed=2),
+        )
+        client = NewcomerClient("p", "r1", traceroute, landmark_selection=SELECT_FIRST)
+        result = NewcomerClient("q", "lmR", traceroute, landmark_selection=SELECT_FIRST).join(server)
+        # lmR -> r3 -> r2 -> r1 -> lmL: three silent routers, then the landmark.
+        assert result.path.routers == ("lmR", "lmL")
+        assert result.transcript.probe_duration == 20.0 * 4
+        path, probed_hops = client.probe_landmark(LandmarkDescriptor("lmR", "lmR"))
+        assert path.routers == ("r1", "lmR")
+        assert probed_hops == 3
+
+    def test_no_pings_means_no_ping_wait(self, line):
+        graph, _ = line
+        traceroute = TracerouteSimulator(graph=graph)
+        client = NewcomerClient("p", "r1", traceroute, probe_cost_ms=5.0)
+        assert client.probe_delay_ms({}, 3) == 15.0
+        assert client.probe_delay_ms({"a": 4.0, "b": 9.0}, 3) == 24.0

@@ -61,6 +61,48 @@ class TestRouteTable:
         table = RouteTable(graph=graph)
         assert table.path_latency(1, 3) == pytest.approx(5.0)
 
+    def test_path_latency_is_the_routed_path_not_the_fastest(self):
+        graph = Graph()
+        graph.add_edge(0, 1, latency=1.0)
+        graph.add_edge(1, 2, latency=1.0)
+        graph.add_edge(0, 2, latency=10.0)
+        assert RouteTable(graph=graph).path_latency(0, 2) == 10.0
+        assert RouteTable(graph=graph, weighted=True).path_latency(0, 2) == 2.0
+
+    def test_path_latency_memo_holds_only_asked_chains(self, tree_graph):
+        table = RouteTable(graph=tree_graph)
+        assert table.path_latency(7, 0) == 3.0
+        assert set(table._latencies[0]) == {0, 1, 3, 7}
+        assert table.path_latency(8, 0) == 3.0  # stops at 1, already summed
+        assert set(table._latencies[0]) == {0, 1, 3, 7, 4, 8}
+        assert table.path_latency(7, 0) == 3.0
+        assert table.path_latency(0, 0) == 0.0
+
+    def test_path_latency_memo_does_not_outlive_its_table(self):
+        graph = Graph()
+        graph.add_edge(1, 2, latency=2.0)
+        graph.add_edge(2, 3, latency=3.0)
+        assert RouteTable(graph=graph).path_latency(1, 3) == 5.0
+        graph.set_edge_attribute(2, 3, "latency", 7.5)
+        assert RouteTable(graph=graph).path_latency(1, 3) == 9.5
+
+    def test_path_latency_unreachable(self):
+        graph = Graph()
+        graph.add_edge(1, 2)
+        graph.add_node(3)
+        with pytest.raises(NoRouteError):
+            RouteTable(graph=graph).path_latency(3, 1)
+
+    def test_route_length_counts_hops_on_a_weighted_table(self):
+        graph = Graph()
+        graph.add_edge(0, 1, latency=0.25)
+        graph.add_edge(1, 2, latency=0.25)
+        graph.add_edge(0, 2, latency=10.0)
+        table = RouteTable(graph=graph, weighted=True)
+        assert table.route_length(0, 2) == 2
+        with pytest.raises(NoRouteError):
+            RouteTable(graph=graph).route_length(99, 2)
+
     def test_weighted_table_prefers_fast_links(self):
         graph = Graph()
         graph.add_edge(0, 1, latency=1.0)

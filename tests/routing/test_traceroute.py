@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.exceptions import NoRouteError
 from repro.routing.route_table import RouteTable
 from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
 from repro.topology.graph import Graph
+from repro.workloads.scenarios import small_scenario
 
 
 @pytest.fixture()
@@ -107,3 +111,70 @@ class TestDeterminism:
             graph=line_graph, config=TracerouteConfig(anonymous_router_probability=0.3, seed=11)
         ).trace(0, 5)
         assert first.raw_routers() == second.raw_routers()
+
+
+class TestPing:
+    """``ping`` is the last hop of ``trace`` without the hops before it."""
+
+    def test_equals_trace_destination_rtt_on_router_map(self):
+        scenario = small_scenario(seed=21, peer_count=1)
+        graph = scenario.router_map.graph
+        simulator = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
+        landmarks = scenario.landmark_set.routers()
+        stubs = scenario.router_map.stub_routers()
+        assert len(stubs) > 100 and len(landmarks) == 4
+        for stub in stubs:
+            for landmark in landmarks:
+                assert simulator.ping(stub, landmark) == simulator.trace(
+                    stub, landmark
+                ).destination_rtt_ms()
+
+    def test_equals_trace_destination_rtt_on_weighted_table(self):
+        scenario = small_scenario(seed=22, peer_count=1)
+        graph = scenario.router_map.graph
+        simulator = TracerouteSimulator(
+            graph=graph,
+            route_table=RouteTable(graph=graph, weighted=True),
+            config=TracerouteConfig(rtt_jitter_ms=0.0),
+        )
+        hop_routed = RouteTable(graph=graph)
+        rerouted = 0
+        for landmark in scenario.landmark_set.routers():
+            for stub in scenario.router_map.stub_routers()[:120]:
+                rtt = simulator.ping(stub, landmark)
+                assert rtt == simulator.trace(stub, landmark).destination_rtt_ms()
+                rerouted += rtt < 2.0 * hop_routed.path_latency(stub, landmark)
+        # The weighted table really routes differently, so this is not the
+        # first test again.
+        assert rerouted > 0
+
+    def test_none_exactly_when_trace_is_truncated(self, line_graph):
+        simulator = TracerouteSimulator(graph=line_graph, config=TracerouteConfig(max_ttl=3))
+        for destination in range(1, 6):
+            reached = simulator.trace(0, destination).reached
+            assert reached == (destination <= 3)
+            assert (simulator.ping(0, destination) is not None) == reached
+
+    def test_ping_to_self_is_zero_and_draws_nothing(self, line_graph):
+        config = TracerouteConfig(rtt_jitter_ms=5.0, seed=4)
+        simulator = TracerouteSimulator(graph=line_graph, config=config)
+        twin = TracerouteSimulator(graph=line_graph, config=config)
+        assert simulator.ping(2, 2) == 0.0
+        assert simulator.ping(0, 5) == twin.ping(0, 5)
+
+    def test_one_jitter_draw_per_ping(self, line_graph):
+        simulator = TracerouteSimulator(
+            graph=line_graph, config=TracerouteConfig(rtt_jitter_ms=0.5, seed=13)
+        )
+        rng = random.Random(13)
+        for destination in (5, 3, 5):
+            expected = 2.0 * destination + rng.uniform(0.0, 0.5)
+            assert simulator.ping(0, destination) == expected
+
+    def test_unreachable_destination_raises(self):
+        graph = Graph()
+        graph.add_edge(1, 2)
+        graph.add_node(3)
+        simulator = TracerouteSimulator(graph=graph)
+        with pytest.raises(NoRouteError):
+            simulator.ping(3, 1)

@@ -82,6 +82,18 @@ class TestJoinFlow:
         engine.run()
         assert near.record.setup_delay < far.record.setup_delay
 
+    def test_probe_phase_is_parallel_pings_then_one_traceroute(self, world):
+        engine, _, server, _, make_peer = world
+        server.register_landmark("lmB", "b1")
+        server.set_landmark_distance("lmA", "lmB", 2)
+        peer = make_peer("p1", "a1")
+        record = peer.start_join()
+        engine.run()
+        probing = record.probe_finished_at - record.landmark_list_received_at
+        # Both landmarks are 3 ms away: one 6 ms echo wait (plus at most the
+        # tool's 0.5 ms jitter), not two; then 3 hops probed at 5 ms each.
+        assert 6.0 + 15.0 <= probing <= 6.5 + 15.0
+
     def test_leave_unregisters_peer(self, world):
         engine, network, server, _, make_peer = world
         peer = make_peer("p1", "b1")
