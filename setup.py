@@ -1,8 +1,31 @@
-"""Setup shim for environments without the `wheel` package (offline installs).
+"""Packaging metadata; there is no pyproject.toml, this file is all of it.
 
-All project metadata lives in pyproject.toml; this file only enables the
-legacy editable-install path (`pip install -e . --no-build-isolation`).
+`pip install -e . --no-build-isolation` puts `src/repro` on the path and
+installs the `repro-experiments` console script, which is `python -m
+repro.cli` under its advertised name.  Nothing is fetched where setuptools
+and numpy (the one runtime dependency, used by the GNP baseline) are already
+present; add `--no-deps` to make pip not even look.
 """
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+# Read, not imported: importing the package would run its import graph at
+# build time.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src/repro/__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description='Reproduction of "A quicker way to discover nearby peers" (CoNEXT 2007)',
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro-experiments = repro.cli:main"]},
+)

@@ -36,22 +36,14 @@ from .distance import (
     sample_peer_pairs,
     true_hop_distances,
 )
-from .protocol import (
-    JoinRequest,
-    JoinResponse,
-    JoinTranscript,
-    LandmarkDescriptor,
-    LeaveNotice,
-    NeighborRecommendation,
-    NeighborResponse,
-    PathReport,
-)
 from .newcomer import (
     LANDMARK_SELECTION_POLICIES,
     SELECT_CLOSEST_RTT,
     SELECT_FEWEST_HOPS,
     SELECT_FIRST,
     JoinResult,
+    JoinTranscript,
+    LandmarkDescriptor,
     NewcomerClient,
     join_population,
 )
@@ -100,19 +92,13 @@ __all__ = [
     "evaluate_estimator",
     "sample_peer_pairs",
     "true_hop_distances",
-    "JoinRequest",
-    "JoinResponse",
-    "JoinTranscript",
-    "LandmarkDescriptor",
-    "LeaveNotice",
-    "NeighborRecommendation",
-    "NeighborResponse",
-    "PathReport",
     "LANDMARK_SELECTION_POLICIES",
     "SELECT_CLOSEST_RTT",
     "SELECT_FEWEST_HOPS",
     "SELECT_FIRST",
     "JoinResult",
+    "JoinTranscript",
+    "LandmarkDescriptor",
     "NewcomerClient",
     "join_population",
     "PARTITION_CONTIGUOUS",

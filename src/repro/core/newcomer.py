@@ -1,8 +1,9 @@
-"""Client-side logic of the two-round join protocol.
+"""Client side of the paper's two-round join: measure, upload one path, get the list.
 
 A :class:`NewcomerClient` models what a joining peer does:
 
-1. obtain the landmark list from the management server (bootstrap);
+1. hold the landmark list — bootstrap configuration, handed over with the
+   management server's address (:func:`landmark_descriptors`);
 2. ping every landmark — one echo RTT each, all sent at once — to find the
    closest one *in terms of latency*: the paper's newcomer targets "its
    closest landmark";
@@ -10,20 +11,21 @@ A :class:`NewcomerClient` models what a joining peer does:
    result;
 4. upload the path and receive the recommended neighbour list.
 
-A join therefore costs ``len(landmarks)`` pings and exactly one traceroute.
-The client works directly against an in-process
-:class:`~repro.core.management_server.ManagementServer` (as the experiments
-do) and records a :class:`~repro.core.protocol.JoinTranscript` whose timings
-are modelled from what was measured — the slowest ping, one probe per
-traceroute hop, one server round trip (see
-:meth:`NewcomerClient.probe_delay_ms`) — so setup-delay comparisons against
-coordinate-based systems can be made.
+Steps 2–3 are :meth:`NewcomerClient.measure`: ``len(landmarks)`` pings and
+exactly one traceroute.  Step 4 has two carriers.  :meth:`NewcomerClient.join`
+calls ``server.register_peer`` in process (as the experiments do) and records
+a :class:`JoinTranscript` whose timings are modelled from what was measured —
+the slowest ping, one probe per traceroute hop, one server round trip (see
+:meth:`NewcomerClient.probe_delay_ms`).  On the wire
+(:meth:`repro.protocol.peer.BeaconingPeer.arrive`) the path is a first beacon
+and the list rides its ack, so the same delay is read off the sim clock;
+``join`` is the reference the wire join is proved against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._validation import require_one_of, require_positive_int
 from ..exceptions import LandmarkError, TracerouteError
@@ -31,13 +33,6 @@ from ..routing.path_inference import GAP_DROP, GAP_POLICIES, clean_traceroute
 from ..routing.traceroute import TracerouteSimulator
 from .management_server import ManagementServer
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .protocol import (
-    JoinTranscript,
-    LandmarkDescriptor,
-    NeighborRecommendation,
-    NeighborResponse,
-    PathReport,
-)
 
 LandmarkSelection = str
 SELECT_CLOSEST_RTT = "closest_rtt"
@@ -46,19 +41,57 @@ SELECT_FIRST = "first"
 LANDMARK_SELECTION_POLICIES = (SELECT_CLOSEST_RTT, SELECT_FEWEST_HOPS, SELECT_FIRST)
 
 
+@dataclass(frozen=True)
+class LandmarkDescriptor:
+    """What a newcomer needs to know about one landmark."""
+
+    landmark_id: LandmarkId
+    router: NodeId
+
+
+@dataclass
+class JoinTranscript:
+    """Timings of one in-process join, used by setup-delay experiments.
+
+    Times are in simulated milliseconds relative to the join start.
+    """
+
+    peer_id: PeerId
+    landmark_id: Optional[LandmarkId] = None
+    probe_started_at: Optional[float] = None
+    probe_finished_at: Optional[float] = None
+    report_sent_at: Optional[float] = None
+    neighbors_received_at: Optional[float] = None
+
+    @property
+    def probe_duration(self) -> Optional[float]:
+        """Time spent probing the landmark path."""
+        if self.probe_started_at is None or self.probe_finished_at is None:
+            return None
+        return self.probe_finished_at - self.probe_started_at
+
+    @property
+    def setup_delay(self) -> Optional[float]:
+        """Total time from join start to neighbour list received."""
+        if self.probe_started_at is None or self.neighbors_received_at is None:
+            return None
+        return self.neighbors_received_at - self.probe_started_at
+
+
 @dataclass
 class JoinResult:
-    """Outcome of one join: the accepted neighbours plus the full transcript."""
+    """Outcome of one join: the plane's answer plus the timing transcript."""
 
     peer_id: PeerId
     landmark_id: LandmarkId
     path: RouterPath
-    neighbors: List[NeighborRecommendation]
+    neighbors: List[Tuple[PeerId, float]]
+    """``(peer, estimated distance)`` pairs exactly as ``register_peer`` returned them."""
     transcript: JoinTranscript
 
     def neighbor_ids(self) -> List[PeerId]:
         """Recommended neighbour identifiers, closest first."""
-        return [entry.peer_id for entry in self.neighbors]
+        return [peer for peer, _ in self.neighbors]
 
 
 class NewcomerClient:
@@ -186,6 +219,12 @@ class NewcomerClient:
         """
         return max(ping_rtts.values(), default=0.0) + self.probe_cost_ms * probed_hops
 
+    def measure(self, landmarks: Sequence[LandmarkDescriptor]) -> Tuple[RouterPath, float]:
+        """The measuring half of a join: the path to upload and how long it took to get."""
+        chosen, ping_rtts = self.select_landmark(landmarks)
+        path, probed_hops = self.probe_landmark(chosen)
+        return path, self.probe_delay_ms(ping_rtts, probed_hops)
+
     # ------------------------------------------------------------------- join
 
     def join(
@@ -194,35 +233,31 @@ class NewcomerClient:
         start_time_ms: float = 0.0,
         landmarks: Optional[Sequence[LandmarkDescriptor]] = None,
     ) -> JoinResult:
-        """Run the full two-round join against ``server``.
+        """Run the full two-round join against ``server``, in process.
 
         ``landmarks`` is the server's landmark list when the caller already
         holds it (a scenario joining many peers); by default it is fetched.
         """
-        transcript = JoinTranscript(peer_id=self.peer_id, probe_started_at=start_time_ms)
-
         if landmarks is None:
             landmarks = landmark_descriptors(server)
-        chosen, ping_rtts = self.select_landmark(landmarks)
-        transcript.landmark_id = chosen.landmark_id
+        path, probe_delay = self.measure(landmarks)
+        neighbors = server.register_peer(path)
 
-        path, probed_hops = self.probe_landmark(chosen)
-        transcript.probe_finished_at = start_time_ms + self.probe_delay_ms(ping_rtts, probed_hops)
-        transcript.report_sent_at = transcript.probe_finished_at
-
-        report = PathReport(peer_id=self.peer_id, path=path)
-        pairs = server.register_peer(report.path)
-        response = NeighborResponse.from_pairs(self.peer_id, pairs)
-
+        probe_finished_at = start_time_ms + probe_delay
         server_rtt = path.rtt_ms if path.rtt_ms is not None else 10.0
-        transcript.neighbors_received_at = transcript.report_sent_at + server_rtt
-        transcript.neighbors = list(response.neighbors)
-
+        transcript = JoinTranscript(
+            peer_id=self.peer_id,
+            landmark_id=path.landmark_id,
+            probe_started_at=start_time_ms,
+            probe_finished_at=probe_finished_at,
+            report_sent_at=probe_finished_at,
+            neighbors_received_at=probe_finished_at + server_rtt,
+        )
         return JoinResult(
             peer_id=self.peer_id,
-            landmark_id=chosen.landmark_id,
+            landmark_id=path.landmark_id,
             path=path,
-            neighbors=list(response.neighbors),
+            neighbors=neighbors,
             transcript=transcript,
         )
 
@@ -233,26 +268,6 @@ def landmark_descriptors(server: ManagementServer) -> List[LandmarkDescriptor]:
         LandmarkDescriptor(landmark_id=lid, router=server.landmark_router(lid))
         for lid in server.landmarks()
     ]
-
-
-def join_peer(
-    peer_id: PeerId,
-    access_router: NodeId,
-    server: ManagementServer,
-    traceroute: TracerouteSimulator,
-    landmark_selection: LandmarkSelection = SELECT_CLOSEST_RTT,
-    gap_policy: str = GAP_DROP,
-    landmarks: Optional[Sequence[LandmarkDescriptor]] = None,
-) -> JoinResult:
-    """Build the client of one peer and run its join: the one place that does."""
-    client = NewcomerClient(
-        peer_id=peer_id,
-        access_router=access_router,
-        traceroute=traceroute,
-        landmark_selection=landmark_selection,
-        gap_policy=gap_policy,
-    )
-    return client.join(server, landmarks=landmarks)
 
 
 def join_population(
@@ -270,8 +285,8 @@ def join_population(
     require_positive_int(len(peer_routers), "population size")
     landmarks = landmark_descriptors(server)
     return {
-        peer_id: join_peer(
-            peer_id, router, server, traceroute, landmark_selection, gap_policy, landmarks
-        )
+        peer_id: NewcomerClient(
+            peer_id, router, traceroute, landmark_selection, gap_policy
+        ).join(server, landmarks=landmarks)
         for peer_id, router in peer_routers.items()
     }

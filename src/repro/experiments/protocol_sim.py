@@ -7,8 +7,12 @@ This experiment family drives it the way a deployment would — through
 lossy wire — and measures the protocol-level costs the paper leaves
 implicit:
 
-* **discovery latency** — first beacon sent to first ack heard, i.e.
-  how long a newcomer stays invisible;
+* **discovery latency** — first beacon sent to neighbour list received
+  (the ack that answers a registration carries it), i.e. the wire half
+  of the paper's setup delay; the probing half is on the clock too when
+  the peers arrive over a scenario
+  (:meth:`ProtocolSimulation.over_scenario
+  <repro.protocol.simulation.ProtocolSimulation.over_scenario>`);
 * **staleness** — for mobility handovers, how long the plane keeps
   answering with the pre-handover path;
 * **maintenance traffic** — beacon + ack bytes per peer per second, the

@@ -44,8 +44,9 @@ class ChurnModel:
         Mean time a departed peer waits before re-joining (None = never
         returns).
     crash_fraction:
-        Fraction of departures that are crashes (no LeaveNotice sent), the
-        "faulty peers" case from the paper's future work.
+        Fraction of departures that are crashes (the server is not told:
+        no ``unregister_peer``, only silence), the "faulty peers" case from
+        the paper's future work.
     seed:
         RNG seed.
     """

@@ -828,11 +828,12 @@ def run_protocol_workload(
     * ``messages_per_sec`` / ``maintenance_bytes_per_peer_s`` — simulated-
       time protocol costs (the paper-facing numbers);
     * ``discovery_p50_ms`` / ``discovery_p99_ms`` — simulated time from a
-      peer's first beacon to its first ack;
+      peer's first beacon to its first neighbour list (the ack that
+      answers its registration carries it);
     * ``beacons_sent`` / ``retransmissions`` / ``dropped_messages`` /
       ``duplicated_messages`` / ``reordered_messages`` / ``peers_expired``
-      / ``discovered_peers`` — protocol health, plus the schema-v8 memory
-      counters.
+      / ``discovered_peers`` (peers holding a list) — protocol health,
+      plus the schema-v8 memory counters.
 
     The simulation is seed-deterministic per ``(seed, loss)``, so the
     simulated-time counters are exactly reproducible; only the wall-clock

@@ -4,17 +4,25 @@
 protocol: it attaches to a :class:`~repro.sim.network.SimulatedNetwork`
 and turns heard :class:`~repro.protocol.messages.Beacon` messages into
 management-plane state, the way a deployed discovery daemon turns UDP
-datagrams into peer-table entries.  Four behaviours make the plane safe
+datagrams into peer-table entries.  Five behaviours make the plane safe
 under at-least-once delivery on an untrusted wire:
 
 * **dedup** — beacons carry per-peer sequence numbers; a sequence number
   already applied is re-acked but never touches the plane again, so a
   duplicated beacon cannot double-register (the plane would otherwise
   unregister + reinsert, churning ``membership_generation`` and every
-  cached neighbour list that references the peer);
+  cached neighbour list that references the peer).  Dedup protects a
+  registration the plane *currently holds*: a daemon that comes back
+  after expiry, counting from 0 again, is a newcomer;
 * **ack after apply** — the ack for sequence ``n`` is sent only after
-  the plane has applied beacon ``n``, so a peer that heard an ack knows
-  it is registered;
+  the plane has applied beacon ``n``, and only for a peer the plane holds
+  at that moment, so a peer that heard an ack knows it is registered;
+* **the ack carries the answer** — the ack of a beacon that registered
+  the peer or changed its path carries what ``register_peer`` returned,
+  round 2 of the paper's join; a retransmission of that number is
+  re-acked with the list read back from the plane (a cache hit), so a
+  lost list heals like any lost ack.  Refresh acks stay the bare echo:
+  what the beacon did to the plane decides, never a flag;
 * **expiry** — a periodic sweep unregisters peers whose last beacon is
   older than the TTL (the silent-failure detector of the paper's setting:
   no unregister message is ever required, stopping beaconing is leaving);
@@ -26,8 +34,8 @@ under at-least-once delivery on an untrusted wire:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.path import PeerId, RouterPath
 from ..sim.engine import Engine
@@ -48,8 +56,11 @@ class HostStats:
     beacons_refreshed: int = 0
     """Beacons that only refreshed the TTL (same path, already registered)."""
     duplicate_beacons: int = 0
-    """Beacons deduplicated by sequence number (re-acked, no plane work)."""
+    """Beacons deduplicated by sequence number (re-acked, no plane work): wire
+    copies, retransmissions, a path's first number re-announced while unacked."""
     acks_sent: int = 0
+    lists_sent: int = 0
+    """Acks that carried a neighbour list (answers to a registration)."""
     peers_expired: int = 0
     peers_banned: int = 0
     banned_beacons_dropped: int = 0
@@ -57,17 +68,17 @@ class HostStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (experiment tables, perf reports)."""
-        return {
-            "beacons_received": self.beacons_received,
-            "beacons_registered": self.beacons_registered,
-            "beacons_refreshed": self.beacons_refreshed,
-            "duplicate_beacons": self.duplicate_beacons,
-            "acks_sent": self.acks_sent,
-            "peers_expired": self.peers_expired,
-            "peers_banned": self.peers_banned,
-            "banned_beacons_dropped": self.banned_beacons_dropped,
-            "malformed_messages": self.malformed_messages,
-        }
+        return asdict(self)
+
+
+@dataclass(slots=True)
+class _Registration:
+    """What the host remembers about one peer the plane holds through it."""
+
+    seq: int  # newest sequence number applied
+    heard_ms: float  # when a beacon carrying ``seq`` was last heard
+    path: RouterPath  # what the plane holds for the peer
+    answered_seq: int  # the number that registered ``path``: its acks carry the list
 
 
 class ProtocolManagementHost:
@@ -120,12 +131,11 @@ class ProtocolManagementHost:
         self.on_expire = on_expire
         self.stats = HostStats()
         self.banned: Set[HostId] = set()
-        # Dedup state survives expiry on purpose: a peer that resumes
-        # beaconing after being expired keeps counting its rounds upward, and
-        # late retransmits from before the outage must still be recognised.
-        self._last_seq: Dict[PeerId, int] = {}
-        self._last_heard_ms: Dict[PeerId, float] = {}
-        self._applied_paths: Dict[PeerId, RouterPath] = {}
+        # Dropped on expiry and on a ban, sequence number included: a late
+        # copy that resurrects an expired peer costs one more TTL, where
+        # remembering the number left a restarted daemon acked and invisible
+        # for as many rounds as its previous life had beaconed.
+        self._registrations: Dict[PeerId, _Registration] = {}
         self._sweep_timer: Optional[TimerHandle] = None
 
     # ---------------------------------------------------------------- lifecycle
@@ -166,37 +176,47 @@ class ProtocolManagementHost:
     def _apply_beacon(self, sender: HostId, beacon: Beacon) -> None:
         self.stats.beacons_received += 1
         peer_id = beacon.peer_id
-        last = self._last_seq.get(peer_id)
-        if last is not None and beacon.seq <= last:
+        now = self.engine.now
+        held = self._registrations.get(peer_id)
+        if held is not None and not self.server.has_peer(peer_id):
+            held = None  # the plane is shared: someone else unregistered the peer
+        if held is not None and beacon.seq <= held.seq:
             # At-least-once duplicate (retransmit, wire duplication, or a
             # reordered late copy).  Re-ack so the sender stops resending,
             # but never touch the plane: dedup is what keeps duplicated
             # beacons from double-registering.
             self.stats.duplicate_beacons += 1
-            if beacon.seq == last:
-                self._last_heard_ms[peer_id] = self.engine.now
-            self._ack(sender, beacon.seq)
+            if beacon.seq == held.seq:
+                held.heard_ms = now
+            neighbors = None
+            if beacon.seq == held.answered_seq:
+                neighbors = tuple(self.server.closest_peers(peer_id))
+            self._ack(sender, beacon.seq, neighbors)
             return
 
-        self._last_seq[peer_id] = beacon.seq
-        self._last_heard_ms[peer_id] = self.engine.now
-        applied = self._applied_paths.get(peer_id)
-        if applied == beacon.path and self.server.has_peer(peer_id):
+        if held is not None and held.path == beacon.path:
             # Same path re-announced: pure TTL refresh, no plane churn (a
             # re-register would bump membership_generation for nothing).
+            held.seq = beacon.seq
+            held.heard_ms = now
             self.stats.beacons_refreshed += 1
+            neighbors = None
         else:
-            self.server.register_peer(beacon.path)
-            self._applied_paths[peer_id] = beacon.path
+            neighbors = tuple(self.server.register_peer(beacon.path))
+            self._registrations[peer_id] = _Registration(beacon.seq, now, beacon.path, beacon.seq)
             self.stats.beacons_registered += 1
         # Ack only after the plane applied the beacon: acked => registered.
-        self._ack(sender, beacon.seq)
+        self._ack(sender, beacon.seq, neighbors)
 
-    def _ack(self, sender: HostId, seq: int) -> None:
+    def _ack(
+        self, sender: HostId, seq: int, neighbors: Optional[Tuple[Tuple[PeerId, float], ...]]
+    ) -> None:
         if not self.network.is_attached(sender):
             return
-        self.network.send(self.host_id, sender, BeaconAck(peer_id=sender, seq=seq))
+        self.network.send(self.host_id, sender, BeaconAck(sender, seq, neighbors))
         self.stats.acks_sent += 1
+        if neighbors is not None:
+            self.stats.lists_sent += 1
 
     # --------------------------------------------------------------- quarantine
 
@@ -206,8 +226,7 @@ class ProtocolManagementHost:
         # Quarantine also evicts any state the sender managed to register.
         if self.server.has_peer(sender):
             self.server.unregister_peer(sender)
-        self._applied_paths.pop(sender, None)
-        self._last_heard_ms.pop(sender, None)
+        self._registrations.pop(sender, None)
 
     # ------------------------------------------------------------------- expiry
 
@@ -226,12 +245,11 @@ class ProtocolManagementHost:
         now = self.engine.now
         expired = [
             peer_id
-            for peer_id, heard in self._last_heard_ms.items()
-            if now - heard > self.ttl_ms
+            for peer_id, held in self._registrations.items()
+            if now - held.heard_ms > self.ttl_ms
         ]
         for peer_id in expired:
-            del self._last_heard_ms[peer_id]
-            self._applied_paths.pop(peer_id, None)
+            del self._registrations[peer_id]
             if self.server.has_peer(peer_id):
                 self.server.unregister_peer(peer_id)
             self.stats.peers_expired += 1
@@ -243,14 +261,15 @@ class ProtocolManagementHost:
 
     def is_live(self, peer_id: PeerId) -> bool:
         """True if the peer is currently registered via the protocol."""
-        return peer_id in self._last_heard_ms and self.server.has_peer(peer_id)
+        return peer_id in self._registrations and self.server.has_peer(peer_id)
 
     def last_heard(self, peer_id: PeerId) -> Optional[float]:
         """Simulated time of the peer's newest applied/refreshed beacon."""
-        return self._last_heard_ms.get(peer_id)
+        held = self._registrations.get(peer_id)
+        return held.heard_ms if held is not None else None
 
     def __repr__(self) -> str:
         return (
             f"ProtocolManagementHost(host_id={self.host_id!r}, "
-            f"live={len(self._last_heard_ms)}, banned={len(self.banned)})"
+            f"live={len(self._registrations)}, banned={len(self.banned)})"
         )

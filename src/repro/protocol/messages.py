@@ -8,31 +8,37 @@ Two message types cross the simulated network:
   path re-announced before the TTL runs out) and update (new path after
   a handover).  Retransmissions of an unacked round reuse the round's
   sequence number, which is what lets the receiver deduplicate
-  at-least-once delivery.
+  at-least-once delivery; the number that first announced a path is
+  reused by the rounds after it too, until it is acked.
 * :class:`BeaconAck` — host → peer.  Echoes the sequence number so the
   sender can stop retransmitting that round.  An ack is only sent after
   the plane has applied the beacon, so "acked" implies "registered".
+  The ack of a beacon that registered the peer or changed its path is
+  also round 2 of the paper's join: it carries the peer's neighbour list.
 
-Messages are frozen dataclasses, matching :mod:`repro.core.protocol`.
-Their lowercased class names (``beacon`` / ``beaconack``) are the op
-names a :class:`~repro.sim.network.NetworkFaultPlan` targets, via
+A join is a first beacon; leaving is silence.  Messages are frozen
+dataclasses.  Their lowercased class names (``beacon`` / ``beaconack``) are
+the op names a :class:`~repro.sim.network.NetworkFaultPlan` targets, via
 :func:`repro.sim.network.message_op_name`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..core.path import PeerId, RouterPath
 
 # Synthetic wire-size model for maintenance-traffic accounting.  The paper's
 # control messages are tiny UDP datagrams: a fixed header plus one entry per
-# path hop for beacons.  Absolute bytes matter less than how traffic scales
-# with beacon rate and path length, so a simple affine model is enough.
+# path hop for beacons and per neighbour for acks that carry a list.
+# Absolute bytes matter less than how traffic scales with beacon rate and
+# path length, so a simple affine model is enough.
 _HEADER_BYTES = 28  # IP + UDP headers
 _BEACON_BASE_BYTES = 24  # peer id, landmark id, seq, flags
 _BEACON_HOP_BYTES = 8  # one router id per hop
 _ACK_BYTES = 12  # peer id echo + seq
+_ACK_NEIGHBOR_BYTES = 8  # one peer id + its distance per list entry
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,11 @@ class BeaconAck:
 
     peer_id: PeerId
     seq: int
+    neighbors: Optional[Tuple[Tuple[PeerId, float], ...]] = None
+    """The peer's closest peers, as the plane's own ``(peer, distance)``
+    pairs, when the acked beacon registered the peer or changed its path.
+    ``None`` — no list attached, a refresh — is not ``()``, which tells the
+    first peer of a population that it has no neighbours yet."""
 
 
 def wire_size(message: object) -> int:
@@ -65,5 +76,5 @@ def wire_size(message: object) -> int:
     if isinstance(message, Beacon):
         return _HEADER_BYTES + _BEACON_BASE_BYTES + _BEACON_HOP_BYTES * message.path.hop_count
     if isinstance(message, BeaconAck):
-        return _HEADER_BYTES + _ACK_BYTES
+        return _HEADER_BYTES + _ACK_BYTES + _ACK_NEIGHBOR_BYTES * len(message.neighbors or ())
     raise TypeError(f"not a protocol message: {message!r}")

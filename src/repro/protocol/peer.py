@@ -2,32 +2,36 @@
 
 A :class:`BeaconingPeer` keeps itself registered the only way a real
 discovery daemon can: by saying so, periodically, over a wire that loses
-messages.  Every ``beacon_interval_ms`` it starts a *round* — a new
-sequence number announcing its current router path — and retransmits the
-same sequence number with jittered exponential backoff until the
-management host acks it or the round's
-:class:`~repro.core.budget.DeadlineBudget` runs out.  The budget runs on
-*simulated* time (``clock=lambda: engine.now``; the budget is
+messages.  Every ``beacon_interval_ms`` it starts a *round* — a sequence
+number announcing its current router path — and retransmits it with
+jittered exponential backoff until the management host acks it or the
+round's :class:`~repro.core.budget.DeadlineBudget` runs out.  The budget
+runs on *simulated* time (``clock=lambda: engine.now``; the budget is
 unit-agnostic, so its "seconds" are simulated milliseconds here), which
 gives retransmissions the same single-deadline semantics the socket
 backends use for multi-phase round trips: however the retries are
 distributed, one round never outlives one budget.
 
 Rounds supersede each other — when the next interval fires, an unacked
-round is abandoned rather than retried forever, because the fresh beacon
-carries strictly newer information.  That mirrors beacon protocols in
-deployed overlays and keeps worst-case control traffic bounded under
-100% loss.
+round is abandoned rather than retried forever, which keeps worst-case
+control traffic bounded under 100% loss, and the next round takes a fresh
+number.  One number is the exception: the one that first announced a
+path.  Its ack carries the peer's neighbour list, so it is retired by an
+ack or by a newer path, never by the clock — the round after an unacked
+one re-announces it, the host re-acks an applied number whenever asked,
+and however many acks the wire eats the peer never moves past the one
+that holds its list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .._validation import coerce_seed
 from ..core.budget import DeadlineBudget
+from ..core.newcomer import LandmarkDescriptor, NewcomerClient
 from ..core.path import PeerId, RouterPath
 from ..sim.engine import Engine
 from ..sim.events import TimerHandle
@@ -100,17 +104,27 @@ class PeerStats:
     rounds_acked: int = 0
     rounds_abandoned: int = 0
     path_updates: int = 0
+    arrived_at_ms: Optional[float] = None
+    """When the newcomer began measuring (None for a peer handed its path)."""
     first_beacon_at_ms: Optional[float] = None
     first_ack_at_ms: Optional[float] = None
+    first_neighbors_at_ms: Optional[float] = None
     update_latencies_ms: List[float] = field(default_factory=list)
     """Per path update: time from ``update_path`` to the ack that applied it."""
 
     @property
     def discovery_latency_ms(self) -> Optional[float]:
-        """First beacon sent to first ack heard (None until discovered)."""
-        if self.first_beacon_at_ms is None or self.first_ack_at_ms is None:
+        """First beacon sent to first neighbour list heard (None until then)."""
+        if self.first_beacon_at_ms is None or self.first_neighbors_at_ms is None:
             return None
-        return self.first_ack_at_ms - self.first_beacon_at_ms
+        return self.first_neighbors_at_ms - self.first_beacon_at_ms
+
+    @property
+    def setup_delay_ms(self) -> Optional[float]:
+        """The paper's setup delay: first probe to first neighbour list heard."""
+        if self.arrived_at_ms is None or self.first_neighbors_at_ms is None:
+            return None
+        return self.first_neighbors_at_ms - self.arrived_at_ms
 
 
 class BeaconingPeer:
@@ -143,8 +157,13 @@ class BeaconingPeer:
         self.config = config if config is not None else BeaconConfig()
         self._rng = random.Random(coerce_seed(seed))
         self.stats = PeerStats()
+        self.neighbors: Optional[Tuple[Tuple[PeerId, float], ...]] = None
+        """The last neighbour list the host handed over (None before the first)."""
+        self.neighbors_at_ms: Optional[float] = None
         self._running = False
         self._seq = -1
+        self._seq_path: Optional[RouterPath] = None  # the path ``_seq`` names
+        self._acked_path: Optional[RouterPath] = None  # the newest path the host acked
         self._round_open = False
         self._attempts = 0
         self._budget: Optional[DeadlineBudget] = None
@@ -153,6 +172,30 @@ class BeaconingPeer:
         self._pending_update_at: Optional[float] = None
 
     # ---------------------------------------------------------------- lifecycle
+
+    @classmethod
+    def arrive(
+        cls,
+        client: NewcomerClient,
+        landmarks: Sequence[LandmarkDescriptor],
+        network: SimulatedNetwork,
+        host_id: HostId,
+        config: Optional[BeaconConfig] = None,
+        seed: Optional[int] = None,
+    ) -> "BeaconingPeer":
+        """A newcomer arrives now: measure, attach, beacon when the probing is done.
+
+        The same daemon one step earlier.  Its first beacon is the join's
+        path upload and the ack its neighbour list, so the paper's setup
+        delay — ``stats.setup_delay_ms``, what ``NewcomerClient.join`` models
+        with a formula — is read off the simulation clock.
+        """
+        path, probe_delay_ms = client.measure(landmarks)
+        peer = cls(client.peer_id, network.engine, network, host_id, path, config, seed)
+        peer.stats.arrived_at_ms = network.engine.now
+        network.attach_host(client.peer_id, client.access_router, peer)
+        peer.start(initial_delay_ms=probe_delay_ms)
+        return peer
 
     def start(self, initial_delay_ms: float = 0.0) -> None:
         """Begin beaconing ``initial_delay_ms`` from now."""
@@ -183,15 +226,14 @@ class BeaconingPeer:
 
     # ------------------------------------------------------------------- update
 
-    def update_path(self, path: RouterPath, beacon_now: bool = True) -> None:
+    def update_path(self, path: RouterPath) -> None:
         """Adopt a new router path (mobility handover).
 
-        The next beacon carries the new path; with ``beacon_now`` (the
-        default) a fresh round starts immediately instead of waiting out
-        the current interval.  The time from this call to the ack of the
-        first round carrying the new path is recorded in
-        ``stats.update_latencies_ms`` — the protocol-level *staleness* of
-        the handover.
+        A fresh round carrying the new path starts at once instead of
+        waiting out the current interval, so a sequence number never names
+        two paths.  The time from this call to the ack of that round is
+        recorded in ``stats.update_latencies_ms`` — the protocol-level
+        *staleness* of the handover.
         """
         if path.peer_id != self.peer_id:
             raise ValueError(
@@ -200,7 +242,7 @@ class BeaconingPeer:
         self.path = path
         self.stats.path_updates += 1
         self._pending_update_at = self.engine.now
-        if beacon_now and self._running:
+        if self._running:
             self._cancel(self._interval_timer)
             self._begin_round()
 
@@ -215,11 +257,14 @@ class BeaconingPeer:
         if not self._running:
             return
         if self._round_open:
-            # Superseded: the new round carries strictly newer information,
-            # so stop retrying the old sequence number.
+            # Superseded: the new round takes over, on a fresh budget.
             self.stats.rounds_abandoned += 1
         self._cancel(self._retry_timer)
-        self._seq += 1
+        # Only a path's first number outlives its round: until the host has
+        # acked the path, that number's ack is the one with the list.
+        if self._seq_path is not self.path or self._acked_path is self.path:
+            self._seq += 1
+            self._seq_path = self.path
         self._round_open = True
         self._attempts = 0
         self.stats.rounds_started += 1
@@ -273,7 +318,7 @@ class BeaconingPeer:
 
     def _give_up(self) -> None:
         # Budget exhausted before an ack: abandon the round; the next
-        # interval's beacon (new seq) takes over.
+        # interval's beacon takes over.
         self._round_open = False
         self.stats.rounds_abandoned += 1
 
@@ -289,12 +334,18 @@ class BeaconingPeer:
             self.stats.duplicate_acks += 1
             return
         self._round_open = False
+        self._acked_path = self._seq_path
         self._cancel(self._retry_timer)
         self._retry_timer = None
         self.stats.acks_received += 1
         self.stats.rounds_acked += 1
         if self.stats.first_ack_at_ms is None:
             self.stats.first_ack_at_ms = self.engine.now
+        if message.neighbors is not None:
+            self.neighbors = message.neighbors
+            self.neighbors_at_ms = self.engine.now
+            if self.stats.first_neighbors_at_ms is None:
+                self.stats.first_neighbors_at_ms = self.engine.now
         if self._pending_update_at is not None:
             self.stats.update_latencies_ms.append(self.engine.now - self._pending_update_at)
             self._pending_update_at = None

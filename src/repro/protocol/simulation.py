@@ -12,15 +12,18 @@ with the requested impairments, attaches one
 management plane, runs the event engine for a scripted duration and
 reports :class:`ProtocolMetrics` — discovery latency, staleness,
 maintenance traffic and the full counter set.  Same seed, same report.
+:meth:`ProtocolSimulation.over_scenario` stands the same harness up over
+a built scenario's router map and plane instead, with arriving newcomers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Sequence
 
 from ..core.management_server import ManagementServer
-from ..core.path import PeerId, RouterPath
+from ..core.path import NodeId, PeerId, RouterPath
 from ..metrics.latency_stats import DelaySummary
 from ..routing.distance_engine import HopDistanceEngine
 from ..sim.engine import Engine
@@ -30,6 +33,10 @@ from ..topology.graph import Graph
 from .host import ProtocolManagementHost
 from .messages import wire_size
 from .peer import BeaconConfig, BeaconingPeer
+
+if TYPE_CHECKING:
+    from ..core.newcomer import NewcomerClient
+    from ..workloads.scenarios import Scenario
 
 DEFAULT_HOP_LATENCY_MS = 5.0
 MANAGEMENT_HOST_ID = "mgmt-host"
@@ -177,20 +184,20 @@ class ProtocolSimulation:
             raise ValueError(
                 f"start_times_ms has {len(start_times_ms)} entries for {len(paths)} paths"
             )
-        self.paths = list(paths)
-        self.config = beacon_config if beacon_config is not None else BeaconConfig()
-        self.ttl_ms = float(ttl_ms) if ttl_ms is not None else 3.0 * self.config.beacon_interval_ms
-        self.engine = Engine()
-        self.graph = topology_from_paths(self.paths, hop_latency_ms=hop_latency_ms)
+        graph = topology_from_paths(paths, hop_latency_ms=hop_latency_ms)
+        # The management host lives at the landmark-side router of the
+        # first path — the "server sits next to the landmark" picture the
+        # paper draws.
+        host_router = paths[0].landmark_router
         # One shared distance engine, pre-warmed at the management host's
         # router: latency is symmetric on the undirected topology, so the
         # network answers every peer<->host lookup from this one vector
         # instead of running a Dijkstra per peer access router.
-        distances = HopDistanceEngine(self.graph)
-        distances.warm_latencies([self.paths[0].landmark_router])
-        self.network = SimulatedNetwork(
-            self.engine,
-            self.graph,
+        distances = HopDistanceEngine(graph)
+        distances.warm_latencies([host_router])
+        network = SimulatedNetwork(
+            Engine(),
+            graph,
             distance_engine=distances,
             jitter_ms=jitter_ms,
             loss_probability=loss_probability,
@@ -199,32 +206,18 @@ class ProtocolSimulation:
             seed=derive_seed(seed, "protocol-network"),
             fault_plan=fault_plan,
         )
-        if server is None:
+        owns_server = server is None
+        if owns_server:
             server = ManagementServer(neighbor_set_size=neighbor_set_size)
-            for path in self.paths:
+            for path in paths:
                 if path.landmark_id not in server.landmarks():
                     server.register_landmark(path.landmark_id, path.landmark_router)
-        self.server = server
-        # The management host lives at the landmark-side router of the
-        # first path — the "server sits next to the landmark" picture the
-        # paper draws.
-        self.host = ProtocolManagementHost(
-            MANAGEMENT_HOST_ID,
-            self.engine,
-            self.network,
-            self.server,
-            ttl_ms=self.ttl_ms,
-        )
-        self.network.attach_host(MANAGEMENT_HOST_ID, self.paths[0].landmark_router, self.host)
+        self._stand_up(network, host_router, server, owns_server, beacon_config, ttl_ms)
 
         if start_times_ms is None:
             interval = self.config.beacon_interval_ms
-            start_times_ms = [
-                interval * index / max(1, len(self.paths)) for index in range(len(self.paths))
-            ]
-        self.start_times_ms = [float(value) for value in start_times_ms]
-        self.peers: Dict[PeerId, BeaconingPeer] = {}
-        for index, path in enumerate(self.paths):
+            start_times_ms = [interval * index / len(paths) for index in range(len(paths))]
+        for index, path in enumerate(paths):
             peer = BeaconingPeer(
                 path.peer_id,
                 self.engine,
@@ -237,11 +230,91 @@ class ProtocolSimulation:
             self.peers[path.peer_id] = peer
             self.network.attach_host(path.peer_id, path.access_router, peer)
 
+        def start_peers() -> None:
+            for peer, start_at in zip(self.peers.values(), start_times_ms):
+                peer.start(initial_delay_ms=start_at)
+
+        # One event at time 0, not a timer per peer made here: the timers
+        # still follow the script's events and the host's sweep in scheduling
+        # order, and a simulation built but never run holds none of them.
+        self.engine.schedule_at(0.0, start_peers, label="start-peers")
+
+    def _stand_up(
+        self,
+        network: SimulatedNetwork,
+        host_router: NodeId,
+        server: Any,
+        owns_server: bool,
+        beacon_config: Optional[BeaconConfig],
+        ttl_ms: Optional[float],
+    ) -> None:
+        """Every attribute, and the host on ``network``; each way in adds its peers."""
+        self.config = beacon_config if beacon_config is not None else BeaconConfig()
+        self.ttl_ms = float(ttl_ms) if ttl_ms is not None else 3.0 * self.config.beacon_interval_ms
+        self.network = network
+        self.engine = network.engine
+        self.server = server
+        self._owns_server = owns_server
+        self.host = ProtocolManagementHost(
+            MANAGEMENT_HOST_ID,
+            self.engine,
+            self.network,
+            self.server,
+            ttl_ms=self.ttl_ms,
+        )
+        self.network.attach_host(MANAGEMENT_HOST_ID, host_router, self.host)
+        self.peers: Dict[PeerId, BeaconingPeer] = {}
+
+    @classmethod
+    def over_scenario(
+        cls,
+        scenario: "Scenario",
+        arrivals_ms: Mapping[PeerId, float],
+        beacon_config: Optional[BeaconConfig] = None,
+        ttl_ms: Optional[float] = None,
+        seed: int = 0,
+        **impairments: Any,
+    ) -> "ProtocolSimulation":
+        """Stand the protocol up over a built scenario: its peers join on the wire.
+
+        The wire is the scenario's router map (latencies from its distance
+        engine), the plane its management server, and the host sits beside
+        its first landmark.  Each peer of ``arrivals_ms`` (peer id → arrival
+        time) arrives then through :meth:`BeaconingPeer.arrive` — measuring
+        with the scenario's traceroute tool, in arrival order — and is in
+        ``peers`` from that moment.  ``impairments`` are the constructor's
+        loss / duplication / reordering / jitter / fault-plan arguments.
+        """
+        # __init__ is the way in from paths; _stand_up sets every attribute.
+        sim = cls.__new__(cls)
+        network = SimulatedNetwork(
+            Engine(),
+            scenario.router_map.graph,
+            distance_engine=scenario.distance_engine,
+            seed=derive_seed(seed, "protocol-network"),
+            **impairments,
+        )
+        host_router = scenario.landmark_set.routers()[0]
+        sim._stand_up(network, host_router, scenario.server, False, beacon_config, ttl_ms)
+
+        def arrive(client: NewcomerClient) -> None:
+            sim.peers[client.peer_id] = BeaconingPeer.arrive(
+                client,
+                scenario.bootstrap_landmarks,
+                network,
+                MANAGEMENT_HOST_ID,
+                config=sim.config,
+                seed=derive_seed(seed, f"protocol-peer-{client.peer_id}"),
+            )
+
+        for peer_id, at_ms in arrivals_ms.items():  # an unknown peer id fails here, not mid-run
+            client = scenario.newcomer(peer_id)
+            sim.engine.schedule_at(at_ms, partial(arrive, client), label=f"arrive:{peer_id}")
+        return sim
+
     # ---------------------------------------------------------------- scripting
 
-    def schedule_path_update(
-        self, peer_id: PeerId, at_ms: float, path: RouterPath, beacon_now: bool = True
-    ) -> None:
+    def schedule_path_update(self, peer_id: PeerId, at_ms: float, path: RouterPath) -> None:
         """Script a mobility handover: ``peer_id`` adopts ``path`` at ``at_ms``.
 
         The new path's routers must already exist in the topology (pass
@@ -255,30 +328,27 @@ class ProtocolSimulation:
                 # Re-attach at the new access router: a new epoch, so
                 # messages in flight to the old attachment are dropped.
                 self.network.attach_host(peer_id, path.access_router, peer)
-            peer.update_path(path, beacon_now=beacon_now)
+            peer.update_path(path)
 
         self.engine.schedule_at(at_ms, apply, label=f"handover:{peer_id}")
 
-    def schedule_stop(self, peer_id: PeerId, at_ms: float, detach: bool = True) -> None:
-        """Script a silent failure: the peer stops beaconing at ``at_ms``."""
+    def schedule_stop(self, peer_id: PeerId, at_ms: float) -> None:
+        """Script a silent failure: the peer stops beaconing and detaches at ``at_ms``."""
         peer = self.peers[peer_id]
 
         def apply() -> None:
             peer.stop()
-            if detach:
-                self.network.detach_host(peer_id)
+            self.network.detach_host(peer_id)
 
         self.engine.schedule_at(at_ms, apply, label=f"stop:{peer_id}")
 
     # ---------------------------------------------------------------------- run
 
     def run(self, duration_ms: float) -> ProtocolMetrics:
-        """Start everything, run the engine to ``duration_ms``, summarise."""
+        """Start the host's sweep, run the engine to ``duration_ms``, summarise."""
         if duration_ms <= 0:
             raise ValueError(f"duration_ms must be positive, got {duration_ms}")
         self.host.start()
-        for path, start_at in zip(self.paths, self.start_times_ms):
-            self.peers[path.peer_id].start(initial_delay_ms=start_at)
         self.engine.run(until=duration_ms)
         return self.collect_metrics(duration_ms)
 
@@ -314,7 +384,6 @@ class ProtocolSimulation:
         )
 
     def close(self) -> None:
-        """Release the plane if this simulation owns remote resources."""
-        close = getattr(self.server, "close", None)
-        if callable(close):
-            close()
+        """Release the plane this simulation built; one it was handed is its owner's."""
+        if self._owns_server:
+            self.server.close()

@@ -3,7 +3,6 @@
 from .engine import Engine
 from .events import Event, EventCallback, TimerHandle
 from .network import DeliveryRecord, MessageHandler, SimulatedNetwork
-from .node import PeerJoinRecord, PeerNode, ServerNode
 from .rng import RandomStreams, derive_seed
 from .trace import SeriesSummary, TraceCollector, summarize_values
 
@@ -15,9 +14,6 @@ __all__ = [
     "DeliveryRecord",
     "MessageHandler",
     "SimulatedNetwork",
-    "PeerJoinRecord",
-    "PeerNode",
-    "ServerNode",
     "RandomStreams",
     "derive_seed",
     "SeriesSummary",

@@ -29,11 +29,11 @@ from ..core.remote import BACKENDS, shard_factory_for
 from ..core.sharded import ShardedManagementServer
 from ..core.newcomer import (
     JoinResult,
+    LandmarkDescriptor,
+    NewcomerClient,
     SELECT_CLOSEST_RTT,
-    join_peer,
     landmark_descriptors,
 )
-from ..core.protocol import LandmarkDescriptor
 from ..exceptions import ConfigurationError
 from ..landmarks.manager import LandmarkSet
 from ..landmarks.placement import place_on_router_map
@@ -229,18 +229,23 @@ class Scenario:
         """The landmark list every newcomer is handed; fixed once the scenario is built."""
         return landmark_descriptors(self.server)
 
-    def join_one(self, peer_id: PeerId) -> JoinResult:
-        """Join a single peer (used by incremental / churn experiments)."""
+    def newcomer(self, peer_id: PeerId) -> NewcomerClient:
+        """The joining client of one peer: the one place a scenario builds it.
+
+        What it measures reaches the server in process (:meth:`join_one`) or
+        as a beacon on the simulated wire
+        (:meth:`ProtocolSimulation.over_scenario
+        <repro.protocol.simulation.ProtocolSimulation.over_scenario>`).
+        """
         if peer_id not in self.peer_routers:
             raise ConfigurationError(f"unknown peer {peer_id!r}")
-        result = join_peer(
-            peer_id,
-            self.peer_routers[peer_id],
-            self.server,
-            self.traceroute,
-            self.config.landmark_selection,
-            landmarks=self.bootstrap_landmarks,
+        return NewcomerClient(
+            peer_id, self.peer_routers[peer_id], self.traceroute, self.config.landmark_selection
         )
+
+    def join_one(self, peer_id: PeerId) -> JoinResult:
+        """Join a single peer (used by incremental / churn experiments)."""
+        result = self.newcomer(peer_id).join(self.server, landmarks=self.bootstrap_landmarks)
         self.join_results[peer_id] = result
         return result
 

@@ -9,10 +9,11 @@ from repro.core.newcomer import (
     SELECT_CLOSEST_RTT,
     SELECT_FEWEST_HOPS,
     SELECT_FIRST,
+    JoinTranscript,
+    LandmarkDescriptor,
     NewcomerClient,
     join_population,
 )
-from repro.core.protocol import LandmarkDescriptor
 from repro.exceptions import LandmarkError
 from repro.routing.route_table import RouteTable
 from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
@@ -151,6 +152,21 @@ class TestJoin:
         )
         assert set(results) == {"p1", "p2", "p3"}
         assert server.peer_count == 3
+
+
+class TestTranscript:
+    def test_durations(self):
+        transcript = JoinTranscript(peer_id="p1", probe_started_at=100.0)
+        transcript.probe_finished_at = 180.0
+        transcript.report_sent_at = 180.0
+        transcript.neighbors_received_at = 210.0
+        assert transcript.probe_duration == pytest.approx(80.0)
+        assert transcript.setup_delay == pytest.approx(110.0)
+
+    def test_incomplete_transcript_returns_none(self):
+        transcript = JoinTranscript(peer_id="p1")
+        assert transcript.probe_duration is None
+        assert transcript.setup_delay is None
 
 
 class CountingTraceroute(TracerouteSimulator):

@@ -12,7 +12,7 @@ import pytest
 from repro.core.distance import evaluate_estimator, sample_peer_pairs, true_hop_distances
 from repro.metrics.proximity import compare_strategies, per_peer_ratios
 from repro.metrics.ranking import precision_at_k
-from repro.sim import Engine, PeerNode, ServerNode, SimulatedNetwork
+from repro.protocol import ProtocolSimulation
 from repro.streaming import MeshConfig, MeshStreamingSession
 
 from ..conftest import make_small_scenario
@@ -105,33 +105,17 @@ class TestDtreeAccuracy:
 class TestEventDrivenJoin:
     def test_simulated_flash_crowd_joins_everyone(self):
         scenario = make_small_scenario(seed=37, peer_count=20)
-        engine = Engine()
-        network = SimulatedNetwork(engine, scenario.router_map.graph, seed=37)
-        server_node = ServerNode("server", scenario.server, network)
-        network.attach_host("server", scenario.landmark_set.routers()[0], server_node)
+        arrivals = {peer_id: index * 10.0 for index, peer_id in enumerate(scenario.peer_routers)}
+        sim = ProtocolSimulation.over_scenario(scenario, arrivals_ms=arrivals, seed=37)
+        sim.run(2000.0)
 
-        nodes = []
-        for index, (peer_id, router) in enumerate(scenario.peer_routers.items()):
-            node = PeerNode(
-                host_id=peer_id,
-                access_router=router,
-                server_host="server",
-                engine=engine,
-                network=network,
-                traceroute=scenario.traceroute,
-            )
-            network.attach_host(peer_id, router, node)
-            nodes.append(node)
-            engine.schedule_at(float(index * 10), node.start_join)
-
-        engine.run()
-        records = [node.record for node in nodes]
-        assert all(record is not None and record.completed for record in records)
+        peers = [sim.peers[peer_id] for peer_id in arrivals]
+        assert all(peer.neighbors is not None for peer in peers)
         assert scenario.server.peer_count == 20
         # Later joiners should generally receive at least one neighbour.
-        late = records[-1]
+        late = peers[-1]
         assert len(late.neighbors) >= 1
-        assert late.setup_delay > 0
+        assert late.stats.setup_delay_ms > 0
 
 
 class TestStreamingBenefit:

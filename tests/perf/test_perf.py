@@ -827,7 +827,7 @@ class TestProtocolWorkload:
             assert record.cell == ("protocol", 20, None, "inline", None, None, record.loss)
             assert record.ops > 0  # wire messages carried
             counters = record.counters
-            assert counters["discovered_peers"] == 20
+            assert counters["discovered_peers"] == 20  # every peer holds a neighbour list
             assert counters["messages_per_sec"] > 0
             assert counters["maintenance_bytes_per_peer_s"] > 0
             assert counters["discovery_p99_ms"] >= counters["discovery_p50_ms"] > 0

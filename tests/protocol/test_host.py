@@ -12,7 +12,14 @@ import pytest
 
 from repro.core import ManagementServer
 from repro.core.path import RouterPath
-from repro.protocol import Beacon, BeaconAck, ProtocolManagementHost
+from repro.perf.workloads import synthetic_paths
+from repro.protocol import (
+    Beacon,
+    BeaconAck,
+    BeaconingPeer,
+    ProtocolManagementHost,
+    ProtocolSimulation,
+)
 from repro.sim.engine import Engine
 from repro.sim.network import SimulatedNetwork
 
@@ -68,7 +75,8 @@ class TestRegistration:
         assert host.stats.acks_sent == 1
         [(_, sender, ack)] = senders["p0"].received
         assert sender == HOST
-        assert ack == BeaconAck(peer_id="p0", seq=0)
+        # The first peer of a population is told so: an empty list, not None.
+        assert ack == BeaconAck(peer_id="p0", seq=0, neighbors=())
 
     def test_duplicate_beacon_reacks_without_plane_work(self, plane):
         engine, network, server, host, senders = plane
@@ -118,7 +126,69 @@ class TestRegistration:
         assert senders["p0"].received == []
 
 
+class TestAckCarriesTheNeighbourList:
+    def test_registration_ack_is_what_register_peer_returned(self, plane):
+        engine, network, server, host, senders = plane
+        beacon_from(network, "p0", 0)
+        engine.run()
+        beacon_from(network, "p1", 0)
+        engine.run()
+        [(_, _, ack)] = senders["p1"].received
+        assert ack.neighbors == tuple(server.closest_peers("p1"))
+        assert [peer for peer, _ in ack.neighbors] == ["p0"]
+        assert host.stats.lists_sent == 2
+
+    def test_duplicated_join_beacon_registers_once_and_both_acks_carry_the_list(self, plane):
+        engine, network, server, host, senders = plane
+        beacon_from(network, "p0", 0)
+        engine.run()
+        beacon_from(network, "p1", 0)
+        beacon_from(network, "p1", 0)  # wire duplicate / retransmit of the join
+        engine.run()
+        assert host.stats.beacons_registered == 2  # p0 and p1, once each
+        assert host.stats.duplicate_beacons == 1
+        (_, _, first), (_, _, second) = senders["p1"].received
+        assert first == second
+        assert first.neighbors is not None and len(first.neighbors) == 1
+
+    def test_refresh_ack_is_bare_and_a_new_path_is_answered_again(self, plane):
+        engine, network, _server, host, senders = plane
+        beacon_from(network, "p1", 0)
+        beacon_from(network, "p0", 0)
+        engine.run()
+        beacon_from(network, "p0", 1)  # same path: a refresh
+        engine.run()
+        beacon_from(network, "p0", 1)  # its retransmit answers no registration either
+        engine.run()
+        beacon_from(network, "p0", 2, path=path_for("p0", access="a2"))
+        engine.run()
+        lists = [ack.neighbors for _, _, ack in senders["p0"].received]
+        assert lists[1] is None and lists[2] is None
+        assert lists[0] is not None and lists[3] is not None
+        assert host.stats.lists_sent == 3  # p1's join, p0's join, p0's new path
+
+
 class TestQuarantine:
+    @pytest.mark.parametrize(
+        "message",
+        [
+            object(),
+            "garbage",
+            BeaconAck(peer_id="p1", seq=0),
+            Beacon(peer_id="p0", seq=0, path=path_for("p0")),
+        ],
+        ids=["unknown", "text", "wrong-direction", "forged"],
+    )
+    def test_hostile_message_is_one_ban_and_no_plane_work(self, plane, message):
+        engine, network, server, host, senders = plane
+        before = server.stats.as_dict()
+        network.send("p1", HOST, message)
+        engine.run()  # no exception reaches the event loop
+        assert host.stats.peers_banned == 1
+        assert server.stats.as_dict() == before
+        assert server.peer_count == 0
+        assert senders["p1"].received == []  # and nothing is acked
+
     def test_malformed_message_bans_the_sender(self, plane):
         engine, network, server, host, _senders = plane
         network.send("p1", HOST, "garbage")
@@ -171,26 +241,59 @@ class TestExpiry:
         heard_at = 5.0  # delivery latency from router 5 to router 0
         assert heard_at + TTL_MS < expired_log[0][1] <= heard_at + TTL_MS * 1.25 + 1
 
-    def test_expired_peer_reregisters_cleanly_and_dedup_survives_expiry(self, plane):
-        engine, network, server, host, _senders = plane
+    def test_expired_peer_is_a_newcomer_whatever_its_sequence_number(self, plane):
+        engine, network, server, host, senders = plane
         host.start()
         beacon_from(network, "p0", 3)
         engine.run(until=TTL_MS * 3)
         assert not server.has_peer("p0")
-        generation = server._cache.membership_generation
-        # A late retransmit from before the outage must still be deduped —
-        # expiry forgets liveness, not sequence numbers.
+        # Dedup protects a registration the plane holds; this one is gone, so
+        # a copy of the old number registers again (and would be expired
+        # again one TTL later) rather than being acked and left invisible.
         beacon_from(network, "p0", 3)
         engine.run(until=TTL_MS * 3 + 20)
-        assert host.stats.duplicate_beacons == 1
-        assert not server.has_peer("p0")
-        # Resumed beaconing (fresh round) re-registers cleanly.
-        beacon_from(network, "p0", 4)
-        engine.run(until=TTL_MS * 3 + 40)
-        assert server.has_peer("p0")
-        assert host.is_live("p0")
+        assert host.stats.duplicate_beacons == 0
         assert host.stats.beacons_registered == 2
-        assert server._cache.membership_generation > generation
+        assert server.has_peer("p0") and host.is_live("p0")
+        # A restarted daemon counts from 0 again: below the old number, and
+        # still not a duplicate of its previous life.
+        engine.run(until=TTL_MS * 6)
+        assert not server.has_peer("p0")
+        beacon_from(network, "p0", 0)
+        engine.run(until=TTL_MS * 6 + 20)
+        assert server.has_peer("p0")
+        assert host.stats.beacons_registered == 3
+        # Every ack followed a registration the plane held at that moment.
+        assert len(senders["p0"].received) == host.stats.acks_sent == 3
+
+    def test_restarted_daemon_is_registered_when_it_is_acked(self):
+        """Regression: ``acked => registered`` for a peer that comes back.
+
+        The old daemon stops at 1.5 s and is expired; a fresh one for the
+        same id starts 2 x TTL later, counting from sequence number 0.  The
+        host used to deduplicate it against its previous life: after 1.5 s
+        it had two acked rounds and was not in the plane.
+        """
+        paths = synthetic_paths(6, seed=3)
+        returning = paths[0]
+        sim = ProtocolSimulation(paths, seed=2)
+        sim.schedule_stop(returning.peer_id, at_ms=1500.0)
+        restart_at = 1500.0 + 2 * sim.ttl_ms
+        sim.run(restart_at)
+        assert not sim.server.has_peer(returning.peer_id)
+        assert sim.host.stats.peers_expired == 1
+
+        reborn = BeaconingPeer(
+            returning.peer_id, sim.engine, sim.network, sim.host.host_id, returning,
+            config=sim.config, seed=1,
+        )
+        sim.network.attach_host(returning.peer_id, returning.access_router, reborn)
+        reborn.start()
+        sim.engine.run(until=restart_at + 1500.0)
+        assert reborn.stats.rounds_acked == 2
+        assert sim.server.has_peer(returning.peer_id)
+        assert sim.host.is_live(returning.peer_id)
+        assert reborn.neighbors == tuple(sim.server.closest_peers(returning.peer_id))
 
     def test_live_peer_survives_sweeps_while_beaconing(self, plane):
         engine, network, server, host, _senders = plane

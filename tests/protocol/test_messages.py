@@ -38,6 +38,19 @@ class TestWireSize:
 
     def test_ack_size_is_fixed(self):
         assert wire_size(BeaconAck(peer_id="p0", seq=3)) == 28 + 12
+        # "You are the first peer" is a different answer, and costs the same.
+        assert wire_size(BeaconAck(peer_id="p0", seq=3, neighbors=())) == 28 + 12
+
+    def test_list_carrying_ack_grows_linearly_per_entry(self):
+        sizes = [
+            wire_size(
+                BeaconAck(
+                    peer_id="p0", seq=0, neighbors=tuple((f"p{n}", 2.0) for n in range(1, k + 1))
+                )
+            )
+            for k in range(4)
+        ]
+        assert sizes == [28 + 12 + 8 * k for k in range(4)]
 
     def test_non_protocol_messages_rejected(self):
         with pytest.raises(TypeError):

@@ -30,19 +30,31 @@ def path_for(peer, access="a1"):
     return RouterPath.from_routers(peer, "lmA", [f"lmA-{access}", "lmA-core", "lmA"])
 
 
+NEIGHBORS = (("p9", 2.0),)
+
+
 class AckingHost:
-    """Scripted host side: records beacons, optionally acks each one."""
+    """Scripted host side: records beacons, optionally acks each one.
+
+    Like the real host it answers the sequence number that announced a new
+    path with a neighbour list (retransmissions of it included) and every
+    other with a bare ack.
+    """
 
     def __init__(self, engine, network, ack=True):
         self.engine = engine
         self.network = network
         self.ack = ack
         self.beacons = []
+        self.answered = (None, None)  # (path, seq that announced it)
 
     def handle_message(self, sender, message):
         self.beacons.append((self.engine.now, message))
         if self.ack and isinstance(message, Beacon):
-            self.network.send(HOST, sender, BeaconAck(peer_id=sender, seq=message.seq))
+            if message.path != self.answered[0]:
+                self.answered = (message.path, message.seq)
+            neighbors = NEIGHBORS if message.seq == self.answered[1] else None
+            self.network.send(HOST, sender, BeaconAck(sender, message.seq, neighbors))
 
 
 def make_peer(line_graph, config=CONFIG, ack=True, seed=0, **network_kwargs):
@@ -172,6 +184,47 @@ class TestRounds:
         assert not peer.running
 
 
+class TestNeighbourList:
+    def test_peer_keeps_the_last_list_it_was_handed_and_when(self, line_graph):
+        engine, _network, _host, peer = make_peer(line_graph)
+        assert peer.neighbors is None
+        peer.start()
+        engine.run(until=250.0)  # rounds 0..2: one registration, two refreshes
+        assert peer.stats.rounds_acked == 3
+        assert peer.neighbors == NEIGHBORS
+        assert peer.neighbors_at_ms == pytest.approx(10.0)  # bare acks leave it alone
+        assert peer.stats.first_neighbors_at_ms == pytest.approx(10.0)
+        assert peer.stats.setup_delay_ms is None  # handed its path: it never probed
+        peer.update_path(path_for("p0", access="a2"))
+        engine.run(until=280.0)
+        assert peer.neighbors_at_ms == pytest.approx(260.0)
+        assert peer.stats.first_neighbors_at_ms == pytest.approx(10.0)
+
+    def test_unacked_sequence_number_is_reannounced_not_skipped(self, line_graph):
+        """The ack holding the list cannot be skipped by the clock."""
+        engine, _network, host, peer = make_peer(line_graph, ack=False)
+        peer.start()
+        engine.run(until=205.0)  # rounds at 0, 100, 200: all unanswered
+        assert peer.stats.rounds_started == 3
+        assert {beacon.seq for _, beacon in host.beacons} == {0}
+        host.ack = True
+        engine.run(until=350.0)
+        seqs = [beacon.seq for _, beacon in host.beacons]
+        assert seqs[-1] == 1 and set(seqs[:-1]) == {0}  # acked, so the next round moves on
+        assert peer.neighbors == NEIGHBORS
+        assert peer.stats.discovery_latency_ms == pytest.approx(peer.neighbors_at_ms)
+
+    def test_refresh_numbers_are_still_retired_by_the_clock(self, line_graph):
+        """Only the number that first announced a path waits for its ack."""
+        engine, _network, host, peer = make_peer(line_graph)
+        peer.start()
+        engine.run(until=50.0)  # round 0 registered the path and was acked
+        host.ack = False
+        engine.run(until=305.0)  # rounds at 100, 200, 300: unanswered refreshes
+        assert sorted({beacon.seq for _, beacon in host.beacons}) == [0, 1, 2, 3]
+        assert peer.stats.rounds_abandoned == 2  # the round at 300 is still open
+
+
 class TestHandover:
     def test_update_path_beacons_immediately_with_a_fresh_seq(self, line_graph):
         engine, _network, host, peer = make_peer(line_graph)
@@ -198,6 +251,14 @@ class TestHandover:
 
 
 class TestDuplicateAcks:
+    def test_unexpected_messages_are_ignored_not_raised(self, line_graph):
+        """Before its first beacon a peer expects nothing; the wire may still deliver."""
+        _engine, _network, _host, peer = make_peer(line_graph)
+        peer.handle_message(HOST, "garbage")
+        peer.handle_message(HOST, BeaconAck(peer_id="p0", seq=0, neighbors=NEIGHBORS))
+        assert peer.stats.duplicate_acks == 1 and peer.stats.acks_received == 0
+        assert peer.neighbors is None
+
     def test_duplicate_acks_are_counted_not_reapplied(self, line_graph):
         engine, _network, _host, peer = make_peer(line_graph, duplicate_probability=1.0)
         peer.start()

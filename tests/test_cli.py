@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.experiments.results import ResultTable
 from repro.experiments import runner
@@ -72,3 +77,17 @@ class TestShardServeDispatch:
         with pytest.raises(SystemExit):
             main(["shard-serve", "--tcp", "7421"])
         assert "HOST:PORT" in capsys.readouterr().err
+
+
+class TestPackaging:
+    def test_setup_py_names_the_package_and_its_console_script(self):
+        """``repro-experiments`` exists because setup.py says so, offline."""
+        pytest.importorskip("setuptools")
+        setup_py = Path(__file__).resolve().parents[1] / "setup.py"
+        described = subprocess.run(
+            [sys.executable, str(setup_py), "--name", "--version"],
+            capture_output=True, text=True, check=True, cwd=setup_py.parent,
+        ).stdout.split()
+        assert described == ["repro", repro.__version__]
+        assert '"repro-experiments = repro.cli:main"' in setup_py.read_text()
+        assert callable(main)
