@@ -157,9 +157,7 @@ WIRE_FAULT_KINDS = ("drop", "delay", "duplicate", "reorder", "partition")
 #: Backend operations with no return value; the only ones a synchronous
 #: backend can reorder (the caller never waits on a reply, so delivering
 #: the effect late is observable yet well-defined).
-_ONE_WAY_OPS = frozenset(
-    {"register_landmark", "validate_registrable", "insert_paths", "unregister_peer"}
-)
+_ONE_WAY_OPS = frozenset({"register_landmark", "insert_paths", "unregister_peer"})
 
 
 @dataclass(frozen=True)
@@ -383,9 +381,6 @@ class ChaosShardBackend:
     def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None:
         return self._call("register_landmark", self.inner.register_landmark, landmark_id, router)
 
-    def validate_registrable(self, path: RouterPath) -> None:
-        return self._call("validate_registrable", self.inner.validate_registrable, path)
-
     def first_rejected_path(
         self, paths: Sequence[RouterPath]
     ) -> Optional[Tuple[int, BaseException]]:
@@ -393,6 +388,9 @@ class ChaosShardBackend:
 
     def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None:
         return self._call("insert_paths", self.inner.insert_paths, paths, validate=validate)
+
+    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
+        return self._call("join_paths", self.inner.join_paths, paths, k)
 
     def unregister_peer(self, peer_id: PeerId) -> None:
         return self._call("unregister_peer", self.inner.unregister_peer, peer_id)

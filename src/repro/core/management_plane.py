@@ -3,20 +3,22 @@
 :class:`ManagementPlaneBase` holds everything that must behave *identically*
 on the single :class:`~repro.core.management_server.ManagementServer` and on
 the sharded coordinator
-(:class:`~repro.core.sharded.ShardedManagementServer`): the registration
-skeleton, the cache-hit/refill policy of ``closest_peers``, the distance
-estimator, the landmark-distance map and the peer read accessors.  Keeping
-one copy makes the sharded plane's byte-identical-results guarantee hold *by
-construction* for these paths — only the data-plane hooks below differ per
-plane.
+(:class:`~repro.core.sharded.ShardedManagementServer`): the cache pass that
+ends every arrival, the cache-hit/refill policy of ``closest_peers``, the
+distance estimator, the landmark-distance map and the peer read accessors.
+Keeping one copy makes the sharded plane's byte-identical-results guarantee
+hold *by construction* for these paths — only the data-plane hooks below
+differ per plane, and how a path reaches the trees (in process, or as one
+frame per home shard) is each plane's own ``register_peer`` /
+``register_peers``.
 
 Subclass contract
 -----------------
 ``__init__`` must set ``neighbor_set_size``, ``maintain_cache``, ``stats``,
 ``_cache`` (a :class:`~repro.core.neighbor_cache.NeighborCache`),
 ``_peer_landmark``, ``_paths``, ``_landmark_routers`` and
-``_landmark_distances``; the subclass implements the data-plane hooks
-``_validate_path``, ``_insert_path``, ``_compute_neighbors``,
+``_landmark_distances``; the subclass implements ``register_peer``,
+``register_peers`` and the data-plane hooks ``_compute_neighbors``,
 ``unregister_peer``, ``tree`` and ``_live_trees``.
 
 Change record
@@ -170,14 +172,6 @@ class ManagementPlaneBase:
     changes: Optional[ChangeRecord] = None
 
     # -------------------------------------------------------- data-plane hooks
-
-    def _validate_path(self, path: RouterPath) -> None:
-        """Raise if ``path`` cannot be inserted (plane-specific routing)."""
-        raise NotImplementedError
-
-    def _insert_path(self, path: RouterPath) -> None:
-        """Insert one validated path into the plane's trees and indexes."""
-        raise NotImplementedError
 
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
         """A peer's closest peers computed from the trees (plus fill)."""
@@ -387,41 +381,20 @@ class ManagementPlaneBase:
 
     # -------------------------------------------------------------- register
 
-    def register_peer(self, path: RouterPath) -> List[Tuple[PeerId, float]]:
-        """Round 2 of the join protocol: insert the path, return closest peers.
-
-        Returns the newcomer's neighbour list (up to ``neighbor_set_size``
-        entries of ``(peer_id, estimated_distance)``), which is also what the
-        plane caches for subsequent O(1) queries.
-        """
-        self._validate_path(path)
-        if path.peer_id in self._peer_landmark:
-            self.unregister_peer(path.peer_id)
-        self._insert_path(path)
-
-        neighbors = self._compute_neighbors(path.peer_id)
-        if self.maintain_cache:
-            self._cache.store(
-                path.peer_id, neighbors, complete=len(neighbors) < self.neighbor_set_size
-            )
-            self._cache.propagate_newcomer(path.peer_id, neighbors)
-        return neighbors
-
     def _neighbor_phase(
-        self, pending: Dict[PeerId, RouterPath]
+        self, results: Dict[PeerId, List[Tuple[PeerId, float]]]
     ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
-        """Phase 2 of a batch arrival: neighbour lists + cache propagation.
+        """The cache pass that ends an arrival, single or batched.
 
-        Runs after every batch path has landed in the trees, so each
-        newcomer's list (and each propagated update) already sees the whole
-        batch.  The lists are computed first — the trees are static during
-        the phase — and then stored/propagated in input order, exactly like
-        sequential arrivals would.
+        ``results`` holds each newcomer's computed list, in input order.
+        The caller computed them after every path of the arrival had landed
+        in the trees — which are static from then on — so each list (and
+        each propagated update) already sees the whole batch; they are
+        stored and propagated in input order, exactly like sequential
+        arrivals would.
         """
-        results = {peer_id: self._compute_neighbors(peer_id) for peer_id in pending}
         if self.maintain_cache:
-            for peer_id in pending:
-                neighbors = results[peer_id]
+            for peer_id, neighbors in results.items():
                 self._cache.store(
                     peer_id, neighbors, complete=len(neighbors) < self.neighbor_set_size
                 )

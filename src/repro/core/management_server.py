@@ -61,10 +61,14 @@ A :class:`ManagementServer` can also serve as one **shard** of the sharded
 management plane.  The coordinator drives it through a small data-plane
 surface (see :class:`~repro.core.sharded.ShardBackend`):
 
-* :meth:`validate_registrable` / :meth:`insert_paths` /
-  :meth:`unregister_peer` — landmark-tree membership, no neighbour-list work;
+* :meth:`join_paths` — a shard's whole part in an arrival, one call (one
+  frame on a remote backend): validate, insert, and the index query for
+  every path just inserted;
+* :meth:`first_rejected_path` / :meth:`insert_paths` /
+  :meth:`unregister_peer` — landmark-tree membership, no neighbour-list
+  work; ``insert_paths`` alone is what a journal replays;
 * :meth:`local_closest` — the index query over the peer's own landmark
-  tree;
+  tree, for cold queries and refills;
 * :meth:`fill_candidates` — this shard's lazily merged candidate stream over
   its per-landmark min-hop orderings (the root rows), the inter-shard half
   of the cross-landmark fill protocol.
@@ -219,6 +223,20 @@ class ManagementServer(ManagementPlaneBase):
 
     # -------------------------------------------------------------- register
 
+    def register_peer(self, path: RouterPath) -> List[Tuple[PeerId, float]]:
+        """Round 2 of the join protocol: insert the path, return closest peers.
+
+        Returns the newcomer's neighbour list (up to ``neighbor_set_size``
+        entries of ``(peer_id, estimated_distance)``), which is also what the
+        plane caches for subsequent O(1) queries.
+        """
+        self.validate_registrable(path)
+        if path.peer_id in self._peer_landmark:
+            self.unregister_peer(path.peer_id)
+        self._insert_path(path)
+        neighbors = self._compute_neighbors(path.peer_id)
+        return self._neighbor_phase({path.peer_id: neighbors})[path.peer_id]
+
     def register_peers(
         self, paths: Sequence[RouterPath]
     ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
@@ -234,10 +252,10 @@ class ManagementServer(ManagementPlaneBase):
         in the batch keeps its last path).
         """
         self.insert_paths(paths)
-        pending: Dict[PeerId, RouterPath] = {}
-        for path in paths:
-            pending[path.peer_id] = path
-        return self._neighbor_phase(pending)
+        peers = dict.fromkeys(path.peer_id for path in paths)
+        return self._neighbor_phase(
+            {peer_id: self._compute_neighbors(peer_id) for peer_id in peers}
+        )
 
     def unregister_peer(self, peer_id: PeerId) -> None:
         """Remove a departing peer from its tree and from the cached lists.
@@ -318,6 +336,20 @@ class ManagementServer(ManagementPlaneBase):
             if path.peer_id in self._peer_landmark:
                 self.unregister_peer(path.peer_id)
             self._insert_path(path)
+
+    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
+        """Compound arrival: :meth:`insert_paths`, then each path's :meth:`local_closest`.
+
+        Everything a shard contributes to an arrival in ONE call — one frame
+        and one reply on a remote backend, where the two halves used to be
+        two round trips plus one per peer.  The lists come back in input
+        order and are read after the whole batch landed, so co-arriving
+        peers already see each other.  It *is* those two methods, called by
+        name: validation, replacement of a peer already on this shard, the
+        counters and a trace of either mean here what they mean there.
+        """
+        self.insert_paths(paths)
+        return [self.local_closest(path.peer_id, k) for path in paths]
 
     def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
         """Closest peers from the peer's own landmark tree (no cross fill).
@@ -447,9 +479,6 @@ class ManagementServer(ManagementPlaneBase):
             self._cache.import_state(cache)  # type: ignore[arg-type]
 
     # -------------------------------------------------------------- internals
-
-    def _validate_path(self, path: RouterPath) -> None:
-        self.validate_registrable(path)
 
     def _insert_path(self, path: RouterPath) -> None:
         """Insert one validated path into the tree and the server indexes."""

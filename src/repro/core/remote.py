@@ -29,10 +29,11 @@ exceptions carry the message but not constructor-specific attributes like
 
 Batching and chunking rules
 ---------------------------
-* **Arrival is batched**: a co-arriving batch crosses the transport as ONE
-  ``validate_batch`` request and ONE ``insert_paths`` request per shard,
-  each carrying every encoded path for that shard, so arrival cost per peer
-  stays O(path length), not O(round trips).
+* **Arrival is one frame**: a newcomer, or a shard's whole slice of a
+  co-arriving batch, crosses the transport as ONE ``join_paths`` request
+  whose reply carries each path's local closest list, so arrival cost per
+  peer stays O(path length), not O(round trips).  Only a batch that spans
+  shards, re-registers or repeats a peer sends ONE ``validate_batch`` first.
 * **fill_candidates is chunked and lazy**: the shard keeps the lazily
   heap-merged candidate stream; the client generator opens it on first use
   (``fill_open``), pulls :data:`DEFAULT_FILL_CHUNK` candidates per
@@ -64,10 +65,11 @@ rebuilds the shard's trees and min-hop orderings to a byte-identical state
 the same sorted keys).  Mutating requests only touch coordinator state
 *after* the shard acknowledged them, so a crash mid-operation leaves the
 coordinator consistent with the journal for single-operation
-arrival/departure/query.  A batch ``register_peers`` is not atomic across a
-shard crash: the coordinator may have recorded peers whose insert never
-reached the failed shard — restart, replay and re-register the batch to
-converge.
+arrival/departure/query: a failed join leaves no peer behind.  A batch
+``register_peers`` that spans shards is not atomic across a shard crash:
+the coordinator records none of it while the shards that acknowledged hold
+their slice — restart, replay and re-register the batch (a peer a shard
+already holds is replaced) to converge.
 
 Self-healing
 ------------
@@ -102,6 +104,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .. import exceptions as _exceptions
@@ -214,9 +217,16 @@ def _rebuild_exception(type_name: str, message: str) -> BaseException:
     candidate = getattr(_exceptions, type_name, None)
     if not (isinstance(candidate, type) and issubclass(candidate, BaseException)):
         candidate = getattr(builtins, type_name, None)
-    if not (isinstance(candidate, type) and issubclass(candidate, BaseException)):
+    # An honest shard reports what ``except Exception`` caught: a name that
+    # would unwind the coordinator or end a generator is a protocol violation.
+    if not (isinstance(candidate, type) and issubclass(candidate, Exception)) or issubclass(
+        candidate, (StopIteration, StopAsyncIteration)
+    ):
         return WireProtocolError(f"{type_name}: {message}")
-    error = candidate.__new__(candidate)
+    try:
+        error = candidate.__new__(candidate)
+    except TypeError:  # ExceptionGroup: nothing without members the wire never carries
+        return WireProtocolError(f"{type_name}: {message}")
     BaseException.__init__(error, message)
     return error
 
@@ -275,8 +285,6 @@ def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args
     if op == "register_landmark":
         landmark_id, router = args
         return server.register_landmark(landmark_id, router)
-    if op == "validate":
-        return server.validate_registrable(decode_path(args[0]))
     if op == "validate_batch":
         rejected = server.first_rejected_path([decode_path(p) for p in args[0]])
         if rejected is None:
@@ -286,6 +294,9 @@ def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args
     if op == "insert_paths":
         encoded_paths, validate = args
         return server.insert_paths([decode_path(p) for p in encoded_paths], validate=validate)
+    if op == "join_paths":
+        encoded_paths, k = args
+        return server.join_paths([decode_path(p) for p in encoded_paths], k)
     if op == "unregister":
         return server.unregister_peer(args[0])
     if op == "local_closest":
@@ -478,12 +489,14 @@ class ShardSupervisorBase:
         self,
         op: str,
         args: Tuple[object, ...],
-        journal: bool = False,
+        journal: Union[bool, Tuple[str, Tuple[object, ...]]] = False,
         timeout: Optional[float] = None,
         recoverable: bool = True,
     ) -> object:
         """One request/reply round trip; journals mutating ops on success.
 
+        ``journal=True`` journals the request itself; a compound request
+        passes the ``(op, args)`` of the mutation it contains instead.
         With a :class:`RecoveryPolicy` installed, a transport failure on a
         ``recoverable`` request runs the bounded restart+replay+re-issue
         loop before giving up.  Pass ``recoverable=False`` for requests that
@@ -497,7 +510,7 @@ class ShardSupervisorBase:
                 raise
             value = self._recover(op, args, timeout, error)
         if journal:
-            self._journal.append((op, args))
+            self._journal.append((op, args) if journal is True else journal)
             self._maybe_compact()
         return value
 
@@ -600,9 +613,6 @@ class SupervisedShardBackend:
     def register_landmark(self, landmark_id: LandmarkId, router) -> None:
         self.supervisor.request("register_landmark", (landmark_id, router), journal=True)
 
-    def validate_registrable(self, path: RouterPath) -> None:
-        self.supervisor.request("validate", (encode_path(path),))
-
     def first_rejected_path(
         self, paths: Sequence[RouterPath]
     ) -> Optional[Tuple[int, BaseException]]:
@@ -621,6 +631,24 @@ class SupervisedShardBackend:
             (tuple(encode_path(path) for path in paths), validate),
             journal=True,
         )
+
+    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
+        """One round trip, journaled on ack as the ``insert_paths`` it contains
+        (validated by then): journal, replay and compaction stay what they were."""
+        encoded = tuple(encode_path(path) for path in paths)
+        result = self.supervisor.request(
+            "join_paths", (encoded, k), journal=("insert_paths", (encoded, False))
+        )
+        try:
+            lists = [[(peer, float(distance)) for peer, distance in pairs] for pairs in result]  # type: ignore[union-attr]
+            # One list per path, no peer twice; dict() also refuses a peer
+            # id that could never key the coordinator's cache.
+            if len(lists) == len(paths) and all(len(dict(pairs)) == len(pairs) for pairs in lists):
+                return lists
+        except (TypeError, ValueError):
+            pass
+        # Acknowledged, so journaled; but no answer to record peers on.
+        raise ShardUnavailableError(self.name, "malformed reply to 'join_paths'")
 
     def unregister_peer(self, peer_id: PeerId) -> None:
         self.supervisor.request("unregister", (peer_id,), journal=True)

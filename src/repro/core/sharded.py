@@ -20,11 +20,13 @@ shard by default, or a remote shard behind
 (``shard_factory=shard_factory_for("process" | "socket", ...)``) — any
 backend speaking the same methods:
 
-* **Arrival** — one ``first_rejected_path`` batch validation per home shard
-  first (no partial batch failure; the per-shard results merge by input
-  index, so the surfaced error is the single server's), then
-  ``insert_paths`` once per shard: a batch of co-arriving peers fans out
-  into one validation and one insert round trip per shard, never per peer.
+* **Arrival** — ONE ``join_paths`` call per home shard validates and
+  inserts that shard's slice of the batch and answers with each path's
+  local closest list: a newcomer, or a co-arriving batch, costs a remote
+  backend one frame per shard, never one per step or per peer.  A batch
+  that spans shards, re-registers a peer or names one twice is validated
+  on every home shard first (``first_rejected_path``; no partial batch
+  failure, and the surfaced error is the single server's).
 * **Departure** — ``unregister_peer`` on the peer's home shard removes it
   from that shard's tree and min-hop ordering; the coordinator's shared
   :class:`~repro.core.neighbor_cache.NeighborCache` repairs exactly the
@@ -105,13 +107,13 @@ class ShardBackend(Protocol):
 
     def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None: ...
 
-    def validate_registrable(self, path: RouterPath) -> None: ...
-
     def first_rejected_path(
         self, paths: Sequence[RouterPath]
     ) -> Optional[Tuple[int, BaseException]]: ...
 
     def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None: ...
+
+    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]: ...
 
     def unregister_peer(self, peer_id: PeerId) -> None: ...
 
@@ -295,10 +297,6 @@ class ShardedManagementServer(ManagementPlaneBase):
             index = self._ring.node_for(landmark_id)
         return index
 
-    def _home_shard(self, landmark_id: LandmarkId) -> ShardBackend:
-        """The shard owning ``landmark_id`` (see :meth:`_home_shard_index`)."""
-        return self._shards[self._home_shard_index(landmark_id)]
-
     # -------------------------------------------------------------- landmarks
 
     def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None:
@@ -345,61 +343,75 @@ class ShardedManagementServer(ManagementPlaneBase):
 
     # -------------------------------------------------------------- register
 
+    def register_peer(self, path: RouterPath) -> List[Tuple[PeerId, float]]:
+        """A single arrival is a batch of one: see :meth:`register_peers`."""
+        return self.register_peers([path])[path.peer_id]
+
     def register_peers(
         self, paths: Sequence[RouterPath]
     ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
-        """Batch arrival: per-shard tree inserts first, then one cache pass.
+        """Arrival: one ``join_paths`` call per home shard, then one cache pass.
 
-        Validates every path up front as ONE ``first_rejected_path`` call
-        per home shard (validation is read-only, so per-shard grouping is
-        safe; merging the per-shard results by input index reproduces the
-        single server's first-invalid-path-in-input-order error exactly),
-        performs the tree inserts as one ``insert_paths`` call per shard —
-        so a remote backend pays round trips per shard, not per path — then
-        computes neighbour lists and propagates cache updates exactly like
-        the single server: co-arriving peers see each other immediately and
-        results match the single server byte for byte.
+        The shard's own validation is enough when nothing has to happen
+        between validating and inserting: one home shard, no peer the
+        coordinator already holds, none repeated (every fresh single
+        arrival).  Otherwise a departure, or another shard's insert, must
+        wait until *every input path* — a superseded one included — is
+        accepted: ONE read-only ``first_rejected_path`` call per home shard
+        goes first, and merging the results by input index reproduces the
+        single server's first-invalid-path-in-input-order error exactly.
+        Membership is written only after every home shard acknowledged, so
+        a shard failing mid-arrival leaves no peer here it does not hold;
+        lists and cache updates then follow exactly like the single server.
         """
-        to_validate: Dict[int, List[Tuple[int, RouterPath]]] = {}
+        by_home: Dict[int, List[Tuple[int, RouterPath]]] = {}
+        pending: Dict[PeerId, RouterPath] = {}
         for input_index, path in enumerate(paths):
             shard_index = self._home_shard_index(path.landmark_id)
-            to_validate.setdefault(shard_index, []).append((input_index, path))
-        first_error: Optional[Tuple[int, BaseException]] = None
-        for shard_index, indexed in to_validate.items():
-            rejected = self._shards[shard_index].first_rejected_path(
-                [path for _, path in indexed]
-            )
-            if rejected is not None:
-                input_index = indexed[rejected[0]][0]
-                if first_error is None or input_index < first_error[0]:
-                    first_error = (input_index, rejected[1])
-        if first_error is not None:
-            raise first_error[1]
+            by_home.setdefault(shard_index, []).append((input_index, path))
+            pending[path.peer_id] = path
+        join_validates = (
+            len(by_home) == 1
+            and len(pending) == len(paths)
+            and self._peer_landmark.keys().isdisjoint(pending)
+        )
+        if not join_validates:
+            rejections: List[Tuple[int, BaseException]] = []
+            for shard_index, indexed in by_home.items():
+                rejected = self._shards[shard_index].first_rejected_path(
+                    [path for _, path in indexed]
+                )
+                if rejected is not None:
+                    rejections.append((indexed[rejected[0]][0], rejected[1]))
+            if rejections:
+                raise min(rejections, key=lambda rejection: rejection[0])[1]
+            for peer_id in pending:
+                if peer_id in self._peer_landmark:
+                    self.unregister_peer(peer_id)
 
-        pending: Dict[PeerId, RouterPath] = {}
+        by_shard: Dict[int, List[RouterPath]] = {}
+        for path in pending.values():
+            by_shard.setdefault(self._home_shard_index(path.landmark_id), []).append(path)
+        local: Dict[PeerId, List[Tuple[PeerId, float]]] = {}
+        for shard_index, shard_paths in by_shard.items():
+            lists = self._shards[shard_index].join_paths(shard_paths, self.neighbor_set_size)
+            local.update(zip((path.peer_id for path in shard_paths), lists))
+
         for path in paths:
-            if path.peer_id in pending:
-                # In-batch re-registration: the single server removes and
-                # re-inserts, moving the peer to the end of the registration
-                # order; its cache effects are no-ops at this stage.
-                self._peer_landmark.pop(path.peer_id, None)
-                self._paths.pop(path.peer_id, None)
-            elif path.peer_id in self._peer_landmark:
-                self.unregister_peer(path.peer_id)
+            # A peer repeated in the batch is removed and re-inserted by the
+            # single server, which moves it to the end of the registration
+            # order; its cache effects are no-ops at this stage.
+            self._peer_landmark.pop(path.peer_id, None)
+            self._paths.pop(path.peer_id, None)
             self._peer_landmark[path.peer_id] = path.landmark_id
             self._paths[path.peer_id] = path
             self.stats.registrations += 1
             self._cache.note_membership_change()
             if self.changes is not None:
                 self._peer_changed(path.peer_id)
-            pending[path.peer_id] = path
-
-        by_shard: Dict[int, List[RouterPath]] = {}
-        for path in pending.values():
-            by_shard.setdefault(self._landmark_shard[path.landmark_id], []).append(path)
-        for shard_index, shard_paths in by_shard.items():
-            self._shards[shard_index].insert_paths(shard_paths, validate=False)
-        return self._neighbor_phase(pending)
+        return self._neighbor_phase(
+            {peer_id: self._compute_neighbors(peer_id, local=local[peer_id]) for peer_id in pending}
+        )
 
     def unregister_peer(self, peer_id: PeerId) -> None:
         """Remove a departing peer from its home shard and the cached lists.
@@ -418,14 +430,13 @@ class ShardedManagementServer(ManagementPlaneBase):
         try:
             self._shards[self._landmark_shard[landmark_id]].unregister_peer(peer_id)
         except UnknownPeerError:
-            # A shard crash mid-register_peers can leave the coordinator
-            # ahead of the (replayed) shard: the peer's insert never reached
-            # it.  The peer is already absent shard-side, which is exactly
-            # what a departure wants — proceed with coordinator cleanup so
-            # the documented restart + replay + re-register recovery
-            # converges instead of dead-ending on a phantom peer.  An inline
-            # shard can never take this branch (coordinator and shard
-            # membership move in lock step in one process).
+            # The shard no longer holds a peer the coordinator does: a
+            # departure whose reply was lost — applied and journaled there,
+            # ShardUnavailableError here — is being retried.  Absent
+            # shard-side is exactly what a departure wants, so finish the
+            # coordinator's half instead of dead-ending on a phantom peer.
+            # An inline shard can never take this branch (coordinator and
+            # shard membership move in lock step in one process).
             pass
         del self._peer_landmark[peer_id]
         self._paths.pop(peer_id)
@@ -438,22 +449,6 @@ class ShardedManagementServer(ManagementPlaneBase):
 
     # -------------------------------------------------------------- internals
 
-    def _validate_path(self, path: RouterPath) -> None:
-        """Route validation to the path's home shard (ring placement)."""
-        self._home_shard(path.landmark_id).validate_registrable(path)
-
-    def _insert_path(self, path: RouterPath) -> None:
-        """Insert one already-validated path on its home shard and index it."""
-        self._shards[self._landmark_shard[path.landmark_id]].insert_paths(
-            [path], validate=False
-        )
-        self._peer_landmark[path.peer_id] = path.landmark_id
-        self._paths[path.peer_id] = path
-        self.stats.registrations += 1
-        self._cache.note_membership_change()
-        if self.changes is not None:
-            self._peer_changed(path.peer_id)
-
     def _live_trees(self) -> Optional[Dict[LandmarkId, PathTree]]:
         """The inline shards' tries; None as soon as one shard is remote."""
         trees: Dict[LandmarkId, PathTree] = {}
@@ -463,13 +458,20 @@ class ShardedManagementServer(ManagementPlaneBase):
             trees.update(shard._trees)
         return trees
 
-    def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
-        """Home-shard tree query plus (if short) the inter-shard fill merge."""
+    def _compute_neighbors(
+        self,
+        peer_id: PeerId,
+        k: Optional[int] = None,
+        local: Optional[List[Tuple[PeerId, float]]] = None,
+    ) -> List[Tuple[PeerId, float]]:
+        """Home-shard tree query (or ``local``, the list an arrival's
+        ``join_paths`` brought back) plus, if short, the inter-shard fill merge."""
         k = k or self.neighbor_set_size
         landmark_id = self._peer_landmark[peer_id]
-        home = self._shards[self._landmark_shard[landmark_id]]
         self.stats.tree_queries += 1
-        neighbors = home.local_closest(peer_id, k)
+        neighbors = local
+        if neighbors is None:
+            neighbors = self._shards[self._landmark_shard[landmark_id]].local_closest(peer_id, k)
         if len(neighbors) >= k:
             return neighbors[:k]
 

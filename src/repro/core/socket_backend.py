@@ -335,6 +335,8 @@ class ShardServer:
     Shard state is **per connection** — two clients never share a
     ``ManagementServer``, and a dropped connection takes its shard with it
     (the client's journal replay rebuilds it byte-identically on reconnect).
+    A request is answered in the event-loop turn that read it: no future,
+    task wake-up or second selector pass per frame.
     """
 
     def __init__(self) -> None:
@@ -349,15 +351,17 @@ class ShardServer:
         An already-listening Unix socket (the one a :class:`ChildShardServer`
         hands its child) is adopted as it is.
         """
+        loop = asyncio.get_running_loop()
+        connection = lambda: _ShardConnection(self)  # noqa: E731 - the protocol factory
         if isinstance(address, socket.socket):
-            server = await asyncio.start_unix_server(self._handle_connection, sock=address)
+            server = await loop.create_unix_server(connection, sock=address)
             resolved: Address = address.getsockname()
         elif isinstance(address, str):
-            server = await asyncio.start_unix_server(self._handle_connection, path=address)
+            server = await loop.create_unix_server(connection, path=address)
             resolved = address
         else:
             host, port = address
-            server = await asyncio.start_server(self._handle_connection, host=host, port=port)
+            server = await loop.create_server(connection, host=host, port=port)
             bound = server.sockets[0].getsockname()
             resolved = (bound[0], bound[1])
         self._servers.append(server)
@@ -371,95 +375,97 @@ class ShardServer:
             await server.wait_closed()
         self._servers.clear()
 
-    async def _handle_connection(self, reader: asyncio.StreamReader, writer) -> None:
-        self.connections_served += 1
-        handler: Optional[ShardRequestHandler] = None
-        try:
-            while True:
-                message = await self._read_frame(reader)
-                if message is None:
-                    break
+
+def _protocol_error(request_id: int, message: str):
+    """The typed ``WireProtocolError`` reply (``None`` for a one-way request)."""
+    return (request_id, "err", "WireProtocolError", message) if request_id else None
+
+
+class _ShardConnection(asyncio.Protocol):
+    """One client connection: every complete frame buffered is served, in order.
+
+    Once framing or a request is in doubt — an oversized header, an
+    undecodable body, a well-framed body that is not a request (wrong
+    arity, unhashable ids, nesting too deep to answer), EOF mid-frame (the
+    partial-frame corruption) — nothing later on the stream can be trusted:
+    this connection is dropped, and the connection-scoped shard dies with it.
+    """
+
+    def __init__(self, server: ShardServer) -> None:
+        self._server = server
+        self._handler: Optional[ShardRequestHandler] = None
+        self._buffer = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self._server.connections_served += 1
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve_buffered()
+
+    def _serve_buffered(self) -> None:
+        buffer, transport = self._buffer, self._transport
+        # Asked per frame: a reply can fill the write buffer (see
+        # pause_writing), and what is already buffered here then waits too.
+        while transport.is_reading() and len(buffer) >= _HEADER.size:
+            (declared,) = _HEADER.unpack_from(buffer)
+            if declared > MAX_FRAME_BYTES:  # before a byte of body is waited for
+                return transport.close()
+            end = _HEADER.size + declared
+            if len(buffer) < end:
+                return
+            frame = bytes(buffer[:end])
+            del buffer[:end]
+            try:
+                message = decode_frame(frame)
                 args = message[2] if len(message) > 2 else ()
-                try:
-                    handler, reply = self._apply(handler, message[0], message[1], args)
-                    frame = encode_frame(reply) if reply is not None else None
-                except Exception:  # noqa: BLE001 - untrusted input, see below
-                    # A well-framed body that is not a request (wrong arity,
-                    # unhashable ids, nesting too deep to answer) gets the
-                    # verdict of an undecodable one: drop this connection only.
-                    break
-                if frame is not None:
-                    try:
-                        writer.write(frame)
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break
-        finally:
-            if handler is not None:
-                handler.close()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+                reply = self._apply(message[0], message[1], args)
+                if reply is not None:
+                    transport.write(encode_frame(reply))
+            except Exception:  # noqa: BLE001 - untrusted input must never reach the loop
+                return transport.close()
 
-    async def _read_frame(self, reader: asyncio.StreamReader):
-        """One decoded request, or ``None`` when the connection is done for.
-
-        Truncated frames (EOF mid-body — the partial-frame corruption),
-        oversized headers and undecodable bodies all drop the connection:
-        once framing is in doubt, nothing later on the stream can be
-        trusted, and the connection-scoped shard dies with it.
-        """
-        try:
-            header = await reader.readexactly(_HEADER.size)
-            (declared,) = _HEADER.unpack(header)
-            if declared > MAX_FRAME_BYTES:
-                return None
-            body = await reader.readexactly(declared)
-            return decode_frame(header + body)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, WireProtocolError):
-            return None
-
-    def _apply(
-        self,
-        handler: Optional[ShardRequestHandler],
-        request_id: int,
-        op: str,
-        args: Tuple[object, ...],
-    ):
-        """Apply one request; returns ``(handler, reply)``.
-
-        The handler comes back because an accepted ``hello`` swaps a fresh
-        shard in for this connection (closing the previous tenant's).
-        """
+    def _apply(self, request_id: int, op: str, args: Tuple[object, ...]):
+        """Apply one request; returns the reply (``None`` for a one-way one)."""
         if op == "hello":
             try:
                 version, neighbor_set_size = args
             except (TypeError, ValueError):
                 version, neighbor_set_size = None, None
             if version != PROTOCOL_VERSION:
-                return handler, _protocol_error(
+                return _protocol_error(
                     request_id,
                     f"server speaks protocol {PROTOCOL_VERSION}, client sent {version!r}",
                 )
             fresh = ShardRequestHandler(int(neighbor_set_size))  # type: ignore[arg-type]
-            if handler is not None:
-                handler.close()
-            self._generation += 1
-            reply = (request_id, "ok", (PROTOCOL_VERSION, self._generation))
-            return fresh, reply if request_id else None
-        if handler is None:
+            if self._handler is not None:
+                self._handler.close()  # the previous tenant's shard goes
+            self._handler = fresh
+            self._server._generation += 1
+            reply = (request_id, "ok", (PROTOCOL_VERSION, self._server._generation))
+            return reply if request_id else None
+        if self._handler is None:
             # Everything but hello needs a shard; answering typed (instead
             # of dropping the connection) lets the client fail fast with a
             # ShardUnavailableError naming the real problem.
-            return None, _protocol_error(
+            return _protocol_error(
                 request_id, f"operation {op!r} before hello on this connection"
             )
-        return handler, handler.handle(request_id, op, args)
+        return self._handler.handle(request_id, op, args)
 
+    def pause_writing(self) -> None:
+        # The client is not reading its replies: stop reading its requests,
+        # or the replies it never collects pile up here without bound.
+        self._transport.pause_reading()
 
-def _protocol_error(request_id: int, message: str):
-    """The typed ``WireProtocolError`` reply (``None`` for a one-way request)."""
-    return (request_id, "err", "WireProtocolError", message) if request_id else None
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+        self._serve_buffered()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._handler is not None:
+            self._handler.close()
 
 
 class LocalShardServer:

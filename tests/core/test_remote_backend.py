@@ -27,9 +27,15 @@ import time
 import pytest
 
 from repro.core import ManagementServer, ShardBackend, ShardedManagementServer
+from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.codec import decode_frame, decode_path, encode_frame, encode_path
 from repro.core.path import RouterPath
-from repro.core.remote import DEFAULT_REQUEST_TIMEOUT, RecoveryPolicy, shard_factory_for
+from repro.core.remote import (
+    DEFAULT_REQUEST_TIMEOUT,
+    RecoveryPolicy,
+    _rebuild_exception,
+    shard_factory_for,
+)
 from repro.core.socket_backend import LocalShardServer, SocketShardBackend
 from repro.exceptions import (
     RegistrationError,
@@ -43,6 +49,10 @@ def simple_path(peer, landmark, access="a1"):
     return RouterPath.from_routers(
         peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
     )
+
+
+def path_to(peer, landmark, routers):
+    return RouterPath.from_routers(peer, landmark, routers)
 
 
 @pytest.fixture(params=("process", "socket"))
@@ -188,7 +198,7 @@ class TestBackendParity:
                 return (type(error).__name__, str(error))
 
         for action in (
-            lambda s: s.validate_registrable(simple_path("px", "unknown-lm")),
+            lambda s: s.join_paths([simple_path("px", "unknown-lm")], 3),
             lambda s: s.unregister_peer("ghost"),
             lambda s: s.local_closest("ghost", 3),
             lambda s: s.tree("unknown-lm"),
@@ -202,7 +212,32 @@ class TestBackendParity:
         with pytest.raises(UnknownPeerError):
             backend.unregister_peer("ghost")
         with pytest.raises(RegistrationError):
-            backend.validate_registrable(simple_path("px", "unknown-lm"))
+            backend.join_paths([simple_path("px", "unknown-lm")], 3)
+
+    @pytest.mark.parametrize(
+        "name", ["SystemExit", "KeyboardInterrupt", "GeneratorExit", "StopIteration"]
+    )
+    def test_an_err_reply_cannot_name_what_except_exception_never_caught(
+        self, backend, name, monkeypatch
+    ):
+        """A reply must not make the coordinator exit, look interrupted or end
+        a generator: such a name is a protocol violation, typed like any other."""
+        seed_peers(backend)
+        conn = backend.supervisor.connection
+        honest = conn.recv_frame
+        monkeypatch.setattr(
+            conn, "recv_frame", lambda budget: (honest(budget)[0], "err", name, "boom")
+        )
+        with pytest.raises(ShardUnavailableError) as error:
+            backend.local_closest("p0", 3)
+        assert backend.name in str(error.value) and name in str(error.value)
+        with pytest.raises(ShardUnavailableError):  # not an untyped RuntimeError
+            list(backend.fill_candidates({"lmA": 1.0}))
+        monkeypatch.undo()
+        # The honest vocabulary still crosses as itself, builtins included.
+        assert type(_rebuild_exception("KeyError", "k")) is KeyError
+        assert type(_rebuild_exception("UnknownPeerError", "p")) is UnknownPeerError
+        assert backend.local_closest("p0", 3)  # the channel was never desynchronised
 
     def test_tree_returns_an_isolated_snapshot(self, pair):
         shard, inline = pair
@@ -344,16 +379,16 @@ class TestFaultInjection:
             simple_path("p1", "lmB", "a0"),
             simple_path("p2", "lmA", "a1"),
         ]
-        original_insert = victim.insert_paths
+        original_join = victim.join_paths
 
-        def crash_before_insert(paths, validate=True):
+        def crash_before_insert(paths, k):
             victim.supervisor.kill()
-            return original_insert(paths, validate=validate)
+            return original_join(paths, k)
 
-        victim.insert_paths = crash_before_insert
+        victim.join_paths = crash_before_insert
         with pytest.raises(ShardUnavailableError):
             plane.register_peers(batch)
-        victim.insert_paths = original_insert
+        victim.join_paths = original_join
 
         victim.restart()
         assert victim.health_check()
@@ -377,6 +412,205 @@ class TestFaultInjection:
             backend.unregister_peer("ghost")  # rejected => not journaled
         ops = [op for op, _ in backend.supervisor.journal]
         assert ops == ["register_landmark", "insert_paths"]
+
+
+def spread_plane(backend_name, shard_factory=None, k=3):
+    """Two shards that each own a landmark (``lmA`` on one, ``lmC`` on the
+    other — ``lmB`` shares ``lmA``'s), with the single server fed the same."""
+    distances = {("lmA", "lmC"): 4.0}
+    plane = ShardedManagementServer(
+        2,
+        neighbor_set_size=k,
+        landmark_distances=distances,
+        shard_factory=shard_factory or shard_factory_for(backend_name, k),
+    )
+    reference = ManagementServer(neighbor_set_size=k, landmark_distances=distances)
+    for landmark in ("lmA", "lmC"):
+        plane.register_landmark(landmark, landmark)
+        reference.register_landmark(landmark, landmark)
+    assert plane.shard_of("lmA") != plane.shard_of("lmC")
+    return plane, reference
+
+
+def record_requests(plane):
+    """Per shard, the ops of every ``supervisor.request`` from here on."""
+    log = [[] for _ in plane.shards]
+    for ops, shard in zip(log, plane.shards):
+
+        def recording(op, args, *rest, _ops=ops, _request=shard.supervisor.request, **kwargs):
+            _ops.append(op)
+            return _request(op, args, *rest, **kwargs)
+
+        shard.supervisor.request = recording
+    return log
+
+
+def journal_ops(plane):
+    return [[op for op, _ in shard.supervisor.journal] for shard in plane.shards]
+
+
+def shard_counts(plane):
+    stats = [shard.worker_stats() for shard in plane.shards]
+    return [(s["registrations"], s["removals"]) for s in stats]
+
+
+class TestArrivalRoundTrips:
+    """A remote join is ONE frame: the count is asserted, not only measured."""
+
+    def test_a_fresh_join_is_one_request_on_the_home_shard_and_none_elsewhere(
+        self, backend_name
+    ):
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            home, other = plane.shard_of("lmA"), plane.shard_of("lmC")
+            # Enough peers under lmA that no list needs a cross-shard fill.
+            seeded = [simple_path(f"s{i}", "lmA", access=f"a{i}") for i in range(4)]
+            plane.register_peers(seeded)
+            reference.register_peers(seeded)
+            requests = record_requests(plane)
+            for index in range(3):
+                path = simple_path(f"p{index}", "lmA", access=f"a{index}")
+                assert plane.register_peer(path) == reference.register_peer(path)
+            assert requests[home] == ["join_paths"] * 3
+            assert requests[other] == []
+            # Journaled as the mutation it contains: what separate
+            # insert_paths requests used to leave behind, entry for entry.
+            assert journal_ops(plane)[home] == ["register_landmark"] + ["insert_paths"] * 4
+            assert plane.shards[home].supervisor.journal[-1] == (
+                "insert_paths",
+                ((encode_path(simple_path("p2", "lmA", access="a2")),), False),
+            )
+
+    def test_a_fresh_batch_is_one_join_per_shard_never_one_per_peer(self, backend_name):
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            home, other = plane.shard_of("lmA"), plane.shard_of("lmC")
+            requests = record_requests(plane)
+            one_home = [simple_path(f"p{i}", "lmA", access=f"a{i % 7}") for i in range(64)]
+            assert plane.register_peers(one_home) == reference.register_peers(one_home)
+            # One home shard, nothing to do between validating and
+            # inserting: the join frame is the whole arrival.
+            assert requests[home] == ["join_paths"] and requests[other] == []
+            two_homes = [
+                simple_path(f"q{i}", "lmA" if i % 2 else "lmC", access=f"a{i % 7}")
+                for i in range(64)
+            ]
+            assert plane.register_peers(two_homes) == reference.register_peers(two_homes)
+            # Two home shards: no insert may precede every path's verdict,
+            # so validation goes first — per shard, not per peer.
+            assert requests[home] == ["join_paths", "validate_batch", "join_paths"]
+            assert requests[other] == ["validate_batch", "join_paths"]
+            assert journal_ops(plane)[home] == ["register_landmark", "insert_paths", "insert_paths"]
+            assert journal_ops(plane)[other] == ["register_landmark", "insert_paths"]
+            assert plane.peers() == reference.peers()
+            for peer in ("p0", "q0", "q1", "q63"):
+                assert plane.closest_peers(peer, 6) == reference.closest_peers(peer, 6)
+
+    def test_reregistering_or_repeated_peers_are_validated_first(self, backend_name):
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            home, other = plane.shard_of("lmA"), plane.shard_of("lmC")
+            first = [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(5)]
+            plane.register_peers(first)
+            reference.register_peers(first)
+            requests = record_requests(plane)
+            moved = simple_path("p1", "lmA", access="a9")
+            assert plane.register_peer(moved) == reference.register_peer(moved)
+            assert requests[home] == ["validate_batch", "unregister", "join_paths"]
+            del requests[home][:]
+            repeated = [
+                simple_path("p7", "lmA", access="a0"),
+                simple_path("p8", "lmA", access="a1"),
+                simple_path("p7", "lmA", access="a2"),
+            ]
+            assert plane.register_peers(repeated) == reference.register_peers(repeated)
+            assert requests[home] == ["validate_batch", "join_paths"]
+            assert requests[other] == []
+            assert journal_ops(plane)[home] == [
+                "register_landmark",
+                "insert_paths",
+                "unregister",
+                "insert_paths",
+                "insert_paths",
+            ]
+            assert plane.peers() == reference.peers()
+            for peer in reference.peers():
+                assert plane.closest_peers(peer) == reference.closest_peers(peer)
+
+    @pytest.mark.parametrize(
+        "batch, home_requests",
+        [
+            # one home shard, fresh peers: the shard's own validation rejects
+            (
+                [simple_path("n0", "lmA", "a5"), path_to("bad", "lmA", ["x", "not-lmA"])],
+                ["join_paths"],
+            ),
+            # a wrong-root path behind a re-registering peer
+            (
+                [simple_path("p0", "lmA", "a5"), path_to("bad", "lmA", ["x", "not-lmA"])],
+                ["validate_batch"],
+            ),
+            # superseded later in the batch, and still the batch's verdict
+            (
+                [path_to("n0", "lmA", ["x", "not-lmA"]), simple_path("n0", "lmA", "a5")],
+                ["validate_batch"],
+            ),
+            # two home shards, the invalid path on the second
+            (
+                [simple_path("n0", "lmA", "a5"), path_to("n1", "lmC", ["x", "not-lmC"])],
+                ["validate_batch"],
+            ),
+        ],
+        ids=["in-frame", "reregistering", "superseded", "two-homes"],
+    )
+    def test_a_rejected_batch_inserts_nothing_and_raises_the_single_servers_error(
+        self, backend_name, batch, home_requests
+    ):
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            seeded = [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(3)]
+            plane.register_peers(seeded)
+            reference.register_peers(seeded)
+            before = (plane.peers(), plane.stats.registrations, plane.stats.removals)
+            shard_side, journals = shard_counts(plane), journal_ops(plane)
+            requests = record_requests(plane)
+            with pytest.raises(RegistrationError) as expected:
+                reference.register_peers(batch)
+            with pytest.raises(RegistrationError) as error:
+                plane.register_peers(batch)
+            assert str(error.value) == str(expected.value)
+            assert requests[plane.shard_of("lmA")] == home_requests
+            assert not any(op in ("insert_paths", "unregister") for ops in requests for op in ops)
+            assert (plane.peers(), plane.stats.registrations, plane.stats.removals) == before
+            assert shard_counts(plane) == shard_side and journal_ops(plane) == journals
+            assert plane.peer_path("p0") == simple_path("p0", "lmA", access="a0")
+            for peer in reference.peers():
+                assert plane.closest_peers(peer, 4) == reference.closest_peers(peer, 4)
+
+    @pytest.mark.parametrize("kind", ["drop", "drop_reply"])
+    def test_a_failed_join_leaves_no_phantom_peer_and_the_retry_converges(
+        self, backend_name, kind
+    ):
+        """``drop``: the frame never reached the shard.  ``drop_reply``: the
+        shard applied and journaled it.  Either way the coordinator learns a
+        peer only from an acknowledgement, and a retry replaces, not doubles."""
+        inner = shard_factory_for(backend_name, 3)
+        plan = [Fault(at_op=1, kind=kind, op_name="join_paths")]
+        plane, reference = spread_plane(
+            backend_name, lambda: ChaosShardBackend(inner(), FaultPlan(plan))
+        )
+        with plane:
+            path = simple_path("p0", "lmA")
+            with pytest.raises(ShardUnavailableError):
+                plane.register_peer(path)
+            assert not plane.has_peer("p0")
+            assert plane.peer_count == 0 and plane.stats.registrations == 0
+            assert plane.register_peer(path) == reference.register_peer(path)
+            other = simple_path("p1", "lmA", access="a2")
+            assert plane.register_peer(other) == reference.register_peer(other)
+            assert plane.peers() == reference.peers()
+            home = plane.shards[plane.shard_of("lmA")]
+            assert home.worker_stats()["registrations"] - home.worker_stats()["removals"] == 2
 
 
 def host_is_gone(shard) -> bool:
@@ -617,16 +851,16 @@ class TestRealCrash:
             plane.register_peer(simple_path("early", "lmA", "a1"))
             reference.register_peer(simple_path("early", "lmA", "a1"))
             victim = plane.shards[plane.shard_of("lmA")]
-            original_insert = victim.insert_paths
+            original_join = victim.join_paths
 
-            def killed_between_validate_and_insert(paths, validate=True):
+            def killed_between_validate_and_insert(paths, k):
                 sigkill(victim)
-                return original_insert(paths, validate=validate)
+                return original_join(paths, k)
 
-            victim.insert_paths = killed_between_validate_and_insert
+            victim.join_paths = killed_between_validate_and_insert
             if heals:
                 plane.register_peers(batch)  # restart + replay + re-issue inside
-                victim.insert_paths = original_insert
+                victim.join_paths = original_join
                 reference.register_peers(batch)
                 assert plane.peers() == reference.peers()
                 for peer in reference.peers():

@@ -29,7 +29,8 @@ import pytest
 from repro.core import ManagementServer
 from repro.core.budget import DeadlineBudget
 from repro.core.path import RouterPath
-from repro.core.remote import RecoveryPolicy, shard_factory_for
+from repro.core.codec import encode_path
+from repro.core.remote import RecoveryPolicy, ShardRequestHandler, shard_factory_for
 from repro.core.socket_backend import (
     PROTOCOL_VERSION,
     FramedConnection,
@@ -149,6 +150,116 @@ class TestWireProtocol:
                 conn.recv_frame(DeadlineBudget(5.0))
         finally:
             conn.close()
+
+
+class TestServerLoop:
+    """What a connection is owed however its bytes are cut into segments:
+    every frame served once, in order, and — what ``drain()`` used to give —
+    a client that stops reading its replies stops being read."""
+
+    def test_requests_written_in_one_segment_are_all_answered_in_order(self, server):
+        conn = raw_connection(server)
+        try:
+            frames = [encode_frame((1, "hello", (PROTOCOL_VERSION, 3)))]
+            frames += [encode_frame((request_id, "ping", ())) for request_id in range(2, 40)]
+            frames.insert(20, encode_frame((0, "fill_close", (99,))))  # one-way: no reply
+            conn.sock.sendall(b"".join(frames))
+            replies = [conn.recv_frame(DeadlineBudget(5.0)) for _ in range(39)]
+            assert replies[0][:2] == (1, "ok")
+            assert replies[1:] == [(request_id, "ok", "pong") for request_id in range(2, 40)]
+        finally:
+            conn.close()
+
+    def test_a_frame_split_at_every_byte_boundary_is_served_once(self, server):
+        conn = raw_connection(server)
+        try:
+            exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
+            frame_length = len(encode_frame((2, "register_landmark", ("lm-00", "r"))))
+            for cut in range(1, frame_length):
+                # A landmark registers once: a frame served twice would come
+                # back as an error, and its extra reply desynchronise the rest.
+                request = (1 + cut, "register_landmark", (f"lm-{cut:02d}", "r"))
+                frame = encode_frame(request)
+                assert len(frame) == frame_length
+                conn.sock.sendall(frame[:cut])
+                time.sleep(0.002)  # let the first segment be read on its own
+                conn.sock.sendall(frame[cut:])
+                assert conn.recv_frame(DeadlineBudget(5.0)) == (1 + cut, "ok", None)
+            reply = exchange(conn, (900, "tree", (f"lm-{frame_length - 1:02d}",)))
+            assert reply[:2] == (900, "ok")
+        finally:
+            conn.close()
+
+    def test_a_client_that_never_reads_stops_being_read_until_it_drains(
+        self, server, monkeypatch
+    ):
+        handled = []
+        handle = ShardRequestHandler.handle
+
+        def counting(self, request_id, op, args):
+            if op == "tree":
+                handled.append(request_id)
+            return handle(self, request_id, op, args)
+
+        monkeypatch.setattr(ShardRequestHandler, "handle", counting)
+        greedy, witness = raw_connection(server), raw_connection(server)
+        try:
+            for conn in (greedy, witness):
+                exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
+            exchange(greedy, (2, "register_landmark", ("lmA", "lmA")))
+            paths = tuple(
+                encode_path(simple_path(f"peer-{i:04d}", "lmA", access=f"a{i % 50}"))
+                for i in range(1000)
+            )
+            exchange(greedy, (3, "insert_paths", (paths, True)))
+            # 300 pipelined requests whose replies (~45 KB each: the whole
+            # tree) nobody collects.  Were the server to keep reading, it
+            # would buffer all ~13 MB of them.
+            first, count = 10, 300
+            greedy.sock.sendall(
+                b"".join(encode_frame((first + i, "tree", ("lmA",))) for i in range(count))
+            )
+            deadline = time.monotonic() + 5.0
+            served = -1
+            while time.monotonic() < deadline and served != len(handled):
+                served = len(handled)  # wait for the server to stall...
+                assert exchange(witness, (2, "ping", ())) == (2, "ok", "pong")
+                time.sleep(0.05)
+            # ...which it does after what its write buffer and the socket's
+            # own buffers absorb, not after everything it was sent.
+            assert 0 < served < count // 4
+            for i in range(count):  # now drain: every request is served, in order
+                reply = greedy.recv_frame(DeadlineBudget(10.0))
+                assert reply[:2] == (first + i, "ok") and len(reply[2][1]) == 1000
+            assert len(handled) == count
+            assert exchange(greedy, (900, "ping", ())) == (900, "ok", "pong")
+            assert exchange(witness, (3, "ping", ())) == (3, "ok", "pong")
+        finally:
+            greedy.close()
+            witness.close()
+
+    def test_a_lost_connection_closes_the_fill_streams_it_left_open(self, server, monkeypatch):
+        closed = threading.Event()
+        open_streams = []
+        close = ShardRequestHandler.close
+
+        def recording(self):
+            open_streams.append(len(self.streams))
+            close(self)
+            open_streams.append(len(self.streams))
+            closed.set()
+
+        monkeypatch.setattr(ShardRequestHandler, "close", recording)
+        conn = raw_connection(server)
+        try:
+            exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
+            exchange(conn, (2, "register_landmark", ("lmA", "lmA")))
+            exchange(conn, (3, "insert_paths", ((encode_path(simple_path("p0", "lmA")),), True)))
+            assert exchange(conn, (4, "fill_open", ((("lmA", 1.0),), None)))[:2] == (4, "ok")
+        finally:
+            conn.close()
+        assert closed.wait(5.0)
+        assert open_streams == [1, 0]
 
 
 class FakeClock:

@@ -10,7 +10,11 @@ listener, for ``shard-serve --tcp`` — so this module feeds it, and a live
 * a body that names a global is refused *before* any import happens;
 * whatever one connection sends, the server answers typed or drops that
   connection — a second connection keeps being served and the event loop's
-  exception handler records nothing.
+  exception handler records nothing;
+* and the other direction: whatever well-framed reply a hostile *server*
+  sends a real supervisor, the client raises a typed error or an exception
+  an honest shard could have reported, and a coordinator records no peer
+  for a join that was not acknowledged well-formed.
 
 Every sweep is derandomised: a corrupt pickle can ask the unpickler for a
 large memo (the allocation cap is the ``struct`` codec's job, see ROADMAP),
@@ -19,21 +23,25 @@ so the examples that run are the same ones every time.
 
 from __future__ import annotations
 
+import builtins
 import gc
+import itertools
 import os
 import pickle
 import socket
 import struct
 import sys
+import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import ShardedManagementServer
 from repro.core.codec import decode_frame, encode_frame, encode_path
 from repro.core.path import RouterPath
-from repro.core.socket_backend import PROTOCOL_VERSION, LocalShardServer
-from repro.exceptions import WireProtocolError
+from repro.core.socket_backend import PROTOCOL_VERSION, LocalShardServer, SocketShardBackend
+from repro.exceptions import ReproError, WireProtocolError
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -193,3 +201,145 @@ class TestLiveServer:
         assert exchange(witness, (9, "ping", ())) == (9, "ok", "pong")
         assert exchange(witness, (10, "stats", ()))[2]["registrations"] == 1
         assert recorded == []
+
+
+class ScriptedServer:
+    """A hostile shard server: an honest hello, then whatever the script says.
+
+    ``script(request)`` returns the reply tuple to frame and send back, or
+    ``None`` to answer like an honest empty shard (``ok``, no value).
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.address = os.path.join(directory, "hostile.sock")
+        self.script = lambda request: None
+        self._generations = itertools.count(1)
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(self.address)
+        self._listener.listen()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # closed: the fixture is done
+                return
+            threading.Thread(target=self._talk, args=(conn,), daemon=True).start()
+
+    def _talk(self, conn: socket.socket) -> None:
+        with conn:
+            while header := conn.recv(4, socket.MSG_WAITALL):
+                (declared,) = struct.unpack("!I", header)
+                request = decode_frame(header + conn.recv(declared, socket.MSG_WAITALL))
+                if request[1] == "hello":
+                    reply = (request[0], "ok", (PROTOCOL_VERSION, next(self._generations)))
+                else:
+                    reply = self.script(request) or (request[0], "ok", None)
+                conn.sendall(encode_frame(reply))
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+@pytest.fixture(scope="class")
+def hostile_server(tmp_path_factory):
+    server = ScriptedServer(str(tmp_path_factory.mktemp("hostile")))
+    yield server
+    server.close()
+
+
+#: What follows the request id in a reply: either honest shape around an
+#: arbitrary value, an ``err`` naming any builtin at all, or the wrong arity.
+reply_tails = (
+    st.tuples(st.just("ok"), plain_data)
+    | st.tuples(st.just("err"), st.sampled_from(sorted(vars(builtins))), st.text(max_size=12))
+    | st.lists(plain_data, min_size=1, max_size=4).map(tuple)
+)
+#: ...behind the right request id, most of the time.
+id_offsets = st.sampled_from((0, 0, 0, 1, -1))
+
+#: ``join_paths`` answers: one list per path is the honest shape, so draw
+#: around it — wrong length, entries of the wrong arity, unhashable peers.
+neighbor_pairs = st.tuples(
+    st.text(max_size=4) | plain_data, st.floats(allow_nan=False) | st.integers(-9, 9) | plain_data
+)
+join_values = st.lists(
+    st.lists(neighbor_pairs | plain_data, max_size=3) | plain_data, max_size=2
+).map(tuple)
+
+
+def honest_failure(error: BaseException, named: object) -> bool:
+    """Typed, or the builtin ``Exception`` an honest shard could have named."""
+    if isinstance(error, ReproError):  # ShardUnavailableError included
+        return True
+    return (
+        isinstance(error, Exception)
+        and not isinstance(error, (StopIteration, StopAsyncIteration))
+        and isinstance(named, str)
+        and type(error) is getattr(builtins, named, None)
+    )
+
+
+class TestHostileServer:
+    @FUZZ
+    @given(offset=id_offsets, tail=reply_tails)
+    @example(offset=0, tail=("err", "SystemExit", "0"))
+    @example(offset=0, tail=("err", "KeyboardInterrupt", ""))
+    @example(offset=0, tail=("err", "StopIteration", ""))
+    @example(offset=0, tail=("err", "BaseException", ""))
+    @example(offset=0, tail=("err", "ExceptionGroup", ""))  # cannot even be built bare
+    @example(offset=0, tail=("err", "KeyError", "'k'"))  # honest: comes back as itself
+    @example(offset=0, tail=("ok",))  # an ok with nothing in it
+    def test_any_well_framed_reply_is_a_value_or_an_honest_failure(
+        self, hostile_server, offset, tail
+    ):
+        hostile_server.script = lambda request: (request[0] + offset,) + tail
+        with SocketShardBackend(
+            address=hostile_server.address, neighbor_set_size=3, name="fooled"
+        ) as shard:
+            try:
+                shard.supervisor.request("ping", ())
+            except BaseException as error:  # noqa: BLE001 - the claim is about every type
+                assert honest_failure(error, tail[1] if len(tail) > 1 else None), repr(error)
+            else:
+                assert not offset and tail[0] == "ok" and len(tail) >= 2
+
+    @FUZZ
+    @given(offset=id_offsets, tail=reply_tails | st.tuples(st.just("ok"), join_values))
+    @example(offset=0, tail=("ok", ([("p2", 2.0), ("p3", 4)],)))  # the one honest shape
+    @example(offset=0, tail=("ok", ()))  # no list for the path
+    @example(offset=0, tail=("ok", ([("p2", 2.0)], [("p3", 2.0)])))  # one list too many
+    @example(offset=0, tail=("ok", ([([], 2.0)],)))  # a peer id nothing could key on
+    @example(offset=0, tail=("ok", ([("p2", 2.0), ("p2", 4.0)],)))  # the same peer twice
+    @example(offset=0, tail=("ok", ([("p2", 2.0, "extra")],)))  # not a pair
+    @example(offset=0, tail=("ok", ([("p2", None)],)))  # not a distance
+    @example(offset=1, tail=("ok", ([("p2", 2.0)],)))  # somebody else's answer
+    def test_a_join_that_was_not_acknowledged_well_formed_records_no_peer(
+        self, hostile_server, offset, tail
+    ):
+        def script(request):
+            return (request[0] + offset,) + tail if request[1] == "join_paths" else None
+
+        hostile_server.script = script
+        plane = ShardedManagementServer(
+            1,
+            neighbor_set_size=3,
+            shard_factory=lambda: SocketShardBackend(
+                address=hostile_server.address, neighbor_set_size=3, name="fooled"
+            ),
+        )
+        with plane:
+            plane.register_landmark("lmA", "lmA")
+            try:
+                answer = plane.register_peer(PATH)
+            except BaseException as error:  # noqa: BLE001 - the claim is about every type
+                assert honest_failure(error, tail[1] if len(tail) > 1 else None), repr(error)
+                assert not plane.has_peer("p1")
+                assert plane.peer_count == 0 and plane.stats.registrations == 0
+                assert plane._neighbor_cache == {}
+            else:
+                # Only ONE list of (peer, distance) pairs passes for an ack.
+                assert not offset and tail[0] == "ok" and len(tail[1]) == 1
+                assert answer == [(peer, float(distance)) for peer, distance in tail[1][0]]
+                assert plane.peers() == ["p1"]
