@@ -143,9 +143,7 @@ class ProtocolManagementHost:
     def start(self) -> None:
         """Schedule the periodic expiry sweep (idempotent)."""
         if self._sweep_timer is None or self._sweep_timer.cancelled:
-            self._sweep_timer = self.engine.schedule(
-                self.sweep_interval_ms, self._sweep, label=f"sweep:{self.host_id}"
-            )
+            self._sweep_timer = self.engine.schedule(self.sweep_interval_ms, self._sweep)
 
     def stop(self) -> None:
         """Cancel the expiry sweep."""
@@ -232,9 +230,7 @@ class ProtocolManagementHost:
 
     def _sweep(self) -> None:
         self.expire_stale()
-        self._sweep_timer = self.engine.schedule(
-            self.sweep_interval_ms, self._sweep, label=f"sweep:{self.host_id}"
-        )
+        self._sweep_timer = self.engine.schedule(self.sweep_interval_ms, self._sweep)
 
     def expire_stale(self) -> List[PeerId]:
         """Unregister every peer whose newest beacon is older than the TTL.

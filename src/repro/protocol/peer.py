@@ -6,7 +6,7 @@ messages.  Every ``beacon_interval_ms`` it starts a *round* — a sequence
 number announcing its current router path — and retransmits it with
 jittered exponential backoff until the management host acks it or the
 round's :class:`~repro.core.budget.DeadlineBudget` runs out.  The budget
-runs on *simulated* time (``clock=lambda: engine.now``; the budget is
+runs on *simulated* time (its clock reads ``engine.now``; the budget is
 unit-agnostic, so its "seconds" are simulated milliseconds here), which
 gives retransmissions the same single-deadline semantics the socket
 backends use for multi-phase round trips: however the retries are
@@ -167,6 +167,7 @@ class BeaconingPeer:
         self._round_open = False
         self._attempts = 0
         self._budget: Optional[DeadlineBudget] = None
+        self._clock = lambda: engine.now  # simulated time, for every round's budget
         self._retry_timer: Optional[TimerHandle] = None
         self._interval_timer: Optional[TimerHandle] = None
         self._pending_update_at: Optional[float] = None
@@ -202,9 +203,7 @@ class BeaconingPeer:
         if initial_delay_ms < 0:
             raise ValueError(f"initial_delay_ms must be >= 0, got {initial_delay_ms}")
         self._running = True
-        self._interval_timer = self.engine.schedule(
-            initial_delay_ms, self._begin_round, label=f"beacon-start:{self.peer_id}"
-        )
+        self._interval_timer = self.engine.schedule(initial_delay_ms, self._begin_round)
 
     def stop(self) -> None:
         """Stop beaconing (the host will expire us after the TTL)."""
@@ -270,9 +269,9 @@ class BeaconingPeer:
         self.stats.rounds_started += 1
         # Simulated-time deadline budget: every retry in this round draws
         # its timeout from the same deadline (units are engine ms).
-        self._budget = DeadlineBudget(self.config.budget_ms, clock=lambda: self.engine.now)
+        self._budget = DeadlineBudget(self.config.budget_ms, clock=self._clock)
         self._interval_timer = self.engine.schedule(
-            self.config.beacon_interval_ms, self._begin_round, label=f"beacon:{self.peer_id}"
+            self.config.beacon_interval_ms, self._begin_round
         )
         self._transmit()
 
@@ -303,9 +302,7 @@ class BeaconingPeer:
             self._give_up()
             return
         delay = min(timeout, remaining)
-        self._retry_timer = self.engine.schedule(
-            delay, self._retry, label=f"beacon-retry:{self.peer_id}"
-        )
+        self._retry_timer = self.engine.schedule(delay, self._retry)
 
     def _retry(self) -> None:
         if not self._running or not self._round_open:

@@ -19,7 +19,6 @@ a built scenario's router map and plane instead, with arriving newcomers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Sequence
 
 from ..core.management_server import ManagementServer
@@ -35,7 +34,7 @@ from .messages import wire_size
 from .peer import BeaconConfig, BeaconingPeer
 
 if TYPE_CHECKING:
-    from ..core.newcomer import NewcomerClient
+    from ..core.newcomer import LandmarkDescriptor, NewcomerClient
     from ..workloads.scenarios import Scenario
 
 DEFAULT_HOP_LATENCY_MS = 5.0
@@ -230,14 +229,10 @@ class ProtocolSimulation:
             self.peers[path.peer_id] = peer
             self.network.attach_host(path.peer_id, path.access_router, peer)
 
-        def start_peers() -> None:
-            for peer, start_at in zip(self.peers.values(), start_times_ms):
-                peer.start(initial_delay_ms=start_at)
-
         # One event at time 0, not a timer per peer made here: the timers
         # still follow the script's events and the host's sweep in scheduling
         # order, and a simulation built but never run holds none of them.
-        self.engine.schedule_at(0.0, start_peers, label="start-peers")
+        self.engine.schedule_at(0.0, self._start_peers, start_times_ms)
 
     def _stand_up(
         self,
@@ -264,6 +259,10 @@ class ProtocolSimulation:
         )
         self.network.attach_host(MANAGEMENT_HOST_ID, host_router, self.host)
         self.peers: Dict[PeerId, BeaconingPeer] = {}
+
+    def _start_peers(self, start_times_ms: Sequence[float]) -> None:
+        for peer, start_at in zip(self.peers.values(), start_times_ms):
+            peer.start(initial_delay_ms=start_at)
 
     @classmethod
     def over_scenario(
@@ -297,20 +296,23 @@ class ProtocolSimulation:
         host_router = scenario.landmark_set.routers()[0]
         sim._stand_up(network, host_router, scenario.server, False, beacon_config, ttl_ms)
 
-        def arrive(client: NewcomerClient) -> None:
-            sim.peers[client.peer_id] = BeaconingPeer.arrive(
-                client,
-                scenario.bootstrap_landmarks,
-                network,
-                MANAGEMENT_HOST_ID,
-                config=sim.config,
-                seed=derive_seed(seed, f"protocol-peer-{client.peer_id}"),
-            )
-
         for peer_id, at_ms in arrivals_ms.items():  # an unknown peer id fails here, not mid-run
             client = scenario.newcomer(peer_id)
-            sim.engine.schedule_at(at_ms, partial(arrive, client), label=f"arrive:{peer_id}")
+            peer_seed = derive_seed(seed, f"protocol-peer-{peer_id}")
+            sim.engine.schedule_at(
+                at_ms, sim._arrive, client, scenario.bootstrap_landmarks, peer_seed
+            )
         return sim
+
+    def _arrive(
+        self,
+        client: "NewcomerClient",
+        landmarks: Sequence["LandmarkDescriptor"],
+        peer_seed: int,
+    ) -> None:
+        self.peers[client.peer_id] = BeaconingPeer.arrive(
+            client, landmarks, self.network, MANAGEMENT_HOST_ID, config=self.config, seed=peer_seed
+        )
 
     # ---------------------------------------------------------------- scripting
 
@@ -321,26 +323,22 @@ class ProtocolSimulation:
         every post-handover path to the constructor, or keep handovers
         within the derived topology).
         """
-        peer = self.peers[peer_id]
+        self.engine.schedule_at(at_ms, self._hand_over, self.peers[peer_id], path)
 
-        def apply() -> None:
-            if self.network.is_attached(peer_id):
-                # Re-attach at the new access router: a new epoch, so
-                # messages in flight to the old attachment are dropped.
-                self.network.attach_host(peer_id, path.access_router, peer)
-            peer.update_path(path)
-
-        self.engine.schedule_at(at_ms, apply, label=f"handover:{peer_id}")
+    def _hand_over(self, peer: BeaconingPeer, path: RouterPath) -> None:
+        if self.network.is_attached(peer.peer_id):
+            # Re-attach at the new access router: a new epoch, so
+            # messages in flight to the old attachment are dropped.
+            self.network.attach_host(peer.peer_id, path.access_router, peer)
+        peer.update_path(path)
 
     def schedule_stop(self, peer_id: PeerId, at_ms: float) -> None:
         """Script a silent failure: the peer stops beaconing and detaches at ``at_ms``."""
-        peer = self.peers[peer_id]
+        self.engine.schedule_at(at_ms, self._stop_peer, self.peers[peer_id])
 
-        def apply() -> None:
-            peer.stop()
-            self.network.detach_host(peer_id)
-
-        self.engine.schedule_at(at_ms, apply, label=f"stop:{peer_id}")
+    def _stop_peer(self, peer: BeaconingPeer) -> None:
+        peer.stop()
+        self.network.detach_host(peer.peer_id)
 
     # ---------------------------------------------------------------------- run
 

@@ -1,14 +1,12 @@
 """Discrete-event simulation substrate (the reproduction's PeerSim stand-in)."""
 
 from .engine import Engine
-from .events import Event, EventCallback, TimerHandle
+from .events import EventCallback, TimerHandle
 from .network import DeliveryRecord, MessageHandler, SimulatedNetwork
 from .rng import RandomStreams, derive_seed
-from .trace import SeriesSummary, TraceCollector, summarize_values
 
 __all__ = [
     "Engine",
-    "Event",
     "EventCallback",
     "TimerHandle",
     "DeliveryRecord",
@@ -16,7 +14,4 @@ __all__ = [
     "SimulatedNetwork",
     "RandomStreams",
     "derive_seed",
-    "SeriesSummary",
-    "TraceCollector",
-    "summarize_values",
 ]

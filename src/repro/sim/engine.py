@@ -1,22 +1,31 @@
 """Minimal deterministic discrete-event simulation engine.
 
 The engine plays the role PeerSim plays in the paper: it advances a simulated
-clock, fires scheduled events in timestamp order, and gives protocol code a
+clock, fires scheduled timers in timestamp order, and gives protocol code a
 way to schedule future work (timers, message deliveries).  Determinism is a
 design goal — given the same seed and the same scheduling order, two runs
 produce identical traces — because the experiment harness relies on it for
 reproducibility.
+
+The queue is a ``heapq`` of ``(time, sequence, timer)`` tuples (see
+:mod:`repro.sim.events`): ``sequence`` comes from the engine's own counter
+and is never repeated, so the heap orders entries by their first two fields
+alone and simultaneous timers fire in scheduling order — one scheduled with
+delay 0 from inside a callback fires after everything already queued for
+that instant.  Scheduling is one tuple and one push, firing one pop and one
+call of ``callback(*args)``; a cancelled timer is dropped when it reaches
+the top of the heap, without being fired or counted.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from math import inf
+from typing import Any, List, Optional, Tuple
 
-from .._validation import require_non_negative_float
-from ..exceptions import ClockError, SimulationError
-from .events import Event, EventCallback, TimerHandle
+from ..exceptions import ClockError, ConfigurationError, SimulationError
+from .events import EventCallback, TimerHandle
 
 
 class Engine:
@@ -31,7 +40,7 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, TimerHandle]] = []
         self._running = False
         self._processed_events = 0
         self._stop_requested = False
@@ -40,75 +49,82 @@ class Engine:
         # earlier test's) scheduling history.
         self._sequence_counter = itertools.count()
 
-    def _next_sequence(self) -> int:
-        """Allocate the next per-engine event sequence number."""
-        return next(self._sequence_counter)
-
     # -------------------------------------------------------------- schedule
 
-    def schedule(self, delay: float, callback: EventCallback, label: str = "") -> TimerHandle:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
-        require_non_negative_float(delay, "delay")
-        event = Event(
-            time=self.now + delay, sequence=self._next_sequence(), callback=callback, label=label
-        )
-        heapq.heappush(self._queue, event)
-        return TimerHandle(event)
+    def schedule(self, delay: float, callback: EventCallback, *args: Any) -> TimerHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
+        try:
+            # Written so that NaN fails it: an entry keyed by NaN compares
+            # false against every other and breaks the heap's order.
+            acceptable = 0.0 <= delay < inf
+        except TypeError:
+            acceptable = False
+        if not acceptable:
+            raise ConfigurationError(f"delay must be a finite number >= 0, got {delay!r}")
+        time = self.now + delay
+        sequence = next(self._sequence_counter)
+        timer = TimerHandle(time, sequence, callback, args)
+        heapq.heappush(self._queue, (time, sequence, timer))
+        return timer
 
-    def schedule_at(self, time: float, callback: EventCallback, label: str = "") -> TimerHandle:
-        """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise ClockError(f"cannot schedule an event at {time} before current time {self.now}")
-        event = Event(time=time, sequence=self._next_sequence(), callback=callback, label=label)
-        heapq.heappush(self._queue, event)
-        return TimerHandle(event)
+    def schedule_at(self, time: float, callback: EventCallback, *args: Any) -> TimerHandle:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        if not self.now <= time < inf:
+            raise ClockError(
+                f"cannot schedule an event at {time}: not a finite time at or after "
+                f"the current time {self.now}"
+            )
+        sequence = next(self._sequence_counter)
+        timer = TimerHandle(time, sequence, callback, args)
+        heapq.heappush(self._queue, (time, sequence, timer))
+        return timer
 
     # ------------------------------------------------------------------- run
 
     def step(self) -> bool:
         """Process the next pending event; return False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            if event.time < self.now:
-                raise SimulationError(
-                    f"event {event.label!r} scheduled at {event.time} is in the past "
-                    f"(now={self.now})"
-                )
-            self.now = event.time
-            event.fire()
-            self._processed_events += 1
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or ``max_events``.
 
-        Returns the number of events processed during this call.
+        Returns the number of events processed during this call.  ``until``
+        must be a finite time at or after ``now``: the clock never rewinds.
         """
         if self._running:
             raise SimulationError("the engine is already running (re-entrant run() call)")
+        if until is not None and not self.now <= until < inf:
+            raise ClockError(
+                f"cannot run until {until}: not a finite time at or after "
+                f"the current time {self.now}"
+            )
         self._running = True
         self._stop_requested = False
+        queue = self._queue
         processed = 0
         try:
-            while self._queue and not self._stop_requested:
+            while queue and not self._stop_requested:
                 if max_events is not None and processed >= max_events:
                     break
-                next_event = self._queue[0]
-                if next_event.cancelled:
-                    heapq.heappop(self._queue)
+                time, _, timer = queue[0]
+                if timer.cancelled:
+                    heapq.heappop(queue)
                     continue
-                if until is not None and next_event.time > until:
+                if until is not None and time > until:
                     self.now = until
                     break
-                if not self.step():
-                    break
+                heapq.heappop(queue)
+                if time < self.now:
+                    raise SimulationError(
+                        f"event scheduled at {time} is in the past (now={self.now})"
+                    )
+                self.now = time
+                timer.callback(*timer.args)
+                self._processed_events += 1
                 processed += 1
             else:
-                if until is not None and not self._queue:
-                    self.now = max(self.now, until)
+                if until is not None and not queue:
+                    self.now = until
         finally:
             self._running = False
         return processed
@@ -128,13 +144,6 @@ class Engine:
     def processed_events(self) -> int:
         """Total events processed since the engine was created."""
         return self._processed_events
-
-    def peek_next_time(self) -> Optional[float]:
-        """Timestamp of the next non-cancelled event, or None."""
-        for event in sorted(self._queue):
-            if not event.cancelled:
-                return event.time
-        return None
 
     def reset(self) -> None:
         """Clear the queue and rewind the clock (for test reuse)."""

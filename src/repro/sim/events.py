@@ -1,74 +1,41 @@
-"""Event types of the discrete-event simulation engine.
+"""The one event type of the discrete-event engine: a cancellable timer.
 
-An event is a timestamped callback plus bookkeeping (sequence number for
-stable ordering of simultaneous events, cancellation flag, an optional
-human-readable label used by the trace collector).
+A heap entry is the plain tuple ``(time, sequence, timer)``.  ``sequence``
+is unique per engine, so every comparison ``heapq`` makes is decided by the
+first two fields, in C — the :class:`TimerHandle` riding third is never
+compared (it defines no ordering, and neither need its callback or
+arguments).  Two timers for the same instant therefore fire in scheduling
+order, which keeps simulations deterministic.
+
+``cancel`` costs one attribute store: the entry stays where it is in the
+heap and the engine discards it, unfired and uncounted, when it surfaces.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Tuple
 
-EventCallback = Callable[[], Any]
-
-# Fallback counter for events built outside an engine (``Event.at`` in
-# tests).  Engines allocate sequence numbers from their *own* counter so
-# "same seed => same trace" never depends on whole-process history — see
-# ``Engine._next_sequence``.
-_sequence_counter = itertools.count()
+EventCallback = Callable[..., Any]
 
 
-@dataclass(order=True)
-class Event:
-    """One scheduled event.
+class TimerHandle:
+    """What ``Engine.schedule`` returns and what the heap entry carries.
 
-    Events order by ``(time, sequence)`` so two events scheduled for the same
-    instant fire in scheduling order, which keeps simulations deterministic.
+    ``callback(*args)`` runs at simulated ``time`` unless :meth:`cancel`
+    was called first.
     """
 
-    time: float
-    sequence: int = field(compare=True)
-    callback: EventCallback = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
 
-    @classmethod
-    def at(cls, time: float, callback: EventCallback, label: str = "") -> "Event":
-        """Create an event scheduled at absolute ``time``.
-
-        Sequence numbers come from a module-level counter, which is fine for
-        hand-built events in tests; engine-scheduled events draw from the
-        engine's own counter instead (cross-engine determinism).
-        """
-        return cls(time=time, sequence=next(_sequence_counter), callback=callback, label=label)
+    def __init__(
+        self, time: float, sequence: int, callback: EventCallback, args: Tuple[Any, ...]
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; the engine will skip it."""
+        """Mark the timer as cancelled; the engine will skip it."""
         self.cancelled = True
-
-    def fire(self) -> Any:
-        """Run the callback (the engine calls this; tests may too)."""
-        return self.callback()
-
-
-@dataclass
-class TimerHandle:
-    """Handle returned by ``Engine.schedule`` so callers can cancel timers."""
-
-    event: Event
-
-    @property
-    def time(self) -> float:
-        """Absolute simulated time the timer fires at."""
-        return self.event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """True if the timer was cancelled."""
-        return self.event.cancelled
-
-    def cancel(self) -> None:
-        """Cancel the underlying event."""
-        self.event.cancel()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Protocol, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Protocol, Tuple
 
 from .._validation import (
     coerce_seed,
@@ -192,13 +192,18 @@ class SimulatedNetwork:
         # delivery — a message addressed to epoch N is dropped if the host
         # detached, even when a successor re-attached as epoch N+1.
         self._attach_epochs: Dict[HostId, int] = {}
-        # Reorder-held deliveries per recipient: (record, deliver_callback).
-        self._held: Dict[HostId, List[Tuple[DeliveryRecord, Callable[[], None]]]] = {}
+        # Reorder-held deliveries per recipient: (record, epoch) — exactly the
+        # arguments ``_deliver`` would have been scheduled with, so releasing
+        # one is the same call a timer makes (epoch check included).
+        self._held: Dict[HostId, List[Tuple[DeliveryRecord, Optional[int]]]] = {}
         if distance_engine is None:
             distance_engine = HopDistanceEngine(graph)
         else:
             distance_engine.check_graph(graph)
         self._distances = distance_engine
+        # (router_a, router_b) -> latency, valid for one graph generation.
+        self._latency_memo: Dict[Tuple[NodeId, NodeId], float] = {}
+        self._memo_generation = graph.generation
         self.fault_plan = fault_plan
         self.deliveries: List[DeliveryRecord] = []
         self.dropped_messages = 0
@@ -223,7 +228,7 @@ class SimulatedNetwork:
         live endpoint left to release them to).
         """
         self._hosts.pop(host_id, None)
-        for record, _deliver in self._held.pop(host_id, []):
+        for record, _epoch in self._held.pop(host_id, []):
             self._drop(record)
 
     def is_attached(self, host_id: HostId) -> bool:
@@ -241,23 +246,38 @@ class SimulatedNetwork:
     def one_way_latency(self, sender: HostId, recipient: HostId) -> float:
         """Latency-weighted shortest-path delay between two hosts' routers.
 
-        The topology is undirected, so latency is symmetric — which lets
-        the lookup prefer whichever endpoint already has a cached latency
-        vector as the Dijkstra source.  Under the protocol's
-        many-peers-one-host traffic pattern that means one Dijkstra from
-        the host's router instead of one per peer access router.
+        The number is constant while the topology is, so it is read from a
+        memo keyed by the *router* pair — a handover (``attach_host`` at
+        another router) just reads another key — and the memo is emptied
+        when ``graph.generation`` has moved since it was filled.
+
+        A miss asks the distance engine.  The topology is undirected, so
+        latency is symmetric — which lets the lookup prefer whichever
+        endpoint already has a cached latency vector as the Dijkstra
+        source.  Under the protocol's many-peers-one-host traffic pattern
+        that means one Dijkstra from the host's router instead of one per
+        peer access router.
         """
         router_a = self.router_of(sender)
         router_b = self.router_of(recipient)
+        if self._memo_generation != self.graph.generation:
+            self._latency_memo.clear()
+            self._memo_generation = self.graph.generation
+        latency = self._latency_memo.get((router_a, router_b))
+        if latency is not None:
+            return latency
         if router_a == router_b:
-            return 0.1  # same access router: LAN-ish delay
-        if self._distances.has_latency_vector(router_b) and not self._distances.has_latency_vector(
-            router_a
-        ):
-            router_a, router_b = router_b, router_a
-        latency = self._distances.latency_between(router_a, router_b)
-        if latency is None:
-            raise SimulationError(f"no route between hosts {sender!r} and {recipient!r}")
+            latency = 0.1  # same access router: LAN-ish delay
+        else:
+            source, target = router_a, router_b
+            if self._distances.has_latency_vector(target) and not self._distances.has_latency_vector(
+                source
+            ):
+                source, target = target, source
+            latency = self._distances.latency_between(source, target)
+            if latency is None:
+                raise SimulationError(f"no route between hosts {sender!r} and {recipient!r}")
+        self._latency_memo[(router_a, router_b)] = latency
         return latency
 
     # ------------------------------------------------------------------- send
@@ -282,31 +302,32 @@ class SimulatedNetwork:
         """Schedule (or, with ``hold``, park) one delivery."""
         recipient = record.recipient
         epoch = self._attach_epochs.get(recipient)
-
-        def deliver() -> None:
-            entry = self._hosts.get(recipient)
-            if entry is None or self._attach_epochs.get(recipient) != epoch:
-                # Detached in flight — or detached and re-attached: a new
-                # epoch must never receive the old epoch's traffic.
-                self._drop(record)
-                return
-            record.delivered_at = self.engine.now
-            entry[1].handle_message(record.sender, record.message)
-            self._release_held(recipient)
-
         if hold:
-            self._held.setdefault(recipient, []).append((record, deliver))
+            self._held.setdefault(recipient, []).append((record, epoch))
             return
         delay = self._delivery_delay(record.sender, recipient) + extra_delay_ms
-        self.engine.schedule(delay, deliver, label=f"deliver:{record.sender}->{recipient}")
+        self.engine.schedule(delay, self._deliver, record, epoch)
+
+    def _deliver(self, record: DeliveryRecord, epoch: Optional[int]) -> None:
+        """Hand ``record`` to its recipient as attached at ``epoch``, or drop it."""
+        recipient = record.recipient
+        entry = self._hosts.get(recipient)
+        if entry is None or self._attach_epochs.get(recipient) != epoch:
+            # Detached in flight — or detached and re-attached: a new
+            # epoch must never receive the old epoch's traffic.
+            self._drop(record)
+            return
+        record.delivered_at = self.engine.now
+        entry[1].handle_message(record.sender, record.message)
+        self._release_held(recipient)
 
     def _release_held(self, recipient: HostId) -> None:
         """Deliver reorder-held messages right after a younger delivery."""
         held = self._held.pop(recipient, None)
         if not held:
             return
-        for _record, deliver in held:
-            deliver()
+        for record, epoch in held:
+            self._deliver(record, epoch)
 
     def send(self, sender: HostId, recipient: HostId, message: Any) -> DeliveryRecord:
         """Send ``message``; delivery is scheduled on the engine."""

@@ -8,6 +8,8 @@ with a scripted-lossy wire every live peer is still discovered within the
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import ManagementServer, NewcomerClient
@@ -62,6 +64,62 @@ class TestZeroLossOracle:
             return sim.run(2000.0).as_dict()
 
         assert run_once() == run_once()
+
+    def test_same_seed_same_delivery_log_to_the_byte(self):
+        """The whole trace, not its summary: every wire copy's times, ends and fate.
+
+        The digest was computed on the commit before the tuple-keyed event
+        heap; an engine or wire change that reorders two same-instant
+        events, resamples a delay or moves a drop shows up here first.
+        """
+
+        def run_once():
+            paths = synthetic_paths(200, seed=3)
+            sim = ProtocolSimulation(
+                paths,
+                beacon_config=BeaconConfig(beacon_interval_ms=500.0),
+                loss_probability=0.1,
+                duplicate_probability=0.02,
+                reorder_probability=0.02,
+                jitter_ms=2.0,
+                seed=12,
+            )
+            for i in range(0, 200, 20):
+                peer, donor = paths[i].peer_id, paths[(i + 7) % 200]
+                adopted = RouterPath.from_routers(peer, donor.landmark_id, donor.routers)
+                sim.schedule_path_update(peer, 700.0 + i, adopted)
+            for i in range(5, 200, 25):
+                sim.schedule_stop(paths[i].peer_id, 900.0 + i)
+            metrics = sim.run(3000.0)
+            digest = hashlib.sha256()
+            for record in sim.network.deliveries:
+                line = (
+                    record.sent_at,
+                    record.delivered_at,
+                    record.sender,
+                    record.recipient,
+                    type(record.message).__name__,
+                    record.message.seq,
+                    record.dropped,
+                    record.duplicate,
+                )
+                digest.update(repr(line).encode())
+            counts = (
+                len(sim.network.deliveries),
+                sim.engine.processed_events,
+                metrics.dropped_messages,
+                metrics.duplicated_messages,
+                metrics.reordered_messages,
+            )
+            sim.close()
+            return digest.hexdigest(), counts
+
+        first = run_once()
+        assert first == run_once()
+        assert first == (
+            "bea22863ec86acf7354736bf2f39c46cc6f35f5961532d44e314034a512cc139",
+            (2741, 3820, 292, 42, 44),
+        )
 
 
 class TestLossyAcceptance:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ClockError, SimulationError
+from repro.exceptions import ClockError, ConfigurationError, SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event, TimerHandle
+from repro.sim.events import TimerHandle
 
 
 class TestScheduling:
@@ -126,14 +126,23 @@ class TestRunControl:
         engine.run()
         assert engine.processed_events == 4
 
-    def test_peek_next_time(self):
+    def test_run_until_before_now_is_rejected_and_changes_nothing(self):
+        # Regression: the "next event is past until" branch assigned
+        # ``now = until`` unconditionally, rewinding the clock, after which
+        # ``schedule(0, ...)`` filed events before ones already fired.
         engine = Engine()
-        assert engine.peek_next_time() is None
-        handle = engine.schedule(3.0, lambda: None)
-        engine.schedule(5.0, lambda: None)
-        assert engine.peek_next_time() == 3.0
-        handle.cancel()
-        assert engine.peek_next_time() == 5.0
+        fired = []
+        engine.schedule(10.0, lambda: fired.append(10))
+        engine.schedule(20.0, lambda: fired.append(20))
+        engine.run(until=12.0)
+        with pytest.raises(ClockError):
+            engine.run(until=5.0)
+        assert engine.now == 12.0
+        assert engine.pending_events == 1
+        assert engine.processed_events == 1
+        engine.schedule(0.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [10, 12.0, 20]
 
     def test_reentrant_run_rejected(self):
         engine = Engine()
@@ -170,7 +179,7 @@ class TestDeterminism:
         ]
         handles[3].cancel()
         engine.run()
-        return fired, [handle.event.sequence for handle in handles]
+        return fired, [handle.sequence for handle in handles]
 
     def test_two_engines_back_to_back_produce_identical_traces(self):
         assert self._trace() == self._trace()
@@ -180,22 +189,147 @@ class TestDeterminism:
         for _ in range(7):
             noisy.schedule(1.0, lambda: None)
         fresh = Engine()
-        assert fresh.schedule(1.0, lambda: None).event.sequence == 0
+        assert fresh.schedule(1.0, lambda: None).sequence == 0
 
     def test_reset_rewinds_the_sequence_counter(self):
         engine = Engine()
         engine.schedule(1.0, lambda: None)
         engine.run()
         engine.reset()
-        assert engine.schedule(1.0, lambda: None).event.sequence == 0
+        assert engine.schedule(1.0, lambda: None).sequence == 0
 
 
-class TestEvent:
-    def test_event_ordering(self):
-        early = Event.at(1.0, lambda: None)
-        late = Event.at(2.0, lambda: None)
-        assert early < late
+class TestNonFiniteTimes:
+    """NaN compares false against everything, so ``nan < 0.0`` let it through
+    and the entry it keyed broke the heap's order; infinity would park the
+    clock where nothing can follow."""
 
-    def test_fire_returns_callback_value(self):
-        event = Event.at(0.0, lambda: 42)
-        assert event.fire() == 42
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+    def test_schedule_rejects_a_delay_that_is_not_finite_and_non_negative(self, delay):
+        engine = Engine()
+        with pytest.raises(ConfigurationError):
+            engine.schedule(delay, lambda: None)
+        assert engine.pending_events == 0
+
+    @pytest.mark.parametrize("delay", ["soon", None])
+    def test_schedule_rejects_a_delay_that_is_not_a_number(self, delay):
+        with pytest.raises(ConfigurationError):
+            Engine().schedule(delay, lambda: None)
+
+    def test_nan_delay_cannot_jump_the_queue(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("g"))
+        with pytest.raises(ConfigurationError):
+            engine.schedule(float("nan"), lambda: fired.append("f"))
+        engine.run()
+        assert fired == ["g"]
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_schedule_at_rejects_non_finite_times(self, time):
+        engine = Engine()
+        with pytest.raises(ClockError):
+            engine.schedule_at(time, lambda: None)
+        assert engine.pending_events == 0
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf")])
+    def test_run_rejects_non_finite_until(self, until):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        with pytest.raises(ClockError):
+            engine.run(until=until)
+        assert engine.now == 0.0
+        assert engine.pending_events == 1
+
+
+class TestOrderingContract:
+    """What the heap guarantees, whatever it is made of."""
+
+    def test_zero_delay_from_inside_a_timestamp_fires_after_those_queued(self):
+        engine = Engine()
+        fired = []
+
+        def first():
+            fired.append("first")
+            engine.schedule(0.0, lambda: fired.append("late-comer"))
+
+        engine.schedule(3.0, first)
+        engine.schedule(3.0, lambda: fired.append("second"))
+        engine.schedule_at(3.0, lambda: fired.append("third"))
+        engine.run()
+        assert fired == ["first", "second", "third", "late-comer"]
+        assert engine.now == 3.0
+
+    def test_same_timestamp_timer_cancelled_by_an_earlier_callback(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(2.0, lambda: (fired.append("a"), doomed.cancel()))
+        doomed = engine.schedule(2.0, lambda: fired.append("doomed"))
+        engine.schedule(2.0, lambda: fired.append("c"))
+        assert engine.run() == 2
+        assert fired == ["a", "c"]
+        assert engine.processed_events == 2
+
+    def test_stop_inside_a_same_timestamp_group_resumes_with_the_rest(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("a"))
+        engine.schedule(1.0, lambda: (fired.append("b"), engine.stop()))
+        engine.schedule(1.0, lambda: fired.append("c"))
+        engine.schedule(1.0, lambda: fired.append("d"))
+        assert engine.run() == 2
+        assert fired == ["a", "b"]
+        assert engine.run() == 2
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_max_events_inside_a_same_timestamp_group_resumes_with_the_rest(self):
+        engine = Engine()
+        fired = []
+        for label in "abcd":
+            engine.schedule(1.0, lambda label=label: fired.append(label))
+        assert engine.run(max_events=3) == 3
+        assert fired == ["a", "b", "c"]
+        assert engine.now == 1.0
+        assert engine.run() == 1
+        assert fired == ["a", "b", "c", "d"]
+        assert engine.processed_events == 4
+
+    def test_callback_receives_the_scheduled_arguments(self):
+        engine = Engine()
+        calls = []
+        engine.schedule(1.0, lambda *args: calls.append(args), "a", 2)
+        engine.schedule_at(2.0, lambda *args: calls.append(args), "b")
+        engine.schedule(3.0, lambda *args: calls.append(args))
+        engine.run()
+        assert calls == [("a", 2), ("b",), ()]
+
+    def test_step_fires_one_event_skipping_cancelled_ones(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("cancelled")).cancel()
+        engine.schedule(2.0, lambda: fired.append("a"))
+        engine.schedule(2.0, lambda: fired.append("b"))
+        assert engine.step() is True
+        assert fired == ["a"]
+        assert (engine.now, engine.processed_events, engine.pending_events) == (2.0, 1, 1)
+
+    def test_heap_entries_are_never_compared_beyond_time_and_sequence(self):
+        class Unorderable:
+            def __init__(self, log):
+                self.log = log
+
+            def __call__(self):
+                self.log.append(self)
+
+            def __lt__(self, other):
+                raise AssertionError("the heap compared two callbacks")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        engine = Engine()
+        fired = []
+        callbacks = [Unorderable(fired) for _ in range(8)]
+        for callback in callbacks:
+            engine.schedule(1.0, callback)
+        engine.run()
+        assert [id(callback) for callback in fired] == [id(callback) for callback in callbacks]
