@@ -54,6 +54,9 @@ __all__ = [
     "ShardHealth",
 ]
 
+#: The ``ValueError`` of ``closest_peers(peer, k < 0)``, live and snapshot alike.
+NEGATIVE_K = "k must be positive, or None / 0 for the plane's default, got {}"
+
 
 @dataclass
 class ServerStats:
@@ -294,8 +297,8 @@ class ManagementPlaneBase:
 
     @property
     def _neighbor_cache(self) -> Dict[PeerId, List[NeighborEntry]]:
-        """The cached neighbour lists (owned by :class:`NeighborCache`)."""
-        return self._cache.lists
+        """A diagnostic copy of the cached lists, entries readable by field name."""
+        return {owner: self._cache.get(owner) for owner in self._cache.lists}
 
     @property
     def _referenced_by(self) -> Dict[PeerId, Set[PeerId]]:
@@ -369,8 +372,7 @@ class ManagementPlaneBase:
         """
         if peer_id not in self._peer_landmark:
             raise UnknownPeerError(peer_id)
-        entries = self._cache.get(peer_id) or []
-        return [(entry.peer_id, entry.distance) for entry in entries]
+        return [(peer, distance) for distance, _, peer in self._cache.lists.get(peer_id, ())]
 
     def referencing_peers(self, peer_id: PeerId) -> Set[PeerId]:
         """Peers whose cached neighbour list currently contains ``peer_id``.
@@ -429,7 +431,8 @@ class ManagementPlaneBase:
 
         With the cache enabled and ``k <= neighbor_set_size`` this is a single
         dictionary access (plus slicing); otherwise the landmark trees are
-        queried directly, lazily refilling the cache.
+        queried directly, lazily refilling the cache.  ``None`` and ``0`` ask
+        for ``neighbor_set_size``; a negative ``k`` is a ``ValueError``.
 
         A cached list is served when it holds enough entries for ``k`` (or
         for the whole population), **or** when it is marked complete — it
@@ -442,12 +445,14 @@ class ManagementPlaneBase:
         if peer_id not in self._peer_landmark:
             raise UnknownPeerError(peer_id)
         k = k or self.neighbor_set_size
+        if k < 0:
+            raise ValueError(NEGATIVE_K.format(k))
         self.stats.queries += 1
         if self.maintain_cache and k <= self.neighbor_set_size:
-            entries = self._cache.get(peer_id) or []
+            entries = self._cache.lists.get(peer_id, ())
             if len(entries) >= min(k, self.peer_count - 1) or self._cache.is_complete(peer_id):
                 self.stats.cache_hits += 1
-                return [(entry.peer_id, entry.distance) for entry in entries[:k]]
+                return [(peer, distance) for distance, _, peer in entries[:k]]
         try:
             neighbors = self._compute_neighbors(peer_id, k=k)
         except ShardUnavailableError as error:

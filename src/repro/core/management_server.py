@@ -43,9 +43,10 @@ With ``n`` registered peers under a landmark, ``k = neighbor_set_size`` and
 A row costs one pointer per peer at or below the node — ``d + 1`` pointers
 and one shared 3-tuple per peer in all — and replaces the per-node
 attachment dict and subtree count.  Measured on the synthetic three-level
-hierarchy at 12 800 peers (``python3 -m bench``, ``plane-churn-inline``): a
-cold query 62 → 8 µs, ``register_peer`` p50 150 → 50 µs, the populated plane
-1 MB smaller.
+hierarchy at 12 800 peers (``python3 -m bench``, ``plane-churn-inline``): the
+index query of a cold miss 62 → 8 µs; ``register_peer`` p50 150 → 50 µs with
+the rows and → 39 µs with cached lists as plain sorted tuples — by the traced
+run ~27 % trie insert, ~27 % index query, ~29 % cache pass, the rest skeleton.
 
 The peer-facing half of the API (registration skeleton, cache policy,
 distance estimator, read accessors) lives in

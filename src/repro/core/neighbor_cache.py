@@ -1,21 +1,25 @@
 """Per-peer cached neighbour lists with a reverse neighbour index.
 
-This is the peer-facing half of the management plane, extracted from
-:class:`~repro.core.management_server.ManagementServer` so that both the
-single-process server and the sharded coordinator
-(:class:`~repro.core.sharded.ShardedManagementServer`) maintain their caches
-with *exactly* the same code — which is what makes the sharded plane's
-results byte-identical to the single server's.
+The peer-facing half of the management plane.  The single-process server
+and the sharded coordinator (:class:`~repro.core.sharded.ShardedManagementServer`)
+maintain their caches with *exactly* this code, which is what makes the
+sharded plane's results byte-identical to the single server's.
 
-The cache holds, for every registered peer, an ordered list of
-:class:`NeighborEntry` (closest first), plus the **reverse neighbour index**
-``referenced_by`` (peer -> peers whose cached list contains it) so a
-departure only repairs the lists that actually reference the departed peer.
+The cache holds, for every registered peer, a sorted list of entries
+(closest first), plus the **reverse neighbour index** ``referenced_by``
+(peer -> peers whose cached list contains it): a departure repairs only the
+lists that reference the departed peer, and an arrival learns whether a list
+already names the newcomer from one set lookup.
 
-Sort keys are interned: entries created by the cache carry the owning
-plane's precomputed ``sort_text`` (see :mod:`repro.core.interning`), so the
-ordered inserts of ``propagate_newcomer`` bisect over ready tuples instead
-of calling ``repr`` per probe.
+Entries are plain tuples ordered as they sort — ``(distance, sort_text,
+peer_id)``, ``sort_text`` being the plane's interned ``repr(peer_id)``
+(:mod:`repro.core.interning`) — so an ordered insert is ``insort`` on the
+entries themselves: compared in C, no key function, no ``repr`` per probe.
+No list names a peer twice and none names its owner.  A
+:meth:`~NeighborCache.store` of a list equal to the cached one (the usual
+outcome of a cold query's refill) leaves the list object, the reverse index
+and the change record untouched; only a completeness mark that moved is
+written, and only then does the owner count as changed.
 
 Completeness tracking
 ---------------------
@@ -45,9 +49,8 @@ a snapshot publisher re-freezes only those lists.  It is ``None`` (one
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from bisect import insort
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .._validation import require_positive_int
 from .interning import PeerKeyInterner
@@ -57,29 +60,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .management_plane import ServerStats
 
 
-@dataclass(slots=True)
-class NeighborEntry:
-    """One entry of a cached neighbour list.
-
-    ``sort_text`` is the interned textual tiebreak (``repr(peer_id)``),
-    filled in by the cache at construction; entries built directly (tests,
-    ad-hoc tooling) compute it lazily on first :meth:`as_tuple`.  It never
-    participates in equality — two entries are equal iff distance and peer
-    match, exactly as before interning.  Slotted: a warm cache holds
-    ``k`` entries per registered peer, so attribute-dict overhead is pure
-    waste.
-    """
+class NeighborEntry(NamedTuple):
+    """The shape of a cached entry, fields in sort order.  The lists hold *exact*
+    tuples (CPython compares, unpacks and indexes those on fast paths a
+    subclass instance misses, and they are 16 bytes smaller);
+    :meth:`NeighborCache.get` wraps them for reading by name."""
 
     distance: float
+    sort_text: str
     peer_id: PeerId
-    sort_text: Optional[str] = field(default=None, compare=False, repr=False)
-
-    def as_tuple(self) -> Tuple[float, str, PeerId]:
-        """Sort key: distance first, then a stable textual tiebreak."""
-        text = self.sort_text
-        if text is None:
-            text = self.sort_text = repr(self.peer_id)
-        return (self.distance, text, self.peer_id)
 
 
 class NeighborCache:
@@ -109,12 +98,10 @@ class NeighborCache:
         self.neighbor_set_size = require_positive_int(neighbor_set_size, "neighbor_set_size")
         self.stats = stats
         self.interner = interner if interner is not None else PeerKeyInterner()
-        self.lists: Dict[PeerId, List[NeighborEntry]] = {}
+        self.lists: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
         self.referenced_by: Dict[PeerId, Set[PeerId]] = {}
-        #: Plane membership generation; bumped by the plane on every event
-        #: that could add a reachable candidate (registration, new landmark
-        #: distance).  Completeness marks are only valid for the generation
-        #: they were stored under.
+        #: Bumped by the plane on every event that could add a reachable
+        #: candidate; completeness marks hold for the generation they carry.
         self.membership_generation: int = 0
         self._complete: Dict[PeerId, int] = {}
         #: Owners whose list changed since the owning plane last drained its
@@ -124,8 +111,10 @@ class NeighborCache:
     # ---------------------------------------------------------------- reading
 
     def get(self, peer_id: PeerId) -> Optional[List[NeighborEntry]]:
-        """The peer's cached list, or None if it has none."""
-        return self.lists.get(peer_id)
+        """A copy of the peer's list readable by field name (diagnostics, tests),
+        or None if it has none; the planes read :attr:`lists` itself."""
+        entries = self.lists.get(peer_id)
+        return None if entries is None else [NeighborEntry(*entry) for entry in entries]
 
     def referencing(self, peer_id: PeerId) -> Set[PeerId]:
         """Peers whose cached list currently contains ``peer_id`` (a copy)."""
@@ -164,26 +153,34 @@ class NeighborCache:
 
         ``complete=True`` marks the list as exhaustive for the current
         membership generation (the compute it came from returned every
-        reachable candidate).
+        reachable candidate).  An equal list is not rewritten (module doc).
         """
+        old_entries = self.lists.get(peer_id)
+        relist = old_entries is None or list(pairs) != [
+            (peer, distance) for distance, _, peer in old_entries
+        ]
+        stamp = self.membership_generation if complete else None
+        if not relist and stamp == self._complete.get(peer_id):
+            return
         if self.dirty is not None:
             self.dirty.add(peer_id)
-        old_entries = self.lists.get(peer_id)
-        if old_entries:
-            for entry in old_entries:
-                self._reverse_discard(entry.peer_id, peer_id)
-        interned = self.interner.sort_text
-        entries = [
-            NeighborEntry(distance=distance, peer_id=peer, sort_text=interned(peer))
-            for peer, distance in pairs
-        ]
-        self.lists[peer_id] = entries
-        for entry in entries:
-            self.referenced_by.setdefault(entry.peer_id, set()).add(peer_id)
         if complete:
-            self._complete[peer_id] = self.membership_generation
+            self._complete[peer_id] = stamp
         else:
             self._complete.pop(peer_id, None)
+        if relist:
+            for entry in old_entries or ():
+                self._reverse_discard(entry[2], peer_id)
+            key = self.interner.key
+            referenced_by = self.referenced_by
+            entries = self.lists[peer_id] = []
+            for peer, distance in pairs:
+                entries.append((distance, key(peer)[0], peer))
+                referrers = referenced_by.get(peer)
+                if referrers is None:
+                    referenced_by[peer] = {peer_id}
+                else:
+                    referrers.add(peer_id)
 
     def drop_peer(self, peer_id: PeerId) -> None:
         """Remove a departing peer's list and repair the lists referencing it.
@@ -196,9 +193,8 @@ class NeighborCache:
         """
         own_entries = self.lists.pop(peer_id, None)
         self._complete.pop(peer_id, None)
-        if own_entries:
-            for entry in own_entries:
-                self._reverse_discard(entry.peer_id, peer_id)
+        for entry in own_entries or ():
+            self._reverse_discard(entry[2], peer_id)
         referrers = self.referenced_by.pop(peer_id, ())
         if self.dirty is not None:
             self.dirty.update(referrers)
@@ -206,7 +202,7 @@ class NeighborCache:
             entries = self.lists.get(referrer)
             if entries is None:
                 continue
-            entries[:] = [entry for entry in entries if entry.peer_id != peer_id]
+            entries[:] = [entry for entry in entries if entry[2] != peer_id]
             self.stats.departure_updates += 1
 
     def propagate_newcomer(
@@ -214,34 +210,32 @@ class NeighborCache:
     ) -> None:
         """Insert the newcomer into nearby peers' cached lists (ordered insert).
 
-        Only the peers that appear in the newcomer's own neighbour list (and
-        their current list members' bound) can possibly gain the newcomer as
-        a better neighbour, so the update cost is bounded by
-        ``neighbor_set_size`` ordered-list insertions — the O(log n)
-        "ordered list" cost the paper refers to.  Each insertion bisects on
-        the entries' interned ``(distance, sort_text)`` keys; no ``repr``
-        is computed per probe.
+        Only the peers in the newcomer's own neighbour list can gain it as a
+        better neighbour, so the cost is bounded by ``neighbor_set_size``
+        ordered-list insertions — the paper's O(log n) "ordered list" cost:
+        one ``insort`` on the entry tuples, one ``pop`` when the list was
+        full.  Whether a list already names the newcomer is read off the
+        reverse index.
         """
-        newcomer_text = self.interner.sort_text(newcomer)
-        dirty = self.dirty
+        newcomer_text = self.interner.key(newcomer)[0]
+        # Reverse-index sets are never left empty, so a falsy one is a new one.
+        listed_in = self.referenced_by.get(newcomer) or set()
+        lists, limit, dirty = self.lists, self.neighbor_set_size, self.dirty
         for peer, distance in newcomer_neighbors:
-            entries = self.lists.get(peer)
-            if entries is None:
+            entries = lists.get(peer)
+            if entries is None or peer in listed_in:
                 continue
-            if any(entry.peer_id == newcomer for entry in entries):
-                continue
-            if len(entries) >= self.neighbor_set_size and distance >= entries[-1].distance:
-                continue
-            new_entry = NeighborEntry(distance=distance, peer_id=newcomer, sort_text=newcomer_text)
-            index = bisect.bisect_left(entries, new_entry.as_tuple(), key=NeighborEntry.as_tuple)
-            entries.insert(index, new_entry)
-            for evicted in entries[self.neighbor_set_size :]:
-                self._reverse_discard(evicted.peer_id, peer)
-            del entries[self.neighbor_set_size :]
-            self.referenced_by.setdefault(newcomer, set()).add(peer)
+            if len(entries) >= limit:
+                if distance >= entries[-1][0]:
+                    continue
+                self._reverse_discard(entries.pop()[2], peer)
+            insort(entries, (distance, newcomer_text, newcomer))
+            listed_in.add(peer)
             self.stats.cache_updates += 1
             if dirty is not None:
                 dirty.add(peer)
+        if listed_in:
+            self.referenced_by[newcomer] = listed_in
 
     # ------------------------------------------------------------- snapshots
 
@@ -253,7 +247,7 @@ class NeighborCache:
         order.  The reverse index is derivable, so it is not exported.
         """
         lists = tuple(
-            (owner, tuple((entry.peer_id, entry.distance) for entry in entries))
+            (owner, tuple((peer, distance) for distance, _, peer in entries))
             for owner, entries in self.lists.items()
         )
         return (self.membership_generation, lists, tuple(self._complete.items()))

@@ -76,7 +76,7 @@ import time
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import LandmarkError, UnknownPeerError
-from .management_plane import ChangeRecord, ManagementPlaneBase
+from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, closest_in_rows
 
@@ -306,7 +306,7 @@ class DiscoverySnapshot:
             slot = slot_of.get(owner)
             if slot is not None:
                 cache_lists[slot] = tuple(
-                    [(entry.peer_id, entry.distance) for entry in cache.get(owner) or ()]
+                    [(peer, distance) for distance, _, peer in cache.lists.get(owner, ())]
                 )
                 cache_stamps[slot] = cache.completeness_stamp(owner)
 
@@ -484,6 +484,8 @@ class DiscoverySnapshot:
         if slot is None:
             raise UnknownPeerError(peer_id)
         k = k or self.neighbor_set_size
+        if k < 0:
+            raise ValueError(NEGATIVE_K.format(k))
         if self.maintain_cache and k <= self.neighbor_set_size:
             entries = self._cache_lists[slot]
             if (

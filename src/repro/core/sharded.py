@@ -541,13 +541,9 @@ class ShardedManagementServer(ManagementPlaneBase):
         """
         if not self.degraded_reads:
             return None
-        pairs: List[Tuple[PeerId, float]] = []
-        already = {peer_id}
-        if self.maintain_cache:
-            for entry in self._cache.get(peer_id) or ():
-                if entry.peer_id not in already:
-                    pairs.append((entry.peer_id, entry.distance))
-                    already.add(entry.peer_id)
+        # The cached list: no peer twice, never its owner, [] without a cache.
+        pairs = self.neighbor_list(peer_id)
+        already = {peer_id, *(peer for peer, _ in pairs)}
         if len(pairs) < k:
             landmark_id = self._peer_landmark[peer_id]
             own_hops = self._paths[peer_id].hop_count

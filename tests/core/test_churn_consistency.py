@@ -345,10 +345,13 @@ class TestPropagationOrderedInsert:
         rng = random.Random(13)
         for index in range(80):
             server.register_peer(synthetic_path(index, rng))
-        for entries in server._neighbor_cache.values():
-            keys = [entry.as_tuple() for entry in entries]
-            assert keys == sorted(keys)
+        for owner, entries in server._neighbor_cache.items():
+            # Plain tuple order is the contract: (distance, sort_text, peer_id).
+            assert entries == sorted(entries)
             assert len(entries) <= server.neighbor_set_size
+            listed = [entry.peer_id for entry in entries]
+            assert len(set(listed)) == len(listed)
+            assert owner not in listed
 
     def test_eviction_updates_reverse_index(self, server):
         # Fill origin's list, then add closer peers until someone is evicted.

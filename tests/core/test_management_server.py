@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.management_server import ManagementServer
 from repro.core.path import RouterPath
+from repro.core.serving import DiscoverySnapshot, SnapshotReader
+from repro.core.sharded import ShardedManagementServer
 from repro.exceptions import LandmarkError, RegistrationError, UnknownPeerError
 
 
@@ -153,6 +155,29 @@ class TestQueries:
         for peer in populated.peers():
             distances = [d for _, d in populated.closest_peers(peer, k=4)]
             assert distances == sorted(distances)
+
+    @pytest.mark.parametrize("kind", ["live", "two inline shards", "snapshot reader"])
+    def test_negative_k_is_rejected_not_sliced(self, kind):
+        # entries[:k] with k=-1 used to serve a silently truncated list.
+        plane = (
+            ShardedManagementServer(shard_count=2, neighbor_set_size=3)
+            if kind == "two inline shards"
+            else ManagementServer(neighbor_set_size=3)
+        )
+        plane.register_landmark("lmA", "lmA")
+        for index in range(5):
+            plane.register_peer(path(f"p{index}", [f"a{index}", "core", "lmA"]))
+        target = plane
+        if kind == "snapshot reader":
+            target = SnapshotReader(DiscoverySnapshot.build(plane))
+        queries_before = plane.stats.queries
+        for bad in (-1, -3, -10):
+            with pytest.raises(ValueError, match="k must be positive"):
+                target.closest_peers("p0", bad)
+        assert plane.stats.queries == queries_before  # a rejected query is not a query
+        default = target.closest_peers("p0")
+        assert len(default) == 3
+        assert target.closest_peers("p0", None) == target.closest_peers("p0", 0) == default
 
 
 class TestShortListCompleteness:
