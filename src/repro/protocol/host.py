@@ -30,6 +30,13 @@ under at-least-once delivery on an untrusted wire:
   (claiming a peer id that does not match the sender, or carrying a path
   recorded for someone else) bans the sender: it is unregistered and its
   future traffic is dropped before any plane work.
+
+A plane call that fails typed (:class:`~repro.exceptions.ShardUnavailableError`:
+a shard is down or recovering) never reaches the event loop.  A beacon it
+interrupts is not acked, records no registration and bans nobody, so the
+peer's retransmit within its round budget heals it; an expiry or ban whose
+``unregister_peer`` fails keeps the registration, and the next sweep tries
+again.  Each such failure counts once in ``HostStats.plane_failures``.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.path import PeerId, RouterPath
+from ..exceptions import ShardUnavailableError
 from ..sim.engine import Engine
 from ..sim.events import TimerHandle
 from ..sim.network import HostId, SimulatedNetwork
@@ -65,6 +73,9 @@ class HostStats:
     peers_banned: int = 0
     banned_beacons_dropped: int = 0
     malformed_messages: int = 0
+    plane_failures: int = 0
+    """Plane calls that failed typed: a beacon left unacked, or an eviction
+    left for the next sweep."""
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (experiment tables, perf reports)."""
@@ -169,7 +180,12 @@ class ProtocolManagementHost:
             # path recorded for a different peer.
             self._ban(sender)
             return
-        self._apply_beacon(sender, message)
+        try:
+            self._apply_beacon(sender, message)
+        except ShardUnavailableError:
+            # The registration is recorded only after register_peer returns,
+            # and nothing is acked: the peer retransmits.
+            self.stats.plane_failures += 1
 
     def _apply_beacon(self, sender: HostId, beacon: Beacon) -> None:
         self.stats.beacons_received += 1
@@ -222,9 +238,22 @@ class ProtocolManagementHost:
         self.banned.add(sender)
         self.stats.peers_banned += 1
         # Quarantine also evicts any state the sender managed to register.
-        if self.server.has_peer(sender):
-            self.server.unregister_peer(sender)
-        self._registrations.pop(sender, None)
+        self._evict(sender)
+
+    def _evict(self, peer_id: PeerId) -> bool:
+        """Take ``peer_id`` out of the plane and forget it; False if the plane failed typed.
+
+        A failed eviction keeps the registration, which is what the next
+        sweep retries.
+        """
+        if self.server.has_peer(peer_id):
+            try:
+                self.server.unregister_peer(peer_id)
+            except ShardUnavailableError:
+                self.stats.plane_failures += 1
+                return False
+        self._registrations.pop(peer_id, None)
+        return True
 
     # ------------------------------------------------------------------- expiry
 
@@ -237,17 +266,20 @@ class ProtocolManagementHost:
 
         Called by the periodic sweep; callable directly from tests and
         experiments.  Returns the expired peer ids (deterministic order).
+        A banned sender whose eviction failed is evicted again, and is not
+        counted as expired.
         """
         now = self.engine.now
-        expired = [
+        stale = [
             peer_id
             for peer_id, held in self._registrations.items()
-            if now - held.heard_ms > self.ttl_ms
+            if now - held.heard_ms > self.ttl_ms or peer_id in self.banned
         ]
-        for peer_id in expired:
-            del self._registrations[peer_id]
-            if self.server.has_peer(peer_id):
-                self.server.unregister_peer(peer_id)
+        expired = []
+        for peer_id in stale:
+            if not self._evict(peer_id) or peer_id in self.banned:
+                continue
+            expired.append(peer_id)
             self.stats.peers_expired += 1
             if self.on_expire is not None:
                 self.on_expire(peer_id, now)

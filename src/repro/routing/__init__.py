@@ -15,7 +15,7 @@ from .shortest_path import (
     reconstruct_path,
     shortest_path_tree,
 )
-from .distance_engine import CsrTopology, HopDistanceEngine
+from .distance_engine import ColumnTree, CsrTopology, HopDistanceEngine
 from .route_table import RouteTable, build_route_table
 from .traceroute import (
     TracerouteConfig,
@@ -38,6 +38,7 @@ from .path_inference import (
 
 __all__ = [
     "AllPairsHopDistances",
+    "ColumnTree",
     "CsrTopology",
     "HopDistanceEngine",
     "ShortestPathTree",

@@ -9,7 +9,8 @@ a shared engine built around two ideas:
 
 **CSR snapshots** (:class:`CsrTopology`) — the graph is flattened once into
 int-indexed compact arrays (``offsets``/``neighbors`` in the classic
-compressed-sparse-row layout, plus per-weight-key weight arrays).  Snapshots
+compressed-sparse-row layout, plus per-weight-key weighted adjacency and
+the links a hop tree walks, both read from the graph on first use).  Snapshots
 are immutable; :class:`Graph` carries a generation counter bumped on every
 mutation, and the engine transparently rebuilds its snapshot when the
 generation moves.
@@ -37,22 +38,36 @@ Vectors saturate at 254 hops; rare deeper graphs fall back to exact wide
 (machine-int) vectors automatically.
 
 The batched Dijkstra mirrors the reference implementation operation-for-
-operation over the snapshot's weight arrays (same relaxation order, same
-float addition order), so latency distances and tie-broken parents are
+operation over the snapshot's weighted adjacency (same relaxation order,
+same float addition order), so latency distances and tie-broken parents are
 bit-identical, not merely numerically close.
+
+**Column trees** (:meth:`HopDistanceEngine.tree`) are the forwarding state a
+:class:`~repro.routing.route_table.RouteTable` keeps per landmark: parent
+position, hop count and routed latency as flat per-router lists, so a route,
+a hop count or a ping's latency is one index lookup plus column reads.  A hop
+tree is one level-synchronous BFS over the core (the hop vectors' frontier
+idiom, recording each router's parent and ``latency[parent] + weight`` as it
+is discovered); every leaf then takes its one neighbour's entries plus its
+link at C speed.  The frontier keeps the reference FIFO order and a leaf
+never discovers anything, so every parent is the one ``bfs_shortest_paths``
+picks, and latency is summed from the root outward, as a walk up the parent
+chain would sum it.  Hop counts are plain ints: a tree has no byte cap.
+``tests/routing/test_column_trees.py`` holds that oracle.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import NodeNotFoundError, NoRouteError
 from ..topology.graph import DEFAULT_WEIGHT_KEY, Graph
-from .shortest_path import ShortestPathTree
 
 NodeId = Hashable
 
@@ -70,6 +85,11 @@ MAX_BYTE_HOPS = 253
 #: to the sentinel).  Callers must check the vector's finite maximum is at
 #: most :data:`MAX_BYTE_HOPS` before applying it.
 _PLUS_ONE_HOP = bytes(range(1, 255)) + b"\xff\xff"
+
+#: Hop count a column tree gives a router with no route to its root.  It is
+#: below -1 so that a leaf filled from such a router (its neighbour's count
+#: plus one) is still negative, with no branch in the fill.
+NO_ROUTE = -2
 
 HopVector = Union[bytes, array]
 
@@ -103,8 +123,8 @@ class CsrTopology:
         "neighbors",
         "leaf_parents",
         "_leaf_gather",
-        "_weights",
         "_weighted_adjacency",
+        "_tree_links",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -141,10 +161,16 @@ class CsrTopology:
         self.neighbors = neighbors
         # Leaf i (full index core_count + i) hangs off core_adjacency-range
         # parent leaf_parents[i].
-        self.leaf_parents = array("l", (index[next(graph.iter_neighbors(u))] for u in leaves))
-        self._leaf_gather = itemgetter(*self.leaf_parents) if len(leaves) > 1 else None
-        self._weights: Dict[str, array] = {}
+        self.leaf_parents = leaf_parents = array("l", (index[next(graph.iter_neighbors(u))] for u in leaves))
+        # A core-range column -> each leaf's parent entry, as one C call
+        # (itemgetter of a single index would return a bare item).
+        self._leaf_gather = (
+            itemgetter(*leaf_parents)
+            if len(leaves) > 1
+            else lambda column: tuple(column[p] for p in leaf_parents)
+        )
         self._weighted_adjacency: Dict[str, List[Tuple[Tuple[int, float], ...]]] = {}
+        self._tree_links: Optional[Tuple[List[Tuple[Tuple[int, float], ...]], List[float]]] = None
 
     def is_current(self) -> bool:
         """True while the underlying graph has not mutated since the build."""
@@ -157,53 +183,44 @@ class CsrTopology:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def weights(self, weight_key: str = DEFAULT_WEIGHT_KEY) -> array:
-        """Per-edge weight array aligned with :attr:`neighbors` (lazy, cached)."""
-        cached = self._weights.get(weight_key)
-        if cached is None:
-            graph = self.graph
-            nodes = self.nodes
-            offsets = self.offsets
-            neighbors = self.neighbors
-            cached = array(
-                "d",
-                (
-                    graph.edge_weight(nodes[u], nodes[neighbors[i]], key=weight_key)
-                    for u in range(self.node_count)
-                    for i in range(offsets[u], offsets[u + 1])
-                ),
-            )
-            self._weights[weight_key] = cached
-        return cached
-
     def weighted_adjacency(self, weight_key: str = DEFAULT_WEIGHT_KEY) -> List[Tuple[Tuple[int, float], ...]]:
-        """Per-node ``((neighbor_index, weight), ...)`` tuples (lazy, cached)."""
+        """Per-node ``((neighbor_index, weight), ...)`` tuples in CSR order (lazy, cached)."""
         cached = self._weighted_adjacency.get(weight_key)
         if cached is None:
-            weights = self.weights(weight_key)
-            neighbors = self.neighbors
-            offsets = self.offsets
-            cached = [
-                tuple((neighbors[i], weights[i]) for i in range(offsets[u], offsets[u + 1]))
-                for u in range(self.node_count)
-            ]
+            index, weights_of = self.index, self.graph.neighbor_weights
+            cached = [tuple([(index[v], w) for v, w in weights_of(u, weight_key)]) for u in self.nodes]
             self._weighted_adjacency[weight_key] = cached
         return cached
 
+    def tree_links(self) -> Tuple[List[Tuple[Tuple[int, float], ...]], List[float]]:
+        """What a hop tree's BFS walks (lazy, cached).
+
+        Per core router, its ``(core neighbour, latency)`` links in
+        :attr:`core_adjacency` order; per leaf, the latency of its one link.
+        """
+        if self._tree_links is None:
+            index, core_count, nodes = self.index, self.core_count, self.nodes
+            weights_of, weight = self.graph.neighbor_weights, self.graph.edge_weight
+            self._tree_links = (
+                [
+                    tuple([(index[v], w) for v, w in weights_of(u) if index[v] < core_count])
+                    for u in nodes[:core_count]
+                ],
+                [weight(leaf, nodes[p]) for leaf, p in zip(nodes[core_count:], self.leaf_parents)],
+            )
+        return self._tree_links
+
     def fill_leaves(self, core_vector: bytearray) -> bytearray:
         """Extend a core-range byte vector to full length via the leaf gather."""
-        gather = self._leaf_gather
-        if gather is not None:
-            core_vector += bytearray(gather(core_vector)).translate(_PLUS_ONE_HOP)
-        elif len(self.leaf_parents) == 1:
-            core_vector.append(_PLUS_ONE_HOP[core_vector[self.leaf_parents[0]]])
+        core_vector += bytearray(self._leaf_gather(core_vector)).translate(_PLUS_ONE_HOP)
         return core_vector
 
 
 class EngineStats:
     """Algorithmic-work counters, mirroring the perf suite's counter style."""
 
-    __slots__ = ("snapshot_builds", "bfs_runs", "wide_bfs_runs", "derived_vectors", "dijkstra_runs", "vector_cache_hits")
+    __slots__ = ("snapshot_builds", "bfs_runs", "wide_bfs_runs", "derived_vectors", "dijkstra_runs",
+                 "vector_cache_hits", "trees_built")
 
     def __init__(self) -> None:
         self.reset()
@@ -215,6 +232,7 @@ class EngineStats:
         self.derived_vectors = 0
         self.dijkstra_runs = 0
         self.vector_cache_hits = 0
+        self.trees_built = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -407,42 +425,34 @@ class HopDistanceEngine:
             result.append(default if distance == unreachable else distance)
         return result
 
-    # ----------------------------------------------------- exact BFS mirror
-
-    def bfs(self, source: NodeId) -> Tuple[Dict[NodeId, int], Dict[NodeId, NodeId]]:
-        """``(distances, parents)`` identical to ``bfs_shortest_paths``.
-
-        Runs over the snapshot's full CSR arrays with the same FIFO
-        discovery order as the reference implementation, so parents (and the
-        dicts' insertion order) match exactly — this is the entry point for
-        shortest-path *trees*, where tie-broken parents matter.
-        """
-        snapshot = self.snapshot()
-        source_index = snapshot.index_of(source)
-        offsets = snapshot.offsets
-        neighbors = snapshot.neighbors
-        nodes = snapshot.nodes
-        distances: Dict[NodeId, int] = {nodes[source_index]: 0}
-        parents: Dict[NodeId, NodeId] = {}
-        dist = array("l", [-1]) * snapshot.node_count
-        dist[source_index] = 0
-        queue = deque([source_index])
-        self.stats.bfs_runs += 1
-        while queue:
-            u = queue.popleft()
-            next_level = dist[u] + 1
-            u_node = nodes[u]
-            for i in range(offsets[u], offsets[u + 1]):
-                v = neighbors[i]
-                if dist[v] < 0:
-                    dist[v] = next_level
-                    v_node = nodes[v]
-                    distances[v_node] = next_level
-                    parents[v_node] = u_node
-                    queue.append(v)
-        return distances, parents
-
     # ------------------------------------------------------------- Dijkstra
+
+    def _dijkstra(
+        self, snapshot: CsrTopology, source: int, weight_key: str
+    ) -> Tuple[Dict[int, float], Dict[int, int], Dict[int, None]]:
+        """Index-keyed ``(distances, parents)`` plus the settled routers in settling order."""
+        adjacency = snapshot.weighted_adjacency(weight_key)
+        self.stats.dijkstra_runs += 1
+        distances: Dict[int, float] = {source: 0.0}
+        parents: Dict[int, int] = {}
+        settled: Dict[int, None] = {}  # an insertion-ordered set
+        heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
+        counter = 0
+        while heap:
+            distance, _, u = heappop(heap)
+            if u in settled:
+                continue
+            settled[u] = None
+            for v, weight in adjacency[u]:
+                if v in settled:
+                    continue
+                candidate = distance + weight
+                if v not in distances or candidate < distances[v]:
+                    distances[v] = candidate
+                    parents[v] = u
+                    counter += 1
+                    heappush(heap, (candidate, counter, v))
+        return distances, parents, settled
 
     def dijkstra(
         self, source: NodeId, weight_key: str = DEFAULT_WEIGHT_KEY
@@ -454,29 +464,8 @@ class HopDistanceEngine:
         bit-identical (not merely approximately equal).
         """
         snapshot = self.snapshot()
-        source_index = snapshot.index_of(source)
-        adjacency = snapshot.weighted_adjacency(weight_key)
+        distances, parents, _ = self._dijkstra(snapshot, snapshot.index_of(source), weight_key)
         nodes = snapshot.nodes
-        self.stats.dijkstra_runs += 1
-        distances: Dict[int, float] = {source_index: 0.0}
-        parents: Dict[int, int] = {}
-        visited: set = set()
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source_index)]
-        counter = 0
-        while heap:
-            distance, _, u = heappop(heap)
-            if u in visited:
-                continue
-            visited.add(u)
-            for v, weight in adjacency[u]:
-                if v in visited:
-                    continue
-                candidate = distance + weight
-                if v not in distances or candidate < distances[v]:
-                    distances[v] = candidate
-                    parents[v] = u
-                    counter += 1
-                    heappush(heap, (candidate, counter, v))
         return (
             {nodes[i]: d for i, d in distances.items()},
             {nodes[i]: nodes[p] for i, p in parents.items()},
@@ -562,20 +551,106 @@ class HopDistanceEngine:
 
     # ----------------------------------------------------------------- trees
 
-    def tree(
-        self,
-        root: NodeId,
-        weighted: bool = False,
-        weight_key: str = DEFAULT_WEIGHT_KEY,
-    ) -> ShortestPathTree:
-        """A :class:`ShortestPathTree` identical to ``shortest_path_tree``."""
-        if weighted:
-            distances, parents = self.dijkstra(root, weight_key=weight_key)
-            return ShortestPathTree(root=root, distances=dict(distances), parents=parents, weighted=True)
-        hop_distances, parents = self.bfs(root)
-        return ShortestPathTree(
-            root=root,
-            distances={node: float(value) for node, value in hop_distances.items()},
-            parents=parents,
-            weighted=False,
-        )
+    def tree(self, root: NodeId, weighted: bool = False) -> "ColumnTree":
+        """The routes of every router towards ``root``, as a :class:`ColumnTree`.
+
+        Hop-shortest routes by default (the parents ``bfs_shortest_paths``
+        picks); ``weighted=True`` routes along latency (the parents of
+        ``dijkstra_shortest_paths``).  Unknown roots raise
+        :class:`NodeNotFoundError`.
+        """
+        snapshot = self.snapshot()
+        root_index = snapshot.index_of(root)
+        self.stats.trees_built += 1
+        build = self._dijkstra_columns if weighted else self._bfs_columns
+        return ColumnTree(root, weighted, snapshot.index, snapshot.nodes, *build(snapshot, root_index))
+
+    def _bfs_columns(self, snapshot: CsrTopology, root: int) -> Tuple[List[int], List[int], List[float]]:
+        """``(parent, hops, latency)`` columns of the hop tree towards ``root``."""
+        links, leaf_weights = snapshot.tree_links()
+        core_count = snapshot.core_count
+        leaf_parents = snapshot.leaf_parents
+        parent = [-1] * core_count
+        hops = [NO_ROUTE] * core_count
+        latency = [float("inf")] * core_count
+        start = root
+        if root >= core_count:
+            # A leaf root: its one neighbour is every route's last hop.
+            start = leaf_parents[root - core_count]
+            parent[start], hops[start], latency[start] = root, 1, leaf_weights[root - core_count]
+        else:
+            hops[start], latency[start] = 0, 0.0
+        level = hops[start]
+        mark, link, price = hops.__setitem__, parent.__setitem__, latency.__setitem__
+        frontier = [start]
+        while frontier:
+            level += 1
+            # Marked when first discovered: the parent is the first frontier
+            # router, in FIFO order, that links to it.
+            frontier = [
+                v
+                for u in frontier
+                for v, weight in links[u]
+                if hops[v] < 0 and not mark(v, level) and not link(v, u) and not price(v, latency[u] + weight)
+            ]
+        gather = snapshot._leaf_gather
+        hops.extend(map(add, gather(hops), repeat(1)))
+        latency.extend(map(add, gather(latency), leaf_weights))
+        parent.extend(leaf_parents)
+        if root >= core_count:
+            parent[root], hops[root], latency[root] = -1, 0, 0.0
+        return parent, hops, latency
+
+    def _dijkstra_columns(self, snapshot: CsrTopology, root: int) -> Tuple[List[int], List[int], List[float]]:
+        """``(parent, hops, latency)`` columns of the latency tree towards ``root``."""
+        distances, parents, settled = self._dijkstra(snapshot, root, DEFAULT_WEIGHT_KEY)
+        parent = [-1] * snapshot.node_count
+        hops = [NO_ROUTE] * snapshot.node_count
+        latency = [float("inf")] * snapshot.node_count
+        for v in settled:  # a router settles after its parent
+            p = parents.get(v, -1)
+            parent[v] = p
+            hops[v] = hops[p] + 1 if p >= 0 else 0
+            # Dijkstra sets distances[v] = distances[p] + weight(p, v): the
+            # routed latency, summed from the root outward.
+            latency[v] = distances[v]
+        return parent, hops, latency
+
+
+@dataclass(frozen=True, slots=True)
+class ColumnTree:
+    """Every router's route towards one root, as three flat columns.
+
+    Columns are indexed by snapshot position (``index`` maps a router to
+    it, ``nodes`` back): ``parent[i]`` is the position of router ``i``'s
+    next hop (-1 at the root), ``hops[i]`` the number of hops of its route
+    and ``latency[i]`` the link latency summed along it from the root
+    outward.  A router with no route has a negative ``hops[i]``, and its
+    other two entries mean nothing.  Built by :meth:`HopDistanceEngine.tree`
+    for one snapshot and never changed.
+    """
+
+    root: NodeId
+    weighted: bool
+    index: Dict[NodeId, int]
+    nodes: List[NodeId]
+    parent: List[int]
+    hops: List[int]
+    latency: List[float]
+
+    def position(self, node: NodeId) -> int:
+        """Column position of ``node``; :class:`NoRouteError` if it has no route."""
+        i = self.index.get(node)
+        if i is None or self.hops[i] < 0:
+            raise NoRouteError(node, self.root)
+        return i
+
+    def path_to_root(self, node: NodeId) -> List[NodeId]:
+        """The routed path ``[node, ..., root]``."""
+        nodes, parent = self.nodes, self.parent
+        path = [node]
+        i = parent[self.position(node)]
+        while i >= 0:
+            path.append(nodes[i])
+            i = parent[i]
+        return path

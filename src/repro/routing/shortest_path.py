@@ -17,9 +17,9 @@ these references:
   engine-computed hop vectors (same API, same :class:`NoRouteError`
   semantics, one CSR snapshot shared across all sources);
 * :class:`~repro.routing.route_table.RouteTable` builds all of its
-  landmark-rooted trees through one engine (``shortest_path_tree`` itself
-  stays reference-backed for one-shot callers, and accepts an ``engine`` to
-  join a batch);
+  landmark-rooted trees through one engine, as flat column trees
+  (:func:`shortest_path_tree` stays the dict-based reference they are
+  tested against);
 * :class:`~repro.landmarks.manager.LandmarkSet`, the brute-force baseline,
   the convergence/analysis experiments, mobility and the sim network all
   share a scenario-owned engine rather than re-running private BFS loops.
@@ -176,18 +176,12 @@ def shortest_path_tree(
     root: NodeId,
     weighted: bool = False,
     weight_key: str = DEFAULT_WEIGHT_KEY,
-    engine: Optional["HopDistanceEngine"] = None,
 ) -> ShortestPathTree:
     """Build a :class:`ShortestPathTree` rooted at ``root``.
 
     ``weighted=False`` uses hop counts (the paper's route model);
     ``weighted=True`` uses link latencies, modelling latency-based routing.
-    Passing a shared :class:`~repro.routing.distance_engine.HopDistanceEngine`
-    builds the tree over its CSR snapshot (identical results); callers that
-    build trees for several roots should prefer one engine for all of them.
     """
-    if engine is not None:
-        return engine.check_graph(graph).tree(root, weighted=weighted, weight_key=weight_key)
     if weighted:
         distances, parents = dijkstra_shortest_paths(graph, root, weight_key=weight_key)
         return ShortestPathTree(root=root, distances=dict(distances), parents=parents, weighted=True)

@@ -178,10 +178,11 @@ class TracerouteSimulator:
 
         result = TracerouteResult(source=source, destination=destination)
         # One source of routed latency for trace and ping: what is still to
-        # go from a router is read off the route table's memo, so the last
-        # hop's RTT is exactly what a ping along the same route measures.
-        latency_to_destination = self.route_table.path_latency
-        total_latency = latency_to_destination(source, destination)
+        # go from a router is read off the route's latency column, so the
+        # last hop's RTT is exactly what a ping along the same route measures.
+        tree = self.route_table.add_destination(destination)
+        latency, index = tree.latency, tree.index
+        total_latency = latency[index[source]]
         # routed_path = [source, r1, r2, ..., destination]; probe r1 onwards.
         for ttl, router in enumerate(routed_path[1:], start=1):
             if ttl > self.config.max_ttl:
@@ -191,7 +192,7 @@ class TracerouteSimulator:
             # anonymous: it is a landmark host we control, not a router.
             responds = self._hop_responds(router) or is_destination
             if responds:
-                cumulative_latency = total_latency - latency_to_destination(router, destination)
+                cumulative_latency = total_latency - latency[index[router]]
                 jitter = self._rng.uniform(0.0, self.config.rtt_jitter_ms)
                 rtt = 2.0 * cumulative_latency + jitter
                 result.hops.append(TracerouteHop(ttl=ttl, router=router, rtt_ms=rtt))
@@ -213,11 +214,12 @@ class TracerouteSimulator:
         """
         if source == destination:
             return 0.0
-        table = self.route_table
-        if table.route_length(source, destination) > self.config.max_ttl:
+        tree = self.route_table.add_destination(destination)
+        position = tree.position(source)
+        if tree.hops[position] > self.config.max_ttl:
             return None
         jitter = self._rng.uniform(0.0, self.config.rtt_jitter_ms)
-        return 2.0 * table.path_latency(source, destination) + jitter
+        return 2.0 * tree.latency[position] + jitter
 
     def trace_many(self, source: NodeId, destinations: Sequence[NodeId]) -> List[TracerouteResult]:
         """Trace from ``source`` towards each destination in order."""

@@ -192,6 +192,14 @@ class Graph:
         """Return the numeric weight of edge ``(u, v)`` (defaults to 1.0)."""
         return float(self.edge_attributes(u, v).get(key, default))
 
+    def neighbor_weights(
+        self, node: NodeId, key: str = DEFAULT_WEIGHT_KEY, default: float = 1.0
+    ) -> List[Tuple[NodeId, float]]:
+        """``(neighbour, edge_weight(node, neighbour))`` pairs in neighbour order."""
+        if node not in self._adjacency:
+            raise NodeNotFoundError(node)
+        return [(v, float(attrs.get(key, default))) for v, attrs in self._adjacency[node].items()]
+
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import ManagementServer
 from repro.core.path import RouterPath
+from repro.exceptions import ShardUnavailableError
 from repro.perf.workloads import synthetic_paths
 from repro.protocol import (
     Beacon,
@@ -313,6 +314,90 @@ class TestExpiry:
         host.stop()
         engine.run(until=TTL_MS * 10)
         assert engine.pending_events == 0
+
+
+class FlakyPlane:
+    """A live plane whose ``register_peer`` / ``unregister_peer`` fail typed while ``down``."""
+
+    def __init__(self, server):
+        self.server = server
+        self.down = False
+
+    def __getattr__(self, name):
+        return getattr(self.server, name)
+
+    def _check(self):
+        if self.down:
+            raise ShardUnavailableError("shard-0", "down for the test")
+
+    def register_peer(self, path):
+        self._check()
+        return self.server.register_peer(path)
+
+    def unregister_peer(self, peer_id):
+        self._check()
+        return self.server.unregister_peer(peer_id)
+
+
+@pytest.fixture()
+def flaky(plane):
+    """The ``plane`` fixture with a :class:`FlakyPlane` between host and server."""
+    engine, network, server, _host, senders = plane
+    flaky_plane = FlakyPlane(server)
+    host = ProtocolManagementHost(HOST, engine, network, flaky_plane, ttl_ms=TTL_MS)
+    network.detach_host(HOST)
+    network.attach_host(HOST, 0, host)
+    return engine, network, flaky_plane, host, senders
+
+
+class TestTypedPlaneFailure:
+    def test_failed_registration_is_unacked_unrecorded_and_healed_by_the_retransmit(self, flaky):
+        engine, network, flaky_plane, host, _senders = flaky
+        network.detach_host("p0")
+        peer = BeaconingPeer("p0", engine, network, HOST, path_for("p0"), seed=1)
+        network.attach_host("p0", 5, peer)
+        flaky_plane.down = True
+        peer.start()
+        engine.run(until=50.0)  # the first beacon reached a plane that is down
+        assert host.stats.plane_failures == 1
+        assert host.stats.acks_sent == 0 and peer.stats.acks_received == 0
+        assert host.last_heard("p0") is None and not flaky_plane.has_peer("p0")
+        assert host.stats.peers_banned == 0 and not host.banned
+        flaky_plane.down = False
+        engine.run(until=900.0)  # inside the first round's budget
+        assert peer.stats.retransmissions >= 1
+        assert peer.stats.rounds_acked == 1
+        assert host.is_live("p0") and peer.neighbors == ()
+        assert host.stats.plane_failures == 1
+
+    def test_failed_expiry_keeps_the_registration_for_the_next_sweep(self, flaky):
+        engine, network, flaky_plane, host, _senders = flaky
+        host.start()
+        beacon_from(network, "p0", 0)
+        engine.run(until=20.0)
+        flaky_plane.down = True
+        engine.run(until=TTL_MS * 3)  # silent and stale, but every sweep fails
+        assert host.stats.plane_failures >= 1
+        assert host.stats.peers_expired == 0
+        assert host.last_heard("p0") is not None and flaky_plane.has_peer("p0")
+        flaky_plane.down = False
+        engine.run(until=TTL_MS * 4)
+        assert host.stats.peers_expired == 1
+        assert host.last_heard("p0") is None and not flaky_plane.has_peer("p0")
+
+    def test_failed_ban_keeps_the_registration_and_the_next_sweep_evicts_it(self, flaky):
+        engine, network, flaky_plane, host, _senders = flaky
+        beacon_from(network, "p1", 0)
+        engine.run()
+        flaky_plane.down = True
+        network.send("p1", HOST, "garbage")
+        engine.run()  # no exception reaches the event loop
+        assert "p1" in host.banned and host.stats.plane_failures == 1
+        assert flaky_plane.has_peer("p1") and host.last_heard("p1") is not None
+        flaky_plane.down = False
+        assert host.expire_stale() == []  # an eviction, not an expiry
+        assert not flaky_plane.has_peer("p1") and host.last_heard("p1") is None
+        assert host.stats.peers_expired == 0
 
 
 class TestValidation:

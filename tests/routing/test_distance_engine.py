@@ -2,7 +2,7 @@
 
 The engine's correctness claim is exact equivalence, not approximation:
 for every source in any graph — connected or not — the engine's hop
-distances, BFS trees and batched Dijkstra must equal
+distances and batched Dijkstra must equal
 :func:`bfs_shortest_paths` / :func:`dijkstra_shortest_paths`, and the
 rewired public APIs must keep their exception semantics
 (:class:`NoRouteError` for unreachable pairs, :class:`NodeNotFoundError`
@@ -25,7 +25,6 @@ from repro.routing.shortest_path import (
     AllPairsHopDistances,
     bfs_shortest_paths,
     dijkstra_shortest_paths,
-    shortest_path_tree,
 )
 from repro.topology.graph import Graph
 
@@ -72,23 +71,6 @@ class TestHopOracle:
 
     @settings(max_examples=80, deadline=None)
     @given(edges=edges_strategy, isolated=isolated_strategy)
-    def test_bfs_tree_is_identical_including_parents_and_order(self, edges, isolated):
-        graph = _graph_from(edges, isolated)
-        if graph.node_count == 0:
-            return
-        engine = HopDistanceEngine(graph)
-        for source in graph.nodes():
-            ref_distances, ref_parents = bfs_shortest_paths(graph, source)
-            distances, parents = engine.bfs(source)
-            assert distances == ref_distances
-            assert parents == ref_parents
-            # Not just equal: tie-breaking (and hence dict insertion order)
-            # must match, because routed paths replay these parents.
-            assert list(distances) == list(ref_distances)
-            assert list(parents) == list(ref_parents)
-
-    @settings(max_examples=80, deadline=None)
-    @given(edges=edges_strategy, isolated=isolated_strategy)
     def test_all_pairs_view_keeps_no_route_semantics(self, edges, isolated):
         graph = _graph_from(edges, isolated)
         if graph.node_count == 0:
@@ -122,32 +104,6 @@ class TestLatencyOracle:
             assert distances == ref_distances
             assert parents == ref_parents
             assert engine.latency_distances(source) == ref_distances
-
-    @settings(max_examples=40, deadline=None)
-    @given(edges=edges_strategy, isolated=isolated_strategy, weights=weights_strategy)
-    def test_weighted_tree_matches_reference(self, edges, isolated, weights):
-        graph = _graph_from(edges, isolated, weights=weights)
-        if graph.node_count == 0:
-            return
-        engine = HopDistanceEngine(graph)
-        root = next(iter(graph.nodes()))
-        reference = shortest_path_tree(graph, root, weighted=True)
-        tree = engine.tree(root, weighted=True)
-        assert tree.distances == reference.distances
-        assert tree.parents == reference.parents
-        assert tree.root == reference.root and tree.weighted
-        # The one-shot entry point delegates to the same engine result.
-        delegated = shortest_path_tree(graph, root, weighted=True, engine=engine)
-        assert delegated.distances == reference.distances
-        assert delegated.parents == reference.parents
-
-    def test_shortest_path_tree_rejects_mismatched_engine(self):
-        graph = Graph()
-        graph.add_edge(1, 2)
-        other = Graph()
-        other.add_edge(1, 2)
-        with pytest.raises(ValueError):
-            shortest_path_tree(graph, 1, engine=HopDistanceEngine(other))
 
     def test_injection_points_reject_mismatched_engine(self):
         graph = Graph()

@@ -69,22 +69,26 @@ class TestRouteTable:
         assert RouteTable(graph=graph).path_latency(0, 2) == 10.0
         assert RouteTable(graph=graph, weighted=True).path_latency(0, 2) == 2.0
 
-    def test_path_latency_memo_holds_only_asked_chains(self, tree_graph):
-        table = RouteTable(graph=tree_graph)
-        assert table.path_latency(7, 0) == 3.0
-        assert set(table._latencies[0]) == {0, 1, 3, 7}
-        assert table.path_latency(8, 0) == 3.0  # stops at 1, already summed
-        assert set(table._latencies[0]) == {0, 1, 3, 7, 4, 8}
-        assert table.path_latency(7, 0) == 3.0
-        assert table.path_latency(0, 0) == 0.0
-
-    def test_path_latency_memo_does_not_outlive_its_table(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_table_follows_its_graph(self, weighted):
+        """Regression: trees built before a graph change answered for the old graph."""
         graph = Graph()
-        graph.add_edge(1, 2, latency=2.0)
-        graph.add_edge(2, 3, latency=3.0)
-        assert RouteTable(graph=graph).path_latency(1, 3) == 5.0
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+            graph.add_edge(u, v, latency=1.0)
+        graph.add_edge(4, 5, latency=1.0)
+        table = RouteTable(graph=graph, weighted=weighted)
+        assert table.path_latency(0, 5) == 5.0  # the first ping builds the tree
         graph.set_edge_attribute(2, 3, "latency", 7.5)
-        assert RouteTable(graph=graph).path_latency(1, 3) == 9.5
+        graph.add_edge(0, 4, latency=0.5)  # a shortcut
+        fresh = RouteTable(graph=graph, weighted=weighted)
+        for source in (0, 1, 2, 3):
+            assert table.route(source, 5) == fresh.route(source, 5)
+            assert table.route_length(source, 5) == fresh.route_length(source, 5)
+            assert table.path_latency(source, 5) == fresh.path_latency(source, 5)
+        assert table.route(0, 5) == [0, 4, 5]
+        assert table.path_latency(0, 5) == 1.5
+        assert table.destinations() == [5]
+        assert table.engine.stats.trees_built == 2
 
     def test_path_latency_unreachable(self):
         graph = Graph()

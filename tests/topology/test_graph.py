@@ -115,6 +115,17 @@ class TestEdges:
         graph.set_edge_attribute(1, 2, DEFAULT_WEIGHT_KEY, 2.5)
         assert graph.edge_weight(1, 2) == 2.5
 
+    def test_neighbor_weights_are_edge_weights_in_neighbour_order(self):
+        graph = Graph()
+        graph.add_edge(1, 3, latency=4)
+        graph.add_edge(1, 2)
+        graph.add_edge(1, 4, latency=0.5, cost=9.0)
+        assert graph.neighbor_weights(1) == [(v, graph.edge_weight(1, v)) for v in graph.neighbors(1)]
+        assert graph.neighbor_weights(1) == [(3, 4.0), (2, 1.0), (4, 0.5)]
+        assert graph.neighbor_weights(1, key="cost", default=7.0) == [(3, 7.0), (2, 7.0), (4, 9.0)]
+        with pytest.raises(NodeNotFoundError):
+            graph.neighbor_weights(99)
+
     def test_edge_key_is_order_independent(self):
         assert edge_key(3, 7) == edge_key(7, 3)
 
