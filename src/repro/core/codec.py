@@ -68,12 +68,7 @@ def decode_path(data: Sequence[object]) -> RouterPath:
     if len(data) != 5 or data[0] != _PATH_TAG:
         raise WireProtocolError(f"malformed path frame: {data!r}")
     _, peer_id, landmark_id, routers, rtt_ms = data
-    return RouterPath(
-        peer_id=peer_id,
-        landmark_id=landmark_id,
-        routers=tuple(routers),  # type: ignore[arg-type]
-        rtt_ms=rtt_ms,  # type: ignore[arg-type]
-    )
+    return RouterPath(peer_id, landmark_id, tuple(routers), rtt_ms)  # type: ignore[arg-type]
 
 
 def encode_frame(message: Tuple[object, ...]) -> bytes:

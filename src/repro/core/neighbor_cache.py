@@ -256,18 +256,33 @@ class NeighborCache:
         """Rebuild the cache (lists, reverse index, completeness) from
         :meth:`export_state` output, replacing current contents.
 
-        Goes through :meth:`store` so the reverse index is rebuilt by the
-        same code that maintains it live; generation and completeness marks
-        are restored afterwards so marks stay valid exactly when they were.
+        One pass over the exported pairs: each list is built as the exact
+        entry tuples :meth:`store` makes, and the reverse index is filled in
+        the same pass.  Generation and completeness marks are restored
+        verbatim, so marks stay valid exactly when they were.  Nothing is
+        replaced unless the whole payload reads (``ValueError`` /
+        ``TypeError`` otherwise).
         """
         generation, lists, complete = state
-        self.lists.clear()
-        self.referenced_by.clear()
-        self._complete.clear()
+        known, key = self.interner.table().get, self.interner.key
+        cached: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
+        referenced_by: Dict[PeerId, Set[PeerId]] = {}
         for owner, pairs in lists:  # type: ignore[union-attr]
-            self.store(owner, tuple(pairs))
+            if owner in cached:
+                raise ValueError(f"owner {owner!r} is listed twice")
+            entries = cached[owner] = []
+            for peer, distance in pairs:
+                entries.append((distance, (known(peer) or key(peer))[0], peer))
+                referrers = referenced_by.get(peer)
+                if referrers is None:
+                    referenced_by[peer] = {owner}
+                else:
+                    referrers.add(owner)
+        marks = dict(complete)  # type: ignore[call-overload]
         self.membership_generation = int(generation)  # type: ignore[arg-type]
-        self._complete.update(dict(complete))  # type: ignore[call-overload]
+        self.lists = cached
+        self.referenced_by = referenced_by
+        self._complete = marks
 
     # -------------------------------------------------------------- internals
 

@@ -46,6 +46,20 @@ collides — are never resolved by comparing the peers: the newer entry goes
 first, in every row alike.  Identifiers with injective ``repr`` (strings,
 ints) are unaffected.
 
+Loading a tree that holds no peers
+----------------------------------
+:meth:`PathTree.load` builds the same tree from a batch without a bisect or
+a memmove: it interns the batch's peers and creates nodes in input order
+(so compact indices and node ids are what one :meth:`PathTree.insert` per
+path would assign), sorts the batch's entries once by ``(hop_count,
+sort_text)`` over the newest-first order — the stable sort keeps the
+newer-first rule for colliding ``repr``s — and appends each entry to every
+row on its root path, which leaves every row sorted.  It runs only on a
+tree with no peers and a batch that repeats no peer.  The management server
+loads a batch when every path lands in a tree that holds no peers as the
+batch starts and no path re-registers or repeats a peer — a cold start, a
+restore; any other batch, and every single join, inserts path by path.
+
 Stable node ids
 ---------------
 Every node carries an ``index`` that is its position in the tree's
@@ -66,7 +80,19 @@ from bisect import bisect_left
 from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..exceptions import RegistrationError, UnknownPeerError
 from .interning import PeerKeyInterner
@@ -76,6 +102,7 @@ from .path import LandmarkId, NodeId, PeerId, RouterPath
 Entry = Tuple[int, str, PeerId]
 
 _BY_SORT_TEXT = itemgetter(1)
+_BY_HOPS_AND_SORT_TEXT = itemgetter(0, 1)
 _EXHAUSTED = float("inf")
 #: ``children`` of a node that has none; a dict is allocated on the first child.
 _NO_CHILDREN: Mapping[NodeId, "PathTreeNode"] = MappingProxyType({})
@@ -358,18 +385,12 @@ class PathTree:
         the ``total_*`` accumulators) so benchmarks can assert the O(path
         length) bound the same way query benchmarks assert visit counts.
         """
-        if path.landmark_id != self.landmark_id:
-            raise RegistrationError(
-                f"path of peer {path.peer_id!r} targets landmark {path.landmark_id!r}, "
-                f"but this tree belongs to landmark {self.landmark_id!r}"
-            )
         reversed_routers = path.from_landmark()
-        if self._root is not None and self._root.router != reversed_routers[0]:
-            raise RegistrationError(
-                f"path of peer {path.peer_id!r} ends at router {reversed_routers[0]!r}, "
-                f"but the tree of landmark {self.landmark_id!r} is rooted at "
-                f"{self._root.router!r}"
-            )
+        root = self._root
+        if path.landmark_id != self.landmark_id or (
+            root is not None and root.router != reversed_routers[0]
+        ):
+            self._reject(path, None if root is None else root.router)
         if path.peer_id in self._attachment:
             self.remove(path.peer_id)
 
@@ -410,6 +431,88 @@ class PathTree:
         self.total_insert_nodes_created += created
         self.total_insert_nodes_touched += len(reversed_routers)
         return node
+
+    def load(self, paths: Sequence[RouterPath]) -> None:
+        """Build a tree that holds no peers from a batch of distinct peers' paths.
+
+        The result is the tree one :meth:`insert` per path, in input order,
+        would build — node ids, rows entry by entry, interned keys, the
+        insert counters and the ``dirty`` marks — without a bisect or a
+        memmove (see the module doc).  Raises ``RegistrationError`` before
+        changing anything if the tree holds a peer, the batch repeats a peer
+        or a path cannot hang under this tree's root.
+        """
+        if not paths:
+            return
+        if self._attachment:
+            raise RegistrationError(
+                f"cannot load the tree of landmark {self.landmark_id!r}: "
+                f"it holds {len(self._attachment)} peers"
+            )
+        root = self._root
+        root_router = paths[0].routers[-1] if root is None else root.router
+        for path in paths:
+            if path.landmark_id != self.landmark_id or path.routers[-1] != root_router:
+                self._reject(path, root_router)
+        if len({path.peer_id for path in paths}) != len(paths):
+            raise RegistrationError(
+                f"cannot load the tree of landmark {self.landmark_id!r}: a peer repeats"
+            )
+
+        created = before = touched = 0
+        if root is None:
+            root = self._root = self._add_node(root_router, 0, None)
+            created = 1
+        add_node, key = self._add_node, self._interner.key
+        attachment, registered = self._attachment, self._paths
+        entries = []
+        for path in paths:
+            node = root
+            routers = path.routers
+            for router in routers[-2::-1]:  # landmark side first, root skipped
+                child = node.children.get(router)
+                if child is None:
+                    if not node.children:
+                        node.children = {}
+                    child = node.children[router] = add_node(router, node.depth + 1, node)  # type: ignore[index]
+                    created += 1
+                node = child
+            peer_id = path.peer_id
+            attachment[peer_id] = node
+            registered[peer_id] = path
+            entries.append((len(routers), key(peer_id)[0], peer_id))
+            touched += len(routers)
+            self.last_insert_nodes_created = created - before
+            before = created
+
+        # Newest first, then a stable sort: colliding reprs keep insert()'s
+        # newer-first order.  Each row receives a subsequence of this order.
+        entries.reverse()
+        entries.sort(key=_BY_HOPS_AND_SORT_TEXT)
+        for entry in entries:
+            node = attachment[entry[2]]
+            while node is not None:
+                node.row.append(entry)
+                node = node.parent
+        if self.dirty is not None:
+            self.dirty.update(node.index for node in self._nodes if node is not None)
+
+        self.last_insert_nodes_touched = len(paths[-1].routers)
+        self.total_insert_nodes_created += created
+        self.total_insert_nodes_touched += touched
+
+    def _reject(self, path: RouterPath, root_router: Optional[NodeId]) -> NoReturn:
+        """Raise why ``path`` cannot hang under a root at ``root_router``."""
+        if path.landmark_id != self.landmark_id:
+            raise RegistrationError(
+                f"path of peer {path.peer_id!r} targets landmark {path.landmark_id!r}, "
+                f"but this tree belongs to landmark {self.landmark_id!r}"
+            )
+        raise RegistrationError(
+            f"path of peer {path.peer_id!r} ends at router {path.routers[-1]!r}, "
+            f"but the tree of landmark {self.landmark_id!r} is rooted at "
+            f"{root_router!r}"
+        )
 
     def remove(self, peer_id: PeerId) -> None:
         """Remove a peer (e.g. on departure); prunes now-empty branches."""

@@ -37,6 +37,7 @@ timeout); see ``tests/conftest.py``.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from typing import List, Tuple
 
@@ -295,15 +296,29 @@ def equivalence_cases(draw):
     return landmark_count, shard_count, with_distances, maintain_cache, k, ops
 
 
+#: Tier-1 example budgets of the backends that fork a server per shard
+#: (hypothesis' default of 100 is more than their CI entries run).  A set
+#: ``HYPOTHESIS_PROFILE`` overrides them: the matrix entries keep 60 and 25.
+TIER1_EXAMPLES = {"process": 20, "chaos": 10}
+
+
 class TestEquivalenceOracle:
-    # max_examples is deliberately not pinned: the default profile's budget
+    # Otherwise the example budget is not pinned: the default profile's
     # applies locally, and CI's dedicated matrix entries (tests/conftest.py)
     # select ci-equivalence (inline, high budget) or ci-equivalence-process
     # (process, reduced budget + hard timeout) instead.
-    @settings(deadline=None)
-    @given(case=equivalence_cases())
-    def test_sharded_plane_matches_single_server(self, backend_factory, case):
-        run_case(backend_factory, case)
+    def test_sharded_plane_matches_single_server(self, backend_factory, request):
+        backend = request.node.callspec.params["backend_factory"]
+        budget = {}
+        if backend in TIER1_EXAMPLES and not os.environ.get("HYPOTHESIS_PROFILE"):
+            budget["max_examples"] = TIER1_EXAMPLES[backend]
+
+        @settings(deadline=None, **budget)
+        @given(case=equivalence_cases())
+        def check(case):
+            run_case(backend_factory, case)
+
+        check()
 
 
 class TestEquivalenceAcceptance:

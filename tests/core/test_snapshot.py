@@ -14,10 +14,16 @@ import pickle
 
 import pytest
 
-from repro.core import ManagementServer, NeighborCache, PeerKeyInterner, ServerStats
+from repro.core import (
+    ManagementServer,
+    NeighborCache,
+    PeerKeyInterner,
+    ServerStats,
+    SnapshotPublisher,
+)
 from repro.core.management_server import STATE_SNAPSHOT_VERSION
 from repro.core.path import RouterPath
-from repro.exceptions import StateSnapshotError
+from repro.exceptions import StateSnapshotError, WireProtocolError
 
 
 def simple_path(peer, landmark, access="a1"):
@@ -263,6 +269,79 @@ class TestSnapshotValidation:
         with pytest.raises(StateSnapshotError):
             server.restore_state(("repro-state", 999, (), (), (), None, ((), 0)))
         assert server.peers() == ["p0"]
+
+
+def five_peer_snapshot():
+    server = ManagementServer(neighbor_set_size=3, landmark_distances={("lmA", "lmB"): 4.0})
+    for landmark in ("lmA", "lmB"):
+        server.register_landmark(landmark, landmark)
+    server.register_peers(
+        [simple_path(f"p{i}", "lmA" if i % 2 else "lmB", access=f"a{i}") for i in range(5)]
+    )
+    return server.snapshot_state()
+
+
+def broken(field: str):
+    """The five-peer snapshot with one field malformed (see the cases below)."""
+    snapshot = list(five_peer_snapshot())
+    index = {"landmarks": 2, "paths": 3, "distances": 4, "cache": 5}[field]
+    if field == "paths":
+        snapshot[3] = snapshot[3][:2] + (("path", "p2"),) + snapshot[3][3:]
+    elif field == "landmarks":
+        snapshot[2] = snapshot[2] + (("lmC",),)
+    elif field == "distances":
+        snapshot[4] = ((("lmA", "lmB"), None),)
+    else:
+        generation, lists, complete = snapshot[5]
+        snapshot[5] = (generation, lists + (("p9", "not pairs"),), complete)
+    assert snapshot[index] != five_peer_snapshot()[index]
+    return tuple(snapshot)
+
+
+class TestRestoreIsAtomic:
+    """A snapshot with one malformed field fails typed and changes nothing.
+
+    Each case used to escape untyped (``WireProtocolError``, ``ValueError``,
+    ``TypeError``) and leave the server cleared or half restored.
+    """
+
+    @pytest.mark.parametrize(
+        "field, label, cause",
+        [
+            ("paths", "paths", WireProtocolError),
+            ("landmarks", "landmarks", ValueError),
+            ("cache", "neighbour cache", ValueError),
+            ("distances", "landmark distances", TypeError),
+        ],
+    )
+    def test_a_malformed_field_leaves_the_server_as_it_was(self, field, label, cause):
+        server = ManagementServer(neighbor_set_size=3)
+        server.register_landmark("lmZ", "lmZ")
+        server.register_peer(simple_path("stale", "lmZ"))
+        publisher = SnapshotPublisher(server)
+        before = server.snapshot_state()
+        stats = server.stats.as_dict()
+        with pytest.raises(StateSnapshotError, match=f"malformed {label} in") as error:
+            server.restore_state(broken(field))
+        assert isinstance(error.value.__cause__, cause)
+        assert server.snapshot_state() == before
+        assert server.stats.as_dict() == stats
+        assert server.changes is publisher._changes  # the record still vouches
+        assert server.closest_peers("stale") == []
+
+    def test_a_shard_replies_with_the_typed_error(self):
+        from repro.core.remote import shard_factory_for
+
+        shard = shard_factory_for("socket", 3)()
+        try:
+            shard.register_landmark("lmA", "lmA")
+            shard.insert_paths([simple_path("p0", "lmA")])
+            before = shard.supervisor.request("snapshot_state", ())
+            with pytest.raises(StateSnapshotError, match="malformed paths"):
+                shard.supervisor.request("restore_state", (broken("paths"),))
+            assert shard.supervisor.request("snapshot_state", ()) == before
+        finally:
+            shard.close()
 
 
 class TestNeighborCacheState:
