@@ -47,14 +47,6 @@ from .newcomer import (
     NewcomerClient,
     join_population,
 )
-from .superpeers import (
-    PARTITION_CONTIGUOUS,
-    PARTITION_POLICIES,
-    PARTITION_ROUND_ROBIN,
-    SuperPeer,
-    SuperPeerDirectory,
-    partition_landmarks,
-)
 
 __all__ = [
     "LandmarkId",
@@ -101,10 +93,4 @@ __all__ = [
     "LandmarkDescriptor",
     "NewcomerClient",
     "join_population",
-    "PARTITION_CONTIGUOUS",
-    "PARTITION_POLICIES",
-    "PARTITION_ROUND_ROBIN",
-    "SuperPeer",
-    "SuperPeerDirectory",
-    "partition_landmarks",
 ]

@@ -6,7 +6,9 @@ trees and min-hop orderings — across ``N`` shards by consistent-hashing
 landmark identifiers, while a thin coordinator keeps the **peer-facing
 plane** (routing table, neighbour cache, reverse neighbour index) and
 presents the exact :class:`~repro.core.management_server.ManagementServer`
-public API.
+public API.  This is the paper's super-peer future work ("the opportunity
+to use some super-peers"), and
+:func:`~repro.experiments.ablations.superpeer_study` measures it.
 
 Shard protocol
 --------------

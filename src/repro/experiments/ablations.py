@@ -10,12 +10,16 @@ rows are the series the corresponding benchmark prints:
 * :func:`traceroute_noise_sweep` — robustness to anonymous routers / probe
   loss (the "decreased version" of traceroute the paper mentions);
 * :func:`churn_study` — future-work question F2, neighbour quality under
-  departures and re-joins.
+  departures and re-joins;
+* :func:`superpeer_study` — the paper's super-peers, run as shards of the
+  sharded management plane: quality per shard count and the busiest
+  shard's load.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from typing import Dict, Sequence
 
 from ..baselines.brute_force import BruteForceOracle
 from ..core.distance import evaluate_estimator, sample_peer_pairs, true_hop_distances
@@ -243,78 +247,64 @@ def traceroute_noise_sweep(
 
 
 def superpeer_study(
-    super_peer_counts: Sequence[int] = (1, 2, 4),
+    shard_counts: Sequence[int] = (1, 2, 4),
     peer_count: int = 120,
     landmark_count: int = 8,
     neighbor_set_size: int = 3,
     seed: int = 37,
 ) -> ResultTable:
-    """Future work: sharding the management server across super-peers.
+    """Future work: the paper's super-peers are shards of the management plane.
 
-    The same peer population (same paths) is registered once per configuration
-    into a :class:`~repro.core.superpeers.SuperPeerDirectory` with a varying
-    number of super-peers, and the resulting neighbour quality is compared
-    against the brute-force optimum.  The table also reports how evenly the
-    load (registered peers) spreads and how many cross-region lookups were
-    needed to fill neighbour lists.
+    The same population (same map seed, same scenario seed) joins a
+    :class:`~repro.core.sharded.ShardedManagementServer` once per shard
+    count, and its neighbour lists are priced against the brute-force
+    optimum.  The sharded plane answers exactly as the single server does, so
+    ``scheme_ratio`` is the same in every row; what the shard count changes is
+    ``max_load_fraction``, the share of peers whose paths the busiest shard
+    holds.
     """
-    from ..core.superpeers import SuperPeerDirectory
-
     streams = RandomStreams(seed)
-    config = ScenarioConfig(
-        peer_count=peer_count,
-        landmark_count=landmark_count,
-        neighbor_set_size=neighbor_set_size,
-        router_map_config=_small_map_config(streams.seed_for("map")),
-        seed=streams.seed_for("scenario"),
-    )
-    scenario = build_scenario(config)
-    scenario.join_all()
-    oracle = scenario.oracle
-    k = neighbor_set_size
-    landmark_pairs = [
-        (landmark.landmark_id, landmark.router) for landmark in scenario.landmark_set
-    ]
-    landmark_distances = (
-        scenario.landmark_set.pairwise_hop_distances() if len(scenario.landmark_set) > 1 else {}
-    )
-    paths = [scenario.server.peer_path(peer) for peer in scenario.peer_ids]
-
+    map_config = _small_map_config(streams.seed_for("map"))
+    scenario_seed = streams.seed_for("scenario")
     table = ResultTable(
         name="superpeer_study",
-        columns=["super_peers", "scheme_ratio", "max_load_fraction", "cross_region_queries"],
-        metadata={"peers": peer_count, "landmarks": landmark_count, "k": k, "seed": seed},
+        columns=["shards", "scheme_ratio", "max_load_fraction"],
+        metadata={
+            "peers": peer_count,
+            "landmarks": landmark_count,
+            "k": neighbor_set_size,
+            "seed": seed,
+        },
     )
-    for count in super_peer_counts:
-        directory = SuperPeerDirectory.deploy(
-            landmark_pairs,
-            super_peer_count=count,
-            neighbor_set_size=k,
-            landmark_distances=landmark_distances,
+    for count in shard_counts:
+        config = ScenarioConfig(
+            peer_count=peer_count,
+            landmark_count=landmark_count,
+            neighbor_set_size=neighbor_set_size,
+            router_map_config=map_config,
+            shard_count=count,
+            seed=scenario_seed,
         )
-        for path in paths:
-            directory.register_peer(path)
-        neighbor_sets = {
-            peer: [p for p, _ in directory.closest_peers(peer, k=k)]
-            for peer in scenario.peer_ids
-        }
-        scheme_cost = sum(
-            oracle.neighbor_cost(peer, neighbors)
-            for peer, neighbors in neighbor_sets.items()
-            if neighbors
-        )
-        optimal_cost = sum(
-            oracle.neighbor_cost(peer, oracle.select_neighbors(peer, k=len(neighbors)))
-            for peer, neighbors in neighbor_sets.items()
-            if neighbors
-        )
-        load = directory.load_by_super_peer()
-        max_load_fraction = max(load.values()) / max(1, directory.peer_count)
+        with build_scenario(config) as scenario:
+            scenario.join_all()
+            oracle = scenario.oracle
+            neighbor_sets = {
+                peer: neighbors
+                for peer, neighbors in scenario.scheme_neighbor_sets().items()
+                if neighbors
+            }
+            scheme_cost = sum(
+                oracle.neighbor_cost(peer, neighbors) for peer, neighbors in neighbor_sets.items()
+            )
+            optimal_cost = sum(
+                oracle.neighbor_cost(peer, oracle.select_neighbors(peer, k=len(neighbors)))
+                for peer, neighbors in neighbor_sets.items()
+            )
+            load = Counter(scenario.server.peer_shard(peer) for peer in scenario.peer_ids)
         table.add_row(
-            super_peers=count,
+            shards=count,
             scheme_ratio=scheme_cost / optimal_cost if optimal_cost else float("nan"),
-            max_load_fraction=max_load_fraction,
-            cross_region_queries=directory.cross_region_queries,
+            max_load_fraction=max(load.values()) / peer_count,
         )
     return table
 

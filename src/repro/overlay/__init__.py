@@ -17,8 +17,6 @@ from .churn import (
     ChurnModel,
     churn_statistics,
 )
-from .mobility import HandoverManager, HandoverReport, MobilityModel, Move
-from .maintenance import MaintenancePolicy, MaintenanceStats, OverlayMaintainer
 
 __all__ = [
     "Peer",
@@ -34,11 +32,4 @@ __all__ = [
     "ChurnEvent",
     "ChurnModel",
     "churn_statistics",
-    "HandoverManager",
-    "HandoverReport",
-    "MobilityModel",
-    "Move",
-    "MaintenancePolicy",
-    "MaintenanceStats",
-    "OverlayMaintainer",
 ]

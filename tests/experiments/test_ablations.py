@@ -71,17 +71,44 @@ class TestTracerouteNoise:
 
 
 class TestSuperpeers:
+    """Super-peers are shards: quality never moves, only the load spreads."""
+
     def test_sharding_preserves_quality_and_spreads_load(self):
-        table = superpeer_study(
-            super_peer_counts=(1, 2), peer_count=40, landmark_count=4, seed=5
-        )
-        rows = {row["super_peers"]: row for row in table.rows}
-        assert rows[1]["max_load_fraction"] == 1.0
-        assert rows[1]["cross_region_queries"] == 0
-        assert rows[2]["max_load_fraction"] < 1.0
-        assert rows[2]["scheme_ratio"] <= rows[1]["scheme_ratio"] + 0.2
+        table = superpeer_study(shard_counts=(1, 2), peer_count=40, landmark_count=4, seed=5)
+        rows = {row["shards"]: row for row in table.rows}
         for row in table.rows:
+            assert row["scheme_ratio"] == rows[1]["scheme_ratio"]
             assert row["scheme_ratio"] >= 1.0
+        assert rows[1]["max_load_fraction"] == 1.0
+        assert rows[2]["max_load_fraction"] < 1.0
+
+    def test_paper_scale_ratio_is_the_single_servers_at_every_shard_count(self):
+        table = superpeer_study(
+            shard_counts=(1, 2, 4, 8),
+            peer_count=120,
+            landmark_count=8,
+            neighbor_set_size=3,
+            seed=37,
+        )
+        rows = {row["shards"]: row for row in table.rows}
+        for row in table.rows:
+            assert row["scheme_ratio"] == rows[1]["scheme_ratio"]
+            assert row["scheme_ratio"] < 1.5
+        assert rows[1]["max_load_fraction"] == 1.0
+        assert rows[8]["max_load_fraction"] <= rows[2]["max_load_fraction"]
+
+    def test_busiest_shard_holds_a_whole_number_of_peers_and_at_least_its_share(self):
+        peer_count = 40
+        table = superpeer_study(shard_counts=(2, 4), peer_count=peer_count, landmark_count=4, seed=5)
+        for row in table.rows:
+            busiest = row["max_load_fraction"] * peer_count
+            assert busiest == pytest.approx(round(busiest))
+            assert row["max_load_fraction"] >= 1.0 / row["shards"]
+
+    def test_table_metadata_names_the_population(self):
+        table = superpeer_study(shard_counts=(1,), peer_count=30, landmark_count=3, seed=5)
+        assert table.metadata == {"peers": 30, "landmarks": 3, "k": 3, "seed": 5}
+        assert table.column("shards") == [1]
 
 
 class TestChurn:

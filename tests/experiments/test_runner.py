@@ -39,6 +39,12 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             run_experiment("does-not-exist")
 
+    def test_superpeer_study_runs_through_the_registry(self):
+        table = run_experiment("superpeers")
+        assert table.name == "superpeer_study"
+        assert table.columns == ["shards", "scheme_ratio", "max_load_fraction"]
+        assert table.column("shards") == [1, 2, 4]
+
     def test_run_experiments_by_name(self, monkeypatch):
         """run_experiments dispatches through the registry (stubbed for speed)."""
         stub_table = ResultTable(name="stub", columns=["x"])
