@@ -4,8 +4,8 @@ The paper's correctness argument is statistical: because most shortest paths
 traverse the high-centrality core, the route inferred through the landmark
 tree (``dtree``) is usually equal — or very close — to the true shortest-path
 distance ``d``.  This module provides the estimator interface the rest of the
-library consumes and the accuracy report used by the C3 benchmark
-(`benchmarks/test_bench_tree_accuracy.py`).
+library consumes and the accuracy report behind the C3 study
+(:func:`repro.experiments.ablations.tree_accuracy_study`).
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ NEGATIVE_K = "k must be positive, or None / 0 for the plane's default, got {}"
 
 @dataclass
 class ServerStats:
-    """Operation counters, used by the complexity benchmarks and perf harness."""
+    """Operation counters, read by the complexity tests and ``bench/``."""
 
     registrations: int = 0
     removals: int = 0
@@ -78,7 +78,7 @@ class ServerStats:
             setattr(self, spec.name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        """Counter values keyed by name (for perf reports)."""
+        """Counter values keyed by name."""
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 

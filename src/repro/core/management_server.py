@@ -244,7 +244,7 @@ class ManagementServer(ManagementPlaneBase):
 
         Ranges examined plus row entries scanned (see
         :attr:`PathTree.total_query_visits`).  Part of the shard-facing
-        surface so the perf harness can read the algorithmic-work counter
+        surface so ``bench/`` can read the algorithmic-work counter
         with one cheap call per plane instead of shipping whole tree
         snapshots across a process boundary.
         """
@@ -254,8 +254,9 @@ class ManagementServer(ManagementPlaneBase):
         """``(nodes_created, nodes_touched)`` summed over all trees' inserts.
 
         The insert-side twin of :meth:`total_tree_visits`: one cheap call
-        returns the trie-node allocation/traversal counters so perf records
-        can assert the O(path length) registration bound, on any backend.
+        returns the trie-node allocation/traversal counters so tests and
+        ``bench/`` can check the O(path length) registration bound, on any
+        backend.
         """
         created = 0
         touched = 0

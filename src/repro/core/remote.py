@@ -128,7 +128,7 @@ __all__ = [
 ]
 
 #: The shard-backend implementations selectable by name — the single source
-#: for every ``backend=`` surface (ScenarioConfig, the perf suite, the CLI).
+#: for every ``backend=`` surface (ScenarioConfig, the benchmark, the CLI).
 #: Both remote names run on :mod:`repro.core.socket_backend` (asyncio shard
 #: servers over TCP / Unix-domain sockets), which :func:`shard_factory_for`
 #: imports lazily so importing this module never imports asyncio.
@@ -828,7 +828,7 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     """The ``ShardedManagementServer(shard_factory=...)`` value for a backend.
 
     The one place backend names map to wiring, shared by scenarios, the
-    perf suite and tests.  ``"inline"`` returns ``None`` (the coordinator's
+    benchmark and tests.  ``"inline"`` returns ``None`` (the coordinator's
     default in-process shards).  ``"socket"`` returns a
     :func:`~repro.core.socket_backend.socket_shard_factory` (which, without
     explicit ``addresses``, hosts one loopback asyncio shard server thread

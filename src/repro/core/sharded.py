@@ -103,7 +103,7 @@ class ShardBackend(Protocol):
     :class:`~repro.core.remote.SupervisedShardBackend` implements it over a
     supervised connection to a shard server; a further backend only needs
     these methods (plus :meth:`tree` for diagnostics and distance estimation,
-    :meth:`total_tree_visits` for the perf counters, and :meth:`close` for
+    :meth:`total_tree_visits` for the work counters, and :meth:`close` for
     resource teardown) to slot in behind the coordinator.
     """
 

@@ -471,8 +471,8 @@ class _ShardConnection(asyncio.Protocol):
 class LocalShardServer:
     """A loopback :class:`ShardServer` this process hosts, refcounted away.
 
-    The self-contained deployment used by tests, scenarios and the perf
-    suite: one address for life — an ephemeral Unix socket (``127.0.0.1``
+    The self-contained deployment used by tests, scenarios and the
+    benchmark: one address for life — an ephemeral Unix socket (``127.0.0.1``
     TCP where ``AF_UNIX`` is unavailable), so a killed host's successor is
     found where the old one was — served until the last refcount holder
     releases it; :meth:`stop` then reaps the host and unlinks the socket,

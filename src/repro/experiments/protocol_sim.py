@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.path import RouterPath
-from ..perf.workloads import synthetic_paths
 from ..protocol.peer import BeaconConfig
 from ..protocol.simulation import ProtocolMetrics, ProtocolSimulation
 from ..sim.rng import derive_seed
-from ..workloads.arrivals import flash_crowd_arrivals, poisson_arrivals
+from ..workloads import flash_crowd_arrivals, poisson_arrivals, synthetic_paths
 from .results import ResultTable
 
 FAMILIES = ("flash-crowd", "streaming-join", "mobility-handover")

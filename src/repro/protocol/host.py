@@ -78,7 +78,7 @@ class HostStats:
     left for the next sweep."""
 
     def as_dict(self) -> Dict[str, int]:
-        """Counters as a plain dict (experiment tables, perf reports)."""
+        """Counters as a plain dict (experiment tables, benchmark metrics)."""
         return asdict(self)
 
 

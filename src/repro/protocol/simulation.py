@@ -2,9 +2,9 @@
 
 :class:`ProtocolSimulation` is the harness every consumer of the
 protocol layer shares — the oracle tests, the lossy-wire experiments
-and the ``protocol`` perf workload.  Given a set of
-:class:`~repro.core.path.RouterPath` (the same synthetic paths the perf
-suite feeds the plane directly), it builds the router topology those
+and the ``protocol-lossy`` benchmark.  Given a set of
+:class:`~repro.core.path.RouterPath` (for example
+:func:`~repro.workloads.synthetic.synthetic_paths`), it builds the router topology those
 paths imply, stands up a :class:`~repro.sim.network.SimulatedNetwork`
 with the requested impairments, attaches one
 :class:`~repro.protocol.peer.BeaconingPeer` per path plus a
@@ -109,7 +109,7 @@ class ProtocolMetrics:
         return self.maintenance_bytes / self.peers / (self.duration_ms / 1000.0)
 
     def as_dict(self) -> Dict[str, Any]:
-        """Flat dict for experiment tables and perf counters."""
+        """Flat dict for experiment tables and benchmark metrics."""
         return {
             "duration_ms": self.duration_ms,
             "peers": self.peers,

@@ -3,7 +3,7 @@
 Every distance consumer in the repository used to run its own pure-python
 per-source BFS/Dijkstra over the dict-of-dicts :class:`~repro.topology.graph.
 Graph` — one fresh ``dict`` per node per source.  At paper-scale router maps
-(~4 000 routers) and perf-suite populations (12 800 peers) that per-source
+(~4 000 routers) and benchmark populations (12 800 peers) that per-source
 dict churn dominates scenario-build wall-clock.  This module replaces it with
 a shared engine built around two ideas:
 
@@ -217,7 +217,7 @@ class CsrTopology:
 
 
 class EngineStats:
-    """Algorithmic-work counters, mirroring the perf suite's counter style."""
+    """Algorithmic-work counters, mirroring ``ServerStats``."""
 
     __slots__ = ("snapshot_builds", "bfs_runs", "wide_bfs_runs", "derived_vectors", "dijkstra_runs",
                  "vector_cache_hits", "trees_built")

@@ -1,4 +1,4 @@
-"""Workload construction: arrival processes and full evaluation scenarios."""
+"""Workload construction: arrival processes, evaluation scenarios, synthetic paths."""
 
 from .arrivals import (
     Arrival,
@@ -9,6 +9,7 @@ from .arrivals import (
     uniform_arrivals,
 )
 from .scenarios import Scenario, ScenarioConfig, build_scenario, small_scenario
+from .synthetic import synthetic_paths
 
 __all__ = [
     "Arrival",
@@ -21,4 +22,5 @@ __all__ = [
     "ScenarioConfig",
     "build_scenario",
     "small_scenario",
+    "synthetic_paths",
 ]

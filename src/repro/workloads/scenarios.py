@@ -139,21 +139,6 @@ class Scenario:
         """All peer identifiers in creation order."""
         return list(self.peer_routers)
 
-    def warm_distance_plane(self) -> int:
-        """Precompute every distance the evaluation loop will ask for.
-
-        Builds the landmark-rooted routing trees (what each join's
-        traceroutes walk) and the true-hop-distance vectors from every
-        distinct peer attachment router (what the brute-force oracle prices
-        neighbour sets with).  Returns the number of distinct attachment
-        routers warmed.  This is the scenario-build distance plane the
-        ``build`` perf workload measures.
-        """
-        for router in self.landmark_set.routers():
-            self.traceroute.route_table.add_destination(router)
-        routers = dict.fromkeys(self.peer_routers.values())
-        return self.distance_engine.warm_hops(routers)
-
     def close(self) -> None:
         """Release the management plane's resources (idempotent).
 
@@ -272,8 +257,7 @@ def build_scenario(
     Peers do **not** join automatically — call :meth:`Scenario.join_all`.
 
     ``router_map`` optionally supplies a pre-generated map, skipping step 1
-    (used by perf cells that time the distance plane rather than the
-    topology generator, and by sweeps that reuse one map across configs).
+    (used by sweeps that reuse one map across configs).
     """
     if config is None:
         config = ScenarioConfig(**overrides)

@@ -22,6 +22,7 @@ import pytest
 from repro.core.management_server import ManagementServer, NeighborEntry
 from repro.core.path import RouterPath
 from repro.core.sharded import ConsistentHashRing, ShardedManagementServer
+from repro.workloads import synthetic_paths
 
 
 def path(peer, routers, landmark="lmA"):
@@ -38,6 +39,14 @@ def synthetic_path(index: int, rng: random.Random, landmark="lmA") -> RouterPath
         landmark,
     ]
     return RouterPath.from_routers(f"peer{index}", landmark, routers)
+
+
+def synthetic_server(population: int, seed: int) -> ManagementServer:
+    """A k=5 server holding ``population`` peers of the access hierarchy."""
+    server = ManagementServer(neighbor_set_size=5)
+    server.register_landmark("lmk", "lmk")
+    server.register_peers(synthetic_paths(population, seed=seed))
+    return server
 
 
 def assert_reverse_index_consistent(server: ManagementServer) -> None:
@@ -99,6 +108,20 @@ class TestReverseIndex:
             # which stays O(k·c) rather than O(n).
             assert server.stats.departure_updates < server.peer_count
         assert_reverse_index_consistent(server)
+
+    @pytest.mark.parametrize("population", [200, 800, 3200])
+    def test_departure_updates_stay_below_ten_k_and_a_quarter_of_n(self, population):
+        """Leave and re-join at a steady population: the lists repaired per
+        departure average under ``10·k`` and under ``n/4`` at every size."""
+        server = synthetic_server(population, seed=3)
+        server.stats.reset()
+        for victim in random.Random(17).sample(server.peers(), min(256, population - 1)):
+            path_of_victim = server.peer_path(victim)
+            server.unregister_peer(victim)
+            server.register_peers([path_of_victim])
+        per_departure = server.stats.departure_updates / server.stats.removals
+        assert per_departure < 10 * server.neighbor_set_size
+        assert per_departure < population / 4
 
     def test_interleaved_join_leave_reregister_stays_consistent(self, server):
         rng = random.Random(7)
@@ -206,6 +229,30 @@ class TestBatchRegistration:
             server.register_peers(batch)
         assert server.peer_count == 0
         assert server._neighbor_cache == {}
+
+    def test_a_256_wave_reads_the_index_once_per_newcomer(self):
+        """Batching changes when the lists are computed (after the whole
+        wave has landed), not how: one index read per newcomer, no more
+        index work than 256 sequential joins, and the same trie inserts.
+        The wave comes from a narrower hierarchy than the population, so
+        its members share access routers the way a flash crowd does."""
+        rng = random.Random(9)
+        newcomers = [synthetic_path(1000 + index, rng, landmark="lmk") for index in range(256)]
+        work = {}
+        for wave in (1, 256):
+            server = synthetic_server(800, seed=2)
+            server.stats.reset()
+            visits, inserts = server.total_tree_visits(), server.total_insert_work()
+            for start in range(0, len(newcomers), wave):
+                server.register_peers(newcomers[start : start + wave])
+            work[wave] = (
+                server.stats.tree_queries,
+                server.total_tree_visits() - visits,
+                [after - before for after, before in zip(server.total_insert_work(), inserts)],
+            )
+        assert work[1][0] == work[256][0] == 256
+        assert work[256][1] <= work[1][1]
+        assert work[256][2] == work[1][2]
 
     def test_batch_then_departures_round_trip(self, server):
         rng = random.Random(31)

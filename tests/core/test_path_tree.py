@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,18 @@ from hypothesis import strategies as st
 from repro.core.path import RouterPath, tree_distance
 from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError, UnknownPeerError
+from repro.workloads import synthetic_paths
 
 
 def path(peer, routers, landmark="lmk"):
     return RouterPath.from_routers(peer, landmark, routers)
+
+
+def synthetic_tree(population: int) -> PathTree:
+    """A trie over ``population`` peers of the three-level access hierarchy."""
+    tree = PathTree(landmark_id="lmk", landmark_router="lmk")
+    tree.load(synthetic_paths(population, seed=2))
+    return tree
 
 
 @pytest.fixture()
@@ -203,6 +213,21 @@ class TestClosestPeers:
         kth_best = all_distances[k - 1]
         assert all(distance <= kth_best for _, distance in result)
 
+    def test_cold_query_work_is_flat_in_population(self):
+        """Index ranges examined plus entries scanned per query, on the
+        three-level shape: within ``2k`` plus two per level at every
+        population, and no higher on average at 12,800 peers than at 800."""
+        k, levels, means = 5, 5, {}
+        for population in (800, 12800):
+            tree = synthetic_tree(population)
+            work = []
+            for peer in random.Random(4).sample(tree.peers(), 100):
+                tree.closest_peers(peer, k)
+                work.append(tree.last_query_visits)
+            assert 0 < max(work) <= 2 * k + 2 * levels
+            means[population] = sum(work) / len(work)
+        assert means[12800] <= means[800] + 1.0
+
 
 # ---------------------------------------------------------------------------
 # Property-based tests: build random path populations and check invariants.
@@ -338,3 +363,35 @@ class TestInsertInstrumentation:
             nodes = list(tree.root.iter_subtree())
             assert tree.router_count == len(nodes)
             assert tree.max_depth() == max(node.depth for node in nodes)
+
+    @pytest.mark.parametrize("population", [200, 800, 3200, 12800])
+    def test_an_insert_touches_exactly_the_paths_routers(self, population):
+        """The O(d) registration bound: a newcomer walks its own 5-router
+        path, however many peers the trie already holds."""
+        tree = synthetic_tree(population)
+        for newcomer in synthetic_paths(50, seed=3, prefix="newcomer"):
+            tree.insert(newcomer)
+            assert tree.last_insert_nodes_touched == 5
+
+    def test_fresh_nodes_shrink_as_the_trie_fills(self):
+        """Denser tries share more prefixes: the same newcomers create fewer
+        nodes at 12,800 peers than at 200, and never more than they touch."""
+        created = {}
+        for population in (200, 12800):
+            tree = synthetic_tree(population)
+            before = tree.total_insert_nodes_created
+            for newcomer in synthetic_paths(50, seed=3, prefix="newcomer"):
+                tree.insert(newcomer)
+            created[population] = tree.total_insert_nodes_created - before
+        assert 0 < created[12800] <= created[200] <= 50 * 5
+
+    def test_a_churn_cycle_reinserts_one_path(self):
+        """A leave and re-join touches the re-joining path's 5 routers and
+        creates at most those."""
+        tree = synthetic_tree(400)
+        for peer in random.Random(6).sample(tree.peers(), 30):
+            path_of_peer = tree.path_of(peer)
+            tree.remove(peer)
+            tree.insert(path_of_peer)
+            assert tree.last_insert_nodes_touched == 5
+            assert tree.last_insert_nodes_created <= 5

@@ -33,6 +33,7 @@ from repro.core.path import RouterPath
 from repro.core.remote import (
     DEFAULT_REQUEST_TIMEOUT,
     RecoveryPolicy,
+    ShardRequestHandler,
     _rebuild_exception,
     shard_factory_for,
 )
@@ -43,6 +44,7 @@ from repro.exceptions import (
     UnknownPeerError,
     WireProtocolError,
 )
+from repro.workloads import synthetic_paths
 
 
 def simple_path(peer, landmark, access="a1"):
@@ -238,6 +240,39 @@ class TestBackendParity:
         assert type(_rebuild_exception("KeyError", "k")) is KeyError
         assert type(_rebuild_exception("UnknownPeerError", "p")) is UnknownPeerError
         assert backend.local_closest("p0", 3)  # the channel was never desynchronised
+
+    def test_a_remote_plane_does_the_inline_planes_work(self, backend_name):
+        """Crossing the boundary may cost time, never work: after the same
+        joins, queries, departures and re-joins, the coordinator counters,
+        the index work and the trie insert work equal the inline plane's."""
+        paths = synthetic_paths(30, seed=2, landmark="lmA", prefix="a") + synthetic_paths(
+            30, seed=2, landmark="lmB", prefix="b"
+        )
+
+        def work(plane):
+            with plane:
+                for landmark in ("lmA", "lmB"):
+                    plane.register_landmark(landmark, landmark)
+                plane.register_peers(paths[:40])
+                for path in paths[40:]:
+                    plane.register_peer(path)
+                for path in paths[::5]:
+                    plane.unregister_peer(path.peer_id)
+                    plane.register_peers([path])
+                for path in paths[::3]:
+                    plane.closest_peers(path.peer_id)
+                return plane.stats.as_dict(), plane.total_tree_visits(), plane.total_insert_work()
+
+        def make_plane(shard_factory=None):
+            return ShardedManagementServer(
+                2,
+                neighbor_set_size=5,
+                landmark_distances={("lmA", "lmB"): 4.0},
+                shard_factory=shard_factory,
+            )
+
+        remote = work(make_plane(shard_factory_for(backend_name, 5)))
+        assert remote == work(make_plane())
 
     def test_tree_returns_an_isolated_snapshot(self, pair):
         shard, inline = pair
@@ -906,6 +941,35 @@ class TestJournalCompaction:
         for peer in ("p0", "p1", "p2", "p3"):
             for k in (1, 3, 5):
                 assert shard.local_closest(peer, k) == reference.local_closest(peer, k)
+
+    def test_a_restart_replays_the_journal_and_after_compaction_one_restore(
+        self, monkeypatch
+    ):
+        """Counted where the requests land (a socket shard's handler runs in
+        this process): a restart sends every journaled request, in order;
+        after ``compact()`` it sends exactly one, ``restore_state``."""
+        handled = []
+        handle = ShardRequestHandler.handle
+
+        def counting(self, request_id, op, args):
+            handled.append(op)
+            return handle(self, request_id, op, args)
+
+        with shard_factory_for("socket", 3)() as shard:
+            seed_peers(shard, count=20)
+            for cycle in range(50):  # churn: history >> live state
+                index = cycle % 20
+                shard.unregister_peer(f"p{index}")
+                shard.insert_paths([simple_path(f"p{index}", "lmA", access=f"a{index % 3}")])
+            journal = [op for op, _ in shard.supervisor.journal]
+            assert len(journal) == 2 + 2 * 50
+            monkeypatch.setattr(ShardRequestHandler, "handle", counting)
+            shard.restart()
+            assert handled == journal
+            shard.compact()
+            handled.clear()
+            shard.restart()
+            assert handled == ["restore_state"]
 
     def test_watermark_auto_compacts_during_normal_traffic(self, make_shard):
         reference = ManagementServer(neighbor_set_size=2, maintain_cache=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core import ConsistentHashRing, ManagementServer, ShardBackend, ShardedManagementServer
 from repro.core.path import RouterPath
 from repro.exceptions import LandmarkError, RegistrationError, UnknownPeerError
+from repro.workloads import synthetic_paths
 
 
 def path(peer, routers, landmark):
@@ -103,6 +105,50 @@ class TestShardRouting:
         server.register_peer(simple_path("p1", "lmA"))
         assert server.shard_of("lmA") == 0
         assert server.closest_peers("p0") == [("p1", 2.0)]
+
+    def test_the_shard_count_moves_no_work(self):
+        """Spreading one 8-landmark population over 1, 2, 4 or 8 shards
+        changes no coordinator counter, index work or trie insert work, and
+        a plane without churn answers nearly every query from its cache."""
+        landmarks = [f"lm{index}" for index in range(8)]
+        distances = {
+            (a, b): float(2 + j - i)
+            for i, a in enumerate(landmarks)
+            for j, b in enumerate(landmarks)
+            if i < j
+        }
+        paths = [
+            peer_path
+            for index, landmark in enumerate(landmarks)
+            for peer_path in synthetic_paths(25, index, landmark, prefix=f"{landmark}-")
+        ]
+        rng = random.Random(2)
+        churners = rng.sample(paths, 20)
+        queried = [rng.choice(paths).peer_id for _ in range(100)]
+
+        def work(shard_count):
+            plane = ShardedManagementServer(
+                shard_count, neighbor_set_size=5, landmark_distances=distances
+            )
+            for landmark in landmarks:
+                plane.register_landmark(landmark, landmark)
+            plane.register_peers(paths[::2])
+            for peer_path in paths[1::2]:
+                plane.register_peer(peer_path)
+            hits = plane.stats.cache_hits
+            for peer in queried:
+                plane.closest_peers(peer)
+            hits = plane.stats.cache_hits - hits
+            for peer_path in churners:
+                plane.unregister_peer(peer_path.peer_id)
+                plane.register_peers([peer_path])
+            work_done = plane.total_tree_visits(), plane.total_insert_work()
+            return plane.stats.as_dict(), work_done, hits
+
+        baseline = work(1)
+        assert baseline[-1] >= 90
+        for shard_count in (2, 4, 8):
+            assert work(shard_count) == baseline
 
 
 class TestCoordinatorSemantics:

@@ -19,19 +19,27 @@ from repro.experiments.ablations import (
 
 class TestLandmarkSweeps:
     def test_landmark_count_sweep_rows(self):
-        table = landmark_count_sweep(landmark_counts=(1, 4), peer_count=30, seed=3)
-        assert table.column("landmarks") == [1, 4]
+        table = landmark_count_sweep(landmark_counts=(1, 4, 8), peer_count=30, seed=3)
+        assert table.column("landmarks") == [1, 4, 8]
         for row in table.rows:
             assert row["scheme_ratio"] >= 1.0
             assert row["random_ratio"] >= 1.0
+            assert row["scheme_ratio"] < row["random_ratio"]
+        # "Few landmarks": going from 4 to 8 barely moves the quality.
+        ratios = dict(zip(table.column("landmarks"), table.column("scheme_ratio")))
+        assert abs(ratios[8] - ratios[4]) < 0.25
 
     def test_landmark_placement_sweep_rows(self):
+        strategies = ["medium_degree", "random", "high_degree", "betweenness"]
         table = landmark_placement_sweep(
-            strategies=("medium_degree", "random"), peer_count=30, landmark_count=3, seed=3
+            strategies=strategies, peer_count=30, landmark_count=3, seed=3
         )
-        assert table.column("strategy") == ["medium_degree", "random"]
+        assert table.column("strategy") == strategies
         for row in table.rows:
-            assert row["scheme_ratio"] < row["random_ratio"] * 1.2
+            assert row["scheme_ratio"] < row["random_ratio"]
+        # The paper's medium-degree placement is within 0.3 of the best.
+        ratios = dict(zip(strategies, table.column("scheme_ratio")))
+        assert ratios["medium_degree"] <= min(ratios.values()) + 0.3
 
 
 class TestNeighborSetSizeSweep:
@@ -51,7 +59,8 @@ class TestTreeAccuracy:
         # dtree is an upper bound on the true distance, so stretch >= 1 ...
         assert same["mean_stretch"] >= 1.0
         # ... and the core-centrality argument keeps it close to 1.
-        assert same["mean_stretch"] < 1.6
+        assert same["mean_stretch"] < 1.5
+        assert same["p90_stretch"] < 2.0
         assert same["exact_fraction"] > 0.3
         if "cross_landmark" in rows:
             assert rows["cross_landmark"]["mean_stretch"] >= same["mean_stretch"] * 0.9
@@ -65,9 +74,12 @@ class TestTracerouteNoise:
         clean_row, noisy_row = table.rows
         assert clean_row["anonymous_probability"] == 0.0
         assert noisy_row["anonymous_probability"] == 0.3
-        # Even with 30% anonymous routers the scheme stays better than random.
-        assert noisy_row["scheme_ratio"] < noisy_row["random_ratio"]
+        # Even with 30% anonymous routers the scheme stays better than random,
+        # and costs at most +0.5 over clean traceroutes.
+        for row in table.rows:
+            assert row["scheme_ratio"] < row["random_ratio"]
         assert noisy_row["scheme_ratio"] < 2.0
+        assert noisy_row["scheme_ratio"] <= clean_row["scheme_ratio"] + 0.5
 
 
 class TestSuperpeers:
@@ -119,7 +131,9 @@ class TestChurn:
         rows = {row["phase"]: row for row in table.rows}
         for row in table.rows:
             assert not math.isnan(row["scheme_ratio"])
-            assert row["scheme_ratio"] >= 0.99
-        # Refreshing the neighbour lists never hurts relative to the stale state.
-        assert rows["after_refresh"]["scheme_ratio"] <= rows["after_departures"]["scheme_ratio"] + 0.15
+            assert row["scheme_ratio"] >= 1.0
+        # Refreshing the neighbour lists never hurts relative to the stale state,
+        # and leaves the survivors in the paper's "close to optimal" band.
+        assert rows["after_refresh"]["scheme_ratio"] <= rows["after_departures"]["scheme_ratio"] + 0.1
+        assert rows["after_refresh"]["scheme_ratio"] < 1.6
         assert rows["after_departures"]["online_peers"] == rows["after_refresh"]["online_peers"]

@@ -84,6 +84,32 @@ class TestRunFigure1:
         table = run_figure1(tiny_config(seed=17))
         assert len(table) == 2
 
+    def test_curves_keep_the_papers_shape_as_the_population_grows(self):
+        """Figure 1 on a ~600-router map: the scheme stays in [1.0, 1.6),
+        below random and flat from 60 to 180 peers, while random selection
+        does not improve with the population."""
+        config = Figure1Config(
+            peer_counts=(60, 120, 180),
+            landmark_count=4,
+            neighbor_set_size=5,
+            seeds=(11,),
+            router_map_config=RouterMapConfig(
+                seed=11,
+                core_size=20,
+                core_attachment=3,
+                transit_size=100,
+                transit_attachment=2,
+                stub_size=480,
+                stub_attachment=1,
+            ),
+        )
+        table = run_figure1(config)
+        scheme, random_ratio = table.column("scheme_ratio"), table.column("random_ratio")
+        assert all(1.0 <= value < 1.6 for value in scheme), scheme
+        assert all(s < r for s, r in zip(scheme, random_ratio))
+        assert max(scheme) - min(scheme) < 0.3
+        assert random_ratio[-1] >= random_ratio[0] - 0.15
+
     def test_multi_seed_averaging(self):
         config = Figure1Config(
             peer_counts=(25,),

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core import ManagementServer, ShardedManagementServer
 from repro.core.path import RouterPath
-from repro.perf.workloads import synthetic_paths
 from repro.protocol import ProtocolSimulation
+from repro.workloads import synthetic_paths
 
 # Two access populations behind one core, each under its own landmark; on a
 # two-shard plane the consistent-hash ring puts lmA and lmC on different shards.

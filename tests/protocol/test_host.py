@@ -13,7 +13,6 @@ import pytest
 from repro.core import ManagementServer
 from repro.core.path import RouterPath
 from repro.exceptions import ShardUnavailableError
-from repro.perf.workloads import synthetic_paths
 from repro.protocol import (
     Beacon,
     BeaconAck,
@@ -23,6 +22,7 @@ from repro.protocol import (
 )
 from repro.sim.engine import Engine
 from repro.sim.network import SimulatedNetwork
+from repro.workloads import synthetic_paths
 
 HOST = "mgmt"
 TTL_MS = 100.0

@@ -17,7 +17,7 @@ from repro.core.chaos import Fault
 from repro.core.newcomer import landmark_descriptors
 from repro.core.path import RouterPath
 from repro.exceptions import ConfigurationError
-from repro.perf.workloads import synthetic_paths
+from repro.workloads import synthetic_paths
 from repro.protocol import BeaconConfig, BeaconingPeer, ProtocolManagementHost, ProtocolSimulation
 from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
 from repro.sim.engine import Engine

@@ -47,8 +47,9 @@ class TestMain:
         assert main([]) == 2
         assert "no experiment" in capsys.readouterr().err
 
-    def test_unknown_experiment_is_an_error(self, capsys):
-        assert main(["not-an-experiment"]) == 2
+    @pytest.mark.parametrize("name", ["not-an-experiment", "perf"])
+    def test_unknown_experiment_is_an_error(self, name, capsys):
+        assert main([name]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_runs_experiment_and_prints_table(self, stub_experiment, capsys):
