@@ -9,9 +9,10 @@ scheme together with every substrate its evaluation needs:
   (the paper's contribution);
 * :mod:`repro.landmarks` — landmark placement and management;
 * :mod:`repro.baselines` — random, brute-force oracle, Vivaldi, GNP, binning;
-* :mod:`repro.overlay`, :mod:`repro.streaming` — the P2P overlay and the
-  mesh live-streaming workload that motivates the paper;
-* :mod:`repro.sim` — a deterministic discrete-event simulator;
+* :mod:`repro.protocol` — the join protocol on the wire: beaconing peers
+  and the management host;
+* :mod:`repro.sim` — a deterministic discrete-event simulator and lossy
+  wire;
 * :mod:`repro.metrics`, :mod:`repro.workloads`, :mod:`repro.experiments` —
   the evaluation harness reproducing the paper's figure and claims.
 

@@ -7,7 +7,7 @@ them, so error messages look the same everywhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, TypeVar
 
 from .exceptions import ConfigurationError
 
@@ -18,13 +18,6 @@ def require_positive_int(value: int, name: str) -> int:
     """Return ``value`` if it is a positive integer, else raise."""
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def require_non_negative_int(value: int, name: str) -> int:
-    """Return ``value`` if it is a non-negative integer, else raise."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -59,24 +52,6 @@ def require_probability(value: float, name: str) -> float:
     if not 0.0 <= as_float <= 1.0:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
     return as_float
-
-
-def require_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Return ``value`` if ``low <= value <= high``, else raise."""
-    try:
-        as_float = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}") from None
-    if not low <= as_float <= high:
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return as_float
-
-
-def require_non_empty(sequence: Sequence[T], name: str) -> Sequence[T]:
-    """Return ``sequence`` if it has at least one element, else raise."""
-    if len(sequence) == 0:
-        raise ConfigurationError(f"{name} must not be empty")
-    return sequence
 
 
 def require_one_of(value: T, allowed: Iterable[T], name: str) -> T:

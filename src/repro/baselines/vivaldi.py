@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .._validation import (
     coerce_seed,
-    require_positive_float,
     require_positive_int,
     require_probability,
 )

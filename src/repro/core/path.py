@@ -10,8 +10,8 @@ router (or the landmark host itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Hashable, Iterator, Optional, Sequence, Tuple
 
 from ..exceptions import RegistrationError
 from ..routing.path_inference import CleanedPath

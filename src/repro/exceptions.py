@@ -121,14 +121,6 @@ class ShardUnavailableError(ReproError):
         self.reason = reason
 
 
-class OverlayError(ReproError):
-    """Raised for overlay bookkeeping inconsistencies."""
-
-
-class StreamingError(ReproError):
-    """Raised by the mesh streaming workload model."""
-
-
 class ConfigurationError(ReproError):
     """Raised when an experiment or scenario configuration is invalid."""
 

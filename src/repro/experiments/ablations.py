@@ -21,11 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Sequence
 
-from ..baselines.brute_force import BruteForceOracle
 from ..core.distance import evaluate_estimator, sample_peer_pairs, true_hop_distances
-from ..metrics.proximity import compare_strategies
-from ..metrics.ranking import precision_at_k
-from ..overlay.churn import ChurnModel, EVENT_JOIN
 from ..routing.traceroute import TracerouteConfig
 from ..sim.rng import RandomStreams
 from ..topology.internet_mapper import RouterMapConfig

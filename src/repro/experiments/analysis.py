@@ -19,7 +19,7 @@ formal proof would need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict
 
 from ..core.distance import sample_peer_pairs
 from ..sim.rng import RandomStreams

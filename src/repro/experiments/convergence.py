@@ -16,7 +16,7 @@ newcomer had to make and the modelled wall-clock setup time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..baselines.binning import BinningSystem
 from ..baselines.gnp import GnpSystem

@@ -16,8 +16,8 @@ brute-force oracle's true distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .._validation import require_positive_int
 from ..metrics.proximity import ProximityComparison, compare_strategies

@@ -2,8 +2,8 @@
 
 The paper places "few landmarks" at "routers with medium-size degree" and
 explicitly lists studying the number and placement of landmarks as future
-work.  This module implements that default plus the alternatives the
-ablation benchmarks compare:
+work.  This module implements that default plus the alternatives
+:func:`~repro.experiments.ablations.landmark_placement_sweep` compares:
 
 * ``medium_degree`` — the paper's choice: routers whose degree sits between
   the stub routers and the top of the distribution.

@@ -1,4 +1,4 @@
-"""Evaluation metrics: the paper's D ratios, ranking quality, delay statistics."""
+"""Evaluation metrics: the paper's D ratios and delay statistics."""
 
 from .proximity import (
     ProximityComparison,
@@ -8,14 +8,7 @@ from .proximity import (
     per_peer_ratios,
     population_cost,
 )
-from .ranking import (
-    kendall_tau,
-    precision_at_k,
-    recall_at_k,
-    relative_rank_loss,
-    top_k_overlap_curve,
-)
-from .latency_stats import DelaySummary, ProbeCostModel, compare_delay_distributions
+from .latency_stats import DelaySummary, ProbeCostModel
 
 __all__ = [
     "ProximityComparison",
@@ -24,12 +17,6 @@ __all__ = [
     "neighbor_cost",
     "per_peer_ratios",
     "population_cost",
-    "kendall_tau",
-    "precision_at_k",
-    "recall_at_k",
-    "relative_rank_loss",
-    "top_k_overlap_curve",
     "DelaySummary",
     "ProbeCostModel",
-    "compare_delay_distributions",
 ]

@@ -1,15 +1,16 @@
 """Latency and setup-delay statistics.
 
-Used by the streaming examples and the convergence benchmark: summarise
-per-peer setup delays, compare distributions between schemes, and convert
-message counts into wall-clock estimates under a simple probing-cost model.
+:class:`DelaySummary` summarises per-peer delays (the protocol simulation's
+discovery latency and staleness, the wire-join example's setup delays);
+:class:`ProbeCostModel` converts message counts into wall-clock estimates
+for the convergence study.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Sequence
 
 from ..exceptions import MetricError
 
@@ -45,28 +46,6 @@ class DelaySummary:
             p99=percentile(0.99),
             maximum=ordered[-1],
         )
-
-
-def compare_delay_distributions(
-    baseline: Sequence[float], candidate: Sequence[float]
-) -> Dict[str, float]:
-    """Relative improvement of ``candidate`` over ``baseline`` (mean / median / p90).
-
-    Values above 0 mean the candidate is faster; 0.5 means 50% faster.
-    """
-    baseline_summary = DelaySummary.from_samples(baseline)
-    candidate_summary = DelaySummary.from_samples(candidate)
-
-    def improvement(base: float, cand: float) -> float:
-        if base == 0:
-            raise MetricError("baseline delay is zero; improvement undefined")
-        return (base - cand) / base
-
-    return {
-        "mean_improvement": improvement(baseline_summary.mean, candidate_summary.mean),
-        "median_improvement": improvement(baseline_summary.median, candidate_summary.median),
-        "p90_improvement": improvement(baseline_summary.p90, candidate_summary.p90),
-    }
 
 
 @dataclass

@@ -12,7 +12,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Hashable, Mapping, Sequence
 
 from ..exceptions import MetricError
 

@@ -5,7 +5,7 @@ Two distance notions are used throughout the reproduction:
 * **hop distance** — the number of router hops; this is the metric the paper's
   figure is expressed in (``D`` is a sum of hop distances);
 * **latency distance** — the sum of per-link latencies, used to pick the
-  closest landmark and by the streaming examples.
+  closest landmark and to delay messages on the simulated wire.
 
 :func:`bfs_shortest_paths` and :func:`dijkstra_shortest_paths` are the
 *reference* single-source implementations: small, dict-based, and the oracle
@@ -21,8 +21,8 @@ these references:
   (:func:`shortest_path_tree` stays the dict-based reference they are
   tested against);
 * :class:`~repro.landmarks.manager.LandmarkSet`, the brute-force baseline,
-  the convergence/analysis experiments, mobility and the sim network all
-  share a scenario-owned engine rather than re-running private BFS loops.
+  the convergence/analysis experiments and the sim network all share a
+  scenario-owned engine rather than re-running private BFS loops.
 """
 
 from __future__ import annotations

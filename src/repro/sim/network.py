@@ -27,7 +27,7 @@ The wire is *lossy* on demand, three ways, all seed-deterministic:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Protocol, Tuple
 
 from .._validation import (

@@ -1,62 +1,31 @@
-"""Router-level topology substrate: graphs, generators, latency and analyses.
+"""Router-level topology substrate: graphs, the router map, latency and analyses.
 
 Public surface:
 
 * :class:`~repro.topology.graph.Graph` — the adjacency-list graph type the
   whole library operates on.
-* Generators (:func:`~repro.topology.generators.barabasi_albert`,
-  :func:`~repro.topology.generators.glp`, ...) and the router-level map
-  builder :func:`~repro.topology.internet_mapper.generate_router_map`.
+* The router-level map builder
+  :func:`~repro.topology.internet_mapper.generate_router_map`, whose core is
+  a :func:`~repro.topology.internet_mapper.barabasi_albert` graph.
 * Latency models in :mod:`~repro.topology.latency`.
 * Centrality / structure analyses in :mod:`~repro.topology.centrality` and
   :mod:`~repro.topology.metrics`.
 """
 
 from .graph import DEFAULT_WEIGHT_KEY, Graph, edge_key
-from .generators import (
-    GENERATORS,
-    barabasi_albert,
-    generate,
-    glp,
-    powerlaw_configuration_model,
-    powerlaw_degree_sequence,
-    random_regular,
-    two_tier_hierarchical,
-    waxman,
-)
 from .internet_mapper import (
     RouterMap,
     RouterMapConfig,
+    barabasi_albert,
     generate_router_map,
     paper_router_map,
     small_router_map,
 )
-from .latency import (
-    ConstantLatencyModel,
-    EuclideanLatencyModel,
-    LatencyModel,
-    LogNormalLatencyModel,
-    TieredLatencyModel,
-    UniformLatencyModel,
-)
-from .io import (
-    graph_from_dict,
-    graph_to_dict,
-    load_router_map,
-    read_edge_list,
-    read_graph_json,
-    router_map_from_graph,
-    save_router_map,
-    write_edge_list,
-    write_graph_json,
-)
+from .latency import ConstantLatencyModel, LatencyModel, TieredLatencyModel
 from .centrality import (
     approximate_betweenness,
     betweenness_centrality,
     centrality_concentration,
-    core_nodes,
-    degree_centrality,
-    k_core_decomposition,
 )
 from .metrics import (
     PathLengthStats,
@@ -79,41 +48,18 @@ __all__ = [
     "DEFAULT_WEIGHT_KEY",
     "Graph",
     "edge_key",
-    "GENERATORS",
     "barabasi_albert",
-    "generate",
-    "glp",
-    "powerlaw_configuration_model",
-    "powerlaw_degree_sequence",
-    "random_regular",
-    "two_tier_hierarchical",
-    "waxman",
     "RouterMap",
     "RouterMapConfig",
     "generate_router_map",
     "paper_router_map",
     "small_router_map",
-    "graph_from_dict",
-    "graph_to_dict",
-    "load_router_map",
-    "read_edge_list",
-    "read_graph_json",
-    "router_map_from_graph",
-    "save_router_map",
-    "write_edge_list",
-    "write_graph_json",
     "ConstantLatencyModel",
-    "EuclideanLatencyModel",
     "LatencyModel",
-    "LogNormalLatencyModel",
     "TieredLatencyModel",
-    "UniformLatencyModel",
     "approximate_betweenness",
     "betweenness_centrality",
     "centrality_concentration",
-    "core_nodes",
-    "degree_centrality",
-    "k_core_decomposition",
     "PathLengthStats",
     "TopologySummary",
     "approximate_diameter",

@@ -3,9 +3,9 @@
 The paper's key structural argument is that the router graph's heavy-tailed
 degree distribution concentrates *betweenness centrality* on a small core, so
 that "the shortest path between most pairs of network edges uses the network
-core".  These functions let the test suite and the ablation benchmarks verify
-that the synthetic maps actually have that property, and let landmark
-placement strategies pick high-betweenness routers.
+core".  These functions let the branch-point analysis
+(:mod:`repro.experiments.analysis`) verify that the synthetic maps actually
+have that property, and let landmark placement pick high-betweenness routers.
 
 Exact betweenness is O(V·E); for the ~4 000-router default map we provide a
 pivot-sampled approximation (Brandes & Pich style) that is accurate enough
@@ -116,61 +116,6 @@ def approximate_betweenness(
         return betweenness_centrality(graph, normalized=normalized)
     sources = rng.sample(nodes, pivots)
     return betweenness_centrality(graph, normalized=normalized, sources=sources)
-
-
-def degree_centrality(graph: Graph) -> Dict[NodeId, float]:
-    """Degree divided by ``n - 1``."""
-    n = graph.node_count
-    if n <= 1:
-        return {node: 0.0 for node in graph.nodes()}
-    return {node: degree / (n - 1) for node, degree in graph.degrees().items()}
-
-
-def k_core_decomposition(graph: Graph) -> Dict[NodeId, int]:
-    """Return the coreness (k-core number) of every node.
-
-    Uses the standard peeling algorithm.  The network core identified by the
-    paper corresponds to the nodes with the highest coreness.
-    """
-    degrees = graph.degrees()
-    coreness: Dict[NodeId, int] = {}
-    remaining = dict(degrees)
-    # Bucket nodes by current degree for O(E) peeling.
-    buckets: Dict[int, set] = {}
-    for node, degree in remaining.items():
-        buckets.setdefault(degree, set()).add(node)
-
-    current_k = 0
-    processed: set = set()
-    while len(processed) < graph.node_count:
-        # Find the smallest non-empty bucket.
-        degree = min(d for d, bucket in buckets.items() if bucket)
-        current_k = max(current_k, degree)
-        node = buckets[degree].pop()
-        coreness[node] = current_k
-        processed.add(node)
-        for neighbor in graph.iter_neighbors(node):
-            if neighbor in processed:
-                continue
-            old = remaining[neighbor]
-            new = old - 1
-            remaining[neighbor] = new
-            buckets[old].discard(neighbor)
-            buckets.setdefault(new, set()).add(neighbor)
-    return coreness
-
-
-def core_nodes(graph: Graph, fraction: float = 0.05) -> List[NodeId]:
-    """Return the top ``fraction`` of nodes ranked by coreness then degree."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    coreness = k_core_decomposition(graph)
-    degrees = graph.degrees()
-    ranked = sorted(
-        graph.nodes(), key=lambda node: (coreness[node], degrees[node]), reverse=True
-    )
-    count = max(1, int(round(graph.node_count * fraction)))
-    return ranked[:count]
 
 
 def centrality_concentration(

@@ -16,23 +16,23 @@ the paper's argument relies on:
 The main entry point is :func:`generate_router_map`, which returns a
 :class:`RouterMap` wrapping the generated graph together with convenience
 accessors used by the experiment harness (``stub_routers``,
-``medium_degree_routers``, ...).
+``medium_degree_routers``, ...).  The core is a :func:`barabasi_albert`
+preferential-attachment graph, and :func:`_preferential_targets` attaches the
+transit tier to it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .._validation import (
     coerce_seed,
-    require_positive_float,
     require_positive_int,
     require_probability,
 )
 from ..exceptions import GeneratorError
-from .generators import _preferential_targets, barabasi_albert
 from .graph import Graph
 from .latency import LatencyModel, TieredLatencyModel
 
@@ -40,6 +40,75 @@ from .latency import LatencyModel, TieredLatencyModel
 TIER_CORE = "core"
 TIER_TRANSIT = "transit"
 TIER_STUB = "stub"
+
+
+def _preferential_targets(
+    repeated_nodes: List[int],
+    m: int,
+    rng: random.Random,
+    exclude: int,
+) -> List[int]:
+    """Pick ``m`` distinct targets from ``repeated_nodes`` proportionally to frequency."""
+    targets: List[int] = []
+    chosen = set()
+    # Guard against pathological loops when the candidate pool is small.
+    max_attempts = 50 * m + 100
+    attempts = 0
+    while len(targets) < m and attempts < max_attempts:
+        attempts += 1
+        candidate = rng.choice(repeated_nodes)
+        if candidate == exclude or candidate in chosen:
+            continue
+        chosen.add(candidate)
+        targets.append(candidate)
+    if len(targets) < m:
+        # Fall back to uniform sampling over all seen nodes.
+        pool = [node for node in set(repeated_nodes) if node != exclude and node not in chosen]
+        rng.shuffle(pool)
+        targets.extend(pool[: m - len(targets)])
+    return targets
+
+
+def barabasi_albert(
+    n: int,
+    m: int = 2,
+    rng: Optional[random.Random] = None,
+    seed: Optional[int] = None,
+    name: str = "barabasi-albert",
+) -> Graph:
+    """Generate a Barabási–Albert preferential-attachment graph.
+
+    Nodes are the consecutive integers ``0 .. n-1``; pass ``rng`` or ``seed``
+    for a reproducible graph.
+
+    Parameters
+    ----------
+    n:
+        Total number of nodes (must be > m).
+    m:
+        Number of edges each new node attaches with.
+    """
+    require_positive_int(n, "n")
+    require_positive_int(m, "m")
+    if n <= m:
+        raise GeneratorError(f"barabasi_albert requires n > m (got n={n}, m={m})")
+    rng = rng or random.Random(coerce_seed(seed))
+
+    graph = Graph(name=name)
+    # Start from a star over the first m+1 nodes so every node has degree >= 1.
+    for node in range(m + 1):
+        graph.add_node(node)
+    repeated_nodes: List[int] = []
+    for node in range(1, m + 1):
+        graph.add_edge(0, node)
+        repeated_nodes.extend([0, node])
+
+    for new_node in range(m + 1, n):
+        targets = _preferential_targets(repeated_nodes, m, rng, exclude=new_node)
+        for target in targets:
+            graph.add_edge(new_node, target)
+            repeated_nodes.extend([new_node, target])
+    return graph
 
 
 @dataclass

@@ -2,19 +2,20 @@
 
 The paper's metric is hop distance, but two parts of the system need
 latencies: the newcomer must pick its *closest landmark* "in terms of
-latency", and the streaming examples need realistic RTTs.  Real per-link
-latency data is not available for a synthetic map, so these models synthesise
-it.  All models write the latency (in milliseconds) into the edge attribute
-``latency`` (:data:`repro.topology.graph.DEFAULT_WEIGHT_KEY`), which the
-routing layer uses as its default weight.
+latency", and the simulated wire delivers messages after realistic RTTs.
+Real per-link latency data is not available for a synthetic map, so
+:class:`TieredLatencyModel` (the router map's model) synthesises it from the
+tiers of a link's endpoints; :class:`ConstantLatencyModel` gives every link
+the same latency.  A model writes the latency (in milliseconds) into the edge
+attribute ``latency`` (:data:`repro.topology.graph.DEFAULT_WEIGHT_KEY`),
+which the routing layer uses as its default weight.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Optional
 
 from .._validation import coerce_seed, require_non_negative_float, require_positive_float
 from .graph import DEFAULT_WEIGHT_KEY, Graph
@@ -46,45 +47,6 @@ class ConstantLatencyModel(LatencyModel):
 
     def edge_latency(self, graph: Graph, u, v) -> float:
         return self.latency_ms
-
-
-class UniformLatencyModel(LatencyModel):
-    """Latency drawn uniformly from ``[low_ms, high_ms]`` per link."""
-
-    def __init__(self, low_ms: float = 1.0, high_ms: float = 20.0, seed: Optional[int] = None) -> None:
-        super().__init__(seed)
-        self.low_ms = require_positive_float(low_ms, "low_ms")
-        self.high_ms = require_positive_float(high_ms, "high_ms")
-        if high_ms < low_ms:
-            raise ValueError(f"high_ms ({high_ms}) must be >= low_ms ({low_ms})")
-
-    def edge_latency(self, graph: Graph, u, v) -> float:
-        return self._rng.uniform(self.low_ms, self.high_ms)
-
-
-class LogNormalLatencyModel(LatencyModel):
-    """Latency drawn from a log-normal distribution (heavy-ish tail).
-
-    Measured per-link latencies are highly skewed; a log-normal with a small
-    sigma reproduces the shape without extreme outliers.
-    """
-
-    def __init__(
-        self,
-        median_ms: float = 5.0,
-        sigma: float = 0.6,
-        minimum_ms: float = 0.1,
-        seed: Optional[int] = None,
-    ) -> None:
-        super().__init__(seed)
-        self.median_ms = require_positive_float(median_ms, "median_ms")
-        self.sigma = require_positive_float(sigma, "sigma")
-        self.minimum_ms = require_non_negative_float(minimum_ms, "minimum_ms")
-
-    def edge_latency(self, graph: Graph, u, v) -> float:
-        mu = math.log(self.median_ms)
-        sample = self._rng.lognormvariate(mu, self.sigma)
-        return max(self.minimum_ms, sample)
 
 
 class TieredLatencyModel(LatencyModel):
@@ -128,34 +90,3 @@ class TieredLatencyModel(LatencyModel):
         base = self._base_latency(tier_u, tier_v)
         jitter = 1.0 + self._rng.uniform(-self.jitter_fraction, self.jitter_fraction)
         return max(0.05, base * jitter)
-
-
-class EuclideanLatencyModel(LatencyModel):
-    """Latency proportional to the Euclidean distance between node positions.
-
-    Requires node attribute ``pos`` (set e.g. by the Waxman generator).  Nodes
-    without a position fall back to ``fallback_ms``.
-    """
-
-    def __init__(
-        self,
-        ms_per_unit: float = 50.0,
-        minimum_ms: float = 0.5,
-        fallback_ms: float = 5.0,
-        seed: Optional[int] = None,
-    ) -> None:
-        super().__init__(seed)
-        self.ms_per_unit = require_positive_float(ms_per_unit, "ms_per_unit")
-        self.minimum_ms = require_positive_float(minimum_ms, "minimum_ms")
-        self.fallback_ms = require_positive_float(fallback_ms, "fallback_ms")
-
-    @staticmethod
-    def _distance(pos_u: Tuple[float, float], pos_v: Tuple[float, float]) -> float:
-        return math.hypot(pos_u[0] - pos_v[0], pos_u[1] - pos_v[1])
-
-    def edge_latency(self, graph: Graph, u, v) -> float:
-        pos_u = graph.get_node_attribute(u, "pos")
-        pos_v = graph.get_node_attribute(v, "pos")
-        if pos_u is None or pos_v is None:
-            return self.fallback_ms
-        return max(self.minimum_ms, self._distance(pos_u, pos_v) * self.ms_per_unit)

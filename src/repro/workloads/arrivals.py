@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence
 
-from .._validation import coerce_seed, require_positive_float, require_positive_int
+from .._validation import coerce_seed, require_positive_float
 from ..exceptions import ConfigurationError
 
 PeerId = Hashable
@@ -79,48 +79,3 @@ def flash_crowd_arrivals(
         arrivals.append(Arrival(time_s=time, peer_id=peer_id))
     arrivals.sort(key=lambda arrival: (arrival.time_s, repr(arrival.peer_id)))
     return arrivals
-
-
-def uniform_arrivals(
-    peer_ids: Sequence[PeerId],
-    duration_s: float,
-    start_time_s: float = 0.0,
-    seed: Optional[int] = None,
-) -> List[Arrival]:
-    """Arrivals spread uniformly at random over ``duration_s``."""
-    require_positive_float(duration_s, "duration_s")
-    if not peer_ids:
-        raise ConfigurationError("peer_ids must not be empty")
-    rng = random.Random(coerce_seed(seed))
-    arrivals = [
-        Arrival(time_s=start_time_s + rng.uniform(0.0, duration_s), peer_id=peer_id)
-        for peer_id in peer_ids
-    ]
-    arrivals.sort(key=lambda arrival: (arrival.time_s, repr(arrival.peer_id)))
-    return arrivals
-
-
-def sequential_arrivals(
-    peer_ids: Sequence[PeerId],
-    interval_s: float = 1.0,
-    start_time_s: float = 0.0,
-) -> List[Arrival]:
-    """Deterministic arrivals every ``interval_s`` seconds (for tests)."""
-    require_positive_float(interval_s, "interval_s")
-    if not peer_ids:
-        raise ConfigurationError("peer_ids must not be empty")
-    return [
-        Arrival(time_s=start_time_s + index * interval_s, peer_id=peer_id)
-        for index, peer_id in enumerate(peer_ids)
-    ]
-
-
-def arrival_rate(arrivals: Sequence[Arrival]) -> float:
-    """Average arrivals per second over the observed window."""
-    require_positive_int(len(arrivals), "number of arrivals")
-    if len(arrivals) == 1:
-        return float("inf")
-    span = arrivals[-1].time_s - arrivals[0].time_s
-    if span <= 0:
-        return float("inf")
-    return (len(arrivals) - 1) / span

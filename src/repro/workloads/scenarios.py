@@ -16,10 +16,9 @@ attachment map) the experiments and examples need for step 5.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Optional, Union
 
 from .._validation import coerce_seed, require_positive_int
 from ..baselines.brute_force import BruteForceOracle
@@ -37,7 +36,6 @@ from ..core.newcomer import (
 from ..exceptions import ConfigurationError
 from ..landmarks.manager import LandmarkSet
 from ..landmarks.placement import place_on_router_map
-from ..overlay.overlay import Overlay
 from ..routing.distance_engine import HopDistanceEngine
 from ..routing.route_table import RouteTable
 from ..routing.traceroute import TracerouteConfig, TracerouteSimulator
@@ -233,15 +231,6 @@ class Scenario:
         result = self.newcomer(peer_id).join(self.server, landmarks=self.bootstrap_landmarks)
         self.join_results[peer_id] = result
         return result
-
-    def build_overlay(self, neighbor_sets: Dict[PeerId, List[PeerId]]) -> Overlay:
-        """Materialise an :class:`~repro.overlay.overlay.Overlay` from neighbour sets."""
-        overlay = Overlay()
-        for peer_id, router in self.peer_routers.items():
-            overlay.create_peer(peer_id, router)
-        for peer_id, neighbors in neighbor_sets.items():
-            overlay.set_neighbors(peer_id, neighbors)
-        return overlay
 
 
 def build_scenario(

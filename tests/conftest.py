@@ -84,6 +84,43 @@ def make_small_scenario(seed: int = 5, peer_count: int = 40, **kwargs) -> Scenar
     return build_scenario(config)
 
 
+def reference_graphs() -> dict:
+    """Small connected :mod:`networkx` graphs used as an independent oracle.
+
+    Chosen to cover what the hand-built fixtures do not: ties between equal
+    shortest paths (even cycle, grid, complete graph), triangles (barbell,
+    complete graph), girth 5 (Petersen), trees and a preferential-attachment
+    graph.  Build the library's :class:`Graph` with ``Graph.from_networkx``.
+    networkx is a test-only dependency: without it the calling test skips.
+    """
+    nx = pytest.importorskip("networkx")
+    graphs = {
+        "path-7": nx.path_graph(7),
+        "cycle-10": nx.cycle_graph(10),
+        "complete-6": nx.complete_graph(6),
+        "grid-3x4": nx.convert_node_labels_to_integers(nx.grid_2d_graph(3, 4)),
+        "barbell-4-2": nx.barbell_graph(4, 2),
+        "petersen": nx.petersen_graph(),
+        "binary-tree-3": nx.balanced_tree(2, 3),
+        "ba-60-2": nx.barabasi_albert_graph(60, 2, seed=3),
+    }
+    assert sorted(graphs) == REFERENCE_GRAPH_NAMES
+    return graphs
+
+
+# Spelled out so that collecting the suite never imports networkx.
+REFERENCE_GRAPH_NAMES = [
+    "ba-60-2",
+    "barbell-4-2",
+    "binary-tree-3",
+    "complete-6",
+    "cycle-10",
+    "grid-3x4",
+    "path-7",
+    "petersen",
+]
+
+
 @pytest.fixture(scope="session")
 def small_router_map() -> RouterMap:
     """Session-wide read-only small router map."""

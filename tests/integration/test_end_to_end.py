@@ -10,10 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distance import evaluate_estimator, sample_peer_pairs, true_hop_distances
-from repro.metrics.proximity import compare_strategies, per_peer_ratios
-from repro.metrics.ranking import precision_at_k
+from repro.metrics.proximity import compare_strategies, per_peer_ratios, population_cost
 from repro.protocol import ProtocolSimulation
-from repro.streaming import MeshConfig, MeshStreamingSession
 
 from ..conftest import make_small_scenario
 
@@ -98,7 +96,8 @@ class TestDtreeAccuracy:
         for peer in scenario.peer_ids[:20]:
             scheme = [p for p, _ in scenario.server.closest_peers(peer, k=k)]
             optimal = scenario.oracle.select_neighbors(peer, k=k)
-            overlaps.append(precision_at_k(scheme, optimal, k))
+            # Precision at k: the share of the scheme's list the oracle also picked.
+            overlaps.append(len(set(scheme) & set(optimal)) / len(scheme))
         assert sum(overlaps) / len(overlaps) > 0.4
 
 
@@ -118,9 +117,9 @@ class TestEventDrivenJoin:
         assert late.stats.setup_delay_ms > 0
 
 
-class TestStreamingBenefit:
-    def test_proximity_overlay_uses_much_shorter_network_paths(self):
-        """Chunk-exchange links of the proximity overlay cross far fewer routers.
+class TestNeighborProximity:
+    def test_scheme_neighbors_are_much_closer_than_random_ones(self):
+        """A peer's neighbours cross far fewer routers than random ones.
 
         This is the property the paper optimises (a peer's neighbours should
         be network-close); overlay-diameter effects on end-to-end delivery are
@@ -129,22 +128,6 @@ class TestStreamingBenefit:
         """
         scenario = make_small_scenario(seed=41, peer_count=25)
         scenario.join_all()
-        proximity_overlay = scenario.build_overlay(scenario.scheme_neighbor_sets())
-        random_overlay = scenario.build_overlay(scenario.random_neighbor_sets())
-        proximity_cost = proximity_overlay.mean_neighbor_cost(scenario.true_distance)
-        random_cost = random_overlay.mean_neighbor_cost(scenario.true_distance)
-        assert proximity_cost < random_cost * 0.85
-
-    def test_streaming_runs_over_both_overlays(self):
-        """The mesh workload completes with healthy continuity on either overlay."""
-        scenario = make_small_scenario(seed=41, peer_count=25)
-        scenario.join_all()
-        config = MeshConfig(rounds=50, uploads_per_round=8, requests_per_round=4)
-        source = scenario.peer_ids[0]
-        for neighbor_sets in (scenario.scheme_neighbor_sets(), scenario.random_neighbor_sets()):
-            overlay = scenario.build_overlay(neighbor_sets)
-            result = MeshStreamingSession(
-                overlay, source, scenario.true_distance, config=config
-            ).run()
-            assert result.chunks_injected == 50
-            assert result.mean_continuity() > 0.5
+        scheme_cost = population_cost(scenario.scheme_neighbor_sets(), scenario.true_distance)
+        random_cost = population_cost(scenario.random_neighbor_sets(), scenario.true_distance)
+        assert scheme_cost < random_cost * 0.85

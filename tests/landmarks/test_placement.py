@@ -15,7 +15,7 @@ from repro.landmarks.placement import (
     place_random,
     place_spread,
 )
-from repro.topology.generators import barabasi_albert
+from repro.topology.internet_mapper import barabasi_albert
 from repro.topology.graph import Graph
 
 

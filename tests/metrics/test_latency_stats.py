@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import MetricError
-from repro.metrics.latency_stats import (
-    DelaySummary,
-    ProbeCostModel,
-    compare_delay_distributions,
-)
+from repro.metrics.latency_stats import DelaySummary, ProbeCostModel
 
 
 class TestDelaySummary:
@@ -23,23 +19,6 @@ class TestDelaySummary:
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
             DelaySummary.from_samples([])
-
-
-class TestComparison:
-    def test_improvement_fraction(self):
-        baseline = [100.0, 100.0, 100.0]
-        candidate = [50.0, 50.0, 50.0]
-        improvement = compare_delay_distributions(baseline, candidate)
-        assert improvement["mean_improvement"] == pytest.approx(0.5)
-        assert improvement["median_improvement"] == pytest.approx(0.5)
-
-    def test_regression_is_negative(self):
-        improvement = compare_delay_distributions([10.0], [20.0])
-        assert improvement["mean_improvement"] == pytest.approx(-1.0)
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(MetricError):
-            compare_delay_distributions([0.0], [1.0])
 
 
 class TestProbeCostModel:

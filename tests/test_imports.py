@@ -1,0 +1,91 @@
+"""No module under ``src/repro`` imports a name it never uses.
+
+A dead import makes an unreached module look reached.  Exempt: the
+re-exports of ``__init__.py`` files, names listed in ``__all__``,
+``from __future__`` and imports under ``if TYPE_CHECKING:``.
+
+The exempt re-exports are held to ``__all__`` instead: every name it lists
+is bound (a stale entry breaks ``from repro.x import *``), none is listed
+twice, and a package lists every public name it imports.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
+PACKAGES = sorted(SRC.rglob("__init__.py"))
+
+
+def unused_imports(tree: ast.Module):
+    guarded = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+        for inner in ast.walk(node)
+    }
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in guarded
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        constant.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for constant in ast.walk(node.value)
+        if isinstance(constant, ast.Constant)
+    }
+    return sorted(imported - used - exported)
+
+
+def declared_all(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return None
+
+
+def module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+EXPORTERS = [
+    path for path in sorted(SRC.rglob("*.py"))
+    if declared_all(ast.parse(path.read_text(encoding="utf-8"))) is not None
+]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_every_imported_name_is_used(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", EXPORTERS, ids=lambda path: str(path.relative_to(SRC)))
+def test_every_name_in_all_is_bound_once(path):
+    names = declared_all(ast.parse(path.read_text(encoding="utf-8")))
+    module = importlib.import_module(module_name(path))
+    assert [name for name in names if not hasattr(module, name)] == []
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("path", PACKAGES, ids=lambda path: str(path.relative_to(SRC)))
+def test_every_public_reexport_is_in_all(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reexported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert sorted(reexported - set(declared_all(tree) or ())) == []

@@ -7,10 +7,7 @@ import pytest
 from repro import exceptions
 from repro._validation import (
     coerce_seed,
-    require_in_range,
-    require_non_empty,
     require_non_negative_float,
-    require_non_negative_int,
     require_one_of,
     require_positive_float,
     require_positive_int,
@@ -27,11 +24,6 @@ class TestIntegerValidation:
     def test_positive_int_rejects(self, value):
         with pytest.raises(ConfigurationError):
             require_positive_int(value, "x")
-
-    def test_non_negative_int(self):
-        assert require_non_negative_int(0, "x") == 0
-        with pytest.raises(ConfigurationError):
-            require_non_negative_int(-1, "x")
 
 
 class TestFloatValidation:
@@ -54,18 +46,8 @@ class TestFloatValidation:
         with pytest.raises(ConfigurationError):
             require_probability(1.01, "x")
 
-    def test_in_range(self):
-        assert require_in_range(5, 0, 10, "x") == 5.0
-        with pytest.raises(ConfigurationError):
-            require_in_range(11, 0, 10, "x")
-
 
 class TestOtherValidation:
-    def test_non_empty(self):
-        assert require_non_empty([1], "x") == [1]
-        with pytest.raises(ConfigurationError):
-            require_non_empty([], "x")
-
     def test_one_of(self):
         assert require_one_of("a", ("a", "b"), "x") == "a"
         with pytest.raises(ConfigurationError):
@@ -89,8 +71,6 @@ class TestExceptionHierarchy:
             exceptions.SimulationError,
             exceptions.ProtocolError,
             exceptions.LandmarkError,
-            exceptions.OverlayError,
-            exceptions.StreamingError,
             exceptions.ConfigurationError,
             exceptions.MetricError,
         ],

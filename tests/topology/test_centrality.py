@@ -1,4 +1,4 @@
-"""Tests for betweenness centrality, k-core decomposition and core extraction."""
+"""Tests for betweenness centrality and its concentration on the core."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ from repro.topology.centrality import (
     approximate_betweenness,
     betweenness_centrality,
     centrality_concentration,
-    core_nodes,
-    degree_centrality,
-    k_core_decomposition,
 )
 from repro.topology.graph import Graph
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs
 
 
 class TestBetweenness:
@@ -49,49 +48,28 @@ class TestBetweenness:
         approx = approximate_betweenness(star_graph, pivots=3, seed=2)
         assert max(approx, key=approx.get) == 0
 
+    def test_approximate_with_every_pivot_is_exact(self, tree_graph):
+        exact = betweenness_centrality(tree_graph)
+        assert approximate_betweenness(tree_graph, pivots=tree_graph.node_count, seed=4) == exact
 
-class TestDegreeCentrality:
-    def test_star(self, star_graph):
-        centrality = degree_centrality(star_graph)
-        assert centrality[0] == pytest.approx(1.0)
-        assert centrality[1] == pytest.approx(1 / 6)
-
-    def test_single_node_graph(self):
-        graph = Graph()
-        graph.add_node("only")
-        assert degree_centrality(graph)["only"] == 0.0
+    def test_every_node_as_a_source_scales_to_the_exact_value(self, tree_graph):
+        """The sampled estimate is unbiased: all sources give the exact answer."""
+        exact = betweenness_centrality(tree_graph)
+        sampled = betweenness_centrality(tree_graph, sources=list(tree_graph.nodes()))
+        assert sampled == pytest.approx(exact)
 
 
-class TestKCore:
-    def test_tree_coreness_is_one(self, tree_graph):
-        coreness = k_core_decomposition(tree_graph)
-        assert set(coreness.values()) == {1}
+class TestBetweennessMatchesNetworkx:
+    """Exact Brandes accumulation == networkx, including split path counts."""
 
-    def test_triangle_with_tail(self):
-        graph = Graph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        graph.add_edge(3, 1)
-        graph.add_edge(3, 4)
-        coreness = k_core_decomposition(graph)
-        assert coreness[1] == coreness[2] == coreness[3] == 2
-        assert coreness[4] == 1
-
-    def test_core_nodes_prefers_dense_subgraph(self):
-        graph = Graph()
-        # A 4-clique plus pendant nodes.
-        clique = [10, 11, 12, 13]
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                graph.add_edge(u, v)
-        for leaf in range(4):
-            graph.add_edge(leaf, 10)
-        top = core_nodes(graph, fraction=0.5)
-        assert set(clique).issubset(set(top))
-
-    def test_core_nodes_invalid_fraction(self, star_graph):
-        with pytest.raises(ValueError):
-            core_nodes(star_graph, fraction=0.0)
+    @pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+    def test_exact_values(self, name, normalized):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        ours = betweenness_centrality(Graph.from_networkx(reference), normalized=normalized)
+        expected = nx.betweenness_centrality(reference, normalized=normalized)
+        assert ours == pytest.approx(expected, abs=1e-9)
 
 
 class TestConcentration:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, TopologyError
 from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph, edge_key
 
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs
+
 
 class TestNodes:
     def test_add_node_is_idempotent(self):
@@ -221,6 +223,7 @@ class TestConnectivity:
 
 class TestConversions:
     def test_networkx_round_trip(self, tree_graph):
+        pytest.importorskip("networkx")
         nx_graph = tree_graph.to_networkx()
         back = Graph.from_networkx(nx_graph, name="back")
         assert back.node_count == tree_graph.node_count
@@ -240,6 +243,20 @@ class TestConversions:
     def test_repr_mentions_counts(self, line_graph):
         assert "nodes=6" in repr(line_graph)
         assert "edges=5" in repr(line_graph)
+
+    @pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+    def test_networkx_round_trip_keeps_edges_and_weights(self, name):
+        reference = reference_graphs()[name]
+        for index, (u, v) in enumerate(reference.edges()):
+            reference.edges[u, v][DEFAULT_WEIGHT_KEY] = 1.0 + index
+        graph = Graph.from_networkx(reference)
+        assert set(graph.nodes()) == set(reference.nodes())
+        assert {frozenset(edge) for edge in graph.edges()} == {frozenset(edge) for edge in reference.edges()}
+        assert graph.degrees() == dict(reference.degree())
+        back = graph.to_networkx()
+        assert {
+            frozenset((u, v)): attrs[DEFAULT_WEIGHT_KEY] for u, v, attrs in back.edges(data=True)
+        } == {frozenset((u, v)): attrs[DEFAULT_WEIGHT_KEY] for u, v, attrs in reference.edges(data=True)}
 
 
 @settings(max_examples=25, deadline=None)

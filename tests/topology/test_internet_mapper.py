@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from repro.exceptions import GeneratorError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import ConfigurationError, GeneratorError
 from repro.topology.centrality import centrality_concentration
 from repro.topology.internet_mapper import (
     RouterMapConfig,
     TIER_CORE,
     TIER_STUB,
     TIER_TRANSIT,
+    _preferential_targets,
+    barabasi_albert,
     generate_router_map,
     paper_router_map,
     small_router_map,
 )
 from repro.topology.latency import ConstantLatencyModel
-from repro.topology.metrics import degree_one_fraction, estimate_powerlaw_exponent
+from repro.topology.metrics import degree_one_fraction, estimate_powerlaw_exponent, max_degree
 
 
 class TestConfig:
@@ -110,6 +116,64 @@ class TestGeneration:
         assert concentration > 0.5
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+class TestTierStructure:
+    """How each tier attaches, on a few seeds (ids grow tier by tier)."""
+
+    @pytest.fixture()
+    def router_map(self, seed):
+        return generate_router_map(
+            RouterMapConfig(
+                core_size=10,
+                core_attachment=3,
+                transit_size=40,
+                transit_attachment=2,
+                stub_size=120,
+                extra_peering_probability=0.3,
+                seed=seed,
+            )
+        )
+
+    def test_tier_lists_match_the_tier_attribute(self, router_map):
+        graph = router_map.graph
+        for tier in (TIER_CORE, TIER_TRANSIT, TIER_STUB):
+            assert router_map.routers_in_tier(tier) == [
+                node for node in graph.nodes() if graph.get_node_attribute(node, "tier") == tier
+            ]
+        assert router_map.core_routers() == router_map.routers_in_tier(TIER_CORE)
+        assert router_map.routers_in_tier("backbone") == []
+
+    def test_core_is_the_preferential_attachment_graph(self, router_map):
+        core = router_map.core_routers()
+        subgraph = router_map.graph.subgraph(core)
+        m = router_map.config.core_attachment
+        assert subgraph.is_connected()
+        assert subgraph.edge_count == m * (len(core) - m)
+
+    def test_transit_routers_uplink_to_earlier_core_or_transit_routers(self, router_map):
+        graph = router_map.graph
+        m = router_map.config.transit_attachment
+        for node in router_map.routers_in_tier(TIER_TRANSIT):
+            uplinks = [v for v in graph.neighbors(node) if v < node]
+            # m preferential uplinks, plus at most one lateral peering link.
+            assert m <= len(uplinks) <= m + 1
+            assert all(graph.get_node_attribute(v, "tier") != TIER_STUB for v in uplinks)
+
+    def test_every_stub_router_has_exactly_one_uplink(self, router_map):
+        graph = router_map.graph
+        for node in router_map.routers_in_tier(TIER_STUB):
+            assert len([v for v in graph.neighbors(node) if v < node]) == 1
+            below = [v for v in graph.neighbors(node) if v > node]
+            assert all(graph.get_node_attribute(v, "tier") == TIER_STUB for v in below)
+
+    def test_removing_the_access_layer_leaves_a_connected_backbone(self, router_map):
+        backbone = router_map.core_routers() + router_map.routers_in_tier(TIER_TRANSIT)
+        assert router_map.graph.subgraph(backbone).is_connected()
+        # Stub trees hang off the backbone: the access layer is a forest.
+        stubs = router_map.graph.subgraph(router_map.routers_in_tier(TIER_STUB))
+        assert stubs.edge_count == stubs.node_count - len(stubs.connected_components())
+
+
 class TestVariants:
     def test_deterministic_given_seed(self):
         first = generate_router_map(RouterMapConfig(core_size=10, transit_size=30, stub_size=80, seed=3))
@@ -149,3 +213,86 @@ class TestVariants:
         # With no stub trees every stub attaches to transit/core, so the
         # degree-1 fraction is very high.
         assert degree_one_fraction(router_map.graph) > 0.5
+
+
+class TestBarabasiAlbert:
+    def test_node_and_edge_counts(self):
+        graph = barabasi_albert(100, m=2, seed=1)
+        assert graph.node_count == 100
+        # The seed star has m edges; every later node adds up to m edges.
+        assert graph.edge_count <= 2 + 2 * 98
+        assert graph.edge_count >= 100
+
+    def test_connected(self):
+        graph = barabasi_albert(150, m=2, seed=3)
+        assert graph.is_connected()
+
+    def test_heavy_tail_present(self):
+        graph = barabasi_albert(400, m=2, seed=5)
+        assert max_degree(graph) >= 15
+
+    def test_deterministic_given_seed(self):
+        first = barabasi_albert(80, m=2, seed=11)
+        second = barabasi_albert(80, m=2, seed=11)
+        assert sorted(first.to_edge_list()) == sorted(second.to_edge_list())
+
+    def test_different_seeds_differ(self):
+        first = barabasi_albert(80, m=2, seed=11)
+        second = barabasi_albert(80, m=2, seed=12)
+        assert sorted(first.to_edge_list()) != sorted(second.to_edge_list())
+
+    def test_requires_n_greater_than_m(self):
+        with pytest.raises(GeneratorError):
+            barabasi_albert(3, m=3)
+
+    def test_accepts_external_rng(self):
+        rng = random.Random(7)
+        graph = barabasi_albert(50, m=1, rng=rng)
+        assert graph.node_count == 50
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (30, 1), (60, 2), (61, 4)])
+    def test_every_later_node_attaches_with_exactly_m_edges(self, n, m):
+        graph = barabasi_albert(n, m=m, seed=n + m)
+        # The seed star has m edges; each of the n - m - 1 later nodes adds m.
+        assert graph.edge_count == m * (n - m)
+        for node in range(m + 1, n):
+            assert len([v for v in graph.neighbors(node) if v < node]) == m
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (5, 0), (1, 1)])
+    def test_rejects_invalid_sizes(self, n, m):
+        with pytest.raises((ConfigurationError, GeneratorError)):
+            barabasi_albert(n, m=m)
+
+
+class TestPreferentialTargets:
+    def test_targets_are_distinct_and_never_the_excluded_node(self):
+        pool = [0, 0, 0, 0, 1, 2, 3, 3, 4]
+        for seed in range(20):
+            targets = _preferential_targets(pool, 3, random.Random(seed), exclude=0)
+            assert len(targets) == 3
+            assert len(set(targets)) == 3
+            assert 0 not in targets
+
+    def test_heavier_nodes_are_picked_more_often(self):
+        pool = [0] * 18 + [1, 2]
+        rng = random.Random(5)
+        picks = [_preferential_targets(pool, 1, rng, exclude=99)[0] for _ in range(400)]
+        assert picks.count(0) > 300
+
+    def test_falls_back_to_every_other_node_when_sampling_stalls(self):
+        # Node 0 dominates the pool, so rejection sampling gives up and the
+        # remaining targets come from the uniform fallback.
+        pool = [0] * 10_000 + [1, 2]
+        targets = _preferential_targets(pool, 2, random.Random(1), exclude=0)
+        assert sorted(targets) == [1, 2]
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(10, 80), m=st.integers(1, 3))
+def test_property_ba_graphs_are_connected(n, m):
+    """Preferential attachment always yields a connected graph."""
+    if n <= m:
+        return
+    graph = barabasi_albert(n, m=m, seed=n * 10 + m)
+    assert graph.is_connected()
+    assert graph.node_count == n

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.topology.graph import Graph
-from repro.topology.latency import (
-    ConstantLatencyModel,
-    EuclideanLatencyModel,
-    LogNormalLatencyModel,
-    TieredLatencyModel,
-    UniformLatencyModel,
-)
+from repro.topology.latency import ConstantLatencyModel, TieredLatencyModel
 
 
 @pytest.fixture()
@@ -36,40 +31,11 @@ class TestConstant:
         with pytest.raises(Exception):
             ConstantLatencyModel(latency_ms=0.0)
 
-
-class TestUniform:
-    def test_values_within_bounds(self, line_graph):
-        UniformLatencyModel(low_ms=2.0, high_ms=3.0, seed=1).assign(line_graph)
+    def test_writes_the_requested_key_only(self, line_graph):
+        ConstantLatencyModel(latency_ms=4.0).assign(line_graph, key="probe_ms")
         for u, v in line_graph.edges():
-            assert 2.0 <= line_graph.edge_weight(u, v) <= 3.0
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            UniformLatencyModel(low_ms=5.0, high_ms=1.0)
-
-    def test_deterministic_with_seed(self, line_graph):
-        graph_a = line_graph.copy()
-        graph_b = line_graph.copy()
-        UniformLatencyModel(seed=9).assign(graph_a)
-        UniformLatencyModel(seed=9).assign(graph_b)
-        for u, v in graph_a.edges():
-            assert graph_a.edge_weight(u, v) == graph_b.edge_weight(u, v)
-
-
-class TestLogNormal:
-    def test_respects_minimum(self, line_graph):
-        LogNormalLatencyModel(median_ms=1.0, sigma=2.0, minimum_ms=0.5, seed=3).assign(line_graph)
-        for u, v in line_graph.edges():
-            assert line_graph.edge_weight(u, v) >= 0.5
-
-    def test_median_roughly_matches(self):
-        graph = Graph()
-        for i in range(400):
-            graph.add_edge(f"a{i}", f"b{i}")
-        LogNormalLatencyModel(median_ms=10.0, sigma=0.5, seed=4).assign(graph)
-        values = sorted(graph.edge_weight(u, v) for u, v in graph.edges())
-        median = values[len(values) // 2]
-        assert 6.0 < median < 16.0
+            assert line_graph.get_edge_attribute(u, v, "probe_ms") == 4.0
+            assert line_graph.edge_weight(u, v) == 1.0
 
 
 class TestTiered:
@@ -90,20 +56,51 @@ class TestTiered:
         for u, v in tiered_graph.edges():
             assert tiered_graph.edge_weight(u, v) > 0
 
-
-class TestEuclidean:
-    def test_latency_proportional_to_distance(self):
+    @pytest.mark.parametrize(
+        "tier_u, tier_v, expected",
+        [
+            ("core", "core", 12.0),
+            ("core", "transit", 6.0),
+            ("transit", "core", 6.0),
+            ("transit", "transit", 4.0),
+            ("core", "stub", 2.0),
+            ("transit", "stub", 2.0),
+            ("stub", "stub", 2.0),
+        ],
+    )
+    def test_base_latency_of_each_tier_pair(self, tier_u, tier_v, expected):
         graph = Graph()
-        graph.add_node("a", pos=(0.0, 0.0))
-        graph.add_node("b", pos=(0.0, 1.0))
-        graph.add_node("c", pos=(0.0, 2.0))
-        graph.add_edge("a", "b")
-        graph.add_edge("a", "c")
-        EuclideanLatencyModel(ms_per_unit=10.0).assign(graph)
-        assert graph.edge_weight("a", "c") == pytest.approx(2 * graph.edge_weight("a", "b"))
+        graph.add_node("u", tier=tier_u)
+        graph.add_node("v", tier=tier_v)
+        graph.add_edge("u", "v")
+        TieredLatencyModel(jitter_fraction=0.0).assign(graph)
+        assert graph.edge_weight("u", "v") == pytest.approx(expected)
 
-    def test_fallback_without_positions(self):
-        graph = Graph()
-        graph.add_edge("a", "b")
-        EuclideanLatencyModel(fallback_ms=7.0).assign(graph)
-        assert graph.edge_weight("a", "b") == 7.0
+    @pytest.mark.parametrize("jitter", [0.05, 0.3, 0.9])
+    def test_jitter_stays_within_its_fraction(self, jitter, small_router_map):
+        graph = small_router_map.graph.copy()
+        model = TieredLatencyModel(jitter_fraction=jitter, seed=3)
+        model.assign(graph)
+        for u, v in graph.edges():
+            base = model._base_latency(graph.get_node_attribute(u, "tier"), graph.get_node_attribute(v, "tier"))
+            assert base * (1 - jitter) <= graph.edge_weight(u, v) <= base * (1 + jitter)
+
+    def test_deterministic_given_seed(self, small_router_map):
+        first, second = small_router_map.graph.copy(), small_router_map.graph.copy()
+        TieredLatencyModel(seed=8).assign(first)
+        TieredLatencyModel(seed=8).assign(second)
+        assert [first.edge_weight(u, v) for u, v in first.edges()] == [
+            second.edge_weight(u, v) for u, v in second.edges()
+        ]
+
+    @pytest.mark.parametrize(
+        "field", ["core_core_ms", "core_transit_ms", "transit_transit_ms", "access_ms"]
+    )
+    def test_rejects_non_positive_tier_latency(self, field):
+        with pytest.raises(ConfigurationError):
+            TieredLatencyModel(**{field: 0.0})
+
+    def test_rejects_negative_jitter(self):
+        with pytest.raises(ConfigurationError):
+            TieredLatencyModel(jitter_fraction=-0.1)
+

@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import DisconnectedGraphError, NodeNotFoundError
 from repro.topology.graph import Graph
-from repro.topology.generators import barabasi_albert
+from repro.topology.internet_mapper import barabasi_albert
 from repro.topology.metrics import (
     approximate_diameter,
     average_clustering,
@@ -24,6 +24,8 @@ from repro.topology.metrics import (
     sampled_path_length_stats,
     summarize,
 )
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs
 
 
 class TestDegreeStatistics:
@@ -121,6 +123,61 @@ class TestClustering:
         graph = barabasi_albert(100, m=3, seed=4)
         sampled = average_clustering(graph, samples=30, seed=1)
         assert 0.0 <= sampled <= 1.0
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+class TestMatchesNetworkx:
+    """Each metric == networkx's on graphs with ties, triangles and trees."""
+
+    @pytest.fixture()
+    def graphs(self, name):
+        reference = reference_graphs()[name]
+        return reference, Graph.from_networkx(reference)
+
+    def test_bfs_distances(self, graphs):
+        import networkx as nx
+
+        reference, graph = graphs
+        for source, expected in nx.all_pairs_shortest_path_length(reference):
+            assert bfs_distances(graph, source) == dict(expected)
+
+    def test_eccentricity(self, graphs):
+        import networkx as nx
+
+        reference, graph = graphs
+        expected = nx.eccentricity(reference)
+        assert {node: eccentricity(graph, node) for node in graph.nodes()} == expected
+
+    def test_clustering(self, graphs):
+        import networkx as nx
+
+        reference, graph = graphs
+        expected = nx.clustering(reference)
+        assert {node: clustering_coefficient(graph, node) for node in graph.nodes()} == pytest.approx(expected)
+        assert average_clustering(graph) == pytest.approx(nx.average_clustering(reference))
+
+    def test_degree_statistics(self, graphs):
+        import networkx as nx
+
+        reference, graph = graphs
+        histogram = nx.degree_histogram(reference)
+        assert degree_distribution(graph) == {d: c for d, c in enumerate(histogram) if c}
+        n = reference.number_of_nodes()
+        assert degree_ccdf(graph) == pytest.approx(
+            [(d, sum(histogram[d:]) / n) for d, c in enumerate(histogram) if c]
+        )
+        assert average_degree(graph) == pytest.approx(2 * reference.number_of_edges() / n)
+        assert max_degree(graph) == len(histogram) - 1
+
+    def test_diameter_and_path_lengths_are_bounded_by_the_exact_ones(self, graphs):
+        import networkx as nx
+
+        reference, graph = graphs
+        diameter, radius = nx.diameter(reference), nx.radius(reference)
+        # The double sweep returns an eccentricity, so it lies in [radius, diameter].
+        assert radius <= approximate_diameter(graph, probes=3, seed=1) <= diameter
+        stats = sampled_path_length_stats(graph, samples=40, seed=1)
+        assert 1 <= stats.median <= stats.p90 <= stats.maximum <= diameter
 
 
 class TestSummary:

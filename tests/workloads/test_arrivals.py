@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.workloads.arrivals import (
-    arrival_rate,
-    flash_crowd_arrivals,
-    poisson_arrivals,
-    sequential_arrivals,
-    uniform_arrivals,
-)
+from repro.workloads.arrivals import flash_crowd_arrivals, poisson_arrivals
 
 PEERS = [f"p{i}" for i in range(100)]
 
@@ -26,7 +20,8 @@ class TestPoisson:
 
     def test_rate_roughly_matches(self):
         arrivals = poisson_arrivals(PEERS, rate_per_s=5.0, seed=2)
-        assert 2.5 < arrival_rate(arrivals) < 10.0
+        rate = (len(arrivals) - 1) / (arrivals[-1].time_s - arrivals[0].time_s)
+        assert 2.5 < rate < 10.0
 
     def test_requires_peers_and_positive_rate(self):
         with pytest.raises(ConfigurationError):
@@ -59,29 +54,3 @@ class TestFlashCrowd:
         with pytest.raises(ConfigurationError):
             flash_crowd_arrivals([], duration_s=10.0)
 
-
-class TestUniformAndSequential:
-    def test_uniform_within_window(self):
-        arrivals = uniform_arrivals(PEERS, duration_s=50.0, start_time_s=10.0, seed=6)
-        assert all(10.0 <= arrival.time_s <= 60.0 for arrival in arrivals)
-        assert len(arrivals) == len(PEERS)
-
-    def test_sequential_spacing(self):
-        arrivals = sequential_arrivals(["a", "b", "c"], interval_s=2.0, start_time_s=1.0)
-        assert [arrival.time_s for arrival in arrivals] == [1.0, 3.0, 5.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            uniform_arrivals([], duration_s=5.0)
-        with pytest.raises(ConfigurationError):
-            sequential_arrivals([], interval_s=1.0)
-
-
-class TestArrivalRate:
-    def test_rate_of_sequential_arrivals(self):
-        arrivals = sequential_arrivals(["a", "b", "c"], interval_s=1.0)
-        assert arrival_rate(arrivals) == pytest.approx(1.0)
-
-    def test_single_arrival_is_infinite_rate(self):
-        arrivals = sequential_arrivals(["a"], interval_s=1.0)
-        assert arrival_rate(arrivals) == float("inf")

@@ -131,12 +131,6 @@ class TestNeighborSets:
     def test_random_sets_reproducible(self, joined_scenario):
         assert joined_scenario.random_neighbor_sets(seed=1) == joined_scenario.random_neighbor_sets(seed=1)
 
-    def test_build_overlay(self, joined_scenario):
-        overlay = joined_scenario.build_overlay(joined_scenario.scheme_neighbor_sets())
-        assert overlay.size == joined_scenario.config.peer_count
-        peer = joined_scenario.peer_ids[0]
-        assert overlay.neighbors_of(peer) == joined_scenario.scheme_neighbor_sets()[peer]
-
 
 class TestShardedScenario:
     def test_config_validates_shard_count(self):
