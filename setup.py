@@ -2,9 +2,8 @@
 
 `pip install -e . --no-build-isolation` puts `src/repro` on the path and
 installs the `repro-experiments` console script, which is `python -m
-repro.cli` under its advertised name.  Nothing is fetched where setuptools
-and numpy (the one runtime dependency, used by the GNP baseline) are already
-present; add `--no-deps` to make pip not even look.
+repro.cli` under its advertised name.  The library imports only the standard
+library, so nothing is fetched where setuptools is present.
 """
 import re
 from pathlib import Path
@@ -26,6 +25,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
     entry_points={"console_scripts": ["repro-experiments = repro.cli:main"]},
 )

@@ -8,7 +8,7 @@ scheme together with every substrate its evaluation needs:
 * :mod:`repro.core` — the path tree, management server and join protocol
   (the paper's contribution);
 * :mod:`repro.landmarks` — landmark placement and management;
-* :mod:`repro.baselines` — random, brute-force oracle, Vivaldi, GNP, binning;
+* :mod:`repro.baselines` — the random and brute-force references;
 * :mod:`repro.protocol` — the join protocol on the wire: beaconing peers
   and the management host;
 * :mod:`repro.sim` — a deterministic discrete-event simulator and lossy
@@ -33,7 +33,6 @@ from .core import (
     PathTree,
     RouterPath,
     ShardedManagementServer,
-    join_population,
 )
 from .landmarks import LandmarkSet, place_landmarks
 from .topology import Graph, RouterMap, RouterMapConfig, generate_router_map
@@ -48,7 +47,6 @@ __all__ = [
     "ShardedManagementServer",
     "PathTree",
     "RouterPath",
-    "join_population",
     "LandmarkSet",
     "place_landmarks",
     "Graph",

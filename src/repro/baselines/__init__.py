@@ -1,29 +1,15 @@
-"""Baselines and comparators.
+"""The two references the paper's figure measures the scheme against.
 
-* :class:`~repro.baselines.random_selection.RandomSelection` and
-  :class:`~repro.baselines.brute_force.BruteForceOracle` are the two
-  references the paper's figure uses (``D_random`` and ``D_closest``).
-* :class:`~repro.baselines.vivaldi.VivaldiSystem`,
-  :class:`~repro.baselines.gnp.GnpSystem` and
-  :class:`~repro.baselines.binning.BinningSystem` are the coordinate /
-  binning approaches the paper positions itself against ("quicker than
-  network coordinate systems").
+* :class:`~repro.baselines.random_selection.RandomSelection` draws ``k``
+  neighbours uniformly (``D_random``);
+* :class:`~repro.baselines.brute_force.BruteForceOracle` returns the ``k``
+  truly closest peers (``D_closest``).
 """
 
 from .random_selection import RandomSelection
 from .brute_force import BruteForceOracle
-from .vivaldi import VivaldiCoordinate, VivaldiNode, VivaldiSystem
-from .gnp import GnpSystem
-from .binning import Bin, BinningSystem, DEFAULT_LEVEL_BOUNDARIES
 
 __all__ = [
     "RandomSelection",
     "BruteForceOracle",
-    "VivaldiCoordinate",
-    "VivaldiNode",
-    "VivaldiSystem",
-    "GnpSystem",
-    "Bin",
-    "BinningSystem",
-    "DEFAULT_LEVEL_BOUNDARIES",
 ]

@@ -45,7 +45,6 @@ from .newcomer import (
     JoinTranscript,
     LandmarkDescriptor,
     NewcomerClient,
-    join_population,
 )
 
 __all__ = [
@@ -92,5 +91,4 @@ __all__ = [
     "JoinTranscript",
     "LandmarkDescriptor",
     "NewcomerClient",
-    "join_population",
 ]

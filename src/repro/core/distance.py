@@ -24,9 +24,9 @@ from .path import PeerId
 class DistanceEstimator(Protocol):
     """Anything that can estimate the network distance between two peers.
 
-    Implemented by the management server (tree distance), the Vivaldi and GNP
-    baselines (coordinate distance) and the oracle (true distance), so the
-    evaluation code can treat them uniformly.
+    Implemented by the management server and its snapshot readers (the tree
+    distance); :func:`evaluate_estimator` scores one against the true
+    distances :func:`true_hop_distances` computes, the oracle's metric.
     """
 
     def estimate_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:

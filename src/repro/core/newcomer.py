@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._validation import require_one_of, require_positive_int
+from .._validation import require_one_of
 from ..exceptions import LandmarkError, TracerouteError
 from ..routing.path_inference import GAP_DROP, GAP_POLICIES, clean_traceroute
 from ..routing.traceroute import TracerouteSimulator
@@ -268,25 +268,3 @@ def landmark_descriptors(server: ManagementServer) -> List[LandmarkDescriptor]:
         LandmarkDescriptor(landmark_id=lid, router=server.landmark_router(lid))
         for lid in server.landmarks()
     ]
-
-
-def join_population(
-    peer_routers: Dict[PeerId, NodeId],
-    server: ManagementServer,
-    traceroute: TracerouteSimulator,
-    landmark_selection: LandmarkSelection = SELECT_CLOSEST_RTT,
-    gap_policy: str = GAP_DROP,
-) -> Dict[PeerId, JoinResult]:
-    """Join a whole population of peers one by one (in dict order).
-
-    Convenience helper used by the experiments: ``peer_routers`` maps each
-    peer id to the access router it is attached to.
-    """
-    require_positive_int(len(peer_routers), "population size")
-    landmarks = landmark_descriptors(server)
-    return {
-        peer_id: NewcomerClient(
-            peer_id, router, traceroute, landmark_selection, gap_policy
-        ).join(server, landmarks=landmarks)
-        for peer_id, router in peer_routers.items()
-    }

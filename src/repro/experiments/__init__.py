@@ -19,7 +19,6 @@ from .ablations import (
     tree_accuracy_study,
 )
 from .analysis import branch_point_analysis
-from .convergence import run_convergence_study
 from .runner import (
     EXPERIMENTS,
     available_experiments,
@@ -45,7 +44,6 @@ __all__ = [
     "neighbor_set_size_sweep",
     "traceroute_noise_sweep",
     "tree_accuracy_study",
-    "run_convergence_study",
     "branch_point_analysis",
     "EXPERIMENTS",
     "available_experiments",

@@ -23,7 +23,6 @@ from .ablations import (
     tree_accuracy_study,
 )
 from .analysis import branch_point_analysis
-from .convergence import run_convergence_study
 from .figure1 import Figure1Config, quick_figure1_config, run_figure1
 from .protocol_sim import run_protocol_sim, run_protocol_sim_quick
 from .results import ResultTable
@@ -49,7 +48,6 @@ EXPERIMENTS: Dict[str, ExperimentFunction] = {
     "traceroute-noise": traceroute_noise_sweep,
     "churn": churn_study,
     "superpeers": superpeer_study,
-    "convergence": run_convergence_study,
     "branch-analysis": branch_point_analysis,
     "protocol-sim": run_protocol_sim,
     "protocol-sim-quick": run_protocol_sim_quick,

@@ -8,7 +8,7 @@ from .proximity import (
     per_peer_ratios,
     population_cost,
 )
-from .latency_stats import DelaySummary, ProbeCostModel
+from .latency_stats import DelaySummary
 
 __all__ = [
     "ProximityComparison",
@@ -18,5 +18,4 @@ __all__ = [
     "per_peer_ratios",
     "population_cost",
     "DelaySummary",
-    "ProbeCostModel",
 ]

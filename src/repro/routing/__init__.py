@@ -16,7 +16,7 @@ from .shortest_path import (
     shortest_path_tree,
 )
 from .distance_engine import ColumnTree, CsrTopology, HopDistanceEngine
-from .route_table import RouteTable, build_route_table
+from .route_table import RouteTable
 from .traceroute import (
     TracerouteConfig,
     TracerouteHop,
@@ -29,11 +29,7 @@ from .path_inference import (
     GAP_POLICIES,
     GAP_TRUNCATE,
     CleanedPath,
-    PathQualityReport,
-    assess_paths,
-    branch_router,
     clean_traceroute,
-    common_prefix_length,
 )
 
 __all__ = [
@@ -49,7 +45,6 @@ __all__ = [
     "reconstruct_path",
     "shortest_path_tree",
     "RouteTable",
-    "build_route_table",
     "TracerouteConfig",
     "TracerouteHop",
     "TracerouteResult",
@@ -59,9 +54,5 @@ __all__ = [
     "GAP_POLICIES",
     "GAP_TRUNCATE",
     "CleanedPath",
-    "PathQualityReport",
-    "assess_paths",
-    "branch_router",
     "clean_traceroute",
-    "common_prefix_length",
 ]

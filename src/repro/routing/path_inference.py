@@ -3,14 +3,13 @@
 A real traceroute towards a landmark can contain anonymous hops (``None``)
 and may stop before the destination.  The management server, however, needs a
 clean ordered list of router identifiers ending at the landmark.  This module
-provides the cleaning / repair strategies and a small quality report so
-experiments can quantify how much probe noise degrades the inferred paths.
+provides the cleaning / repair strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List
 
 from .._validation import require_one_of
 from ..exceptions import TracerouteError
@@ -48,16 +47,6 @@ class CleanedPath:
     routers: List[NodeId]
     anonymous_hops: int
     truncated: bool
-
-    @property
-    def length(self) -> int:
-        """Number of routers recorded on the cleaned path."""
-        return len(self.routers)
-
-    @property
-    def complete(self) -> bool:
-        """True if the path reaches the landmark with no missing hops."""
-        return not self.truncated and self.anonymous_hops == 0
 
 
 def clean_traceroute(
@@ -112,65 +101,3 @@ def clean_traceroute(
         anonymous_hops=anonymous,
         truncated=truncated,
     )
-
-
-@dataclass
-class PathQualityReport:
-    """Aggregate quality of a batch of cleaned paths."""
-
-    total_paths: int
-    complete_paths: int
-    truncated_paths: int
-    total_anonymous_hops: int
-    mean_length: float
-
-    @property
-    def completeness(self) -> float:
-        """Fraction of paths that are complete."""
-        if self.total_paths == 0:
-            return 0.0
-        return self.complete_paths / self.total_paths
-
-
-def assess_paths(paths: Sequence[CleanedPath]) -> PathQualityReport:
-    """Summarise the quality of a batch of cleaned paths."""
-    total = len(paths)
-    complete = sum(1 for path in paths if path.complete)
-    truncated = sum(1 for path in paths if path.truncated)
-    anonymous = sum(path.anonymous_hops for path in paths)
-    mean_length = sum(path.length for path in paths) / total if total else 0.0
-    return PathQualityReport(
-        total_paths=total,
-        complete_paths=complete,
-        truncated_paths=truncated,
-        total_anonymous_hops=anonymous,
-        mean_length=mean_length,
-    )
-
-
-def common_prefix_length(path_a: Sequence[NodeId], path_b: Sequence[NodeId]) -> int:
-    """Length of the common *suffix towards the landmark* shared by two paths.
-
-    Both paths are ordered source → landmark, so the shared portion near the
-    landmark is a common suffix.  This is the quantity the path tree exploits:
-    the longer the shared suffix, the closer the branch point is to the peers
-    and the smaller their inferred distance.
-    """
-    shared = 0
-    for a, b in zip(reversed(list(path_a)), reversed(list(path_b))):
-        if a != b:
-            break
-        shared += 1
-    return shared
-
-
-def branch_router(path_a: Sequence[NodeId], path_b: Sequence[NodeId]) -> Optional[NodeId]:
-    """First router (closest to the peers) common to both landmark paths.
-
-    Returns ``None`` when the paths share nothing (different landmarks or
-    disjoint routes).
-    """
-    shared = common_prefix_length(path_a, path_b)
-    if shared == 0:
-        return None
-    return list(path_a)[len(path_a) - shared]

@@ -107,15 +107,3 @@ class RouteTable:
         """
         tree = self.add_destination(destination)
         return tree.latency[tree.position(source)]
-
-
-def build_route_table(
-    graph: Graph,
-    destinations: Optional[List[NodeId]] = None,
-    weighted: bool = False,
-) -> RouteTable:
-    """Convenience constructor: build a table and pre-compute ``destinations``."""
-    table = RouteTable(graph=graph, weighted=weighted)
-    for destination in destinations or []:
-        table.add_destination(destination)
-    return table

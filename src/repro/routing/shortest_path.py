@@ -21,8 +21,8 @@ these references:
   (:func:`shortest_path_tree` stays the dict-based reference they are
   tested against);
 * :class:`~repro.landmarks.manager.LandmarkSet`, the brute-force baseline,
-  the convergence/analysis experiments and the sim network all share a
-  scenario-owned engine rather than re-running private BFS loops.
+  the analysis experiment and the sim network all share a scenario-owned
+  engine rather than re-running private BFS loops.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from repro.core.newcomer import (
     JoinTranscript,
     LandmarkDescriptor,
     NewcomerClient,
-    join_population,
 )
 from repro.exceptions import LandmarkError
 from repro.routing.route_table import RouteTable
@@ -145,13 +144,6 @@ class TestJoin:
         assert result_b.landmark_id == "lmB"
         # Cross-landmark estimate still lets them see each other if needed.
         assert server.estimate_distance("pa", "pb") > 0
-
-    def test_join_population_helper(self, server, traceroute):
-        results = join_population(
-            {"p1": "a1", "p2": "a2", "p3": "b1"}, server, traceroute
-        )
-        assert set(results) == {"p1", "p2", "p3"}
-        assert server.peer_count == 3
 
 
 class TestTranscript:

@@ -28,7 +28,6 @@ class TestRegistry:
             "tree-accuracy",
             "traceroute-noise",
             "churn",
-            "convergence",
         ):
             assert expected in names
 

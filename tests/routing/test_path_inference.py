@@ -1,4 +1,4 @@
-"""Tests for traceroute cleaning and path comparison helpers."""
+"""Tests for traceroute cleaning."""
 
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ from repro.routing.path_inference import (
     GAP_DROP,
     GAP_PLACEHOLDER,
     GAP_TRUNCATE,
-    assess_paths,
-    branch_router,
     clean_traceroute,
-    common_prefix_length,
 )
 from repro.routing.traceroute import TracerouteHop, TracerouteResult
 
@@ -29,14 +26,14 @@ class TestCleaning:
     def test_perfect_trace_is_complete(self):
         cleaned = clean_traceroute(make_result(["r1", "r2", "lmk"]))
         assert cleaned.routers == ["r1", "r2", "lmk"]
-        assert cleaned.complete
-        assert cleaned.length == 3
+        assert cleaned.anonymous_hops == 0
+        assert not cleaned.truncated
 
     def test_drop_policy_removes_gaps(self):
         cleaned = clean_traceroute(make_result(["r1", None, "lmk"]), gap_policy=GAP_DROP)
         assert cleaned.routers == ["r1", "lmk"]
         assert cleaned.anonymous_hops == 1
-        assert not cleaned.complete
+        assert not cleaned.truncated
 
     def test_placeholder_policy_keeps_hop_count(self):
         cleaned = clean_traceroute(make_result(["r1", None, "lmk"]), gap_policy=GAP_PLACEHOLDER)
@@ -68,46 +65,3 @@ class TestCleaning:
     def test_unknown_gap_policy_rejected(self):
         with pytest.raises(Exception):
             clean_traceroute(make_result(["r1", "lmk"]), gap_policy="interpolate")
-
-
-class TestAssessment:
-    def test_quality_report(self):
-        cleaned = [
-            clean_traceroute(make_result(["r1", "r2", "lmk"])),
-            clean_traceroute(make_result(["r1", None, "lmk"])),
-            clean_traceroute(make_result(["r9"], reached=False), require_reached=False),
-        ]
-        report = assess_paths(cleaned)
-        assert report.total_paths == 3
-        assert report.complete_paths == 1
-        assert report.truncated_paths == 1
-        assert report.total_anonymous_hops == 1
-        assert report.completeness == pytest.approx(1 / 3)
-        assert report.mean_length > 0
-
-    def test_empty_report(self):
-        report = assess_paths([])
-        assert report.total_paths == 0
-        assert report.completeness == 0.0
-        assert report.mean_length == 0.0
-
-
-class TestPathComparison:
-    def test_common_prefix_length_counts_landmark_side_overlap(self):
-        path_a = ["a1", "a2", "core", "lmk"]
-        path_b = ["b1", "core", "lmk"]
-        assert common_prefix_length(path_a, path_b) == 2
-
-    def test_disjoint_paths_share_nothing(self):
-        assert common_prefix_length(["a", "b"], ["c", "d"]) == 0
-        assert branch_router(["a", "b"], ["c", "d"]) is None
-
-    def test_branch_router_is_closest_shared_router(self):
-        path_a = ["a1", "a2", "core", "lmk"]
-        path_b = ["b1", "core", "lmk"]
-        assert branch_router(path_a, path_b) == "core"
-
-    def test_identical_paths_branch_at_first_router(self):
-        path = ["r1", "r2", "lmk"]
-        assert branch_router(path, list(path)) == "r1"
-        assert common_prefix_length(path, path) == 3

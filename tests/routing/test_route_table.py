@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NoRouteError, RoutingError
-from repro.routing.route_table import RouteTable, build_route_table
+from repro.routing.route_table import RouteTable
 from repro.topology.graph import Graph
 
 
 class TestRouteTable:
     def test_add_destination_caches_tree(self, tree_graph):
         table = RouteTable(graph=tree_graph)
+        assert table.destinations() == []
         tree_first = table.add_destination(0)
         tree_second = table.add_destination(0)
         assert tree_first is tree_second
@@ -24,13 +25,15 @@ class TestRouteTable:
             table.tree(0)
 
     def test_next_hop_follows_shortest_path(self, tree_graph):
-        table = build_route_table(tree_graph, destinations=[0])
+        table = RouteTable(graph=tree_graph)
+        table.add_destination(0)
         assert table.next_hop(7, 0) == 3
         assert table.next_hop(3, 0) == 1
         assert table.next_hop(1, 0) == 0
 
     def test_next_hop_at_destination_raises(self, tree_graph):
-        table = build_route_table(tree_graph, destinations=[0])
+        table = RouteTable(graph=tree_graph)
+        table.add_destination(0)
         with pytest.raises(RoutingError):
             table.next_hop(0, 0)
 
@@ -38,7 +41,8 @@ class TestRouteTable:
         graph = Graph()
         graph.add_edge(1, 2)
         graph.add_node(3)
-        table = build_route_table(graph, destinations=[1])
+        table = RouteTable(graph=graph)
+        table.add_destination(1)
         with pytest.raises(NoRouteError):
             table.next_hop(3, 1)
 
@@ -116,7 +120,3 @@ class TestRouteTable:
         latency_table = RouteTable(graph=graph, weighted=True)
         assert hop_table.route(0, 2) == [0, 2]
         assert latency_table.route(0, 2) == [0, 1, 2]
-
-    def test_build_route_table_without_destinations(self, tree_graph):
-        table = build_route_table(tree_graph)
-        assert table.destinations() == []

@@ -47,7 +47,7 @@ class TestMain:
         assert main([]) == 2
         assert "no experiment" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["not-an-experiment", "perf"])
+    @pytest.mark.parametrize("name", ["not-an-experiment", "perf", "convergence"])
     def test_unknown_experiment_is_an_error(self, name, capsys):
         assert main([name]) == 2
         assert "unknown experiment" in capsys.readouterr().err

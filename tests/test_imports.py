@@ -7,13 +7,21 @@ re-exports of ``__init__.py`` files, names listed in ``__all__``,
 The exempt re-exports are held to ``__all__`` instead: every name it lists
 is bound (a stale entry breaks ``from repro.x import *``), none is listed
 twice, and a package lists every public name it imports.
+
+The library has no runtime dependency: every module imports with numpy
+blocked and pulls in nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -89,3 +97,43 @@ def test_every_public_reexport_is_in_all(path):
         if not (alias.asname or alias.name).startswith("_")
     }
     assert sorted(reexported - set(declared_all(tree) or ())) == []
+
+
+# Maps each module to the non-standard top-level modules its import loaded
+# first, or to the error that stopped it.
+IMPORT_EVERYTHING = """
+import importlib, json, pkgutil, sys
+sys.modules["numpy"] = None
+# multiprocessing registers __main__ again as __mp_main__
+allowed = set(sys.stdlib_module_names) | {"repro", "__mp_main__"}
+report = {}
+def load(name):
+    before = set(sys.modules)
+    try:
+        importlib.import_module(name)
+    except Exception as error:
+        report[name] = [repr(error)]
+        return False
+    report[name] = sorted({n.split(".")[0] for n in set(sys.modules) - before} - allowed)
+    return True
+if load("repro"):
+    import repro
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        load(module.name)
+print(json.dumps(report))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def blocked_numpy_report():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_EVERYTHING], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda path: str(path.relative_to(SRC)))
+def test_every_module_imports_with_only_the_standard_library(path):
+    assert blocked_numpy_report().get(module_name(path)) == []
