@@ -16,8 +16,8 @@ upload) whose ack carries the neighbour list, and leaving is silence.
   the peer's neighbour list whenever they answer a registration;
 * :class:`~repro.protocol.peer.BeaconingPeer` — the daemon side: periodic
   beacons, ack-driven retransmission with jittered exponential backoff
-  under one simulated-time :class:`~repro.core.budget.DeadlineBudget` per
-  round; ``BeaconingPeer.arrive`` is a newcomer — probe, then beacon;
+  under one deadline on simulated time per round;
+  ``BeaconingPeer.arrive`` is a newcomer — probe, then beacon;
 * :class:`~repro.protocol.host.ProtocolManagementHost` — the plane side:
   at-least-once dedup by beacon sequence number, register/refresh on
   hear, the list in the ack, TTL expiry of peers that stop beaconing, and

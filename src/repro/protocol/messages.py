@@ -16,16 +16,16 @@ Two message types cross the simulated network:
   The ack of a beacon that registered the peer or changed its path is
   also round 2 of the paper's join: it carries the peer's neighbour list.
 
-A join is a first beacon; leaving is silence.  Messages are frozen
-dataclasses.  Their lowercased class names (``beacon`` / ``beaconack``) are
-the op names a :class:`~repro.sim.network.NetworkFaultPlan` targets, via
-:func:`repro.sim.network.message_op_name`.
+A join is a first beacon; leaving is silence.  Messages are named tuples:
+immutable, and built by one tuple allocation (a beacon checks its sequence
+number first).  Their lowercased class names (``beacon`` / ``beaconack``)
+are the op names a :class:`~repro.sim.network.NetworkFaultPlan` targets,
+via :func:`repro.sim.network.message_op_name`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..core.path import PeerId, RouterPath
 
@@ -41,21 +41,24 @@ _ACK_BYTES = 12  # peer id echo + seq
 _ACK_NEIGHBOR_BYTES = 8  # one peer id + its distance per list entry
 
 
-@dataclass(frozen=True)
-class Beacon:
-    """Peer → host: announce or refresh the peer's path registration."""
-
+class _BeaconFields(NamedTuple):
     peer_id: PeerId
     seq: int
     path: RouterPath
 
-    def __post_init__(self) -> None:
-        if self.seq < 0:
-            raise ValueError(f"beacon sequence numbers start at 0, got {self.seq}")
+
+class Beacon(_BeaconFields):
+    """Peer → host: announce or refresh the peer's path registration."""
+
+    __slots__ = ()
+
+    def __new__(cls, peer_id: PeerId, seq: int, path: RouterPath) -> "Beacon":
+        if seq < 0:
+            raise ValueError(f"beacon sequence numbers start at 0, got {seq}")
+        return tuple.__new__(cls, (peer_id, seq, path))
 
 
-@dataclass(frozen=True)
-class BeaconAck:
+class BeaconAck(NamedTuple):
     """Host → peer: the beacon with this sequence number has been applied."""
 
     peer_id: PeerId

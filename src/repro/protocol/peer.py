@@ -5,12 +5,12 @@ discovery daemon can: by saying so, periodically, over a wire that loses
 messages.  Every ``beacon_interval_ms`` it starts a *round* — a sequence
 number announcing its current router path — and retransmits it with
 jittered exponential backoff until the management host acks it or the
-round's :class:`~repro.core.budget.DeadlineBudget` runs out.  The budget
-runs on *simulated* time (its clock reads ``engine.now``; the budget is
-unit-agnostic, so its "seconds" are simulated milliseconds here), which
-gives retransmissions the same single-deadline semantics the socket
-backends use for multi-phase round trips: however the retries are
-distributed, one round never outlives one budget.
+round's deadline passes.  The deadline is one number on *simulated* time
+(``engine.now`` at the round's start plus its budget, in milliseconds):
+every retry waits at most what is left of it, which gives retransmissions
+the same single-deadline semantics the socket backends' ``DeadlineBudget``
+gives multi-phase round trips — however the retries are distributed, one
+round never outlives one budget.
 
 Rounds supersede each other — when the next interval fires, an unacked
 round is abandoned rather than retried forever, which keeps worst-case
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .._validation import coerce_seed
-from ..core.budget import DeadlineBudget
 from ..core.newcomer import LandmarkDescriptor, NewcomerClient
 from ..core.path import PeerId, RouterPath
 from ..sim.engine import Engine
@@ -166,8 +165,7 @@ class BeaconingPeer:
         self._acked_path: Optional[RouterPath] = None  # the newest path the host acked
         self._round_open = False
         self._attempts = 0
-        self._budget: Optional[DeadlineBudget] = None
-        self._clock = lambda: engine.now  # simulated time, for every round's budget
+        self._deadline = 0.0  # when the open round's budget runs out (simulated ms)
         self._retry_timer: Optional[TimerHandle] = None
         self._interval_timer: Optional[TimerHandle] = None
         self._pending_update_at: Optional[float] = None
@@ -267,9 +265,9 @@ class BeaconingPeer:
         self._round_open = True
         self._attempts = 0
         self.stats.rounds_started += 1
-        # Simulated-time deadline budget: every retry in this round draws
-        # its timeout from the same deadline (units are engine ms).
-        self._budget = DeadlineBudget(self.config.budget_ms, clock=self._clock)
+        # One deadline on simulated time: every retry in this round draws
+        # its timeout from what is left of it (units are engine ms).
+        self._deadline = self.engine.now + self.config.budget_ms
         self._interval_timer = self.engine.schedule(
             self.config.beacon_interval_ms, self._begin_round
         )
@@ -290,14 +288,17 @@ class BeaconingPeer:
         self._schedule_retry()
 
     def _schedule_retry(self) -> None:
-        assert self._budget is not None
-        timeout = min(
-            self.config.ack_timeout_ms * (self.config.backoff_factor ** (self._attempts - 1)),
-            self.config.max_backoff_ms,
-        )
-        if self.config.jitter_fraction > 0:
-            timeout *= 1.0 + self._rng.uniform(0.0, self.config.jitter_fraction)
-        remaining = self._budget.remaining()
+        config = self.config
+        try:
+            backoff = config.ack_timeout_ms * (config.backoff_factor ** (self._attempts - 1))
+        except OverflowError:
+            # A long enough round takes the power past the largest float;
+            # the clamp below would have picked the cap anyway.
+            backoff = config.max_backoff_ms
+        timeout = min(backoff, config.max_backoff_ms)
+        if config.jitter_fraction > 0:
+            timeout *= 1.0 + self._rng.uniform(0.0, config.jitter_fraction)
+        remaining = max(0.0, self._deadline - self.engine.now)
         if remaining <= 0:
             self._give_up()
             return
@@ -307,8 +308,7 @@ class BeaconingPeer:
     def _retry(self) -> None:
         if not self._running or not self._round_open:
             return
-        assert self._budget is not None
-        if self._budget.expired:
+        if self.engine.now >= self._deadline:
             self._give_up()
             return
         self._transmit()

@@ -28,6 +28,19 @@ from ..exceptions import ClockError, ConfigurationError, SimulationError
 from .events import EventCallback, TimerHandle
 
 
+def _is_clock_time(now: float, time: Any) -> bool:
+    """True if ``time`` is a finite number at or after ``now``.
+
+    Written so that NaN fails it, and a value that does not compare with a
+    float (a string, ``None``) is an invalid time rather than a bare
+    ``TypeError``.
+    """
+    try:
+        return now <= time < inf
+    except TypeError:
+        return False
+
+
 class Engine:
     """The event loop.
 
@@ -69,7 +82,7 @@ class Engine:
 
     def schedule_at(self, time: float, callback: EventCallback, *args: Any) -> TimerHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if not self.now <= time < inf:
+        if not _is_clock_time(self.now, time):
             raise ClockError(
                 f"cannot schedule an event at {time}: not a finite time at or after "
                 f"the current time {self.now}"
@@ -93,7 +106,7 @@ class Engine:
         """
         if self._running:
             raise SimulationError("the engine is already running (re-entrant run() call)")
-        if until is not None and not self.now <= until < inf:
+        if until is not None and not _is_clock_time(self.now, until):
             raise ClockError(
                 f"cannot run until {until}: not a finite time at or after "
                 f"the current time {self.now}"
@@ -101,32 +114,37 @@ class Engine:
         self._running = True
         self._stop_requested = False
         queue = self._queue
+        heappop = heapq.heappop
+        # Absent bounds become ones no event reaches, so the loop tests each
+        # bound with one comparison instead of a None check first.
+        horizon = inf if until is None else until
+        cap = inf if max_events is None else max_events
         processed = 0
         try:
             while queue and not self._stop_requested:
-                if max_events is not None and processed >= max_events:
+                if processed >= cap:
                     break
                 time, _, timer = queue[0]
                 if timer.cancelled:
-                    heapq.heappop(queue)
+                    heappop(queue)
                     continue
-                if until is not None and time > until:
+                if time > horizon:
                     self.now = until
                     break
-                heapq.heappop(queue)
+                heappop(queue)
                 if time < self.now:
                     raise SimulationError(
                         f"event scheduled at {time} is in the past (now={self.now})"
                     )
                 self.now = time
                 timer.callback(*timer.args)
-                self._processed_events += 1
                 processed += 1
             else:
                 if until is not None and not queue:
                     self.now = until
         finally:
             self._running = False
+            self._processed_events += processed
         return processed
 
     def stop(self) -> None:

@@ -22,10 +22,18 @@ The wire is *lossy* on demand, three ways, all seed-deterministic:
   host id (handover, a restarted daemon) starts a new epoch, and messages
   sent to an earlier epoch are dropped rather than delivered to the
   successor.
+
+Every attached host is one entry of one table, ``host id -> (router,
+handler, epoch)``, where the epoch is the network's count of attachments at
+the time (so no two attachments share one).  A send looks each endpoint up
+there once, reads the latency memo by the two routers and schedules
+``_deliver(record, epoch)`` on the engine; the delivery compares that epoch
+with the recipient's entry, and a missing or newer entry drops the message.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Protocol, Tuple
@@ -112,7 +120,7 @@ class MessageHandler(Protocol):
         ...
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
     """One delivered (or dropped) message, for trace inspection."""
 
@@ -187,15 +195,15 @@ class SimulatedNetwork:
             reorder_probability, "reorder_probability"
         )
         self._rng = random.Random(coerce_seed(seed))
-        self._hosts: Dict[HostId, Tuple[NodeId, MessageHandler]] = {}
-        # Attachment epochs: bumped on every attach of a host id, checked at
-        # delivery — a message addressed to epoch N is dropped if the host
-        # detached, even when a successor re-attached as epoch N+1.
-        self._attach_epochs: Dict[HostId, int] = {}
+        # host id -> (router, handler, epoch).  The epoch is checked at
+        # delivery: a message addressed to epoch N is dropped if the host
+        # detached, even when a successor re-attached under a newer epoch.
+        self._hosts: Dict[HostId, Tuple[NodeId, MessageHandler, int]] = {}
+        self._attachments = itertools.count(1)
         # Reorder-held deliveries per recipient: (record, epoch) — exactly the
         # arguments ``_deliver`` would have been scheduled with, so releasing
         # one is the same call a timer makes (epoch check included).
-        self._held: Dict[HostId, List[Tuple[DeliveryRecord, Optional[int]]]] = {}
+        self._held: Dict[HostId, List[Tuple[DeliveryRecord, int]]] = {}
         if distance_engine is None:
             distance_engine = HopDistanceEngine(graph)
         else:
@@ -217,8 +225,7 @@ class SimulatedNetwork:
         """Attach a protocol endpoint to a router (starts a new epoch)."""
         if not self.graph.has_node(router):
             raise SimulationError(f"router {router!r} is not part of the topology")
-        self._hosts[host_id] = (router, handler)
-        self._attach_epochs[host_id] = self._attach_epochs.get(host_id, 0) + 1
+        self._hosts[host_id] = (router, handler, next(self._attachments))
 
     def detach_host(self, host_id: HostId) -> None:
         """Detach a departed host.
@@ -237,9 +244,10 @@ class SimulatedNetwork:
 
     def router_of(self, host_id: HostId) -> NodeId:
         """The router a host is attached to."""
-        if host_id not in self._hosts:
+        entry = self._hosts.get(host_id)
+        if entry is None:
             raise SimulationError(f"host {host_id!r} is not attached to the network")
-        return self._hosts[host_id][0]
+        return entry[0]
 
     # ---------------------------------------------------------------- latency
 
@@ -258,8 +266,10 @@ class SimulatedNetwork:
         that means one Dijkstra from the host's router instead of one per
         peer access router.
         """
-        router_a = self.router_of(sender)
-        router_b = self.router_of(recipient)
+        return self._router_latency(self.router_of(sender), self.router_of(recipient))
+
+    def _router_latency(self, router_a: NodeId, router_b: NodeId) -> float:
+        """The one-way latency between two attachment routers (see ``one_way_latency``)."""
         if self._memo_generation != self.graph.generation:
             self._latency_memo.clear()
             self._memo_generation = self.graph.generation
@@ -276,7 +286,7 @@ class SimulatedNetwork:
                 source, target = target, source
             latency = self._distances.latency_between(source, target)
             if latency is None:
-                raise SimulationError(f"no route between hosts {sender!r} and {recipient!r}")
+                raise SimulationError(f"no route between routers {router_a!r} and {router_b!r}")
         self._latency_memo[(router_a, router_b)] = latency
         return latency
 
@@ -286,63 +296,42 @@ class SimulatedNetwork:
         record.dropped = True
         self.dropped_messages += 1
 
-    def _delivery_delay(self, sender: HostId, recipient: HostId) -> float:
-        return (
-            self.one_way_latency(sender, recipient)
-            + self.processing_delay_ms
-            + (self._rng.uniform(0.0, self.jitter_ms) if self.jitter_ms > 0 else 0.0)
-        )
+    def _deliver(self, record: DeliveryRecord, epoch: int) -> None:
+        """Hand ``record`` to its recipient as attached at ``epoch``, or drop it.
 
-    def _schedule_delivery(
-        self,
-        record: DeliveryRecord,
-        extra_delay_ms: float = 0.0,
-        hold: bool = False,
-    ) -> None:
-        """Schedule (or, with ``hold``, park) one delivery."""
-        recipient = record.recipient
-        epoch = self._attach_epochs.get(recipient)
-        if hold:
-            self._held.setdefault(recipient, []).append((record, epoch))
-            return
-        delay = self._delivery_delay(record.sender, recipient) + extra_delay_ms
-        self.engine.schedule(delay, self._deliver, record, epoch)
-
-    def _deliver(self, record: DeliveryRecord, epoch: Optional[int]) -> None:
-        """Hand ``record`` to its recipient as attached at ``epoch``, or drop it."""
+        A delivery releases the messages held behind it (``reorder``): they
+        arrive right after it, through this same call.
+        """
         recipient = record.recipient
         entry = self._hosts.get(recipient)
-        if entry is None or self._attach_epochs.get(recipient) != epoch:
+        if entry is None or entry[2] != epoch:
             # Detached in flight — or detached and re-attached: a new
             # epoch must never receive the old epoch's traffic.
             self._drop(record)
             return
         record.delivered_at = self.engine.now
         entry[1].handle_message(record.sender, record.message)
-        self._release_held(recipient)
-
-    def _release_held(self, recipient: HostId) -> None:
-        """Deliver reorder-held messages right after a younger delivery."""
-        held = self._held.pop(recipient, None)
-        if not held:
-            return
-        for record, epoch in held:
-            self._deliver(record, epoch)
+        if self._held:
+            for held, held_epoch in self._held.pop(recipient, ()):
+                self._deliver(held, held_epoch)
 
     def send(self, sender: HostId, recipient: HostId, message: Any) -> DeliveryRecord:
-        """Send ``message``; delivery is scheduled on the engine."""
-        if sender not in self._hosts:
+        """Send ``message``; delivery is scheduled on the engine.
+
+        A delivery's delay is the routers' one-way latency plus the
+        processing delay, plus a jitter sample when ``jitter_ms`` is set,
+        plus whatever a scripted ``delay`` fault adds.
+        """
+        hosts = self._hosts
+        source = hosts.get(sender)
+        if source is None:
             raise SimulationError(f"sender {sender!r} is not attached to the network")
-        if recipient not in self._hosts:
+        target = hosts.get(recipient)
+        if target is None:
             raise SimulationError(f"recipient {recipient!r} is not attached to the network")
         self.sent_messages += 1
-        record = DeliveryRecord(
-            sent_at=self.engine.now,
-            delivered_at=None,
-            sender=sender,
-            recipient=recipient,
-            message=message,
-        )
+        now = self.engine.now
+        record = DeliveryRecord(now, None, sender, recipient, message)
         self.deliveries.append(record)
 
         # Scripted faults first (deterministic, counted per send), then the
@@ -361,29 +350,32 @@ class SimulatedNetwork:
                     duplicate = True
                 elif fault.kind == "reorder":
                     reorder = True
-        if self._rng.random() < self.loss_probability:
+        rng = self._rng
+        if rng.random() < self.loss_probability:
             self._drop(record)
             return record
-        if self.duplicate_probability > 0 and self._rng.random() < self.duplicate_probability:
+        if self.duplicate_probability > 0 and rng.random() < self.duplicate_probability:
             duplicate = True
-        if self.reorder_probability > 0 and self._rng.random() < self.reorder_probability:
+        if self.reorder_probability > 0 and rng.random() < self.reorder_probability:
             reorder = True
 
+        epoch = target[2]
+        jitter_ms = self.jitter_ms
+        if duplicate or not reorder:
+            base_ms = self._router_latency(source[0], target[0]) + self.processing_delay_ms
         if duplicate:
+            # The copy has its own jitter sample, drawn before the original's.
             self.duplicated_messages += 1
-            copy = DeliveryRecord(
-                sent_at=record.sent_at,
-                delivered_at=None,
-                sender=sender,
-                recipient=recipient,
-                message=message,
-                duplicate=True,
-            )
+            copy = DeliveryRecord(now, None, sender, recipient, message, False, True)
             self.deliveries.append(copy)
-            self._schedule_delivery(copy, extra_delay_ms=extra_delay_ms)
+            delay = base_ms + rng.uniform(0.0, jitter_ms) if jitter_ms > 0 else base_ms
+            self.engine.schedule(delay + extra_delay_ms, self._deliver, copy, epoch)
         if reorder:
             self.reordered_messages += 1
-        self._schedule_delivery(record, extra_delay_ms=extra_delay_ms, hold=reorder)
+            self._held.setdefault(recipient, []).append((record, epoch))
+        else:
+            delay = base_ms + rng.uniform(0.0, jitter_ms) if jitter_ms > 0 else base_ms
+            self.engine.schedule(delay + extra_delay_ms, self._deliver, record, epoch)
         return record
 
     def broadcast(self, sender: HostId, recipients: List[HostId], message: Any) -> List[DeliveryRecord]:

@@ -155,6 +155,25 @@ class TestRounds:
         assert peer.stats.beacons_sent == 2
         assert peer.stats.rounds_abandoned == 1
 
+    def test_a_long_unacked_round_keeps_retransmitting_at_the_cap(self, line_graph):
+        """Regression: the backoff power was taken before the clamp, and the
+        1,025th retransmission of a round raised ``OverflowError``."""
+        config = BeaconConfig(
+            beacon_interval_ms=1e7,
+            ack_timeout_ms=1.0,
+            max_backoff_ms=1.0,
+            jitter_fraction=0.0,
+        )
+        engine, network, _host, peer = make_peer(
+            line_graph, config=config, loss_probability=1.0
+        )
+        peer.start()
+        engine.run(until=5000.0)
+        assert peer.stats.rounds_started == 1
+        assert peer.stats.retransmissions == 5000  # one every 1 ms, t = 1 .. 5000
+        sent = [record.sent_at for record in network.deliveries[-3:]]
+        assert sent == [4998.0, 4999.0, 5000.0]
+
     def test_lossy_wire_timing_is_deterministic_per_seed(self, line_graph):
         def run_once():
             config = BeaconConfig(

@@ -121,6 +121,65 @@ class TestZeroLossOracle:
             (2741, 3820, 292, 42, 44),
         )
 
+    def test_same_seed_same_fault_plan_delivery_log_to_the_byte(self):
+        """The twin of the log above, driven by a scripted plan instead of the knobs.
+
+        A delayed beacon carries ``extra_delay_ms`` into its latency, a
+        duplicated ack schedules its copy before the original, a reordered
+        beacon is held for the next delivery and a partition drops a window
+        of acks.  The digest was computed on the commit before the single
+        host table; a send that adds the extra delay elsewhere or schedules
+        the two copies in the other order shows up here.
+        """
+
+        def run_once():
+            paths = synthetic_paths(200, seed=3)
+            plan = NetworkFaultPlan.of(
+                Fault(at_op=30, kind="delay", op_name="beacon", delay_s=0.004, persistent=True),
+                Fault(at_op=75, kind="duplicate", op_name="beaconack", persistent=True),
+                *(Fault(at_op=n, kind="reorder", op_name="beacon") for n in (120, 260, 520, 900)),
+                Fault(at_op=400, kind="partition", op_name="beaconack", window_ops=150),
+            )
+            sim = ProtocolSimulation(
+                paths,
+                beacon_config=BeaconConfig(beacon_interval_ms=500.0),
+                loss_probability=0.05,
+                jitter_ms=2.0,
+                fault_plan=plan,
+                seed=12,
+            )
+            metrics = sim.run(3000.0)
+            digest = hashlib.sha256()
+            for record in sim.network.deliveries:
+                line = (
+                    record.sent_at,
+                    record.delivered_at,
+                    record.sender,
+                    record.recipient,
+                    type(record.message).__name__,
+                    record.message.seq,
+                    record.dropped,
+                    record.duplicate,
+                )
+                digest.update(repr(line).encode())
+            counts = (
+                len(sim.network.deliveries),
+                sim.engine.processed_events,
+                metrics.dropped_messages,
+                metrics.duplicated_messages,
+                metrics.reordered_messages,
+                len(plan.fired),
+            )
+            sim.close()
+            return digest.hexdigest(), counts
+
+        first = run_once()
+        assert first == run_once()
+        assert first == (
+            "c348804532e4ab1e281b91f3edcea05bc9aaca421c4ba80741a943f27835d52a",
+            (3776, 4917, 188, 1132, 4, 2669),
+        )
+
 
 class TestLossyAcceptance:
     def test_every_live_peer_is_discovered_within_the_bound(self):

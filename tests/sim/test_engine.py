@@ -232,6 +232,13 @@ class TestNonFiniteTimes:
             engine.schedule_at(time, lambda: None)
         assert engine.pending_events == 0
 
+    @pytest.mark.parametrize("time", ["x", None, 1j])
+    def test_schedule_at_rejects_a_time_that_is_not_a_number(self, time):
+        engine = Engine()
+        with pytest.raises(ClockError):
+            engine.schedule_at(time, lambda: None)
+        assert engine.pending_events == 0
+
     @pytest.mark.parametrize("until", [float("nan"), float("inf")])
     def test_run_rejects_non_finite_until(self, until):
         engine = Engine()
@@ -240,6 +247,16 @@ class TestNonFiniteTimes:
             engine.run(until=until)
         assert engine.now == 0.0
         assert engine.pending_events == 1
+
+    @pytest.mark.parametrize("until", ["x", 1j])
+    def test_run_rejects_an_until_that_is_not_a_number(self, until):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        with pytest.raises(ClockError):
+            engine.run(until=until)
+        assert engine.now == 0.0
+        assert engine.pending_events == 1
+        assert engine.processed_events == 0
 
 
 class TestOrderingContract:
