@@ -60,7 +60,7 @@ _PATH_TAG = "path"
 
 def encode_path(path: RouterPath) -> Tuple[object, ...]:
     """Flatten a :class:`RouterPath` into a tagged plain-data tuple."""
-    return (_PATH_TAG, path.peer_id, path.landmark_id, tuple(path.routers), path.rtt_ms)
+    return (_PATH_TAG, path.peer_id, path.landmark_id, path.routers, path.rtt_ms)
 
 
 def decode_path(data: Sequence[object]) -> RouterPath:
@@ -68,7 +68,7 @@ def decode_path(data: Sequence[object]) -> RouterPath:
     if len(data) != 5 or data[0] != _PATH_TAG:
         raise WireProtocolError(f"malformed path frame: {data!r}")
     _, peer_id, landmark_id, routers, rtt_ms = data
-    return RouterPath(peer_id, landmark_id, tuple(routers), rtt_ms)  # type: ignore[arg-type]
+    return RouterPath(peer_id, landmark_id, routers, rtt_ms)  # type: ignore[arg-type]
 
 
 def encode_frame(message: Tuple[object, ...]) -> bytes:

@@ -28,7 +28,7 @@ registration time.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 from .path import PeerId
 
@@ -95,13 +95,22 @@ class PeerKeyInterner:
         return (assignments, self._next_index)
 
     def import_state(self, state: Tuple[object, object]) -> None:
-        """Replace the table with an :meth:`export_state` payload."""
+        """Replace the table with an :meth:`export_state` payload; ``ValueError``,
+        nothing replaced, if a compact index repeats or ``next_index`` is not
+        above every assigned one (a later arrival would reuse an index)."""
         assignments, next_index = state
-        self._keys = {
-            peer_id: (str(text), int(index))
-            for peer_id, text, index in assignments  # type: ignore[union-attr]
-        }
-        self._next_index = int(next_index)  # type: ignore[call-overload]
+        keys: Dict[PeerId, Tuple[str, int]] = {}
+        assigned: Set[int] = set()
+        for peer_id, text, index in assignments:  # type: ignore[union-attr]
+            index = int(index)
+            if index in assigned:
+                raise ValueError(f"compact index {index} is assigned twice")
+            assigned.add(index)
+            keys[peer_id] = (str(text), index)
+        next_index = int(next_index)  # type: ignore[call-overload]
+        if next_index <= max(assigned, default=-1):
+            raise ValueError(f"next_index {next_index} is not above every assigned index")
+        self._keys, self._next_index = keys, next_index
 
     def sort_text(self, peer_id: PeerId) -> str:
         """The peer's interned textual sort key (``repr(peer_id)``)."""

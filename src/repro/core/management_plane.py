@@ -16,7 +16,9 @@ Subclass contract
 -----------------
 ``__init__`` must set ``neighbor_set_size``, ``maintain_cache``, ``stats``,
 ``_cache`` (a :class:`~repro.core.neighbor_cache.NeighborCache`),
-``_peer_landmark``, ``_paths``, ``_landmark_routers`` and
+``_paths`` — the one per-peer registry, peer -> the registered
+:class:`~repro.core.path.RouterPath` in registration order (landmark and
+hop count are read off the path) — ``_landmark_routers`` and
 ``_landmark_distances``; the subclass implements ``register_peer``,
 ``register_peers`` and the data-plane hooks ``_compute_neighbors``,
 ``unregister_peer``, ``tree`` and ``_live_trees``.
@@ -167,7 +169,6 @@ class ManagementPlaneBase:
     maintain_cache: bool
     stats: ServerStats
     _cache: NeighborCache
-    _peer_landmark: Dict[PeerId, LandmarkId]
     _paths: Dict[PeerId, RouterPath]
     _landmark_routers: Dict[LandmarkId, NodeId]
     _landmark_distances: Dict[Tuple[LandmarkId, LandmarkId], float]
@@ -290,7 +291,7 @@ class ManagementPlaneBase:
         """
         peers = self.changes.peers  # type: ignore[union-attr]
         peers[peer_id] = None
-        if len(peers) > len(self._peer_landmark):
+        if len(peers) > len(self._paths):
             self._stop_tracking()
 
     # ------------------------------------------------------------- cache views
@@ -302,8 +303,9 @@ class ManagementPlaneBase:
 
     @property
     def _referenced_by(self) -> Dict[PeerId, Set[PeerId]]:
-        """The reverse neighbour index (owned by :class:`NeighborCache`)."""
-        return self._cache.referenced_by
+        """A copy of the reverse neighbour index (owned by :class:`NeighborCache`),
+        each target's referrers as a set: their order is bookkeeping."""
+        return {target: set(referrers) for target, referrers in self._cache.referenced_by.items()}
 
     # -------------------------------------------------------------- landmarks
 
@@ -339,15 +341,15 @@ class ManagementPlaneBase:
     @property
     def peer_count(self) -> int:
         """Number of currently registered peers."""
-        return len(self._peer_landmark)
+        return len(self._paths)
 
     def peers(self) -> List[PeerId]:
         """Identifiers of all registered peers (registration order)."""
-        return list(self._peer_landmark)
+        return list(self._paths)
 
     def has_peer(self, peer_id: PeerId) -> bool:
         """True if the peer is registered."""
-        return peer_id in self._peer_landmark
+        return peer_id in self._paths
 
     def peer_path(self, peer_id: PeerId) -> RouterPath:
         """The path a peer registered with."""
@@ -357,9 +359,7 @@ class ManagementPlaneBase:
 
     def peer_landmark(self, peer_id: PeerId) -> LandmarkId:
         """The landmark a peer registered under."""
-        if peer_id not in self._peer_landmark:
-            raise UnknownPeerError(peer_id)
-        return self._peer_landmark[peer_id]
+        return self.peer_path(peer_id).landmark_id
 
     def neighbor_list(self, peer_id: PeerId) -> List[Tuple[PeerId, float]]:
         """The peer's cached neighbour list as ``(peer_id, distance)`` pairs.
@@ -370,7 +370,7 @@ class ManagementPlaneBase:
         byte-identically, so it is the cheapest "who does the plane think is
         near me right now" view on both the live planes and the snapshots.
         """
-        if peer_id not in self._peer_landmark:
+        if peer_id not in self._paths:
             raise UnknownPeerError(peer_id)
         return [(peer, distance) for distance, _, peer in self._cache.lists.get(peer_id, ())]
 
@@ -442,7 +442,7 @@ class ManagementPlaneBase:
         (unreachable foreign-landmark peers, no landmark distances) would
         miss the cache forever and pay a tree query each time.
         """
-        if peer_id not in self._peer_landmark:
+        if peer_id not in self._paths:
             raise UnknownPeerError(peer_id)
         k = k or self.neighbor_set_size
         if k < 0:

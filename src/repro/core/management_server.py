@@ -57,6 +57,12 @@ index query of a cold miss 62 → 8 µs; ``register_peer`` p50 150 → 50 µs wi
 the rows and → 39 µs with cached lists as plain sorted tuples — by the traced
 run ~27 % trie insert, ~27 % index query, ~29 % cache pass, the rest skeleton.
 
+Per peer the server keeps one ``_paths`` entry (the slotted
+:class:`~repro.core.path.RouterPath`, which names the landmark), one tree
+attachment, the trie entry, ``k`` cache entries with shared distance floats
+and ~``k`` list-held reverse edges: ~1,090 bytes at 12,800 peers, k = 5, by
+``tracemalloc`` (1,680 before; ``tests/core/test_plane_memory.py`` pins it).
+
 The peer-facing half of the API (registration skeleton, cache policy,
 distance estimator, read accessors) lives in
 :class:`~repro.core.management_plane.ManagementPlaneBase`, and the cached
@@ -117,7 +123,7 @@ from ..exceptions import (
 from .codec import decode_path, encode_path
 from .interning import PeerKeyInterner
 from .management_plane import ManagementPlaneBase, ServerStats
-from .neighbor_cache import NeighborCache, NeighborEntry
+from .neighbor_cache import SHARED_DISTANCES, NeighborCache, NeighborEntry
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree
 
@@ -195,7 +201,6 @@ class ManagementServer(ManagementPlaneBase):
         self.maintain_cache = maintain_cache
         self._trees: Dict[LandmarkId, PathTree] = {}
         self._landmark_routers: Dict[LandmarkId, NodeId] = {}
-        self._peer_landmark: Dict[PeerId, LandmarkId] = {}
         self._paths: Dict[PeerId, RouterPath] = {}
         self.stats = ServerStats()
         # One interner per plane: every ordering this server produces (query
@@ -275,7 +280,7 @@ class ManagementServer(ManagementPlaneBase):
         plane caches for subsequent O(1) queries.
         """
         self.validate_registrable(path)
-        if path.peer_id in self._peer_landmark:
+        if path.peer_id in self._paths:
             self.unregister_peer(path.peer_id)
         self._insert_path(path)
         neighbors = self._compute_neighbors(path.peer_id)
@@ -309,11 +314,10 @@ class ManagementServer(ManagementPlaneBase):
         other cached list is touched.  A list that runs dry is refilled from
         the tree on its owner's next query.
         """
-        if peer_id not in self._peer_landmark:
+        path = self._paths.pop(peer_id, None)
+        if path is None:
             raise UnknownPeerError(peer_id)
-        landmark_id = self._peer_landmark.pop(peer_id)
-        del self._paths[peer_id]
-        self._trees[landmark_id].remove(peer_id)
+        self._trees[path.landmark_id].remove(peer_id)
         self._interner.discard(peer_id)
         self.stats.removals += 1
         if self.maintain_cache:
@@ -336,7 +340,7 @@ class ManagementServer(ManagementPlaneBase):
                 f"{path.landmark_id!r}"
             )
         root = self._trees[path.landmark_id].root
-        landmark_side = path.from_landmark()[0]
+        landmark_side = path.routers[-1]
         if root is not None and root.router != landmark_side:
             raise RegistrationError(
                 f"path of peer {path.peer_id!r} ends at router {landmark_side!r}, "
@@ -385,7 +389,7 @@ class ManagementServer(ManagementPlaneBase):
         groups = self._load_groups(paths)
         if groups is None:
             for path in paths:
-                if path.peer_id in self._peer_landmark:
+                if path.peer_id in self._paths:
                     self.unregister_peer(path.peer_id)
                 self._insert_path(path)
             return
@@ -396,9 +400,8 @@ class ManagementServer(ManagementPlaneBase):
             self._trees[landmark_id].load(batch)
         # Every path is a new peer, so a record cannot outgrow the live
         # population here: the bookkeeping of n registrations at once.
-        peer_landmark, registered = self._peer_landmark, self._paths
+        registered = self._paths
         for path in paths:
-            peer_landmark[path.peer_id] = path.landmark_id
             registered[path.peer_id] = path
         self.stats.registrations += len(paths)
         self._cache.membership_generation += len(paths)
@@ -423,14 +426,16 @@ class ManagementServer(ManagementPlaneBase):
         """Closest peers from the peer's own landmark tree (no cross fill).
 
         The index query of the peer's tree, exposed so the sharded
-        coordinator can query a peer's home shard directly.
+        coordinator can query a peer's home shard directly.  Distances are
+        the shared floats of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`.
         """
-        if peer_id not in self._peer_landmark:
+        path = self._paths.get(peer_id)
+        if path is None:
             raise UnknownPeerError(peer_id)
-        landmark_id = self._peer_landmark[peer_id]
         self.stats.tree_queries += 1
-        same_landmark = self._trees[landmark_id].closest_peers(peer_id, k)
-        return [(peer, float(distance)) for peer, distance in same_landmark]
+        same_landmark = self._trees[path.landmark_id].closest_peers(peer_id, k)
+        shared = SHARED_DISTANCES.get
+        return [(peer, shared(distance) or float(distance)) for peer, distance in same_landmark]
 
     def fill_candidates(
         self,
@@ -481,7 +486,7 @@ class ManagementServer(ManagementPlaneBase):
         landmarks = tuple(
             (landmark_id, self._landmark_routers[landmark_id]) for landmark_id in self._trees
         )
-        paths = tuple(encode_path(self._paths[peer_id]) for peer_id in self._peer_landmark)
+        paths = tuple(encode_path(path) for path in self._paths.values())
         distances = tuple(self._landmark_distances.items())
         cache = self._cache.export_state() if self.maintain_cache else None
         interner = self._interner.export_state()
@@ -530,7 +535,6 @@ class ManagementServer(ManagementPlaneBase):
         staged._cache.stats = self.stats
         self._trees = staged._trees
         self._landmark_routers = staged._landmark_routers
-        self._peer_landmark = staged._peer_landmark
         self._paths = staged._paths
         self._landmark_distances = staged._landmark_distances
         self._interner = staged._interner
@@ -564,7 +568,7 @@ class ManagementServer(ManagementPlaneBase):
                 staged._landmark_distances[tuple(key)] = float(distance)
         if cache is not None and self.maintain_cache:
             with _malformed("neighbour cache"):
-                staged._cache.import_state(cache)
+                staged._cache.import_state(cache, registered=staged._paths)
         return staged
 
     def _load_groups(self, paths: Sequence[RouterPath]) -> Optional[Dict[LandmarkId, List[RouterPath]]]:
@@ -578,14 +582,13 @@ class ManagementServer(ManagementPlaneBase):
                 group = groups[path.landmark_id] = []
             group.append(path)
         peers = [path.peer_id for path in paths]
-        if len(set(peers)) != len(peers) or not self._peer_landmark.keys().isdisjoint(peers):
+        if len(set(peers)) != len(peers) or not self._paths.keys().isdisjoint(peers):
             return None
         return groups or None
 
     def _insert_path(self, path: RouterPath) -> None:
         """Insert one validated path into the tree and the server indexes."""
         self._trees[path.landmark_id].insert(path)
-        self._peer_landmark[path.peer_id] = path.landmark_id
         self._paths[path.peer_id] = path
         self.stats.registrations += 1
         self._cache.note_membership_change()
@@ -599,13 +602,6 @@ class ManagementServer(ManagementPlaneBase):
         """The landmark's min-hop peer ordering: the row of its trie's root."""
         return self._trees[landmark_id].root.row  # type: ignore[union-attr]
 
-    def _cross_landmark_candidates(
-        self, peer_id: PeerId, landmark_id: LandmarkId, own_hops: int
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        """Foreign-tree candidates in non-decreasing estimate order (lazy)."""
-        bases = self._fill_bases(self._trees, landmark_id, own_hops)
-        return self.fill_candidates(bases, exclude_peer=peer_id)
-
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
         """A peer's closest peers from its tree (plus cross-landmark fill)."""
         k = k or self.neighbor_set_size
@@ -617,12 +613,10 @@ class ManagementServer(ManagementPlaneBase):
         # estimates if inter-landmark distances are known.  The per-landmark
         # min-hop orderings are merged lazily, so only as many foreign
         # candidates as needed are ever examined.
-        landmark_id = self._peer_landmark[peer_id]
-        own_hops = self._paths[peer_id].hop_count
+        path = self._paths[peer_id]
+        bases = self._fill_bases(self._trees, path.landmark_id, path.hop_count)
         already = {peer for peer, _ in neighbors}
-        for estimate, _, other_peer in self._cross_landmark_candidates(
-            peer_id, landmark_id, own_hops
-        ):
+        for estimate, _, other_peer in self.fill_candidates(bases, exclude_peer=peer_id):
             if len(neighbors) >= k:
                 break
             if other_peer in already:

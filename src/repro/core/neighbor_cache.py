@@ -7,9 +7,18 @@ sharded plane's results byte-identical to the single server's.
 
 The cache holds, for every registered peer, a sorted list of entries
 (closest first), plus the **reverse neighbour index** ``referenced_by``
-(peer -> peers whose cached list contains it): a departure repairs only the
-lists that reference the departed peer, and an arrival learns whether a list
-already names the newcomer from one set lookup.
+(peer -> the peers whose cached list contains it, a ``list`` never left
+empty that names each once): a departure repairs only the lists that
+reference the departed peer, and an arrival reads off the same few
+referrers whether a list already names the newcomer.  A target has ~4.6
+referrers at 12,800 peers and k = 5, where a ``set`` of five costs 728
+bytes: lists save ~6 MB.  Dropping an edge is a ``list.remove``, O(r)
+pointer compares for ``r`` referrers — the order
+:meth:`~NeighborCache.drop_peer` already pays, O(r·k) — and dropping an
+absent edge does nothing.  Referrer order is bookkeeping:
+:meth:`~NeighborCache.referencing` and the planes' ``_referenced_by`` hand
+out sets.  Cached distances (three values among 64,000 at 12,800 peers)
+are the shared floats of :data:`SHARED_DISTANCES`, not one object each.
 
 Entries are plain tuples ordered as they sort — ``(distance, sort_text,
 peer_id)``, ``sort_text`` being the plane's interned ``repr(peer_id)``
@@ -50,7 +59,7 @@ a snapshot publisher re-freezes only those lists.  It is ``None`` (one
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Container, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .._validation import require_positive_int
 from .interning import PeerKeyInterner
@@ -58,6 +67,11 @@ from .path import PeerId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .management_plane import ServerStats
+
+
+#: One float per small integral distance (module doc).  Int keys, as tree
+#: distances are ints; ``get`` also takes an integral float below 256.
+SHARED_DISTANCES: Dict[int, float] = {hops: float(hops) for hops in range(256)}
 
 
 class NeighborEntry(NamedTuple):
@@ -99,7 +113,7 @@ class NeighborCache:
         self.stats = stats
         self.interner = interner if interner is not None else PeerKeyInterner()
         self.lists: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
-        self.referenced_by: Dict[PeerId, Set[PeerId]] = {}
+        self.referenced_by: Dict[PeerId, List[PeerId]] = {}
         #: Bumped by the plane on every event that could add a reachable
         #: candidate; completeness marks hold for the generation they carry.
         self.membership_generation: int = 0
@@ -178,9 +192,9 @@ class NeighborCache:
                 entries.append((distance, key(peer)[0], peer))
                 referrers = referenced_by.get(peer)
                 if referrers is None:
-                    referenced_by[peer] = {peer_id}
+                    referenced_by[peer] = [peer_id]
                 else:
-                    referrers.add(peer_id)
+                    referrers.append(peer_id)
 
     def drop_peer(self, peer_id: PeerId) -> None:
         """Remove a departing peer's list and repair the lists referencing it.
@@ -218,8 +232,8 @@ class NeighborCache:
         reverse index.
         """
         newcomer_text = self.interner.key(newcomer)[0]
-        # Reverse-index sets are never left empty, so a falsy one is a new one.
-        listed_in = self.referenced_by.get(newcomer) or set()
+        # Reverse-index lists are never left empty, so a falsy one is a new one.
+        listed_in = self.referenced_by.get(newcomer) or []
         lists, limit, dirty = self.lists, self.neighbor_set_size, self.dirty
         for peer, distance in newcomer_neighbors:
             entries = lists.get(peer)
@@ -230,7 +244,7 @@ class NeighborCache:
                     continue
                 self._reverse_discard(entries.pop()[2], peer)
             insort(entries, (distance, newcomer_text, newcomer))
-            listed_in.add(peer)
+            listed_in.append(peer)
             self.stats.cache_updates += 1
             if dirty is not None:
                 dirty.add(peer)
@@ -252,32 +266,42 @@ class NeighborCache:
         )
         return (self.membership_generation, lists, tuple(self._complete.items()))
 
-    def import_state(self, state: Tuple[object, ...]) -> None:
+    def import_state(
+        self, state: Tuple[object, ...], registered: Optional[Container[PeerId]] = None
+    ) -> None:
         """Rebuild the cache (lists, reverse index, completeness) from
         :meth:`export_state` output, replacing current contents.
 
-        One pass over the exported pairs: each list is built as the exact
-        entry tuples :meth:`store` makes, and the reverse index is filled in
-        the same pass.  Generation and completeness marks are restored
-        verbatim, so marks stay valid exactly when they were.  Nothing is
-        replaced unless the whole payload reads (``ValueError`` /
-        ``TypeError`` otherwise).
+        One pass over the exported pairs builds each list as the exact entry
+        tuples :meth:`store` makes (distances through :data:`SHARED_DISTANCES`)
+        and the reverse index beside it; generation and completeness marks
+        are restored verbatim.  Nothing is replaced unless the whole payload
+        reads (``ValueError`` / ``TypeError`` otherwise): no list names its
+        owner or a peer twice and, given ``registered``, none names a peer or
+        has an owner outside it.
         """
         generation, lists, complete = state
         known, key = self.interner.table().get, self.interner.key
+        shared = SHARED_DISTANCES.get
         cached: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
-        referenced_by: Dict[PeerId, Set[PeerId]] = {}
+        referenced_by: Dict[PeerId, List[PeerId]] = {}
         for owner, pairs in lists:  # type: ignore[union-attr]
             if owner in cached:
                 raise ValueError(f"owner {owner!r} is listed twice")
+            if registered is not None and owner not in registered:
+                raise ValueError(f"the list of {owner!r} has no registered owner")
             entries = cached[owner] = []
             for peer, distance in pairs:
-                entries.append((distance, (known(peer) or key(peer))[0], peer))
+                if peer == owner or (registered is not None and peer not in registered):
+                    raise ValueError(f"the list of {owner!r} names {peer!r}")
+                entries.append((shared(distance, distance), (known(peer) or key(peer))[0], peer))
                 referrers = referenced_by.get(peer)
                 if referrers is None:
-                    referenced_by[peer] = {owner}
+                    referenced_by[peer] = [owner]
+                elif referrers[-1] is owner:  # lists are built one owner at a time
+                    raise ValueError(f"the list of {owner!r} names {peer!r} twice")
                 else:
-                    referrers.add(owner)
+                    referrers.append(owner)
         marks = dict(complete)  # type: ignore[call-overload]
         self.membership_generation = int(generation)  # type: ignore[arg-type]
         self.lists = cached
@@ -291,7 +315,10 @@ class NeighborCache:
         refs = self.referenced_by.get(target)
         if refs is None:
             return
-        refs.discard(referrer)
+        try:
+            refs.remove(referrer)
+        except ValueError:
+            return  # an absent edge: nothing to remove
         if not refs:
             del self.referenced_by[target]
 

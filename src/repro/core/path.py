@@ -21,7 +21,7 @@ PeerId = Hashable
 LandmarkId = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouterPath:
     """An immutable peer-to-landmark router path.
 
@@ -34,7 +34,8 @@ class RouterPath:
     routers:
         Ordered router identifiers, peer side first, landmark side last.
         Must be non-empty and contain no duplicates (a routed path never
-        visits the same router twice).
+        visits the same router twice).  Any sequence is stored as a tuple,
+        so equal routes compare and hash equal whatever they were built from.
     rtt_ms:
         Round-trip time to the landmark measured during the probe, if known.
     """
@@ -45,6 +46,7 @@ class RouterPath:
     rtt_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "routers", tuple(self.routers))
         if len(self.routers) == 0:
             raise RegistrationError(
                 f"peer {self.peer_id!r} reported an empty path to landmark {self.landmark_id!r}"
@@ -63,12 +65,7 @@ class RouterPath:
         rtt_ms: Optional[float] = None,
     ) -> "RouterPath":
         """Build a path from any router sequence (copied into a tuple)."""
-        return cls(
-            peer_id=peer_id,
-            landmark_id=landmark_id,
-            routers=tuple(routers),
-            rtt_ms=rtt_ms,
-        )
+        return cls(peer_id, landmark_id, routers, rtt_ms)  # type: ignore[arg-type]
 
     @classmethod
     def from_cleaned(
@@ -98,28 +95,14 @@ class RouterPath:
         """Hops from the peer to the landmark (host-to-access-router included)."""
         return len(self.routers)
 
-    def towards_landmark(self) -> Tuple[NodeId, ...]:
-        """Routers ordered peer → landmark (the stored order)."""
-        return self.routers
-
     def from_landmark(self) -> Tuple[NodeId, ...]:
-        """Routers ordered landmark → peer (the order the path tree inserts).
+        """Routers ordered landmark → peer (the order the path tree walks).
 
-        The reversed tuple is computed once per path and cached: registration
-        consumes it twice (validation and trie insert) and the cache stops
-        the hot path rebuilding it each time.  The cache is invisible to the
-        dataclass surface (equality, hashing and ``repr`` compare fields
-        only).
+        A new tuple per call: a path keeps no reversed copy (one tuple per
+        registered peer), and the plane's hot paths read ``routers[-1]`` or
+        walk ``routers[-2::-1]`` instead of calling this.
         """
-        cached = getattr(self, "_from_landmark_cache", None)
-        if cached is None:
-            cached = tuple(reversed(self.routers))
-            object.__setattr__(self, "_from_landmark_cache", cached)
-        return cached
-
-    def contains_router(self, router: NodeId) -> bool:
-        """True if ``router`` appears on the path."""
-        return router in self.routers
+        return self.routers[::-1]
 
     def depth_of(self, router: NodeId) -> int:
         """Distance (in hops along the path) from the landmark side to ``router``.
@@ -127,8 +110,7 @@ class RouterPath:
         The landmark-side router has depth 0, the access router has depth
         ``hop_count - 1``.
         """
-        reversed_routers = self.from_landmark()
-        for depth, candidate in enumerate(reversed_routers):
+        for depth, candidate in enumerate(reversed(self.routers)):
             if candidate == router:
                 return depth
         raise RegistrationError(f"router {router!r} is not on the path of peer {self.peer_id!r}")
@@ -143,7 +125,7 @@ class RouterPath:
 def shared_suffix_length(path_a: RouterPath, path_b: RouterPath) -> int:
     """Number of routers shared at the landmark end of two paths."""
     shared = 0
-    for a, b in zip(path_a.from_landmark(), path_b.from_landmark()):
+    for a, b in zip(reversed(path_a.routers), reversed(path_b.routers)):
         if a != b:
             break
         shared += 1

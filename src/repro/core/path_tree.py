@@ -222,11 +222,6 @@ class PathTreeNode:
             yield node
             stack.extend(node.children.values())
 
-    def peers_in_subtree(self) -> Iterator[Tuple[PeerId, int]]:
-        """Yield ``(peer_id, attachment_depth)`` for every peer under this node."""
-        for hops, _, peer_id in self.row:
-            yield peer_id, hops - 1
-
     def __repr__(self) -> str:
         return (
             f"PathTreeNode(router={self.router!r}, depth={self.depth}, "
@@ -272,8 +267,9 @@ class PathTree:
         self._max_depth = 0
         if landmark_router is not None:
             self._root = self._add_node(landmark_router, 0, None)
+        #: The tree's one registry: peer -> the node it is attached to.  A
+        #: peer's hop count is that node's depth + 1, so no path is kept.
         self._attachment: Dict[PeerId, PathTreeNode] = {}
-        self._paths: Dict[PeerId, RouterPath] = {}
         #: Index ranges examined plus row entries scanned by the most recent
         #: :meth:`closest_peers` call.
         self.last_query_visits: int = 0
@@ -312,12 +308,6 @@ class PathTree:
     def has_peer(self, peer_id: PeerId) -> bool:
         """True if ``peer_id`` is registered in this tree."""
         return peer_id in self._attachment
-
-    def path_of(self, peer_id: PeerId) -> RouterPath:
-        """The path ``peer_id`` registered with."""
-        if peer_id not in self._paths:
-            raise UnknownPeerError(peer_id)
-        return self._paths[peer_id]
 
     def attachment_node(self, peer_id: PeerId) -> PathTreeNode:
         """The trie node (access router) the peer is attached to."""
@@ -385,10 +375,10 @@ class PathTree:
         the ``total_*`` accumulators) so benchmarks can assert the O(path
         length) bound the same way query benchmarks assert visit counts.
         """
-        reversed_routers = path.from_landmark()
+        routers = path.routers
         root = self._root
         if path.landmark_id != self.landmark_id or (
-            root is not None and root.router != reversed_routers[0]
+            root is not None and root.router != routers[-1]
         ):
             self._reject(path, None if root is None else root.router)
         if path.peer_id in self._attachment:
@@ -396,10 +386,10 @@ class PathTree:
 
         created = 0
         if self._root is None:
-            self._root = self._add_node(reversed_routers[0], 0, None)
+            self._root = self._add_node(routers[-1], 0, None)
             created += 1
         node = self._root
-        for router in reversed_routers[1:]:
+        for router in routers[-2::-1]:  # landmark side first, root skipped
             child = node.children.get(router)
             if child is None:
                 if not node.children:
@@ -411,7 +401,7 @@ class PathTree:
         # Ahead of any entry equal in (hops, sort text), in every row alike.
         # A row holds its path child's entries in the same order, so the slot
         # lies within (entries the child lacks) of the child's slot.
-        key = (len(reversed_routers), self._interner.sort_text(path.peer_id))
+        key = (len(routers), self._interner.sort_text(path.peer_id))
         entry = (*key, path.peer_id)
         index = below = 0
         current: Optional[PathTreeNode] = node
@@ -422,14 +412,13 @@ class PathTree:
             row.insert(index, entry)
             current = current.parent
         self._attachment[path.peer_id] = node
-        self._paths[path.peer_id] = path
         if self.dirty is not None:
             self._mark_root_path(node)
 
         self.last_insert_nodes_created = created
-        self.last_insert_nodes_touched = len(reversed_routers)
+        self.last_insert_nodes_touched = len(routers)
         self.total_insert_nodes_created += created
-        self.total_insert_nodes_touched += len(reversed_routers)
+        self.total_insert_nodes_touched += len(routers)
         return node
 
     def load(self, paths: Sequence[RouterPath]) -> None:
@@ -464,7 +453,7 @@ class PathTree:
             root = self._root = self._add_node(root_router, 0, None)
             created = 1
         add_node, key = self._add_node, self._interner.key
-        attachment, registered = self._attachment, self._paths
+        attachment = self._attachment
         entries = []
         for path in paths:
             node = root
@@ -479,7 +468,6 @@ class PathTree:
                 node = child
             peer_id = path.peer_id
             attachment[peer_id] = node
-            registered[peer_id] = path
             entries.append((len(routers), key(peer_id)[0], peer_id))
             touched += len(routers)
             self.last_insert_nodes_created = created - before
@@ -519,7 +507,7 @@ class PathTree:
         if peer_id not in self._attachment:
             raise UnknownPeerError(peer_id)
         node = self._attachment.pop(peer_id)
-        key = (self._paths.pop(peer_id).hop_count, self._interner.sort_text(peer_id))
+        key = (node.depth + 1, self._interner.sort_text(peer_id))
         if self.dirty is not None:
             self._mark_root_path(node)  # before pruning: the pruned ids are on it
 

@@ -321,7 +321,7 @@ def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args
         tree = server.tree(args[0])
         return (
             tree.root.router if tree.root is not None else None,
-            tuple(encode_path(tree.path_of(peer)) for peer in tree.peers()),
+            tuple(encode_path(server.peer_path(peer)) for peer in tree.peers()),
             tree.total_query_visits,
             tree.last_query_visits,
         )

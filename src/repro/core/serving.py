@@ -251,7 +251,7 @@ class DiscoverySnapshot:
         landmark's tree export over the wire (the ``tree`` round trip
         diagnostics use).
         """
-        live = plane._peer_landmark
+        live = plane._paths
         interner = plane._interner
         cache = plane._cache
         if previous is None or changes is None:
@@ -299,7 +299,7 @@ class DiscoverySnapshot:
                         column.append(None)
                 slot_of[peer] = slot
             interner.key(peer)  # a cache-less coordinator never interned it
-            attach_node[slot] = trees[live[peer]].attachment_node(peer).index
+            attach_node[slot] = trees[live[peer].landmark_id].attachment_node(peer).index
             cache_lists[slot] = ()
             cache_stamps[slot] = None
         for owner in changed_owners:

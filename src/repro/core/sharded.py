@@ -232,7 +232,6 @@ class ShardedManagementServer(ManagementPlaneBase):
         self._landmark_shard: Dict[LandmarkId, int] = {}
         self._shard_landmarks: List[List[LandmarkId]] = [[] for _ in range(shard_count)]
         self._landmark_routers: Dict[LandmarkId, NodeId] = {}
-        self._peer_landmark: Dict[PeerId, LandmarkId] = {}
         self._paths: Dict[PeerId, RouterPath] = {}
         self._landmark_distances: Dict[Tuple[LandmarkId, LandmarkId], float] = {}
         self.stats = ServerStats()
@@ -375,7 +374,7 @@ class ShardedManagementServer(ManagementPlaneBase):
         join_validates = (
             len(by_home) == 1
             and len(pending) == len(paths)
-            and self._peer_landmark.keys().isdisjoint(pending)
+            and self._paths.keys().isdisjoint(pending)
         )
         if not join_validates:
             rejections: List[Tuple[int, BaseException]] = []
@@ -388,7 +387,7 @@ class ShardedManagementServer(ManagementPlaneBase):
             if rejections:
                 raise min(rejections, key=lambda rejection: rejection[0])[1]
             for peer_id in pending:
-                if peer_id in self._peer_landmark:
+                if peer_id in self._paths:
                     self.unregister_peer(peer_id)
 
         by_shard: Dict[int, List[RouterPath]] = {}
@@ -403,9 +402,7 @@ class ShardedManagementServer(ManagementPlaneBase):
             # A peer repeated in the batch is removed and re-inserted by the
             # single server, which moves it to the end of the registration
             # order; its cache effects are no-ops at this stage.
-            self._peer_landmark.pop(path.peer_id, None)
             self._paths.pop(path.peer_id, None)
-            self._peer_landmark[path.peer_id] = path.landmark_id
             self._paths[path.peer_id] = path
             self.stats.registrations += 1
             self._cache.note_membership_change()
@@ -426,9 +423,9 @@ class ShardedManagementServer(ManagementPlaneBase):
         shard failing mid-departure (:class:`ShardUnavailableError`) leaves
         the coordinator unchanged, so restart-and-replay reconverges.
         """
-        if peer_id not in self._peer_landmark:
+        if peer_id not in self._paths:
             raise UnknownPeerError(peer_id)
-        landmark_id = self._peer_landmark[peer_id]
+        landmark_id = self._paths[peer_id].landmark_id
         try:
             self._shards[self._landmark_shard[landmark_id]].unregister_peer(peer_id)
         except UnknownPeerError:
@@ -440,8 +437,7 @@ class ShardedManagementServer(ManagementPlaneBase):
             # An inline shard can never take this branch (coordinator and
             # shard membership move in lock step in one process).
             pass
-        del self._peer_landmark[peer_id]
-        self._paths.pop(peer_id)
+        del self._paths[peer_id]
         self._interner.discard(peer_id)
         self.stats.removals += 1
         if self.maintain_cache:
@@ -469,18 +465,17 @@ class ShardedManagementServer(ManagementPlaneBase):
         """Home-shard tree query (or ``local``, the list an arrival's
         ``join_paths`` brought back) plus, if short, the inter-shard fill merge."""
         k = k or self.neighbor_set_size
-        landmark_id = self._peer_landmark[peer_id]
+        path = self._paths[peer_id]
         self.stats.tree_queries += 1
         neighbors = local
         if neighbors is None:
-            neighbors = self._shards[self._landmark_shard[landmark_id]].local_closest(peer_id, k)
+            neighbors = self._shards[self._landmark_shard[path.landmark_id]].local_closest(peer_id, k)
         if len(neighbors) >= k:
             return neighbors[:k]
 
-        own_hops = self._paths[peer_id].hop_count
         already = {peer for peer, _ in neighbors}
         for estimate, _, other_peer in self._inter_shard_candidates(
-            peer_id, landmark_id, own_hops
+            peer_id, path.landmark_id, path.hop_count
         ):
             if len(neighbors) >= k:
                 break
@@ -546,9 +541,9 @@ class ShardedManagementServer(ManagementPlaneBase):
         # The cached list: no peer twice, never its owner, [] without a cache.
         pairs = self.neighbor_list(peer_id)
         already = {peer_id, *(peer for peer, _ in pairs)}
+        path = self._paths[peer_id]
+        landmark_id, own_hops = path.landmark_id, path.hop_count
         if len(pairs) < k:
-            landmark_id = self._peer_landmark[peer_id]
-            own_hops = self._paths[peer_id].hop_count
             try:
                 local = self._shards[self._landmark_shard[landmark_id]].local_closest(
                     peer_id, k
@@ -562,8 +557,6 @@ class ShardedManagementServer(ManagementPlaneBase):
                     pairs.append((peer, float(distance)))
                     already.add(peer)
         if len(pairs) < k:
-            landmark_id = self._peer_landmark[peer_id]
-            own_hops = self._paths[peer_id].hop_count
             streams = []
             for shard_index, shard in enumerate(self._shards):
                 bases = self._fill_bases(

@@ -27,6 +27,11 @@ def listed(cache: NeighborCache, owner) -> list:
     return [(peer, distance) for distance, _, peer in cache.lists[owner]]
 
 
+def index_of(cache: NeighborCache) -> dict:
+    """The reverse index as sets: which referrers, not the order they are held in."""
+    return {target: set(referrers) for target, referrers in cache.referenced_by.items()}
+
+
 def reverse_index_of(lists) -> dict:
     index: dict = {}
     for owner, entries in lists.items():
@@ -68,7 +73,7 @@ class TestStore:
         cache.store("o", [("a", 1.0), ("b", 2.0)])
         cache.store("o", [("b", 2.0), ("c", 3.0)])
         assert listed(cache, "o") == [("b", 2.0), ("c", 3.0)]
-        assert cache.referenced_by == {"b": {"o"}, "c": {"o"}}  # "a" left no empty set behind
+        assert index_of(cache) == {"b": {"o"}, "c": {"o"}}  # "a" left no empty entry behind
         assert cache.dirty == {"o"}
 
     def test_restoring_an_equal_list_writes_nothing(self):
@@ -83,7 +88,7 @@ class TestStore:
         cache.store("o", (("a", 1.0), ("b", 2.0)))  # any sequence of pairs
         assert cache.lists["o"] is entries
         assert all(now is before for now, before in zip(entries, first_entries))
-        assert cache.referenced_by["a"] is referrers and referrers == {"o", "p"}
+        assert cache.referenced_by["a"] is referrers and cache.referencing("a") == {"o", "p"}
         assert cache.dirty == set()
 
     def test_equal_list_still_refreshes_a_changed_completeness_stamp(self):
@@ -122,7 +127,7 @@ class TestPropagateNewcomer:
         cache.dirty.clear()
         cache.propagate_newcomer("n", [("o", 1.5), ("ghost", 1.0)])  # "ghost" has no list
         assert listed(cache, "o") == [("a", 1.0), ("n", 1.5), ("b", 2.0)]
-        assert cache.referenced_by == {"a": {"o"}, "b": {"o"}, "n": {"o"}}  # "c" evicted, set gone
+        assert index_of(cache) == {"a": {"o"}, "b": {"o"}, "n": {"o"}}  # "c" evicted, entry gone
         assert cache.stats.cache_updates == 1
         assert cache.dirty == {"o"}
 
@@ -150,7 +155,7 @@ class TestPropagateNewcomer:
         cache.propagate_newcomer("n", [("o", 1.0), ("p", 3.0)])
         assert listed(cache, "o") == [("n", 1.0), ("a", 2.0)]  # not listed twice
         assert listed(cache, "p") == [("a", 1.0), ("n", 3.0)]
-        assert cache.referenced_by["n"] == {"o", "p"}
+        assert cache.referencing("n") == {"o", "p"}
         assert cache.stats.cache_updates == 1 and cache.dirty == {"p"}
 
 
@@ -167,7 +172,7 @@ class TestDropPeer:
         assert "x" not in cache.lists and cache.lists["q"] is untouched
         assert listed(cache, "o") == [("a", 1.0)] and listed(cache, "p") == []
         # x's own edges and the edges to x are both gone.
-        assert cache.referenced_by == {"a": {"o", "q"}}
+        assert index_of(cache) == {"a": {"o", "q"}}
         assert cache.is_complete("o")  # a complete list minus a leaver is still complete
         assert cache.stats.departure_updates == 2
         assert cache.dirty == {"o", "p"}
@@ -194,11 +199,31 @@ class TestStateRoundTrip:
         # Entries compare sort_text too: a restore that interned differently shows here.
         assert target.lists == source.lists
         assert list(target.lists) == list(source.lists)
-        assert target.referenced_by == source.referenced_by
+        assert index_of(target) == index_of(source)
         assert target.membership_generation == source.membership_generation
         for owner in source.lists:
             assert target.completeness_stamp(owner) == source.completeness_stamp(owner)
             assert target.is_complete(owner) == source.is_complete(owner)
+
+    def test_referrer_order_is_not_part_of_the_round_trip(self):
+        """A restore rebuilds each target's referrers in owner order, which a
+        history of re-stores need not have left behind: the index means the
+        same, and the caches keep behaving the same."""
+        source = make_cache(k=2)
+        source.store("a", [("x", 1.0)])
+        source.store("b", [("x", 1.0)])
+        source.store("a", [("x", 2.0)])  # "a" re-listed: now the newer referrer of "x"
+        target = make_cache(k=2)
+        target.import_state(source.export_state())
+        assert source.referenced_by["x"] == ["b", "a"]
+        assert target.referenced_by["x"] == ["a", "b"]
+        assert index_of(target) == index_of(source)
+        assert target.referencing("x") == source.referencing("x") == {"a", "b"}
+        for cache in (source, target):
+            cache.drop_peer("x")
+            cache.propagate_newcomer("y", [("b", 1.0), ("a", 3.0)])
+        assert target.lists == source.lists
+        assert index_of(target) == index_of(source) == {"y": {"a", "b"}}
 
     def test_import_of_12800_lists_is_one_key_call_per_pair(self):
         """The work of a restore's cache import, counted instead of timed."""
@@ -329,7 +354,10 @@ def test_cache_matches_the_naive_model_after_every_step(case):
             cache.dirty.clear()
             model.dirty.clear()
         assert cache.lists == model.lists
-        assert cache.referenced_by == reverse_index_of(model.lists)
+        assert index_of(cache) == reverse_index_of(model.lists)
+        # Lists, not sets: nothing but the cache's own bookkeeping keeps a
+        # referrer from being held twice.
+        assert all(len(set(held)) == len(held) for held in cache.referenced_by.values())
         for owner in PEERS:
             assert cache.is_complete(owner) == (
                 owner in model.lists and model.complete.get(owner) == model.generation

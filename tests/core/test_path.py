@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.codec import decode_path, encode_path
 from repro.core.path import RouterPath, shared_suffix_length, tree_distance
 from repro.exceptions import RegistrationError
 from repro.routing.path_inference import CleanedPath
@@ -46,17 +47,33 @@ class TestConstruction:
         with pytest.raises(Exception):
             path.routers = ("x",)  # type: ignore[misc]
 
+    def test_a_path_built_from_a_list_is_its_tuple_twin(self):
+        """The constructor stores any router sequence as a tuple: a kept list
+        made the path unhashable and unequal to the same route as a tuple."""
+        listed = RouterPath("p", "lmk", ["a", "b", "lmk"])  # type: ignore[arg-type]
+        twin = RouterPath.from_routers("p", "lmk", ("a", "b", "lmk"))
+        assert type(listed.routers) is tuple and listed.routers == ("a", "b", "lmk")
+        assert listed == twin and hash(listed) == hash(twin)
+        assert decode_path(encode_path(listed)) == listed
+        assert listed.from_landmark() == ("lmk", "b", "a")
+
+    def test_a_path_is_slotted(self):
+        """No per-instance dict and no memo beside the fields."""
+        path = make_path("p1", ["r1", "r2", "lmk"])
+        assert not hasattr(path, "__dict__")
+        assert path.from_landmark() == ("lmk", "r2", "r1")
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(path, "_from_landmark_cache", ())
+
 
 class TestViews:
     def test_orderings(self):
         path = make_path("p1", ["r1", "r2", "r3"])
-        assert path.towards_landmark() == ("r1", "r2", "r3")
+        assert path.routers == ("r1", "r2", "r3")  # stored peer → landmark
         assert path.from_landmark() == ("r3", "r2", "r1")
 
     def test_contains_and_depth(self):
         path = make_path("p1", ["r1", "r2", "r3"])
-        assert path.contains_router("r2")
-        assert not path.contains_router("rX")
         assert path.depth_of("r3") == 0
         assert path.depth_of("r1") == 2
 

@@ -38,12 +38,18 @@ def populated_tree() -> PathTree:
         p5: core lmk
     """
     tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-    tree.insert(path("p1", ["a1", "a2", "core", "lmk"]))
-    tree.insert(path("p2", ["a3", "a2", "core", "lmk"]))
-    tree.insert(path("p3", ["b1", "core", "lmk"]))
-    tree.insert(path("p4", ["b1", "core", "lmk"]))
-    tree.insert(path("p5", ["core", "lmk"]))
+    for peer, routers in ROUTES.items():
+        tree.insert(path(peer, routers))
     return tree
+
+
+ROUTES = {
+    "p1": ["a1", "a2", "core", "lmk"],
+    "p2": ["a3", "a2", "core", "lmk"],
+    "p3": ["b1", "core", "lmk"],
+    "p4": ["b1", "core", "lmk"],
+    "p5": ["core", "lmk"],
+}
 
 
 class TestInsertion:
@@ -82,12 +88,10 @@ class TestInsertion:
         the wrong landmark-side router keeps its old registration whole."""
         rows = {node.index: list(node.row) for node in populated_tree.root.iter_subtree()}
         attachment = populated_tree.attachment_node("p1")
-        old_path = populated_tree.path_of("p1")
         with pytest.raises(RegistrationError):
             populated_tree.insert(path("p1", ["b1", "core", "not-lmk"]))
         assert populated_tree.has_peer("p1")
         assert populated_tree.peer_count == 5
-        assert populated_tree.path_of("p1") == old_path
         assert populated_tree.attachment_node("p1") is attachment
         assert {node.index: node.row for node in populated_tree.root.iter_subtree()} == rows
         assert populated_tree.closest_peers("p2", k=1)[0][0] == "p1"
@@ -102,14 +106,14 @@ class TestInsertion:
     def test_attachment_and_path_lookup(self, populated_tree):
         assert populated_tree.has_peer("p3")
         assert "p3" in populated_tree
-        assert populated_tree.attachment_node("p3").router == "b1"
-        assert populated_tree.path_of("p3").routers == ("b1", "core", "lmk")
+        node = populated_tree.attachment_node("p3")
+        assert (node.router, node.parent.router, node.parent.parent.router) == ("b1", "core", "lmk")
+        assert node.depth + 1 == 3  # the peer's hop count: the tree keeps no path
 
     def test_unknown_peer_lookups_raise(self, populated_tree):
         with pytest.raises(UnknownPeerError):
             populated_tree.attachment_node("ghost")
-        with pytest.raises(UnknownPeerError):
-            populated_tree.path_of("ghost")
+        assert not hasattr(populated_tree, "path_of")
 
 
 class TestRemoval:
@@ -153,7 +157,7 @@ class TestDistances:
                 if peer_a == peer_b:
                     continue
                 expected = tree_distance(
-                    populated_tree.path_of(peer_a), populated_tree.path_of(peer_b)
+                    path(peer_a, ROUTES[peer_a]), path(peer_b, ROUTES[peer_b])
                 )
                 assert populated_tree.tree_distance(peer_a, peer_b) == expected
 
@@ -260,6 +264,7 @@ def test_property_tree_distance_symmetric_and_bounded(paths):
     tree = PathTree(landmark_id="lmk", landmark_router="lmk")
     for router_path in paths:
         tree.insert(router_path)
+    hops = {router_path.peer_id: router_path.hop_count for router_path in paths}
     peers = tree.peers()
     for i, peer_a in enumerate(peers):
         for peer_b in peers[i + 1 :]:
@@ -269,7 +274,7 @@ def test_property_tree_distance_symmetric_and_bounded(paths):
             assert 2 <= forward
             # dtree can never exceed going all the way up to the landmark and
             # back down: hop_count(a) + hop_count(b).
-            assert forward <= tree.path_of(peer_a).hop_count + tree.path_of(peer_b).hop_count
+            assert forward <= hops[peer_a] + hops[peer_b]
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,8 +394,9 @@ class TestInsertInstrumentation:
         """A leave and re-join touches the re-joining path's 5 routers and
         creates at most those."""
         tree = synthetic_tree(400)
+        paths = {path.peer_id: path for path in synthetic_paths(400, seed=2)}
         for peer in random.Random(6).sample(tree.peers(), 30):
-            path_of_peer = tree.path_of(peer)
+            path_of_peer = paths[peer]
             tree.remove(peer)
             tree.insert(path_of_peer)
             assert tree.last_insert_nodes_touched == 5

@@ -344,6 +344,64 @@ class TestRestoreIsAtomic:
             shard.close()
 
 
+def with_field(snapshot, index, value):
+    return snapshot[:index] + (value,) + snapshot[index + 1 :]
+
+
+def ghost_in_a_list(snapshot):
+    generation, lists, complete = snapshot[5]
+    (owner, pairs), *rest = lists
+    return with_field(snapshot, 5, (generation, ((owner, (("ghost", 1.0),) + pairs[1:]), *rest), complete))
+
+
+def unregistered_owner(snapshot):
+    generation, lists, complete = snapshot[5]
+    return with_field(snapshot, 5, (generation, lists + (("ghost", (("p0", 2.0),)),), complete))
+
+
+def repeated_compact_index(snapshot):
+    (first, (peer, text, _), *rest), next_index = snapshot[6]
+    return with_field(snapshot, 6, ((first, (peer, text, first[2]), *rest), next_index))
+
+
+def next_index_not_above_the_table(snapshot):
+    assignments, _ = snapshot[6]
+    return with_field(snapshot, 6, (assignments, max(index for _, _, index in assignments)))
+
+
+class TestRestoreRefusesWhatItDocuments:
+    """Snapshots that read but describe no server a history could build.
+
+    Each used to restore: a list naming a peer nobody registered served it
+    (``closest_peers(owner)`` answered ``('ghost', 1.0)``), a list with an
+    unregistered owner stayed cached, and an interner table that repeats a
+    compact index, or whose ``next_index`` is not above every assigned one,
+    would hand a later arrival an index already in use.
+    """
+
+    @pytest.mark.parametrize(
+        "corrupt, label",
+        [
+            (ghost_in_a_list, "neighbour cache"),
+            (unregistered_owner, "neighbour cache"),
+            (repeated_compact_index, "interner state"),
+            (next_index_not_above_the_table, "interner state"),
+        ],
+    )
+    def test_is_refused_and_changes_nothing(self, corrupt, label):
+        snapshot = corrupt(five_peer_snapshot())
+        assert snapshot != five_peer_snapshot()
+        server = ManagementServer(neighbor_set_size=3)
+        server.register_landmark("lmZ", "lmZ")
+        server.register_peer(simple_path("stale", "lmZ"))
+        before = server.snapshot_state()
+        with pytest.raises(StateSnapshotError, match=f"malformed {label} in") as error:
+            server.restore_state(snapshot)
+        assert isinstance(error.value.__cause__, ValueError)
+        assert server.snapshot_state() == before
+        assert server.closest_peers("stale") == []
+
+
 class TestNeighborCacheState:
     def test_export_import_round_trip(self):
         stats_a, stats_b = ServerStats(), ServerStats()

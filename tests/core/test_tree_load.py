@@ -151,7 +151,6 @@ def assert_same_tree(tree: PathTree, twin: PathTree) -> None:
     assert [(peer, node.index) for peer, node in tree._attachment.items()] == [
         (peer, node.index) for peer, node in twin._attachment.items()
     ]
-    assert list(tree._paths.items()) == list(twin._paths.items())
     assert (tree.total_insert_nodes_created, tree.total_insert_nodes_touched) == (
         twin.total_insert_nodes_created, twin.total_insert_nodes_touched
     )
