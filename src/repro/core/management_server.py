@@ -434,8 +434,8 @@ class ManagementServer(ManagementPlaneBase):
             raise UnknownPeerError(peer_id)
         self.stats.tree_queries += 1
         same_landmark = self._trees[path.landmark_id].closest_peers(peer_id, k)
-        shared = SHARED_DISTANCES.get
-        return [(peer, shared(distance) or float(distance)) for peer, distance in same_landmark]
+        shared = SHARED_DISTANCES
+        return [(peer, shared[distance]) for peer, distance in same_landmark]
 
     def fill_candidates(
         self,

@@ -69,9 +69,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .management_plane import ServerStats
 
 
-#: One float per small integral distance (module doc).  Int keys, as tree
-#: distances are ints; ``get`` also takes an integral float below 256.
-SHARED_DISTANCES: Dict[int, float] = {hops: float(hops) for hops in range(256)}
+class _SharedDistances(dict):
+    """``table[d]``: the one float of an integral ``d`` in 0–255 (module
+    doc), else a fresh ``float(d)``.  Index queries and
+    :meth:`NeighborCache.import_state` read every distance through it."""
+
+    def __missing__(self, distance: float) -> float:
+        return float(distance)
+
+
+SHARED_DISTANCES: Dict[int, float] = _SharedDistances((hops, float(hops)) for hops in range(256))
 
 
 class NeighborEntry(NamedTuple):
@@ -266,9 +273,7 @@ class NeighborCache:
         )
         return (self.membership_generation, lists, tuple(self._complete.items()))
 
-    def import_state(
-        self, state: Tuple[object, ...], registered: Optional[Container[PeerId]] = None
-    ) -> None:
+    def import_state(self, state: Tuple[object, ...], registered: Container[PeerId]) -> None:
         """Rebuild the cache (lists, reverse index, completeness) from
         :meth:`export_state` output, replacing current contents.
 
@@ -276,25 +281,25 @@ class NeighborCache:
         tuples :meth:`store` makes (distances through :data:`SHARED_DISTANCES`)
         and the reverse index beside it; generation and completeness marks
         are restored verbatim.  Nothing is replaced unless the whole payload
-        reads (``ValueError`` / ``TypeError`` otherwise): no list names its
-        owner or a peer twice and, given ``registered``, none names a peer or
-        has an owner outside it.
+        reads (``ValueError`` / ``TypeError`` otherwise): every owner and
+        every listed peer is in ``registered``, and no list names its owner
+        or a peer twice (the reverse index would keep a stale edge).
         """
         generation, lists, complete = state
         known, key = self.interner.table().get, self.interner.key
-        shared = SHARED_DISTANCES.get
+        shared = SHARED_DISTANCES
         cached: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
         referenced_by: Dict[PeerId, List[PeerId]] = {}
         for owner, pairs in lists:  # type: ignore[union-attr]
             if owner in cached:
                 raise ValueError(f"owner {owner!r} is listed twice")
-            if registered is not None and owner not in registered:
+            if owner not in registered:
                 raise ValueError(f"the list of {owner!r} has no registered owner")
             entries = cached[owner] = []
             for peer, distance in pairs:
-                if peer == owner or (registered is not None and peer not in registered):
+                if peer == owner or peer not in registered:
                     raise ValueError(f"the list of {owner!r} names {peer!r}")
-                entries.append((shared(distance, distance), (known(peer) or key(peer))[0], peer))
+                entries.append((shared[distance], (known(peer) or key(peer))[0], peer))
                 referrers = referenced_by.get(peer)
                 if referrers is None:
                     referenced_by[peer] = [owner]

@@ -32,6 +32,13 @@ def index_of(cache: NeighborCache) -> dict:
     return {target: set(referrers) for target, referrers in cache.referenced_by.items()}
 
 
+def registered_in(state) -> set:
+    """Every owner and listed peer of an exported cache: the peers a plane
+    restoring it would have registered."""
+    _, lists, _ = state
+    return {owner for owner, _ in lists} | {peer for _, pairs in lists for peer, _ in pairs}
+
+
 def reverse_index_of(lists) -> dict:
     index: dict = {}
     for owner, entries in lists.items():
@@ -195,7 +202,8 @@ class TestStateRoundTrip:
         source.store("c", [("a", 4.0)], complete=True)
         target = make_cache(k=3)
         target.store("stale", [("o", 1.0)])
-        target.import_state(source.export_state())
+        state = source.export_state()
+        target.import_state(state, registered_in(state))
         # Entries compare sort_text too: a restore that interned differently shows here.
         assert target.lists == source.lists
         assert list(target.lists) == list(source.lists)
@@ -214,7 +222,8 @@ class TestStateRoundTrip:
         source.store("b", [("x", 1.0)])
         source.store("a", [("x", 2.0)])  # "a" re-listed: now the newer referrer of "x"
         target = make_cache(k=2)
-        target.import_state(source.export_state())
+        state = source.export_state()
+        target.import_state(state, registered_in(state))
         assert source.referenced_by["x"] == ["b", "a"]
         assert target.referenced_by["x"] == ["a", "b"]
         assert index_of(target) == index_of(source)
@@ -243,7 +252,7 @@ class TestStateRoundTrip:
         interner = CountingInterner()
         interner.calls = 0
         cache = NeighborCache(k, ServerStats(), interner)
-        cache.import_state((7, lists, ((0, 7),)))
+        cache.import_state((7, lists, ((0, 7),)), range(peers))
         assert interner.calls == peers * k
         assert len(cache.lists) == peers
         assert all(len(referrers) == k for referrers in cache.referenced_by.values())

@@ -13,7 +13,10 @@ duplicate per-peer registry fails here first.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
+
+import pytest
 
 from repro import ManagementServer
 from repro.core.neighbor_cache import SHARED_DISTANCES
@@ -25,6 +28,12 @@ PEERS = 3_200
 #: slotted paths and one registry per layer took 1,793 and 1,609.
 REGISTERED_BOUND = 1_280
 RESTORED_BOUND = 1_260
+#: Object and dict layouts differ between interpreters, so the byte bounds
+#: hold where they were measured; the shared-float case runs everywhere.
+measured_interpreter = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bytes per peer are pinned for CPython 3.11",
+)
 
 
 def traced_bytes_per_peer(build):
@@ -52,6 +61,7 @@ def cached_distances(server: ManagementServer):
     return [entry[0] for entries in server._cache.lists.values() for entry in entries]
 
 
+@measured_interpreter
 def test_a_registered_peer_costs_the_pinned_bytes():
     paths = synthetic_paths(PEERS)  # the caller's objects: built outside the trace
     server, per_peer = traced_bytes_per_peer(lambda: registered_server(paths))
@@ -59,6 +69,7 @@ def test_a_registered_peer_costs_the_pinned_bytes():
     assert per_peer <= REGISTERED_BOUND, f"{per_peer:.0f} bytes per registered peer"
 
 
+@measured_interpreter
 def test_a_restored_peer_costs_the_pinned_bytes():
     snapshot = registered_server(synthetic_paths(PEERS)).snapshot_state()
 

@@ -359,6 +359,18 @@ def unregistered_owner(snapshot):
     return with_field(snapshot, 5, (generation, lists + (("ghost", (("p0", 2.0),)),), complete))
 
 
+def self_listed(snapshot):
+    generation, lists, complete = snapshot[5]
+    (owner, pairs), *rest = lists
+    return with_field(snapshot, 5, (generation, ((owner, ((owner, 1.0),) + pairs[1:]), *rest), complete))
+
+
+def peer_listed_twice(snapshot):
+    generation, lists, complete = snapshot[5]
+    (owner, pairs), *rest = lists
+    return with_field(snapshot, 5, (generation, ((owner, pairs[:1] + pairs), *rest), complete))
+
+
 def repeated_compact_index(snapshot):
     (first, (peer, text, _), *rest), next_index = snapshot[6]
     return with_field(snapshot, 6, ((first, (peer, text, first[2]), *rest), next_index))
@@ -374,7 +386,9 @@ class TestRestoreRefusesWhatItDocuments:
 
     Each used to restore: a list naming a peer nobody registered served it
     (``closest_peers(owner)`` answered ``('ghost', 1.0)``), a list with an
-    unregistered owner stayed cached, and an interner table that repeats a
+    unregistered owner stayed cached, a list naming its owner or a peer
+    twice broke the cache's invariants (a departure then leaves a stale
+    reverse-index edge behind), and an interner table that repeats a
     compact index, or whose ``next_index`` is not above every assigned one,
     would hand a later arrival an index already in use.
     """
@@ -384,6 +398,8 @@ class TestRestoreRefusesWhatItDocuments:
         [
             (ghost_in_a_list, "neighbour cache"),
             (unregistered_owner, "neighbour cache"),
+            (self_listed, "neighbour cache"),
+            (peer_listed_twice, "neighbour cache"),
             (repeated_compact_index, "interner state"),
             (next_index_not_above_the_table, "interner state"),
         ],
@@ -413,7 +429,7 @@ class TestNeighborCacheState:
 
         target = NeighborCache(3, stats_b, PeerKeyInterner())
         target.store("doomed", (("p9", 1.0),))
-        target.import_state(source.export_state())
+        target.import_state(source.export_state(), registered={"p0", "p1", "p2"})
 
         assert target.get("doomed") is None
         for owner in ("p0", "p1", "p2"):
