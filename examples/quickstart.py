@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro import ScenarioConfig, build_scenario
 from repro.topology import RouterMapConfig
-from repro.topology.metrics import summarize
 
 
 def main() -> None:
@@ -39,7 +38,8 @@ def main() -> None:
     scenario = build_scenario(config)
 
     print("== Router-level map ==")
-    print(summarize(scenario.router_map.graph, seed=7))
+    graph = scenario.router_map.graph
+    print(f"routers: {graph.node_count}, links: {graph.edge_count}")
     print(f"degree-1 routers (peer attachment points): {len(scenario.router_map.stub_routers())}")
     print(f"landmarks: {scenario.landmark_set.ids()}")
     print()

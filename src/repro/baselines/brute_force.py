@@ -55,16 +55,6 @@ class BruteForceOracle:
         self.host_hops = host_hops
         self._oracle = AllPairsHopDistances(graph, engine=engine)
 
-    def add_peer(self, peer_id: PeerId, router: NodeId) -> None:
-        """Register a (new) peer's attachment router."""
-        if not self.graph.has_node(router):
-            raise ConfigurationError(f"router {router!r} is not part of the topology")
-        self.attachment[peer_id] = router
-
-    def remove_peer(self, peer_id: PeerId) -> None:
-        """Forget a departed peer."""
-        self.attachment.pop(peer_id, None)
-
     def peer_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
         """True hop distance between two peers (host links included)."""
         if peer_a == peer_b:
@@ -74,7 +64,7 @@ class BruteForceOracle:
         router_distance = 0 if router_a == router_b else self._oracle.distance(router_a, router_b)
         return float(router_distance + 2 * self.host_hops)
 
-    # Alias so the oracle satisfies the DistanceEstimator protocol.
+    # Alias so the oracle can be scored like a plane by evaluate_estimator.
     estimate_distance = peer_distance
 
     def select_neighbors(

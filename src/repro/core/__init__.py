@@ -30,7 +30,6 @@ from .chaos import ChaosShardBackend, Fault, FaultPlan
 from .serving import DiscoverySnapshot, FlatTrie, SnapshotPublisher, SnapshotReader
 from .distance import (
     AccuracyReport,
-    DistanceEstimator,
     PairAccuracy,
     evaluate_estimator,
     sample_peer_pairs,
@@ -78,7 +77,6 @@ __all__ = [
     "SnapshotPublisher",
     "SnapshotReader",
     "AccuracyReport",
-    "DistanceEstimator",
     "PairAccuracy",
     "evaluate_estimator",
     "sample_peer_pairs",

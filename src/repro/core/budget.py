@@ -34,15 +34,14 @@ class DeadlineBudget:
         Monotonic clock returning seconds; injectable for tests.
     """
 
-    __slots__ = ("seconds", "_clock", "_started", "_deadline")
+    __slots__ = ("seconds", "_clock", "_deadline")
 
     def __init__(self, seconds: float, clock: Callable[[], float] = time.monotonic) -> None:
         if seconds < 0:
             raise ValueError(f"budget seconds must be >= 0, got {seconds}")
         self.seconds = float(seconds)
         self._clock = clock
-        self._started = clock()
-        self._deadline = self._started + self.seconds
+        self._deadline = clock() + self.seconds
 
     def remaining(self) -> float:
         """Seconds left in the budget (never negative).
@@ -52,15 +51,6 @@ class DeadlineBudget:
         exhausted budget fails typed instead of blocking at all.
         """
         return max(0.0, self._deadline - self._clock())
-
-    def elapsed(self) -> float:
-        """Seconds consumed since the budget started."""
-        return self._clock() - self._started
-
-    @property
-    def expired(self) -> bool:
-        """True once the deadline has passed."""
-        return self._clock() >= self._deadline
 
     def __repr__(self) -> str:
         return (

@@ -3,8 +3,8 @@
 The paper's correctness argument is statistical: because most shortest paths
 traverse the high-centrality core, the route inferred through the landmark
 tree (``dtree``) is usually equal — or very close — to the true shortest-path
-distance ``d``.  This module provides the estimator interface the rest of the
-library consumes and the accuracy report behind the C3 study
+distance ``d``.  This module scores an estimator against the true distances
+and provides the accuracy report behind the C3 study
 (:func:`repro.experiments.ablations.tree_accuracy_study`).
 """
 
@@ -12,26 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .._validation import coerce_seed, require_positive_int
 from ..exceptions import MetricError
 from ..routing.shortest_path import AllPairsHopDistances
 from ..topology.graph import Graph
 from .path import PeerId
-
-
-class DistanceEstimator(Protocol):
-    """Anything that can estimate the network distance between two peers.
-
-    Implemented by the management server and its snapshot readers (the tree
-    distance); :func:`evaluate_estimator` scores one against the true
-    distances :func:`true_hop_distances` computes, the oracle's metric.
-    """
-
-    def estimate_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
-        """Return the estimated distance between two peers."""
-        ...
 
 
 @dataclass
@@ -89,10 +76,14 @@ class AccuracyReport:
 
 
 def evaluate_estimator(
-    estimator: DistanceEstimator,
+    estimator: Any,
     true_distances: Dict[Tuple[PeerId, PeerId], float],
 ) -> AccuracyReport:
-    """Compare an estimator against a dict of true pairwise distances."""
+    """Compare an estimator against a dict of true pairwise distances.
+
+    ``estimator`` is anything with ``estimate_distance(peer_a, peer_b)``: a
+    management plane (the tree distance) or the brute-force oracle.
+    """
     records = [
         PairAccuracy(
             peer_a=peer_a,

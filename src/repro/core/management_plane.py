@@ -477,8 +477,8 @@ class ManagementPlaneBase:
     def estimate_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
         """Estimated hop distance between two registered peers.
 
-        Implements the :class:`~repro.core.distance.DistanceEstimator`
-        protocol: same-landmark pairs use the tree distance, cross-landmark
+        What :func:`~repro.core.distance.evaluate_estimator` scores:
+        same-landmark pairs use the tree distance, cross-landmark
         pairs use the landmark-detour estimate (requires landmark distances),
         and unknown cross-landmark distances raise :class:`LandmarkError`.
         """

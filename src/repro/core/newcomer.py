@@ -64,13 +64,6 @@ class JoinTranscript:
     neighbors_received_at: Optional[float] = None
 
     @property
-    def probe_duration(self) -> Optional[float]:
-        """Time spent probing the landmark path."""
-        if self.probe_started_at is None or self.probe_finished_at is None:
-            return None
-        return self.probe_finished_at - self.probe_started_at
-
-    @property
     def setup_delay(self) -> Optional[float]:
         """Total time from join start to neighbour list received."""
         if self.probe_started_at is None or self.neighbors_received_at is None:

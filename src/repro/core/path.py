@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional, Sequence, Tuple
 
 from ..exceptions import RegistrationError
-from ..routing.path_inference import CleanedPath
 
 NodeId = Hashable
 PeerId = Hashable
@@ -66,17 +65,6 @@ class RouterPath:
     ) -> "RouterPath":
         """Build a path from any router sequence (copied into a tuple)."""
         return cls(peer_id, landmark_id, routers, rtt_ms)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_cleaned(
-        cls,
-        peer_id: PeerId,
-        landmark_id: LandmarkId,
-        cleaned: CleanedPath,
-        rtt_ms: Optional[float] = None,
-    ) -> "RouterPath":
-        """Build a path from a :class:`~repro.routing.path_inference.CleanedPath`."""
-        return cls.from_routers(peer_id, landmark_id, cleaned.routers, rtt_ms=rtt_ms)
 
     # ------------------------------------------------------------------ views
 

@@ -24,7 +24,8 @@ Why this is safe without locks
 
 Byte-identical answers
 ----------------------
-The snapshot replays the live read path, not an approximation of it:
+A snapshot serves one read, the one the system serves: ``closest_peers``.
+It replays the live read path, not an approximation of it:
 :meth:`DiscoverySnapshot.closest_peers` implements the exact cache-serve
 condition of :meth:`~repro.core.management_plane.ManagementPlaneBase.
 closest_peers`, falls back to the very routine the live trie answers with
@@ -73,9 +74,9 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..exceptions import LandmarkError, UnknownPeerError
+from ..exceptions import UnknownPeerError
 from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, closest_in_rows
@@ -137,18 +138,6 @@ class FlatTrie:
         self.depth = tuple(depth)
         self.rows = tuple(rows)
 
-    def lca_depth(self, node_a: int, node_b: int) -> int:
-        """Depth of the lowest common ancestor of two nodes."""
-        parent, depth = self.parent, self.depth
-        while depth[node_a] > depth[node_b]:
-            node_a = parent[node_a]
-        while depth[node_b] > depth[node_a]:
-            node_b = parent[node_b]
-        while node_a != node_b:
-            node_a = parent[node_a]
-            node_b = parent[node_b]
-        return depth[node_a]
-
     def structure(self) -> Dict[Tuple[NodeId, ...], Tuple[object, ...]]:
         """The trie without its numbering: each node's row by its router path.
 
@@ -195,11 +184,8 @@ class DiscoverySnapshot:
     the module docstring), so the whole object is cheaply forkable/picklable
     for process readers and safely shared between threads.
 
-    The query surface mirrors the live plane byte for byte:
-    :meth:`closest_peers`, :meth:`neighbor_list`, :meth:`estimate_distance`
-    and the read accessors (``peers``, ``peer_count``, ``has_peer``,
-    ``peer_path``, ``peer_landmark``, ``landmarks``, ``landmark_router``,
-    ``landmark_distance``).
+    It serves the one read the system serves, :meth:`closest_peers`, byte
+    for byte like the live plane; :meth:`peers` lists who is registered.
     """
 
     __slots__ = (
@@ -218,7 +204,6 @@ class DiscoverySnapshot:
         "_cache_stamps",
         "_tries",
         "_landmark_order",
-        "_landmark_routers",
         "_landmark_distances",
         "_fill_order",
     )
@@ -337,9 +322,6 @@ class DiscoverySnapshot:
         snap._cache_stamps = tuple(cache_stamps)
         snap._tries = tries
         snap._landmark_order = landmark_order
-        snap._landmark_routers = {
-            landmark: plane.landmark_router(landmark) for landmark in landmark_order
-        }
         snap._landmark_distances = dict(plane._landmark_distances)
         snap._fill_order = cls._fill_stream_order(plane, landmark_order)
         return snap
@@ -409,64 +391,14 @@ class DiscoverySnapshot:
             return NotImplemented
         return self._content() == other._content()
 
-    def __hash__(self) -> int:  # pragma: no cover - identity hashing is fine
-        return id(self)
+    # Content equality with no content hash: nothing hashes a snapshot.
+    __hash__ = None  # type: ignore[assignment]
 
-    # ------------------------------------------------------------- accessors
-
-    @property
-    def peer_count(self) -> int:
-        """Number of peers registered at this epoch."""
-        return len(self._slot_of)
+    # --------------------------------------------------------------- queries
 
     def peers(self) -> List[PeerId]:
         """Peer identifiers in registration order (like the live plane)."""
         return list(self._registration_order)
-
-    def has_peer(self, peer_id: PeerId) -> bool:
-        """True if the peer was registered at this epoch."""
-        return peer_id in self._slot_of
-
-    def peer_path(self, peer_id: PeerId) -> RouterPath:
-        """The path the peer registered with."""
-        if peer_id not in self._paths:
-            raise UnknownPeerError(peer_id)
-        return self._paths[peer_id]
-
-    def peer_landmark(self, peer_id: PeerId) -> LandmarkId:
-        """The landmark the peer registered under."""
-        return self.peer_path(peer_id).landmark_id
-
-    def compact_index(self, peer_id: PeerId) -> int:
-        """The peer's interned compact index."""
-        if peer_id not in self._slot_of:
-            raise UnknownPeerError(peer_id)
-        return self.interner_table[peer_id][1]
-
-    def landmarks(self) -> List[LandmarkId]:
-        """Landmark identifiers in registration order."""
-        return list(self._landmark_order)
-
-    def landmark_router(self, landmark_id: LandmarkId) -> NodeId:
-        """Router a landmark is attached to."""
-        if landmark_id not in self._landmark_routers:
-            raise LandmarkError(f"unknown landmark {landmark_id!r}")
-        return self._landmark_routers[landmark_id]
-
-    def landmark_distance(self, a: LandmarkId, b: LandmarkId) -> Optional[float]:
-        """Distance between two landmarks, or None if unknown."""
-        if a == b:
-            return 0.0
-        return self._landmark_distances.get((a, b))
-
-    # --------------------------------------------------------------- queries
-
-    def neighbor_list(self, peer_id: PeerId) -> List[Tuple[PeerId, float]]:
-        """The peer's cached neighbour list at this epoch (see the live twin)."""
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
-            raise UnknownPeerError(peer_id)
-        return list(self._cache_lists[slot])
 
     def closest_peers(
         self, peer_id: PeerId, k: Optional[int] = None
@@ -494,28 +426,6 @@ class DiscoverySnapshot:
             ):
                 return list(entries[:k])
         return self._compute_neighbors(peer_id, slot, k)
-
-    def estimate_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
-        """Estimated hop distance between two peers (live-estimator semantics)."""
-        if peer_a == peer_b:
-            return 0.0
-        path_a = self.peer_path(peer_a)
-        path_b = self.peer_path(peer_b)
-        landmark_a, landmark_b = path_a.landmark_id, path_b.landmark_id
-        if landmark_a == landmark_b:
-            trie = self._tries[landmark_a]
-            node_a = self._attach_node[self._slot_of[peer_a]]
-            node_b = self._attach_node[self._slot_of[peer_b]]
-            lca_depth = trie.lca_depth(node_a, node_b)
-            return float(
-                (trie.depth[node_a] - lca_depth + 1) + (trie.depth[node_b] - lca_depth + 1)
-            )
-        between = self._landmark_distances.get((landmark_a, landmark_b))
-        if between is None:
-            raise LandmarkError(
-                f"no inter-landmark distance between {landmark_a!r} and {landmark_b!r}"
-            )
-        return float(path_a.hop_count + between + path_b.hop_count)
 
     # -------------------------------------------------------------- internals
 
@@ -563,13 +473,13 @@ class DiscoverySnapshot:
 
     def __repr__(self) -> str:
         return (
-            f"DiscoverySnapshot(generation={self.generation}, peers={self.peer_count}, "
+            f"DiscoverySnapshot(generation={self.generation}, peers={len(self._slot_of)}, "
             f"landmarks={len(self._landmark_order)}, k={self.neighbor_set_size})"
         )
 
 
 class SnapshotPublisher:
-    """The write plane's side of the serving plane: batch, build, publish.
+    """The write plane's side of the serving plane: write, build, publish.
 
     Wraps a live management plane and attaches a change record to it
     (:meth:`~repro.core.management_plane.ManagementPlaneBase.track_changes`),
@@ -577,11 +487,9 @@ class SnapshotPublisher:
     :class:`DiscoverySnapshot` as a patch of the current one — cost
     proportional to what the mutations since the last publish touched, not
     to the population — and installs it with one atomic reference store.
-    The record is filled by the plane itself, so writes made directly on
-    :attr:`plane` are published like writes through the delegating methods
-    below; those only add the ``publish_every`` counting: with
-    ``publish_every=N`` the publisher auto-publishes after every ``N``
-    mutations, which bounds snapshot staleness.
+    The record is filled by the plane itself, so a write made directly on
+    :attr:`plane` is published exactly like one made through
+    :meth:`register_peer` / :meth:`unregister_peer`.
 
     Thread model: one writer drives the publisher; any number of
     :class:`SnapshotReader` instances read :attr:`snapshot` concurrently,
@@ -589,10 +497,8 @@ class SnapshotPublisher:
     go through snapshots, never through the plane.
     """
 
-    def __init__(self, plane: ManagementPlaneBase, publish_every: Optional[int] = None):
+    def __init__(self, plane: ManagementPlaneBase):
         self._plane = plane
-        self.publish_every = publish_every
-        self.pending_mutations = 0
         #: Wall-clock seconds the most recent publish spent building.
         self.last_publish_seconds = 0.0
         self._changes = plane.track_changes()
@@ -607,11 +513,6 @@ class SnapshotPublisher:
     def snapshot(self) -> DiscoverySnapshot:
         """The currently published snapshot (atomic read, safe from any thread)."""
         return self._snapshot
-
-    @property
-    def generation(self) -> int:
-        """Generation of the currently published snapshot."""
-        return self._snapshot.generation
 
     def publish(self) -> DiscoverySnapshot:
         """Freeze the plane into generation ``current + 1`` and install it."""
@@ -628,46 +529,19 @@ class SnapshotPublisher:
             plane, self._snapshot.generation + 1, self._snapshot, changes
         )
         self.last_publish_seconds = time.perf_counter() - started
-        self.pending_mutations = 0
         self._snapshot = snapshot  # the atomic epoch flip
         return snapshot
 
-    def _mutated(self, count: int = 1) -> None:
-        self.pending_mutations += count
-        if self.publish_every is not None and self.pending_mutations >= self.publish_every:
-            self.publish()
-
     # ------------------------------------------------------ write delegation
 
-    def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None:
-        self._plane.register_landmark(landmark_id, router)
-        self._mutated()
-
-    def set_landmark_distance(self, a: LandmarkId, b: LandmarkId, distance: float) -> None:
-        self._plane.set_landmark_distance(a, b, distance)
-        self._mutated()
-
     def register_peer(self, path: RouterPath) -> List[Tuple[PeerId, float]]:
-        result = self._plane.register_peer(path)
-        self._mutated()
-        return result
-
-    def register_peers(
-        self, paths: Sequence[RouterPath]
-    ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
-        result = self._plane.register_peers(paths)
-        self._mutated(len(paths))
-        return result
+        return self._plane.register_peer(path)
 
     def unregister_peer(self, peer_id: PeerId) -> None:
         self._plane.unregister_peer(peer_id)
-        self._mutated()
 
     def __repr__(self) -> str:
-        return (
-            f"SnapshotPublisher(generation={self.generation}, "
-            f"pending={self.pending_mutations}, every={self.publish_every})"
-        )
+        return f"SnapshotPublisher(generation={self._snapshot.generation})"
 
 
 class SnapshotReader:
@@ -691,8 +565,6 @@ class SnapshotReader:
         else:
             self._publisher = source
             self._fixed = None
-        #: Queries answered by this reader (reader-local, unsynchronised).
-        self.queries_served = 0
 
     def pin(self) -> DiscoverySnapshot:
         """The current snapshot, pinned (one atomic read)."""
@@ -700,27 +572,11 @@ class SnapshotReader:
             return self._publisher.snapshot
         return self._fixed  # type: ignore[return-value]
 
-    @property
-    def generation(self) -> int:
-        """Generation this reader would serve right now."""
-        return self.pin().generation
-
     def closest_peers(
         self, peer_id: PeerId, k: Optional[int] = None
     ) -> List[Tuple[PeerId, float]]:
         """One-generation-consistent ``closest_peers`` (see DiscoverySnapshot)."""
-        self.queries_served += 1
         return self.pin().closest_peers(peer_id, k)
 
-    def neighbor_list(self, peer_id: PeerId) -> List[Tuple[PeerId, float]]:
-        """One-generation-consistent ``neighbor_list``."""
-        self.queries_served += 1
-        return self.pin().neighbor_list(peer_id)
-
-    def estimate_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
-        """One-generation-consistent ``estimate_distance``."""
-        self.queries_served += 1
-        return self.pin().estimate_distance(peer_a, peer_b)
-
     def __repr__(self) -> str:
-        return f"SnapshotReader(generation={self.generation}, served={self.queries_served})"
+        return f"SnapshotReader(generation={self.pin().generation})"

@@ -2,9 +2,7 @@
 
 A :class:`LandmarkSet` groups the deployed landmarks, knows which router each
 one is attached to, and can compute the inter-landmark distance matrix the
-management server needs for cross-landmark estimates.  It also offers the
-closest-landmark lookup that an *oracle* would give a peer — useful in tests
-to verify that the client-side RTT-based selection finds the same landmark.
+management server needs for cross-landmark estimates.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from ..exceptions import LandmarkError, NodeNotFoundError
+from ..exceptions import LandmarkError
 from ..routing.distance_engine import HopDistanceEngine
 from ..topology.graph import Graph
 
@@ -77,19 +75,6 @@ class LandmarkSet:
         self._by_id[landmark_id] = landmark
         return landmark
 
-    def remove(self, landmark_id: LandmarkId) -> None:
-        """Remove a landmark (e.g. for a placement sweep)."""
-        if landmark_id not in self._by_id:
-            raise LandmarkError(f"unknown landmark {landmark_id!r}")
-        landmark = self._by_id.pop(landmark_id)
-        self.landmarks.remove(landmark)
-
-    def get(self, landmark_id: LandmarkId) -> Landmark:
-        """Return the landmark with the given id."""
-        if landmark_id not in self._by_id:
-            raise LandmarkError(f"unknown landmark {landmark_id!r}")
-        return self._by_id[landmark_id]
-
     def ids(self) -> List[LandmarkId]:
         """All landmark identifiers."""
         return [landmark.landmark_id for landmark in self.landmarks]
@@ -103,9 +88,6 @@ class LandmarkSet:
 
     def __iter__(self) -> Iterator[Landmark]:
         return iter(self.landmarks)
-
-    def __contains__(self, landmark_id: LandmarkId) -> bool:
-        return landmark_id in self._by_id
 
     # -------------------------------------------------------------- distances
 
@@ -130,64 +112,3 @@ class LandmarkSet:
                     )
                 result[(landmark.landmark_id, other.landmark_id)] = float(distance)
         return result
-
-    def closest_landmark_by_hops(self, router: NodeId) -> Tuple[Landmark, int]:
-        """Oracle lookup: the landmark with the fewest hops from ``router``.
-
-        Hop distances on the undirected router graph are symmetric, so this
-        reads the cached per-*landmark* vectors — no per-router BFS.
-        """
-        if not self.landmarks:
-            raise LandmarkError("the landmark set is empty")
-        if not self.graph.has_node(router):
-            raise NodeNotFoundError(router)
-        best: Optional[Tuple[int, str, Landmark]] = None
-        for landmark in self.landmarks:
-            # A landmark whose router left the topology is simply not a
-            # candidate (it would be absent from a BFS rooted at ``router``);
-            # the guard keeps it from becoming an unknown BFS *source* now
-            # that the lookup reads the symmetric per-landmark vectors.
-            if not self.graph.has_node(landmark.router):
-                continue
-            distance = self.engine.hop_between(landmark.router, router)
-            if distance is None:
-                continue
-            key = (distance, repr(landmark.landmark_id), landmark)
-            if best is None or key[:2] < best[:2]:
-                best = key
-        if best is None:
-            raise LandmarkError(f"router {router!r} cannot reach any landmark")
-        return best[2], best[0]
-
-    def closest_landmark_by_latency(self, router: NodeId) -> Tuple[Landmark, float]:
-        """Oracle lookup: the landmark with the lowest latency from ``router``.
-
-        Latency sums are kept source-rooted at ``router`` (one engine
-        Dijkstra, cached) so the floats match the reference implementation
-        bit-for-bit.
-        """
-        if not self.landmarks:
-            raise LandmarkError("the landmark set is empty")
-        best: Optional[Tuple[float, str, Landmark]] = None
-        for landmark in self.landmarks:
-            distance = self.engine.latency_between(router, landmark.router)
-            if distance is None:
-                continue
-            key = (distance, repr(landmark.landmark_id), landmark)
-            if best is None or key[:2] < best[:2]:
-                best = key
-        if best is None:
-            raise LandmarkError(f"router {router!r} cannot reach any landmark")
-        return best[2], best[0]
-
-    def coverage_histogram(self, routers: Sequence[NodeId]) -> Dict[LandmarkId, int]:
-        """How many of ``routers`` have each landmark as their hop-closest one.
-
-        A very unbalanced histogram indicates a poor placement (one landmark
-        serves almost everyone), which degrades cross-landmark estimates.
-        """
-        histogram: Dict[LandmarkId, int] = {landmark.landmark_id: 0 for landmark in self.landmarks}
-        for router in routers:
-            landmark, _ = self.closest_landmark_by_hops(router)
-            histogram[landmark.landmark_id] += 1
-        return histogram

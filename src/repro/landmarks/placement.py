@@ -21,10 +21,10 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from .._validation import coerce_seed, require_positive_int
 from ..exceptions import LandmarkError
+from ..routing.distance_engine import HopDistanceEngine
 from ..topology.centrality import approximate_betweenness
 from ..topology.graph import Graph
 from ..topology.internet_mapper import RouterMap
-from ..topology.metrics import bfs_distances
 
 NodeId = Hashable
 
@@ -138,7 +138,8 @@ def place_spread(
     chosen.append(first)
     # Track, for every candidate, its distance to the closest chosen landmark.
     closest: Dict[NodeId, float] = {}
-    distances = bfs_distances(graph, first)
+    hop_distances = HopDistanceEngine(graph).hop_distances
+    distances = hop_distances(first)
     for node in pool:
         closest[node] = float(distances.get(node, float("inf")))
     while len(chosen) < min(count, len(pool)):
@@ -147,7 +148,7 @@ def place_spread(
             key=lambda node: (closest[node], graph.degree(node), repr(node)),
         )
         chosen.append(best)
-        distances = bfs_distances(graph, best)
+        distances = hop_distances(best)
         for node in pool:
             candidate_distance = float(distances.get(node, float("inf")))
             if candidate_distance < closest[node]:

@@ -1,20 +1,13 @@
-"""Routing substrate: shortest paths, forwarding tables, simulated traceroute.
+"""Routing substrate: hop distances, forwarding tables, simulated traceroute.
 
 The traceroute path a peer records towards its landmark is the only network
 measurement the paper's system relies on; everything in this package exists
-to produce those paths faithfully over the synthetic router maps.
+to produce those paths faithfully over the synthetic router maps.  One
+engine (:class:`HopDistanceEngine`) computes every distance and route tree;
+:class:`AllPairsHopDistances` is the brute-force oracle's dict view of it.
 """
 
-from .shortest_path import (
-    AllPairsHopDistances,
-    ShortestPathTree,
-    bfs_shortest_paths,
-    dijkstra_shortest_paths,
-    hop_distance,
-    latency_distance,
-    reconstruct_path,
-    shortest_path_tree,
-)
+from .shortest_path import AllPairsHopDistances
 from .distance_engine import ColumnTree, CsrTopology, HopDistanceEngine
 from .route_table import RouteTable
 from .traceroute import (
@@ -37,13 +30,6 @@ __all__ = [
     "ColumnTree",
     "CsrTopology",
     "HopDistanceEngine",
-    "ShortestPathTree",
-    "bfs_shortest_paths",
-    "dijkstra_shortest_paths",
-    "hop_distance",
-    "latency_distance",
-    "reconstruct_path",
-    "shortest_path_tree",
     "RouteTable",
     "TracerouteConfig",
     "TracerouteHop",

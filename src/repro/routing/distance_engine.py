@@ -30,10 +30,10 @@ dict inserts.  Two structural accelerations make multi-source batches cheap:
   warming every peer attachment router costs one BFS per *distinct access
   parent* rather than one per peer.
 
-Results are exactly equal to :func:`~repro.routing.shortest_path.
-bfs_shortest_paths` / :func:`~repro.routing.shortest_path.
-dijkstra_shortest_paths` for every source, including disconnected graphs —
-``tests/routing/test_distance_engine.py`` holds the property-test oracle.
+Results are exactly equal to the dict-based reference BFS / Dijkstra of
+``tests/routing/reference_paths.py`` for every source, including
+disconnected graphs — ``tests/routing/test_distance_engine.py`` holds the
+property-test oracle.
 Vectors saturate at 254 hops; rare deeper graphs fall back to exact wide
 (machine-int) vectors automatically.
 
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import NodeNotFoundError, NoRouteError
 from ..topology.graph import DEFAULT_WEIGHT_KEY, Graph
@@ -234,9 +234,6 @@ class EngineStats:
         self.vector_cache_hits = 0
         self.trees_built = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 class HopDistanceEngine:
     """Shared hop/latency distance oracle over one graph.
@@ -269,12 +266,6 @@ class HopDistanceEngine:
             self._latency_vectors.clear()
             self.stats.snapshot_builds += 1
         return snapshot
-
-    def invalidate(self) -> None:
-        """Drop the snapshot and every cached vector (memory release hook)."""
-        self._snapshot = None
-        self._hop_vectors.clear()
-        self._latency_vectors.clear()
 
     # ------------------------------------------------------------ hop BFS
 
@@ -411,20 +402,6 @@ class HopDistanceEngine:
         unreachable = UNREACHABLE if isinstance(vector, bytes) else -1
         return default if distance == unreachable else distance
 
-    def hop_distances_to(
-        self, source: NodeId, destinations: Sequence[NodeId], default=None
-    ) -> List:
-        """Distances from ``source`` to each destination (bulk lookup)."""
-        vector, _ = self._hop_vector(source)
-        index = self.snapshot().index
-        unreachable = UNREACHABLE if isinstance(vector, bytes) else -1
-        result = []
-        for destination in destinations:
-            i = index.get(destination)
-            distance = vector[i] if i is not None else unreachable
-            result.append(default if distance == unreachable else distance)
-        return result
-
     # ------------------------------------------------------------- Dijkstra
 
     def _dijkstra(
@@ -515,24 +492,6 @@ class HopDistanceEngine:
             self._latency_vector(source, weight_key)
             seen.add(source)
         return len(seen)
-
-    def latency_distances(
-        self, source: NodeId, weight_key: str = DEFAULT_WEIGHT_KEY
-    ) -> Dict[NodeId, float]:
-        """Latency distances as a dict equal to the Dijkstra oracle's."""
-        vector = self._latency_vector(source, weight_key)
-        nodes = self.snapshot().nodes
-        inf = float("inf")
-        return {nodes[i]: d for i, d in enumerate(vector) if d != inf}
-
-    def latency_distance(
-        self, source: NodeId, destination: NodeId, weight_key: str = DEFAULT_WEIGHT_KEY
-    ) -> float:
-        """Latency distance, raising :class:`NoRouteError` when unreachable."""
-        distance = self.latency_between(source, destination, weight_key=weight_key)
-        if distance is None:
-            raise NoRouteError(source, destination)
-        return distance
 
     def latency_between(
         self,

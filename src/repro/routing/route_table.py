@@ -70,10 +70,6 @@ class RouteTable:
         """Destinations for which forwarding state exists."""
         return list(self._trees)
 
-    def has_destination(self, destination: NodeId) -> bool:
-        """True if forwarding state towards ``destination`` exists."""
-        return destination in self._trees
-
     def tree(self, destination: NodeId) -> ColumnTree:
         """Return the shortest-path tree towards ``destination``."""
         if destination not in self._trees:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional
 
 from .._validation import (
     coerce_seed,
@@ -84,11 +84,6 @@ class TracerouteHop:
     rtt_ms: Optional[float]
     """Measured cumulative RTT at this hop, or ``None`` if unanswered."""
 
-    @property
-    def responded(self) -> bool:
-        """True if a router answered at this TTL."""
-        return self.router is not None
-
 
 @dataclass
 class TracerouteResult:
@@ -98,14 +93,6 @@ class TracerouteResult:
     destination: NodeId
     hops: List[TracerouteHop] = field(default_factory=list)
     reached: bool = False
-
-    def responding_routers(self) -> List[NodeId]:
-        """Routers that answered, in path order (gaps dropped)."""
-        return [hop.router for hop in self.hops if hop.router is not None]
-
-    def raw_routers(self) -> List[Optional[NodeId]]:
-        """Routers in path order with ``None`` marking anonymous hops."""
-        return [hop.router for hop in self.hops]
 
     def destination_rtt_ms(self) -> Optional[float]:
         """RTT measured at the destination hop, if it was reached."""
@@ -220,7 +207,3 @@ class TracerouteSimulator:
             return None
         jitter = self._rng.uniform(0.0, self.config.rtt_jitter_ms)
         return 2.0 * tree.latency[position] + jitter
-
-    def trace_many(self, source: NodeId, destinations: Sequence[NodeId]) -> List[TracerouteResult]:
-        """Trace from ``source`` towards each destination in order."""
-        return [self.trace(source, destination) for destination in destinations]

@@ -378,16 +378,7 @@ class SimulatedNetwork:
             self.engine.schedule(delay + extra_delay_ms, self._deliver, record, epoch)
         return record
 
-    def broadcast(self, sender: HostId, recipients: List[HostId], message: Any) -> List[DeliveryRecord]:
-        """Send the same message to several recipients."""
-        return [self.send(sender, recipient, message) for recipient in recipients]
-
     # ------------------------------------------------------------- accounting
-
-    @property
-    def held_messages(self) -> int:
-        """Reorder-held messages still waiting for a younger delivery."""
-        return sum(len(entries) for entries in self._held.values())
 
     def accounting_consistent(self) -> bool:
         """Every recorded message is delivered, dropped, or still held/queued.

@@ -1,4 +1,4 @@
-"""Router-level topology substrate: graphs, the router map, latency and analyses.
+"""Router-level topology substrate: graphs, the router map, latency and centrality.
 
 Public surface:
 
@@ -8,17 +8,15 @@ Public surface:
   :func:`~repro.topology.internet_mapper.generate_router_map`, whose core is
   a :func:`~repro.topology.internet_mapper.barabasi_albert` graph.
 * Latency models in :mod:`~repro.topology.latency`.
-* Centrality / structure analyses in :mod:`~repro.topology.centrality` and
-  :mod:`~repro.topology.metrics`.
+* Centrality analyses in :mod:`~repro.topology.centrality`.
 """
 
-from .graph import DEFAULT_WEIGHT_KEY, Graph, edge_key
+from .graph import DEFAULT_WEIGHT_KEY, Graph
 from .internet_mapper import (
     RouterMap,
     RouterMapConfig,
     barabasi_albert,
     generate_router_map,
-    paper_router_map,
     small_router_map,
 )
 from .latency import ConstantLatencyModel, LatencyModel, TieredLatencyModel
@@ -27,32 +25,14 @@ from .centrality import (
     betweenness_centrality,
     centrality_concentration,
 )
-from .metrics import (
-    PathLengthStats,
-    TopologySummary,
-    approximate_diameter,
-    average_clustering,
-    average_degree,
-    bfs_distances,
-    clustering_coefficient,
-    degree_ccdf,
-    degree_distribution,
-    degree_one_fraction,
-    estimate_powerlaw_exponent,
-    max_degree,
-    sampled_path_length_stats,
-    summarize,
-)
 
 __all__ = [
     "DEFAULT_WEIGHT_KEY",
     "Graph",
-    "edge_key",
     "barabasi_albert",
     "RouterMap",
     "RouterMapConfig",
     "generate_router_map",
-    "paper_router_map",
     "small_router_map",
     "ConstantLatencyModel",
     "LatencyModel",
@@ -60,18 +40,4 @@ __all__ = [
     "approximate_betweenness",
     "betweenness_centrality",
     "centrality_concentration",
-    "PathLengthStats",
-    "TopologySummary",
-    "approximate_diameter",
-    "average_clustering",
-    "average_degree",
-    "bfs_distances",
-    "clustering_coefficient",
-    "degree_ccdf",
-    "degree_distribution",
-    "degree_one_fraction",
-    "estimate_powerlaw_exponent",
-    "max_degree",
-    "sampled_path_length_stats",
-    "summarize",
 ]

@@ -3,9 +3,8 @@
 The class is intentionally small and self-contained: an adjacency-dict graph
 with per-node and per-edge attributes, designed for the access patterns the
 rest of the library needs (neighbour iteration, degree queries, BFS/Dijkstra
-from :mod:`repro.routing`).  A :func:`Graph.to_networkx` /
-:func:`Graph.from_networkx` bridge is provided for analyses that want to lean
-on :mod:`networkx` (e.g. exact betweenness on small graphs).
+from :mod:`repro.routing`).  :func:`Graph.from_networkx` builds one from a
+:mod:`networkx` graph, the tests' independent oracle.
 
 Node identifiers can be any hashable object; the topology generators use
 consecutive integers.
@@ -13,7 +12,7 @@ consecutive integers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from ..exceptions import EdgeNotFoundError, NodeNotFoundError, TopologyError
 
@@ -21,25 +20,6 @@ NodeId = Hashable
 Edge = Tuple[NodeId, NodeId]
 
 DEFAULT_WEIGHT_KEY = "latency"
-
-
-def edge_key(u: NodeId, v: NodeId) -> Edge:
-    """Return a canonical (order-independent) key for the undirected edge.
-
-    Node ids that are mutually orderable (the common case: all-int or all-str
-    maps) are compared directly; ids whose comparison raises ``TypeError``
-    (mixed types) *or* answers False both ways (partial orders such as NaN
-    or sets) fall back to comparing their ``repr`` so the key stays
-    canonical without paying for string formatting on every call.
-    """
-    try:
-        if u <= v:  # type: ignore[operator]
-            return (u, v)
-        if v <= u:  # type: ignore[operator]
-            return (v, u)
-    except TypeError:
-        pass
-    return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 class Graph:
@@ -276,14 +256,6 @@ class Graph:
             return False
         return len(self.connected_component(next(iter(self._adjacency)))) == self.node_count
 
-    def largest_component_subgraph(self) -> "Graph":
-        """Return a copy restricted to the largest connected component."""
-        if self.node_count == 0:
-            return Graph(name=self.name)
-        components = self.connected_components()
-        largest = max(components, key=len)
-        return self.subgraph(largest)
-
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
         """Return a new graph containing ``nodes`` and the edges between them."""
         keep = set(nodes)
@@ -304,17 +276,6 @@ class Graph:
 
     # ------------------------------------------------------------ conversions
 
-    def to_networkx(self):
-        """Return an equivalent :class:`networkx.Graph`."""
-        import networkx as nx
-
-        nx_graph = nx.Graph(name=self.name)
-        for node in self.nodes():
-            nx_graph.add_node(node, **dict(self._node_attrs[node]))
-        for u, v in self.edges():
-            nx_graph.add_edge(u, v, **dict(self._adjacency[u][v]))
-        return nx_graph
-
     @classmethod
     def from_networkx(cls, nx_graph, name: Optional[str] = None) -> "Graph":
         """Build a :class:`Graph` from a :class:`networkx.Graph`."""
@@ -327,41 +288,11 @@ class Graph:
             graph.add_edge(u, v, **dict(attrs))
         return graph
 
-    @classmethod
-    def from_edge_list(
-        cls,
-        edges: Iterable[Edge],
-        name: str = "graph",
-        weights: Optional[Mapping[Edge, float]] = None,
-    ) -> "Graph":
-        """Build a graph from an iterable of ``(u, v)`` pairs.
-
-        ``weights`` optionally maps canonical edge keys to a latency value.
-        """
-        graph = cls(name=name)
-        for u, v in edges:
-            attrs: Dict[str, Any] = {}
-            if weights is not None:
-                key = edge_key(u, v)
-                if key in weights:
-                    attrs[DEFAULT_WEIGHT_KEY] = float(weights[key])
-            graph.add_edge(u, v, **attrs)
-        return graph
-
     def to_edge_list(self) -> List[Edge]:
         """Return the edges as a list of pairs."""
         return list(self.edges())
 
     # ---------------------------------------------------------------- dunders
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._adjacency
-
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._adjacency)
 
     def __repr__(self) -> str:
         return (

@@ -355,8 +355,3 @@ def small_router_map(seed: Optional[int] = None) -> RouterMap:
     )
     return generate_router_map(config)
 
-
-def paper_router_map(seed: Optional[int] = None) -> RouterMap:
-    """Return the default-size map used by the Figure 1 reproduction."""
-    config = RouterMapConfig(seed=seed)
-    return generate_router_map(config)

@@ -58,15 +58,6 @@ class TestSelection:
         with pytest.raises(ConfigurationError):
             oracle.closest_peers("ghost", k=2)
 
-    def test_add_and_remove_peer(self, oracle, line_graph):
-        oracle.add_peer("pf", 4)
-        assert oracle.peer_distance("pd", "pf") == 1 + 2
-        oracle.remove_peer("pf")
-        assert "pf" not in oracle.attachment
-
-    def test_add_peer_unknown_router(self, oracle):
-        with pytest.raises(ConfigurationError):
-            oracle.add_peer("pf", 99)
 
 
 class TestNeighborCost:

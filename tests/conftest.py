@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import settings as hypothesis_settings
 
-from repro.topology.graph import Graph
+from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
 from repro.topology.internet_mapper import RouterMap, RouterMapConfig, generate_router_map
 from repro.workloads.scenarios import Scenario, ScenarioConfig, build_scenario
 
@@ -106,6 +106,18 @@ def reference_graphs() -> dict:
     }
     assert sorted(graphs) == REFERENCE_GRAPH_NAMES
     return graphs
+
+
+def with_reference_latencies(reference):
+    """Give every edge of ``reference`` a latency and return both views.
+
+    The latencies are multiples of 0.25 below 4, so every path sum is exact
+    in binary floating point and the library's latencies can be compared to
+    networkx's Dijkstra with ``==``.  Returns ``(reference, Graph)``.
+    """
+    for index, (u, v) in enumerate(reference.edges()):
+        reference.edges[u, v][DEFAULT_WEIGHT_KEY] = 0.25 * (1 + (7 * index) % 13)
+    return reference, Graph.from_networkx(reference)
 
 
 # Spelled out so that collecting the suite never imports networkx.

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.codec import decode_path, encode_path
 from repro.core.path import RouterPath, shared_suffix_length, tree_distance
 from repro.exceptions import RegistrationError
-from repro.routing.path_inference import CleanedPath
 
 
 def make_path(peer, routers, landmark="lmk", rtt=None):
@@ -33,14 +32,6 @@ class TestConstruction:
     def test_duplicate_routers_rejected(self):
         with pytest.raises(RegistrationError):
             make_path("p1", ["r1", "r2", "r1"])
-
-    def test_from_cleaned(self):
-        cleaned = CleanedPath(
-            source="p1", destination="lmk", routers=["r1", "r2"], anonymous_hops=0, truncated=False
-        )
-        path = RouterPath.from_cleaned("p1", "lmA", cleaned, rtt_ms=3.0)
-        assert path.routers == ("r1", "r2")
-        assert path.landmark_id == "lmA"
 
     def test_immutability(self):
         path = make_path("p1", ["r1", "lmk"])

@@ -99,7 +99,7 @@ def arrive(plane, publisher, batch) -> None:
     if publisher is None:
         plane.insert_paths(paths)
     else:
-        publisher.register_peers(paths)
+        publisher.plane.register_peers(paths)
 
 
 def loadable(plane, batch) -> bool:

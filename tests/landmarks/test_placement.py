@@ -18,6 +18,8 @@ from repro.landmarks.placement import (
 from repro.topology.internet_mapper import barabasi_albert
 from repro.topology.graph import Graph
 
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs
+
 
 @pytest.fixture(scope="module")
 def scale_free():
@@ -121,3 +123,21 @@ class TestDispatch:
         landmarks = place_on_router_map(small_router_map, 5, strategy="random", seed=2)
         for landmark in landmarks:
             assert small_router_map.graph.degree(landmark) >= 2
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+def test_spread_is_farthest_point_under_networkx_distances(name):
+    """Each landmark after the first is as far from the chosen set as any candidate."""
+    nx = pytest.importorskip("networkx")
+    reference = reference_graphs()[name]
+    distances = dict(nx.all_pairs_shortest_path_length(reference))
+    count = min(5, reference.number_of_nodes())
+    chosen = place_spread(Graph.from_networkx(reference), count)
+    assert len(chosen) == len(set(chosen)) == count
+    assert reference.degree(chosen[0]) == max(d for _, d in reference.degree())
+    for step in range(1, count):
+        def gap(node):
+            return min(distances[node][landmark] for landmark in chosen[:step])
+
+        remaining = [node for node in reference.nodes() if node not in chosen[:step]]
+        assert gap(chosen[step]) == max(gap(node) for node in remaining)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from repro.exceptions import NodeNotFoundError, NoRouteError
 from repro.routing.distance_engine import MAX_BYTE_HOPS
 from repro.routing.route_table import RouteTable
-from repro.routing.shortest_path import bfs_shortest_paths, dijkstra_shortest_paths
 from repro.topology.graph import Graph
+
+from .reference_paths import bfs_shortest_paths, dijkstra_shortest_paths
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -21,12 +21,11 @@ from repro.routing.distance_engine import (
     CsrTopology,
     HopDistanceEngine,
 )
-from repro.routing.shortest_path import (
-    AllPairsHopDistances,
-    bfs_shortest_paths,
-    dijkstra_shortest_paths,
-)
-from repro.topology.graph import Graph
+from repro.routing.shortest_path import AllPairsHopDistances
+from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_latencies
+from .reference_paths import bfs_shortest_paths, dijkstra_shortest_paths
 
 
 def _graph_from(edges, isolated, weights=None):
@@ -103,7 +102,10 @@ class TestLatencyOracle:
             # addition order and tie-breaking, so values are bit-identical.
             assert distances == ref_distances
             assert parents == ref_parents
-            assert engine.latency_distances(source) == ref_distances
+            # The cached latency vector a lookup reads agrees as well.
+            assert {node: engine.latency_between(source, node) for node in graph.nodes()} == {
+                node: ref_distances.get(node) for node in graph.nodes()
+            }
 
     def test_injection_points_reject_mismatched_engine(self):
         graph = Graph()
@@ -133,7 +135,7 @@ class TestLatencyOracle:
         assert engine.warm_latencies(["a", "b"]) == 2
         assert engine.stats.dijkstra_runs == 2
         # Warm sources answer from the cache, with reference-equal values.
-        assert engine.latency_distances("a") == dijkstra_shortest_paths(graph, "a")[0]
+        assert engine.latency_between("a", "c") == dijkstra_shortest_paths(graph, "a")[0]["c"]
         assert engine.stats.dijkstra_runs == 2
         assert engine.stats.vector_cache_hits > 0
 
@@ -162,7 +164,7 @@ class TestEdgeCases:
         graph.add_node("solo")
         engine = HopDistanceEngine(graph)
         assert engine.hop_distances("solo") == {"solo": 0}
-        assert engine.latency_distances("solo") == {"solo": 0.0}
+        assert engine.latency_between("solo", "solo") == 0.0
 
     def test_mutually_attached_degree_one_pair(self):
         """A K2 component: neither endpoint is a derivable leaf."""
@@ -265,9 +267,9 @@ class TestGenerationCounter:
         graph.add_edge("a", "b", latency=1.0)
         graph.add_edge("b", "c", latency=1.0)
         engine = HopDistanceEngine(graph)
-        assert engine.latency_distance("a", "c") == pytest.approx(2.0)
+        assert engine.latency_between("a", "c") == pytest.approx(2.0)
         graph.set_edge_attribute("b", "c", "latency", 5.0)
-        assert engine.latency_distance("a", "c") == pytest.approx(6.0)
+        assert engine.latency_between("a", "c") == pytest.approx(6.0)
 
     def test_all_pairs_view_drops_dict_cache_on_mutation(self):
         graph = Graph()
@@ -285,3 +287,44 @@ class TestGenerationCounter:
         assert snapshot.is_current()
         graph.add_edge(2, 3)
         assert not snapshot.is_current()
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+class TestMatchesNetworkx:
+    """Hop and latency distances == networkx's on graphs with ties, triangles and trees."""
+
+    def test_hop_distances_for_every_source(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        engine = HopDistanceEngine(Graph.from_networkx(reference))
+        for source, expected in nx.all_pairs_shortest_path_length(reference):
+            assert engine.hop_distances(source) == dict(expected)
+            for destination, hops in expected.items():
+                assert engine.hop_between(source, destination) == hops
+
+    def test_latency_between_equals_dijkstra(self, name):
+        nx = pytest.importorskip("networkx")
+        reference, graph = with_reference_latencies(reference_graphs()[name])
+        engine = HopDistanceEngine(graph)
+        for source, expected in nx.all_pairs_dijkstra_path_length(reference, weight=DEFAULT_WEIGHT_KEY):
+            for destination, latency in expected.items():
+                assert engine.latency_between(source, destination) == latency
+
+    def test_eccentricities_diameter_and_radius(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        engine = HopDistanceEngine(Graph.from_networkx(reference))
+        eccentricity = {node: max(engine.hop_distances(node).values()) for node in reference.nodes()}
+        assert eccentricity == nx.eccentricity(reference)
+        assert max(eccentricity.values()) == nx.diameter(reference)
+        assert min(eccentricity.values()) == nx.radius(reference)
+
+    def test_all_pairs_view(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        oracle = AllPairsHopDistances(Graph.from_networkx(reference))
+        for source, expected in nx.all_pairs_shortest_path_length(reference):
+            assert oracle.distances_from(source) == dict(expected)
+            for destination, hops in expected.items():
+                assert oracle.distance(source, destination) == hops
+        assert oracle.cached_sources == reference.number_of_nodes()

@@ -6,7 +6,9 @@ import pytest
 
 from repro.exceptions import NoRouteError, RoutingError
 from repro.routing.route_table import RouteTable
-from repro.topology.graph import Graph
+from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_latencies
 
 
 class TestRouteTable:
@@ -17,7 +19,6 @@ class TestRouteTable:
         tree_second = table.add_destination(0)
         assert tree_first is tree_second
         assert table.destinations() == [0]
-        assert table.has_destination(0)
 
     def test_tree_requires_prior_destination(self, tree_graph):
         table = RouteTable(graph=tree_graph)
@@ -120,3 +121,36 @@ class TestRouteTable:
         latency_table = RouteTable(graph=graph, weighted=True)
         assert hop_table.route(0, 2) == [0, 2]
         assert latency_table.route(0, 2) == [0, 1, 2]
+
+
+def assert_is_a_path(reference, route, source, destination):
+    """``route`` runs from ``source`` to ``destination`` over links of ``reference``."""
+    assert route[0] == source and route[-1] == destination
+    for u, v in zip(route, route[1:]):
+        assert reference.has_edge(u, v)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+class TestMatchesNetworkx:
+    """Every routed path is a shortest one by networkx's count, hop or latency."""
+
+    def test_hop_routes_are_shortest_paths(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        table = RouteTable(graph=Graph.from_networkx(reference))
+        for destination, expected in nx.all_pairs_shortest_path_length(reference):
+            for source, hops in expected.items():
+                route = table.route(source, destination)
+                assert_is_a_path(reference, route, source, destination)
+                assert len(route) - 1 == table.route_length(source, destination) == hops
+
+    def test_weighted_routes_are_fastest_paths(self, name):
+        nx = pytest.importorskip("networkx")
+        reference, graph = with_reference_latencies(reference_graphs()[name])
+        table = RouteTable(graph=graph, weighted=True)
+        for destination, expected in nx.all_pairs_dijkstra_path_length(reference, weight=DEFAULT_WEIGHT_KEY):
+            for source, latency in expected.items():
+                route = table.route(source, destination)
+                assert_is_a_path(reference, route, source, destination)
+                assert table.path_latency(source, destination) == latency
+                assert nx.path_weight(reference, route, DEFAULT_WEIGHT_KEY) == latency

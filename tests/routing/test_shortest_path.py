@@ -1,4 +1,4 @@
-"""Tests for BFS/Dijkstra shortest paths and the all-pairs oracle."""
+"""Tests for the reference BFS/Dijkstra shortest paths and the all-pairs oracle."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NoRouteError, NodeNotFoundError
-from repro.routing.shortest_path import (
-    AllPairsHopDistances,
+from repro.routing.shortest_path import AllPairsHopDistances
+from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_latencies
+from .reference_paths import (
     bfs_shortest_paths,
     dijkstra_shortest_paths,
     hop_distance,
@@ -16,7 +19,6 @@ from repro.routing.shortest_path import (
     reconstruct_path,
     shortest_path_tree,
 )
-from repro.topology.graph import Graph
 
 
 @pytest.fixture()
@@ -139,10 +141,8 @@ class TestAllPairsOracle:
         oracle.distance(7, 8)
         oracle.distance(7, 6)
         assert oracle.cached_sources == 1
-        oracle.warm([0, 1])
-        assert oracle.cached_sources == 3
-        oracle.clear()
-        assert oracle.cached_sources == 0
+        oracle.distance(0, 8)
+        assert oracle.cached_sources == 2
 
     def test_no_route_raises(self):
         graph = Graph()
@@ -193,3 +193,30 @@ def test_property_hop_distance_lower_bounds_latency_path_hops(edges):
     for node in weighted:
         path = reconstruct_path(parents, source, node) if node != source else [source]
         assert len(path) - 1 >= hop[node]
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+class TestReferenceMatchesNetworkx:
+    """The reference the engine's oracles compare against agrees with networkx."""
+
+    def test_bfs(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        graph = Graph.from_networkx(reference)
+        for source, expected in nx.all_pairs_shortest_path_length(reference):
+            distances, parents = bfs_shortest_paths(graph, source)
+            assert distances == dict(expected)
+            for destination in expected:
+                path = reconstruct_path(parents, source, destination)
+                assert len(path) - 1 == distances[destination]
+                assert all(reference.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+    def test_dijkstra(self, name):
+        nx = pytest.importorskip("networkx")
+        reference, graph = with_reference_latencies(reference_graphs()[name])
+        for source, expected in nx.all_pairs_dijkstra_path_length(reference, weight=DEFAULT_WEIGHT_KEY):
+            distances, parents = dijkstra_shortest_paths(graph, source)
+            assert distances == dict(expected)
+            for destination in expected:
+                path = reconstruct_path(parents, source, destination)
+                assert nx.path_weight(reference, path, DEFAULT_WEIGHT_KEY) == distances[destination]

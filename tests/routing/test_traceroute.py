@@ -9,8 +9,10 @@ import pytest
 from repro.exceptions import NoRouteError
 from repro.routing.route_table import RouteTable
 from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
-from repro.topology.graph import Graph
+from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
 from repro.workloads.scenarios import small_scenario
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_latencies
 
 
 @pytest.fixture()
@@ -18,11 +20,16 @@ def simulator(tree_graph) -> TracerouteSimulator:
     return TracerouteSimulator(graph=tree_graph, route_table=RouteTable(graph=tree_graph))
 
 
+def routers(result):
+    """The routers a trace recorded, in path order, ``None`` for an anonymous hop."""
+    return [hop.router for hop in result.hops]
+
+
 class TestPerfectTool:
     def test_records_routed_path(self, simulator):
         result = simulator.trace(7, 0)
         assert result.reached
-        assert result.responding_routers() == [3, 1, 0]
+        assert routers(result) == [3, 1, 0]
         assert result.hop_count == 3
 
     def test_hops_have_increasing_rtt(self, simulator):
@@ -35,11 +42,6 @@ class TestPerfectTool:
         assert result.reached
         assert result.hops == []
         assert result.destination_rtt_ms() is None
-
-    def test_trace_many(self, simulator):
-        results = simulator.trace_many(7, [0, 6])
-        assert len(results) == 2
-        assert all(result.reached for result in results)
 
     def test_destination_rtt_positive(self, simulator):
         result = simulator.trace(8, 6)
@@ -63,17 +65,17 @@ class TestImperfections:
         result = simulator.trace(0, 5)
         # All intermediate hops are anonymous; the destination still answers.
         assert result.reached
-        intermediate = result.raw_routers()[:-1]
+        intermediate = routers(result)[:-1]
         assert all(router is None for router in intermediate)
-        assert result.raw_routers()[-1] == 5
+        assert routers(result)[-1] == 5
 
     def test_anonymity_is_sticky_per_router(self, line_graph):
         simulator = TracerouteSimulator(
             graph=line_graph,
             config=TracerouteConfig(anonymous_router_probability=0.5, seed=3),
         )
-        first = simulator.trace(0, 5).raw_routers()
-        second = simulator.trace(0, 5).raw_routers()
+        first = routers(simulator.trace(0, 5))
+        second = routers(simulator.trace(0, 5))
         assert first == second
 
     def test_probe_loss_with_retries_usually_succeeds(self, line_graph):
@@ -84,7 +86,7 @@ class TestImperfections:
         result = simulator.trace(0, 5)
         assert result.reached
         # With 5 retries at 30% loss nearly every hop should answer.
-        responding = sum(1 for router in result.raw_routers() if router is not None)
+        responding = sum(1 for router in routers(result) if router is not None)
         assert responding >= 4
 
     def test_total_probe_loss_marks_all_hops_anonymous(self, line_graph):
@@ -94,7 +96,7 @@ class TestImperfections:
         )
         result = simulator.trace(0, 5)
         assert result.reached  # the destination always answers
-        assert all(router is None for router in result.raw_routers()[:-1])
+        assert all(router is None for router in routers(result)[:-1])
 
     def test_invalid_config_rejected(self):
         with pytest.raises(Exception):
@@ -110,7 +112,7 @@ class TestDeterminism:
         second = TracerouteSimulator(
             graph=line_graph, config=TracerouteConfig(anonymous_router_probability=0.3, seed=11)
         ).trace(0, 5)
-        assert first.raw_routers() == second.raw_routers()
+        assert routers(first) == routers(second)
 
 
 class TestPing:
@@ -178,3 +180,35 @@ class TestPing:
         simulator = TracerouteSimulator(graph=graph)
         with pytest.raises(NoRouteError):
             simulator.ping(3, 1)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+class TestMatchesNetworkx:
+    """A perfect tool walks a shortest path; a jitter-free ping is twice the fastest latency."""
+
+    def test_perfect_trace_walks_a_shortest_path(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        graph = Graph.from_networkx(reference)
+        simulator = TracerouteSimulator(graph=graph, route_table=RouteTable(graph=graph))
+        destination = min(reference.nodes())
+        for source, hops in nx.single_source_shortest_path_length(reference, destination).items():
+            result = simulator.trace(source, destination)
+            assert result.reached
+            assert result.hop_count == hops
+            path = [source] + routers(result)
+            assert path == simulator.route_table.route(source, destination)
+            assert all(reference.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+    def test_jitter_free_ping_is_twice_the_fastest_latency(self, name):
+        nx = pytest.importorskip("networkx")
+        reference, graph = with_reference_latencies(reference_graphs()[name])
+        simulator = TracerouteSimulator(
+            graph=graph,
+            route_table=RouteTable(graph=graph, weighted=True),
+            config=TracerouteConfig(rtt_jitter_ms=0.0),
+        )
+        destination = max(reference.nodes())
+        expected = nx.single_source_dijkstra_path_length(reference, destination, weight=DEFAULT_WEIGHT_KEY)
+        for source, latency in expected.items():
+            assert simulator.ping(source, destination) == 2.0 * latency

@@ -95,13 +95,6 @@ class TestDelivery:
         with pytest.raises(SimulationError):
             network.send("alice", "ghost", "x")
 
-    def test_broadcast(self, wired):
-        engine, network, nodes = wired
-        network.broadcast("alice", ["bob", "carol"], "ping")
-        engine.run()
-        assert len(nodes["bob"].received) == 1
-        assert len(nodes["carol"].received) == 1
-
     def test_delivery_records_kept(self, wired):
         engine, network, _ = wired
         record = network.send("alice", "bob", "x")
@@ -194,6 +187,12 @@ class TestDuplication:
         assert 0 < first[0] < 10  # partial duplication actually happened
 
 
+def in_flight(network) -> int:
+    """Recorded messages neither delivered nor dropped: once the engine has
+    drained, the ones a reorder still holds."""
+    return sum(1 for record in network.deliveries if record.delivered_at is None and not record.dropped)
+
+
 class TestReorder:
     def test_reordered_message_waits_for_a_younger_delivery(self, line_graph):
         plan = NetworkFaultPlan.of(Fault(at_op=1, kind="reorder", op_name="ping"))
@@ -206,7 +205,7 @@ class TestReorder:
         times = [arrival for arrival, _, _ in receiver.received]
         assert times[1] >= times[0]
         assert network.reordered_messages == 1
-        assert network.held_messages == 0
+        assert in_flight(network) == 0
         assert network.accounting_consistent()
 
     def test_held_message_with_no_younger_delivery_stays_in_flight(self, line_graph):
@@ -214,7 +213,7 @@ class TestReorder:
         network.send("a", "b", "only")
         engine.run()
         assert receiver.received == []
-        assert network.held_messages == 1
+        assert in_flight(network) == 1
         assert network.dropped_messages == 0
         assert network.accounting_consistent()
 
@@ -241,7 +240,7 @@ class TestTeardown:
         network.detach_host("b")
         engine.run()
         assert receiver.received == []
-        assert network.held_messages == 0
+        assert in_flight(network) == 0
         assert network.dropped_messages == 1
         assert network.accounting_consistent()
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError, TopologyError
-from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph, edge_key
+from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
 
 from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs
 
@@ -52,14 +52,6 @@ class TestNodes:
         graph = Graph()
         with pytest.raises(NodeNotFoundError):
             graph.node_attributes("nope")
-
-    def test_len_contains_iter(self):
-        graph = Graph()
-        for node in ("a", "b", "c"):
-            graph.add_node(node)
-        assert len(graph) == 3
-        assert "b" in graph
-        assert sorted(graph) == ["a", "b", "c"]
 
 
 class TestEdges:
@@ -128,19 +120,6 @@ class TestEdges:
         with pytest.raises(NodeNotFoundError):
             graph.neighbor_weights(99)
 
-    def test_edge_key_is_order_independent(self):
-        assert edge_key(3, 7) == edge_key(7, 3)
-
-    def test_edge_key_mixed_types_fall_back_to_repr(self):
-        assert edge_key(1, "a") == edge_key("a", 1)
-
-    def test_edge_key_is_canonical_under_partial_orders(self):
-        """Ids that compare False both ways (NaN, sets) must still canonicalise."""
-        nan = float("nan")
-        assert edge_key(nan, 1) == edge_key(1, nan)
-        a, b = frozenset({1}), frozenset({2})
-        assert edge_key(a, b) == edge_key(b, a)
-
 
 class TestDegreesAndNeighbors:
     def test_degree_and_neighbors(self, star_graph):
@@ -189,15 +168,6 @@ class TestConnectivity:
     def test_empty_graph_is_not_connected(self):
         assert not Graph().is_connected()
 
-    def test_largest_component_subgraph(self):
-        graph = Graph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        graph.add_edge(10, 11)
-        largest = graph.largest_component_subgraph()
-        assert sorted(largest.nodes()) == [1, 2, 3]
-        assert largest.edge_count == 2
-
     def test_subgraph_preserves_attributes(self):
         graph = Graph()
         graph.add_node(1, tier="core")
@@ -222,21 +192,6 @@ class TestConnectivity:
 
 
 class TestConversions:
-    def test_networkx_round_trip(self, tree_graph):
-        pytest.importorskip("networkx")
-        nx_graph = tree_graph.to_networkx()
-        back = Graph.from_networkx(nx_graph, name="back")
-        assert back.node_count == tree_graph.node_count
-        assert back.edge_count == tree_graph.edge_count
-        assert sorted(back.nodes()) == sorted(tree_graph.nodes())
-
-    def test_from_edge_list_with_weights(self):
-        edges = [(1, 2), (2, 3)]
-        weights = {edge_key(1, 2): 7.0}
-        graph = Graph.from_edge_list(edges, weights=weights)
-        assert graph.edge_weight(1, 2) == 7.0
-        assert graph.edge_weight(2, 3) == 1.0
-
     def test_to_edge_list(self, line_graph):
         assert len(line_graph.to_edge_list()) == 5
 
@@ -245,7 +200,7 @@ class TestConversions:
         assert "edges=5" in repr(line_graph)
 
     @pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
-    def test_networkx_round_trip_keeps_edges_and_weights(self, name):
+    def test_from_networkx_keeps_edges_and_weights(self, name):
         reference = reference_graphs()[name]
         for index, (u, v) in enumerate(reference.edges()):
             reference.edges[u, v][DEFAULT_WEIGHT_KEY] = 1.0 + index
@@ -253,10 +208,9 @@ class TestConversions:
         assert set(graph.nodes()) == set(reference.nodes())
         assert {frozenset(edge) for edge in graph.edges()} == {frozenset(edge) for edge in reference.edges()}
         assert graph.degrees() == dict(reference.degree())
-        back = graph.to_networkx()
-        assert {
-            frozenset((u, v)): attrs[DEFAULT_WEIGHT_KEY] for u, v, attrs in back.edges(data=True)
-        } == {frozenset((u, v)): attrs[DEFAULT_WEIGHT_KEY] for u, v, attrs in reference.edges(data=True)}
+        assert {frozenset((u, v)): graph.edge_weight(u, v) for u, v in graph.edges()} == {
+            frozenset((u, v)): attrs[DEFAULT_WEIGHT_KEY] for u, v, attrs in reference.edges(data=True)
+        }
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,3 +245,46 @@ def test_property_components_partition_nodes(edges):
     seen = [node for component in components for node in component]
     assert sorted(seen) == sorted(graph.nodes())
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+class TestMatchesNetworkx:
+    """Degree, component and subgraph queries == networkx's on the reference graphs."""
+
+    def test_degree_queries(self, name):
+        reference = reference_graphs()[name]
+        graph = Graph.from_networkx(reference)
+        assert graph.node_count == reference.number_of_nodes()
+        assert graph.edge_count == reference.number_of_edges()
+        assert graph.degrees() == dict(reference.degree())
+        for node in reference.nodes():
+            assert set(graph.neighbors(node)) == set(reference.neighbors(node))
+        for degree in set(dict(reference.degree()).values()):
+            expected = {node for node, d in reference.degree() if d == degree}
+            assert set(graph.nodes_with_degree(degree)) == expected
+            expected = {node for node, d in reference.degree() if 2 <= d <= degree}
+            assert set(graph.nodes_with_degree_between(2, degree)) == expected
+
+    def test_components_after_removing_the_hub(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        graph = Graph.from_networkx(reference)
+        assert graph.is_connected()
+        hub = max(reference.nodes(), key=lambda node: (reference.degree(node), node))
+        reference.remove_node(hub)
+        graph.remove_node(hub)
+        expected = {frozenset(component) for component in nx.connected_components(reference)}
+        assert {frozenset(component) for component in graph.connected_components()} == expected
+        assert graph.is_connected() == nx.is_connected(reference)
+        for component in expected:
+            assert set(graph.connected_component(next(iter(component)))) == component
+
+    def test_subgraph_keeps_the_induced_edges(self, name):
+        reference = reference_graphs()[name]
+        graph = Graph.from_networkx(reference)
+        kept = sorted(reference.nodes())[::2]
+        induced = reference.subgraph(kept)
+        sub = graph.subgraph(kept)
+        assert set(sub.nodes()) == set(induced.nodes())
+        assert {frozenset(edge) for edge in sub.edges()} == {frozenset(edge) for edge in induced.edges()}
+        assert graph.node_count == reference.number_of_nodes()

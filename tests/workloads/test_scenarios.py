@@ -86,7 +86,7 @@ class TestJoins:
         routes, so the two can legitimately disagree on close calls; the
         chosen landmark must still be (near-)closest in hop distance.
         """
-        from repro.routing.shortest_path import bfs_shortest_paths
+        from ..routing.reference_paths import bfs_shortest_paths
 
         acceptable = 0
         total = 0

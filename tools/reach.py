@@ -1,13 +1,15 @@
 """Which functions under src/repro does anything but their own unit tests call?
 
-Runs tier-1, then the five bench workloads at smoke scale, under a call tracer
-charging each call to the running test file or to bench; prints per module the
-functions defined, reached by bench, reached by a test file other than its own
-tests/<pkg>/test_<stem>.py, and the names nothing else reached (* = never called).
-Blind spots: calls in child processes (forked shards, shard-serve) are lost, and
-import-time calls go to the first importer.  ``python tools/reach.py [pytest args]``."""
+Runs tier-1, the five bench workloads at smoke scale and the rest of what CI
+runs (every examples/*.py, protocol-sim-quick and figure1-quick) under a call
+tracer that charges each call to the running test file, to bench or to ci;
+prints per module the functions defined, reached by bench, reached by anything
+but its own tests/<pkg>/test_<stem>.py, and the names nothing else reached
+(* = never called), then a totals row.  Blind spots: calls in child processes
+(forked shards, shard-serve) are lost, and import-time calls go to the first
+importer.  ``python tools/reach.py [pytest args]``."""
 
-import ast, os, pathlib, pytest, sys, threading
+import ast, contextlib, glob, io, os, pathlib, pytest, runpy, sys, threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro") + os.sep
@@ -47,8 +49,20 @@ if __name__ == "__main__":
     label[0] = "bench"
     for name in WORKLOAD_CLASSES:
         run_workload(name, seed=12, seconds=0.05, traced=False, scale="smoke")
+    from repro.experiments import run_experiment
+    label[0] = "ci"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for example in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+            try:
+                runpy.run_path(example, run_name="__main__")
+            except SystemExit as stop:  # the self-checking examples exit 0 when right
+                if stop.code:
+                    raise
+        for name in ("protocol-sim-quick", "figure1-quick"):
+            run_experiment(name)
     sys.settrace(None), threading.settrace(None)
     print(f"\n{'module':36s} defined  bench  others  nothing else")
+    totals = [0, 0, 0, 0]
     for path in sorted(os.path.join(d, f) for d, _, fs in os.walk(SRC) for f in fs if f.endswith(".py")):
         pkg, stem = os.path.split(os.path.relpath(path[:-3], SRC))
         own = os.path.join("tests", pkg, f"test_{stem}.py")
@@ -58,3 +72,5 @@ if __name__ == "__main__":
         others = sum(bool(who - {"bench", own}) for who, _ in defined)
         rest = [name + "*" * (not who) for who, name in defined if not who - {own}]
         print(f"{path[len(SRC):]:36s} {len(defined):7d} {bench:6d} {others:7d}  {len(rest):3d} {', '.join(rest)}")
+        totals = [a + b for a, b in zip(totals, (len(defined), bench, others, len(rest)))]
+    print(f"{'total':36s} {totals[0]:7d} {totals[1]:6d} {totals[2]:7d}  {totals[3]:3d}")
