@@ -119,7 +119,6 @@ from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequen
 
 from ..exceptions import ShardUnavailableError
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .path_tree import PathTree
 
 __all__ = [
     "Fault",
@@ -282,17 +281,13 @@ class ChaosShardBackend:
 
     Wraps any backend; crash and network-shaped faults additionally
     require a supervised (remote) inner backend, so there is a transport to
-    kill.  Lifecycle calls (``close``, ``restart``,
-    ``health_check``) and attribute access pass through unfaulted — chaos
+    kill.  Only what the coordinator sends a shard is faulted and counted;
+    everything else (``close``, ``restart``, ``health_check``, diagnostics
+    such as ``tree`` or ``supervisor``) passes through unfaulted — chaos
     targets the data plane, not the harness's cleanup.
     """
 
-    def __init__(
-        self,
-        inner,
-        plan: FaultPlan,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
+    def __init__(self, inner, plan: FaultPlan, sleep: Callable[[float], None] = time.sleep) -> None:
         self.inner = inner
         self.plan = plan
         self._sleep = sleep
@@ -409,25 +404,10 @@ class ChaosShardBackend:
             "fill_candidates", self.inner.fill_candidates, bases, exclude_peer=exclude_peer
         )
 
-    def tree(self, landmark_id: LandmarkId) -> PathTree:
-        return self._call("tree", self.inner.tree, landmark_id)
-
     def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
         return self._call("tree_distance", self.inner.tree_distance, landmark_id, peer_a, peer_b)
 
-    def total_tree_visits(self) -> int:
-        return self._call("total_tree_visits", self.inner.total_tree_visits)
-
-    def total_insert_work(self) -> Tuple[int, int]:
-        return self._call("total_insert_work", self.inner.total_insert_work)
-
     # -------------------------------------------------------------- lifecycle
-
-    def health_check(self, timeout: float = 5.0) -> bool:
-        return bool(self.inner.health_check(timeout=timeout))
-
-    def restart(self) -> None:
-        self.inner.restart()
 
     def close(self) -> None:
         # Reordered means late, not lost: deliver held one-way ops before
@@ -442,8 +422,8 @@ class ChaosShardBackend:
         self.close()
 
     def __getattr__(self, attribute: str):
-        # Diagnostics (supervisor, worker_stats, ...) reach the inner
-        # backend directly; only the explicit methods above are faulted.
+        # Lifecycle and diagnostics (restart, tree, supervisor, ...) reach
+        # the inner backend directly; only the methods above are faulted.
         return getattr(self.inner, attribute)
 
     def __repr__(self) -> str:

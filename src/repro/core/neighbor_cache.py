@@ -71,8 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 class _SharedDistances(dict):
     """``table[d]``: the one float of an integral ``d`` in 0–255 (module
-    doc), else a fresh ``float(d)``.  Index queries and
-    :meth:`NeighborCache.import_state` read every distance through it."""
+    doc), else a fresh ``float(d)``.  Index queries,
+    :meth:`NeighborCache.import_state` and a remote shard's replies
+    (:class:`~repro.core.socket_backend.SocketShardBackend`) read every
+    distance through it."""
 
     def __missing__(self, distance: float) -> float:
         return float(distance)

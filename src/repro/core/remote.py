@@ -5,14 +5,17 @@ through the :class:`~repro.core.sharded.ShardBackend` protocol.  A remote
 shard is a full :class:`~repro.core.management_server.ManagementServer`
 (with ``maintain_cache=False`` — the coordinator owns the only cache)
 behind a :class:`~repro.core.socket_backend.ShardServer`, and this module
-is everything about it that does not move bytes: the server-side request
-dispatch (:class:`ShardRequestHandler`), the client-side backend surface
-(:class:`SupervisedShardBackend`) and the supervision story
-(:class:`ShardSupervisorBase`).  ONE transport moves the frames —
-:mod:`repro.core.socket_backend` — and the remote backend names differ only
-in who hosts the server: ``"process"`` forks one child shard server per
-shard and owns it (a restart respawns the child), ``"socket"`` dials a
-server somebody else runs (a restart reconnects).
+is the protocol's two ends above the bytes: the server-side request
+dispatch (:class:`ShardRequestHandler`) and the supervision story
+(:class:`ShardSupervisorBase`).  ONE transport moves the frames, and ONE
+client class speaks it — :mod:`repro.core.socket_backend`'s
+:class:`~repro.core.socket_backend.SocketShardBackend`.  Every self-hosted
+shard has its own loopback server, and the remote backend names differ only
+in what it is: ``"process"`` forks one child shard server per shard and its
+supervisor owns it (a restart respawns the child), ``"socket"`` runs one
+server thread per shard that outlives the connection (a restart
+reconnects); pointed at ``addresses``, a socket shard dials a server
+somebody else runs.
 
 Requests and replies
 --------------------
@@ -96,24 +99,13 @@ import pickle
 import random
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, List, Optional, Tuple, Union
 
 from .. import exceptions as _exceptions
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
 from .codec import decode_path, encode_path
 from .management_server import ManagementServer
-from .path import LandmarkId, PeerId, RouterPath
-from .path_tree import PathTree
 
 __all__ = [
     "BACKENDS",
@@ -121,7 +113,6 @@ __all__ = [
     "RecoveryPolicy",
     "ShardRequestHandler",
     "ShardSupervisorBase",
-    "SupervisedShardBackend",
     "decode_path",
     "encode_path",
     "shard_factory_for",
@@ -177,10 +168,6 @@ class RecoveryPolicy:
         applied, keeping the schedule fully deterministic by default.
     rng:
         Injected :class:`random.Random` for deterministic jitter.
-    op_deadline_s:
-        When set, overrides the supervisor's default per-round-trip deadline
-        (``request_timeout``) so recovery-managed planes can run tighter
-        deadlines than :data:`DEFAULT_REQUEST_TIMEOUT`.
     sleep:
         Injected sleep callable (tests pass a no-op to skip real delays).
     """
@@ -191,7 +178,6 @@ class RecoveryPolicy:
     backoff_cap_s: float = 2.0
     jitter: float = 0.1
     rng: Optional[random.Random] = None
-    op_deadline_s: Optional[float] = None
     sleep: Callable[[float], None] = field(default=time.sleep)
 
     def backoff_s(self, attempt: int) -> float:
@@ -390,8 +376,6 @@ class ShardSupervisorBase:
         if compact_watermark is not None and compact_watermark < 1:
             raise ValueError(f"compact_watermark must be >= 1, got {compact_watermark}")
         self.name = name
-        if recovery is not None and recovery.op_deadline_s is not None:
-            request_timeout = recovery.op_deadline_s
         if request_timeout is None:
             request_timeout = DEFAULT_REQUEST_TIMEOUT
         self.request_timeout = request_timeout
@@ -587,243 +571,6 @@ class ShardSupervisorBase:
         raise ShardUnavailableError(self.name, self._poisoned)
 
 
-# ----------------------------------------------------------------- backend
-
-
-class SupervisedShardBackend:
-    """The full client-side :class:`~repro.core.sharded.ShardBackend` surface
-    over a supervising request channel.
-
-    Everything a remote shard backend does — path encoding, batched
-    validation, chunked lazy fill streams with epoch-guarded recovery,
-    diagnostics — is a function of its supervisor's ``request``/``notify``/
-    ``epoch`` interface; how frames move is the supervisor's business
-    (:class:`~repro.core.socket_backend.SocketShardBackend` wires one in).
-
-    Subclasses set ``self.supervisor`` (a :class:`ShardSupervisorBase`),
-    ``self.name`` and ``self.fill_chunk_size`` before use.
-    """
-
-    supervisor: ShardSupervisorBase
-    name: str
-    fill_chunk_size: int
-
-    # ---------------------------------------------------------- shard surface
-
-    def register_landmark(self, landmark_id: LandmarkId, router) -> None:
-        self.supervisor.request("register_landmark", (landmark_id, router), journal=True)
-
-    def first_rejected_path(
-        self, paths: Sequence[RouterPath]
-    ) -> Optional[Tuple[int, BaseException]]:
-        """Batch validation in one round trip (the arrival batching rule)."""
-        result = self.supervisor.request(
-            "validate_batch", (tuple(encode_path(path) for path in paths),)
-        )
-        if result is None:
-            return None
-        index, type_name, message = result  # type: ignore[misc]
-        return (int(index), _rebuild_exception(str(type_name), str(message)))
-
-    def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None:
-        self.supervisor.request(
-            "insert_paths",
-            (tuple(encode_path(path) for path in paths), validate),
-            journal=True,
-        )
-
-    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
-        """One round trip, journaled on ack as the ``insert_paths`` it contains
-        (validated by then): journal, replay and compaction stay what they were."""
-        encoded = tuple(encode_path(path) for path in paths)
-        result = self.supervisor.request(
-            "join_paths", (encoded, k), journal=("insert_paths", (encoded, False))
-        )
-        try:
-            lists = [[(peer, float(distance)) for peer, distance in pairs] for pairs in result]  # type: ignore[union-attr]
-            # One list per path, no peer twice; dict() also refuses a peer
-            # id that could never key the coordinator's cache.
-            if len(lists) == len(paths) and all(len(dict(pairs)) == len(pairs) for pairs in lists):
-                return lists
-        except (TypeError, ValueError):
-            pass
-        # Acknowledged, so journaled; but no answer to record peers on.
-        raise ShardUnavailableError(self.name, "malformed reply to 'join_paths'")
-
-    def unregister_peer(self, peer_id: PeerId) -> None:
-        self.supervisor.request("unregister", (peer_id,), journal=True)
-
-    def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
-        result = self.supervisor.request("local_closest", (peer_id, k))
-        return [tuple(pair) for pair in result]  # type: ignore[union-attr, misc]
-
-    def fill_candidates(
-        self,
-        bases: Mapping[LandmarkId, float],
-        exclude_peer: Optional[PeerId] = None,
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        """Chunked client view of the shard's lazy candidate stream.
-
-        The shard-side stream is opened on the first ``next()`` (a never
-        consumed stream costs nothing on either side) and torn down by a
-        one-way ``fill_close`` when the consumer stops early.
-
-        With a :class:`RecoveryPolicy`, a shard death mid-stream is healed
-        by reopening the stream on the restarted (journal-replayed, hence
-        byte-identical) shard and fast-forwarding past the candidates
-        already yielded — the consumer sees one uninterrupted stream.
-        Without a policy it fails typed, never silently-partial.
-        """
-        bases_items = tuple(bases.items())
-        chunk_size = self.fill_chunk_size
-        supervisor = self.supervisor
-
-        def open_stream() -> Tuple[int, int]:
-            # A recoverable open doubles as the recovery trigger: on a dead
-            # shard it restarts+replays first, then opens on the fresh one.
-            stream_id = supervisor.request("fill_open", (bases_items, exclude_peer))
-            return supervisor.epoch, int(stream_id)  # type: ignore[arg-type]
-
-        def pull(stream_id: int, count: int) -> Tuple[bool, Tuple[object, ...]]:
-            # Not recoverable at the supervisor layer: a mid-stream fault
-            # needs reopen+skip, not a blind re-issue against a stream id
-            # from the dead incarnation.
-            return supervisor.request(  # type: ignore[return-value]
-                "fill_next", (stream_id, count), recoverable=False
-            )
-
-        def reopen(yielded: int) -> Tuple[int, int, bool]:
-            """Open a fresh stream and skip the ``yielded`` leading items."""
-            epoch, stream_id = open_stream()
-            remaining = yielded
-            done = False
-            while remaining > 0:
-                done, chunk = pull(stream_id, min(chunk_size, remaining))
-                remaining -= len(chunk)
-                if done:
-                    break
-            if remaining > 0:
-                raise ShardUnavailableError(
-                    self.name,
-                    "fill stream shrank during recovery (shard state diverged)",
-                )
-            return epoch, stream_id, done and remaining == 0
-
-        def stream() -> Iterator[Tuple[float, str, PeerId]]:
-            epoch, stream_id = open_stream()
-            yielded = 0
-            exhausted = False
-            try:
-                while True:
-                    if supervisor.epoch != epoch:
-                        # The shard restarted mid-stream: our stream id now
-                        # belongs to a different incarnation.
-                        if supervisor.recovery is None:
-                            raise ShardUnavailableError(
-                                self.name, "shard restarted mid fill stream"
-                            )
-                        epoch, stream_id, done = reopen(yielded)
-                        if done:
-                            exhausted = True
-                            return
-                    try:
-                        done, chunk = pull(stream_id, chunk_size)
-                    except ShardUnavailableError:
-                        if supervisor.recovery is None:
-                            raise
-                        epoch, stream_id, done = reopen(yielded)
-                        if done:
-                            exhausted = True
-                            return
-                        continue
-                    for item in chunk:
-                        yielded += 1
-                        yield tuple(item)  # type: ignore[misc]
-                    if done:
-                        exhausted = True
-                        return
-            finally:
-                # Only tear down a stream on the incarnation that owns it:
-                # after a restart the same id may name a fresh, unrelated
-                # stream.
-                if not exhausted and supervisor.epoch == epoch:
-                    supervisor.notify("fill_close", (stream_id,))
-
-        return stream()
-
-    def tree(self, landmark_id: LandmarkId) -> PathTree:
-        """A local **snapshot** of the shard's tree (for diagnostics).
-
-        Rebuilt from the shard's paths, so its rows — hence ``closest_peers``
-        and ``tree_distance`` answers — equal the live tree's; the
-        query-work counters (index ranges examined plus entries scanned) are
-        copied across.  Mutating the snapshot does not affect the shard.
-        """
-        root, encoded_paths, total_visits, last_visits = self.supervisor.request(  # type: ignore[misc]
-            "tree", (landmark_id,)
-        )
-        snapshot = PathTree(landmark_id=landmark_id, landmark_router=root)
-        for encoded in encoded_paths:  # type: ignore[union-attr]
-            snapshot.insert(decode_path(encoded))
-        snapshot.total_query_visits = int(total_visits)  # type: ignore[arg-type]
-        snapshot.last_query_visits = int(last_visits)  # type: ignore[arg-type]
-        return snapshot
-
-    def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
-        """``dtree`` of a same-landmark pair: one scalar round trip.
-
-        This is how the coordinator's ``estimate_distance`` reaches a remote
-        tree — :meth:`tree` snapshots are for diagnostics only.
-        """
-        return float(
-            self.supervisor.request("tree_distance", (landmark_id, peer_a, peer_b))  # type: ignore[arg-type]
-        )
-
-    def total_tree_visits(self) -> int:
-        return int(self.supervisor.request("total_tree_visits", ()))  # type: ignore[arg-type]
-
-    def total_insert_work(self) -> Tuple[int, int]:
-        """The shard's ``(nodes_created, nodes_touched)`` insert counters."""
-        created, touched = self.supervisor.request("total_insert_work", ())  # type: ignore[misc]
-        return (int(created), int(touched))  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------ diagnostics
-
-    def worker_stats(self) -> dict:
-        """The shard server's :class:`ServerStats` counters (a copy)."""
-        return dict(self.supervisor.request("stats", ()))  # type: ignore[arg-type, call-overload]
-
-    def health_check(self, timeout: float = 5.0) -> bool:
-        """True when the shard is alive and answering."""
-        return self.supervisor.health_check(timeout=timeout)
-
-    def restart(self) -> None:
-        """Respawn the shard's transport and replay the journal."""
-        self.supervisor.restart()
-
-    def compact(self) -> int:
-        """Snapshot-compact the supervisor's journal; return snapshot bytes."""
-        return self.supervisor.compact()
-
-    # -------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Stop the shard and release the transport (idempotent)."""
-        self.supervisor.close()
-
-    def __enter__(self) -> "SupervisedShardBackend":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown guard
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001 - never raise from a finaliser
-            pass
-
-
 def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     """The ``ShardedManagementServer(shard_factory=...)`` value for a backend.
 
@@ -832,11 +579,12 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     default in-process shards).  ``"socket"`` returns a
     :func:`~repro.core.socket_backend.socket_shard_factory` (which, without
     explicit ``addresses``, hosts one loopback asyncio shard server thread
-    so the socket plane is self-contained).  ``"process"`` forks one
-    :class:`~repro.core.socket_backend.ChildShardServer` per shard and hands
-    it to the :class:`~repro.core.socket_backend.SocketShardBackend` that
-    owns it, so the crash is real: ``supervisor.kill()`` SIGKILLs the child
-    and ``restart()`` respawns it before replaying the journal.  Shards are
+    per shard so the socket plane is self-contained).  ``"process"`` forks
+    one :class:`~repro.core.socket_backend.ChildShardServer` per shard and
+    hands it to the :class:`~repro.core.socket_backend.SocketShardBackend`
+    whose supervisor owns it, so the crash is real: ``supervisor.kill()``
+    SIGKILLs the child and ``restart()`` respawns it before replaying the
+    journal.  Either way the backend stops its server on ``close()``.  Shards are
     named ``shard-0``, ``shard-1``, … in creation order; ``kwargs``
     (``fill_chunk_size``, ``request_timeout``, ``recovery``,
     ``compact_watermark``) are shared by every shard of the factory.
@@ -853,9 +601,8 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     indexes = itertools.count()
 
     def process_shard() -> SocketShardBackend:
-        server = ChildShardServer()
         return SocketShardBackend(
-            server, neighbor_set_size, f"shard-{next(indexes)}", on_close=server.stop, **kwargs
+            ChildShardServer(), neighbor_set_size, f"shard-{next(indexes)}", **kwargs
         )
 
     return process_shard

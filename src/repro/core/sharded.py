@@ -100,8 +100,9 @@ class ShardBackend(Protocol):
 
     :class:`~repro.core.management_server.ManagementServer` (with
     ``maintain_cache=False``) implements it in-process, and
-    :class:`~repro.core.remote.SupervisedShardBackend` implements it over a
-    supervised connection to a shard server; a further backend only needs
+    :class:`~repro.core.socket_backend.SocketShardBackend` implements it
+    over a supervised connection to a shard server with one loopback server
+    per self-hosted shard; a further backend only needs
     these methods (plus :meth:`tree` for diagnostics and distance estimation,
     :meth:`total_tree_visits` for the work counters, and :meth:`close` for
     resource teardown) to slot in behind the coordinator.

@@ -3,12 +3,12 @@
 The wire protocol of :mod:`repro.core.remote` runs over real sockets, and
 only over sockets: a :class:`ShardServer` (asyncio, TCP and Unix-domain)
 hosts a ``ManagementServer(maintain_cache=False)`` per **connection-scoped
-shard**, and :class:`SocketShardBackend` is a full
-:class:`~repro.core.sharded.ShardBackend` client over it.  The frame codec
-(:mod:`repro.core.codec`), the request dispatch, the client-side backend
-surface and the journal/recovery/compaction story
-(:mod:`repro.core.remote`) live elsewhere — this module is how frames
-move, who hosts the server, and how a dead transport comes back.
+shard**, and :class:`SocketShardBackend` — the one remote-shard client
+class — is a full :class:`~repro.core.sharded.ShardBackend` over it.  The
+frame codec (:mod:`repro.core.codec`), the request dispatch and the
+journal/recovery/compaction story (:mod:`repro.core.remote`) live
+elsewhere — this module is how frames move, who hosts the server, how a
+dead transport comes back and what the client asks for.
 
 Connection-scoped shards and the hello handshake
 ------------------------------------------------
@@ -16,9 +16,9 @@ A shard's state lives exactly as long as its connection.  The first frame a
 client sends is ``hello`` carrying ``(PROTOCOL_VERSION,
 neighbor_set_size)``; the server answers ``(PROTOCOL_VERSION, generation)``
 after building a fresh ``ManagementServer`` for the connection.  A second
-``hello`` on the same connection discards the shard and builds a new one —
-which is how pooled connections are recycled without leaking a previous
-tenant's peers.  Dying and reconnecting therefore lands on an *empty*
+``hello`` on the same connection discards the shard and builds a new one,
+so no input, however it arrives, reaches a previous tenant's peers.  Dying
+and reconnecting (every restart dials afresh) therefore lands on an *empty*
 shard, and the supervisor heals it by replaying the operation journal
 (snapshot-compacted or not) in order, byte-identical by insert order, under
 the :class:`~repro.core.remote.RecoveryPolicy` backoff loop.
@@ -57,12 +57,11 @@ Topology
 One coordinator process drives N :class:`SocketShardBackend` shards, each
 over its own connection; the backend names say who hosts the servers.
 ``"socket"``: ``repro-experiments shard-serve`` processes, possibly on
-other machines, or — for self-contained runs — ONE loopback
-:class:`LocalShardServer` thread shared by all of a
-:func:`socket_shard_factory`'s shards; a restart reconnects.
+other machines, or — for self-contained runs — one loopback
+:class:`LocalShardServer` thread per shard; a restart reconnects to it.
 ``"process"``: one forked :class:`ChildShardServer` per shard, owned by
 that shard's supervisor; it really dies when killed and a restart respawns
-it.  Both hosts share one owner lifecycle, so
+it.  Either loopback server stops with the backend hosting it, so
 ``ShardedManagementServer.close()`` tears the whole plane down.
 """
 
@@ -77,18 +76,21 @@ import socket
 import struct
 import tempfile
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import decode_frame, encode_frame
+from .codec import decode_frame, decode_path, encode_frame, encode_path
+from .neighbor_cache import SHARED_DISTANCES
+from .path import LandmarkId, PeerId, RouterPath
+from .path_tree import PathTree
 from .remote import (
     DEFAULT_FILL_CHUNK,
     DEFAULT_REQUEST_TIMEOUT,
     RecoveryPolicy,
     ShardRequestHandler,
     ShardSupervisorBase,
-    SupervisedShardBackend,
+    _rebuild_exception,
 )
 
 __all__ = [
@@ -97,7 +99,6 @@ __all__ = [
     "FramedConnection",
     "LocalShardServer",
     "ShardServer",
-    "SocketConnectionPool",
     "SocketShardBackend",
     "SocketShardSupervisor",
     "build_serve_parser",
@@ -112,9 +113,6 @@ PROTOCOL_VERSION = 1
 #: Upper bound on one frame body — far above any real snapshot, low enough
 #: that a corrupt header cannot make either side try to buffer gigabytes.
 MAX_FRAME_BYTES = 1 << 30
-
-#: Idle connections a :class:`SocketConnectionPool` keeps per address.
-DEFAULT_POOL_IDLE = 4
 
 _HEADER = struct.Struct("!I")
 
@@ -234,92 +232,6 @@ class FramedConnection:
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
         return f"FramedConnection({format_address(self.address)}, {state})"
-
-
-class SocketConnectionPool:
-    """Idle :class:`FramedConnection` objects for one shard server address.
-
-    Reconnecting supervisors draw from the pool before dialling, and return
-    still-healthy connections on teardown; the ``hello`` handshake resets
-    the connection-scoped shard on every acquire, so a pooled connection
-    can never leak a previous tenant's state.  Poisoned or severed
-    connections are closed, never pooled.  The pool is refcounted by the
-    backends of one factory and closes its idle sockets when the last
-    backend closes.
-    """
-
-    def __init__(self, address: Address, max_idle: int = DEFAULT_POOL_IDLE) -> None:
-        if max_idle < 0:
-            raise ValueError(f"max_idle must be >= 0, got {max_idle}")
-        self.address = address
-        self.max_idle = max_idle
-        self._idle: List[FramedConnection] = []
-        self._lock = threading.Lock()
-        self._refs = 0
-        self._closed = False
-        self.dials = 0
-        self.reuses = 0
-
-    @property
-    def idle_count(self) -> int:
-        with self._lock:
-            return len(self._idle)
-
-    def acquire(self, budget: DeadlineBudget) -> FramedConnection:
-        """An idle connection if one is pooled, else a fresh dial.
-
-        A pooled connection may have died server-side while idle; the
-        caller's hello handshake detects that and (under recovery) the next
-        attempt dials fresh — the pool never vouches for liveness.
-        """
-        while True:
-            with self._lock:
-                conn = self._idle.pop() if self._idle else None
-            if conn is None:
-                break
-            if not conn.closed:
-                self.reuses += 1
-                return conn
-        remaining = budget.remaining()
-        if remaining <= 0:
-            raise TimeoutError("deadline budget exhausted before dialling")
-        self.dials += 1
-        return FramedConnection(_dial(self.address, remaining), self.address)
-
-    def release(self, conn: FramedConnection) -> None:
-        """Return a healthy connection to the pool (or close it)."""
-        if conn.closed:
-            return
-        with self._lock:
-            if not self._closed and len(self._idle) < self.max_idle:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    def add_ref(self) -> None:
-        with self._lock:
-            self._refs += 1
-            self._closed = False
-
-    def drop_ref(self) -> None:
-        with self._lock:
-            self._refs = max(0, self._refs - 1)
-            last = self._refs == 0
-        if last:
-            self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, []
-            self._closed = True
-        for conn in idle:
-            conn.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"SocketConnectionPool({format_address(self.address)}, "
-            f"idle={self.idle_count}, dials={self.dials}, reuses={self.reuses})"
-        )
 
 
 # ------------------------------------------------------------------ server
@@ -469,16 +381,17 @@ class _ShardConnection(asyncio.Protocol):
 
 
 class LocalShardServer:
-    """A loopback :class:`ShardServer` this process hosts, refcounted away.
+    """A loopback :class:`ShardServer` this process hosts for one shard.
 
     The self-contained deployment used by tests, scenarios and the
     benchmark: one address for life — an ephemeral Unix socket (``127.0.0.1``
     TCP where ``AF_UNIX`` is unavailable), so a killed host's successor is
-    found where the old one was — served until the last refcount holder
-    releases it; :meth:`stop` then reaps the host and unlinks the socket,
-    so closing every backend leaves no thread, process or file behind.
-    The host is a daemon thread; :class:`ChildShardServer` overrides
-    :meth:`start`, :attr:`alive` and :meth:`kill` to make it a process.
+    found where the old one was — served until :meth:`stop` reaps the host
+    and unlinks the socket; the :class:`SocketShardBackend` that hosts it
+    stops it on ``close()``, so closing every backend leaves no thread,
+    process or file behind.  The host is a daemon thread;
+    :class:`ChildShardServer` overrides :meth:`start`, :attr:`alive` and
+    :meth:`kill` to make it a process.
     """
 
     def __init__(self) -> None:
@@ -489,9 +402,6 @@ class LocalShardServer:
         if hasattr(socket, "AF_UNIX"):
             self._tempdir = tempfile.mkdtemp(prefix="repro-shard-")
             self.address = os.path.join(self._tempdir, "shard.sock")
-        self._refs = 0
-        self._lock = threading.Lock()
-        self._stopped = False
         try:
             self.start()
         except Exception as error:
@@ -543,28 +453,8 @@ class LocalShardServer:
             self._loop.call_soon_threadsafe(self._loop.stop)  # type: ignore[union-attr]
             self._thread.join(timeout=10.0)  # type: ignore[union-attr]
 
-    # ------------------------------------------------------------- refcounting
-
-    def acquire(self) -> "LocalShardServer":
-        with self._lock:
-            if self._stopped:
-                raise ShardUnavailableError("local-shard-server", "server already stopped")
-            self._refs += 1
-        return self
-
-    def release(self) -> None:
-        with self._lock:
-            self._refs = max(0, self._refs - 1)
-            last = self._refs == 0 and not self._stopped
-        if last:
-            self.stop()
-
     def stop(self) -> None:
         """Reap the host for good and unlink the socket (idempotent)."""
-        with self._lock:
-            if self._stopped:
-                return
-            self._stopped = True
         self.kill()
         if self._tempdir is not None:
             with contextlib.suppress(OSError):
@@ -575,7 +465,7 @@ class LocalShardServer:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "stopped"
-        return f"{type(self).__name__}({format_address(self.address)}, {state}, refs={self._refs})"
+        return f"{type(self).__name__}({format_address(self.address)}, {state})"
 
 
 def _serve_listener(listener: socket.socket) -> None:
@@ -641,7 +531,7 @@ class SocketShardSupervisor(ShardSupervisorBase):
 
     The transport half of :class:`~repro.core.remote.ShardSupervisorBase`
     (journal, recovery loop and compaction are inherited).  *Restart* means
-    reconnect (pool-first) + hello + journal replay; :attr:`epoch` counts
+    a fresh dial + hello + journal replay; :attr:`epoch` counts
     connections, which is what scopes fill streams.  Given a
     :class:`LocalShardServer` in place of a bare ``address`` the supervisor
     **owns** that server: :meth:`kill` kills it, every teardown reaps it
@@ -662,7 +552,6 @@ class SocketShardSupervisor(ShardSupervisorBase):
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
         compact_watermark: Optional[int] = None,
-        pool: Optional[SocketConnectionPool] = None,
     ) -> None:
         super().__init__(
             name,
@@ -673,7 +562,6 @@ class SocketShardSupervisor(ShardSupervisorBase):
         self._server = address if isinstance(address, LocalShardServer) else None
         self.address: Address = getattr(address, "address", address)
         self.neighbor_set_size = neighbor_set_size
-        self._pool = pool
         self._conn: Optional[FramedConnection] = None
         self._seen_generation: Optional[int] = None
         self._establish_transport()
@@ -705,13 +593,10 @@ class SocketShardSupervisor(ShardSupervisorBase):
                 # the old one reached must not make the newcomer look stale.
                 self._server.start()
                 self._seen_generation = None
-            if self._pool is not None:
-                conn = self._pool.acquire(budget)
-            else:
-                remaining = budget.remaining()
-                if remaining <= 0:
-                    raise TimeoutError("deadline budget exhausted before dialling")
-                conn = FramedConnection(_dial(self.address, remaining), self.address)
+            remaining = budget.remaining()
+            if remaining <= 0:
+                raise TimeoutError("deadline budget exhausted before dialling")
+            conn = FramedConnection(_dial(self.address, remaining), self.address)
             generation = self._hello(conn, budget)
         except ShardUnavailableError:
             if conn is not None:
@@ -760,10 +645,7 @@ class SocketShardSupervisor(ShardSupervisorBase):
     def _teardown_transport(self) -> None:
         conn, self._conn = self._conn, None
         if conn is not None:
-            if self._pool is not None and self._poisoned is None and not conn.closed:
-                self._pool.release(conn)
-            else:
-                conn.close()
+            conn.close()
         if self._server is not None:
             # An owned server goes down with its connection, whatever state
             # it is in (dead already, hung, healthy): restart() then always
@@ -866,16 +748,18 @@ class SocketShardSupervisor(ShardSupervisorBase):
         )
 
 
-class SocketShardBackend(SupervisedShardBackend):
+class SocketShardBackend:
     """A :class:`~repro.core.sharded.ShardBackend` living behind a socket.
 
-    The client-side surface (batched validation, chunked lazy fill streams,
-    diagnostics) is :class:`~repro.core.remote.SupervisedShardBackend`;
-    this class only wires a :class:`SocketShardSupervisor` under it.
-    Without an explicit ``address`` the backend hosts its own
-    :class:`LocalShardServer`, making a standalone backend fully
-    self-contained (tests, notebooks); a :class:`LocalShardServer` given as
-    the address is owned by the supervisor (see there).
+    The whole client side of a remote shard — path encoding, batched
+    validation, chunked lazy fill streams with epoch-guarded recovery,
+    diagnostics — over the ``request``/``notify``/``epoch`` interface of
+    one :class:`SocketShardSupervisor`.  Without an explicit ``address``
+    the backend hosts its own :class:`LocalShardServer` thread, which
+    outlives restarts (a restart reconnects); a :class:`LocalShardServer`
+    given as the address is owned by the supervisor (a restart respawns
+    it, see there).  Either server stops with the backend, so a
+    standalone backend is fully self-contained (tests, notebooks).
 
     Always :meth:`close` the backend (or use it as a context manager): the
     connection is a real socket and a loopback server a real thread/process.
@@ -890,47 +774,254 @@ class SocketShardBackend(SupervisedShardBackend):
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
         compact_watermark: Optional[int] = None,
-        pool: Optional[SocketConnectionPool] = None,
-        on_close: Optional[Callable[[], None]] = None,
     ) -> None:
         self.name = name
         self.fill_chunk_size = fill_chunk_size
-        self._on_close = on_close
-        self._released = False
-        self._own_server = LocalShardServer() if address is None else None
+        host = LocalShardServer() if address is None else address
+        self._server = host if isinstance(host, LocalShardServer) else None
         try:
             self.supervisor = SocketShardSupervisor(
                 name=name,
-                address=address or self._own_server.address,  # type: ignore[union-attr]
+                address=address or host.address,  # type: ignore[union-attr]
                 neighbor_set_size=neighbor_set_size,
                 request_timeout=request_timeout,
                 recovery=recovery,
                 compact_watermark=compact_watermark,
-                pool=pool,
             )
         except BaseException:
-            self._release_once()
+            if self._server is not None:
+                self._server.stop()
             raise
 
-    def _release_once(self) -> None:
-        if not self._released:
-            self._released = True
-            if self._own_server is not None:
-                self._own_server.stop()
-            if self._on_close is not None:
-                self._on_close()
+    # ---------------------------------------------------------- shard surface
+
+    def register_landmark(self, landmark_id: LandmarkId, router) -> None:
+        self.supervisor.request("register_landmark", (landmark_id, router), journal=True)
+
+    def first_rejected_path(
+        self, paths: Sequence[RouterPath]
+    ) -> Optional[Tuple[int, BaseException]]:
+        """Batch validation in one round trip (the arrival batching rule)."""
+        result = self.supervisor.request(
+            "validate_batch", (tuple(encode_path(path) for path in paths),)
+        )
+        if result is None:
+            return None
+        index, type_name, message = result  # type: ignore[misc]
+        return (int(index), _rebuild_exception(str(type_name), str(message)))
+
+    def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None:
+        self.supervisor.request(
+            "insert_paths",
+            (tuple(encode_path(path) for path in paths), validate),
+            journal=True,
+        )
+
+    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
+        """One round trip, journaled on ack as the ``insert_paths`` it contains
+        (validated by then): journal, replay and compaction stay what they were."""
+        encoded = tuple(encode_path(path) for path in paths)
+        result = self.supervisor.request(
+            "join_paths", (encoded, k), journal=("insert_paths", (encoded, False))
+        )
+        try:
+            lists = [_shared_pairs(pairs) for pairs in result]  # type: ignore[union-attr]
+            # One list per path, no peer twice; dict() also refuses a peer
+            # id that could never key the coordinator's cache.
+            if len(lists) == len(paths) and all(len(dict(pairs)) == len(pairs) for pairs in lists):
+                return lists
+        except (TypeError, ValueError):
+            pass
+        # Acknowledged, so journaled; but no answer to record peers on.
+        raise ShardUnavailableError(self.name, "malformed reply to 'join_paths'")
+
+    def unregister_peer(self, peer_id: PeerId) -> None:
+        self.supervisor.request("unregister", (peer_id,), journal=True)
+
+    def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
+        return _shared_pairs(self.supervisor.request("local_closest", (peer_id, k)))  # type: ignore[arg-type]
+    def fill_candidates(
+        self,
+        bases: Mapping[LandmarkId, float],
+        exclude_peer: Optional[PeerId] = None,
+    ) -> Iterator[Tuple[float, str, PeerId]]:
+        """Chunked client view of the shard's lazy candidate stream.
+
+        The shard-side stream is opened on the first ``next()`` (a never
+        consumed stream costs nothing on either side) and torn down by a
+        one-way ``fill_close`` when the consumer stops early.
+
+        With a :class:`RecoveryPolicy`, a shard death mid-stream is healed
+        by reopening the stream on the restarted (journal-replayed, hence
+        byte-identical) shard and fast-forwarding past the candidates
+        already yielded — the consumer sees one uninterrupted stream.
+        Without a policy it fails typed, never silently-partial.
+        """
+        bases_items = tuple(bases.items())
+        chunk_size = self.fill_chunk_size
+        supervisor = self.supervisor
+
+        def open_stream() -> Tuple[int, int]:
+            # A recoverable open doubles as the recovery trigger: on a dead
+            # shard it restarts+replays first, then opens on the fresh one.
+            stream_id = supervisor.request("fill_open", (bases_items, exclude_peer))
+            return supervisor.epoch, int(stream_id)  # type: ignore[arg-type]
+
+        def pull(stream_id: int, count: int) -> Tuple[bool, Tuple[object, ...]]:
+            # Not recoverable at the supervisor layer: a mid-stream fault
+            # needs reopen+skip, not a blind re-issue against a stream id
+            # from the dead incarnation.
+            return supervisor.request(  # type: ignore[return-value]
+                "fill_next", (stream_id, count), recoverable=False
+            )
+
+        def reopen(yielded: int) -> Tuple[int, int, bool]:
+            """Open a fresh stream and skip the ``yielded`` leading items."""
+            epoch, stream_id = open_stream()
+            remaining = yielded
+            done = False
+            while remaining > 0:
+                done, chunk = pull(stream_id, min(chunk_size, remaining))
+                remaining -= len(chunk)
+                if done:
+                    break
+            if remaining > 0:
+                raise ShardUnavailableError(
+                    self.name,
+                    "fill stream shrank during recovery (shard state diverged)",
+                )
+            return epoch, stream_id, done and remaining == 0
+
+        def stream() -> Iterator[Tuple[float, str, PeerId]]:
+            epoch, stream_id = open_stream()
+            yielded = 0
+            exhausted = False
+            try:
+                while True:
+                    if supervisor.epoch != epoch:
+                        # The shard restarted mid-stream: our stream id now
+                        # belongs to a different incarnation.
+                        if supervisor.recovery is None:
+                            raise ShardUnavailableError(
+                                self.name, "shard restarted mid fill stream"
+                            )
+                        epoch, stream_id, done = reopen(yielded)
+                        if done:
+                            exhausted = True
+                            return
+                    try:
+                        done, chunk = pull(stream_id, chunk_size)
+                    except ShardUnavailableError:
+                        if supervisor.recovery is None:
+                            raise
+                        epoch, stream_id, done = reopen(yielded)
+                        if done:
+                            exhausted = True
+                            return
+                        continue
+                    for item in chunk:
+                        yielded += 1
+                        yield tuple(item)  # type: ignore[misc]
+                    if done:
+                        exhausted = True
+                        return
+            finally:
+                # Only tear down a stream on the incarnation that owns it:
+                # after a restart the same id may name a fresh, unrelated
+                # stream.
+                if not exhausted and supervisor.epoch == epoch:
+                    supervisor.notify("fill_close", (stream_id,))
+
+        return stream()
+
+    def tree(self, landmark_id: LandmarkId) -> PathTree:
+        """A local **snapshot** of the shard's tree (for diagnostics).
+
+        Rebuilt from the shard's paths, so its rows — hence ``closest_peers``
+        and ``tree_distance`` answers — equal the live tree's; the
+        query-work counters (index ranges examined plus entries scanned) are
+        copied across.  Mutating the snapshot does not affect the shard.
+        """
+        root, encoded_paths, total_visits, last_visits = self.supervisor.request(  # type: ignore[misc]
+            "tree", (landmark_id,)
+        )
+        snapshot = PathTree(landmark_id=landmark_id, landmark_router=root)
+        for encoded in encoded_paths:  # type: ignore[union-attr]
+            snapshot.insert(decode_path(encoded))
+        snapshot.total_query_visits = int(total_visits)  # type: ignore[arg-type]
+        snapshot.last_query_visits = int(last_visits)  # type: ignore[arg-type]
+        return snapshot
+
+    def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
+        """``dtree`` of a same-landmark pair: one scalar round trip.
+
+        This is how the coordinator's ``estimate_distance`` reaches a remote
+        tree — :meth:`tree` snapshots are for diagnostics only.
+        """
+        return float(
+            self.supervisor.request("tree_distance", (landmark_id, peer_a, peer_b))  # type: ignore[arg-type]
+        )
+
+    def total_tree_visits(self) -> int:
+        return int(self.supervisor.request("total_tree_visits", ()))  # type: ignore[arg-type]
+
+    def total_insert_work(self) -> Tuple[int, int]:
+        """The shard's ``(nodes_created, nodes_touched)`` insert counters."""
+        created, touched = self.supervisor.request("total_insert_work", ())  # type: ignore[misc]
+        return (int(created), int(touched))  # type: ignore[arg-type]
+
+    # ------------------------------------------------------------ diagnostics
+
+    def worker_stats(self) -> dict:
+        """The shard server's :class:`ServerStats` counters (a copy)."""
+        return dict(self.supervisor.request("stats", ()))  # type: ignore[arg-type, call-overload]
+
+    def health_check(self, timeout: float = 5.0) -> bool:
+        """True when the shard is alive and answering."""
+        return self.supervisor.health_check(timeout=timeout)
+
+    def restart(self) -> None:
+        """Respawn the shard's transport and replay the journal."""
+        self.supervisor.restart()
+
+    def compact(self) -> int:
+        """Snapshot-compact the supervisor's journal; return snapshot bytes."""
+        return self.supervisor.compact()
+
+    # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
+        """Stop the shard, its connection and its server (idempotent)."""
         try:
-            super().close()
+            self.supervisor.close()
         finally:
-            self._release_once()
+            if self._server is not None:
+                self._server.stop()
+
+    def __enter__(self) -> "SocketShardBackend":
+        return self
+
+    def __exit__(self, *_exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown guard
+        try:
+            self.close()
+        except Exception:  # noqa: BLE001 - never raise from a finaliser
+            pass
 
     def __repr__(self) -> str:
         return (
             f"SocketShardBackend(name={self.name!r}, "
             f"address={format_address(self.supervisor.address)})"
         )
+
+
+def _shared_pairs(pairs) -> List[Tuple[PeerId, float]]:
+    """A shard's ``(peer, distance)`` reply with each distance read through
+    :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`: the floats pickle
+    just decoded never reach the coordinator's cache."""
+    return [(peer, SHARED_DISTANCES[distance]) for peer, distance in pairs]
 
 
 def socket_shard_factory(
@@ -940,59 +1031,28 @@ def socket_shard_factory(
     request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
     recovery: Optional[RecoveryPolicy] = None,
     compact_watermark: Optional[int] = None,
-    pool_idle: int = DEFAULT_POOL_IDLE,
 ) -> Callable[[], SocketShardBackend]:
     """A ``shard_factory`` for :class:`ShardedManagementServer` over sockets.
 
     With ``addresses``, shard *i* connects to ``addresses[i % len]`` —
     point it at ``repro-experiments shard-serve`` instances on other
-    machines.  Without, the factory hosts ONE loopback
-    :class:`LocalShardServer` shared by all its shards (each on its own
-    connection, hence its own connection-scoped ``ManagementServer``) and
-    refcounts it down when the last shard closes — so the existing
+    machines.  Without, every shard hosts its own loopback
+    :class:`LocalShardServer` and stops it when it closes — so the existing
     ``ShardedManagementServer.close()`` / ``Scenario.close()`` flows tear
-    the whole socket plane down without new plumbing.  Connections are
-    pooled per address (shared by the factory's shards) so reconnects reuse
-    warm sockets.
+    the whole socket plane down without new plumbing.
     """
     indexes = itertools.count()
-    state: dict = {"server": None}
-    pools: dict = {}
 
     def factory() -> SocketShardBackend:
         index = next(indexes)
-        release: Optional[Callable[[], None]] = None
-        if addresses:
-            address = addresses[index % len(addresses)]
-        else:
-            server = state["server"]
-            if server is None or not server.alive:
-                server = LocalShardServer()
-                state["server"] = server
-            server.acquire()
-            address = server.address
-            release = server.release
-        key = address if isinstance(address, str) else tuple(address)
-        pool = pools.get(key)
-        if pool is None:
-            pool = pools[key] = SocketConnectionPool(address, max_idle=pool_idle)
-        pool.add_ref()
-
-        def on_close(pool=pool, release=release):
-            pool.drop_ref()
-            if release is not None:
-                release()
-
         return SocketShardBackend(
-            address=address,
+            address=addresses[index % len(addresses)] if addresses else None,
             neighbor_set_size=neighbor_set_size,
             name=f"shard-{index}",
             fill_chunk_size=fill_chunk_size,
             request_timeout=request_timeout,
             recovery=recovery,
             compact_watermark=compact_watermark,
-            pool=pool,
-            on_close=on_close,
         )
 
     return factory

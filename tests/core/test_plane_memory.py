@@ -7,7 +7,8 @@ and it is most of a large plane's memory.  These tests pin it with
 registration, and rebuilt by ``restore_state``.  The bounds are the measured
 figures plus 10 % headroom, so a representation that gives back a set per
 reverse-index target, a float per cached distance, a dict per path or a
-duplicate per-peer registry fails here first.
+duplicate per-peer registry fails here first.  A sharded plane's cache
+holds the same shared floats whatever backend answered its shards.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import tracemalloc
 import pytest
 
 from repro import ManagementServer
+from repro.core import ShardedManagementServer, shard_factory_for
 from repro.core.neighbor_cache import SHARED_DISTANCES
 from repro.workloads import synthetic_paths
 
@@ -57,7 +59,7 @@ def registered_server(paths) -> ManagementServer:
     return server
 
 
-def cached_distances(server: ManagementServer):
+def cached_distances(server):
     return [entry[0] for entries in server._cache.lists.values() for entry in entries]
 
 
@@ -90,5 +92,20 @@ def test_cached_distances_are_the_shared_floats():
     for server in (live, restored):
         distances = cached_distances(server)
         assert len(distances) == PEERS * 5
+        assert all(distance is SHARED_DISTANCES[distance] for distance in distances)
+        assert len({id(distance) for distance in distances}) == len(set(distances)) <= 4
+
+
+@pytest.mark.parametrize("backend", ["inline", "socket"])
+def test_a_sharded_planes_cached_distances_are_the_shared_floats(backend):
+    """Distances a remote shard sends back are decoded floats, one object
+    each, until the client reads them through ``SHARED_DISTANCES``."""
+    with ShardedManagementServer(
+        2, neighbor_set_size=5, shard_factory=shard_factory_for(backend, 5)
+    ) as plane:
+        plane.register_landmark("lmk", "lmk")
+        plane.register_peers(synthetic_paths(400))
+        distances = cached_distances(plane)
+        assert len(distances) == 400 * 5
         assert all(distance is SHARED_DISTANCES[distance] for distance in distances)
         assert len({id(distance) for distance in distances}) == len(set(distances)) <= 4

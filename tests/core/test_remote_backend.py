@@ -11,7 +11,7 @@ the ``no_leaked_workers`` autouse fixture in ``tests/conftest.py``).
 ``supervisor.kill()`` is the crash on both: SIGKILL for a process shard's
 child, a cut connection for a socket shard; ``TestRealCrash`` signals the
 child directly.  What only one host can do lives in
-``test_socket_backend.py`` (pool, sever modes, stale epochs, the CLI).
+``test_socket_backend.py`` (lifecycle, sever modes, stale epochs, the CLI).
 """
 
 from __future__ import annotations
@@ -1000,8 +1000,8 @@ class TestRequestDeadline:
         with make_shard(2, request_timeout=None) as shard:
             assert shard.supervisor.request_timeout == DEFAULT_REQUEST_TIMEOUT
 
-    def test_recovery_op_deadline_overrides_the_request_timeout(self, make_shard):
-        with make_shard(2, recovery=RecoveryPolicy(op_deadline_s=1.5)) as shard:
+    def test_the_request_timeout_arrives_on_the_supervisor(self, make_shard):
+        with make_shard(2, request_timeout=1.5, recovery=RecoveryPolicy()) as shard:
             assert shard.supervisor.request_timeout == 1.5
 
     def test_silent_server_times_out_typed_within_one_deadline(self, backend_name):
@@ -1014,13 +1014,12 @@ class TestRequestDeadline:
         else:
             # Park the server thread's loop: the kernel still accepts and
             # buffers, nobody reads — a thread's version of SIGSTOP.
-            server, gate = LocalShardServer().acquire(), threading.Event()
+            server, gate = LocalShardServer(), threading.Event()
             shard = SocketShardBackend(
                 address=server.address,
                 neighbor_set_size=2,
                 name="hung",
                 request_timeout=timeout,
-                on_close=server.release,
             )
             stall = lambda: server._loop.call_soon_threadsafe(gate.wait)  # noqa: E731
             resume = gate.set
@@ -1044,3 +1043,5 @@ class TestRequestDeadline:
                 assert time.monotonic() - started < timeout / 2
             finally:
                 resume()
+                if backend_name == "socket":
+                    server.stop()

@@ -1,11 +1,11 @@
-"""Tests for the shard transport (server, framing, pool, faults, CLI).
+"""Tests for the shard transport (server, framing, lifecycle, faults, CLI).
 
 What both backend names share — parity with an inline shard, lifecycle,
 self-healing, compaction — is ``test_remote_backend.py``, parametrised over
 ``("process", "socket")``.  This module covers the transport itself: the
 asyncio :class:`ShardServer`'s connection-scoped shard protocol
 (hello/generation, op-before-hello, re-hello), one deadline budget per
-round trip, connection pooling, the loopback server's refcounting, the
+round trip, a closed plane leaving no loopback server behind, the
 transport-shaped fault hooks (``sever`` modes, stale-epoch reconnect —
 including a process shard forgetting the epoch of the child it respawned)
 and the three network chaos acceptance cases from the issue:
@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.core import ManagementServer
+from repro.core import ManagementServer, ShardedManagementServer
 from repro.core.budget import DeadlineBudget
 from repro.core.path import RouterPath
 from repro.core.codec import encode_path
@@ -35,14 +35,11 @@ from repro.core.socket_backend import (
     PROTOCOL_VERSION,
     FramedConnection,
     LocalShardServer,
-    SocketConnectionPool,
     SocketShardBackend,
     _dial,
     _parse_tcp,
     build_serve_parser,
     encode_frame,
-    format_address,
-    socket_shard_factory,
 )
 from repro.exceptions import ShardUnavailableError, UnknownPeerError
 
@@ -69,9 +66,9 @@ def fast_recovery(max_restarts=2):
 
 @pytest.fixture()
 def server():
-    local = LocalShardServer().acquire()
+    local = LocalShardServer()
     yield local
-    local.release()
+    local.stop()
 
 
 @pytest.fixture()
@@ -127,8 +124,8 @@ class TestWireProtocol:
             conn.close()
 
     def test_re_hello_swaps_in_a_fresh_empty_shard(self, server):
-        """A second hello on the SAME connection discards the old shard —
-        the invariant that makes pooled-connection reuse safe."""
+        """A second hello on the SAME connection discards the old shard, so
+        no input, however it arrives, reaches a previous tenant's peers."""
         conn = raw_connection(server)
         try:
             exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
@@ -307,60 +304,7 @@ class TestDeadlineBudget:
         assert clock.now == pytest.approx(12.0)  # it never armed a fourth wait
 
 
-class TestConnectionPool:
-    def test_reconnect_reuses_a_pooled_warm_socket(self, server):
-        pool = SocketConnectionPool(server.address)
-        with SocketShardBackend(
-            address=server.address, neighbor_set_size=3, pool=pool
-        ) as shard:
-            seed_peers(shard)
-            before = shard.local_closest("p0", 3)
-            shard.restart()  # clean restart releases the old conn to the pool
-            assert shard.local_closest("p0", 3) == before
-            assert pool.reuses >= 1
-        pool.close()
-
-    def test_closed_idle_connections_are_skipped_not_handed_out(self, server):
-        pool = SocketConnectionPool(server.address)
-        conn = pool.acquire(DeadlineBudget(5.0))
-        pool.release(conn)
-        conn.close()  # rot the idle connection behind the pool's back
-        fresh = pool.acquire(DeadlineBudget(5.0))
-        try:
-            assert not fresh.closed
-            assert pool.dials == 2
-        finally:
-            fresh.close()
-            pool.close()
-
-    def test_poisoned_connections_never_return_to_the_pool(self, server):
-        pool = SocketConnectionPool(server.address)
-        with SocketShardBackend(
-            address=server.address, neighbor_set_size=3, pool=pool, name="poisoned"
-        ) as shard:
-            seed_peers(shard)
-            shard.supervisor.sever("reset")
-            with pytest.raises(ShardUnavailableError):
-                shard.local_closest("p0", 2)
-            assert pool.idle_count == 0  # the severed conn was not pooled
-            shard.restart()
-            assert shard.local_closest("p0", 2)
-        pool.close()
-
-
 class TestLocalServerLifecycle:
-    def test_factory_shares_one_refcounted_loopback_server(self):
-        factory = socket_shard_factory(neighbor_set_size=3)
-        shards = [factory() for _ in range(3)]
-        addresses = {format_address(s.supervisor.address) for s in shards}
-        assert len(addresses) == 1  # one server, three connection-scoped shards
-        for shard in shards[:-1]:
-            shard.close()
-        last = shards[-1]
-        seed_peers(last)  # survivors keep working while refs remain
-        assert last.local_closest("p0", 2)
-        last.close()
-
     def test_closing_the_last_backend_stops_server_and_unlinks_socket(self):
         threads_before = {t.name for t in threading.enumerate()}
         shard = SocketShardBackend(neighbor_set_size=3)
@@ -377,6 +321,23 @@ class TestLocalServerLifecycle:
         assert not leftovers, f"server thread leaked: {leftovers}"
         if isinstance(address, str):
             assert not os.path.exists(address)
+
+    @pytest.mark.parametrize("backend", ["socket", "process"])
+    def test_closing_a_plane_leaves_no_server_thread_child_or_socket_file(self, backend):
+        before = set(threading.enumerate())
+        plane = ShardedManagementServer(
+            4, neighbor_set_size=3, shard_factory=shard_factory_for(backend, 3)
+        )
+        plane.register_landmark("lmA", "lmA")
+        plane.register_peers([simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(4)])
+        addresses = {shard.supervisor.address for shard in plane.shards}
+        # One loopback server per shard: a thread (socket) or a child (process).
+        hosts = [t for t in set(threading.enumerate()) - before if t.name == "repro-shard-server"]
+        hosts += [shard.supervisor.process for shard in plane.shards if shard.supervisor.process]
+        assert len(addresses) == len(hosts) == 4
+        plane.close()
+        assert not [host.name for host in hosts if host.is_alive()]
+        assert not [path for path in addresses if os.path.exists(os.path.dirname(path))]
 
 
 class TestSeverModes:
@@ -407,6 +368,17 @@ class TestSeverModes:
             shard.supervisor.sever(mode)
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
             assert shard.supervisor.epoch == 2
+
+    def test_a_restart_over_a_healthy_connection_dials_afresh(self, server):
+        with SocketShardBackend(address=server.address, neighbor_set_size=3) as shard:
+            seed_peers(shard)
+            before = shard.local_closest("p0", 3)
+            old = shard.supervisor.connection
+            shard.restart()  # nothing severed: the old connection still works
+            assert old.closed and shard.supervisor.connection is not old
+            assert shard.supervisor.epoch == 2
+            assert shard.local_closest("p0", 3) == before
+            assert server.alive  # a server we do not own survives the restart
 
     def test_unknown_sever_mode_rejected(self, backend):
         with pytest.raises(ValueError):

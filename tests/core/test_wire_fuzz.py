@@ -158,7 +158,7 @@ def exchange(sock: socket.socket, message) -> tuple:
 def live_server():
     """A loopback server, a record of what its loop's exception handler saw,
     and a well-behaved witness connection holding real shard state."""
-    server = LocalShardServer().acquire()
+    server = LocalShardServer()
     recorded: list = []
     server._loop.call_soon_threadsafe(
         server._loop.set_exception_handler, lambda _loop, context: recorded.append(context)
@@ -171,7 +171,7 @@ def live_server():
         yield server, witness, recorded
     finally:
         witness.close()
-        server.release()
+        server.stop()
     gc.collect()  # a task that died unobserved reports when it is collected
     assert recorded == []
 

@@ -43,24 +43,28 @@ def functions(body, prefix=""):  # (first line as its code object sees it, quali
 
 if __name__ == "__main__":
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+    pytest_args = sys.argv[1:] or [ROOT]
     sys.settrace(trace), threading.settrace(trace)
-    pytest.main(["-q", "-p", "no:cacheprovider", *(sys.argv[1:] or [ROOT])], plugins=[ChargeToTestFile()])
-    from bench.runner import WORKLOAD_CLASSES, run_workload
-    label[0] = "bench"
-    for name in WORKLOAD_CLASSES:
-        run_workload(name, seed=12, seconds=0.05, traced=False, scale="smoke")
-    from repro.experiments import run_experiment
-    label[0] = "ci"
-    with contextlib.redirect_stdout(io.StringIO()):
-        for example in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
-            try:
-                runpy.run_path(example, run_name="__main__")
-            except SystemExit as stop:  # the self-checking examples exit 0 when right
-                if stop.code:
-                    raise
-        for name in ("protocol-sim-quick", "figure1-quick"):
-            run_experiment(name)
-    sys.settrace(None), threading.settrace(None)
+    try:
+        pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[ChargeToTestFile()])
+        from bench.runner import WORKLOAD_CLASSES, run_workload
+        label[0] = "bench"
+        for name in WORKLOAD_CLASSES:
+            run_workload(name, seed=12, seconds=0.05, traced=False, scale="smoke")
+        from repro.experiments import run_experiment
+        label[0] = "ci"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for example in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+                sys.argv = [example]  # the pytest arguments are not the example's
+                try:
+                    runpy.run_path(example, run_name="__main__")
+                except SystemExit as stop:  # the self-checking examples exit 0 when right
+                    if stop.code:
+                        raise
+            for name in ("protocol-sim-quick", "figure1-quick"):
+                run_experiment(name)
+    finally:
+        sys.settrace(None), threading.settrace(None)
     print(f"\n{'module':36s} defined  bench  others  nothing else")
     totals = [0, 0, 0, 0]
     for path in sorted(os.path.join(d, f) for d, _, fs in os.walk(SRC) for f in fs if f.endswith(".py")):
