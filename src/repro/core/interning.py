@@ -72,7 +72,7 @@ class PeerKeyInterner:
 
     def table(self) -> Dict[PeerId, Tuple[str, int]]:
         """A copy of the live ``peer -> (sort_text, compact_index)`` table."""
-        return dict(self._keys)
+        return self._keys.copy()
 
     @property
     def next_index(self) -> int:

@@ -71,9 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 class _SharedDistances(dict):
     """``table[d]``: the one float of an integral ``d`` in 0–255 (module
-    doc), else a fresh ``float(d)``.  Index queries,
-    :meth:`NeighborCache.import_state` and a remote shard's replies
-    (:class:`~repro.core.socket_backend.SocketShardBackend`) read every
+    doc), else a fresh ``float(d)``.  Index queries (the live plane's and
+    a snapshot's), :meth:`NeighborCache.import_state` and a remote shard's
+    replies (:class:`~repro.core.socket_backend.SocketShardBackend`) read every
     distance through it."""
 
     def __missing__(self, distance: float) -> float:

@@ -37,9 +37,11 @@ peers tie at the k-th distance.
 Costs, with ``d`` the depth and ``n`` the peers under a node: insert and
 remove are ``d`` bisects of O(log n) plus the list insert's memmove (8 bytes
 per entry behind the slot — 100 KB at the root of a 12,800-peer tree); a
-query examines O(d²) ranges and scans O(k) entries in each it reads (see
-:func:`closest_in_rows`).  Memory is one 3-tuple per peer plus one pointer
-per peer per level, in place of a dict per node.
+query examines O(d²) ranges and scans at most ``k + len(excluded)`` entries
+in each it reads, with no bisect at all: a stream's next range, and its
+path child's range at the same hop value, start where the previous ones
+ended (see :func:`closest_in_rows`).  Memory is one 3-tuple per peer plus
+one pointer per peer per level, in place of a dict per node.
 
 Ties beyond ``(hop_count, sort_text)`` — distinct peers whose ``repr``
 collides — are never resolved by comparing the peers: the newer entry goes
@@ -77,7 +79,6 @@ unless a plane is recording changes for a snapshot publisher.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
 from typing import (
@@ -125,26 +126,34 @@ def closest_in_rows(
     at that hop value, skipping the entries the path child's row holds at
     the same value (both in row order, same objects) and the excluded peers
     — and the few taken are merged by sort text.  An ancestor whose row is
-    as long as its path child's (a unary chain) adds no peer and no stream;
-    a range as long as the child's is skipped after the bisects.
+    as long as its path child's (a unary chain) adds no peer and no stream.
 
-    A range is scanned for at most ``2k + len(excluded)`` entries: whatever
-    the path child holds at that hop value was on offer at a smaller
-    distance, so had it held ``k`` eligible peers the query would be over.
+    A stream step bisects nothing.  Its range starts where its previous one
+    ended, and the child's range at the same hop value starts at a cursor
+    where the child's previous one ended: the child's row is a subsequence
+    of the row, so it skips every hop value the row skips.  The scan that
+    reads the range finds its end and passes the child's entries by
+    identity, advancing the cursor; a range that turns out to be all the
+    child's counts as examined, its entries as not scanned.  No scan reads
+    more than ``k + len(excluded)`` entries: every eligible peer the child
+    holds at that hop value was on offer at a smaller distance, so it is
+    among those found, and the scan meets at most ``k - need`` of them, the
+    excluded peers and the ``need`` it takes.
     """
-    # [next distance, distance - hop value, row, path child's row, range start]
+    # [next distance, distance - hop value, row, path child's row, range start, cursor]
     streams = []
     below: Sequence[Entry] = ()
     shift = 2 - origin_hops
     for row in chain:
         if len(row) > len(below):
-            streams.append([row[0][0] + shift, shift, row, below, 0])
+            streams.append([row[0][0] + shift, shift, row, below, 0, 0])
         below = row
         shift += 2
     found: List[Tuple[PeerId, int]] = []
     visits = 0
+    reach = k + len(excluded)
     while len(found) < k and streams:
-        distance = min([stream[0] for stream in streams])
+        distance = min(streams)[0]  # the shifts differ: no row is compared
         if distance == _EXHAUSTED:
             break
         need = k - len(found)
@@ -153,30 +162,33 @@ def closest_in_rows(
         for stream in streams:
             if stream[0] != distance:
                 continue
-            _, shift, row, below, low = stream
-            after = (distance - shift + 1,)
-            high = bisect_left(row, after, low)
-            stream[0] = row[high][0] + shift if high < len(row) else _EXHAUSTED
-            stream[4] = high
-            skip = bisect_left(below, (after[0] - 1,))
-            skip_end = bisect_left(below, after, skip)
-            visits += 1
-            if high - low == skip_end - skip:
-                continue
+            _, shift, row, below, low, cursor = stream
+            hops = distance - shift
             merge = bool(tied)  # a second stream's share: sort them together
             enough = len(tied) + need
-            for entry in islice(row, low, high):
-                visits += 1
-                if skip < skip_end and entry is below[skip]:
+            skip = cursor
+            owned = below[skip] if skip < len(below) else None
+            high = low
+            for entry in row[low : low + reach]:  # the scan ends within the slice
+                if entry[0] != hops:
+                    break
+                high += 1
+                if entry is owned:
                     skip += 1
+                    owned = below[skip] if skip < len(below) else None
                 elif entry[2] not in excluded:
                     tied.append(entry)
                     if len(tied) == enough:
-                        break
+                        break  # the query ends at this distance
+            visits += 1 if high - low == skip - cursor else 1 + high - low
+            stream[0] = row[high][0] + shift if high < len(row) else _EXHAUSTED
+            stream[4] = high
+            stream[5] = skip
         if merge:
             tied.sort(key=_BY_SORT_TEXT)
             del tied[need:]
-        found.extend([(entry[2], distance) for entry in tied])
+        for entry in tied:  # a loop: a comprehension would be a frame per distance
+            found.append((entry[2], distance))
     return found, visits
 
 

@@ -55,10 +55,12 @@ proportional to what changed:
   the peers that joined or left.
 
 :meth:`DiscoverySnapshot.build` is the one build routine: it copies the
-previous epoch's arrays (``list(t)`` … ``tuple(l)``, ``dict(d)`` — C speed),
-re-reads only the recorded rows, slots and lists from the live plane; a
-re-read row is ``tuple(live row)``, a pointer copy that shares the live
-entries.  Untouched rows are *shared* between consecutive epochs.
+previous epoch's arrays (``list(t)`` … ``tuple(l)``, ``d.copy()`` — C
+speed; once ``d`` has had a deletion ``dict(d)`` re-inserts item by item
+while ``d.copy()`` still clones the table), re-reads only the recorded
+rows, slots and lists from the live plane; a re-read row is ``tuple(live
+row)``, a pointer copy that shares the live entries.  Untouched rows are
+*shared* between consecutive epochs.
 A full build is the same routine with no previous epoch, where everything
 counts as changed; that is also what happens whenever the record cannot
 vouch for the gap — ``restore_state``, a new landmark or landmark distance,
@@ -78,6 +80,7 @@ from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple, 
 
 from ..exceptions import UnknownPeerError
 from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
+from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, closest_in_rows
 
@@ -248,7 +251,7 @@ class DiscoverySnapshot:
             changed_nodes: Dict[LandmarkId, Iterable[int]] = {}
             old_tries: Dict[LandmarkId, FlatTrie] = {}
         else:
-            slot_of = dict(previous._slot_of)
+            slot_of = previous._slot_of.copy()
             free = list(previous._free_slots)
             columns = (
                 list(previous._attach_node),
@@ -314,7 +317,7 @@ class DiscoverySnapshot:
         snap.next_compact_index = interner.next_index
         snap._membership_generation = cache.membership_generation
         snap._registration_order = tuple(live)
-        snap._paths = dict(plane._paths)
+        snap._paths = plane._paths.copy()
         snap._slot_of = slot_of
         snap._free_slots = tuple(free)
         snap._attach_node = tuple(attach_node)
@@ -436,7 +439,7 @@ class DiscoverySnapshot:
         candidates = self._tries[landmark].closest_from_node(
             self._attach_node[slot], k, (peer_id,)
         )
-        neighbors = [(other, float(distance)) for other, distance in candidates]
+        neighbors = [(other, SHARED_DISTANCES[distance]) for other, distance in candidates]
         if len(neighbors) >= k:
             return neighbors[:k]
         already = {peer for peer, _ in neighbors}

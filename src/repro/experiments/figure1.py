@@ -16,7 +16,7 @@ brute-force oracle's true distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .._validation import require_positive_int
@@ -102,16 +102,7 @@ def run_single_seed(config: Figure1Config, seed: int) -> ResultTable:
         if map_config is not None:
             # Re-seed the shared map config so each seed gets its own map but
             # population sizes within a seed share the same one.
-            map_config = RouterMapConfig(
-                core_size=map_config.core_size,
-                core_attachment=map_config.core_attachment,
-                transit_size=map_config.transit_size,
-                transit_attachment=map_config.transit_attachment,
-                stub_size=map_config.stub_size,
-                stub_attachment=map_config.stub_attachment,
-                extra_peering_probability=map_config.extra_peering_probability,
-                seed=streams.seed_for("router-map"),
-            )
+            map_config = replace(map_config, seed=streams.seed_for("router-map"))
         scenario_config = ScenarioConfig(
             peer_count=peer_count,
             landmark_count=config.landmark_count,

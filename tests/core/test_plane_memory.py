@@ -8,7 +8,8 @@ registration, and rebuilt by ``restore_state``.  The bounds are the measured
 figures plus 10 % headroom, so a representation that gives back a set per
 reverse-index target, a float per cached distance, a dict per path or a
 duplicate per-peer registry fails here first.  A sharded plane's cache
-holds the same shared floats whatever backend answered its shards.
+holds the same shared floats whatever backend answered its shards, and so
+does a snapshot's cold answer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import tracemalloc
 import pytest
 
 from repro import ManagementServer
-from repro.core import ShardedManagementServer, shard_factory_for
+from repro.core import ShardedManagementServer, SnapshotPublisher, shard_factory_for
 from repro.core.neighbor_cache import SHARED_DISTANCES
 from repro.workloads import synthetic_paths
 
@@ -109,3 +110,14 @@ def test_a_sharded_planes_cached_distances_are_the_shared_floats(backend):
         assert len(distances) == 400 * 5
         assert all(distance is SHARED_DISTANCES[distance] for distance in distances)
         assert len({id(distance) for distance in distances}) == len(set(distances)) <= 4
+
+
+def test_a_snapshots_cold_answers_carry_the_shared_floats():
+    """A snapshot's index query reads its distances through
+    ``SHARED_DISTANCES``, as the live plane's does: an answer beyond the
+    cached lists holds one float object per distance."""
+    snapshot = SnapshotPublisher(registered_server(synthetic_paths(400))).publish()
+    for peer in snapshot.peers()[::20]:
+        distances = [distance for _, distance in snapshot.closest_peers(peer, 10)]
+        assert len(distances) == 10
+        assert all(distance is SHARED_DISTANCES[distance] for distance in distances)

@@ -1,0 +1,90 @@
+"""The cursor kernel against the bisecting kernel it replaced.
+
+:func:`repro.core.path_tree.closest_in_rows` reads each hop range of an
+ancestor chain by cursor: a range starts where the stream's previous one
+ended, and the path child's entries are passed by identity as the scan
+meets them.  ``reference_rows.closest_in_rows`` is the kernel as it stood
+before, bisecting both rows at every step.  For random trees — unary
+chains, peers whose ``repr`` collides, handovers and departures — both
+kernels must return the same ``(found, visits)`` from every drawn origin,
+over the live rows and over a :class:`~repro.core.serving.FlatTrie`'s frozen
+tuples, for ``k`` of 0, 1 and beyond the population and for excluded peers
+attached on the origin's chain, off it, and unknown to the tree.
+
+CI's ``sharded-equivalence`` matrix entry runs this file under the
+``ci-equivalence`` profile (the test pins no example budget of its own).
+"""
+
+from __future__ import annotations
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.path import RouterPath
+from repro.core.path_tree import PathTree, closest_in_rows
+from repro.core.serving import FlatTrie
+
+from .reference_rows import closest_in_rows as bisecting_closest_in_rows
+from .test_path_index import Twin
+
+ROOT = "lmk"
+#: Shared across examples: rows are matched by entry identity.
+TWINS = tuple(Twin(tag) for tag in range(3))
+PEERS = TWINS + tuple(f"p{index}" for index in range(9))
+
+branches = st.one_of(
+    st.lists(st.integers(0, 2), max_size=5),
+    # a unary chain, with a short fan-out below it
+    st.tuples(st.integers(1, 8), st.lists(st.integers(0, 1), max_size=2)).map(
+        lambda spec: [0] * spec[0] + spec[1]
+    ),
+)
+
+
+def make_path(peer, branch) -> RouterPath:
+    """A path whose router names are their prefixes."""
+    routers = [ROOT]
+    for level, choice in enumerate(branch, start=1):
+        routers.append(f"{routers[-1]}/{level}.{choice}")
+    return RouterPath.from_routers(peer, ROOT, routers[::-1])
+
+
+def ancestors(node):
+    """``node`` and every node above it, the root last."""
+    while node is not None:
+        yield node
+        node = node.parent
+
+
+@st.composite
+def trees(draw) -> PathTree:
+    tree = PathTree(landmark_id=ROOT, landmark_router=ROOT)
+    for peer, branch in draw(st.lists(st.tuples(st.sampled_from(PEERS), branches), max_size=16)):
+        tree.insert(make_path(peer, branch))  # a known peer hands over
+    for peer in draw(st.lists(st.sampled_from(PEERS), max_size=4)):
+        if peer in tree:
+            tree.remove(peer)
+    return tree
+
+
+@given(tree=trees(), data=st.data())
+def test_cursor_kernel_matches_the_bisecting_kernel(tree, data):
+    frozen = FlatTrie(ROOT, tree)
+    nodes = [node for node in tree.node_table() if node is not None]
+    for origin in data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4)):
+        chain = [node.row for node in ancestors(origin)]
+        on_chain = [peer for node in ancestors(origin) for peer in node.attached()]
+        off_chain = [peer for peer in tree.peers() if peer not in on_chain]
+        excluded = set()
+        for group in (on_chain, off_chain, ["absent"]):
+            if group:
+                excluded |= data.draw(st.sets(st.sampled_from(group), max_size=3))
+        k = data.draw(
+            st.one_of(st.sampled_from((0, 1)), st.integers(2, tree.peer_count + 3))
+        )
+        expected = bisecting_closest_in_rows(chain, origin.depth + 1, k, excluded)
+        assert closest_in_rows(chain, origin.depth + 1, k, excluded) == expected
+        frozen_chain = [frozen.rows[node.index] for node in ancestors(origin)]
+        assert closest_in_rows(frozen_chain, origin.depth + 1, k, excluded) == expected
+        assert tree.closest_from_node(origin, k, excluded) == expected[0]
+        assert tree.last_query_visits == expected[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.figure1 import (
@@ -77,6 +79,21 @@ class TestRunSingleSeed:
     def test_metadata_records_parameters(self, table):
         assert table.metadata["k"] == 3
         assert table.metadata["landmarks"] == 3
+
+
+    def test_reseeding_keeps_every_map_knob(self):
+        """A seed's map is the caller's config with a new seed, nothing else
+        reset: a flat access layer and a deep one give different tables."""
+        base = quick_figure1_config()
+        tables = []
+        for probability in (0.0, 0.85):
+            config = replace(
+                base,
+                peer_counts=(60,),
+                router_map_config=replace(base.router_map_config, stub_tree_probability=probability),
+            )
+            tables.append(run_single_seed(config, seed=base.seeds[0]).rows)
+        assert tables[0] != tables[1]
 
 
 class TestRunFigure1:
