@@ -115,7 +115,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ShardUnavailableError
 from .path import LandmarkId, NodeId, PeerId, RouterPath
@@ -394,15 +394,9 @@ class ChaosShardBackend:
         return self._call("local_closest", self.inner.local_closest, peer_id, k)
 
     def fill_candidates(
-        self,
-        bases: Mapping[LandmarkId, float],
-        exclude_peer: Optional[PeerId] = None,
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        # The fault applies to creating the stream (the backend-level op);
-        # per-chunk wire traffic below it is the inner backend's business.
-        return self._call(
-            "fill_candidates", self.inner.fill_candidates, bases, exclude_peer=exclude_peer
-        )
+        self, bases: Mapping[LandmarkId, float], limit: int
+    ) -> List[Tuple[float, str, PeerId]]:
+        return self._call("fill_candidates", self.inner.fill_candidates, bases, limit)
 
     def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
         return self._call("tree_distance", self.inner.tree_distance, landmark_id, peer_a, peer_b)

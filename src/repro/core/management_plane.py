@@ -206,7 +206,7 @@ class ManagementPlaneBase:
         :class:`~repro.exceptions.ShardUnavailableError` is re-raised) — the
         default for planes with no partial data sources.  The sharded
         coordinator overrides this to assemble an answer from its neighbour
-        cache and the healthy shards' fill streams.  Only the
+        cache and the healthy shards' fills.  Only the
         ``closest_peers`` read path consults this hook: mutations must stay
         typed and atomic, never silently partial.
         """

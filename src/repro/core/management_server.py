@@ -85,9 +85,9 @@ surface (see :class:`~repro.core.sharded.ShardBackend`):
   work; ``insert_paths`` alone is what a journal replays;
 * :meth:`local_closest` — the index query over the peer's own landmark
   tree, for cold queries and refills;
-* :meth:`fill_candidates` — this shard's lazily merged candidate stream over
-  its per-landmark min-hop orderings (the root rows), the inter-shard half
-  of the cross-landmark fill protocol.
+* :meth:`fill_candidates` — the first ``limit`` candidates of this shard's
+  merge of its per-landmark min-hop orderings (the root rows), the
+  inter-shard half of the cross-landmark fill protocol.
 
 Cross-landmark estimates
 ------------------------
@@ -108,7 +108,6 @@ foreign-tree peer.
 from __future__ import annotations
 
 import gc
-import heapq
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -125,7 +124,7 @@ from .interning import PeerKeyInterner
 from .management_plane import ManagementPlaneBase, ServerStats
 from .neighbor_cache import SHARED_DISTANCES, NeighborCache, NeighborEntry
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .path_tree import PathTree
+from .path_tree import PathTree, fill_in_rows
 
 __all__ = ["ManagementServer", "NeighborEntry", "ServerStats", "STATE_SNAPSHOT_VERSION"]
 
@@ -204,7 +203,7 @@ class ManagementServer(ManagementPlaneBase):
         self._paths: Dict[PeerId, RouterPath] = {}
         self.stats = ServerStats()
         # One interner per plane: every ordering this server produces (query
-        # sorts, cached-list bisects, min-hop orderings, fill streams) shares
+        # sorts, cached-list bisects, min-hop orderings, fills) shares
         # the same precomputed (sort_text, compact_index) keys.
         self._interner = PeerKeyInterner()
         self._cache = NeighborCache(self.neighbor_set_size, self.stats, self._interner)
@@ -438,35 +437,27 @@ class ManagementServer(ManagementPlaneBase):
         return [(peer, shared[distance]) for peer, distance in same_landmark]
 
     def fill_candidates(
-        self,
-        bases: Mapping[LandmarkId, float],
-        exclude_peer: Optional[PeerId] = None,
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        """This server's candidate stream for a cross-landmark fill (lazy).
+        self, bases: Mapping[LandmarkId, float], limit: int
+    ) -> List[Tuple[float, str, PeerId]]:
+        """The first ``limit`` candidates of this server's cross-landmark fill.
 
         ``bases`` maps each of this server's landmarks to the constant part
         of the detour estimate for the querying peer
         (``hops(peer -> its landmark) + d(its landmark, this landmark)``) —
         the caller computes it, so a shard needs no knowledge of foreign
-        landmark distances.  The stream yields ``(estimate, repr(peer),
-        peer)`` tuples in non-decreasing order: one sorted stream per local
-        landmark (its min-hop ordering shifted by the base), merged lazily so
-        a consumer that only needs one or two fill candidates stops early.
+        landmark distances.  The answer is ``(estimate, repr(peer), peer)``
+        tuples in non-decreasing order: the landmarks' min-hop orderings
+        shifted by their bases and merged (:func:`~repro.core.path_tree.
+        fill_in_rows`), so a fill that needs two candidates reads two.
         """
-
-        def shifted(
-            ordering: List[Tuple[int, str, PeerId]], base: float
-        ) -> Iterator[Tuple[float, str, PeerId]]:
-            for hops, text, peer in ordering:
-                if peer != exclude_peer:
-                    yield (base + hops, text, peer)
-
-        streams = [
-            shifted(self._hops_ordering(landmark_id), float(base))
-            for landmark_id, base in bases.items()
-            if landmark_id in self._trees
-        ]
-        return heapq.merge(*streams)
+        return fill_in_rows(
+            [
+                (self._hops_ordering(landmark_id), float(base))
+                for landmark_id, base in bases.items()
+                if landmark_id in self._trees
+            ],
+            limit,
+        )
 
     # -------------------------------------------------------------- snapshots
 
@@ -610,19 +601,13 @@ class ManagementServer(ManagementPlaneBase):
             return neighbors[:k]
 
         # Not enough peers under this landmark: fill with cross-landmark
-        # estimates if inter-landmark distances are known.  The per-landmark
-        # min-hop orderings are merged lazily, so only as many foreign
-        # candidates as needed are ever examined.
+        # estimates if inter-landmark distances are known.  A fill reads
+        # only foreign landmarks, so it never names the peer or one of its
+        # local neighbours, and only as many candidates as needed are read.
         path = self._paths[peer_id]
         bases = self._fill_bases(self._trees, path.landmark_id, path.hop_count)
-        already = {peer for peer, _ in neighbors}
-        for estimate, _, other_peer in self.fill_candidates(bases, exclude_peer=peer_id):
-            if len(neighbors) >= k:
-                break
-            if other_peer in already:
-                continue
+        for estimate, _, other_peer in self.fill_candidates(bases, k - len(neighbors)):
             neighbors.append((other_peer, estimate))
-            already.add(other_peer)
         return neighbors
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ computed once.  The row is the node's whole peer bookkeeping: the peers
 attached at the router itself are its lowest hop value
 (:meth:`PathTreeNode.attached`), ``len(row)`` is the subtree's population,
 and the root's row is the landmark's min-hop ordering that cross-landmark
-fills merge.
+fills merge (:func:`fill_in_rows`).
 
 Seen from an origin node of hop value ``h0`` (depth + 1), a peer of hop
 value ``h`` whose branch router is the origin's ``i``-th ancestor is at
@@ -79,6 +79,8 @@ unless a plane is recording changes for a snapshot publisher.
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import merge
+from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
 from typing import (
@@ -97,6 +99,7 @@ from typing import (
 
 from ..exceptions import RegistrationError, UnknownPeerError
 from .interning import PeerKeyInterner
+from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 
 #: One peer in a row: ``(hop_count, sort_text, peer)``.
@@ -190,6 +193,30 @@ def closest_in_rows(
         for entry in tied:  # a loop: a comprehension would be a frame per distance
             found.append((entry[2], distance))
     return found, visits
+
+
+def fill_in_rows(
+    orderings: Iterable[Tuple[Sequence[Entry], float]], limit: int
+) -> List[Tuple[float, str, PeerId]]:
+    """The first ``limit`` candidates of a cross-landmark fill.
+
+    ``orderings`` holds, per foreign landmark, its min-hop ordering (the
+    root's row) and the constant part of the detour estimate for the
+    querying peer.  Each ordering shifted by its base is a sorted stream of
+    ``(estimate, sort_text, peer)``; the streams are heap-merged lazily, in
+    the order given, and cut at ``limit``.  Estimates are the shared floats
+    of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`.
+
+    Cutting is exact: the first ``limit`` items of a merge are made of a
+    prefix of each stream, at most ``limit`` long, so merging several
+    callers' cut lists again yields the same first ``limit`` items.
+    """
+
+    def shifted(row: Sequence[Entry], base: float) -> Iterator[Tuple[float, str, PeerId]]:
+        for hops, text, peer in row:
+            yield (SHARED_DISTANCES[base + hops], text, peer)
+
+    return list(islice(merge(*[shifted(row, base) for row, base in orderings]), limit))
 
 
 class PathTreeNode:

@@ -30,24 +30,19 @@ reproduces the inline plane's errors byte for byte.  (Reconstructed
 exceptions carry the message but not constructor-specific attributes like
 ``peer_id``.)
 
-Batching and chunking rules
----------------------------
+Batching rules
+--------------
 * **Arrival is one frame**: a newcomer, or a shard's whole slice of a
   co-arriving batch, crosses the transport as ONE ``join_paths`` request
   whose reply carries each path's local closest list, so arrival cost per
   peer stays O(path length), not O(round trips).  Only a batch that spans
   shards, re-registers or repeats a peer sends ONE ``validate_batch`` first.
-* **fill_candidates is chunked and lazy**: the shard keeps the lazily
-  heap-merged candidate stream; the client generator opens it on first use
-  (``fill_open``), pulls :data:`DEFAULT_FILL_CHUNK` candidates per
-  ``fill_next`` round trip, and sends a one-way ``fill_close`` when the
-  coordinator abandons the merge early — so the inter-shard merge stays lazy
-  across the transport and a query that needs two fill candidates ships two
-  chunks, not every foreign peer.
-* **One-way notifications** (``fill_close``) use ``request_id == 0`` and
-  produce no reply, so an abandoned stream's cleanup can be sent from a
-  generator finaliser without desynchronising the strict request/reply
-  order of the connection.
+* **A fill is one bounded read**: ``fill`` carries the detour-estimate
+  bases and the number of candidates the coordinator still needs, and the
+  reply is at most that many — a query that needs two fill candidates
+  ships two, not every foreign peer.  The server keeps no per-connection
+  state beyond the shard.
+* A request with ``request_id == 0`` is one-way: the server sends no reply.
 
 Fault model
 -----------
@@ -56,10 +51,7 @@ raises :class:`~repro.exceptions.ShardUnavailableError` naming the shard —
 malformed frames and replies included: :class:`~repro.exceptions.
 WireProtocolError` is internal, and deliberately distinct from the
 join-protocol ``ProtocolError`` — and poisons the channel so subsequent
-requests fail fast until :meth:`ShardSupervisorBase.restart`.  Fill-stream
-ids are scoped to one transport incarnation
-(:attr:`ShardSupervisorBase.epoch`), so consumers outliving a restart fail
-typed instead of touching the new incarnation's streams.  The supervisor
+requests fail fast until :meth:`ShardSupervisorBase.restart`.  The supervisor
 keeps a **per-shard operation journal** of every successful mutating
 request (``register_landmark``, ``insert_paths``, ``unregister``); a
 restart lands on an *empty* shard and replays the journal in order, which
@@ -79,16 +71,12 @@ Self-healing
 Recovery is **opt-in**: with a :class:`RecoveryPolicy`, any transport
 failure on a recoverable request triggers a bounded loop of backoff →
 restart → one re-issue of the failed request, instead of raising on first
-fault.  Fill streams recover too: journal replay rebuilds shard state
-byte-identically, so the client reopens the stream on the fresh
-incarnation and fast-forwards past the candidates already yielded,
-continuing the *identical* stream (this assumes no mutations landed
-between the original open and the recovery — true for query-scoped merges,
-best-effort for externally held streams).  The journal itself is bounded:
-:meth:`ShardSupervisorBase.compact` swaps it for one ``restore_state``
-entry holding the shard's ``snapshot_state``, so restart cost is O(live
-state), not O(operation history); ``compact_watermark=N`` does so
-automatically whenever the journal reaches ``N`` entries.
+fault; journal replay rebuilds shard state byte-identically, so a re-issued
+read — a fill included — answers what the lost one would have.  The journal
+itself is bounded: :meth:`ShardSupervisorBase.compact` swaps it for one
+``restore_state`` entry holding the shard's ``snapshot_state``, so restart
+cost is O(live state), not O(operation history); ``compact_watermark=N``
+does so automatically whenever the journal reaches ``N`` entries.
 """
 
 from __future__ import annotations
@@ -109,7 +97,6 @@ from .management_server import ManagementServer
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_FILL_CHUNK",
     "RecoveryPolicy",
     "ShardRequestHandler",
     "ShardSupervisorBase",
@@ -124,11 +111,6 @@ __all__ = [
 #: servers over TCP / Unix-domain sockets), which :func:`shard_factory_for`
 #: imports lazily so importing this module never imports asyncio.
 BACKENDS = ("inline", "process", "socket")
-
-#: Candidates shipped per ``fill_next`` round trip.  Small enough that a
-#: query needing one or two fill slots pays one chunk, large enough that a
-#: deep fill is not dominated by round trips.
-DEFAULT_FILL_CHUNK = 32
 
 #: Seconds a request waits for its reply before declaring the shard gone.
 #: Applies to *every* round trip — requests, the hello handshake and journal
@@ -221,12 +203,11 @@ def _rebuild_exception(type_name: str, message: str) -> BaseException:
 
 
 class ShardRequestHandler:
-    """Transport-neutral shard session: one server plus its fill streams.
+    """Transport-neutral shard session: one server, nothing else.
 
     The request/reply semantics of a shard — dispatch against a
-    ``ManagementServer(maintain_cache=False)``, lazily opened fill streams
-    addressed by id, errors serialised as ``(type_name, message)`` — know
-    nothing about how frames arrive: a
+    ``ManagementServer(maintain_cache=False)``, errors serialised as
+    ``(type_name, message)`` — know nothing about how frames arrive: a
     :class:`~repro.core.socket_backend.ShardServer` connection feeds its
     decoded request tuples through one handler instance.
     """
@@ -235,8 +216,6 @@ class ShardRequestHandler:
         self.server = ManagementServer(
             neighbor_set_size=neighbor_set_size, maintain_cache=False
         )
-        self.streams: dict = {}
-        self._stream_ids = itertools.count(1)
 
     def handle(self, request_id: int, op: str, args: Tuple[object, ...]):
         """Apply one decoded request; return the reply tuple (or ``None``).
@@ -244,27 +223,16 @@ class ShardRequestHandler:
         One-way requests (``request_id == 0``) return ``None`` — the caller
         must not write a reply for them.
         """
-        if op == "fill_close":
-            generator = self.streams.pop(args[0], None)
-            if generator is not None:
-                generator.close()
-            return None
         try:
-            result = _dispatch(self.server, self.streams, self._stream_ids, op, args)
+            result = _dispatch(self.server, op, args)
         except Exception as error:  # noqa: BLE001 - errors are protocol payload
             reply = (request_id, "err", type(error).__name__, str(error))
         else:
             reply = (request_id, "ok", result)
         return reply if request_id else None
 
-    def close(self) -> None:
-        """Tear down every open fill stream (idempotent)."""
-        for generator in self.streams.values():
-            generator.close()
-        self.streams.clear()
 
-
-def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args):
+def _dispatch(server: ManagementServer, op: str, args):
     """Apply one decoded request to the shard's server; return the value."""
     if op == "ping":
         return "pong"
@@ -288,21 +256,9 @@ def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args
     if op == "local_closest":
         peer_id, k = args
         return tuple(server.local_closest(peer_id, k))
-    if op == "fill_open":
-        bases_items, exclude_peer = args
-        stream_id = next(stream_ids)
-        streams[stream_id] = server.fill_candidates(dict(bases_items), exclude_peer=exclude_peer)
-        return stream_id
-    if op == "fill_next":
-        stream_id, chunk_size = args
-        generator = streams.get(stream_id)
-        if generator is None:
-            raise WireProtocolError(f"unknown fill stream {stream_id}")
-        chunk = tuple(itertools.islice(generator, chunk_size))
-        done = len(chunk) < chunk_size
-        if done:
-            streams.pop(stream_id, None)
-        return (done, chunk)
+    if op == "fill":
+        bases_items, limit = args
+        return tuple(server.fill_candidates(dict(bases_items), limit))
     if op == "tree":
         tree = server.tree(args[0])
         return (
@@ -323,12 +279,7 @@ def _dispatch(server: ManagementServer, streams: dict, stream_ids, op: str, args
     if op == "snapshot_state":
         return server.snapshot_state()
     if op == "restore_state":
-        server.restore_state(args[0])
-        # Any open fill streams iterate state that no longer exists.
-        for generator in streams.values():
-            generator.close()
-        streams.clear()
-        return None
+        return server.restore_state(args[0])
     raise WireProtocolError(f"unknown operation {op!r}")
 
 
@@ -425,18 +376,8 @@ class ShardSupervisorBase:
         return len(self._journal)
 
     @property
-    def recovery(self) -> Optional[RecoveryPolicy]:
-        """The active :class:`RecoveryPolicy`, or ``None`` (fail-fast mode)."""
-        return self._recovery
-
-    @property
     def epoch(self) -> int:
-        """Transport incarnation counter (bumped by every spawn/reconnect).
-
-        Stream state (fill streams' shard-side ids) is only valid within
-        one epoch: a consumer created before a restart must not touch — or
-        tear down — streams belonging to the new incarnation.
-        """
+        """Transport incarnation counter (bumped by every spawn/reconnect)."""
         return self._epoch
 
     def restart(self) -> None:
@@ -484,8 +425,7 @@ class ShardSupervisorBase:
         With a :class:`RecoveryPolicy` installed, a transport failure on a
         ``recoverable`` request runs the bounded restart+replay+re-issue
         loop before giving up.  Pass ``recoverable=False`` for requests that
-        must observe faults directly (health probes, stream pulls whose
-        recovery the caller manages itself).
+        must observe faults directly (health probes).
         """
         try:
             value = self._roundtrip(op, args, timeout=timeout)
@@ -586,8 +526,8 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     SIGKILLs the child and ``restart()`` respawns it before replaying the
     journal.  Either way the backend stops its server on ``close()``.  Shards are
     named ``shard-0``, ``shard-1``, … in creation order; ``kwargs``
-    (``fill_chunk_size``, ``request_timeout``, ``recovery``,
-    ``compact_watermark``) are shared by every shard of the factory.
+    (``request_timeout``, ``recovery``, ``compact_watermark``) are shared by
+    every shard of the factory.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")

@@ -30,8 +30,9 @@ It replays the live read path, not an approximation of it:
 condition of :meth:`~repro.core.management_plane.ManagementPlaneBase.
 closest_peers`, falls back to the very routine the live trie answers with
 (:func:`~repro.core.path_tree.closest_in_rows`, over frozen copies of the
-same sorted rows), and fills short lists by heap-merging the same shifted
-min-hop orderings in the same stream order the source plane would use —
+same sorted rows), and fills short lists with the same merge of the same
+shifted min-hop orderings (:func:`~repro.core.path_tree.fill_in_rows`), in
+the stream order the source plane would use —
 including the per-shard grouping of the sharded coordinator, whose snapshot
 is composed from the per-shard trees.  ``tests/core/test_serving.py`` holds the oracle pinning
 snapshot answers byte-identical to the live plane at the same epoch.
@@ -74,15 +75,14 @@ the snapshot one integer, not a pass over every slot.
 
 from __future__ import annotations
 
-import heapq
 import time
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import UnknownPeerError
 from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
 from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .path_tree import PathTree, closest_in_rows
+from .path_tree import PathTree, closest_in_rows, fill_in_rows
 
 __all__ = ["DiscoverySnapshot", "FlatTrie", "SnapshotPublisher", "SnapshotReader"]
 
@@ -336,11 +336,12 @@ class DiscoverySnapshot:
         """The landmark order of the plane's cross-landmark fill streams.
 
         The single server merges one stream per landmark in registration
-        order; the sharded coordinator merges per-shard streams (shard index
-        order), each internally in that shard's landmark registration order.
-        A single flat ``heapq.merge`` over the concatenated grouping yields
-        the same sequence as the live nested merge: ties between equal
-        candidate tuples fall back to stream position in both shapes.
+        order; the sharded coordinator merges per-shard lists (shard index
+        order), each the merge of that shard's landmarks in registration
+        order.  A single flat merge over the concatenated grouping
+        (:func:`~repro.core.path_tree.fill_in_rows`) yields the same sequence
+        as the live nested merge: ties between equal candidate tuples fall
+        back to stream position in both shapes.
         """
         shard_landmarks = getattr(plane, "_shard_landmarks", None)
         if shard_landmarks is not None:
@@ -442,37 +443,15 @@ class DiscoverySnapshot:
         neighbors = [(other, SHARED_DISTANCES[distance]) for other, distance in candidates]
         if len(neighbors) >= k:
             return neighbors[:k]
-        already = {peer for peer, _ in neighbors}
-        for estimate, _, other_peer in self._fill_candidates(peer_id, landmark, path.hop_count):
-            if len(neighbors) >= k:
-                break
-            if other_peer in already:
-                continue
+        # The plane's cross-landmark fill over frozen orderings.
+        orderings = []
+        for other in self._fill_order:
+            between = self._landmark_distances.get((landmark, other))
+            if other != landmark and between is not None:
+                orderings.append((self._tries[other].rows[0], float(path.hop_count + between)))
+        for estimate, _, other_peer in fill_in_rows(orderings, k - len(neighbors)):
             neighbors.append((other_peer, estimate))
-            already.add(other_peer)
         return neighbors
-
-    def _fill_candidates(
-        self, peer_id: PeerId, home_landmark: LandmarkId, own_hops: int
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        """The plane's cross-landmark fill merge over frozen orderings."""
-
-        def shifted(
-            ordering: Tuple[Tuple[int, str, PeerId], ...], base: float
-        ) -> Iterator[Tuple[float, str, PeerId]]:
-            for hops, text, peer in ordering:
-                if peer != peer_id:
-                    yield (base + hops, text, peer)
-
-        streams = []
-        for landmark in self._fill_order:
-            if landmark == home_landmark:
-                continue
-            between = self._landmark_distances.get((home_landmark, landmark))
-            if between is None:
-                continue
-            streams.append(shifted(self._tries[landmark].rows[0], float(own_hops + between)))
-        return heapq.merge(*streams)
 
     def __repr__(self) -> str:
         return (

@@ -38,11 +38,14 @@ backend speaking the same methods:
   (``local_closest``).  When the home tree cannot provide ``k`` candidates,
   the coordinator reuses the **cross-landmark fill** as the inter-shard
   candidate protocol: it sends each shard the per-landmark detour-estimate
-  bases, each shard lazily heap-merges its local min-hop orderings into one
-  sorted candidate stream (``fill_candidates``), and the coordinator
-  heap-merges the per-shard streams into the final top-k.  No new estimator
-  is introduced: a shard boundary is just a landmark boundary, so the
-  single-server fill order is reproduced exactly.
+  bases and the number of candidates it still needs, each shard answers
+  with the first that many of its merged min-hop orderings
+  (``fill_candidates``, one bounded read), and the coordinator heap-merges
+  the per-shard lists and keeps that many.  Each shard's share of the
+  first ``need`` merged candidates is a prefix of its own list, at most
+  ``need`` long, so the cut lists merge to the same answer.  No new
+  estimator is introduced: a shard boundary is just a landmark boundary, so
+  the single-server fill order is reproduced exactly.
 
 Equivalence guarantee
 ---------------------
@@ -62,6 +65,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -123,10 +127,8 @@ class ShardBackend(Protocol):
     def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]: ...
 
     def fill_candidates(
-        self,
-        bases: Mapping[LandmarkId, float],
-        exclude_peer: Optional[PeerId] = None,
-    ) -> Iterator[Tuple[float, str, PeerId]]: ...
+        self, bases: Mapping[LandmarkId, float], limit: int
+    ) -> List[Tuple[float, str, PeerId]]: ...
 
     def tree(self, landmark_id: LandmarkId) -> PathTree: ...
 
@@ -203,7 +205,7 @@ class ShardedManagementServer(ManagementPlaneBase):
         When True (default), a ``closest_peers`` query that loses a shard
         mid-computation (:class:`~repro.exceptions.ShardUnavailableError`)
         is answered best-effort from the coordinator's neighbour cache and
-        the healthy shards' candidate streams, tagged as
+        the healthy shards' fills, tagged as
         :class:`~repro.core.management_plane.DegradedResult` and counted in
         ``stats.degraded_queries``.  Mutations always fail typed and atomic
         regardless of this flag.  Set False to make reads fail-fast too.
@@ -271,8 +273,8 @@ class ShardedManagementServer(ManagementPlaneBase):
 
         In-process shards make this a no-op; remote shards close their
         connection and reap the server they host (a child process per
-        ``process`` shard, the shared loopback thread of ``socket`` shards).
-        Idempotent.
+        ``process`` shard, a loopback server thread per self-hosted
+        ``socket`` shard).  Idempotent.
         """
         for shard in self._shards:
             shard.close()
@@ -473,37 +475,32 @@ class ShardedManagementServer(ManagementPlaneBase):
             neighbors = self._shards[self._landmark_shard[path.landmark_id]].local_closest(peer_id, k)
         if len(neighbors) >= k:
             return neighbors[:k]
-
-        already = {peer for peer, _ in neighbors}
+        # A fill reads only foreign landmarks: it never names the peer or
+        # one of its local neighbours.
         for estimate, _, other_peer in self._inter_shard_candidates(
-            peer_id, path.landmark_id, path.hop_count
+            path.landmark_id, path.hop_count, k - len(neighbors)
         ):
-            if len(neighbors) >= k:
-                break
-            if other_peer in already:
-                continue
             neighbors.append((other_peer, estimate))
-            already.add(other_peer)
         return neighbors
 
     def _inter_shard_candidates(
-        self, peer_id: PeerId, landmark_id: LandmarkId, own_hops: int
+        self, landmark_id: LandmarkId, own_hops: int, need: int
     ) -> Iterator[Tuple[float, str, PeerId]]:
-        """Heap-merge of per-shard candidate streams (the inter-shard protocol).
+        """The first ``need`` candidates of the inter-shard fill merge.
 
         The coordinator computes, per shard, the detour-estimate base of each
-        of its landmarks; every shard lazily merges its local min-hop
-        orderings into one sorted stream, and this merge interleaves the
-        shard streams.  Because the stream elements ``(estimate, repr(peer),
-        peer)`` are totally ordered, the merged sequence is independent of
-        how landmarks are partitioned — the equivalence guarantee.
+        of its landmarks and asks every shard holding one for its first
+        ``need`` candidates; this merge interleaves the shards' lists.
+        Because the elements ``(estimate, repr(peer), peer)`` are totally
+        ordered, the merged sequence is independent of how landmarks are
+        partitioned — the equivalence guarantee.
         """
-        streams = []
+        lists = []
         for shard_index, shard in enumerate(self._shards):
             bases = self._fill_bases(self._shard_landmarks[shard_index], landmark_id, own_hops)
             if bases:
-                streams.append(shard.fill_candidates(bases, exclude_peer=peer_id))
-        return heapq.merge(*streams)
+                lists.append(shard.fill_candidates(bases, need))
+        return islice(heapq.merge(*lists), need)
 
     # ------------------------------------------------------------ degradation
 
@@ -531,7 +528,7 @@ class ShardedManagementServer(ManagementPlaneBase):
         Assembles up to ``k`` candidates from, in order: the coordinator's
         cached list for the peer (the best known answer as of the last
         successful compute), the home shard's tree (guarded — it is often
-        the shard that just failed), and the healthy shards' fill streams.
+        the shard that just failed), and the healthy shards' fills.
         Every shard touch is guarded, so a still-dead shard narrows the
         answer instead of failing it.  The result is a
         :class:`DegradedResult` and is never written back to the cache; the
@@ -558,7 +555,9 @@ class ShardedManagementServer(ManagementPlaneBase):
                     pairs.append((peer, float(distance)))
                     already.add(peer)
         if len(pairs) < k:
-            streams = []
+            # k from each shard: the cached list may hold up to len(pairs)
+            # of the candidates, so at most k are consumed.
+            lists = []
             for shard_index, shard in enumerate(self._shards):
                 bases = self._fill_bases(
                     self._shard_landmarks[shard_index], landmark_id, own_hops
@@ -566,13 +565,10 @@ class ShardedManagementServer(ManagementPlaneBase):
                 if not bases:
                     continue
                 try:
-                    # Process backends open lazily (first pull), but a
-                    # backend may also refuse at call time — guard both.
-                    stream = shard.fill_candidates(bases, exclude_peer=peer_id)
+                    lists.append(shard.fill_candidates(bases, k))
                 except ShardUnavailableError:
                     continue
-                streams.append(self._guarded_stream(stream))
-            for estimate, _, other_peer in heapq.merge(*streams):
+            for estimate, _, other_peer in heapq.merge(*lists):
                 if len(pairs) >= k:
                     break
                 if other_peer not in already:
@@ -581,16 +577,6 @@ class ShardedManagementServer(ManagementPlaneBase):
         return DegradedResult(
             pairs[:k], shard=getattr(error, "shard", None), reason=str(error)
         )
-
-    @staticmethod
-    def _guarded_stream(
-        stream: Iterator[Tuple[float, str, PeerId]],
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        """A fill stream that ends quietly if its shard becomes unavailable."""
-        try:
-            yield from stream
-        except ShardUnavailableError:
-            return
 
     def __repr__(self) -> str:
         return (

@@ -17,11 +17,15 @@ client sends is ``hello`` carrying ``(PROTOCOL_VERSION,
 neighbor_set_size)``; the server answers ``(PROTOCOL_VERSION, generation)``
 after building a fresh ``ManagementServer`` for the connection.  A second
 ``hello`` on the same connection discards the shard and builds a new one,
-so no input, however it arrives, reaches a previous tenant's peers.  Dying
-and reconnecting (every restart dials afresh) therefore lands on an *empty*
-shard, and the supervisor heals it by replaying the operation journal
-(snapshot-compacted or not) in order, byte-identical by insert order, under
-the :class:`~repro.core.remote.RecoveryPolicy` backoff loop.
+so no input, however it arrives, reaches a previous tenant's peers, and the
+shard is all a connection holds: every request, a fill included, is one
+self-contained read or write.  Dying and reconnecting (every restart dials
+afresh) therefore lands on an *empty* shard, and the supervisor heals it by
+replaying the operation journal (snapshot-compacted or not) in order,
+byte-identical by insert order, under the
+:class:`~repro.core.remote.RecoveryPolicy` backoff loop.
+``PROTOCOL_VERSION`` names the operation set, so a client and a server
+that disagree on it fail the hello typed.
 
 Stale-epoch detection
 ---------------------
@@ -76,7 +80,7 @@ import socket
 import struct
 import tempfile
 import threading
-from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
@@ -85,7 +89,6 @@ from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, PeerId, RouterPath
 from .path_tree import PathTree
 from .remote import (
-    DEFAULT_FILL_CHUNK,
     DEFAULT_REQUEST_TIMEOUT,
     RecoveryPolicy,
     ShardRequestHandler,
@@ -108,7 +111,8 @@ __all__ = [
 
 #: Version of the hello handshake + operation set.  Bump on incompatible
 #: protocol changes; the handshake fails typed across a version skew.
-PROTOCOL_VERSION = 1
+#: Version 2 fills with one bounded ``fill`` request.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame body — far above any real snapshot, low enough
 #: that a corrupt header cannot make either side try to buffer gigabytes.
@@ -350,10 +354,8 @@ class _ShardConnection(asyncio.Protocol):
                     request_id,
                     f"server speaks protocol {PROTOCOL_VERSION}, client sent {version!r}",
                 )
-            fresh = ShardRequestHandler(int(neighbor_set_size))  # type: ignore[arg-type]
-            if self._handler is not None:
-                self._handler.close()  # the previous tenant's shard goes
-            self._handler = fresh
+            # The previous tenant's shard, if any, goes.
+            self._handler = ShardRequestHandler(int(neighbor_set_size))  # type: ignore[arg-type]
             self._server._generation += 1
             reply = (request_id, "ok", (PROTOCOL_VERSION, self._server._generation))
             return reply if request_id else None
@@ -374,10 +376,6 @@ class _ShardConnection(asyncio.Protocol):
     def resume_writing(self) -> None:
         self._transport.resume_reading()
         self._serve_buffered()
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        if self._handler is not None:
-            self._handler.close()
 
 
 class LocalShardServer:
@@ -532,7 +530,7 @@ class SocketShardSupervisor(ShardSupervisorBase):
     The transport half of :class:`~repro.core.remote.ShardSupervisorBase`
     (journal, recovery loop and compaction are inherited).  *Restart* means
     a fresh dial + hello + journal replay; :attr:`epoch` counts
-    connections, which is what scopes fill streams.  Given a
+    connections.  Given a
     :class:`LocalShardServer` in place of a bare ``address`` the supervisor
     **owns** that server: :meth:`kill` kills it, every teardown reaps it
     and every re-establish first starts a fresh one on the same address —
@@ -752,14 +750,14 @@ class SocketShardBackend:
     """A :class:`~repro.core.sharded.ShardBackend` living behind a socket.
 
     The whole client side of a remote shard — path encoding, batched
-    validation, chunked lazy fill streams with epoch-guarded recovery,
-    diagnostics — over the ``request``/``notify``/``epoch`` interface of
-    one :class:`SocketShardSupervisor`.  Without an explicit ``address``
-    the backend hosts its own :class:`LocalShardServer` thread, which
-    outlives restarts (a restart reconnects); a :class:`LocalShardServer`
-    given as the address is owned by the supervisor (a restart respawns
-    it, see there).  Either server stops with the backend, so a
-    standalone backend is fully self-contained (tests, notebooks).
+    validation, checked replies, diagnostics — over the ``request``
+    interface of one :class:`SocketShardSupervisor`.  Without an explicit
+    ``address`` the backend hosts its own :class:`LocalShardServer`
+    thread, which outlives restarts (a restart reconnects); a
+    :class:`LocalShardServer` given as the address is owned by the
+    supervisor (a restart respawns it, see there).  Either server stops
+    with the backend, so a standalone backend is fully self-contained
+    (tests, notebooks).
 
     Always :meth:`close` the backend (or use it as a context manager): the
     connection is a real socket and a loopback server a real thread/process.
@@ -770,13 +768,11 @@ class SocketShardBackend:
         address: Union[Address, LocalShardServer, None] = None,
         neighbor_set_size: int = 5,
         name: str = "socket-shard",
-        fill_chunk_size: int = DEFAULT_FILL_CHUNK,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
         compact_watermark: Optional[int] = None,
     ) -> None:
         self.name = name
-        self.fill_chunk_size = fill_chunk_size
         host = LocalShardServer() if address is None else address
         self._server = host if isinstance(host, LocalShardServer) else None
         try:
@@ -840,99 +836,40 @@ class SocketShardBackend:
 
     def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
         return _shared_pairs(self.supervisor.request("local_closest", (peer_id, k)))  # type: ignore[arg-type]
+
     def fill_candidates(
-        self,
-        bases: Mapping[LandmarkId, float],
-        exclude_peer: Optional[PeerId] = None,
-    ) -> Iterator[Tuple[float, str, PeerId]]:
-        """Chunked client view of the shard's lazy candidate stream.
+        self, bases: Mapping[LandmarkId, float], limit: int
+    ) -> List[Tuple[float, str, PeerId]]:
+        """The shard's first ``limit`` fill candidates: one bounded read.
 
-        The shard-side stream is opened on the first ``next()`` (a never
-        consumed stream costs nothing on either side) and torn down by a
-        one-way ``fill_close`` when the consumer stops early.
-
-        With a :class:`RecoveryPolicy`, a shard death mid-stream is healed
-        by reopening the stream on the restarted (journal-replayed, hence
-        byte-identical) shard and fast-forwarding past the candidates
-        already yielded — the consumer sees one uninterrupted stream.
-        Without a policy it fails typed, never silently-partial.
+        A recoverable request like any other: a shard that died before or
+        during it is healed by restart, replay and re-issue.  The reply is
+        checked — at most ``limit`` ``(estimate, sort_text, peer)`` items, a
+        real-number estimate and a ``str`` sort text each, in non-decreasing
+        ``(estimate, sort_text)`` order, no peer twice — and anything else
+        is a :class:`ShardUnavailableError`, never a malformed item in the
+        coordinator's merge.
         """
-        bases_items = tuple(bases.items())
-        chunk_size = self.fill_chunk_size
-        supervisor = self.supervisor
-
-        def open_stream() -> Tuple[int, int]:
-            # A recoverable open doubles as the recovery trigger: on a dead
-            # shard it restarts+replays first, then opens on the fresh one.
-            stream_id = supervisor.request("fill_open", (bases_items, exclude_peer))
-            return supervisor.epoch, int(stream_id)  # type: ignore[arg-type]
-
-        def pull(stream_id: int, count: int) -> Tuple[bool, Tuple[object, ...]]:
-            # Not recoverable at the supervisor layer: a mid-stream fault
-            # needs reopen+skip, not a blind re-issue against a stream id
-            # from the dead incarnation.
-            return supervisor.request(  # type: ignore[return-value]
-                "fill_next", (stream_id, count), recoverable=False
-            )
-
-        def reopen(yielded: int) -> Tuple[int, int, bool]:
-            """Open a fresh stream and skip the ``yielded`` leading items."""
-            epoch, stream_id = open_stream()
-            remaining = yielded
-            done = False
-            while remaining > 0:
-                done, chunk = pull(stream_id, min(chunk_size, remaining))
-                remaining -= len(chunk)
-                if done:
+        reply = self.supervisor.request("fill", (tuple(bases.items()), limit))
+        try:
+            items = []
+            for estimate, text, peer in reply:  # type: ignore[union-attr]
+                if type(estimate) not in (int, float) or type(text) is not str:
                     break
-            if remaining > 0:
-                raise ShardUnavailableError(
-                    self.name,
-                    "fill stream shrank during recovery (shard state diverged)",
-                )
-            return epoch, stream_id, done and remaining == 0
-
-        def stream() -> Iterator[Tuple[float, str, PeerId]]:
-            epoch, stream_id = open_stream()
-            yielded = 0
-            exhausted = False
-            try:
-                while True:
-                    if supervisor.epoch != epoch:
-                        # The shard restarted mid-stream: our stream id now
-                        # belongs to a different incarnation.
-                        if supervisor.recovery is None:
-                            raise ShardUnavailableError(
-                                self.name, "shard restarted mid fill stream"
-                            )
-                        epoch, stream_id, done = reopen(yielded)
-                        if done:
-                            exhausted = True
-                            return
-                    try:
-                        done, chunk = pull(stream_id, chunk_size)
-                    except ShardUnavailableError:
-                        if supervisor.recovery is None:
-                            raise
-                        epoch, stream_id, done = reopen(yielded)
-                        if done:
-                            exhausted = True
-                            return
-                        continue
-                    for item in chunk:
-                        yielded += 1
-                        yield tuple(item)  # type: ignore[misc]
-                    if done:
-                        exhausted = True
-                        return
-            finally:
-                # Only tear down a stream on the incarnation that owns it:
-                # after a restart the same id may name a fresh, unrelated
-                # stream.
-                if not exhausted and supervisor.epoch == epoch:
-                    supervisor.notify("fill_close", (stream_id,))
-
-        return stream()
+                items.append((SHARED_DISTANCES[estimate], text, peer))
+            else:
+                # Sorted by (estimate, sort_text) alone: peers are never
+                # compared.  The set refuses a peer twice, or one no cache
+                # could key on.
+                if (
+                    len(items) <= limit
+                    and all(a[:2] <= b[:2] for a, b in zip(items, items[1:]))
+                    and len({item[2] for item in items}) == len(items)
+                ):
+                    return items
+        except (TypeError, ValueError):
+            pass
+        raise ShardUnavailableError(self.name, "malformed reply to 'fill'")
 
     def tree(self, landmark_id: LandmarkId) -> PathTree:
         """A local **snapshot** of the shard's tree (for diagnostics).
@@ -1027,7 +964,6 @@ def _shared_pairs(pairs) -> List[Tuple[PeerId, float]]:
 def socket_shard_factory(
     neighbor_set_size: int = 5,
     addresses: Optional[Sequence[Address]] = None,
-    fill_chunk_size: int = DEFAULT_FILL_CHUNK,
     request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
     recovery: Optional[RecoveryPolicy] = None,
     compact_watermark: Optional[int] = None,
@@ -1049,7 +985,6 @@ def socket_shard_factory(
             address=addresses[index % len(addresses)] if addresses else None,
             neighbor_set_size=neighbor_set_size,
             name=f"shard-{index}",
-            fill_chunk_size=fill_chunk_size,
             request_timeout=request_timeout,
             recovery=recovery,
             compact_watermark=compact_watermark,

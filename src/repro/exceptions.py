@@ -89,8 +89,8 @@ class LandmarkError(ReproError):
 class WireProtocolError(ReproError):
     """Raised when the shard wire protocol is violated.
 
-    Covers malformed or truncated frames, unknown operations and unknown
-    fill streams — transport-level corruption, deliberately distinct from
+    Covers malformed or truncated frames and unknown operations —
+    transport-level corruption, deliberately distinct from
     :class:`ProtocolError` (the peer-facing *join* protocol) so handlers of
     registration errors never swallow a corrupt channel.  Client code
     normally sees these wrapped in :class:`ShardUnavailableError`.

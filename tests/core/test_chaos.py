@@ -272,7 +272,7 @@ class TestChaosShardBackend:
         with chaos_backend(FaultPlan()) as shard:
             assert shard.name == shard.inner.name == "shard-0"
             assert shard.supervisor.epoch == 1
-            assert shard.fill_chunk_size == shard.inner.fill_chunk_size
+            assert shard.supervisor is shard.inner.supervisor
 
 
 def inline_chaos(plan):

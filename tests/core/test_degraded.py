@@ -229,14 +229,13 @@ class TestHealth:
 
 
 class TestShardDiesMidFill:
-    """Satellite (c): a shard dying mid-``fill_candidates`` during a
-    cross-shard query is never silently partial — the answer either fails
-    typed (degraded reads off) or comes back tagged as a DegradedResult.
+    """A shard dead at the ``fill_candidates`` read of a cross-shard query
+    is never silently partial — the answer either fails typed (degraded
+    reads off) or comes back tagged as a DegradedResult.
 
     The victim here is the *foreign* shard: the peer's home shard stays
-    healthy, so the computation gets as far as merging the foreign shard's
-    candidate stream before the death surfaces — the genuinely mid-fill
-    case, not a failure on first touch.
+    healthy, so the computation gets as far as the foreign shard's fill
+    before the death surfaces — a failure mid-query, not on first touch.
     """
 
     def test_typed_failure_with_degradation_off(self):

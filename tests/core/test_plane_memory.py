@@ -9,7 +9,7 @@ figures plus 10 % headroom, so a representation that gives back a set per
 reverse-index target, a float per cached distance, a dict per path or a
 duplicate per-peer registry fails here first.  A sharded plane's cache
 holds the same shared floats whatever backend answered its shards, and so
-does a snapshot's cold answer.
+do a snapshot's cold answer and a list topped up by a cross-landmark fill.
 """
 
 from __future__ import annotations
@@ -121,3 +121,28 @@ def test_a_snapshots_cold_answers_carry_the_shared_floats():
         distances = [distance for _, distance in snapshot.closest_peers(peer, 10)]
         assert len(distances) == 10
         assert all(distance is SHARED_DISTANCES[distance] for distance in distances)
+
+
+@pytest.mark.parametrize("backend", [None, "socket"])
+def test_a_list_topped_up_by_a_fill_carries_the_shared_floats(backend):
+    """A fill's estimates — ``base + hops`` on one server, decoded floats
+    from a remote shard — reach a neighbour list as the shared floats."""
+    distances = {("lmA", "lmC"): 2.0}
+    if backend is None:
+        plane = ManagementServer(neighbor_set_size=5, landmark_distances=distances)
+    else:
+        plane = ShardedManagementServer(
+            2,
+            neighbor_set_size=5,
+            landmark_distances=distances,
+            shard_factory=shard_factory_for(backend, 5),
+        )
+    with plane:
+        for landmark in ("lmA", "lmC"):
+            plane.register_landmark(landmark, landmark)
+        plane.register_peers(synthetic_paths(40, landmark="lmC", prefix="c"))
+        plane.register_peers(synthetic_paths(3, landmark="lmA", prefix="a"))
+        for peer in ("a0", "a1", "a2"):  # two local neighbours, three filled
+            for pairs in (plane.neighbor_list(peer), plane.closest_peers(peer, 8)):
+                assert [plane.peer_landmark(other) for other, _ in pairs][2:] == ["lmC"] * (len(pairs) - 2)
+                assert all(distance is SHARED_DISTANCES[distance] for _, distance in pairs)

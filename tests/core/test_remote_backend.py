@@ -66,7 +66,7 @@ def backend_name(request):
 @pytest.fixture()
 def make_shard(backend_name):
     """Build one remote shard of the parametrised backend (kwargs as for
-    ``shard_factory_for``: ``recovery=``, ``fill_chunk_size=``, ...)."""
+    ``shard_factory_for``: ``recovery=``, ``compact_watermark=``, ...)."""
 
     def make(neighbor_set_size=3, **kwargs):
         return shard_factory_for(backend_name, neighbor_set_size, **kwargs)()
@@ -139,40 +139,9 @@ class TestBackendParity:
         shard, inline = pair
         seed_peers(shard, inline)
         bases = {"lmA": 7.0}
-        assert list(shard.fill_candidates(bases, exclude_peer="p0")) == list(
-            inline.fill_candidates(bases, exclude_peer="p0")
-        )
-
-    def test_fill_stream_consumed_lazily_in_chunks(self, make_shard):
-        with make_shard(fill_chunk_size=2) as shard:
-            seed_peers(shard, count=7)
-            stream = shard.fill_candidates({"lmA": 1.0})
-            first_two = [next(stream) for _ in range(2)]
-            assert len(first_two) == 2
-            stream.close()  # abandon early: fill_close tears the stream down
-            # The channel stays healthy and ordered after an abandoned stream.
-            assert shard.local_closest("p0", 2) == shard.local_closest("p0", 2)
-
-    def test_stale_fill_stream_does_not_touch_a_restarted_shard(self, make_shard):
-        """Stream ids are scoped to one shard incarnation: after a restart,
-        a stale consumer neither reads from nor tears down the fresh
-        shard's streams (whose ids restart from 1)."""
-        with make_shard(fill_chunk_size=2) as shard:
-            seed_peers(shard, count=7)
-            stale = shard.fill_candidates({"lmA": 1.0})
-            next(stale)
-            next(stale)  # drain the buffered chunk so the next pull hits the wire
-            shard.restart()
-            fresh = shard.fill_candidates({"lmA": 1.0})
-            first = next(fresh)
-            # Pulling the stale stream must fail typed, not read the fresh
-            # shard's identically-numbered stream.
-            with pytest.raises(ShardUnavailableError):
-                next(stale)
-            # And its finaliser must not close the fresh stream either.
-            stale.close()
-            remainder = [first] + list(fresh)
-            assert remainder == list(shard.fill_candidates({"lmA": 1.0}))
+        for limit in (0, 1, 3, 10):
+            assert shard.fill_candidates(bases, limit) == inline.fill_candidates(bases, limit)
+        assert len(shard.fill_candidates(bases, 10)) == 4
 
     def test_first_rejected_path_matches_inline_in_one_round_trip(self, pair):
         shard, inline = pair
@@ -234,7 +203,7 @@ class TestBackendParity:
             backend.local_closest("p0", 3)
         assert backend.name in str(error.value) and name in str(error.value)
         with pytest.raises(ShardUnavailableError):  # not an untyped RuntimeError
-            list(backend.fill_candidates({"lmA": 1.0}))
+            backend.fill_candidates({"lmA": 1.0}, 3)
         monkeypatch.undo()
         # The honest vocabulary still crosses as itself, builtins included.
         assert type(_rebuild_exception("KeyError", "k")) is KeyError
@@ -806,28 +775,23 @@ class TestSelfHealing:
             shard.local_closest("p0", 2)
             assert slept == [pytest.approx(0.05)]
 
-    def test_fill_stream_heals_mid_pull_without_gaps_or_repeats(self, make_shard):
+    def test_a_shard_killed_before_a_fill_heals_by_re_issue(self, make_shard):
         reference = ManagementServer(neighbor_set_size=3, maintain_cache=False)
-        with make_shard(recovery=fast_recovery(), fill_chunk_size=2) as shard:
+        with make_shard(recovery=fast_recovery()) as shard:
             seed_peers(shard, reference, count=7)
-            expected = list(reference.fill_candidates({"lmA": 1.0}))
-            assert len(expected) >= 5  # the kill lands genuinely mid-stream
-            stream = shard.fill_candidates({"lmA": 1.0})
-            got = [next(stream), next(stream)]  # drain the buffered chunk
+            expected = reference.fill_candidates({"lmA": 1.0}, 5)
+            assert len(expected) == 5
             shard.supervisor.kill()
-            got.extend(stream)  # reopen on the replayed shard, fast-forward
-            assert got == expected
+            # Restart, replay the journal, re-issue: the same answer.
+            assert shard.fill_candidates({"lmA": 1.0}, 5) == expected
             assert shard.supervisor.epoch == 2
 
-    def test_fill_stream_without_recovery_fails_typed_never_partial(self, make_shard):
-        with make_shard(fill_chunk_size=2) as shard:
+    def test_a_fill_without_recovery_fails_typed_naming_the_shard(self, make_shard):
+        with make_shard() as shard:
             seed_peers(shard, count=7)
-            stream = shard.fill_candidates({"lmA": 1.0})
-            next(stream)
-            next(stream)  # the next pull must hit the wire
             shard.supervisor.kill()
             with pytest.raises(ShardUnavailableError) as error:
-                list(stream)
+                shard.fill_candidates({"lmA": 1.0}, 5)
             assert shard.name in str(error.value)
 
 
@@ -842,32 +806,28 @@ def sigkill(shard):
 
 class TestRealCrash:
     """Acceptance: a process shard's server lives in another process and
-    really dies.  SIGKILL it mid fill stream and mid batch insert — the
+    really dies.  SIGKILL it before a fill and mid batch insert — the
     plane heals gap-free under a RecoveryPolicy and fails typed without
     one — and ``close()`` leaves no child process and no socket file."""
 
     @pytest.mark.parametrize("heals", [True, False])
-    def test_sigkill_mid_fill_stream(self, heals):
+    def test_sigkill_before_a_fill(self, heals):
         reference = ManagementServer(neighbor_set_size=3, maintain_cache=False)
         recovery = fast_recovery() if heals else None
-        shard = shard_factory_for("process", 3, recovery=recovery, fill_chunk_size=2)()
+        shard = shard_factory_for("process", 3, recovery=recovery)()
         with shard:
             seed_peers(shard, reference, count=9)
-            expected = list(reference.fill_candidates({"lmA": 1.0}))
-            stream = shard.fill_candidates({"lmA": 1.0})
-            got = [next(stream) for _ in range(4)]  # two chunks are out
+            expected = reference.fill_candidates({"lmA": 1.0}, 6)
             first_child = shard.supervisor.process.pid
             sigkill(shard)
             if heals:
-                got.extend(stream)
-                assert got == expected  # no gap, no repeat
+                assert shard.fill_candidates({"lmA": 1.0}, 6) == expected
                 assert shard.supervisor.process.pid != first_child  # a new process
                 assert shard.supervisor.process.is_alive()
             else:
                 with pytest.raises(ShardUnavailableError) as error:
-                    list(stream)
+                    shard.fill_candidates({"lmA": 1.0}, 6)
                 assert shard.name in str(error.value)
-                assert got == expected[:4]  # typed, never silently partial
             address = shard.supervisor.address
         assert not multiprocessing.active_children()
         assert not os.path.exists(address)

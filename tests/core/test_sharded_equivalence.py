@@ -22,7 +22,7 @@ through SIGKILLed servers via respawn+replay) and ``socket-chaos`` (socket
 shards on a network-shaped fault plan: crashes plus connection resets,
 partial frames and stale-epoch reconnects, healed by
 reconnect-with-replay) — via the ``backend_factory`` fixture, so the wire
-protocol, the typed codec, the chunked fill streams AND both transports'
+protocol, the typed codec, the bounded fill AND both transports'
 recovery paths are held to the very same byte-identical bar as the
 original sharding refactor.
 
@@ -319,6 +319,64 @@ class TestEquivalenceOracle:
             run_case(backend_factory, case)
 
         check()
+
+
+@st.composite
+def fill_cases(draw):
+    """A population over 2–5 landmarks with distances, on 1–4 inline shards."""
+    landmark_count = draw(st.integers(2, MAX_LANDMARKS))
+    shard_count = draw(st.integers(1, 4))
+    shape = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
+    population = draw(
+        st.lists(st.tuples(st.integers(0, landmark_count - 1), shape), min_size=1, max_size=MAX_PEERS)
+    )
+    k = draw(st.integers(1, len(population) + 2))
+    return landmark_count, shard_count, population, k
+
+
+class TestBoundedFill:
+    """A fill asks each shard for the candidates still needed, and no more.
+
+    Each shard answers the first ``need`` candidates of its own merge; the
+    coordinator merges the cut lists and keeps ``need``.  That is the single
+    server's fill only because the first ``need`` merged candidates are a
+    prefix of each shard's list at most ``need`` long: for any population,
+    shard count and ``k`` up to above the population, every answer equals
+    the single server's and no shard answers more than it was asked for.
+    """
+
+    @settings(deadline=None)
+    @given(case=fill_cases())
+    def test_a_bounded_fill_matches_the_single_server(self, case):
+        landmark_count, shard_count, population, k = case
+        single, sharded = build_planes(
+            make_backend_factory("inline"),
+            landmark_count,
+            shard_count,
+            with_distances=True,
+            maintain_cache=False,
+            k=k,
+        )
+        replies = []
+
+        def recording(fill):
+            def fill_candidates(bases, limit):
+                reply = fill(bases, limit)
+                replies.append((limit, len(reply)))
+                return reply
+
+            return fill_candidates
+
+        for shard in sharded.shards:
+            shard.fill_candidates = recording(shard.fill_candidates)
+        with sharded:
+            for index, (landmark_index, shape) in enumerate(population):
+                op = ("arrive", index, landmark_index, shape)
+                assert apply_op(sharded, op) == apply_op(single, op), op
+            for peer in single.peers():
+                for wanted in (1, k, len(population) + 1):
+                    assert sharded.closest_peers(peer, wanted) == single.closest_peers(peer, wanted)
+        assert all(length <= limit for limit, length in replies), replies
 
 
 class TestEquivalenceAcceptance:

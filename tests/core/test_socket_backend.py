@@ -9,10 +9,12 @@ round trip, a closed plane leaving no loopback server behind, the
 transport-shaped fault hooks (``sever`` modes, stale-epoch reconnect —
 including a process shard forgetting the epoch of the child it respawned)
 and the three network chaos acceptance cases from the issue:
-a partial frame mid-``fill_candidates``, a connection reset mid-batch
-insert, and a stale-epoch reconnect — each must converge byte-identically
-under recovery or fail with a typed error without it, never hang and never
-answer silently wrong.  Ends with the ``shard-serve`` CLI round trip.
+a partial frame during a ``fill``, a connection reset mid-batch insert,
+and a stale-epoch reconnect — each must converge byte-identically under
+recovery or fail with a typed error without it, never hang and never
+answer silently wrong.  A fill is one bounded round trip per shard, and a
+malformed fill reply ends typed.  Ends with the ``shard-serve`` CLI round
+trip.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 
 import pytest
 
-from repro.core import ManagementServer, ShardedManagementServer
+from repro.core import DegradedResult, ManagementServer, ShardedManagementServer
 from repro.core.budget import DeadlineBudget
 from repro.core.path import RouterPath
 from repro.core.codec import encode_path
@@ -36,6 +38,7 @@ from repro.core.socket_backend import (
     FramedConnection,
     LocalShardServer,
     SocketShardBackend,
+    SocketShardSupervisor,
     _dial,
     _parse_tcp,
     build_serve_parser,
@@ -107,9 +110,11 @@ class TestWireProtocol:
     def test_wrong_protocol_version_is_rejected_typed(self, server):
         conn = raw_connection(server)
         try:
-            reply = exchange(conn, (1, "hello", (PROTOCOL_VERSION + 1, 3)))
-            assert reply[1] == "err"
-            assert reply[2] == "WireProtocolError"
+            # 1 is the fill-stream protocol, whose ops this server lacks.
+            for request_id, version in enumerate((1, PROTOCOL_VERSION + 1), 1):
+                reply = exchange(conn, (request_id, "hello", (version, 3)))
+                assert reply[1] == "err"
+                assert reply[2] == "WireProtocolError"
         finally:
             conn.close()
 
@@ -159,7 +164,7 @@ class TestServerLoop:
         try:
             frames = [encode_frame((1, "hello", (PROTOCOL_VERSION, 3)))]
             frames += [encode_frame((request_id, "ping", ())) for request_id in range(2, 40)]
-            frames.insert(20, encode_frame((0, "fill_close", (99,))))  # one-way: no reply
+            frames.insert(20, encode_frame((0, "ping", ())))  # one-way: no reply
             conn.sock.sendall(b"".join(frames))
             replies = [conn.recv_frame(DeadlineBudget(5.0)) for _ in range(39)]
             assert replies[0][:2] == (1, "ok")
@@ -234,30 +239,6 @@ class TestServerLoop:
         finally:
             greedy.close()
             witness.close()
-
-    def test_a_lost_connection_closes_the_fill_streams_it_left_open(self, server, monkeypatch):
-        closed = threading.Event()
-        open_streams = []
-        close = ShardRequestHandler.close
-
-        def recording(self):
-            open_streams.append(len(self.streams))
-            close(self)
-            open_streams.append(len(self.streams))
-            closed.set()
-
-        monkeypatch.setattr(ShardRequestHandler, "close", recording)
-        conn = raw_connection(server)
-        try:
-            exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
-            exchange(conn, (2, "register_landmark", ("lmA", "lmA")))
-            exchange(conn, (3, "insert_paths", ((encode_path(simple_path("p0", "lmA")),), True)))
-            assert exchange(conn, (4, "fill_open", ((("lmA", 1.0),), None)))[:2] == (4, "ok")
-        finally:
-            conn.close()
-        assert closed.wait(5.0)
-        assert open_streams == [1, 0]
-
 
 class FakeClock:
     """An injectable monotonic clock tests advance by hand."""
@@ -437,19 +418,21 @@ class TestNetworkChaosAcceptance:
     against the supervisor hooks (the scripted ``ChaosShardBackend`` plans
     are exercised in ``test_sharded_equivalence.py``)."""
 
-    def test_partial_frame_mid_fill_stream_heals_without_gaps_or_repeats(self):
+    def test_partial_frame_during_a_fill_heals_by_re_issue(self):
         reference = ManagementServer(neighbor_set_size=3, maintain_cache=False)
-        with SocketShardBackend(
-            neighbor_set_size=3, fill_chunk_size=2, recovery=fast_recovery()
-        ) as shard:
+        with SocketShardBackend(neighbor_set_size=3, recovery=fast_recovery()) as shard:
             seed_peers(shard, reference, count=7)
-            expected = list(reference.fill_candidates({"lmA": 1.0}))
-            assert len(expected) >= 5  # the fault lands genuinely mid-stream
-            stream = shard.fill_candidates({"lmA": 1.0})
-            got = [next(stream), next(stream)]  # drain the buffered chunk
-            shard.supervisor.sever("partial_frame")
-            got.extend(stream)  # reopen on the replayed shard, fast-forward
-            assert got == expected
+            expected = reference.fill_candidates({"lmA": 1.0}, 5)
+            assert len(expected) == 5
+            conn = shard.supervisor.connection
+            send = conn.send_frame
+
+            def severed_mid_request(frame, budget):
+                shard.supervisor.sever("partial_frame")
+                send(frame, budget)
+
+            conn.send_frame = severed_mid_request
+            assert shard.fill_candidates({"lmA": 1.0}, 5) == expected
             assert shard.supervisor.epoch == 2
 
     def test_conn_reset_mid_batch_insert_converges_or_fails_typed(self):
@@ -500,13 +483,105 @@ class TestNetworkChaosAcceptance:
             raise OSError("wire cut mid-frame")
 
         monkeypatch.setattr(conn, "send_frame", explode)
-        backend.supervisor.notify("fill_close", (1,))
+        backend.supervisor.notify("ping", ())
         monkeypatch.undo()
         with pytest.raises(ShardUnavailableError) as error:
             backend.local_closest("p0", 2)
         assert "poisoned" in str(error.value)
         backend.restart()
         assert backend.local_closest("p0", 2)
+
+
+#: Peers per landmark.  On two shards ``lmA`` and ``lmB`` land on shard 0
+#: and ``lmC`` on shard 1, so a peer under ``lmA`` — one local neighbour —
+#: has its list of five topped up by a fill.
+FILL_POPULATION = {"lmA": 2, "lmB": 3, "lmC": 6}
+FILL_DISTANCES = {("lmA", "lmB"): 1.0, ("lmA", "lmC"): 2.0, ("lmB", "lmC"): 1.0}
+
+#: Ways a shard's reply to ``fill`` can break its contract.
+FILL_CORRUPTIONS = {
+    "short item": lambda items: (items[0][:2],) + items[1:],
+    "over-long list": lambda items: items + ((items[-1][0] + 1.0, "'zz'", "zz"),),
+    "unsorted list": lambda items: items[::-1],
+}
+
+
+def fill_planes(landmarks, degraded_reads=True):
+    """A 2-shard socket plane without a cache, and its single-server twin."""
+    single = ManagementServer(
+        neighbor_set_size=5, maintain_cache=False, landmark_distances=FILL_DISTANCES
+    )
+    plane = ShardedManagementServer(
+        2,
+        neighbor_set_size=5,
+        maintain_cache=False,
+        landmark_distances=FILL_DISTANCES,
+        shard_factory=shard_factory_for("socket", 5),
+        degraded_reads=degraded_reads,
+    )
+    for server in (single, plane):
+        for landmark in landmarks:
+            server.register_landmark(landmark, landmark)
+            server.register_peers(
+                [
+                    simple_path(f"{landmark[-1].lower()}{i}", landmark, access=f"a{i}")
+                    for i in range(FILL_POPULATION[landmark])
+                ]
+            )
+    assert plane.shard_of("lmA") == 0 and plane.shard_of("lmC") == 1
+    return single, plane
+
+
+class TestFillReplies:
+    """A fill is one bounded read per shard, and its reply is checked."""
+
+    def test_a_fill_is_one_round_trip_per_shard_and_at_most_its_limit(self, monkeypatch):
+        single, plane = fill_planes(("lmA", "lmB", "lmC"))
+        calls = []
+        roundtrip = SocketShardSupervisor._roundtrip
+
+        def counting(self, op, args, timeout=None):
+            reply = roundtrip(self, op, args, timeout=timeout)
+            calls.append((self.name, op, args, reply))
+            return reply
+
+        monkeypatch.setattr(SocketShardSupervisor, "_roundtrip", counting)
+        with plane:
+            for k in (5, 3, 20):
+                del calls[:]
+                assert plane.closest_peers("a0", k) == single.closest_peers("a0", k)
+                fills = [(name, args[1], len(reply)) for name, op, args, reply in calls if op == "fill"]
+                need = k - 1  # a1 is a0's one local neighbour
+                assert fills == [("shard-0", need, min(need, 3)), ("shard-1", need, min(need, 6))]
+
+    @pytest.mark.parametrize("degraded_reads", [False, True])
+    @pytest.mark.parametrize("corruption", sorted(FILL_CORRUPTIONS))
+    def test_a_malformed_fill_reply_ends_typed(self, corruption, degraded_reads, monkeypatch):
+        single, plane = fill_planes(("lmA", "lmC"), degraded_reads=degraded_reads)
+        with plane:
+            victim = plane.shards[1]
+            conn = victim.supervisor.connection
+            honest = conn.recv_frame
+
+            def corrupted(budget):
+                request_id, status, value = honest(budget)
+                return (request_id, status, FILL_CORRUPTIONS[corruption](value))
+
+            monkeypatch.setattr(conn, "recv_frame", corrupted)
+            if degraded_reads:
+                answer = plane.closest_peers("a0")
+                assert isinstance(answer, DegradedResult)
+                # What the home shard knows; the foreign shard's fill is left out.
+                assert answer == single.local_closest("a0", 5) == [("a1", 4.0)]
+                assert "malformed reply to 'fill'" in answer.reason
+            else:
+                with pytest.raises(ShardUnavailableError) as error:
+                    plane.closest_peers("a0")
+                assert victim.name in str(error.value)
+                assert "malformed reply to 'fill'" in str(error.value)
+            monkeypatch.undo()
+            # The frames were whole: the channel was never desynchronised.
+            assert plane.closest_peers("a0") == single.closest_peers("a0")
 
 
 class TestServeCLI:

@@ -47,7 +47,7 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
 PATH = RouterPath.from_routers("p1", "lmA", ["lmA-a1", "lmA-core", "lmA"], rtt_ms=12.5)
 
-#: Real traffic, to corrupt: a request, both reply shapes, a one-way notify.
+#: Real traffic, to corrupt: requests, both reply shapes, a fill and its answer.
 REAL_FRAMES = tuple(
     encode_frame(message)
     for message in (
@@ -55,7 +55,8 @@ REAL_FRAMES = tuple(
         (2, "insert_paths", ((encode_path(PATH),) * 3, True)),
         (3, "ok", (("p1", 2.0), ("p2", 4.0))),
         (4, "err", "UnknownPeerError", "unknown peer 'ghost'"),
-        (0, "fill_close", (7,)),
+        (5, "fill", ((("lmA", 1.0), ("lmB", 3.0)), 4)),
+        (5, "ok", ((3.0, "'p1'", "p1"), (4.0, "'p2'", "p2"))),
     )
 )
 
@@ -94,7 +95,7 @@ plain_data = st.recursive(
 #: arity, non-string ops, unhashable ids, nonsense arguments to real ops.
 not_quite_requests = st.tuples(
     plain_data,
-    st.sampled_from(("hello", "fill_close", "fill_next", "insert_paths", "restore_state", "tree"))
+    st.sampled_from(("hello", "fill", "insert_paths", "restore_state", "tree"))
     | plain_data,
     plain_data,
 ).map(lambda message: encode_frame(message[: 2 + (message[2] is not None)]))
@@ -269,6 +270,20 @@ join_values = st.lists(
 ).map(tuple)
 
 
+#: ``fill`` answers: sorted ``(estimate, sort_text, peer)`` items are the
+#: honest shape, so draw around it — unsorted, too long, the wrong arity or
+#: types.
+fill_items = st.tuples(
+    st.floats(allow_nan=False) | st.integers(0, 9) | plain_data,
+    st.text(max_size=3) | plain_data,
+    st.text(max_size=3),
+)
+sorted_fill_items = st.lists(
+    st.tuples(st.integers(0, 9), st.text(max_size=3), st.text(max_size=3)), max_size=5
+).map(lambda items: tuple(sorted(items)))
+fill_values = st.lists(fill_items | plain_data, max_size=5).map(tuple) | sorted_fill_items
+
+
 def honest_failure(error: BaseException, named: object) -> bool:
     """Typed, or the builtin ``Exception`` an honest shard could have named."""
     if isinstance(error, ReproError):  # ShardUnavailableError included
@@ -304,6 +319,34 @@ class TestHostileServer:
                 assert honest_failure(error, tail[1] if len(tail) > 1 else None), repr(error)
             else:
                 assert not offset and tail[0] == "ok" and len(tail) >= 2
+
+    @FUZZ
+    @given(offset=id_offsets, tail=reply_tails | st.tuples(st.just("ok"), fill_values))
+    @example(offset=0, tail=("ok", ((3.0, "'c0'", "c0"), (4, "'c1'", "c1"))))  # honest
+    @example(offset=0, tail=("ok", ((3.0, "'c0'"),)))  # a short item
+    @example(offset=0, tail=("ok", ((4.0, "'c1'", "c1"), (3.0, "'c0'", "c0"))))  # unsorted
+    @example(offset=0, tail=("ok", tuple((3.0, f"'c{i}'", f"c{i}") for i in range(4))))  # too many
+    @example(offset=0, tail=("ok", (("3", "'c0'", "c0"),)))  # not a real number
+    @example(offset=0, tail=("ok", ((3.0, "'c0'", "c0"), (3.0, "'c0'", "c0"))))  # a peer twice
+    def test_a_fill_reply_is_a_checked_list_or_an_honest_failure(
+        self, hostile_server, offset, tail
+    ):
+        def script(request):
+            return (request[0] + offset,) + tail if request[1] == "fill" else None
+
+        hostile_server.script = script
+        with SocketShardBackend(
+            address=hostile_server.address, neighbor_set_size=3, name="fooled"
+        ) as shard:
+            try:
+                items = shard.fill_candidates({"lmA": 1.0}, 3)
+            except BaseException as error:  # noqa: BLE001 - the claim is about every type
+                assert honest_failure(error, tail[1] if len(tail) > 1 else None), repr(error)
+            else:
+                assert not offset and tail[0] == "ok"
+                assert len(items) <= 3 and len({peer for _, _, peer in items}) == len(items)
+                assert all(type(estimate) is float and type(text) is str for estimate, text, _ in items)
+                assert [item[:2] for item in items] == sorted(item[:2] for item in items)
 
     @FUZZ
     @given(offset=id_offsets, tail=reply_tails | st.tuples(st.just("ok"), join_values))
