@@ -107,9 +107,9 @@ __all__ = [
 
 #: The shard-backend implementations selectable by name — the single source
 #: for every ``backend=`` surface (ScenarioConfig, the benchmark, the CLI).
-#: Both remote names run on :mod:`repro.core.socket_backend` (asyncio shard
+#: Both remote names run on :mod:`repro.core.socket_backend` (threaded shard
 #: servers over TCP / Unix-domain sockets), which :func:`shard_factory_for`
-#: imports lazily so importing this module never imports asyncio.
+#: imports lazily so an inline plane never loads the transport.
 BACKENDS = ("inline", "process", "socket")
 
 #: Seconds a request waits for its reply before declaring the shard gone.
@@ -518,8 +518,8 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     benchmark and tests.  ``"inline"`` returns ``None`` (the coordinator's
     default in-process shards).  ``"socket"`` returns a
     :func:`~repro.core.socket_backend.socket_shard_factory` (which, without
-    explicit ``addresses``, hosts one loopback asyncio shard server thread
-    per shard so the socket plane is self-contained).  ``"process"`` forks
+    explicit ``addresses``, hosts one loopback shard server per shard in
+    this process so the socket plane is self-contained).  ``"process"`` forks
     one :class:`~repro.core.socket_backend.ChildShardServer` per shard and
     hands it to the :class:`~repro.core.socket_backend.SocketShardBackend`
     whose supervisor owns it, so the crash is real: ``supervisor.kill()``
@@ -533,7 +533,7 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if backend == "inline":
         return None
-    # Imported lazily: inline planes never need the asyncio machinery.
+    # Imported lazily: inline planes never need the transport.
     from .socket_backend import ChildShardServer, SocketShardBackend, socket_shard_factory
 
     if backend == "socket":

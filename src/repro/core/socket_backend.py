@@ -1,11 +1,12 @@
-"""The shard transport: asyncio shard servers, socket-backed shards.
+"""The shard transport: threaded shard servers, socket-backed shards.
 
 The wire protocol of :mod:`repro.core.remote` runs over real sockets, and
-only over sockets: a :class:`ShardServer` (asyncio, TCP and Unix-domain)
-hosts a ``ManagementServer(maintain_cache=False)`` per **connection-scoped
-shard**, and :class:`SocketShardBackend` — the one remote-shard client
-class — is a full :class:`~repro.core.sharded.ShardBackend` over it.  The
-frame codec (:mod:`repro.core.codec`), the request dispatch and the
+only over sockets: a :class:`ShardServer` (TCP and Unix-domain, a thread
+per connection) hosts a ``ManagementServer(maintain_cache=False)`` per
+**connection-scoped shard**, and :class:`SocketShardBackend` — the one
+remote-shard client class — is a full
+:class:`~repro.core.sharded.ShardBackend` over it.  The frame codec
+(:mod:`repro.core.codec`), the request dispatch and the
 journal/recovery/compaction story (:mod:`repro.core.remote`) live
 elsewhere — this module is how frames move, who hosts the server, how a
 dead transport comes back and what the client asks for.
@@ -62,7 +63,7 @@ One coordinator process drives N :class:`SocketShardBackend` shards, each
 over its own connection; the backend names say who hosts the servers.
 ``"socket"``: ``repro-experiments shard-serve`` processes, possibly on
 other machines, or — for self-contained runs — one loopback
-:class:`LocalShardServer` thread per shard; a restart reconnects to it.
+:class:`LocalShardServer` per shard in this process; a restart reconnects.
 ``"process"``: one forked :class:`ChildShardServer` per shard, owned by
 that shard's supervisor; it really dies when killed and a restart respawns
 it.  Either loopback server stops with the backend hosting it, so
@@ -71,16 +72,18 @@ it.  Either loopback server stops with the backend hosting it, so
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import socket
+import stat
 import struct
 import tempfile
 import threading
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+import time
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
@@ -120,6 +123,10 @@ MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct("!I")
 
+#: What one ``recv`` asks for at least (a reply that fits is one call), and
+#: at most (a hostile header cannot make either side allocate a gigabyte).
+_RECV_BYTES, _RECV_LIMIT = 1 << 16, 1 << 20
+
 #: A shard server address: a Unix-socket path, or a ``(host, port)`` pair.
 Address = Union[str, Tuple[str, int]]
 
@@ -132,6 +139,30 @@ def format_address(address: Address) -> str:
         return f"unix:{address}"
     host, port = address
     return f"tcp:{host}:{port}"
+
+
+def _frame_end(buffer: bytearray) -> int:
+    """Where the frame at the head of ``buffer`` ends, or its header while
+    that is incomplete; an oversized header fails before its body is read."""
+    if len(buffer) < _HEADER.size:
+        return _HEADER.size
+    (declared,) = _HEADER.unpack_from(buffer)
+    if declared > MAX_FRAME_BYTES:
+        raise WireProtocolError(f"frame declares {declared} body bytes (limit {MAX_FRAME_BYTES})")
+    return _HEADER.size + declared
+
+
+def _listening_socket(address: Address) -> socket.socket:
+    """A socket listening on ``address`` (``SO_REUSEADDR``: a restarted host
+    binds the port its predecessor held)."""
+    if isinstance(address, str):
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISSOCK(os.stat(address).st_mode):
+                os.unlink(address)  # a dead predecessor's socket file
+        return socket.create_server(address, family=socket.AF_UNIX)
+    host, port = address
+    family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+    return socket.create_server((host, port), family=family)
 
 
 def _dial(address: Address, timeout: float) -> socket.socket:
@@ -156,13 +187,15 @@ class FramedConnection:
 
     All blocking calls take a :class:`DeadlineBudget` and set the socket
     timeout to the budget's *remaining* time before each phase, so a send
-    plus a multi-read reply is jointly bounded by one deadline.
+    plus a multi-read reply is jointly bounded by one deadline.  Replies
+    are read into one buffer per connection, ``_RECV_BYTES`` at a time.
     """
 
     def __init__(self, sock: socket.socket, address: Address) -> None:
         self.sock = sock
         self.address = address
         self.closed = False
+        self._buffer = bytearray()  # what was read past the last frame
 
     # ----------------------------------------------------------------- frames
 
@@ -171,24 +204,18 @@ class FramedConnection:
         self.sock.sendall(frame)
 
     def recv_frame(self, budget: DeadlineBudget) -> Tuple[object, ...]:
-        header = self._recv_exact(_HEADER.size, budget)
-        (declared,) = _HEADER.unpack(header)
-        if declared > MAX_FRAME_BYTES:
-            raise WireProtocolError(f"frame declares {declared} body bytes (limit {MAX_FRAME_BYTES})")
-        body = self._recv_exact(declared, budget)
-        return decode_frame(header + body)
-
-    def _recv_exact(self, count: int, budget: DeadlineBudget) -> bytes:
-        chunks: List[bytes] = []
-        remaining = count
-        while remaining > 0:
+        buffer = self._buffer
+        end = _frame_end(buffer)
+        while len(buffer) < end:
             self._arm_timeout(budget)
-            chunk = self.sock.recv(min(remaining, 1 << 20))
+            chunk = self.sock.recv(max(_RECV_BYTES, min(end - len(buffer), _RECV_LIMIT)))
             if not chunk:
                 raise EOFError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            buffer += chunk
+            end = _frame_end(buffer)
+        frame = buffer[:end]
+        del buffer[:end]
+        return decode_frame(frame)
 
     def _arm_timeout(self, budget: DeadlineBudget) -> None:
         remaining = budget.remaining()
@@ -242,54 +269,75 @@ class FramedConnection:
 
 
 class ShardServer:
-    """Asyncio server hosting one connection-scoped shard per client.
+    """Hosts one connection-scoped shard per client, each on its own thread.
 
     Each connection runs the protocol of :func:`repro.core.remote._dispatch`
     through a :class:`~repro.core.remote.ShardRequestHandler` built at the
-    connection's ``hello``; the server itself only owns the listen sockets
-    and the monotonic ``generation`` counter the stale-epoch check rides on.
-    Shard state is **per connection** — two clients never share a
+    connection's ``hello``; the server itself only owns its sockets, their
+    threads and the monotonic ``generation`` counter the stale-epoch check
+    rides on.  Shard state is **per connection** — two clients never share a
     ``ManagementServer``, and a dropped connection takes its shard with it
     (the client's journal replay rebuilds it byte-identically on reconnect).
-    A request is answered in the event-loop turn that read it: no future,
-    task wake-up or second selector pass per frame.
+    A client that stops reading its replies blocks its connection's thread
+    in ``sendall``, so its requests stop being read.
     """
 
     def __init__(self) -> None:
         self._generation = 0
-        self._servers: List[asyncio.AbstractServer] = []
-        self.addresses: List[Address] = []
-        self.connections_served = 0
+        self._lock = threading.Lock()
+        self._closed = False
+        self._threads: Dict[socket.socket, threading.Thread] = {}  # by owned socket
 
-    async def listen(self, address: Union[Address, socket.socket]) -> Address:
-        """Bind one listen socket; returns the resolved address (port 0 → real).
+    def listen(self, address: Union[Address, socket.socket]) -> Address:
+        """Accept on ``address`` (or on the listening socket a
+        :class:`ChildShardServer` hands its child), on a thread; returns the
+        resolved address (port 0 → real)."""
+        listener = address if isinstance(address, socket.socket) else _listening_socket(address)
+        name = listener.getsockname()
+        self._spawn(listener, lambda: self._accept(listener), "repro-shard-accept")
+        return name if isinstance(name, str) else (name[0], name[1])
 
-        An already-listening Unix socket (the one a :class:`ChildShardServer`
-        hands its child) is adopted as it is.
-        """
-        loop = asyncio.get_running_loop()
-        connection = lambda: _ShardConnection(self)  # noqa: E731 - the protocol factory
-        if isinstance(address, socket.socket):
-            server = await loop.create_unix_server(connection, sock=address)
-            resolved: Address = address.getsockname()
-        elif isinstance(address, str):
-            server = await loop.create_unix_server(connection, path=address)
-            resolved = address
-        else:
-            host, port = address
-            server = await loop.create_server(connection, host=host, port=port)
-            bound = server.sockets[0].getsockname()
-            resolved = (bound[0], bound[1])
-        self._servers.append(server)
-        self.addresses.append(resolved)
-        return resolved
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if self._closed:
+                    return
+                time.sleep(0.1)  # out of descriptors, say: let some close
+                continue
+            if sock.family != socket.AF_UNIX:  # small frames: no Nagle coalescing
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._spawn(sock, _ShardConnection(self, sock).serve, "repro-shard-server")
 
-    async def close(self) -> None:
-        for server in self._servers:
-            server.close()
-        for server in self._servers:
-            await server.wait_closed()
-        self._servers.clear()
+    def _spawn(self, sock: socket.socket, target: Callable[[], None], name: str) -> None:
+        """Run ``target`` on a thread that owns ``sock`` until it returns."""
+
+        def run() -> None:
+            try:
+                target()
+            finally:
+                with self._lock:
+                    del self._threads[sock]
+                sock.close()
+
+        with self._lock:
+            if self._closed:
+                sock.close()
+                return
+            self._threads[sock] = thread = threading.Thread(target=run, name=name, daemon=True)
+            thread.start()
+
+    def close(self) -> None:
+        """Stop accepting, cut every connection and join every thread."""
+        with self._lock:
+            self._closed = True
+            threads = dict(self._threads)
+        for sock in threads:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)  # wakes its thread's accept or recv
+        for thread in threads.values():
+            thread.join()
 
 
 def _protocol_error(request_id: int, message: str):
@@ -297,8 +345,8 @@ def _protocol_error(request_id: int, message: str):
     return (request_id, "err", "WireProtocolError", message) if request_id else None
 
 
-class _ShardConnection(asyncio.Protocol):
-    """One client connection: every complete frame buffered is served, in order.
+class _ShardConnection:
+    """One client connection: every frame it sends is served, once, in order.
 
     Once framing or a request is in doubt — an oversized header, an
     undecodable body, a well-framed body that is not a request (wrong
@@ -307,40 +355,38 @@ class _ShardConnection(asyncio.Protocol):
     this connection is dropped, and the connection-scoped shard dies with it.
     """
 
-    def __init__(self, server: ShardServer) -> None:
+    def __init__(self, server: ShardServer, sock: socket.socket) -> None:
         self._server = server
+        self._sock = sock
         self._handler: Optional[ShardRequestHandler] = None
-        self._buffer = bytearray()
 
-    def connection_made(self, transport) -> None:
-        self._server.connections_served += 1
-        self._transport = transport
+    def serve(self) -> None:
+        """The connection's thread: read, answer what is whole, read again."""
+        sock, buffer = self._sock, bytearray()
+        with contextlib.suppress(Exception):  # untrusted input drops this connection only
+            while True:
+                end = self._serve_buffered(buffer)
+                size = len(buffer)
+                buffer += sock.recv(max(_RECV_BYTES, min(end - size, _RECV_LIMIT)))
+                if len(buffer) == size:
+                    return  # EOF: the client is gone
 
-    def data_received(self, data: bytes) -> None:
-        self._buffer += data
-        self._serve_buffered()
+    def _serve_buffered(self, buffer: bytearray) -> int:
+        """Answer every whole frame in ``buffer``; return where the next ends.
 
-    def _serve_buffered(self) -> None:
-        buffer, transport = self._buffer, self._transport
-        # Asked per frame: a reply can fill the write buffer (see
-        # pause_writing), and what is already buffered here then waits too.
-        while transport.is_reading() and len(buffer) >= _HEADER.size:
-            (declared,) = _HEADER.unpack_from(buffer)
-            if declared > MAX_FRAME_BYTES:  # before a byte of body is waited for
-                return transport.close()
-            end = _HEADER.size + declared
-            if len(buffer) < end:
-                return
-            frame = bytes(buffer[:end])
+        Its own frame, so the request it decoded is released before the
+        thread blocks in ``recv`` again.
+        """
+        end = _frame_end(buffer)
+        while len(buffer) >= end:
+            message = decode_frame(buffer[:end])
             del buffer[:end]
-            try:
-                message = decode_frame(frame)
-                args = message[2] if len(message) > 2 else ()
-                reply = self._apply(message[0], message[1], args)
-                if reply is not None:
-                    transport.write(encode_frame(reply))
-            except Exception:  # noqa: BLE001 - untrusted input must never reach the loop
-                return transport.close()
+            args = message[2] if len(message) > 2 else ()
+            reply = self._apply(message[0], message[1], args)
+            if reply is not None:
+                self._sock.sendall(encode_frame(reply))
+            end = _frame_end(buffer)
+        return end
 
     def _apply(self, request_id: int, op: str, args: Tuple[object, ...]):
         """Apply one request; returns the reply (``None`` for a one-way one)."""
@@ -356,9 +402,11 @@ class _ShardConnection(asyncio.Protocol):
                 )
             # The previous tenant's shard, if any, goes.
             self._handler = ShardRequestHandler(int(neighbor_set_size))  # type: ignore[arg-type]
-            self._server._generation += 1
-            reply = (request_id, "ok", (PROTOCOL_VERSION, self._server._generation))
-            return reply if request_id else None
+            server = self._server
+            with server._lock:  # connections hello on parallel threads
+                server._generation += 1
+                generation = server._generation
+            return (request_id, "ok", (PROTOCOL_VERSION, generation)) if request_id else None
         if self._handler is None:
             # Everything but hello needs a shard; answering typed (instead
             # of dropping the connection) lets the client fail fast with a
@@ -367,15 +415,6 @@ class _ShardConnection(asyncio.Protocol):
                 request_id, f"operation {op!r} before hello on this connection"
             )
         return self._handler.handle(request_id, op, args)
-
-    def pause_writing(self) -> None:
-        # The client is not reading its replies: stop reading its requests,
-        # or the replies it never collects pile up here without bound.
-        self._transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self._transport.resume_reading()
-        self._serve_buffered()
 
 
 class LocalShardServer:
@@ -387,14 +426,14 @@ class LocalShardServer:
     found where the old one was — served until :meth:`stop` reaps the host
     and unlinks the socket; the :class:`SocketShardBackend` that hosts it
     stops it on ``close()``, so closing every backend leaves no thread,
-    process or file behind.  The host is a daemon thread;
+    process or file behind.  The host is this process's threads, and
+    killing it cuts every connection it accepted;
     :class:`ChildShardServer` overrides :meth:`start`, :attr:`alive` and
     :meth:`kill` to make it a process.
     """
 
     def __init__(self) -> None:
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._server: Optional[ShardServer] = None
         self._tempdir: Optional[str] = None
         self.address: Address = ("127.0.0.1", 0)
         if hasattr(socket, "AF_UNIX"):
@@ -411,45 +450,19 @@ class LocalShardServer:
     @property
     def alive(self) -> bool:
         """True while a host is serving :attr:`address`."""
-        return self._thread is not None and self._thread.is_alive()
+        return self._server is not None
 
     def start(self) -> None:
         """Bring a host up on :attr:`address` (again, after a :meth:`kill`)."""
-        started = threading.Event()
-        failure: List[BaseException] = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            server = ShardServer()
-            try:
-                self.address = loop.run_until_complete(server.listen(self.address))
-            except BaseException as error:  # noqa: BLE001 - reported to starter
-                failure.append(error)
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(server.close())
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        thread = threading.Thread(target=run, name="repro-shard-server", daemon=True)
-        self._thread = thread
-        thread.start()
-        started.wait()
-        if failure:
-            raise failure[0]
+        server = ShardServer()
+        self.address = server.listen(self.address)
+        self._server = server
 
     def kill(self) -> None:
         """Take the host down abruptly and reap it; the owner stays usable."""
-        if self.alive:
-            self._loop.call_soon_threadsafe(self._loop.stop)  # type: ignore[union-attr]
-            self._thread.join(timeout=10.0)  # type: ignore[union-attr]
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
 
     def stop(self) -> None:
         """Reap the host for good and unlink the socket (idempotent)."""
@@ -473,14 +486,9 @@ def _serve_listener(listener: socket.socket) -> None:
     state the journal cannot rebuild) or until the parent's end of the
     sentinel pipe closes — a coordinator that died leaves no orphan.
     """
-
-    async def main() -> None:
-        await ShardServer().listen(listener)
-        sentinel = multiprocessing.parent_process().sentinel  # type: ignore[union-attr]
-        asyncio.get_running_loop().add_reader(sentinel, os._exit, 0)
-        await asyncio.Event().wait()
-
-    asyncio.run(main())
+    ShardServer().listen(listener)
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])  # type: ignore[union-attr]
+    os._exit(0)
 
 
 class ChildShardServer(LocalShardServer):
@@ -501,12 +509,8 @@ class ChildShardServer(LocalShardServer):
         return self.process is not None and self.process.is_alive()
 
     def start(self) -> None:
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener = _listening_socket(self.address)
         try:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.address)  # a killed predecessor's socket file
-            listener.bind(self.address)
-            listener.listen()
             process = multiprocessing.get_context("fork").Process(
                 target=_serve_listener, args=(listener,), name="repro-shard-server", daemon=True
             )
@@ -1034,19 +1038,6 @@ def _parse_tcp(spec: str) -> Tuple[str, int]:
     return (host, int(port))
 
 
-async def _serve(addresses: Sequence[Address], ready=None) -> None:
-    server = ShardServer()
-    try:
-        for address in addresses:
-            resolved = await server.listen(address)
-            print(f"listening {format_address(resolved)}", flush=True)
-        if ready is not None:
-            ready(server)
-        await asyncio.Event().wait()
-    finally:
-        await server.close()
-
-
 def run_serve(argv: Sequence[str]) -> int:
     """``repro-experiments shard-serve`` entry point; serves until interrupted."""
     options = build_serve_parser().parse_args(list(argv))
@@ -1058,8 +1049,13 @@ def run_serve(argv: Sequence[str]) -> int:
     addresses.extend(options.unix)
     if not addresses:
         build_serve_parser().error("bind at least one of --tcp / --unix")
+    server = ShardServer()
     try:
-        asyncio.run(_serve(addresses))
+        for address in addresses:
+            print(f"listening {format_address(server.listen(address))}", flush=True)
+        threading.Event().wait()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.close()
     return 0

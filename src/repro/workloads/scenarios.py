@@ -83,8 +83,8 @@ class ScenarioConfig:
     backend: str = "inline"
     """Where the shards live: ``"inline"`` keeps every shard in this process;
     ``"process"`` forks one child shard server per shard; ``"socket"`` runs
-    every shard as a connection-scoped server on one loopback asyncio shard
-    server thread hosted by the scenario's factory — both behind
+    every shard as a connection-scoped shard on its own loopback shard
+    server, served by one thread per connection in this process — both behind
     :class:`~repro.core.socket_backend.SocketShardBackend`, the one shard
     transport.  Remote backends require ``shard_count``.  Results are
     byte-identical in every case; call :meth:`Scenario.close` when done so

@@ -31,7 +31,7 @@ hypothesis_settings.register_profile("ci-equivalence-process", max_examples=60, 
 # each example pays several respawn+replay cycles on top of the fork cost.
 hypothesis_settings.register_profile("ci-equivalence-chaos", max_examples=25, deadline=None)
 # Budget for the SOCKET-backend oracle run: connection-scoped shards behind
-# the in-process asyncio shard server.  Cheaper than forking child
+# in-process threaded shard servers.  Cheaper than forking child
 # servers but dearer than inline, so it sits between the process and
 # inline budgets; its CI matrix entry selects it with -k "socket" (which
 # also picks up the socket-chaos fault-plan parametrization).

@@ -951,6 +951,27 @@ class TestJournalCompaction:
             make_shard(2, compact_watermark=0)
 
 
+def wait_until_every_thread_stopped(pid: int, timeout: float = 5.0) -> None:
+    """Block until every thread of a ``SIGSTOP``-ed process is stopped.
+
+    The group stop reaches a process's threads one by one: a request sent
+    before the last of them stops can still be accepted and answered.
+    """
+    tasks = f"/proc/{pid}/task"
+    if not os.path.isdir(tasks):  # no procfs: nothing to wait on
+        return
+    deadline = time.monotonic() + timeout
+    while True:
+        states = []
+        for task in os.listdir(tasks):
+            with open(f"{tasks}/{task}/stat") as stat:
+                states.append(stat.read().rpartition(")")[2].split()[0])
+        if all(state == "T" for state in states):
+            return
+        assert time.monotonic() < deadline, f"threads of {pid} not stopped: {states}"
+        time.sleep(0.001)
+
+
 class TestRequestDeadline:
     """Every round trip carries a deadline — a hung server (accepting
     connections but answering nothing) turns into a typed error within ONE
@@ -964,16 +985,21 @@ class TestRequestDeadline:
         with make_shard(2, request_timeout=1.5, recovery=RecoveryPolicy()) as shard:
             assert shard.supervisor.request_timeout == 1.5
 
-    def test_silent_server_times_out_typed_within_one_deadline(self, backend_name):
+    def test_silent_server_times_out_typed_within_one_deadline(self, backend_name, monkeypatch):
         timeout = 0.5
         if backend_name == "process":
             shard = shard_factory_for("process", 2, request_timeout=timeout)()
             child = shard.supervisor.process.pid
-            stall = lambda: os.kill(child, signal.SIGSTOP)  # noqa: E731
+
+            def stall():
+                os.kill(child, signal.SIGSTOP)
+                wait_until_every_thread_stopped(child)
+
             resume = lambda: os.kill(child, signal.SIGCONT)  # noqa: E731
         else:
-            # Park the server thread's loop: the kernel still accepts and
-            # buffers, nobody reads — a thread's version of SIGSTOP.
+            # Park the request on the server's connection thread: the
+            # kernel still accepts and buffers, nobody answers — a thread's
+            # version of SIGSTOP.
             server, gate = LocalShardServer(), threading.Event()
             shard = SocketShardBackend(
                 address=server.address,
@@ -981,7 +1007,13 @@ class TestRequestDeadline:
                 name="hung",
                 request_timeout=timeout,
             )
-            stall = lambda: server._loop.call_soon_threadsafe(gate.wait)  # noqa: E731
+            handle = ShardRequestHandler.handle
+
+            def parked(self, request_id, op, args):
+                gate.wait()
+                return handle(self, request_id, op, args)
+
+            stall = lambda: monkeypatch.setattr(ShardRequestHandler, "handle", parked)  # noqa: E731
             resume = gate.set
         with shard:
             shard.register_landmark("lmA", "lmA")

@@ -12,8 +12,8 @@ audited too.
 The harness is **backend-parametrized**: the same state machine runs once
 per :class:`~repro.core.sharded.ShardBackend` implementation — ``inline``
 (in-process shards), ``process`` (one forked child shard server per
-shard), ``socket`` (connection-scoped shards on one loopback asyncio server
-thread — both behind
+shard), ``socket`` (connection-scoped shards, each on its own loopback server,
+served by one thread per connection — both behind
 :class:`~repro.core.socket_backend.SocketShardBackend`), ``chaos``
 (process shards wrapped in a scripted-crash
 :class:`~repro.core.chaos.ChaosShardBackend` with a
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from typing import List, Tuple
 
 import pytest
@@ -49,6 +50,8 @@ from repro.core import ManagementServer, ShardedManagementServer
 from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.path import RouterPath
 from repro.core.remote import BACKENDS, RecoveryPolicy, shard_factory_for
+from repro.core.socket_backend import SocketShardSupervisor
+from repro.exceptions import ShardUnavailableError
 
 MAX_PEERS = 24
 MAX_LANDMARKS = 5
@@ -443,7 +446,21 @@ class TestChaosAcceptance:
 
     @pytest.mark.parametrize("transport", ["process", "socket"])
     @pytest.mark.parametrize("shard_count", [1, 2, 4, 8])
-    def test_every_busy_shard_dies_and_recovers_byte_identical(self, shard_count, transport):
+    def test_every_busy_shard_dies_and_recovers_byte_identical(
+        self, shard_count, transport, monkeypatch
+    ):
+        refusals: Counter = Counter()
+        establish = SocketShardSupervisor._establish_transport
+
+        def counting(supervisor) -> None:
+            try:
+                establish(supervisor)
+            except ShardUnavailableError as error:
+                if "stale epoch" in str(error):
+                    refusals[supervisor.name] += 1
+                raise
+
+        monkeypatch.setattr(SocketShardSupervisor, "_establish_transport", counting)
         factory = make_backend_factory("socket-chaos" if transport == "socket" else "chaos")
         single, sharded = build_planes(
             factory,
@@ -498,5 +515,16 @@ class TestChaosAcceptance:
                 # frames and the stale-epoch reconnect.
                 kinds = {kind for _count, kind, _op in sharded._shards[0].plan.fired}
                 assert {"conn_reset", "partial_frame", "reconnect_stale_epoch"} <= kinds
+            # Each stale-epoch fault is refused typed exactly once, however
+            # the connection threads interleave their hellos: the refusal
+            # is what makes the reconnect after it land on a newer epoch.
+            # (A process restart respawns its child, so it never refuses.)
+            stale = Counter(
+                shard.name
+                for shard in sharded._shards
+                for _count, kind, _op in shard.plan.fired
+                if kind == "reconnect_stale_epoch"
+            )
+            assert refusals == (stale if transport == "socket" else Counter())
         finally:
             sharded.close()

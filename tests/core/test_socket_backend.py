@@ -3,9 +3,11 @@
 What both backend names share — parity with an inline shard, lifecycle,
 self-healing, compaction — is ``test_remote_backend.py``, parametrised over
 ``("process", "socket")``.  This module covers the transport itself: the
-asyncio :class:`ShardServer`'s connection-scoped shard protocol
-(hello/generation, op-before-hello, re-hello), one deadline budget per
-round trip, a closed plane leaving no loopback server behind, the
+threaded :class:`ShardServer`'s connection-scoped shard protocol
+(hello/generation, op-before-hello, re-hello), how its connection threads
+and the client's reads cut a byte stream into frames, one deadline budget
+per round trip, a closed plane leaving no loopback server behind, a killed
+host cutting the connections it served, the
 transport-shaped fault hooks (``sever`` modes, stale-epoch reconnect —
 including a process shard forgetting the epoch of the child it respawned)
 and the three network chaos acceptance cases from the issue:
@@ -19,12 +21,15 @@ trip.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import struct
 import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -34,6 +39,7 @@ from repro.core.path import RouterPath
 from repro.core.codec import encode_path
 from repro.core.remote import RecoveryPolicy, ShardRequestHandler, shard_factory_for
 from repro.core.socket_backend import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FramedConnection,
     LocalShardServer,
@@ -44,7 +50,7 @@ from repro.core.socket_backend import (
     build_serve_parser,
     encode_frame,
 )
-from repro.exceptions import ShardUnavailableError, UnknownPeerError
+from repro.exceptions import ShardUnavailableError, UnknownPeerError, WireProtocolError
 
 
 def simple_path(peer, landmark, access="a1"):
@@ -107,6 +113,37 @@ class TestWireProtocol:
             first.close()
             second.close()
 
+    def test_hellos_on_parallel_connections_never_share_a_generation(self, server):
+        """Each connection is served on its own thread, so hellos bump the
+        server-wide counter concurrently: a lost update would hand two
+        hellos one generation."""
+        clients, rounds = 8, 40
+        generations, errors = [], []
+
+        def hello_repeatedly():
+            conn = raw_connection(server)
+            try:
+                for request_id in range(1, rounds + 1):
+                    reply = exchange(conn, (request_id, "hello", (PROTOCOL_VERSION, 3)))
+                    generations.append(reply[2][1])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=hello_repeatedly) for _ in range(clients)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not [thread for thread in threads if thread.is_alive()] and errors == []
+        assert sorted(generations) == list(range(1, clients * rounds + 1))
+
     def test_wrong_protocol_version_is_rejected_typed(self, server):
         conn = raw_connection(server)
         try:
@@ -156,8 +193,8 @@ class TestWireProtocol:
 
 class TestServerLoop:
     """What a connection is owed however its bytes are cut into segments:
-    every frame served once, in order, and — what ``drain()`` used to give —
-    a client that stops reading its replies stops being read."""
+    every frame served once, in order, and — the blocking ``sendall`` on its
+    thread — a client that stops reading its replies stops being read."""
 
     def test_requests_written_in_one_segment_are_all_answered_in_order(self, server):
         conn = raw_connection(server)
@@ -240,6 +277,91 @@ class TestServerLoop:
             greedy.close()
             witness.close()
 
+class ScriptedSocket:
+    """A client socket whose ``recv`` hands out scripted segments, one per
+    call, and counts the calls."""
+
+    def __init__(self, *segments: bytes) -> None:
+        self.segments = list(segments)
+        self.recvs = 0
+        self.asks = []
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def recv(self, count: int) -> bytes:
+        self.recvs += 1
+        self.asks.append(count)
+        segment = self.segments.pop(0)
+        assert len(segment) <= count
+        return segment
+
+
+class CountingSocket:
+    """A real socket behind a proxy that counts its ``recv`` calls."""
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self.recvs = 0
+
+    def recv(self, count: int) -> bytes:
+        self.recvs += 1
+        return self._sock.recv(count)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestClientFraming:
+    """The client reads replies into one buffer per connection: however the
+    stream is cut, every reply decodes once, and a reply that fits is one
+    ``recv``."""
+
+    def test_a_reply_split_at_every_byte_boundary_decodes_exactly_once(self):
+        first, second = (1, "ok", "pong"), (2, "ok", ("p0", 1.5, "x" * 40))
+        stream = encode_frame(first) + encode_frame(second)
+        for cut in range(1, len(stream)):
+            sock = ScriptedSocket(stream[:cut], stream[cut:], b"")
+            conn = FramedConnection(sock, "fake.sock")
+            assert conn.recv_frame(DeadlineBudget(5.0)) == first
+            assert conn.recv_frame(DeadlineBudget(5.0)) == second
+            with pytest.raises(EOFError):  # nothing was left to decode twice
+                conn.recv_frame(DeadlineBudget(5.0))
+            assert sock.recvs == 3
+
+    def test_an_oversized_header_fails_typed_before_any_body_byte_is_read(self):
+        # The script holds the header only: a client that waited for its
+        # body would find no segment to read, not a typed error.
+        sock = ScriptedSocket(struct.pack("!I", MAX_FRAME_BYTES + 1))
+        conn = FramedConnection(sock, "fake.sock")
+        with pytest.raises(WireProtocolError, match="limit"):
+            conn.recv_frame(DeadlineBudget(5.0))
+        assert sock.recvs == 1
+
+    def test_a_huge_declared_body_is_asked_for_a_bounded_chunk_at_a_time(self):
+        # A header may declare up to MAX_FRAME_BYTES: the client must not
+        # allocate that much for one recv before a byte of it has arrived.
+        sock = ScriptedSocket(struct.pack("!I", MAX_FRAME_BYTES) + b"x" * 10, b"")
+        conn = FramedConnection(sock, "fake.sock")
+        with pytest.raises(EOFError):
+            conn.recv_frame(DeadlineBudget(5.0))
+        assert sock.asks == [1 << 16, 1 << 20]
+
+    def test_a_reply_that_fits_one_segment_costs_one_recv(self, server):
+        conn = raw_connection(server)
+        try:
+            exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
+            exchange(conn, (2, "register_landmark", ("lmA", "lmA")))
+            conn.sock = counting = CountingSocket(conn.sock)
+            for request_id in range(3, 13):
+                assert exchange(conn, (request_id, "ping", ())) == (request_id, "ok", "pong")
+            reply = exchange(conn, (13, "tree", ("lmA",)))
+            assert reply[:2] == (13, "ok")
+            assert counting.recvs == 11
+        finally:
+            conn.close()
+
+
 class FakeClock:
     """An injectable monotonic clock tests advance by hand."""
 
@@ -302,6 +424,35 @@ class TestLocalServerLifecycle:
         assert not leftovers, f"server thread leaked: {leftovers}"
         if isinstance(address, str):
             assert not os.path.exists(address)
+
+    def test_killing_a_host_cuts_its_connections_and_frees_their_shards(self, monkeypatch):
+        """A killed loopback host takes its connections down with it: the
+        client's next request fails typed at once (not after its timeout),
+        and the connection's shard is freed without a garbage collection."""
+        shards = []
+        init = ShardRequestHandler.__init__
+
+        def recording(handler, neighbor_set_size):
+            init(handler, neighbor_set_size)
+            shards.append(weakref.ref(handler.server))
+
+        monkeypatch.setattr(ShardRequestHandler, "__init__", recording)
+        with SocketShardBackend(
+            address=LocalShardServer(), neighbor_set_size=3, request_timeout=3.0
+        ) as shard:
+            seed_peers(shard)
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                shard.supervisor.kill()
+                started = time.monotonic()
+                with pytest.raises(ShardUnavailableError):
+                    shard.local_closest("p0", 3)
+                assert time.monotonic() - started < 0.5
+                assert len(shards) == 1 and shards[0]() is None
+            finally:
+                if collecting:
+                    gc.enable()
 
     @pytest.mark.parametrize("backend", ["socket", "process"])
     def test_closing_a_plane_leaves_no_server_thread_child_or_socket_file(self, backend):

@@ -9,8 +9,8 @@ listener, for ``shard-serve --tcp`` — so this module feeds it, and a live
   type both ends of the transport act on);
 * a body that names a global is refused *before* any import happens;
 * whatever one connection sends, the server answers typed or drops that
-  connection — a second connection keeps being served and the event loop's
-  exception handler records nothing;
+  connection — a second connection keeps being served and no exception
+  escapes a server thread to ``threading.excepthook``;
 * and the other direction: whatever well-framed reply a hostile *server*
   sends a real supervisor, the client raises a typed error or an exception
   an honest shard could have reported, and a coordinator records no peer
@@ -24,7 +24,6 @@ so the examples that run are the same ones every time.
 from __future__ import annotations
 
 import builtins
-import gc
 import itertools
 import os
 import pickle
@@ -157,13 +156,12 @@ def exchange(sock: socket.socket, message) -> tuple:
 
 @pytest.fixture(scope="class")
 def live_server():
-    """A loopback server, a record of what its loop's exception handler saw,
-    and a well-behaved witness connection holding real shard state."""
-    server = LocalShardServer()
+    """A loopback server, a record of every exception that escaped one of
+    its threads, and a well-behaved witness connection holding real shard
+    state."""
     recorded: list = []
-    server._loop.call_soon_threadsafe(
-        server._loop.set_exception_handler, lambda _loop, context: recorded.append(context)
-    )
+    excepthook, threading.excepthook = threading.excepthook, recorded.append
+    server = LocalShardServer()
     witness = dial(server)
     try:
         assert exchange(witness, (1, "hello", (PROTOCOL_VERSION, 3)))[1] == "ok"
@@ -172,8 +170,8 @@ def live_server():
         yield server, witness, recorded
     finally:
         witness.close()
-        server.stop()
-    gc.collect()  # a task that died unobserved reports when it is collected
+        server.stop()  # joins every connection thread: the record is complete
+        threading.excepthook = excepthook
     assert recorded == []
 
 

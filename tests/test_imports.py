@@ -137,3 +137,13 @@ def blocked_numpy_report():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda path: str(path.relative_to(SRC)))
 def test_every_module_imports_with_only_the_standard_library(path):
     assert blocked_numpy_report().get(module_name(path)) == []
+
+
+def test_the_shard_transport_and_the_cli_load_no_event_loop():
+    """The shard server is threads: neither the transport nor the CLI that
+    serves it imports ``asyncio``, so no second server grows back beside it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, repro.core.socket_backend, repro.cli; print('asyncio' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
