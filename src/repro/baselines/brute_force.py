@@ -14,7 +14,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from .._validation import require_positive_int
 from ..exceptions import ConfigurationError
 from ..routing.distance_engine import HopDistanceEngine
-from ..routing.shortest_path import AllPairsHopDistances
 from ..topology.graph import Graph
 
 PeerId = Hashable
@@ -34,9 +33,10 @@ class BruteForceOracle:
         Hops charged for the host-to-router link on each side (1 by default,
         consistent with how the tree distance counts).
     engine:
-        Optional shared :class:`HopDistanceEngine`; the scenario builder
-        passes its own so the oracle's BFS work rides the same CSR snapshot
-        as every other distance consumer.
+        Optional shared :class:`HopDistanceEngine` over ``graph``; the
+        scenario builder passes its own so the oracle reads the same hop
+        vectors as every other distance consumer.  Every distance is the
+        engine's, so it follows the graph as it mutates.
     """
 
     name = "brute_force"
@@ -53,7 +53,7 @@ class BruteForceOracle:
         self.graph = graph
         self.attachment = dict(attachment)
         self.host_hops = host_hops
-        self._oracle = AllPairsHopDistances(graph, engine=engine)
+        self._engine = HopDistanceEngine(graph) if engine is None else engine.check_graph(graph)
 
     def peer_distance(self, peer_a: PeerId, peer_b: PeerId) -> float:
         """True hop distance between two peers (host links included)."""
@@ -61,7 +61,7 @@ class BruteForceOracle:
             return 0.0
         router_a = self.attachment[peer_a]
         router_b = self.attachment[peer_b]
-        router_distance = 0 if router_a == router_b else self._oracle.distance(router_a, router_b)
+        router_distance = 0 if router_a == router_b else self._engine.hop_distance(router_a, router_b)
         return float(router_distance + 2 * self.host_hops)
 
     # Alias so the oracle can be scored like a plane by evaluate_estimator.
@@ -93,7 +93,7 @@ class BruteForceOracle:
             excluded |= set(exclude)
         candidates = population if population is not None else list(self.attachment)
         origin_router = self.attachment[peer_id]
-        distances = self._oracle.distances_from(origin_router)
+        distances = self._engine.hop_distances(origin_router)
 
         ranked: List[Tuple[float, str, PeerId]] = []
         for candidate in candidates:

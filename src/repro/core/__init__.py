@@ -33,7 +33,6 @@ from .distance import (
     PairAccuracy,
     evaluate_estimator,
     sample_peer_pairs,
-    true_hop_distances,
 )
 from .newcomer import (
     LANDMARK_SELECTION_POLICIES,
@@ -80,7 +79,6 @@ __all__ = [
     "PairAccuracy",
     "evaluate_estimator",
     "sample_peer_pairs",
-    "true_hop_distances",
     "LANDMARK_SELECTION_POLICIES",
     "SELECT_CLOSEST_RTT",
     "SELECT_FEWEST_HOPS",

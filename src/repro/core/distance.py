@@ -4,7 +4,8 @@ The paper's correctness argument is statistical: because most shortest paths
 traverse the high-centrality core, the route inferred through the landmark
 tree (``dtree``) is usually equal — or very close — to the true shortest-path
 distance ``d``.  This module scores an estimator against the true distances
-and provides the accuracy report behind the C3 study
+(:meth:`~repro.baselines.brute_force.BruteForceOracle.peer_distance` supplies
+them) and provides the accuracy report behind the C3 study
 (:func:`repro.experiments.ablations.tree_accuracy_study`).
 """
 
@@ -12,12 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._validation import coerce_seed, require_positive_int
 from ..exceptions import MetricError
-from ..routing.shortest_path import AllPairsHopDistances
-from ..topology.graph import Graph
 from .path import PeerId
 
 
@@ -131,27 +130,3 @@ def sample_peer_pairs(
         seen.add(key)
         pairs.append(key)
     return pairs
-
-
-def true_hop_distances(
-    graph: Graph,
-    attachment: Dict[PeerId, Hashable],
-    pairs: Sequence[Tuple[PeerId, PeerId]],
-    oracle: Optional[AllPairsHopDistances] = None,
-    host_hops: int = 1,
-) -> Dict[Tuple[PeerId, PeerId], float]:
-    """True hop distances between peers attached to routers of ``graph``.
-
-    ``attachment`` maps each peer to its access router.  ``host_hops`` extra
-    hops are charged per endpoint for the host-to-router link (1 by default,
-    matching how ``dtree`` counts); peers on the same router are therefore at
-    distance ``2 * host_hops``.
-    """
-    oracle = oracle or AllPairsHopDistances(graph)
-    result: Dict[Tuple[PeerId, PeerId], float] = {}
-    for peer_a, peer_b in pairs:
-        router_a = attachment[peer_a]
-        router_b = attachment[peer_b]
-        router_distance = 0 if router_a == router_b else oracle.distance(router_a, router_b)
-        result[(peer_a, peer_b)] = float(router_distance + 2 * host_hops)
-    return result

@@ -22,9 +22,7 @@ from .analysis import branch_point_analysis
 from .runner import (
     EXPERIMENTS,
     available_experiments,
-    load_table,
     run_experiment,
-    run_experiments,
     save_table,
 )
 
@@ -47,8 +45,6 @@ __all__ = [
     "branch_point_analysis",
     "EXPERIMENTS",
     "available_experiments",
-    "load_table",
     "run_experiment",
-    "run_experiments",
     "save_table",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Sequence
 
-from ..core.distance import evaluate_estimator, sample_peer_pairs, true_hop_distances
+from ..core.distance import evaluate_estimator, sample_peer_pairs
 from ..routing.traceroute import TracerouteConfig
 from ..sim.rng import RandomStreams
 from ..topology.internet_mapper import RouterMapConfig
@@ -186,11 +186,7 @@ def tree_accuracy_study(
     for label, subset in (("same_landmark", same_landmark_pairs), ("cross_landmark", cross_landmark_pairs)):
         if len(subset) < 2:
             continue
-        truths = true_hop_distances(
-            scenario.router_map.graph,
-            {peer: router for peer, router in scenario.peer_routers.items()},
-            subset,
-        )
+        truths = {pair: scenario.oracle.peer_distance(*pair) for pair in subset}
         report = evaluate_estimator(scenario.server, truths)
         table.add_row(
             pair_type=label,

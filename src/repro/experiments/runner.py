@@ -8,9 +8,8 @@ are provided for everything so the whole suite can be smoke-run in CI).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..exceptions import ConfigurationError
 from .ablations import (
@@ -69,11 +68,6 @@ def run_experiment(name: str) -> ResultTable:
     return EXPERIMENTS[name]()
 
 
-def run_experiments(names: Sequence[str]) -> Dict[str, ResultTable]:
-    """Run several experiments and return their tables keyed by name."""
-    return {name: run_experiment(name) for name in names}
-
-
 def save_table(table: ResultTable, output_dir: Path, stem: Optional[str] = None) -> Path:
     """Write a table to ``output_dir`` as JSON; returns the file path."""
     output_dir = Path(output_dir)
@@ -81,14 +75,3 @@ def save_table(table: ResultTable, output_dir: Path, stem: Optional[str] = None)
     path = output_dir / f"{stem or table.name}.json"
     path.write_text(table.to_json())
     return path
-
-
-def load_table(path: Path) -> ResultTable:
-    """Load a table previously written by :func:`save_table`."""
-    data = json.loads(Path(path).read_text())
-    table = ResultTable(
-        name=data["name"], columns=list(data["columns"]), metadata=dict(data.get("metadata", {}))
-    )
-    for row in data["rows"]:
-        table.add_row(**row)
-    return table

@@ -32,11 +32,7 @@ class LandmarkSet:
 
     All hop/latency questions are answered through one shared
     :class:`HopDistanceEngine` (injectable so a scenario can pass its own):
-    the inter-landmark matrix is one batched multi-source pass, and the
-    closest-landmark oracle reads the per-landmark distance vectors instead
-    of running a fresh BFS per queried router (hop distances on an
-    undirected graph are symmetric), which turns coverage sweeps from one
-    BFS per router into one BFS per landmark.
+    the inter-landmark matrix reads one hop vector per landmark.
     """
 
     graph: Graph
@@ -94,12 +90,10 @@ class LandmarkSet:
     def pairwise_hop_distances(self) -> Dict[Tuple[LandmarkId, LandmarkId], float]:
         """Hop distances between every pair of landmarks (both orders).
 
-        One batched multi-source pass over the shared engine snapshot: each
-        landmark's distance vector is computed once and every pair is a flat
-        lookup.
+        Each landmark's hop vector is computed once by the shared engine and
+        every pair is a flat lookup.
         """
         result: Dict[Tuple[LandmarkId, LandmarkId], float] = {}
-        self.engine.warm_hops(landmark.router for landmark in self.landmarks)
         for landmark in self.landmarks:
             for other in self.landmarks:
                 if other.landmark_id == landmark.landmark_id:

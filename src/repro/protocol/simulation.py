@@ -188,12 +188,12 @@ class ProtocolSimulation:
         # first path — the "server sits next to the landmark" picture the
         # paper draws.
         host_router = paths[0].landmark_router
-        # One shared distance engine, pre-warmed at the management host's
-        # router: latency is symmetric on the undirected topology, so the
-        # network answers every peer<->host lookup from this one vector
-        # instead of running a Dijkstra per peer access router.
+        # One shared distance engine, with the management host's weighted
+        # tree built up front: latency is symmetric on the undirected
+        # topology, so the network answers every peer<->host lookup from
+        # this one tree instead of running a Dijkstra per peer access router.
         distances = HopDistanceEngine(graph)
-        distances.warm_latencies([host_router])
+        distances.tree(host_router, weighted=True)
         network = SimulatedNetwork(
             Engine(),
             graph,

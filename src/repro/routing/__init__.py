@@ -3,11 +3,10 @@
 The traceroute path a peer records towards its landmark is the only network
 measurement the paper's system relies on; everything in this package exists
 to produce those paths faithfully over the synthetic router maps.  One
-engine (:class:`HopDistanceEngine`) computes every distance and route tree;
-:class:`AllPairsHopDistances` is the brute-force oracle's dict view of it.
+engine (:class:`HopDistanceEngine`) answers every distance: a hop count from
+a byte level-vector, a route or a latency from a :class:`ColumnTree`.
 """
 
-from .shortest_path import AllPairsHopDistances
 from .distance_engine import ColumnTree, CsrTopology, HopDistanceEngine
 from .route_table import RouteTable
 from .traceroute import (
@@ -26,7 +25,6 @@ from .path_inference import (
 )
 
 __all__ = [
-    "AllPairsHopDistances",
     "ColumnTree",
     "CsrTopology",
     "HopDistanceEngine",

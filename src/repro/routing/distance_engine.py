@@ -1,24 +1,24 @@
-"""Vectorised hop/latency distance engine over CSR topology snapshots.
+"""Hop/latency distance engine over CSR topology snapshots.
 
 Every distance consumer in the repository used to run its own pure-python
 per-source BFS/Dijkstra over the dict-of-dicts :class:`~repro.topology.graph.
 Graph` — one fresh ``dict`` per node per source.  At paper-scale router maps
 (~4 000 routers) and benchmark populations (12 800 peers) that per-source
 dict churn dominates scenario-build wall-clock.  This module replaces it with
-a shared engine built around two ideas:
+a shared engine that answers a hop distance from a byte level-vector and
+everything else from one column tree:
 
 **CSR snapshots** (:class:`CsrTopology`) — the graph is flattened once into
-int-indexed compact arrays (``offsets``/``neighbors`` in the classic
-compressed-sparse-row layout, plus per-weight-key weighted adjacency and
-the links a hop tree walks, both read from the graph on first use).  Snapshots
-are immutable; :class:`Graph` carries a generation counter bumped on every
-mutation, and the engine transparently rebuilds its snapshot when the
-generation moves.
+int-indexed adjacency lists (the core's, the weighted one Dijkstra reads and
+the links a hop tree walks, the last two read from the graph on first use).
+Snapshots are immutable; :class:`Graph` carries a generation counter bumped
+on every mutation, and the engine transparently rebuilds its snapshot (and
+drops every vector and tree built on the old one) when the generation moves.
 
-**Batched level-vector BFS** (:class:`HopDistanceEngine`) — hop distances are
-computed as flat ``bytearray`` level-vectors (one byte per node, ``0xFF`` =
+**Byte level-vector BFS** (:meth:`HopDistanceEngine.hop_between`) — hop
+distances are flat ``bytes`` level-vectors (one byte per node, ``0xFF`` =
 unreachable) expanded one shared frontier per level, instead of per-node
-dict inserts.  Two structural accelerations make multi-source batches cheap:
+dict inserts.  Two structural accelerations make many sources cheap:
 
 * the snapshot separates *leaf* routers (degree-1 nodes hanging off a
   higher-degree neighbour — the stub/access routers peers attach to) from the
@@ -27,47 +27,46 @@ dict inserts.  Two structural accelerations make multi-source batches cheap:
   ``bytes.translate`` (+1 per hop);
 * a BFS *from* a leaf source is derived from its unique neighbour's vector
   with the same translate trick (``d_leaf(x) = d_neighbor(x) + 1``), so
-  warming every peer attachment router costs one BFS per *distinct access
-  parent* rather than one per peer.
+  every peer attachment router costs one BFS per *distinct access parent*
+  rather than one per peer.
 
-Results are exactly equal to the dict-based reference BFS / Dijkstra of
+A byte saturates at 254 hops: a source whose BFS (or whose leaf parent's)
+goes deeper reads the ``hops`` column of its hop tree instead, which has no
+cap.  Results are exactly equal to the dict-based reference BFS of
 ``tests/routing/reference_paths.py`` for every source, including
 disconnected graphs — ``tests/routing/test_distance_engine.py`` holds the
 property-test oracle.
-Vectors saturate at 254 hops; rare deeper graphs fall back to exact wide
-(machine-int) vectors automatically.
 
-The batched Dijkstra mirrors the reference implementation operation-for-
-operation over the snapshot's weighted adjacency (same relaxation order,
-same float addition order), so latency distances and tie-broken parents are
-bit-identical, not merely numerically close.
-
-**Column trees** (:meth:`HopDistanceEngine.tree`) are the forwarding state a
-:class:`~repro.routing.route_table.RouteTable` keeps per landmark: parent
-position, hop count and routed latency as flat per-router lists, so a route,
-a hop count or a ping's latency is one index lookup plus column reads.  A hop
-tree is one level-synchronous BFS over the core (the hop vectors' frontier
-idiom, recording each router's parent and ``latency[parent] + weight`` as it
-is discovered); every leaf then takes its one neighbour's entries plus its
-link at C speed.  The frontier keeps the reference FIFO order and a leaf
-never discovers anything, so every parent is the one ``bfs_shortest_paths``
-picks, and latency is summed from the root outward, as a walk up the parent
-chain would sum it.  Hop counts are plain ints: a tree has no byte cap.
+**Column trees** (:meth:`HopDistanceEngine.tree`) are every router's route
+towards one root: parent position, hop count and routed latency as flat
+per-router lists, so a route, a hop count or a latency is one index lookup
+plus column reads.  The engine keeps one per ``(root, weighted)`` and
+snapshot.  A hop tree is one level-synchronous BFS over the core (the hop
+vectors' frontier idiom, recording each router's parent and
+``latency[parent] + weight`` as it is discovered); every leaf then takes its
+one neighbour's entries plus its link at C speed.  The frontier keeps the
+reference FIFO order and a leaf never discovers anything, so every parent is
+the one ``bfs_shortest_paths`` picks, and latency is summed from the root
+outward, as a walk up the parent chain would sum it.  A weighted tree is one
+Dijkstra that mirrors the reference implementation operation-for-operation
+over the snapshot's weighted adjacency (same relaxation order, same float
+addition order), so its parents and its ``latency`` column — what
+:meth:`HopDistanceEngine.latency_between` reads — are bit-identical to
+``dijkstra_shortest_paths``, not merely numerically close.
 ``tests/routing/test_column_trees.py`` holds that oracle.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from ..exceptions import NodeNotFoundError, NoRouteError
-from ..topology.graph import DEFAULT_WEIGHT_KEY, Graph
+from ..topology.graph import Graph
 
 NodeId = Hashable
 
@@ -76,8 +75,8 @@ UNREACHABLE = 0xFF
 
 #: Largest hop distance the core byte BFS may produce.  One ``+1`` headroom
 #: step is reserved below the 0xFF sentinel so the leaf fill / leaf-source
-#: derivation stays exact; deeper graphs fall back to wide (machine-int)
-#: vectors, where ``-1`` marks unreachable nodes.
+#: derivation stays exact; a deeper source reads its hop tree's ``hops``
+#: column, where a negative count marks an unreachable node.
 MAX_BYTE_HOPS = 253
 
 #: 256-entry translate table adding one hop to every finite byte distance
@@ -91,11 +90,7 @@ _PLUS_ONE_HOP = bytes(range(1, 255)) + b"\xff\xff"
 #: plus one) is still negative, with no branch in the fill.
 NO_ROUTE = -2
 
-HopVector = Union[bytes, array]
-
-
-class _ByteOverflow(Exception):
-    """Internal: a byte-vector BFS exceeded MAX_BYTE_HOPS levels."""
+HopVector = Union[bytes, List[int]]
 
 
 class CsrTopology:
@@ -119,8 +114,6 @@ class CsrTopology:
         "node_count",
         "core_count",
         "core_adjacency",
-        "offsets",
-        "neighbors",
         "leaf_parents",
         "_leaf_gather",
         "_weighted_adjacency",
@@ -151,14 +144,6 @@ class CsrTopology:
             tuple(index[v] for v in graph.iter_neighbors(u) if degree[v] > 1 or index[v] < self.core_count)
             for u in core
         ]
-        # Full-graph CSR arrays (all nodes, snapshot order).
-        offsets = array("l", [0])
-        neighbors = array("l")
-        for u in self.nodes:
-            neighbors.extend(index[v] for v in graph.iter_neighbors(u))
-            offsets.append(len(neighbors))
-        self.offsets = offsets
-        self.neighbors = neighbors
         # Leaf i (full index core_count + i) hangs off core_adjacency-range
         # parent leaf_parents[i].
         self.leaf_parents = leaf_parents = array("l", (index[next(graph.iter_neighbors(u))] for u in leaves))
@@ -169,7 +154,7 @@ class CsrTopology:
             if len(leaves) > 1
             else lambda column: tuple(column[p] for p in leaf_parents)
         )
-        self._weighted_adjacency: Dict[str, List[Tuple[Tuple[int, float], ...]]] = {}
+        self._weighted_adjacency: Optional[List[Tuple[Tuple[int, float], ...]]] = None
         self._tree_links: Optional[Tuple[List[Tuple[Tuple[int, float], ...]], List[float]]] = None
 
     def is_current(self) -> bool:
@@ -183,14 +168,12 @@ class CsrTopology:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def weighted_adjacency(self, weight_key: str = DEFAULT_WEIGHT_KEY) -> List[Tuple[Tuple[int, float], ...]]:
-        """Per-node ``((neighbor_index, weight), ...)`` tuples in CSR order (lazy, cached)."""
-        cached = self._weighted_adjacency.get(weight_key)
-        if cached is None:
+    def weighted_adjacency(self) -> List[Tuple[Tuple[int, float], ...]]:
+        """Per-node ``((neighbor_index, latency), ...)`` tuples in snapshot order (lazy, cached)."""
+        if self._weighted_adjacency is None:
             index, weights_of = self.index, self.graph.neighbor_weights
-            cached = [tuple([(index[v], w) for v, w in weights_of(u, weight_key)]) for u in self.nodes]
-            self._weighted_adjacency[weight_key] = cached
-        return cached
+            self._weighted_adjacency = [tuple([(index[v], w) for v, w in weights_of(u)]) for u in self.nodes]
+        return self._weighted_adjacency
 
     def tree_links(self) -> Tuple[List[Tuple[Tuple[int, float], ...]], List[float]]:
         """What a hop tree's BFS walks (lazy, cached).
@@ -219,8 +202,7 @@ class CsrTopology:
 class EngineStats:
     """Algorithmic-work counters, mirroring ``ServerStats``."""
 
-    __slots__ = ("snapshot_builds", "bfs_runs", "wide_bfs_runs", "derived_vectors", "dijkstra_runs",
-                 "vector_cache_hits", "trees_built")
+    __slots__ = ("snapshot_builds", "bfs_runs", "derived_vectors", "dijkstra_runs", "trees_built")
 
     def __init__(self) -> None:
         self.reset()
@@ -228,10 +210,8 @@ class EngineStats:
     def reset(self) -> None:
         self.snapshot_builds = 0
         self.bfs_runs = 0
-        self.wide_bfs_runs = 0
         self.derived_vectors = 0
         self.dijkstra_runs = 0
-        self.vector_cache_hits = 0
         self.trees_built = 0
 
 
@@ -240,19 +220,20 @@ class HopDistanceEngine:
 
     One engine per graph is the intended ownership model: a scenario, a
     route table or a landmark set creates (or is handed) an engine and every
-    distance it needs flows through the same snapshot and vector caches.
-    Mutating the graph invalidates the snapshot on the next call via the
-    graph's generation counter.
+    distance it needs flows through the same snapshot, hop vectors and
+    trees.  Mutating the graph invalidates all three on the next call via
+    the graph's generation counter.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.stats = EngineStats()
         self._snapshot: Optional[CsrTopology] = None
-        # source index -> (vector, max finite hop or None for wide vectors)
+        # source index -> (byte vector, max finite hop), or (its hop tree's
+        # hops column, None) for a source too deep for a byte vector
         self._hop_vectors: Dict[int, Tuple[HopVector, Optional[int]]] = {}
-        # (source index, weight_key) -> latency vector (inf = unreachable)
-        self._latency_vectors: Dict[Tuple[int, str], array] = {}
+        # (root index, weighted) -> the tree towards that root
+        self._trees: Dict[Tuple[int, bool], ColumnTree] = {}
 
     # ------------------------------------------------------------- snapshot
 
@@ -263,14 +244,17 @@ class HopDistanceEngine:
             snapshot = CsrTopology(self.graph)
             self._snapshot = snapshot
             self._hop_vectors.clear()
-            self._latency_vectors.clear()
+            self._trees.clear()
             self.stats.snapshot_builds += 1
         return snapshot
 
     # ------------------------------------------------------------ hop BFS
 
-    def _byte_bfs(self, snapshot: CsrTopology, source: int) -> Tuple[bytearray, int]:
-        """Core-graph byte BFS from core index ``source`` (no leaf fill)."""
+    def _byte_bfs(self, snapshot: CsrTopology, source: int) -> Optional[Tuple[bytearray, int]]:
+        """Core-graph byte BFS from core index ``source`` (no leaf fill).
+
+        ``None`` when nodes lie more than :data:`MAX_BYTE_HOPS` levels out.
+        """
         adjacency = snapshot.core_adjacency
         dist = bytearray(b"\xff") * snapshot.core_count
         dist[source] = 0
@@ -289,81 +273,49 @@ class HopDistanceEngine:
                 if dist[v] == 255 and not mark(v, level)
             ]
             # Overflow only when nodes actually landed beyond the cap (the
-            # partially-written vector is discarded by the wide fallback).
+            # partially-written vector is discarded).
             if frontier and level > MAX_BYTE_HOPS:
-                raise _ByteOverflow
+                return None
         return dist, level - 1 if level else 0
-
-    def _wide_bfs(self, snapshot: CsrTopology, source: int) -> array:
-        """Exact fallback for graphs deeper than MAX_BYTE_HOPS (full graph)."""
-        self.stats.wide_bfs_runs += 1
-        offsets = snapshot.offsets
-        neighbors = snapshot.neighbors
-        dist = array("l", [-1]) * snapshot.node_count
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            next_level = dist[u] + 1
-            for i in range(offsets[u], offsets[u + 1]):
-                v = neighbors[i]
-                if dist[v] < 0:
-                    dist[v] = next_level
-                    queue.append(v)
-        return dist
 
     def _hop_vector(self, source: NodeId) -> Tuple[HopVector, Optional[int]]:
         """The cached (vector, max finite hop) pair for ``source``."""
         snapshot = self.snapshot()
         source_index = snapshot.index_of(source)
-        cached = self._hop_vectors.get(source_index)
-        if cached is not None:
-            self.stats.vector_cache_hits += 1
-            return cached
-        core_count = snapshot.core_count
-        if source_index >= core_count:
-            # Leaf source: derive from the unique neighbour's vector.
-            parent = snapshot.leaf_parents[source_index - core_count]
-            parent_vector, parent_max = self._hop_vector(snapshot.nodes[parent])
-            if parent_max is not None and parent_max <= MAX_BYTE_HOPS:
-                derived = bytearray(parent_vector).translate(_PLUS_ONE_HOP)
-                derived[source_index] = 0
-                self.stats.derived_vectors += 1
-                entry: Tuple[HopVector, Optional[int]] = (bytes(derived), parent_max + 1)
-                self._hop_vectors[source_index] = entry
-                return entry
-            entry = (self._wide_bfs(snapshot, source_index), None)
+        entry = self._hop_vectors.get(source_index)
+        if entry is None:
+            entry = self._byte_vector(snapshot, source_index)
+            if entry is None:  # deeper than a byte counts
+                entry = (self.tree(source).hops, None)
             self._hop_vectors[source_index] = entry
-            return entry
-        self.stats.bfs_runs += 1
-        try:
-            core_vector, max_hops = self._byte_bfs(snapshot, source_index)
-        except _ByteOverflow:
-            entry = (self._wide_bfs(snapshot, source_index), None)
-        else:
-            full = snapshot.fill_leaves(core_vector)
-            entry = (bytes(full), max_hops + 1 if snapshot.node_count > core_count else max_hops)
-        self._hop_vectors[source_index] = entry
         return entry
+
+    def _byte_vector(self, snapshot: CsrTopology, source: int) -> Optional[Tuple[bytes, int]]:
+        """``source``'s byte vector and its max finite hop, or ``None`` past the byte cap."""
+        core_count = snapshot.core_count
+        if source >= core_count:
+            # Leaf source: derive from the unique neighbour's vector.
+            parent = snapshot.leaf_parents[source - core_count]
+            parent_vector, parent_max = self._hop_vector(snapshot.nodes[parent])
+            if parent_max is None or parent_max > MAX_BYTE_HOPS:
+                return None
+            derived = bytearray(parent_vector).translate(_PLUS_ONE_HOP)
+            derived[source] = 0
+            self.stats.derived_vectors += 1
+            return bytes(derived), parent_max + 1
+        self.stats.bfs_runs += 1
+        core = self._byte_bfs(snapshot, source)
+        if core is None:
+            return None
+        core_vector, max_hops = core
+        full = snapshot.fill_leaves(core_vector)
+        return bytes(full), max_hops + 1 if snapshot.node_count > core_count else max_hops
 
     def check_graph(self, graph: Graph) -> "HopDistanceEngine":
         """Guard for injection points: raise unless this engine serves ``graph``."""
         if self.graph is not graph:
             raise ValueError("engine was built for a different graph")
         return self
-
-    def warm_hops(self, sources: Iterable[NodeId]) -> int:
-        """Batched multi-source warm-up: cache hop vectors for ``sources``.
-
-        Returns the number of *distinct* sources warmed.  Leaf sources
-        sharing an access parent share that parent's BFS; this is the bulk
-        entry point scenario builds use for peer attachment routers.
-        """
-        seen = set()
-        for source in sources:
-            self._hop_vector(source)
-            seen.add(source)
-        return len(seen)
 
     def hop_distances(self, source: NodeId) -> Dict[NodeId, int]:
         """Hop distances from ``source`` as a dict, equal to the BFS oracle.
@@ -399,16 +351,21 @@ class HopDistanceEngine:
         if destination_index is None:
             return default
         distance = vector[destination_index]
-        unreachable = UNREACHABLE if isinstance(vector, bytes) else -1
-        return default if distance == unreachable else distance
+        reachable = distance != UNREACHABLE if isinstance(vector, bytes) else distance >= 0
+        return distance if reachable else default
 
     # ------------------------------------------------------------- Dijkstra
 
     def _dijkstra(
-        self, snapshot: CsrTopology, source: int, weight_key: str
+        self, snapshot: CsrTopology, source: int
     ) -> Tuple[Dict[int, float], Dict[int, int], Dict[int, None]]:
-        """Index-keyed ``(distances, parents)`` plus the settled routers in settling order."""
-        adjacency = snapshot.weighted_adjacency(weight_key)
+        """Index-keyed ``(distances, parents)`` plus the settled routers in settling order.
+
+        The relaxation order, heap tie-breaking counter and float addition
+        order mirror ``dijkstra_shortest_paths`` exactly, so results are
+        bit-identical (not merely approximately equal).
+        """
+        adjacency = snapshot.weighted_adjacency()
         self.stats.dijkstra_runs += 1
         distances: Dict[int, float] = {source: 0.0}
         parents: Dict[int, int] = {}
@@ -431,82 +388,26 @@ class HopDistanceEngine:
                     heappush(heap, (candidate, counter, v))
         return distances, parents, settled
 
-    def dijkstra(
-        self, source: NodeId, weight_key: str = DEFAULT_WEIGHT_KEY
-    ) -> Tuple[Dict[NodeId, float], Dict[NodeId, NodeId]]:
-        """``(distances, parents)`` identical to ``dijkstra_shortest_paths``.
-
-        The relaxation order, heap tie-breaking counter and float addition
-        order mirror the reference implementation exactly, so results are
-        bit-identical (not merely approximately equal).
-        """
-        snapshot = self.snapshot()
-        distances, parents, _ = self._dijkstra(snapshot, snapshot.index_of(source), weight_key)
-        nodes = snapshot.nodes
-        return (
-            {nodes[i]: d for i, d in distances.items()},
-            {nodes[i]: nodes[p] for i, p in parents.items()},
-        )
-
     # ---------------------------------------------------------- latency API
 
-    def _latency_vector(self, source: NodeId, weight_key: str) -> array:
-        snapshot = self.snapshot()
-        key = (snapshot.index_of(source), weight_key)
-        cached = self._latency_vectors.get(key)
-        if cached is not None:
-            self.stats.vector_cache_hits += 1
-            return cached
-        # One Dijkstra implementation for the whole engine: the cached
-        # vector is densified from :meth:`dijkstra`'s (reference-identical)
-        # distances, so the two entry points can never drift apart.
-        distances, _ = self.dijkstra(source, weight_key=weight_key)
-        index = snapshot.index
-        vector = array("d", [float("inf")]) * snapshot.node_count
-        for node, distance in distances.items():
-            vector[index[node]] = distance
-        self._latency_vectors[key] = vector
-        return vector
-
-    def has_latency_vector(self, source: NodeId, weight_key: str = DEFAULT_WEIGHT_KEY) -> bool:
-        """True when ``source``'s latency vector is already cached.
+    def has_latency_tree(self, source: NodeId) -> bool:
+        """True when ``source``'s weighted tree is already built.
 
         Lets callers on undirected graphs — where latency is symmetric —
         pick the warm endpoint of a pair as the Dijkstra source instead of
         paying one run per distinct cold source (the simulated network's
         many-clients-one-server traffic pattern).
         """
-        snapshot = self.snapshot()
-        index = snapshot.index.get(source)
-        if index is None:
-            return False
-        return (index, weight_key) in self._latency_vectors
+        return (self.snapshot().index.get(source), True) in self._trees
 
-    def warm_latencies(self, sources: Iterable[NodeId], weight_key: str = DEFAULT_WEIGHT_KEY) -> int:
-        """Batched multi-source Dijkstra warm-up over one shared snapshot.
+    def latency_between(self, source: NodeId, destination: NodeId, default=None):
+        """Latency-shortest distance, or ``default`` when unreachable (or unknown).
 
-        Returns the number of *distinct* sources warmed.
+        Read from the ``latency`` column of ``source``'s weighted tree.
         """
-        seen = set()
-        for source in sources:
-            self._latency_vector(source, weight_key)
-            seen.add(source)
-        return len(seen)
-
-    def latency_between(
-        self,
-        source: NodeId,
-        destination: NodeId,
-        default=None,
-        weight_key: str = DEFAULT_WEIGHT_KEY,
-    ):
-        """Latency distance, or ``default`` when unreachable (or unknown)."""
-        vector = self._latency_vector(source, weight_key)
-        destination_index = self.snapshot().index.get(destination)
-        if destination_index is None:
-            return default
-        distance = vector[destination_index]
-        return default if distance == float("inf") else distance
+        tree = self.tree(source, weighted=True)
+        i = tree.index.get(destination)
+        return default if i is None or tree.hops[i] < 0 else tree.latency[i]
 
     # ----------------------------------------------------------------- trees
 
@@ -515,14 +416,18 @@ class HopDistanceEngine:
 
         Hop-shortest routes by default (the parents ``bfs_shortest_paths``
         picks); ``weighted=True`` routes along latency (the parents of
-        ``dijkstra_shortest_paths``).  Unknown roots raise
-        :class:`NodeNotFoundError`.
+        ``dijkstra_shortest_paths``).  Built once per root and snapshot.
+        Unknown roots raise :class:`NodeNotFoundError`.
         """
         snapshot = self.snapshot()
-        root_index = snapshot.index_of(root)
-        self.stats.trees_built += 1
-        build = self._dijkstra_columns if weighted else self._bfs_columns
-        return ColumnTree(root, weighted, snapshot.index, snapshot.nodes, *build(snapshot, root_index))
+        key = (snapshot.index_of(root), weighted)
+        tree = self._trees.get(key)
+        if tree is None:
+            self.stats.trees_built += 1
+            build = self._dijkstra_columns if weighted else self._bfs_columns
+            columns = build(snapshot, key[0])
+            tree = self._trees[key] = ColumnTree(root, weighted, snapshot.index, snapshot.nodes, *columns)
+        return tree
 
     def _bfs_columns(self, snapshot: CsrTopology, root: int) -> Tuple[List[int], List[int], List[float]]:
         """``(parent, hops, latency)`` columns of the hop tree towards ``root``."""
@@ -562,7 +467,7 @@ class HopDistanceEngine:
 
     def _dijkstra_columns(self, snapshot: CsrTopology, root: int) -> Tuple[List[int], List[int], List[float]]:
         """``(parent, hops, latency)`` columns of the latency tree towards ``root``."""
-        distances, parents, settled = self._dijkstra(snapshot, root, DEFAULT_WEIGHT_KEY)
+        distances, parents, settled = self._dijkstra(snapshot, root)
         parent = [-1] * snapshot.node_count
         hops = [NO_ROUTE] * snapshot.node_count
         latency = [float("inf")] * snapshot.node_count

@@ -163,8 +163,9 @@ class SimulatedNetwork:
         reordering) — same seed, same impairments.
     distance_engine:
         Optional shared :class:`HopDistanceEngine` over ``graph``; latency
-        lookups use its cached per-source Dijkstra vectors (a scenario can
-        hand in its own engine so the simulation shares its snapshot).
+        lookups read its weighted trees, one Dijkstra per source router (a
+        scenario can hand in its own engine so the simulation shares its
+        snapshot).
     fault_plan:
         Optional :class:`NetworkFaultPlan` scripting per-message faults on
         top of (and independently of) the probability knobs.
@@ -261,10 +262,10 @@ class SimulatedNetwork:
 
         A miss asks the distance engine.  The topology is undirected, so
         latency is symmetric — which lets the lookup prefer whichever
-        endpoint already has a cached latency vector as the Dijkstra
-        source.  Under the protocol's many-peers-one-host traffic pattern
-        that means one Dijkstra from the host's router instead of one per
-        peer access router.
+        endpoint already has a weighted tree as the Dijkstra source.  Under
+        the protocol's many-peers-one-host traffic pattern that means one
+        Dijkstra from the host's router instead of one per peer access
+        router.
         """
         return self._router_latency(self.router_of(sender), self.router_of(recipient))
 
@@ -280,9 +281,7 @@ class SimulatedNetwork:
             latency = 0.1  # same access router: LAN-ish delay
         else:
             source, target = router_a, router_b
-            if self._distances.has_latency_vector(target) and not self._distances.has_latency_vector(
-                source
-            ):
+            if self._distances.has_latency_tree(target) and not self._distances.has_latency_tree(source):
                 source, target = target, source
             latency = self._distances.latency_between(source, target)
             if latency is None:

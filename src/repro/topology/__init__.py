@@ -17,7 +17,6 @@ from .internet_mapper import (
     RouterMapConfig,
     barabasi_albert,
     generate_router_map,
-    small_router_map,
 )
 from .latency import ConstantLatencyModel, LatencyModel, TieredLatencyModel
 from .centrality import (
@@ -33,7 +32,6 @@ __all__ = [
     "RouterMap",
     "RouterMapConfig",
     "generate_router_map",
-    "small_router_map",
     "ConstantLatencyModel",
     "LatencyModel",
     "TieredLatencyModel",

@@ -165,11 +165,6 @@ class RouterMapConfig:
         if self.core_size <= self.core_attachment:
             raise GeneratorError("core_size must exceed core_attachment")
 
-    @property
-    def total_routers(self) -> int:
-        """Total number of routers the map will contain."""
-        return self.core_size + self.transit_size + self.stub_size
-
 
 @dataclass
 class RouterMap:
@@ -188,15 +183,6 @@ class RouterMap:
     graph: Graph
     config: RouterMapConfig
     tiers: Dict[str, List[int]] = field(default_factory=dict)
-
-    @property
-    def router_count(self) -> int:
-        """Number of routers in the map."""
-        return self.graph.node_count
-
-    def routers_in_tier(self, tier: str) -> List[int]:
-        """Return the routers labelled with ``tier``."""
-        return list(self.tiers.get(tier, []))
 
     def stub_routers(self) -> List[int]:
         """Return all degree-1 routers — the attachment points for peers.
@@ -224,17 +210,6 @@ class RouterMap:
         if high is None:
             high = max(low, degrees[int(len(degrees) * 0.9)])
         return self.graph.nodes_with_degree_between(low, high)
-
-    def core_routers(self) -> List[int]:
-        """Return the routers in the backbone tier."""
-        return self.routers_in_tier(TIER_CORE)
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Return ``{degree: count}`` over all routers."""
-        histogram: Dict[int, int] = {}
-        for degree in self.graph.degrees().values():
-            histogram[degree] = histogram.get(degree, 0) + 1
-        return histogram
 
 
 def generate_router_map(
@@ -340,18 +315,4 @@ def generate_router_map(
     latency_model.assign(graph)
 
     return RouterMap(graph=graph, config=config, tiers=tiers)
-
-
-def small_router_map(seed: Optional[int] = None) -> RouterMap:
-    """Return a small (~600 router) map, convenient for unit tests."""
-    config = RouterMapConfig(
-        core_size=20,
-        core_attachment=3,
-        transit_size=100,
-        transit_attachment=2,
-        stub_size=480,
-        stub_attachment=1,
-        seed=seed,
-    )
-    return generate_router_map(config)
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.brute_force import BruteForceOracle
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, NoRouteError
+from repro.routing.distance_engine import HopDistanceEngine
+from repro.topology.graph import Graph
+
+from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs
+from ..routing.reference_paths import hop_distance
 
 
 @pytest.fixture()
@@ -31,6 +36,38 @@ class TestDistances:
     def test_negative_host_hops_rejected(self, line_graph):
         with pytest.raises(ConfigurationError):
             BruteForceOracle(line_graph, {}, host_hops=-1)
+
+    def test_router_distances_are_the_reference_bfs(self, tree_graph):
+        oracle = BruteForceOracle(tree_graph, {"p7": 7, "p8": 8, "p6": 6}, host_hops=0)
+        assert oracle.peer_distance("p7", "p8") == hop_distance(tree_graph, 7, 8) == 4
+        assert oracle.peer_distance("p7", "p6") == hop_distance(tree_graph, 7, 6) == 5
+
+    def test_disconnected_pair_raises_no_route(self):
+        graph = Graph()
+        graph.add_edge(1, 2)
+        graph.add_node(3)
+        oracle = BruteForceOracle(graph, {"pa": 1, "pb": 2, "pc": 3})
+        with pytest.raises(NoRouteError):
+            oracle.peer_distance("pa", "pc")
+        # An unreachable candidate is left out of a ranking, not an error.
+        assert oracle.closest_peers("pa", k=2) == [("pb", 3.0)]
+
+    def test_engine_of_another_graph_rejected(self, line_graph):
+        other = Graph()
+        other.add_edge(0, 1)
+        with pytest.raises(ValueError):
+            BruteForceOracle(line_graph, {"pa": 0}, engine=HopDistanceEngine(other))
+
+    def test_answers_follow_a_mutated_graph(self):
+        graph = Graph()
+        graph.add_edge("a", "b")
+        graph.add_edge("b", "c")
+        oracle = BruteForceOracle(graph, {"pa": "a", "pc": "c"})
+        assert oracle.peer_distance("pa", "pc") == 2 + 2
+        assert oracle.closest_peers("pa", k=1) == [("pc", 4.0)]
+        graph.add_edge("a", "c")
+        assert oracle.peer_distance("pa", "pc") == 1 + 2
+        assert oracle.closest_peers("pa", k=1) == [("pc", 3.0)]
 
 
 class TestSelection:
@@ -75,3 +112,16 @@ class TestNeighborCost:
         others = [peer for peer in oracle.attachment if peer != "pa"]
         for subset in combinations(others, k):
             assert best_cost <= oracle.neighbor_cost("pa", list(subset)) + 1e-9
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPH_NAMES)
+def test_peer_distances_match_networkx(name):
+    """One peer per router: a peer distance is networkx's hop count plus both host links."""
+    nx = pytest.importorskip("networkx")
+    reference = reference_graphs()[name]
+    oracle = BruteForceOracle(Graph.from_networkx(reference), {f"p{node}": node for node in reference.nodes()})
+    for source, expected in nx.all_pairs_shortest_path_length(reference):
+        others = {f"p{node}": hops + 2.0 for node, hops in expected.items() if node != source}
+        assert dict(oracle.closest_peers(f"p{source}", k=reference.number_of_nodes())) == others
+        for peer, distance in others.items():
+            assert oracle.peer_distance(f"p{source}", peer) == distance

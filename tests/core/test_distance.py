@@ -9,11 +9,8 @@ from repro.core.distance import (
     PairAccuracy,
     evaluate_estimator,
     sample_peer_pairs,
-    true_hop_distances,
 )
 from repro.exceptions import MetricError
-from repro.routing.shortest_path import AllPairsHopDistances
-from repro.topology.graph import Graph
 
 
 class TestPairAccuracy:
@@ -107,21 +104,3 @@ class TestSamplePairs:
         for peer_a, peer_b in pairs:
             assert peer_a != peer_b
 
-
-class TestTrueHopDistances:
-    def test_counts_host_hops(self, line_graph):
-        attachment = {"pa": 0, "pb": 3, "pc": 0}
-        truths = true_hop_distances(line_graph, attachment, [("pa", "pb"), ("pa", "pc")])
-        assert truths[("pa", "pb")] == 3 + 2
-        assert truths[("pa", "pc")] == 2  # same router, host hops only
-
-    def test_custom_host_hops(self, line_graph):
-        attachment = {"pa": 0, "pb": 1}
-        truths = true_hop_distances(line_graph, attachment, [("pa", "pb")], host_hops=0)
-        assert truths[("pa", "pb")] == 1.0
-
-    def test_reuses_supplied_oracle(self, line_graph):
-        oracle = AllPairsHopDistances(line_graph)
-        attachment = {"pa": 0, "pb": 5}
-        true_hop_distances(line_graph, attachment, [("pa", "pb")], oracle=oracle)
-        assert oracle.cached_sources == 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.distance import evaluate_estimator, sample_peer_pairs, true_hop_distances
+from repro.core.distance import evaluate_estimator, sample_peer_pairs
 from repro.metrics.proximity import compare_strategies, per_peer_ratios, population_cost
 from repro.protocol import ProtocolSimulation
 
@@ -78,9 +78,7 @@ class TestDtreeAccuracy:
             if scenario.server.peer_landmark(pair[0]) == scenario.server.peer_landmark(pair[1])
         ]
         assert len(same_landmark) >= 10
-        truths = true_hop_distances(
-            scenario.router_map.graph, scenario.peer_routers, same_landmark
-        )
+        truths = {pair: scenario.oracle.peer_distance(*pair) for pair in same_landmark}
         report = evaluate_estimator(scenario.server, truths)
         # dtree follows an actual route, so it can never undershoot ...
         for (peer_a, peer_b), true in truths.items():

@@ -1,10 +1,10 @@
-"""Property-test oracle: the vectorised engine vs the reference BFS/Dijkstra.
+"""Property-test oracle: the engine vs the reference BFS/Dijkstra.
 
 The engine's correctness claim is exact equivalence, not approximation:
 for every source in any graph — connected or not — the engine's hop
-distances and batched Dijkstra must equal
+distances and its weighted trees must equal
 :func:`bfs_shortest_paths` / :func:`dijkstra_shortest_paths`, and the
-rewired public APIs must keep their exception semantics
+public APIs must keep their exception semantics
 (:class:`NoRouteError` for unreachable pairs, :class:`NodeNotFoundError`
 for unknown sources).
 """
@@ -21,7 +21,6 @@ from repro.routing.distance_engine import (
     CsrTopology,
     HopDistanceEngine,
 )
-from repro.routing.shortest_path import AllPairsHopDistances
 from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
 
 from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_latencies
@@ -70,21 +69,20 @@ class TestHopOracle:
 
     @settings(max_examples=80, deadline=None)
     @given(edges=edges_strategy, isolated=isolated_strategy)
-    def test_all_pairs_view_keeps_no_route_semantics(self, edges, isolated):
+    def test_hop_distance_keeps_no_route_semantics(self, edges, isolated):
         graph = _graph_from(edges, isolated)
         if graph.node_count == 0:
             return
-        oracle = AllPairsHopDistances(graph)
+        engine = HopDistanceEngine(graph)
         nodes = list(graph.nodes())
         source = nodes[0]
         expected, _ = bfs_shortest_paths(graph, source)
-        assert oracle.distances_from(source) == expected
         for destination in nodes:
             if destination in expected:
-                assert oracle.distance(source, destination) == expected[destination]
+                assert engine.hop_distance(source, destination) == expected[destination]
             else:
                 with pytest.raises(NoRouteError):
-                    oracle.distance(source, destination)
+                    engine.hop_distance(source, destination)
 
 
 class TestLatencyOracle:
@@ -97,12 +95,15 @@ class TestLatencyOracle:
         engine = HopDistanceEngine(graph)
         for source in graph.nodes():
             ref_distances, ref_parents = dijkstra_shortest_paths(graph, source)
-            distances, parents = engine.dijkstra(source)
+            tree = engine.tree(source, weighted=True)
+            routed = [i for i, hops in enumerate(tree.hops) if hops >= 0]
+            distances = {tree.nodes[i]: tree.latency[i] for i in routed}
+            parents = {tree.nodes[i]: tree.nodes[tree.parent[i]] for i in routed if tree.parent[i] >= 0}
             # Plain ==, no approx: the engine mirrors the reference's float
             # addition order and tie-breaking, so values are bit-identical.
             assert distances == ref_distances
             assert parents == ref_parents
-            # The cached latency vector a lookup reads agrees as well.
+            # The latency column a lookup reads agrees as well.
             assert {node: engine.latency_between(source, node) for node in graph.nodes()} == {
                 node: ref_distances.get(node) for node in graph.nodes()
             }
@@ -113,31 +114,37 @@ class TestLatencyOracle:
         other = Graph()
         other.add_edge(1, 2)
         wrong = HopDistanceEngine(other)
-        with pytest.raises(ValueError):
-            AllPairsHopDistances(graph, engine=wrong)
         from repro.routing.route_table import RouteTable
 
         with pytest.raises(ValueError):
             RouteTable(graph=graph, engine=wrong)
 
-    def test_warm_counts_distinct_sources(self):
-        graph = Graph()
-        graph.add_edge("a", "b", latency=1.0)
-        engine = HopDistanceEngine(graph)
-        assert engine.warm_hops(["a", "a", "b"]) == 2
-        assert engine.warm_latencies(["a", "a"]) == 1
-
-    def test_warm_latencies_batches_and_caches(self):
+    def test_one_tree_per_root_and_weighting_per_graph_generation(self):
         graph = Graph()
         graph.add_edge("a", "b", latency=2.0)
         graph.add_edge("b", "c", latency=3.0)
+        graph.add_edge("c", "leaf", latency=0.5)
         engine = HopDistanceEngine(graph)
-        assert engine.warm_latencies(["a", "b"]) == 2
-        assert engine.stats.dijkstra_runs == 2
-        # Warm sources answer from the cache, with reference-equal values.
-        assert engine.latency_between("a", "c") == dijkstra_shortest_paths(graph, "a")[0]["c"]
-        assert engine.stats.dijkstra_runs == 2
-        assert engine.stats.vector_cache_hits > 0
+        assert engine.tree("b") is engine.tree("b")
+        assert engine.tree("b", weighted=True) is not engine.tree("b")
+        assert engine.stats.trees_built == 2
+        # Once the weighted tree is built, every latency from its root is a
+        # column read: no Dijkstra runs, and the values are the reference's.
+        assert not engine.has_latency_tree("a")
+        engine.tree("a", weighted=True)
+        assert engine.has_latency_tree("a")
+        runs = engine.stats.dijkstra_runs
+        expected, _ = dijkstra_shortest_paths(graph, "a")
+        assert {node: engine.latency_between("a", node) for node in graph.nodes()} == expected
+        assert engine.stats.dijkstra_runs == runs
+        # A mutation drops every tree: the next request builds it anew, once.
+        graph.add_edge("a", "d", latency=1.0)
+        built = engine.stats.trees_built
+        tree = engine.tree("b")
+        assert engine.tree("b") is tree
+        assert engine.stats.trees_built == built + 1
+        assert tree.hops[tree.index["d"]] == 2
+        assert not engine.has_latency_tree("a")
 
 
 class TestEdgeCases:
@@ -148,7 +155,7 @@ class TestEdgeCases:
         with pytest.raises(NodeNotFoundError):
             engine.hop_distances("nope")
         with pytest.raises(NodeNotFoundError):
-            engine.dijkstra("nope")
+            engine.tree("nope", weighted=True)
 
     def test_unknown_destination_counts_as_unreachable(self):
         graph = Graph()
@@ -179,7 +186,7 @@ class TestEdgeCases:
 
     def test_eccentricity_exactly_at_byte_cap_stays_on_byte_path(self):
         """A ring whose farthest node sits at exactly MAX_BYTE_HOPS must not
-        spuriously fall back to the wide BFS."""
+        spuriously fall back to the hop tree."""
         graph = Graph()
         length = 2 * MAX_BYTE_HOPS + 1  # odd ring: eccentricity == MAX_BYTE_HOPS
         for i in range(length):
@@ -188,9 +195,9 @@ class TestEdgeCases:
         expected, _ = bfs_shortest_paths(graph, 0)
         assert max(expected.values()) == MAX_BYTE_HOPS
         assert engine.hop_distances(0) == expected
-        assert engine.stats.wide_bfs_runs == 0
+        assert engine.stats.trees_built == 0
 
-    def test_eccentricity_one_past_byte_cap_goes_wide(self):
+    def test_eccentricity_one_past_byte_cap_reads_the_hop_tree(self):
         graph = Graph()
         length = 2 * MAX_BYTE_HOPS + 3  # odd ring: eccentricity == MAX_BYTE_HOPS + 1
         for i in range(length):
@@ -199,10 +206,9 @@ class TestEdgeCases:
         expected, _ = bfs_shortest_paths(graph, 0)
         assert max(expected.values()) == MAX_BYTE_HOPS + 1
         assert engine.hop_distances(0) == expected
-        assert engine.stats.wide_bfs_runs == 1
 
-    def test_deep_chain_falls_back_to_wide_vectors(self):
-        """Paths longer than MAX_BYTE_HOPS must stay exact via the wide path."""
+    def test_deep_chain_falls_back_to_the_hop_tree(self):
+        """Paths longer than MAX_BYTE_HOPS must stay exact via the hop tree."""
         graph = Graph()
         length = MAX_BYTE_HOPS + 40
         for i in range(length):
@@ -212,7 +218,6 @@ class TestEdgeCases:
         for source in (0, length // 2, length):
             expected, _ = bfs_shortest_paths(graph, source)
             assert engine.hop_distances(source) == expected
-        assert engine.stats.wide_bfs_runs > 0
         assert engine.hop_between(0, "island") is None
 
     def test_leaf_sources_are_derived_not_researched(self):
@@ -220,7 +225,8 @@ class TestEdgeCases:
         for leaf in range(1, 6):
             graph.add_edge("hub", f"leaf{leaf}")
         engine = HopDistanceEngine(graph)
-        engine.warm_hops(f"leaf{leaf}" for leaf in range(1, 6))
+        for leaf in range(1, 6):
+            assert engine.hop_between(f"leaf{leaf}", "hub") == 1
         assert engine.stats.bfs_runs == 1  # the hub, shared by all leaves
         assert engine.stats.derived_vectors == 5
         for leaf in range(1, 6):
@@ -262,7 +268,7 @@ class TestGenerationCounter:
         assert second is not first
         assert engine.stats.snapshot_builds == 2
 
-    def test_weight_change_invalidates_latency_vectors(self):
+    def test_weight_change_invalidates_latency_trees(self):
         graph = Graph()
         graph.add_edge("a", "b", latency=1.0)
         graph.add_edge("b", "c", latency=1.0)
@@ -270,15 +276,6 @@ class TestGenerationCounter:
         assert engine.latency_between("a", "c") == pytest.approx(2.0)
         graph.set_edge_attribute("b", "c", "latency", 5.0)
         assert engine.latency_between("a", "c") == pytest.approx(6.0)
-
-    def test_all_pairs_view_drops_dict_cache_on_mutation(self):
-        graph = Graph()
-        graph.add_edge("a", "b")
-        oracle = AllPairsHopDistances(graph)
-        assert oracle.distance("a", "b") == 1
-        assert oracle.cached_sources == 1
-        graph.add_edge("b", "c")
-        assert oracle.distance("a", "c") == 2
 
     def test_snapshot_is_current_reflects_generation(self):
         graph = Graph()
@@ -318,13 +315,3 @@ class TestMatchesNetworkx:
         assert eccentricity == nx.eccentricity(reference)
         assert max(eccentricity.values()) == nx.diameter(reference)
         assert min(eccentricity.values()) == nx.radius(reference)
-
-    def test_all_pairs_view(self, name):
-        nx = pytest.importorskip("networkx")
-        reference = reference_graphs()[name]
-        oracle = AllPairsHopDistances(Graph.from_networkx(reference))
-        for source, expected in nx.all_pairs_shortest_path_length(reference):
-            assert oracle.distances_from(source) == dict(expected)
-            for destination, hops in expected.items():
-                assert oracle.distance(source, destination) == hops
-        assert oracle.cached_sources == reference.number_of_nodes()

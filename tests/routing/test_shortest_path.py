@@ -1,4 +1,4 @@
-"""Tests for the reference BFS/Dijkstra shortest paths and the all-pairs oracle."""
+"""Tests for the reference BFS/Dijkstra shortest paths."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NoRouteError, NodeNotFoundError
-from repro.routing.shortest_path import AllPairsHopDistances
 from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
 
 from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_latencies
@@ -128,29 +127,6 @@ class TestShortestPathTree:
         assert not tree.covers(3)
         with pytest.raises(NoRouteError):
             tree.path_to_root(3)
-
-
-class TestAllPairsOracle:
-    def test_distance_matches_direct_bfs(self, tree_graph):
-        oracle = AllPairsHopDistances(tree_graph)
-        assert oracle.distance(7, 8) == hop_distance(tree_graph, 7, 8)
-        assert oracle.distance(7, 6) == 5
-
-    def test_caching_by_source(self, tree_graph):
-        oracle = AllPairsHopDistances(tree_graph)
-        oracle.distance(7, 8)
-        oracle.distance(7, 6)
-        assert oracle.cached_sources == 1
-        oracle.distance(0, 8)
-        assert oracle.cached_sources == 2
-
-    def test_no_route_raises(self):
-        graph = Graph()
-        graph.add_edge(1, 2)
-        graph.add_node(3)
-        oracle = AllPairsHopDistances(graph)
-        with pytest.raises(NoRouteError):
-            oracle.distance(1, 3)
 
 
 @settings(max_examples=20, deadline=None)

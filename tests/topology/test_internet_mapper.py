@@ -19,7 +19,6 @@ from repro.topology.internet_mapper import (
     _preferential_targets,
     barabasi_albert,
     generate_router_map,
-    small_router_map,
 )
 from repro.topology.latency import ConstantLatencyModel
 
@@ -35,10 +34,6 @@ def degree_one_fraction(graph) -> float:
 
 
 class TestConfig:
-    def test_total_routers(self):
-        config = RouterMapConfig(core_size=10, transit_size=20, stub_size=30, seed=1)
-        assert config.total_routers == 60
-
     def test_invalid_sizes_rejected(self):
         with pytest.raises(Exception):
             RouterMapConfig(core_size=0)
@@ -66,7 +61,8 @@ class TestGeneration:
         )
 
     def test_router_count_matches_config(self, router_map):
-        assert router_map.router_count == router_map.config.total_routers
+        config = router_map.config
+        assert router_map.graph.node_count == config.core_size + config.transit_size + config.stub_size
 
     def test_graph_is_connected(self, router_map):
         assert router_map.graph.is_connected()
@@ -80,8 +76,9 @@ class TestGeneration:
             )
 
     def test_tier_lists_partition_routers(self, router_map):
-        total = sum(len(router_map.routers_in_tier(t)) for t in (TIER_CORE, TIER_TRANSIT, TIER_STUB))
-        assert total == router_map.router_count
+        assert set(router_map.tiers) == {TIER_CORE, TIER_TRANSIT, TIER_STUB}
+        routers = [router for tier in router_map.tiers.values() for router in tier]
+        assert sorted(routers) == sorted(router_map.graph.nodes())
 
     def test_has_many_degree_one_routers(self, router_map):
         """The paper attaches peers to degree-1 routers; there must be plenty."""
@@ -97,21 +94,16 @@ class TestGeneration:
             assert router_map.graph.degree(router) >= 3
 
     def test_core_routers_have_high_degree(self, router_map):
-        core = router_map.core_routers()
+        degree = router_map.graph.degrees()
+        core, stubs = router_map.tiers[TIER_CORE], router_map.tiers[TIER_STUB]
         assert core
-        core_mean = sum(router_map.graph.degree(r) for r in core) / len(core)
-        stub_mean = sum(router_map.graph.degree(r) for r in router_map.routers_in_tier(TIER_STUB)) / len(
-            router_map.routers_in_tier(TIER_STUB)
-        )
+        core_mean = sum(degree[r] for r in core) / len(core)
+        stub_mean = sum(degree[r] for r in stubs) / len(stubs)
         assert core_mean > 3 * stub_mean
 
     def test_latencies_assigned_to_every_edge(self, router_map):
         for u, v in router_map.graph.edges():
             assert router_map.graph.edge_weight(u, v) > 0
-
-    def test_degree_histogram_sums_to_router_count(self, router_map):
-        histogram = router_map.degree_histogram()
-        assert sum(histogram.values()) == router_map.router_count
 
     def test_heavy_tail_exponent_in_realistic_range(self, router_map):
         exponent = powerlaw_exponent(router_map.graph)
@@ -146,14 +138,12 @@ class TestTierStructure:
     def test_tier_lists_match_the_tier_attribute(self, router_map):
         graph = router_map.graph
         for tier in (TIER_CORE, TIER_TRANSIT, TIER_STUB):
-            assert router_map.routers_in_tier(tier) == [
+            assert router_map.tiers[tier] == [
                 node for node in graph.nodes() if graph.get_node_attribute(node, "tier") == tier
             ]
-        assert router_map.core_routers() == router_map.routers_in_tier(TIER_CORE)
-        assert router_map.routers_in_tier("backbone") == []
 
     def test_core_is_the_preferential_attachment_graph(self, router_map):
-        core = router_map.core_routers()
+        core = router_map.tiers[TIER_CORE]
         subgraph = router_map.graph.subgraph(core)
         m = router_map.config.core_attachment
         assert subgraph.is_connected()
@@ -162,7 +152,7 @@ class TestTierStructure:
     def test_transit_routers_uplink_to_earlier_core_or_transit_routers(self, router_map):
         graph = router_map.graph
         m = router_map.config.transit_attachment
-        for node in router_map.routers_in_tier(TIER_TRANSIT):
+        for node in router_map.tiers[TIER_TRANSIT]:
             uplinks = [v for v in graph.neighbors(node) if v < node]
             # m preferential uplinks, plus at most one lateral peering link.
             assert m <= len(uplinks) <= m + 1
@@ -170,16 +160,16 @@ class TestTierStructure:
 
     def test_every_stub_router_has_exactly_one_uplink(self, router_map):
         graph = router_map.graph
-        for node in router_map.routers_in_tier(TIER_STUB):
+        for node in router_map.tiers[TIER_STUB]:
             assert len([v for v in graph.neighbors(node) if v < node]) == 1
             below = [v for v in graph.neighbors(node) if v > node]
             assert all(graph.get_node_attribute(v, "tier") == TIER_STUB for v in below)
 
     def test_removing_the_access_layer_leaves_a_connected_backbone(self, router_map):
-        backbone = router_map.core_routers() + router_map.routers_in_tier(TIER_TRANSIT)
+        backbone = router_map.tiers[TIER_CORE] + router_map.tiers[TIER_TRANSIT]
         assert router_map.graph.subgraph(backbone).is_connected()
         # Stub trees hang off the backbone: the access layer is a forest.
-        stubs = router_map.graph.subgraph(router_map.routers_in_tier(TIER_STUB))
+        stubs = router_map.graph.subgraph(router_map.tiers[TIER_STUB])
         assert stubs.edge_count == stubs.node_count - len(stubs.connected_components())
 
 
@@ -204,10 +194,6 @@ class TestVariants:
     def test_overrides_build_a_config(self):
         router_map = generate_router_map(core_size=8, transit_size=10, stub_size=20, seed=1)
         assert router_map.config.stub_size == 20
-
-    def test_small_router_map_helper(self):
-        router_map = small_router_map(seed=1)
-        assert 500 < router_map.router_count < 700
 
     def test_flat_access_layer_when_tree_probability_zero(self):
         router_map = generate_router_map(
