@@ -38,6 +38,14 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             run_experiment("does-not-exist")
 
+    def test_run_experiment_dispatches_through_the_registry(self, monkeypatch):
+        """run_experiment calls the registered function (stubbed for speed)."""
+        stub_table = ResultTable(name="stub", columns=["x"])
+        stub_table.add_row(x=1)
+        monkeypatch.setitem(EXPERIMENTS, "stub-experiment", lambda: stub_table)
+        assert "stub-experiment" in available_experiments()
+        assert run_experiment("stub-experiment") is stub_table
+
     def test_superpeer_study_runs_through_the_registry(self):
         table = run_experiment("superpeers")
         assert table.name == "superpeer_study"

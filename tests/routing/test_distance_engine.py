@@ -220,6 +220,20 @@ class TestEdgeCases:
             assert engine.hop_distances(source) == expected
         assert engine.hop_between(0, "island") is None
 
+    def test_leaf_of_a_too_deep_parent_reads_its_own_hop_tree(self):
+        """A leaf is not derived from a parent past the byte cap: it reads its hop tree."""
+        graph = Graph()
+        length = MAX_BYTE_HOPS + 40
+        for i in range(length):
+            graph.add_edge(i, i + 1)
+        engine = HopDistanceEngine(graph)
+        expected, _ = bfs_shortest_paths(graph, 0)
+        assert engine.hop_distances(0) == expected
+        assert engine.stats.derived_vectors == 0
+        assert engine.stats.trees_built == 2  # the parent's, then the leaf's own
+        assert engine.tree(0).hops[engine.tree(0).index[length]] == length
+        assert engine.stats.trees_built == 2
+
     def test_leaf_sources_are_derived_not_researched(self):
         graph = Graph()
         for leaf in range(1, 6):
@@ -298,6 +312,18 @@ class TestMatchesNetworkx:
             assert engine.hop_distances(source) == dict(expected)
             for destination, hops in expected.items():
                 assert engine.hop_between(source, destination) == hops
+
+    def test_hop_tree_routes_are_shortest_paths(self, name):
+        nx = pytest.importorskip("networkx")
+        reference = reference_graphs()[name]
+        engine = HopDistanceEngine(Graph.from_networkx(reference))
+        for source, expected in nx.all_pairs_shortest_path_length(reference):
+            tree = engine.tree(source)
+            assert {node: tree.hops[i] for i, node in enumerate(tree.nodes)} == dict(expected)
+            for node, hops in expected.items():
+                path = tree.path_to_root(node)
+                assert len(path) == hops + 1
+                assert all(reference.has_edge(u, v) for u, v in zip(path, path[1:]))
 
     def test_latency_between_equals_dijkstra(self, name):
         nx = pytest.importorskip("networkx")

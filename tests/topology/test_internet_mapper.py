@@ -105,6 +105,11 @@ class TestGeneration:
         for u, v in router_map.graph.edges():
             assert router_map.graph.edge_weight(u, v) > 0
 
+    def test_degrees_cover_every_router(self, router_map):
+        degrees = router_map.graph.degrees()
+        assert sorted(degrees) == sorted(router_map.graph.nodes())
+        assert sum(degrees.values()) == 2 * router_map.graph.edge_count
+
     def test_heavy_tail_exponent_in_realistic_range(self, router_map):
         exponent = powerlaw_exponent(router_map.graph)
         assert 1.5 < exponent < 3.5
