@@ -24,15 +24,7 @@ def main() -> None:
         peer_count=80,
         landmark_count=4,
         neighbor_set_size=5,
-        router_map_config=RouterMapConfig(
-            core_size=20,
-            core_attachment=3,
-            transit_size=100,
-            transit_attachment=2,
-            stub_size=480,
-            stub_attachment=1,
-            seed=7,
-        ),
+        router_map_config=RouterMapConfig.small(7),
         seed=7,
     )
     scenario = build_scenario(config)

@@ -84,9 +84,8 @@ class PeerKeyInterner:
 
         ``assignments`` is ``(peer_id, sort_text, compact_index)`` per live
         peer, in interning order.  Restoring through :meth:`import_state`
-        preserves every compact index *and* the monotonic counter, so
-        array-backed structures keyed by compact indices (the serving-plane
-        snapshots) stay valid across a snapshot/restore cycle — re-interning
+        preserves every compact index *and* the monotonic counter, so a
+        restored plane exports the state it was restored from — re-interning
         from scratch would silently renumber peers after any churn.
         """
         assignments = tuple(

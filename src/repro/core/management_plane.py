@@ -91,10 +91,10 @@ class ChangeRecord:
     changed (created and freed ids included),
     ``owners`` holds the peers whose cached neighbour list or completeness
     mark changed, ``peers`` the peers that joined, left or re-registered
-    (a dict used as an insertion-ordered set, so consumers assign slots
-    deterministically).  The sets are hints, not a log: a consumer re-reads
-    the live plane for everything named here, so an entry for something
-    that changed back — or is gone — is harmless.
+    (a dict used as an insertion-ordered set, in the order they changed).
+    The sets are hints, not a log: a consumer re-reads the live plane for
+    everything named here, so an entry for something that changed back — or
+    is gone — is harmless.
     """
 
     __slots__ = ("nodes", "owners", "peers")

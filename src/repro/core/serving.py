@@ -3,8 +3,8 @@
 Single-threaded query cost is ~2 µs after PRs 1–7; the next order of
 magnitude is concurrency.  This module freezes one epoch of a live
 management plane into a :class:`DiscoverySnapshot` — one frozen index row per
-trie node (the root's is the landmark's min-hop ordering), the cached
-neighbour lists and the interner's ``(sort_text, compact_index)`` table —
+trie node (the root's is the landmark's min-hop ordering) and, per peer, its
+path, attachment node, cached neighbour list and completeness stamp —
 that any number of reader threads or forked processes query with **zero
 locks**, while the write plane keeps mutating and periodically publishes the
 next epoch.
@@ -43,12 +43,10 @@ The paper's point is that an arrival touches only nearby peers; publishing
 it must not cost O(population) either.  Two things make a publish
 proportional to what changed:
 
-* **Ids that survive churn.**  Trie rows are indexed by the live
+* **Keys that survive churn.**  Trie rows are indexed by the live
   :class:`~repro.core.path_tree.PathTree`'s stable node ids (root ``0``,
-  freed ids are holes until reused) and per-peer state by a **slot** the
-  peer keeps for as long as it stays registered (a departure frees the slot
-  for the next arrival; holes are allowed).  A leave therefore renumbers
-  nothing.
+  freed ids are holes until reused) and per-peer state is keyed by the peer
+  itself.  A leave therefore renumbers nothing.
 * **A change record filled where changes happen.**  While a publisher is
   attached (:meth:`~repro.core.management_plane.ManagementPlaneBase.
   track_changes`), the tries record the node ids on every touched root
@@ -56,12 +54,13 @@ proportional to what changed:
   the peers that joined or left.
 
 :meth:`DiscoverySnapshot.build` is the one build routine: it copies the
-previous epoch's arrays (``list(t)`` … ``tuple(l)``, ``d.copy()`` — C
-speed; once ``d`` has had a deletion ``dict(d)`` re-inserts item by item
-while ``d.copy()`` still clones the table), re-reads only the recorded
-rows, slots and lists from the live plane; a re-read row is ``tuple(live
-row)``, a pointer copy that shares the live entries.  Untouched rows are
-*shared* between consecutive epochs.
+plane's path dict (registration order included) and the previous epoch's
+per-peer dict with ``d.copy()`` — C speed; once ``d`` has had a deletion
+``dict(d)`` re-inserts item by item while ``d.copy()`` still clones the
+table — then re-reads each recorded peer whole (a leaver is dropped) and
+each recorded trie row; a re-read row is ``tuple(live row)``, a pointer
+copy that shares the live entries.  Untouched rows, and whole tries no
+change touched, are *shared* between consecutive epochs.
 A full build is the same routine with no previous epoch, where everything
 counts as changed; that is also what happens whenever the record cannot
 vouch for the gap — ``restore_state``, a new landmark or landmark distance,
@@ -70,12 +69,11 @@ the live population, or a second publisher having taken the record over.
 Completeness marks are frozen as the generation *stamp* they were stored
 under and compared with the snapshot's own ``membership_generation`` at
 read time, so a registration (which invalidates every mark at once) costs
-the snapshot one integer, not a pass over every slot.
+the snapshot one integer, not a pass over every peer.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import UnknownPeerError
@@ -104,7 +102,7 @@ class FlatTrie:
     only those nodes re-read; the untouched row tuples are shared.
     """
 
-    __slots__ = ("landmark_id", "routers", "parent", "depth", "rows")
+    __slots__ = ("landmark_id", "routers", "parent", "rows")
 
     def __init__(
         self,
@@ -116,29 +114,25 @@ class FlatTrie:
         self.landmark_id = landmark_id
         nodes = tree.node_table()
         if previous is None or dirty is None:
-            routers, parent, depth, rows = ([None] * len(nodes) for _ in range(4))
+            routers, parent, rows = ([None] * len(nodes) for _ in range(3))
             dirty = range(len(nodes))
         else:
             grown = [None] * (len(nodes) - len(previous.routers))
-            routers, parent, depth, rows = (
-                [*column, *grown]
-                for column in (previous.routers, previous.parent, previous.depth, previous.rows)
+            routers, parent, rows = (
+                [*column, *grown] for column in (previous.routers, previous.parent, previous.rows)
             )
         for index in dirty:
             node = nodes[index]
             if node is None:  # a freed id: nothing reaches this node
                 routers[index] = None
                 parent[index] = -1
-                depth[index] = 0
                 rows[index] = ()
                 continue
             routers[index] = node.router
             parent[index] = node.parent.index if node.parent is not None else -1
-            depth[index] = node.depth
             rows[index] = tuple(node.row)
         self.routers = tuple(routers)
         self.parent = tuple(parent)
-        self.depth = tuple(depth)
         self.rows = tuple(rows)
 
     def structure(self) -> Dict[Tuple[NodeId, ...], Tuple[object, ...]]:
@@ -164,7 +158,9 @@ class FlatTrie:
     ) -> List[Tuple[PeerId, int]]:
         """Up to ``k`` closest peers as seen from a node, as ``(peer, dtree)``.
 
-        :meth:`PathTree.closest_from_node` over the frozen columns.
+        :meth:`PathTree.closest_from_node` over the frozen columns.  The chain
+        from the origin to the root has one row per router, so its length is
+        the origin's depth + 1: the hop value of a peer attached there.
         """
         parent, rows = self.parent, self.rows
         chain = []
@@ -172,7 +168,7 @@ class FlatTrie:
         while node >= 0:
             chain.append(rows[node])
             node = parent[node]
-        return closest_in_rows(chain, self.depth[origin] + 1, k, excluded)[0]
+        return closest_in_rows(chain, len(chain), k, excluded)[0]
 
 
 class DiscoverySnapshot:
@@ -182,10 +178,10 @@ class DiscoverySnapshot:
     :class:`~repro.core.management_server.ManagementServer` or
     :class:`~repro.core.sharded.ShardedManagementServer` (any backend — a
     remote shard's tries are rebuilt on the coordinator side from its tree
-    exports).  All state is plain tuples/dicts; per-peer arrays are indexed
-    by the peer's **slot**, per-node arrays by the live trie's node id (see
-    the module docstring), so the whole object is cheaply forkable/picklable
-    for process readers and safely shared between threads.
+    exports).  All state is plain tuples/dicts: per-peer state is keyed by
+    the peer, per-node rows are indexed by the live trie's node id (see the
+    module docstring), so the whole object is cheaply forkable/picklable for
+    process readers and safely shared between threads.
 
     It serves the one read the system serves, :meth:`closest_peers`, byte
     for byte like the live plane; :meth:`peers` lists who is registered.
@@ -195,18 +191,10 @@ class DiscoverySnapshot:
         "generation",
         "neighbor_set_size",
         "maintain_cache",
-        "interner_table",
-        "next_compact_index",
         "_membership_generation",
-        "_registration_order",
         "_paths",
-        "_slot_of",
-        "_free_slots",
-        "_attach_node",
-        "_cache_lists",
-        "_cache_stamps",
+        "_peers",
         "_tries",
-        "_landmark_order",
         "_landmark_distances",
         "_fill_order",
     )
@@ -227,106 +215,66 @@ class DiscoverySnapshot:
         """Freeze the plane's current state into a snapshot.
 
         Given the ``previous`` epoch and the ``changes`` recorded on the
-        plane since it was built, the new epoch is ``previous``'s arrays with
-        only the recorded slots, lists and trie rows re-read from the plane.
-        Without either, every peer, list and row counts as changed — the
-        same statements, run over everything.  The caller vouches that
-        ``changes`` covers the whole gap (:class:`SnapshotPublisher` does).
+        plane since it was built, the new epoch is ``previous``'s per-peer
+        dict and tries with only the recorded peers, owners and trie rows
+        re-read from the plane.  Without either, every peer and row counts as
+        changed — the same statements, run over everything.  The caller
+        vouches that ``changes`` covers the whole gap
+        (:class:`SnapshotPublisher` does).
 
-        Building reads the plane and otherwise leaves it alone, except that
-        it interns registered peers the plane never interned (a cache-less
-        coordinator) and — for a *remote* shard backend — pulls each
-        landmark's tree export over the wire (the ``tree`` round trip
-        diagnostics use).
+        Building only reads the plane; for a *remote* shard backend that
+        means pulling each landmark's tree export over the wire (the
+        ``tree`` round trip diagnostics use).
         """
         live = plane._paths
-        interner = plane._interner
         cache = plane._cache
         if previous is None or changes is None:
-            slot_of: Dict[PeerId, int] = {}
-            free: List[int] = []
-            columns: Tuple[List, ...] = ([], [], [])
+            # peer -> (attachment node id, cached (peer, distance) pairs, stamp)
+            peers: Dict[PeerId, Tuple[int, Tuple[Tuple[PeerId, float], ...], Optional[int]]] = {}
             changed_peers: Iterable[PeerId] = live
-            changed_owners: Iterable[PeerId] = cache.lists
             changed_nodes: Dict[LandmarkId, Iterable[int]] = {}
             old_tries: Dict[LandmarkId, FlatTrie] = {}
         else:
-            slot_of = previous._slot_of.copy()
-            free = list(previous._free_slots)
-            columns = (
-                list(previous._attach_node),
-                list(previous._cache_lists),
-                list(previous._cache_stamps),
-            )
-            changed_peers = changes.peers
-            changed_owners = changes.owners
+            peers = previous._peers.copy()
+            changed_peers = changes.peers.keys() | changes.owners
             changed_nodes = changes.nodes
             old_tries = previous._tries
-        attach_node, cache_lists, cache_stamps = columns
 
-        landmark_order = tuple(plane.landmarks())
-        trees = {landmark: plane.tree(landmark) for landmark in landmark_order}
+        trees = {landmark: plane.tree(landmark) for landmark in plane.landmarks()}
 
-        # Departures first, so that this epoch's arrivals reuse their slots.
+        # One pass, each named peer read whole: a leaver is dropped, a live
+        # peer's attachment node, cached pairs and completeness stamp re-read.
+        lists, stamp = cache.lists, cache.completeness_stamp
         for peer in changed_peers:
-            if peer not in live and peer in slot_of:
-                slot = slot_of.pop(peer)
-                free.append(slot)
-                for column in columns:
-                    column[slot] = None
-        for peer in changed_peers:
-            if peer not in live:
+            path = live.get(peer)
+            if path is None:
+                peers.pop(peer, None)
                 continue
-            slot = slot_of.get(peer)
-            if slot is None:
-                if free:
-                    slot = free.pop()
-                else:
-                    slot = len(attach_node)
-                    for column in columns:
-                        column.append(None)
-                slot_of[peer] = slot
-            interner.key(peer)  # a cache-less coordinator never interned it
-            attach_node[slot] = trees[live[peer].landmark_id].attachment_node(peer).index
-            cache_lists[slot] = ()
-            cache_stamps[slot] = None
-        for owner in changed_owners:
-            slot = slot_of.get(owner)
-            if slot is not None:
-                cache_lists[slot] = tuple(
-                    [(peer, distance) for distance, _, peer in cache.lists.get(owner, ())]
-                )
-                cache_stamps[slot] = cache.completeness_stamp(owner)
+            peers[peer] = (
+                trees[path.landmark_id].attachment_node(peer).index,
+                tuple([(other, distance) for distance, _, other in lists.get(peer, ())]),
+                stamp(peer),
+            )
 
         tries: Dict[LandmarkId, FlatTrie] = {}
-        for landmark in landmark_order:
+        for landmark, tree in trees.items():
             old = old_tries.get(landmark)
             if old is not None and not changed_nodes[landmark]:
                 # No join or leave under this landmark: share the whole trie.
                 tries[landmark] = old
             else:
-                tries[landmark] = FlatTrie(
-                    landmark, trees[landmark], old, changed_nodes.get(landmark)
-                )
+                tries[landmark] = FlatTrie(landmark, tree, old, changed_nodes.get(landmark))
 
         snap = cls()
         snap.generation = int(generation)
         snap.neighbor_set_size = plane.neighbor_set_size
         snap.maintain_cache = plane.maintain_cache
-        snap.interner_table = interner.table()
-        snap.next_compact_index = interner.next_index
         snap._membership_generation = cache.membership_generation
-        snap._registration_order = tuple(live)
-        snap._paths = plane._paths.copy()
-        snap._slot_of = slot_of
-        snap._free_slots = tuple(free)
-        snap._attach_node = tuple(attach_node)
-        snap._cache_lists = tuple(cache_lists)
-        snap._cache_stamps = tuple(cache_stamps)
+        snap._paths = live.copy()
+        snap._peers = peers
         snap._tries = tries
-        snap._landmark_order = landmark_order
         snap._landmark_distances = dict(plane._landmark_distances)
-        snap._fill_order = cls._fill_stream_order(plane, landmark_order)
+        snap._fill_order = cls._fill_stream_order(plane, tuple(tries))
         return snap
 
     @staticmethod
@@ -355,29 +303,19 @@ class DiscoverySnapshot:
     def _content(self) -> Tuple[object, ...]:
         """The frozen state in a form that does not depend on numbering.
 
-        Slots and node ids are whatever the plane's history made them, so
-        peers are listed by compact index and tries by structure
-        (:meth:`FlatTrie.structure`); a completeness stamp counts as the
-        boolean it reads as.
+        Node ids are whatever the plane's history made them, so peers are
+        listed in registration order without their attachment node ids and
+        tries by structure (:meth:`FlatTrie.structure`); a completeness
+        stamp counts as the boolean it reads as.
         """
-        table, slot_of = self.interner_table, self._slot_of
-        lists, stamps = self._cache_lists, self._cache_stamps
-        current = self._membership_generation
+        peers, current = self._peers, self._membership_generation
         return (
             self.neighbor_set_size,
             self.maintain_cache,
-            self._registration_order,
             tuple(
-                (
-                    peer,
-                    table[peer],
-                    self._paths[peer],
-                    lists[slot_of[peer]],
-                    stamps[slot_of[peer]] == current,
-                )
-                for peer in sorted(slot_of, key=lambda peer: table[peer][1])
+                (peer, path, peers[peer][1], peers[peer][2] == current)
+                for peer, path in self._paths.items()
             ),
-            self._landmark_order,
             tuple(sorted(self._landmark_distances.items(), key=repr)),
             self._fill_order,
             tuple((landmark, trie.structure()) for landmark, trie in self._tries.items()),
@@ -402,7 +340,7 @@ class DiscoverySnapshot:
 
     def peers(self) -> List[PeerId]:
         """Peer identifiers in registration order (like the live plane)."""
-        return list(self._registration_order)
+        return list(self._paths)
 
     def closest_peers(
         self, peer_id: PeerId, k: Optional[int] = None
@@ -416,30 +354,28 @@ class DiscoverySnapshot:
         falls back to the trie's index query plus the cross-landmark fill
         merge.
         """
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
+        state = self._peers.get(peer_id)
+        if state is None:
             raise UnknownPeerError(peer_id)
+        node, entries, stamp = state
         k = k or self.neighbor_set_size
         if k < 0:
             raise ValueError(NEGATIVE_K.format(k))
         if self.maintain_cache and k <= self.neighbor_set_size:
-            entries = self._cache_lists[slot]
             if (
-                len(entries) >= min(k, len(self._slot_of) - 1)
-                or self._cache_stamps[slot] == self._membership_generation
+                len(entries) >= min(k, len(self._peers) - 1)
+                or stamp == self._membership_generation
             ):
                 return list(entries[:k])
-        return self._compute_neighbors(peer_id, slot, k)
+        return self._compute_neighbors(peer_id, node, k)
 
     # -------------------------------------------------------------- internals
 
-    def _compute_neighbors(self, peer_id: PeerId, slot: int, k: int) -> List[Tuple[PeerId, float]]:
+    def _compute_neighbors(self, peer_id: PeerId, node: int, k: int) -> List[Tuple[PeerId, float]]:
         """Frozen twin of the live ``_compute_neighbors``: query, then fill."""
         path = self._paths[peer_id]
         landmark = path.landmark_id
-        candidates = self._tries[landmark].closest_from_node(
-            self._attach_node[slot], k, (peer_id,)
-        )
+        candidates = self._tries[landmark].closest_from_node(node, k, (peer_id,))
         neighbors = [(other, SHARED_DISTANCES[distance]) for other, distance in candidates]
         if len(neighbors) >= k:
             return neighbors[:k]
@@ -455,8 +391,8 @@ class DiscoverySnapshot:
 
     def __repr__(self) -> str:
         return (
-            f"DiscoverySnapshot(generation={self.generation}, peers={len(self._slot_of)}, "
-            f"landmarks={len(self._landmark_order)}, k={self.neighbor_set_size})"
+            f"DiscoverySnapshot(generation={self.generation}, peers={len(self._peers)}, "
+            f"landmarks={len(self._tries)}, k={self.neighbor_set_size})"
         )
 
 
@@ -481,8 +417,6 @@ class SnapshotPublisher:
 
     def __init__(self, plane: ManagementPlaneBase):
         self._plane = plane
-        #: Wall-clock seconds the most recent publish spent building.
-        self.last_publish_seconds = 0.0
         self._changes = plane.track_changes()
         self._snapshot = DiscoverySnapshot.build(plane, generation=1)
 
@@ -498,7 +432,6 @@ class SnapshotPublisher:
 
     def publish(self) -> DiscoverySnapshot:
         """Freeze the plane into generation ``current + 1`` and install it."""
-        started = time.perf_counter()
         plane = self._plane
         changes = self._changes
         if plane.changes is not changes:
@@ -510,7 +443,6 @@ class SnapshotPublisher:
         snapshot = DiscoverySnapshot.build(
             plane, self._snapshot.generation + 1, self._snapshot, changes
         )
-        self.last_publish_seconds = time.perf_counter() - started
         self._snapshot = snapshot  # the atomic epoch flip
         return snapshot
 

@@ -29,19 +29,6 @@ from ..workloads.scenarios import ScenarioConfig, build_scenario
 from .figure1 import evaluate_population
 from .results import ResultTable
 
-_SMALL_MAP = dict(
-    core_size=20,
-    core_attachment=3,
-    transit_size=100,
-    transit_attachment=2,
-    stub_size=480,
-    stub_attachment=1,
-)
-
-
-def _small_map_config(seed: int) -> RouterMapConfig:
-    return RouterMapConfig(seed=seed, **_SMALL_MAP)
-
 
 def landmark_count_sweep(
     landmark_counts: Sequence[int] = (1, 2, 4, 8, 16),
@@ -61,7 +48,7 @@ def landmark_count_sweep(
             peer_count=peer_count,
             landmark_count=count,
             neighbor_set_size=neighbor_set_size,
-            router_map_config=_small_map_config(streams.seed_for("map")),
+            router_map_config=RouterMapConfig.small(streams.seed_for("map")),
             seed=streams.seed_for(f"scenario-{count}"),
         )
         scenario = build_scenario(config)
@@ -95,7 +82,7 @@ def landmark_placement_sweep(
             landmark_count=landmark_count,
             neighbor_set_size=neighbor_set_size,
             landmark_strategy=strategy,
-            router_map_config=_small_map_config(map_seed),
+            router_map_config=RouterMapConfig.small(map_seed),
             seed=streams.seed_for(f"scenario-{strategy}"),
         )
         scenario = build_scenario(config)
@@ -129,7 +116,7 @@ def neighbor_set_size_sweep(
             peer_count=peer_count,
             landmark_count=landmark_count,
             neighbor_set_size=k,
-            router_map_config=_small_map_config(map_seed),
+            router_map_config=RouterMapConfig.small(map_seed),
             seed=streams.seed_for(f"scenario-{k}"),
         )
         scenario = build_scenario(config)
@@ -154,7 +141,7 @@ def tree_accuracy_study(
         peer_count=peer_count,
         landmark_count=landmark_count,
         neighbor_set_size=3,
-        router_map_config=_small_map_config(streams.seed_for("map")),
+        router_map_config=RouterMapConfig.small(streams.seed_for("map")),
         seed=streams.seed_for("scenario"),
     )
     scenario = build_scenario(config)
@@ -219,7 +206,7 @@ def traceroute_noise_sweep(
             peer_count=peer_count,
             landmark_count=landmark_count,
             neighbor_set_size=neighbor_set_size,
-            router_map_config=_small_map_config(map_seed),
+            router_map_config=RouterMapConfig.small(map_seed),
             traceroute_config=TracerouteConfig(
                 anonymous_router_probability=probability,
                 seed=streams.seed_for(f"trace-{probability}"),
@@ -256,7 +243,7 @@ def superpeer_study(
     holds.
     """
     streams = RandomStreams(seed)
-    map_config = _small_map_config(streams.seed_for("map"))
+    map_config = RouterMapConfig.small(streams.seed_for("map"))
     scenario_seed = streams.seed_for("scenario")
     table = ResultTable(
         name="superpeer_study",
@@ -323,7 +310,7 @@ def churn_study(
         peer_count=peer_count,
         landmark_count=landmark_count,
         neighbor_set_size=neighbor_set_size,
-        router_map_config=_small_map_config(streams.seed_for("map")),
+        router_map_config=RouterMapConfig.small(streams.seed_for("map")),
         seed=streams.seed_for("scenario"),
     )
     scenario = build_scenario(config)

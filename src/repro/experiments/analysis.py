@@ -28,15 +28,6 @@ from ..topology.internet_mapper import RouterMapConfig
 from ..workloads.scenarios import ScenarioConfig, build_scenario
 from .results import ResultTable
 
-_SMALL_MAP = dict(
-    core_size=20,
-    core_attachment=3,
-    transit_size=100,
-    transit_attachment=2,
-    stub_size=480,
-    stub_attachment=1,
-)
-
 
 def branch_point_analysis(
     peer_count: int = 120,
@@ -62,7 +53,7 @@ def branch_point_analysis(
         peer_count=peer_count,
         landmark_count=landmark_count,
         neighbor_set_size=3,
-        router_map_config=RouterMapConfig(seed=streams.seed_for("map"), **_SMALL_MAP),
+        router_map_config=RouterMapConfig.small(streams.seed_for("map")),
         seed=streams.seed_for("scenario"),
     )
     scenario = build_scenario(config)

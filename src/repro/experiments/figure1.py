@@ -57,15 +57,7 @@ def quick_figure1_config(seed: int = 7) -> Figure1Config:
         landmark_count=4,
         neighbor_set_size=3,
         seeds=(seed,),
-        router_map_config=RouterMapConfig(
-            core_size=20,
-            core_attachment=3,
-            transit_size=100,
-            transit_attachment=2,
-            stub_size=480,
-            stub_attachment=1,
-            seed=seed,
-        ),
+        router_map_config=RouterMapConfig.small(seed),
     )
 
 

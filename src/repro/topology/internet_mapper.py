@@ -165,6 +165,19 @@ class RouterMapConfig:
         if self.core_size <= self.core_attachment:
             raise GeneratorError("core_size must exceed core_attachment")
 
+    @classmethod
+    def small(cls, seed: Optional[int]) -> "RouterMapConfig":
+        """The ~600-router map of the quick experiments, examples and tests."""
+        return cls(
+            core_size=20,
+            core_attachment=3,
+            transit_size=100,
+            transit_attachment=2,
+            stub_size=480,
+            stub_attachment=1,
+            seed=seed,
+        )
+
 
 @dataclass
 class RouterMap:

@@ -336,22 +336,12 @@ def build_scenario(
 
 def small_scenario(seed: Optional[int] = None, peer_count: int = 60) -> Scenario:
     """A small scenario over the ~600-router test map (for unit tests and docs)."""
-    from ..topology.internet_mapper import RouterMapConfig
-
     streams = RandomStreams(seed)
     config = ScenarioConfig(
         peer_count=peer_count,
         landmark_count=4,
         neighbor_set_size=3,
-        router_map_config=RouterMapConfig(
-            core_size=20,
-            core_attachment=3,
-            transit_size=100,
-            transit_attachment=2,
-            stub_size=480,
-            stub_attachment=1,
-            seed=streams.seed_for("router-map"),
-        ),
+        router_map_config=RouterMapConfig.small(streams.seed_for("router-map")),
         seed=seed,
     )
     return build_scenario(config)

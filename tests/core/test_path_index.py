@@ -145,7 +145,6 @@ class IndexedTrie(RuleBasedStateMachine):
         fresh = FlatTrie(ROOT, self.tree)
         assert self.frozen.rows == fresh.rows
         assert self.frozen.parent == fresh.parent
-        assert self.frozen.depth == fresh.depth
         assert self.frozen.structure() == fresh.structure()
         for index, node in enumerate(self.tree.node_table()):
             if node is None:

@@ -13,13 +13,13 @@ here:
   published generation: every sampled answer matches the reference replay
   of that generation, never a torn mix of two epochs.
 
-A published epoch is a *patch* of the previous one (stable node ids and
-peer slots, rows re-read only where the plane's change record says so), so
-a third property rides on the first: whatever the history — joins, leaves,
-re-joins, handovers, live cold queries, writes made behind the publisher's
-back — the patched epoch ``==`` a snapshot built from scratch, and each
-event the record cannot describe falls back to a whole rebuild that is just
-as right (:class:`TestPatchedEpochs`).
+A published epoch is a *patch* of the previous one (stable node ids,
+per-peer state keyed by peer, rows and peers re-read only where the plane's
+change record says so), so a third property rides on the first: whatever
+the history — joins, leaves, re-joins, handovers, live cold queries, writes
+made behind the publisher's back — the patched epoch ``==`` a snapshot
+built from scratch, and each event the record cannot describe falls back to
+a whole rebuild that is just as right (:class:`TestPatchedEpochs`).
 """
 
 from __future__ import annotations
@@ -203,32 +203,42 @@ class TestSnapshotByteIdentity:
         finally:
             plane.close()
 
-    def test_snapshot_carries_the_interner_table(self):
-        plane = build_plane(None, 1, False, True, 3)
-        for i in range(6):
-            apply_op(plane, ("arrive", i, 0, (i % 3, 0, 0)))
-        plane.unregister_peer("p1")
-        plane.unregister_peer("p3")
-        snapshot = DiscoverySnapshot.build(plane)
-        # Every live peer has its own slot, and the table is carried verbatim.
-        assert sorted(snapshot._slot_of.values()) == list(range(plane.peer_count))
-        for peer in plane.peers():
-            assert snapshot.interner_table[peer] == plane._interner.key(peer)
-        assert snapshot.next_compact_index == plane._interner._next_index
+    @pytest.mark.parametrize("shard_count", [None, 2], ids=["single", "sharded-2-cacheless"])
+    def test_building_leaves_the_plane_alone(self, shard_count):
+        """A build only reads the plane: its interner and its change record
+        are what they were, even on a cache-less coordinator, whose interner
+        holds none of the peers its shards keep."""
+        plane = build_plane(shard_count, 2, True, shard_count is None, 3)
+        try:
+            record = plane.track_changes()
+            plane.register_peers(
+                [make_path(f"p{i}", i % 2, (i % 3, i % 5, i % 7)) for i in range(200)]
+            )
 
-    def test_equality_ignores_slot_and_node_numbering(self):
+            def recorded():
+                nodes = {landmark: set(ids) for landmark, ids in record.nodes.items()}
+                return nodes, set(record.owners), list(record.peers)
+
+            table, before = plane._interner.table(), recorded()
+            DiscoverySnapshot.build(plane)
+            assert plane._interner.table() == table
+            assert plane.changes is record
+            assert recorded() == before
+        finally:
+            plane.close()
+
+    def test_equality_ignores_node_numbering(self):
         """One plane state, different numberings.  The churned plane's tries
-        carry node ids freed and reused out of order and its patched epoch
-        kept the slots its history handed out; a fresh build of the same
-        plane renumbers the slots, a restored copy (paths replayed into new
-        tries) renumbers the nodes too — all three compare equal, as the
-        ``__eq__`` contract says."""
+        carry node ids freed and reused out of order; its patched epoch, a
+        fresh build of the same plane and a restored copy (paths replayed
+        into new tries, so the nodes are renumbered) all compare equal, as
+        the ``__eq__`` contract says."""
         plane = build_plane(None, 2, True, True, 3)
         for i in range(24):
             apply_op(plane, ("arrive", i, i % 2, (i % 3, i % 2, 0)))
         publisher = SnapshotPublisher(plane)
         # Transients open new access routers (new trie nodes) and leave
-        # again, so later arrivals pick freed ids and slots up in LIFO order.
+        # again, so later arrivals pick freed ids up in LIFO order.
         for i in range(30, 34):
             publisher.register_peer(make_path(f"p{i}", i % 2, (i % 3, 2, 1 + i % 3)))
         publisher.publish()
@@ -240,7 +250,6 @@ class TestSnapshotByteIdentity:
         patched = publisher.publish()
 
         fresh = DiscoverySnapshot.build(plane)
-        assert patched._slot_of != fresh._slot_of
         assert patched == fresh
 
         restored = ManagementServer(neighbor_set_size=3)
@@ -466,11 +475,7 @@ class TestPatchedEpochs:
         publisher.register_peer(make_path("newcomer", 0, (1, 1, 1)))
         publisher.unregister_peer("b3")  # b3 lives under lm0 as well
         after = publisher.publish()
-        # Peers that stayed kept their slots; the leaver's slot went to the newcomer.
-        for peer in plane.peers():
-            if peer != "newcomer":
-                assert after._slot_of[peer] == before._slot_of[peer]
-        assert after._slot_of["newcomer"] == before._slot_of["b3"]
+        assert after.closest_peers("newcomer") == plane.closest_peers("newcomer")
         # Untouched landmarks share their whole trie (its root row is their
         # min-hop ordering) with the previous epoch; in the touched trie only
         # the root path's rows moved.

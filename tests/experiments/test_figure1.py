@@ -110,15 +110,7 @@ class TestRunFigure1:
             landmark_count=4,
             neighbor_set_size=5,
             seeds=(11,),
-            router_map_config=RouterMapConfig(
-                seed=11,
-                core_size=20,
-                core_attachment=3,
-                transit_size=100,
-                transit_attachment=2,
-                stub_size=480,
-                stub_attachment=1,
-            ),
+            router_map_config=RouterMapConfig.small(11),
         )
         table = run_figure1(config)
         scheme, random_ratio = table.column("scheme_ratio"), table.column("random_ratio")

@@ -1,11 +1,12 @@
 """Which functions under src/repro does anything but their own unit tests call?
 
 Runs tier-1, the five bench workloads at smoke scale and the rest of what CI
-runs (every examples/*.py, protocol-sim-quick and figure1-quick) under a call
-tracer that charges each call to the running test file, to bench or to ci;
-prints per module the functions defined, reached by bench, reached by anything
-but its own tests/<pkg>/test_<stem>.py, and the names nothing else reached
-(* = never called), then a totals row.  Blind spots: calls in child processes
+runs (every examples/*.py, and the four pinned tables through the CLI as
+``python -m repro.cli NAME`` runs them) under a call tracer that charges each
+call to the running test file, to bench or to ci; prints per module the
+functions defined, reached by bench, reached by anything but its own
+tests/<pkg>/test_<stem>.py, and the names nothing else reached (* = never
+called), then a totals row.  Blind spots: calls in child processes
 (forked shards, shard-serve) are lost, and import-time calls go to the first
 importer.  ``python tools/reach.py [pytest args]``."""
 
@@ -51,7 +52,7 @@ if __name__ == "__main__":
         label[0] = "bench"
         for name in WORKLOAD_CLASSES:
             run_workload(name, seed=12, seconds=0.05, traced=False, scale="smoke")
-        from repro.experiments import run_experiment
+        from repro.cli import main
         label[0] = "ci"
         with contextlib.redirect_stdout(io.StringIO()):
             for example in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
@@ -61,8 +62,9 @@ if __name__ == "__main__":
                 except SystemExit as stop:  # the self-checking examples exit 0 when right
                     if stop.code:
                         raise
-            for name in ("protocol-sim-quick", "figure1-quick"):
-                run_experiment(name)
+            for name in ("protocol-sim-quick", "figure1-quick", "tree-accuracy", "branch-analysis"):
+                if main([name]):
+                    raise SystemExit(f"repro.cli {name} failed")
     finally:
         sys.settrace(None), threading.settrace(None)
     print(f"\n{'module':36s} defined  bench  others  nothing else")
