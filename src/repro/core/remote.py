@@ -289,16 +289,16 @@ def _dispatch(server: ManagementServer, op: str, args):
 class ShardSupervisorBase:
     """Transport-agnostic shard supervision: journal, recovery, compaction.
 
-    The subclass owns the transport — dialling a shard server's socket and,
-    for a server it hosts itself, respawning it
-    (:class:`~repro.core.socket_backend.SocketShardSupervisor`) — through
-    four hooks: :meth:`_establish_transport`, :meth:`_teardown_transport`,
-    :meth:`_roundtrip` and :meth:`notify`.  Everything above the transport
-    is shared verbatim: the **operation journal** of acknowledged mutating
-    requests, :meth:`restart` (fresh transport + in-order replay, restoring
-    the shard's data plane byte-identically), the :class:`RecoveryPolicy`
-    loop of backoff → restart → re-issue, and snapshot compaction
-    (:meth:`compact`).
+    The one subclass, :class:`~repro.core.socket_backend.SocketShardSupervisor`,
+    owns the transport — dialling a shard server's socket and, for a server
+    it hosts itself, respawning it — and defines the hooks this class calls:
+    ``_establish_transport``, ``_teardown_transport`` and ``_roundtrip``
+    (plus ``notify`` and the fault-injection ``kill``).  Everything above
+    the transport is shared verbatim: the **operation journal** of
+    acknowledged mutating requests, :meth:`restart` (fresh transport +
+    in-order replay, restoring the shard's data plane byte-identically), the
+    :class:`RecoveryPolicy` loop of backoff → restart → re-issue, and
+    snapshot compaction (:meth:`compact`).
 
     Parameters
     ----------
@@ -338,30 +338,6 @@ class ShardSupervisorBase:
         self._poisoned: Optional[str] = None
         self._closed = False
         self._epoch = 0
-
-    # ------------------------------------------------------- transport hooks
-
-    def _establish_transport(self) -> None:
-        """Bring up a fresh transport incarnation (respawn / connect)."""
-        raise NotImplementedError
-
-    def _teardown_transport(self) -> None:
-        """Tear the current transport down (close socket / reap own server)."""
-        raise NotImplementedError
-
-    def _roundtrip(
-        self, op: str, args: Tuple[object, ...], timeout: Optional[float] = None
-    ) -> object:
-        """One request/reply exchange, bounded by one deadline budget."""
-        raise NotImplementedError
-
-    def notify(self, op: str, args: Tuple[object, ...]) -> None:
-        """One-way notification (no reply; failures are swallowed)."""
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Abruptly destroy the transport (fault injection; no handshake)."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------- lifecycle
 

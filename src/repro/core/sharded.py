@@ -364,9 +364,11 @@ class ShardedManagementServer(ManagementPlaneBase):
         accepted: ONE read-only ``first_rejected_path`` call per home shard
         goes first, and merging the results by input index reproduces the
         single server's first-invalid-path-in-input-order error exactly.
-        Membership is written only after every home shard acknowledged, so
-        a shard failing mid-arrival leaves no peer here it does not hold;
-        lists and cache updates then follow exactly like the single server.
+        Membership is written only after every home shard acknowledged; a
+        shard failing mid-arrival makes the shards that acknowledged drop
+        their part again, so no shard holds a peer the coordinator does not
+        list.  Lists and cache updates then follow exactly like the single
+        server.
         """
         by_home: Dict[int, List[Tuple[int, RouterPath]]] = {}
         pending: Dict[PeerId, RouterPath] = {}
@@ -397,9 +399,15 @@ class ShardedManagementServer(ManagementPlaneBase):
         for path in pending.values():
             by_shard.setdefault(self._home_shard_index(path.landmark_id), []).append(path)
         local: Dict[PeerId, List[Tuple[PeerId, float]]] = {}
-        for shard_index, shard_paths in by_shard.items():
-            lists = self._shards[shard_index].join_paths(shard_paths, self.neighbor_set_size)
-            local.update(zip((path.peer_id for path in shard_paths), lists))
+        try:
+            for shard_index, shard_paths in by_shard.items():
+                lists = self._shards[shard_index].join_paths(shard_paths, self.neighbor_set_size)
+                local.update(zip((path.peer_id for path in shard_paths), lists))
+        except ShardUnavailableError:
+            for peer_id in local:  # joined on a shard that acknowledged
+                home = self._home_shard_index(pending[peer_id].landmark_id)
+                self._shards[home].unregister_peer(peer_id)
+            raise
 
         for path in paths:
             # A peer repeated in the batch is removed and re-inserted by the

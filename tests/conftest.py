@@ -40,6 +40,13 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
     hypothesis_settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
+def pytest_configure(config):
+    # Set by tests/oracle.py on the inline-backend params and on the oracles
+    # that take their example budget from the profile above; CI's inline
+    # oracle entry runs `-m oracle` under ci-equivalence.
+    config.addinivalue_line("markers", "oracle: a plane oracle run at the ci-equivalence budget")
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
     """No test may orphan a child shard server process.

@@ -22,7 +22,8 @@ over process shards; 1–8 shards) must match it exactly:
 
 The hypothesis sweep drives the inline planes; the process backend (real
 worker processes per example are expensive) runs a long fixed workload at
-every shard count in 1–8.
+every shard count in 1–8.  Paths, planes, ops and cases come from the shared
+oracle harness (``tests/oracle.py``); the reference is this module's own.
 """
 
 from __future__ import annotations
@@ -35,12 +36,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ManagementServer, ShardedManagementServer
 from repro.core.path import RouterPath, tree_distance
-from repro.core.remote import shard_factory_for
+from repro.exceptions import UnknownPeerError
+
+from ..oracle import (
+    Case,
+    apply_op,
+    build_plane,
+    cache_snapshot,
+    cases,
+    landmark_distances,
+    random_op,
+)
 
 MAX_PEERS = 20
 MAX_LANDMARKS = 4
+#: Shallower trees than the other oracles': ties and shared routers are common.
+SHAPE = (2, 2, 3)
 
 
 # ------------------------------------------------------------------ reference
@@ -152,6 +164,8 @@ class ReferencePlane:
         return results
 
     def unregister_peer(self, peer_id: str) -> None:
+        if peer_id not in self.paths:
+            raise UnknownPeerError(peer_id)
         del self.paths[peer_id]
         del self.landmark_of[peer_id]
         self.cache.pop(peer_id, None)
@@ -165,125 +179,41 @@ class ReferencePlane:
         }
 
 
-# ------------------------------------------------------------------- drivers
-
-
-def landmark_name(index: int) -> str:
-    return f"lm{index}"
-
-
-def make_path(peer_index: int, landmark_index: int, shape: Tuple[int, int, int]) -> RouterPath:
-    landmark = landmark_name(landmark_index)
-    region, pop, access = shape
-    routers = [
-        f"{landmark}-acc-{region}-{pop}-{access}",
-        f"{landmark}-pop-{region}-{pop}",
-        f"{landmark}-reg-{region}",
-        f"{landmark}-core",
-        landmark,
-    ]
-    return RouterPath.from_routers(f"p{peer_index}", landmark, routers)
-
-
-def landmark_distances(landmark_count: int) -> Dict[Tuple[str, str], float]:
-    return {
-        (landmark_name(i), landmark_name(j)): float(1 + abs(i - j))
-        for i in range(landmark_count)
-        for j in range(landmark_count)
-        if i < j
-    }
-
-
-def build_plane(backend: str, shard_count: int, landmark_count: int, with_distances: bool, k: int):
-    distances = landmark_distances(landmark_count) if with_distances else None
-    if backend == "single":
-        plane = ManagementServer(neighbor_set_size=k, landmark_distances=distances)
-    else:
-        plane = ShardedManagementServer(
-            shard_count,
-            neighbor_set_size=k,
-            landmark_distances=distances,
-            shard_factory=shard_factory_for(backend, k),
-        )
-    for index in range(landmark_count):
-        # The landmark's attachment router must equal the landmark-side end
-        # of the synthetic paths, or every insert fails root validation.
-        plane.register_landmark(landmark_name(index), landmark_name(index))
-    return plane
-
-
-def plane_cache_snapshot(plane) -> Dict[str, List[Tuple[str, float]]]:
-    return {
-        owner: [(entry.peer_id, entry.distance) for entry in entries]
-        for owner, entries in plane._neighbor_cache.items()
-    }
+# ------------------------------------------------------------------- driver
 
 
 def run_oracle_case(backend: str, case) -> None:
-    landmark_count, shard_count, with_distances, k, ops = case
-    plane = build_plane(backend, shard_count, landmark_count, with_distances, k)
-    reference = ReferencePlane(k, landmark_distances(landmark_count) if with_distances else None)
+    """Every op on the plane and the reference: same outcomes, same cache."""
+    shard_count = None if backend == "single" else case.shard_count
+    plane = build_plane(backend, shard_count, *case[1:-1])
+    reference = ReferencePlane(
+        case.k, landmark_distances(case.landmark_count) if case.with_distances else None
+    )
     try:
-        for op in ops:
-            kind = op[0]
-            if kind == "arrive":
-                _, peer_index, lm_index, shape = op
-                path = make_path(peer_index, lm_index, shape)
-                assert plane.register_peer(path) == reference.register_peer(path), op
-            elif kind == "batch":
-                _, specs = op
-                paths = [make_path(*spec) for spec in specs]
-                assert plane.register_peers(paths) == reference.register_peers(paths), op
-            elif kind == "depart":
-                _, peer_index = op
-                peer = f"p{peer_index}"
-                if plane.has_peer(peer):
-                    plane.unregister_peer(peer)
-                    reference.unregister_peer(peer)
-            else:  # pragma: no cover - strategy bug guard
-                raise AssertionError(f"unknown op {op!r}")
-            assert plane_cache_snapshot(plane) == reference.cache_snapshot(), op
+        for op in case.ops:
+            assert apply_op(plane, op) == apply_op(reference, op), op
+            assert cache_snapshot(plane) == reference.cache_snapshot(), op
         assert plane.peers() == list(reference.paths)
     finally:
         plane.close()
 
 
-@st.composite
-def oracle_cases(draw):
-    landmark_count = draw(st.integers(1, MAX_LANDMARKS))
-    shard_count = draw(st.integers(1, 8))
-    with_distances = draw(st.booleans())
-    k = draw(st.integers(1, 4))
-    shape = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2))
-    peer = st.integers(0, MAX_PEERS - 1)
-    lm = st.integers(0, landmark_count - 1)
-    ops = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("arrive"), peer, lm, shape),
-                st.tuples(
-                    st.just("batch"),
-                    st.lists(st.tuples(peer, lm, shape), min_size=1, max_size=8),
-                ),
-                st.tuples(st.just("depart"), peer),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    return landmark_count, shard_count, with_distances, k, ops
+#: The cases of the hypothesis sweep; every plane keeps its neighbour cache.
+ORACLE_CASES = cases(
+    MAX_LANDMARKS, caches=st.just(True), peers=MAX_PEERS, shape=SHAPE, batch_size=8
+)
 
 
 class TestArrivalEngineOracle:
     """The new arrival engine vs. the brute-force reference, per backend."""
 
     @settings(max_examples=40, deadline=None)
-    @given(case=oracle_cases())
+    @given(case=ORACLE_CASES)
     def test_single_server_matches_reference(self, case):
         run_oracle_case("single", case)
 
     @settings(max_examples=25, deadline=None)
-    @given(case=oracle_cases())
+    @given(case=ORACLE_CASES)
     def test_sharded_inline_matches_reference(self, case):
         run_oracle_case("inline", case)
 
@@ -295,26 +225,10 @@ class TestArrivalEngineOracleAcceptance:
     deterministic sweep instead of the hypothesis budget.
     """
 
-    def _fixed_case(self, shard_count: int, seed: int):
+    def _fixed_case(self, shard_count: int, seed: int) -> Case:
         rng = random.Random(seed)
-        ops = []
-        for _ in range(120):
-            roll = rng.random()
-            if roll < 0.45:
-                ops.append(("arrive", rng.randrange(MAX_PEERS), rng.randrange(3), _shape(rng)))
-            elif roll < 0.75:
-                ops.append(
-                    (
-                        "batch",
-                        [
-                            (rng.randrange(MAX_PEERS), rng.randrange(3), _shape(rng))
-                            for _ in range(rng.randrange(1, 7))
-                        ],
-                    )
-                )
-            else:
-                ops.append(("depart", rng.randrange(MAX_PEERS)))
-        return (3, shard_count, True, 3, ops)
+        ops = [random_op(rng, (0.45, 0.75, 1.0), MAX_PEERS, 3, (1, 7), SHAPE) for _ in range(120)]
+        return Case(shard_count, 3, True, True, 3, ops)
 
     @pytest.mark.parametrize("shard_count", [1, 2, 4, 8])
     def test_inline_sweep(self, shard_count):
@@ -327,6 +241,3 @@ class TestArrivalEngineOracleAcceptance:
     def test_single_server_sweep(self):
         run_oracle_case("single", self._fixed_case(1, 33_000))
 
-
-def _shape(rng: random.Random) -> Tuple[int, int, int]:
-    return (rng.randrange(2), rng.randrange(2), rng.randrange(3))

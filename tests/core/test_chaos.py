@@ -20,15 +20,10 @@ from repro.core.chaos import (
     Fault,
     FaultPlan,
 )
-from repro.core.path import RouterPath
 from repro.core.remote import RecoveryPolicy, shard_factory_for
 from repro.exceptions import ShardUnavailableError
 
-
-def simple_path(peer, landmark, access="a1"):
-    return RouterPath.from_routers(
-        peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
-    )
+from ..oracle import simple_path
 
 
 def chaos_backend(plan, recovery=True, **kwargs):

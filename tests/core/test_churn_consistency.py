@@ -24,9 +24,7 @@ from repro.core.path import RouterPath
 from repro.core.sharded import ConsistentHashRing, ShardedManagementServer
 from repro.workloads import synthetic_paths
 
-
-def path(peer, routers, landmark="lmA"):
-    return RouterPath.from_routers(peer, landmark, routers)
+from ..oracle import path, simple_path
 
 
 def synthetic_path(index: int, rng: random.Random, landmark="lmA") -> RouterPath:
@@ -221,7 +219,7 @@ class TestBatchRegistration:
         """A path rooted at the wrong router fails the whole batch up front."""
         batch = [
             path("p1", ["a1", "core", "lmA"]),
-            path("bad", ["x", "not-lmA"]),  # claims lmA but ends elsewhere
+            path("bad", ["x", "not-lmA"], "lmA"),  # claims lmA but ends elsewhere
         ]
         from repro.exceptions import RegistrationError
 
@@ -281,12 +279,6 @@ def landmarks_on_distinct_shards(shard_count: int, needed: int) -> List[str]:
     return [found[shard] for shard in sorted(found)]
 
 
-def remote_path(peer, landmark, access="a1"):
-    return RouterPath.from_routers(
-        peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
-    )
-
-
 class TestShardedChurn:
     """Cross-shard departures and lazy refills on the sharded plane."""
 
@@ -305,8 +297,8 @@ class TestShardedChurn:
     def fill_cross_shard(self, server, local, remote, remote_count=4):
         """One querier alone under ``local``; candidates live under ``remote``."""
         server.register_peers(
-            [remote_path("q", local)]
-            + [remote_path(f"r{i}", remote, access=f"a{i}") for i in range(remote_count)]
+            [simple_path("q", local)]
+            + [simple_path(f"r{i}", remote, access=f"a{i}") for i in range(remote_count)]
         )
         return [peer for peer, _ in server.closest_peers("q")]
 
@@ -372,7 +364,7 @@ class TestShardedChurn:
             if action < 0.5 or len(alive) < 3:
                 landmark = landmarks[rng.randrange(2)]
                 server.register_peer(
-                    remote_path(f"peer{next_index}", landmark, access=f"a{rng.randrange(6)}")
+                    simple_path(f"peer{next_index}", landmark, access=f"a{rng.randrange(6)}")
                 )
                 alive.append(f"peer{next_index}")
                 next_index += 1

@@ -4,7 +4,9 @@ The query must return exactly what a brute-force ranking over
 ``all_pairs_tree_distance`` would (same peers, same distances, same
 ``(dtree, repr)`` tie-break order), while doing work — index ranges examined
 plus row entries scanned, ``last_query_visits`` — that depends on ``k`` and
-the origin's depth, not on the population or the size of a tie.
+the origin's depth, not on the population or the size of a tie.  The
+random tries are the oracle harness's (``tests/oracle.py::random_trees``),
+shared with the path-tree properties.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path import PeerId, RouterPath
+from repro.core.path import PeerId
 from repro.core.path_tree import PathTree
+
+from ..oracle import path, random_trees
 
 
 def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId, int]]:
@@ -32,30 +36,8 @@ def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId
     return ranked[:k]
 
 
-@st.composite
-def random_tree(draw):
-    """A populated path tree over random, prefix-sharing router paths."""
-    n_peers = draw(st.integers(2, 25))
-    tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-    for index in range(n_peers):
-        depth = draw(st.integers(1, 7))
-        branch = [f"r{draw(st.integers(0, 3))}-{level}" for level in range(depth)]
-        seen, unique = set(), []
-        for router in branch + ["lmk"]:
-            if router not in seen:
-                seen.add(router)
-                unique.append(router)
-        tree.insert(RouterPath.from_routers(f"peer{index}", "lmk", unique))
-    # Random churn so pruned/reinserted shapes are covered too.
-    removals = draw(st.integers(0, n_peers // 2))
-    for _ in range(removals):
-        victims = tree.peers()
-        tree.remove(victims[draw(st.integers(0, len(victims) - 1))])
-    return tree
-
-
 @settings(max_examples=60, deadline=None)
-@given(tree=random_tree(), k=st.integers(1, 8))
+@given(tree=random_trees(25, 7, churn=True), k=st.integers(1, 8))
 def test_property_matches_brute_force_oracle(tree, k):
     """closest_peers == the brute-force all-pairs ranking, byte for byte."""
     if tree.peer_count < 2:
@@ -65,7 +47,7 @@ def test_property_matches_brute_force_oracle(tree, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(tree=random_tree(), k=st.integers(1, 5))
+@given(tree=random_trees(25, 7, churn=True), k=st.integers(1, 5))
 def test_property_exclude_set_respected_against_oracle(tree, k):
     if tree.peer_count < 3:
         return
@@ -87,12 +69,12 @@ class TestVisitInstrumentation:
         the handful of closest candidates.
         """
         tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-        tree.insert(RouterPath.from_routers("origin", "lmk", ["o1", "fork", "core", "lmk"]))
-        tree.insert(RouterPath.from_routers("buddy", "lmk", ["o1", "fork", "core", "lmk"]))
+        tree.insert(path("origin", ["o1", "fork", "core", "lmk"]))
+        tree.insert(path("buddy", ["o1", "fork", "core", "lmk"]))
         spine = [f"s{index}" for index in range(heavy_peers)]
         for index in range(heavy_peers):
             routers = list(reversed(spine[: index + 1])) + ["fork", "core", "lmk"]
-            tree.insert(RouterPath.from_routers(f"deep{index}", "lmk", routers))
+            tree.insert(path(f"deep{index}", routers))
         return tree
 
     def test_skewed_tree_visits_fraction_of_nodes(self):
@@ -134,13 +116,8 @@ class TestVisitInstrumentation:
         for pop in range(pops):
             for access in range(accesses):
                 for peer in range(per_access):
-                    tree.insert(
-                        RouterPath.from_routers(
-                            f"peer-{pop}-{access}-{peer}",
-                            "lmk",
-                            [f"access-{pop}-{access}", f"pop-{pop}", *spine],
-                        )
-                    )
+                    routers = [f"access-{pop}-{access}", f"pop-{pop}", *spine]
+                    tree.insert(path(f"peer-{pop}-{access}-{peer}", routers))
         return tree
 
     def test_unary_chain_and_population_add_no_visits(self):
@@ -168,9 +145,9 @@ class TestVisitInstrumentation:
         for siblings in (3, 3000):
             tree = PathTree(landmark_id="lmk", landmark_router="lmk")
             for index in range(k):  # the origin and k - 1 co-located peers
-                tree.insert(RouterPath.from_routers(f"a{index}", "lmk", ["own", "pop", "lmk"]))
+                tree.insert(path(f"a{index}", ["own", "pop", "lmk"]))
             for index in range(siblings):
-                tree.insert(RouterPath.from_routers(f"z{index}", "lmk", ["other", "pop", "lmk"]))
+                tree.insert(path(f"z{index}", ["other", "pop", "lmk"]))
             answer = tree.closest_peers("a0", k=k)
             assert [peer for peer, _ in answer] == ["a1", "a2", "a3", "a4", "z0"]
             counts.append(tree.last_query_visits)
@@ -181,9 +158,9 @@ class TestVisitInstrumentation:
     def test_empty_subtrees_never_visited(self):
         """Routers left peerless by departures are skipped via the counts."""
         tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-        tree.insert(RouterPath.from_routers("a", "lmk", ["a1", "core", "lmk"]))
-        tree.insert(RouterPath.from_routers("b", "lmk", ["b1", "core", "lmk"]))
-        tree.insert(RouterPath.from_routers("c", "lmk", ["c1", "c2", "core", "lmk"]))
+        tree.insert(path("a", ["a1", "core", "lmk"]))
+        tree.insert(path("b", ["b1", "core", "lmk"]))
+        tree.insert(path("c", ["c1", "c2", "core", "lmk"]))
         result = tree.closest_peers("a", k=2)
         assert [peer for peer, _ in result] == ["b", "c"]
         with pytest.raises(Exception):

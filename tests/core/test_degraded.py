@@ -26,20 +26,15 @@ from repro.core import (
     ShardedManagementServer,
     ShardHealth,
 )
-from repro.core.path import RouterPath
 from repro.core.remote import shard_factory_for
 from repro.exceptions import ShardUnavailableError
+
+from ..oracle import simple_path
 
 # With two shards, "lmA" and "lmC" land on different shards of the
 # consistent-hash ring (make_plane asserts this instead of trusting it).
 LM_X, LM_Y = "lmA", "lmC"
 BIG_K = 6  # > neighbor_set_size: forces the compute path past the cache
-
-
-def simple_path(peer, landmark, access="a1"):
-    return RouterPath.from_routers(
-        peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
-    )
 
 
 def make_plane(k=3, degraded_reads=True, maintain_cache=True):

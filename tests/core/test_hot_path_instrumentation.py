@@ -25,13 +25,9 @@ import builtins
 
 import pytest
 
-from repro.core import ManagementServer, ShardedManagementServer, SnapshotPublisher
-from repro.core.path import RouterPath
+from repro.core import ManagementServer, SnapshotPublisher
 
-
-def make_path(index: int, landmark: str = "lmk", access: int = 0) -> RouterPath:
-    routers = [f"{landmark}-acc-{access}", f"{landmark}-core", landmark]
-    return RouterPath.from_routers(f"peer{index}", landmark, routers)
+from ..oracle import build_plane, make_path
 
 
 def count_reprs(fn) -> int:
@@ -54,20 +50,19 @@ def count_reprs(fn) -> int:
 
 @pytest.fixture()
 def server() -> ManagementServer:
-    server = ManagementServer(neighbor_set_size=4)
-    server.register_landmark("lmk", "lmk")
-    server.register_peers([make_path(i, access=i % 7) for i in range(40)])
+    server = build_plane("inline", None, 1, with_distances=False, k=4)
+    server.register_peers([make_path(f"peer{i}", 0, (0, i % 7)) for i in range(40)])
     return server
 
 
 class TestRegisterPath:
     def test_fresh_batch_interns_once_per_peer(self, server):
-        newcomers = [make_path(100 + i, access=i % 5) for i in range(20)]
+        newcomers = [make_path(f"peer{100 + i}", 0, (0, i % 5)) for i in range(20)]
         calls = count_reprs(lambda: server.register_peers(newcomers))
         assert calls <= len(newcomers)
 
     def test_single_arrival_interns_at_most_once(self, server):
-        path = make_path(200, access=3)
+        path = make_path("peer200", 0, (0, 3))
         assert count_reprs(lambda: server.register_peer(path)) <= 1
 
     def test_churn_cycle_interns_at_most_once(self, server):
@@ -91,7 +86,7 @@ class TestRegisterPath:
         interner = server._interner
         before = len(interner)
         for wave in range(5):
-            fresh = [make_path(1000 + wave * 20 + i, access=i % 5) for i in range(20)]
+            fresh = [make_path(f"peer{1000 + wave * 20 + i}", 0, (0, i % 5)) for i in range(20)]
             server.register_peers(fresh)
             for path in fresh:
                 server.unregister_peer(path.peer_id)
@@ -105,22 +100,17 @@ class TestQueryPath:
     def test_tree_walk_query_is_repr_free(self):
         """The count-guided frontier walk sorts candidates on interned keys:
         even full cache-miss queries never call repr."""
-        server = ManagementServer(neighbor_set_size=4, maintain_cache=False)
-        server.register_landmark("lmk", "lmk")
-        server.register_peers([make_path(i, access=i % 7) for i in range(40)])
+        server = build_plane("inline", None, 1, False, False, 4)
+        server.register_peers([make_path(f"peer{i}", 0, (0, i % 7)) for i in range(40)])
         assert count_reprs(lambda: [server.closest_peers(f"peer{i}") for i in range(40)]) == 0
 
     def test_cross_landmark_fill_is_repr_free(self):
         """The lazily merged min-hop orderings are built from interned keys:
         a query that needs the cross-landmark fill stays repr-free."""
-        server = ManagementServer(
-            neighbor_set_size=4, landmark_distances={("lmA", "lmB"): 3.0}
-        )
-        server.register_landmark("lmA", "lmA")
-        server.register_landmark("lmB", "lmB")
+        server = build_plane("inline", None, 2, k=4)
         server.register_peers(
-            [make_path(0, landmark="lmA")]
-            + [make_path(10 + i, landmark="lmB", access=i) for i in range(6)]
+            [make_path("peer0", 0, (0, 0))]
+            + [make_path(f"peer{10 + i}", 1, (0, i)) for i in range(6)]
         )
         assert count_reprs(lambda: server.closest_peers("peer0", k=4)) == 0
 
@@ -129,11 +119,9 @@ class TestShardedPlane:
     def test_sharded_batch_interns_at_most_twice_per_peer(self):
         """Coordinator and home shard each own one interner: a fresh peer is
         interned at most twice, independent of k, list sizes, or shard count."""
-        server = ShardedManagementServer(shard_count=3, neighbor_set_size=4)
-        for landmark in ("lmA", "lmB"):
-            server.register_landmark(landmark, landmark)
-        first = [make_path(i, landmark="lmA", access=i % 5) for i in range(10)]
-        second = [make_path(50 + i, landmark="lmB", access=i % 5) for i in range(10)]
+        server = build_plane("inline", 3, 2, with_distances=False, k=4)
+        first = [make_path(f"peer{i}", 0, (0, i % 5)) for i in range(10)]
+        second = [make_path(f"peer{50 + i}", 1, (0, i % 5)) for i in range(10)]
         server.register_peers(first)
         calls = count_reprs(lambda: server.register_peers(second))
         assert calls <= 2 * len(second)
@@ -142,7 +130,7 @@ class TestShardedPlane:
 
 def churn_wave(plane, wave: int, size: int = 20) -> None:
     """Open-world churn: ``size`` never-seen peers join, then leave again."""
-    fresh = [make_path(10_000 + wave * size + i, access=i % 5) for i in range(size)]
+    fresh = [make_path(f"peer{10_000 + wave * size + i}", 0, (0, i % 5)) for i in range(size)]
     for path in fresh[: size // 2]:
         plane.register_peer(path)
     plane.register_peers(fresh[size // 2 :])
@@ -161,12 +149,8 @@ class TestChangeTracking:
     def test_no_publisher_no_change_record(self, shards):
         """Tracking is off until a publisher attaches: churn, queries and
         cold queries on a bare plane never allocate a record or a set."""
-        if shards is None:
-            plane = ManagementServer(neighbor_set_size=4)
-        else:
-            plane = ShardedManagementServer(shard_count=shards, neighbor_set_size=4)
-        plane.register_landmark("lmk", "lmk")
-        plane.register_peers([make_path(i, access=i % 7) for i in range(40)])
+        plane = build_plane("inline", shards, 1, with_distances=False, k=4)
+        plane.register_peers([make_path(f"peer{i}", 0, (0, i % 7)) for i in range(40)])
         for wave in range(3):
             churn_wave(plane, wave)
             plane.closest_peers("peer3")
@@ -184,7 +168,7 @@ class TestChangeTracking:
         and the (reused) node ids within the node table."""
         publisher = SnapshotPublisher(server)
         population = server.peer_count
-        tree = server.tree("lmk")
+        tree = server.tree("lm0")
         recorded_waves = 0
         for wave in range(10 * population // 20):
             churn_wave(server, wave)
@@ -195,7 +179,7 @@ class TestChangeTracking:
             recorded_waves += 1
             assert len(record.peers) <= server.peer_count == population
             assert len(record.owners) <= population + len(record.peers)
-            assert len(record.nodes["lmk"]) <= len(tree.node_table())
+            assert len(record.nodes["lm0"]) <= len(tree.node_table())
         assert recorded_waves and server.changes is None
         # What the idle publisher still holds is the record as it was dropped:
         # one entry past the population of that moment (mid-wave, 20 extra).

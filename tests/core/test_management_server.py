@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.management_server import ManagementServer
-from repro.core.path import RouterPath
 from repro.core.serving import DiscoverySnapshot, SnapshotReader
 from repro.core.sharded import ShardedManagementServer
 from repro.exceptions import LandmarkError, RegistrationError, UnknownPeerError
 
-
-def path(peer, routers, landmark="lmA"):
-    return RouterPath.from_routers(peer, landmark, routers)
+from ..oracle import path
 
 
 @pytest.fixture()

@@ -10,33 +10,31 @@ from repro.core.codec import decode_path, encode_path
 from repro.core.path import RouterPath, shared_suffix_length, tree_distance
 from repro.exceptions import RegistrationError
 
-
-def make_path(peer, routers, landmark="lmk", rtt=None):
-    return RouterPath.from_routers(peer, landmark, routers, rtt_ms=rtt)
+from ..oracle import path
 
 
 class TestConstruction:
     def test_basic_fields(self):
-        path = make_path("p1", ["r1", "r2", "lmk"], rtt=12.5)
-        assert path.access_router == "r1"
-        assert path.landmark_router == "lmk"
-        assert path.hop_count == 3
-        assert path.rtt_ms == 12.5
-        assert len(path) == 3
-        assert list(path) == ["r1", "r2", "lmk"]
+        route = RouterPath.from_routers("p1", "lmk", ["r1", "r2", "lmk"], rtt_ms=12.5)
+        assert route.access_router == "r1"
+        assert route.landmark_router == "lmk"
+        assert route.hop_count == 3
+        assert route.rtt_ms == 12.5
+        assert len(route) == 3
+        assert list(route) == ["r1", "r2", "lmk"]
 
     def test_empty_path_rejected(self):
         with pytest.raises(RegistrationError):
-            make_path("p1", [])
+            path("p1", [], "lmk")
 
     def test_duplicate_routers_rejected(self):
         with pytest.raises(RegistrationError):
-            make_path("p1", ["r1", "r2", "r1"])
+            path("p1", ["r1", "r2", "r1"])
 
     def test_immutability(self):
-        path = make_path("p1", ["r1", "lmk"])
+        route = path("p1", ["r1", "lmk"])
         with pytest.raises(Exception):
-            path.routers = ("x",)  # type: ignore[misc]
+            route.routers = ("x",)  # type: ignore[misc]
 
     def test_a_path_built_from_a_list_is_its_tuple_twin(self):
         """The constructor stores any router sequence as a tuple: a kept list
@@ -50,71 +48,71 @@ class TestConstruction:
 
     def test_a_path_is_slotted(self):
         """No per-instance dict and no memo beside the fields."""
-        path = make_path("p1", ["r1", "r2", "lmk"])
-        assert not hasattr(path, "__dict__")
-        assert path.from_landmark() == ("lmk", "r2", "r1")
+        route = path("p1", ["r1", "r2", "lmk"])
+        assert not hasattr(route, "__dict__")
+        assert route.from_landmark() == ("lmk", "r2", "r1")
         with pytest.raises((AttributeError, TypeError)):
-            object.__setattr__(path, "_from_landmark_cache", ())
+            object.__setattr__(route, "_from_landmark_cache", ())
 
 
 class TestViews:
     def test_orderings(self):
-        path = make_path("p1", ["r1", "r2", "r3"])
-        assert path.routers == ("r1", "r2", "r3")  # stored peer → landmark
-        assert path.from_landmark() == ("r3", "r2", "r1")
+        route = path("p1", ["r1", "r2", "r3"])
+        assert route.routers == ("r1", "r2", "r3")  # stored peer → landmark
+        assert route.from_landmark() == ("r3", "r2", "r1")
 
     def test_contains_and_depth(self):
-        path = make_path("p1", ["r1", "r2", "r3"])
-        assert path.depth_of("r3") == 0
-        assert path.depth_of("r1") == 2
+        route = path("p1", ["r1", "r2", "r3"])
+        assert route.depth_of("r3") == 0
+        assert route.depth_of("r1") == 2
 
     def test_depth_of_unknown_router_raises(self):
-        path = make_path("p1", ["r1", "r2"])
+        route = path("p1", ["r1", "r2"])
         with pytest.raises(RegistrationError):
-            path.depth_of("ghost")
+            route.depth_of("ghost")
 
 
 class TestSharedSuffix:
     def test_partial_overlap(self):
-        path_a = make_path("p1", ["a1", "a2", "core", "lmk"])
-        path_b = make_path("p2", ["b1", "core", "lmk"])
+        path_a = path("p1", ["a1", "a2", "core", "lmk"])
+        path_b = path("p2", ["b1", "core", "lmk"])
         assert shared_suffix_length(path_a, path_b) == 2
 
     def test_identical_routes(self):
-        path_a = make_path("p1", ["r1", "r2", "lmk"])
-        path_b = make_path("p2", ["r1", "r2", "lmk"])
+        path_a = path("p1", ["r1", "r2", "lmk"])
+        path_b = path("p2", ["r1", "r2", "lmk"])
         assert shared_suffix_length(path_a, path_b) == 3
 
     def test_disjoint_routes(self):
-        path_a = make_path("p1", ["a", "b"])
-        path_b = make_path("p2", ["c", "d"])
+        path_a = path("p1", ["a", "b"])
+        path_b = path("p2", ["c", "d"])
         assert shared_suffix_length(path_a, path_b) == 0
 
 
 class TestTreeDistance:
     def test_same_peer_distance_zero(self):
-        path = make_path("p1", ["r1", "lmk"])
-        assert tree_distance(path, path) == 0
+        route = path("p1", ["r1", "lmk"])
+        assert tree_distance(route, route) == 0
 
     def test_same_access_router(self):
-        path_a = make_path("p1", ["r1", "r2", "lmk"])
-        path_b = make_path("p2", ["r1", "r2", "lmk"])
+        path_a = path("p1", ["r1", "r2", "lmk"])
+        path_b = path("p2", ["r1", "r2", "lmk"])
         assert tree_distance(path_a, path_b) == 2
 
     def test_branch_at_core(self):
-        path_a = make_path("p1", ["a1", "a2", "core", "lmk"])
-        path_b = make_path("p2", ["b1", "core", "lmk"])
+        path_a = path("p1", ["a1", "a2", "core", "lmk"])
+        path_b = path("p2", ["b1", "core", "lmk"])
         # p1 -> a1 -> a2 -> core = 3 hops, core -> b1 -> p2 = 2 hops.
         assert tree_distance(path_a, path_b) == 5
 
     def test_disjoint_paths_return_none(self):
-        path_a = make_path("p1", ["a", "b"], landmark="lm1")
-        path_b = make_path("p2", ["c", "d"], landmark="lm2")
+        path_a = path("p1", ["a", "b"], landmark="lm1")
+        path_b = path("p2", ["c", "d"], landmark="lm2")
         assert tree_distance(path_a, path_b) is None
 
     def test_symmetry(self):
-        path_a = make_path("p1", ["a1", "core", "lmk"])
-        path_b = make_path("p2", ["b1", "b2", "core", "lmk"])
+        path_a = path("p1", ["a1", "core", "lmk"])
+        path_b = path("p2", ["b1", "b2", "core", "lmk"])
         assert tree_distance(path_a, path_b) == tree_distance(path_b, path_a)
 
 

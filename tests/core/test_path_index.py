@@ -11,7 +11,8 @@ tree and on a :class:`~repro.core.serving.FlatTrie` patched from the tree's
 arbitrary ``exclude`` sets and ``k`` beyond the population.
 
 CI's ``sharded-equivalence`` matrix entry runs this file under the
-``ci-equivalence`` profile (the machine pins no example budget of its own).
+``ci-equivalence`` profile (``-m oracle``; the machine pins no example
+budget of its own).
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro import ManagementServer
 from repro.core import DiscoverySnapshot
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
 from repro.core.serving import FlatTrie
+
+from ..oracle import PROFILED, Twin, build_plane, make_path
+
+pytestmark = PROFILED
 
 ROOT = "lmk"
 
@@ -156,16 +160,6 @@ class IndexedTrie(RuleBasedStateMachine):
 TestIndexedTrie = IndexedTrie.TestCase
 
 
-class Twin:
-    """Distinct, unorderable peers whose ``repr`` collides."""
-
-    def __init__(self, tag: int) -> None:
-        self.tag = tag
-
-    def __repr__(self) -> str:
-        return "Twin()"
-
-
 def test_colliding_reprs_never_compare_peers():
     """Peers tied in ``(hops, repr)`` are placed and found without ``<``.
 
@@ -196,18 +190,9 @@ def test_colliding_reprs_never_compare_peers():
 @pytest.mark.parametrize("shard_count", [None, 2])
 def test_pickled_snapshot_answers_cold_queries(shard_count):
     """The path-child skip matches entries by identity: pickling keeps it."""
-    from repro import ShardedManagementServer
-
-    if shard_count is None:
-        plane = ManagementServer(neighbor_set_size=3)
-    else:
-        plane = ShardedManagementServer(shard_count=shard_count, neighbor_set_size=3)
-    for landmark in ("lmA", "lmB"):
-        plane.register_landmark(landmark, landmark)
+    plane = build_plane("inline", shard_count, 2, with_distances=False)
     for index in range(40):
-        landmark = "lmA" if index % 3 else "lmB"
-        routers = [f"{landmark}-a{index % 7}", f"{landmark}-p{index % 3}", f"{landmark}-core", landmark]
-        plane.register_peer(RouterPath.from_routers(f"p{index}", landmark, routers))
+        plane.register_peer(make_path(f"p{index}", int(index % 3 == 0), (0, index % 3, index % 7)))
     clone = pickle.loads(pickle.dumps(DiscoverySnapshot.build(plane)))
     for peer in plane.peers():
         assert clone.closest_peers(peer, 12) == plane.closest_peers(peer, 12)

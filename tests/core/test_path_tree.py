@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path import RouterPath, tree_distance
+from repro.core.path import tree_distance
 from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError, UnknownPeerError
 from repro.workloads import synthetic_paths
 
-
-def path(peer, routers, landmark="lmk"):
-    return RouterPath.from_routers(peer, landmark, routers)
+from ..oracle import make_path, path, random_trees
 
 
 def synthetic_tree(population: int) -> PathTree:
@@ -76,7 +74,7 @@ class TestInsertion:
 
     def test_mismatched_root_rejected(self, populated_tree):
         with pytest.raises(RegistrationError):
-            populated_tree.insert(path("p9", ["x", "not-lmk"]))
+            populated_tree.insert(path("p9", ["x", "not-lmk"], "lmk"))
 
     def test_reinsert_replaces_previous_path(self, populated_tree):
         populated_tree.insert(path("p1", ["b1", "core", "lmk"]))
@@ -89,7 +87,7 @@ class TestInsertion:
         rows = {node.index: list(node.row) for node in populated_tree.root.iter_subtree()}
         attachment = populated_tree.attachment_node("p1")
         with pytest.raises(RegistrationError):
-            populated_tree.insert(path("p1", ["b1", "core", "not-lmk"]))
+            populated_tree.insert(path("p1", ["b1", "core", "not-lmk"], "lmk"))
         assert populated_tree.has_peer("p1")
         assert populated_tree.peer_count == 5
         assert populated_tree.attachment_node("p1") is attachment
@@ -237,35 +235,11 @@ class TestClosestPeers:
 # Property-based tests: build random path populations and check invariants.
 # ---------------------------------------------------------------------------
 
-@st.composite
-def random_paths(draw):
-    """Generate a set of peer paths over a random small tree of routers."""
-    n_peers = draw(st.integers(2, 12))
-    paths = []
-    for index in range(n_peers):
-        depth = draw(st.integers(1, 5))
-        # Peers share prefixes with probability by reusing small branch labels.
-        branch = [f"r{draw(st.integers(0, 3))}-{level}" for level in range(depth)]
-        routers = branch + ["lmk"]
-        # Deduplicate while keeping order (RouterPath rejects duplicates).
-        seen = set()
-        unique = []
-        for router in routers:
-            if router not in seen:
-                seen.add(router)
-                unique.append(router)
-        paths.append(RouterPath.from_routers(f"peer{index}", "lmk", unique))
-    return paths
-
-
 @settings(max_examples=40, deadline=None)
-@given(paths=random_paths())
-def test_property_tree_distance_symmetric_and_bounded(paths):
-    tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-    for router_path in paths:
-        tree.insert(router_path)
-    hops = {router_path.peer_id: router_path.hop_count for router_path in paths}
+@given(tree=random_trees(12, 5))
+def test_property_tree_distance_symmetric_and_bounded(tree):
     peers = tree.peers()
+    hops = {peer: tree.attachment_node(peer).depth + 1 for peer in peers}
     for i, peer_a in enumerate(peers):
         for peer_b in peers[i + 1 :]:
             forward = tree.tree_distance(peer_a, peer_b)
@@ -278,12 +252,9 @@ def test_property_tree_distance_symmetric_and_bounded(paths):
 
 
 @settings(max_examples=40, deadline=None)
-@given(paths=random_paths(), k=st.integers(1, 6))
-def test_property_closest_peers_is_optimal_prefix(paths, k):
+@given(tree=random_trees(12, 5), k=st.integers(1, 6))
+def test_property_closest_peers_is_optimal_prefix(tree, k):
     """closest_peers(k) returns peers no farther than the true k-th closest."""
-    tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-    for router_path in paths:
-        tree.insert(router_path)
     origin = tree.peers()[0]
     others = [peer for peer in tree.peers() if peer != origin]
     true_distances = sorted(tree.tree_distance(origin, other) for other in others)
@@ -297,12 +268,9 @@ def test_property_closest_peers_is_optimal_prefix(paths, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(paths=random_paths())
-def test_property_subtree_counts_consistent_after_removals(paths):
+@given(tree=random_trees(12, 5))
+def test_property_subtree_counts_consistent_after_removals(tree):
     """Subtree peer counts stay consistent while peers leave one by one."""
-    tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-    for router_path in paths:
-        tree.insert(router_path)
     while tree.peer_count > 0:
         assert len(tree.root.row) == tree.peer_count
         attached_everywhere = sum(
@@ -317,10 +285,10 @@ class TestInsertInstrumentation:
 
     def test_insert_counts_touched_and_created(self):
         tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-        tree.insert(RouterPath.from_routers("a", "lmk", ["a1", "core", "lmk"]))
+        tree.insert(path("a", ["a1", "core", "lmk"]))
         assert tree.last_insert_nodes_touched == 3
         assert tree.last_insert_nodes_created == 2  # core + a1 (root pre-made)
-        tree.insert(RouterPath.from_routers("b", "lmk", ["a1", "core", "lmk"]))
+        tree.insert(path("b", ["a1", "core", "lmk"]))
         assert tree.last_insert_nodes_touched == 3
         assert tree.last_insert_nodes_created == 0  # fully shared prefix
         assert tree.total_insert_nodes_created == 2
@@ -328,16 +296,16 @@ class TestInsertInstrumentation:
 
     def test_lazy_root_counts_as_created(self):
         tree = PathTree(landmark_id="lmk")
-        tree.insert(RouterPath.from_routers("a", "lmk", ["a1", "lmk"]))
+        tree.insert(path("a", ["a1", "lmk"]))
         assert tree.last_insert_nodes_created == 2
         assert tree.last_insert_nodes_touched == 2
 
     def test_incremental_router_count_and_max_depth_track_churn(self):
         tree = PathTree(landmark_id="lmk", landmark_router="lmk")
         assert (tree.router_count, tree.max_depth()) == (1, 0)
-        tree.insert(RouterPath.from_routers("a", "lmk", ["a2", "a1", "core", "lmk"]))
+        tree.insert(path("a", ["a2", "a1", "core", "lmk"]))
         assert (tree.router_count, tree.max_depth()) == (4, 3)
-        tree.insert(RouterPath.from_routers("b", "lmk", ["b1", "core", "lmk"]))
+        tree.insert(path("b", ["b1", "core", "lmk"]))
         assert (tree.router_count, tree.max_depth()) == (5, 3)
         tree.remove("a")  # prunes the a2/a1 branch
         assert (tree.router_count, tree.max_depth()) == (3, 2)
@@ -348,23 +316,16 @@ class TestInsertInstrumentation:
         import random as _random
 
         rng = _random.Random(7)
-        tree = PathTree(landmark_id="lmk", landmark_router="lmk")
+        tree = PathTree(landmark_id="lm0", landmark_router="lm0")
         alive = []
         for step in range(120):
             if alive and rng.random() < 0.4:
                 victim = alive.pop(rng.randrange(len(alive)))
                 tree.remove(victim)
             else:
-                depth = rng.randrange(1, 5)
-                routers = [f"r{rng.randrange(3)}-{level}" for level in range(depth)] + ["lmk"]
-                seen, unique = set(), []
-                for router in routers:
-                    if router not in seen:
-                        seen.add(router)
-                        unique.append(router)
-                peer = f"peer{step}"
-                tree.insert(RouterPath.from_routers(peer, "lmk", unique))
-                alive.append(peer)
+                branch = [rng.randrange(3) for _ in range(rng.randrange(1, 5))]
+                tree.insert(make_path(f"peer{step}", 0, branch))
+                alive.append(f"peer{step}")
             nodes = list(tree.root.iter_subtree())
             assert tree.router_count == len(nodes)
             assert tree.max_depth() == max(node.depth for node in nodes)

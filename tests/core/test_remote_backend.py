@@ -46,15 +46,7 @@ from repro.exceptions import (
 )
 from repro.workloads import synthetic_paths
 
-
-def simple_path(peer, landmark, access="a1"):
-    return RouterPath.from_routers(
-        peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
-    )
-
-
-def path_to(peer, landmark, routers):
-    return RouterPath.from_routers(peer, landmark, routers)
+from ..oracle import path, simple_path
 
 
 @pytest.fixture(params=("process", "socket"))
@@ -546,22 +538,22 @@ class TestArrivalRoundTrips:
         [
             # one home shard, fresh peers: the shard's own validation rejects
             (
-                [simple_path("n0", "lmA", "a5"), path_to("bad", "lmA", ["x", "not-lmA"])],
+                [simple_path("n0", "lmA", "a5"), path("bad", ["x", "not-lmA"], "lmA")],
                 ["join_paths"],
             ),
             # a wrong-root path behind a re-registering peer
             (
-                [simple_path("p0", "lmA", "a5"), path_to("bad", "lmA", ["x", "not-lmA"])],
+                [simple_path("p0", "lmA", "a5"), path("bad", ["x", "not-lmA"], "lmA")],
                 ["validate_batch"],
             ),
             # superseded later in the batch, and still the batch's verdict
             (
-                [path_to("n0", "lmA", ["x", "not-lmA"]), simple_path("n0", "lmA", "a5")],
+                [path("n0", ["x", "not-lmA"], "lmA"), simple_path("n0", "lmA", "a5")],
                 ["validate_batch"],
             ),
             # two home shards, the invalid path on the second
             (
-                [simple_path("n0", "lmA", "a5"), path_to("n1", "lmC", ["x", "not-lmC"])],
+                [simple_path("n0", "lmA", "a5"), path("n1", ["x", "not-lmC"], "lmC")],
                 ["validate_batch"],
             ),
         ],

@@ -11,8 +11,10 @@ over the live rows and over a :class:`~repro.core.serving.FlatTrie`'s frozen
 tuples, for ``k`` of 0, 1 and beyond the population and for excluded peers
 attached on the origin's chain, off it, and unknown to the tree.
 
-CI's ``sharded-equivalence`` matrix entry runs this file under the
-``ci-equivalence`` profile (the test pins no example budget of its own).
+The trees are the oracle harness's paths (``tests/oracle.py``): routers
+named by their prefix under ``lm0``.  CI's ``sharded-equivalence`` matrix
+entry runs this file under the ``ci-equivalence`` profile (``-m oracle``;
+the test pins no example budget of its own).
 """
 
 from __future__ import annotations
@@ -20,33 +22,18 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree, closest_in_rows
 from repro.core.serving import FlatTrie
 
+from ..oracle import PROFILED, Twin, branches, landmark_name, make_path
 from .reference_rows import closest_in_rows as bisecting_closest_in_rows
-from .test_path_index import Twin
 
-ROOT = "lmk"
+pytestmark = PROFILED
+
+ROOT = landmark_name(0)
 #: Shared across examples: rows are matched by entry identity.
 TWINS = tuple(Twin(tag) for tag in range(3))
 PEERS = TWINS + tuple(f"p{index}" for index in range(9))
-
-branches = st.one_of(
-    st.lists(st.integers(0, 2), max_size=5),
-    # a unary chain, with a short fan-out below it
-    st.tuples(st.integers(1, 8), st.lists(st.integers(0, 1), max_size=2)).map(
-        lambda spec: [0] * spec[0] + spec[1]
-    ),
-)
-
-
-def make_path(peer, branch) -> RouterPath:
-    """A path whose router names are their prefixes."""
-    routers = [ROOT]
-    for level, choice in enumerate(branch, start=1):
-        routers.append(f"{routers[-1]}/{level}.{choice}")
-    return RouterPath.from_routers(peer, ROOT, routers[::-1])
 
 
 def ancestors(node):
@@ -59,8 +46,10 @@ def ancestors(node):
 @st.composite
 def trees(draw) -> PathTree:
     tree = PathTree(landmark_id=ROOT, landmark_router=ROOT)
-    for peer, branch in draw(st.lists(st.tuples(st.sampled_from(PEERS), branches), max_size=16)):
-        tree.insert(make_path(peer, branch))  # a known peer hands over
+    for peer, branch in draw(
+        st.lists(st.tuples(st.sampled_from(PEERS), branches(8, fan_out=2)), max_size=16)
+    ):
+        tree.insert(make_path(peer, 0, branch))  # a known peer hands over
     for peer in draw(st.lists(st.sampled_from(PEERS), max_size=4)):
         if peer in tree:
             tree.remove(peer)

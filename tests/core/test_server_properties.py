@@ -2,7 +2,8 @@
 
 These complement the unit tests with randomly generated peer populations:
 whatever paths peers report, the server must keep its answers consistent with
-the underlying path trees, symmetric, and stable under arrival order.
+the underlying path trees, symmetric, and stable under arrival order.  The
+populations and the server are the oracle harness's (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -10,51 +11,33 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.management_server import ManagementServer
-from repro.core.path import RouterPath, tree_distance
+from repro.core.path import tree_distance
+
+from ..oracle import build_plane, landmark_distances, populations
+
+#: Two landmarks, region and pop in 0..2, then an access router or not: a
+#: branch is ``(0, region)``, ``(0, region, pop)`` or ``(0, region, pop, 0)``.
+POPULATIONS = populations(
+    14,
+    2,
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(
+        lambda drawn: (0, drawn[0], drawn[1], 0)[: 2 + drawn[2]]
+    ),
+)
+BETWEEN = landmark_distances(2)[("lm0", "lm1")]
 
 
-@st.composite
-def peer_populations(draw):
-    """Random peer populations over a 2-landmark, 3-level access hierarchy."""
-    landmark_of = {}
-    paths = []
-    n_peers = draw(st.integers(2, 14))
-    for index in range(n_peers):
-        landmark = draw(st.sampled_from(["lmA", "lmB"]))
-        region = draw(st.integers(0, 2))
-        pop = draw(st.integers(0, 2))
-        depth = draw(st.integers(0, 2))
-        routers = []
-        if depth >= 2:
-            routers.append(f"{landmark}-acc-{region}-{pop}")
-        if depth >= 1:
-            routers.append(f"{landmark}-pop-{region}-{pop}")
-        routers.extend([f"{landmark}-region-{region}", f"{landmark}-core", landmark])
-        peer_id = f"peer{index}"
-        landmark_of[peer_id] = landmark
-        paths.append(RouterPath.from_routers(peer_id, landmark, routers))
-    return paths, landmark_of
-
-
-def build_server(paths, neighbor_set_size=3, maintain_cache=True):
-    server = ManagementServer(
-        neighbor_set_size=neighbor_set_size,
-        maintain_cache=maintain_cache,
-        landmark_distances={("lmA", "lmB"): 6.0},
-    )
-    server.register_landmark("lmA", "lmA")
-    server.register_landmark("lmB", "lmB")
+def build_server(paths, neighbor_set_size=3):
+    server = build_plane("inline", None, 2, k=neighbor_set_size)
     for path in paths:
         server.register_peer(path)
     return server
 
 
 @settings(max_examples=40, deadline=None)
-@given(population=peer_populations())
-def test_property_estimates_symmetric_and_consistent_with_paths(population):
+@given(paths=POPULATIONS)
+def test_property_estimates_symmetric_and_consistent_with_paths(paths):
     """estimate_distance is symmetric and matches the pairwise path formula."""
-    paths, landmark_of = population
     server = build_server(paths)
     by_peer = {path.peer_id: path for path in paths}
     peers = list(by_peer)
@@ -63,18 +46,17 @@ def test_property_estimates_symmetric_and_consistent_with_paths(population):
             forward = server.estimate_distance(peer_a, peer_b)
             backward = server.estimate_distance(peer_b, peer_a)
             assert forward == backward
-            if landmark_of[peer_a] == landmark_of[peer_b]:
+            if by_peer[peer_a].landmark_id == by_peer[peer_b].landmark_id:
                 expected = tree_distance(by_peer[peer_a], by_peer[peer_b])
                 assert forward == expected
             else:
-                assert forward == by_peer[peer_a].hop_count + 6.0 + by_peer[peer_b].hop_count
+                assert forward == by_peer[peer_a].hop_count + BETWEEN + by_peer[peer_b].hop_count
 
 
 @settings(max_examples=40, deadline=None)
-@given(population=peer_populations(), k=st.integers(1, 5))
-def test_property_neighbor_answers_are_valid(population, k):
+@given(paths=POPULATIONS, k=st.integers(1, 5))
+def test_property_neighbor_answers_are_valid(paths, k):
     """Neighbour lists never contain the peer itself, duplicates, or bad distances."""
-    paths, _ = population
     server = build_server(paths, neighbor_set_size=k)
     for path in paths:
         answer = server.closest_peers(path.peer_id, k=k)
@@ -88,10 +70,9 @@ def test_property_neighbor_answers_are_valid(population, k):
 
 
 @settings(max_examples=25, deadline=None)
-@given(population=peer_populations())
-def test_property_arrival_order_does_not_change_tree_distances(population):
+@given(paths=POPULATIONS)
+def test_property_arrival_order_does_not_change_tree_distances(paths):
     """Registering the same peers in any order yields the same distance estimates."""
-    paths, _ = population
     forward_server = build_server(paths)
     reverse_server = build_server(list(reversed(paths)))
     peers = [path.peer_id for path in paths]
@@ -103,10 +84,9 @@ def test_property_arrival_order_does_not_change_tree_distances(population):
 
 
 @settings(max_examples=25, deadline=None)
-@given(population=peer_populations())
-def test_property_unregistering_everyone_empties_the_server(population):
+@given(paths=POPULATIONS)
+def test_property_unregistering_everyone_empties_the_server(paths):
     """Register-then-unregister leaves no residual state behind."""
-    paths, _ = population
     server = build_server(paths)
     for path in paths:
         server.unregister_peer(path.peer_id)

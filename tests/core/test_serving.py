@@ -20,11 +20,16 @@ the history — joins, leaves, re-joins, handovers, live cold queries, writes
 made behind the publisher's back — the patched epoch ``==`` a snapshot
 built from scratch, and each event the record cannot describe falls back to
 a whole rebuild that is just as right (:class:`TestPatchedEpochs`).
+
+The paths, planes, op vocabulary and the snapshot-vs-live audit are the
+shared oracle harness's (``tests/oracle.py``); CI runs the two hypothesis
+oracles here at the ``ci-equivalence`` budget (``-m oracle``).
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 import threading
 import time
 from typing import Dict, List, Tuple
@@ -33,142 +38,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ManagementServer, ShardedManagementServer
-from repro.core.path import RouterPath
+from repro.core import ManagementServer
 from repro.core.serving import DiscoverySnapshot, SnapshotPublisher, SnapshotReader
+
+from ..oracle import PROFILED, apply_op, audit, build_plane, cases, make_path, path, random_op
 
 MAX_PEERS = 20
 MAX_LANDMARKS = 4
-
-
-def landmark_name(index: int) -> str:
-    return f"lm{index}"
-
-
-def make_path(peer_id: str, landmark_index: int, shape: Tuple[int, int, int]) -> RouterPath:
-    """A synthetic 5-router path under one landmark's disjoint hierarchy."""
-    landmark = landmark_name(landmark_index)
-    region, pop, access = shape
-    routers = [
-        f"{landmark}-acc-{region}-{pop}-{access}",
-        f"{landmark}-pop-{region}-{pop}",
-        f"{landmark}-reg-{region}",
-        f"{landmark}-core",
-        landmark,
-    ]
-    return RouterPath.from_routers(peer_id, landmark, routers)
-
-
-def landmark_distances(landmark_count: int):
-    return {
-        (landmark_name(i), landmark_name(j)): float(1 + abs(i - j))
-        for i in range(landmark_count)
-        for j in range(landmark_count)
-        if i < j
-    }
-
-
-def build_plane(shard_count, landmark_count, with_distances, maintain_cache, k):
-    """``shard_count=None`` builds the single server, else inline shards."""
-    distances = landmark_distances(landmark_count) if with_distances else None
-    if shard_count is None:
-        plane = ManagementServer(
-            neighbor_set_size=k, maintain_cache=maintain_cache, landmark_distances=distances
-        )
-    else:
-        plane = ShardedManagementServer(
-            shard_count,
-            neighbor_set_size=k,
-            maintain_cache=maintain_cache,
-            landmark_distances=distances,
-        )
-    for index in range(landmark_count):
-        plane.register_landmark(landmark_name(index), landmark_name(index))
-    return plane
-
-
-def apply_op(plane, op):
-    try:
-        kind = op[0]
-        if kind == "arrive":
-            _, peer_index, lm_index, shape = op
-            return ("ok", plane.register_peer(make_path(f"p{peer_index}", lm_index, shape)))
-        if kind == "batch":
-            _, specs = op
-            return (
-                "ok",
-                plane.register_peers(
-                    [make_path(f"p{i}", lm, shape) for i, lm, shape in specs]
-                ),
-            )
-        if kind == "depart":
-            _, peer_index = op
-            return ("ok", plane.unregister_peer(f"p{peer_index}"))
-        raise AssertionError(f"unknown op {op!r}")
-    except Exception as error:  # noqa: BLE001 - errors are part of the contract
-        return ("error", type(error).__name__, str(error))
-
-
-def assert_snapshot_matches_live(snapshot: DiscoverySnapshot, plane) -> None:
-    """The served read, compared byte for byte.
-
-    Read-only comparisons first: a live ``closest_peers`` with
-    ``k >= neighbor_set_size`` refills the cache (a mutation), so the
-    big-``k`` sweep runs last — its answers must still match, and the
-    small-``k`` checks must not be polluted by it.
-    """
-    assert snapshot.peers() == plane.peers()
-    for peer in plane.peers():
-        for k in (1, plane.neighbor_set_size):
-            assert snapshot.closest_peers(peer, k) == plane.closest_peers(peer, k), (peer, k)
-        assert snapshot.closest_peers(peer) == plane.closest_peers(peer)
-    for peer in plane.peers():  # cache-refilling queries last (see docstring)
-        big = plane.neighbor_set_size + 3
-        assert snapshot.closest_peers(peer, big) == plane.closest_peers(peer, big)
-    with pytest.raises(Exception) as caught:
-        snapshot.closest_peers("never-registered")
-    assert type(caught.value).__name__ == "UnknownPeerError"
-
-
-@st.composite
-def serving_cases(draw):
-    landmark_count = draw(st.integers(1, MAX_LANDMARKS))
-    shard_count = draw(st.sampled_from([None, 1, 2, 3, 5, 8]))
-    with_distances = draw(st.booleans())
-    maintain_cache = draw(st.booleans())
-    k = draw(st.integers(1, 4))
-    shape = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
-    peer = st.integers(0, MAX_PEERS - 1)
-    lm = st.integers(0, landmark_count - 1)
-    ops = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("arrive"), peer, lm, shape),
-                st.tuples(
-                    st.just("batch"),
-                    st.lists(st.tuples(peer, lm, shape), min_size=1, max_size=5),
-                ),
-                st.tuples(st.just("depart"), peer),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    return landmark_count, shard_count, with_distances, maintain_cache, k, ops
+#: The planes every serving oracle runs on: ``None`` is the single server.
+SHARD_COUNTS = st.sampled_from([None, 1, 2, 3, 5, 8])
 
 
 class TestSnapshotByteIdentity:
+    @PROFILED
     @settings(deadline=None)
-    @given(case=serving_cases())
+    @given(
+        case=cases(
+            MAX_LANDMARKS, shard_counts=SHARD_COUNTS, peers=MAX_PEERS, batch_size=5
+        )
+    )
     def test_snapshot_matches_live_plane(self, case):
-        landmark_count, shard_count, with_distances, maintain_cache, k, ops = case
-        plane = build_plane(shard_count, landmark_count, with_distances, maintain_cache, k)
+        plane = build_plane("inline", *case[:-1])
         try:
-            for op in ops:
+            for op in case.ops:
                 apply_op(plane, op)
             snapshot = DiscoverySnapshot.build(plane, generation=7)
             assert snapshot.generation == 7
-            assert_snapshot_matches_live(snapshot, plane)
+            audit(snapshot, plane)
         finally:
             plane.close()
 
@@ -176,30 +72,12 @@ class TestSnapshotByteIdentity:
     def test_churned_plane_snapshot_is_byte_identical(self, shard_count):
         """A fixed long churn history, including departures that gap the
         compact-index space — the case a re-interning restore would break."""
-        plane = build_plane(shard_count, 3, True, True, 3)
+        plane = build_plane("inline", shard_count, 3)
         try:
-            import random
-
             rng = random.Random(77)
-            for step in range(160):
-                action = rng.random()
-                if action < 0.55:
-                    apply_op(plane, ("arrive", rng.randrange(MAX_PEERS), rng.randrange(3), _shape(rng)))
-                elif action < 0.7:
-                    apply_op(
-                        plane,
-                        (
-                            "batch",
-                            [
-                                (rng.randrange(MAX_PEERS), rng.randrange(3), _shape(rng))
-                                for _ in range(rng.randrange(1, 4))
-                            ],
-                        ),
-                    )
-                else:
-                    apply_op(plane, ("depart", rng.randrange(MAX_PEERS)))
-            snapshot = DiscoverySnapshot.build(plane)
-            assert_snapshot_matches_live(snapshot, plane)
+            for _ in range(160):
+                apply_op(plane, random_op(rng, (0.55, 0.7, 1.0), MAX_PEERS, 3, (1, 4)))
+            audit(DiscoverySnapshot.build(plane), plane)
         finally:
             plane.close()
 
@@ -208,11 +86,11 @@ class TestSnapshotByteIdentity:
         """A build only reads the plane: its interner and its change record
         are what they were, even on a cache-less coordinator, whose interner
         holds none of the peers its shards keep."""
-        plane = build_plane(shard_count, 2, True, shard_count is None, 3)
+        plane = build_plane("inline", shard_count, 2, True, shard_count is None, 3)
         try:
             record = plane.track_changes()
             plane.register_peers(
-                [make_path(f"p{i}", i % 2, (i % 3, i % 5, i % 7)) for i in range(200)]
+                [make_path(f"p{i}", i % 2, (0, i % 3, i % 5, i % 7)) for i in range(200)]
             )
 
             def recorded():
@@ -233,19 +111,19 @@ class TestSnapshotByteIdentity:
         fresh build of the same plane and a restored copy (paths replayed
         into new tries, so the nodes are renumbered) all compare equal, as
         the ``__eq__`` contract says."""
-        plane = build_plane(None, 2, True, True, 3)
+        plane = build_plane("inline", None, 2)
         for i in range(24):
-            apply_op(plane, ("arrive", i, i % 2, (i % 3, i % 2, 0)))
+            apply_op(plane, ("arrive", i, i % 2, (0, i % 3, i % 2, 0)))
         publisher = SnapshotPublisher(plane)
         # Transients open new access routers (new trie nodes) and leave
         # again, so later arrivals pick freed ids up in LIFO order.
         for i in range(30, 34):
-            publisher.register_peer(make_path(f"p{i}", i % 2, (i % 3, 2, 1 + i % 3)))
+            publisher.register_peer(make_path(f"p{i}", i % 2, (0, i % 3, 2, 1 + i % 3)))
         publisher.publish()
         for i in list(range(30, 34)) + [18, 23]:  # late arrivals: replay keeps child order
             publisher.unregister_peer(f"p{i}")
         for i in range(40, 44):
-            publisher.register_peer(make_path(f"p{i}", i % 2, (2, 2, 1 + i % 3)))
+            publisher.register_peer(make_path(f"p{i}", i % 2, (0, 2, 2, 1 + i % 3)))
         assert plane.changes is publisher._changes  # this epoch is a patch
         patched = publisher.publish()
 
@@ -265,9 +143,9 @@ class TestSnapshotByteIdentity:
         assert patched != DiscoverySnapshot.build(plane)
 
     def test_snapshot_is_picklable_plain_data(self):
-        plane = build_plane(2, 2, True, True, 3)
+        plane = build_plane("inline", 2, 2)
         for i in range(8):
-            apply_op(plane, ("arrive", i, i % 2, (i % 3, 0, i % 4)))
+            apply_op(plane, ("arrive", i, i % 2, (0, i % 3, 0, i % 4)))
         snapshot = DiscoverySnapshot.build(plane, generation=3)
         clone = pickle.loads(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
         assert clone == snapshot
@@ -279,60 +157,56 @@ class TestSnapshotByteIdentity:
         """Content equality with identity hashing put equal snapshots in
         different set buckets (``b in {a}`` was False although ``a == b``);
         a snapshot has no hash instead."""
-        plane = build_plane(None, 2, True, True, 3)
+        plane = build_plane("inline", None, 2)
         for i in range(6):
-            apply_op(plane, ("arrive", i, i % 2, (i % 3, 0, 0)))
+            apply_op(plane, ("arrive", i, i % 2, (0, i % 3, 0, 0)))
         first, second = DiscoverySnapshot.build(plane), DiscoverySnapshot.build(plane)
         assert first == second and first is not second
         with pytest.raises(TypeError, match="unhashable"):
             {first}
 
 
-def _shape(rng) -> Tuple[int, int, int]:
-    return (rng.randrange(3), rng.randrange(3), rng.randrange(4))
-
-
 class TestPublisher:
     def test_publish_bumps_generation_and_swaps_atomically(self):
-        plane = build_plane(None, 1, False, True, 3)
+        plane = build_plane("inline", None, 1, False)
         publisher = SnapshotPublisher(plane)
         first = publisher.snapshot
         assert first.generation == 1
-        publisher.register_peer(make_path("p0", 0, (0, 0, 0)))
+        publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
         second = publisher.publish()
         assert second.generation == 2
         assert publisher.snapshot is second
         assert "p0" not in first.peers() and "p0" in second.peers()
 
     def test_no_op_epochs_compare_equal(self):
-        plane = build_plane(None, 2, True, True, 3)
+        plane = build_plane("inline", None, 2)
         for i in range(5):
-            apply_op(plane, ("arrive", i, i % 2, (i, 0, 0)))
+            apply_op(plane, ("arrive", i, i % 2, (0, i, 0, 0)))
         publisher = SnapshotPublisher(plane)
         before = publisher.snapshot
         after = publisher.publish()
         assert after.generation == before.generation + 1
         assert after == before  # content-equal despite the new stamp
-        publisher.register_peer(make_path("px", 0, (1, 1, 1)))
+        publisher.register_peer(make_path("px", 0, (0, 1, 1, 1)))
         assert publisher.publish() != before
 
     def test_reader_pin_is_stable_across_publishes(self):
-        plane = build_plane(None, 1, False, True, 3)
+        plane = build_plane("inline", None, 1, False)
         publisher = SnapshotPublisher(plane)
         reader = SnapshotReader(publisher)
-        publisher.register_peer(make_path("p0", 0, (0, 0, 0)))
+        publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
         publisher.publish()
         pinned = reader.pin()
         peers_at_pin = pinned.peers()
         for i in range(1, 6):
-            publisher.register_peer(make_path(f"p{i}", 0, (i % 3, 0, 0)))
+            publisher.register_peer(make_path(f"p{i}", 0, (0, i % 3, 0, 0)))
             publisher.publish()
         assert pinned.peers() == peers_at_pin  # immutable: untouched by epochs
         assert len(reader.pin().peers()) == 6
 
     def test_reader_over_fixed_snapshot(self):
-        plane = build_plane(None, 1, False, True, 3)
-        apply_op(plane, ("arrive", 0, 0, (0, 0, 0)))
+        plane = build_plane("inline", None, 1, False)
+        apply_op(plane, ("arrive", 0, 0, (0, 0, 0, 0)))
         snapshot = DiscoverySnapshot.build(plane, generation=9)
         reader = SnapshotReader(snapshot)
         assert reader.pin().generation == 9
@@ -347,103 +221,68 @@ def base_population(plane, landmark_count: int) -> None:
     (it may not name more peers than are alive) before the history starts."""
     plane.register_peers(
         [
-            make_path(f"b{i}", i % landmark_count, (i % 3, (i // 3) % 3, i % 4))
+            make_path(f"b{i}", i % landmark_count, (0, i % 3, (i // 3) % 3, i % 4))
             for i in range(BASE_PEERS)
         ]
     )
 
 
+def check_epoch(snapshot: DiscoverySnapshot, plane) -> None:
+    """A published epoch equals a from-scratch build and the live plane."""
+    assert snapshot == DiscoverySnapshot.build(plane)  # before the live queries below
+    audit(snapshot, plane)
+
+
 def publish_and_check(publisher: SnapshotPublisher) -> bool:
-    """Publish; the epoch must equal a from-scratch build and the live plane.
+    """Publish and check the epoch (:func:`check_epoch`).
 
     Returns whether the epoch was a patch (the publisher's record was still
     the one the plane was filling).
     """
     plane = publisher.plane
     patched = plane.changes is not None and plane.changes is publisher._changes
-    snapshot = publisher.publish()
-    assert snapshot == DiscoverySnapshot.build(plane)  # before the live queries below
-    assert_snapshot_matches_live(snapshot, plane)
+    check_epoch(publisher.publish(), plane)
     return patched
 
 
-def apply_history_op(publisher: SnapshotPublisher, op) -> None:
-    """One step of a patched-epoch history (see :func:`patched_cases`)."""
-    kind = op[0]
-    plane = publisher.plane
-    if kind == "publish":
-        publish_and_check(publisher)
-        return
-    if kind == "cold":  # a live cold query rewrites that peer's cached list
-        if plane.has_peer(f"p{op[1]}"):
-            plane.closest_peers(f"p{op[1]}", plane.neighbor_set_size + 2)
-        return
-    target = plane if op[-1] else publisher  # behind the publisher's back, or through it
-    if kind == "bounce":  # leave and re-join with the same path, one epoch
-        peer = f"p{op[1]}"
-        if plane.has_peer(peer):
-            path = plane.peer_path(peer)
-            target.unregister_peer(peer)
-            target.register_peer(path)
-        return
-    apply_op(target, op[:-1])  # arrive (also: re-join, handover), batch, depart
+class TestPatchedEpochs:
+    """Epoch N+1 is a patch of epoch N — and indistinguishable from a rebuild.
 
+    The history is joins (also re-joins and handovers), batches, leaves,
+    bounces (a leave and a re-join on the same path in one epoch), live cold
+    queries (each rewrites that peer's cached list) and publishes, all made
+    on the plane itself: the publisher learns of them from the plane's
+    change record alone.
+    """
 
-@st.composite
-def patched_cases(draw):
-    landmark_count = draw(st.integers(1, MAX_LANDMARKS))
-    shard_count = draw(st.sampled_from([None, 1, 2, 3, 5, 8]))
-    with_distances = draw(st.booleans())
-    maintain_cache = draw(st.booleans())
-    k = draw(st.integers(1, 4))
-    shape = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
-    peer = st.integers(0, 11)  # a small pool: re-joins and handovers are common
-    lm = st.integers(0, landmark_count - 1)
-    direct = st.booleans()
-    ops = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("arrive"), peer, lm, shape, direct),
-                st.tuples(
-                    st.just("batch"),
-                    st.lists(st.tuples(peer, lm, shape), min_size=1, max_size=4),
-                    direct,
-                ),
-                st.tuples(st.just("depart"), peer, direct),
-                st.tuples(st.just("bounce"), peer, direct),
-                st.tuples(st.just("cold"), peer),
-                st.tuples(st.just("publish")),
-            ),
-            min_size=1,
-            max_size=30,
+    @PROFILED
+    @settings(deadline=None)
+    @given(
+        case=cases(
+            MAX_LANDMARKS,
+            shard_counts=SHARD_COUNTS,
+            peers=12,  # a small pool: re-joins and handovers are common
+            kinds=("arrive", "batch", "depart", "bounce", "cold", "publish"),
+            batch_size=4,
         )
     )
-    return landmark_count, shard_count, with_distances, maintain_cache, k, ops
-
-
-class TestPatchedEpochs:
-    """Epoch N+1 is a patch of epoch N — and indistinguishable from a rebuild."""
-
-    @settings(deadline=None)
-    @given(case=patched_cases())
     def test_patched_snapshot_equals_fresh_build_and_live_plane(self, case):
-        landmark_count, shard_count, with_distances, maintain_cache, k, ops = case
-        plane = build_plane(shard_count, landmark_count, with_distances, maintain_cache, k)
+        plane = build_plane("inline", *case[:-1])
         try:
-            base_population(plane, landmark_count)
+            base_population(plane, case.landmark_count)
             publisher = SnapshotPublisher(plane)
-            for op in ops:
-                apply_history_op(publisher, op)
+            for op in case.ops:
+                outcome = apply_op(plane, op, publisher)
+                if op == ("publish",):
+                    check_epoch(outcome[1], plane)
             publish_and_check(publisher)
         finally:
             plane.close()
 
     @pytest.mark.parametrize("shard_count", [None, 1, 2, 4, 8])
     def test_long_churn_is_published_as_patches(self, shard_count):
-        import random
-
         rng = random.Random(4242)
-        plane = build_plane(shard_count, 3, True, True, 3)
+        plane = build_plane("inline", shard_count, 3)
         try:
             base_population(plane, 3)
             publisher = SnapshotPublisher(plane)
@@ -451,28 +290,28 @@ class TestPatchedEpochs:
             for _ in range(40):
                 for _ in range(rng.randrange(1, 4)):
                     peer = rng.randrange(12)
-                    direct = rng.random() < 0.3
                     action = rng.random()
                     if action < 0.5:
-                        op = ("arrive", peer, rng.randrange(3), _shape(rng), direct)
+                        branch = (0, rng.randrange(3), rng.randrange(3), rng.randrange(4))
+                        op = ("arrive", peer, rng.randrange(3), branch)
                     elif action < 0.7:
-                        op = ("depart", peer, direct)
+                        op = ("depart", peer)
                     elif action < 0.85:
-                        op = ("bounce", peer, direct)
+                        op = ("bounce", peer)
                     else:
                         op = ("cold", peer)
-                    apply_history_op(publisher, op)
+                    apply_op(plane, op)
                 patched += publish_and_check(publisher)
             assert patched == 40  # small epochs over 24+ peers never outgrow the record
         finally:
             plane.close()
 
     def test_consecutive_epochs_share_what_did_not_change(self):
-        plane = build_plane(None, 3, True, True, 3)
+        plane = build_plane("inline", None, 3)
         base_population(plane, 3)
         publisher = SnapshotPublisher(plane)
         before = publisher.snapshot
-        publisher.register_peer(make_path("newcomer", 0, (1, 1, 1)))
+        publisher.register_peer(make_path("newcomer", 0, (0, 1, 1, 1)))
         publisher.unregister_peer("b3")  # b3 lives under lm0 as well
         after = publisher.publish()
         assert after.closest_peers("newcomer") == plane.closest_peers("newcomer")
@@ -491,11 +330,11 @@ class TestPatchedEpochs:
         assert 0 < len(rewritten) <= 2 * 5  # two five-router root paths
 
     def test_pinned_epoch_is_untouched_by_later_patches(self):
-        plane = build_plane(2, 3, True, True, 3)
+        plane = build_plane("inline", 2, 3)
         try:
             base_population(plane, 3)
             publisher = SnapshotPublisher(plane)
-            publisher.register_peer(make_path("p0", 0, (0, 0, 0)))
+            publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
             pinned = publisher.publish()
             content = pinned._content()
             answers = {
@@ -508,8 +347,8 @@ class TestPatchedEpochs:
             }
             for epoch in range(1, 6):
                 publisher.unregister_peer(f"b{epoch}")
-                publisher.register_peer(make_path(f"p{epoch}", epoch % 3, (epoch % 3, 1, 2)))
-                publisher.register_peer(make_path("p0", epoch % 3, (1, epoch % 3, 0)))  # handover
+                publisher.register_peer(make_path(f"p{epoch}", epoch % 3, (0, epoch % 3, 1, 2)))
+                publisher.register_peer(make_path("p0", epoch % 3, (0, 1, epoch % 3, 0)))  # handover
                 assert publish_and_check(publisher)
             assert pinned._content() == content
             for peer, expected in answers.items():
@@ -526,10 +365,10 @@ class TestPatchedEpochs:
         ["restore_state", "new_landmark", "landmark_distance", "outgrown_record", "second_consumer"],
     )
     def test_what_the_record_cannot_describe_rebuilds_whole(self, trigger):
-        plane = build_plane(None, 2, True, True, 3)
+        plane = build_plane("inline", None, 2)
         base_population(plane, 2)
         publisher = SnapshotPublisher(plane)
-        publisher.register_peer(make_path("p0", 0, (0, 0, 0)))
+        publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
         assert publish_and_check(publisher)  # the epoch before the trigger is a patch
         other = None
         if trigger == "restore_state":
@@ -537,22 +376,20 @@ class TestPatchedEpochs:
         elif trigger == "new_landmark":
             plane.register_landmark("lmX", "lmX")
             plane.set_landmark_distance("lm0", "lmX", 2.0)
-            publisher.register_peer(
-                RouterPath.from_routers("px", "lmX", ["lmX-acc", "lmX-core", "lmX"])
-            )
+            publisher.register_peer(path("px", ["lmX-acc", "lmX-core", "lmX"]))
         elif trigger == "landmark_distance":
             plane.set_landmark_distance("lm0", "lm1", 9.0)
         elif trigger == "outgrown_record":
             for i in range(3 * BASE_PEERS):  # open-world churn, never published
-                publisher.register_peer(make_path(f"t{i}", i % 2, (i % 3, 2, 3)))
+                publisher.register_peer(make_path(f"t{i}", i % 2, (0, i % 3, 2, 3)))
                 publisher.unregister_peer(f"t{i}")
         elif trigger == "second_consumer":
             other = SnapshotPublisher(plane)
-        publisher.register_peer(make_path("p1", 1, (1, 1, 1)))
+        publisher.register_peer(make_path("p1", 1, (0, 1, 1, 1)))
         publisher.unregister_peer("b2")
         assert plane.changes is not publisher._changes
         assert not publish_and_check(publisher)  # built whole, and right
-        publisher.register_peer(make_path("p2", 0, (2, 0, 1)))
+        publisher.register_peer(make_path("p2", 0, (0, 2, 0, 1)))
         assert publish_and_check(publisher)  # and patching resumes
         if other is not None:
             # The first publisher took the record back; the second notices.
@@ -562,22 +399,13 @@ class TestPatchedEpochs:
     @pytest.mark.parametrize("backend", ["process", "socket"])
     def test_remote_shards_rebuild_whole_every_epoch(self, backend):
         """A remote shard's ``tree()`` is a fresh export: nothing to record."""
-        from repro.core.remote import shard_factory_for
-
-        plane = ShardedManagementServer(
-            2,
-            neighbor_set_size=3,
-            landmark_distances=landmark_distances(3),
-            shard_factory=shard_factory_for(backend, 3),
-        )
+        plane = build_plane(backend, 2, 3)
         try:
-            for index in range(3):
-                plane.register_landmark(landmark_name(index), landmark_name(index))
             base_population(plane, 3)
             publisher = SnapshotPublisher(plane)
             assert publisher._changes is None and plane.changes is None
             for epoch in range(3):
-                publisher.register_peer(make_path(f"p{epoch}", epoch, (epoch, 1, 2)))
+                publisher.register_peer(make_path(f"p{epoch}", epoch, (0, epoch, 1, 2)))
                 publisher.unregister_peer(f"b{epoch}")
                 assert not publish_and_check(publisher)
         finally:
@@ -605,20 +433,20 @@ class TestMidEpochConsistency:
 
     def _reference_answers(self) -> Dict[int, List[Tuple[str, float]]]:
         """The witness's answer over everyone, per generation, on a fresh replay."""
-        reference = build_plane(None, 2, True, True, 3)
-        reference.register_peer(make_path("w", 0, (2, 2, 3)))
+        reference = build_plane("inline", None, 2)
+        reference.register_peer(make_path("w", 0, (0, 2, 2, 3)))
         reference.set_landmark_distance("lm0", "lm1", 10.0)
         answers = {1: reference.closest_peers("w", self.EPOCHS + 1)}
         for epoch in range(1, self.EPOCHS + 1):
-            reference.register_peer(make_path(f"e{epoch}", epoch % 2, (epoch % 3, 0, 0)))
+            reference.register_peer(make_path(f"e{epoch}", epoch % 2, (0, epoch % 3, 0, 0)))
             reference.set_landmark_distance("lm0", "lm1", 10.0 + epoch)
             answers[epoch + 1] = reference.closest_peers("w", self.EPOCHS + 1)
         return answers
 
     @pytest.mark.parametrize("shard_count", [None, 1, 2, 4, 8])
     def test_concurrent_readers_see_single_generations(self, shard_count):
-        plane = build_plane(shard_count, 2, True, True, 3)
-        plane.register_peer(make_path("w", 0, (2, 2, 3)))
+        plane = build_plane("inline", shard_count, 2)
+        plane.register_peer(make_path("w", 0, (0, 2, 2, 3)))
         plane.set_landmark_distance("lm0", "lm1", 10.0)
         publisher = SnapshotPublisher(plane)
         stop = threading.Event()
@@ -644,7 +472,7 @@ class TestMidEpochConsistency:
             thread.start()
         try:
             for epoch in range(1, self.EPOCHS + 1):
-                publisher.register_peer(make_path(f"e{epoch}", epoch % 2, (epoch % 3, 0, 0)))
+                publisher.register_peer(make_path(f"e{epoch}", epoch % 2, (0, epoch % 3, 0, 0)))
                 plane.set_landmark_distance("lm0", "lm1", 10.0 + epoch)
                 publisher.publish()
                 time.sleep(0.001)  # give readers a scheduling window per epoch
@@ -674,9 +502,9 @@ class TestMidEpochConsistency:
         implies exactly one ``e`` peer, first in the witness's cached list
         and first in its cold trie walk; a reader that mixed one epoch's slot
         arrays with another's trie rows would see the wrong peer or none."""
-        plane = build_plane(2, 2, True, True, 3)
+        plane = build_plane("inline", 2, 2)
         base_population(plane, 2)
-        plane.register_peer(make_path("w", 0, (0, 0, 9)))
+        plane.register_peer(make_path("w", 0, (0, 0, 0, 9)))
         publisher = SnapshotPublisher(plane)
         stop = threading.Event()
         samples: List[List[Tuple[int, Tuple[str, ...], object, object]]] = [[] for _ in range(3)]
@@ -707,7 +535,7 @@ class TestMidEpochConsistency:
             for epoch in range(1, self.EPOCHS + 1):
                 if epoch > 1:
                     publisher.unregister_peer(f"e{epoch - 1}")
-                publisher.register_peer(make_path(f"e{epoch}", 0, (0, 0, 9)))
+                publisher.register_peer(make_path(f"e{epoch}", 0, (0, 0, 0, 9)))
                 patched += plane.changes is publisher._changes
                 publisher.publish()
                 time.sleep(0.001)  # give readers a scheduling window per epoch
@@ -736,23 +564,23 @@ class TestMidEpochConsistency:
 
     def test_published_epochs_match_reference_replay(self):
         """Every retained epoch is byte-identical to a fresh replay of it."""
-        plane = build_plane(2, 2, True, True, 3)
+        plane = build_plane("inline", 2, 2)
         plane.set_landmark_distance("lm0", "lm1", 10.0)
         publisher = SnapshotPublisher(plane)
         retained: Dict[int, DiscoverySnapshot] = {publisher.snapshot.generation: publisher.snapshot}
         for epoch in range(1, 9):
-            publisher.register_peer(make_path(f"e{epoch}", epoch % 2, (epoch % 3, 0, 0)))
+            publisher.register_peer(make_path(f"e{epoch}", epoch % 2, (0, epoch % 3, 0, 0)))
             plane.set_landmark_distance("lm0", "lm1", 10.0 + epoch)
             published = publisher.publish()
             retained[published.generation] = published
         plane.close()
 
-        reference = build_plane(None, 2, True, True, 3)
+        reference = build_plane("inline", None, 2)
         reference.set_landmark_distance("lm0", "lm1", 10.0)
         for generation in sorted(retained):
             epoch = generation - 1
             if epoch > 0:
-                reference.register_peer(make_path(f"e{epoch}", epoch % 2, (epoch % 3, 0, 0)))
+                reference.register_peer(make_path(f"e{epoch}", epoch % 2, (0, epoch % 3, 0, 0)))
                 reference.set_landmark_distance("lm0", "lm1", 10.0 + epoch)
             snapshot = retained[generation]
             for peer in reference.peers():

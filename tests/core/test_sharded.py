@@ -8,17 +8,10 @@ from collections import Counter
 import pytest
 
 from repro.core import ConsistentHashRing, ManagementServer, ShardBackend, ShardedManagementServer
-from repro.core.path import RouterPath
 from repro.exceptions import LandmarkError, RegistrationError, UnknownPeerError
 from repro.workloads import synthetic_paths
 
-
-def path(peer, routers, landmark):
-    return RouterPath.from_routers(peer, landmark, routers)
-
-
-def simple_path(peer, landmark, access="a1"):
-    return path(peer, [f"{landmark}-{access}", f"{landmark}-core", landmark], landmark)
+from ..oracle import simple_path
 
 
 class TestConsistentHashRing:

@@ -15,12 +15,9 @@ from collections import Counter
 import pytest
 
 from repro.core import ConsistentHashRing, ManagementServer, ShardedManagementServer
-from repro.core.path import RouterPath
 from repro.exceptions import ConfigurationError, LandmarkError, RegistrationError, UnknownPeerError
 
-
-def path(peer, routers, landmark):
-    return RouterPath.from_routers(peer, landmark, routers)
+from ..oracle import path
 
 
 LANDMARKS = [("lmA", "lmA"), ("lmB", "lmB"), ("lmC", "lmC"), ("lmD", "lmD")]

@@ -22,14 +22,9 @@ from repro.core import (
     SnapshotPublisher,
 )
 from repro.core.management_server import STATE_SNAPSHOT_VERSION
-from repro.core.path import RouterPath
 from repro.exceptions import StateSnapshotError, WireProtocolError
 
-
-def simple_path(peer, landmark, access="a1"):
-    return RouterPath.from_routers(
-        peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
-    )
+from ..oracle import simple_path
 
 
 def churned_server(maintain_cache=True):

@@ -35,7 +35,6 @@ import pytest
 
 from repro.core import DegradedResult, ManagementServer, ShardedManagementServer
 from repro.core.budget import DeadlineBudget
-from repro.core.path import RouterPath
 from repro.core.codec import encode_path
 from repro.core.remote import RecoveryPolicy, ShardRequestHandler, shard_factory_for
 from repro.core.socket_backend import (
@@ -52,11 +51,7 @@ from repro.core.socket_backend import (
 )
 from repro.exceptions import ShardUnavailableError, UnknownPeerError, WireProtocolError
 
-
-def simple_path(peer, landmark, access="a1"):
-    return RouterPath.from_routers(
-        peer, landmark, [f"{landmark}-{access}", f"{landmark}-core", landmark]
-    )
+from ..oracle import simple_path
 
 
 def seed_peers(*shards, landmark="lmA", count=4):

@@ -11,7 +11,8 @@ attachment, the interner table, the insert counters, ``ServerStats``,
 the membership generation and the change record.  Peers whose ``repr``
 collides make the newer-first tie rule observable; unary chains make
 deep trees; free node ids left by a tree that emptied must be reused in
-the same order.
+the same order.  Paths and branches are the oracle harness's
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -24,34 +25,14 @@ from hypothesis import strategies as st
 
 from repro import ManagementServer
 from repro.core import DiscoverySnapshot, SnapshotPublisher
-from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError
 
-from .test_path_index import Twin
+from ..oracle import Twin, branches, landmark_name, make_path, path
 
 #: Shared across examples: a peer's identity is what the rows must hold.
 TWINS = tuple(Twin(tag) for tag in range(3))
 NAMES = tuple(f"p{index}" for index in range(8))
-
-
-def landmark(index: int) -> str:
-    return f"lm{index}"
-
-
-def make_path(peer, landmark_index: int, branch) -> RouterPath:
-    """A path whose router names are their prefixes: one trie per landmark."""
-    name = landmark(landmark_index)
-    routers = [name]
-    for level, choice in enumerate(branch, start=1):
-        routers.append(f"{routers[-1]}/{level}.{choice}")
-    return RouterPath.from_routers(peer, name, routers[::-1])
-
-
-branches = st.one_of(
-    st.lists(st.integers(0, 2), max_size=5),
-    st.integers(1, 12).map(lambda depth: [0] * depth),  # a unary chain
-)
 
 
 @st.composite
@@ -61,7 +42,7 @@ def cases(draw):
     publish = draw(st.booleans())
     peers = NAMES if publish else TWINS + NAMES[:4]
     landmarks = draw(st.integers(1, 4))
-    spec = st.tuples(st.sampled_from(peers), st.integers(0, landmarks - 1), branches)
+    spec = st.tuples(st.sampled_from(peers), st.integers(0, landmarks - 1), branches(12))
     before = draw(st.lists(spec, max_size=6))
     if draw(st.booleans()):  # a cold batch: every tree empties first, no peer twice
         leavers = [peer for peer, _, _ in before]
@@ -82,7 +63,7 @@ def cases(draw):
 def build(landmarks: int, publish: bool):
     plane = ManagementServer(neighbor_set_size=3, maintain_cache=publish)
     for index in range(landmarks):
-        plane.register_landmark(landmark(index), landmark(index))
+        plane.register_landmark(landmark_name(index), landmark_name(index))
     return plane, SnapshotPublisher(plane) if publish else None
 
 
@@ -107,7 +88,7 @@ def loadable(plane, batch) -> bool:
     return (
         len(set(peers)) == len(peers)
         and not any(plane.has_peer(peer) for peer in peers)
-        and not any(plane.tree(landmark(index)).peer_count for _, index, _ in batch)
+        and not any(plane.tree(landmark_name(index)).peer_count for _, index, _ in batch)
     )
 
 
@@ -205,12 +186,12 @@ def test_a_load_builds_what_insert_builds(case):
 
 def test_colliding_reprs_load_newest_first():
     """Twins tied in ``(hops, repr)`` sit newest first in every row, as insert puts them."""
-    paths = [RouterPath.from_routers(twin, "lm", ["access", "pop", "lm"]) for twin in TWINS]
+    paths = [path(twin, ["access", "pop", "lm"]) for twin in TWINS]
     loaded = PathTree("lm", "lm")
     loaded.load(paths)
     inserted = PathTree("lm", "lm")
-    for path in paths:
-        inserted.insert(path)
+    for twin_path in paths:
+        inserted.insert(twin_path)
     for node in (loaded.root, loaded.attachment_node(TWINS[0])):
         assert [entry[2] for entry in node.row] == list(reversed(TWINS))
     assert_same_tree(loaded, inserted)
@@ -222,7 +203,7 @@ class TestInsertCalls:
     def populated(self):
         plane = ManagementServer(neighbor_set_size=3)
         for index in range(2):
-            plane.register_landmark(landmark(index), landmark(index))
+            plane.register_landmark(landmark_name(index), landmark_name(index))
         plane.register_peer(make_path("old", 0, [0]))
         return plane
 
@@ -245,7 +226,7 @@ class TestInsertCalls:
         calls = count_inserts(plane)
         plane.register_peers([make_path(f"p{i}", 1, [i % 3, 0]) for i in range(6)])
         assert calls[0] == 0
-        assert plane.tree(landmark(1)).peer_count == 6
+        assert plane.tree(landmark_name(1)).peer_count == 6
 
     def test_restore_makes_no_insert(self, monkeypatch):
         plane = self.populated()
@@ -276,7 +257,7 @@ class TestLoadRejects:
         for batch in (
             [make_path("p0", 0, [0]), make_path("p0", 0, [1])],
             [make_path("p0", 0, [0]), make_path("p1", 1, [1])],
-            [make_path("p0", 0, [0]), RouterPath.from_routers("p1", "lm0", ["a", "lmX"])],
+            [make_path("p0", 0, [0]), path("p1", ["a", "lmX"], "lm0")],
         ):
             with pytest.raises(RegistrationError):
                 tree.load(batch)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ManagementServer
+from repro.core import ConsistentHashRing, ManagementServer, ShardedManagementServer
+from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.path import RouterPath
 from repro.exceptions import ShardUnavailableError
 from repro.protocol import (
@@ -369,6 +370,37 @@ class TestTypedPlaneFailure:
         assert peer.stats.rounds_acked == 1
         assert host.is_live("p0") and peer.neighbors == ()
         assert host.stats.plane_failures == 1
+
+    def test_a_shard_that_fails_the_join_leaves_no_trace_and_the_retransmit_registers_once(
+        self, plane
+    ):
+        """The same rule on a real plane: 2 inline shards, and lmA's home
+        shard fails its first ``join_paths`` typed."""
+        engine, network, _server, _host, _senders = plane
+        shards = [ManagementServer(neighbor_set_size=3, maintain_cache=False) for _ in range(2)]
+        home = ConsistentHashRing(2).node_for("lmA")
+        shards[home] = ChaosShardBackend(shards[home], FaultPlan([Fault(1, "error", "join_paths")]))
+        sharded = ShardedManagementServer(2, neighbor_set_size=3, shard_factory=iter(shards).__next__)
+        sharded.register_landmark("lmA", "lmA")
+        host = ProtocolManagementHost(HOST, engine, network, sharded, ttl_ms=TTL_MS)
+        network.detach_host(HOST)
+        network.attach_host(HOST, 0, host)
+        network.detach_host("p0")
+        peer = BeaconingPeer("p0", engine, network, HOST, path_for("p0"), seed=1)
+        network.attach_host("p0", 5, peer)
+        peer.start()
+        engine.run(until=50.0)  # the first beacon's join failed on the home shard
+        assert shards[home].plan.fired == [(2, "error", "join_paths")]
+        assert host.stats.plane_failures == 1
+        assert host.stats.acks_sent == 0 and peer.stats.acks_received == 0
+        assert host.stats.peers_banned == 0 and not host.banned
+        assert host.last_heard("p0") is None and sharded.peers() == []
+        assert [shard.peers() for shard in shards] == [[], []]
+        engine.run(until=900.0)  # inside the first round's budget
+        assert peer.stats.retransmissions >= 1 and peer.stats.rounds_acked == 1
+        assert host.is_live("p0") and host.stats.plane_failures == 1
+        assert sharded.stats.registrations == 1 and sharded.peers() == ["p0"]
+        assert [shard.peers() for shard in shards] == [["p0"] if i == home else [] for i in range(2)]
 
     def test_failed_expiry_keeps_the_registration_for_the_next_sweep(self, flaky):
         engine, network, flaky_plane, host, _senders = flaky
