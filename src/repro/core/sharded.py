@@ -365,10 +365,12 @@ class ShardedManagementServer(ManagementPlaneBase):
         goes first, and merging the results by input index reproduces the
         single server's first-invalid-path-in-input-order error exactly.
         Membership is written only after every home shard acknowledged; a
-        shard failing mid-arrival makes the shards that acknowledged drop
-        their part again, so no shard holds a peer the coordinator does not
-        list.  Lists and cache updates then follow exactly like the single
-        server.
+        shard failing mid-arrival makes every shard asked so far drop its
+        part again, the failing one included (its reply may have been lost
+        after it applied the join).  A shard that cannot be reached for
+        that keeps its part until the caller re-registers the batch, which
+        replaces it.  Lists and cache updates then follow exactly like the
+        single server.
         """
         by_home: Dict[int, List[Tuple[int, RouterPath]]] = {}
         pending: Dict[PeerId, RouterPath] = {}
@@ -399,14 +401,19 @@ class ShardedManagementServer(ManagementPlaneBase):
         for path in pending.values():
             by_shard.setdefault(self._home_shard_index(path.landmark_id), []).append(path)
         local: Dict[PeerId, List[Tuple[PeerId, float]]] = {}
+        asked: List[int] = []
         try:
             for shard_index, shard_paths in by_shard.items():
+                asked.append(shard_index)  # a lost reply may follow an applied join
                 lists = self._shards[shard_index].join_paths(shard_paths, self.neighbor_set_size)
                 local.update(zip((path.peer_id for path in shard_paths), lists))
         except ShardUnavailableError:
-            for peer_id in local:  # joined on a shard that acknowledged
-                home = self._home_shard_index(pending[peer_id].landmark_id)
-                self._shards[home].unregister_peer(peer_id)
+            for shard_index in asked:
+                for path in by_shard[shard_index]:
+                    try:
+                        self._shards[shard_index].unregister_peer(path.peer_id)
+                    except (UnknownPeerError, ShardUnavailableError):
+                        pass  # never joined there, or unreachable until a retry
             raise
 
         for path in paths:

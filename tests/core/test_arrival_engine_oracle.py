@@ -185,7 +185,7 @@ class ReferencePlane:
 def run_oracle_case(backend: str, case) -> None:
     """Every op on the plane and the reference: same outcomes, same cache."""
     shard_count = None if backend == "single" else case.shard_count
-    plane = build_plane(backend, shard_count, *case[1:-1])
+    plane = build_plane(shard_count, *case[1:-1], backend=backend)
     reference = ReferencePlane(
         case.k, landmark_distances(case.landmark_count) if case.with_distances else None
     )

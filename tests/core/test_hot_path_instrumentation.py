@@ -50,7 +50,7 @@ def count_reprs(fn) -> int:
 
 @pytest.fixture()
 def server() -> ManagementServer:
-    server = build_plane("inline", None, 1, with_distances=False, k=4)
+    server = build_plane(None, 1, with_distances=False, k=4)
     server.register_peers([make_path(f"peer{i}", 0, (0, i % 7)) for i in range(40)])
     return server
 
@@ -100,14 +100,14 @@ class TestQueryPath:
     def test_tree_walk_query_is_repr_free(self):
         """The count-guided frontier walk sorts candidates on interned keys:
         even full cache-miss queries never call repr."""
-        server = build_plane("inline", None, 1, False, False, 4)
+        server = build_plane(None, 1, False, False, 4)
         server.register_peers([make_path(f"peer{i}", 0, (0, i % 7)) for i in range(40)])
         assert count_reprs(lambda: [server.closest_peers(f"peer{i}") for i in range(40)]) == 0
 
     def test_cross_landmark_fill_is_repr_free(self):
         """The lazily merged min-hop orderings are built from interned keys:
         a query that needs the cross-landmark fill stays repr-free."""
-        server = build_plane("inline", None, 2, k=4)
+        server = build_plane(None, 2, k=4)
         server.register_peers(
             [make_path("peer0", 0, (0, 0))]
             + [make_path(f"peer{10 + i}", 1, (0, i)) for i in range(6)]
@@ -119,7 +119,7 @@ class TestShardedPlane:
     def test_sharded_batch_interns_at_most_twice_per_peer(self):
         """Coordinator and home shard each own one interner: a fresh peer is
         interned at most twice, independent of k, list sizes, or shard count."""
-        server = build_plane("inline", 3, 2, with_distances=False, k=4)
+        server = build_plane(3, 2, with_distances=False, k=4)
         first = [make_path(f"peer{i}", 0, (0, i % 5)) for i in range(10)]
         second = [make_path(f"peer{50 + i}", 1, (0, i % 5)) for i in range(10)]
         server.register_peers(first)
@@ -149,7 +149,7 @@ class TestChangeTracking:
     def test_no_publisher_no_change_record(self, shards):
         """Tracking is off until a publisher attaches: churn, queries and
         cold queries on a bare plane never allocate a record or a set."""
-        plane = build_plane("inline", shards, 1, with_distances=False, k=4)
+        plane = build_plane(shards, 1, with_distances=False, k=4)
         plane.register_peers([make_path(f"peer{i}", 0, (0, i % 7)) for i in range(40)])
         for wave in range(3):
             churn_wave(plane, wave)

@@ -190,7 +190,7 @@ def test_colliding_reprs_never_compare_peers():
 @pytest.mark.parametrize("shard_count", [None, 2])
 def test_pickled_snapshot_answers_cold_queries(shard_count):
     """The path-child skip matches entries by identity: pickling keeps it."""
-    plane = build_plane("inline", shard_count, 2, with_distances=False)
+    plane = build_plane(shard_count, 2, with_distances=False)
     for index in range(40):
         plane.register_peer(make_path(f"p{index}", int(index % 3 == 0), (0, index % 3, index % 7)))
     clone = pickle.loads(pickle.dumps(DiscoverySnapshot.build(plane)))

@@ -13,7 +13,7 @@ from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError, UnknownPeerError
 from repro.workloads import synthetic_paths
 
-from ..oracle import make_path, path, random_trees
+from ..oracle import depth_first, make_path, path, populations, random_trees, tree_of
 
 
 def synthetic_tree(population: int) -> PathTree:
@@ -236,10 +236,11 @@ class TestClosestPeers:
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
-@given(tree=random_trees(12, 5))
-def test_property_tree_distance_symmetric_and_bounded(tree):
+@given(paths=populations(12, 1, depth_first(5)))
+def test_property_tree_distance_symmetric_and_bounded(paths):
+    tree = tree_of(paths)
+    hops = {router_path.peer_id: router_path.hop_count for router_path in paths}
     peers = tree.peers()
-    hops = {peer: tree.attachment_node(peer).depth + 1 for peer in peers}
     for i, peer_a in enumerate(peers):
         for peer_b in peers[i + 1 :]:
             forward = tree.tree_distance(peer_a, peer_b)

@@ -28,7 +28,7 @@ BETWEEN = landmark_distances(2)[("lm0", "lm1")]
 
 
 def build_server(paths, neighbor_set_size=3):
-    server = build_plane("inline", None, 2, k=neighbor_set_size)
+    server = build_plane(None, 2, k=neighbor_set_size)
     for path in paths:
         server.register_peer(path)
     return server

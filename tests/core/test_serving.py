@@ -58,7 +58,7 @@ class TestSnapshotByteIdentity:
         )
     )
     def test_snapshot_matches_live_plane(self, case):
-        plane = build_plane("inline", *case[:-1])
+        plane = build_plane(*case[:-1])
         try:
             for op in case.ops:
                 apply_op(plane, op)
@@ -72,7 +72,7 @@ class TestSnapshotByteIdentity:
     def test_churned_plane_snapshot_is_byte_identical(self, shard_count):
         """A fixed long churn history, including departures that gap the
         compact-index space — the case a re-interning restore would break."""
-        plane = build_plane("inline", shard_count, 3)
+        plane = build_plane(shard_count, 3)
         try:
             rng = random.Random(77)
             for _ in range(160):
@@ -86,7 +86,7 @@ class TestSnapshotByteIdentity:
         """A build only reads the plane: its interner and its change record
         are what they were, even on a cache-less coordinator, whose interner
         holds none of the peers its shards keep."""
-        plane = build_plane("inline", shard_count, 2, True, shard_count is None, 3)
+        plane = build_plane(shard_count, 2, True, shard_count is None, 3)
         try:
             record = plane.track_changes()
             plane.register_peers(
@@ -111,7 +111,7 @@ class TestSnapshotByteIdentity:
         fresh build of the same plane and a restored copy (paths replayed
         into new tries, so the nodes are renumbered) all compare equal, as
         the ``__eq__`` contract says."""
-        plane = build_plane("inline", None, 2)
+        plane = build_plane(None, 2)
         for i in range(24):
             apply_op(plane, ("arrive", i, i % 2, (0, i % 3, i % 2, 0)))
         publisher = SnapshotPublisher(plane)
@@ -143,7 +143,7 @@ class TestSnapshotByteIdentity:
         assert patched != DiscoverySnapshot.build(plane)
 
     def test_snapshot_is_picklable_plain_data(self):
-        plane = build_plane("inline", 2, 2)
+        plane = build_plane(2, 2)
         for i in range(8):
             apply_op(plane, ("arrive", i, i % 2, (0, i % 3, 0, i % 4)))
         snapshot = DiscoverySnapshot.build(plane, generation=3)
@@ -157,7 +157,7 @@ class TestSnapshotByteIdentity:
         """Content equality with identity hashing put equal snapshots in
         different set buckets (``b in {a}`` was False although ``a == b``);
         a snapshot has no hash instead."""
-        plane = build_plane("inline", None, 2)
+        plane = build_plane(None, 2)
         for i in range(6):
             apply_op(plane, ("arrive", i, i % 2, (0, i % 3, 0, 0)))
         first, second = DiscoverySnapshot.build(plane), DiscoverySnapshot.build(plane)
@@ -168,7 +168,7 @@ class TestSnapshotByteIdentity:
 
 class TestPublisher:
     def test_publish_bumps_generation_and_swaps_atomically(self):
-        plane = build_plane("inline", None, 1, False)
+        plane = build_plane(None, 1, False)
         publisher = SnapshotPublisher(plane)
         first = publisher.snapshot
         assert first.generation == 1
@@ -179,7 +179,7 @@ class TestPublisher:
         assert "p0" not in first.peers() and "p0" in second.peers()
 
     def test_no_op_epochs_compare_equal(self):
-        plane = build_plane("inline", None, 2)
+        plane = build_plane(None, 2)
         for i in range(5):
             apply_op(plane, ("arrive", i, i % 2, (0, i, 0, 0)))
         publisher = SnapshotPublisher(plane)
@@ -191,7 +191,7 @@ class TestPublisher:
         assert publisher.publish() != before
 
     def test_reader_pin_is_stable_across_publishes(self):
-        plane = build_plane("inline", None, 1, False)
+        plane = build_plane(None, 1, False)
         publisher = SnapshotPublisher(plane)
         reader = SnapshotReader(publisher)
         publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
@@ -205,7 +205,7 @@ class TestPublisher:
         assert len(reader.pin().peers()) == 6
 
     def test_reader_over_fixed_snapshot(self):
-        plane = build_plane("inline", None, 1, False)
+        plane = build_plane(None, 1, False)
         apply_op(plane, ("arrive", 0, 0, (0, 0, 0, 0)))
         snapshot = DiscoverySnapshot.build(plane, generation=9)
         reader = SnapshotReader(snapshot)
@@ -267,7 +267,7 @@ class TestPatchedEpochs:
         )
     )
     def test_patched_snapshot_equals_fresh_build_and_live_plane(self, case):
-        plane = build_plane("inline", *case[:-1])
+        plane = build_plane(*case[:-1])
         try:
             base_population(plane, case.landmark_count)
             publisher = SnapshotPublisher(plane)
@@ -282,7 +282,7 @@ class TestPatchedEpochs:
     @pytest.mark.parametrize("shard_count", [None, 1, 2, 4, 8])
     def test_long_churn_is_published_as_patches(self, shard_count):
         rng = random.Random(4242)
-        plane = build_plane("inline", shard_count, 3)
+        plane = build_plane(shard_count, 3)
         try:
             base_population(plane, 3)
             publisher = SnapshotPublisher(plane)
@@ -307,7 +307,7 @@ class TestPatchedEpochs:
             plane.close()
 
     def test_consecutive_epochs_share_what_did_not_change(self):
-        plane = build_plane("inline", None, 3)
+        plane = build_plane(None, 3)
         base_population(plane, 3)
         publisher = SnapshotPublisher(plane)
         before = publisher.snapshot
@@ -330,7 +330,7 @@ class TestPatchedEpochs:
         assert 0 < len(rewritten) <= 2 * 5  # two five-router root paths
 
     def test_pinned_epoch_is_untouched_by_later_patches(self):
-        plane = build_plane("inline", 2, 3)
+        plane = build_plane(2, 3)
         try:
             base_population(plane, 3)
             publisher = SnapshotPublisher(plane)
@@ -365,7 +365,7 @@ class TestPatchedEpochs:
         ["restore_state", "new_landmark", "landmark_distance", "outgrown_record", "second_consumer"],
     )
     def test_what_the_record_cannot_describe_rebuilds_whole(self, trigger):
-        plane = build_plane("inline", None, 2)
+        plane = build_plane(None, 2)
         base_population(plane, 2)
         publisher = SnapshotPublisher(plane)
         publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
@@ -399,7 +399,7 @@ class TestPatchedEpochs:
     @pytest.mark.parametrize("backend", ["process", "socket"])
     def test_remote_shards_rebuild_whole_every_epoch(self, backend):
         """A remote shard's ``tree()`` is a fresh export: nothing to record."""
-        plane = build_plane(backend, 2, 3)
+        plane = build_plane(2, 3, backend=backend)
         try:
             base_population(plane, 3)
             publisher = SnapshotPublisher(plane)
@@ -433,7 +433,7 @@ class TestMidEpochConsistency:
 
     def _reference_answers(self) -> Dict[int, List[Tuple[str, float]]]:
         """The witness's answer over everyone, per generation, on a fresh replay."""
-        reference = build_plane("inline", None, 2)
+        reference = build_plane(None, 2)
         reference.register_peer(make_path("w", 0, (0, 2, 2, 3)))
         reference.set_landmark_distance("lm0", "lm1", 10.0)
         answers = {1: reference.closest_peers("w", self.EPOCHS + 1)}
@@ -445,7 +445,7 @@ class TestMidEpochConsistency:
 
     @pytest.mark.parametrize("shard_count", [None, 1, 2, 4, 8])
     def test_concurrent_readers_see_single_generations(self, shard_count):
-        plane = build_plane("inline", shard_count, 2)
+        plane = build_plane(shard_count, 2)
         plane.register_peer(make_path("w", 0, (0, 2, 2, 3)))
         plane.set_landmark_distance("lm0", "lm1", 10.0)
         publisher = SnapshotPublisher(plane)
@@ -502,7 +502,7 @@ class TestMidEpochConsistency:
         implies exactly one ``e`` peer, first in the witness's cached list
         and first in its cold trie walk; a reader that mixed one epoch's slot
         arrays with another's trie rows would see the wrong peer or none."""
-        plane = build_plane("inline", 2, 2)
+        plane = build_plane(2, 2)
         base_population(plane, 2)
         plane.register_peer(make_path("w", 0, (0, 0, 0, 9)))
         publisher = SnapshotPublisher(plane)
@@ -564,7 +564,7 @@ class TestMidEpochConsistency:
 
     def test_published_epochs_match_reference_replay(self):
         """Every retained epoch is byte-identical to a fresh replay of it."""
-        plane = build_plane("inline", 2, 2)
+        plane = build_plane(2, 2)
         plane.set_landmark_distance("lm0", "lm1", 10.0)
         publisher = SnapshotPublisher(plane)
         retained: Dict[int, DiscoverySnapshot] = {publisher.snapshot.generation: publisher.snapshot}
@@ -575,7 +575,7 @@ class TestMidEpochConsistency:
             retained[published.generation] = published
         plane.close()
 
-        reference = build_plane("inline", None, 2)
+        reference = build_plane(None, 2)
         reference.set_landmark_distance("lm0", "lm1", 10.0)
         for generation in sorted(retained):
             epoch = generation - 1

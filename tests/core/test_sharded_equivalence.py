@@ -58,6 +58,7 @@ from ..oracle import (
     build_plane,
     cases,
     make_path,
+    ops,
     random_op,
     reference_for,
 )
@@ -103,8 +104,8 @@ class TestEquivalenceOracle:
             )
         )
         def check(case):
-            single = build_plane(backend, None, *case[1:-1])
-            sharded = build_plane(backend, *case[:-1])
+            single = build_plane(None, *case[1:-1])
+            sharded = build_plane(*case[:-1], backend=backend)
             try:
                 for op in case.ops:
                     assert apply_op(sharded, op) == apply_op(single, op), op
@@ -130,20 +131,15 @@ class TestBoundedFill:
 
     @settings(deadline=None)
     @given(
-        case=cases(
-            MAX_LANDMARKS,
-            min_landmarks=2,
-            shard_counts=st.integers(1, 4),
-            peers=MAX_PEERS,
-            kinds=("arrive",),
-            max_ops=MAX_PEERS,
-        ),
+        landmark_count=st.integers(2, MAX_LANDMARKS),
+        shard_count=st.integers(1, 4),
         data=st.data(),
     )
-    def test_a_bounded_fill_matches_the_single_server(self, case, data):
-        k = data.draw(st.integers(1, len(case.ops) + 2))
-        single = build_plane("inline", None, case.landmark_count, True, False, k)
-        sharded = build_plane("inline", case.shard_count, case.landmark_count, True, False, k)
+    def test_a_bounded_fill_matches_the_single_server(self, landmark_count, shard_count, data):
+        arrivals = data.draw(ops(MAX_PEERS, landmark_count, ("arrive",), max_ops=MAX_PEERS))
+        k = data.draw(st.integers(1, len(arrivals) + 2))
+        single = build_plane(None, landmark_count, True, False, k)
+        sharded = build_plane(shard_count, landmark_count, True, False, k)
         replies = []
 
         def recording(fill):
@@ -157,7 +153,7 @@ class TestBoundedFill:
         for shard in sharded.shards:
             shard.fill_candidates = recording(shard.fill_candidates)
         with sharded:
-            for op in case.ops:
+            for op in arrivals:
                 assert apply_op(sharded, op) == apply_op(single, op), op
             for peer in single.peers():
                 for wanted in (1, k, single.peer_count + 1):
@@ -171,8 +167,8 @@ class TestEquivalenceAcceptance:
     @pytest.mark.parametrize("shard_count", [1, 2, 4, 8])
     @pytest.mark.parametrize("with_distances", [True, False])
     def test_long_interleaved_workload(self, backend, shard_count, with_distances):
-        single = build_plane(backend, None, 4, with_distances)
-        sharded = build_plane(backend, shard_count, 4, with_distances)
+        single = build_plane(None, 4, with_distances)
+        sharded = build_plane(shard_count, 4, with_distances, backend=backend)
         try:
             rng = random.Random(20_000 + shard_count)
             for step in range(400):
@@ -191,19 +187,21 @@ class TestEquivalenceAcceptance:
 
 
 class TestTypedFailure:
-    def test_a_batch_that_fails_on_a_later_shard_leaves_no_phantom(self):
+    @pytest.mark.parametrize("kind", ["error", "drop_reply"])
+    def test_a_batch_that_fails_on_a_later_shard_leaves_no_phantom(self, kind):
         """Shard 1 fails the batch's second ``join_paths`` typed, after shard 0
-        acknowledged its half: shard 0 drops that half again, so every shard
-        holds exactly the peers the coordinator lists and a newcomer's list
-        names no peer of the failed batch."""
+        acknowledged its half: both shards drop their half again (with
+        ``drop_reply`` shard 1 had applied it), so every shard holds exactly
+        the peers the coordinator lists and a newcomer's list names no peer
+        of the failed batch."""
         shards = [ManagementServer(neighbor_set_size=3, maintain_cache=False) for _ in range(2)]
-        shards[1] = ChaosShardBackend(shards[1], FaultPlan([Fault(1, "error", "join_paths")]))
+        shards[1] = ChaosShardBackend(shards[1], FaultPlan([Fault(1, kind, "join_paths")]))
         plane = ShardedManagementServer(2, neighbor_set_size=3, shard_factory=iter(shards).__next__)
         for landmark in ("lm0", "lm2"):  # on shard 0 and on shard 1
             plane.register_landmark(landmark, landmark)
         plane.register_peer(make_path("x0", 0, (0, 0, 0, 0)))
         batch = [make_path("n0", 0, (0, 0, 0, 0)), make_path("n1", 2, (0, 0, 0, 0))]
-        with pytest.raises(ShardUnavailableError, match="scripted error"):
+        with pytest.raises(ShardUnavailableError):
             plane.register_peers(batch)
         reference = reference_for(plane)
         assert plane.peers() == ["x0"]
@@ -247,8 +245,8 @@ class TestChaosAcceptance:
 
         monkeypatch.setattr(SocketShardSupervisor, "_establish_transport", counting)
         backend = "socket-chaos" if transport == "socket" else "chaos"
-        single = build_plane(backend, None, 4)
-        sharded = build_plane(backend, shard_count, 4)
+        single = build_plane(None, 4)
+        sharded = build_plane(shard_count, 4, backend=backend)
         try:
             rng = random.Random(31_000 + shard_count)
             for step in range(220):

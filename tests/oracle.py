@@ -10,8 +10,8 @@ one vocabulary:
   ``(region, pop, access)`` is ``branch = (0, region, pop, access)``.
   :func:`path` builds a path from explicit routers.
 * **One plane builder.** :func:`build_plane` makes the single server
-  (``shard_count=None``) or a sharded coordinator over any shard backend:
-  ``inline``, ``process``, ``socket``, ``chaos`` (process shards on the
+  (``shard_count=None``) or a sharded coordinator over any shard
+  ``backend``: ``inline`` (the default), ``process``, ``socket``, ``chaos`` (process shards on the
   :data:`CHAOS_FAULTS` crash plan) or ``socket-chaos`` (socket shards on
   :data:`SOCKET_CHAOS_FAULTS`).
 * **One op vocabulary.** :func:`apply_op` applies ``arrive``, ``batch``,
@@ -161,17 +161,18 @@ def chaos_shard_factory(k: int, transport: str = "process"):
 
 
 def build_plane(
-    backend: str,
     shard_count: Optional[int],
     landmark_count: int,
     with_distances: bool = True,
     maintain_cache: bool = True,
     k: int = 3,
+    backend: str = "inline",
 ):
     """A plane with landmarks ``lm0 .. lm<landmark_count - 1>`` registered.
 
     ``shard_count=None`` builds the single :class:`ManagementServer`;
     otherwise a :class:`ShardedManagementServer` over ``backend`` shards.
+    The arguments before ``backend`` are a :class:`Case`'s, in its order.
     A chaos plane reads with ``degraded_reads`` off: the oracle demands
     byte-identity, so a failure recovery cannot heal must fail loud, never
     be papered over by a best-effort degraded answer.
@@ -220,9 +221,15 @@ def reference_for(plane) -> ManagementServer:
 
 
 def outcome(call, *args):
-    """``call(*args)`` as a value: ``("ok", result)`` or the error's type and text."""
+    """``call(*args)`` as a value: ``("ok", result)`` or the error's type and text.
+
+    An ``AssertionError`` is a harness bug (an unknown op kind), never an
+    outcome, so it propagates.
+    """
     try:
         return ("ok", call(*args))
+    except AssertionError:
+        raise
     except Exception as error:  # noqa: BLE001 - errors are part of the contract
         return ("error", type(error).__name__, str(error))
 
@@ -312,7 +319,6 @@ class Case(NamedTuple):
 def cases(
     draw,
     max_landmarks: int,
-    min_landmarks: int = 1,
     shard_counts=st.integers(1, 8),
     caches=st.booleans(),
     unknown_landmark: bool = False,
@@ -323,7 +329,7 @@ def cases(
     ``unknown_landmark`` lets ops name ``lm<landmark_count>``, which is
     never registered; ``op_options`` go to :func:`ops`.
     """
-    landmark_count = draw(st.integers(min_landmarks, max_landmarks))
+    landmark_count = draw(st.integers(1, max_landmarks))
     return Case(
         draw(shard_counts),
         landmark_count,
@@ -392,16 +398,26 @@ def populations(draw, max_peers: int, landmarks: int, branch) -> List[RouterPath
     ]
 
 
+def depth_first(max_depth: int):
+    """Branches of 1..``max_depth`` routers, four routers per level."""
+    return st.integers(1, max_depth).flatmap(
+        lambda depth: st.lists(st.integers(0, 3), min_size=depth, max_size=depth)
+    )
+
+
+def tree_of(paths: Sequence[RouterPath]) -> PathTree:
+    """One ``lm0`` trie holding ``paths``."""
+    tree = PathTree(landmark_id=landmark_name(0), landmark_router=landmark_name(0))
+    for router_path in paths:
+        tree.insert(router_path)
+    return tree
+
+
 @st.composite
 def random_trees(draw, max_peers: int, max_depth: int, churn: bool = False) -> PathTree:
     """One ``lm0`` trie over a population of 1..``max_depth``-router paths
     with four routers per level; with ``churn`` up to half the peers leave."""
-    depth_first = st.integers(1, max_depth).flatmap(
-        lambda depth: st.lists(st.integers(0, 3), min_size=depth, max_size=depth)
-    )
-    tree = PathTree(landmark_id=landmark_name(0), landmark_router=landmark_name(0))
-    for router_path in draw(populations(max_peers, 1, depth_first)):
-        tree.insert(router_path)
+    tree = tree_of(draw(populations(max_peers, 1, depth_first(max_depth))))
     for _ in range(draw(st.integers(0, tree.peer_count // 2)) if churn else 0):
         victims = tree.peers()
         tree.remove(victims[draw(st.integers(0, len(victims) - 1))])
