@@ -20,7 +20,7 @@ from .path import (
     tree_distance,
 )
 from .interning import PeerKeyInterner
-from .path_tree import PathTree, PathTreeNode
+from .path_tree import PathTree
 from .management_plane import ChangeRecord, DegradedResult, PlaneHealth, ShardHealth
 from .management_server import ManagementServer, NeighborEntry, ServerStats
 from .neighbor_cache import NeighborCache
@@ -53,7 +53,6 @@ __all__ = [
     "shared_suffix_length",
     "tree_distance",
     "PathTree",
-    "PathTreeNode",
     "PeerKeyInterner",
     "ManagementServer",
     "NeighborCache",

@@ -482,9 +482,9 @@ class ManagementPlaneBase:
         pairs use the landmark-detour estimate (requires landmark distances),
         and unknown cross-landmark distances raise :class:`LandmarkError`.
         """
+        landmark_a = self.peer_landmark(peer_a)
         if peer_a == peer_b:
             return 0.0
-        landmark_a = self.peer_landmark(peer_a)
         landmark_b = self.peer_landmark(peer_b)
         if landmark_a == landmark_b:
             return self._same_landmark_distance(landmark_a, peer_a, peer_b)

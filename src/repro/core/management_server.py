@@ -338,13 +338,13 @@ class ManagementServer(ManagementPlaneBase):
                 f"peer {path.peer_id!r} reported a path to unknown landmark "
                 f"{path.landmark_id!r}"
             )
-        root = self._trees[path.landmark_id].root
+        routers = self._trees[path.landmark_id].routers
         landmark_side = path.routers[-1]
-        if root is not None and root.router != landmark_side:
+        if routers and routers[0] != landmark_side:
             raise RegistrationError(
                 f"path of peer {path.peer_id!r} ends at router {landmark_side!r}, "
                 f"but the tree of landmark {path.landmark_id!r} is rooted at "
-                f"{root.router!r}"
+                f"{routers[0]!r}"
             )
 
     def first_rejected_path(
@@ -452,7 +452,7 @@ class ManagementServer(ManagementPlaneBase):
         """
         return fill_in_rows(
             [
-                (self._hops_ordering(landmark_id), float(base))
+                (self._trees[landmark_id].rows[0], float(base))
                 for landmark_id, base in bases.items()
                 if landmark_id in self._trees
             ],
@@ -588,10 +588,6 @@ class ManagementServer(ManagementPlaneBase):
 
     def _live_trees(self) -> Dict[LandmarkId, PathTree]:
         return self._trees
-
-    def _hops_ordering(self, landmark_id: LandmarkId) -> List[Tuple[int, str, PeerId]]:
-        """The landmark's min-hop peer ordering: the row of its trie's root."""
-        return self._trees[landmark_id].root.row  # type: ignore[union-attr]
 
     def _compute_neighbors(self, peer_id: PeerId, k: Optional[int] = None) -> List[Tuple[PeerId, float]]:
         """A peer's closest peers from its tree (plus cross-landmark fill)."""

@@ -9,8 +9,9 @@ inferred distance is::
     dtree(p1, p2) = hops(p1 -> branch) + hops(branch -> p2)
 
 The tree is implemented as a trie over the reversed paths (landmark first).
-Each trie node corresponds to one router on at least one reported path and
-knows its depth (hops from the landmark) and the peers at or below it.
+Each trie node corresponds to one router on at least one reported path; its
+depth (hops from the landmark) and the peers at or below it are entries of
+the tree's node columns (see "Stable node ids" below).
 
 The sorted per-node index
 -------------------------
@@ -19,8 +20,8 @@ the peers at or below it, sorted.  A peer has one entry tuple, shared by the
 rows of the ``depth + 1`` nodes on its root path; ``sort_text`` is the
 ``repr(peer_id)`` the plane's :class:`~repro.core.interning.PeerKeyInterner`
 computed once.  The row is the node's whole peer bookkeeping: the peers
-attached at the router itself are its lowest hop value
-(:meth:`PathTreeNode.attached`), ``len(row)`` is the subtree's population,
+attached at the router itself are its lowest hop value (``depth + 1``),
+``len(row)`` is the subtree's population,
 and the root's row is the landmark's min-hop ordering that cross-landmark
 fills merge (:func:`fill_in_rows`).
 
@@ -64,16 +65,22 @@ restore; any other batch, and every single join, inserts path by path.
 
 Stable node ids
 ---------------
-Every node carries an ``index`` that is its position in the tree's
-node-by-index list: the root is node ``0``, a new node takes the most
-recently freed id (or the next unused one), and a pruned node leaves a hole
-until its id is reused.  Ids therefore survive churn elsewhere in the tree,
-which is what lets the serving plane (:mod:`repro.core.serving`) keep one
-frozen row per node id and refreeze only the rows a mutation touched: while
+A :class:`PathTree` is its node columns, parallel lists indexed by node id:
+``routers``, ``parent`` (the parent's id, ``-1`` at the root), ``depth``,
+``rows`` and ``children`` (router -> child id; one shared empty mapping
+until a node gets its first child).  The root is node ``0``, a new node
+takes the most recently freed id (or the next unused one), and a pruned node
+leaves a hole until its id is reused: ``None`` router, parent and depth
+``-1``, an empty row and no children.  A peer is attached to a node id.  Ids
+therefore survive churn elsewhere in the tree, which is what lets the
+serving plane (:mod:`repro.core.serving`) freeze the same columns into
+tuples and refreeze only the rows a mutation touched: while
 :attr:`PathTree.dirty` is a set, :meth:`PathTree.insert` and
 :meth:`PathTree.remove` add the ids on the touched root path (pruned ids
 included) to it.  It is ``None`` — one ``is None`` test per insert/remove —
-unless a plane is recording changes for a snapshot publisher.
+unless a plane is recording changes for a snapshot publisher.  One walk,
+:func:`closest_from`, reads a query off ``parent`` and ``rows``, the live
+lists or their frozen tuples alike.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ _BY_SORT_TEXT = itemgetter(1)
 _BY_HOPS_AND_SORT_TEXT = itemgetter(0, 1)
 _EXHAUSTED = float("inf")
 #: ``children`` of a node that has none; a dict is allocated on the first child.
-_NO_CHILDREN: Mapping[NodeId, "PathTreeNode"] = MappingProxyType({})
+_NO_CHILDREN: Mapping[NodeId, int] = MappingProxyType({})
 
 
 def closest_in_rows(
@@ -195,6 +202,26 @@ def closest_in_rows(
     return found, visits
 
 
+def closest_from(
+    parent: Sequence[int],
+    rows: Sequence[Sequence[Entry]],
+    origin: int,
+    k: int,
+    excluded: Collection[PeerId],
+) -> Tuple[List[Tuple[PeerId, int]], int]:
+    """:func:`closest_in_rows` over the chain from node ``origin`` to the root.
+
+    ``parent`` and ``rows`` are a trie's node columns, the live tree's lists
+    or a snapshot's tuples alike.  The chain has one row per router, so its
+    length is the origin's depth + 1: the hop value of a peer attached there.
+    """
+    chain = []
+    while origin >= 0:
+        chain.append(rows[origin])
+        origin = parent[origin]
+    return closest_in_rows(chain, len(chain), k, excluded)
+
+
 def fill_in_rows(
     orderings: Iterable[Tuple[Sequence[Entry], float]], limit: int
 ) -> List[Tuple[float, str, PeerId]]:
@@ -219,57 +246,12 @@ def fill_in_rows(
     return list(islice(merge(*[shifted(row, base) for row, base in orderings]), limit))
 
 
-class PathTreeNode:
-    """One router on the landmark-rooted path tree.
-
-    ``row`` is the sorted ``(hop_count, sort_text, peer)`` index of the peers
-    at or below this router (see the module doc); ``children`` is a shared
-    empty mapping until the first child arrives.
-    """
-
-    __slots__ = ("router", "depth", "parent", "index", "children", "row")
-
-    def __init__(
-        self,
-        router: NodeId,
-        depth: int,
-        parent: Optional["PathTreeNode"] = None,
-        index: int = 0,
-    ) -> None:
-        self.router = router
-        self.depth = depth
-        self.parent = parent
-        #: Position in the owning tree's node-by-index list (root = 0).
-        self.index = index
-        self.children: Mapping[NodeId, "PathTreeNode"] = _NO_CHILDREN
-        self.row: List[Entry] = []
-
-    def child(self, router: NodeId) -> Optional["PathTreeNode"]:
-        """Return the child trie node for ``router`` if it exists."""
-        return self.children.get(router)
-
-    def attached(self) -> List[PeerId]:
-        """The peers attached at this exact router: the row's own-hop range."""
-        row = self.row
-        return [entry[2] for entry in row[: bisect_left(row, (self.depth + 2,))]]
-
-    def iter_subtree(self) -> Iterator["PathTreeNode"]:
-        """Depth-first iteration over this node and all its descendants."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
-
-    def __repr__(self) -> str:
-        return (
-            f"PathTreeNode(router={self.router!r}, depth={self.depth}, "
-            f"peers={len(self.attached())}, subtree={len(self.row)})"
-        )
-
-
 class PathTree:
     """The set of reported paths towards one landmark, organised as a trie.
+
+    Its nodes are the columns ``routers``, ``parent``, ``depth``, ``rows``
+    and ``children``, indexed by node id (see "Stable node ids" in the
+    module doc).  Callers read them; only the tree writes them.
 
     Parameters
     ----------
@@ -294,21 +276,20 @@ class PathTree:
     ) -> None:
         self.landmark_id = landmark_id
         self._interner = interner if interner is not None else PeerKeyInterner()
-        self._root: Optional[PathTreeNode] = None
-        #: Node-by-index list (``None`` marks a pruned id awaiting reuse).
-        self._nodes: List[Optional[PathTreeNode]] = []
+        self.routers: List[Optional[NodeId]] = []
+        self.parent: List[int] = []
+        self.depth: List[int] = []
+        self.rows: List[List[Entry]] = []
+        self.children: List[Mapping[NodeId, int]] = []
         self._free_ids: List[int] = []
         #: Node ids touched since the owning plane last drained its change
         #: record, or ``None`` while nothing records (see the module doc).
         self.dirty: Optional[Set[int]] = None
-        self._router_count = 0
-        self._depth_counts: Dict[int, int] = {}
-        self._max_depth = 0
         if landmark_router is not None:
-            self._root = self._add_node(landmark_router, 0, None)
-        #: The tree's one registry: peer -> the node it is attached to.  A
+            self._add_node(landmark_router, -1)
+        #: The tree's one registry: peer -> the node id it is attached to.  A
         #: peer's hop count is that node's depth + 1, so no path is kept.
-        self._attachment: Dict[PeerId, PathTreeNode] = {}
+        self._attachment: Dict[PeerId, int] = {}
         #: Index ranges examined plus row entries scanned by the most recent
         #: :meth:`closest_peers` call.
         self.last_query_visits: int = 0
@@ -326,19 +307,14 @@ class PathTree:
     # ------------------------------------------------------------------ state
 
     @property
-    def root(self) -> Optional[PathTreeNode]:
-        """The trie root (landmark-side router), or None if still empty."""
-        return self._root
-
-    @property
     def peer_count(self) -> int:
         """Number of peers currently registered in this tree."""
         return len(self._attachment)
 
     @property
     def router_count(self) -> int:
-        """Number of distinct routers present in the tree (O(1), incremental)."""
-        return self._router_count
+        """Number of distinct routers present in the tree: the live ids."""
+        return len(self.routers) - len(self._free_ids)
 
     def peers(self) -> List[PeerId]:
         """All registered peer identifiers."""
@@ -348,60 +324,50 @@ class PathTree:
         """True if ``peer_id`` is registered in this tree."""
         return peer_id in self._attachment
 
-    def attachment_node(self, peer_id: PeerId) -> PathTreeNode:
-        """The trie node (access router) the peer is attached to."""
+    def attachment_node(self, peer_id: PeerId) -> int:
+        """The id of the node (access router) the peer is attached to."""
         if peer_id not in self._attachment:
             raise UnknownPeerError(peer_id)
         return self._attachment[peer_id]
 
-    def node_table(self) -> List[Optional[PathTreeNode]]:
-        """The node-by-index list (``None`` = free id); read-only for callers."""
-        return self._nodes
-
-    def max_depth(self) -> int:
-        """Deepest router depth in the tree (0 for an empty/one-node tree).
-
-        Maintained incrementally from a depth histogram, so reading it is
-        O(1) instead of a full-subtree scan.
-        """
-        return self._max_depth
-
     # ------------------------------------------------- structural bookkeeping
 
-    def _add_node(
-        self, router: NodeId, depth: int, parent: Optional[PathTreeNode]
-    ) -> PathTreeNode:
-        """Create a node under the next free id and count it."""
+    def _add_node(self, router: NodeId, parent: int) -> int:
+        """Create a node under the next free id and hang it under ``parent``."""
+        depth = self.depth[parent] + 1 if parent >= 0 else 0
         if self._free_ids:
-            index = self._free_ids.pop()
-            node = self._nodes[index] = PathTreeNode(router, depth, parent, index)
+            node = self._free_ids.pop()  # its row is empty, it has no child
+            self.routers[node] = router
+            self.parent[node] = parent
+            self.depth[node] = depth
         else:
-            node = PathTreeNode(router, depth, parent, len(self._nodes))
-            self._nodes.append(node)
-        self._router_count += 1
-        self._depth_counts[depth] = self._depth_counts.get(depth, 0) + 1
-        if depth > self._max_depth:
-            self._max_depth = depth
+            node = len(self.routers)
+            self.routers.append(router)
+            self.parent.append(parent)
+            self.depth.append(depth)
+            self.rows.append([])
+            self.children.append(_NO_CHILDREN)
+        if parent >= 0:
+            children = self.children[parent]
+            if not children:
+                children = self.children[parent] = {}
+            children[router] = node  # type: ignore[index]
         return node
 
-    def _node_removed(self, node: PathTreeNode) -> None:
-        """Free a pruned node's id and uncount it."""
-        self._nodes[node.index] = None
-        self._free_ids.append(node.index)
-        depth = node.depth
-        self._router_count -= 1
-        remaining = self._depth_counts[depth] - 1
-        if remaining:
-            self._depth_counts[depth] = remaining
-        else:
-            del self._depth_counts[depth]
-            while self._max_depth > 0 and self._max_depth not in self._depth_counts:
-                self._max_depth -= 1
+    def _prune(self, node: int, parent: int) -> None:
+        """Unhang an emptied node from ``parent`` and free its id."""
+        children = self.children[parent]
+        del children[self.routers[node]]  # type: ignore[attr-defined]
+        if not children:
+            self.children[parent] = _NO_CHILDREN
+        self.routers[node] = None
+        self.parent[node] = self.depth[node] = -1
+        self._free_ids.append(node)
 
     # ----------------------------------------------------------------- insert
 
-    def insert(self, path: RouterPath) -> PathTreeNode:
-        """Insert a peer's path; returns the node the peer got attached to.
+    def insert(self, path: RouterPath) -> int:
+        """Insert a peer's path; returns the id of the node it got attached to.
 
         One sorted-row insertion per router on the path (bounded by the
         network diameter, ~15–30 hops): O(log n) comparisons each plus the
@@ -415,25 +381,22 @@ class PathTree:
         length) bound the same way query benchmarks assert visit counts.
         """
         routers = path.routers
-        root = self._root
-        if path.landmark_id != self.landmark_id or (
-            root is not None and root.router != routers[-1]
-        ):
-            self._reject(path, None if root is None else root.router)
+        root = self.routers[0] if self.routers else None
+        if path.landmark_id != self.landmark_id or (root is not None and root != routers[-1]):
+            self._reject(path, root)
         if path.peer_id in self._attachment:
             self.remove(path.peer_id)
 
         created = 0
-        if self._root is None:
-            self._root = self._add_node(routers[-1], 0, None)
+        if root is None:
+            self._add_node(routers[-1], -1)
             created += 1
-        node = self._root
+        node = 0
+        children = self.children
         for router in routers[-2::-1]:  # landmark side first, root skipped
-            child = node.children.get(router)
+            child = children[node].get(router)
             if child is None:
-                if not node.children:
-                    node.children = {}
-                child = node.children[router] = self._add_node(router, node.depth + 1, node)  # type: ignore[index]
+                child = self._add_node(router, node)
                 created += 1
             node = child
 
@@ -443,13 +406,14 @@ class PathTree:
         key = (len(routers), self._interner.sort_text(path.peer_id))
         entry = (*key, path.peer_id)
         index = below = 0
-        current: Optional[PathTreeNode] = node
-        while current is not None:
-            row = current.row
+        rows, parent = self.rows, self.parent
+        current = node
+        while current >= 0:
+            row = rows[current]
             index = bisect_left(row, key, index, index + len(row) - below)
             below = len(row)
             row.insert(index, entry)
-            current = current.parent
+            current = parent[current]
         self._attachment[path.peer_id] = node
         if self.dirty is not None:
             self._mark_root_path(node)
@@ -477,8 +441,7 @@ class PathTree:
                 f"cannot load the tree of landmark {self.landmark_id!r}: "
                 f"it holds {len(self._attachment)} peers"
             )
-        root = self._root
-        root_router = paths[0].routers[-1] if root is None else root.router
+        root_router = self.routers[0] if self.routers else paths[0].routers[-1]
         for path in paths:
             if path.landmark_id != self.landmark_id or path.routers[-1] != root_router:
                 self._reject(path, root_router)
@@ -488,21 +451,19 @@ class PathTree:
             )
 
         created = before = touched = 0
-        if root is None:
-            root = self._root = self._add_node(root_router, 0, None)
+        if not self.routers:
+            self._add_node(root_router, -1)
             created = 1
-        add_node, key = self._add_node, self._interner.key
+        add_node, key, children = self._add_node, self._interner.key, self.children
         attachment = self._attachment
         entries = []
         for path in paths:
-            node = root
+            node = 0
             routers = path.routers
             for router in routers[-2::-1]:  # landmark side first, root skipped
-                child = node.children.get(router)
+                child = children[node].get(router)
                 if child is None:
-                    if not node.children:
-                        node.children = {}
-                    child = node.children[router] = add_node(router, node.depth + 1, node)  # type: ignore[index]
+                    child = add_node(router, node)
                     created += 1
                 node = child
             peer_id = path.peer_id
@@ -516,13 +477,16 @@ class PathTree:
         # newer-first order.  Each row receives a subsequence of this order.
         entries.reverse()
         entries.sort(key=_BY_HOPS_AND_SORT_TEXT)
+        rows, parent = self.rows, self.parent
         for entry in entries:
             node = attachment[entry[2]]
-            while node is not None:
-                node.row.append(entry)
-                node = node.parent
+            while node >= 0:
+                rows[node].append(entry)
+                node = parent[node]
         if self.dirty is not None:
-            self.dirty.update(node.index for node in self._nodes if node is not None)
+            self.dirty.update(
+                node for node, router in enumerate(self.routers) if router is not None
+            )
 
         self.last_insert_nodes_touched = len(paths[-1].routers)
         self.total_insert_nodes_created += created
@@ -546,49 +510,48 @@ class PathTree:
         if peer_id not in self._attachment:
             raise UnknownPeerError(peer_id)
         node = self._attachment.pop(peer_id)
-        key = (node.depth + 1, self._interner.sort_text(peer_id))
+        key = (self.depth[node] + 1, self._interner.sort_text(peer_id))
         if self.dirty is not None:
             self._mark_root_path(node)  # before pruning: the pruned ids are on it
 
         index = below = 0
-        current: Optional[PathTreeNode] = node
-        while current is not None:
-            row = current.row  # the slot is bounded as in insert()
+        rows, parent = self.rows, self.parent
+        current = node
+        while current >= 0:
+            row = rows[current]  # the slot is bounded as in insert()
             index = bisect_left(row, key, index, index + len(row) - below)
             while row[index][2] != peer_id:  # entries equal in (hops, sort text)
                 index += 1
             below = len(row)
             del row[index]
-            parent = current.parent
-            if not row and parent is not None:
+            up = parent[current]
+            if not row and up >= 0:
                 # Nothing at or below: prune, so churn does not grow the trie.
-                del parent.children[current.router]  # type: ignore[attr-defined]
-                if not parent.children:
-                    parent.children = _NO_CHILDREN
-                self._node_removed(current)
-            current = parent
+                self._prune(current, up)
+            current = up
 
-    def _mark_root_path(self, node: PathTreeNode) -> None:
+    def _mark_root_path(self, node: int) -> None:
         """Record every id from ``node`` up to the root as touched."""
         mark = self.dirty.add  # type: ignore[union-attr]
-        current: Optional[PathTreeNode] = node
-        while current is not None:
-            mark(current.index)
-            current = current.parent
+        parent = self.parent
+        while node >= 0:
+            mark(node)
+            node = parent[node]
 
     # ----------------------------------------------------------------- queries
 
-    def lowest_common_ancestor(self, peer_a: PeerId, peer_b: PeerId) -> PathTreeNode:
-        """Branch router node of two registered peers."""
+    def lowest_common_ancestor(self, peer_a: PeerId, peer_b: PeerId) -> int:
+        """Id of the branch router node of two registered peers."""
         node_a = self.attachment_node(peer_a)
         node_b = self.attachment_node(peer_b)
-        while node_a.depth > node_b.depth:
-            node_a = node_a.parent  # type: ignore[assignment]
-        while node_b.depth > node_a.depth:
-            node_b = node_b.parent  # type: ignore[assignment]
-        while node_a is not node_b:
-            node_a = node_a.parent  # type: ignore[assignment]
-            node_b = node_b.parent  # type: ignore[assignment]
+        depth, parent = self.depth, self.parent
+        while depth[node_a] > depth[node_b]:
+            node_a = parent[node_a]
+        while depth[node_b] > depth[node_a]:
+            node_b = parent[node_b]
+        while node_a != node_b:
+            node_a = parent[node_a]
+            node_b = parent[node_b]
         return node_a
 
     def tree_distance(self, peer_a: PeerId, peer_b: PeerId) -> int:
@@ -597,14 +560,13 @@ class PathTree:
         Each peer is one hop away from its attachment (access) router, hence
         the ``+ 1`` per side.
         """
+        node_a = self.attachment_node(peer_a)
         if peer_a == peer_b:
             return 0
-        node_a = self.attachment_node(peer_a)
         node_b = self.attachment_node(peer_b)
-        lca = self.lowest_common_ancestor(peer_a, peer_b)
-        hops_a = node_a.depth - lca.depth + 1
-        hops_b = node_b.depth - lca.depth + 1
-        return hops_a + hops_b
+        depth = self.depth
+        branch = depth[self.lowest_common_ancestor(peer_a, peer_b)]
+        return (depth[node_a] - branch + 1) + (depth[node_b] - branch + 1)
 
     def closest_peers(
         self,
@@ -632,29 +594,23 @@ class PathTree:
 
     def closest_from_node(
         self,
-        origin: PathTreeNode,
+        origin: int,
         k: int,
         exclude: Iterable[PeerId] = (),
     ) -> List[Tuple[PeerId, int]]:
         """Up to ``k`` closest peers as seen from a trie node (the engine).
 
-        Hands the rows of ``origin`` and its ancestors to
-        :func:`closest_in_rows`, which reads the answer off them in
-        ``(dtree, sort_text)`` order — byte-identical to ranking every peer
-        of the tree by ``(dtree, repr(peer))``, since that is a total order.
+        :func:`closest_from` over the live columns: the answer in ``(dtree,
+        sort_text)`` order — byte-identical to ranking every peer of the
+        tree by ``(dtree, repr(peer))``, since that is a total order.
 
         Each call records its work in ``last_query_visits`` (and accumulates
         ``total_query_visits``): index ranges examined plus row entries
         scanned.  It does not grow with the population, nor with the number
         of peers tied at the ``k``-th distance.
         """
-        chain = []
-        node: Optional[PathTreeNode] = origin
-        while node is not None:
-            chain.append(node.row)
-            node = node.parent
         excluded = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
-        found, visits = closest_in_rows(chain, origin.depth + 1, k, excluded)
+        found, visits = closest_from(self.parent, self.rows, origin, k, excluded)
         self.last_query_visits = visits
         self.total_query_visits += visits
         return found

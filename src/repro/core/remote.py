@@ -262,7 +262,7 @@ def _dispatch(server: ManagementServer, op: str, args):
     if op == "tree":
         tree = server.tree(args[0])
         return (
-            tree.root.router if tree.root is not None else None,
+            tree.routers[0] if tree.routers else None,
             tuple(encode_path(server.peer_path(peer)) for peer in tree.peers()),
             tree.total_query_visits,
             tree.last_query_visits,

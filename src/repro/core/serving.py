@@ -1,13 +1,11 @@
 """The serving plane: immutable discovery snapshots, published by epoch.
 
-Single-threaded query cost is ~2 µs after PRs 1–7; the next order of
-magnitude is concurrency.  This module freezes one epoch of a live
-management plane into a :class:`DiscoverySnapshot` — one frozen index row per
-trie node (the root's is the landmark's min-hop ordering) and, per peer, its
-path, attachment node, cached neighbour list and completeness stamp —
-that any number of reader threads or forked processes query with **zero
-locks**, while the write plane keeps mutating and periodically publishes the
-next epoch.
+This module freezes one epoch of a live management plane into a
+:class:`DiscoverySnapshot` — one frozen index row per trie node (the root's
+is the landmark's min-hop ordering) and, per peer, its path, attachment
+node, cached neighbour list and completeness stamp — that any number of
+reader threads or forked processes query with **zero locks**, while the
+write plane keeps mutating and periodically publishes the next epoch.
 
 Why this is safe without locks
 ------------------------------
@@ -29,8 +27,8 @@ It replays the live read path, not an approximation of it:
 :meth:`DiscoverySnapshot.closest_peers` implements the exact cache-serve
 condition of :meth:`~repro.core.management_plane.ManagementPlaneBase.
 closest_peers`, falls back to the very routine the live trie answers with
-(:func:`~repro.core.path_tree.closest_in_rows`, over frozen copies of the
-same sorted rows), and fills short lists with the same merge of the same
+(:func:`~repro.core.path_tree.closest_from`, over frozen copies of the
+same node columns), and fills short lists with the same merge of the same
 shifted min-hop orderings (:func:`~repro.core.path_tree.fill_in_rows`), in
 the stream order the source plane would use —
 including the per-shard grouping of the sharded coordinator, whose snapshot
@@ -80,26 +78,28 @@ from ..exceptions import UnknownPeerError
 from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
 from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .path_tree import PathTree, closest_in_rows, fill_in_rows
+from .path_tree import PathTree, closest_from, fill_in_rows
 
 __all__ = ["DiscoverySnapshot", "FlatTrie", "SnapshotPublisher", "SnapshotReader"]
 
 
 class FlatTrie:
-    """One landmark's path trie, frozen into one row per node id.
+    """One landmark's path trie, frozen: the live tree's node columns as tuples.
 
-    Entry ``n`` of every column describes the live tree's node ``n`` (see
-    "Stable node ids" in :mod:`repro.core.path_tree`): the root is node ``0``
-    and a freed id is an unreachable hole.  ``rows[n]`` is the node's sorted
-    ``(hop_count, sort_text, peer)`` index as a tuple — a pointer copy; the
-    entries are the live tree's own immutable tuples — and ``rows[0]`` is
-    therefore the landmark's min-hop ordering.  Queries run
-    :func:`~repro.core.path_tree.closest_in_rows`, the live tree's routine,
-    over the frozen rows, so snapshot and live answers agree by construction.
+    ``routers``, ``parent`` and ``rows`` are :class:`~repro.core.path_tree.
+    PathTree`'s columns of the same names (see "Stable node ids" in
+    :mod:`repro.core.path_tree`): the root is node ``0`` and a freed id is a
+    hole (``None``, ``-1``, an empty row) that nothing reaches.  ``rows[n]``
+    is ``tuple(row)`` of the live row — a pointer copy; the entries are the
+    live tree's own immutable tuples — and ``rows[0]`` is therefore the
+    landmark's min-hop ordering.  Queries run
+    :func:`~repro.core.path_tree.closest_from`, the live tree's walk, over
+    the frozen columns, so snapshot and live answers agree by construction.
 
-    Built from scratch, or — given the ``previous`` epoch's trie of the same
-    tree and the ``dirty`` node ids recorded since — as a copy of it with
-    only those nodes re-read; the untouched row tuples are shared.
+    Built from scratch (``tuple`` of each column), or — given the
+    ``previous`` epoch's trie of the same tree and the ``dirty`` node ids
+    recorded since — as ``previous``'s rows with only those ids re-read; the
+    untouched row tuples are shared.
     """
 
     __slots__ = ("landmark_id", "routers", "parent", "rows")
@@ -112,27 +112,16 @@ class FlatTrie:
         dirty: Optional[Iterable[int]] = None,
     ):
         self.landmark_id = landmark_id
-        nodes = tree.node_table()
+        self.routers = tuple(tree.routers)
+        self.parent = tuple(tree.parent)
+        live = tree.rows
         if previous is None or dirty is None:
-            routers, parent, rows = ([None] * len(nodes) for _ in range(3))
-            dirty = range(len(nodes))
-        else:
-            grown = [None] * (len(nodes) - len(previous.routers))
-            routers, parent, rows = (
-                [*column, *grown] for column in (previous.routers, previous.parent, previous.rows)
-            )
-        for index in dirty:
-            node = nodes[index]
-            if node is None:  # a freed id: nothing reaches this node
-                routers[index] = None
-                parent[index] = -1
-                rows[index] = ()
-                continue
-            routers[index] = node.router
-            parent[index] = node.parent.index if node.parent is not None else -1
-            rows[index] = tuple(node.row)
-        self.routers = tuple(routers)
-        self.parent = tuple(parent)
+            self.rows = tuple(map(tuple, live))
+            return
+        rows = list(previous.rows)
+        rows += [()] * (len(live) - len(rows))  # ids new since: all dirty
+        for node in dirty:
+            rows[node] = tuple(live[node])
         self.rows = tuple(rows)
 
     def structure(self) -> Dict[Tuple[NodeId, ...], Tuple[object, ...]]:
@@ -158,17 +147,10 @@ class FlatTrie:
     ) -> List[Tuple[PeerId, int]]:
         """Up to ``k`` closest peers as seen from a node, as ``(peer, dtree)``.
 
-        :meth:`PathTree.closest_from_node` over the frozen columns.  The chain
-        from the origin to the root has one row per router, so its length is
-        the origin's depth + 1: the hop value of a peer attached there.
+        :func:`~repro.core.path_tree.closest_from` over the frozen columns,
+        the walk :meth:`PathTree.closest_from_node` runs over the live ones.
         """
-        parent, rows = self.parent, self.rows
-        chain = []
-        node = origin
-        while node >= 0:
-            chain.append(rows[node])
-            node = parent[node]
-        return closest_in_rows(chain, len(chain), k, excluded)[0]
+        return closest_from(self.parent, self.rows, origin, k, excluded)[0]
 
 
 class DiscoverySnapshot:
@@ -251,7 +233,7 @@ class DiscoverySnapshot:
                 peers.pop(peer, None)
                 continue
             peers[peer] = (
-                trees[path.landmark_id].attachment_node(peer).index,
+                trees[path.landmark_id].attachment_node(peer),
                 tuple([(other, distance) for distance, _, other in lists.get(peer, ())]),
                 stamp(peer),
             )

@@ -878,17 +878,16 @@ class SocketShardBackend:
     def tree(self, landmark_id: LandmarkId) -> PathTree:
         """A local **snapshot** of the shard's tree (for diagnostics).
 
-        Rebuilt from the shard's paths, so its rows — hence ``closest_peers``
-        and ``tree_distance`` answers — equal the live tree's; the
-        query-work counters (index ranges examined plus entries scanned) are
-        copied across.  Mutating the snapshot does not affect the shard.
+        Loaded from the shard's paths (:meth:`PathTree.load`), so its rows —
+        hence ``closest_peers`` and ``tree_distance`` answers — equal the
+        live tree's; the query-work counters (index ranges examined plus
+        entries scanned) are copied across.  Mutating the snapshot does not affect the shard.
         """
         root, encoded_paths, total_visits, last_visits = self.supervisor.request(  # type: ignore[misc]
             "tree", (landmark_id,)
         )
         snapshot = PathTree(landmark_id=landmark_id, landmark_router=root)
-        for encoded in encoded_paths:  # type: ignore[union-attr]
-            snapshot.insert(decode_path(encoded))
+        snapshot.load([decode_path(encoded) for encoded in encoded_paths])  # type: ignore[union-attr]
         snapshot.total_query_visits = int(total_visits)  # type: ignore[arg-type]
         snapshot.last_query_visits = int(last_visits)  # type: ignore[arg-type]
         return snapshot

@@ -93,7 +93,7 @@ def branch_point_analysis(
         tree = tree_cache.get(landmark_id)
         if tree is None:
             tree = tree_cache[landmark_id] = scenario.server.tree(landmark_id)
-        branch = tree.lowest_common_ancestor(peer_a, peer_b).router
+        branch = tree.routers[tree.lowest_common_ancestor(peer_a, peer_b)]
         if not graph.has_node(branch):
             continue
         if branch in core_routers:

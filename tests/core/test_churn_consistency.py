@@ -326,11 +326,11 @@ class TestShardedChurn:
         neighbors = self.fill_cross_shard(server, local, remote)
         victim = neighbors[0]
         remote_shard = server.shards[server.shard_of(remote)]
-        assert victim in [entry[2] for entry in remote_shard._hops_ordering(remote)]
+        assert victim in [entry[2] for entry in remote_shard.tree(remote).rows[0]]
         server.unregister_peer(victim)
         # The remote shard's min-hop ordering (the fill candidate source)
         # must not keep serving the departed peer.
-        assert victim not in [entry[2] for entry in remote_shard._hops_ordering(remote)]
+        assert victim not in [entry[2] for entry in remote_shard.tree(remote).rows[0]]
         refreshed = server.closest_peers("q", k=4)
         assert victim not in [peer for peer, _ in refreshed]
 

@@ -103,9 +103,9 @@ class TestVisitInstrumentation:
         assert len(tree.closest_peers("origin", k=10_000)) == tree.peer_count - 1
         bound = 0
         node = tree.attachment_node("origin")
-        while node is not None:
-            bound += len(node.row) + len({hops for hops, _, _ in node.row})
-            node = node.parent
+        while node >= 0:
+            bound += len(tree.rows[node]) + len({hops for hops, _, _ in tree.rows[node]})
+            node = tree.parent[node]
         assert 0 < tree.last_query_visits <= bound
 
     @staticmethod

@@ -179,7 +179,7 @@ class TestChangeTracking:
             recorded_waves += 1
             assert len(record.peers) <= server.peer_count == population
             assert len(record.owners) <= population + len(record.peers)
-            assert len(record.nodes["lm0"]) <= len(tree.node_table())
+            assert len(record.nodes["lm0"]) <= len(tree.routers)
         assert recorded_waves and server.changes is None
         # What the idle publisher still holds is the record as it was dropped:
         # one entry past the population of that moment (mid-wave, 20 extra).

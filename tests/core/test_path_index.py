@@ -1,6 +1,6 @@
 """The sorted per-node index of the path trie, against brute force.
 
-Every :class:`~repro.core.path_tree.PathTreeNode` keeps one sorted row of
+Every node of a :class:`~repro.core.path_tree.PathTree` keeps one sorted row of
 ``(hop_count, sort_text, peer)`` entries for the peers at or below it, and
 closest-peer queries are read off the rows of the origin's ancestor chain.
 The state machine below drives random tries through joins, leaves,
@@ -29,7 +29,7 @@ from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
 from repro.core.serving import FlatTrie
 
-from ..oracle import PROFILED, Twin, build_plane, make_path
+from ..oracle import PROFILED, Twin, attached, build_plane, live_nodes, make_path, root_path
 
 pytestmark = PROFILED
 
@@ -93,18 +93,13 @@ class IndexedTrie(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def query(self, data):
-        nodes = [node for node in self.tree.node_table() if node is not None]
-        origin = data.draw(st.sampled_from(nodes))
+        origin = data.draw(st.sampled_from(live_nodes(self.tree)))
         k = data.draw(st.integers(0, len(self.model) + 3))
         excluded = data.draw(st.sets(st.sampled_from(sorted(self.model)))) if self.model else set()
-        routers = []
-        node = origin
-        while node is not None:
-            routers.append(node.router)
-            node = node.parent
+        routers = [self.tree.routers[node] for node in root_path(self.tree, origin)]
         expected = ranking(self.model, tuple(routers[::-1]), excluded)[:k]
         assert self.tree.closest_from_node(origin, k, excluded) == expected
-        assert self.frozen.closest_from_node(origin.index, k, excluded) == expected
+        assert self.frozen.closest_from_node(origin, k, excluded) == expected
 
     # ------------------------------------------------------------- invariants
 
@@ -118,26 +113,19 @@ class IndexedTrie(RuleBasedStateMachine):
     @invariant()
     def every_row_lists_its_subtree(self):
         expected = self.expected_rows()
-        table = self.tree.node_table()
+        tree = self.tree
         live = {}
-        for index, node in enumerate(table):
-            if node is None:
-                continue
-            assert node.index == index
-            routers = []
-            current = node
-            while current is not None:
-                routers.append(current.router)
-                current = current.parent
+        for node in live_nodes(tree):
+            routers = [tree.routers[index] for index in root_path(tree, node)]
             live[tuple(routers[::-1])] = node
         assert set(live) == set(expected)  # pruned routers are gone
-        assert self.tree.router_count == len(live)
+        assert tree.router_count == len(live)
         for prefix, node in live.items():
-            assert node.row == expected[prefix]
-            assert sorted(node.attached()) == sorted(
+            assert tree.rows[node] == expected[prefix]
+            assert sorted(attached(tree, node)) == sorted(
                 peer for peer, routers in self.model.items() if routers == prefix
             )
-            assert set(node.children) == {
+            assert set(tree.children[node]) == {
                 other[len(prefix)] for other in expected if other[: len(prefix)] == prefix and len(other) == len(prefix) + 1
             }
 
@@ -150,11 +138,11 @@ class IndexedTrie(RuleBasedStateMachine):
         assert self.frozen.rows == fresh.rows
         assert self.frozen.parent == fresh.parent
         assert self.frozen.structure() == fresh.structure()
-        for index, node in enumerate(self.tree.node_table()):
-            if node is None:
+        for index, router in enumerate(self.tree.routers):
+            if router is None:
                 assert self.frozen.rows[index] == ()
             else:
-                assert self.frozen.rows[index] == tuple(node.row)
+                assert self.frozen.rows[index] == tuple(self.tree.rows[index])
 
 
 TestIndexedTrie = IndexedTrie.TestCase
@@ -184,7 +172,7 @@ def test_colliding_reprs_never_compare_peers():
     assert {peer: d for peer, d in tree.closest_peers("origin", k=10)} == {
         twins[4]: 2, twins[0]: 4, twins[1]: 4, twins[3]: 4, twins[5]: 4,
     }
-    assert len(tree.root.row) == tree.peer_count == 6
+    assert len(tree.rows[0]) == tree.peer_count == 6
 
 
 @pytest.mark.parametrize("shard_count", [None, 2])

@@ -13,7 +13,16 @@ from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError, UnknownPeerError
 from repro.workloads import synthetic_paths
 
-from ..oracle import depth_first, make_path, path, populations, random_trees, tree_of
+from ..oracle import (
+    attached,
+    depth_first,
+    live_nodes,
+    make_path,
+    path,
+    populations,
+    random_trees,
+    tree_of,
+)
 
 
 def synthetic_tree(population: int) -> PathTree:
@@ -56,17 +65,16 @@ class TestInsertion:
         assert len(populated_tree) == 5
         # Routers: lmk, core, a2, a1, a3, b1.
         assert populated_tree.router_count == 6
-        assert populated_tree.max_depth() == 3
 
     def test_root_is_landmark_router(self, populated_tree):
-        assert populated_tree.root.router == "lmk"
-        assert populated_tree.root.depth == 0
+        assert populated_tree.routers[0] == "lmk"
+        assert populated_tree.depth[0] == 0
 
     def test_lazy_root_creation(self):
         tree = PathTree(landmark_id="lmk")
-        assert tree.root is None
+        assert not tree.routers
         tree.insert(path("p1", ["r1", "lmk"]))
-        assert tree.root.router == "lmk"
+        assert tree.routers[0] == "lmk"
 
     def test_wrong_landmark_rejected(self, populated_tree):
         with pytest.raises(RegistrationError):
@@ -79,38 +87,45 @@ class TestInsertion:
     def test_reinsert_replaces_previous_path(self, populated_tree):
         populated_tree.insert(path("p1", ["b1", "core", "lmk"]))
         assert populated_tree.peer_count == 5
-        assert populated_tree.attachment_node("p1").router == "b1"
+        assert populated_tree.routers[populated_tree.attachment_node("p1")] == "b1"
 
     def test_rejected_reregistration_leaves_the_peer_registered(self, populated_tree):
         """Validate first, mutate second: a known peer whose new path ends at
         the wrong landmark-side router keeps its old registration whole."""
-        rows = {node.index: list(node.row) for node in populated_tree.root.iter_subtree()}
+        rows = {node: list(populated_tree.rows[node]) for node in live_nodes(populated_tree)}
         attachment = populated_tree.attachment_node("p1")
         with pytest.raises(RegistrationError):
             populated_tree.insert(path("p1", ["b1", "core", "not-lmk"], "lmk"))
         assert populated_tree.has_peer("p1")
         assert populated_tree.peer_count == 5
-        assert populated_tree.attachment_node("p1") is attachment
-        assert {node.index: node.row for node in populated_tree.root.iter_subtree()} == rows
+        assert populated_tree.attachment_node("p1") == attachment
+        assert {node: populated_tree.rows[node] for node in live_nodes(populated_tree)} == rows
         assert populated_tree.closest_peers("p2", k=1)[0][0] == "p1"
 
     def test_subtree_counts_propagate(self, populated_tree):
-        assert len(populated_tree.root.row) == 5
-        core = populated_tree.root.child("core")
-        assert len(core.row) == 5
-        a2 = core.child("a2")
-        assert len(a2.row) == 2
+        tree = populated_tree
+        assert len(tree.rows[0]) == 5
+        core = tree.children[0]["core"]
+        assert len(tree.rows[core]) == 5
+        a2 = tree.children[core]["a2"]
+        assert len(tree.rows[a2]) == 2
 
     def test_attachment_and_path_lookup(self, populated_tree):
         assert populated_tree.has_peer("p3")
         assert "p3" in populated_tree
-        node = populated_tree.attachment_node("p3")
-        assert (node.router, node.parent.router, node.parent.parent.router) == ("b1", "core", "lmk")
-        assert node.depth + 1 == 3  # the peer's hop count: the tree keeps no path
+        tree = populated_tree
+        node = tree.attachment_node("p3")
+        routers, parent = tree.routers, tree.parent
+        assert (routers[node], routers[parent[node]], routers[parent[parent[node]]]) == (
+            "b1", "core", "lmk"
+        )
+        assert tree.depth[node] + 1 == 3  # the peer's hop count: the tree keeps no path
 
     def test_unknown_peer_lookups_raise(self, populated_tree):
         with pytest.raises(UnknownPeerError):
             populated_tree.attachment_node("ghost")
+        with pytest.raises(UnknownPeerError):
+            populated_tree.tree_distance("ghost", "ghost")
         assert not hasattr(populated_tree, "path_of")
 
 
@@ -119,19 +134,19 @@ class TestRemoval:
         populated_tree.remove("p1")
         assert populated_tree.peer_count == 4
         assert not populated_tree.has_peer("p1")
-        assert len(populated_tree.root.row) == 4
+        assert len(populated_tree.rows[0]) == 4
 
     def test_remove_prunes_empty_branches(self, populated_tree):
         populated_tree.remove("p1")
-        core = populated_tree.root.child("core")
-        a2 = core.child("a2")
-        assert a2.child("a1") is None  # pruned
-        assert a2.child("a3") is not None  # still used by p2
+        children = populated_tree.children
+        a2 = children[children[0]["core"]]["a2"]
+        assert "a1" not in children[a2]  # pruned
+        assert "a3" in children[a2]  # still used by p2
 
     def test_remove_keeps_shared_nodes(self, populated_tree):
         populated_tree.remove("p3")
-        core = populated_tree.root.child("core")
-        assert core.child("b1") is not None  # p4 still attached there
+        children = populated_tree.children
+        assert "b1" in children[children[0]["core"]]  # p4 still attached there
 
     def test_remove_unknown_peer_raises(self, populated_tree):
         with pytest.raises(UnknownPeerError):
@@ -145,9 +160,10 @@ class TestRemoval:
 
 class TestDistances:
     def test_lca(self, populated_tree):
-        assert populated_tree.lowest_common_ancestor("p1", "p2").router == "a2"
-        assert populated_tree.lowest_common_ancestor("p1", "p3").router == "core"
-        assert populated_tree.lowest_common_ancestor("p3", "p4").router == "b1"
+        tree = populated_tree
+        assert tree.routers[tree.lowest_common_ancestor("p1", "p2")] == "a2"
+        assert tree.routers[tree.lowest_common_ancestor("p1", "p3")] == "core"
+        assert tree.routers[tree.lowest_common_ancestor("p3", "p4")] == "b1"
 
     def test_tree_distance_matches_pairwise_formula(self, populated_tree):
         for peer_a in populated_tree.peers():
@@ -273,10 +289,8 @@ def test_property_closest_peers_is_optimal_prefix(tree, k):
 def test_property_subtree_counts_consistent_after_removals(tree):
     """Subtree peer counts stay consistent while peers leave one by one."""
     while tree.peer_count > 0:
-        assert len(tree.root.row) == tree.peer_count
-        attached_everywhere = sum(
-            len(node.attached()) for node in tree.root.iter_subtree()
-        )
+        assert len(tree.rows[0]) == tree.peer_count
+        attached_everywhere = sum(len(attached(tree, node)) for node in live_nodes(tree))
         assert attached_everywhere == tree.peer_count
         tree.remove(tree.peers()[0])
 
@@ -301,17 +315,17 @@ class TestInsertInstrumentation:
         assert tree.last_insert_nodes_created == 2
         assert tree.last_insert_nodes_touched == 2
 
-    def test_incremental_router_count_and_max_depth_track_churn(self):
+    def test_router_count_tracks_churn(self):
         tree = PathTree(landmark_id="lmk", landmark_router="lmk")
-        assert (tree.router_count, tree.max_depth()) == (1, 0)
+        assert tree.router_count == 1
         tree.insert(path("a", ["a2", "a1", "core", "lmk"]))
-        assert (tree.router_count, tree.max_depth()) == (4, 3)
+        assert tree.router_count == 4
         tree.insert(path("b", ["b1", "core", "lmk"]))
-        assert (tree.router_count, tree.max_depth()) == (5, 3)
+        assert tree.router_count == 5
         tree.remove("a")  # prunes the a2/a1 branch
-        assert (tree.router_count, tree.max_depth()) == (3, 2)
+        assert tree.router_count == 3
         tree.remove("b")
-        assert (tree.router_count, tree.max_depth()) == (1, 0)
+        assert tree.router_count == 1
 
     def test_incremental_aggregates_match_full_scan(self):
         import random as _random
@@ -327,9 +341,11 @@ class TestInsertInstrumentation:
                 branch = [rng.randrange(3) for _ in range(rng.randrange(1, 5))]
                 tree.insert(make_path(f"peer{step}", 0, branch))
                 alive.append(f"peer{step}")
-            nodes = list(tree.root.iter_subtree())
-            assert tree.router_count == len(nodes)
-            assert tree.max_depth() == max(node.depth for node in nodes)
+            reachable, stack = 0, [0]
+            while stack:  # a full scan: every node the root's children reach
+                reachable += 1
+                stack.extend(tree.children[stack.pop()].values())
+            assert tree.router_count == reachable
 
     @pytest.mark.parametrize("population", [200, 800, 3200, 12800])
     def test_an_insert_touches_exactly_the_paths_routers(self, population):

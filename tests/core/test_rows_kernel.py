@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.core.path_tree import PathTree, closest_in_rows
 from repro.core.serving import FlatTrie
 
-from ..oracle import PROFILED, Twin, branches, landmark_name, make_path
+from ..oracle import PROFILED, Twin, attached, branches, landmark_name, live_nodes, make_path, root_path
 from .reference_rows import closest_in_rows as bisecting_closest_in_rows
 
 pytestmark = PROFILED
@@ -34,13 +34,6 @@ ROOT = landmark_name(0)
 #: Shared across examples: rows are matched by entry identity.
 TWINS = tuple(Twin(tag) for tag in range(3))
 PEERS = TWINS + tuple(f"p{index}" for index in range(9))
-
-
-def ancestors(node):
-    """``node`` and every node above it, the root last."""
-    while node is not None:
-        yield node
-        node = node.parent
 
 
 @st.composite
@@ -59,10 +52,10 @@ def trees(draw) -> PathTree:
 @given(tree=trees(), data=st.data())
 def test_cursor_kernel_matches_the_bisecting_kernel(tree, data):
     frozen = FlatTrie(ROOT, tree)
-    nodes = [node for node in tree.node_table() if node is not None]
-    for origin in data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4)):
-        chain = [node.row for node in ancestors(origin)]
-        on_chain = [peer for node in ancestors(origin) for peer in node.attached()]
+    for origin in data.draw(st.lists(st.sampled_from(live_nodes(tree)), min_size=1, max_size=4)):
+        ancestors = root_path(tree, origin)
+        chain = [tree.rows[node] for node in ancestors]
+        on_chain = [peer for node in ancestors for peer in attached(tree, node)]
         off_chain = [peer for peer in tree.peers() if peer not in on_chain]
         excluded = set()
         for group in (on_chain, off_chain, ["absent"]):
@@ -71,9 +64,10 @@ def test_cursor_kernel_matches_the_bisecting_kernel(tree, data):
         k = data.draw(
             st.one_of(st.sampled_from((0, 1)), st.integers(2, tree.peer_count + 3))
         )
-        expected = bisecting_closest_in_rows(chain, origin.depth + 1, k, excluded)
-        assert closest_in_rows(chain, origin.depth + 1, k, excluded) == expected
-        frozen_chain = [frozen.rows[node.index] for node in ancestors(origin)]
-        assert closest_in_rows(frozen_chain, origin.depth + 1, k, excluded) == expected
+        hops = tree.depth[origin] + 1
+        expected = bisecting_closest_in_rows(chain, hops, k, excluded)
+        assert closest_in_rows(chain, hops, k, excluded) == expected
+        frozen_chain = [frozen.rows[node] for node in ancestors]
+        assert closest_in_rows(frozen_chain, hops, k, excluded) == expected
         assert tree.closest_from_node(origin, k, excluded) == expected[0]
         assert tree.last_query_visits == expected[1]

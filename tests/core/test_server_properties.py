@@ -93,4 +93,4 @@ def test_property_unregistering_everyone_empties_the_server(paths):
     assert server.peer_count == 0
     for landmark in server.landmarks():
         assert server.tree(landmark).peer_count == 0
-        assert server.tree(landmark).root is None or not server.tree(landmark).root.row
+        assert not server.tree(landmark).routers or not server.tree(landmark).rows[0]

@@ -227,6 +227,17 @@ def base_population(plane, landmark_count: int) -> None:
     )
 
 
+def epoch_histories(shard_counts, *kinds: str):
+    """:func:`cases` for the patched-epoch oracle, with ``kinds`` added."""
+    return cases(
+        MAX_LANDMARKS,
+        shard_counts=shard_counts,
+        peers=12,  # a small pool: re-joins and handovers are common
+        kinds=("arrive", "batch", "depart", "bounce", "cold", "publish", *kinds),
+        batch_size=4,
+    )
+
+
 def check_epoch(snapshot: DiscoverySnapshot, plane) -> None:
     """A published epoch equals a from-scratch build and the live plane."""
     assert snapshot == DiscoverySnapshot.build(plane)  # before the live queries below
@@ -252,20 +263,14 @@ class TestPatchedEpochs:
     bounces (a leave and a re-join on the same path in one epoch), live cold
     queries (each rewrites that peer's cached list) and publishes, all made
     on the plane itself: the publisher learns of them from the plane's
-    change record alone.
+    change record alone.  A single server's history also restores its own
+    state: the record is dropped, the next epoch is built whole over
+    load-built tries, and the epochs after it are patches again.
     """
 
     @PROFILED
     @settings(deadline=None)
-    @given(
-        case=cases(
-            MAX_LANDMARKS,
-            shard_counts=SHARD_COUNTS,
-            peers=12,  # a small pool: re-joins and handovers are common
-            kinds=("arrive", "batch", "depart", "bounce", "cold", "publish"),
-            batch_size=4,
-        )
-    )
+    @given(case=st.one_of(epoch_histories(st.just(None), "restore"), epoch_histories(SHARD_COUNTS)))
     def test_patched_snapshot_equals_fresh_build_and_live_plane(self, case):
         plane = build_plane(*case[:-1])
         try:

@@ -201,9 +201,14 @@ class TestDistances:
         assert populated.peer_shard("p3") != populated.peer_shard("p4")
         assert populated.estimate_distance("p3", "p4") == populated.estimate_distance("p4", "p3")
 
-    def test_unknown_peer_raises(self, populated):
+    @pytest.mark.parametrize("pair", [("p1", "ghost"), ("ghost", "ghost")])
+    @pytest.mark.parametrize("server_class", [ManagementServer, ShardedManagementServer])
+    def test_unknown_peer_raises(self, server_class, pair):
+        plane = deploy(server_class=server_class)
+        for peer, routers, landmark in ROUTES:
+            plane.register_peer(path(peer, routers, landmark))
         with pytest.raises(UnknownPeerError):
-            populated.estimate_distance("p1", "ghost")
+            plane.estimate_distance(*pair)
 
     def test_repr(self, populated):
         text = repr(populated)

@@ -5,14 +5,16 @@ re-registers nor repeats a peer, is loaded: the rows are built with one
 sort instead of one bisect and memmove per path.  The differential test
 below runs every drawn batch through ``insert_paths`` on one server and
 through the per-path route on a twin, and compares everything a load has
-to reproduce: the node table (ids, routers, parents, depths, children
+to reproduce: the node columns (ids, routers, parents, depths, children
 order), every row entry by entry with ``is``, registration order and
 attachment, the interner table, the insert counters, ``ServerStats``,
 the membership generation and the change record.  Peers whose ``repr``
 collides make the newer-first tie rule observable; unary chains make
 deep trees; free node ids left by a tree that emptied must be reused in
 the same order.  Paths and branches are the oracle harness's
-(``tests/oracle.py``).
+(``tests/oracle.py``).  CI's ``sharded-equivalence`` matrix entry runs the
+differential test under the ``ci-equivalence`` profile (``-m oracle``); it
+never runs fewer than 150 examples.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.core import DiscoverySnapshot, SnapshotPublisher
 from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError
 
-from ..oracle import Twin, branches, landmark_name, make_path, path
+from ..oracle import PROFILED, Twin, branches, landmark_name, make_path, path
 
 #: Shared across examples: a peer's identity is what the rows must hold.
 TWINS = tuple(Twin(tag) for tag in range(3))
@@ -108,30 +110,21 @@ def count_inserts(plane) -> List[int]:
 
 
 def assert_same_tree(tree: PathTree, twin: PathTree) -> None:
-    nodes, twin_nodes = tree.node_table(), twin.node_table()
-    assert len(nodes) == len(twin_nodes)
+    assert len(tree.routers) == len(twin.routers)
     assert tree._free_ids == twin._free_ids
-    assert (tree.router_count, tree.max_depth(), tree._depth_counts) == (
-        twin.router_count, twin.max_depth(), twin._depth_counts
-    )
+    assert tree.router_count == twin.router_count
+    assert (tree.routers, tree.parent, tree.depth) == (twin.routers, twin.parent, twin.depth)
+    assert [list(children.items()) for children in tree.children] == [
+        list(children.items()) for children in twin.children
+    ]
     own_entry: Dict[int, tuple] = {}
-    for node, other in zip(nodes, twin_nodes):
-        if node is None or other is None:
-            assert node is other
-            continue
-        assert (node.index, node.router, node.depth) == (other.index, other.router, other.depth)
-        assert (node.parent and node.parent.index) == (other.parent and other.parent.index)
-        assert [(router, child.index) for router, child in node.children.items()] == [
-            (router, child.index) for router, child in other.children.items()
-        ]
-        assert len(node.row) == len(other.row)
-        for entry, expected in zip(node.row, other.row):
+    for row, other in zip(tree.rows, twin.rows):
+        assert len(row) == len(other)
+        for entry, expected in zip(row, other):
             assert entry[:2] == expected[:2] and entry[2] is expected[2]
             # One entry object per peer, shared by every row on its root path.
             assert own_entry.setdefault(id(entry[2]), entry) is entry
-    assert [(peer, node.index) for peer, node in tree._attachment.items()] == [
-        (peer, node.index) for peer, node in twin._attachment.items()
-    ]
+    assert list(tree._attachment.items()) == list(twin._attachment.items())
     assert (tree.total_insert_nodes_created, tree.total_insert_nodes_touched) == (
         twin.total_insert_nodes_created, twin.total_insert_nodes_touched
     )
@@ -157,7 +150,8 @@ def assert_same_plane(plane, twin) -> None:
         assert plane.changes.owners == twin.changes.owners
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@PROFILED
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None, derandomize=True)
 @given(case=cases())
 @example(case=(1, [], [], [(TWINS[0], 0, [0]), ("p0", 0, [1]), (TWINS[1], 0, [0])], False))
 def test_a_load_builds_what_insert_builds(case):
@@ -192,8 +186,8 @@ def test_colliding_reprs_load_newest_first():
     inserted = PathTree("lm", "lm")
     for twin_path in paths:
         inserted.insert(twin_path)
-    for node in (loaded.root, loaded.attachment_node(TWINS[0])):
-        assert [entry[2] for entry in node.row] == list(reversed(TWINS))
+    for node in (0, loaded.attachment_node(TWINS[0])):
+        assert [entry[2] for entry in loaded.rows[node]] == list(reversed(TWINS))
     assert_same_tree(loaded, inserted)
 
 
@@ -261,4 +255,4 @@ class TestLoadRejects:
         ):
             with pytest.raises(RegistrationError):
                 tree.load(batch)
-            assert tree.root is None and tree.peer_count == 0 and not tree.node_table()
+            assert not tree.routers and tree.peer_count == 0

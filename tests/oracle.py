@@ -15,7 +15,8 @@ one vocabulary:
   :data:`CHAOS_FAULTS` crash plan) or ``socket-chaos`` (socket shards on
   :data:`SOCKET_CHAOS_FAULTS`).
 * **One op vocabulary.** :func:`apply_op` applies ``arrive``, ``batch``,
-  ``depart``, ``query``, ``cold``, ``bounce`` and ``publish`` and returns
+  ``depart``, ``query``, ``cold``, ``bounce``, ``publish`` and (on a
+  single server) ``restore`` and returns
   an error as a value, so two planes are compared op by op with ``==``.
   :func:`ops` draws op lists for hypothesis, :func:`random_op` draws the
   ops of a fixed seeded workload.
@@ -243,6 +244,8 @@ def _apply(plane, op, publisher):
         return plane.register_peers([make_path(f"p{peer}", *spec) for peer, *spec in op[1]])
     if kind == "publish":
         return publisher.publish()
+    if kind == "restore":  # a single server reloads its own state
+        return plane.restore_state(plane.snapshot_state())
     peer = f"p{op[1]}"
     if kind == "depart":
         return plane.unregister_peer(peer)
@@ -262,8 +265,10 @@ def apply_op(plane, op, publisher=None):
 
     ``("arrive", peer, landmark, branch)``, ``("batch", [(peer, landmark,
     branch), ...])``, ``("depart", peer)``, ``("query", peer, k)``,
-    ``("cold", peer)``, ``("bounce", peer)`` and ``("publish",)``, which
-    asks ``publisher`` for the next epoch.  Peer ``n`` is named ``p<n>``.
+    ``("cold", peer)``, ``("bounce", peer)``, ``("publish",)``, which
+    asks ``publisher`` for the next epoch, and ``("restore",)``, which has a
+    single server restore its own ``snapshot_state()``.  Peer ``n`` is
+    named ``p<n>``.
     """
     return outcome(_apply, plane, op, publisher)
 
@@ -298,6 +303,7 @@ def ops(
         "bounce": st.tuples(st.just("bounce"), peer),
         "cold": st.tuples(st.just("cold"), peer),
         "publish": st.just(("publish",)),
+        "restore": st.just(("restore",)),
     }
     return st.lists(
         st.one_of(*(vocabulary[kind] for kind in kinds)), min_size=1, max_size=max_ops
@@ -422,6 +428,25 @@ def random_trees(draw, max_peers: int, max_depth: int, churn: bool = False) -> P
         victims = tree.peers()
         tree.remove(victims[draw(st.integers(0, len(victims) - 1))])
     return tree
+
+
+def live_nodes(tree) -> List[int]:
+    """Ids of ``tree``'s nodes, holes skipped."""
+    return [node for node, router in enumerate(tree.routers) if router is not None]
+
+
+def root_path(trie, node: int) -> List[int]:
+    """``node`` and every id above it in a trie's ``parent`` column, the root last."""
+    ids = []
+    while node >= 0:
+        ids.append(node)
+        node = trie.parent[node]
+    return ids
+
+
+def attached(tree, node: int) -> List:
+    """The peers attached at ``node`` itself: its row's own-hop range."""
+    return [peer for hops, _, peer in tree.rows[node] if hops == tree.depth[node] + 1]
 
 
 # ----------------------------------------------------------------- audit
