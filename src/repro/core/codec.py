@@ -98,6 +98,8 @@ def decode_frame(frame: bytes) -> Tuple[object, ...]:
             f"frame declares {declared} body bytes but carries {len(frame) - _HEADER.size}"
         )
     try:
+        # One unpickler per frame, on purpose: reusing one over a reset
+        # BytesIO with its memo replaced segfaulted CPython 3.11.7.
         message = _PlainDataUnpickler(io.BytesIO(frame[_HEADER.size :])).load()
     except WireProtocolError:
         raise

@@ -24,6 +24,7 @@ transit tier to it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -67,6 +68,19 @@ def _preferential_targets(
         rng.shuffle(pool)
         targets.extend(pool[: m - len(targets)])
     return targets
+
+
+def _weighted_pick(pool: List[int], cumulative: List[float], u: float) -> int:
+    """Return the first entry of ``pool`` whose ``cumulative`` threshold is >= ``u``.
+
+    ``cumulative`` is the non-decreasing running sum of the pool's weights
+    over their total, so ``u`` uniform in [0, 1) picks an entry with
+    probability proportional to its weight.  When float rounding leaves
+    ``u`` above ``cumulative[-1]`` the last entry is returned.  The binary
+    search returns exactly what a scan for the first threshold >= ``u``
+    returns, in O(log n).
+    """
+    return pool[min(bisect_left(cumulative, u), len(pool) - 1)]
 
 
 def barabasi_albert(
@@ -294,29 +308,22 @@ def generate_router_map(
         acc += weight / total_weight
         cumulative.append(acc)
 
-    def pick_attach_point() -> int:
-        u = rng.random()
-        for node, threshold in zip(attach_pool, cumulative):
-            if u <= threshold:
-                return node
-        return attach_pool[-1]
-
+    stubs = tiers[TIER_STUB]
     for _ in range(config.stub_size):
         node = next_id
         next_id += 1
         graph.add_node(node, tier=TIER_STUB)
-        tiers[TIER_STUB].append(node)
+        stubs.append(node)
         attached = set()
         for _ in range(config.stub_attachment):
             # Either extend an existing access tree (deepening the edge) or
-            # start a new branch under a transit/core router.
-            if (
-                len(tiers[TIER_STUB]) > 1
-                and rng.random() < config.stub_tree_probability
-            ):
-                target = rng.choice(tiers[TIER_STUB][:-1])
+            # start a new branch under a transit/core router.  Picking the
+            # parent by index draws what ``choice`` on the list would, so a
+            # seed still gives the same map without copying the list.
+            if len(stubs) > 1 and rng.random() < config.stub_tree_probability:
+                target = stubs[rng.randrange(len(stubs) - 1)]
             else:
-                target = pick_attach_point()
+                target = _weighted_pick(attach_pool, cumulative, rng.random())
             if target in attached:
                 continue
             attached.add(target)

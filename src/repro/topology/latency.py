@@ -73,20 +73,24 @@ class TieredLatencyModel(LatencyModel):
         self.transit_transit_ms = require_positive_float(transit_transit_ms, "transit_transit_ms")
         self.access_ms = require_positive_float(access_ms, "access_ms")
         self.jitter_fraction = require_non_negative_float(jitter_fraction, "jitter_fraction")
+        # The backbone pairs with their own latency; any other pair without a
+        # stub end, an unknown tier included, is transit–transit.
+        self._backbone_ms = {
+            ("core", "core"): self.core_core_ms,
+            ("core", "transit"): self.core_transit_ms,
+            ("transit", "core"): self.core_transit_ms,
+        }
 
     def _base_latency(self, tier_u: str, tier_v: str) -> float:
-        tiers = {tier_u, tier_v}
-        if "stub" in tiers:
+        """The link's latency before jitter: a link with a stub end is an access link."""
+        if tier_u == "stub" or tier_v == "stub":
             return self.access_ms
-        if tiers == {"core"}:
-            return self.core_core_ms
-        if tiers == {"core", "transit"}:
-            return self.core_transit_ms
-        return self.transit_transit_ms
+        return self._backbone_ms.get((tier_u, tier_v), self.transit_transit_ms)
 
     def edge_latency(self, graph: Graph, u, v) -> float:
-        tier_u = graph.get_node_attribute(u, "tier", "transit")
-        tier_v = graph.get_node_attribute(v, "tier", "transit")
-        base = self._base_latency(tier_u, tier_v)
+        base = self._base_latency(
+            graph.node_attributes(u).get("tier", "transit"),
+            graph.node_attributes(v).get("tier", "transit"),
+        )
         jitter = 1.0 + self._rng.uniform(-self.jitter_fraction, self.jitter_fraction)
         return max(0.05, base * jitter)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -17,6 +18,7 @@ from repro.topology.internet_mapper import (
     TIER_STUB,
     TIER_TRANSIT,
     _preferential_targets,
+    _weighted_pick,
     barabasi_albert,
     generate_router_map,
 )
@@ -213,6 +215,85 @@ class TestVariants:
         # With no stub trees every stub attaches to transit/core, so the
         # degree-1 fraction is very high.
         assert degree_one_fraction(router_map.graph) > 0.5
+
+
+def map_digest(router_map) -> str:
+    """sha256 of every edge with the repr of its latency, in ``edges()`` order, and the tier lists."""
+    graph = router_map.graph
+    digest = hashlib.sha256()
+    for u, v in graph.edges():
+        digest.update(f"{u} {v} {graph.get_edge_attribute(u, v, 'latency')!r}\n".encode())
+    for tier in (TIER_CORE, TIER_TRANSIT, TIER_STUB):
+        digest.update(f"{tier} {router_map.tiers[tier]!r}\n".encode())
+    return digest.hexdigest()
+
+
+class TestMapIdentity:
+    """A seed's map is pinned byte for byte: every figure and pinned table is built on one."""
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (RouterMapConfig(seed=1), "6dac8dd276579bdc749969235f833eef073b232e2e8025e723eb359a69855987"),
+            (RouterMapConfig(seed=2), "641f61cbbe3bafc312dfb981bc17c43bf48ec0dd2eebe84db5647136ef327f6d"),
+            (RouterMapConfig.small(7), "d96fafce68b16b8bb38c45fcdebf2a33f3e1987c58d89004d5e835161397f16a"),
+        ],
+        ids=["default-seed-1", "default-seed-2", "small-seed-7"],
+    )
+    def test_a_seed_builds_the_pinned_map(self, config, expected):
+        assert map_digest(generate_router_map(config)) == expected
+
+
+def scan_pick(pool, cumulative, u):
+    """The linear scan ``_weighted_pick`` replaces: the first threshold >= u, else the last entry."""
+    for node, threshold in zip(pool, cumulative):
+        if u <= threshold:
+            return node
+    return pool[-1]
+
+
+def cumulative_table(weights):
+    """The generator's running share of the total weight, summed the same way."""
+    total = float(sum(weights))
+    table, acc = [], 0.0
+    for weight in weights:
+        acc += weight / total
+        table.append(acc)
+    return table
+
+
+class TestWeightedPick:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 40), min_size=1, max_size=60).filter(any),
+        draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_picks_what_the_scan_picks(self, weights, draws):
+        pool = list(range(100, 100 + len(weights)))
+        cumulative = cumulative_table(weights)
+        for u in draws + cumulative:  # every threshold is itself a draw
+            assert _weighted_pick(pool, cumulative, u) == scan_pick(pool, cumulative, u)
+
+    def test_a_draw_on_a_threshold_picks_that_entry_not_the_next(self):
+        pool, cumulative = [7, 8, 9], [0.25, 0.5, 1.0]
+        assert [_weighted_pick(pool, cumulative, u) for u in (0.25, 0.5, 1.0)] == [7, 8, 9]
+
+    def test_zero_weight_entries_are_never_picked_by_a_positive_draw(self):
+        pool, cumulative = [7, 8, 9, 10], cumulative_table([0, 3, 0, 1])
+        for u in (1e-12, 0.5, cumulative[1], cumulative[2], 0.99):
+            assert _weighted_pick(pool, cumulative, u) in (8, 10)
+            assert _weighted_pick(pool, cumulative, u) == scan_pick(pool, cumulative, u)
+
+    def test_a_draw_above_the_rounded_total_picks_the_last_entry(self):
+        cumulative = cumulative_table([1] * 10)
+        assert cumulative[-1] < 1.0  # rounding leaves the running sum short of 1
+        pool = list(range(10))
+        u = math.nextafter(cumulative[-1], 1.0)
+        assert _weighted_pick(pool, cumulative, u) == scan_pick(pool, cumulative, u) == 9
+
+    def test_a_one_entry_pool_always_picks_its_entry(self):
+        for u in (0.0, 0.5, 1.0, 1.5):
+            assert _weighted_pick([42], [1.0], u) == scan_pick([42], [1.0], u) == 42
 
 
 class TestBarabasiAlbert:

@@ -9,6 +9,22 @@ from repro.topology.graph import Graph
 from repro.topology.latency import ConstantLatencyModel, TieredLatencyModel
 
 
+#: The router map's tiers, no tier attribute (``None``) and a tier it never assigns.
+TIERS = ["core", "transit", "stub", None, "edge"]
+
+
+def set_rule_base_latency(model: TieredLatencyModel, tier_u: str, tier_v: str) -> float:
+    """The base-latency rule as first written, one set per link."""
+    tiers = {tier_u, tier_v}
+    if "stub" in tiers:
+        return model.access_ms
+    if tiers == {"core"}:
+        return model.core_core_ms
+    if tiers == {"core", "transit"}:
+        return model.core_transit_ms
+    return model.transit_transit_ms
+
+
 @pytest.fixture()
 def tiered_graph() -> Graph:
     graph = Graph()
@@ -75,6 +91,31 @@ class TestTiered:
         graph.add_edge("u", "v")
         TieredLatencyModel(jitter_fraction=0.0).assign(graph)
         assert graph.edge_weight("u", "v") == pytest.approx(expected)
+
+    @pytest.mark.parametrize("tier_u", TIERS)
+    @pytest.mark.parametrize("tier_v", TIERS)
+    def test_tier_table_gives_the_set_rule(self, tier_u, tier_v):
+        """Every pair, a missing or unknown tier included, has the set-based rule's base latency."""
+        model = TieredLatencyModel(
+            core_core_ms=11.0,
+            core_transit_ms=7.0,
+            transit_transit_ms=5.0,
+            access_ms=3.0,
+            jitter_fraction=0.0,
+        )
+        graph = Graph()
+        graph.add_node("u", **({} if tier_u is None else {"tier": tier_u}))
+        graph.add_node("v", **({} if tier_v is None else {"tier": tier_v}))
+        graph.add_edge("u", "v")
+        expected = set_rule_base_latency(model, tier_u or "transit", tier_v or "transit")
+        assert model._base_latency(tier_u or "transit", tier_v or "transit") == expected
+        model.assign(graph)
+        assert graph.edge_weight("u", "v") == expected
+
+    def test_assign_moves_the_graph_generation(self, tiered_graph):
+        before = tiered_graph.generation
+        TieredLatencyModel(seed=1).assign(tiered_graph)
+        assert tiered_graph.generation != before
 
     @pytest.mark.parametrize("jitter", [0.05, 0.3, 0.9])
     def test_jitter_stays_within_its_fraction(self, jitter, small_router_map):
