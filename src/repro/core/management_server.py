@@ -122,7 +122,7 @@ from ..exceptions import (
 from .codec import decode_path, encode_path
 from .interning import PeerKeyInterner
 from .management_plane import ManagementPlaneBase, ServerStats
-from .neighbor_cache import SHARED_DISTANCES, NeighborCache, NeighborEntry
+from .neighbor_cache import NeighborCache, NeighborEntry
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, fill_in_rows
 
@@ -425,16 +425,15 @@ class ManagementServer(ManagementPlaneBase):
         """Closest peers from the peer's own landmark tree (no cross fill).
 
         The index query of the peer's tree, exposed so the sharded
-        coordinator can query a peer's home shard directly.  Distances are
-        the shared floats of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`.
+        coordinator can query a peer's home shard directly.  The answer is
+        the walk's own list (:meth:`PathTree.closest_peers`): shared floats
+        of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES` and all.
         """
         path = self._paths.get(peer_id)
         if path is None:
             raise UnknownPeerError(peer_id)
         self.stats.tree_queries += 1
-        same_landmark = self._trees[path.landmark_id].closest_peers(peer_id, k)
-        shared = SHARED_DISTANCES
-        return [(peer, shared[distance]) for peer, distance in same_landmark]
+        return self._trees[path.landmark_id].closest_peers(peer_id, k)
 
     def fill_candidates(
         self, bases: Mapping[LandmarkId, float], limit: int
@@ -594,7 +593,7 @@ class ManagementServer(ManagementPlaneBase):
         k = k or self.neighbor_set_size
         neighbors = self.local_closest(peer_id, k)
         if len(neighbors) >= k:
-            return neighbors[:k]
+            return neighbors
 
         # Not enough peers under this landmark: fill with cross-landmark
         # estimates if inter-landmark distances are known.  A fill reads

@@ -22,8 +22,8 @@ are the shared floats of :data:`SHARED_DISTANCES`, not one object each.
 
 Entries are plain tuples ordered as they sort — ``(distance, sort_text,
 peer_id)``, ``sort_text`` being the plane's interned ``repr(peer_id)``
-(:mod:`repro.core.interning`) — so an ordered insert is ``insort`` on the
-entries themselves: compared in C, no key function, no ``repr`` per probe.
+(:mod:`repro.core.interning`) — so an ordered insert bisects the entries for
+``(distance, sort_text)``: in C, no key function, no ``repr``, no peer compared.
 No list names a peer twice and none names its owner.  A
 :meth:`~NeighborCache.store` of a list equal to the cached one (the usual
 outcome of a cold query's refill) leaves the list object, the reverse index
@@ -58,7 +58,7 @@ a snapshot publisher re-freezes only those lists.  It is ``None`` (one
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Container, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .._validation import require_positive_int
@@ -236,9 +236,9 @@ class NeighborCache:
         Only the peers in the newcomer's own neighbour list can gain it as a
         better neighbour, so the cost is bounded by ``neighbor_set_size``
         ordered-list insertions — the paper's O(log n) "ordered list" cost:
-        one ``insort`` on the entry tuples, one ``pop`` when the list was
-        full.  Whether a list already names the newcomer is read off the
-        reverse index.
+        one bisect of the entry tuples, ahead of ties, one ``pop`` when the
+        list was full.  Whether a list already names the newcomer is read off
+        the reverse index.
         """
         newcomer_text = self.interner.key(newcomer)[0]
         # Reverse-index lists are never left empty, so a falsy one is a new one.
@@ -252,7 +252,8 @@ class NeighborCache:
                 if distance >= entries[-1][0]:
                     continue
                 self._reverse_discard(entries.pop()[2], peer)
-            insort(entries, (distance, newcomer_text, newcomer))
+            index = bisect_left(entries, (distance, newcomer_text))
+            entries.insert(index, (distance, newcomer_text, newcomer))
             listed_in.append(peer)
             self.stats.cache_updates += 1
             if dirty is not None:

@@ -33,7 +33,9 @@ its child on the origin's path* — two sorted ranges that share entry
 objects.  :func:`closest_in_rows` reads candidates off the ancestor chain in
 ``(dtree, sort_text)`` order that way and stops at ``k``; it never visits a
 sibling subtree, so a query costs the same whether five or five thousand
-peers tie at the k-th distance.
+peers tie at the k-th distance.  Its answer — ``(peer, dtree)`` pairs,
+``dtree`` the shared float of :data:`~repro.core.neighbor_cache.
+SHARED_DISTANCES` — is the very list every plane returns, caches and ships.
 
 Costs, with ``d`` the depth and ``n`` the peers under a node: insert and
 remove are ``d`` bisects of O(log n) plus the list insert's memmove (8 bytes
@@ -46,8 +48,8 @@ one pointer per peer per level, in place of a dict per node.
 
 Ties beyond ``(hop_count, sort_text)`` — distinct peers whose ``repr``
 collides — are never resolved by comparing the peers: the newer entry goes
-first, in every row alike.  Identifiers with injective ``repr`` (strings,
-ints) are unaffected.
+first in every row and cached list, and fills merge ties in stream order.
+Identifiers with injective ``repr`` (strings, ints) are unaffected.
 
 Loading a tree that holds no peers
 ----------------------------------
@@ -113,7 +115,7 @@ from .path import LandmarkId, NodeId, PeerId, RouterPath
 Entry = Tuple[int, str, PeerId]
 
 _BY_SORT_TEXT = itemgetter(1)
-_BY_HOPS_AND_SORT_TEXT = itemgetter(0, 1)
+RANK = itemgetter(0, 1)  # (hops or estimate, sort text): entries never compare peers
 _EXHAUSTED = float("inf")
 #: ``children`` of a node that has none; a dict is allocated on the first child.
 _NO_CHILDREN: Mapping[NodeId, int] = MappingProxyType({})
@@ -121,14 +123,15 @@ _NO_CHILDREN: Mapping[NodeId, int] = MappingProxyType({})
 
 def closest_in_rows(
     chain: Iterable[Sequence[Entry]], origin_hops: int, k: int, excluded: Collection[PeerId]
-) -> Tuple[List[Tuple[PeerId, int]], int]:
+) -> Tuple[List[Tuple[PeerId, float]], int]:
     """The ``k`` closest peers read off an ancestor chain of rows.
 
     ``chain`` holds the rows of the origin node and of each ancestor up to
     the root; ``origin_hops`` is the hop value of a peer attached at the
-    origin (its depth + 1).  Returns ``(peer, dtree)`` pairs in ``(dtree,
-    sort_text)`` order and the work done: ranges examined plus entries
-    scanned, the figure ``PathTree.last_query_visits`` reports.
+    origin (its depth + 1).  Returns at most ``k`` ``(peer, dtree)`` pairs in
+    ``(dtree, sort_text)`` order, ``dtree`` a shared float (one lookup per
+    distance), and the work done: ranges examined plus entries scanned, the
+    figure ``PathTree.last_query_visits`` reports.
 
     Each ancestor is a stream of its row's hop values in increasing order,
     hence of increasing distance.  The streams due at the smallest pending
@@ -159,7 +162,7 @@ def closest_in_rows(
             streams.append([row[0][0] + shift, shift, row, below, 0, 0])
         below = row
         shift += 2
-    found: List[Tuple[PeerId, int]] = []
+    found: List[Tuple[PeerId, float]] = []
     visits = 0
     reach = k + len(excluded)
     while len(found) < k and streams:
@@ -197,8 +200,9 @@ def closest_in_rows(
         if merge:
             tied.sort(key=_BY_SORT_TEXT)
             del tied[need:]
+        shared = SHARED_DISTANCES[distance]
         for entry in tied:  # a loop: a comprehension would be a frame per distance
-            found.append((entry[2], distance))
+            found.append((entry[2], shared))
     return found, visits
 
 
@@ -208,12 +212,13 @@ def closest_from(
     origin: int,
     k: int,
     excluded: Collection[PeerId],
-) -> Tuple[List[Tuple[PeerId, int]], int]:
+) -> Tuple[List[Tuple[PeerId, float]], int]:
     """:func:`closest_in_rows` over the chain from node ``origin`` to the root.
 
     ``parent`` and ``rows`` are a trie's node columns, the live tree's lists
     or a snapshot's tuples alike.  The chain has one row per router, so its
     length is the origin's depth + 1: the hop value of a peer attached there.
+    The answer is the kernel's, shared-float ``(peer, dtree)`` pairs.
     """
     chain = []
     while origin >= 0:
@@ -230,9 +235,10 @@ def fill_in_rows(
     ``orderings`` holds, per foreign landmark, its min-hop ordering (the
     root's row) and the constant part of the detour estimate for the
     querying peer.  Each ordering shifted by its base is a sorted stream of
-    ``(estimate, sort_text, peer)``; the streams are heap-merged lazily, in
-    the order given, and cut at ``limit``.  Estimates are the shared floats
-    of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`.
+    ``(estimate, sort_text, peer)``; the streams are heap-merged lazily on
+    ``(estimate, sort_text)`` — equal candidates in the order the streams
+    are given, never by comparing peers — and cut at ``limit``.  Estimates
+    are the shared floats of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`.
 
     Cutting is exact: the first ``limit`` items of a merge are made of a
     prefix of each stream, at most ``limit`` long, so merging several
@@ -243,7 +249,7 @@ def fill_in_rows(
         for hops, text, peer in row:
             yield (SHARED_DISTANCES[base + hops], text, peer)
 
-    return list(islice(merge(*[shifted(row, base) for row, base in orderings]), limit))
+    return list(islice(merge(*[shifted(row, base) for row, base in orderings], key=RANK), limit))
 
 
 class PathTree:
@@ -476,7 +482,7 @@ class PathTree:
         # Newest first, then a stable sort: colliding reprs keep insert()'s
         # newer-first order.  Each row receives a subsequence of this order.
         entries.reverse()
-        entries.sort(key=_BY_HOPS_AND_SORT_TEXT)
+        entries.sort(key=RANK)
         rows, parent = self.rows, self.parent
         for entry in entries:
             node = attachment[entry[2]]
@@ -572,8 +578,8 @@ class PathTree:
         self,
         peer_id: PeerId,
         k: int,
-        exclude: Optional[Set[PeerId]] = None,
-    ) -> List[Tuple[PeerId, int]]:
+        exclude: Optional[Collection[PeerId]] = None,
+    ) -> List[Tuple[PeerId, float]]:
         """Return up to ``k`` peers closest to ``peer_id`` by tree distance.
 
         Delegates to :meth:`closest_from_node` from the peer's attachment
@@ -581,36 +587,31 @@ class PathTree:
         determined by the router it attaches at.
 
         Returns a list of ``(peer_id, dtree)`` sorted by ``dtree`` then peer
-        sort text.
+        sort text, ``dtree`` a shared float: the list the planes hand on.
         """
-        self.last_query_visits = 0
-        if k <= 0:
-            return []
         origin = self.attachment_node(peer_id)
-        excluded = {peer_id}
-        if exclude:
-            excluded |= set(exclude)
-        return self.closest_from_node(origin, k, exclude=excluded)
+        excluded = {peer_id, *exclude} if exclude else (peer_id,)
+        return self.closest_from_node(origin, k, excluded)
 
     def closest_from_node(
         self,
         origin: int,
         k: int,
-        exclude: Iterable[PeerId] = (),
-    ) -> List[Tuple[PeerId, int]]:
+        exclude: Collection[PeerId] = (),
+    ) -> List[Tuple[PeerId, float]]:
         """Up to ``k`` closest peers as seen from a trie node (the engine).
 
-        :func:`closest_from` over the live columns: the answer in ``(dtree,
-        sort_text)`` order — byte-identical to ranking every peer of the
-        tree by ``(dtree, repr(peer))``, since that is a total order.
+        :func:`closest_from` over the live columns, ``exclude`` a set or a
+        tuple of a peer or two: shared-float ``(peer, dtree)`` pairs in
+        ``(dtree, sort_text)`` order — byte-identical to ranking every peer
+        of the tree by ``(dtree, repr(peer))``, since that is a total order.
 
         Each call records its work in ``last_query_visits`` (and accumulates
         ``total_query_visits``): index ranges examined plus row entries
         scanned.  It does not grow with the population, nor with the number
         of peers tied at the ``k``-th distance.
         """
-        excluded = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
-        found, visits = closest_from(self.parent, self.rows, origin, k, excluded)
+        found, visits = closest_from(self.parent, self.rows, origin, k, exclude)
         self.last_query_visits = visits
         self.total_query_visits += visits
         return found

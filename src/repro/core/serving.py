@@ -76,7 +76,6 @@ from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import UnknownPeerError
 from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
-from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, closest_from, fill_in_rows
 
@@ -144,8 +143,8 @@ class FlatTrie:
 
     def closest_from_node(
         self, origin: int, k: int, excluded: Collection[PeerId]
-    ) -> List[Tuple[PeerId, int]]:
-        """Up to ``k`` closest peers as seen from a node, as ``(peer, dtree)``.
+    ) -> List[Tuple[PeerId, float]]:
+        """Up to ``k`` closest peers seen from a node: shared-float ``(peer, dtree)`` pairs.
 
         :func:`~repro.core.path_tree.closest_from` over the frozen columns,
         the walk :meth:`PathTree.closest_from_node` runs over the live ones.
@@ -270,8 +269,8 @@ class DiscoverySnapshot:
         order), each the merge of that shard's landmarks in registration
         order.  A single flat merge over the concatenated grouping
         (:func:`~repro.core.path_tree.fill_in_rows`) yields the same sequence
-        as the live nested merge: ties between equal candidate tuples fall
-        back to stream position in both shapes.
+        as the live nested merge: both merge on ``(estimate, sort_text)``
+        and ties fall back to stream position in both shapes.
         """
         shard_landmarks = getattr(plane, "_shard_landmarks", None)
         if shard_landmarks is not None:
@@ -357,10 +356,9 @@ class DiscoverySnapshot:
         """Frozen twin of the live ``_compute_neighbors``: query, then fill."""
         path = self._paths[peer_id]
         landmark = path.landmark_id
-        candidates = self._tries[landmark].closest_from_node(node, k, (peer_id,))
-        neighbors = [(other, SHARED_DISTANCES[distance]) for other, distance in candidates]
+        neighbors = self._tries[landmark].closest_from_node(node, k, (peer_id,))
         if len(neighbors) >= k:
-            return neighbors[:k]
+            return neighbors
         # The plane's cross-landmark fill over frozen orderings.
         orderings = []
         for other in self._fill_order:

@@ -93,7 +93,7 @@ from .management_plane import (
 from .management_server import ManagementServer
 from .neighbor_cache import NeighborCache
 from .path import LandmarkId, NodeId, PeerId, RouterPath
-from .path_tree import PathTree
+from .path_tree import RANK, PathTree
 
 __all__ = ["ConsistentHashRing", "ShardBackend", "ShardedManagementServer"]
 
@@ -489,7 +489,7 @@ class ShardedManagementServer(ManagementPlaneBase):
         if neighbors is None:
             neighbors = self._shards[self._landmark_shard[path.landmark_id]].local_closest(peer_id, k)
         if len(neighbors) >= k:
-            return neighbors[:k]
+            return neighbors
         # A fill reads only foreign landmarks: it never names the peer or
         # one of its local neighbours.
         for estimate, _, other_peer in self._inter_shard_candidates(
@@ -505,17 +505,17 @@ class ShardedManagementServer(ManagementPlaneBase):
 
         The coordinator computes, per shard, the detour-estimate base of each
         of its landmarks and asks every shard holding one for its first
-        ``need`` candidates; this merge interleaves the shards' lists.
-        Because the elements ``(estimate, repr(peer), peer)`` are totally
-        ordered, the merged sequence is independent of how landmarks are
-        partitioned — the equivalence guarantee.
+        ``need`` candidates; this merge interleaves the shards' lists on
+        ``(estimate, repr(peer))``.  Unless two peers' ``repr``s collide that
+        order is total, so the merged sequence is independent of how
+        landmarks are partitioned — the equivalence guarantee.
         """
         lists = []
         for shard_index, shard in enumerate(self._shards):
             bases = self._fill_bases(self._shard_landmarks[shard_index], landmark_id, own_hops)
             if bases:
                 lists.append(shard.fill_candidates(bases, need))
-        return islice(heapq.merge(*lists), need)
+        return islice(heapq.merge(*lists, key=RANK), need)
 
     # ------------------------------------------------------------ degradation
 
@@ -567,7 +567,7 @@ class ShardedManagementServer(ManagementPlaneBase):
                 if len(pairs) >= k:
                     break
                 if peer not in already:
-                    pairs.append((peer, float(distance)))
+                    pairs.append((peer, distance))
                     already.add(peer)
         if len(pairs) < k:
             # k from each shard: the cached list may hold up to len(pairs)
@@ -583,11 +583,11 @@ class ShardedManagementServer(ManagementPlaneBase):
                     lists.append(shard.fill_candidates(bases, k))
                 except ShardUnavailableError:
                     continue
-            for estimate, _, other_peer in heapq.merge(*lists):
+            for estimate, _, other_peer in heapq.merge(*lists, key=RANK):
                 if len(pairs) >= k:
                     break
                 if other_peer not in already:
-                    pairs.append((other_peer, float(estimate)))
+                    pairs.append((other_peer, estimate))
                     already.add(other_peer)
         return DegradedResult(
             pairs[:k], shard=getattr(error, "shard", None), reason=str(error)

@@ -24,12 +24,22 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core import DiscoverySnapshot
+from repro.core import DiscoverySnapshot, SnapshotPublisher
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
 from repro.core.serving import FlatTrie
 
-from ..oracle import PROFILED, Twin, attached, build_plane, live_nodes, make_path, root_path
+from ..oracle import (
+    PROFILED,
+    Twin,
+    attached,
+    audit,
+    build_plane,
+    live_nodes,
+    make_path,
+    root_path,
+    shared_floats,
+)
 
 pytestmark = PROFILED
 
@@ -98,8 +108,10 @@ class IndexedTrie(RuleBasedStateMachine):
         excluded = data.draw(st.sets(st.sampled_from(sorted(self.model)))) if self.model else set()
         routers = [self.tree.routers[node] for node in root_path(self.tree, origin)]
         expected = ranking(self.model, tuple(routers[::-1]), excluded)[:k]
-        assert self.tree.closest_from_node(origin, k, excluded) == expected
-        assert self.frozen.closest_from_node(origin, k, excluded) == expected
+        live = self.tree.closest_from_node(origin, k, excluded)
+        frozen = self.frozen.closest_from_node(origin, k, excluded)
+        assert live == expected and frozen == expected
+        assert shared_floats(live) and shared_floats(frozen)  # not ranking()'s ints
 
     # ------------------------------------------------------------- invariants
 
@@ -173,6 +185,30 @@ def test_colliding_reprs_never_compare_peers():
         twins[4]: 2, twins[0]: 4, twins[1]: 4, twins[3]: 4, twins[5]: 4,
     }
     assert len(tree.rows[0]) == tree.peer_count == 6
+
+
+@pytest.mark.parametrize("shard_count", [None, 2])
+def test_colliding_reprs_meet_in_cached_lists_and_fills(shard_count):
+    """Twins tied in ``(distance, repr)`` are cached and merged without ``<``.
+
+    Three twins on one path under ``lm1`` tie in each other's cached lists;
+    a lone peer under ``lm0`` fills from ``lm1`` and ``lm2`` at one estimate
+    (2 + 2 + 3 == 2 + 3 + 2), so its fill ties across two streams.  Joins,
+    cold queries and fills go through, and a snapshot answers as the plane.
+    """
+    plane = build_plane(shard_count, 3)
+    publisher = SnapshotPublisher(plane)
+    twins = [Twin(tag) for tag in range(5)]
+    for twin in twins[:3]:
+        plane.register_peer(make_path(twin, 1, (0, 0)))
+    plane.register_peers([make_path(twins[3], 2, (0,)), make_path(twins[4], 1, (0, 0))])
+    neighbors = plane.register_peer(make_path("solo", 0, (0,)))
+    assert [distance for _, distance in neighbors] == [7.0, 7.0, 7.0]
+    assert {peer for peer, _ in plane.closest_peers("solo", 5)} == set(twins)
+    for peer in plane.peers():
+        assert len(plane.closest_peers(peer, 7)) == 5  # cold: the walk, then a fill
+    plane.unregister_peer(twins[0])
+    audit(publisher.publish(), plane)
 
 
 @pytest.mark.parametrize("shard_count", [None, 2])

@@ -9,7 +9,9 @@ chains, peers whose ``repr`` collides, handovers and departures — both
 kernels must return the same ``(found, visits)`` from every drawn origin,
 over the live rows and over a :class:`~repro.core.serving.FlatTrie`'s frozen
 tuples, for ``k`` of 0, 1 and beyond the population and for excluded peers
-attached on the origin's chain, off it, and unknown to the tree.
+attached on the origin's chain, off it, and unknown to the tree.  The
+reference emits int distances, which compare equal to the live kernel's; the
+live and frozen walks must emit the shared floats themselves.
 
 The trees are the oracle harness's paths (``tests/oracle.py``): routers
 named by their prefix under ``lm0``.  CI's ``sharded-equivalence`` matrix
@@ -25,7 +27,17 @@ from hypothesis import strategies as st
 from repro.core.path_tree import PathTree, closest_in_rows
 from repro.core.serving import FlatTrie
 
-from ..oracle import PROFILED, Twin, attached, branches, landmark_name, live_nodes, make_path, root_path
+from ..oracle import (
+    PROFILED,
+    Twin,
+    attached,
+    branches,
+    landmark_name,
+    live_nodes,
+    make_path,
+    root_path,
+    shared_floats,
+)
 from .reference_rows import closest_in_rows as bisecting_closest_in_rows
 
 pytestmark = PROFILED
@@ -66,8 +78,12 @@ def test_cursor_kernel_matches_the_bisecting_kernel(tree, data):
         )
         hops = tree.depth[origin] + 1
         expected = bisecting_closest_in_rows(chain, hops, k, excluded)
-        assert closest_in_rows(chain, hops, k, excluded) == expected
+        live = closest_in_rows(chain, hops, k, excluded)
+        assert live == expected
         frozen_chain = [frozen.rows[node] for node in ancestors]
         assert closest_in_rows(frozen_chain, hops, k, excluded) == expected
         assert tree.closest_from_node(origin, k, excluded) == expected[0]
         assert tree.last_query_visits == expected[1]
+        # The reference emits int distances; the kernel, the shared floats.
+        snapshot = frozen.closest_from_node(origin, k, excluded)
+        assert shared_floats(live[0]) and shared_floats(snapshot)

@@ -39,10 +39,8 @@ NAMES = tuple(f"p{index}" for index in range(8))
 
 @st.composite
 def cases(draw):
-    # Twins never meet in a cached list (the cache orders equal entries by
-    # peer), so a batch either goes through a publisher or may hold twins.
     publish = draw(st.booleans())
-    peers = NAMES if publish else TWINS + NAMES[:4]
+    peers = draw(st.sampled_from((NAMES, TWINS + NAMES[:4])))
     landmarks = draw(st.integers(1, 4))
     spec = st.tuples(st.sampled_from(peers), st.integers(0, landmarks - 1), branches(12))
     before = draw(st.lists(spec, max_size=6))

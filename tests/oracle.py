@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.core import DiscoverySnapshot, ManagementServer, ShardedManagementServer
 from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
+from repro.core.neighbor_cache import SHARED_DISTANCES
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
 from repro.core.remote import BACKENDS, RecoveryPolicy, shard_factory_for
@@ -459,6 +460,12 @@ def cache_snapshot(plane) -> Dict[object, List[Tuple[object, float]]]:
     }
 
 
+def shared_floats(answer) -> bool:
+    """Every distance of a ``(peer, distance)`` answer is the one shared float
+    of its value: the shape the walk emits and every plane hands on."""
+    return all(distance is SHARED_DISTANCES[distance] for _, distance in answer)
+
+
 def audit(plane, reference) -> None:
     """Everything a reader of ``plane`` sees equals what ``reference`` shows.
 
@@ -466,7 +473,9 @@ def audit(plane, reference) -> None:
     ``closest_peers``; a live plane also its landmarks, paths, cached lists,
     reverse index and distance estimates.  Read-only comparisons go first:
     a live ``closest_peers`` with ``k`` above the neighbour set refills the
-    cache, so those run last, on both sides in the same order.
+    cache, so those run last, on both sides in the same order.  Every
+    answer's distances, on both sides, are the shared floats
+    (:func:`shared_floats`): cached, cold and filled, off any backend.
     """
     peers = reference.peers()
     size = reference.neighbor_set_size
@@ -483,12 +492,13 @@ def audit(plane, reference) -> None:
             assert outcome(plane.estimate_distance, peer_a, peer_b) == outcome(
                 reference.estimate_distance, peer_a, peer_b
             )
-    for peer in peers:
-        for k in (1, size, None):
-            assert plane.closest_peers(peer, k) == reference.closest_peers(peer, k), (peer, k)
-    for peer in peers:
-        for k in (size + 2, size + 3):
-            assert plane.closest_peers(peer, k) == reference.closest_peers(peer, k), (peer, k)
+    for ks in ((1, size, None), (size + 2, size + 3)):
+        for peer in peers:
+            for k in ks:
+                answer = plane.closest_peers(peer, k)
+                expected = reference.closest_peers(peer, k)
+                assert answer == expected, (peer, k)
+                assert shared_floats(answer) and shared_floats(expected), (peer, k)
     assert outcome(plane.closest_peers, "never-registered") == outcome(
         reference.closest_peers, "never-registered"
     )
