@@ -27,14 +27,16 @@ With ``n`` registered peers under a landmark, ``k = neighbor_set_size`` and
   ``k``) stay warm via the cache's completeness marks until the next
   membership change.  A cache miss reads the answer off the sorted rows of
   the peer's ancestor chain (:func:`~repro.core.path_tree.closest_in_rows`):
-  O(d²) ranges located by bisect and O(k) entries scanned in each one
-  read — independent of ``n`` and of how many peers tie at the ``k``-th
-  distance.
+  O(d²) ranges, each starting where its stream's previous one ended (no
+  row is bisected), and at most ``k + len(exclude)`` entries scanned in
+  each one read — independent of ``n`` and of how many peers tie at the
+  ``k``-th distance.
 * **Departure** (:meth:`ManagementServer.unregister_peer`): ``d`` bisected
   row deletions + O(r) cached-list repairs where ``r`` is the number of
   lists that actually reference the departed peer (bounded by the reverse
-  neighbour index, not by ``n``).  Lists that run dry are refilled lazily
-  from the tree on their next query.
+  neighbour index, not by ``n``).  A repaired list left shorter than
+  ``min(k, peers - 1)`` and not marked complete is recomputed from the tree
+  on its owner's next query (a refill), not at the departure.
 * **Batch arrival** (:meth:`ManagementServer.register_peers`): inserts all
   paths first, then computes neighbour lists and propagates cache updates in
   one pass, so co-arriving peers see each other immediately; each list is
@@ -310,8 +312,9 @@ class ManagementServer(ManagementPlaneBase):
 
         The reverse neighbour index pinpoints the (at most ``r``) lists that
         reference the departed peer, so the cost is O(r·k), not O(n): no
-        other cached list is touched.  A list that runs dry is refilled from
-        the tree on its owner's next query.
+        other cached list is touched.  A list this leaves shorter than
+        ``min(k, peers - 1)`` and not marked complete is recomputed from the
+        tree on its owner's next query.
         """
         path = self._paths.pop(peer_id, None)
         if path is None:

@@ -41,9 +41,12 @@ Costs, with ``d`` the depth and ``n`` the peers under a node: insert and
 remove are ``d`` bisects of O(log n) plus the list insert's memmove (8 bytes
 per entry behind the slot — 100 KB at the root of a 12,800-peer tree); a
 query examines O(d²) ranges and scans at most ``k + len(excluded)`` entries
-in each it reads, with no bisect at all: a stream's next range, and its
+in each it reads, with no row bisected: a stream's next range, and its
 path child's range at the same hop value, start where the previous ones
-ended (see :func:`closest_in_rows`).  Memory is one 3-tuple per peer plus
+ended.  The streams wait in one list sorted by next distance, so a distance
+level costs the streams due at it — usually one — plus an ``insort`` of
+each that steps, comparing distances and shifts only (see
+:func:`closest_in_rows`).  Memory is one 3-tuple per peer plus
 one pointer per peer per level, in place of a dict per node.
 
 Ties beyond ``(hop_count, sort_text)`` — distinct peers whose ``repr``
@@ -87,7 +90,7 @@ lists or their frozen tuples alike.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from heapq import merge
 from itertools import islice
 from operator import itemgetter
@@ -116,7 +119,6 @@ Entry = Tuple[int, str, PeerId]
 
 _BY_SORT_TEXT = itemgetter(1)
 RANK = itemgetter(0, 1)  # (hops or estimate, sort text): entries never compare peers
-_EXHAUSTED = float("inf")
 #: ``children`` of a node that has none; a dict is allocated on the first child.
 _NO_CHILDREN: Mapping[NodeId, int] = MappingProxyType({})
 
@@ -134,14 +136,20 @@ def closest_in_rows(
     figure ``PathTree.last_query_visits`` reports.
 
     Each ancestor is a stream of its row's hop values in increasing order,
-    hence of increasing distance.  The streams due at the smallest pending
-    distance each give up their first ``k - found`` candidates — the range
-    at that hop value, skipping the entries the path child's row holds at
-    the same value (both in row order, same objects) and the excluded peers
-    — and the few taken are merged by sort text.  An ancestor whose row is
-    as long as its path child's (a unary chain) adds no peer and no stream.
+    hence of increasing distance.  The streams wait in one list sorted by
+    ``(next distance, shift)``; the shifts differ, so the order is distance,
+    then chain order, and no row is compared.  The streams due at the
+    smallest pending distance lead the list.  Each gives up its first
+    ``k - found`` candidates — the range at that hop value, skipping the
+    entries the path child's row holds at the same value (both in row order,
+    same objects) and the excluded peers.  A lone due stream appends its
+    candidates to the answer as it meets them; the shares of several due
+    streams are gathered, stably sorted by sort text and cut.  A stream that
+    has stepped goes back into the list by bisection, one that is exhausted
+    leaves it, and one whose row is as long as its path child's (a unary
+    chain) adds no peer and never enters it.
 
-    A stream step bisects nothing.  Its range starts where its previous one
+    A stream step bisects no row.  Its range starts where its previous one
     ended, and the child's range at the same hop value starts at a cursor
     where the child's previous one ended: the child's row is a subsequence
     of the row, so it skips every hop value the row skips.  The scan that
@@ -162,23 +170,17 @@ def closest_in_rows(
             streams.append([row[0][0] + shift, shift, row, below, 0, 0])
         below = row
         shift += 2
+    streams.sort()  # the shifts differ: no row is compared
     found: List[Tuple[PeerId, float]] = []
     visits = 0
     reach = k + len(excluded)
-    while len(found) < k and streams:
-        distance = min(streams)[0]  # the shifts differ: no row is compared
-        if distance == _EXHAUSTED:
-            break
-        need = k - len(found)
-        tied: List[Entry] = []
-        merge = False
-        for stream in streams:
-            if stream[0] != distance:
-                continue
+    while streams and len(found) < k:
+        distance = streams[0][0]
+        if len(streams) == 1 or streams[1][0] != distance:  # one stream is due
+            stream = streams.pop(0)
             _, shift, row, below, low, cursor = stream
             hops = distance - shift
-            merge = bool(tied)  # a second stream's share: sort them together
-            enough = len(tied) + need
+            shared = SHARED_DISTANCES[distance]
             skip = cursor
             owned = below[skip] if skip < len(below) else None
             high = low
@@ -190,18 +192,50 @@ def closest_in_rows(
                     skip += 1
                     owned = below[skip] if skip < len(below) else None
                 elif entry[2] not in excluded:
-                    tied.append(entry)
-                    if len(tied) == enough:
+                    found.append((entry[2], shared))
+                    if len(found) == k:
                         break  # the query ends at this distance
             visits += 1 if high - low == skip - cursor else 1 + high - low
-            stream[0] = row[high][0] + shift if high < len(row) else _EXHAUSTED
-            stream[4] = high
-            stream[5] = skip
-        if merge:
-            tied.sort(key=_BY_SORT_TEXT)
-            del tied[need:]
+            if high < len(row):
+                stream[0] = row[high][0] + shift
+                stream[4] = high
+                stream[5] = skip
+                insort(streams, stream)
+            continue
+        due = 2
+        while due < len(streams) and streams[due][0] == distance:
+            due += 1
+        tying = streams[:due]
+        del streams[:due]  # one cut short goes back in at this distance: the query ends here
+        need = k - len(found)
+        tied: List[Entry] = []
+        for stream in tying:
+            _, shift, row, below, low, cursor = stream
+            hops = distance - shift
+            enough = len(tied) + need
+            skip = cursor
+            owned = below[skip] if skip < len(below) else None
+            high = low
+            for entry in row[low : low + reach]:
+                if entry[0] != hops:
+                    break
+                high += 1
+                if entry is owned:
+                    skip += 1
+                    owned = below[skip] if skip < len(below) else None
+                elif entry[2] not in excluded:
+                    tied.append(entry)
+                    if len(tied) == enough:
+                        break  # this stream's share is taken
+            visits += 1 if high - low == skip - cursor else 1 + high - low
+            if high < len(row):
+                stream[0] = row[high][0] + shift
+                stream[4] = high
+                stream[5] = skip
+                insort(streams, stream)
+        tied.sort(key=_BY_SORT_TEXT)
         shared = SHARED_DISTANCES[distance]
-        for entry in tied:  # a loop: a comprehension would be a frame per distance
+        for entry in tied[:need]:  # a loop: a comprehension would be a frame per distance
             found.append((entry[2], shared))
     return found, visits
 

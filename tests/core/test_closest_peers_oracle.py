@@ -6,7 +6,10 @@ The query must return exactly what a brute-force ranking over
 plus row entries scanned, ``last_query_visits`` — that depends on ``k`` and
 the origin's depth, not on the population or the size of a tie.  The
 random tries are the oracle harness's (``tests/oracle.py::random_trees``),
-shared with the path-tree properties.
+shared with the path-tree properties.  The two brute-force properties are
+:data:`~tests.oracle.PROFILED`: CI's inline oracle entry (``-m oracle``)
+runs them at the ``ci-equivalence`` budget, tier-1 at the default one;
+neither goes below the floor each pins.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.path import PeerId
 from repro.core.path_tree import PathTree
 
-from ..oracle import path, random_trees
+from ..oracle import PROFILED, attached, path, random_trees, root_path
 
 
 def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId, int]]:
@@ -36,7 +39,8 @@ def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId
     return ranked[:k]
 
 
-@settings(max_examples=60, deadline=None)
+@PROFILED
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(tree=random_trees(25, 7, churn=True), k=st.integers(1, 8))
 def test_property_matches_brute_force_oracle(tree, k):
     """closest_peers == the brute-force all-pairs ranking, byte for byte."""
@@ -46,13 +50,25 @@ def test_property_matches_brute_force_oracle(tree, k):
         assert tree.closest_peers(origin, k=k) == _oracle_ranking(tree, origin, k)
 
 
-@settings(max_examples=30, deadline=None)
-@given(tree=random_trees(25, 7, churn=True), k=st.integers(1, 5))
-def test_property_exclude_set_respected_against_oracle(tree, k):
-    if tree.peer_count < 3:
-        return
-    origin = tree.peers()[0]
-    excluded = set(tree.peers()[1:2])
+@PROFILED
+@settings(max_examples=max(30, settings.default.max_examples), deadline=None)
+@given(tree=random_trees(25, 7, churn=True), k=st.integers(1, 5), data=st.data())
+def test_property_exclude_set_respected_against_oracle(tree, k, data):
+    """closest_peers(exclude=...) == the brute-force ranking less the
+    excluded peers: up to three, drawn from the peers attached on the
+    origin's root path and off it, and in half the examples an id the tree
+    does not hold.  That id widens the scan bound (``k + len(excluded)``)
+    without hiding a peer, so the other half run at the tight bound."""
+    origin = data.draw(st.sampled_from(tree.peers()))
+    ancestors = root_path(tree, tree.attachment_node(origin))
+    on_chain = [peer for node in ancestors for peer in attached(tree, node) if peer != origin]
+    off_chain = [peer for peer in tree.peers() if peer != origin and peer not in on_chain]
+    excluded = set()
+    for group in (on_chain, off_chain):
+        if group and len(excluded) < 3:
+            excluded |= data.draw(st.sets(st.sampled_from(group), max_size=3 - len(excluded)))
+    if data.draw(st.booleans()):
+        excluded.add("absent")
     result = tree.closest_peers(origin, k=k, exclude=excluded)
     oracle = [entry for entry in _oracle_ranking(tree, origin, tree.peer_count) if entry[0] not in excluded]
     assert result == oracle[:k]

@@ -3,15 +3,24 @@
 :func:`repro.core.path_tree.closest_in_rows` reads each hop range of an
 ancestor chain by cursor: a range starts where the stream's previous one
 ended, and the path child's entries are passed by identity as the scan
-meets them.  ``reference_rows.closest_in_rows`` is the kernel as it stood
-before, bisecting both rows at every step.  For random trees — unary
-chains, peers whose ``repr`` collides, handovers and departures — both
-kernels must return the same ``(found, visits)`` from every drawn origin,
-over the live rows and over a :class:`~repro.core.serving.FlatTrie`'s frozen
-tuples, for ``k`` of 0, 1 and beyond the population and for excluded peers
-attached on the origin's chain, off it, and unknown to the tree.  The
-reference emits int distances, which compare equal to the live kernel's; the
-live and frozen walks must emit the shared floats themselves.
+meets them.  Its streams wait in one list sorted by next distance: a lone
+due stream appends to the answer as it scans, several due streams are
+gathered, sorted by sort text and cut.  ``reference_rows.closest_in_rows``
+is the kernel as it stood before, bisecting both rows at every step.  For
+random trees — unary chains, peers whose ``repr`` collides, handovers and
+departures — both kernels must return the same ``(found, visits)`` from
+every drawn origin, over the live rows and over a
+:class:`~repro.core.serving.FlatTrie`'s frozen tuples, for ``k`` of 0, 1
+and beyond the population and for excluded peers attached on the origin's
+chain, off it, and unknown to the tree.  The reference emits int
+distances, which compare equal to the live kernel's; the live and frozen
+walks must emit the shared floats themselves.
+
+The drawn trees already tie streams, so no hand-built tie test is needed:
+one tier-1 run of this module met 80 levels where two streams were due and
+36 where three were (with ``test_closest_peers_oracle.py`` and
+``test_path_index.py``, 1,407 and 49), and dropping the tie path's sort or
+its cut fails it.
 
 The trees are the oracle harness's paths (``tests/oracle.py``): routers
 named by their prefix under ``lm0``.  CI's ``sharded-equivalence`` matrix
