@@ -18,10 +18,12 @@ A message is one **length-prefixed frame**::
     reply   = (request_id, "ok",  value)
             | (request_id, "err", exception_type_name, message)
 
-The header is what delimits messages on a byte stream, and
-:func:`decode_frame` checks it against the bytes it was handed: a frame
-whose declared length disagrees with its byte count means the channel is
-corrupt (truncated write, desynchronised reply).
+The header is what delimits messages on a byte stream, and ``_frame_end``
+is the one reader of it: it refuses a header declaring more than
+``MAX_FRAME_BYTES`` before the body is read, and :func:`decode_frame` checks
+it against the bytes it was handed — a declared length that disagrees with
+the byte count means the channel is corrupt (truncated write,
+desynchronised reply).
 
 Bodies are pickled **plain data** — ints, floats, strings, bytes, ``None``
 and tuples/lists/dicts of those — by construction: every domain object is
@@ -32,6 +34,13 @@ and reports *every* way a body can fail to decode as
 :class:`~repro.exceptions.WireProtocolError`, the one type both ends of the
 transport turn into a dropped connection or a typed
 :class:`~repro.exceptions.ShardUnavailableError`.
+
+The refusal does not bound memory: a ``LONG_BINPUT`` opcode names a memo
+index, and the unpickler grows its memo to it before the frame fails typed.
+A 13-byte frame naming index 2**24 raises the decoding process's peak RSS
+from 21 MB to 277 MB (2**22: +64 MB; larger not tried; CPython 3.11.7), on a
+``shard-serve --tcp`` server reading requests and a client reading replies
+alike.  Only a decoder that runs no pickle opcodes closes it.
 
 Paths
 -----
@@ -51,9 +60,13 @@ from typing import Sequence, Tuple
 from ..exceptions import WireProtocolError
 from .path import RouterPath
 
-__all__ = ["decode_frame", "decode_path", "encode_frame", "encode_path"]
+__all__ = ["MAX_FRAME_BYTES", "decode_frame", "decode_path", "encode_frame", "encode_path"]
 
 _HEADER = struct.Struct("!I")
+
+#: Upper bound on one frame body — far above any real snapshot, low enough
+#: that a corrupt header cannot make either side try to buffer gigabytes.
+MAX_FRAME_BYTES = 1 << 30
 
 _PATH_TAG = "path"
 
@@ -77,6 +90,17 @@ def encode_frame(message: Tuple[object, ...]) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
+def _frame_end(buffer: bytes) -> int:
+    """Where the frame at the head of ``buffer`` ends, or its header while
+    that is incomplete; an oversized header fails before its body is read."""
+    if len(buffer) < _HEADER.size:
+        return _HEADER.size
+    (declared,) = _HEADER.unpack_from(buffer)
+    if declared > MAX_FRAME_BYTES:
+        raise WireProtocolError(f"frame declares {declared} body bytes (limit {MAX_FRAME_BYTES})")
+    return _HEADER.size + declared
+
+
 class _PlainDataUnpickler(pickle.Unpickler):
     """Unpickles plain data only: any opcode that names a global is refused.
 
@@ -90,13 +114,9 @@ class _PlainDataUnpickler(pickle.Unpickler):
 
 def decode_frame(frame: bytes) -> Tuple[object, ...]:
     """Parse one frame; raise :class:`WireProtocolError` on any inconsistency."""
-    if len(frame) < _HEADER.size:
-        raise WireProtocolError(f"frame shorter than its header: {len(frame)} bytes")
-    (declared,) = _HEADER.unpack_from(frame)
-    if declared != len(frame) - _HEADER.size:
-        raise WireProtocolError(
-            f"frame declares {declared} body bytes but carries {len(frame) - _HEADER.size}"
-        )
+    end = _frame_end(frame)
+    if end != len(frame):
+        raise WireProtocolError(f"frame is {len(frame)} bytes but its header needs {end}")
     try:
         # One unpickler per frame, on purpose: reusing one over a reset
         # BytesIO with its memo replaced segfaulted CPython 3.11.7.

@@ -122,8 +122,5 @@ class PeerKeyInterner:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __contains__(self, peer_id: PeerId) -> bool:
-        return peer_id in self._keys
-
     def __repr__(self) -> str:
         return f"PeerKeyInterner(peers={len(self._keys)})"

@@ -11,7 +11,7 @@ router (or the landmark host itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 from ..exceptions import RegistrationError
 
@@ -82,32 +82,6 @@ class RouterPath:
     def hop_count(self) -> int:
         """Hops from the peer to the landmark (host-to-access-router included)."""
         return len(self.routers)
-
-    def from_landmark(self) -> Tuple[NodeId, ...]:
-        """Routers ordered landmark → peer (the order the path tree walks).
-
-        A new tuple per call: a path keeps no reversed copy (one tuple per
-        registered peer), and the plane's hot paths read ``routers[-1]`` or
-        walk ``routers[-2::-1]`` instead of calling this.
-        """
-        return self.routers[::-1]
-
-    def depth_of(self, router: NodeId) -> int:
-        """Distance (in hops along the path) from the landmark side to ``router``.
-
-        The landmark-side router has depth 0, the access router has depth
-        ``hop_count - 1``.
-        """
-        for depth, candidate in enumerate(reversed(self.routers)):
-            if candidate == router:
-                return depth
-        raise RegistrationError(f"router {router!r} is not on the path of peer {self.peer_id!r}")
-
-    def __len__(self) -> int:
-        return len(self.routers)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self.routers)
 
 
 def shared_suffix_length(path_a: RouterPath, path_b: RouterPath) -> int:

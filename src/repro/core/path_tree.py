@@ -662,9 +662,6 @@ class PathTree:
     def __contains__(self, peer_id: PeerId) -> bool:
         return peer_id in self._attachment
 
-    def __len__(self) -> int:
-        return len(self._attachment)
-
     def __repr__(self) -> str:
         return (
             f"PathTree(landmark={self.landmark_id!r}, peers={self.peer_count}, "

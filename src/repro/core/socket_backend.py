@@ -87,7 +87,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import decode_frame, decode_path, encode_frame, encode_path
+from .codec import MAX_FRAME_BYTES, decode_frame, decode_path, encode_frame, encode_path
+from .codec import _HEADER, _frame_end
 from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, PeerId, RouterPath
 from .path_tree import PathTree
@@ -100,6 +101,7 @@ from .remote import (
 )
 
 __all__ = [
+    "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ChildShardServer",
     "FramedConnection",
@@ -117,12 +119,6 @@ __all__ = [
 #: Version 2 fills with one bounded ``fill`` request.
 PROTOCOL_VERSION = 2
 
-#: Upper bound on one frame body — far above any real snapshot, low enough
-#: that a corrupt header cannot make either side try to buffer gigabytes.
-MAX_FRAME_BYTES = 1 << 30
-
-_HEADER = struct.Struct("!I")
-
 #: What one ``recv`` asks for at least (a reply that fits is one call), and
 #: at most (a hostile header cannot make either side allocate a gigabyte).
 _RECV_BYTES, _RECV_LIMIT = 1 << 16, 1 << 20
@@ -139,17 +135,6 @@ def format_address(address: Address) -> str:
         return f"unix:{address}"
     host, port = address
     return f"tcp:{host}:{port}"
-
-
-def _frame_end(buffer: bytearray) -> int:
-    """Where the frame at the head of ``buffer`` ends, or its header while
-    that is incomplete; an oversized header fails before its body is read."""
-    if len(buffer) < _HEADER.size:
-        return _HEADER.size
-    (declared,) = _HEADER.unpack_from(buffer)
-    if declared > MAX_FRAME_BYTES:
-        raise WireProtocolError(f"frame declares {declared} body bytes (limit {MAX_FRAME_BYTES})")
-    return _HEADER.size + declared
 
 
 def _listening_socket(address: Address) -> socket.socket:

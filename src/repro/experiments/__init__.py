@@ -14,7 +14,6 @@ from .ablations import (
     superpeer_study,
     landmark_count_sweep,
     landmark_placement_sweep,
-    neighbor_set_size_sweep,
     traceroute_noise_sweep,
     tree_accuracy_study,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "superpeer_study",
     "landmark_count_sweep",
     "landmark_placement_sweep",
-    "neighbor_set_size_sweep",
     "traceroute_noise_sweep",
     "tree_accuracy_study",
     "branch_point_analysis",

@@ -5,7 +5,6 @@ rows are the series the corresponding benchmark prints:
 
 * :func:`landmark_count_sweep` / :func:`landmark_placement_sweep` — the
   paper's future-work question F1 (how many landmarks, where);
-* :func:`neighbor_set_size_sweep` — sensitivity to ``k``;
 * :func:`tree_accuracy_study` — claim C3, ``dtree ≈ d`` for most pairs;
 * :func:`traceroute_noise_sweep` — robustness to anonymous routers / probe
   loss (the "decreased version" of traceroute the paper mentions);
@@ -19,7 +18,7 @@ rows are the series the corresponding benchmark prints:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Sequence
+from typing import Any, Callable, Dict, Sequence
 
 from ..core.distance import evaluate_estimator, sample_peer_pairs
 from ..routing.traceroute import TracerouteConfig
@@ -30,6 +29,38 @@ from .figure1 import evaluate_population
 from .results import ResultTable
 
 
+def _ratio_sweep(
+    name: str,
+    column: str,
+    values: Sequence[Any],
+    metadata: Dict[str, Any],
+    seed: int,
+    config_for: Callable[[Any, Callable[[str], int]], Dict[str, Any]],
+) -> ResultTable:
+    """One row per value: ``D/D_closest`` and ``D_random/D_closest`` of a fresh
+    scenario on one small map (seeds ``map``, ``scenario-<value>`` and
+    ``rand-<value>``); ``config_for(value, seed_for)`` returns the value's other
+    :class:`ScenarioConfig` fields."""
+    table = ResultTable(name, [column, "scheme_ratio", "random_ratio"], metadata=metadata)
+    streams = RandomStreams(seed)
+    map_config = RouterMapConfig.small(streams.seed_for("map"))
+    for value in values:
+        config = ScenarioConfig(
+            router_map_config=map_config,
+            seed=streams.seed_for(f"scenario-{value}"),
+            **config_for(value, streams.seed_for),
+        )
+        comparison = evaluate_population(
+            build_scenario(config), random_seed=streams.seed_for(f"rand-{value}")
+        )
+        table.add_row(
+            **{column: value},
+            scheme_ratio=comparison.scheme_ratio,
+            random_ratio=comparison.random_ratio,
+        )
+    return table
+
+
 def landmark_count_sweep(
     landmark_counts: Sequence[int] = (1, 2, 4, 8, 16),
     peer_count: int = 120,
@@ -37,28 +68,16 @@ def landmark_count_sweep(
     seed: int = 11,
 ) -> ResultTable:
     """How the D ratio depends on the number of deployed landmarks."""
-    table = ResultTable(
-        name="landmark_count_sweep",
-        columns=["landmarks", "scheme_ratio", "random_ratio"],
-        metadata={"peers": peer_count, "k": neighbor_set_size, "seed": seed},
+    return _ratio_sweep(
+        "landmark_count_sweep",
+        "landmarks",
+        landmark_counts,
+        {"peers": peer_count, "k": neighbor_set_size, "seed": seed},
+        seed,
+        lambda count, seed_for: dict(
+            peer_count=peer_count, landmark_count=count, neighbor_set_size=neighbor_set_size
+        ),
     )
-    streams = RandomStreams(seed)
-    for count in landmark_counts:
-        config = ScenarioConfig(
-            peer_count=peer_count,
-            landmark_count=count,
-            neighbor_set_size=neighbor_set_size,
-            router_map_config=RouterMapConfig.small(streams.seed_for("map")),
-            seed=streams.seed_for(f"scenario-{count}"),
-        )
-        scenario = build_scenario(config)
-        comparison = evaluate_population(scenario, random_seed=streams.seed_for(f"rand-{count}"))
-        table.add_row(
-            landmarks=count,
-            scheme_ratio=comparison.scheme_ratio,
-            random_ratio=comparison.random_ratio,
-        )
-    return table
 
 
 def landmark_placement_sweep(
@@ -69,64 +88,19 @@ def landmark_placement_sweep(
     seed: int = 13,
 ) -> ResultTable:
     """How the D ratio depends on where landmarks are placed."""
-    table = ResultTable(
-        name="landmark_placement_sweep",
-        columns=["strategy", "scheme_ratio", "random_ratio"],
-        metadata={"peers": peer_count, "landmarks": landmark_count, "seed": seed},
-    )
-    streams = RandomStreams(seed)
-    map_seed = streams.seed_for("map")
-    for strategy in strategies:
-        config = ScenarioConfig(
+    return _ratio_sweep(
+        "landmark_placement_sweep",
+        "strategy",
+        strategies,
+        {"peers": peer_count, "landmarks": landmark_count, "seed": seed},
+        seed,
+        lambda strategy, seed_for: dict(
             peer_count=peer_count,
             landmark_count=landmark_count,
             neighbor_set_size=neighbor_set_size,
             landmark_strategy=strategy,
-            router_map_config=RouterMapConfig.small(map_seed),
-            seed=streams.seed_for(f"scenario-{strategy}"),
-        )
-        scenario = build_scenario(config)
-        comparison = evaluate_population(
-            scenario, random_seed=streams.seed_for(f"rand-{strategy}")
-        )
-        table.add_row(
-            strategy=strategy,
-            scheme_ratio=comparison.scheme_ratio,
-            random_ratio=comparison.random_ratio,
-        )
-    return table
-
-
-def neighbor_set_size_sweep(
-    sizes: Sequence[int] = (1, 2, 3, 5, 8),
-    peer_count: int = 120,
-    landmark_count: int = 4,
-    seed: int = 17,
-) -> ResultTable:
-    """Sensitivity of the ratios to the neighbour-set size ``k``."""
-    table = ResultTable(
-        name="neighbor_set_size_sweep",
-        columns=["k", "scheme_ratio", "random_ratio"],
-        metadata={"peers": peer_count, "landmarks": landmark_count, "seed": seed},
+        ),
     )
-    streams = RandomStreams(seed)
-    map_seed = streams.seed_for("map")
-    for k in sizes:
-        config = ScenarioConfig(
-            peer_count=peer_count,
-            landmark_count=landmark_count,
-            neighbor_set_size=k,
-            router_map_config=RouterMapConfig.small(map_seed),
-            seed=streams.seed_for(f"scenario-{k}"),
-        )
-        scenario = build_scenario(config)
-        comparison = evaluate_population(scenario, random_seed=streams.seed_for(f"rand-{k}"))
-        table.add_row(
-            k=k,
-            scheme_ratio=comparison.scheme_ratio,
-            random_ratio=comparison.random_ratio,
-        )
-    return table
 
 
 def tree_accuracy_study(
@@ -194,35 +168,22 @@ def traceroute_noise_sweep(
     seed: int = 23,
 ) -> ResultTable:
     """Robustness of the scheme to anonymous routers in the traceroute output."""
-    table = ResultTable(
-        name="traceroute_noise_sweep",
-        columns=["anonymous_probability", "scheme_ratio", "random_ratio"],
-        metadata={"peers": peer_count, "landmarks": landmark_count, "seed": seed},
-    )
-    streams = RandomStreams(seed)
-    map_seed = streams.seed_for("map")
-    for probability in anonymous_probabilities:
-        config = ScenarioConfig(
+    return _ratio_sweep(
+        "traceroute_noise_sweep",
+        "anonymous_probability",
+        anonymous_probabilities,
+        {"peers": peer_count, "landmarks": landmark_count, "seed": seed},
+        seed,
+        lambda probability, seed_for: dict(
             peer_count=peer_count,
             landmark_count=landmark_count,
             neighbor_set_size=neighbor_set_size,
-            router_map_config=RouterMapConfig.small(map_seed),
             traceroute_config=TracerouteConfig(
                 anonymous_router_probability=probability,
-                seed=streams.seed_for(f"trace-{probability}"),
+                seed=seed_for(f"trace-{probability}"),
             ),
-            seed=streams.seed_for(f"scenario-{probability}"),
-        )
-        scenario = build_scenario(config)
-        comparison = evaluate_population(
-            scenario, random_seed=streams.seed_for(f"rand-{probability}")
-        )
-        table.add_row(
-            anonymous_probability=probability,
-            scheme_ratio=comparison.scheme_ratio,
-            random_ratio=comparison.random_ratio,
-        )
-    return table
+        ),
+    )
 
 
 def superpeer_study(

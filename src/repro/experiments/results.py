@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..exceptions import ConfigurationError
 
@@ -36,14 +36,6 @@ class ResultTable:
         if name not in self.columns:
             raise ConfigurationError(f"table {self.name!r} has no column {name!r}")
         return [row[name] for row in self.rows]
-
-    def sorted_by(self, column: str) -> "ResultTable":
-        """Return a copy sorted by ``column``."""
-        table = ResultTable(
-            name=self.name, columns=list(self.columns), metadata=dict(self.metadata)
-        )
-        table.rows = sorted(self.rows, key=lambda row: row[column])
-        return table
 
     # ---------------------------------------------------------------- exports
 
@@ -90,14 +82,6 @@ class ResultTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def mean_of(values: Iterable[float]) -> float:
-    """Arithmetic mean (raises on empty input)."""
-    values = list(values)
-    if not values:
-        raise ConfigurationError("cannot average an empty sequence")
-    return sum(values) / len(values)
 
 
 def merge_seed_tables(tables: Sequence[ResultTable], key_column: str) -> ResultTable:

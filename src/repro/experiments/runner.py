@@ -17,7 +17,6 @@ from .ablations import (
     superpeer_study,
     landmark_count_sweep,
     landmark_placement_sweep,
-    neighbor_set_size_sweep,
     traceroute_noise_sweep,
     tree_accuracy_study,
 )
@@ -42,7 +41,6 @@ EXPERIMENTS: Dict[str, ExperimentFunction] = {
     "figure1-quick": _figure1_quick,
     "landmark-count": landmark_count_sweep,
     "landmark-placement": landmark_placement_sweep,
-    "neighbor-set-size": neighbor_set_size_sweep,
     "tree-accuracy": tree_accuracy_study,
     "traceroute-noise": traceroute_noise_sweep,
     "churn": churn_study,

@@ -3,7 +3,6 @@
 from .proximity import (
     ProximityComparison,
     compare_strategies,
-    mean_population_cost,
     neighbor_cost,
     per_peer_ratios,
     population_cost,
@@ -13,7 +12,6 @@ from .latency_stats import DelaySummary
 __all__ = [
     "ProximityComparison",
     "compare_strategies",
-    "mean_population_cost",
     "neighbor_cost",
     "per_peer_ratios",
     "population_cost",

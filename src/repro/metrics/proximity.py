@@ -41,13 +41,6 @@ def population_cost(
     )
 
 
-def mean_population_cost(
-    neighbor_sets: Mapping[PeerId, Sequence[PeerId]], distance: DistanceFunction
-) -> float:
-    """Average ``D`` per peer."""
-    return population_cost(neighbor_sets, distance) / len(neighbor_sets)
-
-
 @dataclass
 class ProximityComparison:
     """The paper's figure datapoint for one population size.
@@ -75,14 +68,6 @@ class ProximityComparison:
         if self.cost_closest == 0:
             raise MetricError("D_closest is zero; ratio undefined")
         return self.cost_random / self.cost_closest
-
-    def as_row(self) -> Dict[str, float]:
-        """Figure-1 row: population size and the two ratios."""
-        return {
-            "peers": float(self.peers),
-            "scheme_ratio": self.scheme_ratio,
-            "random_ratio": self.random_ratio,
-        }
 
 
 def compare_strategies(

@@ -153,14 +153,8 @@ class ProtocolManagementHost:
 
     def start(self) -> None:
         """Schedule the periodic expiry sweep (idempotent)."""
-        if self._sweep_timer is None or self._sweep_timer.cancelled:
+        if self._sweep_timer is None:
             self._sweep_timer = self.engine.schedule(self.sweep_interval_ms, self._sweep)
-
-    def stop(self) -> None:
-        """Cancel the expiry sweep."""
-        if self._sweep_timer is not None:
-            self._sweep_timer.cancel()
-            self._sweep_timer = None
 
     # ------------------------------------------------------------------ receive
 

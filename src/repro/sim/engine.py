@@ -56,7 +56,6 @@ class Engine:
         self._queue: List[Tuple[float, int, TimerHandle]] = []
         self._running = False
         self._processed_events = 0
-        self._stop_requested = False
         # Engine-owned sequence numbers: two engines built back to back
         # produce identical traces because neither sees the other's (or any
         # earlier test's) scheduling history.
@@ -112,7 +111,6 @@ class Engine:
                 f"the current time {self.now}"
             )
         self._running = True
-        self._stop_requested = False
         queue = self._queue
         heappop = heapq.heappop
         # Absent bounds become ones no event reaches, so the loop tests each
@@ -121,7 +119,7 @@ class Engine:
         cap = inf if max_events is None else max_events
         processed = 0
         try:
-            while queue and not self._stop_requested:
+            while queue:
                 if processed >= cap:
                     break
                 time, _, timer = queue[0]
@@ -147,10 +145,6 @@ class Engine:
             self._processed_events += processed
         return processed
 
-    def stop(self) -> None:
-        """Request the current ``run`` call to stop after the current event."""
-        self._stop_requested = True
-
     # ------------------------------------------------------------------ state
 
     @property
@@ -162,16 +156,6 @@ class Engine:
     def processed_events(self) -> int:
         """Total events processed since the engine was created."""
         return self._processed_events
-
-    def reset(self) -> None:
-        """Clear the queue and rewind the clock (for test reuse)."""
-        if self._running:
-            raise SimulationError("cannot reset a running engine")
-        self.now = 0.0
-        self._queue.clear()
-        self._processed_events = 0
-        self._stop_requested = False
-        self._sequence_counter = itertools.count()
 
     def __repr__(self) -> str:
         return f"Engine(now={self.now}, pending={self.pending_events})"

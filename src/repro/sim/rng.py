@@ -40,9 +40,5 @@ class RandomStreams:
         """Return the derived integer seed for ``name`` (for APIs that take seeds)."""
         return derive_seed(self.base_seed, name)
 
-    def reset(self) -> None:
-        """Re-create every stream from the base seed (rewinds all randomness)."""
-        self._streams.clear()
-
     def __repr__(self) -> str:
         return f"RandomStreams(base_seed={self.base_seed}, streams={sorted(self._streams)})"

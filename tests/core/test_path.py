@@ -20,8 +20,7 @@ class TestConstruction:
         assert route.landmark_router == "lmk"
         assert route.hop_count == 3
         assert route.rtt_ms == 12.5
-        assert len(route) == 3
-        assert list(route) == ["r1", "r2", "lmk"]
+        assert list(route.routers) == ["r1", "r2", "lmk"]
 
     def test_empty_path_rejected(self):
         with pytest.raises(RegistrationError):
@@ -44,13 +43,11 @@ class TestConstruction:
         assert type(listed.routers) is tuple and listed.routers == ("a", "b", "lmk")
         assert listed == twin and hash(listed) == hash(twin)
         assert decode_path(encode_path(listed)) == listed
-        assert listed.from_landmark() == ("lmk", "b", "a")
 
     def test_a_path_is_slotted(self):
         """No per-instance dict and no memo beside the fields."""
         route = path("p1", ["r1", "r2", "lmk"])
         assert not hasattr(route, "__dict__")
-        assert route.from_landmark() == ("lmk", "r2", "r1")
         with pytest.raises((AttributeError, TypeError)):
             object.__setattr__(route, "_from_landmark_cache", ())
 
@@ -59,17 +56,7 @@ class TestViews:
     def test_orderings(self):
         route = path("p1", ["r1", "r2", "r3"])
         assert route.routers == ("r1", "r2", "r3")  # stored peer → landmark
-        assert route.from_landmark() == ("r3", "r2", "r1")
-
-    def test_contains_and_depth(self):
-        route = path("p1", ["r1", "r2", "r3"])
-        assert route.depth_of("r3") == 0
-        assert route.depth_of("r1") == 2
-
-    def test_depth_of_unknown_router_raises(self):
-        route = path("p1", ["r1", "r2"])
-        with pytest.raises(RegistrationError):
-            route.depth_of("ghost")
+        assert (route.access_router, route.landmark_router) == ("r1", "r3")
 
 
 class TestSharedSuffix:

@@ -62,7 +62,6 @@ ROUTES = {
 class TestInsertion:
     def test_counts(self, populated_tree):
         assert populated_tree.peer_count == 5
-        assert len(populated_tree) == 5
         # Routers: lmk, core, a2, a1, a3, b1.
         assert populated_tree.router_count == 6
 

@@ -17,8 +17,13 @@ listener, for ``shard-serve --tcp`` — so this module feeds it, and a live
   for a join that was not acknowledged well-formed.
 
 Every sweep is derandomised: a corrupt pickle can ask the unpickler for a
-large memo (the allocation cap is the ``struct`` codec's job, see ROADMAP),
-so the examples that run are the same ones every time.
+large memo, so the examples that run are the same ones every time.  That
+memo is a hole these sweeps do not close: a 13-byte frame naming
+``LONG_BINPUT`` index 2**24 raises the decoding process's peak RSS from
+21 MB to 277 MB (index 2**22: +64 MB) before ``decode_frame`` refuses it
+typed, on a server reading requests and a client reading replies alike.
+No test here allocates that much to show it; a decoder that runs no pickle
+opcodes (the ``struct`` codec, see ROADMAP) is the fix.
 """
 
 from __future__ import annotations

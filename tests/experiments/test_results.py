@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.results import ResultTable, mean_of, merge_seed_tables
+from repro.experiments.results import ResultTable, merge_seed_tables
 
 
 def make_table(name="t", values=(1.0, 2.0)):
@@ -35,14 +35,6 @@ class TestResultTable:
         table = ResultTable(name="t", columns=["a"])
         table.add_row(a=1, b=2)
         assert table.rows == [{"a": 1}]
-
-    def test_sorted_by(self):
-        table = ResultTable(name="t", columns=["x"])
-        for value in (3, 1, 2):
-            table.add_row(x=value)
-        assert table.sorted_by("x").column("x") == [1, 2, 3]
-        # The original table is untouched.
-        assert table.column("x") == [3, 1, 2]
 
     def test_to_text_contains_headers_and_values(self):
         text = make_table().to_text()
@@ -101,12 +93,3 @@ class TestMergeSeedTables:
         merged = merge_seed_tables([table_a, table_b], "strategy")
         assert merged.rows[0]["strategy"] == "random"
         assert merged.rows[0]["ratio"] == 2.0
-
-
-class TestMeanOf:
-    def test_mean(self):
-        assert mean_of([1.0, 2.0, 3.0]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mean_of([])

@@ -24,7 +24,6 @@ class TestRegistry:
             "figure1-quick",
             "landmark-count",
             "landmark-placement",
-            "neighbor-set-size",
             "tree-accuracy",
             "traceroute-noise",
             "churn",

@@ -8,7 +8,6 @@ from repro.exceptions import MetricError
 from repro.metrics.proximity import (
     ProximityComparison,
     compare_strategies,
-    mean_population_cost,
     neighbor_cost,
     per_peer_ratios,
     population_cost,
@@ -30,7 +29,6 @@ class TestNeighborCost:
     def test_population_cost(self):
         sets = {"p0": ["p1"], "p1": ["p3"]}
         assert population_cost(sets, index_distance) == 1.0 + 2.0
-        assert mean_population_cost(sets, index_distance) == 1.5
 
     def test_empty_population_rejected(self):
         with pytest.raises(MetricError):
@@ -49,11 +47,6 @@ class TestComparison:
         assert comparison.peers == 2
         assert comparison.scheme_ratio == pytest.approx(1.0)
         assert comparison.random_ratio == pytest.approx(10 / 2)
-
-    def test_as_row(self):
-        row = self._comparison().as_row()
-        assert row["peers"] == 2.0
-        assert row["random_ratio"] == pytest.approx(5.0)
 
     def test_population_mismatch_rejected(self):
         with pytest.raises(MetricError):

@@ -309,13 +309,6 @@ class TestExpiry:
         assert host.is_live("p0")
         assert host.stats.peers_expired == 0
 
-    def test_stop_cancels_the_sweep(self, plane):
-        engine, _network, _server, host, _senders = plane
-        host.start()
-        host.stop()
-        engine.run(until=TTL_MS * 10)
-        assert engine.pending_events == 0
-
 
 class FlakyPlane:
     """A live plane whose ``register_peer`` / ``unregister_peer`` fail typed while ``down``."""

@@ -97,27 +97,8 @@ class TestRunControl:
         assert engine.run(max_events=3) == 3
         assert engine.pending_events == 2
 
-    def test_stop_from_within_event(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.schedule(2.0, lambda: fired.append(2))
-        engine.run()
-        assert fired == [1]
-        engine.run()
-        assert fired == [1, 2]
-
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
-
-    def test_reset(self):
-        engine = Engine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        engine.schedule(1.0, lambda: None)
-        engine.reset()
-        assert engine.now == 0.0
-        assert engine.pending_events == 0
 
     def test_processed_events_counter(self):
         engine = Engine()
@@ -191,12 +172,6 @@ class TestDeterminism:
         fresh = Engine()
         assert fresh.schedule(1.0, lambda: None).sequence == 0
 
-    def test_reset_rewinds_the_sequence_counter(self):
-        engine = Engine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        engine.reset()
-        assert engine.schedule(1.0, lambda: None).sequence == 0
 
 
 class TestNonFiniteTimes:
@@ -286,18 +261,6 @@ class TestOrderingContract:
         assert engine.run() == 2
         assert fired == ["a", "c"]
         assert engine.processed_events == 2
-
-    def test_stop_inside_a_same_timestamp_group_resumes_with_the_rest(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(1.0, lambda: (fired.append("b"), engine.stop()))
-        engine.schedule(1.0, lambda: fired.append("c"))
-        engine.schedule(1.0, lambda: fired.append("d"))
-        assert engine.run() == 2
-        assert fired == ["a", "b"]
-        assert engine.run() == 2
-        assert fired == ["a", "b", "c", "d"]
 
     def test_max_events_inside_a_same_timestamp_group_resumes_with_the_rest(self):
         engine = Engine()

@@ -43,12 +43,6 @@ class TestRandomStreams:
         values_two = [RandomStreams(3).stream("x").random() for _ in range(1)]
         assert values_one == values_two
 
-    def test_reset_rewinds_streams(self):
-        streams = RandomStreams(5)
-        first = streams.stream("x").random()
-        streams.reset()
-        assert streams.stream("x").random() == first
-
     def test_seed_for_matches_derive_seed(self):
         streams = RandomStreams(9)
         assert streams.seed_for("landmarks") == derive_seed(9, "landmarks")
