@@ -21,6 +21,7 @@ import os
 import pickle
 import random
 import signal
+import struct
 import threading
 import time
 
@@ -28,7 +29,14 @@ import pytest
 
 from repro.core import ManagementServer, ShardBackend, ShardedManagementServer
 from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
-from repro.core.codec import decode_frame, decode_path, encode_frame, encode_path
+from repro.core.codec import (
+    MAX_FRAME_BYTES,
+    _frame_end,
+    decode_frame,
+    decode_path,
+    encode_frame,
+    encode_path,
+)
 from repro.core.path import RouterPath
 from repro.core.remote import (
     DEFAULT_REQUEST_TIMEOUT,
@@ -112,6 +120,37 @@ class TestCodec:
         body = pickle.dumps("just a string")
         with pytest.raises(WireProtocolError):
             decode_frame(struct.pack("!I", len(body)) + body)
+
+
+class TestFrameHeader:
+    """``_frame_end`` is the one reader of the ``!I`` length header: the
+    socket readers and :func:`decode_frame` both go through it."""
+
+    def test_an_incomplete_header_asks_for_the_whole_header(self):
+        frame = encode_frame((1, "ok", "value"))
+        for cut in range(4):
+            assert _frame_end(frame[:cut]) == 4
+
+    def test_a_header_names_where_its_frame_ends_in_a_stream(self):
+        first, second = encode_frame((1, "ok", "a")), encode_frame((2, "ok", "bb"))
+        assert _frame_end(first + second) == len(first)
+        assert _frame_end(second + first[:3]) == len(second)
+        assert _frame_end(first[:5]) == len(first)  # the body has not arrived yet
+
+    def test_the_limit_is_inclusive_and_one_past_it_is_refused(self):
+        assert _frame_end(struct.pack("!I", MAX_FRAME_BYTES)) == 4 + MAX_FRAME_BYTES
+        with pytest.raises(WireProtocolError, match="limit"):
+            _frame_end(struct.pack("!I", MAX_FRAME_BYTES + 1))
+
+    def test_decode_frame_refuses_an_oversized_header_typed(self):
+        body = pickle.dumps((1, "ok", "value"))
+        with pytest.raises(WireProtocolError, match="limit"):
+            decode_frame(struct.pack("!I", MAX_FRAME_BYTES + 1) + body)
+
+    def test_bytes_past_the_declared_body_rejected(self):
+        frame = encode_frame((1, "ok", "value"))
+        with pytest.raises(WireProtocolError, match="header needs"):
+            decode_frame(frame + b"\x00")
 
 
 class TestBackendParity:

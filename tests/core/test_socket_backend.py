@@ -34,8 +34,9 @@ import weakref
 import pytest
 
 from repro.core import DegradedResult, ManagementServer, ShardedManagementServer
+from repro.core import codec, socket_backend
 from repro.core.budget import DeadlineBudget
-from repro.core.codec import encode_path
+from repro.core.codec import decode_frame, encode_path
 from repro.core.remote import RecoveryPolicy, ShardRequestHandler, shard_factory_for
 from repro.core.socket_backend import (
     MAX_FRAME_BYTES,
@@ -307,6 +308,29 @@ class CountingSocket:
         return getattr(self._sock, name)
 
 
+class RecordingSocket:
+    """A client socket that keeps what is sent on it."""
+
+    def __init__(self) -> None:
+        self.sent = b""
+        self.closed = False
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def sendall(self, data: bytes) -> None:
+        self.sent += data
+
+    def setsockopt(self, *option) -> None:
+        pass
+
+    def shutdown(self, how) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
 class TestClientFraming:
     """The client reads replies into one buffer per connection: however the
     stream is cut, every reply decodes once, and a reply that fits is one
@@ -341,6 +365,24 @@ class TestClientFraming:
         with pytest.raises(EOFError):
             conn.recv_frame(DeadlineBudget(5.0))
         assert sock.asks == [1 << 16, 1 << 20]
+
+    def test_a_partial_frame_promises_more_than_it_sends(self):
+        sock = RecordingSocket()
+        conn = FramedConnection(sock, "fake.sock")
+        conn.send_partial_frame()
+        assert conn.closed and sock.closed
+        with pytest.raises(WireProtocolError, match="header needs"):
+            decode_frame(sock.sent)
+        reader = FramedConnection(ScriptedSocket(sock.sent, b""), "fake.sock")
+        with pytest.raises(EOFError):  # the reader waits for the promised body
+            reader.recv_frame(DeadlineBudget(5.0))
+
+    def test_the_backend_frames_with_the_codec_s_own_names(self):
+        """The bench traces ``socket_backend:encode_frame`` / ``decode_frame``:
+        they must be the codec's functions, not copies."""
+        assert socket_backend.encode_frame is codec.encode_frame
+        assert socket_backend.decode_frame is codec.decode_frame
+        assert socket_backend.MAX_FRAME_BYTES == codec.MAX_FRAME_BYTES
 
     def test_a_reply_that_fits_one_segment_costs_one_recv(self, server):
         conn = raw_connection(server)

@@ -28,6 +28,26 @@ class TestLandmarkSweeps:
         ratios = dict(zip(table.column("landmarks"), table.column("scheme_ratio")))
         assert abs(ratios[8] - ratios[4]) < 0.25
 
+    def test_landmark_count_rows_are_the_pinned_ones(self):
+        """Pinned exactly at small parameters: the map, scenario and random
+        seeds (``map``, ``scenario-<n>``, ``rand-<n>``) give the same floats."""
+        table = landmark_count_sweep(landmark_counts=(2, 4), peer_count=30, seed=5)
+        assert table.name == "landmark_count_sweep"
+        assert table.columns == ["landmarks", "scheme_ratio", "random_ratio"]
+        assert list(table.metadata.items()) == [("peers", 30), ("k", 3), ("seed", 5)]
+        assert table.rows == [
+            {
+                "landmarks": 2,
+                "scheme_ratio": 1.1238447319778189,
+                "random_ratio": 1.3955637707948243,
+            },
+            {
+                "landmarks": 4,
+                "scheme_ratio": 1.0539499036608864,
+                "random_ratio": 1.2967244701348748,
+            },
+        ]
+
     def test_landmark_placement_sweep_rows(self):
         strategies = ["medium_degree", "random", "high_degree", "betweenness"]
         table = landmark_placement_sweep(
@@ -39,6 +59,26 @@ class TestLandmarkSweeps:
         # The paper's medium-degree placement is within 0.3 of the best.
         ratios = dict(zip(strategies, table.column("scheme_ratio")))
         assert ratios["medium_degree"] <= min(ratios.values()) + 0.3
+
+    def test_landmark_placement_rows_are_the_pinned_ones(self):
+        table = landmark_placement_sweep(
+            strategies=("medium_degree", "spread"), peer_count=30, landmark_count=3, seed=5
+        )
+        assert table.name == "landmark_placement_sweep"
+        assert table.columns == ["strategy", "scheme_ratio", "random_ratio"]
+        assert list(table.metadata.items()) == [("peers", 30), ("landmarks", 3), ("seed", 5)]
+        assert table.rows == [
+            {
+                "strategy": "medium_degree",
+                "scheme_ratio": 1.0962264150943397,
+                "random_ratio": 1.3320754716981131,
+            },
+            {
+                "strategy": "spread",
+                "scheme_ratio": 1.0782918149466192,
+                "random_ratio": 1.3327402135231317,
+            },
+        ]
 
 
 class TestTreeAccuracy:

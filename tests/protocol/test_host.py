@@ -297,6 +297,18 @@ class TestExpiry:
         assert sim.host.is_live(returning.peer_id)
         assert reborn.neighbors == tuple(sim.server.closest_peers(returning.peer_id))
 
+    def test_start_is_idempotent_before_and_between_sweeps(self, plane):
+        """A second ``start`` never doubles the sweep: one timer is pending
+        after it, and the sweeps that fire stay one interval apart."""
+        engine, _network, _server, host, _senders = plane
+        host.start()
+        host.start()
+        assert engine.pending_events == 1
+        engine.run(until=host.sweep_interval_ms * 2.5)
+        host.start()
+        assert engine.pending_events == 1
+        assert engine.run(until=host.sweep_interval_ms * 4.5) == 2
+
     def test_live_peer_survives_sweeps_while_beaconing(self, plane):
         engine, network, server, host, _senders = plane
         host.start()

@@ -90,12 +90,40 @@ class TestRunControl:
         engine.run()
         assert fired == [1, 10]
 
+    def test_run_until_fires_the_events_due_at_exactly_until(self):
+        engine = Engine()
+        fired = []
+        for time in (5.0, 5.0, 5.5):
+            engine.schedule_at(time, lambda time=time: fired.append(time))
+        assert engine.run(until=5.0) == 2
+        assert fired == [5.0, 5.0]
+        assert engine.now == 5.0 and engine.pending_events == 1
+
+    def test_a_run_that_drains_before_until_ends_at_until(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        assert engine.run(until=8.0) == 1
+        assert engine.now == 8.0
+        assert engine.schedule(1.0, lambda: None).time == 9.0
+
     def test_run_max_events(self):
         engine = Engine()
         for i in range(5):
             engine.schedule(float(i + 1), lambda: None)
         assert engine.run(max_events=3) == 3
         assert engine.pending_events == 2
+
+    def test_a_drained_engine_resumes_from_its_clock(self):
+        """``run`` ends when the queue empties; events scheduled afterwards
+        are relative to the clock it left, and the next ``run`` fires them."""
+        engine = Engine()
+        fired = []
+        engine.schedule(2.0, lambda: fired.append(engine.now))
+        assert engine.run() == 1
+        engine.schedule(3.0, lambda: fired.append(engine.now))
+        assert engine.run() == 1
+        assert fired == [2.0, 5.0]
+        assert engine.processed_events == 2
 
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
