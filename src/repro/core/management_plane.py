@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..exceptions import LandmarkError, ShardUnavailableError, UnknownPeerError
-from .neighbor_cache import NeighborCache, NeighborEntry
+from .neighbor_cache import PAIR, NeighborCache, NeighborEntry
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree
 
@@ -372,7 +372,7 @@ class ManagementPlaneBase:
         """
         if peer_id not in self._paths:
             raise UnknownPeerError(peer_id)
-        return [(peer, distance) for distance, _, peer in self._cache.lists.get(peer_id, ())]
+        return list(map(PAIR, self._cache.lists.get(peer_id, ())))
 
     def referencing_peers(self, peer_id: PeerId) -> Set[PeerId]:
         """Peers whose cached neighbour list currently contains ``peer_id``.
@@ -430,8 +430,9 @@ class ManagementPlaneBase:
         """Return up to ``k`` closest peers for a registered peer.
 
         With the cache enabled and ``k <= neighbor_set_size`` this is a single
-        dictionary access (plus slicing); otherwise the landmark trees are
-        queried directly, lazily refilling the cache.  ``None`` and ``0`` ask
+        dictionary access plus one C-level copy of the pairs
+        (:data:`~repro.core.neighbor_cache.PAIR`); otherwise the landmark
+        trees are queried directly, lazily refilling the cache.  ``None`` and ``0`` ask
         for ``neighbor_set_size``; a negative ``k`` is a ``ValueError``.
 
         A cached list is served when it holds enough entries for ``k`` (or
@@ -442,7 +443,8 @@ class ManagementPlaneBase:
         (unreachable foreign-landmark peers, no landmark distances) would
         miss the cache forever and pay a tree query each time.
         """
-        if peer_id not in self._paths:
+        registered = self._paths
+        if peer_id not in registered:
             raise UnknownPeerError(peer_id)
         k = k or self.neighbor_set_size
         if k < 0:
@@ -450,9 +452,10 @@ class ManagementPlaneBase:
         self.stats.queries += 1
         if self.maintain_cache and k <= self.neighbor_set_size:
             entries = self._cache.lists.get(peer_id, ())
-            if len(entries) >= min(k, self.peer_count - 1) or self._cache.is_complete(peer_id):
+            held = len(entries)
+            if held >= k or held >= len(registered) - 1 or self._cache.is_complete(peer_id):
                 self.stats.cache_hits += 1
-                return [(peer, distance) for distance, _, peer in entries[:k]]
+                return list(map(PAIR, entries if held <= k else entries[:k]))
         try:
             neighbors = self._compute_neighbors(peer_id, k=k)
         except ShardUnavailableError as error:

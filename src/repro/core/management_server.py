@@ -429,14 +429,16 @@ class ManagementServer(ManagementPlaneBase):
 
         The index query of the peer's tree, exposed so the sharded
         coordinator can query a peer's home shard directly.  The answer is
-        the walk's own list (:meth:`PathTree.closest_peers`): shared floats
-        of :data:`~repro.core.neighbor_cache.SHARED_DISTANCES` and all.
+        the walk's own list (:meth:`PathTree.closest_from_node` from the
+        peer's attachment node, the peer excluded): shared floats of
+        :data:`~repro.core.neighbor_cache.SHARED_DISTANCES` and all.
         """
         path = self._paths.get(peer_id)
         if path is None:
             raise UnknownPeerError(peer_id)
         self.stats.tree_queries += 1
-        return self._trees[path.landmark_id].closest_peers(peer_id, k)
+        tree = self._trees[path.landmark_id]
+        return tree.closest_from_node(tree._attachment[peer_id], k, (peer_id,))
 
     def fill_candidates(
         self, bases: Mapping[LandmarkId, float], limit: int

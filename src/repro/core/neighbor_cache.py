@@ -15,10 +15,13 @@ referrers at 12,800 peers and k = 5, where a ``set`` of five costs 728
 bytes: lists save ~6 MB.  Dropping an edge is a ``list.remove``, O(r)
 pointer compares for ``r`` referrers — the order
 :meth:`~NeighborCache.drop_peer` already pays, O(r·k) — and dropping an
-absent edge does nothing.  Referrer order is bookkeeping:
-:meth:`~NeighborCache.referencing` and the planes' ``_referenced_by`` hand
-out sets.  Cached distances (three values among 64,000 at 12,800 peers)
-are the shared floats of :data:`SHARED_DISTANCES`, not one object each.
+absent edge does nothing.  A target's referrers are held in the order they
+first listed it (a re-store that keeps the target keeps the edge where it
+is; :meth:`~NeighborCache.import_state` rebuilds them in owner order), and
+that order is bookkeeping: :meth:`~NeighborCache.referencing` and the
+planes' ``_referenced_by`` hand out sets.  Cached distances (three values
+among 64,000 at 12,800 peers) are the shared floats of
+:data:`SHARED_DISTANCES`, not one object each.
 
 Entries are plain tuples ordered as they sort — ``(distance, sort_text,
 peer_id)``, ``sort_text`` being the plane's interned ``repr(peer_id)``
@@ -28,7 +31,13 @@ No list names a peer twice and none names its owner.  A
 :meth:`~NeighborCache.store` of a list equal to the cached one (the usual
 outcome of a cold query's refill) leaves the list object, the reverse index
 and the change record untouched; only a completeness mark that moved is
-written, and only then does the owner count as changed.
+written, and only then does the owner count as changed.  A store of a
+different list (a refill of an eroded list usually adds one peer) rewrites
+only what differs: a peer in both lists keeps its entry tuple (or, if its
+distance moved, gets a new tuple with the same sort text) and its reverse
+edge; only a peer new to the list is interned and gains an edge, and only
+a peer that left loses one.  A departure deletes its entry from each
+referring list in place, one C-level search per list.
 
 Completeness tracking
 ---------------------
@@ -59,6 +68,7 @@ a snapshot publisher re-freezes only those lists.  It is ``None`` (one
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import indexOf, itemgetter
 from typing import TYPE_CHECKING, Container, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .._validation import require_positive_int
@@ -81,6 +91,11 @@ class _SharedDistances(dict):
 
 
 SHARED_DISTANCES: Dict[int, float] = _SharedDistances((hops, float(hops)) for hops in range(256))
+
+#: ``PAIR(entry)`` is a cached entry's ``(peer_id, distance)`` pair, the shape
+#: the planes answer with: ``list(map(PAIR, entries))`` copies a list in C.
+PAIR = itemgetter(2, 0)
+_PEER = itemgetter(2)
 
 
 class NeighborEntry(NamedTuple):
@@ -176,12 +191,11 @@ class NeighborCache:
 
         ``complete=True`` marks the list as exhaustive for the current
         membership generation (the compute it came from returned every
-        reachable candidate).  An equal list is not rewritten (module doc).
+        reachable candidate).  An equal list is not rewritten, and a changed
+        one only where it differs (module doc).
         """
         old_entries = self.lists.get(peer_id)
-        relist = old_entries is None or list(pairs) != [
-            (peer, distance) for distance, _, peer in old_entries
-        ]
+        relist = old_entries is None or list(pairs) != list(map(PAIR, old_entries))
         stamp = self.membership_generation if complete else None
         if not relist and stamp == self._complete.get(peer_id):
             return
@@ -192,18 +206,27 @@ class NeighborCache:
         else:
             self._complete.pop(peer_id, None)
         if relist:
-            for entry in old_entries or ():
-                self._reverse_discard(entry[2], peer_id)
+            # peer -> its old entry; what is left once the new pairs are read
+            # is the peers that left the list (a fresh list pops nothing).
+            kept = dict(zip(map(_PEER, old_entries), old_entries)) if old_entries else {}
             key = self.interner.key
             referenced_by = self.referenced_by
             entries = self.lists[peer_id] = []
             for peer, distance in pairs:
-                entries.append((distance, key(peer)[0], peer))
-                referrers = referenced_by.get(peer)
-                if referrers is None:
-                    referenced_by[peer] = [peer_id]
+                entry = kept.pop(peer, None) if kept else None
+                if entry is None:
+                    entries.append((distance, key(peer)[0], peer))
+                    referrers = referenced_by.get(peer)
+                    if referrers is None:
+                        referenced_by[peer] = [peer_id]
+                    else:
+                        referrers.append(peer_id)
+                elif entry[0] == distance:
+                    entries.append(entry)
                 else:
-                    referrers.append(peer_id)
+                    entries.append((distance, entry[1], peer))
+            for peer in kept:
+                self._reverse_discard(peer, peer_id)
 
     def drop_peer(self, peer_id: PeerId) -> None:
         """Remove a departing peer's list and repair the lists referencing it.
@@ -221,11 +244,12 @@ class NeighborCache:
         referrers = self.referenced_by.pop(peer_id, ())
         if self.dirty is not None:
             self.dirty.update(referrers)
+        lists = self.lists
         for referrer in referrers:
-            entries = self.lists.get(referrer)
+            entries = lists.get(referrer)
             if entries is None:
                 continue
-            entries[:] = [entry for entry in entries if entry[2] != peer_id]
+            del entries[indexOf(map(_PEER, entries), peer_id)]
             self.stats.departure_updates += 1
 
     def propagate_newcomer(
@@ -271,8 +295,7 @@ class NeighborCache:
         order.  The reverse index is derivable, so it is not exported.
         """
         lists = tuple(
-            (owner, tuple((peer, distance) for distance, _, peer in entries))
-            for owner, entries in self.lists.items()
+            (owner, tuple(map(PAIR, entries))) for owner, entries in self.lists.items()
         )
         return (self.membership_generation, lists, tuple(self._complete.items()))
 
@@ -289,7 +312,7 @@ class NeighborCache:
         or a peer twice (the reverse index would keep a stale edge).
         """
         generation, lists, complete = state
-        known, key = self.interner.table().get, self.interner.key
+        key = self.interner.key
         shared = SHARED_DISTANCES
         cached: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
         referenced_by: Dict[PeerId, List[PeerId]] = {}
@@ -302,7 +325,7 @@ class NeighborCache:
             for peer, distance in pairs:
                 if peer == owner or peer not in registered:
                     raise ValueError(f"the list of {owner!r} names {peer!r}")
-                entries.append((shared[distance], (known(peer) or key(peer))[0], peer))
+                entries.append((shared[distance], key(peer)[0], peer))
                 referrers = referenced_by.get(peer)
                 if referrers is None:
                     referenced_by[peer] = [owner]

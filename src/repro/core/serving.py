@@ -76,6 +76,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import UnknownPeerError
 from .management_plane import NEGATIVE_K, ChangeRecord, ManagementPlaneBase
+from .neighbor_cache import PAIR
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, closest_from, fill_in_rows
 
@@ -233,7 +234,7 @@ class DiscoverySnapshot:
                 continue
             peers[peer] = (
                 trees[path.landmark_id].attachment_node(peer),
-                tuple([(other, distance) for distance, _, other in lists.get(peer, ())]),
+                tuple(map(PAIR, lists.get(peer, ()))),
                 stamp(peer),
             )
 

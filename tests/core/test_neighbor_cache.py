@@ -115,6 +115,25 @@ class TestStore:
         cache.store("o", [("a", 1.0)])  # same list, the mark goes
         assert cache.completeness_stamp("o") is None and cache.dirty == {"o"}
 
+    def test_a_re_store_that_swaps_one_peer_rewrites_only_that_peer(self):
+        cache = make_cache(k=4)
+        cache.store("o", [("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 3.0)])
+        cache.store("p", [("b", 1.0)])
+        before = {entry[2]: entry for entry in cache.lists["o"]}
+        edges = {peer: cache.referenced_by[peer] for peer in "abcd"}
+        cache.dirty.clear()
+        # "c" leaves, "e" comes in, "d" moves closer: "a" and "b" stay as they were.
+        cache.store("o", [("a", 1.0), ("b", 2.0), ("d", 2.0), ("e", 4.0)])
+        assert listed(cache, "o") == [("a", 1.0), ("b", 2.0), ("d", 2.0), ("e", 4.0)]
+        now = {entry[2]: entry for entry in cache.lists["o"]}
+        assert now["a"] is before["a"] and now["b"] is before["b"]
+        assert now["d"] is not before["d"] and now["d"][1] is before["d"][1]
+        assert all(cache.referenced_by[peer] is edges[peer] for peer in "abd")
+        assert cache.referenced_by["b"] == ["o", "p"]  # the kept edge did not move
+        assert cache.referenced_by["e"] == ["o"] and "c" not in cache.referenced_by
+        assert index_of(cache) == {"a": {"o"}, "b": {"o", "p"}, "d": {"o"}, "e": {"o"}}
+        assert cache.dirty == {"o"}
+
     def test_an_empty_first_list_is_a_change(self):
         cache = make_cache()
         cache.store("o", [], complete=True)
@@ -184,6 +203,17 @@ class TestDropPeer:
         assert cache.stats.departure_updates == 2
         assert cache.dirty == {"o", "p"}
 
+    def test_a_departure_repairs_each_referrer_in_place(self):
+        cache = make_cache(k=3)
+        cache.store("o", [("a", 1.0), ("x", 2.0), ("b", 3.0)])
+        cache.store("p", [("x", 1.0)])
+        held = {owner: cache.lists[owner] for owner in ("o", "p")}
+        kept = list(held["o"])
+        cache.drop_peer("x")
+        assert all(cache.lists[owner] is entries for owner, entries in held.items())
+        assert cache.lists["o"] == [kept[0], kept[2]] and cache.lists["p"] == []
+        assert cache.lists["o"][0] is kept[0] and cache.lists["o"][1] is kept[2]
+
     def test_dropping_an_unknown_peer_is_a_no_op(self):
         cache = make_cache()
         cache.store("o", [("a", 1.0)])
@@ -220,7 +250,8 @@ class TestStateRoundTrip:
         source = make_cache(k=2)
         source.store("a", [("x", 1.0)])
         source.store("b", [("x", 1.0)])
-        source.store("a", [("x", 2.0)])  # "a" re-listed: now the newer referrer of "x"
+        source.store("a", [])
+        source.store("a", [("x", 2.0)])  # "a" lists "x" again: now its newer referrer
         target = make_cache(k=2)
         state = source.export_state()
         target.import_state(state, registered_in(state))
@@ -318,17 +349,50 @@ def neighbor_pairs(draw, owner, limit):
     return sorted(pairs, key=lambda pair: (pair[1], repr(pair[0])))  # the order planes compute
 
 
+#: A refill's one change to the list it finds: (what, which entry, which
+#: newcomer, what distance), the indexes taken modulo what is there.
+REFILL_EDITS = st.tuples(
+    st.sampled_from(["drop", "add", "add", "move", "move"]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    DISTANCES,
+)
+
+
+def refilled(pairs, owner, k, edit):
+    """The owner's current pairs with one entry dropped, added (a full list
+    swaps one out for it, an empty one can only gain one) or moved in
+    distance, in the order planes compute."""
+    what, position, pick, distance = edit
+    pairs = list(pairs)
+    at = position % len(pairs) if pairs else 0
+    if pairs and what == "move":
+        pairs[at] = (pairs[at][0], distance)
+    elif pairs and (what == "drop" or len(pairs) >= k):
+        del pairs[at]
+    if what == "add" or not pairs:
+        held = {peer for peer, _ in pairs}
+        newcomers = [peer for peer in PEERS if peer != owner and peer not in held]
+        if newcomers:
+            pairs.append((newcomers[pick % len(newcomers)], distance))
+    return sorted(pairs, key=lambda pair: (pair[1], repr(pair[0])))
+
+
 @st.composite
 def cache_ops(draw):
     k = draw(st.integers(1, 3))
     ops = []
     for _ in range(draw(st.integers(1, 25))):
         kind = draw(
-            st.sampled_from(["store", "store", "arrive", "propagate", "drop", "bump", "drain"])
+            st.sampled_from(
+                ["store", "refill", "refill", "refill", "arrive", "propagate", "drop", "bump", "drain"]
+            )
         )
         peer = draw(st.sampled_from(PEERS))
         if kind in ("store", "arrive"):
             ops.append((kind, peer, draw(neighbor_pairs(peer, k)), draw(st.booleans())))
+        elif kind == "refill":
+            ops.append((kind, peer, draw(REFILL_EDITS), draw(st.booleans())))
         elif kind == "propagate":
             ops.append((kind, peer, draw(neighbor_pairs(peer, len(PEERS)))))
         else:
@@ -349,6 +413,13 @@ def test_cache_matches_the_naive_model_after_every_step(case):
             if kind == "arrive":  # what ends a join: store, then tell the neighbours
                 cache.propagate_newcomer(peer, pairs)
                 model.propagate(peer, pairs)
+        elif kind == "refill":  # aimed at a non-empty list, if the cache holds one
+            edit, complete = args
+            owners = sorted(owner for owner, entries in cache.lists.items() if entries)
+            owner = owners[PEERS.index(peer) % len(owners)] if owners else peer
+            pairs = refilled(listed(cache, owner) if owners else [], owner, k, edit)
+            cache.store(owner, pairs, complete=complete)
+            model.store(owner, pairs, complete)
         elif kind == "propagate":
             cache.propagate_newcomer(peer, args[0])
             model.propagate(peer, args[0])
