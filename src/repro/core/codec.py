@@ -1,10 +1,9 @@
-"""Typed wire codec shared by the remote shard transport and state snapshots.
+"""Typed wire codec of the remote shard protocol and its journal.
 
 Sits below both :mod:`repro.core.socket_backend` (which moves these frames
-over sockets) and :class:`~repro.core.management_server.ManagementServer`
-(which serialises its own state — ``snapshot_state`` / ``restore_state`` —
-with the very same tagged-tuple path encoding the wire protocol uses), so
-neither has to import the other.
+over sockets) and :mod:`repro.core.remote` (which dispatches the requests
+and keeps the journal of acknowledged ones, paths in the very encoding the
+wire carries), so neither has to import the other.
 
 Frames
 ------
@@ -45,9 +44,11 @@ alike.  Only a decoder that runs no pickle opcodes closes it.
 Paths
 -----
 :class:`~repro.core.path.RouterPath` crosses every serialisation boundary
-(wire requests, journals, state snapshots) as a tagged plain-data tuple, so
-the formats are independent of repro class layout and a crash mid-write can
-never surface as a half-unpickled domain object.
+(wire requests, journals) as a tagged plain-data tuple, so the formats are
+independent of repro class layout and a crash mid-write can never surface
+as a half-unpickled domain object.  This module owns that layout:
+:func:`encoded_peer` reads a peer id off an encoded path without building
+the path (journal compaction folds on it).
 """
 
 from __future__ import annotations
@@ -58,14 +59,21 @@ import struct
 from typing import Sequence, Tuple
 
 from ..exceptions import WireProtocolError
-from .path import RouterPath
+from .path import PeerId, RouterPath
 
-__all__ = ["MAX_FRAME_BYTES", "decode_frame", "decode_path", "encode_frame", "encode_path"]
+__all__ = [
+    "MAX_FRAME_BYTES",
+    "decode_frame",
+    "decode_path",
+    "encode_frame",
+    "encode_path",
+    "encoded_peer",
+]
 
 _HEADER = struct.Struct("!I")
 
-#: Upper bound on one frame body — far above any real snapshot, low enough
-#: that a corrupt header cannot make either side try to buffer gigabytes.
+#: Upper bound on one frame body — far above any real batch of paths, low
+#: enough that a corrupt header cannot make either side buffer gigabytes.
 MAX_FRAME_BYTES = 1 << 30
 
 _PATH_TAG = "path"
@@ -82,6 +90,11 @@ def decode_path(data: Sequence[object]) -> RouterPath:
         raise WireProtocolError(f"malformed path frame: {data!r}")
     _, peer_id, landmark_id, routers, rtt_ms = data
     return RouterPath(peer_id, landmark_id, routers, rtt_ms)  # type: ignore[arg-type]
+
+
+def encoded_peer(data: Sequence[object]) -> PeerId:
+    """The peer id of an :func:`encode_path` tuple, without decoding the path."""
+    return data[1]  # type: ignore[return-value]
 
 
 def encode_frame(message: Tuple[object, ...]) -> bytes:

@@ -32,7 +32,7 @@ happens*: each landmark trie adds the node ids on a touched root path, the
 neighbour cache adds the owners whose lists changed, and the plane adds the
 peers that joined or left.  With no record attached every one of those
 hooks is a single ``is None`` test.  Whatever the sets cannot describe — a
-new landmark or landmark distance, ``restore_state`` — and a record that
+new landmark or landmark distance — and a record that
 names more joins and leaves than there are peers alive (nobody is reading
 it) detach the record instead, and the publisher rebuilds whole.
 """

@@ -43,13 +43,13 @@ With ``n`` registered peers under a landmark, ``k = neighbor_set_size`` and
   one index query.
 * **Load** (:meth:`ManagementServer.insert_paths` of a batch that lands
   only in trees holding no peers and neither re-registers nor repeats a
-  peer; :meth:`ManagementServer.restore_state`): one
-  :meth:`~repro.core.path_tree.PathTree.load` per landmark — one walk per
-  path, one sort of the batch's entries, one append per row on each root
-  path: no bisect, no memmove.  The result is the server per-path inserts
-  would build.  At 12,800 peers (``plane-churn-inline``'s population, one
-  2-core box) a cold ``insert_paths`` takes ~60 ms instead of ~90, and a
-  restore with the cache ~90 ms instead of ~145.
+  peer — a cold start, or a compacted journal replayed onto an empty
+  shard): one :meth:`~repro.core.path_tree.PathTree.load` per landmark —
+  one walk per path, one sort of the batch's entries, one append per row on
+  each root path: no bisect, no memmove.  The result is the server per-path
+  inserts would build.  At 12,800 peers (``plane-churn-inline``'s
+  population, one 2-core box) a cold ``insert_paths`` takes ~60 ms instead
+  of ~90.
 
 A row costs one pointer per peer at or below the node — ``d + 1`` pointers
 and one shared 3-tuple per peer in all — and replaces the per-node
@@ -109,68 +109,17 @@ foreign-tree peer.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._validation import require_positive_int
-from ..exceptions import (
-    LandmarkError,
-    RegistrationError,
-    ReproError,
-    StateSnapshotError,
-    UnknownPeerError,
-)
-from .codec import decode_path, encode_path
+from ..exceptions import LandmarkError, RegistrationError, ReproError, UnknownPeerError
 from .interning import PeerKeyInterner
 from .management_plane import ManagementPlaneBase, ServerStats
 from .neighbor_cache import NeighborCache, NeighborEntry
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, fill_in_rows
 
-__all__ = ["ManagementServer", "NeighborEntry", "ServerStats", "STATE_SNAPSHOT_VERSION"]
-
-#: Tag and version of the plain-data state snapshot produced by
-#: :meth:`ManagementServer.snapshot_state`.  Bump the version whenever the
-#: snapshot layout changes; :meth:`restore_state` refuses other versions.
-_STATE_TAG = "repro-state"
-#: Version history:
-#:   1 — landmarks, paths, distances, cache (no interner: restoring re-interned
-#:       peers in path order, silently renumbering compact indices after churn).
-#:   2 — adds the interner's ``(peer_id, sort_text, compact_index)`` table and
-#:       ``next_index``, so compact indices survive snapshot→restore verbatim.
-STATE_SNAPSHOT_VERSION = 2
-
-
-@contextmanager
-def _malformed(field: str) -> Iterator[None]:
-    """Report any way a snapshot field fails to restore as one typed error."""
-    try:
-        yield
-    except (ReproError, TypeError, ValueError, LookupError) as error:
-        raise StateSnapshotError(
-            f"malformed {field} in state snapshot: {type(error).__name__}: {error}"
-        ) from error
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Hold the cyclic garbage collector off for the duration of a bulk build.
-
-    What a restore allocates stays reachable from the server it builds (or,
-    on failure, is dropped whole), so a collection during the build frees
-    nothing.  Paused, the ~160k new objects of a 12,800-peer restore are
-    examined once, by the first young collection after it, instead of by
-    ~240 young, ~20 middle and one or two full collections during it.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+__all__ = ["ManagementServer", "NeighborEntry", "ServerStats"]
 
 
 class ManagementServer(ManagementPlaneBase):
@@ -206,7 +155,7 @@ class ManagementServer(ManagementPlaneBase):
         self.stats = ServerStats()
         # One interner per plane: every ordering this server produces (query
         # sorts, cached-list bisects, min-hop orderings, fills) shares
-        # the same precomputed (sort_text, compact_index) keys.
+        # the same precomputed sort texts.
         self._interner = PeerKeyInterner()
         self._cache = NeighborCache(self.neighbor_set_size, self.stats, self._interner)
         self._landmark_distances: Dict[Tuple[LandmarkId, LandmarkId], float] = {}
@@ -382,7 +331,7 @@ class ManagementServer(ManagementPlaneBase):
         A batch that only lands in trees holding no peers, and neither
         re-registers nor repeats a peer, is a **load**: one
         :meth:`PathTree.load` per landmark instead of one insert per path.
-        The result is the same server — node ids, rows, compact indices,
+        The result is the same server — node ids, rows, interned keys,
         registration order, counters, generation and change record.
         """
         if validate:
@@ -395,9 +344,6 @@ class ManagementServer(ManagementPlaneBase):
                     self.unregister_peer(path.peer_id)
                 self._insert_path(path)
             return
-        intern = self._interner.key
-        for path in paths:  # across landmarks, compact indices follow the input
-            intern(path.peer_id)
         for landmark_id, batch in groups.items():
             self._trees[landmark_id].load(batch)
         # Every path is a new peer, so a record cannot outgrow the live
@@ -463,108 +409,7 @@ class ManagementServer(ManagementPlaneBase):
             limit,
         )
 
-    # -------------------------------------------------------------- snapshots
-
-    def snapshot_state(self) -> Tuple[object, ...]:
-        """Serialise the server's live state as a plain-data tuple.
-
-        The snapshot holds landmarks (registration order), every live path
-        (current registration order, the order that determines tree shape),
-        the landmark-distance map, the interner's compact-index table, and —
-        when this server maintains one — the neighbour cache.  It contains only plain data (paths go through
-        the wire codec), so it can cross the shard wire protocol and be
-        journaled.  Observability counters (``stats``, tree visit/insert
-        counters) are deliberately *not* captured: restoring yields a server
-        whose answers are byte-identical, with counters restarted — the same
-        contract a journal replay onto a fresh worker provides.
-        """
-        landmarks = tuple(
-            (landmark_id, self._landmark_routers[landmark_id]) for landmark_id in self._trees
-        )
-        paths = tuple(encode_path(path) for path in self._paths.values())
-        distances = tuple(self._landmark_distances.items())
-        cache = self._cache.export_state() if self.maintain_cache else None
-        interner = self._interner.export_state()
-        return (_STATE_TAG, STATE_SNAPSHOT_VERSION, landmarks, paths, distances, cache, interner)
-
-    def restore_state(self, snapshot: Tuple[object, ...]) -> None:
-        """Replace all live state with a :meth:`snapshot_state` payload.
-
-        **Atomic and typed:** the new trees, registry and cache are built
-        aside and swapped in only once all of them are; anything that is
-        not a supported snapshot — a bad header, version or field — raises
-        :class:`~repro.exceptions.StateSnapshotError`, chained to its cause,
-        and leaves the server exactly as it was.
-
-        **A load, not a replay:** the interner table is imported verbatim
-        (compact indices and the monotonic counter survive, so array-backed
-        consumers keyed on them stay valid), every landmark's tree is built
-        by one :meth:`PathTree.load` of its paths in registration order, and
-        the cache is imported from the exported ``(peer, distance)`` pairs
-        with its reverse index in the same pass — so every subsequent answer
-        is byte-identical to the snapshotted server's.  Counters move as a
-        replay would move them: one registration per path.
-        """
-        if (
-            not isinstance(snapshot, tuple)
-            or len(snapshot) < 2
-            or snapshot[0] != _STATE_TAG
-        ):
-            raise StateSnapshotError(f"malformed state snapshot: {type(snapshot).__name__}")
-        version = snapshot[1]
-        if version != STATE_SNAPSHOT_VERSION:
-            # Typed rejection before the arity check: an old-layout tuple
-            # (e.g. the 6-element version 1) reports its version mismatch,
-            # not a generic malformed-snapshot error.
-            raise StateSnapshotError(
-                f"unsupported state snapshot version {version!r} "
-                f"(this build reads version {STATE_SNAPSHOT_VERSION})"
-            )
-        if len(snapshot) != 7:
-            raise StateSnapshotError(f"malformed state snapshot: {type(snapshot).__name__}")
-        with _collector_paused():
-            staged = self._restored(*snapshot[2:])
-        self._stop_tracking()  # every tree and the cache are replaced below
-        for name, value in staged.stats.as_dict().items():
-            setattr(self.stats, name, getattr(self.stats, name) + value)
-        staged._cache.stats = self.stats
-        self._trees = staged._trees
-        self._landmark_routers = staged._landmark_routers
-        self._paths = staged._paths
-        self._landmark_distances = staged._landmark_distances
-        self._interner = staged._interner
-        self._cache = staged._cache
-
     # -------------------------------------------------------------- internals
-
-    def _restored(self, landmarks, paths, distances, cache, interner) -> "ManagementServer":
-        """A new server holding a snapshot's fields (see :meth:`restore_state`)."""
-        staged = ManagementServer(self.neighbor_set_size, self.maintain_cache)
-        # Import the interner *before* the paths: the load then finds the
-        # snapshotted (sort_text, compact_index) keys instead of interning
-        # afresh, so compact indices — including the gaps left by departed
-        # peers and the monotonic next_index — survive verbatim.
-        with _malformed("interner state"):
-            staged._interner.import_state(interner)
-        with _malformed("landmarks"):
-            for landmark_id, router in landmarks:
-                staged.register_landmark(landmark_id, router)
-        with _malformed("paths"):
-            # Every tree is empty, so this is one load per landmark.
-            staged.insert_paths([decode_path(encoded) for encoded in paths], validate=False)
-        # The load bumped the membership generation once per path.  Those
-        # bumps are restore bookkeeping, not membership changes the
-        # snapshotted lists missed: reset the counter so the cache import
-        # below re-validates the snapshot's completeness marks (and a
-        # cache-less restore starts at generation 0, like a fresh server).
-        staged._cache.membership_generation = 0
-        with _malformed("landmark distances"):
-            for key, distance in distances:
-                staged._landmark_distances[tuple(key)] = float(distance)
-        if cache is not None and self.maintain_cache:
-            with _malformed("neighbour cache"):
-                staged._cache.import_state(cache, registered=staged._paths)
-        return staged
 
     def _load_groups(self, paths: Sequence[RouterPath]) -> Optional[Dict[LandmarkId, List[RouterPath]]]:
         """The batch by landmark if :meth:`insert_paths` may load it, else None."""

@@ -17,9 +17,8 @@ pointer compares for ``r`` referrers — the order
 :meth:`~NeighborCache.drop_peer` already pays, O(r·k) — and dropping an
 absent edge does nothing.  A target's referrers are held in the order they
 first listed it (a re-store that keeps the target keeps the edge where it
-is; :meth:`~NeighborCache.import_state` rebuilds them in owner order), and
-that order is bookkeeping: :meth:`~NeighborCache.referencing` and the
-planes' ``_referenced_by`` hand out sets.  Cached distances (three values
+is), and that order is bookkeeping: :meth:`~NeighborCache.referencing`
+and the planes' ``_referenced_by`` hand out sets.  Cached distances (three values
 among 64,000 at 12,800 peers) are the shared floats of
 :data:`SHARED_DISTANCES`, not one object each.
 
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import indexOf, itemgetter
-from typing import TYPE_CHECKING, Container, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .._validation import require_positive_int
 from .interning import PeerKeyInterner
@@ -82,8 +81,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class _SharedDistances(dict):
     """``table[d]``: the one float of an integral ``d`` in 0–255 (module
     doc), else a fresh ``float(d)``.  Index queries (the live plane's and
-    a snapshot's), :meth:`NeighborCache.import_state` and a remote shard's
-    replies (:class:`~repro.core.socket_backend.SocketShardBackend`) read every
+    a snapshot's) and a remote shard's replies
+    (:class:`~repro.core.socket_backend.SocketShardBackend`) read every
     distance through it."""
 
     def __missing__(self, distance: float) -> float:
@@ -215,7 +214,7 @@ class NeighborCache:
             for peer, distance in pairs:
                 entry = kept.pop(peer, None) if kept else None
                 if entry is None:
-                    entries.append((distance, key(peer)[0], peer))
+                    entries.append((distance, key(peer), peer))
                     referrers = referenced_by.get(peer)
                     if referrers is None:
                         referenced_by[peer] = [peer_id]
@@ -264,7 +263,7 @@ class NeighborCache:
         list was full.  Whether a list already names the newcomer is read off
         the reverse index.
         """
-        newcomer_text = self.interner.key(newcomer)[0]
+        newcomer_text = self.interner.key(newcomer)
         # Reverse-index lists are never left empty, so a falsy one is a new one.
         listed_in = self.referenced_by.get(newcomer) or []
         lists, limit, dirty = self.lists, self.neighbor_set_size, self.dirty
@@ -284,60 +283,6 @@ class NeighborCache:
                 dirty.add(peer)
         if listed_in:
             self.referenced_by[newcomer] = listed_in
-
-    # ------------------------------------------------------------- snapshots
-
-    def export_state(self) -> Tuple[object, ...]:
-        """The cache as plain data, for management-plane state snapshots.
-
-        Returns ``(membership_generation, lists, completeness)`` where
-        ``lists`` holds each owner's ``(peer, distance)`` pairs in cached
-        order.  The reverse index is derivable, so it is not exported.
-        """
-        lists = tuple(
-            (owner, tuple(map(PAIR, entries))) for owner, entries in self.lists.items()
-        )
-        return (self.membership_generation, lists, tuple(self._complete.items()))
-
-    def import_state(self, state: Tuple[object, ...], registered: Container[PeerId]) -> None:
-        """Rebuild the cache (lists, reverse index, completeness) from
-        :meth:`export_state` output, replacing current contents.
-
-        One pass over the exported pairs builds each list as the exact entry
-        tuples :meth:`store` makes (distances through :data:`SHARED_DISTANCES`)
-        and the reverse index beside it; generation and completeness marks
-        are restored verbatim.  Nothing is replaced unless the whole payload
-        reads (``ValueError`` / ``TypeError`` otherwise): every owner and
-        every listed peer is in ``registered``, and no list names its owner
-        or a peer twice (the reverse index would keep a stale edge).
-        """
-        generation, lists, complete = state
-        key = self.interner.key
-        shared = SHARED_DISTANCES
-        cached: Dict[PeerId, List[Tuple[float, str, PeerId]]] = {}
-        referenced_by: Dict[PeerId, List[PeerId]] = {}
-        for owner, pairs in lists:  # type: ignore[union-attr]
-            if owner in cached:
-                raise ValueError(f"owner {owner!r} is listed twice")
-            if owner not in registered:
-                raise ValueError(f"the list of {owner!r} has no registered owner")
-            entries = cached[owner] = []
-            for peer, distance in pairs:
-                if peer == owner or peer not in registered:
-                    raise ValueError(f"the list of {owner!r} names {peer!r}")
-                entries.append((shared[distance], key(peer)[0], peer))
-                referrers = referenced_by.get(peer)
-                if referrers is None:
-                    referenced_by[peer] = [owner]
-                elif referrers[-1] is owner:  # lists are built one owner at a time
-                    raise ValueError(f"the list of {owner!r} names {peer!r} twice")
-                else:
-                    referrers.append(owner)
-        marks = dict(complete)  # type: ignore[call-overload]
-        self.membership_generation = int(generation)  # type: ignore[arg-type]
-        self.lists = cached
-        self.referenced_by = referenced_by
-        self._complete = marks
 
     # -------------------------------------------------------------- internals
 

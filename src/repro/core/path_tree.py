@@ -58,15 +58,16 @@ Loading a tree that holds no peers
 ----------------------------------
 :meth:`PathTree.load` builds the same tree from a batch without a bisect or
 a memmove: it interns the batch's peers and creates nodes in input order
-(so compact indices and node ids are what one :meth:`PathTree.insert` per
-path would assign), sorts the batch's entries once by ``(hop_count,
-sort_text)`` over the newest-first order — the stable sort keeps the
-newer-first rule for colliding ``repr``s — and appends each entry to every
-row on its root path, which leaves every row sorted.  It runs only on a
-tree with no peers and a batch that repeats no peer.  The management server
-loads a batch when every path lands in a tree that holds no peers as the
-batch starts and no path re-registers or repeats a peer — a cold start, a
-restore; any other batch, and every single join, inserts path by path.
+(so node ids are what one :meth:`PathTree.insert` per path would assign),
+sorts the batch's entries once by ``(hop_count, sort_text)`` over the
+newest-first order — the stable sort keeps the newer-first rule for
+colliding ``repr``s — and appends each entry to every row on its root
+path, which leaves every row sorted.  It runs only on a tree with no peers
+and a batch that repeats no peer.  The management server loads a batch
+when every path lands in a tree that holds no peers as the batch starts and
+no path re-registers or repeats a peer — a cold start, or a compacted
+journal replayed onto an empty shard; any other batch, and every single
+join, inserts path by path.
 
 Stable node ids
 ---------------
@@ -443,7 +444,7 @@ class PathTree:
         # Ahead of any entry equal in (hops, sort text), in every row alike.
         # A row holds its path child's entries in the same order, so the slot
         # lies within (entries the child lacks) of the child's slot.
-        key = (len(routers), self._interner.sort_text(path.peer_id))
+        key = (len(routers), self._interner.key(path.peer_id))
         entry = (*key, path.peer_id)
         index = below = 0
         rows, parent = self.rows, self.parent
@@ -508,7 +509,7 @@ class PathTree:
                 node = child
             peer_id = path.peer_id
             attachment[peer_id] = node
-            entries.append((len(routers), key(peer_id)[0], peer_id))
+            entries.append((len(routers), key(peer_id), peer_id))
             touched += len(routers)
             self.last_insert_nodes_created = created - before
             before = created
@@ -550,7 +551,7 @@ class PathTree:
         if peer_id not in self._attachment:
             raise UnknownPeerError(peer_id)
         node = self._attachment.pop(peer_id)
-        key = (self.depth[node] + 1, self._interner.sort_text(peer_id))
+        key = (self.depth[node] + 1, self._interner.key(peer_id))
         if self.dirty is not None:
             self._mark_root_path(node)  # before pruning: the pruned ids are on it
 

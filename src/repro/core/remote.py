@@ -73,17 +73,19 @@ failure on a recoverable request triggers a bounded loop of backoff →
 restart → one re-issue of the failed request, instead of raising on first
 fault; journal replay rebuilds shard state byte-identically, so a re-issued
 read — a fill included — answers what the lost one would have.  The journal
-itself is bounded: :meth:`ShardSupervisorBase.compact` swaps it for one
-``restore_state`` entry holding the shard's ``snapshot_state``, so restart
-cost is O(live state), not O(operation history); ``compact_watermark=N``
-does so automatically whenever the journal reaches ``N`` entries.
+itself is bounded: :meth:`ShardSupervisorBase.compact` folds it into the
+ops that rebuild the live state — every ``register_landmark`` in order,
+then ONE ``insert_paths`` of the live peers' paths in registration order,
+which an empty shard loads — so restart cost is O(live state), not
+O(operation history).  The fold reads only the journal: it sends nothing,
+so it works on a dead shard and cannot fail.  ``compact_watermark=N``
+compacts whenever ``N`` entries were journaled since the last compaction.
 """
 
 from __future__ import annotations
 
 import builtins
 import itertools
-import pickle
 import random
 import time
 from dataclasses import dataclass, field
@@ -92,7 +94,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from .. import exceptions as _exceptions
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import decode_path, encode_path
+from .codec import decode_path, encode_frame, encode_path, encoded_peer
 from .management_server import ManagementServer
 
 __all__ = [
@@ -276,10 +278,6 @@ def _dispatch(server: ManagementServer, op: str, args):
         return tuple(server.total_insert_work())
     if op == "stats":
         return server.stats.as_dict()
-    if op == "snapshot_state":
-        return server.snapshot_state()
-    if op == "restore_state":
-        return server.restore_state(args[0])
     raise WireProtocolError(f"unknown operation {op!r}")
 
 
@@ -298,7 +296,7 @@ class ShardSupervisorBase:
     acknowledged mutating requests, :meth:`restart` (fresh transport +
     in-order replay, restoring the shard's data plane byte-identically), the
     :class:`RecoveryPolicy` loop of backoff → restart → re-issue, and
-    snapshot compaction (:meth:`compact`).
+    journal compaction (:meth:`compact`).
 
     Parameters
     ----------
@@ -313,8 +311,11 @@ class ShardSupervisorBase:
         that fail with :class:`ShardUnavailableError` trigger bounded
         backoff → restart+replay → re-issue instead of raising.
     compact_watermark:
-        When set, :meth:`compact` runs automatically whenever the journal
-        reaches this many entries, bounding replay cost by live state size.
+        When set, :meth:`compact` runs automatically whenever this many
+        entries were journaled since the last compaction, bounding replay
+        cost by live state size.  (Counting the journal's length instead
+        would compact on every op once a compacted journal, one entry per
+        landmark plus one, reaches the watermark.)
     """
 
     def __init__(
@@ -332,8 +333,8 @@ class ShardSupervisorBase:
         self.request_timeout = request_timeout
         self._recovery = recovery
         self._compact_watermark = compact_watermark
-        self.last_snapshot_bytes = 0
         self._journal: List[Tuple[str, Tuple[object, ...]]] = []
+        self._journaled_since_compact = 0
         self._next_request_id = itertools.count(1)
         self._poisoned: Optional[str] = None
         self._closed = False
@@ -437,29 +438,40 @@ class ShardSupervisorBase:
         raise last
 
     def compact(self) -> int:
-        """Replace the journal with one state snapshot; return its byte size.
+        """Fold the journal into the ops that rebuild the live state.
 
-        Asks the shard to serialise its live state (``snapshot_state``) and
-        rewrites the journal as ``[("restore_state", (snapshot,))]``, so the
-        next :meth:`restart` replays O(live state) instead of O(history).
-        The journal is only replaced after the snapshot round trip succeeds.
+        The folded journal is every ``register_landmark`` in order, then ONE
+        ``insert_paths(live paths, validate=False)``: an ``insert_paths``
+        entry moves each of its peers to the end of the registration order
+        (a peer already there is replaced), an ``unregister`` drops its
+        peer, and every entry was acknowledged, so nothing needs validating
+        again.  A restart lands on an empty shard, where that batch is a
+        load.  Nothing is sent, so a dead shard compacts too.  Returns the
+        folded journal's size on the wire: its frames' bytes under one
+        fixed request id.
         """
-        snapshot = self.request("snapshot_state", ())
-        self._journal = [("restore_state", (snapshot,))]
-        size = len(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
-        self.last_snapshot_bytes = size
-        return size
+        landmarks: List[Tuple[str, Tuple[object, ...]]] = []
+        live = {}
+        for op, args in self._journal:
+            if op == "insert_paths":
+                for encoded in args[0]:  # type: ignore[attr-defined]
+                    peer = encoded_peer(encoded)
+                    live.pop(peer, None)
+                    live[peer] = encoded
+            elif op == "unregister":
+                del live[args[0]]
+            else:
+                landmarks.append((op, args))
+        self._journal = landmarks + [("insert_paths", (tuple(live.values()), False))]
+        self._journaled_since_compact = 0
+        return sum(len(encode_frame((1, op, args))) for op, args in self._journal)
 
     def _maybe_compact(self) -> None:
-        if self._compact_watermark is None or len(self._journal) < self._compact_watermark:
-            return
-        try:
+        self._journaled_since_compact += 1
+        if self._compact_watermark is not None and (
+            self._journaled_since_compact >= self._compact_watermark
+        ):
             self.compact()
-        except ShardUnavailableError:
-            # Auto-compaction is an optimisation: if the shard is gone the
-            # triggering request already succeeded, so keep the long journal
-            # and let the normal fault path handle the dead shard.
-            pass
 
     def _interpret_reply(self, reply, request_id: int, op: str) -> object:
         """Turn a decoded reply tuple into a value or a raised exception.

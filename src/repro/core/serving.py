@@ -61,8 +61,7 @@ copy that shares the live entries.  Untouched rows, and whole tries no
 change touched, are *shared* between consecutive epochs.
 A full build is the same routine with no previous epoch, where everything
 counts as changed; that is also what happens whenever the record cannot
-vouch for the gap — ``restore_state``, a new landmark or landmark distance,
-a remote shard (its ``tree()`` is a fresh export), a record that outgrew
+vouch for the gap — a new landmark or landmark distance, a remote shard (its ``tree()`` is a fresh export), a record that outgrew
 the live population, or a second publisher having taken the record over.
 Completeness marks are frozen as the generation *stamp* they were stored
 under and compared with the snapshot's own ``membership_generation`` at

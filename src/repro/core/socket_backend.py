@@ -22,7 +22,7 @@ so no input, however it arrives, reaches a previous tenant's peers, and the
 shard is all a connection holds: every request, a fill included, is one
 self-contained read or write.  Dying and reconnecting (every restart dials
 afresh) therefore lands on an *empty* shard, and the supervisor heals it by
-replaying the operation journal (snapshot-compacted or not) in order,
+replaying the operation journal (compacted or not) in order,
 byte-identical by insert order, under the
 :class:`~repro.core.remote.RecoveryPolicy` backoff loop.
 ``PROTOCOL_VERSION`` names the operation set, so a client and a server
@@ -116,8 +116,9 @@ __all__ = [
 
 #: Version of the hello handshake + operation set.  Bump on incompatible
 #: protocol changes; the handshake fails typed across a version skew.
-#: Version 2 fills with one bounded ``fill`` request.
-PROTOCOL_VERSION = 2
+#: Version 2 fills with one bounded ``fill`` request; version 3 dropped the
+#: two state-snapshot ops (compaction folds the journal instead).
+PROTOCOL_VERSION = 3
 
 #: What one ``recv`` asks for at least (a reply that fits is one call), and
 #: at most (a hostile header cannot make either side allocate a gigabyte).
@@ -910,7 +911,7 @@ class SocketShardBackend:
         self.supervisor.restart()
 
     def compact(self) -> int:
-        """Snapshot-compact the supervisor's journal; return snapshot bytes."""
+        """Fold the supervisor's journal; return the folded journal's bytes."""
         return self.supervisor.compact()
 
     # -------------------------------------------------------------- lifecycle
@@ -944,8 +945,8 @@ class SocketShardBackend:
 
 def _shared_pairs(pairs) -> List[Tuple[PeerId, float]]:
     """A shard's ``(peer, distance)`` reply with each distance read through
-    :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`: the floats pickle
-    just decoded never reach the coordinator's cache."""
+    :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`: the floats the frame
+    just decoded to never reach the coordinator's cache."""
     return [(peer, SHARED_DISTANCES[distance]) for peer, distance in pairs]
 
 

@@ -97,16 +97,6 @@ class WireProtocolError(ReproError):
     """
 
 
-class StateSnapshotError(ReproError):
-    """Raised when a serialised management-plane state snapshot is unusable.
-
-    Covers malformed snapshot tuples and unsupported snapshot versions —
-    both mean a compacted journal cannot be replayed, so the error is
-    deliberately distinct from transport-level :class:`WireProtocolError`
-    (the snapshot decoded fine; its *content* is the problem).
-    """
-
-
 class ShardUnavailableError(ReproError):
     """Raised when a management-plane shard backend cannot serve a request.
 

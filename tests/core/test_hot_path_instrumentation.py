@@ -84,13 +84,13 @@ class TestRegisterPath:
         long-lived server's key table tracks the live population, not the
         cumulative arrival count."""
         interner = server._interner
-        before = len(interner)
+        before = len(interner.table())
         for wave in range(5):
             fresh = [make_path(f"peer{1000 + wave * 20 + i}", 0, (0, i % 5)) for i in range(20)]
             server.register_peers(fresh)
             for path in fresh:
                 server.unregister_peer(path.peer_id)
-        assert len(interner) == before
+        assert len(interner.table()) == before
 
 
 class TestQueryPath:

@@ -3,13 +3,14 @@
 The per-peer state (a path in the landmark trie, a cached neighbour list and
 its reverse-index edges, the registry entry) is what makes a lookup O(1),
 and it is most of a large plane's memory.  These tests pin it with
-``tracemalloc`` on a single server at 3,200 synthetic peers, k = 5: built by
-registration, and rebuilt by ``restore_state``.  The bounds are the measured
-figures plus 10 % headroom, so a representation that gives back a set per
-reverse-index target, a float per cached distance, a dict per path or a
-duplicate per-peer registry fails here first.  A sharded plane's cache
-holds the same shared floats whatever backend answered its shards, and so
-do a snapshot's cold answer and a list topped up by a cross-landmark fill.
+``tracemalloc`` on a single server at 3,200 synthetic peers, k = 5, built by
+registration, and on a cache-less shard rebuilt from its folded journal.
+The bounds are the measured figures plus 10 % headroom, so a representation
+that gives back a set per reverse-index target, a float per cached distance,
+a dict per path or a duplicate per-peer registry fails here first.  A
+sharded plane's cache holds the same shared floats whatever backend
+answered its shards, and so do a snapshot's cold answer and a list topped
+up by a cross-landmark fill.
 """
 
 from __future__ import annotations
@@ -22,15 +23,21 @@ import pytest
 
 from repro import ManagementServer
 from repro.core import ShardedManagementServer, SnapshotPublisher, shard_factory_for
+from repro.core.codec import encode_path
 from repro.core.neighbor_cache import SHARED_DISTANCES
+from repro.core.remote import ShardRequestHandler
 from repro.workloads import synthetic_paths
 
 PEERS = 3_200
-#: Measured 1,172 bytes per peer at registration and 1,148 after a restore
-#: (CPython 3.11, 64-bit); the representation before lists, shared floats,
-#: slotted paths and one registry per layer took 1,793 and 1,609.
-REGISTERED_BOUND = 1_280
-RESTORED_BOUND = 1_260
+#: Measured 1,040 bytes per peer at registration (CPython 3.11, 64-bit); an
+#: interner that also held a ``(sort_text, compact_index)`` tuple per peer
+#: took 1,125, and the representation before lists, shared floats, slotted
+#: paths and one registry per layer took 1,793.
+REGISTERED_BOUND = 1_150
+#: Measured 518 bytes per peer on a cache-less shard that replayed its folded
+#: journal (603 while the interner held a tuple per peer): the path, the
+#: trie entry and attachment, the interned key.
+RELOADED_SHARD_BOUND = 570
 #: Object and dict layouts differ between interpreters, so the byte bounds
 #: hold where they were measured; the shared-float case runs everywhere.
 measured_interpreter = pytest.mark.skipif(
@@ -73,28 +80,31 @@ def test_a_registered_peer_costs_the_pinned_bytes():
 
 
 @measured_interpreter
-def test_a_restored_peer_costs_the_pinned_bytes():
-    snapshot = registered_server(synthetic_paths(PEERS)).snapshot_state()
+def test_a_peer_a_shard_reloads_from_its_fold_costs_the_pinned_bytes():
+    """What a restart onto a compacted journal rebuilds: one landmark and
+    one ``insert_paths`` of encoded paths, decoded and loaded by the shard's
+    request handler."""
+    fold = [
+        ("register_landmark", ("lmk", "lmk")),
+        ("insert_paths", (tuple(encode_path(path) for path in synthetic_paths(PEERS)), False)),
+    ]
 
-    def restore() -> ManagementServer:
-        server = ManagementServer(neighbor_set_size=5)
-        server.restore_state(snapshot)
-        return server
+    def reload() -> ShardRequestHandler:
+        handler = ShardRequestHandler(5)
+        for op, args in fold:
+            handler.handle(1, op, args)
+        return handler
 
-    server, per_peer = traced_bytes_per_peer(restore)
-    assert server.snapshot_state() == snapshot
-    assert per_peer <= RESTORED_BOUND, f"{per_peer:.0f} bytes per restored peer"
+    handler, per_peer = traced_bytes_per_peer(reload)
+    assert handler.server.peer_count == PEERS
+    assert per_peer <= RELOADED_SHARD_BOUND, f"{per_peer:.0f} bytes per reloaded peer"
 
 
 def test_cached_distances_are_the_shared_floats():
-    live = registered_server(synthetic_paths(PEERS))
-    restored = ManagementServer(neighbor_set_size=5)
-    restored.restore_state(live.snapshot_state())
-    for server in (live, restored):
-        distances = cached_distances(server)
-        assert len(distances) == PEERS * 5
-        assert all(distance is SHARED_DISTANCES[distance] for distance in distances)
-        assert len({id(distance) for distance in distances}) == len(set(distances)) <= 4
+    distances = cached_distances(registered_server(synthetic_paths(PEERS)))
+    assert len(distances) == PEERS * 5
+    assert all(distance is SHARED_DISTANCES[distance] for distance in distances)
+    assert len({id(distance) for distance in distances}) == len(set(distances)) <= 4
 
 
 @pytest.mark.parametrize("backend", ["inline", "socket"])

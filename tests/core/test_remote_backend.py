@@ -26,6 +26,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ManagementServer, ShardBackend, ShardedManagementServer
 from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
@@ -36,12 +38,15 @@ from repro.core.codec import (
     decode_path,
     encode_frame,
     encode_path,
+    encoded_peer,
 )
 from repro.core.path import RouterPath
+from repro.core.path_tree import PathTree
 from repro.core.remote import (
     DEFAULT_REQUEST_TIMEOUT,
     RecoveryPolicy,
     ShardRequestHandler,
+    ShardSupervisorBase,
     _rebuild_exception,
     shard_factory_for,
 )
@@ -54,7 +59,7 @@ from repro.exceptions import (
 )
 from repro.workloads import synthetic_paths
 
-from ..oracle import path, simple_path
+from ..oracle import apply_op, build_plane, cases, path, simple_path, trie_by_route
 
 
 @pytest.fixture(params=("process", "socket"))
@@ -102,6 +107,12 @@ class TestCodec:
     def test_malformed_path_rejected(self):
         with pytest.raises(WireProtocolError):
             decode_path(("not-a-path", 1, 2))
+
+    @pytest.mark.parametrize("peer", ["p1", 17, ("host", 2)], ids=["str", "int", "tuple"])
+    def test_encoded_peer_reads_the_id_without_decoding(self, peer):
+        encoded = encode_path(RouterPath.from_routers(peer, "lmA", ["a", "lmA"]))
+        assert encoded_peer(encoded) == peer
+        assert encoded_peer(encoded) is decode_path(encoded).peer_id
 
     def test_frame_round_trip(self):
         message = (7, "ok", (("p1", 2.0), ("p2", 4.0)))
@@ -904,6 +915,110 @@ class TestRealCrash:
         assert not any(os.path.exists(address) for address in addresses)
 
 
+class HandlerSupervisor(ShardSupervisorBase):
+    """A supervisor whose transport is a request handler in this process:
+    the journal, replay and fold rules without a socket."""
+
+    def __init__(self) -> None:
+        super().__init__("in-process")
+        self._establish_transport()
+
+    def _establish_transport(self) -> None:
+        self.handler = ShardRequestHandler(3)
+
+    def _teardown_transport(self) -> None:
+        self.handler = None
+
+    def _roundtrip(self, op, args, timeout=None):
+        return self._interpret_reply(self.handler.handle(1, op, args), 1, op)
+
+
+def replayed(journal) -> ManagementServer:
+    """A fresh cache-less server that ``journal`` was replayed onto."""
+    handler = ShardRequestHandler(3)
+    for op, args in journal:
+        assert handler.handle(1, op, args)[1] == "ok", (op, args)
+    return handler.server
+
+
+def history_of(steps) -> HandlerSupervisor:
+    """``("lm", name)`` registers a landmark, ``("in", [(peer, landmark,
+    access), ...])`` is one journaled batch, ``("out", peer)`` a departure."""
+    supervisor = HandlerSupervisor()
+    for step, what in steps:
+        if step == "lm":
+            supervisor.request("register_landmark", (what, what), journal=True)
+        elif step == "in":
+            batch = tuple(encode_path(simple_path(*spec)) for spec in what)
+            supervisor.request("insert_paths", (batch, True), journal=True)
+        else:
+            supervisor.request("unregister", (what,), journal=True)
+    return supervisor
+
+
+FOLD_RULES = {
+    "arrivals keep their order": (
+        [("lm", "lmA"), ("in", [("a", "lmA"), ("b", "lmA")]), ("in", [("c", "lmA")])],
+        ["a", "b", "c"],
+    ),
+    "a re-registration moves the peer to the end": (
+        [("lm", "lmA"), ("in", [("a", "lmA"), ("b", "lmA"), ("c", "lmA")]), ("in", [("a", "lmA", "a2")])],
+        ["b", "c", "a"],
+    ),
+    "a batch that repeats a peer keeps its last path, last": (
+        [("lm", "lmA"), ("in", [("a", "lmA"), ("b", "lmA"), ("a", "lmA", "a3")])],
+        ["b", "a"],
+    ),
+    "a departure drops the peer": (
+        [("lm", "lmA"), ("in", [("a", "lmA"), ("b", "lmA"), ("c", "lmA")]), ("out", "b")],
+        ["a", "c"],
+    ),
+    "a return after a departure goes to the end": (
+        [("lm", "lmA"), ("in", [("a", "lmA"), ("b", "lmA")]), ("out", "a"), ("in", [("a", "lmA")])],
+        ["b", "a"],
+    ),
+    "landmarks lead in order, even one registered late": (
+        [("lm", "lmA"), ("in", [("a", "lmA")]), ("lm", "lmB"), ("in", [("b", "lmB"), ("c", "lmA")])],
+        ["a", "b", "c"],
+    ),
+    "every peer gone": ([("lm", "lmA"), ("in", [("a", "lmA")]), ("out", "a")], []),
+    "no peer yet": ([("lm", "lmA"), ("lm", "lmB")], []),
+    "nothing journaled": ([], []),
+}
+
+
+class TestJournalFold:
+    """The fold rules, one at a time, on an in-process supervisor."""
+
+    @pytest.mark.parametrize("steps, order", FOLD_RULES.values(), ids=list(FOLD_RULES))
+    def test_a_fold_rebuilds_what_the_whole_journal_does(self, steps, order):
+        supervisor = history_of(steps)
+        full = replayed(supervisor.journal)
+        landmarks = [entry for entry in supervisor.journal if entry[0] == "register_landmark"]
+        supervisor.compact()
+        folded = supervisor.journal
+        live = tuple(encode_path(full.peer_path(peer)) for peer in full.peers())
+        assert list(folded) == landmarks + [("insert_paths", (live, False))]
+        assert [encoded_peer(encoded) for encoded in live] == order
+        rebuilt = replayed(folded)
+        assert rebuilt.peers() == full.peers()
+        for landmark in full.landmarks():
+            assert trie_by_route(rebuilt.tree(landmark)) == trie_by_route(full.tree(landmark))
+
+    def test_a_fold_of_a_fold_is_itself(self):
+        supervisor = history_of(FOLD_RULES["a return after a departure goes to the end"][0])
+        size = supervisor.compact()
+        folded = supervisor.journal
+        assert supervisor.compact() == size
+        assert supervisor.journal == folded
+
+    def test_the_size_is_the_folded_frames_under_one_request_id(self):
+        supervisor = history_of(FOLD_RULES["landmarks lead in order, even one registered late"][0])
+        size = supervisor.compact()
+        assert size == sum(len(encode_frame((1, op, args))) for op, args in supervisor.journal)
+        assert size != sum(len(encode_frame((1 << 20, op, args))) for op, args in supervisor.journal)
+
+
 class TestJournalCompaction:
     def test_journal_property_is_an_immutable_snapshot(self, backend):
         backend.register_landmark("lmA", "lmA")
@@ -914,7 +1029,7 @@ class TestJournalCompaction:
         assert backend.supervisor.journal_length == 2
         assert backend.supervisor.journal[1][0] == "insert_paths"
 
-    def test_compact_replaces_history_with_one_snapshot_entry(self, pair):
+    def test_compact_folds_history_into_landmarks_and_one_load(self, pair):
         shard, reference = pair
         seed_peers(shard, reference)
         for cycle in range(5):  # churn: history >> live state
@@ -922,25 +1037,34 @@ class TestJournalCompaction:
             reference.unregister_peer("p0")
             shard.insert_paths([simple_path("p0", "lmA", "a0")])
             reference.insert_paths([simple_path("p0", "lmA", "a0")])
+        shard.insert_paths([simple_path("p2", "lmA", "a2"), simple_path("p2", "lmA", "a1")])
+        reference.insert_paths([simple_path("p2", "lmA", "a2"), simple_path("p2", "lmA", "a1")])
         long_journal = shard.supervisor.journal_length
         size = shard.compact()
-        assert size > 0
-        assert shard.supervisor.last_snapshot_bytes == size
-        assert shard.supervisor.journal_length == 1 < long_journal
-        assert shard.supervisor.journal[0][0] == "restore_state"
-        shard.restart()  # replay is now one snapshot restore
+        folded = shard.supervisor.journal
+        assert len(folded) == 2 < long_journal
+        assert folded[0] == ("register_landmark", ("lmA", "lmA"))
+        live = tuple(encode_path(reference.peer_path(peer)) for peer in reference.peers())
+        assert [peer for _, peer, *_ in live] == ["p1", "p3", "p0", "p2"]
+        assert folded[1] == ("insert_paths", (live, False))
+        assert size == sum(len(encode_frame((1, op, args))) for op, args in folded)
+        shard.restart()  # replay is now one landmark and one load
         for peer in ("p0", "p1", "p2", "p3"):
             for k in (1, 3, 5):
                 assert shard.local_closest(peer, k) == reference.local_closest(peer, k)
 
-    def test_a_restart_replays_the_journal_and_after_compaction_one_restore(
+    def test_a_restart_replays_the_journal_and_after_compaction_the_fold(
         self, monkeypatch
     ):
         """Counted where the requests land (a socket shard's handler runs in
         this process): a restart sends every journaled request, in order;
-        after ``compact()`` it sends exactly one, ``restore_state``."""
+        after ``compact()`` it sends one per landmark and one
+        ``insert_paths``, which the empty shard loads without a
+        ``PathTree.insert``."""
         handled = []
         handle = ShardRequestHandler.handle
+        inserts = []
+        insert = PathTree.insert
 
         def counting(self, request_id, op, args):
             handled.append(op)
@@ -959,8 +1083,11 @@ class TestJournalCompaction:
             assert handled == journal
             shard.compact()
             handled.clear()
+            monkeypatch.setattr(PathTree, "insert", lambda *a: inserts.append(1) or insert(*a))
             shard.restart()
-            assert handled == ["restore_state"]
+            assert handled == ["register_landmark", "insert_paths"]
+            assert inserts == []
+            assert len(shard.tree("lmA").peers()) == 20
 
     def test_watermark_auto_compacts_during_normal_traffic(self, make_shard):
         reference = ManagementServer(neighbor_set_size=2, maintain_cache=False)
@@ -971,11 +1098,135 @@ class TestJournalCompaction:
                 path = simple_path(f"p{i}", "lmA", access=f"a{i % 3}")
                 shard.insert_paths([path])
                 reference.insert_paths([path])
-                assert shard.supervisor.journal_length <= 4
-            assert any(op == "restore_state" for op, _ in shard.supervisor.journal)
+                # A fold is one entry per landmark plus one; 3 more follow it.
+                assert shard.supervisor.journal_length <= 1 + 4
+            # 8 journaled entries: folded at the 4th and the 8th.
+            assert [op for op, _ in shard.supervisor.journal] == [
+                "register_landmark",
+                "insert_paths",
+            ]
             shard.restart()
             for i in range(7):
                 assert shard.local_closest(f"p{i}", 2) == reference.local_closest(f"p{i}", 2)
+
+    @pytest.mark.parametrize("watermark", [1, 2, 3, 5])
+    def test_the_watermark_counts_entries_journaled_since_the_last_fold(
+        self, make_shard, monkeypatch, watermark
+    ):
+        """A folded journal holds one entry per landmark plus one: with 3
+        landmarks it is 4 long, so a watermark of up to 5 on the journal's
+        length would fold after every op."""
+        with make_shard(compact_watermark=watermark) as shard:
+            for landmark in ("lmA", "lmB", "lmC"):
+                shard.register_landmark(landmark, landmark)
+            shard.compact()
+            assert shard.supervisor.journal_length == 4
+            folds = []
+            compact = shard.supervisor.compact
+            monkeypatch.setattr(shard.supervisor, "compact", lambda: folds.append(1) or compact())
+            ops = 9
+            for i in range(ops):
+                if i % 3 == 2:
+                    shard.unregister_peer(f"p{i - 1}")
+                else:
+                    shard.insert_paths([simple_path(f"p{i}", "lmB", access=f"a{i}")])
+            assert len(folds) == ops // watermark
+
+    def test_a_shard_restarted_onto_its_fold_keeps_serving_writes(self, pair):
+        shard, reference = pair
+        seed_peers(shard, reference)
+        shard.unregister_peer("p1")
+        reference.unregister_peer("p1")
+        shard.compact()
+        shard.restart()
+        for write in (
+            lambda plane: plane.insert_paths([simple_path("p9", "lmA", "a0")]),
+            lambda plane: plane.unregister_peer("p0"),
+            lambda plane: plane.insert_paths([simple_path("p1", "lmA", "a2")]),
+        ):
+            write(shard)
+            write(reference)
+        assert shard.tree("lmA").peers() == reference.tree("lmA").peers() == ["p2", "p3", "p9", "p1"]
+        for peer in ("p1", "p2", "p3", "p9"):
+            assert shard.local_closest(peer, 3) == reference.local_closest(peer, 3)
+        shard.restart()  # the fold plus the writes after it
+        assert shard.local_closest("p1", 3) == reference.local_closest("p1", 3)
+
+    def test_a_dead_shard_compacts_without_a_round_trip(self, backend_name):
+        """The fold reads only the journal: a killed shard compacts, and the
+        next request heals it (restart, replay of the fold, re-issue) to the
+        inline plane's answers."""
+        remote = make_plane(backend_name, recovery=fast_recovery())
+        inline = make_plane("inline")
+        try:
+            for plane in (remote, inline):
+                plane.register_peers(
+                    [
+                        simple_path(f"p{i}", ("lmA", "lmB")[i % 2], access=f"a{i % 3}")
+                        for i in range(10)
+                    ]
+                )
+                plane.unregister_peer("p4")
+                plane.register_peer(simple_path("p4", "lmA", access="a2"))
+            index = remote.shard_of("lmA")
+            victim = remote.shards[index]
+            victim.supervisor.kill()
+            sent = []
+            roundtrip = victim.supervisor._roundtrip
+            victim.supervisor._roundtrip = lambda op, *a, **k: sent.append(op) or roundtrip(op, *a, **k)
+            victim.compact()
+            assert sent == []
+            folded = [op for op, _ in victim.supervisor.journal]
+            landmarks = len(remote.shard_landmarks(index))
+            assert folded == ["register_landmark"] * landmarks + ["insert_paths"]
+            for peer in inline.peers():
+                assert remote.closest_peers(peer, 6) == inline.closest_peers(peer, 6)
+            assert sent[1 : 1 + len(folded)] == folded  # the replay after the failed request
+            assert victim.supervisor.epoch == 2
+        finally:
+            remote.close()
+            inline.close()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=cases(
+            3,
+            shard_counts=st.just(2),
+            caches=st.just(False),
+            peers=8,  # a small pool: batches repeat peers, arrivals re-register
+            kinds=("arrive", "batch", "bounce", "depart"),
+            max_ops=20,
+        )
+    )
+    def test_a_folded_journal_rebuilds_the_live_shard(self, case):
+        """Replayed onto a fresh cache-less server, each socket shard's folded
+        journal gives the live shard's registration order and tries."""
+        live = []
+        init = ShardRequestHandler.__init__
+
+        def recording(handler, neighbor_set_size):
+            init(handler, neighbor_set_size)
+            live.append(handler.server)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShardRequestHandler, "__init__", recording)
+            plane = build_plane(*case[:-1], backend="socket")
+        try:
+            for op in case.ops:
+                apply_op(plane, op)
+            assert len(live) == len(plane.shards)  # one hello each, in shard order
+            for shard, server in zip(plane.shards, live):
+                shard.compact()
+                rebuilt = replayed(shard.supervisor.journal)
+                assert rebuilt.peers() == server.peers()
+                assert rebuilt.landmarks() == server.landmarks()
+                for landmark in server.landmarks():
+                    assert rebuilt.tree(landmark).peers() == server.tree(landmark).peers()
+                    assert trie_by_route(rebuilt.tree(landmark)) == trie_by_route(
+                        server.tree(landmark)
+                    )
+        finally:
+            plane.close()
 
     def test_compact_watermark_must_be_positive(self, make_shard):
         with pytest.raises(ValueError):

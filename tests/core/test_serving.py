@@ -70,8 +70,8 @@ class TestSnapshotByteIdentity:
 
     @pytest.mark.parametrize("shard_count", [None, 1, 2, 4, 8])
     def test_churned_plane_snapshot_is_byte_identical(self, shard_count):
-        """A fixed long churn history, including departures that gap the
-        compact-index space — the case a re-interning restore would break."""
+        """A fixed long churn history, including departures that free trie
+        node ids for later arrivals to reuse."""
         plane = build_plane(shard_count, 3)
         try:
             rng = random.Random(77)
@@ -108,7 +108,7 @@ class TestSnapshotByteIdentity:
     def test_equality_ignores_node_numbering(self):
         """One plane state, different numberings.  The churned plane's tries
         carry node ids freed and reused out of order; its patched epoch, a
-        fresh build of the same plane and a restored copy (paths replayed
+        fresh build of the same plane and a rebuilt copy (paths replayed
         into new tries, so the nodes are renumbered) all compare equal, as
         the ``__eq__`` contract says."""
         plane = build_plane(None, 2)
@@ -130,9 +130,12 @@ class TestSnapshotByteIdentity:
         fresh = DiscoverySnapshot.build(plane)
         assert patched == fresh
 
-        restored = ManagementServer(neighbor_set_size=3)
-        restored.restore_state(plane.snapshot_state())
-        rebuilt = DiscoverySnapshot.build(restored)
+        copy = ManagementServer(3, landmark_distances=dict(plane._landmark_distances))
+        for landmark in plane.landmarks():
+            copy.register_landmark(landmark, plane.landmark_router(landmark))
+        copy.insert_paths([plane.peer_path(peer) for peer in plane.peers()])  # one load
+        copy._cache = plane._cache  # the same lists over the renumbered tries
+        rebuilt = DiscoverySnapshot.build(copy)
         assert any(
             patched._tries[landmark].routers != rebuilt._tries[landmark].routers
             for landmark in plane.landmarks()
@@ -263,14 +266,12 @@ class TestPatchedEpochs:
     bounces (a leave and a re-join on the same path in one epoch), live cold
     queries (each rewrites that peer's cached list) and publishes, all made
     on the plane itself: the publisher learns of them from the plane's
-    change record alone.  A single server's history also restores its own
-    state: the record is dropped, the next epoch is built whole over
-    load-built tries, and the epochs after it are patches again.
+    change record alone.
     """
 
     @PROFILED
     @settings(deadline=None)
-    @given(case=st.one_of(epoch_histories(st.just(None), "restore"), epoch_histories(SHARD_COUNTS)))
+    @given(case=st.one_of(epoch_histories(st.just(None)), epoch_histories(SHARD_COUNTS)))
     def test_patched_snapshot_equals_fresh_build_and_live_plane(self, case):
         plane = build_plane(*case[:-1])
         try:
@@ -367,7 +368,7 @@ class TestPatchedEpochs:
 
     @pytest.mark.parametrize(
         "trigger",
-        ["restore_state", "new_landmark", "landmark_distance", "outgrown_record", "second_consumer"],
+        ["new_landmark", "landmark_distance", "outgrown_record", "second_consumer"],
     )
     def test_what_the_record_cannot_describe_rebuilds_whole(self, trigger):
         plane = build_plane(None, 2)
@@ -376,9 +377,7 @@ class TestPatchedEpochs:
         publisher.register_peer(make_path("p0", 0, (0, 0, 0, 0)))
         assert publish_and_check(publisher)  # the epoch before the trigger is a patch
         other = None
-        if trigger == "restore_state":
-            plane.restore_state(plane.snapshot_state())
-        elif trigger == "new_landmark":
+        if trigger == "new_landmark":
             plane.register_landmark("lmX", "lmX")
             plane.set_landmark_distance("lm0", "lmX", 2.0)
             publisher.register_peer(path("px", ["lmX-acc", "lmX-core", "lmX"]))

@@ -151,6 +151,29 @@ class TestWireProtocol:
         finally:
             conn.close()
 
+    def test_a_version_2_hello_is_refused_typed(self, server):
+        """Version 2 still had ``snapshot_state`` and ``restore_state``; a
+        client that may journal them is refused at the hello."""
+        conn = raw_connection(server)
+        try:
+            reply = exchange(conn, (1, "hello", (2, 3)))
+            assert reply[1:3] == ("err", "WireProtocolError")
+            assert "client sent 2" in reply[3]
+            assert exchange(conn, (2, "ping", ()))[1] == "err"  # no shard was built
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("op, args", [("snapshot_state", ()), ("restore_state", ((),))])
+    def test_the_state_snapshot_ops_are_unknown(self, server, op, args):
+        conn = raw_connection(server)
+        try:
+            assert exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))[1] == "ok"
+            reply = exchange(conn, (2, op, args))
+            assert reply[1:3] == ("err", "WireProtocolError")
+            assert reply[3] == f"unknown operation {op!r}"
+        finally:
+            conn.close()
+
     def test_operation_before_hello_is_rejected_typed(self, server):
         conn = raw_connection(server)
         try:

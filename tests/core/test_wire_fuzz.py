@@ -99,7 +99,7 @@ plain_data = st.recursive(
 #: arity, non-string ops, unhashable ids, nonsense arguments to real ops.
 not_quite_requests = st.tuples(
     plain_data,
-    st.sampled_from(("hello", "fill", "insert_paths", "restore_state", "tree"))
+    st.sampled_from(("hello", "fill", "insert_paths", "tree"))
     | plain_data,
     plain_data,
 ).map(lambda message: encode_frame(message[: 2 + (message[2] is not None)]))

@@ -15,8 +15,7 @@ one vocabulary:
   :data:`CHAOS_FAULTS` crash plan) or ``socket-chaos`` (socket shards on
   :data:`SOCKET_CHAOS_FAULTS`).
 * **One op vocabulary.** :func:`apply_op` applies ``arrive``, ``batch``,
-  ``depart``, ``query``, ``cold``, ``bounce``, ``publish`` and (on a
-  single server) ``restore`` and returns
+  ``depart``, ``query``, ``cold``, ``bounce`` and ``publish`` and returns
   an error as a value, so two planes are compared op by op with ``==``.
   :func:`ops` draws op lists for hypothesis, :func:`random_op` draws the
   ops of a fixed seeded workload.
@@ -245,8 +244,6 @@ def _apply(plane, op, publisher):
         return plane.register_peers([make_path(f"p{peer}", *spec) for peer, *spec in op[1]])
     if kind == "publish":
         return publisher.publish()
-    if kind == "restore":  # a single server reloads its own state
-        return plane.restore_state(plane.snapshot_state())
     peer = f"p{op[1]}"
     if kind == "depart":
         return plane.unregister_peer(peer)
@@ -266,10 +263,8 @@ def apply_op(plane, op, publisher=None):
 
     ``("arrive", peer, landmark, branch)``, ``("batch", [(peer, landmark,
     branch), ...])``, ``("depart", peer)``, ``("query", peer, k)``,
-    ``("cold", peer)``, ``("bounce", peer)``, ``("publish",)``, which
-    asks ``publisher`` for the next epoch, and ``("restore",)``, which has a
-    single server restore its own ``snapshot_state()``.  Peer ``n`` is
-    named ``p<n>``.
+    ``("cold", peer)``, ``("bounce", peer)`` and ``("publish",)``, which
+    asks ``publisher`` for the next epoch.  Peer ``n`` is named ``p<n>``.
     """
     return outcome(_apply, plane, op, publisher)
 
@@ -304,7 +299,6 @@ def ops(
         "bounce": st.tuples(st.just("bounce"), peer),
         "cold": st.tuples(st.just("cold"), peer),
         "publish": st.just(("publish",)),
-        "restore": st.just(("restore",)),
     }
     return st.lists(
         st.one_of(*(vocabulary[kind] for kind in kinds)), min_size=1, max_size=max_ops
@@ -443,6 +437,22 @@ def root_path(trie, node: int) -> List[int]:
         ids.append(node)
         node = trie.parent[node]
     return ids
+
+
+def trie_by_route(tree) -> Dict[Tuple, Tuple[int, List]]:
+    """Each live node's ``(depth, row)``, keyed by its routers from the root.
+
+    The columns without their numbering: node ids are allocation history (a
+    pruned node's id is reused by the next new one), so two tries built by
+    different histories of the same peers agree here, not id by id.
+    """
+    return {
+        tuple(tree.routers[node] for node in root_path(tree, live)[::-1]): (
+            tree.depth[live],
+            tree.rows[live],
+        )
+        for live in live_nodes(tree)
+    }
 
 
 def attached(tree, node: int) -> List:

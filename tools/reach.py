@@ -38,7 +38,7 @@ KEPT = {
     "ProtocolManagementHost.last_heard": "public view the host tests observe refresh through",
     "BeaconingPeer.current_seq": "public view the peer tests observe rounds through",
     "Engine.pending_events": "public view the engine tests observe the queue through",
-    "PeerKeyInterner.table": "public view the serving and load tests observe the interner through",
+    "PeerKeyInterner.table": "public view (peer -> sort text) the serving and load tests read the interner by",
     "ChaosShardBackend.__enter__": "context protocol, as SocketShardBackend has it",
     "ChaosShardBackend.__exit__": "context protocol, as SocketShardBackend has it",
     "churn_study": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
