@@ -11,7 +11,7 @@ A message is one **length-prefixed frame**::
 
     frame   = header body
     header  = !I big-endian byte length of body
-    body    = serialised message tuple
+    body    = the message tuple as a JSON array (below)
 
     request = (request_id, op, args)      request_id > 0, or 0 for one-way
     reply   = (request_id, "ok",  value)
@@ -24,37 +24,44 @@ it against the bytes it was handed — a declared length that disagrees with
 the byte count means the channel is corrupt (truncated write,
 desynchronised reply).
 
-Bodies are pickled **plain data** — ints, floats, strings, bytes, ``None``
-and tuples/lists/dicts of those — by construction: every domain object is
-flattened before it is encoded.  Frames arrive from sockets (a TCP listener,
-for ``shard-serve --tcp``), so :func:`decode_frame` unpickles with every
-global lookup refused — no frame can import a module or call anything —
-and reports *every* way a body can fail to decode as
-:class:`~repro.exceptions.WireProtocolError`, the one type both ends of the
-transport turn into a dropped connection or a typed
-:class:`~repro.exceptions.ShardUnavailableError`.
+A body is the message as one compact JSON array, in ASCII (any other
+character is written as a ``\\u`` escape)::
 
-The refusal does not bound memory: a ``LONG_BINPUT`` opcode names a memo
-index, and the unpickler grows its memo to it before the frame fails typed.
-A 13-byte frame naming index 2**24 raises the decoding process's peak RSS
-from 21 MB to 277 MB (2**22: +64 MB; larger not tried; CPython 3.11.7), on a
-``shard-serve --tcp`` server reading requests and a client reading replies
-alike.  Only a decoder that runs no pickle opcodes closes it.
+    body    = "[" value "," value *( "," value ) "]"
+    value   = string / number / "true" / "false" / "null"
+            / "NaN" / "Infinity" / "-Infinity"
+            / "[" [ value *( "," value ) ] "]"
+            / "{" [ string ":" value *( "," string ":" value ) ] "}"
+
+so only plain data crosses the wire: strings, ints, floats, booleans,
+``None``, and arrays and string-keyed objects of those.  Every domain
+object is flattened before it is encoded, and ids sent to a remote plane
+must be JSON scalars (str, int, float, bool, ``None``).  A tuple is encoded
+as an array, and every array decodes as a list — except the message
+itself, which :func:`decode_frame` returns as a tuple.  Frames arrive from
+sockets (a TCP listener, for ``shard-serve --tcp``); decoding runs no code
+the frame names, and the decoder's memory grows linearly with the frame's
+size, whatever the frame asks for
+(``tests/core/test_wire_fuzz.py::test_a_memo_index_frame_stays_small``).  Every
+way a body can fail to decode — non-ASCII bytes, bad JSON, nesting too
+deep, an int past the digit limit, a message that is not an array of at
+least two items — is :class:`~repro.exceptions.WireProtocolError`, the one
+type both ends of the transport turn into a dropped connection or a typed
+:class:`~repro.exceptions.ShardUnavailableError`.
 
 Paths
 -----
 :class:`~repro.core.path.RouterPath` crosses every serialisation boundary
 (wire requests, journals) as a tagged plain-data tuple, so the formats are
 independent of repro class layout and a crash mid-write can never surface
-as a half-unpickled domain object.  This module owns that layout:
+as a half-decoded domain object.  This module owns that layout:
 :func:`encoded_peer` reads a peer id off an encoded path without building
 the path (journal compaction folds on it).
 """
 
 from __future__ import annotations
 
-import io
-import pickle
+import json
 import struct
 from typing import Sequence, Tuple
 
@@ -78,6 +85,9 @@ MAX_FRAME_BYTES = 1 << 30
 
 _PATH_TAG = "path"
 
+_encode_body = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_decode_body = json.JSONDecoder().decode
+
 
 def encode_path(path: RouterPath) -> Tuple[object, ...]:
     """Flatten a :class:`RouterPath` into a tagged plain-data tuple."""
@@ -99,7 +109,7 @@ def encoded_peer(data: Sequence[object]) -> PeerId:
 
 def encode_frame(message: Tuple[object, ...]) -> bytes:
     """Serialise one message tuple into a length-prefixed frame."""
-    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    body = _encode_body(message).encode("ascii")
     return _HEADER.pack(len(body)) + body
 
 
@@ -114,35 +124,20 @@ def _frame_end(buffer: bytes) -> int:
     return _HEADER.size + declared
 
 
-class _PlainDataUnpickler(pickle.Unpickler):
-    """Unpickles plain data only: any opcode that names a global is refused.
-
-    Without a global there is nothing callable on the unpickler's stack, so
-    ``REDUCE`` / ``BUILD`` / ``NEWOBJ`` have nothing to run either.
-    """
-
-    def find_class(self, module: str, name: str):
-        raise WireProtocolError(f"frame body names a global: {module}.{name}")
-
-
 def decode_frame(frame: bytes) -> Tuple[object, ...]:
     """Parse one frame; raise :class:`WireProtocolError` on any inconsistency."""
     end = _frame_end(frame)
     if end != len(frame):
         raise WireProtocolError(f"frame is {len(frame)} bytes but its header needs {end}")
     try:
-        # One unpickler per frame, on purpose: reusing one over a reset
-        # BytesIO with its memo replaced segfaulted CPython 3.11.7.
-        message = _PlainDataUnpickler(io.BytesIO(frame[_HEADER.size :])).load()
-    except WireProtocolError:
-        raise
+        message = _decode_body(frame[_HEADER.size :].decode("ascii"))
     except Exception as error:  # noqa: BLE001 - corrupt bytes fail in many types
-        # UnpicklingError, ValueError, UnicodeDecodeError, OverflowError,
-        # MemoryError, TypeError, AttributeError, EOFError, ...: all of them
-        # mean "undecodable body", and callers act on exactly one type.
+        # UnicodeDecodeError, JSONDecodeError, RecursionError, ValueError (the
+        # int digit limit), MemoryError, ...: all of them mean "undecodable
+        # body", and callers act on exactly one type.
         raise WireProtocolError(
             f"undecodable frame body: {type(error).__name__}: {error}"
         ) from error
-    if not isinstance(message, tuple) or len(message) < 2:
+    if type(message) is not list or len(message) < 2:
         raise WireProtocolError(f"malformed message: {message!r}")
-    return message
+    return tuple(message)

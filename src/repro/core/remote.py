@@ -21,7 +21,8 @@ Requests and replies
 --------------------
 Strictly request/reply over one connection per shard (the coordinator is
 single-threaded per shard, so requests never interleave); the message
-grammar and the frame format are :mod:`repro.core.codec`'s.  Errors raised
+grammar and the frame format — JSON bodies, so ids are JSON scalars and a
+tuple sent arrives as a list — are :mod:`repro.core.codec`'s.  Errors raised
 by the shard's ``ManagementServer`` travel as ``(type_name, str(message))``
 and are re-raised client-side as the same exception type with the same
 message (resolved from :mod:`repro.exceptions`, then builtins), which is

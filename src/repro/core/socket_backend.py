@@ -117,8 +117,9 @@ __all__ = [
 #: Version of the hello handshake + operation set.  Bump on incompatible
 #: protocol changes; the handshake fails typed across a version skew.
 #: Version 2 fills with one bounded ``fill`` request; version 3 dropped the
-#: two state-snapshot ops (compaction folds the journal instead).
-PROTOCOL_VERSION = 3
+#: two state-snapshot ops (compaction folds the journal instead); version 4
+#: frames JSON bodies.
+PROTOCOL_VERSION = 4
 
 #: What one ``recv`` asks for at least (a reply that fits is one call), and
 #: at most (a hostile header cannot make either side allocate a gigabyte).

@@ -4,7 +4,7 @@ One suite, parametrised over ``("process", "socket")`` — a forked child
 shard server per shard vs. a loopback server thread, the same transport
 under both: parity with an inline shard, the fault-injection contract
 (typed ``ShardUnavailableError`` naming the shard — never a hang or a
-pickle traceback), supervisor restart with journal replay, self-healing
+decoder traceback), supervisor restart with journal replay, self-healing
 under a ``RecoveryPolicy``, journal compaction, the one-deadline claim, and
 teardown (no test may leave an orphaned process — enforced suite-wide by
 the ``no_leaked_workers`` autouse fixture in ``tests/conftest.py``).
@@ -116,7 +116,7 @@ class TestCodec:
 
     def test_frame_round_trip(self):
         message = (7, "ok", (("p1", 2.0), ("p2", 4.0)))
-        assert decode_frame(encode_frame(message)) == message
+        assert decode_frame(encode_frame(message)) == (7, "ok", [["p1", 2.0], ["p2", 4.0]])
 
     def test_truncated_frame_rejected(self):
         frame = encode_frame((1, "ok", "value"))

@@ -143,8 +143,9 @@ class TestWireProtocol:
     def test_wrong_protocol_version_is_rejected_typed(self, server):
         conn = raw_connection(server)
         try:
-            # 1 is the fill-stream protocol, whose ops this server lacks.
-            for request_id, version in enumerate((1, PROTOCOL_VERSION + 1), 1):
+            # 1 is the fill-stream protocol, whose ops this server lacks; 3
+            # framed pickles.
+            for request_id, version in enumerate((1, 3, PROTOCOL_VERSION + 1), 1):
                 reply = exchange(conn, (request_id, "hello", (version, 3)))
                 assert reply[1] == "err"
                 assert reply[2] == "WireProtocolError"
@@ -232,17 +233,18 @@ class TestServerLoop:
         conn = raw_connection(server)
         try:
             exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
-            frame_length = len(encode_frame((2, "register_landmark", ("lm-00", "r"))))
+            frame_length = len(encode_frame((100, "register_landmark", ("lm-00", "r"))))
             for cut in range(1, frame_length):
                 # A landmark registers once: a frame served twice would come
                 # back as an error, and its extra reply desynchronise the rest.
-                request = (1 + cut, "register_landmark", (f"lm-{cut:02d}", "r"))
+                # Ids of one digit width keep every frame one length.
+                request = (100 + cut, "register_landmark", (f"lm-{cut:02d}", "r"))
                 frame = encode_frame(request)
                 assert len(frame) == frame_length
                 conn.sock.sendall(frame[:cut])
                 time.sleep(0.002)  # let the first segment be read on its own
                 conn.sock.sendall(frame[cut:])
-                assert conn.recv_frame(DeadlineBudget(5.0)) == (1 + cut, "ok", None)
+                assert conn.recv_frame(DeadlineBudget(5.0)) == (100 + cut, "ok", None)
             reply = exchange(conn, (900, "tree", (f"lm-{frame_length - 1:02d}",)))
             assert reply[:2] == (900, "ok")
         finally:
@@ -366,7 +368,7 @@ class TestClientFraming:
             sock = ScriptedSocket(stream[:cut], stream[cut:], b"")
             conn = FramedConnection(sock, "fake.sock")
             assert conn.recv_frame(DeadlineBudget(5.0)) == first
-            assert conn.recv_frame(DeadlineBudget(5.0)) == second
+            assert conn.recv_frame(DeadlineBudget(5.0)) == (2, "ok", ["p0", 1.5, "x" * 40])
             with pytest.raises(EOFError):  # nothing was left to decode twice
                 conn.recv_frame(DeadlineBudget(5.0))
             assert sock.recvs == 3
@@ -711,8 +713,8 @@ FILL_DISTANCES = {("lmA", "lmB"): 1.0, ("lmA", "lmC"): 2.0, ("lmB", "lmC"): 1.0}
 
 #: Ways a shard's reply to ``fill`` can break its contract.
 FILL_CORRUPTIONS = {
-    "short item": lambda items: (items[0][:2],) + items[1:],
-    "over-long list": lambda items: items + ((items[-1][0] + 1.0, "'zz'", "zz"),),
+    "short item": lambda items: [items[0][:2]] + items[1:],
+    "over-long list": lambda items: items + [[items[-1][0] + 1.0, "'zz'", "zz"]],
     "unsorted list": lambda items: items[::-1],
 }
 

@@ -16,14 +16,9 @@ listener, for ``shard-serve --tcp`` — so this module feeds it, and a live
   an honest shard could have reported, and a coordinator records no peer
   for a join that was not acknowledged well-formed.
 
-Every sweep is derandomised: a corrupt pickle can ask the unpickler for a
-large memo, so the examples that run are the same ones every time.  That
-memo is a hole these sweeps do not close: a 13-byte frame naming
-``LONG_BINPUT`` index 2**24 raises the decoding process's peak RSS from
-21 MB to 277 MB (index 2**22: +64 MB) before ``decode_frame`` refuses it
-typed, on a server reading requests and a client reading replies alike.
-No test here allocates that much to show it; a decoder that runs no pickle
-opcodes (the ``struct`` codec, see ROADMAP) is the fix.
+Every sweep is derandomised, so the examples that run are the same ones
+every time.  That the decoder's memory follows the frame's size, not what
+the frame asks for, is :meth:`TestDecodeFrame.test_a_memo_index_frame_stays_small`.
 """
 
 from __future__ import annotations
@@ -34,13 +29,16 @@ import os
 import pickle
 import socket
 import struct
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import ShardedManagementServer
 from repro.core.codec import decode_frame, encode_frame, encode_path
 from repro.core.path import RouterPath
@@ -84,7 +82,7 @@ def corrupted_frames(draw) -> bytes:
         elif len(frame) > 1:
             del frame[position]
     body = bytes(frame[4:])
-    # Half the time repair the header, so the damage reaches the unpickler
+    # Half the time repair the header, so the damage reaches the decoder
     # instead of stopping at the length check.
     return framed(body) if draw(st.booleans()) else bytes(frame)
 
@@ -95,7 +93,7 @@ plain_data = st.recursive(
     max_leaves=10,
 )
 
-#: Well-framed, well-pickled tuples that are still not requests: wrong
+#: Well-framed, well-encoded tuples that are still not requests: wrong
 #: arity, non-string ops, unhashable ids, nonsense arguments to real ops.
 not_quite_requests = st.tuples(
     plain_data,
@@ -108,10 +106,41 @@ untrusted_bytes = (
     st.binary(max_size=64) | st.binary(max_size=64).map(framed) | corrupted_frames()
 )
 
+#: Bodies that are JSON-shaped but no message, each with why it fails.
+HOSTILE_JSON = {
+    "deep nesting": (framed(b"[" * 200_000), "RecursionError"),
+    "5,000-digit int": (framed(b"[" + b"7" * 5000 + b',"ping"]'), "digits"),
+    "non-ASCII": (framed('[1,"p\u00efng"]'.encode()), "UnicodeDecodeError"),
+    "object": (framed(b'{"1":"ping"}'), "malformed message"),
+    "string": (framed(b'"ping"'), "malformed message"),
+    "one item": (framed(b"[1]"), "malformed message"),
+}
+
+#: Decodes the frame given in hex in a fresh process; prints the peak-RSS
+#: rise (``ru_maxrss``, KiB on Linux) and the type the frame failed with.
+MEMO_PROBE = """
+import resource, sys
+from repro.core.codec import decode_frame
+frame = bytes.fromhex(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    decode_frame(frame)
+    failed = None
+except Exception as error:
+    failed = type(error).__name__
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, failed)
+"""
+
 
 class TestDecodeFrame:
     @FUZZ
     @given(untrusted_bytes)
+    @example(HOSTILE_JSON["deep nesting"][0])
+    @example(HOSTILE_JSON["5,000-digit int"][0])
+    @example(HOSTILE_JSON["non-ASCII"][0])
+    @example(HOSTILE_JSON["object"][0])
+    @example(HOSTILE_JSON["string"][0])
+    @example(HOSTILE_JSON["one item"][0])
     def test_untrusted_bytes_raise_only_the_typed_error(self, data):
         try:
             message = decode_frame(data)
@@ -120,10 +149,37 @@ class TestDecodeFrame:
         # Survivors are well-formed by the codec's own definition.
         assert isinstance(message, tuple) and len(message) >= 2
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+    def test_a_json_shaped_body_that_is_no_message_fails_typed(self, name):
+        frame, reason = HOSTILE_JSON[name]
+        with pytest.raises(WireProtocolError, match=reason):
+            decode_frame(frame)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KiB on Linux")
+    def test_a_memo_index_frame_stays_small(self):
+        """13 bytes that ask a pickle decoder for a 2**22-slot memo (PROTO 4,
+        NONE, LONG_BINPUT 2**22, STOP) fail typed, in bounded memory: the
+        pickle codec grew its memo to the index first (+64 MB peak RSS)."""
+        frame = framed(b"\x80\x04N" + b"r" + struct.pack("<I", 1 << 22) + b".")
+        assert len(frame) == 13
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", MEMO_PROBE, frame.hex()],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        rise_kib, failed = run.stdout.split()
+        assert failed == "WireProtocolError"
+        assert int(rise_kib) < 16 * 1024
+
     def test_a_pickled_callable_is_refused(self):
-        with pytest.raises(WireProtocolError) as error:
-            decode_frame(framed(pickle.dumps((1, os.system))))
-        assert "global" in str(error.value)
+        frame = framed(pickle.dumps((1, os.system)))
+        modules = set(sys.modules)
+        with pytest.raises(WireProtocolError):
+            decode_frame(frame)
+        assert set(sys.modules) == modules  # nothing was imported
 
     def test_a_named_global_is_refused_before_any_import(self):
         sys.modules.pop("colorsys", None)
@@ -186,6 +242,12 @@ class TestLiveServer:
         payload=untrusted_bytes | not_quite_requests,
         greeted=st.booleans(),
     )
+    @example(payload=HOSTILE_JSON["deep nesting"][0], greeted=True)
+    @example(payload=HOSTILE_JSON["5,000-digit int"][0], greeted=True)
+    @example(payload=HOSTILE_JSON["non-ASCII"][0], greeted=True)
+    @example(payload=HOSTILE_JSON["object"][0], greeted=True)
+    @example(payload=HOSTILE_JSON["string"][0], greeted=True)
+    @example(payload=HOSTILE_JSON["one item"][0], greeted=True)
     def test_garbage_is_answered_typed_or_dropped_and_others_keep_being_served(
         self, live_server, payload, greeted
     ):
@@ -204,6 +266,15 @@ class TestLiveServer:
         # The second connection never noticed.
         assert exchange(witness, (9, "ping", ())) == (9, "ok", "pong")
         assert exchange(witness, (10, "stats", ()))[2]["registrations"] == 1
+        assert recorded == []
+
+    def test_a_pickled_version_3_hello_gets_no_ok(self, live_server):
+        server, witness, recorded = live_server
+        with dial(server) as sock:
+            sock.sendall(framed(pickle.dumps((1, "hello", (3, 3)), pickle.HIGHEST_PROTOCOL)))
+            sock.shutdown(socket.SHUT_WR)
+            assert read_to_eof(sock) == b""  # dropped undecoded: no reply at all
+        assert exchange(witness, (11, "ping", ())) == (11, "ok", "pong")
         assert recorded == []
 
 
