@@ -25,7 +25,8 @@ the byte count means the channel is corrupt (truncated write,
 desynchronised reply).
 
 A body is the message as one compact JSON array, in ASCII (any other
-character is written as a ``\\u`` escape)::
+character is written as a ``\\u`` escape), with no whitespace before or
+after it::
 
     body    = "[" value "," value *( "," value ) "]"
     value   = string / number / "true" / "false" / "null"
@@ -36,18 +37,37 @@ character is written as a ``\\u`` escape)::
 so only plain data crosses the wire: strings, ints, floats, booleans,
 ``None``, and arrays and string-keyed objects of those.  Every domain
 object is flattened before it is encoded, and ids sent to a remote plane
-must be JSON scalars (str, int, float, bool, ``None``).  A tuple is encoded
-as an array, and every array decodes as a list — except the message
+must be JSON scalars (str, int, float, bool, ``None``); anything else fails
+to encode with the :class:`TypeError` ``json.dumps`` raises.  A tuple is
+encoded as an array, and every array decodes as a list — except the message
 itself, which :func:`decode_frame` returns as a tuple.  Frames arrive from
 sockets (a TCP listener, for ``shard-serve --tcp``); decoding runs no code
 the frame names, and the decoder's memory grows linearly with the frame's
 size, whatever the frame asks for
 (``tests/core/test_wire_fuzz.py::test_a_memo_index_frame_stays_small``).  Every
-way a body can fail to decode — non-ASCII bytes, bad JSON, nesting too
-deep, an int past the digit limit, a message that is not an array of at
-least two items — is :class:`~repro.exceptions.WireProtocolError`, the one
-type both ends of the transport turn into a dropped connection or a typed
+way a body can fail to decode — non-ASCII bytes, bad JSON, whitespace or
+any other byte before or after the array, nesting too deep, an int past the
+digit limit, a message that is not an array of at least two items — is
+:class:`~repro.exceptions.WireProtocolError`, the one type both ends of the
+transport turn into a dropped connection or a typed
 :class:`~repro.exceptions.ShardUnavailableError`.
+
+The encoder and the scanner are CPython's C ones (``_json``), each built
+once, at import, and shared by every thread: neither keeps state from one
+call to the next (the scanner empties its key memo after every value), so
+threads encoding and decoding at once need no lock.  ``JSONEncoder.encode``
+builds a new C encoder on every call, and ``JSONDecoder.decode`` wraps the
+scanner in two whitespace passes; calling the built objects directly
+writes the same bytes for less.  Per frame, fastest of 7 on a 2-core box,
+CPython 3.11.7, against those two calls: a ``join_paths`` request of one
+path encodes in ~1.9 µs (2.7) and decodes in ~1.7 µs (2.5); a reply of 10
+``(peer, distance)`` pairs encodes in ~3.5 µs (4.4) and decodes in
+~3.0 µs (3.5).
+
+A request kept to be sent again — the folded journal a shard restart
+replays — is encoded once: :func:`encode_tail` writes what follows the
+request id in its body, and :func:`frame_tail` frames those bytes under any
+id, byte for byte what :func:`encode_frame` writes for the whole request.
 
 Paths
 -----
@@ -61,8 +81,9 @@ the path (journal compaction folds on it).
 
 from __future__ import annotations
 
-import json
 import struct
+from json import JSONDecoder
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Sequence, Tuple
 
 from ..exceptions import WireProtocolError
@@ -74,7 +95,9 @@ __all__ = [
     "decode_path",
     "encode_frame",
     "encode_path",
+    "encode_tail",
     "encoded_peer",
+    "frame_tail",
 ]
 
 _HEADER = struct.Struct("!I")
@@ -85,8 +108,19 @@ MAX_FRAME_BYTES = 1 << 30
 
 _PATH_TAG = "path"
 
-_encode_body = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-_decode_body = json.JSONDecoder().decode
+if c_make_encoder is None:  # pragma: no cover - every CPython build has _json
+    raise ImportError("repro.core.codec needs the C JSON encoder (_json.make_encoder)")
+
+#: ``(message, 0) -> chunks of the body``: the encoder
+#: ``json.dumps(message, separators=(",", ":"))`` builds on every call, built
+#: once (no circular check, no indent, keys in insertion order, NaN and
+#: infinities allowed).
+_encode = c_make_encoder(
+    None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
+#: ``(text, index) -> (value, end)``: the scanner under ``json.loads``.
+_scan = JSONDecoder().scan_once
 
 
 def encode_path(path: RouterPath) -> Tuple[object, ...]:
@@ -109,8 +143,20 @@ def encoded_peer(data: Sequence[object]) -> PeerId:
 
 def encode_frame(message: Tuple[object, ...]) -> bytes:
     """Serialise one message tuple into a length-prefixed frame."""
-    body = _encode_body(message).encode("ascii")
+    body = "".join(_encode(message, 0)).encode("ascii")
     return _HEADER.pack(len(body)) + body
+
+
+def encode_tail(op: str, args: Tuple[object, ...]) -> bytes:
+    """The body of request ``(request_id, op, args)`` after its id and comma."""
+    return "".join(_encode((op, args), 0))[1:].encode("ascii")
+
+
+def frame_tail(request_id: int, tail: bytes) -> bytes:
+    """The frame :func:`encode_frame` writes for the request whose
+    :func:`encode_tail` is ``tail``, under ``request_id``."""
+    head = b"[%d," % request_id
+    return _HEADER.pack(len(head) + len(tail)) + head + tail
 
 
 def _frame_end(buffer: bytes) -> int:
@@ -125,19 +171,24 @@ def _frame_end(buffer: bytes) -> int:
 
 
 def decode_frame(frame: bytes) -> Tuple[object, ...]:
-    """Parse one frame; raise :class:`WireProtocolError` on any inconsistency."""
+    """Parse one frame (any bytes-like object); raise
+    :class:`WireProtocolError` on any inconsistency."""
     end = _frame_end(frame)
     if end != len(frame):
         raise WireProtocolError(f"frame is {len(frame)} bytes but its header needs {end}")
     try:
-        message = _decode_body(frame[_HEADER.size :].decode("ascii"))
+        text = str(frame[_HEADER.size :], "ascii")
+        message, stop = _scan(text, 0)
     except Exception as error:  # noqa: BLE001 - corrupt bytes fail in many types
-        # UnicodeDecodeError, JSONDecodeError, RecursionError, ValueError (the
-        # int digit limit), MemoryError, ...: all of them mean "undecodable
-        # body", and callers act on exactly one type.
+        # UnicodeDecodeError, StopIteration (no value where the body starts),
+        # JSONDecodeError, RecursionError, ValueError (the int digit limit),
+        # MemoryError, ...: all of them mean "undecodable body", and callers
+        # act on exactly one type.
         raise WireProtocolError(
             f"undecodable frame body: {type(error).__name__}: {error}"
         ) from error
+    if stop != len(text):
+        raise WireProtocolError(f"frame body has {len(text) - stop} bytes past its message")
     if type(message) is not list or len(message) < 2:
         raise WireProtocolError(f"malformed message: {message!r}")
     return tuple(message)

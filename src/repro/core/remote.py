@@ -95,7 +95,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from .. import exceptions as _exceptions
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import decode_path, encode_frame, encode_path, encoded_peer
+from .codec import decode_path, encode_path, encode_tail, encoded_peer, frame_tail
 from .management_server import ManagementServer
 
 __all__ = [
@@ -292,7 +292,9 @@ class ShardSupervisorBase:
     owns the transport — dialling a shard server's socket and, for a server
     it hosts itself, respawning it — and defines the hooks this class calls:
     ``_establish_transport``, ``_teardown_transport`` and ``_roundtrip``
-    (plus ``notify`` and the fault-injection ``kill``).  Everything above
+    (plus ``notify`` and the fault-injection ``kill``); ``_roundtrip`` sends
+    a folded journal entry's ``tail`` bytes, when it is given one, instead
+    of encoding ``(op, args)`` again.  Everything above
     the transport is shared verbatim: the **operation journal** of
     acknowledged mutating requests, :meth:`restart` (fresh transport +
     in-order replay, restoring the shard's data plane byte-identically), the
@@ -335,6 +337,9 @@ class ShardSupervisorBase:
         self._recovery = recovery
         self._compact_watermark = compact_watermark
         self._journal: List[Tuple[str, Tuple[object, ...]]] = []
+        # The encode_tail bytes of the journal's first entries, the fold
+        # compact() wrote: a restart frames them as they are.
+        self._folded: List[bytes] = []
         self._journaled_since_compact = 0
         self._next_request_id = itertools.count(1)
         self._poisoned: Optional[str] = None
@@ -364,8 +369,8 @@ class ShardSupervisorBase:
             raise ShardUnavailableError(self.name, "supervisor is closed")
         self._teardown_transport()
         self._establish_transport()
-        for op, args in self._journal:
-            self._roundtrip(op, args)
+        for (op, args), tail in itertools.zip_longest(self._journal, self._folded):
+            self._roundtrip(op, args, tail=tail)
 
     def close(self) -> None:
         """Shut the shard down and release the transport (idempotent)."""
@@ -447,9 +452,11 @@ class ShardSupervisorBase:
         (a peer already there is replaced), an ``unregister`` drops its
         peer, and every entry was acknowledged, so nothing needs validating
         again.  A restart lands on an empty shard, where that batch is a
-        load.  Nothing is sent, so a dead shard compacts too.  Returns the
-        folded journal's size on the wire: its frames' bytes under one
-        fixed request id.
+        load.  Nothing is sent, so a dead shard compacts too.  Each folded
+        entry is encoded here, once (:func:`~repro.core.codec.encode_tail`),
+        and every later :meth:`restart` sends those bytes under its new
+        request ids.  Returns the folded journal's size on the wire: its
+        frames' bytes under one fixed request id.
         """
         landmarks: List[Tuple[str, Tuple[object, ...]]] = []
         live = {}
@@ -464,8 +471,9 @@ class ShardSupervisorBase:
             else:
                 landmarks.append((op, args))
         self._journal = landmarks + [("insert_paths", (tuple(live.values()), False))]
+        self._folded = [encode_tail(op, args) for op, args in self._journal]
         self._journaled_since_compact = 0
-        return sum(len(encode_frame((1, op, args))) for op, args in self._journal)
+        return sum(len(frame_tail(1, tail)) for tail in self._folded)
 
     def _maybe_compact(self) -> None:
         self._journaled_since_compact += 1

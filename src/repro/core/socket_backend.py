@@ -87,7 +87,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import MAX_FRAME_BYTES, decode_frame, decode_path, encode_frame, encode_path
+from .codec import MAX_FRAME_BYTES, decode_frame, decode_path, encode_frame, encode_path, frame_tail
 from .codec import _HEADER, _frame_end
 from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, PeerId, RouterPath
@@ -124,6 +124,9 @@ PROTOCOL_VERSION = 4
 #: What one ``recv`` asks for at least (a reply that fits is one call), and
 #: at most (a hostile header cannot make either side allocate a gigabyte).
 _RECV_BYTES, _RECV_LIMIT = 1 << 16, 1 << 20
+
+#: What a reader holds between frames when nothing was read past the last.
+_NOTHING = memoryview(b"")
 
 #: A shard server address: a Unix-socket path, or a ``(host, port)`` pair.
 Address = Union[str, Tuple[str, int]]
@@ -169,46 +172,88 @@ def _dial(address: Address, timeout: float) -> socket.socket:
     return sock
 
 
+def _arm(sock: socket.socket, budget: DeadlineBudget) -> None:
+    """Give ``sock`` what is left of ``budget`` before a blocking call."""
+    remaining = budget.remaining()
+    if remaining <= 0:
+        raise TimeoutError("deadline budget exhausted")
+    sock.settimeout(remaining)
+
+
+class _FrameReader:
+    """Cuts one connection's byte stream into messages, each decoded once.
+
+    The one reader of both ends: :class:`FramedConnection` reads replies
+    with it, a server connection its requests.  A frame that arrived whole
+    in one ``recv`` is decoded from a view of that chunk, never copied, and
+    what follows it in the chunk stays there for the next read.  A frame
+    that spans chunks is gathered in one ``bytearray`` as they arrive, each
+    chunk appended once and freed.  Each header is read once, by
+    ``_frame_end``, when its fourth byte is in.
+    """
+
+    __slots__ = ("_rest",)
+
+    def __init__(self) -> None:
+        self._rest = _NOTHING  # received past the last frame decoded
+
+    def read(
+        self, sock: socket.socket, budget: Optional[DeadlineBudget] = None
+    ) -> Optional[Tuple[object, ...]]:
+        """The next message on ``sock``, or ``None`` if the peer closed the
+        stream between frames; ``budget`` bounds every blocking ``recv``."""
+        frame = self._rest
+        end = _frame_end(frame) if len(frame) >= _HEADER.size else _HEADER.size
+        while len(frame) < end:
+            if budget is not None:
+                _arm(sock, budget)
+            chunk = sock.recv(max(_RECV_BYTES, min(end - len(frame), _RECV_LIMIT)))
+            if not chunk:
+                if frame:
+                    raise EOFError("connection closed mid-frame")
+                return None
+            if not frame:
+                frame = memoryview(chunk)
+            else:
+                if type(frame) is memoryview:
+                    frame = bytearray(frame)
+                frame += chunk
+            if end == _HEADER.size:  # the header may be whole now
+                end = _frame_end(frame)
+        view = memoryview(frame)
+        if len(view) > end:
+            self._rest, view = view[end:], view[:end]
+        else:
+            self._rest = _NOTHING
+        return decode_frame(view)
+
+
 class FramedConnection:
     """One blocking client connection speaking length-prefixed frames.
 
     All blocking calls take a :class:`DeadlineBudget` and set the socket
     timeout to the budget's *remaining* time before each phase, so a send
     plus a multi-read reply is jointly bounded by one deadline.  Replies
-    are read into one buffer per connection, ``_RECV_BYTES`` at a time.
+    are read by a :class:`_FrameReader`, ``_RECV_BYTES`` at a time.
     """
 
     def __init__(self, sock: socket.socket, address: Address) -> None:
         self.sock = sock
         self.address = address
         self.closed = False
-        self._buffer = bytearray()  # what was read past the last frame
+        self._reader = _FrameReader()
 
     # ----------------------------------------------------------------- frames
 
     def send_frame(self, frame: bytes, budget: DeadlineBudget) -> None:
-        self._arm_timeout(budget)
+        _arm(self.sock, budget)
         self.sock.sendall(frame)
 
     def recv_frame(self, budget: DeadlineBudget) -> Tuple[object, ...]:
-        buffer = self._buffer
-        end = _frame_end(buffer)
-        while len(buffer) < end:
-            self._arm_timeout(budget)
-            chunk = self.sock.recv(max(_RECV_BYTES, min(end - len(buffer), _RECV_LIMIT)))
-            if not chunk:
-                raise EOFError("connection closed mid-frame")
-            buffer += chunk
-            end = _frame_end(buffer)
-        frame = buffer[:end]
-        del buffer[:end]
-        return decode_frame(frame)
-
-    def _arm_timeout(self, budget: DeadlineBudget) -> None:
-        remaining = budget.remaining()
-        if remaining <= 0:
-            raise TimeoutError("deadline budget exhausted")
-        self.sock.settimeout(remaining)
+        message = self._reader.read(self.sock, budget)
+        if message is None:
+            raise EOFError("connection closed before a reply")
+        return message
 
     # -------------------------------------------------------- fault injection
 
@@ -348,32 +393,24 @@ class _ShardConnection:
         self._handler: Optional[ShardRequestHandler] = None
 
     def serve(self) -> None:
-        """The connection's thread: read, answer what is whole, read again."""
-        sock, buffer = self._sock, bytearray()
+        """The connection's thread: answer every request in turn until EOF."""
+        reader = _FrameReader()
         with contextlib.suppress(Exception):  # untrusted input drops this connection only
-            while True:
-                end = self._serve_buffered(buffer)
-                size = len(buffer)
-                buffer += sock.recv(max(_RECV_BYTES, min(end - size, _RECV_LIMIT)))
-                if len(buffer) == size:
-                    return  # EOF: the client is gone
+            while self._answer(reader.read(self._sock)):
+                pass
 
-    def _serve_buffered(self, buffer: bytearray) -> int:
-        """Answer every whole frame in ``buffer``; return where the next ends.
+    def _answer(self, message: Optional[Tuple[object, ...]]) -> bool:
+        """Answer one request; ``False`` once the client is gone.
 
         Its own frame, so the request it decoded is released before the
         thread blocks in ``recv`` again.
         """
-        end = _frame_end(buffer)
-        while len(buffer) >= end:
-            message = decode_frame(buffer[:end])
-            del buffer[:end]
-            args = message[2] if len(message) > 2 else ()
-            reply = self._apply(message[0], message[1], args)
-            if reply is not None:
-                self._sock.sendall(encode_frame(reply))
-            end = _frame_end(buffer)
-        return end
+        if message is None:
+            return False
+        reply = self._apply(message[0], message[1], message[2] if len(message) > 2 else ())
+        if reply is not None:
+            self._sock.sendall(encode_frame(reply))
+        return True
 
     def _apply(self, request_id: int, op: str, args: Tuple[object, ...]):
         """Apply one request; returns the reply (``None`` for a one-way one)."""
@@ -642,7 +679,11 @@ class SocketShardSupervisor(ShardSupervisorBase):
             self._server.kill()
 
     def _roundtrip(
-        self, op: str, args: Tuple[object, ...], timeout: Optional[float] = None
+        self,
+        op: str,
+        args: Tuple[object, ...],
+        timeout: Optional[float] = None,
+        tail: Optional[bytes] = None,
     ) -> object:
         if self._closed:
             raise ShardUnavailableError(self.name, "supervisor is closed")
@@ -654,7 +695,12 @@ class SocketShardSupervisor(ShardSupervisorBase):
         budget = self._budget(timeout)
         request_id = next(self._next_request_id)
         try:
-            conn.send_frame(encode_frame((request_id, op, args)), budget)
+            conn.send_frame(
+                encode_frame((request_id, op, args))
+                if tail is None
+                else frame_tail(request_id, tail),
+                budget,
+            )
             reply = conn.recv_frame(budget)
         except ShardUnavailableError:
             raise

@@ -16,6 +16,7 @@ child directly.  What only one host can do lives in
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -38,7 +39,9 @@ from repro.core.codec import (
     decode_path,
     encode_frame,
     encode_path,
+    encode_tail,
     encoded_peer,
+    frame_tail,
 )
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
@@ -125,6 +128,19 @@ class TestCodec:
         with pytest.raises(WireProtocolError):
             decode_frame(frame[:2])
 
+    def test_a_tail_framed_under_any_id_is_the_whole_request_s_frame(self):
+        args = ((encode_path(RouterPath.from_routers("p1", "lmA", ["a", "lmA"])),), False)
+        tail = encode_tail("insert_paths", args)
+        for request_id in (1, 9, 10, 123456789):
+            assert frame_tail(request_id, tail) == encode_frame((request_id, "insert_paths", args))
+
+    def test_a_non_json_id_fails_with_json_s_own_type_error(self):
+        with pytest.raises(TypeError) as expected:
+            json.dumps((1, "unregister", (object(),)))
+        with pytest.raises(TypeError) as raised:
+            encode_frame((1, "unregister", (object(),)))
+        assert str(raised.value) == str(expected.value)
+
     def test_non_tuple_body_rejected(self):
         import struct
 
@@ -166,6 +182,30 @@ class TestFrameHeader:
 
 class TestBackendParity:
     """A remote shard answers byte-identically to an inline shard."""
+
+    def test_a_non_json_peer_id_is_a_plain_type_error_and_the_shard_serves_on(
+        self, backend_name
+    ):
+        """The frame fails to encode before a byte is sent: the caller gets
+        ``json.dumps``'s ``TypeError``, not a ``ShardUnavailableError``, and
+        the connection is neither poisoned nor replaced."""
+        plane = make_plane(backend_name)
+        try:
+            plane.register_peer(simple_path("p0", "lmA", access="a0"))
+            shard = plane.shards[plane.shard_of("lmA")]
+            connection, epoch = shard.supervisor.connection, shard.supervisor.epoch
+            journal = shard.supervisor.journal_length
+            with pytest.raises(TypeError, match="is not JSON serializable") as raised:
+                plane.register_peer(RouterPath.from_routers(object(), "lmA", ["lmA-a1", "lmA"]))
+            assert not isinstance(raised.value, ShardUnavailableError)
+            assert shard.supervisor.connection is connection and not connection.closed
+            assert shard.supervisor.epoch == epoch
+            assert shard.supervisor.journal_length == journal
+            plane.register_peer(simple_path("p1", "lmA", access="a1"))
+            assert plane.peers() == ["p0", "p1"]
+            assert plane.closest_peers("p1", 3) == [("p0", 4.0)]
+        finally:
+            plane.close()
 
     def test_satisfies_shard_backend_protocol(self, backend):
         assert isinstance(backend, ShardBackend)
@@ -1088,6 +1128,38 @@ class TestJournalCompaction:
             assert handled == ["register_landmark", "insert_paths"]
             assert inserts == []
             assert len(shard.tree("lmA").peers()) == 20
+
+    def test_a_restart_sends_the_fold_it_encoded_once(self, monkeypatch):
+        """After ``compact()`` a restart frames the bytes the fold was
+        encoded to: no ``encode_frame`` but the hello's, and every frame
+        byte for byte what ``encode_frame`` writes for its entry."""
+        from repro.core import socket_backend
+
+        with shard_factory_for("socket", 3)() as shard:
+            seed_peers(shard, count=20)
+            shard.unregister_peer("p3")
+            shard.compact()
+            shard.insert_paths([simple_path("p3", "lmA", access="a1")])  # after the fold
+            journal = shard.supervisor.journal
+            encoded, sent = [], []
+            encode, send = socket_backend.encode_frame, socket_backend.FramedConnection.send_frame
+            monkeypatch.setattr(
+                socket_backend, "encode_frame", lambda message: encoded.append(message[1]) or encode(message)
+            )
+            monkeypatch.setattr(
+                socket_backend.FramedConnection,
+                "send_frame",
+                lambda conn, frame, budget: sent.append(bytes(frame)) or send(conn, frame, budget),
+            )
+            shard.restart()
+            # The server thread encodes its replies through the same name.
+            requests = [op for op in encoded if op not in ("ok", "err")]
+            assert requests == ["hello", "insert_paths"]  # the entry journaled after the fold
+            replayed = sent[1:]
+            assert len(replayed) == len(journal) == 3
+            for frame, (op, args) in zip(replayed, journal):
+                assert frame == encode((decode_frame(frame)[0], op, args))
+            assert shard.local_closest("p3", 3) and len(shard.tree("lmA").peers()) == 20
 
     def test_watermark_auto_compacts_during_normal_traffic(self, make_shard):
         reference = ManagementServer(neighbor_set_size=2, maintain_cache=False)

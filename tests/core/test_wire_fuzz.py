@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import builtins
 import itertools
+import json
 import os
 import pickle
 import socket
@@ -105,6 +106,23 @@ not_quite_requests = st.tuples(
 untrusted_bytes = (
     st.binary(max_size=64) | st.binary(max_size=64).map(framed) | corrupted_frames()
 )
+
+#: Messages the codec must carry: a tuple of two to four plain-data items.
+messages = st.lists(
+    plain_data | st.dictionaries(st.text(max_size=4), plain_data, max_size=3),
+    min_size=2,
+    max_size=4,
+).map(tuple)
+
+
+def as_lists(value):
+    """``value`` as it comes back off the wire: every tuple a list."""
+    if isinstance(value, (tuple, list)):
+        return [as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    return value
+
 
 #: Bodies that are JSON-shaped but no message, each with why it fails.
 HOSTILE_JSON = {
@@ -192,6 +210,64 @@ class TestDecodeFrame:
     def test_every_real_frame_still_round_trips(self):
         for frame in REAL_FRAMES:
             assert encode_frame(decode_frame(frame)) == frame
+
+
+class TestCodecIsJson:
+    """The module-level encoder and scanner write and read exactly what
+    ``json.dumps`` / ``json.loads`` do, and nothing around it."""
+
+    @FUZZ
+    @given(messages)
+    def test_a_frame_is_the_header_and_json_dumps_and_decodes_back(self, message):
+        body = json.dumps(message, separators=(",", ":")).encode("ascii")
+        frame = encode_frame(message)
+        assert frame == struct.pack("!I", len(body)) + body
+        assert decode_frame(frame) == tuple(as_lists(message))
+        assert decode_frame(memoryview(frame)) == tuple(as_lists(message))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b' [1,"ok",null]',
+            b'\n[1,"ok",null]',
+            b'[1,"ok",null] ',
+            b'[1,"ok",null]\r\n',
+            b'[1,"ok",null]x',
+            b'[1,"ok",null][2,"ok",null]',
+        ],
+        ids=["leading space", "leading newline", "trailing space", "trailing CRLF",
+             "trailing byte", "two arrays"],
+    )
+    def test_anything_around_the_array_fails_typed(self, body):
+        with pytest.raises(WireProtocolError):
+            decode_frame(framed(body))
+
+    def test_threads_share_the_encoder_and_scanner_without_mixing_frames(self):
+        """Four threads at once, 2,000 distinct messages each, every one
+        an exact round trip through the one encoder and the one scanner."""
+        start = threading.Barrier(4)
+        failures = []
+
+        def work(thread: int) -> None:
+            start.wait()
+            for i in range(2000):
+                message = (i, f"op-{thread}", [[f"p{thread}-{i}", i / 7]], {f"k{thread}": [i, None]})
+                frame = encode_frame(message)
+                if decode_frame(frame) != tuple(as_lists(message)):
+                    failures.append((thread, i))
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 def dial(server: LocalShardServer) -> socket.socket:
