@@ -26,7 +26,6 @@ from .management_server import ManagementServer, NeighborEntry, ServerStats
 from .neighbor_cache import NeighborCache
 from .sharded import ConsistentHashRing, ShardBackend, ShardedManagementServer
 from .remote import RecoveryPolicy, shard_factory_for
-from .chaos import ChaosShardBackend, Fault, FaultPlan
 from .serving import DiscoverySnapshot, FlatTrie, SnapshotPublisher, SnapshotReader
 from .distance import (
     AccuracyReport,
@@ -67,9 +66,6 @@ __all__ = [
     "RecoveryPolicy",
     "shard_factory_for",
     "ChangeRecord",
-    "ChaosShardBackend",
-    "Fault",
-    "FaultPlan",
     "DiscoverySnapshot",
     "FlatTrie",
     "SnapshotPublisher",

@@ -361,10 +361,6 @@ class PathTree:
         """All registered peer identifiers."""
         return list(self._attachment)
 
-    def has_peer(self, peer_id: PeerId) -> bool:
-        """True if ``peer_id`` is registered in this tree."""
-        return peer_id in self._attachment
-
     def attachment_node(self, peer_id: PeerId) -> int:
         """The id of the node (access router) the peer is attached to."""
         if peer_id not in self._attachment:
@@ -650,18 +646,6 @@ class PathTree:
         self.last_query_visits = visits
         self.total_query_visits += visits
         return found
-
-    def all_pairs_tree_distance(self) -> Dict[Tuple[PeerId, PeerId], int]:
-        """Exhaustive dtree for every unordered pair (small populations only)."""
-        peers = self.peers()
-        result: Dict[Tuple[PeerId, PeerId], int] = {}
-        for i, peer_a in enumerate(peers):
-            for peer_b in peers[i + 1 :]:
-                result[(peer_a, peer_b)] = self.tree_distance(peer_a, peer_b)
-        return result
-
-    def __contains__(self, peer_id: PeerId) -> bool:
-        return peer_id in self._attachment
 
     def __repr__(self) -> str:
         return (

@@ -292,7 +292,7 @@ class ShardSupervisorBase:
     owns the transport — dialling a shard server's socket and, for a server
     it hosts itself, respawning it — and defines the hooks this class calls:
     ``_establish_transport``, ``_teardown_transport`` and ``_roundtrip``
-    (plus ``notify`` and the fault-injection ``kill``); ``_roundtrip`` sends
+    (plus ``notify``); ``_roundtrip`` sends
     a folded journal entry's ``tail`` bytes, when it is given one, instead
     of encoding ``(op, args)`` again.  Everything above
     the transport is shared verbatim: the **operation journal** of
@@ -519,8 +519,8 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     this process so the socket plane is self-contained).  ``"process"`` forks
     one :class:`~repro.core.socket_backend.ChildShardServer` per shard and
     hands it to the :class:`~repro.core.socket_backend.SocketShardBackend`
-    whose supervisor owns it, so the crash is real: ``supervisor.kill()``
-    SIGKILLs the child and ``restart()`` respawns it before replaying the
+    whose supervisor owns it, so a crash is real: a SIGKILLed child
+    stays dead and ``restart()`` respawns it before replaying the
     journal.  Either way the backend stops its server on ``close()``.  Shards are
     named ``shard-0``, ``shard-1``, … in creation order; ``kwargs``
     (``request_timeout``, ``recovery``, ``compact_watermark``) are shared by

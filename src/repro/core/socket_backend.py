@@ -38,24 +38,18 @@ load-balancer sent us somewhere else) must not silently absorb a journal
 replay meant for its successor.  A stale reconnect fails with a typed
 :class:`~repro.exceptions.ShardUnavailableError`; under a
 :class:`RecoveryPolicy` the next attempt dials again and succeeds once the
-server is genuinely ahead.  The ``reconnect_stale_epoch`` chaos fault
-scripts precisely this sequence.  A supervisor that respawned its *own*
+server is genuinely ahead.  A supervisor that respawned its *own*
 server knows the counter restarted and forgets what it had seen.
 
-Deadlines and fault surface
----------------------------
+Deadlines and failures
+----------------------
 Every round trip draws its phases — dial, send, header read, body read —
 from ONE :class:`~repro.core.budget.DeadlineBudget`, so worst-case wall
 time is a single ``request_timeout`` no matter how the slowness is split.
 Every transport failure (refused dial, reset, truncated frame,
 undecodable reply, deadline) raises ``ShardUnavailableError`` naming the
 shard and poisons the connection so later requests fail fast until
-reconnect.  :meth:`SocketShardSupervisor.sever` is the connection-level
-fault-injection surface: ``close`` (silent death), ``reset`` (RST via
-``SO_LINGER(0)``), and ``partial_frame`` (a frame whose header promises
-more bytes than follow — the truncated-write corruption the length prefix
-exists to catch); :meth:`SocketShardSupervisor.kill` takes the whole
-server down when the supervisor owns it.
+reconnect.
 
 Topology
 --------
@@ -79,7 +73,6 @@ import multiprocessing.connection
 import os
 import socket
 import stat
-import struct
 import tempfile
 import threading
 import time
@@ -255,8 +248,6 @@ class FramedConnection:
             raise EOFError("connection closed before a reply")
         return message
 
-    # -------------------------------------------------------- fault injection
-
     def close(self) -> None:
         """Orderly close (idempotent): FIN, then release the descriptor."""
         if self.closed:
@@ -265,32 +256,6 @@ class FramedConnection:
         with contextlib.suppress(OSError):
             self.sock.shutdown(socket.SHUT_RDWR)
         self.sock.close()
-
-    def reset_close(self) -> None:
-        """Abortive close: ``SO_LINGER(0)`` so TCP sends RST, not FIN."""
-        if self.closed:
-            return
-        self.closed = True
-        with contextlib.suppress(OSError):
-            self.sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-        self.sock.close()
-
-    def send_partial_frame(self) -> None:
-        """Send a frame whose header promises more bytes than follow, then die.
-
-        This is the truncated-write corruption the length prefix exists to
-        catch: the server reads a short body, hits EOF and drops the
-        connection; the client side is closed immediately so its next
-        request fails typed.
-        """
-        if self.closed:
-            return
-        with contextlib.suppress(OSError):
-            self.sock.settimeout(1.0)
-            self.sock.sendall(_HEADER.pack(64) + b"\x00\x01\x02")
-        self.close()
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
@@ -560,14 +525,9 @@ class SocketShardSupervisor(ShardSupervisorBase):
     a fresh dial + hello + journal replay; :attr:`epoch` counts
     connections.  Given a
     :class:`LocalShardServer` in place of a bare ``address`` the supervisor
-    **owns** that server: :meth:`kill` kills it, every teardown reaps it
-    and every re-establish first starts a fresh one on the same address —
-    with a :class:`ChildShardServer`, a real crash and a real respawn.
-
-    Chaos hooks: :meth:`kill`, :meth:`sever` (the connection only, in
-    transport-shaped ways: ``close`` / ``reset`` / ``partial_frame``) and
-    :meth:`rewind_generation` (the *next* reconnect looks stale) script
-    every fault kind deterministically.
+    **owns** that server: every teardown reaps it and every re-establish
+    first starts a fresh one on the same address — with a
+    :class:`ChildShardServer`, a crashed child is respawned.
     """
 
     def __init__(
@@ -726,54 +686,6 @@ class SocketShardSupervisor(ShardSupervisorBase):
             # every later frame on the stream, so a failed notify must
             # poison the connection.
             self._poisoned = f"transport failure during notify {op!r}"
-
-    # -------------------------------------------------------- fault injection
-
-    def kill(self) -> None:
-        """Destroy the transport abruptly (the generic chaos kill hook): an
-        owned server dies outright, somebody else's just loses this connection."""
-        if self._server is not None:
-            self._server.kill()
-        else:
-            self.sever("close")
-
-    def sever(self, mode: str = "close") -> None:
-        """Kill the live connection in a transport-shaped way.
-
-        ``close``
-            Silent death: the socket just goes away (FIN), like a crashed
-            server host.
-        ``reset``
-            Abortive close: ``SO_LINGER(0)`` makes TCP send RST, the
-            mid-operation connection-reset case.
-        ``partial_frame``
-            Send a frame whose header declares more bytes than follow, then
-            close — the truncated-write corruption case.
-        """
-        conn = self._conn
-        if conn is None:
-            return
-        if mode == "close":
-            conn.close()
-        elif mode == "reset":
-            conn.reset_close()
-        elif mode == "partial_frame":
-            conn.send_partial_frame()
-        else:
-            raise ValueError(f"unknown sever mode {mode!r}")
-
-    def rewind_generation(self, steps: int = 1) -> None:
-        """Make the next reconnect look stale (chaos: ``reconnect_stale_epoch``).
-
-        Advances the *expected* generation past the server's next hello, so
-        exactly one reconnect attempt fails with the typed stale-epoch
-        error (and, under recovery, the attempt after it succeeds — the
-        rejected hello itself advanced the server).
-        """
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        if self._seen_generation is not None:
-            self._seen_generation += steps
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else ("poisoned" if self._poisoned else "connected")

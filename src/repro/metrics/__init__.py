@@ -4,7 +4,6 @@ from .proximity import (
     ProximityComparison,
     compare_strategies,
     neighbor_cost,
-    per_peer_ratios,
     population_cost,
 )
 from .latency_stats import DelaySummary
@@ -13,7 +12,6 @@ __all__ = [
     "ProximityComparison",
     "compare_strategies",
     "neighbor_cost",
-    "per_peer_ratios",
     "population_cost",
     "DelaySummary",
 ]

@@ -12,7 +12,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from ..exceptions import MetricError
 
@@ -93,20 +93,3 @@ def compare_strategies(
         cost_random=population_cost(random_sets, distance),
     )
 
-
-def per_peer_ratios(
-    scheme_sets: Mapping[PeerId, Sequence[PeerId]],
-    closest_sets: Mapping[PeerId, Sequence[PeerId]],
-    distance: DistanceFunction,
-) -> Dict[PeerId, float]:
-    """Per-peer ``D / D_closest`` (used to inspect the ratio distribution)."""
-    ratios: Dict[PeerId, float] = {}
-    for peer_id, neighbors in scheme_sets.items():
-        closest = closest_sets.get(peer_id)
-        if closest is None:
-            raise MetricError(f"peer {peer_id!r} missing from the oracle neighbour sets")
-        optimal = neighbor_cost(peer_id, closest, distance)
-        if optimal == 0:
-            continue
-        ratios[peer_id] = neighbor_cost(peer_id, neighbors, distance) / optimal
-    return ratios

@@ -25,11 +25,9 @@ upload) whose ack carries the neighbour list, and leaving is silence.
 * :class:`~repro.protocol.simulation.ProtocolSimulation` — a deterministic
   driver wiring peers (or a scenario's arriving newcomers), host and a
   :class:`~repro.sim.network.SimulatedNetwork` (loss / duplication /
-  reordering knobs, or a scripted
-  :class:`~repro.sim.network.NetworkFaultPlan` speaking the same
-  :class:`~repro.core.chaos.Fault` vocabulary as the chaos shard
-  backends) and reporting discovery latency (first beacon to neighbour
-  list), staleness and maintenance traffic.
+  reordering knobs, or a scripted ``fault_plan``: anything with
+  ``faults_for(op_name)``) and reporting discovery latency (first beacon
+  to neighbour list), staleness and maintenance traffic.
 """
 
 from .messages import Beacon, BeaconAck, wire_size

@@ -19,8 +19,8 @@ Two message types cross the simulated network:
 A join is a first beacon; leaving is silence.  Messages are named tuples:
 immutable, and built by one tuple allocation (a beacon checks its sequence
 number first).  Their lowercased class names (``beacon`` / ``beaconack``)
-are the op names a :class:`~repro.sim.network.NetworkFaultPlan` targets,
-via :func:`repro.sim.network.message_op_name`.
+are the op names a network fault plan targets, via
+:func:`repro.sim.network.message_op_name`.
 """
 
 from __future__ import annotations

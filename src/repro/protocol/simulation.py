@@ -26,7 +26,7 @@ from ..core.path import NodeId, PeerId, RouterPath
 from ..metrics.latency_stats import DelaySummary
 from ..routing.distance_engine import HopDistanceEngine
 from ..sim.engine import Engine
-from ..sim.network import NetworkFaultPlan, SimulatedNetwork
+from ..sim.network import SimulatedNetwork
 from ..sim.rng import derive_seed
 from ..topology.graph import Graph
 from .host import ProtocolManagementHost
@@ -155,7 +155,8 @@ class ProtocolSimulation:
         interval, which is how real daemons desynchronise.
     loss_probability / duplicate_probability / reorder_probability /
     jitter_ms / fault_plan:
-        Passed through to :class:`SimulatedNetwork`.
+        Passed through to :class:`SimulatedNetwork` (a fault plan is
+        anything with ``faults_for(op_name)``).
     seed:
         Master seed; the network and every peer derive their own streams
         from it.
@@ -172,7 +173,7 @@ class ProtocolSimulation:
         duplicate_probability: float = 0.0,
         reorder_probability: float = 0.0,
         jitter_ms: float = 0.0,
-        fault_plan: Optional[NetworkFaultPlan] = None,
+        fault_plan: Optional[Any] = None,
         seed: int = 0,
         hop_latency_ms: float = DEFAULT_HOP_LATENCY_MS,
         neighbor_set_size: int = 5,

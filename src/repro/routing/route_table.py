@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
-from ..exceptions import RoutingError
 from ..topology.graph import Graph
 from .distance_engine import ColumnTree, HopDistanceEngine
 
@@ -33,8 +32,9 @@ class RouteTable:
     """Next-hop routing state towards a fixed set of destinations.
 
     One :class:`~repro.routing.distance_engine.ColumnTree` is maintained per
-    destination.  ``next_hop(router, destination)`` then answers the
-    forwarding question the traceroute simulator asks at every hop.
+    destination; :meth:`route` reads a routed path off it, and
+    :meth:`route_length` / :meth:`path_latency` read its hop and latency
+    columns.
 
     All trees are built through one :class:`HopDistanceEngine` (injectable,
     so a scenario can share its engine), which means every destination added
@@ -65,25 +65,6 @@ class RouteTable:
         if tree is None:
             tree = trees[destination] = self.engine.tree(destination, weighted=self.weighted)
         return tree
-
-    def destinations(self) -> List[NodeId]:
-        """Destinations for which forwarding state exists."""
-        return list(self._trees)
-
-    def tree(self, destination: NodeId) -> ColumnTree:
-        """Return the shortest-path tree towards ``destination``."""
-        if destination not in self._trees:
-            raise RoutingError(
-                f"no routing state towards {destination!r}; call add_destination first"
-            )
-        return self.add_destination(destination)
-
-    def next_hop(self, router: NodeId, destination: NodeId) -> NodeId:
-        """Return the next router on the path from ``router`` to ``destination``."""
-        tree = self.tree(destination)
-        if router == destination:
-            raise RoutingError(f"router {router!r} is the destination itself")
-        return tree.nodes[tree.parent[tree.position(router)]]
 
     def route(self, source: NodeId, destination: NodeId) -> List[NodeId]:
         """Return the full routed path ``[source, ..., destination]``."""

@@ -12,11 +12,11 @@ The wire is *lossy* on demand, three ways, all seed-deterministic:
   ``reorder_probability`` perturb every message independently (the classic
   UDP impairments: silent drops, at-least-once duplicates, late delivery
   behind a younger message);
-* a scripted :class:`NetworkFaultPlan` — the *same*
-  :class:`~repro.core.chaos.Fault` vocabulary that scripts the chaos shard
-  backends (``drop`` / ``delay`` / ``duplicate`` / ``reorder`` /
-  ``partition``) applied to counted messages, so one fault plan stresses
-  the event sim and the serving plane identically;
+* a scripted ``fault_plan`` — anything with ``faults_for(op_name)``,
+  asked once per send with :func:`message_op_name`, whose faults
+  (``drop`` / ``delay`` / ``duplicate`` / ``reorder`` / ``partition``,
+  each with ``kind`` and ``delay_s``) apply to that message; the tests'
+  fault plans script the shard backends in the same vocabulary;
 * teardown — a message in flight to a host that detaches before delivery
   is recorded as dropped.  Attachments are *epoch-stamped*: re-attaching a
   host id (handover, a restarted daemon) starts a new epoch, and messages
@@ -43,7 +43,6 @@ from .._validation import (
     require_non_negative_float,
     require_probability,
 )
-from ..core.chaos import Fault, FaultPlan, WIRE_FAULT_KINDS
 from ..exceptions import SimulationError
 from ..routing.distance_engine import HopDistanceEngine
 from ..topology.graph import Graph
@@ -57,59 +56,13 @@ def message_op_name(message: Any) -> str:
     """The fault-plan operation name of one message.
 
     Messages may carry an explicit ``op_name`` attribute; otherwise the
-    lowercased class name is used (``Beacon`` → ``"beacon"``), so
-    :class:`~repro.core.chaos.Fault` ``op_name`` filters read naturally.
+    lowercased class name is used (``Beacon`` → ``"beacon"``), so a fault
+    plan's ``op_name`` filters read naturally.
     """
     explicit = getattr(message, "op_name", None)
     if isinstance(explicit, str):
         return explicit
     return type(message).__name__.lower()
-
-
-class NetworkFaultPlan:
-    """Adapter: a :class:`~repro.core.chaos.FaultPlan` applied to the wire.
-
-    The adapter validates that every scripted fault uses the shared
-    lossy-wire vocabulary (:data:`~repro.core.chaos.WIRE_FAULT_KINDS`) —
-    backend-only kinds like ``crash_before`` have no wire meaning and are
-    rejected at construction, not at fire time.  Each ``send`` counts as
-    one operation named by :func:`message_op_name`, so ``op_name`` filters
-    (e.g. only ``"beacon"`` messages) and ``persistent=True`` compose
-    exactly as they do on a :class:`~repro.core.chaos.ChaosShardBackend`.
-
-    Effects (interpreted by :class:`SimulatedNetwork`):
-
-    * ``drop`` / ``partition`` — the message is dropped (partitions drop
-      every matching message inside their ``window_ops`` window);
-    * ``delay`` — ``delay_s`` (seconds) is added to the delivery as
-      ``delay_s * 1000`` simulated milliseconds;
-    * ``duplicate`` — the message is delivered twice, each copy with its
-      own latency sample;
-    * ``reorder`` — delivery is held until the next message to the same
-      recipient is delivered (the held copy arrives immediately after it).
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        bad = [fault.kind for fault in plan.pending if fault.kind not in WIRE_FAULT_KINDS]
-        if bad:
-            raise SimulationError(
-                f"wire fault plans accept kinds {WIRE_FAULT_KINDS}, got {bad}"
-            )
-        self.plan = plan
-
-    @classmethod
-    def of(cls, *faults: Fault) -> "NetworkFaultPlan":
-        """Convenience constructor from bare faults."""
-        return cls(FaultPlan(faults))
-
-    @property
-    def fired(self) -> List[Tuple[int, str, str]]:
-        """``(message_count, kind, op_name)`` triples of fired faults."""
-        return self.plan.fired
-
-    def faults_for(self, op_name: str) -> List[Fault]:
-        """Count one message send and return the faults due for it."""
-        return self.plan.faults_for(op_name)
 
 
 class MessageHandler(Protocol):
@@ -167,8 +120,13 @@ class SimulatedNetwork:
         scenario can hand in its own engine so the simulation shares its
         snapshot).
     fault_plan:
-        Optional :class:`NetworkFaultPlan` scripting per-message faults on
-        top of (and independently of) the probability knobs.
+        Optional script of per-message faults on top of (and independently
+        of) the probability knobs: anything with ``faults_for(op_name)``
+        returning the faults due for one send.  ``drop`` and ``partition``
+        drop the message, ``delay`` adds ``delay_s * 1000`` simulated ms,
+        ``duplicate`` delivers it twice (own latency sample each) and
+        ``reorder`` holds it until the next message to the same recipient
+        is delivered.
     """
 
     def __init__(
@@ -182,7 +140,7 @@ class SimulatedNetwork:
         reorder_probability: float = 0.0,
         seed: Optional[int] = None,
         distance_engine: Optional[HopDistanceEngine] = None,
-        fault_plan: Optional[NetworkFaultPlan] = None,
+        fault_plan: Optional[Any] = None,
     ) -> None:
         self.engine = engine
         self.graph = graph

@@ -46,8 +46,8 @@ class Graph:
         Snapshot consumers (:class:`~repro.routing.distance_engine.CsrTopology`)
         compare this against the generation they were built at to decide
         whether a cached snapshot is still valid.  The counter is bumped by
-        ``add_node`` (new nodes), ``add_edge``, ``remove_node``,
-        ``remove_edge`` and ``set_edge_attribute``; mutating an attribute
+        ``add_node`` (new nodes), ``add_edge`` and ``set_edge_attribute``;
+        mutating an attribute
         dict returned by :meth:`edge_attributes` in place is *not* tracked —
         use :meth:`set_edge_attribute` for weight changes that must
         invalidate snapshots.
@@ -64,16 +64,6 @@ class Graph:
             self._generation += 1
         if attrs:
             self._node_attrs[node].update(attrs)
-
-    def remove_node(self, node: NodeId) -> None:
-        """Remove ``node`` and all incident edges."""
-        if node not in self._adjacency:
-            raise NodeNotFoundError(node)
-        for neighbor in list(self._adjacency[node]):
-            self.remove_edge(node, neighbor)
-        del self._adjacency[node]
-        del self._node_attrs[node]
-        self._generation += 1
 
     def has_node(self, node: NodeId) -> bool:
         """Return True if ``node`` is part of the graph."""
@@ -92,10 +82,6 @@ class Graph:
     def set_node_attribute(self, node: NodeId, key: str, value: Any) -> None:
         """Set a single attribute on ``node``."""
         self.node_attributes(node)[key] = value
-
-    def get_node_attribute(self, node: NodeId, key: str, default: Any = None) -> Any:
-        """Return attribute ``key`` of ``node`` or ``default`` if unset."""
-        return self.node_attributes(node).get(key, default)
 
     @property
     def node_count(self) -> int:
@@ -126,15 +112,6 @@ class Graph:
         if is_new or attrs:
             self._generation += 1
 
-    def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        """Remove the undirected edge ``(u, v)``."""
-        if u not in self._adjacency or v not in self._adjacency[u]:
-            raise EdgeNotFoundError(u, v)
-        del self._adjacency[u][v]
-        del self._adjacency[v][u]
-        self._edge_count -= 1
-        self._generation += 1
-
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Return True if the undirected edge ``(u, v)`` exists."""
         return u in self._adjacency and v in self._adjacency[u]
@@ -164,10 +141,6 @@ class Graph:
         self.edge_attributes(u, v)[key] = value
         self._generation += 1
 
-    def get_edge_attribute(self, u: NodeId, v: NodeId, key: str, default: Any = None) -> Any:
-        """Return attribute ``key`` of edge ``(u, v)`` or ``default``."""
-        return self.edge_attributes(u, v).get(key, default)
-
     def edge_weight(self, u: NodeId, v: NodeId, key: str = DEFAULT_WEIGHT_KEY, default: float = 1.0) -> float:
         """Return the numeric weight of edge ``(u, v)`` (defaults to 1.0)."""
         return float(self.edge_attributes(u, v).get(key, default))
@@ -186,12 +159,6 @@ class Graph:
         return self._edge_count
 
     # -------------------------------------------------------------- neighbours
-
-    def neighbors(self, node: NodeId) -> List[NodeId]:
-        """Return the list of neighbours of ``node``."""
-        if node not in self._adjacency:
-            raise NodeNotFoundError(node)
-        return list(self._adjacency[node])
 
     def iter_neighbors(self, node: NodeId) -> Iterator[NodeId]:
         """Iterate over neighbours of ``node`` without building a list."""
@@ -287,10 +254,6 @@ class Graph:
                 continue
             graph.add_edge(u, v, **dict(attrs))
         return graph
-
-    def to_edge_list(self) -> List[Edge]:
-        """Return the edges as a list of pairs."""
-        return list(self.edges())
 
     # ---------------------------------------------------------------- dunders
 

@@ -1,133 +1,93 @@
-"""Deterministic fault injection for shard backends.
+"""Deterministic fault injection for the plane's tests.
 
 Robustness claims need *scripted* failures: a :class:`FaultPlan` describes
-exactly which backend operation fails and how, a :class:`ChaosShardBackend`
-wraps any :class:`~repro.core.sharded.ShardBackend` and executes the plan,
-and the equivalence oracle in ``tests/core/test_sharded_equivalence.py``
-then proves the plane converges byte-identical to the single server
-*through* the scripted crash/recover sequence.  Nothing here is random:
-faults fire on a per-backend operation counter, so a failing case replays
-identically.
+exactly which operation fails and how, a :class:`ChaosShardBackend` wraps
+any :class:`~repro.core.sharded.ShardBackend` and executes the plan, and
+the equivalence oracle in ``tests/core/test_sharded_equivalence.py`` then
+proves the plane converges byte-identical to the single server *through*
+the scripted crash/recover sequence.  Nothing here is random: faults fire
+on a per-plan operation counter, so a failing case replays identically.
+The same plan, built by :func:`wire_plan`, scripts the simulated network
+(``SimulatedNetwork(fault_plan=...)`` takes anything with
+``faults_for(op_name)``).
 
-Fault kinds
------------
+Shard fault kinds
+-----------------
 ``crash_before``
-    Kill the shard's transport (``supervisor.kill()``: SIGKILL the child
-    server of a process shard, cut the connection of a socket shard) before
-    forwarding the call — the inner backend sees a dead shard and (with a
-    :class:`~repro.core.remote.RecoveryPolicy`) self-heals via
-    restart+replay+re-issue.  The operation itself is never lost.
+    Kill the shard's transport (:func:`kill`: SIGKILL the child server of a
+    process shard, cut the connection of a socket shard) before forwarding
+    the call — with a :class:`~repro.core.remote.RecoveryPolicy` the shard
+    self-heals via restart+replay+re-issue.  The operation is never lost.
 ``crash_after``
     Forward the call, then kill the shard.  The operation was acknowledged
-    (and journaled, if mutating), so recovery replays it — this is the
-    "crash between ops" case.
+    (and journaled, if mutating), so recovery replays it.
 ``drop_reply``
     Forward the call, discard its result and raise
     :class:`~repro.exceptions.ShardUnavailableError` instead.  The shard
     *did* apply (and journal) the operation while the caller sees a
-    failure — the one fault whose recovery needs caller-level convergence
-    (re-register the batch), which is why the byte-identity oracle scripts
-    only crash faults and ``drop_reply`` is covered by dedicated tests.
+    failure, which is why the byte-identity oracle scripts only crash
+    faults and ``drop_reply`` is covered by dedicated tests.
 ``delay``
-    Sleep ``delay_s`` (via the injectable ``sleep``) before forwarding —
-    models a slow shard without killing anything.
+    Sleep ``delay_s`` (via the injectable ``sleep``) before forwarding.
 ``error``
     Raise :class:`~repro.exceptions.ShardUnavailableError` without touching
-    the shard at all — a pure transport flake; a bare retry would succeed.
+    the shard at all — a pure transport flake.
 
 Network-shaped fault kinds
 --------------------------
-A connection can fail while the server behind it lives, so three kinds
-target the ``SocketShardSupervisor.sever``/``rewind_generation`` hooks.
-Every remote shard — ``process`` and ``socket`` alike — is socket-backed
-and accepts them; they raise typed on an inline shard, which has no
-supervisor:
+A connection can fail while the server behind it lives.  Every remote shard
+— ``process`` and ``socket`` alike — is socket-backed and accepts these;
+they raise typed on an inline shard, which has no supervisor:
 
 ``partial_frame``
     Before forwarding, send a frame whose length header promises more
-    bytes than follow, then close — the truncated-write corruption the
-    length prefix exists to catch.  The forwarded call fails typed and
-    (with recovery) heals by reconnect+replay+re-issue.
+    bytes than follow, then close (:func:`send_partial_frame`).
 ``conn_reset``
-    Before forwarding, close the connection abortively (``SO_LINGER(0)``,
-    TCP RST) — the mid-operation connection-reset case.  Same recovery
-    story as ``partial_frame``.
+    Before forwarding, close the connection abortively (:func:`reset_close`:
+    ``SO_LINGER(0)``, TCP RST).
 ``reconnect_stale_epoch``
     Before forwarding, advance the supervisor's expected server generation
-    *past* the server's next hello and kill the connection: the first
-    recovery reconnect lands on a stale epoch and fails typed, and only
-    the attempt after it succeeds — exercising the stale-epoch guard under
-    an otherwise-converging plan (``max_restarts`` must be >= 2).  A
-    process shard respawns its own server on every restart and so forgets
-    the generation: there the fault is a plain disconnect healed at once.
+    past the server's next hello (:func:`rewind_generation`) and close the
+    connection: the first recovery reconnect lands on a stale epoch and
+    fails typed, and only the attempt after it succeeds (``max_restarts``
+    must be >= 2).  A process shard respawns its own server on every
+    restart and forgets the generation: there it is a plain disconnect.
 
 Wire-shaped fault kinds
 -----------------------
-The event-sim discovery protocol (:mod:`repro.protocol`) and the shard
-backends share one *lossy-wire* failure vocabulary, so the same
-:class:`FaultPlan` can script both the simulated network (via
-:class:`repro.sim.network.NetworkFaultPlan`) and a
-:class:`ChaosShardBackend`:
-
 ``drop``
-    The request/message is lost in transit.  On the sim: the message is
-    silently dropped (counted in ``dropped_messages``).  On a backend: the
-    call is never forwarded and raises
-    :class:`~repro.exceptions.ShardUnavailableError` (the request never
-    reached the shard — contrast ``drop_reply``, where it did).
+    Lost in transit.  Sim: the message is dropped.  Backend: the call is
+    never forwarded and raises ``ShardUnavailableError``.
 ``duplicate``
-    At-least-once delivery gone wrong: the message arrives twice.  On the
-    sim: the delivery is scheduled twice (independent latency samples).  On
-    a backend: the operation is forwarded twice and the first result is
-    returned — safe only if the receiver dedups or the op is idempotent,
-    which is exactly what it exercises.
+    Delivered twice.  Sim: two deliveries with independent latency
+    samples.  Backend: forwarded twice, the first result returned.
 ``reorder``
-    The message is delivered late, *after* the next message to the same
-    recipient.  On the sim: delivery is held until the next delivery to
-    that recipient completes.  On a backend calls are synchronous, so only
-    one-way (``None``-returning) operations can be reordered: the call is
-    deferred and executed after the next forwarded operation.  A reorder
-    fault therefore requires ``op_name`` (enforced at construction); firing
-    it on a value-returning operation raises typed at the call site.
+    Delivered after the next message to the same recipient.  Backend:
+    only one-way (``None``-returning) operations can be held, so the fault
+    requires ``op_name`` and raises typed on a value-returning operation.
 ``partition``
-    A connectivity window: every matching operation in
-    ``[at_op, at_op + window_ops)`` fails.  On the sim: messages in the
-    window are dropped.  On a backend: calls in the window raise
-    :class:`~repro.exceptions.ShardUnavailableError` without forwarding.
-    Requires ``window_ops >= 1`` (enforced at construction).
+    Every matching operation in ``[at_op, at_op + window_ops)`` fails.
 
-``delay`` belongs to both vocabularies: on a backend it sleeps
-``delay_s`` wall seconds; on the sim it adds ``delay_s * 1000`` simulated
-milliseconds to the delivery.
+``delay`` belongs to both vocabularies: on the sim it adds ``delay_s *
+1000`` simulated milliseconds to the delivery.
 
-One-time vs persistent
-----------------------
-A fault fires at the first counted operation ``>= at_op`` (whose name
-matches ``op_name``, when given).  One-time faults (default) are consumed
-by firing; ``persistent=True`` faults keep firing on every matching
-operation from ``at_op`` on.  ``partition`` faults stay live for their
-whole window (one-time means one *window*, not one operation);
-``persistent=True`` re-opens the window at every matching op from
-``at_op`` on, i.e. the partition never heals.
+A fault fires at the first counted operation ``>= at_op`` whose name
+matches ``op_name`` (when given).  One-time faults are consumed by firing;
+``persistent=True`` faults fire on every matching operation from ``at_op``
+on.  A ``partition`` stays live for its whole window; ``persistent=True``
+never heals it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import socket
+import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from ..exceptions import ShardUnavailableError
-from .path import LandmarkId, NodeId, PeerId, RouterPath
-
-__all__ = [
-    "Fault",
-    "FaultPlan",
-    "ChaosShardBackend",
-    "FAULT_KINDS",
-    "NETWORK_FAULT_KINDS",
-    "WIRE_FAULT_KINDS",
-]
+from repro.exceptions import ShardUnavailableError, SimulationError
 
 FAULT_KINDS = (
     "crash_before",
@@ -144,18 +104,14 @@ FAULT_KINDS = (
     "partition",
 )
 
-#: Kinds that need a remote shard's ``sever``/``rewind_generation`` chaos
-#: hooks (process and socket shards have them; inline shards do not).
+#: Kinds that act on a remote shard's connection (no inline shard has one).
 NETWORK_FAULT_KINDS = ("partial_frame", "conn_reset", "reconnect_stale_epoch")
 
-#: The lossy-wire vocabulary shared by the event sim
-#: (:class:`repro.sim.network.NetworkFaultPlan`) and the shard backends —
-#: one :class:`FaultPlan` scripts both planes.
+#: The lossy-wire vocabulary shared by the event sim and the shard backends.
 WIRE_FAULT_KINDS = ("drop", "delay", "duplicate", "reorder", "partition")
 
 #: Backend operations with no return value; the only ones a synchronous
-#: backend can reorder (the caller never waits on a reply, so delivering
-#: the effect late is observable yet well-defined).
+#: backend can reorder.
 _ONE_WAY_OPS = frozenset({"register_landmark", "insert_paths", "unregister_peer"})
 
 
@@ -163,15 +119,10 @@ _ONE_WAY_OPS = frozenset({"register_landmark", "insert_paths", "unregister_peer"
 class Fault:
     """One scripted fault: *what* goes wrong at *which* counted operation.
 
-    Kind/option mismatches are rejected here, at construction — a plan that
-    would misfire must fail when it is written, not when it fires:
-
-    * ``delay_s`` is only meaningful for ``kind="delay"`` (and a delay of
-      zero would be a no-op, so it must be positive there);
-    * ``window_ops`` is only meaningful for ``kind="partition"`` (where it
-      is required, ``>= 1``);
-    * ``kind="reorder"`` requires ``op_name`` — reordering is only defined
-      relative to a named message/operation stream.
+    Kind/option mismatches are rejected at construction: ``delay_s`` only
+    for (and required positive by) ``delay``, ``window_ops`` only for (and
+    required ``>= 1`` by) ``partition``, and ``reorder`` requires
+    ``op_name``.
     """
 
     at_op: int
@@ -218,12 +169,11 @@ class Fault:
 
 
 class FaultPlan:
-    """A deterministic schedule of :class:`Fault` objects for one backend.
+    """A deterministic schedule of :class:`Fault` objects.
 
-    The plan counts every operation the wrapping :class:`ChaosShardBackend`
-    forwards (`ops_seen`) and yields the faults due at each count.  Fired
-    faults are recorded in :attr:`fired` as ``(op_count, kind, op_name)``
-    so tests can assert the scripted failures actually happened.
+    Counts every operation it is asked about (`ops_seen`) and yields the
+    faults due at each count.  Fired faults are recorded in :attr:`fired`
+    as ``(op_count, kind, op_name)``.
     """
 
     def __init__(self, faults: Iterable[Fault] = ()) -> None:
@@ -260,8 +210,8 @@ class FaultPlan:
             if fault.persistent:
                 kept.append(fault)
             elif fault.kind == "partition":
-                # A partition stays live for its whole window (it fires on
-                # *every* matching op inside it) and heals when it closes.
+                # A partition fires on every matching op inside its window
+                # and heals when it closes.
                 if self.ops_seen + 1 < fault.window_end:
                     kept.append(fault)
             elif not fired:
@@ -276,6 +226,85 @@ class FaultPlan:
         )
 
 
+def wire_plan(*faults: Fault) -> FaultPlan:
+    """A plan for ``SimulatedNetwork(fault_plan=...)``: wire kinds only.
+
+    Shard-only kinds such as ``crash_before`` have no wire meaning and are
+    rejected here, when the plan is written.  Each send counts as one
+    operation named by :func:`repro.sim.network.message_op_name`.
+    """
+    bad = [fault.kind for fault in faults if fault.kind not in WIRE_FAULT_KINDS]
+    if bad:
+        raise SimulationError(f"wire fault plans accept kinds {WIRE_FAULT_KINDS}, got {bad}")
+    return FaultPlan(faults)
+
+
+# ------------------------------------------------------- transport faults
+
+
+def reset_close(conn) -> None:
+    """Close a ``FramedConnection`` abortively: ``SO_LINGER(0)``, so TCP sends RST."""
+    if conn.closed:
+        return
+    conn.closed = True
+    with contextlib.suppress(OSError):
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.sock.close()
+
+
+def send_partial_frame(conn) -> None:
+    """Send a header that promises more bytes than follow, then close.
+
+    The truncated-write corruption the length prefix exists to catch: the
+    server reads a short body, hits EOF and drops the connection; the
+    client side is closed at once so its next request fails typed.
+    """
+    if conn.closed:
+        return
+    with contextlib.suppress(OSError):
+        conn.sock.settimeout(1.0)
+        conn.sock.sendall(struct.pack("!I", 64) + b"\x00\x01\x02")
+    conn.close()
+
+
+_SEVER = {
+    "close": lambda conn: conn.close(),  # silent death (FIN)
+    "reset": reset_close,
+    "partial_frame": send_partial_frame,
+}
+
+
+def sever(supervisor, mode: str = "close") -> None:
+    """Kill a supervisor's live connection: ``close``, ``reset`` or ``partial_frame``."""
+    conn = supervisor.connection
+    if conn is not None:
+        _SEVER[mode](conn)
+
+
+def kill(supervisor) -> None:
+    """Crash a shard's transport: a server the supervisor owns dies outright
+    (SIGKILL for a process shard's child), anyone else's just loses this
+    connection."""
+    if supervisor._server is not None:
+        supervisor._server.kill()
+    else:
+        sever(supervisor)
+
+
+def rewind_generation(supervisor, steps: int = 1) -> None:
+    """Make the supervisor's next reconnect look stale.
+
+    Advances the *expected* generation past the server's next hello, so
+    exactly one reconnect attempt fails with the typed stale-epoch error
+    (the rejected hello itself advances the server).
+    """
+    if supervisor._seen_generation is not None:
+        supervisor._seen_generation += steps
+
+
+# ----------------------------------------------------------- chaos backend
+
+
 class ChaosShardBackend:
     """A :class:`~repro.core.sharded.ShardBackend` that executes a FaultPlan.
 
@@ -283,8 +312,7 @@ class ChaosShardBackend:
     require a supervised (remote) inner backend, so there is a transport to
     kill.  Only what the coordinator sends a shard is faulted and counted;
     everything else (``close``, ``restart``, ``health_check``, diagnostics
-    such as ``tree`` or ``supervisor``) passes through unfaulted — chaos
-    targets the data plane, not the harness's cleanup.
+    such as ``tree`` or ``supervisor``) passes through unfaulted.
     """
 
     def __init__(self, inner, plan: FaultPlan, sleep: Callable[[float], None] = time.sleep) -> None:
@@ -293,22 +321,20 @@ class ChaosShardBackend:
         self._sleep = sleep
         # One-way operations deferred by a ``reorder`` fault, executed (in
         # held order) after the next forwarded operation completes.
-        self._reordered: List[Tuple[str, Callable[[], object]]] = []
+        self._reordered: List[Callable[[], object]] = []
 
     @property
     def name(self) -> str:
         return str(getattr(self.inner, "name", "chaos-shard"))
 
-    # ------------------------------------------------------------- injection
-
-    def _supervisor_hook(self, hook: str):
-        """The inner supervisor's chaos hook; typed refusal on an inline shard."""
-        method = getattr(getattr(self.inner, "supervisor", None), hook, None)
-        if method is None:
+    def _supervisor(self, kind: str):
+        """The inner shard's supervisor; typed refusal on an inline shard."""
+        supervisor = getattr(self.inner, "supervisor", None)
+        if supervisor is None:
             raise ShardUnavailableError(
-                self.name, f"chaos: {hook}() faults need a supervised shard backend"
+                self.name, f"chaos: {kind} faults need a supervised shard backend"
             )
-        return method
+        return supervisor
 
     def _call(self, op_name: str, func, *args, **kwargs):
         faults = self.plan.faults_for(op_name)
@@ -317,16 +343,15 @@ class ChaosShardBackend:
             if fault.kind == "delay":
                 self._sleep(fault.delay_s)
             elif fault.kind == "crash_before":
-                # Shaped like the shard: SIGKILL a process shard's child
-                # server, cut a socket shard's connection.
-                self._supervisor_hook("kill")()
+                kill(self._supervisor(fault.kind))
             elif fault.kind == "partial_frame":
-                self._supervisor_hook("sever")("partial_frame")
+                sever(self._supervisor(fault.kind), "partial_frame")
             elif fault.kind == "conn_reset":
-                self._supervisor_hook("sever")("reset")
+                sever(self._supervisor(fault.kind), "reset")
             elif fault.kind == "reconnect_stale_epoch":
-                self._supervisor_hook("rewind_generation")()
-                self._supervisor_hook("sever")("close")
+                supervisor = self._supervisor(fault.kind)
+                rewind_generation(supervisor)
+                sever(supervisor)
             elif fault.kind == "error":
                 raise ShardUnavailableError(
                     self.name, f"chaos: scripted error at op {self.plan.ops_seen}"
@@ -346,18 +371,17 @@ class ChaosShardBackend:
                         f"chaos: reorder targets one-way ops {sorted(_ONE_WAY_OPS)}, "
                         f"not {op_name!r}",
                     )
-                self._reordered.append((op_name, lambda: func(*args, **kwargs)))
+                self._reordered.append(lambda: func(*args, **kwargs))
                 return None
         result = func(*args, **kwargs)
         if duplicated:
             # The wire delivered the same request twice: apply it again and
-            # keep the first result (both applications must agree for
-            # idempotent/deduplicated receivers, which is what this probes).
+            # keep the first result.
             func(*args, **kwargs)
         self._flush_reordered()
         for fault in faults:
             if fault.kind == "crash_after":
-                self._supervisor_hook("kill")()
+                kill(self._supervisor(fault.kind))
             elif fault.kind == "drop_reply":
                 raise ShardUnavailableError(
                     self.name,
@@ -368,37 +392,32 @@ class ChaosShardBackend:
     def _flush_reordered(self) -> None:
         """Deliver reorder-held one-way operations (late arrivals)."""
         while self._reordered:
-            _name, thunk = self._reordered.pop(0)
-            thunk()
+            self._reordered.pop(0)()
 
     # ---------------------------------------------------------- shard surface
 
-    def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None:
+    def register_landmark(self, landmark_id, router):
         return self._call("register_landmark", self.inner.register_landmark, landmark_id, router)
 
-    def first_rejected_path(
-        self, paths: Sequence[RouterPath]
-    ) -> Optional[Tuple[int, BaseException]]:
+    def first_rejected_path(self, paths):
         return self._call("first_rejected_path", self.inner.first_rejected_path, paths)
 
-    def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None:
+    def insert_paths(self, paths, validate=True):
         return self._call("insert_paths", self.inner.insert_paths, paths, validate=validate)
 
-    def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
+    def join_paths(self, paths, k):
         return self._call("join_paths", self.inner.join_paths, paths, k)
 
-    def unregister_peer(self, peer_id: PeerId) -> None:
+    def unregister_peer(self, peer_id):
         return self._call("unregister_peer", self.inner.unregister_peer, peer_id)
 
-    def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
+    def local_closest(self, peer_id, k):
         return self._call("local_closest", self.inner.local_closest, peer_id, k)
 
-    def fill_candidates(
-        self, bases: Mapping[LandmarkId, float], limit: int
-    ) -> List[Tuple[float, str, PeerId]]:
+    def fill_candidates(self, bases, limit):
         return self._call("fill_candidates", self.inner.fill_candidates, bases, limit)
 
-    def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
+    def tree_distance(self, landmark_id, peer_a, peer_b):
         return self._call("tree_distance", self.inner.tree_distance, landmark_id, peer_a, peer_b)
 
     # -------------------------------------------------------------- lifecycle

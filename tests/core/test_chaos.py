@@ -13,16 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ManagementServer
-from repro.core.chaos import (
-    FAULT_KINDS,
-    NETWORK_FAULT_KINDS,
-    ChaosShardBackend,
-    Fault,
-    FaultPlan,
-)
 from repro.core.remote import RecoveryPolicy, shard_factory_for
 from repro.exceptions import ShardUnavailableError
 
+from ..chaos import FAULT_KINDS, NETWORK_FAULT_KINDS, ChaosShardBackend, Fault, FaultPlan
 from ..oracle import simple_path
 
 

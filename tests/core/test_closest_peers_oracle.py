@@ -1,7 +1,7 @@
 """Oracle tests for the ``closest_peers`` query of the path trie.
 
 The query must return exactly what a brute-force ranking over
-``all_pairs_tree_distance`` would (same peers, same distances, same
+every peer's ``tree_distance`` would (same peers, same distances, same
 ``(dtree, repr)`` tie-break order), while doing work — index ranges examined
 plus row entries scanned, ``last_query_visits`` — that depends on ``k`` and
 the origin's depth, not on the population or the size of a tie.  The
@@ -27,14 +27,10 @@ from ..oracle import PROFILED, attached, path, random_trees, root_path
 
 
 def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId, int]]:
-    """Brute-force k-closest via the exhaustive all-pairs distances."""
-    all_pairs = tree.all_pairs_tree_distance()
-    distances: Dict[PeerId, int] = {}
-    for (peer_a, peer_b), distance in all_pairs.items():
-        if peer_a == origin:
-            distances[peer_b] = distance
-        elif peer_b == origin:
-            distances[peer_a] = distance
+    """Brute-force k-closest: the tree distance to every other peer, ranked."""
+    distances: Dict[PeerId, int] = {
+        peer: tree.tree_distance(origin, peer) for peer in tree.peers() if peer != origin
+    }
     ranked = sorted(distances.items(), key=lambda item: (item[1], repr(item[0])))
     return ranked[:k]
 
@@ -43,7 +39,7 @@ def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId
 @settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(tree=random_trees(25, 7, churn=True), k=st.integers(1, 8))
 def test_property_matches_brute_force_oracle(tree, k):
-    """closest_peers == the brute-force all-pairs ranking, byte for byte."""
+    """closest_peers == the brute-force ranking, byte for byte."""
     if tree.peer_count < 2:
         return
     for origin in tree.peers():

@@ -95,7 +95,7 @@ class TestInsertion:
         attachment = populated_tree.attachment_node("p1")
         with pytest.raises(RegistrationError):
             populated_tree.insert(path("p1", ["b1", "core", "not-lmk"], "lmk"))
-        assert populated_tree.has_peer("p1")
+        assert "p1" in populated_tree.peers()
         assert populated_tree.peer_count == 5
         assert populated_tree.attachment_node("p1") == attachment
         assert {node: populated_tree.rows[node] for node in live_nodes(populated_tree)} == rows
@@ -110,8 +110,7 @@ class TestInsertion:
         assert len(tree.rows[a2]) == 2
 
     def test_attachment_and_path_lookup(self, populated_tree):
-        assert populated_tree.has_peer("p3")
-        assert "p3" in populated_tree
+        assert "p3" in populated_tree.peers()
         tree = populated_tree
         node = tree.attachment_node("p3")
         routers, parent = tree.routers, tree.parent
@@ -132,7 +131,7 @@ class TestRemoval:
     def test_remove_updates_counts(self, populated_tree):
         populated_tree.remove("p1")
         assert populated_tree.peer_count == 4
-        assert not populated_tree.has_peer("p1")
+        assert "p1" not in populated_tree.peers()
         assert len(populated_tree.rows[0]) == 4
 
     def test_remove_prunes_empty_branches(self, populated_tree):
@@ -183,9 +182,13 @@ class TestDistances:
         assert populated_tree.tree_distance("p1", "p1") == 0
 
     def test_all_pairs(self, populated_tree):
-        pairs = populated_tree.all_pairs_tree_distance()
+        peers = sorted(populated_tree.peers())
+        pairs = {
+            (a, b): populated_tree.tree_distance(a, b) for a in peers for b in peers if a < b
+        }
         assert len(pairs) == 5 * 4 // 2
         assert all(distance >= 2 for distance in pairs.values())
+        assert all(populated_tree.tree_distance(b, a) == d for (a, b), d in pairs.items())
 
 
 class TestClosestPeers:

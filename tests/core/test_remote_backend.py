@@ -8,8 +8,8 @@ decoder traceback), supervisor restart with journal replay, self-healing
 under a ``RecoveryPolicy``, journal compaction, the one-deadline claim, and
 teardown (no test may leave an orphaned process — enforced suite-wide by
 the ``no_leaked_workers`` autouse fixture in ``tests/conftest.py``).
-``supervisor.kill()`` is the crash on both: SIGKILL for a process shard's
-child, a cut connection for a socket shard; ``TestRealCrash`` signals the
+``kill(supervisor)`` (``tests/chaos.py``) is the crash on both: SIGKILL for
+a process shard's child, a cut connection for a socket shard; ``TestRealCrash`` signals the
 child directly.  What only one host can do lives in
 ``test_socket_backend.py`` (lifecycle, sever modes, stale epochs, the CLI).
 """
@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ManagementServer, ShardBackend, ShardedManagementServer
-from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.codec import (
     MAX_FRAME_BYTES,
     _frame_end,
@@ -62,6 +61,7 @@ from repro.exceptions import (
 )
 from repro.workloads import synthetic_paths
 
+from ..chaos import ChaosShardBackend, Fault, FaultPlan, kill
 from ..oracle import apply_op, build_plane, cases, path, simple_path, trie_by_route
 
 
@@ -392,7 +392,7 @@ class TestFaultInjection:
     def test_killed_shard_raises_typed_error_naming_the_shard(self, plane):
         plane.register_peers([simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(4)])
         victim = plane.shards[plane.peer_shard("p0")]
-        victim.supervisor.kill()
+        kill(victim.supervisor)
         with pytest.raises(ShardUnavailableError) as departure_error:
             plane.unregister_peer("p0")
         assert victim.name in str(departure_error.value)
@@ -403,7 +403,7 @@ class TestFaultInjection:
 
     def test_failed_departure_leaves_coordinator_unchanged(self, plane):
         plane.register_peers([simple_path("p0", "lmA"), simple_path("p1", "lmA", "a2")])
-        plane.shards[plane.peer_shard("p0")].supervisor.kill()
+        kill(plane.shards[plane.peer_shard("p0")].supervisor)
         with pytest.raises(ShardUnavailableError):
             plane.unregister_peer("p0")
         # The shard was told first, so the failed departure must not have
@@ -417,7 +417,7 @@ class TestFaultInjection:
             [simple_path(f"p{i}", "lmA", access=f"a{i % 2}") for i in range(4)]
         )
         before = {peer: plane.closest_peers(peer) for peer in plane.peers()}
-        plane.shards[plane.peer_shard("p0")].supervisor.kill()
+        kill(plane.shards[plane.peer_shard("p0")].supervisor)
         for peer, answer in before.items():
             assert plane.closest_peers(peer) == answer
 
@@ -439,7 +439,7 @@ class TestFaultInjection:
                 else:
                     server.unregister_peer(payload)
         victim = plane.shards[plane.peer_shard("p0")]
-        victim.supervisor.kill()
+        kill(victim.supervisor)
         with pytest.raises(ShardUnavailableError):
             plane.unregister_peer("p0")
 
@@ -468,7 +468,7 @@ class TestFaultInjection:
         original_join = victim.join_paths
 
         def crash_before_insert(paths, k):
-            victim.supervisor.kill()
+            kill(victim.supervisor)
             return original_join(paths, k)
 
         victim.join_paths = crash_before_insert
@@ -746,7 +746,7 @@ class TestSupervisorLifecycle:
 
     def test_supervisor_health_check_round_trip(self, backend):
         assert backend.supervisor.health_check()
-        backend.supervisor.kill()
+        kill(backend.supervisor)
         assert not backend.supervisor.health_check()
 
     def test_sharded_plane_close_reaps_every_host(self, backend_name):
@@ -813,7 +813,7 @@ class TestSelfHealing:
         reference = ManagementServer(neighbor_set_size=3, maintain_cache=False)
         with make_shard(recovery=fast_recovery()) as shard:
             seed_peers(shard, reference)
-            shard.supervisor.kill()
+            kill(shard.supervisor)
             # The very next request triggers restart+replay+re-issue: no
             # exception reaches the caller and the answer is byte-identical.
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
@@ -826,7 +826,7 @@ class TestSelfHealing:
     def test_recoverable_mutations_are_journaled_exactly_once(self, make_shard):
         with make_shard(recovery=fast_recovery()) as shard:
             shard.register_landmark("lmA", "lmA")
-            shard.supervisor.kill()
+            kill(shard.supervisor)
             shard.insert_paths([simple_path("p0", "lmA")])  # heals, then applies
             ops = [op for op, _ in shard.supervisor.journal]
             assert ops == ["register_landmark", "insert_paths"]
@@ -838,10 +838,10 @@ class TestSelfHealing:
 
             def restart_then_die_again():
                 original_restart()
-                shard.supervisor.kill()
+                kill(shard.supervisor)
 
             monkeypatch.setattr(shard.supervisor, "restart", restart_then_die_again)
-            shard.supervisor.kill()
+            kill(shard.supervisor)
             with pytest.raises(ShardUnavailableError) as error:
                 shard.local_closest("p0", 2)
             assert shard.name in str(error.value)
@@ -853,7 +853,7 @@ class TestSelfHealing:
         )
         with make_shard(recovery=policy) as shard:
             seed_peers(shard)
-            shard.supervisor.kill()
+            kill(shard.supervisor)
             shard.local_closest("p0", 2)
             assert slept == [pytest.approx(0.05)]
 
@@ -863,7 +863,7 @@ class TestSelfHealing:
             seed_peers(shard, reference, count=7)
             expected = reference.fill_candidates({"lmA": 1.0}, 5)
             assert len(expected) == 5
-            shard.supervisor.kill()
+            kill(shard.supervisor)
             # Restart, replay the journal, re-issue: the same answer.
             assert shard.fill_candidates({"lmA": 1.0}, 5) == expected
             assert shard.supervisor.epoch == 2
@@ -871,7 +871,7 @@ class TestSelfHealing:
     def test_a_fill_without_recovery_fails_typed_naming_the_shard(self, make_shard):
         with make_shard() as shard:
             seed_peers(shard, count=7)
-            shard.supervisor.kill()
+            kill(shard.supervisor)
             with pytest.raises(ShardUnavailableError) as error:
                 shard.fill_candidates({"lmA": 1.0}, 5)
             assert shard.name in str(error.value)
@@ -1242,7 +1242,7 @@ class TestJournalCompaction:
                 plane.register_peer(simple_path("p4", "lmA", access="a2"))
             index = remote.shard_of("lmA")
             victim = remote.shards[index]
-            victim.supervisor.kill()
+            kill(victim.supervisor)
             sent = []
             roundtrip = victim.supervisor._roundtrip
             victim.supervisor._roundtrip = lambda op, *a, **k: sent.append(op) or roundtrip(op, *a, **k)

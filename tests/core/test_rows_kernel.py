@@ -65,7 +65,7 @@ def trees(draw) -> PathTree:
     ):
         tree.insert(make_path(peer, 0, branch))  # a known peer hands over
     for peer in draw(st.lists(st.sampled_from(PEERS), max_size=4)):
-        if peer in tree:
+        if peer in tree.peers():
             tree.remove(peer)
     return tree
 

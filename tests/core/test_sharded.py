@@ -190,7 +190,7 @@ class TestCoordinatorSemantics:
         assert server.peer_shard("p1") == server.shard_of("lmB")
         if server.shard_of("lmA") != server.shard_of("lmB"):
             assert before != server.peer_shard("p1")
-        assert not server.shards[server.shard_of("lmA")].tree("lmA").has_peer("p1")
+        assert "p1" not in server.shards[server.shard_of("lmA")].tree("lmA").peers()
 
     def test_failed_batch_mutates_nothing(self):
         server = self.make()

@@ -17,7 +17,7 @@ shard), ``socket`` (connection-scoped shards, each on its own loopback server,
 served by one thread per connection — both behind
 :class:`~repro.core.socket_backend.SocketShardBackend`), ``chaos``
 (process shards wrapped in a scripted-crash
-:class:`~repro.core.chaos.ChaosShardBackend` with a
+:class:`~tests.chaos.ChaosShardBackend` with a
 :class:`~repro.core.remote.RecoveryPolicy`, so every example self-heals
 through SIGKILLed servers via respawn+replay) and ``socket-chaos`` (socket
 shards on a network-shaped fault plan: crashes plus connection resets,
@@ -25,7 +25,9 @@ partial frames and stale-epoch reconnects, healed by
 reconnect-with-replay) — via the ``backend`` fixture, so the wire
 protocol, the typed codec, the bounded fill AND both transports'
 recovery paths are held to the very same byte-identical bar as the
-original sharding refactor.
+original sharding refactor.  The fault injection is test code
+(``tests/chaos.py``): the package ships none, and the chaos backends wrap
+the same ``process`` and ``socket`` shards the clean params run.
 
 Run with ``HYPOTHESIS_PROFILE=ci-equivalence`` for the high-budget inline
 CI sweep (``-m oracle``), ``HYPOTHESIS_PROFILE=ci-equivalence-process`` /
@@ -46,10 +48,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ManagementServer, ShardedManagementServer
-from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.socket_backend import SocketShardSupervisor
 from repro.exceptions import ShardUnavailableError
 
+from ..chaos import ChaosShardBackend, Fault, FaultPlan
 from ..oracle import (
     PLANE_BACKENDS,
     PROFILED,

@@ -8,7 +8,7 @@ threaded :class:`ShardServer`'s connection-scoped shard protocol
 and the client's reads cut a byte stream into frames, one deadline budget
 per round trip, a closed plane leaving no loopback server behind, a killed
 host cutting the connections it served, the
-transport-shaped fault hooks (``sever`` modes, stale-epoch reconnect —
+transport-shaped faults of ``tests/chaos.py`` (``sever`` modes, stale-epoch reconnect —
 including a process shard forgetting the epoch of the child it respawned)
 and the three network chaos acceptance cases from the issue:
 a partial frame during a ``fill``, a connection reset mid-batch insert,
@@ -52,6 +52,7 @@ from repro.core.socket_backend import (
 )
 from repro.exceptions import ShardUnavailableError, UnknownPeerError, WireProtocolError
 
+from ..chaos import kill, rewind_generation, send_partial_frame, sever
 from ..oracle import simple_path
 
 
@@ -204,7 +205,7 @@ class TestWireProtocol:
         conn = raw_connection(server)
         try:
             exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))
-            conn.send_partial_frame()  # header declares more bytes than follow
+            send_partial_frame(conn)  # header declares more bytes than follow
             with pytest.raises((OSError, EOFError)):
                 conn.recv_frame(DeadlineBudget(5.0))
         finally:
@@ -394,7 +395,7 @@ class TestClientFraming:
     def test_a_partial_frame_promises_more_than_it_sends(self):
         sock = RecordingSocket()
         conn = FramedConnection(sock, "fake.sock")
-        conn.send_partial_frame()
+        send_partial_frame(conn)
         assert conn.closed and sock.closed
         with pytest.raises(WireProtocolError, match="header needs"):
             decode_frame(sock.sent)
@@ -506,7 +507,7 @@ class TestLocalServerLifecycle:
             collecting = gc.isenabled()
             gc.disable()
             try:
-                shard.supervisor.kill()
+                kill(shard.supervisor)
                 started = time.monotonic()
                 with pytest.raises(ShardUnavailableError):
                     shard.local_closest("p0", 3)
@@ -542,7 +543,7 @@ class TestSeverModes:
         with SocketShardBackend(neighbor_set_size=3, name=f"sever-{mode}") as shard:
             seed_peers(shard)
             before = shard.local_closest("p0", 3)
-            shard.supervisor.sever(mode)
+            sever(shard.supervisor, mode)
             started = time.monotonic()
             with pytest.raises(ShardUnavailableError) as error:
                 shard.local_closest("p0", 3)
@@ -559,7 +560,7 @@ class TestSeverModes:
             neighbor_set_size=3, recovery=fast_recovery(), name="healing"
         ) as shard:
             seed_peers(shard, reference)
-            shard.supervisor.sever(mode)
+            sever(shard.supervisor, mode)
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
             assert shard.supervisor.epoch == 2
 
@@ -574,16 +575,31 @@ class TestSeverModes:
             assert shard.local_closest("p0", 3) == before
             assert server.alive  # a server we do not own survives the restart
 
+    def test_killing_a_shard_on_a_server_it_does_not_own_cuts_only_its_connection(self, server):
+        with SocketShardBackend(address=server.address, neighbor_set_size=3) as shard:
+            seed_peers(shard)
+            before = shard.local_closest("p0", 3)
+            kill(shard.supervisor)
+            assert shard.supervisor.connection.closed and server.alive
+            with pytest.raises(ShardUnavailableError):
+                shard.local_closest("p0", 3)
+            shard.restart()
+            assert shard.local_closest("p0", 3) == before
+
     def test_unknown_sever_mode_rejected(self, backend):
-        with pytest.raises(ValueError):
-            backend.supervisor.sever("carrier-pigeon")
+        seed_peers(backend)
+        with pytest.raises(KeyError):
+            sever(backend.supervisor, "carrier-pigeon")
+        assert not backend.supervisor.connection.closed  # rejected before any cut
+        assert len(backend.local_closest("p0", 3)) == 3
+        assert backend.supervisor.epoch == 1
 
 
 class TestStaleEpochReconnect:
     def test_stale_reconnect_fails_typed_without_recovery(self, backend):
         seed_peers(backend)
-        backend.supervisor.rewind_generation()
-        backend.supervisor.sever("close")
+        rewind_generation(backend.supervisor)
+        sever(backend.supervisor, "close")
         with pytest.raises(ShardUnavailableError) as error:
             backend.restart()
         assert "stale epoch" in str(error.value)
@@ -599,8 +615,8 @@ class TestStaleEpochReconnect:
         ) as shard:
             seed_peers(shard, reference)
             generation_before = shard.supervisor.seen_generation
-            shard.supervisor.rewind_generation()
-            shard.supervisor.sever("close")
+            rewind_generation(shard.supervisor)
+            sever(shard.supervisor, "close")
             # One failed reconnect, then convergence — inside one request.
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
             assert shard.supervisor.seen_generation > generation_before
@@ -613,15 +629,15 @@ class TestStaleEpochReconnect:
         with shard_factory_for("process", 3)() as shard:
             seed_peers(shard, reference)
             for _ in range(3):  # hellos on ONE child: the counter climbs
-                shard.supervisor.sever("close")
+                sever(shard.supervisor, "close")
                 with pytest.raises(ShardUnavailableError):
                     shard.local_closest("p0", 3)
                 shard.restart()
             assert shard.supervisor.seen_generation == 1  # ...and starts over
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
             # Even a rewound expectation cannot outlive the respawn.
-            shard.supervisor.rewind_generation(5)
-            shard.supervisor.kill()
+            rewind_generation(shard.supervisor, 5)
+            kill(shard.supervisor)
             shard.restart()
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
 
@@ -641,7 +657,7 @@ class TestNetworkChaosAcceptance:
             send = conn.send_frame
 
             def severed_mid_request(frame, budget):
-                shard.supervisor.sever("partial_frame")
+                sever(shard.supervisor, "partial_frame")
                 send(frame, budget)
 
             conn.send_frame = severed_mid_request
@@ -656,7 +672,7 @@ class TestNetworkChaosAcceptance:
         ) as shard:
             shard.register_landmark("lmA", "lmA")
             batch = [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(4)]
-            shard.supervisor.sever("reset")
+            sever(shard.supervisor, "reset")
             shard.insert_paths(batch)  # heals: restart + replay + re-issue
             reference.insert_paths(batch)
             for peer in ("p0", "p1", "p2", "p3"):
@@ -665,7 +681,7 @@ class TestNetworkChaosAcceptance:
             # byte-identical instead of double-inserting the batch.
             ops = [op for op, _ in shard.supervisor.journal]
             assert ops == ["register_landmark", "insert_paths"]
-            shard.supervisor.sever("close")
+            sever(shard.supervisor, "close")
             assert shard.local_closest("p0", 3) == reference.local_closest("p0", 3)
 
     def test_stale_epoch_reconnect_replays_full_journal_byte_identical(self):
@@ -676,8 +692,8 @@ class TestNetworkChaosAcceptance:
             seed_peers(shard, reference, count=6)
             shard.unregister_peer("p1")
             reference.unregister_peer("p1")
-            shard.supervisor.rewind_generation()
-            shard.supervisor.sever("close")
+            rewind_generation(shard.supervisor)
+            sever(shard.supervisor, "close")
             for peer in ("p0", "p2", "p3", "p4", "p5"):
                 for k in (1, 3, 5):
                     assert shard.local_closest(peer, k) == reference.local_closest(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.distance import evaluate_estimator, sample_peer_pairs
-from repro.metrics.proximity import compare_strategies, per_peer_ratios, population_cost
+from repro.metrics.proximity import compare_strategies, neighbor_cost, population_cost
 from repro.protocol import ProtocolSimulation
 
 from ..conftest import make_small_scenario
@@ -42,10 +42,13 @@ class TestFigureShape:
 
     def test_most_peers_individually_near_optimal(self, comparison):
         scenario, _ = comparison
-        ratios = per_peer_ratios(
-            scenario.scheme_neighbor_sets(), scenario.oracle_neighbor_sets(), scenario.true_distance
-        )
-        near_optimal = sum(1 for ratio in ratios.values() if ratio <= 1.5)
+        closest_sets, distance = scenario.oracle_neighbor_sets(), scenario.true_distance
+        ratios = [
+            neighbor_cost(peer, neighbors, distance) / neighbor_cost(peer, closest_sets[peer], distance)
+            for peer, neighbors in scenario.scheme_neighbor_sets().items()
+            if neighbor_cost(peer, closest_sets[peer], distance)
+        ]
+        near_optimal = sum(1 for ratio in ratios if ratio <= 1.5)
         assert near_optimal / len(ratios) > 0.7
 
     def test_growing_population_does_not_degrade_the_scheme(self):

@@ -9,7 +9,6 @@ from repro.metrics.proximity import (
     ProximityComparison,
     compare_strategies,
     neighbor_cost,
-    per_peer_ratios,
     population_cost,
 )
 
@@ -65,15 +64,3 @@ class TestComparison:
         with pytest.raises(MetricError):
             _ = comparison.scheme_ratio
 
-
-class TestPerPeerRatios:
-    def test_ratio_per_peer(self):
-        scheme = {"p0": ["p3"], "p5": ["p4"]}
-        closest = {"p0": ["p1"], "p5": ["p4"]}
-        ratios = per_peer_ratios(scheme, closest, index_distance)
-        assert ratios["p0"] == pytest.approx(3.0)
-        assert ratios["p5"] == pytest.approx(1.0)
-
-    def test_missing_oracle_entry_rejected(self):
-        with pytest.raises(MetricError):
-            per_peer_ratios({"p0": ["p1"]}, {}, index_distance)

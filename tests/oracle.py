@@ -40,11 +40,12 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core import DiscoverySnapshot, ManagementServer, ShardedManagementServer
-from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.neighbor_cache import SHARED_DISTANCES
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
 from repro.core.remote import BACKENDS, RecoveryPolicy, shard_factory_for
+
+from .chaos import ChaosShardBackend, Fault, FaultPlan
 
 #: The marker CI's inline oracle entry selects (``-m oracle``).
 PROFILED = pytest.mark.oracle

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ConsistentHashRing, ManagementServer, ShardedManagementServer
-from repro.core.chaos import ChaosShardBackend, Fault, FaultPlan
 from repro.core.path import RouterPath
 from repro.exceptions import ShardUnavailableError
 from repro.protocol import (
@@ -24,6 +23,8 @@ from repro.protocol import (
 from repro.sim.engine import Engine
 from repro.sim.network import SimulatedNetwork
 from repro.workloads import synthetic_paths
+
+from ..chaos import ChaosShardBackend, Fault, FaultPlan
 
 HOST = "mgmt"
 TTL_MS = 100.0

@@ -13,7 +13,6 @@ import hashlib
 import pytest
 
 from repro.core import ManagementServer, NewcomerClient
-from repro.core.chaos import Fault
 from repro.core.newcomer import landmark_descriptors
 from repro.core.path import RouterPath
 from repro.exceptions import ConfigurationError
@@ -21,10 +20,12 @@ from repro.workloads import synthetic_paths
 from repro.protocol import BeaconConfig, BeaconingPeer, ProtocolManagementHost, ProtocolSimulation
 from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
 from repro.sim.engine import Engine
-from repro.sim.network import NetworkFaultPlan, SimulatedNetwork
+from repro.sim.network import SimulatedNetwork
 from repro.topology.graph import Graph
 from repro.workloads.arrivals import flash_crowd_arrivals
 from repro.workloads.scenarios import small_scenario
+
+from ..chaos import Fault, wire_plan
 
 
 def reference_server(paths, neighbor_set_size=5):
@@ -134,7 +135,7 @@ class TestZeroLossOracle:
 
         def run_once():
             paths = synthetic_paths(200, seed=3)
-            plan = NetworkFaultPlan.of(
+            plan = wire_plan(
                 Fault(at_op=30, kind="delay", op_name="beacon", delay_s=0.004, persistent=True),
                 Fault(at_op=75, kind="duplicate", op_name="beaconack", persistent=True),
                 *(Fault(at_op=n, kind="reorder", op_name="beacon") for n in (120, 260, 520, 900)),
@@ -224,7 +225,7 @@ class TestLossyAcceptance:
         assert sim.server.peer_count == 10
 
     def test_scripted_partition_heals_and_everyone_is_discovered(self):
-        plan = NetworkFaultPlan.of(
+        plan = wire_plan(
             Fault(at_op=4, kind="partition", window_ops=15, op_name="beacon")
         )
         sim = ProtocolSimulation(
@@ -399,7 +400,7 @@ class TestLossyJoins:
         scenario = small_scenario(seed=29, peer_count=2)
         resident, newcomer_id = scenario.peer_ids
         scenario.join_one(resident)  # in process: the only wire traffic is the newcomer's
-        plan = NetworkFaultPlan.of(Fault(at_op=1, kind="drop", op_name="beaconack"))
+        plan = wire_plan(Fault(at_op=1, kind="drop", op_name="beaconack"))
         sim = ProtocolSimulation.over_scenario(
             scenario, arrivals_ms={newcomer_id: 0.0}, fault_plan=plan, seed=29
         )

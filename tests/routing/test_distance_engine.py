@@ -262,12 +262,6 @@ class TestGenerationCounter:
         generation = graph.generation
         graph.set_edge_attribute("a", "b", "latency", 3.0)
         assert graph.generation > generation
-        generation = graph.generation
-        graph.remove_edge("a", "b")
-        assert graph.generation > generation
-        generation = graph.generation
-        graph.remove_node("b")
-        assert graph.generation > generation
 
     def test_snapshot_invalidates_and_rebuilds_on_mutation(self):
         graph = Graph()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import NoRouteError, RoutingError
+from repro.exceptions import NoRouteError
 from repro.routing.route_table import RouteTable
 from repro.topology.graph import DEFAULT_WEIGHT_KEY, Graph
 
@@ -14,38 +14,9 @@ from ..conftest import REFERENCE_GRAPH_NAMES, reference_graphs, with_reference_l
 class TestRouteTable:
     def test_add_destination_caches_tree(self, tree_graph):
         table = RouteTable(graph=tree_graph)
-        assert table.destinations() == []
         tree_first = table.add_destination(0)
         tree_second = table.add_destination(0)
         assert tree_first is tree_second
-        assert table.destinations() == [0]
-
-    def test_tree_requires_prior_destination(self, tree_graph):
-        table = RouteTable(graph=tree_graph)
-        with pytest.raises(RoutingError):
-            table.tree(0)
-
-    def test_next_hop_follows_shortest_path(self, tree_graph):
-        table = RouteTable(graph=tree_graph)
-        table.add_destination(0)
-        assert table.next_hop(7, 0) == 3
-        assert table.next_hop(3, 0) == 1
-        assert table.next_hop(1, 0) == 0
-
-    def test_next_hop_at_destination_raises(self, tree_graph):
-        table = RouteTable(graph=tree_graph)
-        table.add_destination(0)
-        with pytest.raises(RoutingError):
-            table.next_hop(0, 0)
-
-    def test_next_hop_unreachable(self):
-        graph = Graph()
-        graph.add_edge(1, 2)
-        graph.add_node(3)
-        table = RouteTable(graph=graph)
-        table.add_destination(1)
-        with pytest.raises(NoRouteError):
-            table.next_hop(3, 1)
 
     def test_route_endpoints_and_length(self, tree_graph):
         table = RouteTable(graph=tree_graph)
@@ -53,6 +24,12 @@ class TestRouteTable:
         assert route[0] == 7
         assert route[-1] == 6
         assert table.route_length(7, 6) == len(route) - 1
+
+    def test_route_follows_shortest_path(self, tree_graph):
+        table = RouteTable(graph=tree_graph)
+        assert table.route(7, 0) == [7, 3, 1, 0]
+        assert table.route(8, 6) == [8, 4, 1, 0, 2, 6]
+        assert table.route_length(8, 6) == 5
 
     def test_route_to_self(self, tree_graph):
         table = RouteTable(graph=tree_graph)
@@ -92,7 +69,6 @@ class TestRouteTable:
             assert table.path_latency(source, 5) == fresh.path_latency(source, 5)
         assert table.route(0, 5) == [0, 4, 5]
         assert table.path_latency(0, 5) == 1.5
-        assert table.destinations() == [5]
         assert table.engine.stats.trees_built == 2
 
     def test_path_latency_unreachable(self):
@@ -101,6 +77,20 @@ class TestRouteTable:
         graph.add_node(3)
         with pytest.raises(NoRouteError):
             RouteTable(graph=graph).path_latency(3, 1)
+
+    def test_route_unreachable(self):
+        graph = Graph()
+        graph.add_edge(1, 2)
+        graph.add_node(3)
+        with pytest.raises(NoRouteError):
+            RouteTable(graph=graph).route(3, 1)
+
+    def test_route_length_unreachable(self):
+        graph = Graph()
+        graph.add_edge(1, 2)
+        graph.add_node(3)
+        with pytest.raises(NoRouteError):
+            RouteTable(graph=graph).route_length(3, 1)
 
     def test_route_length_counts_hops_on_a_weighted_table(self):
         graph = Graph()

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.chaos import Fault, FaultPlan
 from repro.exceptions import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.network import NetworkFaultPlan, SimulatedNetwork, message_op_name
+from repro.sim.network import SimulatedNetwork, message_op_name
+
+from ..chaos import FAULT_KINDS, WIRE_FAULT_KINDS, Fault, wire_plan
 
 
 class Ping:
@@ -195,7 +196,7 @@ def in_flight(network) -> int:
 
 class TestReorder:
     def test_reordered_message_waits_for_a_younger_delivery(self, line_graph):
-        plan = NetworkFaultPlan.of(Fault(at_op=1, kind="reorder", op_name="ping"))
+        plan = wire_plan(Fault(at_op=1, kind="reorder", op_name="ping"))
         engine, network, receiver = _pair(line_graph, receiver_router=5, fault_plan=plan)
         network.send("a", "b", Ping())
         network.send("a", "b", Pong())
@@ -234,7 +235,7 @@ class TestTeardown:
     """Epoch-stamped attachments: in-flight traffic dies with the epoch."""
 
     def test_detach_drops_reorder_held_messages(self, line_graph):
-        plan = NetworkFaultPlan.of(Fault(at_op=1, kind="reorder", op_name="ping"))
+        plan = wire_plan(Fault(at_op=1, kind="reorder", op_name="ping"))
         engine, network, receiver = _pair(line_graph, fault_plan=plan)
         network.send("a", "b", Ping())
         network.detach_host("b")
@@ -277,10 +278,35 @@ class TestNetworkFaultPlan:
 
     def test_backend_only_kinds_rejected_at_construction(self):
         with pytest.raises(SimulationError):
-            NetworkFaultPlan.of(Fault(at_op=1, kind="crash_before"))
+            wire_plan(Fault(at_op=1, kind="crash_before"))
+
+    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k not in WIRE_FAULT_KINDS])
+    def test_every_kind_without_a_wire_meaning_is_rejected(self, kind):
+        with pytest.raises(SimulationError) as error:
+            wire_plan(Fault(at_op=1, kind="drop"), Fault(at_op=2, kind=kind))
+        assert repr(kind) in str(error.value)
+
+    def test_any_object_with_faults_for_is_a_plan(self, line_graph):
+        """The network asks a plan once per send, by the message's op name."""
+
+        class Asked:
+            def __init__(self):
+                self.names = []
+
+            def faults_for(self, op_name):
+                self.names.append(op_name)
+                return []
+
+        plan = Asked()
+        engine, network, receiver = _pair(line_graph, fault_plan=plan)
+        for message in (Ping(), "text", Pong()):
+            network.send("a", "b", message)
+        engine.run()
+        assert plan.names == ["ping", "str", "pong"]
+        assert len(receiver.received) == 3
 
     def test_drop_fault_drops_the_counted_message(self, line_graph):
-        plan = NetworkFaultPlan.of(Fault(at_op=2, kind="drop"))
+        plan = wire_plan(Fault(at_op=2, kind="drop"))
         engine, network, receiver = _pair(line_graph, fault_plan=plan)
         for i in range(3):
             network.send("a", "b", i)
@@ -290,7 +316,7 @@ class TestNetworkFaultPlan:
         assert plan.fired == [(2, "drop", "int")]  # op name: lowercased class
 
     def test_delay_fault_adds_simulated_milliseconds(self, line_graph):
-        plan = NetworkFaultPlan.of(Fault(at_op=1, kind="delay", delay_s=0.004))
+        plan = wire_plan(Fault(at_op=1, kind="delay", delay_s=0.004))
         engine, network, receiver = _pair(line_graph, receiver_router=5, fault_plan=plan)
         network.send("a", "b", "slow")
         engine.run()
@@ -298,7 +324,7 @@ class TestNetworkFaultPlan:
         assert receiver.received[0][0] == pytest.approx(9.0)
 
     def test_duplicate_fault_delivers_twice(self, line_graph):
-        plan = NetworkFaultPlan.of(Fault(at_op=1, kind="duplicate"))
+        plan = wire_plan(Fault(at_op=1, kind="duplicate"))
         engine, network, receiver = _pair(line_graph, fault_plan=plan)
         network.send("a", "b", "x")
         engine.run()
@@ -306,7 +332,7 @@ class TestNetworkFaultPlan:
         assert network.duplicated_messages == 1
 
     def test_partition_drops_every_message_in_its_window(self, line_graph):
-        plan = NetworkFaultPlan.of(Fault(at_op=2, kind="partition", window_ops=3))
+        plan = wire_plan(Fault(at_op=2, kind="partition", window_ops=3))
         engine, network, receiver = _pair(line_graph, fault_plan=plan)
         for i in range(5):
             network.send("a", "b", i)
@@ -315,7 +341,7 @@ class TestNetworkFaultPlan:
         assert network.dropped_messages == 3
 
     def test_op_name_filter_targets_one_message_stream(self, line_graph):
-        plan = NetworkFaultPlan.of(
+        plan = wire_plan(
             Fault(at_op=1, kind="drop", op_name="ping", persistent=True)
         )
         engine, network, receiver = _pair(line_graph, fault_plan=plan)

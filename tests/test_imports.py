@@ -1,4 +1,5 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""No module under ``src/repro`` imports a name it never uses, and neither
+do the shared test helpers (``tests/chaos.py``, ``tests/oracle.py``).
 
 A dead import makes an unreached module look reached.  Exempt: the
 re-exports of ``__init__.py`` files, names listed in ``__all__``,
@@ -10,6 +11,10 @@ twice, and a package lists every public name it imports.
 
 The library has no runtime dependency: every module imports with numpy
 blocked and pulls in nothing outside the standard library.
+
+Fault injection is test code (``tests/chaos.py``): ``repro.core`` exports
+none of it, ``repro.core.chaos`` does not exist, and no module under
+``src/repro`` imports from ``tests``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
 PACKAGES = sorted(SRC.rglob("__init__.py"))
+TEST_HELPERS = [pathlib.Path(__file__).resolve().parent / name for name in ("chaos.py", "oracle.py")]
 
 
 def unused_imports(tree: ast.Module):
@@ -75,6 +81,11 @@ EXPORTERS = [
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
 def test_every_imported_name_is_used(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", TEST_HELPERS, ids=lambda path: path.name)
+def test_every_imported_name_in_a_test_helper_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -147,3 +158,37 @@ def test_the_shard_transport_and_the_cli_load_no_event_loop():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_repro_core_exports_no_fault_injection():
+    import repro.core
+
+    assert {"Fault", "FaultPlan", "ChaosShardBackend"} & set(dir(repro.core)) == set()
+
+
+def test_the_transport_and_the_wire_carry_no_fault_hooks():
+    from repro.core.socket_backend import FramedConnection, SocketShardSupervisor
+    import repro.sim.network
+
+    hooks = {
+        FramedConnection: ("reset_close", "send_partial_frame"),
+        SocketShardSupervisor: ("kill", "sever", "rewind_generation"),
+        repro.sim.network: ("NetworkFaultPlan",),
+    }
+    assert [(owner, name) for owner, names in hooks.items() for name in names if hasattr(owner, name)] == []
+
+
+def test_there_is_no_chaos_module_in_the_package():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.chaos")
+
+
+def test_no_module_imports_from_the_tests():
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "tests"
+        or isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "tests" for alias in node.names)
+    ]
+    assert offenders == []

@@ -71,7 +71,7 @@ class TestGeneration:
 
     def test_every_router_has_a_tier(self, router_map):
         for node in router_map.graph.nodes():
-            assert router_map.graph.get_node_attribute(node, "tier") in (
+            assert router_map.graph.node_attributes(node)["tier"] in (
                 TIER_CORE,
                 TIER_TRANSIT,
                 TIER_STUB,
@@ -146,7 +146,7 @@ class TestTierStructure:
         graph = router_map.graph
         for tier in (TIER_CORE, TIER_TRANSIT, TIER_STUB):
             assert router_map.tiers[tier] == [
-                node for node in graph.nodes() if graph.get_node_attribute(node, "tier") == tier
+                node for node in graph.nodes() if graph.node_attributes(node)["tier"] == tier
             ]
 
     def test_core_is_the_preferential_attachment_graph(self, router_map):
@@ -160,17 +160,17 @@ class TestTierStructure:
         graph = router_map.graph
         m = router_map.config.transit_attachment
         for node in router_map.tiers[TIER_TRANSIT]:
-            uplinks = [v for v in graph.neighbors(node) if v < node]
+            uplinks = [v for v in graph.iter_neighbors(node) if v < node]
             # m preferential uplinks, plus at most one lateral peering link.
             assert m <= len(uplinks) <= m + 1
-            assert all(graph.get_node_attribute(v, "tier") != TIER_STUB for v in uplinks)
+            assert all(graph.node_attributes(v)["tier"] != TIER_STUB for v in uplinks)
 
     def test_every_stub_router_has_exactly_one_uplink(self, router_map):
         graph = router_map.graph
         for node in router_map.tiers[TIER_STUB]:
-            assert len([v for v in graph.neighbors(node) if v < node]) == 1
-            below = [v for v in graph.neighbors(node) if v > node]
-            assert all(graph.get_node_attribute(v, "tier") == TIER_STUB for v in below)
+            assert len([v for v in graph.iter_neighbors(node) if v < node]) == 1
+            below = [v for v in graph.iter_neighbors(node) if v > node]
+            assert all(graph.node_attributes(v)["tier"] == TIER_STUB for v in below)
 
     def test_removing_the_access_layer_leaves_a_connected_backbone(self, router_map):
         backbone = router_map.tiers[TIER_CORE] + router_map.tiers[TIER_TRANSIT]
@@ -184,7 +184,7 @@ class TestVariants:
     def test_deterministic_given_seed(self):
         first = generate_router_map(RouterMapConfig(core_size=10, transit_size=30, stub_size=80, seed=3))
         second = generate_router_map(RouterMapConfig(core_size=10, transit_size=30, stub_size=80, seed=3))
-        assert sorted(first.graph.to_edge_list()) == sorted(second.graph.to_edge_list())
+        assert sorted(first.graph.edges()) == sorted(second.graph.edges())
 
     def test_custom_latency_model(self):
         router_map = generate_router_map(
@@ -222,7 +222,7 @@ def map_digest(router_map) -> str:
     graph = router_map.graph
     digest = hashlib.sha256()
     for u, v in graph.edges():
-        digest.update(f"{u} {v} {graph.get_edge_attribute(u, v, 'latency')!r}\n".encode())
+        digest.update(f"{u} {v} {graph.edge_attributes(u, v)['latency']!r}\n".encode())
     for tier in (TIER_CORE, TIER_TRANSIT, TIER_STUB):
         digest.update(f"{tier} {router_map.tiers[tier]!r}\n".encode())
     return digest.hexdigest()
@@ -315,12 +315,12 @@ class TestBarabasiAlbert:
     def test_deterministic_given_seed(self):
         first = barabasi_albert(80, m=2, seed=11)
         second = barabasi_albert(80, m=2, seed=11)
-        assert sorted(first.to_edge_list()) == sorted(second.to_edge_list())
+        assert sorted(first.edges()) == sorted(second.edges())
 
     def test_different_seeds_differ(self):
         first = barabasi_albert(80, m=2, seed=11)
         second = barabasi_albert(80, m=2, seed=12)
-        assert sorted(first.to_edge_list()) != sorted(second.to_edge_list())
+        assert sorted(first.edges()) != sorted(second.edges())
 
     def test_requires_n_greater_than_m(self):
         with pytest.raises(GeneratorError):
@@ -337,7 +337,7 @@ class TestBarabasiAlbert:
         # The seed star has m edges; each of the n - m - 1 later nodes adds m.
         assert graph.edge_count == m * (n - m)
         for node in range(m + 1, n):
-            assert len([v for v in graph.neighbors(node) if v < node]) == m
+            assert len([v for v in graph.iter_neighbors(node) if v < node]) == m
 
     @pytest.mark.parametrize("n, m", [(0, 1), (5, 0), (1, 1)])
     def test_rejects_invalid_sizes(self, n, m):

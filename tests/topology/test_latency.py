@@ -50,7 +50,7 @@ class TestConstant:
     def test_writes_the_requested_key_only(self, line_graph):
         ConstantLatencyModel(latency_ms=4.0).assign(line_graph, key="probe_ms")
         for u, v in line_graph.edges():
-            assert line_graph.get_edge_attribute(u, v, "probe_ms") == 4.0
+            assert line_graph.edge_attributes(u, v)["probe_ms"] == 4.0
             assert line_graph.edge_weight(u, v) == 1.0
 
 
@@ -123,7 +123,7 @@ class TestTiered:
         model = TieredLatencyModel(jitter_fraction=jitter, seed=3)
         model.assign(graph)
         for u, v in graph.edges():
-            base = model._base_latency(graph.get_node_attribute(u, "tier"), graph.get_node_attribute(v, "tier"))
+            base = model._base_latency(graph.node_attributes(u)["tier"], graph.node_attributes(v)["tier"])
             assert base * (1 - jitter) <= graph.edge_weight(u, v) <= base * (1 + jitter)
 
     def test_deterministic_given_seed(self, small_router_map):

@@ -1,15 +1,16 @@
-"""Which functions under src/repro does anything but their own unit tests call?
+"""Which functions under src/repro does nothing but the test suite call?
 
 Runs tier-1, the five bench workloads at smoke scale and the rest of what CI
 runs (every examples/*.py, and the four pinned tables through the CLI as
 ``python -m repro.cli NAME`` runs them) under a call tracer that charges each
 call to the running test file, to bench or to ci; prints per module the
-functions defined, reached by bench, reached by anything but its own
-tests/<pkg>/test_<stem>.py, and the names nothing else reached (* = never
-called), then a totals row.  Names in ``KEPT`` are left out of that column
-and printed under the reason they stay.  Blind spots: calls in child
-processes (forked shards, shard-serve) are lost, and import-time calls go to
-the first importer.  ``python tools/reach.py [pytest args]``."""
+functions defined, reached by bench, reached by anything but the test files,
+and the names only test files reached (* = never called), then a totals row.
+Names in ``KEPT`` are left out of that column and printed under the reason
+they stay.  Exits 1 when pytest fails or a name only tests reach has no
+``KEPT`` reason.  Blind spots: calls in child processes (forked shards,
+shard-serve) are lost, and import-time calls go to the first importer.
+``python tools/reach.py [pytest args]``."""
 
 import ast, contextlib, glob, io, os, pathlib, pytest, runpy, sys, threading
 
@@ -17,8 +18,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro") + os.sep
 label, calls = ["import"], {}  # (file, first line) -> who called it
 
-# Names only their own tests reach that stay, and why.  A key is a qualified
-# name, a class prefix ("ShardBackend.") or a method suffix (".__repr__").
+# Names only tests reach that stay, and why.  A key is a qualified name, a
+# class prefix ("ShardBackend.") or a method suffix (".__repr__").
 KEPT = {
     ".__repr__": "a repr: read by people, not by code",
     "ShardBackend.": "interface stub: every shard backend implements it",
@@ -26,24 +27,94 @@ KEPT = {
     "MessageHandler.": "interface stub: what the simulated network delivers to",
     "LatencyModel.": "interface stub: every latency model implements it",
     "_serve_listener": "runs only in a forked shard, which the tracer cannot see",
+    "ChildShardServer.": "the process backend, which only CI's process oracle and the remote tests run",
+    "shard_factory_for.process_shard": "the process backend, which only CI's process oracle and the remote tests run",
+    "SocketShardSupervisor.process": "the process backend, which only CI's process oracle and the remote tests run",
+    "build_serve_parser": "the shard-serve CLI, which runs in a subprocess",
+    "_parse_tcp": "the shard-serve CLI, which runs in a subprocess",
+    "run_serve": "the shard-serve CLI, which runs in a subprocess",
     "ProtocolManagementHost._ban": "live path no workload drives: a forged beacon",
     "BeaconingPeer._give_up": "live path no workload drives: a peer out of retries",
+    "NodeNotFoundError.__init__": "live path no workload drives: a typed failure",
+    "EdgeNotFoundError.__init__": "live path no workload drives: a typed failure",
+    "NoRouteError.__init__": "live path no workload drives: a typed failure",
+    "UnknownPeerError.__init__": "live path no workload drives: a typed failure",
+    "ShardUnavailableError.__init__": "live path no workload drives: a typed failure",
+    "PathTree._reject": "live path no workload drives: a typed failure",
+    "_protocol_error": "live path no workload drives: a typed failure",
+    "_rebuild_exception": "live path no workload drives: a typed failure",
+    "_SharedDistances.__missing__": "live path no workload drives: a tree distance of 256 hops or more",
+    "RecoveryPolicy.backoff_s": "live path no workload drives: recovery from a dead shard",
+    "ShardSupervisorBase._recover": "live path no workload drives: recovery from a dead shard",
+    "ShardSupervisorBase.health_check": "live path no workload drives: recovery from a dead shard",
+    "SocketShardBackend.health_check": "live path no workload drives: recovery from a dead shard",
+    "DegradedResult.__init__": "live path no workload drives: a read while a shard is down",
+    "ShardedManagementServer._degraded_neighbors": "live path no workload drives: a read while a shard is down",
+    "ShardedManagementServer._live_trees": "live path no workload drives: a read while a shard is down",
+    "ShardedManagementServer.health": "live path no workload drives: a read while a shard is down",
+    "PlaneHealth.healthy": "live path no workload drives: a read while a shard is down",
+    "SocketShardBackend.fill_candidates": "live path no workload drives: a list its home landmark cannot fill",
+    "RouteTable.route_length": "live path no workload drives: the fewest-hops landmark selection policy",
+    "message_op_name": "SimulatedNetwork.send names each message to a fault plan by it",
+    "ShardedManagementServer._same_landmark_distance": "ShardBackend interface: a dtree between two peers of one landmark",
+    "ManagementServer.tree_distance": "ShardBackend interface: a dtree between two peers of one landmark",
+    "SocketShardBackend.tree_distance": "ShardBackend interface: a dtree between two peers of one landmark",
+    "ShardedManagementServer.tree": "diagnostics: a landmark's trie, shipped whole from its shard",
+    "SocketShardBackend.tree": "diagnostics: a landmark's trie, shipped whole from its shard",
+    "PathTree.peers": "diagnostics: a landmark's trie, shipped whole from its shard",
+    "SocketShardBackend.insert_paths": "ShardBackend interface; its test callers wait on ROADMAP item 9(d)",
+    "SocketShardBackend.__enter__": "context protocol, as every plane has it",
+    "SocketShardBackend.__exit__": "context protocol, as every plane has it",
+    "ManagementServer.total_tree_visits": "work counter the traced bench reads (bench/workloads/plane_churn.py)",
+    "ManagementServer.total_insert_work": "work counter the traced bench reads (bench/workloads/plane_churn.py)",
+    "ShardedManagementServer.total_tree_visits": "work counter the traced bench reads (bench/workloads/plane_churn.py)",
+    "ShardedManagementServer.total_insert_work": "work counter the traced bench reads (bench/workloads/plane_churn.py)",
+    "SocketShardBackend.total_tree_visits": "work counter the traced bench reads (bench/workloads/plane_churn.py)",
+    "SocketShardBackend.total_insert_work": "work counter the traced bench reads (bench/workloads/plane_churn.py)",
+    "ServerStats.reset": "test oracle: the work-counting tests zero the counters between phases",
+    "PathTree.closest_peers": "test oracle: the kernel oracles query a bare trie by it",
+    "PathTree.router_count": "test oracle: the trie-index oracles check node reuse by it",
+    "RouteTable.path_latency": "test oracle: the route-tree tests compare a route's latency column by it",
+    "FlatTrie.structure": "test oracle: the serving oracles compare snapshots with ==",
+    "DiscoverySnapshot._content": "test oracle: the serving oracles compare snapshots with ==",
+    "DiscoverySnapshot.__eq__": "test oracle: the serving oracles compare snapshots with ==",
+    "DiscoverySnapshot.peers": "test oracle: the serving oracles compare snapshots with ==",
+    "ProtocolMetrics.as_dict": "test oracle: the protocol determinism tests compare whole reports by it",
+    "Graph.connected_component": "test oracle: the router-map tests check every map's connectivity",
+    "Graph.connected_components": "test oracle: the router-map tests check every map's connectivity",
+    "Graph.is_connected": "test oracle: the router-map tests check every map's connectivity",
+    "Graph.subgraph": "test oracle: the router-map tests check every map's connectivity",
+    "Graph.copy": "test oracle: the latency tests assign models to a copy of a pinned map",
+    "Graph.from_networkx": "test oracle: every networkx-referenced test builds its graph by it",
+    "ConstantLatencyModel.": "test oracle: a map test swaps it in for the tiered latencies",
+    "ResultTable.to_csv": "the CLI's --csv and --output paths",
+    "ResultTable.to_json": "the CLI's --csv and --output paths",
+    "ResultTable.to_dict": "the CLI's --csv and --output paths",
+    "save_table": "the CLI's --csv and --output paths",
+    "ResultTable.__len__": "the rows of a table, as the figure tests count them",
+    "merge_seed_tables": "the paper's-band study runs it (ROADMAP item 4)",
+    "_figure1_full": "the paper's-band study runs it (ROADMAP item 4)",
+    "traceroute_noise_sweep": "experiment kept until the paper's-band study decides it (ROADMAP item 4)",
+    "churn_study": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
+    "churn_study.ratio_for": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
     "Engine.step": "traced by bench/trace.py until a bench change drops it",
     "SocketShardSupervisor.notify": "traced by bench/trace.py until a bench change drops it",
     "SocketShardSupervisor.seen_generation": "the composed run's process deaths read it (ROADMAP item 1)",
-    "_figure1_full": "the paper's-band study runs it (ROADMAP item 4)",
-    "ChaosShardBackend.insert_paths": "the chaos reorder fault's target (ROADMAP item 9(d))",
+    "SocketShardSupervisor.connection": "public view: the live connection the chaos tests cut",
+    "ShardSupervisorBase.journal": "public view the recovery tests observe replay through",
+    "ShardSupervisorBase.epoch": "public view the recovery tests observe reconnects through",
+    "ShardedManagementServer.shard_of": "public view the sharded tests aim their faults by",
+    "ShardedManagementServer.shard_landmarks": "public view the sharded tests aim their faults by",
+    "SimulatedNetwork.router_of": "public view the handover tests observe attachment through",
+    "SimulatedNetwork.one_way_latency": "public view the latency-memo tests observe the memo through",
+    "NeighborCache.get": "public view: the plane's _neighbor_cache diagnostics read lists by it",
+    "NeighborCache.referencing": "public view: the plane's referencing_peers diagnostics read it",
     "format_address": "names the shard in connect failures and the serve banner",
     "LocalShardServer.alive": "owner interface that ChildShardServer overrides",
     "ProtocolManagementHost.last_heard": "public view the host tests observe refresh through",
     "BeaconingPeer.current_seq": "public view the peer tests observe rounds through",
     "Engine.pending_events": "public view the engine tests observe the queue through",
     "PeerKeyInterner.table": "public view (peer -> sort text) the serving and load tests read the interner by",
-    "ChaosShardBackend.__enter__": "context protocol, as SocketShardBackend has it",
-    "ChaosShardBackend.__exit__": "context protocol, as SocketShardBackend has it",
-    "churn_study": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
-    "churn_study.ratio_for": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
-    "traceroute_noise_sweep": "experiment kept until the paper's-band study decides it (ROADMAP item 4)",
 }
 
 
@@ -87,7 +158,7 @@ if __name__ == "__main__":
     pytest_args = sys.argv[1:] or [ROOT]
     sys.settrace(trace), threading.settrace(trace)
     try:
-        pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[ChargeToTestFile()])
+        failed = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[ChargeToTestFile()])
         from bench.runner import WORKLOAD_CLASSES, run_workload
         label[0] = "bench"
         for name in WORKLOAD_CLASSES:
@@ -107,23 +178,24 @@ if __name__ == "__main__":
                     raise SystemExit(f"repro.cli {name} failed")
     finally:
         sys.settrace(None), threading.settrace(None)
+    outside = {"import", "bench", "ci"}  # every other label is a test file
     print(f"\n{'module':36s} defined  bench  others  nothing else")
     totals, kept_names = [0, 0, 0, 0], {}
     for path in sorted(os.path.join(d, f) for d, _, fs in os.walk(SRC) for f in fs if f.endswith(".py")):
-        pkg, stem = os.path.split(os.path.relpath(path[:-3], SRC))
-        own = os.path.join("tests", pkg, f"test_{stem}.py")
         body = ast.parse(pathlib.Path(path).read_text(encoding="utf-8")).body
         defined = [(calls.get((path, line), set()), name) for line, name in functions(body)]
         bench = sum("bench" in who for who, _ in defined)
-        others = sum(bool(who - {"bench", own}) for who, _ in defined)
+        others = sum(bool(who & outside - {"bench"}) for who, _ in defined)
         rest = []
         for who, name in defined:
-            if not who - {own}:
+            if not who & outside:
                 key = kept(name)
                 (kept_names.setdefault(KEPT[key], []) if key else rest).append(name + "*" * (not who))
         print(f"{path[len(SRC):]:36s} {len(defined):7d} {bench:6d} {others:7d}  {len(rest):3d} {', '.join(rest)}")
         totals = [a + b for a, b in zip(totals, (len(defined), bench, others, len(rest)))]
     print(f"{'total':36s} {totals[0]:7d} {totals[1]:6d} {totals[2]:7d}  {totals[3]:3d}")
-    print(f"\nkept: {sum(map(len, kept_names.values()))} names only their own tests reach")
+    print(f"\nkept: {sum(map(len, kept_names.values()))} names only tests reach")
     for reason, names in kept_names.items():
         print(f"  {reason}: {', '.join(names)}")
+    if failed or totals[3]:
+        sys.exit(1)
