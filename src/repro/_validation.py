@@ -7,11 +7,9 @@ them, so error messages look the same everywhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TypeVar
+from typing import Optional
 
 from .exceptions import ConfigurationError
-
-T = TypeVar("T")
 
 
 def require_positive_int(value: int, name: str) -> int:
@@ -52,14 +50,6 @@ def require_probability(value: float, name: str) -> float:
     if not 0.0 <= as_float <= 1.0:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
     return as_float
-
-
-def require_one_of(value: T, allowed: Iterable[T], name: str) -> T:
-    """Return ``value`` if it is one of ``allowed``, else raise."""
-    allowed_list = list(allowed)
-    if value not in allowed_list:
-        raise ConfigurationError(f"{name} must be one of {allowed_list!r}, got {value!r}")
-    return value
 
 
 def coerce_seed(seed: Optional[int]) -> Optional[int]:

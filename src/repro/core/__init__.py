@@ -33,16 +33,7 @@ from .distance import (
     evaluate_estimator,
     sample_peer_pairs,
 )
-from .newcomer import (
-    LANDMARK_SELECTION_POLICIES,
-    SELECT_CLOSEST_RTT,
-    SELECT_FEWEST_HOPS,
-    SELECT_FIRST,
-    JoinResult,
-    JoinTranscript,
-    LandmarkDescriptor,
-    NewcomerClient,
-)
+from .newcomer import JoinResult, JoinTranscript, LandmarkDescriptor, NewcomerClient
 
 __all__ = [
     "LandmarkId",
@@ -74,10 +65,6 @@ __all__ = [
     "PairAccuracy",
     "evaluate_estimator",
     "sample_peer_pairs",
-    "LANDMARK_SELECTION_POLICIES",
-    "SELECT_CLOSEST_RTT",
-    "SELECT_FEWEST_HOPS",
-    "SELECT_FIRST",
     "JoinResult",
     "JoinTranscript",
     "LandmarkDescriptor",

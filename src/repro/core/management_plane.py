@@ -212,15 +212,6 @@ class ManagementPlaneBase:
         """
         return None
 
-    def health(self) -> "PlaneHealth":
-        """Liveness summary of the plane (per-shard for sharded planes).
-
-        A plane without independent failure domains reports no shards and is
-        trivially healthy; the sharded coordinator reports one
-        :class:`ShardHealth` per shard backend.
-        """
-        return PlaneHealth(shards=(), degraded_queries=self.stats.degraded_queries)
-
     def _same_landmark_distance(
         self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId
     ) -> float:
@@ -373,13 +364,6 @@ class ManagementPlaneBase:
         if peer_id not in self._paths:
             raise UnknownPeerError(peer_id)
         return list(map(PAIR, self._cache.lists.get(peer_id, ())))
-
-    def referencing_peers(self, peer_id: PeerId) -> Set[PeerId]:
-        """Peers whose cached neighbour list currently contains ``peer_id``.
-
-        Exposed for churn diagnostics and tests; the returned set is a copy.
-        """
-        return self._cache.referencing(peer_id)
 
     # -------------------------------------------------------------- register
 

@@ -17,8 +17,8 @@ pointer compares for ``r`` referrers — the order
 :meth:`~NeighborCache.drop_peer` already pays, O(r·k) — and dropping an
 absent edge does nothing.  A target's referrers are held in the order they
 first listed it (a re-store that keeps the target keeps the edge where it
-is), and that order is bookkeeping: :meth:`~NeighborCache.referencing`
-and the planes' ``_referenced_by`` hand out sets.  Cached distances (three values
+is), and that order is bookkeeping: the planes' ``_referenced_by`` hands
+out sets.  Cached distances (three values
 among 64,000 at 12,800 peers) are the shared floats of
 :data:`SHARED_DISTANCES`, not one object each.
 
@@ -152,10 +152,6 @@ class NeighborCache:
         or None if it has none; the planes read :attr:`lists` itself."""
         entries = self.lists.get(peer_id)
         return None if entries is None else [NeighborEntry(*entry) for entry in entries]
-
-    def referencing(self, peer_id: PeerId) -> Set[PeerId]:
-        """Peers whose cached list currently contains ``peer_id`` (a copy)."""
-        return set(self.referenced_by.get(peer_id, ()))
 
     def is_complete(self, peer_id: PeerId) -> bool:
         """True if the peer's cached list is exhaustive *and* still current.

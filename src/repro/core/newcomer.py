@@ -6,17 +6,18 @@ A :class:`NewcomerClient` models what a joining peer does:
    management server's address (:func:`landmark_descriptors`);
 2. ping every landmark — one echo RTT each, all sent at once — to find the
    closest one *in terms of latency*: the paper's newcomer targets "its
-   closest landmark";
-3. run the traceroute-like tool towards that one landmark and clean the
-   result;
+   closest landmark" (the lowest RTT, ties broken by ``repr`` of the
+   landmark id);
+3. run the traceroute-like tool towards that one landmark and drop the
+   anonymous hops from the result;
 4. upload the path and receive the recommended neighbour list.
 
 Steps 2–3 are :meth:`NewcomerClient.measure`: ``len(landmarks)`` pings and
 exactly one traceroute.  Step 4 has two carriers.  :meth:`NewcomerClient.join`
 calls ``server.register_peer`` in process (as the experiments do) and records
 a :class:`JoinTranscript` whose timings are modelled from what was measured —
-the slowest ping, one probe per traceroute hop, one server round trip (see
-:meth:`NewcomerClient.probe_delay_ms`).  On the wire
+the slowest ping, :data:`PROBE_COST_MS` per traceroute hop, one server round
+trip (see :meth:`NewcomerClient.probe_delay_ms`).  On the wire
 (:meth:`repro.protocol.peer.BeaconingPeer.arrive`) the path is a first beacon
 and the list rides its ack, so the same delay is read off the sim clock;
 ``join`` is the reference the wire join is proved against.
@@ -27,18 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._validation import require_one_of
 from ..exceptions import LandmarkError, TracerouteError
-from ..routing.path_inference import GAP_DROP, GAP_POLICIES, clean_traceroute
+from ..routing.path_inference import clean_traceroute
 from ..routing.traceroute import TracerouteSimulator
 from .management_server import ManagementServer
 from .path import LandmarkId, NodeId, PeerId, RouterPath
 
-LandmarkSelection = str
-SELECT_CLOSEST_RTT = "closest_rtt"
-SELECT_FEWEST_HOPS = "fewest_hops"
-SELECT_FIRST = "first"
-LANDMARK_SELECTION_POLICIES = (SELECT_CLOSEST_RTT, SELECT_FEWEST_HOPS, SELECT_FIRST)
+#: Modelled wall-clock cost of one traceroute hop probe (a TTL answered or timed out).
+PROBE_COST_MS = 20.0
 
 
 @dataclass(frozen=True)
@@ -98,74 +95,50 @@ class NewcomerClient:
         Router the peer's host is attached to (its first hop).
     traceroute:
         Simulated traceroute tool operating on the router topology.
-    landmark_selection:
-        How to pick the landmark to report a path for: ``closest_rtt``
-        (default, matches the paper), ``fewest_hops`` or ``first``.
-    gap_policy:
-        How to clean anonymous hops out of the recorded path (see
-        :mod:`repro.routing.path_inference`).
-    probe_cost_ms:
-        Modelled wall-clock cost of one traceroute hop probe, used only by
-        :meth:`probe_delay_ms`.
     """
 
     def __init__(
-        self,
-        peer_id: PeerId,
-        access_router: NodeId,
-        traceroute: TracerouteSimulator,
-        landmark_selection: LandmarkSelection = SELECT_CLOSEST_RTT,
-        gap_policy: str = GAP_DROP,
-        probe_cost_ms: float = 20.0,
+        self, peer_id: PeerId, access_router: NodeId, traceroute: TracerouteSimulator
     ) -> None:
         self.peer_id = peer_id
         self.access_router = access_router
         self.traceroute = traceroute
-        self.landmark_selection = require_one_of(
-            landmark_selection, LANDMARK_SELECTION_POLICIES, "landmark_selection"
-        )
-        self.gap_policy = require_one_of(gap_policy, GAP_POLICIES, "gap_policy")
-        self.probe_cost_ms = float(probe_cost_ms)
 
     # ------------------------------------------------------------- selection
 
     def select_landmark(
         self, landmarks: Sequence[LandmarkDescriptor]
     ) -> Tuple[LandmarkDescriptor, Dict[LandmarkId, float]]:
-        """Ping every landmark, pick one, and return the measured ping RTTs.
+        """Ping every landmark, pick the closest, and return the measured ping RTTs.
 
         Each landmark costs one echo (:meth:`TracerouteSimulator.ping`), never
         a traceroute; landmarks beyond the tool's ``max_ttl`` are left out.
-        ``closest_rtt`` keeps the lowest RTT and ``fewest_hops`` the shortest
-        route (hop counts read off the routing tree), ties broken by landmark
-        id.  The returned dict maps landmark id → ping RTT and feeds
-        :meth:`probe_delay_ms`; it is empty when nothing had to be measured
-        (``first`` policy, or a single landmark).
+        The lowest RTT wins, ties broken by ``repr`` of the landmark id.  The
+        returned dict maps landmark id → ping RTT and feeds
+        :meth:`probe_delay_ms`; it is empty when there was nothing to choose
+        (a single landmark).
         """
         if not landmarks:
             raise LandmarkError("the management server announced no landmarks")
-        if self.landmark_selection == SELECT_FIRST or len(landmarks) == 1:
+        if len(landmarks) == 1:
             return landmarks[0], {}
 
         ping = self.traceroute.ping
-        route_length = self.traceroute.route_table.route_length
-        by_rtt = self.landmark_selection == SELECT_CLOSEST_RTT
         source = self.access_router
         ping_rtts: Dict[LandmarkId, float] = {}
         best: Optional[LandmarkDescriptor] = None
-        best_cost = 0.0
+        best_rtt = 0.0
         for descriptor in landmarks:
             rtt = ping(source, descriptor.router)
             if rtt is None:
                 continue
             ping_rtts[descriptor.landmark_id] = rtt
-            cost = rtt if by_rtt else route_length(source, descriptor.router)
             if (
                 best is None
-                or cost < best_cost
-                or (cost == best_cost and repr(descriptor.landmark_id) < repr(best.landmark_id))
+                or rtt < best_rtt
+                or (rtt == best_rtt and repr(descriptor.landmark_id) < repr(best.landmark_id))
             ):
-                best, best_cost = descriptor, cost
+                best, best_rtt = descriptor, rtt
         if best is None:
             raise TracerouteError(
                 f"peer {self.peer_id!r} could not reach any landmark from router "
@@ -178,13 +151,12 @@ class NewcomerClient:
     def probe_landmark(self, landmark: LandmarkDescriptor) -> Tuple[RouterPath, int]:
         """Run the join's one traceroute, towards ``landmark``, and clean the path.
 
-        Returns the cleaned path (its ``rtt_ms`` is the trace's own landmark
-        RTT) and the number of TTLs the tool probed, anonymous hops included,
-        which is what the traceroute cost in time.
+        Returns the cleaned path (anonymous hops dropped; its ``rtt_ms`` is
+        the trace's own landmark RTT) and the number of TTLs the tool probed,
+        anonymous hops included, which is what the traceroute cost in time.
         """
         result = self.traceroute.trace(self.access_router, landmark.router)
-        cleaned = clean_traceroute(result, gap_policy=self.gap_policy)
-        routers = list(cleaned.routers)
+        routers = clean_traceroute(result)
         if not routers:
             raise TracerouteError(
                 f"peer {self.peer_id!r}: traceroute towards landmark "
@@ -206,11 +178,11 @@ class NewcomerClient:
         """Modelled time from the first ping to the end of the traceroute.
 
         The pings go out together, so they cost the slowest echo; the
-        traceroute then probes one TTL after another, and an unanswered TTL
-        costs its timeout like any other.  The join's setup delay is this
-        plus one round trip to the server.
+        traceroute then probes one TTL after another at :data:`PROBE_COST_MS`
+        each, and an unanswered TTL costs its timeout like any other.  The
+        join's setup delay is this plus one round trip to the server.
         """
-        return max(ping_rtts.values(), default=0.0) + self.probe_cost_ms * probed_hops
+        return max(ping_rtts.values(), default=0.0) + PROBE_COST_MS * probed_hops
 
     def measure(self, landmarks: Sequence[LandmarkDescriptor]) -> Tuple[RouterPath, float]:
         """The measuring half of a join: the path to upload and how long it took to get."""

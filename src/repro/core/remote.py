@@ -72,7 +72,9 @@ Self-healing
 Recovery is **opt-in**: with a :class:`RecoveryPolicy`, any transport
 failure on a recoverable request triggers a bounded loop of backoff →
 restart → one re-issue of the failed request, instead of raising on first
-fault; journal replay rebuilds shard state byte-identically, so a re-issued
+fault.  The backoff doubles from ``backoff_base_s`` up to
+:data:`BACKOFF_CAP_S`, without jitter, so a schedule is the same on every
+run; journal replay rebuilds shard state byte-identically, so a re-issued
 read — a fill included — answers what the lost one would have.  The journal
 itself is bounded: :meth:`ShardSupervisorBase.compact` folds it into the
 ops that rebuild the live state — every ``register_landmark`` in order,
@@ -87,7 +89,6 @@ from __future__ import annotations
 
 import builtins
 import itertools
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
@@ -121,6 +122,9 @@ BACKENDS = ("inline", "process", "socket")
 #: coordinator indefinitely.
 DEFAULT_REQUEST_TIMEOUT = 60.0
 
+#: Longest sleep before one restart attempt, in seconds.
+BACKOFF_CAP_S = 2.0
+
 
 # ---------------------------------------------------------------- recovery
 
@@ -143,39 +147,23 @@ class RecoveryPolicy:
     ----------
     max_restarts:
         Restart+re-issue attempts per failed request.
-    backoff_base_s / backoff_multiplier / backoff_cap_s:
-        Attempt ``n`` sleeps ``min(base * multiplier**(n-1), cap)`` seconds
-        before restarting.  Set ``backoff_base_s=0`` for no delay (tests).
-    jitter:
-        Fractional jitter applied to each backoff when an ``rng`` is given:
-        the delay is scaled by a factor drawn uniformly from
-        ``[1 - jitter, 1 + jitter]``.  Without an ``rng`` no jitter is
-        applied, keeping the schedule fully deterministic by default.
-    rng:
-        Injected :class:`random.Random` for deterministic jitter.
+    backoff_base_s:
+        Attempt ``n`` sleeps ``backoff_base_s * 2**(n-1)`` seconds, at most
+        :data:`BACKOFF_CAP_S`, before restarting.  Set ``backoff_base_s=0``
+        for no delay (tests).
     sleep:
         Injected sleep callable (tests pass a no-op to skip real delays).
     """
 
     max_restarts: int = 2
     backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 2.0
-    jitter: float = 0.1
-    rng: Optional[random.Random] = None
     sleep: Callable[[float], None] = field(default=time.sleep)
 
     def backoff_s(self, attempt: int) -> float:
-        """Delay before restart ``attempt`` (1-based), jittered if rng given."""
+        """Delay before restart ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        delay = min(
-            self.backoff_base_s * self.backoff_multiplier ** (attempt - 1),
-            self.backoff_cap_s,
-        )
-        if self.rng is not None and self.jitter > 0:
-            delay *= 1.0 + self.jitter * (2.0 * self.rng.random() - 1.0)
-        return max(delay, 0.0)
+        return max(min(self.backoff_base_s * 2 ** (attempt - 1), BACKOFF_CAP_S), 0.0)
 
 
 def _rebuild_exception(type_name: str, message: str) -> BaseException:

@@ -58,6 +58,16 @@ distances, same order — for any shard count.  The property-test oracle in
 counters (:class:`ServerStats`) are coordinator-level and may differ from
 the single server's in pathological batches (e.g. a peer repeated within
 one batch skips the intermediate tree insert); results never do.
+
+Degraded reads
+--------------
+A ``closest_peers`` query that loses a shard mid-computation
+(:class:`~repro.exceptions.ShardUnavailableError`) is answered best-effort
+from the coordinator's cached list and the healthy shards' fills, as a
+:class:`~repro.core.management_plane.DegradedResult` naming the lost shard
+and the failure, counted in ``stats.degraded_queries`` and never cached.
+Reads always degrade this way; mutations never do — they fail typed and
+atomic.
 """
 
 from __future__ import annotations
@@ -146,20 +156,21 @@ class ShardBackend(Protocol):
 class ConsistentHashRing:
     """Deterministic consistent-hash ring over a fixed set of nodes.
 
-    Each node projects ``replicas`` virtual points onto a 64-bit ring
+    Each node projects :attr:`REPLICAS` virtual points onto a 64-bit ring
     (SHA-1-derived, so placement is stable across processes and Python hash
     randomisation); a key maps to the first virtual point clockwise from its
-    own hash.  With ``replicas`` in the tens, keys spread near-uniformly and
+    own hash.  With replicas in the tens, keys spread near-uniformly and
     growing the ring from ``n`` to ``n+1`` nodes relocates ~1/(n+1) of them.
     """
 
-    def __init__(self, node_count: int, replicas: int = 64) -> None:
+    REPLICAS = 64
+
+    def __init__(self, node_count: int) -> None:
         self.node_count = require_positive_int(node_count, "node_count")
-        self.replicas = require_positive_int(replicas, "replicas")
         points = sorted(
             (self._point(f"node:{node}:replica:{replica}"), node)
             for node in range(node_count)
-            for replica in range(replicas)
+            for replica in range(self.REPLICAS)
         )
         self._hashes = [point for point, _ in points]
         self._nodes = [node for _, node in points]
@@ -176,7 +187,7 @@ class ConsistentHashRing:
         return self._nodes[index]
 
     def __repr__(self) -> str:
-        return f"ConsistentHashRing(nodes={self.node_count}, replicas={self.replicas})"
+        return f"ConsistentHashRing(nodes={self.node_count}, replicas={self.REPLICAS})"
 
 
 class ShardedManagementServer(ManagementPlaneBase):
@@ -186,8 +197,8 @@ class ShardedManagementServer(ManagementPlaneBase):
     ``register_peers``, ``unregister_peer``, ``closest_peers``,
     ``estimate_distance`` and the read accessors — while landmarks (and the
     peers under them) are consistent-hashed across ``shard_count`` backends.
-    See the module docstring for the shard protocol and the equivalence
-    guarantee.
+    See the module docstring for the shard protocol, the equivalence
+    guarantee and degraded reads.
 
     Parameters
     ----------
@@ -201,14 +212,6 @@ class ShardedManagementServer(ManagementPlaneBase):
         :class:`ManagementServer` with ``maintain_cache=False`` (the
         coordinator owns the only cache).  Override to slot in remote or
         async backends implementing :class:`ShardBackend`.
-    degraded_reads:
-        When True (default), a ``closest_peers`` query that loses a shard
-        mid-computation (:class:`~repro.exceptions.ShardUnavailableError`)
-        is answered best-effort from the coordinator's neighbour cache and
-        the healthy shards' fills, tagged as
-        :class:`~repro.core.management_plane.DegradedResult` and counted in
-        ``stats.degraded_queries``.  Mutations always fail typed and atomic
-        regardless of this flag.  Set False to make reads fail-fast too.
     """
 
     def __init__(
@@ -218,12 +221,10 @@ class ShardedManagementServer(ManagementPlaneBase):
         maintain_cache: bool = True,
         landmark_distances: Optional[Dict[Tuple[LandmarkId, LandmarkId], float]] = None,
         shard_factory: Optional[Callable[[], ShardBackend]] = None,
-        degraded_reads: bool = True,
     ) -> None:
         self.shard_count = require_positive_int(shard_count, "shard_count")
         self.neighbor_set_size = require_positive_int(neighbor_set_size, "neighbor_set_size")
         self.maintain_cache = maintain_cache
-        self.degraded_reads = degraded_reads
         if shard_factory is None:
             shard_factory = lambda: ManagementServer(  # noqa: E731 - one-liner default
                 neighbor_set_size=neighbor_set_size, maintain_cache=False
@@ -537,7 +538,7 @@ class ShardedManagementServer(ManagementPlaneBase):
 
     def _degraded_neighbors(
         self, peer_id: PeerId, k: int, error: ShardUnavailableError
-    ) -> Optional[DegradedResult]:
+    ) -> DegradedResult:
         """Best-effort ``closest_peers`` answer while a shard is down.
 
         Assembles up to ``k`` candidates from, in order: the coordinator's
@@ -549,8 +550,6 @@ class ShardedManagementServer(ManagementPlaneBase):
         :class:`DegradedResult` and is never written back to the cache; the
         next query after recovery recomputes the full answer.
         """
-        if not self.degraded_reads:
-            return None
         # The cached list: no peer twice, never its owner, [] without a cache.
         pairs = self.neighbor_list(peer_id)
         already = {peer_id, *(peer for peer, _ in pairs)}

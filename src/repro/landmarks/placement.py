@@ -5,11 +5,13 @@ explicitly lists studying the number and placement of landmarks as future
 work.  This module implements that default plus the alternatives
 :func:`~repro.experiments.ablations.landmark_placement_sweep` compares:
 
-* ``medium_degree`` — the paper's choice: routers whose degree sits between
-  the stub routers and the top of the distribution.
+* ``medium_degree`` — the paper's choice: routers whose degree sits in the
+  50th–90th percentile band, between the stub routers and the top of the
+  distribution.
 * ``random`` — uniformly random routers.
 * ``high_degree`` — the highest-degree (core) routers.
-* ``betweenness`` — the highest-betweenness routers (sampled estimate).
+* ``betweenness`` — the highest-betweenness routers (estimate sampled from
+  32 pivots).
 * ``spread`` — greedy farthest-point placement, maximising pairwise hop
   distance between landmarks so each region of the map has a nearby landmark.
 """
@@ -58,13 +60,11 @@ def place_medium_degree(
     count: int,
     candidates: Optional[Sequence[NodeId]] = None,
     seed: Optional[int] = None,
-    low_percentile: float = 0.5,
-    high_percentile: float = 0.9,
 ) -> List[NodeId]:
     """The paper's placement: routers with medium-size degree.
 
-    "Medium" is interpreted as the [``low_percentile``, ``high_percentile``]
-    band of the degree distribution restricted to routers with degree >= 2
+    "Medium" is interpreted as the [50th, 90th) percentile band of the
+    degree distribution restricted to routers with degree >= 2
     (degree-1 routers host peers, not landmarks).  Within the band the choice
     is random, so different seeds give different but equally valid placements.
     """
@@ -75,8 +75,8 @@ def place_medium_degree(
     if not eligible:
         raise LandmarkError("no routers with degree >= 2 to host landmarks")
     eligible.sort(key=lambda node: (graph.degree(node), repr(node)))
-    low_index = int(len(eligible) * low_percentile)
-    high_index = max(low_index + 1, int(len(eligible) * high_percentile))
+    low_index = int(len(eligible) * 0.5)
+    high_index = max(low_index + 1, int(len(eligible) * 0.9))
     band = eligible[low_index:high_index]
     if len(band) < count:
         band = eligible
@@ -103,12 +103,11 @@ def place_betweenness(
     count: int,
     candidates: Optional[Sequence[NodeId]] = None,
     seed: Optional[int] = None,
-    pivots: int = 32,
 ) -> List[NodeId]:
-    """Pick the routers with the highest (sampled) betweenness centrality."""
+    """Pick the routers with the highest betweenness centrality (32 sampled pivots)."""
     require_positive_int(count, "count")
     pool = set(_candidate_routers(graph, candidates))
-    centrality = approximate_betweenness(graph, pivots=pivots, seed=seed)
+    centrality = approximate_betweenness(graph, pivots=32, seed=seed)
     ranked = sorted(
         (node for node in centrality if node in pool),
         key=lambda node: (-centrality[node], repr(node)),
@@ -172,14 +171,13 @@ def place_landmarks(
     strategy: str = "medium_degree",
     candidates: Optional[Sequence[NodeId]] = None,
     seed: Optional[int] = None,
-    **kwargs,
 ) -> List[NodeId]:
     """Place ``count`` landmarks using a named strategy."""
     if strategy not in PLACEMENT_STRATEGIES:
         raise LandmarkError(
             f"unknown placement strategy {strategy!r}; available: {sorted(PLACEMENT_STRATEGIES)}"
         )
-    return PLACEMENT_STRATEGIES[strategy](graph, count, candidates=candidates, seed=seed, **kwargs)
+    return PLACEMENT_STRATEGIES[strategy](graph, count, candidates=candidates, seed=seed)
 
 
 def place_on_router_map(
@@ -187,7 +185,6 @@ def place_on_router_map(
     count: int,
     strategy: str = "medium_degree",
     seed: Optional[int] = None,
-    **kwargs,
 ) -> List[NodeId]:
     """Place landmarks on a :class:`~repro.topology.internet_mapper.RouterMap`.
 
@@ -200,5 +197,5 @@ def place_on_router_map(
     else:
         candidates = router_map.graph.nodes_with_degree_between(2, 10 ** 9)
     return place_landmarks(
-        router_map.graph, count, strategy=strategy, candidates=candidates, seed=seed, **kwargs
+        router_map.graph, count, strategy=strategy, candidates=candidates, seed=seed
     )

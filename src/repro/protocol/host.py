@@ -23,8 +23,9 @@ under at-least-once delivery on an untrusted wire:
   re-acked with the list read back from the plane (a cache hit), so a
   lost list heals like any lost ack.  Refresh acks stay the bare echo:
   what the beacon did to the plane decides, never a flag;
-* **expiry** — a periodic sweep unregisters peers whose last beacon is
-  older than the TTL (the silent-failure detector of the paper's setting:
+* **expiry** — a sweep every quarter TTL unregisters peers whose last
+  beacon is older than the TTL, so a stale entry outlives its TTL by at
+  most a quarter of it (the silent-failure detector of the paper's setting:
   no unregister message is ever required, stopping beaconing is leaving);
 * **quarantine** — a malformed message (not a beacon) or a forged beacon
   (claiming a peer id that does not match the sender, or carrying a path
@@ -42,7 +43,7 @@ again.  Each such failure counts once in ``HostStats.plane_failures``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.path import PeerId, RouterPath
 from ..exceptions import ShardUnavailableError
@@ -50,8 +51,6 @@ from ..sim.engine import Engine
 from ..sim.events import TimerHandle
 from ..sim.network import HostId, SimulatedNetwork
 from .messages import Beacon, BeaconAck
-
-ExpireHook = Callable[[PeerId, float], None]
 
 
 @dataclass
@@ -108,13 +107,7 @@ class ProtocolManagementHost:
         ``ManagementPlaneBase`` works — single server or sharded plane.
     ttl_ms:
         A peer whose newest beacon is older than this is expired
-        (unregistered) by the sweep.
-    sweep_interval_ms:
-        How often the expiry sweep runs; defaults to ``ttl_ms / 4`` so a
-        stale entry outlives its TTL by at most a quarter of it.
-    on_expire:
-        Optional hook called as ``on_expire(peer_id, now_ms)`` after a
-        peer is expired (experiments record staleness with it).
+        (unregistered) by the sweep, which runs every ``ttl_ms / 4``.
     """
 
     def __init__(
@@ -124,8 +117,6 @@ class ProtocolManagementHost:
         network: SimulatedNetwork,
         server: Any,
         ttl_ms: float,
-        sweep_interval_ms: Optional[float] = None,
-        on_expire: Optional[ExpireHook] = None,
     ) -> None:
         if ttl_ms <= 0:
             raise ValueError(f"ttl_ms must be positive, got {ttl_ms}")
@@ -134,12 +125,7 @@ class ProtocolManagementHost:
         self.network = network
         self.server = server
         self.ttl_ms = float(ttl_ms)
-        self.sweep_interval_ms = (
-            float(sweep_interval_ms) if sweep_interval_ms is not None else self.ttl_ms / 4.0
-        )
-        if self.sweep_interval_ms <= 0:
-            raise ValueError(f"sweep_interval_ms must be positive, got {sweep_interval_ms}")
-        self.on_expire = on_expire
+        self.sweep_interval_ms = self.ttl_ms / 4.0
         self.stats = HostStats()
         self.banned: Set[HostId] = set()
         # Dropped on expiry and on a ban, sequence number included: a late
@@ -275,8 +261,6 @@ class ProtocolManagementHost:
                 continue
             expired.append(peer_id)
             self.stats.peers_expired += 1
-            if self.on_expire is not None:
-                self.on_expire(peer_id, now)
         return expired
 
     # -------------------------------------------------------------------- views

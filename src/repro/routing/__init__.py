@@ -15,14 +15,7 @@ from .traceroute import (
     TracerouteResult,
     TracerouteSimulator,
 )
-from .path_inference import (
-    GAP_DROP,
-    GAP_PLACEHOLDER,
-    GAP_POLICIES,
-    GAP_TRUNCATE,
-    CleanedPath,
-    clean_traceroute,
-)
+from .path_inference import clean_traceroute
 
 __all__ = [
     "ColumnTree",
@@ -33,10 +26,5 @@ __all__ = [
     "TracerouteHop",
     "TracerouteResult",
     "TracerouteSimulator",
-    "GAP_DROP",
-    "GAP_PLACEHOLDER",
-    "GAP_POLICIES",
-    "GAP_TRUNCATE",
-    "CleanedPath",
     "clean_traceroute",
 ]

@@ -33,8 +33,7 @@ class RouteTable:
 
     One :class:`~repro.routing.distance_engine.ColumnTree` is maintained per
     destination; :meth:`route` reads a routed path off it, and
-    :meth:`route_length` / :meth:`path_latency` read its hop and latency
-    columns.
+    :meth:`path_latency` reads its latency column.
 
     All trees are built through one :class:`HopDistanceEngine` (injectable,
     so a scenario can share its engine), which means every destination added
@@ -69,11 +68,6 @@ class RouteTable:
     def route(self, source: NodeId, destination: NodeId) -> List[NodeId]:
         """Return the full routed path ``[source, ..., destination]``."""
         return self.add_destination(destination).path_to_root(source)
-
-    def route_length(self, source: NodeId, destination: NodeId) -> int:
-        """Number of hops on the routed path."""
-        tree = self.add_destination(destination)
-        return tree.hops[tree.position(source)]
 
     def path_latency(self, source: NodeId, destination: NodeId) -> float:
         """Sum of link latencies along the routed path.

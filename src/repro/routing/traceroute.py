@@ -10,8 +10,8 @@ traceroutes exhibit, so the management-server code is exercised on realistic
 (possibly gappy) paths:
 
 * **anonymous routers** — some routers do not answer TTL-expired probes; the
-  corresponding hop is recorded as unknown (``None``) and later repaired or
-  skipped by :mod:`repro.routing.path_inference`;
+  corresponding hop is recorded as unknown (``None``) and later dropped by
+  :mod:`repro.routing.path_inference`;
 * **probe loss** — each per-hop probe can be lost and retried a configurable
   number of times before the hop is declared anonymous;
 * **max TTL** — long routes are truncated, as with the real tool;

@@ -220,23 +220,17 @@ class RouterMap:
         """
         return self.graph.nodes_with_degree(1)
 
-    def medium_degree_routers(
-        self, low: Optional[int] = None, high: Optional[int] = None
-    ) -> List[int]:
+    def medium_degree_routers(self) -> List[int]:
         """Return routers with a medium degree — landmark attachment points.
 
-        By default "medium" is interpreted as strictly above the stub degree
-        (>= 3) but below the top decile of the degree distribution, which
-        matches the paper's informal "medium-size degree" placement.
+        "Medium" is interpreted as degree 3 or more (strictly above the stub
+        degree) but at most the 90th percentile of the degree distribution,
+        which matches the paper's informal "medium-size degree" placement.
         """
         degrees = sorted(self.graph.degrees().values())
         if not degrees:
             return []
-        if low is None:
-            low = 3
-        if high is None:
-            high = max(low, degrees[int(len(degrees) * 0.9)])
-        return self.graph.nodes_with_degree_between(low, high)
+        return self.graph.nodes_with_degree_between(3, max(3, degrees[int(len(degrees) * 0.9)]))
 
 
 def generate_router_map(

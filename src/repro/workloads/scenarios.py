@@ -30,7 +30,6 @@ from ..core.newcomer import (
     JoinResult,
     LandmarkDescriptor,
     NewcomerClient,
-    SELECT_CLOSEST_RTT,
     landmark_descriptors,
 )
 from ..exceptions import ConfigurationError
@@ -61,9 +60,6 @@ class ScenarioConfig:
 
     landmark_strategy: str = "medium_degree"
     """Placement strategy (the paper's default is medium-degree routers)."""
-
-    landmark_selection: str = SELECT_CLOSEST_RTT
-    """How newcomers pick their landmark."""
 
     router_map_config: Optional[RouterMapConfig] = None
     """Router map parameters; None uses the default ~4000-router map."""
@@ -222,9 +218,7 @@ class Scenario:
         """
         if peer_id not in self.peer_routers:
             raise ConfigurationError(f"unknown peer {peer_id!r}")
-        return NewcomerClient(
-            peer_id, self.peer_routers[peer_id], self.traceroute, self.config.landmark_selection
-        )
+        return NewcomerClient(peer_id, self.peer_routers[peer_id], self.traceroute)
 
     def join_one(self, peer_id: PeerId) -> JoinResult:
         """Join a single peer (used by incremental / churn experiments)."""

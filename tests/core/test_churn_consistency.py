@@ -72,8 +72,8 @@ class TestReverseIndex:
     def test_registration_populates_reverse_index(self, server):
         server.register_peer(path("p1", ["a1", "core", "lmA"]))
         server.register_peer(path("p2", ["a1", "core", "lmA"]))
-        assert server.referencing_peers("p1") == {"p2"}
-        assert server.referencing_peers("p2") == {"p1"}
+        assert server._referenced_by.get("p1", set()) == {"p2"}
+        assert server._referenced_by.get("p2", set()) == {"p1"}
         assert_reverse_index_consistent(server)
 
     def test_departure_updates_only_referencing_lists(self, server):
@@ -84,7 +84,7 @@ class TestReverseIndex:
             ("p4", ["b1", "core", "lmA"]),
         ]:
             server.register_peer(path(name, routers))
-        referencing = server.referencing_peers("p4")
+        referencing = server._referenced_by.get("p4", set())
         server.stats.reset()
         server.unregister_peer("p4")
         assert server.stats.departure_updates == len(referencing)
@@ -97,7 +97,7 @@ class TestReverseIndex:
             server.register_peer(synthetic_path(index, rng))
         victims = rng.sample(server.peers(), 50)
         for victim in victims:
-            referencing = len(server.referencing_peers(victim))
+            referencing = len(server._referenced_by.get(victim, set()))
             server.stats.reset()
             server.unregister_peer(victim)
             assert server.stats.departure_updates == referencing
@@ -313,7 +313,7 @@ class TestShardedChurn:
         server, local, remote = self.make_server()
         neighbors = self.fill_cross_shard(server, local, remote)
         victim = neighbors[0]
-        referencing = server.referencing_peers(victim)
+        referencing = server._referenced_by.get(victim, set())
         assert "q" in referencing  # the querier's list crosses the shard boundary
         server.stats.reset()
         server.unregister_peer(victim)
@@ -400,5 +400,5 @@ class TestPropagationOrderedInsert:
             server.register_peer(path(f"near{index}", ["a1", "core", "lmA"]))
         entries = {entry.peer_id for entry in server._neighbor_cache["origin"]}
         assert "far" not in entries  # evicted by the nearer arrivals
-        assert "origin" not in server.referencing_peers("far") or "far" in entries
+        assert "origin" not in server._referenced_by.get("far", set()) or "far" in entries
         assert_reverse_index_consistent(server)

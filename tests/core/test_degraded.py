@@ -29,7 +29,7 @@ from repro.core import (
 from repro.core.remote import shard_factory_for
 from repro.exceptions import ShardUnavailableError
 
-from ..oracle import simple_path
+from ..oracle import apply_op, simple_path
 
 # With two shards, "lmA" and "lmC" land on different shards of the
 # consistent-hash ring (make_plane asserts this instead of trusting it).
@@ -37,14 +37,13 @@ LM_X, LM_Y = "lmA", "lmC"
 BIG_K = 6  # > neighbor_set_size: forces the compute path past the cache
 
 
-def make_plane(k=3, degraded_reads=True, maintain_cache=True):
+def make_plane(k=3, maintain_cache=True):
     server = ShardedManagementServer(
         2,
         neighbor_set_size=k,
         maintain_cache=maintain_cache,
         landmark_distances={(LM_X, LM_Y): 4.0},
         shard_factory=shard_factory_for("process", k),
-        degraded_reads=degraded_reads,
     )
     for landmark in (LM_X, LM_Y):
         server.register_landmark(landmark, landmark)
@@ -76,12 +75,14 @@ class TestDegradedReads:
             seed(server)
             warm = server.closest_peers("p0")  # the cached best-known answer
             assert warm
-            kill_shard_of(server, LM_X)  # p0's home shard
+            victim = kill_shard_of(server, LM_X)  # p0's home shard
             answer = server.closest_peers("p0", k=BIG_K)
             assert isinstance(answer, DegradedResult)
             # The cached entries lead the degraded answer, in cache order.
             assert list(answer)[: len(warm)] == list(warm)
-            assert answer.reason  # carries the failure it degraded around
+            # It names the shard and the failure it degraded around.
+            assert answer.shard == victim.name
+            assert victim.name in answer.reason
             assert server.stats.degraded_queries == 1
         finally:
             server.close()
@@ -146,15 +147,17 @@ class TestDegradedReads:
         finally:
             server.close()
 
-    def test_degraded_reads_off_raises_typed(self):
-        server = make_plane(degraded_reads=False)
+
+    def test_the_oracles_refuse_a_degraded_read(self):
+        """The equivalence oracles read through ``apply_op``: a read that
+        degrades fails them, however equal its pairs happen to be."""
+        server = make_plane()
         try:
             seed(server)
-            victim = kill_shard_of(server, LM_X)
-            with pytest.raises(ShardUnavailableError) as error:
-                server.closest_peers("p0", k=BIG_K)
-            assert victim.name in str(error.value)
-            assert server.stats.degraded_queries == 0
+            kill_shard_of(server, LM_X)
+            with pytest.raises(AssertionError):
+                apply_op(server, ("query", 0, BIG_K))
+            assert server.stats.degraded_queries == 1
         finally:
             server.close()
 
@@ -215,42 +218,26 @@ class TestHealth:
         assert health.healthy
         assert len(health.shards) == 2
 
-    def test_single_server_base_health_is_empty_but_counts(self):
-        server = ManagementServer(neighbor_set_size=3)
-        health = server.health()
-        assert health.healthy
-        assert health.shards == ()
-        assert health.degraded_queries == 0
-
 
 class TestShardDiesMidFill:
     """A shard dead at the ``fill_candidates`` read of a cross-shard query
-    is never silently partial — the answer either fails typed (degraded
-    reads off) or comes back tagged as a DegradedResult.
+    is never silently partial — the answer comes back tagged as a
+    DegradedResult naming that shard.
 
     The victim here is the *foreign* shard: the peer's home shard stays
     healthy, so the computation gets as far as the foreign shard's fill
     before the death surfaces — a failure mid-query, not on first touch.
     """
 
-    def test_typed_failure_with_degradation_off(self):
-        server = make_plane(degraded_reads=False, maintain_cache=False)
-        try:
-            seed(server, count=8)
-            victim = kill_shard_of(server, LM_Y)  # foreign to p0 (home LM_X)
-            with pytest.raises(ShardUnavailableError) as error:
-                server.closest_peers("p0", k=BIG_K)
-            assert victim.name in str(error.value)
-        finally:
-            server.close()
-
-    def test_degraded_result_with_degradation_on(self):
+    def test_degraded_result_names_the_foreign_shard(self):
         server = make_plane(maintain_cache=False)
         try:
             seed(server, count=8)
-            victim = kill_shard_of(server, LM_Y)
+            victim = kill_shard_of(server, LM_Y)  # foreign to p0 (home LM_X)
             answer = server.closest_peers("p0", k=BIG_K)
             assert isinstance(answer, DegradedResult)
+            assert answer.shard == victim.name
+            assert victim.name in answer.reason
             returned = [peer for peer, _ in answer]
             assert returned
             assert len(returned) == len(set(returned))

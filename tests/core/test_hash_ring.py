@@ -11,8 +11,8 @@ shard owns which landmark.  These tests pin that promise down:
   digest slice or the replica count silently remaps every deployment);
 * a subprocess run under a different ``PYTHONHASHSEED`` proves placement
   does not leak Python's per-process string hashing;
-* a hypothesis sweep bounds the per-node key spread at the default
-  ``replicas=64``.
+* a hypothesis sweep bounds the per-node key spread at the ring's 64
+  replicas per node.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConsistentHashRing
 
-# Golden node_for placements at replicas=64.  These values are part of the
+# Golden node_for placements at 64 replicas per node.  These values are part of the
 # operational contract (a remap moves peers between shards on every running
 # deployment), so a failure here means the ring algorithm changed — bump
 # deliberately, never casually.
@@ -53,6 +54,12 @@ class TestGoldenSnapshot:
         for node_count, expected in GOLDEN_PLACEMENTS.items():
             ring = ConsistentHashRing(node_count)
             assert [ring.node_for(key) for key in GOLDEN_KEYS] == expected, node_count
+
+    @pytest.mark.parametrize("node_count", [1, 2, 5])
+    def test_every_node_projects_64_points(self, node_count):
+        ring = ConsistentHashRing(node_count)
+        assert Counter(ring._nodes) == {node: 64 for node in range(node_count)}
+        assert ring._hashes == sorted(ring._hashes)
 
     def test_placement_is_stable_across_python_processes(self):
         """A fresh interpreter with a different hash seed places identically."""
@@ -86,14 +93,15 @@ class TestSpreadBounds:
         ),
     )
     def test_per_node_spread_is_bounded_at_default_replicas(self, node_count, prefix):
-        """With replicas=64, no node gets starved or swamped.
+        """With 64 replicas per node, no node gets starved or swamped.
 
         Consistent hashing is only near-uniform, so the bound is loose —
         every node owns between 1/4 and 4x its fair share of a 1024-key
         population — but tight enough to catch a degenerate ring (one node
         owning everything, or a node owning nothing at all).
         """
-        ring = ConsistentHashRing(node_count, replicas=64)
+        assert ConsistentHashRing.REPLICAS == 64
+        ring = ConsistentHashRing(node_count)
         keys = [f"{prefix}:key-{index}" for index in range(1024)]
         counts = Counter(ring.node_for(key) for key in keys)
         fair_share = len(keys) / node_count

@@ -6,14 +6,12 @@ import pytest
 
 from repro.core.management_server import ManagementServer
 from repro.core.newcomer import (
-    SELECT_CLOSEST_RTT,
-    SELECT_FEWEST_HOPS,
-    SELECT_FIRST,
+    PROBE_COST_MS,
     JoinTranscript,
     LandmarkDescriptor,
     NewcomerClient,
 )
-from repro.exceptions import LandmarkError
+from repro.exceptions import LandmarkError, TracerouteError
 from repro.routing.route_table import RouteTable
 from repro.routing.traceroute import TracerouteConfig, TracerouteSimulator
 from repro.topology.graph import Graph
@@ -59,24 +57,51 @@ def server() -> ManagementServer:
 
 class TestLandmarkSelection:
     def test_closest_rtt_picks_nearby_landmark(self, traceroute):
-        client = NewcomerClient("p1", "a1", traceroute, landmark_selection=SELECT_CLOSEST_RTT)
+        client = NewcomerClient("p1", "a1", traceroute)
         descriptors = [LandmarkDescriptor("lmA", "lmA"), LandmarkDescriptor("lmB", "lmB")]
         chosen, measurements = client.select_landmark(descriptors)
         assert chosen.landmark_id == "lmA"
         assert measurements["lmA"] < measurements["lmB"]
 
-    def test_fewest_hops_policy(self, traceroute):
-        client = NewcomerClient("p1", "b1", traceroute, landmark_selection=SELECT_FEWEST_HOPS)
-        descriptors = [LandmarkDescriptor("lmA", "lmA"), LandmarkDescriptor("lmB", "lmB")]
-        chosen, _ = client.select_landmark(descriptors)
-        assert chosen.landmark_id == "lmB"
+    @pytest.mark.parametrize("low, high", [("lmA", "lmZ"), (10, 9)])  # repr(10) < repr(9)
+    def test_equal_rtts_pick_the_lower_landmark_repr(self, low, high):
+        """``high -1- r -1- low``: both echoes take 2 ms, whatever the list order."""
+        graph = Graph()
+        graph.add_edge(f"at-{high}", "r", latency=1.0)
+        graph.add_edge("r", f"at-{low}", latency=1.0)
+        traceroute = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
+        client = NewcomerClient("p1", "r", traceroute)
+        descriptors = [LandmarkDescriptor(high, f"at-{high}"), LandmarkDescriptor(low, f"at-{low}")]
+        for order in (descriptors, descriptors[::-1]):
+            chosen, measurements = client.select_landmark(order)
+            assert chosen.landmark_id == low
+            assert measurements == {high: 2.0, low: 2.0}
 
-    def test_first_policy_skips_probing(self, traceroute):
-        client = NewcomerClient("p1", "b1", traceroute, landmark_selection=SELECT_FIRST)
+    def test_landmark_beyond_max_ttl_is_skipped(self):
+        """``far`` answers first (3 hops of 1 ms) but lies past a max TTL of 2."""
+        graph = Graph()
+        graph.add_edge("s", "near", latency=50.0)
+        graph.add_edge("s", "x", latency=1.0)
+        graph.add_edge("x", "y", latency=1.0)
+        graph.add_edge("y", "far", latency=1.0)
+        descriptors = [LandmarkDescriptor("far", "far"), LandmarkDescriptor("near", "near")]
+        unbounded = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
+        chosen, _ = NewcomerClient("p1", "s", unbounded).select_landmark(descriptors)
+        assert chosen.landmark_id == "far"
+        bounded = TracerouteSimulator(
+            graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0, max_ttl=2)
+        )
+        chosen, measurements = NewcomerClient("p1", "s", bounded).select_landmark(descriptors)
+        assert chosen.landmark_id == "near"
+        assert measurements == {"near": 100.0}
+
+    def test_no_landmark_within_max_ttl_names_the_peer(self, topology):
+        # From b1, lmB is three hops away and lmA four.
+        traceroute = TracerouteSimulator(graph=topology, config=TracerouteConfig(max_ttl=2))
+        client = NewcomerClient("p1", "b1", traceroute)
         descriptors = [LandmarkDescriptor("lmA", "lmA"), LandmarkDescriptor("lmB", "lmB")]
-        chosen, measurements = client.select_landmark(descriptors)
-        assert chosen.landmark_id == "lmA"
-        assert measurements == {}
+        with pytest.raises(TracerouteError, match="peer 'p1' could not reach any landmark"):
+            client.select_landmark(descriptors)
 
     def test_single_landmark_shortcut(self, traceroute):
         client = NewcomerClient("p1", "a1", traceroute)
@@ -89,10 +114,6 @@ class TestLandmarkSelection:
         with pytest.raises(LandmarkError):
             client.select_landmark([])
 
-    def test_invalid_policy_rejected(self, traceroute):
-        with pytest.raises(Exception):
-            NewcomerClient("p1", "a1", traceroute, landmark_selection="nearest-by-magic")
-
 
 class TestProbing:
     def test_probe_includes_access_router_and_landmark(self, traceroute):
@@ -103,6 +124,13 @@ class TestProbing:
         assert path.routers == ("a1", "a2", "coreA", "lmA")
         assert path.rtt_ms is not None and path.rtt_ms > 0
         assert probed_hops == 3  # a2, coreA, lmA: the access router is not probed
+
+    def test_a_trace_that_never_reaches_the_landmark_raises(self, topology):
+        # A lone landmark is traced unpinged; from a1, lmB is four hops away.
+        traceroute = TracerouteSimulator(graph=topology, config=TracerouteConfig(max_ttl=3))
+        client = NewcomerClient("p1", "a1", traceroute)
+        with pytest.raises(TracerouteError, match="did not reach 'lmB'"):
+            client.measure([LandmarkDescriptor("lmB", "lmB")])
 
     def test_probe_from_router_adjacent_to_landmark(self, traceroute):
         client = NewcomerClient("p1", "coreA", traceroute)
@@ -129,7 +157,7 @@ class TestJoin:
         assert "p2" in ids
 
     def test_join_transcript_times_are_consistent(self, server, traceroute):
-        client = NewcomerClient("p1", "b1", traceroute, probe_cost_ms=10.0)
+        client = NewcomerClient("p1", "b1", traceroute)
         result = client.join(server, start_time_ms=1000.0)
         transcript = result.transcript
         assert transcript.probe_started_at == 1000.0
@@ -183,15 +211,10 @@ class TestProbeCost:
     def counting(self, topology) -> CountingTraceroute:
         return CountingTraceroute(graph=topology, route_table=RouteTable(graph=topology))
 
-    @pytest.mark.parametrize("policy", [SELECT_CLOSEST_RTT, SELECT_FEWEST_HOPS])
-    def test_one_trace_and_a_ping_per_landmark(self, server, counting, policy):
+    def test_one_trace_and_a_ping_per_landmark(self, server, counting):
         for index, router in enumerate(["a1", "b1", "a2"], start=1):
-            NewcomerClient(f"p{index}", router, counting, landmark_selection=policy).join(server)
+            NewcomerClient(f"p{index}", router, counting).join(server)
             assert (counting.traces, counting.pings) == (index, 2 * index)
-
-    def test_first_policy_pings_nothing(self, server, counting):
-        NewcomerClient("p1", "b1", counting, landmark_selection=SELECT_FIRST).join(server)
-        assert (counting.traces, counting.pings) == (1, 0)
 
     def test_single_landmark_pings_nothing(self, counting):
         server = ManagementServer(neighbor_set_size=3)
@@ -211,28 +234,22 @@ class TestProbeCost:
         assert scenario.traceroute.pings == 25 * len(scenario.landmark_set)
 
 
-def _all_trace_selection(traceroute, access_router, landmarks, policy):
+def _all_trace_selection(traceroute, access_router, landmarks):
     """The selection this client used to run: a full traceroute per landmark."""
     measured = {}
     for descriptor in landmarks:
         result = traceroute.trace(access_router, descriptor.router)
         if result.reached:
-            measured[descriptor.landmark_id] = (
-                result.destination_rtt_ms()
-                if policy == SELECT_CLOSEST_RTT
-                else float(result.hop_count)
-            )
+            measured[descriptor.landmark_id] = result.destination_rtt_ms()
     return min(measured, key=lambda lid: (measured[lid], repr(lid)))
 
 
 class TestSelectionOracle:
-    @pytest.mark.parametrize("policy", [SELECT_CLOSEST_RTT, SELECT_FEWEST_HOPS])
-    def test_ping_selection_picks_what_all_trace_selection_picked(self, policy):
+    def test_ping_selection_picks_what_all_trace_selection_picked(self):
         scenario = make_small_scenario(
             seed=17,
             peer_count=120,
             landmark_count=5,
-            landmark_selection=policy,
             traceroute_config=TracerouteConfig(rtt_jitter_ms=0.0),
         )
         landmarks = scenario.bootstrap_landmarks
@@ -241,7 +258,7 @@ class TestSelectionOracle:
         )
         changed_landmark = 0
         for peer_id, router in scenario.peer_routers.items():
-            expected = _all_trace_selection(reference, router, landmarks, policy)
+            expected = _all_trace_selection(reference, router, landmarks)
             assert scenario.join_one(peer_id).landmark_id == expected
             changed_landmark += expected != landmarks[0].landmark_id
         assert changed_landmark > 0
@@ -260,7 +277,7 @@ class TestDeterminism:
 
 
 class TestSetupDelay:
-    """``max ping + probe_cost_ms x probed hops + server RTT``, nothing else."""
+    """``max ping + PROBE_COST_MS x probed hops + server RTT``, nothing else."""
 
     @pytest.fixture()
     def line(self):
@@ -279,13 +296,14 @@ class TestSetupDelay:
     def test_formula_on_a_line(self, line):
         graph, server = line
         traceroute = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
-        client = NewcomerClient("p", "r1", traceroute, probe_cost_ms=7.0)
+        client = NewcomerClient("p", "r1", traceroute)
         transcript = client.join(server, start_time_ms=100.0).transcript
         # pings: lmL 2*2 = 4 ms, lmR 2*(3+4+5) = 24 ms; one hop probed (lmL);
         # the report's round trip is the trace's landmark RTT, 4 ms.
+        assert PROBE_COST_MS == 20.0
         assert transcript.landmark_id == "lmL"
-        assert transcript.probe_finished_at - transcript.probe_started_at == 24.0 + 7.0 * 1
-        assert transcript.setup_delay == 24.0 + 7.0 * 1 + 4.0
+        assert transcript.probe_finished_at - transcript.probe_started_at == 24.0 + 20.0 * 1
+        assert transcript.setup_delay == 24.0 + 20.0 * 1 + 4.0
         assert transcript.probe_started_at == 100.0
 
     def test_far_peer_waits_longer_than_near(self, line):
@@ -305,9 +323,12 @@ class TestSetupDelay:
             graph=graph,
             config=TracerouteConfig(anonymous_router_probability=1.0, rtt_jitter_ms=0.0, seed=2),
         )
-        client = NewcomerClient("p", "r1", traceroute, landmark_selection=SELECT_FIRST)
-        result = NewcomerClient("q", "lmR", traceroute, landmark_selection=SELECT_FIRST).join(server)
+        client = NewcomerClient("p", "r1", traceroute)
+        # Handed lmL alone, q pings nothing and traces
         # lmR -> r3 -> r2 -> r1 -> lmL: three silent routers, then the landmark.
+        result = NewcomerClient("q", "lmR", traceroute).join(
+            server, landmarks=[LandmarkDescriptor("lmL", "lmL")]
+        )
         assert result.path.routers == ("lmR", "lmL")
         transcript = result.transcript
         assert transcript.probe_finished_at - transcript.probe_started_at == 20.0 * 4
@@ -318,6 +339,6 @@ class TestSetupDelay:
     def test_no_pings_means_no_ping_wait(self, line):
         graph, _ = line
         traceroute = TracerouteSimulator(graph=graph)
-        client = NewcomerClient("p", "r1", traceroute, probe_cost_ms=5.0)
-        assert client.probe_delay_ms({}, 3) == 15.0
-        assert client.probe_delay_ms({"a": 4.0, "b": 9.0}, 3) == 24.0
+        client = NewcomerClient("p", "r1", traceroute)
+        assert client.probe_delay_ms({}, 3) == 60.0
+        assert client.probe_delay_ms({"a": 4.0, "b": 9.0}, 3) == 69.0

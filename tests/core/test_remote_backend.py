@@ -20,7 +20,6 @@ import json
 import multiprocessing
 import os
 import pickle
-import random
 import signal
 import struct
 import threading
@@ -768,31 +767,22 @@ class TestSupervisorLifecycle:
 
 class TestRecoveryPolicy:
     def test_backoff_grows_geometrically_up_to_the_cap(self):
-        policy = RecoveryPolicy(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_cap_s=0.5, jitter=0.0
-        )
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
-        assert policy.backoff_s(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff_s(9) == pytest.approx(0.5)
+        policy = RecoveryPolicy(backoff_base_s=0.1)
+        delays = [policy.backoff_s(attempt) for attempt in range(1, 10)]
+        assert delays == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0, 2.0, 2.0]  # capped at 2 s
+        # No jitter: the schedule is the same on every call.
+        assert [policy.backoff_s(attempt) for attempt in range(1, 10)] == delays
 
-    def test_jitter_is_deterministic_and_bounded(self):
-        def delays(seed):
-            policy = RecoveryPolicy(
-                backoff_base_s=0.1, backoff_cap_s=10.0, jitter=0.1, rng=random.Random(seed)
-            )
-            return [policy.backoff_s(attempt) for attempt in range(1, 6)]
+    @pytest.mark.parametrize("base", [0.5, 1.5, 3.0])
+    def test_no_attempt_sleeps_past_two_seconds(self, base):
+        policy = RecoveryPolicy(backoff_base_s=base)
+        delays = [policy.backoff_s(attempt) for attempt in range(1, 6)]
+        assert delays == [min(base * 2 ** n, 2.0) for n in range(5)]
+        assert delays[-1] == 2.0
 
-        assert delays(7) == delays(7)  # same seed => same schedule
-        plain = RecoveryPolicy(backoff_base_s=0.1, backoff_cap_s=10.0, jitter=0.0)
-        for attempt, jittered in enumerate(delays(7), start=1):
-            base = plain.backoff_s(attempt)
-            assert base * 0.9 <= jittered <= base * 1.1
-
-    def test_no_rng_means_no_jitter(self):
-        policy = RecoveryPolicy(backoff_base_s=0.1, jitter=0.5)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
+    def test_a_zero_base_never_waits(self):
+        policy = RecoveryPolicy(backoff_base_s=0.0)
+        assert [policy.backoff_s(attempt) for attempt in range(1, 6)] == [0.0] * 5
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -848,9 +838,7 @@ class TestSelfHealing:
 
     def test_recovery_sleeps_the_scripted_backoff(self, make_shard):
         slept = []
-        policy = RecoveryPolicy(
-            max_restarts=2, backoff_base_s=0.05, jitter=0.0, sleep=slept.append
-        )
+        policy = RecoveryPolicy(max_restarts=2, backoff_base_s=0.05, sleep=slept.append)
         with make_shard(recovery=policy) as shard:
             seed_peers(shard)
             kill(shard.supervisor)

@@ -42,8 +42,6 @@ class TestConsistentHashRing:
     def test_rejects_bad_parameters(self):
         with pytest.raises(Exception):
             ConsistentHashRing(0)
-        with pytest.raises(Exception):
-            ConsistentHashRing(2, replicas=0)
 
 
 class TestShardRouting:

@@ -170,7 +170,7 @@ class TestRegistration:
         populated.unregister_peer("p1")
         assert "p1" not in [peer for peer, _ in populated.neighbor_list("p4")]
         assert "p1" not in [peer for peer, _ in populated.closest_peers("p4")]
-        assert populated.referencing_peers("p1") == set()
+        assert populated._referenced_by.get("p1", set()) == set()
 
     def test_moving_to_a_landmark_of_another_shard(self, populated):
         old_shard = populated.peer_shard("p1")

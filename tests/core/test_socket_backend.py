@@ -735,7 +735,7 @@ FILL_CORRUPTIONS = {
 }
 
 
-def fill_planes(landmarks, degraded_reads=True):
+def fill_planes(landmarks):
     """A 2-shard socket plane without a cache, and its single-server twin."""
     single = ManagementServer(
         neighbor_set_size=5, maintain_cache=False, landmark_distances=FILL_DISTANCES
@@ -746,7 +746,6 @@ def fill_planes(landmarks, degraded_reads=True):
         maintain_cache=False,
         landmark_distances=FILL_DISTANCES,
         shard_factory=shard_factory_for("socket", 5),
-        degraded_reads=degraded_reads,
     )
     for server in (single, plane):
         for landmark in landmarks:
@@ -783,10 +782,9 @@ class TestFillReplies:
                 need = k - 1  # a1 is a0's one local neighbour
                 assert fills == [("shard-0", need, min(need, 3)), ("shard-1", need, min(need, 6))]
 
-    @pytest.mark.parametrize("degraded_reads", [False, True])
     @pytest.mark.parametrize("corruption", sorted(FILL_CORRUPTIONS))
-    def test_a_malformed_fill_reply_ends_typed(self, corruption, degraded_reads, monkeypatch):
-        single, plane = fill_planes(("lmA", "lmC"), degraded_reads=degraded_reads)
+    def test_a_malformed_fill_reply_ends_typed(self, corruption, monkeypatch):
+        single, plane = fill_planes(("lmA", "lmC"))
         with plane:
             victim = plane.shards[1]
             conn = victim.supervisor.connection
@@ -797,17 +795,12 @@ class TestFillReplies:
                 return (request_id, status, FILL_CORRUPTIONS[corruption](value))
 
             monkeypatch.setattr(conn, "recv_frame", corrupted)
-            if degraded_reads:
-                answer = plane.closest_peers("a0")
-                assert isinstance(answer, DegradedResult)
-                # What the home shard knows; the foreign shard's fill is left out.
-                assert answer == single.local_closest("a0", 5) == [("a1", 4.0)]
-                assert "malformed reply to 'fill'" in answer.reason
-            else:
-                with pytest.raises(ShardUnavailableError) as error:
-                    plane.closest_peers("a0")
-                assert victim.name in str(error.value)
-                assert "malformed reply to 'fill'" in str(error.value)
+            answer = plane.closest_peers("a0")
+            assert isinstance(answer, DegradedResult)
+            # What the home shard knows; the foreign shard's fill is left out.
+            assert answer == single.local_closest("a0", 5) == [("a1", 4.0)]
+            assert answer.shard == victim.name
+            assert "malformed reply to 'fill'" in answer.reason
             monkeypatch.undo()
             # The frames were whole: the channel was never desynchronised.
             assert plane.closest_peers("a0") == single.closest_peers("a0")

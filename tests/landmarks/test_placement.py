@@ -15,6 +15,7 @@ from repro.landmarks.placement import (
     place_random,
     place_spread,
 )
+from repro.topology.centrality import approximate_betweenness
 from repro.topology.internet_mapper import barabasi_albert
 from repro.topology.graph import Graph
 
@@ -62,6 +63,15 @@ class TestMediumDegree:
         with pytest.raises(LandmarkError):
             place_medium_degree(graph, 1)
 
+    def test_picks_from_the_50th_to_90th_percentile_band(self, scale_free):
+        eligible = sorted(
+            (node for node in scale_free.nodes() if scale_free.degree(node) >= 2),
+            key=lambda node: (scale_free.degree(node), repr(node)),
+        )
+        band = set(eligible[len(eligible) // 2 : int(len(eligible) * 0.9)])
+        for seed in range(5):
+            assert set(place_medium_degree(scale_free, 8, seed=seed)) <= band
+
 
 class TestHighDegreeAndBetweenness:
     def test_high_degree_picks_hubs(self, scale_free):
@@ -77,8 +87,13 @@ class TestHighDegreeAndBetweenness:
         assert landmarks == [0]
 
     def test_betweenness_count(self, scale_free):
-        landmarks = place_betweenness(scale_free, 5, seed=1, pivots=16)
+        landmarks = place_betweenness(scale_free, 5, seed=1)
         assert len(landmarks) == 5
+
+    def test_betweenness_ranks_a_32_pivot_estimate(self, scale_free):
+        centrality = approximate_betweenness(scale_free, pivots=32, seed=4)
+        ranked = sorted(centrality, key=lambda node: (-centrality[node], repr(node)))
+        assert place_betweenness(scale_free, 6, seed=4) == ranked[:6]
 
 
 class TestSpread:

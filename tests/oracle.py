@@ -39,7 +39,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import pytest
 from hypothesis import strategies as st
 
-from repro.core import DiscoverySnapshot, ManagementServer, ShardedManagementServer
+from repro.core import (
+    DegradedResult,
+    DiscoverySnapshot,
+    ManagementServer,
+    ShardedManagementServer,
+)
 from repro.core.neighbor_cache import SHARED_DISTANCES
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
@@ -143,19 +148,13 @@ def chaos_shard_factory(k: int, transport: str = "process"):
 
     ``transport`` picks the shard flavour (process workers on the crash
     plan, socket connections on the network-shaped plan).  Recovery is
-    fully deterministic — zero backoff, no sleeping, a per-shard seeded
-    RNG — so a failing example shrinks and replays identically.
+    fully deterministic — zero backoff, no sleeping — so a failing example
+    shrinks and replays identically.
     """
-    indexes = itertools.count()
     faults = SOCKET_CHAOS_FAULTS if transport == "socket" else CHAOS_FAULTS
 
     def factory() -> ChaosShardBackend:
-        recovery = RecoveryPolicy(
-            max_restarts=3,
-            backoff_base_s=0.0,
-            rng=random.Random(next(indexes)),
-            sleep=lambda _delay: None,
-        )
+        recovery = RecoveryPolicy(max_restarts=3, backoff_base_s=0.0, sleep=lambda _delay: None)
         inner = shard_factory_for(transport, k, recovery=recovery, compact_watermark=8)()
         return ChaosShardBackend(inner, FaultPlan(faults))
 
@@ -175,9 +174,8 @@ def build_plane(
     ``shard_count=None`` builds the single :class:`ManagementServer`;
     otherwise a :class:`ShardedManagementServer` over ``backend`` shards.
     The arguments before ``backend`` are a :class:`Case`'s, in its order.
-    A chaos plane reads with ``degraded_reads`` off: the oracle demands
-    byte-identity, so a failure recovery cannot heal must fail loud, never
-    be papered over by a best-effort degraded answer.
+    Its reads go through :func:`closest`, so one that comes back degraded
+    fails the oracle.
     """
     distances = landmark_distances(landmark_count) if with_distances else None
     if shard_count is None:
@@ -185,7 +183,6 @@ def build_plane(
             neighbor_set_size=k, maintain_cache=maintain_cache, landmark_distances=distances
         )
     else:
-        chaos = backend in ("chaos", "socket-chaos")
         plane = ShardedManagementServer(
             shard_count,
             neighbor_set_size=k,
@@ -193,10 +190,9 @@ def build_plane(
             landmark_distances=distances,
             shard_factory=(
                 chaos_shard_factory(k, "socket" if backend == "socket-chaos" else "process")
-                if chaos
+                if backend in ("chaos", "socket-chaos")
                 else shard_factory_for(backend, k)
             ),
-            degraded_reads=not chaos,
         )
     for index in range(landmark_count):
         # The landmark's attachment router is the landmark-side end of
@@ -220,6 +216,20 @@ def reference_for(plane) -> ManagementServer:
 
 
 # ------------------------------------------------------------------- ops
+
+
+def closest(plane, peer, k):
+    """``plane.closest_peers(peer, k)``, which may not come back degraded.
+
+    The oracles demand byte-identity: a read that recovery cannot heal
+    (a chaos plane's shard down for good) must fail loudly, never pass as a
+    best-effort :class:`~repro.core.DegradedResult` that holds the same
+    pairs.  The assertion is no outcome: it propagates through
+    :func:`outcome`.
+    """
+    answer = plane.closest_peers(peer, k)
+    assert not isinstance(answer, DegradedResult), (peer, k, answer.shard, answer.reason)
+    return answer
 
 
 def outcome(call, *args):
@@ -249,9 +259,9 @@ def _apply(plane, op, publisher):
     if kind == "depart":
         return plane.unregister_peer(peer)
     if kind == "query":
-        return plane.closest_peers(peer, op[2])
+        return closest(plane, peer, op[2])
     if kind == "cold":  # past the cached list: a tree query that rewrites it
-        return plane.closest_peers(peer, plane.neighbor_set_size + 2)
+        return closest(plane, peer, plane.neighbor_set_size + 2)
     if kind == "bounce":  # leave and re-join on the same path
         known = plane.peer_path(peer)
         plane.unregister_peer(peer)
@@ -506,7 +516,7 @@ def audit(plane, reference) -> None:
     for ks in ((1, size, None), (size + 2, size + 3)):
         for peer in peers:
             for k in ks:
-                answer = plane.closest_peers(peer, k)
+                answer = closest(plane, peer, k)
                 expected = reference.closest_peers(peer, k)
                 assert answer == expected, (peer, k)
                 assert shared_floats(answer) and shared_floats(expected), (peer, k)

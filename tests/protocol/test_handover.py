@@ -200,7 +200,7 @@ class TestSilentDepartures:
         metrics = sim.run(3000.0 + 3 * sim.ttl_ms)
         assert metrics.host_counters["peers_expired"] == 1
         assert not sim.server.has_peer(gone)
-        assert sim.server.referencing_peers(gone) == set()
+        assert sim.server._referenced_by.get(gone, set()) == set()
         for peer in sim.server.peers():
             assert gone not in [other for other, _ in sim.server.closest_peers(peer)]
         oracle = reference([peer_path for peer_path in paths if peer_path.peer_id != gone])

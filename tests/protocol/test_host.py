@@ -231,18 +231,24 @@ class TestQuarantine:
 class TestExpiry:
     def test_silent_peer_expires_after_ttl(self, plane):
         engine, network, server, host, _senders = plane
-        expired_log = []
-        host.on_expire = lambda peer_id, now: expired_log.append((peer_id, now))
         host.start()
         beacon_from(network, "p0", 0)
-        engine.run(until=TTL_MS * 3)  # silence after the single beacon
+        while not server.has_peer("p0"):
+            assert engine.step()
+        # Silence after the single beacon: step event by event until the
+        # sweep that expires it, and read the clock at that sweep.
+        while server.has_peer("p0"):
+            assert engine.step()
+        expired_at = engine.now
         assert not host.is_live("p0")
-        assert not server.has_peer("p0")
         assert host.stats.peers_expired == 1
-        assert expired_log and expired_log[0][0] == "p0"
         # The sweep lags the TTL by at most one sweep interval (ttl/4).
+        assert host.sweep_interval_ms == TTL_MS / 4
         heard_at = 5.0  # delivery latency from router 5 to router 0
-        assert heard_at + TTL_MS < expired_log[0][1] <= heard_at + TTL_MS * 1.25 + 1
+        assert host.last_heard("p0") is None
+        assert heard_at + TTL_MS < expired_at <= heard_at + TTL_MS * 1.25 + 1
+        engine.run(until=TTL_MS * 3)
+        assert host.stats.peers_expired == 1
 
     def test_expired_peer_is_a_newcomer_whatever_its_sequence_number(self, plane):
         engine, network, server, host, senders = plane
@@ -297,6 +303,18 @@ class TestExpiry:
         assert sim.server.has_peer(returning.peer_id)
         assert sim.host.is_live(returning.peer_id)
         assert reborn.neighbors == tuple(sim.server.closest_peers(returning.peer_id))
+
+    @pytest.mark.parametrize("ttl_ms", [40.0, 100.0, 3000.0])
+    def test_the_sweep_runs_every_quarter_ttl(self, line_graph, ttl_ms):
+        engine = Engine()
+        network = SimulatedNetwork(engine, line_graph, processing_delay_ms=0.0, seed=5)
+        host = ProtocolManagementHost(HOST, engine, network, ManagementServer(), ttl_ms=ttl_ms)
+        host.start()
+        swept = []
+        while len(swept) < 5:
+            assert engine.step()
+            swept.append(engine.now)
+        assert swept == [ttl_ms / 4 * n for n in range(1, 6)]
 
     def test_start_is_idempotent_before_and_between_sweeps(self, plane):
         """A second ``start`` never doubles the sweep: one timer is pending
@@ -443,10 +461,3 @@ class TestValidation:
         engine, network, server, _host, _senders = plane
         with pytest.raises(ValueError):
             ProtocolManagementHost(HOST, engine, network, server, ttl_ms=0.0)
-
-    def test_sweep_interval_must_be_positive(self, plane):
-        engine, network, server, _host, _senders = plane
-        with pytest.raises(ValueError):
-            ProtocolManagementHost(
-                HOST, engine, network, server, ttl_ms=100.0, sweep_interval_ms=-1.0
-            )

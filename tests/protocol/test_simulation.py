@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from repro.core import ManagementServer, NewcomerClient
-from repro.core.newcomer import landmark_descriptors
+from repro.core.newcomer import PROBE_COST_MS, landmark_descriptors
 from repro.core.path import RouterPath
 from repro.exceptions import ConfigurationError
 from repro.workloads import synthetic_paths
@@ -327,7 +327,7 @@ class TestWireJoinOracle:
         traceroute = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
 
         def arrive(peer_id, router):
-            client = NewcomerClient(peer_id, router, traceroute, probe_cost_ms=5.0)
+            client = NewcomerClient(peer_id, router, traceroute)
             return BeaconingPeer.arrive(
                 client, landmark_descriptors(server), network, "server"
             )
@@ -338,10 +338,10 @@ class TestWireJoinOracle:
         engine, network, server, arrive = line_world
         engine.run(until=40.0)  # arrive mid-run: delays are relative to arrival
         peer = arrive("p1", "a1")
-        engine.run(until=100.0)
+        engine.run(until=200.0)
         assert server.has_peer("p1") and peer.neighbors == ()
         assert peer.path.routers == ("a1", "a2", "core", "lmA")
-        probe_delay_ms = 5.0 * 3  # one landmark: no pings, three TTLs probed
+        probe_delay_ms = PROBE_COST_MS * 3  # one landmark: no pings, three TTLs probed
         assert peer.stats.first_beacon_at_ms - peer.stats.arrived_at_ms == probe_delay_ms
         # Beacon there, ack back: two one-way latencies, two processing delays.
         one_way = network.one_way_latency("p1", "server")
@@ -353,10 +353,10 @@ class TestWireJoinOracle:
         server.register_landmark("lmB", "b1")
         server.set_landmark_distance("lmA", "lmB", 2)
         peer = arrive("p1", "a1")
-        engine.run(until=100.0)
+        engine.run(until=200.0)
         # Both landmarks are 3 ms away: one 6 ms echo wait, not two; then 3
-        # hops probed at 5 ms each.
-        assert peer.stats.first_beacon_at_ms - peer.stats.arrived_at_ms == 6.0 + 15.0
+        # hops probed at 20 ms each.
+        assert peer.stats.first_beacon_at_ms - peer.stats.arrived_at_ms == 6.0 + 3 * PROBE_COST_MS
         assert peer.neighbors == ()
 
     def test_far_peer_waits_longer_than_near(self, line_world):

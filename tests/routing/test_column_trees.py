@@ -60,7 +60,7 @@ def _assert_table_matches(graph: Graph, table: RouteTable, reference, roots=None
         _, parents = reference(graph, root)
         for source in graph.nodes():
             if source != root and source not in parents:
-                for ask in (table.route, table.route_length, table.path_latency):
+                for ask in (table.route, table.path_latency):
                     with pytest.raises(NoRouteError):
                         ask(source, root)
                 continue
@@ -71,7 +71,8 @@ def _assert_table_matches(graph: Graph, table: RouteTable, reference, roots=None
             for node, parent in zip(reversed(chain[:-1]), reversed(chain[1:])):
                 latency += graph.edge_weight(node, parent)
             assert table.route(source, root) == chain
-            assert table.route_length(source, root) == len(chain) - 1
+            tree = table.add_destination(root)
+            assert tree.hops[tree.position(source)] == len(chain) - 1
             assert table.path_latency(source, root) == latency
         with pytest.raises(NoRouteError):
             table.path_latency("not-a-router", root)
@@ -106,6 +107,6 @@ def test_unknown_root_raises_node_not_found():
     graph = Graph()
     graph.add_edge(1, 2)
     table = RouteTable(graph=graph)
-    for ask in (table.route, table.route_length, table.path_latency):
+    for ask in (table.route, table.path_latency):
         with pytest.raises(NodeNotFoundError):
             ask(1, "nope")

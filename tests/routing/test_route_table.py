@@ -23,18 +23,16 @@ class TestRouteTable:
         route = table.route(7, 6)
         assert route[0] == 7
         assert route[-1] == 6
-        assert table.route_length(7, 6) == len(route) - 1
+        assert len(route) - 1 == 5
 
     def test_route_follows_shortest_path(self, tree_graph):
         table = RouteTable(graph=tree_graph)
         assert table.route(7, 0) == [7, 3, 1, 0]
         assert table.route(8, 6) == [8, 4, 1, 0, 2, 6]
-        assert table.route_length(8, 6) == 5
 
     def test_route_to_self(self, tree_graph):
         table = RouteTable(graph=tree_graph)
         assert table.route(4, 4) == [4]
-        assert table.route_length(4, 4) == 0
 
     def test_path_latency_sums_edge_weights(self):
         graph = Graph()
@@ -65,7 +63,6 @@ class TestRouteTable:
         fresh = RouteTable(graph=graph, weighted=weighted)
         for source in (0, 1, 2, 3):
             assert table.route(source, 5) == fresh.route(source, 5)
-            assert table.route_length(source, 5) == fresh.route_length(source, 5)
             assert table.path_latency(source, 5) == fresh.path_latency(source, 5)
         assert table.route(0, 5) == [0, 4, 5]
         assert table.path_latency(0, 5) == 1.5
@@ -84,23 +81,6 @@ class TestRouteTable:
         graph.add_node(3)
         with pytest.raises(NoRouteError):
             RouteTable(graph=graph).route(3, 1)
-
-    def test_route_length_unreachable(self):
-        graph = Graph()
-        graph.add_edge(1, 2)
-        graph.add_node(3)
-        with pytest.raises(NoRouteError):
-            RouteTable(graph=graph).route_length(3, 1)
-
-    def test_route_length_counts_hops_on_a_weighted_table(self):
-        graph = Graph()
-        graph.add_edge(0, 1, latency=0.25)
-        graph.add_edge(1, 2, latency=0.25)
-        graph.add_edge(0, 2, latency=10.0)
-        table = RouteTable(graph=graph, weighted=True)
-        assert table.route_length(0, 2) == 2
-        with pytest.raises(NoRouteError):
-            RouteTable(graph=graph).route_length(99, 2)
 
     def test_weighted_table_prefers_fast_links(self):
         graph = Graph()
@@ -132,7 +112,7 @@ class TestMatchesNetworkx:
             for source, hops in expected.items():
                 route = table.route(source, destination)
                 assert_is_a_path(reference, route, source, destination)
-                assert len(route) - 1 == table.route_length(source, destination) == hops
+                assert len(route) - 1 == hops
 
     def test_weighted_routes_are_fastest_paths(self, name):
         nx = pytest.importorskip("networkx")

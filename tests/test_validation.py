@@ -8,7 +8,6 @@ from repro import exceptions
 from repro._validation import (
     coerce_seed,
     require_non_negative_float,
-    require_one_of,
     require_positive_float,
     require_positive_int,
     require_probability,
@@ -48,11 +47,6 @@ class TestFloatValidation:
 
 
 class TestOtherValidation:
-    def test_one_of(self):
-        assert require_one_of("a", ("a", "b"), "x") == "a"
-        with pytest.raises(ConfigurationError):
-            require_one_of("z", ("a", "b"), "x")
-
     def test_coerce_seed(self):
         assert coerce_seed(None) is None
         assert coerce_seed(5) == 5

@@ -95,6 +95,15 @@ class TestGeneration:
         for router in mediums:
             assert router_map.graph.degree(router) >= 3
 
+    def test_medium_degree_routers_stop_at_the_90th_percentile(self, router_map):
+        degrees = sorted(router_map.graph.degrees().values())
+        cap = degrees[int(len(degrees) * 0.9)]
+        mediums = set(router_map.medium_degree_routers())
+        assert mediums == {
+            router for router in router_map.graph.nodes()
+            if 3 <= router_map.graph.degree(router) <= max(3, cap)
+        }
+
     def test_core_routers_have_high_degree(self, router_map):
         degree = router_map.graph.degrees()
         core, stubs = router_map.tiers[TIER_CORE], router_map.tiers[TIER_STUB]

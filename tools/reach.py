@@ -1,7 +1,7 @@
 """Which functions under src/repro does nothing but the test suite call?
 
 Runs tier-1, the five bench workloads at smoke scale and the rest of what CI
-runs (every examples/*.py, and the four pinned tables through the CLI as
+runs (every examples/*.py, and the five pinned tables through the CLI as
 ``python -m repro.cli NAME`` runs them) under a call tracer that charges each
 call to the running test file, to bench or to ci; prints per module the
 functions defined, reached by bench, reached by anything but the test files,
@@ -23,7 +23,17 @@ label, calls = ["import"], {}  # (file, first line) -> who called it
 KEPT = {
     ".__repr__": "a repr: read by people, not by code",
     "ShardBackend.": "interface stub: every shard backend implements it",
-    "ManagementPlaneBase.": "interface stub: every plane implements it",
+    "ManagementPlaneBase._compute_neighbors": "interface stub: every plane implements it",
+    "ManagementPlaneBase.unregister_peer": "interface stub: every plane implements it",
+    "ManagementPlaneBase.tree": "interface stub: every plane implements it",
+    "ManagementPlaneBase._live_trees": "interface stub: every plane implements it",
+    "ManagementPlaneBase._degraded_neighbors": "interface stub: every plane implements it",
+    "ManagementPlaneBase.__enter__": "context protocol, as every plane has it",
+    "ManagementPlaneBase.__exit__": "context protocol, as every plane has it",
+    "ManagementPlaneBase.peers": "public view: the registered peers in order, which every plane oracle compares",
+    "ManagementPlaneBase.neighbor_list": "the cached list a degraded read starts from (ShardedManagementServer._degraded_neighbors)",
+    "ManagementPlaneBase._neighbor_cache": "test oracle: the churn and equivalence oracles compare a plane's cached lists by it",
+    "ManagementPlaneBase._referenced_by": "test oracle: the churn and equivalence oracles compare a plane's reverse index by it",
     "MessageHandler.": "interface stub: what the simulated network delivers to",
     "LatencyModel.": "interface stub: every latency model implements it",
     "_serve_listener": "runs only in a forked shard, which the tracer cannot see",
@@ -54,7 +64,6 @@ KEPT = {
     "ShardedManagementServer.health": "live path no workload drives: a read while a shard is down",
     "PlaneHealth.healthy": "live path no workload drives: a read while a shard is down",
     "SocketShardBackend.fill_candidates": "live path no workload drives: a list its home landmark cannot fill",
-    "RouteTable.route_length": "live path no workload drives: the fewest-hops landmark selection policy",
     "message_op_name": "SimulatedNetwork.send names each message to a fault plan by it",
     "ShardedManagementServer._same_landmark_distance": "ShardBackend interface: a dtree between two peers of one landmark",
     "ManagementServer.tree_distance": "ShardBackend interface: a dtree between two peers of one landmark",
@@ -94,7 +103,6 @@ KEPT = {
     "ResultTable.__len__": "the rows of a table, as the figure tests count them",
     "merge_seed_tables": "the paper's-band study runs it (ROADMAP item 4)",
     "_figure1_full": "the paper's-band study runs it (ROADMAP item 4)",
-    "traceroute_noise_sweep": "experiment kept until the paper's-band study decides it (ROADMAP item 4)",
     "churn_study": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
     "churn_study.ratio_for": "experiment kept until held-list quality replaces it (ROADMAP item 8(a))",
     "Engine.step": "traced by bench/trace.py until a bench change drops it",
@@ -108,7 +116,6 @@ KEPT = {
     "SimulatedNetwork.router_of": "public view the handover tests observe attachment through",
     "SimulatedNetwork.one_way_latency": "public view the latency-memo tests observe the memo through",
     "NeighborCache.get": "public view: the plane's _neighbor_cache diagnostics read lists by it",
-    "NeighborCache.referencing": "public view: the plane's referencing_peers diagnostics read it",
     "format_address": "names the shard in connect failures and the serve banner",
     "LocalShardServer.alive": "owner interface that ChildShardServer overrides",
     "ProtocolManagementHost.last_heard": "public view the host tests observe refresh through",
@@ -173,7 +180,8 @@ if __name__ == "__main__":
                 except SystemExit as stop:  # the self-checking examples exit 0 when right
                     if stop.code:
                         raise
-            for name in ("protocol-sim-quick", "figure1-quick", "tree-accuracy", "branch-analysis"):
+            for name in ("protocol-sim-quick", "figure1-quick", "tree-accuracy", "branch-analysis",
+                         "traceroute-noise"):
                 if main([name]):
                     raise SystemExit(f"repro.cli {name} failed")
     finally:
