@@ -3,9 +3,12 @@
 :class:`ManagementPlaneBase` holds everything that must behave *identically*
 on the single :class:`~repro.core.management_server.ManagementServer` and on
 the sharded coordinator
-(:class:`~repro.core.sharded.ShardedManagementServer`): the cache pass that
-ends every arrival, the cache-hit/refill policy of ``closest_peers``, the
-distance estimator, the landmark-distance map and the peer read accessors.
+(:class:`~repro.core.sharded.ShardedManagementServer`): the check that a
+path is registrable, the cache pass that ends every arrival, the
+cache-hit/refill policy of ``closest_peers``, the distance estimator, the
+landmark-distance map and the peer read accessors.  The first and the
+estimator read only ``_landmark_routers`` and ``_paths``, so neither asks
+a shard anything.
 Keeping one copy makes the sharded plane's byte-identical-results guarantee
 hold *by construction* for these paths — only the data-plane hooks below
 differ per plane, and how a path reaches the trees (in process, or as one
@@ -42,9 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..exceptions import LandmarkError, ShardUnavailableError, UnknownPeerError
+from ..exceptions import (
+    LandmarkError,
+    RegistrationError,
+    ShardUnavailableError,
+    UnknownPeerError,
+)
 from .neighbor_cache import PAIR, NeighborCache, NeighborEntry
-from .path import LandmarkId, NodeId, PeerId, RouterPath
+from .path import LandmarkId, NodeId, PeerId, RouterPath, tree_distance
 from .path_tree import PathTree
 
 __all__ = [
@@ -212,17 +220,6 @@ class ManagementPlaneBase:
         """
         return None
 
-    def _same_landmark_distance(
-        self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId
-    ) -> float:
-        """``dtree`` between two peers under one landmark (plane-specific).
-
-        The default asks the local tree; the sharded coordinator routes to
-        the landmark's shard instead, so a remote backend answers with one
-        scalar round trip rather than shipping a whole tree snapshot.
-        """
-        return float(self.tree(landmark_id).tree_distance(peer_a, peer_b))
-
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
@@ -326,6 +323,26 @@ class ManagementPlaneBase:
         if a == b:
             return 0.0
         return self._landmark_distances.get((a, b))
+
+    def validate_registrable(self, path: RouterPath) -> None:
+        """Raise if ``path`` cannot be registered (unknown landmark / wrong root).
+
+        Read off the landmark routers the plane holds, so it checks everything
+        :meth:`PathTree.insert` would reject and a batch can validate every
+        path up front, then insert without partial failure.
+        """
+        if path.landmark_id not in self._landmark_routers:
+            raise RegistrationError(
+                f"peer {path.peer_id!r} reported a path to unknown landmark "
+                f"{path.landmark_id!r}"
+            )
+        root = self._landmark_routers[path.landmark_id]
+        if root != path.routers[-1]:
+            raise RegistrationError(
+                f"path of peer {path.peer_id!r} ends at router {path.routers[-1]!r}, "
+                f"but the tree of landmark {path.landmark_id!r} is rooted at "
+                f"{root!r}"
+            )
 
     # ------------------------------------------------------------------ peers
 
@@ -465,19 +482,19 @@ class ManagementPlaneBase:
         """Estimated hop distance between two registered peers.
 
         What :func:`~repro.core.distance.evaluate_estimator` scores:
-        same-landmark pairs use the tree distance, cross-landmark
+        same-landmark pairs use ``dtree`` of the two registered paths
+        (:func:`~repro.core.path.tree_distance`, no tree is read), cross-landmark
         pairs use the landmark-detour estimate (requires landmark distances),
         and unknown cross-landmark distances raise :class:`LandmarkError`.
         """
-        landmark_a = self.peer_landmark(peer_a)
-        if peer_a == peer_b:
-            return 0.0
-        landmark_b = self.peer_landmark(peer_b)
+        path_a = self.peer_path(peer_a)
+        path_b = self.peer_path(peer_b)
+        landmark_a, landmark_b = path_a.landmark_id, path_b.landmark_id
         if landmark_a == landmark_b:
-            return self._same_landmark_distance(landmark_a, peer_a, peer_b)
+            return float(tree_distance(path_a, path_b))  # type: ignore[arg-type]
         between = self.landmark_distance(landmark_a, landmark_b)
         if between is None:
             raise LandmarkError(
                 f"no inter-landmark distance between {landmark_a!r} and {landmark_b!r}"
             )
-        return float(self._paths[peer_a].hop_count + between + self._paths[peer_b].hop_count)
+        return float(path_a.hop_count + between + path_b.hop_count)

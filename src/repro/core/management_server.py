@@ -77,14 +77,18 @@ Shard-facing interface
 ----------------------
 A :class:`ManagementServer` can also serve as one **shard** of the sharded
 management plane.  The coordinator drives it through a small data-plane
-surface (see :class:`~repro.core.sharded.ShardBackend`):
+surface (see :class:`~repro.core.sharded.ShardBackend`).  It asks a shard
+nothing it already knows: whether a batch is registrable is read off the
+landmark routers it holds
+(:meth:`~repro.core.management_plane.ManagementPlaneBase.validate_registrable`),
+and the ``dtree`` of two peers off their registered paths.
 
 * :meth:`join_paths` — a shard's whole part in an arrival, one call (one
-  frame on a remote backend): validate, insert, and the index query for
-  every path just inserted;
-* :meth:`first_rejected_path` / :meth:`insert_paths` /
-  :meth:`unregister_peer` — landmark-tree membership, no neighbour-list
-  work; ``insert_paths`` alone is what a journal replays;
+  frame on a remote backend): validate (again: the shard trusts no bytes
+  it decodes), insert, and the index query for every path just inserted;
+* :meth:`insert_paths` / :meth:`unregister_peer` — landmark-tree
+  membership, no neighbour-list work; ``insert_paths`` alone is what a
+  journal replays;
 * :meth:`local_closest` — the index query over the peer's own landmark
   tree, for cold queries and refills;
 * :meth:`fill_candidates` — the first ``limit`` candidates of this shard's
@@ -112,7 +116,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._validation import require_positive_int
-from ..exceptions import LandmarkError, RegistrationError, ReproError, UnknownPeerError
+from ..exceptions import LandmarkError, UnknownPeerError
 from .interning import PeerKeyInterner
 from .management_plane import ManagementPlaneBase, ServerStats
 from .neighbor_cache import NeighborCache, NeighborEntry
@@ -184,15 +188,6 @@ class ManagementServer(ManagementPlaneBase):
         if landmark_id not in self._trees:
             raise LandmarkError(f"unknown landmark {landmark_id!r}")
         return self._trees[landmark_id]
-
-    def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
-        """``dtree`` between two peers of one landmark tree (shard-facing).
-
-        One scalar answer, so the sharded coordinator's distance estimator
-        costs a remote backend one small round trip instead of a tree
-        snapshot.
-        """
-        return float(self.tree(landmark_id).tree_distance(peer_a, peer_b))
 
     def total_tree_visits(self) -> int:
         """Index work of closest-peer queries, summed over all trees.
@@ -277,47 +272,6 @@ class ManagementServer(ManagementPlaneBase):
             self._peer_changed(peer_id)
 
     # ------------------------------------------------- shard-facing interface
-
-    def validate_registrable(self, path: RouterPath) -> None:
-        """Raise if ``path`` cannot be inserted (unknown landmark / wrong root).
-
-        Checks everything :meth:`PathTree.insert` would reject, so a batch
-        can validate all paths up front and then insert without partial
-        failure.
-        """
-        if path.landmark_id not in self._trees:
-            raise RegistrationError(
-                f"peer {path.peer_id!r} reported a path to unknown landmark "
-                f"{path.landmark_id!r}"
-            )
-        routers = self._trees[path.landmark_id].routers
-        landmark_side = path.routers[-1]
-        if routers and routers[0] != landmark_side:
-            raise RegistrationError(
-                f"path of peer {path.peer_id!r} ends at router {landmark_side!r}, "
-                f"but the tree of landmark {path.landmark_id!r} is rooted at "
-                f"{routers[0]!r}"
-            )
-
-    def first_rejected_path(
-        self, paths: Sequence[RouterPath]
-    ) -> Optional[Tuple[int, BaseException]]:
-        """Index and error of the first path :meth:`insert_paths` would reject.
-
-        The batch half of validation on the shard interface: one call (one
-        round trip on a remote backend) validates a whole shard's slice of a
-        co-arriving batch, and the coordinator merges the per-shard results
-        by input index — so the error a sharded batch surfaces is exactly
-        the single server's first-invalid-path-in-input-order error.
-        Validation is read-only; returns ``None`` when every path is
-        registrable.
-        """
-        for index, path in enumerate(paths):
-            try:
-                self.validate_registrable(path)
-            except ReproError as error:
-                return (index, error)
-        return None
 
     def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None:
         """Raw batch insert: landmark trees and indexes only, no neighbour work.

@@ -152,19 +152,18 @@ class NewcomerClient:
         """Run the join's one traceroute, towards ``landmark``, and clean the path.
 
         Returns the cleaned path (anonymous hops dropped; its ``rtt_ms`` is
-        the trace's own landmark RTT) and the number of TTLs the tool probed,
-        anonymous hops included, which is what the traceroute cost in time.
+        the trace's own landmark RTT, ``None`` from the landmark's own
+        router, where the path is that router alone) and the number of TTLs
+        the tool probed, anonymous hops included, which is what the
+        traceroute cost in time.
         """
         result = self.traceroute.trace(self.access_router, landmark.router)
         routers = clean_traceroute(result)
-        if not routers:
-            raise TracerouteError(
-                f"peer {self.peer_id!r}: traceroute towards landmark "
-                f"{landmark.landmark_id!r} produced an empty path"
-            )
         # The peer's own access router is the first hop of its path; the
-        # traceroute starts *from* that router, so prepend it explicitly.
-        if routers[0] != self.access_router:
+        # traceroute starts *from* that router, so prepend it explicitly.  A
+        # reached trace is empty only from the landmark's own router, whose
+        # path is that one router.
+        if not routers or routers[0] != self.access_router:
             routers.insert(0, self.access_router)
         path = RouterPath.from_routers(
             peer_id=self.peer_id,

@@ -8,6 +8,12 @@ inferred distance is::
 
     dtree(p1, p2) = hops(p1 -> branch) + hops(branch -> p2)
 
+It has one definition, :func:`~repro.core.path.tree_distance`, read off
+the two reported paths alone (the planes' ``estimate_distance`` calls it);
+the tree never computes one pair's ``dtree``.  What the tree adds is the
+*ranking*: every peer's ``dtree`` from one origin, closest first, without
+visiting the peers that do not make the answer.
+
 The tree is implemented as a trie over the reversed paths (landmark first).
 Each trie node corresponds to one router on at least one reported path; its
 depth (hops from the landmark) and the peers at or below it are entries of
@@ -576,34 +582,6 @@ class PathTree:
             node = parent[node]
 
     # ----------------------------------------------------------------- queries
-
-    def lowest_common_ancestor(self, peer_a: PeerId, peer_b: PeerId) -> int:
-        """Id of the branch router node of two registered peers."""
-        node_a = self.attachment_node(peer_a)
-        node_b = self.attachment_node(peer_b)
-        depth, parent = self.depth, self.parent
-        while depth[node_a] > depth[node_b]:
-            node_a = parent[node_a]
-        while depth[node_b] > depth[node_a]:
-            node_b = parent[node_b]
-        while node_a != node_b:
-            node_a = parent[node_a]
-            node_b = parent[node_b]
-        return node_a
-
-    def tree_distance(self, peer_a: PeerId, peer_b: PeerId) -> int:
-        """Inferred hop distance ``dtree`` between two registered peers.
-
-        Each peer is one hop away from its attachment (access) router, hence
-        the ``+ 1`` per side.
-        """
-        node_a = self.attachment_node(peer_a)
-        if peer_a == peer_b:
-            return 0
-        node_b = self.attachment_node(peer_b)
-        depth = self.depth
-        branch = depth[self.lowest_common_ancestor(peer_a, peer_b)]
-        return (depth[node_a] - branch + 1) + (depth[node_b] - branch + 1)
 
     def closest_peers(
         self,

@@ -36,8 +36,12 @@ Batching rules
 * **Arrival is one frame**: a newcomer, or a shard's whole slice of a
   co-arriving batch, crosses the transport as ONE ``join_paths`` request
   whose reply carries each path's local closest list, so arrival cost per
-  peer stays O(path length), not O(round trips).  Only a batch that spans
-  shards, re-registers or repeats a peer sends ONE ``validate_batch`` first.
+  peer stays O(path length), not O(round trips).  A re-registration sends
+  the ``unregister`` of the old path first; nothing else precedes it.
+* **Nothing the coordinator holds is asked for**: it validates a batch
+  against its own landmark routers, so a rejected batch sends no frame,
+  and it reads ``dtree`` off its own paths, so ``estimate_distance`` sends
+  none either.
 * **A fill is one bounded read**: ``fill`` carries the detour-estimate
   bases and the number of candidates the coordinator still needs, and the
   reply is at most that many — a query that needs two fill candidates
@@ -230,12 +234,6 @@ def _dispatch(server: ManagementServer, op: str, args):
     if op == "register_landmark":
         landmark_id, router = args
         return server.register_landmark(landmark_id, router)
-    if op == "validate_batch":
-        rejected = server.first_rejected_path([decode_path(p) for p in args[0]])
-        if rejected is None:
-            return None
-        index, error = rejected
-        return (index, type(error).__name__, str(error))
     if op == "insert_paths":
         encoded_paths, validate = args
         return server.insert_paths([decode_path(p) for p in encoded_paths], validate=validate)
@@ -258,9 +256,6 @@ def _dispatch(server: ManagementServer, op: str, args):
             tree.total_query_visits,
             tree.last_query_visits,
         )
-    if op == "tree_distance":
-        landmark_id, peer_a, peer_b = args
-        return server.tree_distance(landmark_id, peer_a, peer_b)
     if op == "total_tree_visits":
         return server.total_tree_visits()
     if op == "total_insert_work":

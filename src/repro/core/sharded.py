@@ -22,13 +22,15 @@ shard by default, or a remote shard behind
 (``shard_factory=shard_factory_for("process" | "socket", ...)``) — any
 backend speaking the same methods:
 
-* **Arrival** — ONE ``join_paths`` call per home shard validates and
-  inserts that shard's slice of the batch and answers with each path's
-  local closest list: a newcomer, or a co-arriving batch, costs a remote
-  backend one frame per shard, never one per step or per peer.  A batch
-  that spans shards, re-registers a peer or names one twice is validated
-  on every home shard first (``first_rejected_path``; no partial batch
-  failure, and the surfaced error is the single server's).
+* **Arrival** — the coordinator validates every path of the batch, in
+  input order, against the landmark routers it holds: no partial batch
+  failure, no frame for a rejected batch, and the single server's error.
+  Then ONE
+  ``join_paths`` call per home shard inserts that shard's slice of the
+  batch and answers with each path's local closest list: a newcomer, or a
+  co-arriving batch, costs a remote backend one frame per shard, never
+  one per step or per peer; a re-registration adds the ``unregister`` of
+  the old path.
 * **Departure** — ``unregister_peer`` on the peer's home shard removes it
   from that shard's tree and min-hop ordering; the coordinator's shared
   :class:`~repro.core.neighbor_cache.NeighborCache` repairs exactly the
@@ -117,16 +119,12 @@ class ShardBackend(Protocol):
     :class:`~repro.core.socket_backend.SocketShardBackend` implements it
     over a supervised connection to a shard server with one loopback server
     per self-hosted shard; a further backend only needs
-    these methods (plus :meth:`tree` for diagnostics and distance estimation,
+    these methods (plus :meth:`tree` for diagnostics,
     :meth:`total_tree_visits` for the work counters, and :meth:`close` for
     resource teardown) to slot in behind the coordinator.
     """
 
     def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None: ...
-
-    def first_rejected_path(
-        self, paths: Sequence[RouterPath]
-    ) -> Optional[Tuple[int, BaseException]]: ...
 
     def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None: ...
 
@@ -141,10 +139,6 @@ class ShardBackend(Protocol):
     ) -> List[Tuple[float, str, PeerId]]: ...
 
     def tree(self, landmark_id: LandmarkId) -> PathTree: ...
-
-    def tree_distance(
-        self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId
-    ) -> float: ...
 
     def total_tree_visits(self) -> int: ...
 
@@ -290,18 +284,6 @@ class ShardedManagementServer(ManagementPlaneBase):
         """Landmarks owned by one shard, in registration order (a copy)."""
         return list(self._shard_landmarks[shard_index])
 
-    def _home_shard_index(self, landmark_id: LandmarkId) -> int:
-        """Index of the shard owning ``landmark_id`` (ring placement if
-        unregistered).
-
-        Routing unregistered landmarks to their ring shard lets that shard's
-        own validation raise the canonical unknown-landmark error.
-        """
-        index = self._landmark_shard.get(landmark_id)
-        if index is None:
-            index = self._ring.node_for(landmark_id)
-        return index
-
     # -------------------------------------------------------------- landmarks
 
     def register_landmark(self, landmark_id: LandmarkId, router: NodeId) -> None:
@@ -325,21 +307,6 @@ class ShardedManagementServer(ManagementPlaneBase):
             raise LandmarkError(f"unknown landmark {landmark_id!r}")
         return self._shards[self._landmark_shard[landmark_id]].tree(landmark_id)
 
-    def _same_landmark_distance(
-        self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId
-    ) -> float:
-        """Route the estimator's same-landmark case to the owning shard.
-
-        One scalar round trip on a remote backend; the inline backend runs
-        the very same :meth:`PathTree.tree_distance`, so answers and errors
-        match the single server byte for byte.
-        """
-        return float(
-            self._shards[self._landmark_shard[landmark_id]].tree_distance(
-                landmark_id, peer_a, peer_b
-            )
-        )
-
     # ------------------------------------------------------------------ peers
 
     def peer_shard(self, peer_id: PeerId) -> int:
@@ -355,16 +322,14 @@ class ShardedManagementServer(ManagementPlaneBase):
     def register_peers(
         self, paths: Sequence[RouterPath]
     ) -> Dict[PeerId, List[Tuple[PeerId, float]]]:
-        """Arrival: one ``join_paths`` call per home shard, then one cache pass.
+        """Arrival: validate here, then one ``join_paths`` call per home shard.
 
-        The shard's own validation is enough when nothing has to happen
-        between validating and inserting: one home shard, no peer the
-        coordinator already holds, none repeated (every fresh single
-        arrival).  Otherwise a departure, or another shard's insert, must
-        wait until *every input path* — a superseded one included — is
-        accepted: ONE read-only ``first_rejected_path`` call per home shard
-        goes first, and merging the results by input index reproduces the
-        single server's first-invalid-path-in-input-order error exactly.
+        Every input path, a superseded one included, is checked in input
+        order against the landmark routers the coordinator holds, so the
+        error is the single server's first-invalid-path error and no shard
+        hears of a rejected batch.  A peer the coordinator already holds is
+        unregistered next, then each home shard joins its slice (and
+        validates it again: the shard trusts no bytes it decodes).
         Membership is written only after every home shard acknowledged; a
         shard failing mid-arrival makes every shard asked so far drop its
         part again, the failing one included (its reply may have been lost
@@ -373,34 +338,15 @@ class ShardedManagementServer(ManagementPlaneBase):
         replaces it.  Lists and cache updates then follow exactly like the
         single server.
         """
-        by_home: Dict[int, List[Tuple[int, RouterPath]]] = {}
-        pending: Dict[PeerId, RouterPath] = {}
-        for input_index, path in enumerate(paths):
-            shard_index = self._home_shard_index(path.landmark_id)
-            by_home.setdefault(shard_index, []).append((input_index, path))
-            pending[path.peer_id] = path
-        join_validates = (
-            len(by_home) == 1
-            and len(pending) == len(paths)
-            and self._paths.keys().isdisjoint(pending)
-        )
-        if not join_validates:
-            rejections: List[Tuple[int, BaseException]] = []
-            for shard_index, indexed in by_home.items():
-                rejected = self._shards[shard_index].first_rejected_path(
-                    [path for _, path in indexed]
-                )
-                if rejected is not None:
-                    rejections.append((indexed[rejected[0]][0], rejected[1]))
-            if rejections:
-                raise min(rejections, key=lambda rejection: rejection[0])[1]
-            for peer_id in pending:
-                if peer_id in self._paths:
-                    self.unregister_peer(peer_id)
-
+        for path in paths:
+            self.validate_registrable(path)
+        pending = {path.peer_id: path for path in paths}
+        for peer_id in pending:
+            if peer_id in self._paths:
+                self.unregister_peer(peer_id)
         by_shard: Dict[int, List[RouterPath]] = {}
         for path in pending.values():
-            by_shard.setdefault(self._home_shard_index(path.landmark_id), []).append(path)
+            by_shard.setdefault(self._landmark_shard[path.landmark_id], []).append(path)
         local: Dict[PeerId, List[Tuple[PeerId, float]]] = {}
         asked: List[int] = []
         try:

@@ -90,7 +90,6 @@ from .remote import (
     RecoveryPolicy,
     ShardRequestHandler,
     ShardSupervisorBase,
-    _rebuild_exception,
 )
 
 __all__ = [
@@ -111,8 +110,9 @@ __all__ = [
 #: protocol changes; the handshake fails typed across a version skew.
 #: Version 2 fills with one bounded ``fill`` request; version 3 dropped the
 #: two state-snapshot ops (compaction folds the journal instead); version 4
-#: frames JSON bodies.
-PROTOCOL_VERSION = 4
+#: frames JSON bodies; version 5 drops the batch-validation op and
+#: ``tree_distance``: the coordinator validates and measures from its own paths.
+PROTOCOL_VERSION = 5
 
 #: What one ``recv`` asks for at least (a reply that fits is one call), and
 #: at most (a hostile header cannot make either side allocate a gigabyte).
@@ -698,9 +698,9 @@ class SocketShardSupervisor(ShardSupervisorBase):
 class SocketShardBackend:
     """A :class:`~repro.core.sharded.ShardBackend` living behind a socket.
 
-    The whole client side of a remote shard — path encoding, batched
-    validation, checked replies, diagnostics — over the ``request``
-    interface of one :class:`SocketShardSupervisor`.  Without an explicit
+    The whole client side of a remote shard — path encoding, checked
+    replies, diagnostics — over the ``request`` interface of one
+    :class:`SocketShardSupervisor`.  Without an explicit
     ``address`` the backend hosts its own :class:`LocalShardServer`
     thread, which outlives restarts (a restart reconnects); a
     :class:`LocalShardServer` given as the address is owned by the
@@ -742,18 +742,6 @@ class SocketShardBackend:
 
     def register_landmark(self, landmark_id: LandmarkId, router) -> None:
         self.supervisor.request("register_landmark", (landmark_id, router), journal=True)
-
-    def first_rejected_path(
-        self, paths: Sequence[RouterPath]
-    ) -> Optional[Tuple[int, BaseException]]:
-        """Batch validation in one round trip (the arrival batching rule)."""
-        result = self.supervisor.request(
-            "validate_batch", (tuple(encode_path(path) for path in paths),)
-        )
-        if result is None:
-            return None
-        index, type_name, message = result  # type: ignore[misc]
-        return (int(index), _rebuild_exception(str(type_name), str(message)))
 
     def insert_paths(self, paths: Sequence[RouterPath], validate: bool = True) -> None:
         self.supervisor.request(
@@ -824,9 +812,9 @@ class SocketShardBackend:
         """A local **snapshot** of the shard's tree (for diagnostics).
 
         Loaded from the shard's paths (:meth:`PathTree.load`), so its rows —
-        hence ``closest_peers`` and ``tree_distance`` answers — equal the
-        live tree's; the query-work counters (index ranges examined plus
-        entries scanned) are copied across.  Mutating the snapshot does not affect the shard.
+        hence ``closest_peers`` answers — equal the live tree's; the
+        query-work counters (index ranges examined plus entries scanned) are
+        copied across.  Mutating the snapshot does not affect the shard.
         """
         root, encoded_paths, total_visits, last_visits = self.supervisor.request(  # type: ignore[misc]
             "tree", (landmark_id,)
@@ -836,16 +824,6 @@ class SocketShardBackend:
         snapshot.total_query_visits = int(total_visits)  # type: ignore[arg-type]
         snapshot.last_query_visits = int(last_visits)  # type: ignore[arg-type]
         return snapshot
-
-    def tree_distance(self, landmark_id: LandmarkId, peer_a: PeerId, peer_b: PeerId) -> float:
-        """``dtree`` of a same-landmark pair: one scalar round trip.
-
-        This is how the coordinator's ``estimate_distance`` reaches a remote
-        tree — :meth:`tree` snapshots are for diagnostics only.
-        """
-        return float(
-            self.supervisor.request("tree_distance", (landmark_id, peer_a, peer_b))  # type: ignore[arg-type]
-        )
 
     def total_tree_visits(self) -> int:
         return int(self.supervisor.request("total_tree_visits", ()))  # type: ignore[arg-type]

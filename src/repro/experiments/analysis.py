@@ -19,9 +19,8 @@ formal proof would need.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..core.distance import sample_peer_pairs
+from ..core.path import shared_suffix_length
 from ..sim.rng import RandomStreams
 from ..topology.centrality import approximate_betweenness, centrality_concentration
 from ..topology.internet_mapper import RouterMapConfig
@@ -83,17 +82,12 @@ def branch_point_analysis(
     # attachment routers and branch routers are cached across the pair loop
     # instead of populating a per-router dict of independent BFS results.
     engine = scenario.distance_engine
-    # One tree view per landmark for the whole pair loop: with a process
-    # shard backend, server.tree() ships and rebuilds a full snapshot, so
-    # fetching it per pair would serialise the tree O(pairs) times.
-    tree_cache: Dict = {}
 
     for peer_a, peer_b in same_landmark:
-        landmark_id = scenario.server.peer_landmark(peer_a)
-        tree = tree_cache.get(landmark_id)
-        if tree is None:
-            tree = tree_cache[landmark_id] = scenario.server.tree(landmark_id)
-        branch = tree.routers[tree.lowest_common_ancestor(peer_a, peer_b)]
+        # The branch router is where the two reported paths merge: the
+        # first router of their shared landmark-side suffix.
+        path_a = scenario.server.peer_path(peer_a)
+        branch = path_a.routers[-shared_suffix_length(path_a, scenario.server.peer_path(peer_b))]
         if not graph.has_node(branch):
             continue
         if branch in core_routers:

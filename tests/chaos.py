@@ -399,9 +399,6 @@ class ChaosShardBackend:
     def register_landmark(self, landmark_id, router):
         return self._call("register_landmark", self.inner.register_landmark, landmark_id, router)
 
-    def first_rejected_path(self, paths):
-        return self._call("first_rejected_path", self.inner.first_rejected_path, paths)
-
     def insert_paths(self, paths, validate=True):
         return self._call("insert_paths", self.inner.insert_paths, paths, validate=validate)
 
@@ -416,9 +413,6 @@ class ChaosShardBackend:
 
     def fill_candidates(self, bases, limit):
         return self._call("fill_candidates", self.inner.fill_candidates, bases, limit)
-
-    def tree_distance(self, landmark_id, peer_a, peer_b):
-        return self._call("tree_distance", self.inner.tree_distance, landmark_id, peer_a, peer_b)
 
     # -------------------------------------------------------------- lifecycle
 

@@ -1,7 +1,8 @@
 """Oracle tests for the ``closest_peers`` query of the path trie.
 
 The query must return exactly what a brute-force ranking over
-every peer's ``tree_distance`` would (same peers, same distances, same
+every peer's ``dtree`` (:func:`~repro.core.path.tree_distance` of the
+two reported paths) would (same peers, same distances, same
 ``(dtree, repr)`` tie-break order), while doing work — index ranges examined
 plus row entries scanned, ``last_query_visits`` — that depends on ``k`` and
 the origin's depth, not on the population or the size of a tie.  The
@@ -20,16 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path import PeerId
+from repro.core.path import PeerId, tree_distance
 from repro.core.path_tree import PathTree
 
-from ..oracle import PROFILED, attached, path, random_trees, root_path
+from ..oracle import PROFILED, attached, path, random_trees, reported_path, root_path
 
 
 def _oracle_ranking(tree: PathTree, origin: PeerId, k: int) -> List[Tuple[PeerId, int]]:
     """Brute-force k-closest: the tree distance to every other peer, ranked."""
+    own = reported_path(tree, origin)
     distances: Dict[PeerId, int] = {
-        peer: tree.tree_distance(origin, peer) for peer in tree.peers() if peer != origin
+        peer: tree_distance(own, reported_path(tree, peer))
+        for peer in tree.peers()
+        if peer != origin
     }
     ranked = sorted(distances.items(), key=lambda item: (item[1], repr(item[0])))
     return ranked[:k]

@@ -132,6 +132,25 @@ class TestProbing:
         with pytest.raises(TracerouteError, match="did not reach 'lmB'"):
             client.measure([LandmarkDescriptor("lmB", "lmB")])
 
+    def test_a_peer_at_the_landmarks_router_registers_that_router_alone(self):
+        """``lmL - r1 - lmR``, peers at ``lmR``: each pings ``lmR`` at 0 ms,
+        traces from the router to itself (reached, no hop) and registers
+        the one-router path ``(lmR,)``."""
+        graph = Graph()
+        graph.add_edge("lmL", "r1", latency=1.0)
+        graph.add_edge("r1", "lmR", latency=1.0)
+        traceroute = TracerouteSimulator(graph=graph, config=TracerouteConfig(rtt_jitter_ms=0.0))
+        server = ManagementServer(neighbor_set_size=3)
+        for landmark in ("lmL", "lmR"):
+            server.register_landmark(landmark, landmark)
+        client = NewcomerClient("q", "lmR", traceroute)
+        path, probed_hops = client.probe_landmark(LandmarkDescriptor("lmR", "lmR"))
+        assert (path.routers, path.rtt_ms, probed_hops) == (("lmR",), None, 0)
+        first = client.join(server)
+        assert (first.landmark_id, first.path, first.neighbors) == ("lmR", path, [])
+        second = NewcomerClient("q2", "lmR", traceroute).join(server)
+        assert second.neighbors == [("q", 2.0)]  # one hop up and one down
+
     def test_probe_from_router_adjacent_to_landmark(self, traceroute):
         client = NewcomerClient("p1", "coreA", traceroute)
         path, probed_hops = client.probe_landmark(LandmarkDescriptor("lmA", "lmA"))

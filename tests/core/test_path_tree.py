@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.path import tree_distance
+from repro.core.path import shared_suffix_length, tree_distance
 from repro.core.path_tree import PathTree
 from repro.exceptions import RegistrationError, UnknownPeerError
 from repro.workloads import synthetic_paths
@@ -21,6 +21,8 @@ from ..oracle import (
     path,
     populations,
     random_trees,
+    reported_path,
+    root_path,
     tree_of,
 )
 
@@ -57,6 +59,11 @@ ROUTES = {
     "p4": ["b1", "core", "lmk"],
     "p5": ["core", "lmk"],
 }
+
+
+def dtree(peer_a, peer_b) -> int:
+    """The one ``dtree`` definition over two fixture peers' reported paths."""
+    return tree_distance(path(peer_a, ROUTES[peer_a]), path(peer_b, ROUTES[peer_b]))
 
 
 class TestInsertion:
@@ -123,7 +130,7 @@ class TestInsertion:
         with pytest.raises(UnknownPeerError):
             populated_tree.attachment_node("ghost")
         with pytest.raises(UnknownPeerError):
-            populated_tree.tree_distance("ghost", "ghost")
+            populated_tree.closest_peers("ghost", 1)
         assert not hasattr(populated_tree, "path_of")
 
 
@@ -157,38 +164,37 @@ class TestRemoval:
 
 
 class TestDistances:
-    def test_lca(self, populated_tree):
+    def test_branch_router_is_the_trie_nodes_lowest_common_ancestor(self, populated_tree):
+        """Where two reported paths merge is where their trie chains meet."""
         tree = populated_tree
-        assert tree.routers[tree.lowest_common_ancestor("p1", "p2")] == "a2"
-        assert tree.routers[tree.lowest_common_ancestor("p1", "p3")] == "core"
-        assert tree.routers[tree.lowest_common_ancestor("p3", "p4")] == "b1"
+        for a, b, branch in (("p1", "p2", "a2"), ("p1", "p3", "core"), ("p3", "p4", "b1")):
+            path_a, path_b = path(a, ROUTES[a]), path(b, ROUTES[b])
+            assert path_a.routers[-shared_suffix_length(path_a, path_b)] == branch
+            chain_b = set(root_path(tree, tree.attachment_node(b)))
+            meet = next(n for n in root_path(tree, tree.attachment_node(a)) if n in chain_b)
+            assert tree.routers[meet] == branch
 
-    def test_tree_distance_matches_pairwise_formula(self, populated_tree):
+    def test_ranking_reads_the_pairwise_formula(self, populated_tree):
+        """Every peer's full ranking carries each other peer's ``dtree``."""
         for peer_a in populated_tree.peers():
-            for peer_b in populated_tree.peers():
-                if peer_a == peer_b:
-                    continue
-                expected = tree_distance(
-                    path(peer_a, ROUTES[peer_a]), path(peer_b, ROUTES[peer_b])
-                )
-                assert populated_tree.tree_distance(peer_a, peer_b) == expected
+            ranking = populated_tree.closest_peers(peer_a, k=10)
+            assert sorted(peer for peer, _ in ranking) == sorted(set(ROUTES) - {peer_a})
+            assert all(distance == dtree(peer_a, peer_b) for peer_b, distance in ranking)
 
-    def test_tree_distance_values(self, populated_tree):
-        assert populated_tree.tree_distance("p3", "p4") == 2
-        assert populated_tree.tree_distance("p1", "p2") == 4
+    def test_tree_distance_values(self):
+        assert dtree("p3", "p4") == 2
+        assert dtree("p1", "p2") == 4
         # p1 -> a1 -> a2 -> core (3 hops) + core -> b1 -> p3 (2 hops).
-        assert populated_tree.tree_distance("p1", "p3") == 5
-        assert populated_tree.tree_distance("p5", "p3") == 3
-        assert populated_tree.tree_distance("p1", "p1") == 0
+        assert dtree("p1", "p3") == 5
+        assert dtree("p5", "p3") == 3
+        assert dtree("p1", "p1") == 0
 
-    def test_all_pairs(self, populated_tree):
-        peers = sorted(populated_tree.peers())
-        pairs = {
-            (a, b): populated_tree.tree_distance(a, b) for a in peers for b in peers if a < b
-        }
+    def test_all_pairs(self):
+        peers = sorted(ROUTES)
+        pairs = {(a, b): dtree(a, b) for a in peers for b in peers if a < b}
         assert len(pairs) == 5 * 4 // 2
         assert all(distance >= 2 for distance in pairs.values())
-        assert all(populated_tree.tree_distance(b, a) == d for (a, b), d in pairs.items())
+        assert all(dtree(b, a) == d for (a, b), d in pairs.items())
 
 
 class TestClosestPeers:
@@ -219,17 +225,13 @@ class TestClosestPeers:
 
     def test_distances_match_tree_distance(self, populated_tree):
         for peer, distance in populated_tree.closest_peers("p2", k=4):
-            assert distance == populated_tree.tree_distance("p2", peer)
+            assert distance == dtree("p2", peer)
 
     def test_result_is_truly_the_k_closest(self, populated_tree):
         k = 2
         result = populated_tree.closest_peers("p1", k=k)
         returned = {peer for peer, _ in result}
-        all_distances = sorted(
-            populated_tree.tree_distance("p1", other)
-            for other in populated_tree.peers()
-            if other != "p1"
-        )
+        all_distances = sorted(dtree("p1", other) for other in ROUTES if other != "p1")
         kth_best = all_distances[k - 1]
         assert all(distance <= kth_best for _, distance in result)
 
@@ -261,8 +263,9 @@ def test_property_tree_distance_symmetric_and_bounded(paths):
     peers = tree.peers()
     for i, peer_a in enumerate(peers):
         for peer_b in peers[i + 1 :]:
-            forward = tree.tree_distance(peer_a, peer_b)
-            backward = tree.tree_distance(peer_b, peer_a)
+            path_a, path_b = reported_path(tree, peer_a), reported_path(tree, peer_b)
+            forward = tree_distance(path_a, path_b)
+            backward = tree_distance(path_b, path_a)
             assert forward == backward
             assert 2 <= forward
             # dtree can never exceed going all the way up to the landmark and
@@ -276,7 +279,8 @@ def test_property_closest_peers_is_optimal_prefix(tree, k):
     """closest_peers(k) returns peers no farther than the true k-th closest."""
     origin = tree.peers()[0]
     others = [peer for peer in tree.peers() if peer != origin]
-    true_distances = sorted(tree.tree_distance(origin, other) for other in others)
+    own = reported_path(tree, origin)
+    true_distances = sorted(tree_distance(own, reported_path(tree, other)) for other in others)
     result = tree.closest_peers(origin, k=k)
     assert len(result) == min(k, len(others))
     if result:

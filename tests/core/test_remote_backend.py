@@ -61,7 +61,7 @@ from repro.exceptions import (
 from repro.workloads import synthetic_paths
 
 from ..chaos import ChaosShardBackend, Fault, FaultPlan, kill
-from ..oracle import apply_op, build_plane, cases, path, simple_path, trie_by_route
+from ..oracle import apply_op, build_plane, cases, outcome, path, simple_path, trie_by_route
 
 
 @pytest.fixture(params=("process", "socket"))
@@ -224,21 +224,6 @@ class TestBackendParity:
             assert shard.fill_candidates(bases, limit) == inline.fill_candidates(bases, limit)
         assert len(shard.fill_candidates(bases, 10)) == 4
 
-    def test_first_rejected_path_matches_inline_in_one_round_trip(self, pair):
-        shard, inline = pair
-        seed_peers(shard, inline)
-        good = simple_path("p9", "lmA", access="a9")
-        bad = simple_path("px", "unknown-lm")
-        assert shard.first_rejected_path([good]) is None
-        assert inline.first_rejected_path([good]) is None
-        for batch in ([bad], [good, bad], [good, bad, bad]):
-            process_result = shard.first_rejected_path(batch)
-            inline_result = inline.first_rejected_path(batch)
-            assert process_result is not None and inline_result is not None
-            assert process_result[0] == inline_result[0]
-            assert type(process_result[1]) is type(inline_result[1])
-            assert str(process_result[1]) == str(inline_result[1])
-
     def test_errors_cross_the_boundary_with_type_and_message(self, pair):
         shard, inline = pair
 
@@ -329,23 +314,9 @@ class TestBackendParity:
         seed_peers(shard, inline)
         snapshot = shard.tree("lmA")
         assert snapshot.peers() == inline.tree("lmA").peers()
-        assert snapshot.tree_distance("p0", "p1") == inline.tree("lmA").tree_distance("p0", "p1")
+        assert snapshot.closest_peers("p0", 3) == inline.tree("lmA").closest_peers("p0", 3)
         snapshot.remove("p0")  # mutating the snapshot must not reach the shard
         assert "p0" in shard.tree("lmA").peers()
-
-    def test_tree_distance_is_one_scalar_round_trip(self, pair):
-        shard, inline = pair
-        seed_peers(shard, inline)
-        assert shard.tree_distance("lmA", "p0", "p1") == inline.tree_distance("lmA", "p0", "p1")
-
-        def outcome(target, landmark, a, b):
-            try:
-                return ("ok", target.tree_distance(landmark, a, b))
-            except Exception as error:  # noqa: BLE001
-                return (type(error).__name__, str(error))
-
-        assert outcome(shard, "lmA", "p0", "ghost") == outcome(inline, "lmA", "p0", "ghost")
-        assert outcome(shard, "nope", "p0", "p1") == outcome(inline, "nope", "p0", "p1")
 
     def test_tree_visit_counters_travel_with_the_snapshot(self, backend):
         seed_peers(backend)
@@ -573,18 +544,18 @@ class TestArrivalRoundTrips:
             requests = record_requests(plane)
             one_home = [simple_path(f"p{i}", "lmA", access=f"a{i % 7}") for i in range(64)]
             assert plane.register_peers(one_home) == reference.register_peers(one_home)
-            # One home shard, nothing to do between validating and
-            # inserting: the join frame is the whole arrival.
+            # The coordinator validated the batch itself: the join frame is
+            # the whole arrival.
             assert requests[home] == ["join_paths"] and requests[other] == []
             two_homes = [
                 simple_path(f"q{i}", "lmA" if i % 2 else "lmC", access=f"a{i % 7}")
                 for i in range(64)
             ]
             assert plane.register_peers(two_homes) == reference.register_peers(two_homes)
-            # Two home shards: no insert may precede every path's verdict,
-            # so validation goes first — per shard, not per peer.
-            assert requests[home] == ["join_paths", "validate_batch", "join_paths"]
-            assert requests[other] == ["validate_batch", "join_paths"]
+            # Two home shards: every path's verdict is the coordinator's, so
+            # each shard still hears one join frame and nothing else.
+            assert requests[home] == ["join_paths", "join_paths"]
+            assert requests[other] == ["join_paths"]
             assert journal_ops(plane)[home] == ["register_landmark", "insert_paths", "insert_paths"]
             assert journal_ops(plane)[other] == ["register_landmark", "insert_paths"]
             assert plane.peers() == reference.peers()
@@ -601,7 +572,7 @@ class TestArrivalRoundTrips:
             requests = record_requests(plane)
             moved = simple_path("p1", "lmA", access="a9")
             assert plane.register_peer(moved) == reference.register_peer(moved)
-            assert requests[home] == ["validate_batch", "unregister", "join_paths"]
+            assert requests[home] == ["unregister", "join_paths"]
             del requests[home][:]
             repeated = [
                 simple_path("p7", "lmA", access="a0"),
@@ -609,7 +580,7 @@ class TestArrivalRoundTrips:
                 simple_path("p7", "lmA", access="a2"),
             ]
             assert plane.register_peers(repeated) == reference.register_peers(repeated)
-            assert requests[home] == ["validate_batch", "join_paths"]
+            assert requests[home] == ["join_paths"]
             assert requests[other] == []
             assert journal_ops(plane)[home] == [
                 "register_landmark",
@@ -623,33 +594,21 @@ class TestArrivalRoundTrips:
                 assert plane.closest_peers(peer) == reference.closest_peers(peer)
 
     @pytest.mark.parametrize(
-        "batch, home_requests",
+        "batch",
         [
-            # one home shard, fresh peers: the shard's own validation rejects
-            (
-                [simple_path("n0", "lmA", "a5"), path("bad", ["x", "not-lmA"], "lmA")],
-                ["join_paths"],
-            ),
+            # one home shard, fresh peers
+            [simple_path("n0", "lmA", "a5"), path("bad", ["x", "not-lmA"], "lmA")],
             # a wrong-root path behind a re-registering peer
-            (
-                [simple_path("p0", "lmA", "a5"), path("bad", ["x", "not-lmA"], "lmA")],
-                ["validate_batch"],
-            ),
+            [simple_path("p0", "lmA", "a5"), path("bad", ["x", "not-lmA"], "lmA")],
             # superseded later in the batch, and still the batch's verdict
-            (
-                [path("n0", ["x", "not-lmA"], "lmA"), simple_path("n0", "lmA", "a5")],
-                ["validate_batch"],
-            ),
+            [path("n0", ["x", "not-lmA"], "lmA"), simple_path("n0", "lmA", "a5")],
             # two home shards, the invalid path on the second
-            (
-                [simple_path("n0", "lmA", "a5"), path("n1", ["x", "not-lmC"], "lmC")],
-                ["validate_batch"],
-            ),
+            [simple_path("n0", "lmA", "a5"), path("n1", ["x", "not-lmC"], "lmC")],
         ],
         ids=["in-frame", "reregistering", "superseded", "two-homes"],
     )
     def test_a_rejected_batch_inserts_nothing_and_raises_the_single_servers_error(
-        self, backend_name, batch, home_requests
+        self, backend_name, batch
     ):
         plane, reference = spread_plane(backend_name)
         with plane:
@@ -664,13 +623,35 @@ class TestArrivalRoundTrips:
             with pytest.raises(RegistrationError) as error:
                 plane.register_peers(batch)
             assert str(error.value) == str(expected.value)
-            assert requests[plane.shard_of("lmA")] == home_requests
-            assert not any(op in ("insert_paths", "unregister") for ops in requests for op in ops)
+            assert requests == [[], []]  # the coordinator's verdict: no shard hears of it
             assert (plane.peers(), plane.stats.registrations, plane.stats.removals) == before
             assert shard_counts(plane) == shard_side and journal_ops(plane) == journals
             assert plane.peer_path("p0") == simple_path("p0", "lmA", access="a0")
             for peer in reference.peers():
                 assert plane.closest_peers(peer, 4) == reference.closest_peers(peer, 4)
+
+    def test_estimate_distance_sends_nothing_and_answers_while_the_shard_is_down(
+        self, backend_name
+    ):
+        """``dtree`` and the detour estimate are read off the coordinator's
+        own paths: no request, so a dead home shard does not stop them."""
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            seeded = [simple_path(f"p{i}", "lmA", access=f"a{i % 2}") for i in range(3)]
+            seeded.append(simple_path("c0", "lmC"))
+            plane.register_peers(seeded)
+            reference.register_peers(seeded)
+            peers = ("p0", "p1", "p2", "c0", "ghost")
+            pairs = [(a, b) for a in peers for b in peers]
+            expected = [outcome(reference.estimate_distance, a, b) for a, b in pairs]
+            assert ("error", "UnknownPeerError", "peer 'ghost' is not registered") in expected
+            requests = record_requests(plane)
+            assert [outcome(plane.estimate_distance, a, b) for a, b in pairs] == expected
+            home = plane.shards[plane.shard_of("lmA")]
+            kill(home.supervisor)
+            assert [outcome(plane.estimate_distance, a, b) for a, b in pairs] == expected
+            assert requests == [[], []]
+            assert not home.health_check()  # it was down all along
 
     @pytest.mark.parametrize("kind", ["drop", "drop_reply"])
     def test_a_failed_join_leaves_no_phantom_peer_and_the_retry_converges(

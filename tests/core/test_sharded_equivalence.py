@@ -39,15 +39,17 @@ timeout); see ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ManagementServer, ShardedManagementServer
+from repro.core.remote import BACKENDS
 from repro.core.socket_backend import SocketShardSupervisor
 from repro.exceptions import ShardUnavailableError
 
@@ -61,6 +63,7 @@ from ..oracle import (
     cases,
     make_path,
     ops,
+    outcome,
     random_op,
     reference_for,
 )
@@ -92,7 +95,7 @@ class TestEquivalenceOracle:
             budget["max_examples"] = TIER1_EXAMPLES[backend]
 
         # A landmark index one past the registered ones exercises the
-        # unknown-landmark error — in batches too, so the per-shard batched
+        # unknown-landmark error — in batches too, so the coordinator's
         # validation must surface the same first-invalid-path-in-input-order
         # error as the single server.
         @settings(deadline=None, **budget)
@@ -186,6 +189,43 @@ class TestEquivalenceAcceptance:
                 assert len(used) > 1
         finally:
             sharded.close()
+
+
+#: Examples per backend of the estimate oracle: each remote one starts two
+#: shard servers per example.
+ESTIMATE_EXAMPLES = {"inline": 100, "socket": 40, "process": 20}
+
+
+class TestDistanceEstimates:
+    """``estimate_distance`` is read off the coordinator's own paths, on
+    every backend: for every ordered pair of a 2-shard plane's peers (and
+    one never registered) it is the single server's answer or error —
+    ``UnknownPeerError``, and ``LandmarkError`` for a cross-landmark pair
+    with no known distance.  ``lm0`` and ``lm1`` share a shard, ``lm2``
+    has the other."""
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_estimate_distance_matches_single_server(self, backend_name):
+        @settings(deadline=None, max_examples=ESTIMATE_EXAMPLES[backend_name])
+        @given(with_distances=st.booleans(), writes=ops(MAX_PEERS, 3, max_ops=20))
+        @example(
+            with_distances=False,
+            writes=[("batch", [(0, 0, (0, 0, 0, 0)), (1, 2, (0, 1, 1, 1)), (2, 0, (0, 1, 0, 0))])],
+        )
+        def check(with_distances, writes):
+            single = build_plane(None, 3, with_distances)
+            sharded = build_plane(2, 3, with_distances, backend=backend_name)
+            try:
+                for op in writes:
+                    assert apply_op(sharded, op) == apply_op(single, op), op
+                peers = single.peers() + ["never-registered"]
+                for pair in itertools.product(peers, repeat=2):
+                    expected = outcome(single.estimate_distance, *pair)
+                    assert outcome(sharded.estimate_distance, *pair) == expected, pair
+            finally:
+                sharded.close()
+
+        check()
 
 
 class TestTypedFailure:

@@ -176,6 +176,31 @@ class TestWireProtocol:
         finally:
             conn.close()
 
+    def test_a_version_4_hello_is_refused_typed(self, server):
+        """Version 4 still had ``validate_batch`` and ``tree_distance``; a
+        client that may send them is refused at the hello."""
+        conn = raw_connection(server)
+        try:
+            reply = exchange(conn, (1, "hello", (4, 3)))
+            assert reply[1:3] == ("err", "WireProtocolError")
+            assert "client sent 4" in reply[3]
+            assert exchange(conn, (2, "ping", ()))[1] == "err"  # no shard was built
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "op, args", [("validate_batch", ((),)), ("tree_distance", ("lmA", "p0", "p1"))]
+    )
+    def test_the_ops_the_coordinator_answers_itself_are_unknown(self, server, op, args):
+        conn = raw_connection(server)
+        try:
+            assert exchange(conn, (1, "hello", (PROTOCOL_VERSION, 3)))[1] == "ok"
+            reply = exchange(conn, (2, op, args))
+            assert reply[1:3] == ("err", "WireProtocolError")
+            assert reply[3] == f"unknown operation {op!r}"
+        finally:
+            conn.close()
+
     def test_operation_before_hello_is_rejected_typed(self, server):
         conn = raw_connection(server)
         try:

@@ -450,6 +450,13 @@ def root_path(trie, node: int) -> List[int]:
     return ids
 
 
+def reported_path(tree, peer) -> RouterPath:
+    """``peer``'s path read back off a trie: its attachment node's routers up
+    to the root, what :func:`~repro.core.path.tree_distance` measures."""
+    routers = [tree.routers[node] for node in root_path(tree, tree.attachment_node(peer))]
+    return path(peer, routers, tree.landmark_id)
+
+
 def trie_by_route(tree) -> Dict[Tuple, Tuple[int, List]]:
     """Each live node's ``(depth, row)``, keyed by its routers from the root.
 

@@ -7,8 +7,9 @@ call to the running test file, to bench or to ci; prints per module the
 functions defined, reached by bench, reached by anything but the test files,
 and the names only test files reached (* = never called), then a totals row.
 Names in ``KEPT`` are left out of that column and printed under the reason
-they stay.  Exits 1 when pytest fails or a name only tests reach has no
-``KEPT`` reason.  Blind spots: calls in child processes (forked shards,
+they stay.  Exits 1 when pytest fails, a name only tests reach has no
+``KEPT`` reason, or a ``KEPT`` key is stale: it matches no function under
+src/repro.  Blind spots: calls in child processes (forked shards,
 shard-serve) are lost, and import-time calls go to the first importer.
 ``python tools/reach.py [pytest args]``."""
 
@@ -65,9 +66,6 @@ KEPT = {
     "PlaneHealth.healthy": "live path no workload drives: a read while a shard is down",
     "SocketShardBackend.fill_candidates": "live path no workload drives: a list its home landmark cannot fill",
     "message_op_name": "SimulatedNetwork.send names each message to a fault plan by it",
-    "ShardedManagementServer._same_landmark_distance": "ShardBackend interface: a dtree between two peers of one landmark",
-    "ManagementServer.tree_distance": "ShardBackend interface: a dtree between two peers of one landmark",
-    "SocketShardBackend.tree_distance": "ShardBackend interface: a dtree between two peers of one landmark",
     "ShardedManagementServer.tree": "diagnostics: a landmark's trie, shipped whole from its shard",
     "SocketShardBackend.tree": "diagnostics: a landmark's trie, shipped whole from its shard",
     "PathTree.peers": "diagnostics: a landmark's trie, shipped whole from its shard",
@@ -125,14 +123,15 @@ KEPT = {
 }
 
 
+def covers(key, name):
+    return name == key or (key.endswith(".") and name.startswith(key)) or (
+        key.startswith(".") and name.endswith(key)
+    )
+
+
 def kept(name):
     """The key in KEPT that covers ``name``, or None."""
-    for key in KEPT:
-        if name == key or (key.endswith(".") and name.startswith(key)) or (
-            key.startswith(".") and name.endswith(key)
-        ):
-            return key
-    return None
+    return next((key for key in KEPT if covers(key, name)), None)
 
 
 def trace(frame, event, arg):  # returns None: call events only, no line events
@@ -188,10 +187,11 @@ if __name__ == "__main__":
         sys.settrace(None), threading.settrace(None)
     outside = {"import", "bench", "ci"}  # every other label is a test file
     print(f"\n{'module':36s} defined  bench  others  nothing else")
-    totals, kept_names = [0, 0, 0, 0], {}
+    totals, kept_names, names = [0, 0, 0, 0], {}, []
     for path in sorted(os.path.join(d, f) for d, _, fs in os.walk(SRC) for f in fs if f.endswith(".py")):
         body = ast.parse(pathlib.Path(path).read_text(encoding="utf-8")).body
         defined = [(calls.get((path, line), set()), name) for line, name in functions(body)]
+        names += [name for _, name in defined]
         bench = sum("bench" in who for who, _ in defined)
         others = sum(bool(who & outside - {"bench"}) for who, _ in defined)
         rest = []
@@ -203,7 +203,9 @@ if __name__ == "__main__":
         totals = [a + b for a, b in zip(totals, (len(defined), bench, others, len(rest)))]
     print(f"{'total':36s} {totals[0]:7d} {totals[1]:6d} {totals[2]:7d}  {totals[3]:3d}")
     print(f"\nkept: {sum(map(len, kept_names.values()))} names only tests reach")
-    for reason, names in kept_names.items():
-        print(f"  {reason}: {', '.join(names)}")
-    if failed or totals[3]:
+    for reason, kept_list in kept_names.items():
+        print(f"  {reason}: {', '.join(kept_list)}")
+    stale = [key for key in KEPT if not any(covers(key, name) for name in names)]
+    print(f"\nstale: {len(stale)} KEPT keys match no function under src/repro {', '.join(stale)}")
+    if failed or totals[3] or stale:
         sys.exit(1)
