@@ -36,8 +36,9 @@ Batching rules
 * **Arrival is one frame**: a newcomer, or a shard's whole slice of a
   co-arriving batch, crosses the transport as ONE ``join_paths`` request
   whose reply carries each path's local closest list, so arrival cost per
-  peer stays O(path length), not O(round trips).  A re-registration sends
-  the ``unregister`` of the old path first; nothing else precedes it.
+  peer stays O(path length), not O(round trips).  A re-registration is
+  the same frame, as the shard replaces a peer it holds; a peer moving to
+  another shard's landmark sends its old home an ``unregister`` first.
 * **Nothing the coordinator holds is asked for**: it validates a batch
   against its own landmark routers, so a rejected batch sends no frame,
   and it reads ``dtree`` off its own paths, so ``estimate_distance`` sends
@@ -85,8 +86,12 @@ ops that rebuild the live state — every ``register_landmark`` in order,
 then ONE ``insert_paths`` of the live peers' paths in registration order,
 which an empty shard loads — so restart cost is O(live state), not
 O(operation history).  The fold reads only the journal: it sends nothing,
-so it works on a dead shard and cannot fail.  ``compact_watermark=N``
-compacts whenever ``N`` entries were journaled since the last compaction.
+so it works on a dead shard and cannot fail.  The supervisor folds its own
+journal once the entries journaled since the last fold reach the peers
+that fold held, or :data:`FOLD_FLOOR` when it held fewer: each fold costs
+O(entries + live peers) and comes after at least as many entries, so
+upkeep is O(1) per op, and a restart replays at most one entry per
+landmark, the fold, and ``max(live peers, FOLD_FLOOR)`` entries.
 """
 
 from __future__ import annotations
@@ -128,6 +133,12 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 
 #: Longest sleep before one restart attempt, in seconds.
 BACKOFF_CAP_S = 2.0
+
+#: Fewest entries journaled since the last fold that make a journal fold
+#: again.  Replaying ~1,000 single-op frames (~55 µs each) costs about what
+#: one folded restart costs at bench scale (45–90 ms), so a journal shorter
+#: than this is not worth folding.
+FOLD_FLOOR = 1024
 
 
 # ---------------------------------------------------------------- recovery
@@ -282,7 +293,8 @@ class ShardSupervisorBase:
     acknowledged mutating requests, :meth:`restart` (fresh transport +
     in-order replay, restoring the shard's data plane byte-identically), the
     :class:`RecoveryPolicy` loop of backoff → restart → re-issue, and
-    journal compaction (:meth:`compact`).
+    journal compaction (:meth:`compact`), which runs by itself once the
+    journal outgrows the live state it rebuilds (:data:`FOLD_FLOOR`).
 
     Parameters
     ----------
@@ -296,12 +308,6 @@ class ShardSupervisorBase:
         Optional :class:`RecoveryPolicy`.  When given, recoverable requests
         that fail with :class:`ShardUnavailableError` trigger bounded
         backoff → restart+replay → re-issue instead of raising.
-    compact_watermark:
-        When set, :meth:`compact` runs automatically whenever this many
-        entries were journaled since the last compaction, bounding replay
-        cost by live state size.  (Counting the journal's length instead
-        would compact on every op once a compacted journal, one entry per
-        landmark plus one, reaches the watermark.)
     """
 
     def __init__(
@@ -309,21 +315,18 @@ class ShardSupervisorBase:
         name: str,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
-        compact_watermark: Optional[int] = None,
     ) -> None:
-        if compact_watermark is not None and compact_watermark < 1:
-            raise ValueError(f"compact_watermark must be >= 1, got {compact_watermark}")
         self.name = name
         if request_timeout is None:
             request_timeout = DEFAULT_REQUEST_TIMEOUT
         self.request_timeout = request_timeout
         self._recovery = recovery
-        self._compact_watermark = compact_watermark
         self._journal: List[Tuple[str, Tuple[object, ...]]] = []
         # The encode_tail bytes of the journal's first entries, the fold
         # compact() wrote: a restart frames them as they are.
         self._folded: List[bytes] = []
-        self._journaled_since_compact = 0
+        # The journal length at which the journal folds again.
+        self._fold_at = FOLD_FLOOR
         self._next_request_id = itertools.count(1)
         self._poisoned: Optional[str] = None
         self._closed = False
@@ -401,7 +404,8 @@ class ShardSupervisorBase:
             value = self._recover(op, args, timeout, error)
         if journal:
             self._journal.append((op, args) if journal is True else journal)
-            self._maybe_compact()
+            if len(self._journal) >= self._fold_at:
+                self.compact()
         return value
 
     def _recover(
@@ -438,7 +442,9 @@ class ShardSupervisorBase:
         load.  Nothing is sent, so a dead shard compacts too.  Each folded
         entry is encoded here, once (:func:`~repro.core.codec.encode_tail`),
         and every later :meth:`restart` sends those bytes under its new
-        request ids.  Returns the folded journal's size on the wire: its
+        request ids.  The journal folds again once as many entries as the
+        fold holds peers, and at least :data:`FOLD_FLOOR`, are journaled
+        after it.  Returns the folded journal's size on the wire: its
         frames' bytes under one fixed request id.
         """
         landmarks: List[Tuple[str, Tuple[object, ...]]] = []
@@ -455,15 +461,8 @@ class ShardSupervisorBase:
                 landmarks.append((op, args))
         self._journal = landmarks + [("insert_paths", (tuple(live.values()), False))]
         self._folded = [encode_tail(op, args) for op, args in self._journal]
-        self._journaled_since_compact = 0
+        self._fold_at = len(self._journal) + max(len(live), FOLD_FLOOR)
         return sum(len(frame_tail(1, tail)) for tail in self._folded)
-
-    def _maybe_compact(self) -> None:
-        self._journaled_since_compact += 1
-        if self._compact_watermark is not None and (
-            self._journaled_since_compact >= self._compact_watermark
-        ):
-            self.compact()
 
     def _interpret_reply(self, reply, request_id: int, op: str) -> object:
         """Turn a decoded reply tuple into a value or a raised exception.
@@ -506,8 +505,8 @@ def shard_factory_for(backend: str, neighbor_set_size: int = 5, **kwargs):
     stays dead and ``restart()`` respawns it before replaying the
     journal.  Either way the backend stops its server on ``close()``.  Shards are
     named ``shard-0``, ``shard-1``, … in creation order; ``kwargs``
-    (``request_timeout``, ``recovery``, ``compact_watermark``) are shared by
-    every shard of the factory.
+    (``request_timeout``, ``recovery``) are shared by every shard of the
+    factory.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")

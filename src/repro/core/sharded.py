@@ -29,8 +29,9 @@ backend speaking the same methods:
   ``join_paths`` call per home shard inserts that shard's slice of the
   batch and answers with each path's local closest list: a newcomer, or a
   co-arriving batch, costs a remote backend one frame per shard, never
-  one per step or per peer; a re-registration adds the ``unregister`` of
-  the old path.
+  one per step or per peer; a re-registration is the same frame (the
+  shard's ``insert_paths`` replaces the old path), and only a peer that
+  moves to another shard adds an ``unregister`` on its old home.
 * **Departure** — ``unregister_peer`` on the peer's home shard removes it
   from that shard's tree and min-hop ordering; the coordinator's shared
   :class:`~repro.core.neighbor_cache.NeighborCache` repairs exactly the
@@ -327,26 +328,38 @@ class ShardedManagementServer(ManagementPlaneBase):
         Every input path, a superseded one included, is checked in input
         order against the landmark routers the coordinator holds, so the
         error is the single server's first-invalid-path error and no shard
-        hears of a rejected batch.  A peer the coordinator already holds is
-        unregistered next, then each home shard joins its slice (and
+        hears of a rejected batch.  A peer the coordinator already holds
+        leaves the coordinator next (cache repair, path, interned key,
+        change record); its home shard hears no ``unregister``, since the
+        ``insert_paths`` inside its join replaces the old path, unless the
+        peer moves to a landmark of another shard, whose old home then
+        drops it first.  Then each home shard joins its slice (and
         validates it again: the shard trusts no bytes it decodes).
         Membership is written only after every home shard acknowledged; a
         shard failing mid-arrival makes every shard asked so far drop its
         part again, the failing one included (its reply may have been lost
-        after it applied the join).  A shard that cannot be reached for
-        that keeps its part until the caller re-registers the batch, which
-        replaces it.  Lists and cache updates then follow exactly like the
-        single server.
+        after it applied the join), and the home shard of every
+        re-registered peer drop that peer, asked or not.  A shard that
+        cannot be reached for that keeps its part until the caller
+        re-registers the batch, which replaces it.  Lists and cache updates
+        then follow exactly like the single server.
         """
         for path in paths:
             self.validate_registrable(path)
         pending = {path.peer_id: path for path in paths}
-        for peer_id in pending:
-            if peer_id in self._paths:
-                self.unregister_peer(peer_id)
         by_shard: Dict[int, List[RouterPath]] = {}
         for path in pending.values():
             by_shard.setdefault(self._landmark_shard[path.landmark_id], []).append(path)
+        replaced = set()
+        for peer_id, path in pending.items():
+            held = self._paths.get(peer_id)
+            if held is None:
+                continue
+            if self._landmark_shard[held.landmark_id] == self._landmark_shard[path.landmark_id]:
+                replaced.add(peer_id)
+                self._forget(peer_id)
+            else:
+                self.unregister_peer(peer_id)
         local: Dict[PeerId, List[Tuple[PeerId, float]]] = {}
         asked: List[int] = []
         try:
@@ -355,12 +368,13 @@ class ShardedManagementServer(ManagementPlaneBase):
                 lists = self._shards[shard_index].join_paths(shard_paths, self.neighbor_set_size)
                 local.update(zip((path.peer_id for path in shard_paths), lists))
         except ShardUnavailableError:
-            for shard_index in asked:
-                for path in by_shard[shard_index]:
-                    try:
-                        self._shards[shard_index].unregister_peer(path.peer_id)
-                    except (UnknownPeerError, ShardUnavailableError):
-                        pass  # never joined there, or unreachable until a retry
+            for shard_index, shard_paths in by_shard.items():
+                for path in shard_paths:
+                    if shard_index in asked or path.peer_id in replaced:
+                        try:
+                            self._shards[shard_index].unregister_peer(path.peer_id)
+                        except (UnknownPeerError, ShardUnavailableError):
+                            pass  # never joined there, or unreachable until a retry
             raise
 
         for path in paths:
@@ -402,6 +416,12 @@ class ShardedManagementServer(ManagementPlaneBase):
             # An inline shard can never take this branch (coordinator and
             # shard membership move in lock step in one process).
             pass
+        self._forget(peer_id)
+
+    # -------------------------------------------------------------- internals
+
+    def _forget(self, peer_id: PeerId) -> None:
+        """The coordinator's half of a departure: path, key, cache, record."""
         del self._paths[peer_id]
         self._interner.discard(peer_id)
         self.stats.removals += 1
@@ -409,8 +429,6 @@ class ShardedManagementServer(ManagementPlaneBase):
             self._cache.drop_peer(peer_id)
         if self.changes is not None:
             self._peer_changed(peer_id)
-
-    # -------------------------------------------------------------- internals
 
     def _live_trees(self) -> Optional[Dict[LandmarkId, PathTree]]:
         """The inline shards' tries; None as soon as one shard is remote."""

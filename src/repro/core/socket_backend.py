@@ -537,14 +537,8 @@ class SocketShardSupervisor(ShardSupervisorBase):
         neighbor_set_size: int,
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
-        compact_watermark: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            name,
-            request_timeout=request_timeout,
-            recovery=recovery,
-            compact_watermark=compact_watermark,
-        )
+        super().__init__(name, request_timeout=request_timeout, recovery=recovery)
         self._server = address if isinstance(address, LocalShardServer) else None
         self.address: Address = getattr(address, "address", address)
         self.neighbor_set_size = neighbor_set_size
@@ -719,7 +713,6 @@ class SocketShardBackend:
         name: str = "socket-shard",
         request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
         recovery: Optional[RecoveryPolicy] = None,
-        compact_watermark: Optional[int] = None,
     ) -> None:
         self.name = name
         host = LocalShardServer() if address is None else address
@@ -731,7 +724,6 @@ class SocketShardBackend:
                 neighbor_set_size=neighbor_set_size,
                 request_timeout=request_timeout,
                 recovery=recovery,
-                compact_watermark=compact_watermark,
             )
         except BaseException:
             if self._server is not None:
@@ -758,11 +750,11 @@ class SocketShardBackend:
             "join_paths", (encoded, k), journal=("insert_paths", (encoded, False))
         )
         try:
-            lists = [_shared_pairs(pairs) for pairs in result]  # type: ignore[union-attr]
-            # One list per path, no peer twice; dict() also refuses a peer
-            # id that could never key the coordinator's cache.
-            if len(lists) == len(paths) and all(len(dict(pairs)) == len(pairs) for pairs in lists):
-                return lists
+            if len(result) == len(paths):  # type: ignore[arg-type]
+                return [
+                    _checked_pairs(pairs, path.peer_id, k)
+                    for pairs, path in zip(result, paths)  # type: ignore[call-overload]
+                ]
         except (TypeError, ValueError):
             pass
         # Acknowledged, so journaled; but no answer to record peers on.
@@ -772,7 +764,11 @@ class SocketShardBackend:
         self.supervisor.request("unregister", (peer_id,), journal=True)
 
     def local_closest(self, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
-        return _shared_pairs(self.supervisor.request("local_closest", (peer_id, k)))  # type: ignore[arg-type]
+        reply = self.supervisor.request("local_closest", (peer_id, k))
+        try:
+            return _checked_pairs(reply, peer_id, k)
+        except (TypeError, ValueError):
+            raise ShardUnavailableError(self.name, "malformed reply to 'local_closest'") from None
 
     def fill_candidates(
         self, bases: Mapping[LandmarkId, float], limit: int
@@ -880,11 +876,33 @@ class SocketShardBackend:
         )
 
 
-def _shared_pairs(pairs) -> List[Tuple[PeerId, float]]:
-    """A shard's ``(peer, distance)`` reply with each distance read through
-    :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`: the floats the frame
-    just decoded to never reach the coordinator's cache."""
-    return [(peer, SHARED_DISTANCES[distance]) for peer, distance in pairs]
+def _checked_pairs(pairs, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
+    """A shard's closest list for ``peer_id``, checked; ``ValueError`` or
+    ``TypeError`` when it breaks the contract of a local answer.
+
+    At most ``k`` two-item ``(peer, distance)`` items with a real-number
+    distance, in non-decreasing distance order, no peer twice and never
+    ``peer_id``; the set also refuses a peer no cache could key on.  Each
+    distance is read through
+    :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`: the floats the
+    frame just decoded to never reach the coordinator's cache.
+    """
+    checked = [
+        (peer, SHARED_DISTANCES[distance])
+        for peer, distance in pairs
+        if type(distance) in (int, float) and distance == distance  # not NaN
+    ]
+    distances = [distance for _, distance in checked]
+    peers = {peer for peer, _ in checked}
+    if (
+        len(checked) != len(pairs)
+        or len(checked) > k
+        or len(peers) < len(checked)
+        or peer_id in peers
+        or distances != sorted(distances)
+    ):
+        raise ValueError(f"not a closest list for {peer_id!r}")
+    return checked
 
 
 def socket_shard_factory(
@@ -892,7 +910,6 @@ def socket_shard_factory(
     addresses: Optional[Sequence[Address]] = None,
     request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
     recovery: Optional[RecoveryPolicy] = None,
-    compact_watermark: Optional[int] = None,
 ) -> Callable[[], SocketShardBackend]:
     """A ``shard_factory`` for :class:`ShardedManagementServer` over sockets.
 
@@ -913,7 +930,6 @@ def socket_shard_factory(
             name=f"shard-{index}",
             request_timeout=request_timeout,
             recovery=recovery,
-            compact_watermark=compact_watermark,
         )
 
     return factory

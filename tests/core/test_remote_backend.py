@@ -43,6 +43,7 @@ from repro.core.codec import (
 )
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
+from repro.core import remote
 from repro.core.remote import (
     DEFAULT_REQUEST_TIMEOUT,
     RecoveryPolicy,
@@ -73,7 +74,7 @@ def backend_name(request):
 @pytest.fixture()
 def make_shard(backend_name):
     """Build one remote shard of the parametrised backend (kwargs as for
-    ``shard_factory_for``: ``recovery=``, ``compact_watermark=``, ...)."""
+    ``shard_factory_for``: ``recovery=``, ``request_timeout=``)."""
 
     def make(neighbor_set_size=3, **kwargs):
         return shard_factory_for(backend_name, neighbor_set_size, **kwargs)()
@@ -572,7 +573,8 @@ class TestArrivalRoundTrips:
             requests = record_requests(plane)
             moved = simple_path("p1", "lmA", access="a9")
             assert plane.register_peer(moved) == reference.register_peer(moved)
-            assert requests[home] == ["unregister", "join_paths"]
+            # The join's insert_paths replaces the old path on the shard.
+            assert requests[home] == ["join_paths"]
             del requests[home][:]
             repeated = [
                 simple_path("p7", "lmA", access="a0"),
@@ -585,10 +587,65 @@ class TestArrivalRoundTrips:
             assert journal_ops(plane)[home] == [
                 "register_landmark",
                 "insert_paths",
-                "unregister",
                 "insert_paths",
                 "insert_paths",
             ]
+            assert plane.peers() == reference.peers()
+            for peer in reference.peers():
+                assert plane.closest_peers(peer) == reference.closest_peers(peer)
+
+    def test_a_reregistering_batch_is_one_join_per_home_shard(self):
+        plane, reference = spread_plane("socket")
+        with plane:
+            batch = lambda access: [  # noqa: E731
+                simple_path(f"p{i}", "lmA" if i % 2 else "lmC", access=f"{access}{i % 7}")
+                for i in range(64)
+            ]
+            assert plane.register_peers(batch("a")) == reference.register_peers(batch("a"))
+            requests = record_requests(plane)
+            assert plane.register_peers(batch("b")) == reference.register_peers(batch("b"))
+            assert requests == [["join_paths"], ["join_paths"]]
+            assert shard_counts(plane) == [(64, 32), (64, 32)]
+            assert plane.peers() == reference.peers()
+            for peer in reference.peers():
+                assert plane.closest_peers(peer) == reference.closest_peers(peer)
+
+    def test_a_peer_moving_shards_leaves_its_old_home(self, backend_name):
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            home, other = plane.shard_of("lmA"), plane.shard_of("lmC")
+            seeded = [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(4)]
+            plane.register_peers(seeded)
+            reference.register_peers(seeded)
+            requests = record_requests(plane)
+            moved = simple_path("p1", "lmC")
+            assert plane.register_peer(moved) == reference.register_peer(moved)
+            # p1 is alone under lmC: its list is filled from lmA's shard.
+            assert requests[home] == ["unregister", "fill"] and requests[other] == ["join_paths"]
+            assert "p1" not in plane.shards[home].tree("lmA").peers()
+            for peer in reference.peers():
+                assert plane.closest_peers(peer) == reference.closest_peers(peer)
+
+    def test_a_failed_reregistration_leaves_no_phantom_on_an_unasked_home(self):
+        """The re-registered peer's home shard is second in the batch and is
+        never asked: the cleanup still drops the old path there, since the
+        coordinator has already let the peer go."""
+        inner = shard_factory_for("socket", 3)
+        plane, reference = spread_plane("socket", lambda: ChaosShardBackend(inner(), FaultPlan()))
+        with plane:
+            home, other = plane.shard_of("lmA"), plane.shard_of("lmC")
+            seeded = [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(4)]
+            plane.register_peers(seeded)
+            reference.register_peers(seeded)
+            plane.shards[other].plan = FaultPlan([Fault(at_op=1, kind="drop", op_name="join_paths")])
+            requests = record_requests(plane)
+            batch = [simple_path("c0", "lmC"), simple_path("p2", "lmA", access="a9")]
+            with pytest.raises(ShardUnavailableError):
+                plane.register_peers(batch)
+            assert requests[home] == ["unregister"]  # the cleanup, never a join
+            assert not plane.has_peer("p2") and not plane.has_peer("c0")
+            assert plane.shards[home].tree("lmA").peers() == ["p0", "p1", "p3"]
+            assert plane.register_peers(batch) == reference.register_peers(batch)
             assert plane.peers() == reference.peers()
             for peer in reference.peers():
                 assert plane.closest_peers(peer) == reference.closest_peers(peer)
@@ -1130,18 +1187,19 @@ class TestJournalCompaction:
                 assert frame == encode((decode_frame(frame)[0], op, args))
             assert shard.local_closest("p3", 3) and len(shard.tree("lmA").peers()) == 20
 
-    def test_watermark_auto_compacts_during_normal_traffic(self, make_shard):
+    def test_the_journal_folds_itself_at_the_floor(self, make_shard, monkeypatch):
+        monkeypatch.setattr(remote, "FOLD_FLOOR", 4)
         reference = ManagementServer(neighbor_set_size=2, maintain_cache=False)
         reference.register_landmark("lmA", "lmA")
-        with make_shard(2, compact_watermark=4) as shard:
+        with make_shard(2) as shard:
             shard.register_landmark("lmA", "lmA")
             for i in range(7):
                 path = simple_path(f"p{i}", "lmA", access=f"a{i % 3}")
                 shard.insert_paths([path])
                 reference.insert_paths([path])
-                # A fold is one entry per landmark plus one; 3 more follow it.
-                assert shard.supervisor.journal_length <= 1 + 4
-            # 8 journaled entries: folded at the 4th and the 8th.
+                # Folded at 4 entries (3 peers), then 4 entries after that
+                # fold: one entry per landmark plus one, and at most 4 more.
+                assert shard.supervisor.journal_length <= 1 + 1 + 4
             assert [op for op, _ in shard.supervisor.journal] == [
                 "register_landmark",
                 "insert_paths",
@@ -1150,28 +1208,81 @@ class TestJournalCompaction:
             for i in range(7):
                 assert shard.local_closest(f"p{i}", 2) == reference.local_closest(f"p{i}", 2)
 
-    @pytest.mark.parametrize("watermark", [1, 2, 3, 5])
-    def test_the_watermark_counts_entries_journaled_since_the_last_fold(
-        self, make_shard, monkeypatch, watermark
-    ):
-        """A folded journal holds one entry per landmark plus one: with 3
-        landmarks it is 4 long, so a watermark of up to 5 on the journal's
-        length would fold after every op."""
-        with make_shard(compact_watermark=watermark) as shard:
+    @pytest.mark.parametrize("floor", [1, 2, 3, 5])
+    def test_the_fold_fires_exactly_at_the_threshold(self, make_shard, monkeypatch, floor):
+        """The journal folds when the entries journaled since the last fold
+        reach the peers that fold held, or the floor if it held fewer: a
+        folded journal of 3 landmarks is 4 entries long, so a rule on the
+        journal's length would fold after every op."""
+        monkeypatch.setattr(remote, "FOLD_FLOOR", floor)
+        with make_shard() as shard:
             for landmark in ("lmA", "lmB", "lmC"):
                 shard.register_landmark(landmark, landmark)
             shard.compact()
             assert shard.supervisor.journal_length == 4
-            folds = []
+            folds = []  # after how many ops the journal folded
             compact = shard.supervisor.compact
-            monkeypatch.setattr(shard.supervisor, "compact", lambda: folds.append(1) or compact())
-            ops = 9
-            for i in range(ops):
-                if i % 3 == 2:
-                    shard.unregister_peer(f"p{i - 1}")
+            monkeypatch.setattr(shard.supervisor, "compact", lambda: folds.append(ops) or compact())
+            live, expected, since, threshold = set(), [], 0, floor
+            for i in range(24):
+                ops = i + 1
+                if i % 4 == 3:
+                    peer = min(live, key=lambda name: int(name[1:]))
+                    shard.unregister_peer(peer)
+                    live.discard(peer)
                 else:
                     shard.insert_paths([simple_path(f"p{i}", "lmB", access=f"a{i}")])
-            assert len(folds) == ops // watermark
+                    live.add(f"p{i}")
+                since += 1
+                if since >= threshold:
+                    expected.append(ops)
+                    since, threshold = 0, max(len(live), floor)
+                assert folds == expected
+            assert len(expected) >= 3
+
+    def test_churn_never_outgrows_the_bound_and_a_restart_needs_no_compact(
+        self, backend_name, monkeypatch
+    ):
+        """Five times the live population churned through two shards with a
+        small floor: after every op each journal holds at most one entry per
+        landmark, the fold, and max(live at the last fold, floor) entries,
+        and a restart onto the self-folded journal rebuilds the tries."""
+        monkeypatch.setattr(remote, "FOLD_FLOOR", 6)
+        plane, reference = spread_plane(backend_name)
+        with plane:
+            held = dict.fromkeys(range(len(plane.shards)), 0)  # peers each last fold held
+            for index, shard in enumerate(plane.shards):
+
+                def folding(_index=index, _compact=shard.supervisor.compact, _shard=shard):
+                    size = _compact()
+                    held[_index] = len(_shard.supervisor.journal[-1][1][0])
+                    return size
+
+                monkeypatch.setattr(shard.supervisor, "compact", folding)
+            landmarks = ("lmA", "lmC")
+            peers = [simple_path(f"p{i}", landmarks[i % 2], access=f"a{i % 5}") for i in range(10)]
+            for plane_or_reference in (plane, reference):
+                plane_or_reference.register_peers(peers)
+            for step in range(5 * len(peers)):
+                victim = peers[(7 * step) % len(peers)]
+                back = simple_path(victim.peer_id, landmarks[step % 2], access=f"a{step % 4}")
+                for plane_or_reference in (plane, reference):
+                    plane_or_reference.unregister_peer(victim.peer_id)
+                    plane_or_reference.register_peer(back)
+                peers[(7 * step) % len(peers)] = back
+                for index, shard in enumerate(plane.shards):
+                    bound = len(plane.shard_landmarks(index)) + 1 + max(held[index], remote.FOLD_FLOOR)
+                    assert shard.supervisor.journal_length <= bound, (step, index)
+            for index, shard in enumerate(plane.shards):
+                assert held[index] > 0, "the journal never folded itself"
+                shard.restart()
+                for landmark in plane.shard_landmarks(index):
+                    assert trie_by_route(shard.tree(landmark)) == trie_by_route(
+                        reference.tree(landmark)
+                    )
+            assert plane.peers() == reference.peers()
+            for peer in reference.peers():
+                assert plane.closest_peers(peer, 4) == reference.closest_peers(peer, 4)
 
     def test_a_shard_restarted_onto_its_fold_keeps_serving_writes(self, pair):
         shard, reference = pair
@@ -1268,10 +1379,6 @@ class TestJournalCompaction:
                     )
         finally:
             plane.close()
-
-    def test_compact_watermark_must_be_positive(self, make_shard):
-        with pytest.raises(ValueError):
-            make_shard(2, compact_watermark=0)
 
 
 def wait_until_every_thread_stopped(pid: int, timeout: float = 5.0) -> None:

@@ -760,6 +760,21 @@ FILL_CORRUPTIONS = {
 }
 
 
+#: Ways a shard's reply to ``local_closest`` can break its contract (the
+#: honest reply is ``c0``'s five local neighbours, nearest first).
+CLOSEST_CORRUPTIONS = {
+    "short item": lambda pairs: [pairs[0][:1]] + pairs[1:],
+    "string distance": lambda pairs: [[pairs[0][0], str(pairs[0][1])]] + pairs[1:],
+    "boolean distance": lambda pairs: [[pairs[0][0], True]] + pairs[1:],
+    "not-a-number distance": lambda pairs: pairs[:-1] + [[pairs[-1][0], float("nan")]],
+    "unhashable peer": lambda pairs: [[[pairs[0][0]], pairs[0][1]]] + pairs[1:],
+    "repeated peer": lambda pairs: pairs + [pairs[-1]],
+    "over-long list": lambda pairs: pairs + [["zz", pairs[-1][1] + 1.0]],
+    "unsorted list": lambda pairs: pairs[1:] + [[pairs[0][0], pairs[0][1] - 1.0]],
+    "the querying peer": lambda pairs: [["c0", 0.0]] + pairs[:-1],
+}
+
+
 def fill_planes(landmarks):
     """A 2-shard socket plane without a cache, and its single-server twin."""
     single = ManagementServer(
@@ -829,6 +844,28 @@ class TestFillReplies:
             monkeypatch.undo()
             # The frames were whole: the channel was never desynchronised.
             assert plane.closest_peers("a0") == single.closest_peers("a0")
+
+    @pytest.mark.parametrize("corruption", sorted(CLOSEST_CORRUPTIONS))
+    def test_a_malformed_local_closest_reply_ends_typed(self, corruption, monkeypatch):
+        single, plane = fill_planes(("lmA", "lmC"))
+        with plane:
+            victim = plane.shards[1]
+            conn = victim.supervisor.connection
+            honest = conn.recv_frame
+
+            def corrupted(budget):
+                request_id, status, value = honest(budget)
+                return (request_id, status, CLOSEST_CORRUPTIONS[corruption](value))
+
+            monkeypatch.setattr(conn, "recv_frame", corrupted)
+            answer = plane.closest_peers("c0")
+            assert isinstance(answer, DegradedResult)
+            # Only the healthy shard's fill: c0's own shard answered nothing usable.
+            assert [peer for peer, _ in answer] == ["a0", "a1"]
+            assert answer.shard == victim.name
+            assert "malformed reply to 'local_closest'" in answer.reason
+            monkeypatch.undo()
+            assert plane.closest_peers("c0") == single.closest_peers("c0")
 
 
 class TestServeCLI:
