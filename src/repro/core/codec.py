@@ -2,8 +2,8 @@
 
 Sits below both :mod:`repro.core.socket_backend` (which moves these frames
 over sockets) and :mod:`repro.core.remote` (which dispatches the requests
-and keeps the journal of acknowledged ones, paths in the very encoding the
-wire carries), so neither has to import the other.
+and keeps the acknowledged peers' paths a restart replays, in the very
+encoding the wire carries), so neither has to import the other.
 
 Frames
 ------
@@ -64,19 +64,14 @@ path encodes in ~1.9 µs (2.7) and decodes in ~1.7 µs (2.5); a reply of 10
 ``(peer, distance)`` pairs encodes in ~3.5 µs (4.4) and decodes in
 ~3.0 µs (3.5).
 
-A request kept to be sent again — the folded journal a shard restart
-replays — is encoded once: :func:`encode_tail` writes what follows the
-request id in its body, and :func:`frame_tail` frames those bytes under any
-id, byte for byte what :func:`encode_frame` writes for the whole request.
-
 Paths
 -----
 :class:`~repro.core.path.RouterPath` crosses every serialisation boundary
-(wire requests, journals) as a tagged plain-data tuple, so the formats are
+(wire requests, the journal) as a tagged plain-data tuple, so the formats are
 independent of repro class layout and a crash mid-write can never surface
 as a half-decoded domain object.  This module owns that layout:
 :func:`encoded_peer` reads a peer id off an encoded path without building
-the path (journal compaction folds on it).
+the path (the shard supervisor keys its live paths on it).
 """
 
 from __future__ import annotations
@@ -95,9 +90,7 @@ __all__ = [
     "decode_path",
     "encode_frame",
     "encode_path",
-    "encode_tail",
     "encoded_peer",
-    "frame_tail",
 ]
 
 _HEADER = struct.Struct("!I")
@@ -145,18 +138,6 @@ def encode_frame(message: Tuple[object, ...]) -> bytes:
     """Serialise one message tuple into a length-prefixed frame."""
     body = "".join(_encode(message, 0)).encode("ascii")
     return _HEADER.pack(len(body)) + body
-
-
-def encode_tail(op: str, args: Tuple[object, ...]) -> bytes:
-    """The body of request ``(request_id, op, args)`` after its id and comma."""
-    return "".join(_encode((op, args), 0))[1:].encode("ascii")
-
-
-def frame_tail(request_id: int, tail: bytes) -> bytes:
-    """The frame :func:`encode_frame` writes for the request whose
-    :func:`encode_tail` is ``tail``, under ``request_id``."""
-    head = b"[%d," % request_id
-    return _HEADER.pack(len(head) + len(tail)) + head + tail
 
 
 def _frame_end(buffer: bytes) -> int:

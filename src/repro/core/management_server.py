@@ -43,7 +43,7 @@ With ``n`` registered peers under a landmark, ``k = neighbor_set_size`` and
   one index query.
 * **Load** (:meth:`ManagementServer.insert_paths` of a batch that lands
   only in trees holding no peers and neither re-registers nor repeats a
-  peer — a cold start, or a compacted journal replayed onto an empty
+  peer — a cold start, or the journal a restart replays onto an empty
   shard): one :meth:`~repro.core.path_tree.PathTree.load` per landmark —
   one walk per path, one sort of the batch's entries, one append per row on
   each root path: no bisect, no memmove.  The result is the server per-path

@@ -71,8 +71,8 @@ colliding ``repr``s — and appends each entry to every row on its root
 path, which leaves every row sorted.  It runs only on a tree with no peers
 and a batch that repeats no peer.  The management server loads a batch
 when every path lands in a tree that holds no peers as the batch starts and
-no path re-registers or repeats a peer — a cold start, or a compacted
-journal replayed onto an empty shard; any other batch, and every single
+no path re-registers or repeats a peer — a cold start, or the journal
+a restart replays onto an empty shard; any other batch, and every single
 join, inserts path by path.
 
 Stable node ids

@@ -1,4 +1,4 @@
-"""Remote shards: the request protocol, the journal, recovery and compaction.
+"""Remote shards: the request protocol, the journal and recovery.
 
 :class:`~repro.core.sharded.ShardedManagementServer` drives its shards
 through the :class:`~repro.core.sharded.ShardBackend` protocol.  A remote
@@ -58,19 +58,22 @@ malformed frames and replies included: :class:`~repro.exceptions.
 WireProtocolError` is internal, and deliberately distinct from the
 join-protocol ``ProtocolError`` — and poisons the channel so subsequent
 requests fail fast until :meth:`ShardSupervisorBase.restart`.  The supervisor
-keeps a **per-shard operation journal** of every successful mutating
-request (``register_landmark``, ``insert_paths``, ``unregister``); a
-restart lands on an *empty* shard and replays the journal in order, which
-rebuilds the shard's trees and min-hop orderings to a byte-identical state
-(insert order determines tree shape; the orderings are rebuilt lazily from
-the same sorted keys).  Mutating requests only touch coordinator state
-*after* the shard acknowledged them, so a crash mid-operation leaves the
-coordinator consistent with the journal for single-operation
-arrival/departure/query: a failed join leaves no peer behind.  A batch
-``register_peers`` that spans shards is not atomic across a shard crash:
-the coordinator records none of it while the shards that acknowledged hold
-their slice — restart, replay and re-register the batch (a peer a shard
-already holds is replaced) to converge.
+keeps the **state a restart rebuilds** from every successful mutating
+request (``register_landmark``, ``insert_paths``, ``unregister``): the
+shard's landmarks in registration order, and one path per live peer in
+registration order.  Its :attr:`ShardSupervisorBase.journal` is the ops a
+restart replays onto the *empty* shard it lands on — every
+``register_landmark``, then ONE ``insert_paths`` of the live paths, which
+the empty shard loads — and that rebuilds the shard's trees and min-hop
+orderings to a byte-identical state (insert order determines tree shape;
+the orderings are rebuilt lazily from the same sorted keys).  Mutating
+requests only touch coordinator state *after* the shard acknowledged them,
+so a crash mid-operation leaves the coordinator consistent with the journal
+for single-operation arrival/departure/query: a failed join leaves no peer
+behind.  A batch ``register_peers`` that spans shards is not atomic across
+a shard crash: the coordinator records none of it while the shards that
+acknowledged hold their slice — restart, replay and re-register the batch
+(a peer a shard already holds is replaced) to converge.
 
 Self-healing
 ------------
@@ -80,18 +83,9 @@ restart → one re-issue of the failed request, instead of raising on first
 fault.  The backoff doubles from ``backoff_base_s`` up to
 :data:`BACKOFF_CAP_S`, without jitter, so a schedule is the same on every
 run; journal replay rebuilds shard state byte-identically, so a re-issued
-read — a fill included — answers what the lost one would have.  The journal
-itself is bounded: :meth:`ShardSupervisorBase.compact` folds it into the
-ops that rebuild the live state — every ``register_landmark`` in order,
-then ONE ``insert_paths`` of the live peers' paths in registration order,
-which an empty shard loads — so restart cost is O(live state), not
-O(operation history).  The fold reads only the journal: it sends nothing,
-so it works on a dead shard and cannot fail.  The supervisor folds its own
-journal once the entries journaled since the last fold reach the peers
-that fold held, or :data:`FOLD_FLOOR` when it held fewer: each fold costs
-O(entries + live peers) and comes after at least as many entries, so
-upkeep is O(1) per op, and a restart replays at most one entry per
-landmark, the fold, and ``max(live peers, FOLD_FLOOR)`` entries.
+read — a fill included — answers what the lost one would have.  Each
+acknowledgement updates the recorded state once, so upkeep is O(1) per
+path and a restart replays O(live state), whatever the operation history.
 """
 
 from __future__ import annotations
@@ -100,13 +94,14 @@ import builtins
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .. import exceptions as _exceptions
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import decode_path, encode_path, encode_tail, encoded_peer, frame_tail
+from .codec import decode_path, encode_path, encoded_peer
 from .management_server import ManagementServer
+from .path import PeerId
 
 __all__ = [
     "BACKENDS",
@@ -133,12 +128,6 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 
 #: Longest sleep before one restart attempt, in seconds.
 BACKOFF_CAP_S = 2.0
-
-#: Fewest entries journaled since the last fold that make a journal fold
-#: again.  Replaying ~1,000 single-op frames (~55 µs each) costs about what
-#: one folded restart costs at bench scale (45–90 ms), so a journal shorter
-#: than this is not worth folding.
-FOLD_FLOOR = 1024
 
 
 # ---------------------------------------------------------------- recovery
@@ -280,21 +269,19 @@ def _dispatch(server: ManagementServer, op: str, args):
 
 
 class ShardSupervisorBase:
-    """Transport-agnostic shard supervision: journal, recovery, compaction.
+    """Transport-agnostic shard supervision: journal and recovery.
 
     The one subclass, :class:`~repro.core.socket_backend.SocketShardSupervisor`,
     owns the transport — dialling a shard server's socket and, for a server
     it hosts itself, respawning it — and defines the hooks this class calls:
     ``_establish_transport``, ``_teardown_transport`` and ``_roundtrip``
-    (plus ``notify``); ``_roundtrip`` sends
-    a folded journal entry's ``tail`` bytes, when it is given one, instead
-    of encoding ``(op, args)`` again.  Everything above
-    the transport is shared verbatim: the **operation journal** of
-    acknowledged mutating requests, :meth:`restart` (fresh transport +
-    in-order replay, restoring the shard's data plane byte-identically), the
-    :class:`RecoveryPolicy` loop of backoff → restart → re-issue, and
-    journal compaction (:meth:`compact`), which runs by itself once the
-    journal outgrows the live state it rebuilds (:data:`FOLD_FLOOR`).
+    (plus ``notify``).  Everything above the transport is shared verbatim:
+    the state a restart rebuilds — the acknowledged ``register_landmark``
+    ops in order, and each live peer's encoded path in registration order,
+    updated once per acknowledged mutation — its replay form
+    :attr:`journal`, :meth:`restart` (fresh transport + replay, restoring
+    the shard's data plane byte-identically), and the
+    :class:`RecoveryPolicy` loop of backoff → restart → re-issue.
 
     Parameters
     ----------
@@ -321,12 +308,8 @@ class ShardSupervisorBase:
             request_timeout = DEFAULT_REQUEST_TIMEOUT
         self.request_timeout = request_timeout
         self._recovery = recovery
-        self._journal: List[Tuple[str, Tuple[object, ...]]] = []
-        # The encode_tail bytes of the journal's first entries, the fold
-        # compact() wrote: a restart frames them as they are.
-        self._folded: List[bytes] = []
-        # The journal length at which the journal folds again.
-        self._fold_at = FOLD_FLOOR
+        self._landmarks: List[Tuple[str, Tuple[object, ...]]] = []
+        self._live: Dict[PeerId, Tuple[object, ...]] = {}
         self._next_request_id = itertools.count(1)
         self._poisoned: Optional[str] = None
         self._closed = False
@@ -336,13 +319,16 @@ class ShardSupervisorBase:
 
     @property
     def journal(self) -> Tuple[Tuple[str, Tuple[object, ...]], ...]:
-        """The acknowledged mutating operations, in order (immutable view)."""
-        return tuple(self._journal)
+        """The ops a restart replays (immutable view): every acknowledged
+        ``register_landmark`` in order, then ONE ``insert_paths(live paths,
+        validate=False)`` in registration order, when a peer is live."""
+        load = (("insert_paths", (tuple(self._live.values()), False)),) if self._live else ()
+        return tuple(self._landmarks) + load
 
     @property
     def journal_length(self) -> int:
         """Number of journal entries — O(1), unlike materialising ``journal``."""
-        return len(self._journal)
+        return len(self._landmarks) + bool(self._live)
 
     @property
     def epoch(self) -> int:
@@ -350,13 +336,13 @@ class ShardSupervisorBase:
         return self._epoch
 
     def restart(self) -> None:
-        """Fresh transport + in-order journal replay (crash recovery)."""
+        """Fresh transport + journal replay (crash recovery)."""
         if self._closed:
             raise ShardUnavailableError(self.name, "supervisor is closed")
         self._teardown_transport()
         self._establish_transport()
-        for (op, args), tail in itertools.zip_longest(self._journal, self._folded):
-            self._roundtrip(op, args, tail=tail)
+        for op, args in self.journal:
+            self._roundtrip(op, args)
 
     def close(self) -> None:
         """Shut the shard down and release the transport (idempotent)."""
@@ -387,9 +373,9 @@ class ShardSupervisorBase:
         timeout: Optional[float] = None,
         recoverable: bool = True,
     ) -> object:
-        """One request/reply round trip; journals mutating ops on success.
+        """One request/reply round trip; records mutating ops on success.
 
-        ``journal=True`` journals the request itself; a compound request
+        ``journal=True`` records the request itself; a compound request
         passes the ``(op, args)`` of the mutation it contains instead.
         With a :class:`RecoveryPolicy` installed, a transport failure on a
         ``recoverable`` request runs the bounded restart+replay+re-issue
@@ -403,10 +389,27 @@ class ShardSupervisorBase:
                 raise
             value = self._recover(op, args, timeout, error)
         if journal:
-            self._journal.append((op, args) if journal is True else journal)
-            if len(self._journal) >= self._fold_at:
-                self.compact()
+            self._record(*((op, args) if journal is True else journal))
         return value
+
+    def _record(self, op: str, args: Tuple[object, ...]) -> None:
+        """Apply one acknowledged mutation to the state a restart rebuilds.
+
+        An ``insert_paths`` moves each of its peers to the end of the
+        registration order (a peer already there is replaced), an
+        ``unregister`` drops its peer if it is there, and any other op is a
+        landmark.  Every recorded op was acknowledged, so the load a
+        restart sends needs no validating again.
+        """
+        if op == "insert_paths":
+            for encoded in args[0]:  # type: ignore[attr-defined]
+                peer = encoded_peer(encoded)
+                self._live.pop(peer, None)
+                self._live[peer] = encoded
+        elif op == "unregister":
+            self._live.pop(args[0], None)  # type: ignore[arg-type]
+        else:
+            self._landmarks.append((op, args))
 
     def _recover(
         self,
@@ -429,40 +432,6 @@ class ShardSupervisorBase:
             except ShardUnavailableError as retry_error:
                 last = retry_error
         raise last
-
-    def compact(self) -> int:
-        """Fold the journal into the ops that rebuild the live state.
-
-        The folded journal is every ``register_landmark`` in order, then ONE
-        ``insert_paths(live paths, validate=False)``: an ``insert_paths``
-        entry moves each of its peers to the end of the registration order
-        (a peer already there is replaced), an ``unregister`` drops its
-        peer, and every entry was acknowledged, so nothing needs validating
-        again.  A restart lands on an empty shard, where that batch is a
-        load.  Nothing is sent, so a dead shard compacts too.  Each folded
-        entry is encoded here, once (:func:`~repro.core.codec.encode_tail`),
-        and every later :meth:`restart` sends those bytes under its new
-        request ids.  The journal folds again once as many entries as the
-        fold holds peers, and at least :data:`FOLD_FLOOR`, are journaled
-        after it.  Returns the folded journal's size on the wire: its
-        frames' bytes under one fixed request id.
-        """
-        landmarks: List[Tuple[str, Tuple[object, ...]]] = []
-        live = {}
-        for op, args in self._journal:
-            if op == "insert_paths":
-                for encoded in args[0]:  # type: ignore[attr-defined]
-                    peer = encoded_peer(encoded)
-                    live.pop(peer, None)
-                    live[peer] = encoded
-            elif op == "unregister":
-                del live[args[0]]
-            else:
-                landmarks.append((op, args))
-        self._journal = landmarks + [("insert_paths", (tuple(live.values()), False))]
-        self._folded = [encode_tail(op, args) for op, args in self._journal]
-        self._fold_at = len(self._journal) + max(len(live), FOLD_FLOOR)
-        return sum(len(frame_tail(1, tail)) for tail in self._folded)
 
     def _interpret_reply(self, reply, request_id: int, op: str) -> object:
         """Turn a decoded reply tuple into a value or a raised exception.

@@ -409,7 +409,7 @@ class ShardedManagementServer(ManagementPlaneBase):
             self._shards[self._landmark_shard[landmark_id]].unregister_peer(peer_id)
         except UnknownPeerError:
             # The shard no longer holds a peer the coordinator does: a
-            # departure whose reply was lost — applied and journaled there,
+            # departure whose reply was lost — applied and recorded there,
             # ShardUnavailableError here — is being retried.  Absent
             # shard-side is exactly what a departure wants, so finish the
             # coordinator's half instead of dead-ending on a phantom peer.

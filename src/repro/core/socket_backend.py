@@ -7,7 +7,7 @@ per connection) hosts a ``ManagementServer(maintain_cache=False)`` per
 remote-shard client class — is a full
 :class:`~repro.core.sharded.ShardBackend` over it.  The frame codec
 (:mod:`repro.core.codec`), the request dispatch and the
-journal/recovery/compaction story (:mod:`repro.core.remote`) live
+journal/recovery story (:mod:`repro.core.remote`) live
 elsewhere — this module is how frames move, who hosts the server, how a
 dead transport comes back and what the client asks for.
 
@@ -22,8 +22,8 @@ so no input, however it arrives, reaches a previous tenant's peers, and the
 shard is all a connection holds: every request, a fill included, is one
 self-contained read or write.  Dying and reconnecting (every restart dials
 afresh) therefore lands on an *empty* shard, and the supervisor heals it by
-replaying the operation journal (compacted or not) in order,
-byte-identical by insert order, under the
+replaying its journal — the shard's landmarks, then one load of its live
+peers' paths — byte-identical by insert order, under the
 :class:`~repro.core.remote.RecoveryPolicy` backoff loop.
 ``PROTOCOL_VERSION`` names the operation set, so a client and a server
 that disagree on it fail the hello typed.
@@ -80,7 +80,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
 from .budget import DeadlineBudget
-from .codec import MAX_FRAME_BYTES, decode_frame, decode_path, encode_frame, encode_path, frame_tail
+from .codec import MAX_FRAME_BYTES, decode_frame, decode_path, encode_frame, encode_path
 from .codec import _HEADER, _frame_end
 from .neighbor_cache import SHARED_DISTANCES
 from .path import LandmarkId, PeerId, RouterPath
@@ -521,7 +521,7 @@ class SocketShardSupervisor(ShardSupervisorBase):
     """Supervises one connection-scoped shard on a shard server.
 
     The transport half of :class:`~repro.core.remote.ShardSupervisorBase`
-    (journal, recovery loop and compaction are inherited).  *Restart* means
+    (journal and recovery loop are inherited).  *Restart* means
     a fresh dial + hello + journal replay; :attr:`epoch` counts
     connections.  Given a
     :class:`LocalShardServer` in place of a bare ``address`` the supervisor
@@ -637,7 +637,6 @@ class SocketShardSupervisor(ShardSupervisorBase):
         op: str,
         args: Tuple[object, ...],
         timeout: Optional[float] = None,
-        tail: Optional[bytes] = None,
     ) -> object:
         if self._closed:
             raise ShardUnavailableError(self.name, "supervisor is closed")
@@ -649,12 +648,7 @@ class SocketShardSupervisor(ShardSupervisorBase):
         budget = self._budget(timeout)
         request_id = next(self._next_request_id)
         try:
-            conn.send_frame(
-                encode_frame((request_id, op, args))
-                if tail is None
-                else frame_tail(request_id, tail),
-                budget,
-            )
+            conn.send_frame(encode_frame((request_id, op, args)), budget)
             reply = conn.recv_frame(budget)
         except ShardUnavailableError:
             raise
@@ -743,8 +737,8 @@ class SocketShardBackend:
         )
 
     def join_paths(self, paths: Sequence[RouterPath], k: int) -> List[List[Tuple[PeerId, float]]]:
-        """One round trip, journaled on ack as the ``insert_paths`` it contains
-        (validated by then): journal, replay and compaction stay what they were."""
+        """One round trip, recorded on ack as the ``insert_paths`` it contains
+        (validated by then), as an ``insert_paths`` request would be."""
         encoded = tuple(encode_path(path) for path in paths)
         result = self.supervisor.request(
             "join_paths", (encoded, k), journal=("insert_paths", (encoded, False))
@@ -757,7 +751,7 @@ class SocketShardBackend:
                 ]
         except (TypeError, ValueError):
             pass
-        # Acknowledged, so journaled; but no answer to record peers on.
+        # Acknowledged, so recorded; but no answer to record peers on.
         raise ShardUnavailableError(self.name, "malformed reply to 'join_paths'")
 
     def unregister_peer(self, peer_id: PeerId) -> None:
@@ -844,8 +838,9 @@ class SocketShardBackend:
         self.supervisor.restart()
 
     def compact(self) -> int:
-        """Fold the supervisor's journal; return the folded journal's bytes."""
-        return self.supervisor.compact()
+        """The journal's size on the wire: its frames' bytes under one fixed
+        request id.  Nothing changes: the journal is always the live state."""
+        return sum(len(encode_frame((1, op, args))) for op, args in self.supervisor.journal)
 
     # -------------------------------------------------------------- lifecycle
 

@@ -4,7 +4,7 @@ The per-peer state (a path in the landmark trie, a cached neighbour list and
 its reverse-index edges, the registry entry) is what makes a lookup O(1),
 and it is most of a large plane's memory.  These tests pin it with
 ``tracemalloc`` on a single server at 3,200 synthetic peers, k = 5, built by
-registration, and on a cache-less shard rebuilt from its folded journal.
+registration, and on a cache-less shard rebuilt from its journal.
 The bounds are the measured figures plus 10 % headroom, so a representation
 that gives back a set per reverse-index target, a float per cached distance,
 a dict per path or a duplicate per-peer registry fails here first.  A
@@ -34,7 +34,7 @@ PEERS = 3_200
 #: took 1,125, and the representation before lists, shared floats, slotted
 #: paths and one registry per layer took 1,793.
 REGISTERED_BOUND = 1_150
-#: Measured 518 bytes per peer on a cache-less shard that replayed its folded
+#: Measured 518 bytes per peer on a cache-less shard that replayed its
 #: journal (603 while the interner held a tuple per peer): the path, the
 #: trie entry and attachment, the interned key.
 RELOADED_SHARD_BOUND = 570
@@ -81,7 +81,7 @@ def test_a_registered_peer_costs_the_pinned_bytes():
 
 @measured_interpreter
 def test_a_peer_a_shard_reloads_from_its_fold_costs_the_pinned_bytes():
-    """What a restart onto a compacted journal rebuilds: one landmark and
+    """What a restart's journal rebuilds: one landmark and
     one ``insert_paths`` of encoded paths, decoded and loaded by the shard's
     request handler."""
     fold = [

@@ -5,7 +5,7 @@ shard server per shard vs. a loopback server thread, the same transport
 under both: parity with an inline shard, the fault-injection contract
 (typed ``ShardUnavailableError`` naming the shard — never a hang or a
 decoder traceback), supervisor restart with journal replay, self-healing
-under a ``RecoveryPolicy``, journal compaction, the one-deadline claim, and
+under a ``RecoveryPolicy``, the journal's rules, the one-deadline claim, and
 teardown (no test may leave an orphaned process — enforced suite-wide by
 the ``no_leaked_workers`` autouse fixture in ``tests/conftest.py``).
 ``kill(supervisor)`` (``tests/chaos.py``) is the crash on both: SIGKILL for
@@ -37,13 +37,10 @@ from repro.core.codec import (
     decode_path,
     encode_frame,
     encode_path,
-    encode_tail,
     encoded_peer,
-    frame_tail,
 )
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
-from repro.core import remote
 from repro.core.remote import (
     DEFAULT_REQUEST_TIMEOUT,
     RecoveryPolicy,
@@ -127,12 +124,6 @@ class TestCodec:
             decode_frame(frame[:-1])
         with pytest.raises(WireProtocolError):
             decode_frame(frame[:2])
-
-    def test_a_tail_framed_under_any_id_is_the_whole_request_s_frame(self):
-        args = ((encode_path(RouterPath.from_routers("p1", "lmA", ["a", "lmA"])),), False)
-        tail = encode_tail("insert_paths", args)
-        for request_id in (1, 9, 10, 123456789):
-            assert frame_tail(request_id, tail) == encode_frame((request_id, "insert_paths", args))
 
     def test_a_non_json_id_fails_with_json_s_own_type_error(self):
         with pytest.raises(TypeError) as expected:
@@ -530,12 +521,13 @@ class TestArrivalRoundTrips:
                 assert plane.register_peer(path) == reference.register_peer(path)
             assert requests[home] == ["join_paths"] * 3
             assert requests[other] == []
-            # Journaled as the mutation it contains: what separate
-            # insert_paths requests used to leave behind, entry for entry.
-            assert journal_ops(plane)[home] == ["register_landmark"] + ["insert_paths"] * 4
+            # Recorded as the mutation it contains: each joined path is in
+            # the one load a restart sends, in registration order.
+            assert journal_ops(plane)[home] == ["register_landmark", "insert_paths"]
+            joined = seeded + [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(3)]
             assert plane.shards[home].supervisor.journal[-1] == (
                 "insert_paths",
-                ((encode_path(simple_path("p2", "lmA", access="a2")),), False),
+                (tuple(encode_path(path) for path in joined), False),
             )
 
     def test_a_fresh_batch_is_one_join_per_shard_never_one_per_peer(self, backend_name):
@@ -557,8 +549,7 @@ class TestArrivalRoundTrips:
             # each shard still hears one join frame and nothing else.
             assert requests[home] == ["join_paths", "join_paths"]
             assert requests[other] == ["join_paths"]
-            assert journal_ops(plane)[home] == ["register_landmark", "insert_paths", "insert_paths"]
-            assert journal_ops(plane)[other] == ["register_landmark", "insert_paths"]
+            assert journal_ops(plane) == [["register_landmark", "insert_paths"]] * 2
             assert plane.peers() == reference.peers()
             for peer in ("p0", "q0", "q1", "q63"):
                 assert plane.closest_peers(peer, 6) == reference.closest_peers(peer, 6)
@@ -584,12 +575,13 @@ class TestArrivalRoundTrips:
             assert plane.register_peers(repeated) == reference.register_peers(repeated)
             assert requests[home] == ["join_paths"]
             assert requests[other] == []
-            assert journal_ops(plane)[home] == [
-                "register_landmark",
-                "insert_paths",
-                "insert_paths",
-                "insert_paths",
-            ]
+            assert journal_ops(plane)[home] == ["register_landmark", "insert_paths"]
+            # One path per live peer: a re-registration replaced the old one.
+            load = plane.shards[home].supervisor.journal[-1][1][0]
+            assert {encoded_peer(encoded): encoded for encoded in load} == {
+                peer: encode_path(reference.peer_path(peer)) for peer in reference.peers()
+            }
+            assert len(load) == len(reference.peers())
             assert plane.peers() == reference.peers()
             for peer in reference.peers():
                 assert plane.closest_peers(peer) == reference.closest_peers(peer)
@@ -983,7 +975,7 @@ class TestRealCrash:
 
 class HandlerSupervisor(ShardSupervisorBase):
     """A supervisor whose transport is a request handler in this process:
-    the journal, replay and fold rules without a socket."""
+    the journal and replay rules without a socket."""
 
     def __init__(self) -> None:
         super().__init__("in-process")
@@ -1009,7 +1001,8 @@ def replayed(journal) -> ManagementServer:
 
 def history_of(steps) -> HandlerSupervisor:
     """``("lm", name)`` registers a landmark, ``("in", [(peer, landmark,
-    access), ...])`` is one journaled batch, ``("out", peer)`` a departure."""
+    access), ...])`` is one batch, ``("out", peer)`` a departure (which the
+    shard refuses for a peer it does not hold)."""
     supervisor = HandlerSupervisor()
     for step, what in steps:
         if step == "lm":
@@ -1018,8 +1011,49 @@ def history_of(steps) -> HandlerSupervisor:
             batch = tuple(encode_path(simple_path(*spec)) for spec in what)
             supervisor.request("insert_paths", (batch, True), journal=True)
         else:
-            supervisor.request("unregister", (what,), journal=True)
+            try:
+                supervisor.request("unregister", (what,), journal=True)
+            except UnknownPeerError:
+                pass
     return supervisor
+
+
+def reference_fold(steps):
+    """The journal a history should leave: its landmarks in order, then one
+    load of every live peer's last path, in the order each last arrived."""
+    landmarks = [("register_landmark", (what, what)) for step, what in steps if step == "lm"]
+    arrivals = []  # (peer, path), the peer's latest arrival last
+    for step, what in steps:
+        if step == "in":
+            for spec in what:
+                arrivals = [item for item in arrivals if item[0] != spec[0]]
+                arrivals.append((spec[0], encode_path(simple_path(*spec))))
+        elif step == "out":
+            arrivals = [item for item in arrivals if item[0] != what]
+    load = [("insert_paths", (tuple(path for _, path in arrivals), False))] if arrivals else []
+    return tuple(landmarks + load)
+
+
+@st.composite
+def histories(draw):
+    """Landmarks, batches from a pool of six peers (so they repeat and
+    re-register) and departures, some of peers that are not there."""
+    steps, landmarks = [], []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("lm", "in", "in", "out")))
+        if not landmarks or (kind == "lm" and len(landmarks) < 3):
+            landmarks.append(("lmA", "lmB", "lmC")[len(landmarks)])
+            steps.append(("lm", landmarks[-1]))
+        elif kind == "out":
+            steps.append(("out", draw(st.sampled_from([f"p{i}" for i in range(6)]))))
+        else:
+            spec = st.tuples(
+                st.sampled_from([f"p{i}" for i in range(6)]),
+                st.sampled_from(landmarks),
+                st.sampled_from(["a0", "a1", "a2"]),
+            )
+            steps.append(("in", draw(st.lists(spec, min_size=1, max_size=4))))
+    return steps
 
 
 FOLD_RULES = {
@@ -1047,42 +1081,65 @@ FOLD_RULES = {
         [("lm", "lmA"), ("in", [("a", "lmA")]), ("lm", "lmB"), ("in", [("b", "lmB"), ("c", "lmA")])],
         ["a", "b", "c"],
     ),
+    "a refused departure changes nothing": (
+        [("lm", "lmA"), ("in", [("a", "lmA")]), ("out", "ghost")],
+        ["a"],
+    ),
     "every peer gone": ([("lm", "lmA"), ("in", [("a", "lmA")]), ("out", "a")], []),
     "no peer yet": ([("lm", "lmA"), ("lm", "lmB")], []),
     "nothing journaled": ([], []),
 }
 
 
+def assert_rebuilds_the_live_shard(supervisor: HandlerSupervisor) -> None:
+    """The journal, replayed onto an empty shard, is the shard it records."""
+    live = supervisor.handler.server
+    rebuilt = replayed(supervisor.journal)
+    assert rebuilt.landmarks() == live.landmarks()
+    assert rebuilt.peers() == live.peers()
+    for landmark in live.landmarks():
+        assert trie_by_route(rebuilt.tree(landmark)) == trie_by_route(live.tree(landmark))
+
+
 class TestJournalFold:
-    """The fold rules, one at a time, on an in-process supervisor."""
+    """The journal against the test's own fold of the history, on an
+    in-process supervisor whose shard is a real request handler."""
 
     @pytest.mark.parametrize("steps, order", FOLD_RULES.values(), ids=list(FOLD_RULES))
-    def test_a_fold_rebuilds_what_the_whole_journal_does(self, steps, order):
+    def test_each_rule_gives_the_reference_fold(self, steps, order):
         supervisor = history_of(steps)
-        full = replayed(supervisor.journal)
-        landmarks = [entry for entry in supervisor.journal if entry[0] == "register_landmark"]
-        supervisor.compact()
-        folded = supervisor.journal
-        live = tuple(encode_path(full.peer_path(peer)) for peer in full.peers())
-        assert list(folded) == landmarks + [("insert_paths", (live, False))]
-        assert [encoded_peer(encoded) for encoded in live] == order
-        rebuilt = replayed(folded)
-        assert rebuilt.peers() == full.peers()
-        for landmark in full.landmarks():
-            assert trie_by_route(rebuilt.tree(landmark)) == trie_by_route(full.tree(landmark))
+        journal = supervisor.journal
+        assert journal == reference_fold(steps)
+        assert supervisor.journal_length == len(journal)
+        loads = [args[0] for op, args in journal if op == "insert_paths"]
+        assert [encoded_peer(encoded) for load in loads for encoded in load] == order
+        assert_rebuilds_the_live_shard(supervisor)
 
-    def test_a_fold_of_a_fold_is_itself(self):
-        supervisor = history_of(FOLD_RULES["a return after a departure goes to the end"][0])
-        size = supervisor.compact()
-        folded = supervisor.journal
-        assert supervisor.compact() == size
-        assert supervisor.journal == folded
+    @settings(max_examples=60, deadline=None)
+    @given(steps=histories())
+    def test_a_random_history_gives_the_reference_fold(self, steps):
+        supervisor = history_of(steps)
+        assert supervisor.journal == reference_fold(steps)
+        assert supervisor.journal_length == len(supervisor.journal)
+        assert_rebuilds_the_live_shard(supervisor)
 
-    def test_the_size_is_the_folded_frames_under_one_request_id(self):
-        supervisor = history_of(FOLD_RULES["landmarks lead in order, even one registered late"][0])
-        size = supervisor.compact()
-        assert size == sum(len(encode_frame((1, op, args))) for op, args in supervisor.journal)
-        assert size != sum(len(encode_frame((1 << 20, op, args))) for op, args in supervisor.journal)
+
+def restart_frames(shard) -> list:
+    """The ops of the frames one ``shard.restart()`` sends after its hello."""
+    sent = []
+    supervisor = shard.supervisor
+    roundtrip = supervisor._roundtrip
+
+    def recording(op, *rest, **kwargs):
+        sent.append(op)
+        return roundtrip(op, *rest, **kwargs)
+
+    supervisor._roundtrip = recording
+    try:
+        shard.restart()
+    finally:
+        del supervisor._roundtrip
+    return sent
 
 
 class TestJournalCompaction:
@@ -1095,7 +1152,7 @@ class TestJournalCompaction:
         assert backend.supervisor.journal_length == 2
         assert backend.supervisor.journal[1][0] == "insert_paths"
 
-    def test_compact_folds_history_into_landmarks_and_one_load(self, pair):
+    def test_churn_leaves_one_landmark_and_one_load(self, pair):
         shard, reference = pair
         seed_peers(shard, reference)
         for cycle in range(5):  # churn: history >> live state
@@ -1105,28 +1162,35 @@ class TestJournalCompaction:
             reference.insert_paths([simple_path("p0", "lmA", "a0")])
         shard.insert_paths([simple_path("p2", "lmA", "a2"), simple_path("p2", "lmA", "a1")])
         reference.insert_paths([simple_path("p2", "lmA", "a2"), simple_path("p2", "lmA", "a1")])
-        long_journal = shard.supervisor.journal_length
-        size = shard.compact()
-        folded = shard.supervisor.journal
-        assert len(folded) == 2 < long_journal
-        assert folded[0] == ("register_landmark", ("lmA", "lmA"))
+        journal = shard.supervisor.journal
+        assert len(journal) == shard.supervisor.journal_length == 2
+        assert journal[0] == ("register_landmark", ("lmA", "lmA"))
         live = tuple(encode_path(reference.peer_path(peer)) for peer in reference.peers())
         assert [peer for _, peer, *_ in live] == ["p1", "p3", "p0", "p2"]
-        assert folded[1] == ("insert_paths", (live, False))
-        assert size == sum(len(encode_frame((1, op, args))) for op, args in folded)
-        shard.restart()  # replay is now one landmark and one load
+        assert journal[1] == ("insert_paths", (live, False))
+        shard.restart()  # one landmark and one load
         for peer in ("p0", "p1", "p2", "p3"):
             for k in (1, 3, 5):
                 assert shard.local_closest(peer, k) == reference.local_closest(peer, k)
 
-    def test_a_restart_replays_the_journal_and_after_compaction_the_fold(
-        self, monkeypatch
-    ):
+    def test_compact_changes_nothing_and_sizes_the_journal_on_the_wire(self, backend):
+        """``compact()`` returns the journal's frames' bytes under one fixed
+        request id, and leaves the journal as it was."""
+        seed_peers(backend)
+        backend.unregister_peer("p1")
+        backend.register_landmark("lmB", "lmB")
+        journal = backend.supervisor.journal
+        size = backend.compact()
+        assert backend.supervisor.journal == journal
+        assert backend.compact() == size
+        assert size == sum(len(encode_frame((1, op, args))) for op, args in journal)
+        assert size != sum(len(encode_frame((1 << 20, op, args))) for op, args in journal)
+
+    def test_a_restart_sends_one_load_that_the_empty_shard_loads(self, monkeypatch):
         """Counted where the requests land (a socket shard's handler runs in
-        this process): a restart sends every journaled request, in order;
-        after ``compact()`` it sends one per landmark and one
-        ``insert_paths``, which the empty shard loads without a
-        ``PathTree.insert``."""
+        this process): after a long churn a restart sends one request per
+        landmark and one ``insert_paths``, which the empty shard loads
+        without a ``PathTree.insert``."""
         handled = []
         handle = ShardRequestHandler.handle
         inserts = []
@@ -1142,154 +1206,58 @@ class TestJournalCompaction:
                 index = cycle % 20
                 shard.unregister_peer(f"p{index}")
                 shard.insert_paths([simple_path(f"p{index}", "lmA", access=f"a{index % 3}")])
-            journal = [op for op, _ in shard.supervisor.journal]
-            assert len(journal) == 2 + 2 * 50
             monkeypatch.setattr(ShardRequestHandler, "handle", counting)
-            shard.restart()
-            assert handled == journal
-            shard.compact()
-            handled.clear()
             monkeypatch.setattr(PathTree, "insert", lambda *a: inserts.append(1) or insert(*a))
             shard.restart()
             assert handled == ["register_landmark", "insert_paths"]
             assert inserts == []
             assert len(shard.tree("lmA").peers()) == 20
 
-    def test_a_restart_sends_the_fold_it_encoded_once(self, monkeypatch):
-        """After ``compact()`` a restart frames the bytes the fold was
-        encoded to: no ``encode_frame`` but the hello's, and every frame
-        byte for byte what ``encode_frame`` writes for its entry."""
-        from repro.core import socket_backend
-
-        with shard_factory_for("socket", 3)() as shard:
-            seed_peers(shard, count=20)
-            shard.unregister_peer("p3")
-            shard.compact()
-            shard.insert_paths([simple_path("p3", "lmA", access="a1")])  # after the fold
-            journal = shard.supervisor.journal
-            encoded, sent = [], []
-            encode, send = socket_backend.encode_frame, socket_backend.FramedConnection.send_frame
-            monkeypatch.setattr(
-                socket_backend, "encode_frame", lambda message: encoded.append(message[1]) or encode(message)
-            )
-            monkeypatch.setattr(
-                socket_backend.FramedConnection,
-                "send_frame",
-                lambda conn, frame, budget: sent.append(bytes(frame)) or send(conn, frame, budget),
-            )
-            shard.restart()
-            # The server thread encodes its replies through the same name.
-            requests = [op for op in encoded if op not in ("ok", "err")]
-            assert requests == ["hello", "insert_paths"]  # the entry journaled after the fold
-            replayed = sent[1:]
-            assert len(replayed) == len(journal) == 3
-            for frame, (op, args) in zip(replayed, journal):
-                assert frame == encode((decode_frame(frame)[0], op, args))
-            assert shard.local_closest("p3", 3) and len(shard.tree("lmA").peers()) == 20
-
-    def test_the_journal_folds_itself_at_the_floor(self, make_shard, monkeypatch):
-        monkeypatch.setattr(remote, "FOLD_FLOOR", 4)
-        reference = ManagementServer(neighbor_set_size=2, maintain_cache=False)
-        reference.register_landmark("lmA", "lmA")
-        with make_shard(2) as shard:
-            shard.register_landmark("lmA", "lmA")
-            for i in range(7):
-                path = simple_path(f"p{i}", "lmA", access=f"a{i % 3}")
-                shard.insert_paths([path])
-                reference.insert_paths([path])
-                # Folded at 4 entries (3 peers), then 4 entries after that
-                # fold: one entry per landmark plus one, and at most 4 more.
-                assert shard.supervisor.journal_length <= 1 + 1 + 4
-            assert [op for op, _ in shard.supervisor.journal] == [
-                "register_landmark",
-                "insert_paths",
-            ]
-            shard.restart()
-            for i in range(7):
-                assert shard.local_closest(f"p{i}", 2) == reference.local_closest(f"p{i}", 2)
-
-    @pytest.mark.parametrize("floor", [1, 2, 3, 5])
-    def test_the_fold_fires_exactly_at_the_threshold(self, make_shard, monkeypatch, floor):
-        """The journal folds when the entries journaled since the last fold
-        reach the peers that fold held, or the floor if it held fewer: a
-        folded journal of 3 landmarks is 4 entries long, so a rule on the
-        journal's length would fold after every op."""
-        monkeypatch.setattr(remote, "FOLD_FLOOR", floor)
-        with make_shard() as shard:
-            for landmark in ("lmA", "lmB", "lmC"):
-                shard.register_landmark(landmark, landmark)
-            shard.compact()
-            assert shard.supervisor.journal_length == 4
-            folds = []  # after how many ops the journal folded
-            compact = shard.supervisor.compact
-            monkeypatch.setattr(shard.supervisor, "compact", lambda: folds.append(ops) or compact())
-            live, expected, since, threshold = set(), [], 0, floor
-            for i in range(24):
-                ops = i + 1
-                if i % 4 == 3:
-                    peer = min(live, key=lambda name: int(name[1:]))
-                    shard.unregister_peer(peer)
-                    live.discard(peer)
-                else:
-                    shard.insert_paths([simple_path(f"p{i}", "lmB", access=f"a{i}")])
-                    live.add(f"p{i}")
-                since += 1
-                if since >= threshold:
-                    expected.append(ops)
-                    since, threshold = 0, max(len(live), floor)
-                assert folds == expected
-            assert len(expected) >= 3
-
-    def test_churn_never_outgrows_the_bound_and_a_restart_needs_no_compact(
-        self, backend_name, monkeypatch
-    ):
-        """Five times the live population churned through two shards with a
-        small floor: after every op each journal holds at most one entry per
-        landmark, the fold, and max(live at the last fold, floor) entries,
-        and a restart onto the self-folded journal rebuilds the tries."""
-        monkeypatch.setattr(remote, "FOLD_FLOOR", 6)
+    def test_a_restart_s_frame_count_does_not_depend_on_history(self, backend_name):
+        """Restarted at points of a churn five times the live population, a
+        shard sends one frame per landmark and one load, or no load when it
+        holds no peer, and then equals the reference by tries and answers."""
         plane, reference = spread_plane(backend_name)
         with plane:
-            held = dict.fromkeys(range(len(plane.shards)), 0)  # peers each last fold held
-            for index, shard in enumerate(plane.shards):
-
-                def folding(_index=index, _compact=shard.supervisor.compact, _shard=shard):
-                    size = _compact()
-                    held[_index] = len(_shard.supervisor.journal[-1][1][0])
-                    return size
-
-                monkeypatch.setattr(shard.supervisor, "compact", folding)
             landmarks = ("lmA", "lmC")
+
+            def restart_and_compare(index):
+                shard, owned = plane.shards[index], plane.shard_landmarks(index)
+                held = any(reference.peer_path(peer).landmark_id in owned for peer in reference.peers())
+                expected = ["register_landmark"] * len(owned) + ["insert_paths"] * held
+                assert restart_frames(shard) == expected
+                for landmark in owned:
+                    assert trie_by_route(shard.tree(landmark)) == trie_by_route(reference.tree(landmark))
+
             peers = [simple_path(f"p{i}", landmarks[i % 2], access=f"a{i % 5}") for i in range(10)]
-            for plane_or_reference in (plane, reference):
-                plane_or_reference.register_peers(peers)
+            for side in (plane, reference):
+                side.register_peers(peers)
             for step in range(5 * len(peers)):
                 victim = peers[(7 * step) % len(peers)]
                 back = simple_path(victim.peer_id, landmarks[step % 2], access=f"a{step % 4}")
-                for plane_or_reference in (plane, reference):
-                    plane_or_reference.unregister_peer(victim.peer_id)
-                    plane_or_reference.register_peer(back)
+                for side in (plane, reference):
+                    side.unregister_peer(victim.peer_id)
+                    side.register_peer(back)
                 peers[(7 * step) % len(peers)] = back
-                for index, shard in enumerate(plane.shards):
-                    bound = len(plane.shard_landmarks(index)) + 1 + max(held[index], remote.FOLD_FLOOR)
-                    assert shard.supervisor.journal_length <= bound, (step, index)
-            for index, shard in enumerate(plane.shards):
-                assert held[index] > 0, "the journal never folded itself"
-                shard.restart()
-                for landmark in plane.shard_landmarks(index):
-                    assert trie_by_route(shard.tree(landmark)) == trie_by_route(
-                        reference.tree(landmark)
-                    )
+                if step % 10 == 9:
+                    restart_and_compare((step // 10) % len(plane.shards))
+            emptied = plane.shard_of("lmC")
+            for path in peers:
+                if path.landmark_id == "lmC":
+                    for side in (plane, reference):
+                        side.unregister_peer(path.peer_id)
+            for index in range(len(plane.shards)):
+                restart_and_compare(index)
+            assert plane.shards[emptied].supervisor.journal_length == 1
             assert plane.peers() == reference.peers()
             for peer in reference.peers():
                 assert plane.closest_peers(peer, 4) == reference.closest_peers(peer, 4)
 
-    def test_a_shard_restarted_onto_its_fold_keeps_serving_writes(self, pair):
+    def test_a_restarted_shard_keeps_serving_writes(self, pair):
         shard, reference = pair
         seed_peers(shard, reference)
         shard.unregister_peer("p1")
         reference.unregister_peer("p1")
-        shard.compact()
         shard.restart()
         for write in (
             lambda plane: plane.insert_paths([simple_path("p9", "lmA", "a0")]),
@@ -1301,13 +1269,13 @@ class TestJournalCompaction:
         assert shard.tree("lmA").peers() == reference.tree("lmA").peers() == ["p2", "p3", "p9", "p1"]
         for peer in ("p1", "p2", "p3", "p9"):
             assert shard.local_closest(peer, 3) == reference.local_closest(peer, 3)
-        shard.restart()  # the fold plus the writes after it
+        shard.restart()  # the load now holds the writes after the first restart
         assert shard.local_closest("p1", 3) == reference.local_closest("p1", 3)
 
     def test_a_dead_shard_compacts_without_a_round_trip(self, backend_name):
-        """The fold reads only the journal: a killed shard compacts, and the
-        next request heals it (restart, replay of the fold, re-issue) to the
-        inline plane's answers."""
+        """``compact()`` reads only the journal: a killed shard compacts, and
+        the next request heals it (restart, replay of the journal, re-issue)
+        to the inline plane's answers."""
         remote = make_plane(backend_name, recovery=fast_recovery())
         inline = make_plane("inline")
         try:
@@ -1350,8 +1318,8 @@ class TestJournalCompaction:
             max_ops=20,
         )
     )
-    def test_a_folded_journal_rebuilds_the_live_shard(self, case):
-        """Replayed onto a fresh cache-less server, each socket shard's folded
+    def test_each_shard_s_journal_rebuilds_the_live_shard(self, case):
+        """Replayed onto a fresh cache-less server, each socket shard's
         journal gives the live shard's registration order and tries."""
         live = []
         init = ShardRequestHandler.__init__
@@ -1368,7 +1336,6 @@ class TestJournalCompaction:
                 apply_op(plane, op)
             assert len(live) == len(plane.shards)  # one hello each, in shard order
             for shard, server in zip(plane.shards, live):
-                shard.compact()
                 rebuilt = replayed(shard.supervisor.journal)
                 assert rebuilt.peers() == server.peers()
                 assert rebuilt.landmarks() == server.landmarks()

@@ -1,7 +1,7 @@
 """Tests for the shard transport (server, framing, lifecycle, faults, CLI).
 
 What both backend names share — parity with an inline shard, lifecycle,
-self-healing, compaction — is ``test_remote_backend.py``, parametrised over
+self-healing, the journal — is ``test_remote_backend.py``, parametrised over
 ``("process", "socket")``.  This module covers the transport itself: the
 threaded :class:`ShardServer`'s connection-scoped shard protocol
 (hello/generation, op-before-hello, re-hello), how its connection threads

@@ -536,3 +536,25 @@ class TestHostileServer:
                 assert not offset and tail[0] == "ok" and len(tail[1]) == 1
                 assert answer == [(peer, float(distance)) for peer, distance in tail[1][0]]
                 assert plane.peers() == ["p1"]
+
+    def test_an_acked_departure_of_a_peer_never_inserted_changes_no_journal(
+        self, hostile_server
+    ):
+        """A shard that acknowledges ``unregister("ghost")`` for a peer it
+        was never sent leaves the journal as it was: ``journal``,
+        ``compact()`` and a restart's replay all still work."""
+        hostile_server.script = lambda request: None  # every request acked
+        with SocketShardBackend(
+            address=hostile_server.address, neighbor_set_size=3, name="fooled"
+        ) as shard:
+            shard.register_landmark("lmA", "lmA")
+            shard.insert_paths([PATH])
+            shard.unregister_peer("ghost")
+            size = shard.compact()
+            shard.restart()
+            journal = (
+                ("register_landmark", ("lmA", "lmA")),
+                ("insert_paths", ((encode_path(PATH),), False)),
+            )
+            assert shard.supervisor.journal == journal and shard.supervisor.epoch == 2
+            assert size == sum(len(encode_frame((1, op, args))) for op, args in journal)

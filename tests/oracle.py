@@ -13,8 +13,7 @@ one vocabulary:
   (``shard_count=None``) or a sharded coordinator over any shard
   ``backend``: ``inline`` (the default), ``process``, ``socket``, ``chaos`` (process shards on the
   :data:`CHAOS_FAULTS` crash plan) or ``socket-chaos`` (socket shards on
-  :data:`SOCKET_CHAOS_FAULTS`); a chaos shard's journal folds at
-  :data:`CHAOS_FOLD_FLOOR`.
+  :data:`SOCKET_CHAOS_FAULTS`).
 * **One op vocabulary.** :func:`apply_op` applies ``arrive``, ``batch``,
   ``depart``, ``query``, ``cold``, ``bounce`` and ``publish`` and returns
   an error as a value, so two planes are compared op by op with ``==``.
@@ -49,7 +48,6 @@ from repro.core import (
 from repro.core.neighbor_cache import SHARED_DISTANCES
 from repro.core.path import RouterPath
 from repro.core.path_tree import PathTree
-from repro.core import remote
 from repro.core.remote import BACKENDS, RecoveryPolicy, shard_factory_for
 
 from .chaos import ChaosShardBackend, Fault, FaultPlan
@@ -145,23 +143,6 @@ class Twin:
 # ---------------------------------------------------------------- planes
 
 
-#: The fold floor a chaos shard journals under.  An oracle example journals
-#: far fewer than :data:`~repro.core.remote.FOLD_FLOOR` entries, so at the
-#: real floor no scripted crash would restart a shard onto a fold.
-CHAOS_FOLD_FLOOR = 8
-
-
-class FoldingChaosShardBackend(ChaosShardBackend):
-    """A chaos shard whose supervisor folds at :data:`CHAOS_FOLD_FLOOR`:
-    the floor is patched around every call the coordinator makes, so a
-    journaled op folds, and a crash restarts onto a fold, early."""
-
-    def _call(self, op_name, func, *args, **kwargs):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(remote, "FOLD_FLOOR", CHAOS_FOLD_FLOOR)
-            return super()._call(op_name, func, *args, **kwargs)
-
-
 def chaos_shard_factory(k: int, transport: str = "process"):
     """A ``shard_factory``: remote shards on a scripted fault plan.
 
@@ -174,10 +155,8 @@ def chaos_shard_factory(k: int, transport: str = "process"):
 
     def factory() -> ChaosShardBackend:
         recovery = RecoveryPolicy(max_restarts=3, backoff_base_s=0.0, sleep=lambda _delay: None)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(remote, "FOLD_FLOOR", CHAOS_FOLD_FLOOR)
-            inner = shard_factory_for(transport, k, recovery=recovery)()
-        return FoldingChaosShardBackend(inner, FaultPlan(faults))
+        inner = shard_factory_for(transport, k, recovery=recovery)()
+        return ChaosShardBackend(inner, FaultPlan(faults))
 
     return factory
 
