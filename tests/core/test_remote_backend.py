@@ -1123,6 +1123,22 @@ class TestJournalFold:
         assert supervisor.journal_length == len(supervisor.journal)
         assert_rebuilds_the_live_shard(supervisor)
 
+    @settings(max_examples=40, deadline=None)
+    @given(steps=histories())
+    def test_a_restart_rebuilds_the_shard_and_leaves_its_journal(self, steps):
+        """The replay is not journaled again: a restart's journal is the one
+        it replayed, and the restarted shard is the one the history built."""
+        supervisor = history_of(steps)
+        journal, before = supervisor.journal, supervisor.handler.server
+        supervisor.restart()
+        assert supervisor.journal == journal
+        after = supervisor.handler.server
+        assert after is not before
+        assert after.landmarks() == before.landmarks()
+        assert after.peers() == before.peers()
+        for landmark in before.landmarks():
+            assert trie_by_route(after.tree(landmark)) == trie_by_route(before.tree(landmark))
+
 
 def restart_frames(shard) -> list:
     """The ops of the frames one ``shard.restart()`` sends after its hello."""
@@ -1271,6 +1287,56 @@ class TestJournalCompaction:
             assert shard.local_closest(peer, 3) == reference.local_closest(peer, 3)
         shard.restart()  # the load now holds the writes after the first restart
         assert shard.local_closest("p1", 3) == reference.local_closest("p1", 3)
+
+    @pytest.mark.parametrize("landmarks", [1, 2, 3, 5])
+    def test_the_journal_stays_one_entry_per_landmark_and_one_load(self, pair, landmarks):
+        """After every op of a churn that empties the shard and fills it
+        again, the journal holds one entry per landmark and one load while
+        a peer is live; a restart sends exactly those frames and the shard
+        then answers as the reference does."""
+        shard, reference = pair
+        names = [f"lm{i}" for i in range(landmarks)]
+        for name in names:
+            shard.register_landmark(name, name)
+            reference.register_landmark(name, name)
+        live = []
+        for step in range(24):
+            if step % 3 == 2 or 12 <= step <= 15:  # steps 11-15 empty the shard
+                op = lambda side, peer=live.pop(0): side.unregister_peer(peer)
+            else:
+                peer = f"p{step % 7}"
+                if peer in live:
+                    live.remove(peer)
+                live.append(peer)
+                path = simple_path(peer, names[step % landmarks], access=f"a{step % 4}")
+                op = lambda side, path=path: side.insert_paths([path])
+            op(shard)
+            op(reference)
+            assert shard.supervisor.journal_length == landmarks + bool(live)
+            if step == 15:
+                assert not live and len(shard.supervisor.journal) == landmarks
+        assert reference.peers() == live
+        assert restart_frames(shard) == ["register_landmark"] * landmarks + ["insert_paths"]
+        for name in names:
+            assert trie_by_route(shard.tree(name)) == trie_by_route(reference.tree(name))
+        for peer in live:
+            assert shard.local_closest(peer, 3) == reference.local_closest(peer, 3)
+
+    def test_a_second_restart_replays_what_the_first_did(self, pair):
+        """A restart journals nothing: the journal it leaves is the one it
+        replayed, so a second restart sends the same frames."""
+        shard, reference = pair
+        seed_peers(shard, reference, count=6)
+        for side in (shard, reference):
+            side.unregister_peer("p2")
+            side.insert_paths([simple_path("p0", "lmA", "a2")])
+        journal = shard.supervisor.journal
+        first = restart_frames(shard)
+        assert shard.supervisor.journal == journal
+        assert restart_frames(shard) == first == ["register_landmark", "insert_paths"]
+        assert shard.supervisor.journal == journal
+        for peer in reference.peers():
+            assert shard.local_closest(peer, 3) == reference.local_closest(peer, 3)
 
     def test_a_dead_shard_compacts_without_a_round_trip(self, backend_name):
         """``compact()`` reads only the journal: a killed shard compacts, and
