@@ -51,14 +51,16 @@ proportional to what changed:
   path, the neighbour cache the owners whose lists changed, and the plane
   the peers that joined or left.
 
-:meth:`DiscoverySnapshot.build` is the one build routine: it copies the
-plane's path dict (registration order included) and the previous epoch's
-per-peer dict with ``d.copy()`` — C speed; once ``d`` has had a deletion
-``dict(d)`` re-inserts item by item while ``d.copy()`` still clones the
-table — then re-reads each recorded peer whole (a leaver is dropped) and
-each recorded trie row; a re-read row is ``tuple(live row)``, a pointer
-copy that shares the live entries.  Untouched rows, and whole tries no
-change touched, are *shared* between consecutive epochs.
+:meth:`DiscoverySnapshot.build` is the one build routine.  It copies one
+dict, the previous epoch's per-peer dict, with ``d.copy()`` — C speed; once
+``d`` has had a deletion ``dict(d)`` re-inserts item by item while
+``d.copy()`` still clones the table — then re-reads each recorded peer
+whole (a leaver is dropped) and each recorded trie row; a re-read row is
+``tuple(live row)``, a pointer copy that shares the live entries.
+Untouched rows, and whole tries no change touched, are *shared* between
+consecutive epochs.  The per-peer dict keeps the registration order without
+a second copy: every peer that joined, left or re-registered is popped, and
+the ones still live are the plane's last keys, re-inserted in its order.
 A full build is the same routine with no previous epoch, where everything
 counts as changed; that is also what happens whenever the record cannot
 vouch for the gap — a new landmark or landmark distance, a remote shard (its ``tree()`` is a fresh export), a record that outgrew
@@ -67,10 +69,21 @@ Completeness marks are frozen as the generation *stamp* they were stored
 under and compared with the snapshot's own ``membership_generation`` at
 read time, so a registration (which invalidates every mark at once) costs
 the snapshot one integer, not a pass over every peer.
+
+The writer refills what its epoch eroded
+----------------------------------------
+The live plane repairs a list a departure shortened lazily, on its owner's
+next query; a snapshot cannot store that refill, so every read of the list
+would walk the frozen trie again, every epoch.  Before it freezes a patch,
+:meth:`SnapshotPublisher.publish` therefore reads each live peer its record
+names through the plane's own ``closest_peers``: an eroded list refills
+exactly as a reader's live query would, once per list and epoch, and the
+store marks it in the same record.  A whole build refills nothing.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import UnknownPeerError
@@ -80,6 +93,10 @@ from .path import LandmarkId, NodeId, PeerId, RouterPath
 from .path_tree import PathTree, closest_from, fill_in_rows
 
 __all__ = ["DiscoverySnapshot", "FlatTrie", "SnapshotPublisher", "SnapshotReader"]
+
+#: A snapshot's per-peer state: attachment node id, cached ``(peer, distance)``
+#: pairs, completeness stamp and registered path.
+PeerState = Tuple[int, Tuple[Tuple[PeerId, float], ...], Optional[int], RouterPath]
 
 
 class FlatTrie:
@@ -173,7 +190,6 @@ class DiscoverySnapshot:
         "neighbor_set_size",
         "maintain_cache",
         "_membership_generation",
-        "_paths",
         "_peers",
         "_tries",
         "_landmark_distances",
@@ -210,31 +226,37 @@ class DiscoverySnapshot:
         live = plane._paths
         cache = plane._cache
         if previous is None or changes is None:
-            # peer -> (attachment node id, cached (peer, distance) pairs, stamp)
-            peers: Dict[PeerId, Tuple[int, Tuple[Tuple[PeerId, float], ...], Optional[int]]] = {}
-            changed_peers: Iterable[PeerId] = live
+            peers: Dict[PeerId, PeerState] = {}  # in registration order
+            joined: Iterable[PeerId] = live
+            owners: Iterable[PeerId] = ()
             changed_nodes: Dict[LandmarkId, Iterable[int]] = {}
             old_tries: Dict[LandmarkId, FlatTrie] = {}
         else:
+            # A peer that joined, left or re-registered is popped.  The ones
+            # still live registered last, so they are the plane's last keys,
+            # in its order.  Any other owner whose list changed is live (the
+            # record's invariant) and keeps its place.
             peers = previous._peers.copy()
-            changed_peers = changes.peers.keys() | changes.owners
+            moved = changes.peers
+            for peer in moved:
+                peers.pop(peer, None)
+            joined = reversed(list(islice(reversed(live), sum(peer in live for peer in moved))))
+            owners = changes.owners.difference(moved)
             changed_nodes = changes.nodes
             old_tries = previous._tries
 
         trees = {landmark: plane.tree(landmark) for landmark in plane.landmarks()}
 
-        # One pass, each named peer read whole: a leaver is dropped, a live
-        # peer's attachment node, cached pairs and completeness stamp re-read.
+        # Each named live peer read whole: attachment node, cached pairs,
+        # completeness stamp and path.
         lists, stamp = cache.lists, cache.completeness_stamp
-        for peer in changed_peers:
-            path = live.get(peer)
-            if path is None:
-                peers.pop(peer, None)
-                continue
+        for peer in chain(joined, owners):
+            path = live[peer]
             peers[peer] = (
                 trees[path.landmark_id].attachment_node(peer),
                 tuple(map(PAIR, lists.get(peer, ()))),
                 stamp(peer),
+                path,
             )
 
         tries: Dict[LandmarkId, FlatTrie] = {}
@@ -251,7 +273,6 @@ class DiscoverySnapshot:
         snap.neighbor_set_size = plane.neighbor_set_size
         snap.maintain_cache = plane.maintain_cache
         snap._membership_generation = cache.membership_generation
-        snap._paths = live.copy()
         snap._peers = peers
         snap._tries = tries
         snap._landmark_distances = dict(plane._landmark_distances)
@@ -294,8 +315,8 @@ class DiscoverySnapshot:
             self.neighbor_set_size,
             self.maintain_cache,
             tuple(
-                (peer, path, peers[peer][1], peers[peer][2] == current)
-                for peer, path in self._paths.items()
+                (peer, path, entries, stamp == current)
+                for peer, (_, entries, stamp, path) in self._peers.items()
             ),
             tuple(sorted(self._landmark_distances.items(), key=repr)),
             self._fill_order,
@@ -321,7 +342,7 @@ class DiscoverySnapshot:
 
     def peers(self) -> List[PeerId]:
         """Peer identifiers in registration order (like the live plane)."""
-        return list(self._paths)
+        return list(self._peers)
 
     def closest_peers(
         self, peer_id: PeerId, k: Optional[int] = None
@@ -338,7 +359,7 @@ class DiscoverySnapshot:
         state = self._peers.get(peer_id)
         if state is None:
             raise UnknownPeerError(peer_id)
-        node, entries, stamp = state
+        node, entries, stamp, path = state
         k = k or self.neighbor_set_size
         if k < 0:
             raise ValueError(NEGATIVE_K.format(k))
@@ -348,13 +369,14 @@ class DiscoverySnapshot:
                 or stamp == self._membership_generation
             ):
                 return list(entries[:k])
-        return self._compute_neighbors(peer_id, node, k)
+        return self._compute_neighbors(peer_id, node, path, k)
 
     # -------------------------------------------------------------- internals
 
-    def _compute_neighbors(self, peer_id: PeerId, node: int, k: int) -> List[Tuple[PeerId, float]]:
+    def _compute_neighbors(
+        self, peer_id: PeerId, node: int, path: RouterPath, k: int
+    ) -> List[Tuple[PeerId, float]]:
         """Frozen twin of the live ``_compute_neighbors``: query, then fill."""
-        path = self._paths[peer_id]
         landmark = path.landmark_id
         neighbors = self._tries[landmark].closest_from_node(node, k, (peer_id,))
         if len(neighbors) >= k:
@@ -411,7 +433,11 @@ class SnapshotPublisher:
         return self._snapshot
 
     def publish(self) -> DiscoverySnapshot:
-        """Freeze the plane into generation ``current + 1`` and install it."""
+        """Freeze the plane into generation ``current + 1`` and install it.
+
+        A patch first refills the lists its epoch eroded (module doc), so
+        the one write a publish makes to the plane is a live query's.
+        """
         plane = self._plane
         changes = self._changes
         if plane.changes is not changes:
@@ -419,6 +445,14 @@ class SnapshotPublisher:
             # it outgrew the population) or another consumer took it over:
             # nothing vouches for the gap, so this epoch is built whole.
             changes = None
+        elif changes is not None and plane.maintain_cache:
+            # A snapshot cannot store a refill, so the writer reads each named
+            # owner once, as its next live query would: a list a departure
+            # eroded is refilled, and marked in this same record.
+            live = plane._paths
+            for owner in changes.peers.keys() | changes.owners:
+                if owner in live:
+                    plane.closest_peers(owner)
         self._changes = plane.track_changes()
         snapshot = DiscoverySnapshot.build(
             plane, self._snapshot.generation + 1, self._snapshot, changes

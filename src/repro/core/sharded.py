@@ -333,8 +333,10 @@ class ShardedManagementServer(ManagementPlaneBase):
         change record); its home shard hears no ``unregister``, since the
         ``insert_paths`` inside its join replaces the old path, unless the
         peer moves to a landmark of another shard, whose old home then
-        drops it first.  Then each home shard joins its slice (and
-        validates it again: the shard trusts no bytes it decodes).
+        drops it first.  Then each home shard joins its slice, in the
+        single server's order (a peer repeated in the batch at its last
+        position), and validates it again: the shard trusts no bytes it
+        decodes.
         Membership is written only after every home shard acknowledged; a
         shard failing mid-arrival makes every shard asked so far drop its
         part again, the failing one included (its reply may have been lost
@@ -346,12 +348,18 @@ class ShardedManagementServer(ManagementPlaneBase):
         """
         for path in paths:
             self.validate_registrable(path)
-        pending = {path.peer_id: path for path in paths}
+        # Each peer's last path at its last position: the single server's order.
+        latest: Dict[PeerId, RouterPath] = {}
+        for path in paths:
+            latest.pop(path.peer_id, None)
+            latest[path.peer_id] = path
         by_shard: Dict[int, List[RouterPath]] = {}
-        for path in pending.values():
+        for path in latest.values():
             by_shard.setdefault(self._landmark_shard[path.landmark_id], []).append(path)
+        pending = dict.fromkeys(path.peer_id for path in paths)  # the answer's order
         replaced = set()
-        for peer_id, path in pending.items():
+        for peer_id in pending:
+            path = latest[peer_id]
             held = self._paths.get(peer_id)
             if held is None:
                 continue

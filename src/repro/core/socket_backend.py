@@ -76,6 +76,7 @@ import stat
 import tempfile
 import threading
 import time
+from math import inf
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ShardUnavailableError, WireProtocolError
@@ -749,7 +750,7 @@ class SocketShardBackend:
                     _checked_pairs(pairs, path.peer_id, k)
                     for pairs, path in zip(result, paths)  # type: ignore[call-overload]
                 ]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
         # Acknowledged, so recorded; but no answer to record peers on.
         raise ShardUnavailableError(self.name, "malformed reply to 'join_paths'")
@@ -761,7 +762,7 @@ class SocketShardBackend:
         reply = self.supervisor.request("local_closest", (peer_id, k))
         try:
             return _checked_pairs(reply, peer_id, k)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ShardUnavailableError(self.name, "malformed reply to 'local_closest'") from None
 
     def fill_candidates(
@@ -779,22 +780,31 @@ class SocketShardBackend:
         """
         reply = self.supervisor.request("fill", (tuple(bases.items()), limit))
         try:
-            items = []
-            for estimate, text, peer in reply:  # type: ignore[union-attr]
-                if type(estimate) not in (int, float) or type(text) is not str:
-                    break
-                items.append((SHARED_DISTANCES[estimate], text, peer))
-            else:
-                # Sorted by (estimate, sort_text) alone: peers are never
-                # compared.  The set refuses a peer twice, or one no cache
-                # could key on.
-                if (
-                    len(items) <= limit
-                    and all(a[:2] <= b[:2] for a, b in zip(items, items[1:]))
-                    and len({item[2] for item in items}) == len(items)
-                ):
+            if len(reply) <= limit:  # type: ignore[arg-type]
+                # One pass, as in _checked_pairs, sorted by (estimate,
+                # sort_text) alone: peers are never compared.  The set
+                # refuses a peer twice, or one no cache could key on.
+                items = []
+                seen = set()
+                last_estimate, last_text = -inf, ""
+                for estimate, text, peer in reply:  # type: ignore[union-attr]
+                    if (
+                        not (
+                            last_estimate < estimate
+                            or (last_estimate == estimate and last_text <= text)
+                        )
+                        or estimate is True
+                        or estimate is False
+                        or type(text) is not str
+                        or peer in seen
+                    ):
+                        break
+                    seen.add(peer)
+                    last_estimate, last_text = estimate, text
+                    items.append((SHARED_DISTANCES[estimate], text, peer))
+                else:
                     return items
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
         raise ShardUnavailableError(self.name, "malformed reply to 'fill'")
 
@@ -872,31 +882,30 @@ class SocketShardBackend:
 
 
 def _checked_pairs(pairs, peer_id: PeerId, k: int) -> List[Tuple[PeerId, float]]:
-    """A shard's closest list for ``peer_id``, checked; ``ValueError`` or
-    ``TypeError`` when it breaks the contract of a local answer.
+    """A shard's closest list for ``peer_id``, checked; ``ValueError``,
+    ``TypeError`` or ``OverflowError`` (an integer past a float's range)
+    when it breaks the contract of a local answer.
 
     At most ``k`` two-item ``(peer, distance)`` items with a real-number
     distance, in non-decreasing distance order, no peer twice and never
-    ``peer_id``; the set also refuses a peer no cache could key on.  Each
-    distance is read through
+    ``peer_id``; the set of peers seen also refuses a peer no cache could
+    key on.  One pass, each item checked against the last: a distance that
+    is no number does not compare with one (``TypeError``), a NaN compares
+    false, and a ``bool`` is refused by name.  Each distance is read through
     :data:`~repro.core.neighbor_cache.SHARED_DISTANCES`: the floats the
     frame just decoded to never reach the coordinator's cache.
     """
-    checked = [
-        (peer, SHARED_DISTANCES[distance])
-        for peer, distance in pairs
-        if type(distance) in (int, float) and distance == distance  # not NaN
-    ]
-    distances = [distance for _, distance in checked]
-    peers = {peer for peer, _ in checked}
-    if (
-        len(checked) != len(pairs)
-        or len(checked) > k
-        or len(peers) < len(checked)
-        or peer_id in peers
-        or distances != sorted(distances)
-    ):
+    if len(pairs) > k:
         raise ValueError(f"not a closest list for {peer_id!r}")
+    checked = []
+    seen = {peer_id}
+    last = -inf
+    for peer, distance in pairs:
+        if not last <= distance or distance is True or distance is False or peer in seen:
+            raise ValueError(f"not a closest list for {peer_id!r}")
+        seen.add(peer)
+        last = distance
+        checked.append((peer, SHARED_DISTANCES[distance]))
     return checked
 
 

@@ -554,34 +554,43 @@ class TestArrivalRoundTrips:
             for peer in ("p0", "q0", "q1", "q63"):
                 assert plane.closest_peers(peer, 6) == reference.closest_peers(peer, 6)
 
+    @pytest.mark.parametrize("backend_name", ["inline", "process", "socket"])
     def test_reregistering_or_repeated_peers_are_validated_first(self, backend_name):
         plane, reference = spread_plane(backend_name)
+        remote = backend_name != "inline"  # an inline shard has no wire to count
         with plane:
             home, other = plane.shard_of("lmA"), plane.shard_of("lmC")
             first = [simple_path(f"p{i}", "lmA", access=f"a{i}") for i in range(5)]
             plane.register_peers(first)
             reference.register_peers(first)
-            requests = record_requests(plane)
+            requests = record_requests(plane) if remote else None
             moved = simple_path("p1", "lmA", access="a9")
             assert plane.register_peer(moved) == reference.register_peer(moved)
-            # The join's insert_paths replaces the old path on the shard.
-            assert requests[home] == ["join_paths"]
-            del requests[home][:]
+            if remote:
+                # The join's insert_paths replaces the old path on the shard.
+                assert requests[home] == ["join_paths"]
+                del requests[home][:]
             repeated = [
                 simple_path("p7", "lmA", access="a0"),
                 simple_path("p8", "lmA", access="a1"),
                 simple_path("p7", "lmA", access="a2"),
             ]
-            assert plane.register_peers(repeated) == reference.register_peers(repeated)
-            assert requests[home] == ["join_paths"]
-            assert requests[other] == []
-            assert journal_ops(plane)[home] == ["register_landmark", "insert_paths"]
-            # One path per live peer: a re-registration replaced the old one.
-            load = plane.shards[home].supervisor.journal[-1][1][0]
-            assert {encoded_peer(encoded): encoded for encoded in load} == {
-                peer: encode_path(reference.peer_path(peer)) for peer in reference.peers()
-            }
-            assert len(load) == len(reference.peers())
+            answers = plane.register_peers(repeated)
+            expected = reference.register_peers(repeated)
+            assert list(answers.items()) == list(expected.items())  # p7 first, as given
+            if remote:
+                assert requests[home] == ["join_paths"]
+                assert requests[other] == []
+                assert journal_ops(plane)[home] == ["register_landmark", "insert_paths"]
+                # One path per live peer, in registration order: a
+                # re-registration replaced the old one.
+                load = plane.shards[home].supervisor.journal[-1][1][0]
+                assert [(encoded_peer(encoded), encoded) for encoded in load] == [
+                    (peer, encode_path(reference.peer_path(peer))) for peer in reference.peers()
+                ]
+            # A repeated peer sits at its last position, on the shard as on
+            # the single server: [p0, p2, p3, p4, p1, p8, p7].
+            assert plane.shards[home].tree("lmA").peers() == reference.tree("lmA").peers()
             assert plane.peers() == reference.peers()
             for peer in reference.peers():
                 assert plane.closest_peers(peer) == reference.closest_peers(peer)

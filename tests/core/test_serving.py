@@ -19,10 +19,13 @@ change record says so), so a third property rides on the first: whatever
 the history — joins, leaves, re-joins, handovers, live cold queries, writes
 made behind the publisher's back — the patched epoch ``==`` a snapshot
 built from scratch, and each event the record cannot describe falls back to
-a whole rebuild that is just as right (:class:`TestPatchedEpochs`).
+a whole rebuild that is just as right (:class:`TestPatchedEpochs`).  A
+snapshot cannot store a refill, so the publisher refills the lists its
+epoch eroded before it freezes them: a read walks the frozen trie only
+where the live cache would miss, and never for an owner the record named.
 
 The paths, planes, op vocabulary and the snapshot-vs-live audit are the
-shared oracle harness's (``tests/oracle.py``); CI runs the two hypothesis
+shared oracle harness's (``tests/oracle.py``); CI runs the three hypothesis
 oracles here at the ``ci-equivalence`` budget (``-m oracle``).
 """
 
@@ -32,14 +35,15 @@ import pickle
 import random
 import threading
 import time
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ManagementServer
-from repro.core.serving import DiscoverySnapshot, SnapshotPublisher, SnapshotReader
+from repro.core.serving import DiscoverySnapshot, FlatTrie, SnapshotPublisher, SnapshotReader
 
 from ..oracle import PROFILED, apply_op, audit, build_plane, cases, make_path, path, random_op
 
@@ -247,6 +251,40 @@ def check_epoch(snapshot: DiscoverySnapshot, plane) -> None:
     audit(snapshot, plane)
 
 
+def cache_would_serve(plane, peer, k: int) -> bool:
+    """Whether the live ``plane.closest_peers(peer, k)`` would be a cache
+    hit, asked without the query (which refills what misses)."""
+    held = len(plane._cache.lists.get(peer, ()))
+    return plane.maintain_cache and k <= plane.neighbor_set_size and (
+        held >= k or held >= plane.peer_count - 1 or plane._cache.is_complete(peer)
+    )
+
+
+@contextmanager
+def counting_walks():
+    """The origins of every frozen-trie walk made inside the block."""
+    walks: List[int] = []
+    walk = FlatTrie.closest_from_node
+
+    def counted(trie, origin, k, excluded):
+        walks.append(origin)
+        return walk(trie, origin, k, excluded)
+
+    FlatTrie.closest_from_node = counted
+    try:
+        yield walks
+    finally:
+        FlatTrie.closest_from_node = walk
+
+
+def named_by(publisher: SnapshotPublisher) -> Set[str]:
+    """The peers the record of the coming publish names, if it is a patch."""
+    record = publisher._changes
+    if record is None or publisher.plane.changes is not record:
+        return set()
+    return set(record.peers) | record.owners
+
+
 def publish_and_check(publisher: SnapshotPublisher) -> bool:
     """Publish and check the epoch (:func:`check_epoch`).
 
@@ -282,6 +320,103 @@ class TestPatchedEpochs:
                 if op == ("publish",):
                     check_epoch(outcome[1], plane)
             publish_and_check(publisher)
+        finally:
+            plane.close()
+
+    @PROFILED
+    @settings(deadline=None)
+    @given(case=st.one_of(epoch_histories(st.just(None)), epoch_histories(SHARD_COUNTS)))
+    def test_a_publish_refills_what_its_epoch_eroded(self, case):
+        """After every publish, a snapshot read with ``k <= neighbor_set_size``
+        walks the frozen trie exactly when the live plane would miss its
+        cache, and never for a live owner a patched epoch's record named:
+        the writer refilled those lists before it froze them."""
+        plane = build_plane(*case[:-1])
+        try:
+            base_population(plane, case.landmark_count)
+            publisher = SnapshotPublisher(plane)
+            for op in [*case.ops, ("publish",)]:
+                if op != ("publish",):
+                    apply_op(plane, op)
+                    continue
+                named = named_by(publisher)
+                snapshot = publisher.publish()
+                for peer in plane.peers():
+                    for k in range(1, plane.neighbor_set_size + 1):
+                        with counting_walks() as walks:
+                            snapshot.closest_peers(peer, k)
+                        assert len(walks) == (not cache_would_serve(plane, peer, k)), (peer, k)
+                        if plane.maintain_cache and peer in named:
+                            assert not walks, (peer, k)
+                check_epoch(snapshot, plane)
+        finally:
+            plane.close()
+
+    @pytest.mark.parametrize("shard_count", [None, 2])
+    def test_an_eroded_list_is_refilled_once_by_the_writer(self, shard_count):
+        """Epochs of leaves and re-joins over 300 peers: after each publish
+        every live list the record named is one the live cache serves at the
+        default k, and a default read of an owner whose neighbour left is
+        served from its frozen entries, without a walk."""
+        rng = random.Random(56)
+        plane = build_plane(shard_count, 3)
+        try:
+            paths = {
+                f"p{i}": make_path(f"p{i}", i % 3, (0, i % 3, (i // 3) % 3, (i // 9) % 4))
+                for i in range(300)
+            }
+            plane.register_peers(list(paths.values()))
+            publisher = SnapshotPublisher(plane)
+            left: List[str] = []
+            for _ in range(8):
+                rejoining, left = left, rng.sample(plane.peers(), 16)
+                eroded = set()
+                for peer in left:
+                    eroded.update(plane._referenced_by.get(peer, ()))
+                    publisher.unregister_peer(peer)
+                for peer in rejoining:
+                    publisher.register_peer(paths[peer])
+                named = named_by(publisher)
+                assert named  # a patch
+                snapshot = publisher.publish()
+                live = set(plane.peers())
+                for owner in named & live:
+                    assert cache_would_serve(plane, owner, plane.neighbor_set_size), owner
+                eroded &= live
+                assert len(eroded) > 16
+                with counting_walks() as walks:
+                    for owner in eroded:
+                        snapshot.closest_peers(owner)
+                assert walks == []
+            check_epoch(snapshot, plane)
+        finally:
+            plane.close()
+
+    @pytest.mark.parametrize("shard_count", [None, 1, 3])
+    def test_a_patched_epoch_keeps_the_registration_order(self, shard_count):
+        """Joins, a bounce, a re-registration and a batch that repeats a
+        peer, all in one epoch: the snapshot lists the peers in the plane's
+        order, the joined ones at its end."""
+        plane = build_plane(shard_count, 2)
+        try:
+            base_population(plane, 2)
+            publisher = SnapshotPublisher(plane)
+            for op in (
+                ("arrive", 0, 0, (0, 1, 1, 1)),  # A
+                ("arrive", 1, 1, (0, 2, 1, 0)),  # B
+                ("bounce", 0),  # A again, now after B
+                ("batch", [(2, 0, (0, 0, 1, 2)), (1, 1, (0, 1, 2, 3)), (2, 1, (0, 2, 2, 2))]),
+            ):
+                apply_op(plane, op)
+            publisher.register_peer(make_path("b3", 1, (0, 0, 0, 1)))  # an old peer moves
+            publisher.unregister_peer("b5")
+            assert named_by(publisher)  # a patch
+            snapshot = publisher.publish()
+            # The bounce puts A (p0) after B (p1); the batch re-registers B
+            # and repeats p2, so [p0, p1, p2]; then b3.
+            assert plane.peers()[-4:] == ["p0", "p1", "p2", "b3"]
+            assert snapshot.peers() == plane.peers()
+            check_epoch(snapshot, plane)
         finally:
             plane.close()
 

@@ -845,6 +845,28 @@ class TestFillReplies:
             # The frames were whole: the channel was never desynchronised.
             assert plane.closest_peers("a0") == single.closest_peers("a0")
 
+    @pytest.mark.parametrize("peer, op", [("a0", "fill"), ("c0", "local_closest")])
+    def test_an_integral_distance_past_the_float_range_ends_typed(self, peer, op, monkeypatch):
+        """A JSON integer has no bound: one no float can hold, as the last
+        item's distance, used to escape the reply check as a raw
+        ``OverflowError``."""
+        single, plane = fill_planes(("lmA", "lmC"))
+        with plane:
+            conn = plane.shards[1].supervisor.connection
+            honest = conn.recv_frame
+
+            def corrupted(budget):
+                request_id, status, value = honest(budget)
+                value[-1][0 if op == "fill" else 1] = 10**400
+                return (request_id, status, value)
+
+            monkeypatch.setattr(conn, "recv_frame", corrupted)
+            answer = plane.closest_peers(peer)
+            assert isinstance(answer, DegradedResult)
+            assert f"malformed reply to '{op}'" in answer.reason
+            monkeypatch.undo()
+            assert plane.closest_peers(peer) == single.closest_peers(peer)
+
     @pytest.mark.parametrize("corruption", sorted(CLOSEST_CORRUPTIONS))
     def test_a_malformed_local_closest_reply_ends_typed(self, corruption, monkeypatch):
         single, plane = fill_planes(("lmA", "lmC"))
